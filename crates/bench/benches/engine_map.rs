@@ -1,5 +1,5 @@
 //! Spawn-per-call threading vs the persistent worker pool on the engine's
-//! `map` contract, across batch sizes. The pool amortizes thread creation:
+//! `map_indexed` contract, across batch sizes. The pool amortizes thread creation:
 //! the gap is widest for small batches dispatched often — exactly the shape
 //! of the proactive-training hot path (a few chunks per instance, fired
 //! every few arrivals).
@@ -50,7 +50,9 @@ fn bench_engine_map(c: &mut Criterion) {
         let items = make_items(n);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("sequential", n), &items, |b, items| {
-            b.iter(|| ExecutionEngine::Sequential.map(items.clone(), |chunk| chunk_work(&chunk)));
+            b.iter(|| {
+                ExecutionEngine::Sequential.map_indexed(items.len(), |i| chunk_work(&items[i]))
+            });
         });
         group.bench_with_input(BenchmarkId::new("spawn_per_call", n), &items, |b, items| {
             b.iter(|| spawn_per_call_map(items, WORKERS));
@@ -59,7 +61,7 @@ fn bench_engine_map(c: &mut Criterion) {
             BenchmarkId::new("persistent_pool", n),
             &items,
             |b, items| {
-                b.iter(|| pool.map(items.clone(), |chunk| chunk_work(&chunk)));
+                b.iter(|| pool.map_indexed(items.len(), |i| chunk_work(&items[i])));
             },
         );
     }

@@ -6,9 +6,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+use cdp_engine::ExecutionEngine;
 use cdp_linalg::{SparseBuilder, Vector};
 use cdp_ml::{ConvergenceCriteria, LossKind, OptimizerKind, Regularizer, SgdConfig, SgdTrainer};
-use cdp_storage::LabeledPoint;
+use cdp_storage::{LabeledPoint, RowView};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -58,7 +59,8 @@ fn bench_batch_sizes(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(batch), &points, |b, points| {
             let mut trainer =
                 SgdTrainer::new(dim, &config(LossKind::Hinge, OptimizerKind::adam(0.01)));
-            b.iter(|| black_box(trainer.step(points.iter())));
+            let rows: Vec<RowView<'_>> = points.iter().map(RowView::Point).collect();
+            b.iter(|| black_box(trainer.step_rows(&rows, ExecutionEngine::Sequential)));
         });
     }
     group.finish();
@@ -73,7 +75,8 @@ fn bench_sparse_dims(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(dim), &points, |b, points| {
             let mut trainer =
                 SgdTrainer::new(dim, &config(LossKind::Hinge, OptimizerKind::adam(0.01)));
-            b.iter(|| black_box(trainer.step(points.iter())));
+            let rows: Vec<RowView<'_>> = points.iter().map(RowView::Point).collect();
+            b.iter(|| black_box(trainer.step_rows(&rows, ExecutionEngine::Sequential)));
         });
     }
     group.finish();
@@ -99,7 +102,8 @@ fn bench_optimizers(c: &mut Criterion) {
     for (name, optimizer) in optimizers {
         group.bench_with_input(BenchmarkId::from_parameter(name), &points, |b, points| {
             let mut trainer = SgdTrainer::new(dim, &config(LossKind::Logistic, optimizer));
-            b.iter(|| black_box(trainer.step(points.iter())));
+            let rows: Vec<RowView<'_>> = points.iter().map(RowView::Point).collect();
+            b.iter(|| black_box(trainer.step_rows(&rows, ExecutionEngine::Sequential)));
         });
     }
     group.finish();

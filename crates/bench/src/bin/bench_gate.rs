@@ -87,10 +87,10 @@ fn measure() -> Vec<(&'static str, f64)> {
     };
     let map_ratio = paired_floor_ratio(
         || {
-            pool.map_slice(&items, work);
+            pool.map_indexed(items.len(), |i| work(&items[i]));
         },
         || {
-            ExecutionEngine::Sequential.map_slice(&items, work);
+            ExecutionEngine::Sequential.map_indexed(items.len(), |i| work(&items[i]));
         },
     );
 

@@ -14,11 +14,10 @@
 //!   rebalances them.
 
 use cdp_core::serving::ModelServer;
-use cdp_engine::ExecutionEngine;
+use cdp_engine::{ExecutionEngine, RunCtx};
 use cdp_faults::NoFaults;
 use cdp_ml::LinearModel;
 use cdp_ml::{FusedStepOutcome, LossKind, SgdConfig, SgdTrainer};
-use cdp_obs::{Metrics, Tracer};
 use cdp_pipeline::encode::DenseEncoder;
 use cdp_pipeline::parser::SchemaParser;
 use cdp_pipeline::scale::StandardScaler;
@@ -92,7 +91,7 @@ impl FusedWorkload {
     pub fn run_fused(&self, engine: ExecutionEngine) -> FusedStepOutcome {
         let mut trainer = SgdTrainer::new(1, &self.config);
         trainer
-            .try_step_fused_on(
+            .try_step_fused(
                 self.raws.len(),
                 |i, sink: &mut dyn FnMut(RowView<'_>)| {
                     let mut local = self.template.clone();
@@ -101,9 +100,7 @@ impl FusedWorkload {
                 },
                 engine,
                 &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
+                &RunCtx::default(),
             )
             .expect("no faults injected")
     }
@@ -170,7 +167,8 @@ impl StoreWorkload {
     pub fn run_row(&self, engine: ExecutionEngine) -> Option<f64> {
         let mut trainer = SgdTrainer::new(3, &self.config);
         let points: Vec<LabeledPoint> = self.chunks().iter().flat_map(|c| c.to_points()).collect();
-        trainer.step_on(points.iter(), engine)
+        let rows: Vec<RowView<'_>> = points.iter().map(RowView::Point).collect();
+        trainer.step_rows(&rows, engine)
     }
 
     /// Compactions the store performed at ingest (sanity for the gate).

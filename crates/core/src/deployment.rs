@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cdp_datagen::ChunkStream;
-use cdp_engine::{EngineError, ExecutionEngine};
+use cdp_engine::{EngineError, ExecutionEngine, RunCtx};
 use cdp_eval::cost::Stopwatch;
 use cdp_eval::prequential::average_of_curve;
 use cdp_eval::{CostLedger, CostModel, Phase, PrequentialEvaluator};
@@ -385,7 +385,7 @@ pub struct DeploymentConfig {
     /// event log) into [`DeploymentResult::metrics`]. Off by default: the
     /// disabled handle adds no locking, allocation, or clock reads to the
     /// hot path. For an injected clock or a shared registry use
-    /// [`try_run_deployment_observed`] instead.
+    /// [`try_run_deployment_in`] instead.
     pub collect_metrics: bool,
     /// Collect a causal span tree (deployment phases → engine maps →
     /// per-worker tasks) into [`DeploymentResult::trace`]. Off by default:
@@ -519,12 +519,11 @@ pub struct DeploymentResult {
     pub tiered_stats: TieredStats,
     /// Uniform observability snapshot spanning engine, storage, scheduler,
     /// and trainer (empty unless [`DeploymentConfig::collect_metrics`] is
-    /// set or a [`Metrics`] handle was passed to
-    /// [`try_run_deployment_observed`]).
+    /// set or a [`Metrics`] handle was passed to [`try_run_deployment_in`]).
     pub metrics: MetricsSnapshot,
     /// Causal span tree across all deployment phases and worker threads
     /// (empty unless [`DeploymentConfig::collect_traces`] is set or a
-    /// [`Tracer`] handle was passed to [`try_run_deployment_traced`]).
+    /// [`Tracer`] handle was passed to [`try_run_deployment_in`]).
     /// Export with [`TraceSnapshot::to_chrome_trace`] or
     /// [`TraceSnapshot::to_folded_stacks`].
     pub trace: TraceSnapshot,
@@ -659,62 +658,57 @@ pub fn try_run_deployment(
     spec: &DeploymentSpec,
     config: &DeploymentConfig,
 ) -> Result<DeploymentResult, DeploymentError> {
-    let metrics = if config.collect_metrics {
-        Metrics::collecting()
-    } else {
-        Metrics::disabled()
-    };
-    try_run_deployment_observed(stream, spec, config, metrics)
+    try_run_deployment_in(stream, spec, config, config_ctx(config))
 }
 
-/// [`try_run_deployment`] recording runtime metrics into an explicit
-/// [`Metrics`] handle — pass `Metrics::with_clock(...)` to stamp events and
-/// spans against an injected (e.g. virtual) clock, or a shared handle to
-/// aggregate several runs into one registry. The handle overrides
-/// [`DeploymentConfig::collect_metrics`].
+/// The observers [`DeploymentConfig::collect_metrics`] and
+/// [`DeploymentConfig::collect_traces`] ask for, on the wall clock.
+fn config_ctx(config: &DeploymentConfig) -> RunCtx {
+    RunCtx {
+        metrics: if config.collect_metrics {
+            Metrics::collecting()
+        } else {
+            Metrics::disabled()
+        },
+        tracer: if config.collect_traces {
+            Tracer::collecting()
+        } else {
+            Tracer::disabled()
+        },
+        parent: None,
+    }
+}
+
+/// [`try_run_deployment`] recording into explicit handles, which override
+/// [`DeploymentConfig::collect_metrics`] and
+/// [`DeploymentConfig::collect_traces`] — pass `Metrics::with_clock(...)` /
+/// `Tracer::with_clock(...)` to stamp events and spans against an injected
+/// (e.g. virtual) clock, or shared handles to aggregate several runs.
 ///
-/// Metrics never feed back into results: weights, error curves, and
-/// accounted cost are bit-identical with and without collection (only
-/// wall-clock overhead differs, and the disabled handle's is zero).
+/// The span tree is a `deployment.run` span under `ctx.parent`; initial
+/// training, each arriving chunk, periodical retrainings, and
+/// proactive-training instances open child spans, and engine maps dispatched
+/// inside them parent their per-worker `engine.task` spans across threads.
+///
+/// Observers never feed back into results: weights, error curves, and
+/// accounted cost are bit-identical with and without them (only wall-clock
+/// overhead differs, and the disabled handles' is one branch per use).
 ///
 /// # Errors
 /// Same as [`try_run_deployment`].
-pub fn try_run_deployment_observed(
+pub fn try_run_deployment_in(
     stream: &dyn ChunkStream,
     spec: &DeploymentSpec,
     config: &DeploymentConfig,
-    metrics: Metrics,
+    ctx: RunCtx,
 ) -> Result<DeploymentResult, DeploymentError> {
-    let tracer = if config.collect_traces {
-        Tracer::collecting()
-    } else {
-        Tracer::disabled()
-    };
-    try_run_deployment_traced(stream, spec, config, metrics, tracer)
-}
-
-/// [`try_run_deployment_observed`] recording causal spans into an explicit
-/// [`Tracer`] handle — pass `Tracer::with_clock(...)` for an injected clock
-/// or a shared handle to merge several runs into one span buffer. The
-/// handle overrides [`DeploymentConfig::collect_traces`].
-///
-/// The span tree is rooted at `deployment.run`; initial training, each
-/// arriving chunk, periodical retrainings, and proactive-training instances
-/// open child spans, and engine maps dispatched inside them parent their
-/// per-worker `engine.task` spans across threads. Like metrics, traces
-/// never feed back into results.
-///
-/// # Errors
-/// Same as [`try_run_deployment`].
-pub fn try_run_deployment_traced(
-    stream: &dyn ChunkStream,
-    spec: &DeploymentSpec,
-    config: &DeploymentConfig,
-    metrics: Metrics,
-    tracer: Tracer,
-) -> Result<DeploymentResult, DeploymentError> {
+    let RunCtx {
+        metrics,
+        tracer,
+        parent,
+    } = ctx;
     let wall = Stopwatch::start();
-    let run_span = tracer.root("deployment.run");
+    let run_span = tracer.child_of("deployment.run", parent);
     let run_ctx = run_span.context();
     let strategy = match config.mode {
         DeploymentMode::Continuous { strategy, .. } => strategy,
@@ -1539,24 +1533,8 @@ fn assemble_checkpoint(
     }
 }
 
-/// Resumes a killed deployment from its newest valid checkpoint, running it
-/// to completion. Panics on failure; use [`try_resume_deployment`] for a
-/// typed error.
-///
-/// # Panics
-/// Panics when there is nothing to resume from or the resumed run fails.
-pub fn resume_deployment(
-    stream: &dyn ChunkStream,
-    spec: &DeploymentSpec,
-    config: &DeploymentConfig,
-) -> DeploymentResult {
-    match try_resume_deployment(stream, spec, config) {
-        Ok(result) => result,
-        Err(e) => panic!("resume failed: {e}"),
-    }
-}
-
-/// [`resume_deployment`] with failures surfaced as typed errors.
+/// Resumes a killed deployment from its newest valid checkpoint and runs it
+/// to completion.
 ///
 /// Resume receives the same `stream`, `spec`, and `config` the original run
 /// used — the checkpoint stores only dynamic state and is meaningless
@@ -1564,7 +1542,10 @@ pub fn resume_deployment(
 /// `config.checkpoint.dir` wins; torn, corrupt, or version-mismatched files
 /// are skipped in favour of their predecessor. The resumed run is
 /// bit-identical to an uninterrupted one: same weights, prequential curve,
-/// accounted cost, storage counters, and alerts.
+/// accounted cost, storage counters, and alerts. Metrics are first restored
+/// from the checkpoint's embedded snapshot, then extended by the resumed
+/// run; the resumed trace is rooted at `deployment.run` with a
+/// `deployment.replay` child covering state reconstruction.
 ///
 /// An injected crash site in `config.faults` is cleared on resume: the dead
 /// process already consumed that countdown.
@@ -1579,48 +1560,9 @@ pub fn try_resume_deployment(
     spec: &DeploymentSpec,
     config: &DeploymentConfig,
 ) -> Result<DeploymentResult, DeploymentError> {
-    let metrics = if config.collect_metrics {
-        Metrics::collecting()
-    } else {
-        Metrics::disabled()
-    };
-    try_resume_deployment_observed(stream, spec, config, metrics)
-}
-
-/// [`try_resume_deployment`] recording runtime metrics into an explicit
-/// [`Metrics`] handle (which is first restored from the checkpoint's
-/// embedded snapshot, then extended by the resumed run).
-///
-/// # Errors
-/// Same as [`try_resume_deployment`].
-pub fn try_resume_deployment_observed(
-    stream: &dyn ChunkStream,
-    spec: &DeploymentSpec,
-    config: &DeploymentConfig,
-    metrics: Metrics,
-) -> Result<DeploymentResult, DeploymentError> {
-    let tracer = if config.collect_traces {
-        Tracer::collecting()
-    } else {
-        Tracer::disabled()
-    };
-    try_resume_deployment_traced(stream, spec, config, metrics, tracer)
-}
-
-/// [`try_resume_deployment_observed`] recording causal spans into an
-/// explicit [`Tracer`] handle. The resumed trace is rooted at
-/// `deployment.run` with a `deployment.replay` child covering state
-/// reconstruction.
-///
-/// # Errors
-/// Same as [`try_resume_deployment`].
-pub fn try_resume_deployment_traced(
-    stream: &dyn ChunkStream,
-    spec: &DeploymentSpec,
-    config: &DeploymentConfig,
-    metrics: Metrics,
-    tracer: Tracer,
-) -> Result<DeploymentResult, DeploymentError> {
+    let RunCtx {
+        metrics, tracer, ..
+    } = config_ctx(config);
     let wall = Stopwatch::start();
     let Some(ckpt_cfg) = &config.checkpoint else {
         return Err(DeploymentError::NoCheckpoint(

@@ -36,11 +36,9 @@ pub mod tuning;
 pub use checkpoint::DeploymentCheckpoint;
 pub use data_manager::{DataManager, SampledChunk};
 pub use deployment::{
-    resume_deployment, run_deployment, try_resume_deployment, try_resume_deployment_observed,
-    try_resume_deployment_traced, try_run_deployment, try_run_deployment_observed,
-    try_run_deployment_traced, CheckpointConfig, CheckpointStats, DeploymentConfig,
-    DeploymentError, DeploymentMode, DeploymentResult, OptimizationConfig, RecorderConfig,
-    TelemetryConfig,
+    run_deployment, try_resume_deployment, try_run_deployment, try_run_deployment_in,
+    CheckpointConfig, CheckpointStats, DeploymentConfig, DeploymentError, DeploymentMode,
+    DeploymentResult, OptimizationConfig, RecorderConfig, TelemetryConfig,
 };
 pub use pipeline_manager::PipelineManager;
 pub use presets::{taxi_spec, url_spec, DeploymentSpec, SpecScale};

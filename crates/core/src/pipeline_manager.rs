@@ -4,13 +4,13 @@
 
 use std::sync::{Arc, OnceLock};
 
-use cdp_engine::{EngineError, ExecutionEngine};
+use cdp_engine::{EngineError, ExecutionEngine, RunCtx};
 use cdp_eval::{CostLedger, PrequentialEvaluator};
 use cdp_faults::{FaultHook, NoFaults};
 use cdp_ml::{FusedStepOutcome, SgdConfig, SgdTrainer, TrainReport};
 use cdp_obs::{LineageEventKind, Metrics, SpanContext, Tracer};
 use cdp_pipeline::{Pipeline, PipelineCounters};
-use cdp_storage::{FeatureChunk, LabeledPoint, RawChunk, RowView};
+use cdp_storage::{FeatureChunk, RawChunk, RowView};
 
 /// One input to a fused proactive SGD step: either an already-materialized
 /// feature chunk (used as-is) or a raw chunk that must be re-materialized —
@@ -37,9 +37,8 @@ pub struct PipelineManager {
     online_batch: usize,
     engine: ExecutionEngine,
     hook: Arc<dyn FaultHook>,
-    metrics: Metrics,
-    tracer: Tracer,
-    trace_scope: Option<SpanContext>,
+    /// Observers of every batch operation; `parent` is the trace scope.
+    ctx: RunCtx,
     counters_base: PipelineCounters,
     points_base: u64,
     steps_base: u64,
@@ -57,9 +56,7 @@ impl PipelineManager {
             online_batch: online_batch.max(1),
             engine: ExecutionEngine::Sequential,
             hook: Arc::new(NoFaults),
-            metrics: Metrics::disabled(),
-            tracer: Tracer::disabled(),
-            trace_scope: None,
+            ctx: RunCtx::default(),
             points_base: 0,
             steps_base: 0,
             scratch_base: (0, 0),
@@ -78,9 +75,7 @@ impl PipelineManager {
             online_batch: online_batch.max(1),
             engine: ExecutionEngine::Sequential,
             hook: Arc::new(NoFaults),
-            metrics: Metrics::disabled(),
-            tracer: Tracer::disabled(),
-            trace_scope: None,
+            ctx: RunCtx::default(),
         }
     }
 
@@ -104,7 +99,7 @@ impl PipelineManager {
     /// map latency) for every batch operation into `metrics`. The default
     /// handle is disabled and adds no overhead.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.metrics = metrics;
+        self.ctx.metrics = metrics;
         self
     }
 
@@ -113,7 +108,7 @@ impl PipelineManager {
     /// children of the manager's current trace scope. The default tracer is
     /// disabled and adds no overhead.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.ctx.tracer = tracer;
         self
     }
 
@@ -121,7 +116,7 @@ impl PipelineManager {
     /// (e.g. the deployment driver's per-chunk span). `None` detaches:
     /// operations become roots of their own traces.
     pub fn set_trace_scope(&mut self, scope: Option<SpanContext>) {
-        self.trace_scope = scope;
+        self.ctx.parent = scope;
     }
 
     /// The execution engine batch operations run on.
@@ -173,12 +168,14 @@ impl PipelineManager {
         let delta_reused = reused.saturating_sub(self.scratch_base.0);
         let delta_allocated = allocated.saturating_sub(self.scratch_base.1);
         if delta_reused > 0 {
-            self.metrics
+            self.ctx
+                .metrics
                 .histogram("engine.scratch_reuse")
                 .observe(delta_reused as f64);
         }
         if delta_allocated > 0 {
-            self.metrics
+            self.ctx
+                .metrics
                 .histogram("engine.scratch_alloc")
                 .observe(delta_allocated as f64);
         }
@@ -198,24 +195,21 @@ impl PipelineManager {
     ) -> (TrainReport, Vec<FeatureChunk>) {
         let mut feature_chunks = Vec::with_capacity(chunks.len());
         for chunk in chunks {
-            self.metrics
+            self.ctx
+                .metrics
                 .lineage(chunk.timestamp.0, LineageEventKind::Transform);
             feature_chunks.push(self.pipeline.fit_transform_chunk(chunk));
         }
-        let points: Vec<_> = feature_chunks
-            .iter()
-            .flat_map(FeatureChunk::to_points)
-            .collect();
-        let report = self.trainer.fit_on_traced(
-            &points,
-            sgd,
-            self.engine,
-            &self.metrics,
-            &self.tracer,
-            self.trace_scope,
-        );
+        let report = self.fit_chunks(&feature_chunks, sgd);
         self.drain_charges(ledger);
         (report, feature_chunks)
+    }
+
+    /// Trains to convergence on the rows of `chunks`, straight out of their
+    /// columnar slabs.
+    fn fit_chunks(&mut self, chunks: &[FeatureChunk], sgd: &SgdConfig) -> TrainReport {
+        let rows: Vec<RowView<'_>> = chunks.iter().flat_map(FeatureChunk::rows).collect();
+        self.trainer.fit_rows(&rows, sgd, self.engine, &self.ctx)
     }
 
     /// Warm retraining for the periodical baseline: the pipeline statistics
@@ -223,74 +217,39 @@ impl PipelineManager {
     /// historical chunks are re-transformed and the model is trained to
     /// convergence on the full dataset — the expensive path that proactive
     /// training replaces.
+    ///
+    /// The history is transformed chunk-parallel on the engine (the
+    /// Spark-style batch path of §4.5): one contiguous group of chunks per
+    /// worker, each on a clone of the deployed pipeline (transform-only, so
+    /// the clones never diverge from the original's statistics), counter
+    /// deltas absorbed in group order. Accounted cost is engine-independent
+    /// — parallel execution reduces wall-clock time, not work.
     pub fn retrain_warm(
         &mut self,
-        history: &[std::sync::Arc<RawChunk>],
+        history: &[Arc<RawChunk>],
         sgd: &SgdConfig,
         ledger: &mut CostLedger,
     ) -> TrainReport {
-        self.retrain_warm_on(history, sgd, self.engine, ledger)
-    }
-
-    /// [`PipelineManager::retrain_warm`] with the history transformation
-    /// executed chunk-parallel on an execution engine (the Spark-style
-    /// batch path of §4.5). Accounted cost is engine-independent — parallel
-    /// execution reduces wall-clock time, not work.
-    pub fn retrain_warm_on(
-        &mut self,
-        history: &[std::sync::Arc<RawChunk>],
-        sgd: &SgdConfig,
-        engine: ExecutionEngine,
-        ledger: &mut CostLedger,
-    ) -> TrainReport {
-        let points = match engine {
-            ExecutionEngine::Sequential => {
-                let mut points = Vec::new();
-                for chunk in history {
-                    points.extend(self.pipeline.transform_chunk(chunk).to_points());
-                }
-                points
-            }
-            ExecutionEngine::Threaded { workers } => {
-                // Partition into one group per worker; each group runs on a
-                // clone of the deployed pipeline (transform-only, so the
-                // clones never diverge from the original's statistics).
-                let groups: Vec<Vec<std::sync::Arc<RawChunk>>> = history
-                    .chunks(history.len().div_ceil(workers.max(1)).max(1))
-                    .map(<[std::sync::Arc<RawChunk>]>::to_vec)
-                    .collect();
-                let template = self.pipeline.clone();
-                let results = engine.map_traced(
-                    groups,
-                    |group| {
-                        let mut local = template.clone();
-                        local.reset_counters();
-                        let mut points = Vec::new();
-                        for chunk in &group {
-                            points.extend(local.transform_chunk(chunk).to_points());
-                        }
-                        (points, local.counters())
-                    },
-                    &self.metrics,
-                    &self.tracer,
-                    self.trace_scope,
-                );
-                let mut points = Vec::new();
-                for (group_points, counters) in results {
-                    points.extend(group_points);
-                    self.pipeline.absorb_counters(counters);
-                }
-                points
-            }
-        };
-        let report = self.trainer.fit_on_traced(
-            &points,
-            sgd,
-            engine,
-            &self.metrics,
-            &self.tracer,
-            self.trace_scope,
+        let group_len = history.len().div_ceil(self.engine.workers()).max(1);
+        let template = &self.pipeline;
+        let groups = self.engine.map_parts(
+            history,
+            group_len,
+            |group| {
+                let mut local = template.clone();
+                local.reset_counters();
+                let chunks: Vec<FeatureChunk> =
+                    group.iter().map(|raw| local.transform_chunk(raw)).collect();
+                (chunks, local.counters())
+            },
+            &self.ctx,
         );
+        let mut chunks = Vec::with_capacity(history.len());
+        for (group_chunks, counters) in groups {
+            chunks.extend(group_chunks);
+            self.pipeline.absorb_counters(counters);
+        }
+        let report = self.fit_chunks(&chunks, sgd);
         self.drain_charges(ledger);
         report
     }
@@ -310,7 +269,8 @@ impl PipelineManager {
         evaluator: &mut PrequentialEvaluator,
         ledger: &mut CostLedger,
     ) -> FeatureChunk {
-        self.metrics
+        self.ctx
+            .metrics
             .lineage(raw.timestamp.0, LineageEventKind::Transform);
         let fc = self.pipeline.fit_transform_chunk(raw);
         // Test-then-train: predictions are made before the online update.
@@ -352,87 +312,10 @@ impl PipelineManager {
         fc
     }
 
-    /// Re-materializes a batch of evicted chunks in one engine-parallel map.
-    ///
-    /// Each chunk is transformed on its own clone of the deployed pipeline
-    /// (transform-only, so the clones never diverge from the deployed
-    /// statistics); counter deltas are absorbed in input order, making the
-    /// accounted cost and the returned chunks independent of the engine and
-    /// of worker scheduling. Output order matches input order.
-    pub fn rematerialize_many(
-        &mut self,
-        raws: &[std::sync::Arc<RawChunk>],
-        ledger: &mut CostLedger,
-    ) -> Vec<FeatureChunk> {
-        match self.try_rematerialize_many(raws, ledger) {
-            Ok(out) => out,
-            Err(e) => panic!("rematerialization failed: {e}"),
-        }
-    }
-
-    /// [`PipelineManager::rematerialize_many`] with engine faults surfaced
-    /// as typed errors. Injected worker panics within the restart budget are
-    /// recovered transparently (results stay bit-identical); an exhausted
-    /// restart budget or a genuine worker panic returns
-    /// [`EngineError::WorkerPanic`].
-    ///
-    /// # Errors
-    /// [`EngineError::WorkerPanic`] when a worker dies beyond recovery.
-    pub fn try_rematerialize_many(
-        &mut self,
-        raws: &[std::sync::Arc<RawChunk>],
-        ledger: &mut CostLedger,
-    ) -> Result<Vec<FeatureChunk>, EngineError> {
-        // Early return BEFORE drawing a worker order: the fault epoch
-        // sequence must depend only on deployment logic, not engine calls
-        // that would be no-ops.
-        if raws.is_empty() {
-            return Ok(Vec::new());
-        }
-        let template = self.pipeline.clone();
-        let hook = Arc::clone(&self.hook);
-        // Borrowed-slice map: no clone of the `Arc<RawChunk>` handles into a
-        // scratch `Vec` — workers read the caller's slice directly.
-        let results = self.engine.try_map_slice_with_hook_traced(
-            raws,
-            |raw| {
-                let mut local = template.clone();
-                local.reset_counters();
-                let fc = local.transform_chunk(raw);
-                (fc, local.counters())
-            },
-            &*hook,
-            &self.metrics,
-            &self.tracer,
-            self.trace_scope,
-        )?;
-        let mut out = Vec::with_capacity(results.len());
-        for (fc, counters) in results {
-            self.pipeline.absorb_counters(counters);
-            out.push(fc);
-        }
-        self.drain_charges(ledger);
-        Ok(out)
-    }
-
-    /// One proactive mini-batch SGD step over `batch`, parented under the
-    /// manager's current trace scope (the deployment driver's
-    /// `proactive.fire` span) so sharded gradient tasks on worker threads
-    /// join the deployment's span tree.
-    pub fn proactive_step(&mut self, batch: Vec<&LabeledPoint>) -> Option<f64> {
-        self.trainer.step_on_traced(
-            batch,
-            self.engine,
-            &self.metrics,
-            &self.tracer,
-            self.trace_scope,
-        )
-    }
-
     /// One proactive mini-batch SGD step with the transform **fused** into
     /// the gradient pass: each `Raw` source streams through a clone of the
     /// deployed pipeline directly into a per-source gradient accumulator
-    /// ([`SgdTrainer::try_step_fused_on`]), so no intermediate
+    /// ([`SgdTrainer::try_step_fused`]), so no intermediate
     /// [`FeatureChunk`] or union batch buffer is ever materialized.
     ///
     /// Results are deterministic: gradients reduce in fixed tree order keyed
@@ -457,18 +340,17 @@ impl PipelineManager {
                 points: 0,
             });
         }
-        let template = self.pipeline.clone();
+        let template = &self.pipeline;
         // Worker-fault orders are part of the deployment's deterministic
         // fault-epoch sequence, which is defined over *re-materializing*
         // engine calls (the fault site the injector models). A fused step
         // whose sources are all `Ready` does no pipeline work, so it must
-        // not consume an epoch — exactly as the pre-fused path, where only
-        // `try_rematerialize_many` consulted the hook.
+        // not consume an epoch.
         let rematerializes = sources.iter().any(|s| matches!(s, ProactiveSource::Raw(_)));
-        let hook: Arc<dyn FaultHook> = if rematerializes {
-            Arc::clone(&self.hook)
+        let hook: &dyn FaultHook = if rematerializes {
+            &*self.hook
         } else {
-            Arc::new(NoFaults)
+            &NoFaults
         };
         // Transform work happens on pipeline clones inside engine tasks;
         // their counters land here (one write per source, re-runs after an
@@ -476,7 +358,7 @@ impl PipelineManager {
         // order after the step.
         let counter_slots: Vec<OnceLock<PipelineCounters>> =
             sources.iter().map(|_| OnceLock::new()).collect();
-        let outcome = self.trainer.try_step_fused_on(
+        let outcome = self.trainer.try_step_fused(
             sources.len(),
             |i, sink| match &sources[i] {
                 ProactiveSource::Ready(fc) => {
@@ -494,10 +376,8 @@ impl PipelineManager {
                 }
             },
             self.engine,
-            &*hook,
-            &self.metrics,
-            &self.tracer,
-            self.trace_scope,
+            hook,
+            &self.ctx,
         )?;
         for slot in counter_slots {
             if let Some(counters) = slot.into_inner() {
@@ -582,42 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn rematerialize_many_matches_per_chunk_path_on_every_engine() {
-        let mut ev = PrequentialEvaluator::new(ErrorMetric::Rmsle, 0);
-        let raws: Vec<std::sync::Arc<RawChunk>> = (0..7)
-            .map(|t| {
-                std::sync::Arc::new(chunk(
-                    t,
-                    &[(t as f64, t as f64 * 0.25), (t as f64 + 2.0, t as f64)],
-                ))
-            })
-            .collect();
-
-        let mut base_pm = PipelineManager::new(pipeline(), &sgd(), 8);
-        let mut base_ledger = CostLedger::new(CostModel::commodity());
-        base_pm.process_online_chunk(&raws[0], &mut ev, &mut base_ledger);
-        let expected: Vec<FeatureChunk> = raws
-            .iter()
-            .map(|raw| base_pm.rematerialize(raw, &mut base_ledger))
-            .collect();
-
-        for engine in [
-            ExecutionEngine::Sequential,
-            ExecutionEngine::Threaded { workers: 3 },
-        ] {
-            let mut pm = PipelineManager::new(pipeline(), &sgd(), 8).with_engine(engine);
-            let mut ledger = CostLedger::new(CostModel::commodity());
-            pm.process_online_chunk(&raws[0], &mut ev, &mut ledger);
-            let batched = pm.rematerialize_many(&raws, &mut ledger);
-            assert_eq!(batched, expected, "engine {}", engine.name());
-            assert!(
-                (ledger.total() - base_ledger.total()).abs() < 1e-12,
-                "accounted cost must be engine-independent"
-            );
-        }
-    }
-
-    #[test]
     fn answer_queries_does_not_train() {
         let mut pm = PipelineManager::new(pipeline(), &sgd(), 8);
         let mut ev = PrequentialEvaluator::new(ErrorMetric::Rmsle, 0);
@@ -679,28 +523,64 @@ mod tests {
         let mut seq_pm = PipelineManager::new(pipeline(), &sgd(), 8);
         let mut seq_ledger = CostLedger::default();
         seq_pm.process_online_chunk(&history[0], &mut ev, &mut seq_ledger);
-        let mut par_pm = PipelineManager::new(pipeline(), &sgd(), 8);
+        let mut par_pm = PipelineManager::new(pipeline(), &sgd(), 8)
+            .with_engine(ExecutionEngine::Threaded { workers: 4 });
         let mut par_ledger = CostLedger::default();
         par_pm.process_online_chunk(&history[0], &mut ev, &mut par_ledger);
 
-        let seq_report = seq_pm.retrain_warm_on(
-            &history,
-            &sgd(),
-            ExecutionEngine::Sequential,
-            &mut seq_ledger,
-        );
-        let par_report = par_pm.retrain_warm_on(
-            &history,
-            &sgd(),
-            ExecutionEngine::Threaded { workers: 4 },
-            &mut par_ledger,
-        );
+        let seq_report = seq_pm.retrain_warm(&history, &sgd(), &mut seq_ledger);
+        let par_report = par_pm.retrain_warm(&history, &sgd(), &mut par_ledger);
         assert_eq!(
             seq_pm.trainer().model().weights(),
             par_pm.trainer().model().weights()
         );
         assert_eq!(seq_report.steps, par_report.steps);
         assert!((seq_ledger.total() - par_ledger.total()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn only_rematerializing_fused_steps_draw_a_worker_order() {
+        use cdp_faults::{FaultInjector, FaultPlan};
+        // A quiet plan never injects, but its injector still counts every
+        // order drawn: the fault-epoch sequence chaos runs replay.
+        let raws: Vec<Arc<RawChunk>> = (0..6)
+            .map(|t| {
+                Arc::new(chunk(
+                    t,
+                    &[(t as f64, t as f64 * 0.5), (t as f64 + 1.0, 2.0)],
+                ))
+            })
+            .collect();
+        let initial: Vec<RawChunk> = raws[..2].iter().map(|c| (**c).clone()).collect();
+        for engine in [
+            ExecutionEngine::Sequential,
+            ExecutionEngine::Threaded { workers: 4 },
+        ] {
+            let hook = Arc::new(FaultInjector::new(FaultPlan::none()));
+            let mut pm = PipelineManager::new(pipeline(), &sgd(), 8)
+                .with_engine(engine)
+                .with_fault_hook(Arc::clone(&hook) as Arc<dyn FaultHook>);
+            let mut ev = PrequentialEvaluator::new(ErrorMetric::Rmsle, 0);
+            let mut ledger = CostLedger::default();
+
+            let (_, fcs) = pm.initial_fit(&initial, &sgd(), &mut ledger);
+            pm.retrain_warm(&raws[..4], &sgd(), &mut ledger);
+            pm.process_online_chunk(&raws[4], &mut ev, &mut ledger);
+            let ready: Vec<ProactiveSource> = fcs
+                .into_iter()
+                .map(|fc| ProactiveSource::Ready(Arc::new(fc)))
+                .collect();
+            let outcome = pm.try_proactive_step_fused(&ready, &mut ledger).unwrap();
+            assert!(outcome.points > 0);
+            assert_eq!(hook.worker_epoch(), 0, "engine {}", engine.name());
+
+            for fired in 1..=3u64 {
+                let mut sources = ready.clone();
+                sources.push(ProactiveSource::Raw(Arc::clone(&raws[5])));
+                pm.try_proactive_step_fused(&sources, &mut ledger).unwrap();
+                assert_eq!(hook.worker_epoch(), fired, "engine {}", engine.name());
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use cdp_engine::ExecutionEngine;
+use cdp_engine::{ExecutionEngine, RunCtx};
 use cdp_faults::{FaultHook, NoFaults};
 use cdp_ml::LinearModel;
 use cdp_obs::{Alert, AlertMonitor, Clock, Counter, Gauge, Histogram, Metrics, WallClock};
@@ -332,7 +332,9 @@ struct ServerInner {
     version: AtomicU64,
     engine: ExecutionEngine,
     hook: Arc<dyn FaultHook>,
-    metrics: Metrics,
+    /// Batch scoring's engine observers: the server's metrics, no tracer
+    /// (queries arrive outside any deployment span tree).
+    ctx: RunCtx,
     obs: ServerMetrics,
     clock: Arc<dyn Clock>,
     batch: BatchConfig,
@@ -480,7 +482,10 @@ impl ServerBuilder {
                 version: AtomicU64::new(1),
                 engine: self.engine,
                 hook: self.hook,
-                metrics: self.metrics,
+                ctx: RunCtx {
+                    metrics: self.metrics,
+                    ..RunCtx::default()
+                },
                 obs,
                 clock: self.clock,
                 batch: self.batch,
@@ -568,7 +573,7 @@ impl ModelServer {
         let shard = &self.inner.shards[self.shard_index()];
         let snap = shard.cell.load();
         self.inner.attempts.fetch_add(1, Ordering::Relaxed);
-        let enabled = self.inner.metrics.is_enabled();
+        let enabled = self.inner.ctx.metrics.is_enabled();
         let started = if enabled {
             self.inner.clock.now_secs()
         } else {
@@ -634,11 +639,11 @@ impl ModelServer {
             .fetch_add(records.len() as u64, Ordering::Relaxed);
         self.inner
             .engine
-            .try_map_indexed_with_hook(
+            .try_map_indexed(
                 records.len(),
                 |i| score_raw(snap, &records[i]),
                 &*self.inner.hook,
-                &self.inner.metrics,
+                &self.inner.ctx,
             )
             .ok()
     }
@@ -656,7 +661,7 @@ impl ModelServer {
         match value {
             Some(value) => {
                 shard.served.fetch_add(1, Ordering::Relaxed);
-                if self.inner.metrics.is_enabled() {
+                if self.inner.ctx.metrics.is_enabled() {
                     self.inner.obs.served.inc();
                     self.inner.obs.route_served.inc();
                     if let Some(at) = enqueued_secs {
@@ -790,11 +795,11 @@ impl ModelServer {
         let scored = self
             .inner
             .engine
-            .try_map_indexed_with_hook(
+            .try_map_indexed(
                 records.len(),
                 |i| score_raw(&snap, records[i]),
                 &*self.inner.hook,
-                &self.inner.metrics,
+                &self.inner.ctx,
             )
             .ok();
         match scored {

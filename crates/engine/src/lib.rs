@@ -21,19 +21,19 @@
 //! to the host's spare parallelism. With tracing enabled every unit runs on
 //! pool threads instead, so the span tree reliably crosses threads.
 //!
-//! Zero-copy variants ([`ExecutionEngine::map_slice`],
-//! [`ExecutionEngine::map_parts`], [`ExecutionEngine::map_indexed`] and
-//! their traced/hooked tiers) borrow the input instead of taking `Vec<T>` by
-//! value, so hot-path callers shard by index range rather than copying items
-//! into per-shard vectors.
+//! There is one map: [`ExecutionEngine::try_map_indexed`] over the index
+//! space `0..n`, so callers borrow whatever their items live in instead of
+//! handing the engine a `Vec<T>`. Its fault hook is an explicit argument and
+//! its observers travel in one [`RunCtx`]; [`ExecutionEngine::map_indexed`]
+//! and [`ExecutionEngine::map_parts`] are the only sugars and take no hook,
+//! so a call site that can draw a [`WorkerOrder`] says so in its signature.
 //!
-//! Determinism contract: every map variant writes each output into its own
-//! index slot, so input order is preserved no matter which participant ran
-//! which unit; [`ExecutionEngine::map_reduce`] folds in input order, and
-//! [`tree_reduce`] combines partial results in a fixed shape that depends
-//! only on the number of parts — never on worker count or scheduling — so
-//! floating-point results are bit-identical across engines. Scheduling
-//! observables that *are* timing-dependent (`engine.steal`,
+//! Determinism contract: the map writes each output into its own index
+//! slot, so input order is preserved no matter which participant ran which
+//! unit, and [`tree_reduce`] combines partial results in a fixed shape that
+//! depends only on the number of parts — never on worker count or
+//! scheduling — so floating-point results are bit-identical across engines.
+//! Scheduling observables that *are* timing-dependent (`engine.steal`,
 //! `engine.barrier_wait_secs`) are recorded as histograms, never as
 //! deterministic counters.
 
@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 
 use cdp_faults::{FaultHook, InjectedWorkerPanic, NoFaults, WorkerOrder, MAX_WORKER_RESTARTS};
-use cdp_obs::{Metrics, SpanContext, Tracer};
+use cdp_obs::{Metrics, SpanContext, TraceSpan, Tracer};
 use crossbeam::channel::{self, Sender};
 
 /// Locks `mutex`, recovering from poisoning.
@@ -55,9 +55,8 @@ use crossbeam::channel::{self, Sender};
 /// Every engine mutex guards simple scalar state (a registry map, a done
 /// flag, a panic slot) that stays consistent even when the holder unwinds
 /// mid-critical-section, so poisoning carries no information here.
-/// Propagating it instead (the old `.expect(...)`) crashed the deployment
-/// thread on the very fault PR 2's worker-restart machinery exists to
-/// absorb.
+/// Propagating it would crash the deployment thread on the very fault the
+/// worker-restart machinery exists to absorb.
 fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -80,7 +79,9 @@ struct WorkerPool {
 }
 
 impl WorkerPool {
-    fn new(workers: usize) -> Self {
+    /// Spawns the pool. When the OS refuses a thread the threads already
+    /// started see their channel close and exit, and nothing is registered.
+    fn new(workers: usize) -> Result<Self, EngineError> {
         let (sender, receiver) = channel::unbounded::<Job>();
         for i in 0..workers {
             let receiver = receiver.clone();
@@ -94,21 +95,22 @@ impl WorkerPool {
                         job();
                     }
                 })
-                .expect("spawn engine worker");
+                .map_err(|e| EngineError::PoolUnavailable(format!("spawn worker {i}: {e}")))?;
         }
-        Self { sender }
+        Ok(Self { sender })
     }
 
     /// The process-wide pool for `workers` threads (created on first use).
-    fn global(workers: usize) -> Arc<WorkerPool> {
+    fn global(workers: usize) -> Result<Arc<WorkerPool>, EngineError> {
         static POOLS: OnceLock<Mutex<HashMap<usize, Arc<WorkerPool>>>> = OnceLock::new();
         let registry = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
         let mut registry = lock_ignore_poison(registry);
-        Arc::clone(
-            registry
-                .entry(workers)
-                .or_insert_with(|| Arc::new(WorkerPool::new(workers))),
-        )
+        if let Some(pool) = registry.get(&workers) {
+            return Ok(Arc::clone(pool));
+        }
+        let pool = Arc::new(WorkerPool::new(workers)?);
+        registry.insert(workers, Arc::clone(&pool));
+        Ok(pool)
     }
 }
 
@@ -318,39 +320,22 @@ impl<U> SharedSlots<U> {
     }
 }
 
-/// Raw-pointer window over the input `Vec<Option<T>>` of an owned map: each
-/// participant takes exactly the items of its claimed units, so every slot
-/// is taken at most once and never concurrently (same claim discipline as
-/// [`SharedSlots`]).
-struct SharedTake<T> {
-    ptr: *mut Option<T>,
-}
-
-unsafe impl<T: Send> Send for SharedTake<T> {}
-unsafe impl<T: Send> Sync for SharedTake<T> {}
-
-impl<T> SharedTake<T> {
-    /// Moves item `i` out. Caller must hold the exclusive unit claim
-    /// covering index `i`.
-    unsafe fn take(&self, i: usize) -> T {
-        (*self.ptr.add(i))
-            .take()
-            .expect("each input slot is taken exactly once")
-    }
-}
-
-/// A worker failure the engine could not recover from.
+/// A failure the engine could not recover from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// A worker panicked and (for injected panics) exhausted its restart
     /// budget; carries the panic message.
     WorkerPanic(String),
+    /// The worker pool could not take the map: the OS refused a worker
+    /// thread, or the pool's job channel is closed.
+    PoolUnavailable(String),
 }
 
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::WorkerPanic(msg) => write!(f, "worker panic: {msg}"),
+            EngineError::PoolUnavailable(msg) => write!(f, "worker pool unavailable: {msg}"),
         }
     }
 }
@@ -359,15 +344,20 @@ impl std::error::Error for EngineError {}
 
 impl EngineError {
     fn from_payload(payload: Box<dyn Any + Send>) -> Self {
-        if payload.downcast_ref::<InjectedWorkerPanic>().is_some() {
-            EngineError::WorkerPanic("injected worker panic exhausted restarts".to_owned())
+        let msg = if payload.downcast_ref::<InjectedWorkerPanic>().is_some() {
+            "injected worker panic exhausted restarts".to_owned()
         } else if let Some(msg) = payload.downcast_ref::<String>() {
-            EngineError::WorkerPanic(msg.clone())
+            msg.clone()
         } else if let Some(msg) = payload.downcast_ref::<&str>() {
-            EngineError::WorkerPanic((*msg).to_owned())
+            (*msg).to_owned()
         } else {
-            EngineError::WorkerPanic("non-string panic payload".to_owned())
-        }
+            "non-string panic payload".to_owned()
+        };
+        // Every map reports its failure through here, so a payload whose
+        // `Drop` panics must not unwind out of the engine on the caller's
+        // thread.
+        let _ = panic::catch_unwind(AssertUnwindSafe(move || drop(payload)));
+        EngineError::WorkerPanic(msg)
     }
 }
 
@@ -416,20 +406,19 @@ fn act_injected_panics(panics: u32) -> Result<(), EngineError> {
 /// pool helpers (capped by the host's spare parallelism on the untraced
 /// path, where the submitting thread is participant 0), waits for the
 /// completion count, then closes the scope so no pool job can still touch
-/// the caller's stack. Returns the steal count and the first panic payload,
-/// if any unit panicked.
+/// the caller's stack. Returns the steal count, or the first failure: a
+/// unit's panic, or a pool that could not take the helpers.
 fn run_stealing(
     workers: usize,
     units: usize,
     run_unit: &(dyn Fn(usize) + Sync),
-    metrics: &Metrics,
-    tracer: &Tracer,
-) -> (u64, Option<Box<dyn Any + Send>>) {
+    ctx: &RunCtx,
+) -> Result<u64, EngineError> {
     // With tracing enabled, hand every unit to pool threads so the span
     // tree reliably crosses threads (the observability contract the trace
     // tests pin down). Untraced — the perf path — the caller participates,
     // so small maps run inline and helpers only absorb overflow.
-    let caller_participates = !tracer.is_enabled();
+    let caller_participates = !ctx.tracer.is_enabled();
     let helpers = if caller_participates {
         workers.min(units.saturating_sub(1)).min(helper_cap())
     } else {
@@ -438,8 +427,11 @@ fn run_stealing(
     let queues = helpers + usize::from(caller_participates);
     let ctrl = Arc::new(Control::new(units, queues));
 
+    let mut pool_error = None;
     if helpers > 0 {
-        let pool = WorkerPool::global(workers);
+        // Nothing borrows the caller's stack yet, so a pool that cannot be
+        // created is a plain early return.
+        let pool = WorkerPool::global(workers)?;
         // SAFETY: the transmute only erases the lifetime of the borrow; the
         // fat pointer (data + vtable) is unchanged. The close/guard
         // handshake below guarantees no pool job dereferences it after this
@@ -452,26 +444,34 @@ fn run_stealing(
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(run_unit) };
         let first_helper_queue = usize::from(caller_participates);
         for h in 0..helpers {
-            let ctrl = Arc::clone(&ctrl);
+            let ctrl_job = Arc::clone(&ctrl);
             let me = first_helper_queue + h;
             let job: Job = Box::new(move || {
-                ctrl.guards.fetch_add(1, Ordering::SeqCst);
-                if !ctrl.closed.load(Ordering::SeqCst) {
-                    participate(&ctrl, me, run_static);
+                ctrl_job.guards.fetch_add(1, Ordering::SeqCst);
+                if !ctrl_job.closed.load(Ordering::SeqCst) {
+                    participate(&ctrl_job, me, run_static);
                 }
-                ctrl.guards.fetch_sub(1, Ordering::SeqCst);
+                ctrl_job.guards.fetch_sub(1, Ordering::SeqCst);
             });
-            pool.sender
-                .send(job)
-                .expect("engine workers never disconnect");
+            if pool.sender.send(job).is_err() {
+                // Helpers already enlisted still borrow the caller's stack,
+                // so the map cannot simply return: poison it (remaining
+                // units drain without running) and let the caller drain
+                // every queue below before the scope closes.
+                ctrl.poisoned.store(true, Ordering::SeqCst);
+                pool_error = Some(EngineError::PoolUnavailable(
+                    "job channel closed".to_owned(),
+                ));
+                break;
+            }
         }
     }
-    if caller_participates {
+    if caller_participates || pool_error.is_some() {
         participate(&ctrl, 0, run_unit);
     }
     // The old barrier is gone; this span now measures the caller's residual
     // completion wait. The name is kept for metric-schema continuity.
-    let wait_span = metrics.span("engine.barrier_wait_secs");
+    let wait_span = ctx.metrics.span("engine.barrier_wait_secs");
     {
         let mut done = lock_ignore_poison(&ctrl.done);
         while !*done {
@@ -486,38 +486,41 @@ fn run_stealing(
     while ctrl.guards.load(Ordering::SeqCst) > 0 {
         std::thread::yield_now();
     }
+    if let Some(err) = pool_error {
+        return Err(err);
+    }
     let payload = lock_ignore_poison(&ctrl.panic).take();
-    (ctrl.steals.load(Ordering::Relaxed), payload)
+    match payload {
+        Some(payload) => Err(EngineError::from_payload(payload)),
+        None => Ok(ctrl.steals.load(Ordering::Relaxed)),
+    }
 }
 
-/// Threaded body shared by every map variant: cuts `[0, n)` into contiguous
-/// units, runs `exec(i)` for every index through the stealing scheduler
-/// (with one `engine.task` span per unit and the fault order, if any, acted
-/// out at its target unit's entry), and collects outputs in input order.
-#[allow(clippy::too_many_arguments)]
-fn threaded_exec<U, E>(
+/// The threaded half of [`ExecutionEngine::try_map_indexed`]: cuts `[0, n)`
+/// into contiguous units, runs `f(i)` for every index through the stealing
+/// scheduler (one `engine.task` span per unit, `order` acted out at its
+/// target unit's entry), and collects outputs in input order.
+fn threaded_exec<U, F>(
     workers: usize,
     n: usize,
-    exec: E,
-    order: Option<&WorkerOrder>,
-    metrics: &Metrics,
-    tracer: &Tracer,
+    f: &F,
+    order: &WorkerOrder,
+    ctx: &RunCtx,
     map_ctx: Option<SpanContext>,
-) -> Result<Vec<U>, Box<dyn Any + Send>>
+) -> Result<Vec<U>, EngineError>
 where
     U: Send,
-    E: Fn(usize) -> U + Sync,
+    F: Fn(usize) -> U + Sync,
 {
     debug_assert!(n > 0);
-    let workers = workers.max(1);
     let max_units = ((workers + 1) * UNITS_PER_PARTICIPANT).min(n);
     let unit_len = n.div_ceil(max_units);
     let units = n.div_ceil(unit_len);
-    metrics.counter("engine.tasks").add(units as u64);
-    metrics
+    ctx.metrics.counter("engine.tasks").add(units as u64);
+    ctx.metrics
         .histogram("engine.queue_depth")
         .observe(units as f64);
-    let target = order.map(|o| (o.target % units as u64) as usize);
+    let target = (order.target % units as u64) as usize;
 
     let mut outputs: Vec<Option<U>> = Vec::with_capacity(n);
     outputs.resize_with(n, || None);
@@ -525,11 +528,10 @@ where
         ptr: outputs.as_mut_ptr(),
     };
 
-    let exec = &exec;
+    let tracer = &ctx.tracer;
     let run_unit = move |unit: usize| {
         let task_span = tracer.child_of("engine.task", map_ctx);
-        if Some(unit) == target {
-            let order = order.expect("target exists only with an order");
+        if unit == target {
             if order.panics > 0 {
                 let _restart_span = tracer.child_of("engine.restart", task_span.context());
                 if let Err(_fatal) = act_injected_panics(order.panics) {
@@ -547,26 +549,51 @@ where
         for i in lo..hi {
             // SAFETY: unit `unit` was claimed exactly once via a RangeQueue
             // CAS, and units cover disjoint index ranges — see SharedSlots.
-            unsafe { slots.set(i, exec(i)) };
+            unsafe { slots.set(i, f(i)) };
         }
     };
-    let (steals, payload) = run_stealing(workers, units, &run_unit, metrics, tracer);
-    metrics.histogram("engine.steal").observe(steals as f64);
-    match payload {
-        None => Ok(outputs
-            .into_iter()
-            .map(|slot| slot.expect("every claimed unit writes its whole index range"))
-            .collect()),
-        Some(payload) => Err(payload),
-    }
+    let steals = run_stealing(workers, units, &run_unit, ctx)?;
+    ctx.metrics.histogram("engine.steal").observe(steals as f64);
+    Ok(outputs
+        .into_iter()
+        .map(|slot| match slot {
+            Some(value) => value,
+            // Infallible: `run_stealing` returned `Ok`, so every unit was
+            // claimed and ran to its end, and a unit writes every index of
+            // its range.
+            None => unreachable!("every claimed unit writes its whole index range"),
+        })
+        .collect())
 }
 
-/// Records the empty-map observations so per-call metric invariants
-/// (`queue_depth.count == steal.count == map_calls` on threaded engines)
-/// hold even for maps with nothing to do.
-fn observe_empty_threaded(metrics: &Metrics) {
-    metrics.histogram("engine.queue_depth").observe(0.0);
-    metrics.histogram("engine.steal").observe(0.0);
+/// The observers of one engine call, threaded as a unit from the deployment
+/// loop down to the worker tasks: a metrics registry, a tracer, and the span
+/// new spans are opened under. Both handles are `Option<Arc<_>>` inside, so
+/// the default context records nothing and costs one branch per use.
+#[derive(Debug, Clone, Default)]
+pub struct RunCtx {
+    /// Engine and caller metrics (`engine.map_calls`, `engine.tasks`, …).
+    pub metrics: Metrics,
+    /// Causal spans (`engine.map` → `engine.task` → `engine.restart`).
+    pub tracer: Tracer,
+    /// The span the next span opens under; `None` starts a new trace.
+    pub parent: Option<SpanContext>,
+}
+
+impl RunCtx {
+    /// Opens `name` as a child of this context's parent.
+    pub fn span(&self, name: &str) -> TraceSpan {
+        self.tracer.child_of(name, self.parent)
+    }
+
+    /// The same handles with `span` as the parent.
+    pub fn child(&self, span: &TraceSpan) -> RunCtx {
+        RunCtx {
+            metrics: self.metrics.clone(),
+            tracer: self.tracer.clone(),
+            parent: span.context(),
+        }
+    }
 }
 
 /// A chunk-parallel execution engine.
@@ -592,11 +619,12 @@ impl ExecutionEngine {
         ExecutionEngine::Threaded { workers }
     }
 
-    /// Engine display name.
+    /// Engine display name, built from [`ExecutionEngine::workers`] so the
+    /// provenance line cannot disagree with the pool that ran.
     pub fn name(&self) -> String {
         match self {
             ExecutionEngine::Sequential => "sequential".to_owned(),
-            ExecutionEngine::Threaded { workers } => format!("threaded×{workers}"),
+            ExecutionEngine::Threaded { .. } => format!("threaded×{}", self.workers()),
         }
     }
 
@@ -608,276 +636,69 @@ impl ExecutionEngine {
         }
     }
 
-    /// Applies `f` to every item, returning outputs in input order.
+    /// Maps `f` over the index space `0..n`, returning outputs in index
+    /// order — the engine's one primitive. Callers borrow their items from
+    /// `f`'s environment, so nothing is copied into the engine.
     ///
-    /// `f` must be `Sync` because participants share it. Items are cut into
-    /// contiguous units (a few per participant) scheduled by work-stealing,
-    /// so per-item cost imbalance is load-balanced; each output is written
-    /// into its own index slot, so results need no locking and arrive in
-    /// input order.
+    /// `f` must be `Sync` because participants share it. Indices are cut
+    /// into contiguous units (a few per participant) scheduled by
+    /// work-stealing; each output is written into its own slot, so results
+    /// need no locking and arrive in order.
     ///
-    /// # Panics
-    /// If `f` panics on any item, the first participant's payload is
-    /// re-raised on the calling thread once the map has drained.
-    pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        self.map_observed(items, f, &Metrics::disabled())
-    }
-
-    /// [`ExecutionEngine::map`] with engine metrics recorded into
-    /// `metrics`: `engine.map_calls`, `engine.tasks` (units scheduled),
-    /// `engine.map_secs`, and (threaded) `engine.barrier_wait_secs` (the
-    /// caller's completion wait), `engine.queue_depth`, `engine.steal`.
-    pub fn map_observed<T, U, F>(&self, items: Vec<T>, f: F, metrics: &Metrics) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        self.map_traced(items, f, metrics, &Tracer::disabled(), None)
-    }
-
-    /// [`ExecutionEngine::map_observed`] with causal spans: opens an
-    /// `engine.map` span under `parent` and one `engine.task` child per
-    /// unit *on the thread executing it*, so the trace tree spans threads
-    /// ([`SpanContext`] is `Copy` and crosses into pool tasks).
-    pub fn map_traced<T, U, F>(
-        &self,
-        items: Vec<T>,
-        f: F,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        let map_span = tracer.child_of("engine.map", parent);
-        let map_ctx = map_span.context();
-        let _map_span_secs = metrics.span("engine.map_secs");
-        metrics.counter("engine.map_calls").inc();
-        match *self {
-            ExecutionEngine::Sequential => {
-                metrics.counter("engine.tasks").add(1);
-                let _task_span = tracer.child_of("engine.task", map_ctx);
-                items.into_iter().map(f).collect()
-            }
-            ExecutionEngine::Threaded { workers } => {
-                let n = items.len();
-                if n == 0 {
-                    observe_empty_threaded(metrics);
-                    return Vec::new();
-                }
-                let mut staged: Vec<Option<T>> = items.into_iter().map(Some).collect();
-                let take = SharedTake {
-                    ptr: staged.as_mut_ptr(),
-                };
-                let f = &f;
-                // SAFETY (take): each index belongs to exactly one claimed
-                // unit, so each input slot is taken once, never concurrently.
-                let exec = move |i: usize| f(unsafe { take.take(i) });
-                match threaded_exec(workers, n, exec, None, metrics, tracer, map_ctx) {
-                    Ok(out) => out,
-                    Err(payload) => panic::resume_unwind(payload),
-                }
-            }
-        }
-    }
-
-    /// Borrowing variant of [`ExecutionEngine::map`]: shares `items` across
-    /// participants instead of moving them, so hot-path callers need no
-    /// per-shard `to_vec` copies.
-    pub fn map_slice<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        self.map_slice_traced(items, f, &Metrics::disabled(), &Tracer::disabled(), None)
-    }
-
-    /// [`ExecutionEngine::map_slice`] with metrics and causal spans (same
-    /// scheme as [`ExecutionEngine::map_traced`]).
-    pub fn map_slice_traced<T, U, F>(
-        &self,
-        items: &[T],
-        f: F,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        let map_span = tracer.child_of("engine.map", parent);
-        let map_ctx = map_span.context();
-        let _map_span_secs = metrics.span("engine.map_secs");
-        metrics.counter("engine.map_calls").inc();
-        match *self {
-            ExecutionEngine::Sequential => {
-                metrics.counter("engine.tasks").add(1);
-                let _task_span = tracer.child_of("engine.task", map_ctx);
-                items.iter().map(f).collect()
-            }
-            ExecutionEngine::Threaded { workers } => {
-                let n = items.len();
-                if n == 0 {
-                    observe_empty_threaded(metrics);
-                    return Vec::new();
-                }
-                let f = &f;
-                let exec = move |i: usize| f(&items[i]);
-                match threaded_exec(workers, n, exec, None, metrics, tracer, map_ctx) {
-                    Ok(out) => out,
-                    Err(payload) => panic::resume_unwind(payload),
-                }
-            }
-        }
-    }
-
-    /// Maps `f` over contiguous parts of `items` of length `part_len` (the
-    /// last part may be shorter), returning one output per part in part
-    /// order. This is the zero-copy replacement for callers that used to
-    /// build `Vec<Vec<T>>` shards: part boundaries are pure index
-    /// arithmetic, so the shard structure — and therefore any
-    /// floating-point reduction over the outputs — is identical on every
-    /// engine.
-    pub fn map_parts<T, U, F>(&self, items: &[T], part_len: usize, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&[T]) -> U + Sync,
-    {
-        self.map_parts_traced(
-            items,
-            part_len,
-            f,
-            &Metrics::disabled(),
-            &Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// [`ExecutionEngine::map_parts`] with metrics and causal spans.
-    pub fn map_parts_traced<T, U, F>(
-        &self,
-        items: &[T],
-        part_len: usize,
-        f: F,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&[T]) -> U + Sync,
-    {
-        assert!(part_len > 0, "part_len must be ≥ 1");
-        let map_span = tracer.child_of("engine.map", parent);
-        let map_ctx = map_span.context();
-        let _map_span_secs = metrics.span("engine.map_secs");
-        metrics.counter("engine.map_calls").inc();
-        let parts = items.len().div_ceil(part_len);
-        let part = |p: usize| &items[p * part_len..items.len().min((p + 1) * part_len)];
-        match *self {
-            ExecutionEngine::Sequential => {
-                metrics.counter("engine.tasks").add(1);
-                let _task_span = tracer.child_of("engine.task", map_ctx);
-                (0..parts).map(|p| f(part(p))).collect()
-            }
-            ExecutionEngine::Threaded { workers } => {
-                if parts == 0 {
-                    observe_empty_threaded(metrics);
-                    return Vec::new();
-                }
-                let f = &f;
-                let exec = move |p: usize| f(part(p));
-                match threaded_exec(workers, parts, exec, None, metrics, tracer, map_ctx) {
-                    Ok(out) => out,
-                    Err(payload) => panic::resume_unwind(payload),
-                }
-            }
-        }
-    }
-
-    /// Maps `f` over the index space `0..n` — the fully zero-copy variant
-    /// for callers whose items live in structures the engine need not know
-    /// about (the fused transform+gradient pass maps over *source indices*
-    /// and never materializes an input vector at all).
-    pub fn map_indexed<U, F>(&self, n: usize, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        match self.try_map_indexed_with_hook_traced(
-            n,
-            f,
-            &NoFaults,
-            &Metrics::disabled(),
-            &Tracer::disabled(),
-            None,
-        ) {
-            Ok(out) => out,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible, fault-aware indexed map without tracing — the serving
-    /// layer's batch-scoring entry point, where queries arrive outside any
-    /// deployment span tree.
-    pub fn try_map_indexed_with_hook<U, F>(
+    /// Draws one [`WorkerOrder`] from `hook` — exactly one per call, so
+    /// injected counts are independent of worker count — and acts it out at
+    /// the targeted unit's entry: injected panics are real unwinds restarted
+    /// in place up to [`MAX_WORKER_RESTARTS`] times, then the ordered delay.
+    /// The order's decisions and accounting live in the hook; the engine
+    /// only performs them, which keeps results and
+    /// [`cdp_faults::FaultStats`] bit-identical across `Sequential` and any
+    /// `Threaded` worker count for the same fault seed. Pass [`NoFaults`]
+    /// where the call must not consume a fault epoch.
+    ///
+    /// Records into `ctx`: `engine.map_calls`, `engine.tasks` (units
+    /// scheduled), `engine.map_secs`, `engine.worker_restarts`, and
+    /// (threaded) `engine.barrier_wait_secs`, `engine.queue_depth`,
+    /// `engine.steal`; an `engine.map` span under `ctx.parent` with one
+    /// `engine.task` child per unit *on the thread executing it*
+    /// ([`SpanContext`] is `Copy` and crosses into pool tasks) and an
+    /// `engine.restart` span under the targeted task.
+    ///
+    /// # Errors
+    /// [`EngineError::WorkerPanic`] when the order exceeds the restart
+    /// budget or `f` itself panics (first payload's message);
+    /// [`EngineError::PoolUnavailable`] when the pool cannot take the map.
+    pub fn try_map_indexed<U, F>(
         &self,
         n: usize,
         f: F,
         hook: &dyn FaultHook,
-        metrics: &Metrics,
+        ctx: &RunCtx,
     ) -> Result<Vec<U>, EngineError>
     where
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        self.try_map_indexed_with_hook_traced(n, f, hook, metrics, &Tracer::disabled(), None)
-    }
-
-    /// Fallible, fault-aware, traced indexed map: the most general engine
-    /// entry point. Draws one [`WorkerOrder`] from `hook` (exactly one per
-    /// call, so injected counts are independent of worker count), acts it
-    /// out at the targeted unit's entry, and converts any unrecovered
-    /// worker panic — injected-fatal or genuine — into [`EngineError`].
-    pub fn try_map_indexed_with_hook_traced<U, F>(
-        &self,
-        n: usize,
-        f: F,
-        hook: &dyn FaultHook,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Result<Vec<U>, EngineError>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        let map_span = tracer.child_of("engine.map", parent);
-        let map_ctx = map_span.context();
+        let map_span = ctx.span("engine.map");
+        let metrics = &ctx.metrics;
         let _map_span_secs = metrics.span("engine.map_secs");
         metrics.counter("engine.map_calls").inc();
         let order = hook.next_worker_order();
-        record_order(&order, metrics);
+        if order.panics > 0 {
+            install_quiet_panic_hook();
+            metrics
+                .counter("engine.worker_restarts")
+                .add(u64::from(order.panics.min(MAX_WORKER_RESTARTS)));
+            metrics.event(
+                "engine.worker_panic",
+                format!("injected panics: {}", order.panics),
+            );
+        }
         match *self {
             ExecutionEngine::Sequential => {
                 metrics.counter("engine.tasks").add(1);
-                let task_span = tracer.child_of("engine.task", map_ctx);
+                let task_span = ctx.tracer.child_of("engine.task", map_span.context());
                 if order.panics > 0 {
-                    let _restart_span = tracer.child_of("engine.restart", task_span.context());
+                    let _restart_span = ctx.tracer.child_of("engine.restart", task_span.context());
                     act_injected_panics(order.panics)?;
                 }
                 if !order.delay.is_zero() {
@@ -886,213 +707,62 @@ impl ExecutionEngine {
                 panic::catch_unwind(AssertUnwindSafe(|| (0..n).map(&f).collect()))
                     .map_err(EngineError::from_payload)
             }
-            ExecutionEngine::Threaded { workers } => {
-                if n == 0 {
-                    observe_empty_threaded(metrics);
-                    return empty_map_with_order(&order);
+            ExecutionEngine::Threaded { .. } if n == 0 => {
+                // Keep the per-call invariant `queue_depth.count ==
+                // steal.count == map_calls` for maps with nothing to do.
+                metrics.histogram("engine.queue_depth").observe(0.0);
+                metrics.histogram("engine.steal").observe(0.0);
+                // No unit to act the order on; a fatal one still cannot
+                // lose work, so it alone surfaces as an error.
+                if order.panics > MAX_WORKER_RESTARTS {
+                    act_injected_panics(order.panics)?;
                 }
-                threaded_exec(workers, n, &f, Some(&order), metrics, tracer, map_ctx)
-                    .map_err(EngineError::from_payload)
+                Ok(Vec::new())
+            }
+            ExecutionEngine::Threaded { .. } => {
+                threaded_exec(self.workers(), n, &f, &order, ctx, map_span.context())
             }
         }
     }
 
-    /// Like [`ExecutionEngine::map`], but converts worker panics into
-    /// [`EngineError`] instead of unwinding the calling thread.
-    pub fn try_map<T, U, F>(&self, items: Vec<T>, f: F) -> Result<Vec<U>, EngineError>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        self.try_map_with_hook(items, f, &NoFaults)
-    }
-
-    /// Like [`ExecutionEngine::map`], but consults `hook` for a
-    /// [`WorkerOrder`] first and acts it out: the targeted unit suffers the
-    /// ordered injected panics (real unwinds, restarted in place up to
-    /// [`MAX_WORKER_RESTARTS`] times) and latency before producing its
-    /// outputs.
+    /// [`ExecutionEngine::try_map_indexed`] for calls that are outside every
+    /// fault plan and span tree (no hook, no observers).
     ///
     /// # Panics
-    /// If the order is fatal (panics beyond the restart budget) or `f`
-    /// itself panics.
-    pub fn map_with_hook<T, U, F>(&self, items: Vec<T>, f: F, hook: &dyn FaultHook) -> Vec<U>
+    /// With the engine's error, which carries the message of `f`'s panic.
+    pub fn map_indexed<U, F>(&self, n: usize, f: F) -> Vec<U>
     where
-        T: Send,
         U: Send,
-        F: Fn(T) -> U + Sync,
+        F: Fn(usize) -> U + Sync,
     {
-        match self.try_map_with_hook(items, f, hook) {
+        match self.try_map_indexed(n, f, &NoFaults, &RunCtx::default()) {
             Ok(out) => out,
             Err(err) => panic!("{err}"),
         }
     }
 
-    /// Fallible, fault-aware map: draws one [`WorkerOrder`] from `hook`
-    /// (exactly one per call, so injected counts are independent of worker
-    /// count), acts it out on the targeted unit, and converts any
-    /// unrecovered worker panic — injected-fatal or genuine — into
-    /// [`EngineError`].
+    /// Maps `f` over contiguous parts of `items` of length `part_len` (the
+    /// last part may be shorter), returning one output per part in part
+    /// order. Part boundaries are pure index arithmetic, so the shard
+    /// structure — and therefore any floating-point reduction over the
+    /// outputs — is identical on every engine. Takes no hook: sharded
+    /// gradient, objective and retraining passes never draw a fault order.
     ///
-    /// The order's decisions and accounting both live in the hook; the
-    /// engine only *performs* them, which is what keeps results and
-    /// [`cdp_faults::FaultStats`] bit-identical across `Sequential` and any
-    /// `Threaded` worker count for the same fault seed.
-    pub fn try_map_with_hook<T, U, F>(
-        &self,
-        items: Vec<T>,
-        f: F,
-        hook: &dyn FaultHook,
-    ) -> Result<Vec<U>, EngineError>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        self.try_map_with_hook_observed(items, f, hook, &Metrics::disabled())
-    }
-
-    /// [`ExecutionEngine::try_map_with_hook`] with engine metrics recorded
-    /// into `metrics`. On top of the `map_observed` counters this tracks
-    /// `engine.worker_restarts` — the number of in-place restarts actually
-    /// performed for the drawn order (matching the retry accounting of
-    /// [`cdp_faults::FaultStats`]).
-    pub fn try_map_with_hook_observed<T, U, F>(
-        &self,
-        items: Vec<T>,
-        f: F,
-        hook: &dyn FaultHook,
-        metrics: &Metrics,
-    ) -> Result<Vec<U>, EngineError>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        self.try_map_with_hook_traced(items, f, hook, metrics, &Tracer::disabled(), None)
-    }
-
-    /// [`ExecutionEngine::try_map_with_hook_observed`] with causal spans:
-    /// like [`ExecutionEngine::map_traced`], plus an `engine.restart` span
-    /// under the targeted unit's `engine.task` covering the acted-out
-    /// injected panics, so recoveries are visible in the trace tree.
-    pub fn try_map_with_hook_traced<T, U, F>(
-        &self,
-        items: Vec<T>,
-        f: F,
-        hook: &dyn FaultHook,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Result<Vec<U>, EngineError>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        let map_span = tracer.child_of("engine.map", parent);
-        let map_ctx = map_span.context();
-        let _map_span_secs = metrics.span("engine.map_secs");
-        metrics.counter("engine.map_calls").inc();
-        let order = hook.next_worker_order();
-        record_order(&order, metrics);
-        match *self {
-            ExecutionEngine::Sequential => {
-                metrics.counter("engine.tasks").add(1);
-                let task_span = tracer.child_of("engine.task", map_ctx);
-                if order.panics > 0 {
-                    let _restart_span = tracer.child_of("engine.restart", task_span.context());
-                    act_injected_panics(order.panics)?;
-                }
-                if !order.delay.is_zero() {
-                    std::thread::sleep(order.delay);
-                }
-                panic::catch_unwind(AssertUnwindSafe(|| items.into_iter().map(f).collect()))
-                    .map_err(EngineError::from_payload)
-            }
-            ExecutionEngine::Threaded { workers } => {
-                let n = items.len();
-                if n == 0 {
-                    observe_empty_threaded(metrics);
-                    return empty_map_with_order(&order);
-                }
-                let mut staged: Vec<Option<T>> = items.into_iter().map(Some).collect();
-                let take = SharedTake {
-                    ptr: staged.as_mut_ptr(),
-                };
-                let f = &f;
-                // SAFETY (take): exclusive unit claims — see SharedTake.
-                let exec = move |i: usize| f(unsafe { take.take(i) });
-                threaded_exec(workers, n, exec, Some(&order), metrics, tracer, map_ctx)
-                    .map_err(EngineError::from_payload)
-            }
-        }
-    }
-
-    /// Borrowing, fallible, fault-aware, traced map — the zero-copy
-    /// workhorse of the re-materialization path: shares `items` across
-    /// participants and otherwise behaves exactly like
-    /// [`ExecutionEngine::try_map_with_hook_traced`].
-    pub fn try_map_slice_with_hook_traced<T, U, F>(
-        &self,
-        items: &[T],
-        f: F,
-        hook: &dyn FaultHook,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Result<Vec<U>, EngineError>
+    /// # Panics
+    /// When `part_len` is 0, or as [`ExecutionEngine::map_indexed`].
+    pub fn map_parts<T, U, F>(&self, items: &[T], part_len: usize, f: F, ctx: &RunCtx) -> Vec<U>
     where
         T: Sync,
         U: Send,
-        F: Fn(&T) -> U + Sync,
+        F: Fn(&[T]) -> U + Sync,
     {
-        self.try_map_indexed_with_hook_traced(
-            items.len(),
-            |i| f(&items[i]),
-            hook,
-            metrics,
-            tracer,
-            parent,
-        )
-    }
-
-    /// Maps then folds the outputs in input order (a deterministic reduce —
-    /// important for floating-point reproducibility across engines).
-    pub fn map_reduce<T, U, A, F, G>(&self, items: Vec<T>, f: F, init: A, g: G) -> A
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-        G: FnMut(A, U) -> A,
-    {
-        self.map(items, f).into_iter().fold(init, g)
-    }
-}
-
-/// Order bookkeeping shared by the hooked entry points: restart metrics and
-/// the quiet panic hook for injected unwinds.
-fn record_order(order: &WorkerOrder, metrics: &Metrics) {
-    if order.panics > 0 {
-        install_quiet_panic_hook();
-        metrics
-            .counter("engine.worker_restarts")
-            .add(u64::from(order.panics.min(MAX_WORKER_RESTARTS)));
-        metrics.event(
-            "engine.worker_panic",
-            format!("injected panics: {}", order.panics),
-        );
-    }
-}
-
-/// An empty hooked map has no unit to act the order on; a fatal order still
-/// cannot lose work, so it alone surfaces as an error.
-fn empty_map_with_order<U>(order: &WorkerOrder) -> Result<Vec<U>, EngineError> {
-    if order.panics > MAX_WORKER_RESTARTS {
-        act_injected_panics(order.panics).map(|()| Vec::new())
-    } else {
-        Ok(Vec::new())
+        assert!(part_len > 0, "part_len must be ≥ 1");
+        let parts = items.len().div_ceil(part_len);
+        let part = |p: usize| f(&items[p * part_len..items.len().min((p + 1) * part_len)]);
+        match self.try_map_indexed(parts, part, &NoFaults, ctx) {
+            Ok(out) => out,
+            Err(err) => panic!("{err}"),
+        }
     }
 }
 
@@ -1123,63 +793,33 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    fn metrics_ctx(metrics: &Metrics) -> RunCtx {
+        RunCtx {
+            metrics: metrics.clone(),
+            ..RunCtx::default()
+        }
+    }
+
     #[test]
     fn sequential_and_threaded_agree() {
-        let items: Vec<u64> = (0..100).collect();
-        let seq = ExecutionEngine::Sequential.map(items.clone(), |x| x * x);
-        let par = ExecutionEngine::Threaded { workers: 4 }.map(items, |x| x * x);
+        let seq = ExecutionEngine::Sequential.map_indexed(100, |i| i * i);
+        let par = ExecutionEngine::Threaded { workers: 4 }.map_indexed(100, |i| i * i);
         assert_eq!(seq, par);
+        // More workers than items.
+        let out = ExecutionEngine::Threaded { workers: 64 }.map_indexed(3, |i| i + 1);
+        assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]
     fn order_is_preserved_under_imbalance() {
         // Make early items slow so late items finish first.
-        let items: Vec<u64> = (0..32).collect();
-        let out = ExecutionEngine::Threaded { workers: 8 }.map(items, |x| {
-            if x < 4 {
+        let out = ExecutionEngine::Threaded { workers: 8 }.map_indexed(32, |i| {
+            if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
-            x
+            i
         });
-        assert_eq!(out, (0..32).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let out: Vec<u32> = ExecutionEngine::Threaded { workers: 4 }.map(Vec::<u32>::new(), |x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn more_workers_than_items() {
-        let out = ExecutionEngine::Threaded { workers: 64 }.map(vec![1, 2, 3], |x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn map_reduce_is_deterministic() {
-        let items: Vec<f64> = (0..1000).map(|i| f64::from(i) * 0.1).collect();
-        let a = ExecutionEngine::Sequential.map_reduce(
-            items.clone(),
-            |x| x * 1.5,
-            0.0,
-            |acc, x| acc + x,
-        );
-        let b = ExecutionEngine::Threaded { workers: 7 }.map_reduce(
-            items,
-            |x| x * 1.5,
-            0.0,
-            |acc, x| acc + x,
-        );
-        // Fold order is identical (input order), so sums match exactly.
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn moves_non_copy_items() {
-        let items = vec![String::from("a"), String::from("bb")];
-        let out = ExecutionEngine::Threaded { workers: 2 }.map(items, |s| s.len());
-        assert_eq!(out, vec![1, 2]);
+        assert_eq!(out, (0..32).collect::<Vec<usize>>());
     }
 
     #[test]
@@ -1191,6 +831,11 @@ mod tests {
         );
         assert_eq!(ExecutionEngine::Sequential.workers(), 1);
         assert_eq!(ExecutionEngine::Threaded { workers: 3 }.workers(), 3);
+        // A zero-worker engine runs on a one-thread pool, and says so.
+        let zero = ExecutionEngine::Threaded { workers: 0 };
+        assert_eq!(zero.workers(), 1);
+        assert_eq!(zero.name(), "threaded×1");
+        assert_eq!(zero.map_indexed(5, |i| i), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -1257,7 +902,7 @@ mod tests {
         let caller = std::thread::current().id();
         let mut helper_ids = HashSet::new();
         for _ in 0..8 {
-            for id in engine.map(vec![(); 64], |()| std::thread::current().id()) {
+            for id in engine.map_indexed(64, |_| std::thread::current().id()) {
                 if id != caller {
                     helper_ids.insert(id);
                 }
@@ -1271,20 +916,30 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_propagates_with_payload() {
-        let result = panic::catch_unwind(|| {
-            ExecutionEngine::Threaded { workers: 2 }.map(vec![1u32, 2, 3, 4], |x| {
-                if x == 3 {
-                    panic!("boom {x}");
-                }
-                x
-            })
-        });
-        let payload = result.expect_err("map must propagate the worker panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("panic! with a formatted message carries a String");
-        assert_eq!(msg, "boom 3");
+    fn worker_panic_propagates_with_its_message() {
+        for engine in [
+            ExecutionEngine::Sequential,
+            ExecutionEngine::Threaded { workers: 2 },
+        ] {
+            let result = panic::catch_unwind(|| {
+                engine.map_parts(
+                    &[1u32, 2, 3, 4],
+                    1,
+                    |part| {
+                        if part[0] == 3 {
+                            panic!("boom {}", part[0]);
+                        }
+                        part[0]
+                    },
+                    &RunCtx::default(),
+                )
+            });
+            let payload = result.expect_err("the sugar must propagate the worker panic");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("panic! with a formatted message carries a String");
+            assert_eq!(msg, "worker panic: boom 3", "engine {}", engine.name());
+        }
     }
 
     #[test]
@@ -1292,34 +947,44 @@ mod tests {
         let engine = ExecutionEngine::Threaded { workers: 2 };
         for round in 0..3 {
             let result = panic::catch_unwind(|| {
-                engine.map((0..64u64).collect(), |x| {
-                    if x % 16 == 7 {
+                engine.map_indexed(64, |i| {
+                    if i % 16 == 7 {
                         panic!("round {round}");
                     }
-                    x
+                    i
                 })
             });
             assert!(result.is_err());
             // The same pool keeps serving normal work afterwards.
-            let ok = engine.map((0..64u64).collect(), |x| x + 1);
-            assert_eq!(ok, (1..=64).collect::<Vec<u64>>());
+            let ok = engine.map_indexed(64, |i| i + 1);
+            assert_eq!(ok, (1..=64).collect::<Vec<usize>>());
         }
     }
 
     #[test]
-    fn try_map_converts_genuine_panics_to_errors() {
+    fn genuine_panics_become_errors() {
         let err = ExecutionEngine::Threaded { workers: 2 }
-            .try_map((0..16u32).collect(), |x| {
-                if x == 9 {
-                    panic!("kaput {x}");
-                }
-                x
-            })
+            .try_map_indexed(
+                16,
+                |i| {
+                    if i == 9 {
+                        panic!("kaput {i}");
+                    }
+                    i
+                },
+                &NoFaults,
+                &RunCtx::default(),
+            )
             .expect_err("panicking task must error");
         assert_eq!(err, EngineError::WorkerPanic("kaput 9".to_owned()));
 
-        let ok = ExecutionEngine::Sequential.try_map(vec![1, 2, 3], |x| x * 2);
-        assert_eq!(ok, Ok(vec![2, 4, 6]));
+        let ok = ExecutionEngine::Sequential.try_map_indexed(
+            3,
+            |i| i * 2,
+            &NoFaults,
+            &RunCtx::default(),
+        );
+        assert_eq!(ok, Ok(vec![0, 2, 4]));
     }
 
     /// Hook ordering a fixed number of injected panics at a fixed target.
@@ -1337,50 +1002,38 @@ mod tests {
     }
 
     #[test]
-    fn injected_panics_are_restarted_without_changing_results() {
-        let items: Vec<u64> = (0..200).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * 3).collect();
+    fn injected_panics_restart_within_budget_and_error_beyond_it() {
         for engine in [
             ExecutionEngine::Sequential,
             ExecutionEngine::Threaded { workers: 2 },
             ExecutionEngine::Threaded { workers: 5 },
         ] {
-            let out = engine
-                .try_map_with_hook(items.clone(), |x| x * 3, &PanicOrder(MAX_WORKER_RESTARTS))
+            let ok = engine
+                .try_map_indexed(
+                    200,
+                    |i| i * 3,
+                    &PanicOrder(MAX_WORKER_RESTARTS),
+                    &RunCtx::default(),
+                )
                 .expect("restartable order must recover");
-            assert_eq!(out, expected, "engine {}", engine.name());
-        }
-    }
-
-    #[test]
-    fn fatal_injected_order_is_an_error_not_a_process_panic() {
-        for engine in [
-            ExecutionEngine::Sequential,
-            ExecutionEngine::Threaded { workers: 3 },
-        ] {
+            assert_eq!(
+                ok,
+                (0..200).map(|i| i * 3).collect::<Vec<usize>>(),
+                "engine {}",
+                engine.name()
+            );
             let err = engine
-                .try_map_with_hook(
-                    (0..64u64).collect(),
-                    |x| x,
+                .try_map_indexed(
+                    64,
+                    |i| i,
                     &PanicOrder(MAX_WORKER_RESTARTS + 1),
+                    &RunCtx::default(),
                 )
                 .expect_err("order beyond the restart budget is fatal");
             assert!(matches!(err, EngineError::WorkerPanic(_)));
             // The pool keeps serving afterwards.
-            assert_eq!(engine.map(vec![1, 2], |x| x + 1), vec![2, 3]);
+            assert_eq!(engine.map_indexed(2, |i| i + 1), vec![1, 2]);
         }
-    }
-
-    #[test]
-    fn map_with_hook_noop_hook_matches_map() {
-        let items: Vec<u64> = (0..50).collect();
-        let plain = ExecutionEngine::Threaded { workers: 4 }.map(items.clone(), |x| x + 7);
-        let hooked = ExecutionEngine::Threaded { workers: 4 }.map_with_hook(
-            items,
-            |x| x + 7,
-            &cdp_faults::NoFaults,
-        );
-        assert_eq!(plain, hooked);
     }
 
     /// A panic payload whose `Drop` panics — the worst case for the panic
@@ -1402,38 +1055,41 @@ mod tests {
         install_quiet_panic_hook();
         let engine = ExecutionEngine::Threaded { workers: 4 };
         // Every unit panics with a drop-bomb payload: the first payload is
-        // stashed and re-raised here, all the extra ones detonate inside the
+        // stashed and reported, all the extra ones detonate inside the
         // participants' cleanup, outside the slot lock and behind their own
-        // catch_unwind, so the completion count still reaches `units`.
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            engine.map((0..64u64).collect(), |_| -> u64 {
-                panic::panic_any(BoomOnDrop);
-            })
-        }));
-        let payload = result.expect_err("map must re-raise the first panic");
-        assert!(payload.downcast_ref::<BoomOnDrop>().is_some());
-        // Never drop the re-raised bomb on this thread.
-        std::mem::forget(payload);
+        // catch_unwind, so the completion count still reaches `units`; the
+        // stashed one detonates behind `from_payload`'s.
+        let err = engine
+            .try_map_indexed(
+                64,
+                |_| -> u64 {
+                    panic::panic_any(BoomOnDrop);
+                },
+                &NoFaults,
+                &RunCtx::default(),
+            )
+            .expect_err("the first panic must be reported");
+        assert_eq!(
+            err,
+            EngineError::WorkerPanic("non-string panic payload".to_owned())
+        );
 
         // The same pool (and its locks) keeps serving normal work.
         for _ in 0..3 {
-            let ok = engine.map((0..64u64).collect(), |x| x + 1);
-            assert_eq!(ok, (1..=64).collect::<Vec<u64>>());
+            let ok = engine.map_indexed(64, |i| i + 1);
+            assert_eq!(ok, (1..=64).collect::<Vec<usize>>());
         }
     }
 
     #[test]
-    fn observed_map_records_engine_metrics() {
+    fn maps_record_engine_metrics() {
         let metrics = Metrics::collecting();
+        let ctx = metrics_ctx(&metrics);
         let engine = ExecutionEngine::Threaded { workers: 2 };
-        let out = engine.map_observed((0..32u64).collect(), |x| x * 2, &metrics);
+        let items: Vec<u64> = (0..32).collect();
+        let out = engine.map_parts(&items, 1, |part| part[0] * 2, &ctx);
         assert_eq!(out.len(), 32);
-        let ok = engine.try_map_with_hook_observed(
-            (0..32u64).collect(),
-            |x| x,
-            &PanicOrder(2),
-            &metrics,
-        );
+        let ok = engine.try_map_indexed(32, |i| i, &PanicOrder(2), &ctx);
         assert!(ok.is_ok());
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("engine.map_calls"), 2);
@@ -1452,17 +1108,19 @@ mod tests {
     }
 
     #[test]
-    fn traced_map_builds_cross_thread_span_tree() {
+    fn traced_map_builds_cross_thread_span_tree_and_changes_no_output() {
         let tracer = Tracer::collecting();
         let root = tracer.root("caller");
-        let out = ExecutionEngine::Threaded { workers: 2 }.map_traced(
-            (0..64u64).collect(),
-            |x| x + 1,
-            &Metrics::disabled(),
-            &tracer,
-            root.context(),
-        );
-        assert_eq!(out, (1..=64).collect::<Vec<u64>>());
+        let ctx = RunCtx {
+            tracer: tracer.clone(),
+            ..RunCtx::default()
+        }
+        .child(&root);
+        let engine = ExecutionEngine::Threaded { workers: 2 };
+        let out = engine
+            .try_map_indexed(64, |i| i * i, &NoFaults, &ctx)
+            .unwrap();
+        assert_eq!(out, engine.map_indexed(64, |i| i * i));
         root.finish();
 
         let snap = tracer.snapshot();
@@ -1481,19 +1139,16 @@ mod tests {
     #[test]
     fn injected_restarts_appear_as_restart_spans() {
         let tracer = Tracer::collecting();
+        let ctx = RunCtx {
+            tracer: tracer.clone(),
+            ..RunCtx::default()
+        };
         for engine in [
             ExecutionEngine::Sequential,
             ExecutionEngine::Threaded { workers: 2 },
         ] {
             let out = engine
-                .try_map_with_hook_traced(
-                    (0..32u64).collect(),
-                    |x| x,
-                    &PanicOrder(2),
-                    &Metrics::disabled(),
-                    &tracer,
-                    None,
-                )
+                .try_map_indexed(32, |i| i, &PanicOrder(2), &ctx)
                 .expect("restartable order must recover");
             assert_eq!(out.len(), 32);
         }
@@ -1506,42 +1161,17 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_map_matches_plain_map() {
-        let items: Vec<u64> = (0..100).collect();
-        let plain = ExecutionEngine::Threaded { workers: 3 }.map(items.clone(), |x| x * x);
-        let traced = ExecutionEngine::Threaded { workers: 3 }.map_traced(
-            items,
-            |x| x * x,
-            &Metrics::disabled(),
-            &Tracer::disabled(),
-            None,
-        );
-        assert_eq!(plain, traced);
-    }
-
-    #[test]
-    fn map_slice_borrows_and_matches_owned_map() {
-        let items: Vec<u64> = (0..300).collect();
-        let owned = ExecutionEngine::Threaded { workers: 3 }.map(items.clone(), |x| x * 2 + 1);
-        let borrowed = ExecutionEngine::Threaded { workers: 3 }.map_slice(&items, |x| x * 2 + 1);
-        let sequential = ExecutionEngine::Sequential.map_slice(&items, |x| x * 2 + 1);
-        assert_eq!(owned, borrowed);
-        assert_eq!(owned, sequential);
-        // The input vector is untouched.
-        assert_eq!(items, (0..300).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn map_parts_matches_manual_sharding_bit_for_bit() {
         let items: Vec<f64> = (0..1000).map(|i| f64::from(i) * 0.37).collect();
         let part_sum = |part: &[f64]| part.iter().sum::<f64>();
         let manual: Vec<f64> = items.chunks(64).map(part_sum).collect();
+        let ctx = RunCtx::default();
         for engine in [
             ExecutionEngine::Sequential,
             ExecutionEngine::Threaded { workers: 1 },
             ExecutionEngine::Threaded { workers: 4 },
         ] {
-            let parts = engine.map_parts(&items, 64, part_sum);
+            let parts = engine.map_parts(&items, 64, part_sum, &ctx);
             assert_eq!(parts.len(), manual.len());
             for (a, b) in parts.iter().zip(&manual) {
                 assert_eq!(a.to_bits(), b.to_bits(), "engine {}", engine.name());
@@ -1549,7 +1179,7 @@ mod tests {
         }
         // Empty input yields no parts on any engine.
         assert!(ExecutionEngine::Threaded { workers: 2 }
-            .map_parts(&[] as &[f64], 64, part_sum)
+            .map_parts(&[] as &[f64], 64, part_sum, &ctx)
             .is_empty());
     }
 
@@ -1566,37 +1196,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_hooked_map_recovers_and_fails_like_the_owned_one() {
-        for engine in [
-            ExecutionEngine::Sequential,
-            ExecutionEngine::Threaded { workers: 3 },
-        ] {
-            let ok = engine
-                .try_map_indexed_with_hook_traced(
-                    64,
-                    |i| i + 1,
-                    &PanicOrder(MAX_WORKER_RESTARTS),
-                    &Metrics::disabled(),
-                    &Tracer::disabled(),
-                    None,
-                )
-                .expect("restartable order must recover");
-            assert_eq!(ok, (1..=64).collect::<Vec<usize>>());
-            let err = engine
-                .try_map_indexed_with_hook_traced(
-                    64,
-                    |i| i,
-                    &PanicOrder(MAX_WORKER_RESTARTS + 1),
-                    &Metrics::disabled(),
-                    &Tracer::disabled(),
-                    None,
-                )
-                .expect_err("order beyond the restart budget is fatal");
-            assert!(matches!(err, EngineError::WorkerPanic(_)));
-        }
-    }
-
-    #[test]
     fn stealing_is_observed_when_load_is_imbalanced() {
         // One slow unit at the front: the caller gets stuck on it while the
         // helper drains its own range and then steals the caller's
@@ -1605,16 +1204,19 @@ mod tests {
         // count itself is just recorded as a histogram sample.
         let metrics = Metrics::collecting();
         let engine = ExecutionEngine::Threaded { workers: 2 };
-        let out = engine.map_observed(
-            (0..64u64).collect(),
-            |x| {
-                if x == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-                x
-            },
-            &metrics,
-        );
+        let out = engine
+            .try_map_indexed(
+                64,
+                |i| {
+                    if i == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(10));
+                    }
+                    i
+                },
+                &NoFaults,
+                &metrics_ctx(&metrics),
+            )
+            .unwrap();
         assert_eq!(out.len(), 64);
         let snap = metrics.snapshot();
         let steals = snap.histogram("engine.steal").expect("steal observed");

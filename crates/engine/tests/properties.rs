@@ -2,9 +2,9 @@
 //! to the sequential engine on arbitrary workloads, and its span trees
 //! stay well-formed even while injected worker panics force restarts.
 
-use cdp_engine::ExecutionEngine;
+use cdp_engine::{tree_reduce, ExecutionEngine, RunCtx};
 use cdp_faults::{FaultInjector, FaultPlan};
-use cdp_obs::{Metrics, TraceSnapshot, Tracer};
+use cdp_obs::{TraceSnapshot, Tracer};
 use proptest::prelude::*;
 
 /// Order-independent structural fingerprint of a span tree: the sorted
@@ -21,53 +21,31 @@ fn structure(snap: &TraceSnapshot) -> Vec<(String, Option<String>)> {
 }
 
 proptest! {
+    /// The threaded map over borrowed items equals the sequential one and a
+    /// plain iterator: same length, same order, whichever worker stole what.
     #[test]
-    fn map_equivalence(items in prop::collection::vec(0u64..1_000_000, 0..200), workers in 1usize..9) {
-        let f = |x: u64| x.wrapping_mul(2654435761).rotate_left(13);
-        let seq = ExecutionEngine::Sequential.map(items.clone(), f);
-        let par = ExecutionEngine::Threaded { workers }.map(items, f);
-        prop_assert_eq!(seq, par);
+    fn map_indexed_equivalence(items in prop::collection::vec(0u64..1_000_000, 0..200), workers in 1usize..9) {
+        let f = |i: usize| items[i].wrapping_mul(2654435761).rotate_left(13);
+        let seq = ExecutionEngine::Sequential.map_indexed(items.len(), f);
+        let par = ExecutionEngine::Threaded { workers }.map_indexed(items.len(), f);
+        prop_assert_eq!(&seq, &par);
+        prop_assert_eq!(seq, (0..items.len()).map(f).collect::<Vec<u64>>());
     }
 
+    /// Mapped parts reduce in a shape fixed by the part count alone, so even
+    /// non-associative floating-point accumulation matches exactly.
     #[test]
-    fn map_reduce_equivalence(items in prop::collection::vec(-1e3..1e3f64, 0..100), workers in 1usize..5) {
-        // The fold runs in input order on both engines, so even
-        // non-associative floating-point accumulation matches exactly.
-        let seq = ExecutionEngine::Sequential.map_reduce(
-            items.clone(),
-            |x| x * 1.000001 - 0.5,
-            1.0f64,
-            |acc, x| acc * 0.99 + x,
-        );
-        let par = ExecutionEngine::Threaded { workers }.map_reduce(
-            items,
-            |x| x * 1.000001 - 0.5,
-            1.0f64,
-            |acc, x| acc * 0.99 + x,
-        );
-        prop_assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn preserves_length_and_order(n in 0usize..300, workers in 1usize..8) {
-        let items: Vec<usize> = (0..n).collect();
-        let out = ExecutionEngine::Threaded { workers }.map(items, |i| i);
-        prop_assert_eq!(out, (0..n).collect::<Vec<usize>>());
-    }
-
-    /// The borrowed variant agrees with the owning variant on both engines:
-    /// callers migrating off `to_vec` cannot observe a difference.
-    #[test]
-    fn map_slice_matches_map(
-        items in prop::collection::vec(0u64..1_000_000, 0..200),
-        workers in 1usize..9,
+    fn map_parts_then_tree_reduce_is_bit_identical(
+        items in prop::collection::vec(-1e3..1e3f64, 0..100),
+        part_len in 1usize..16,
+        workers in 1usize..5,
     ) {
-        let f = |x: u64| x.wrapping_mul(2654435761).rotate_left(13);
-        let owned = ExecutionEngine::Threaded { workers }.map(items.clone(), f);
-        let seq = ExecutionEngine::Sequential.map_slice(&items, |x| f(*x));
-        let par = ExecutionEngine::Threaded { workers }.map_slice(&items, |x| f(*x));
-        prop_assert_eq!(&owned, &seq);
-        prop_assert_eq!(&owned, &par);
+        let f = |part: &[f64]| part.iter().fold(1.0f64, |acc, x| acc * 0.99 + (x * 1.000001 - 0.5));
+        let g = |a: f64, b: f64| a * 0.5 + b;
+        let ctx = RunCtx::default();
+        let seq = tree_reduce(ExecutionEngine::Sequential.map_parts(&items, part_len, f, &ctx), g);
+        let par = tree_reduce(ExecutionEngine::Threaded { workers }.map_parts(&items, part_len, f, &ctx), g);
+        prop_assert_eq!(seq.map(f64::to_bits), par.map(f64::to_bits));
     }
 
     /// `map_parts` covers the input in contiguous, in-order, non-overlapping
@@ -79,8 +57,9 @@ proptest! {
         workers in 1usize..8,
     ) {
         let f = |part: &[f64]| (part.len(), part.iter().sum::<f64>().to_bits());
-        let seq = ExecutionEngine::Sequential.map_parts(&items, part_len, f);
-        let par = ExecutionEngine::Threaded { workers }.map_parts(&items, part_len, f);
+        let ctx = RunCtx::default();
+        let seq = ExecutionEngine::Sequential.map_parts(&items, part_len, f, &ctx);
+        let par = ExecutionEngine::Threaded { workers }.map_parts(&items, part_len, f, &ctx);
         prop_assert_eq!(&seq, &par);
 
         let expected: Vec<(usize, u64)> = items.chunks(part_len).map(f).collect();
@@ -90,24 +69,13 @@ proptest! {
             items.len()
         );
     }
-
-    /// `map_indexed` visits exactly `0..n` and keeps results index-ordered
-    /// regardless of which worker steals which range.
-    #[test]
-    fn map_indexed_matches_identity(n in 0usize..300, workers in 1usize..8) {
-        let f = |i: usize| i.wrapping_mul(2654435761);
-        let seq = ExecutionEngine::Sequential.map_indexed(n, f);
-        let par = ExecutionEngine::Threaded { workers }.map_indexed(n, f);
-        prop_assert_eq!(&seq, &par);
-        prop_assert_eq!(seq, (0..n).map(f).collect::<Vec<usize>>());
-    }
 }
 
 proptest! {
     #[test]
-    fn span_trees_survive_injected_worker_panics(
+    fn outcomes_and_span_trees_survive_injected_worker_panics(
         n in 1usize..64,
-        workers in 1usize..4,
+        workers in 1usize..9,
         seed in 0u64..1_000,
         panic_p in 0.0f64..0.6,
     ) {
@@ -118,25 +86,30 @@ proptest! {
         };
         // A fresh injector per run resets the fault epoch, so the same
         // plan replays the same panic schedule.
-        let run = |engine: &ExecutionEngine| {
+        let run = |engine: &ExecutionEngine, tracer: Tracer| {
             let hook = FaultInjector::new(plan);
-            let tracer = Tracer::collecting();
-            let out = engine.try_map_with_hook_traced(
-                (0..n as u64).collect(),
-                |x| x.wrapping_mul(2654435761),
+            let ctx = RunCtx { tracer, ..RunCtx::default() };
+            let out = engine.try_map_indexed(
+                n,
+                |i| (i as u64).wrapping_mul(2654435761),
                 &hook,
-                &Metrics::disabled(),
-                &tracer,
-                None,
+                &ctx,
             );
-            (out, tracer.snapshot())
+            (out, ctx.tracer.snapshot())
         };
+        // One order is drawn per call whatever the engine, so the outcome —
+        // recovered values or the fatal error — is the same on every engine,
+        // traced or not.
+        let (reference, _) = run(&ExecutionEngine::Sequential, Tracer::disabled());
 
         for engine in [
             ExecutionEngine::Sequential,
             ExecutionEngine::Threaded { workers },
         ] {
-            let (first, snap) = run(&engine);
+            let (untraced, _) = run(&engine, Tracer::disabled());
+            prop_assert_eq!(&untraced, &reference);
+            let (first, snap) = run(&engine, Tracer::collecting());
+            prop_assert_eq!(&first, &reference);
 
             // Well-formed even mid-panic: no orphans, children inside
             // parents, every task under its map, restarts under tasks.
@@ -160,19 +133,9 @@ proptest! {
                 }
             }
 
-            // Rerun-identical under the fixed seed: same outcome, same
-            // results, same causal structure.
-            let (second, resnap) = run(&engine);
-            match (&first, &second) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-                (Err(_), Err(_)) => {}
-                (a, b) => prop_assert!(
-                    false,
-                    "rerun diverged: first ok={}, second ok={}",
-                    a.is_ok(),
-                    b.is_ok()
-                ),
-            }
+            // Rerun-identical under the fixed seed: same causal structure.
+            let (second, resnap) = run(&engine, Tracer::collecting());
+            prop_assert_eq!(&second, &reference);
             prop_assert_eq!(structure(&snap), structure(&resnap));
         }
     }

@@ -12,7 +12,7 @@
 //!   inverse decay, Momentum, **Adam**, **RMSProp**, **AdaDelta** (the three
 //!   adaptation techniques of Experiment 2);
 //! * [`model`] — a dense-weight linear model over dense or sparse rows;
-//! * [`sgd`] — the mini-batch SGD driver. One [`sgd::SgdTrainer::step`] is
+//! * [`sgd`] — the mini-batch SGD driver. One [`sgd::SgdTrainer::step_rows`] is
 //!   exactly one iteration of Algorithm 1, which is what makes **proactive
 //!   training** sound: iterations are conditionally independent given the
 //!   `(weights, optimizer state)` pair, so the platform may run them at

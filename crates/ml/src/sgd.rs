@@ -2,8 +2,8 @@
 //!
 //! [`SgdTrainer`] bundles the three things an SGD iteration needs: the model
 //! weights, the per-coordinate optimizer state, and the regularizer. One call
-//! to [`SgdTrainer::step`] is one iteration of Algorithm 1 — sample, compute
-//! the gradient of the loss `J`, update the model. Because the trainer
+//! to [`SgdTrainer::step_rows`] is one iteration of Algorithm 1 — sample,
+//! compute the gradient of the loss `J`, update the model. Because the trainer
 //! carries everything an iteration depends on, the platform can execute
 //! steps at arbitrary times (online updates and proactive training
 //! interleaved) and the sequence is still a valid SGD trajectory (§3.3).
@@ -16,11 +16,10 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use cdp_engine::{tree_reduce, EngineError, ExecutionEngine};
+use cdp_engine::{tree_reduce, EngineError, ExecutionEngine, RunCtx};
 use cdp_faults::FaultHook;
 use cdp_linalg::DenseVector;
-use cdp_obs::{Metrics, SpanContext, Tracer};
-use cdp_storage::{LabeledPoint, RowView};
+use cdp_storage::RowView;
 
 use crate::loss::{Loss, LossKind};
 use crate::model::LinearModel;
@@ -201,7 +200,7 @@ pub struct SgdTrainer {
 }
 
 /// Outcome of one fused transform+gradient step
-/// ([`SgdTrainer::try_step_fused_on`]).
+/// ([`SgdTrainer::try_step_fused`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FusedStepOutcome {
     /// Mean pre-update data loss over all streamed points, or `None` when
@@ -287,84 +286,36 @@ impl SgdTrainer {
     }
 
     /// One mini-batch SGD iteration over `batch` (Algorithm 1, lines 3–5),
-    /// on the sequential engine. See [`SgdTrainer::step_on`].
-    pub fn step<'a, I>(&mut self, batch: I) -> Option<f64>
-    where
-        I: IntoIterator<Item = &'a LabeledPoint>,
-    {
-        self.step_on(batch, ExecutionEngine::Sequential)
-    }
-
-    /// One mini-batch SGD iteration over `batch` (Algorithm 1, lines 3–5),
-    /// computing the gradient on `engine`.
+    /// computing the gradient on `engine` over zero-copy row views: slab
+    /// rows of a stored chunk, or [`RowView::Point`] for points that never
+    /// materialized into one.
     ///
     /// Large batches are split into [`gradient_shards`] contiguous shards
     /// whose partial gradients are combined with a fixed-shape
     /// [`tree_reduce`]; because the shard structure depends only on the
     /// batch size, every engine produces bit-identical weights. Small
-    /// batches (the online path) accumulate in place with no sharding.
+    /// batches (the online path) accumulate in place with no sharding. The
+    /// model and the gradient buffer are grown to the widest row *before*
+    /// any arithmetic, after which the padded row operations
+    /// ([`RowView::dot_padded`], [`RowView::axpy_into_growing`]) are
+    /// bit-identical to exact-width ones.
     ///
     /// Returns the mean data loss of the batch *before* the update, or
     /// `None` for an empty batch (no update is performed).
-    pub fn step_on<'a, I>(&mut self, batch: I, engine: ExecutionEngine) -> Option<f64>
-    where
-        I: IntoIterator<Item = &'a LabeledPoint>,
-    {
-        self.step_on_traced(
-            batch,
-            engine,
-            &Metrics::disabled(),
-            &Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// [`SgdTrainer::step_on`] with causal spans: a sharded step opens a
-    /// `trainer.step` span under `parent` whose `engine.map` → `engine.task`
-    /// children land on the worker threads computing partial gradients.
-    /// Unsharded (small-batch) steps run inline and record nothing — they
-    /// involve no engine dispatch to explain.
-    pub fn step_on_traced<'a, I>(
-        &mut self,
-        batch: I,
-        engine: ExecutionEngine,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> Option<f64>
-    where
-        I: IntoIterator<Item = &'a LabeledPoint>,
-    {
-        let batch: Vec<RowView<'a>> = batch.into_iter().map(RowView::Point).collect();
-        self.step_rows_traced(&batch, engine, metrics, tracer, parent)
-    }
-
-    /// One mini-batch SGD iteration over zero-copy columnar row views — the
-    /// allocation-free twin of [`SgdTrainer::step_on`]. The model and the
-    /// gradient buffer are grown to the widest row *before* any arithmetic,
-    /// after which the padded row operations ([`RowView::dot_padded`],
-    /// [`RowView::axpy_into_growing`]) are bit-identical to the exact-width
-    /// row-layout operations they replaced.
     pub fn step_rows(&mut self, batch: &[RowView<'_>], engine: ExecutionEngine) -> Option<f64> {
-        self.step_rows_traced(
-            batch,
-            engine,
-            &Metrics::disabled(),
-            &Tracer::disabled(),
-            None,
-        )
+        self.step_rows_in(batch, engine, &RunCtx::default())
     }
 
-    /// [`SgdTrainer::step_rows`] with causal spans — the core every stepping
-    /// path funnels through. See [`SgdTrainer::step_on_traced`] for the span
-    /// semantics.
-    pub fn step_rows_traced(
+    /// [`SgdTrainer::step_rows`] under `ctx`: a sharded step opens a
+    /// `trainer.step` span whose `engine.map` → `engine.task` children land
+    /// on the worker threads computing partial gradients. Unsharded
+    /// (small-batch) steps run inline and record nothing — they involve no
+    /// engine dispatch to explain.
+    fn step_rows_in(
         &mut self,
         batch: &[RowView<'_>],
         engine: ExecutionEngine,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
+        ctx: &RunCtx,
     ) -> Option<f64> {
         if batch.is_empty() {
             return None;
@@ -396,14 +347,14 @@ impl SgdTrainer {
             }
             sum
         } else {
-            let step_span = tracer.child_of("trainer.step", parent);
+            let step_span = ctx.span("trainer.step");
             let shard_len = batch.len().div_ceil(shards);
             let model = &self.model;
             let scratch = &self.scratch;
             // Shards borrow contiguous ranges of the batch directly — no
             // per-shard `Vec` of point refs — and accumulate into recycled
             // scratch buffers rather than freshly allocated ones.
-            let parts = engine.map_parts_traced(
+            let parts = engine.map_parts(
                 batch,
                 shard_len,
                 |shard: &[RowView<'_>]| {
@@ -419,9 +370,7 @@ impl SgdTrainer {
                     }
                     (grad, loss_sum)
                 },
-                metrics,
-                tracer,
-                step_span.context(),
+                &ctx.child(&step_span),
             );
             let reduced = tree_reduce(parts, |(mut ga, la), (gb, lb)| {
                 if let Err(e) = ga.axpy(1.0, &gb) {
@@ -449,41 +398,13 @@ impl SgdTrainer {
     }
 
     /// Consumes a stream chunk once, in mini-batches of `batch_size` — the
-    /// platform's *online learning* path.
+    /// platform's *online learning* path. The store's chunks stream straight
+    /// into mini-batches without ever reconstructing a `LabeledPoint` per
+    /// row (only batches of ≥ 512 rows actually shard — see
+    /// [`SgdTrainer::step_rows`]).
     ///
     /// Returns the mean pre-update loss over the chunk, or `None` when the
     /// chunk is empty.
-    pub fn online_pass(&mut self, points: &[LabeledPoint], batch_size: usize) -> Option<f64> {
-        self.online_pass_on(points, batch_size, ExecutionEngine::Sequential)
-    }
-
-    /// [`SgdTrainer::online_pass`] with gradient computation on `engine`
-    /// (only batches of ≥ 512 points actually shard — see
-    /// [`SgdTrainer::step_on`]).
-    pub fn online_pass_on(
-        &mut self,
-        points: &[LabeledPoint],
-        batch_size: usize,
-        engine: ExecutionEngine,
-    ) -> Option<f64> {
-        if points.is_empty() {
-            return None;
-        }
-        let batch_size = batch_size.max(1);
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for batch in points.chunks(batch_size) {
-            if let Some(loss) = self.step_on(batch.iter(), engine) {
-                total += loss * batch.len() as f64;
-                count += batch.len();
-            }
-        }
-        (count > 0).then(|| total / count as f64)
-    }
-
-    /// [`SgdTrainer::online_pass_on`] over zero-copy columnar row views —
-    /// the store's chunks stream straight into mini-batches without ever
-    /// reconstructing a `LabeledPoint` per row.
     pub fn online_pass_rows(
         &mut self,
         rows: &[RowView<'_>],
@@ -506,55 +427,34 @@ impl SgdTrainer {
     }
 
     /// Multi-epoch training to convergence over an in-memory dataset — the
-    /// paper's *initial training* and the periodical baseline's *retraining*.
-    pub fn fit(&mut self, data: &[LabeledPoint], config: &SgdConfig) -> TrainReport {
-        self.fit_on(data, config, ExecutionEngine::Sequential)
-    }
-
-    /// [`SgdTrainer::fit`] with gradient and objective evaluation on
-    /// `engine`. Shard structure depends only on data/batch sizes, so every
-    /// engine converges through bit-identical weight trajectories.
-    pub fn fit_on(
+    /// paper's *initial training* and the periodical baseline's *retraining*
+    /// — with gradient and objective evaluation on `engine`. Shard structure
+    /// depends only on data/batch sizes, so every engine converges through
+    /// bit-identical weight trajectories.
+    ///
+    /// The whole fit runs under a `trainer.fit` span (child of
+    /// `ctx.parent`), and both objective evaluations plus every sharded step
+    /// hang their `engine.map` trees off it. Because
+    /// [`SgdTrainer::objective_rows`] always dispatches through the engine,
+    /// a traced fit on a threaded engine yields a cross-thread span tree at
+    /// any data size.
+    pub fn fit_rows(
         &mut self,
-        data: &[LabeledPoint],
+        rows: &[RowView<'_>],
         config: &SgdConfig,
         engine: ExecutionEngine,
+        ctx: &RunCtx,
     ) -> TrainReport {
-        self.fit_on_traced(
-            data,
-            config,
-            engine,
-            &Metrics::disabled(),
-            &Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// [`SgdTrainer::fit_on`] with causal spans: the whole fit runs under a
-    /// `trainer.fit` span (child of `parent`), and both objective
-    /// evaluations plus every sharded step hang their `engine.map` trees
-    /// off it. Because [`SgdTrainer::objective_on`] always dispatches
-    /// through the engine, a traced fit on a threaded engine yields a
-    /// cross-thread span tree at any data size.
-    pub fn fit_on_traced(
-        &mut self,
-        data: &[LabeledPoint],
-        config: &SgdConfig,
-        engine: ExecutionEngine,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
-    ) -> TrainReport {
-        let fit_span = tracer.child_of("trainer.fit", parent);
-        let fit_ctx = fit_span.context();
+        let fit_span = ctx.span("trainer.fit");
+        let ctx = &ctx.child(&fit_span);
         let steps_before = self.optimizer.steps();
         // Rows may be wider than the model when the encoder's feature space
         // grew during preprocessing (one-hot vocabulary growth).
-        if let Some(max_dim) = data.iter().map(|p| p.features.dim()).max() {
+        if let Some(max_dim) = rows.iter().map(|r| r.dim()).max() {
             self.model.grow_to(max_dim);
         }
-        let initial_loss = self.objective_on_traced(data, engine, metrics, tracer, fit_ctx);
-        if data.is_empty() {
+        let initial_loss = self.objective_rows(rows, engine, ctx);
+        if rows.is_empty() {
             return TrainReport {
                 epochs: 0,
                 steps: 0,
@@ -564,7 +464,8 @@ impl SgdTrainer {
             };
         }
         let mut rng = StdRng::seed_from_u64(config.shuffle_seed);
-        let mut indices: Vec<usize> = (0..data.len()).collect();
+        let mut indices: Vec<usize> = (0..rows.len()).collect();
+        let mut batch: Vec<RowView<'_>> = Vec::new();
         let mut converged = false;
         let mut epochs = 0;
         for _ in 0..config.convergence.max_epochs {
@@ -572,8 +473,9 @@ impl SgdTrainer {
             let weights_before = self.model.weights().clone();
             indices.shuffle(&mut rng);
             for batch_idx in indices.chunks(config.batch_size.max(1)) {
-                let batch = batch_idx.iter().map(|&i| &data[i]);
-                self.step_on_traced(batch, engine, metrics, tracer, fit_ctx);
+                batch.clear();
+                batch.extend(batch_idx.iter().map(|&i| rows[i]));
+                self.step_rows_in(&batch, engine, ctx);
             }
             let weights_after = self.model.weights();
             let mut delta = weights_after.clone();
@@ -592,67 +494,46 @@ impl SgdTrainer {
             epochs,
             steps: self.optimizer.steps() - steps_before,
             initial_loss,
-            final_loss: self.objective_on_traced(data, engine, metrics, tracer, fit_ctx),
+            final_loss: self.objective_rows(rows, engine, ctx),
             converged,
         }
     }
 
-    /// Mean data loss plus penalty over a dataset (no update), on the
-    /// sequential engine. See [`SgdTrainer::objective_on`].
-    pub fn objective(&self, data: &[LabeledPoint]) -> f64 {
-        self.objective_on(data, ExecutionEngine::Sequential)
-    }
-
     /// Mean data loss plus penalty over a dataset (no update), evaluated on
-    /// `engine`. Rows must not be wider than the model;
-    /// [`SgdTrainer::fit_on`] grows the model before calling this.
+    /// `engine`. Rows wider than the model score against zero weights;
+    /// [`SgdTrainer::fit_rows`] grows the model before calling this.
     ///
     /// Per-shard loss sums are combined with a fixed-shape [`tree_reduce`]
-    /// whose structure depends only on `data.len()`, so the value is
-    /// bit-identical across engines.
-    pub fn objective_on(&self, data: &[LabeledPoint], engine: ExecutionEngine) -> f64 {
-        self.objective_on_traced(
-            data,
-            engine,
-            &Metrics::disabled(),
-            &Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// [`SgdTrainer::objective_on`] with causal spans: the engine dispatch
+    /// whose structure depends only on `rows.len()`, so the value is
+    /// bit-identical across engines. Unlike gradient steps this *always*
+    /// goes through the engine, regardless of data size: the dispatch
     /// appears as an `engine.map` (with per-shard `engine.task` children)
-    /// under `parent`. Unlike gradient steps this *always* goes through the
-    /// engine, regardless of data size.
-    pub fn objective_on_traced(
+    /// under `ctx.parent`.
+    pub fn objective_rows(
         &self,
-        data: &[LabeledPoint],
+        rows: &[RowView<'_>],
         engine: ExecutionEngine,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
+        ctx: &RunCtx,
     ) -> f64 {
-        if data.is_empty() {
+        if rows.is_empty() {
             return self.regularizer.penalty(self.model.weights());
         }
         let loss = self.model.loss();
-        let model = &self.model;
-        let shards = gradient_shards(data.len());
-        let shard_len = data.len().div_ceil(shards);
-        let sums: Vec<f64> = engine.map_parts_traced(
-            data,
+        let weights = self.model.weights();
+        let shards = gradient_shards(rows.len());
+        let shard_len = rows.len().div_ceil(shards);
+        let sums: Vec<f64> = engine.map_parts(
+            rows,
             shard_len,
             |shard| {
                 shard
                     .iter()
-                    .map(|p| loss.value(model.margin_ref(&p.features), p.label))
+                    .map(|r| loss.value(r.dot_padded(weights), r.label()))
                     .sum::<f64>()
             },
-            metrics,
-            tracer,
-            parent,
+            ctx,
         );
-        let mean = tree_reduce(sums, |a, b| a + b).unwrap_or(0.0) / data.len() as f64;
+        let mean = tree_reduce(sums, |a, b| a + b).unwrap_or(0.0) / rows.len() as f64;
         mean + self.regularizer.penalty(self.model.weights())
     }
 
@@ -681,16 +562,13 @@ impl SgdTrainer {
     /// Propagates [`EngineError`] when `hook` injects a fatal worker panic
     /// (after the engine's restart-once recovery is exhausted). The model is
     /// untouched in that case.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_step_fused_on<A>(
+    pub fn try_step_fused<A>(
         &mut self,
         n_sources: usize,
         access: A,
         engine: ExecutionEngine,
         hook: &dyn FaultHook,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        parent: Option<SpanContext>,
+        ctx: &RunCtx,
     ) -> Result<FusedStepOutcome, EngineError>
     where
         A: Fn(usize, &mut dyn FnMut(RowView<'_>)) + Sync,
@@ -701,12 +579,12 @@ impl SgdTrainer {
                 points: 0,
             });
         }
-        let step_span = tracer.child_of("trainer.step", parent);
+        let step_span = ctx.span("trainer.step");
         let dim = self.model.dim();
         let loss = self.model.loss();
         let model = &self.model;
         let scratch = &self.scratch;
-        let parts = engine.try_map_indexed_with_hook_traced(
+        let parts = engine.try_map_indexed(
             n_sources,
             |i| {
                 let mut grad = scratch.acquire(dim);
@@ -724,9 +602,7 @@ impl SgdTrainer {
                 (grad, loss_sum, points)
             },
             hook,
-            metrics,
-            tracer,
-            step_span.context(),
+            &ctx.child(&step_span),
         )?;
         let reduced = tree_reduce(parts, |(mut ga, la, na), (gb, lb, nb)| {
             // Sources grow their gradients independently (sparse rows may
@@ -787,8 +663,22 @@ impl SgdTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_faults::NoFaults;
     use cdp_linalg::Vector;
+    use cdp_obs::Tracer;
+    use cdp_storage::LabeledPoint;
     use rand::RngExt;
+
+    const SEQ: ExecutionEngine = ExecutionEngine::Sequential;
+
+    /// Row-layout points as the trainer's row views.
+    fn rows(data: &[LabeledPoint]) -> Vec<RowView<'_>> {
+        data.iter().map(RowView::Point).collect()
+    }
+
+    fn fit(trainer: &mut SgdTrainer, data: &[LabeledPoint], config: &SgdConfig) -> TrainReport {
+        trainer.fit_rows(&rows(data), config, SEQ, &RunCtx::default())
+    }
 
     fn make_config(loss: LossKind) -> SgdConfig {
         SgdConfig {
@@ -835,7 +725,7 @@ mod tests {
         let data = blobs(300, 1);
         let config = make_config(LossKind::Hinge);
         let mut trainer = SgdTrainer::new(3, &config);
-        let report = trainer.fit(&data, &config);
+        let report = fit(&mut trainer, &data, &config);
         assert!(report.final_loss < report.initial_loss);
         let errors = data
             .iter()
@@ -853,7 +743,7 @@ mod tests {
         let data = blobs(300, 2);
         let config = make_config(LossKind::Logistic);
         let mut trainer = SgdTrainer::new(3, &config);
-        trainer.fit(&data, &config);
+        fit(&mut trainer, &data, &config);
         let errors = data
             .iter()
             .filter(|p| trainer.model_mut().predict(&p.features) != p.label)
@@ -869,7 +759,7 @@ mod tests {
         config.regularizer = Regularizer::None;
         config.convergence.max_epochs = 400;
         let mut trainer = SgdTrainer::new(3, &config);
-        let report = trainer.fit(&data, &config);
+        let report = fit(&mut trainer, &data, &config);
         let w = trainer.model().weights();
         assert!((w[0] - 3.0).abs() < 0.1, "w0={}", w[0]);
         assert!((w[1] + 2.0).abs() < 0.1, "w1={}", w[1]);
@@ -881,9 +771,9 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let config = make_config(LossKind::Hinge);
         let mut trainer = SgdTrainer::new(3, &config);
-        assert_eq!(trainer.step(std::iter::empty()), None);
+        assert_eq!(trainer.step_rows(&[], SEQ), None);
         assert_eq!(trainer.steps(), 0);
-        assert_eq!(trainer.online_pass(&[], 8), None);
+        assert_eq!(trainer.online_pass_rows(&[], 8, SEQ), None);
     }
 
     #[test]
@@ -891,32 +781,32 @@ mod tests {
         let data = blobs(32, 4);
         let config = make_config(LossKind::Hinge);
         let mut trainer = SgdTrainer::new(3, &config);
-        trainer.step(data.iter().take(10));
+        trainer.step_rows(&rows(&data[..10]), SEQ);
         assert_eq!(trainer.steps(), 1);
         assert_eq!(trainer.points_seen(), 10);
-        trainer.online_pass(&data, 8);
+        trainer.online_pass_rows(&rows(&data), 8, SEQ);
         assert_eq!(trainer.steps(), 1 + 4);
         assert_eq!(trainer.points_seen(), 10 + 32);
     }
 
     #[test]
     fn interleaved_steps_equal_contiguous_fit_steps() {
-        // Conditional independence: running the same batches through `step`
-        // in two bursts gives the same weights as one burst.
+        // Conditional independence: running the same batches through
+        // `step_rows` in two bursts gives the same weights as one burst.
         let data = blobs(64, 5);
         let config = make_config(LossKind::Logistic);
         let mut a = SgdTrainer::new(3, &config);
         let mut b = SgdTrainer::new(3, &config);
         let batches: Vec<&[LabeledPoint]> = data.chunks(8).collect();
         for batch in &batches {
-            a.step(batch.iter());
+            a.step_rows(&rows(batch), SEQ);
         }
         for batch in &batches[..4] {
-            b.step(batch.iter());
+            b.step_rows(&rows(batch), SEQ);
         }
         // ... arbitrary pause (other work happens here) ...
         for batch in &batches[4..] {
-            b.step(batch.iter());
+            b.step_rows(&rows(batch), SEQ);
         }
         assert_eq!(a.model().weights(), b.model().weights());
     }
@@ -926,7 +816,7 @@ mod tests {
         let data = blobs(200, 6);
         let config = make_config(LossKind::Hinge);
         let mut trainer = SgdTrainer::new(3, &config);
-        trainer.fit(&data, &config);
+        fit(&mut trainer, &data, &config);
         let snapshot = trainer.clone();
         // Re-create from the snapshot's parts: identical behaviour.
         let mut resumed = SgdTrainer::with_model(
@@ -934,10 +824,10 @@ mod tests {
             snapshot.optimizer().clone(),
             snapshot.regularizer(),
         );
-        let batch: Vec<&LabeledPoint> = data.iter().take(8).collect();
+        let batch = rows(&data[..8]);
         let mut orig = trainer.clone();
-        let l1 = orig.step(batch.clone());
-        let l2 = resumed.step(batch);
+        let l1 = orig.step_rows(&batch, SEQ);
+        let l2 = resumed.step_rows(&batch, SEQ);
         assert_eq!(l1, l2);
         assert_eq!(orig.model().weights(), resumed.model().weights());
     }
@@ -946,12 +836,14 @@ mod tests {
     fn growing_feature_space_is_handled() {
         let config = make_config(LossKind::Hinge);
         let mut trainer = SgdTrainer::new(2, &config);
-        trainer.step([&LabeledPoint::new(1.0, Vector::from(vec![1.0, 0.5]))]);
+        let narrow = [LabeledPoint::new(1.0, Vector::from(vec![1.0, 0.5]))];
+        trainer.step_rows(&rows(&narrow), SEQ);
         // A wider row arrives later (new features appeared in the stream).
-        trainer.step([&LabeledPoint::new(
+        let wide = [LabeledPoint::new(
             -1.0,
             Vector::from(vec![0.1, 0.2, 0.9, 1.0]),
-        )]);
+        )];
+        trainer.step_rows(&rows(&wide), SEQ);
         assert_eq!(trainer.model().dim(), 4);
     }
 
@@ -960,7 +852,7 @@ mod tests {
         let data = blobs(100, 8);
         let config = make_config(LossKind::Hinge);
         let mut trainer = SgdTrainer::new(3, &config);
-        let report = trainer.fit(&data, &config);
+        let report = fit(&mut trainer, &data, &config);
         assert!(report.epochs >= 1);
         assert!(report.steps >= report.epochs as u64);
         assert!(report.final_loss <= report.initial_loss);
@@ -973,12 +865,12 @@ mod tests {
         let config = make_config(LossKind::Logistic);
         let mut sequential = SgdTrainer::new(3, &config);
         let seq_loss = sequential
-            .step_on(data.iter(), ExecutionEngine::Sequential)
+            .step_rows(&rows(&data), SEQ)
             .expect("non-empty batch");
         for workers in [1, 2, 3, 7] {
             let mut threaded = SgdTrainer::new(3, &config);
             let thr_loss = threaded
-                .step_on(data.iter(), ExecutionEngine::Threaded { workers })
+                .step_rows(&rows(&data), ExecutionEngine::Threaded { workers })
                 .expect("non-empty batch");
             assert_eq!(
                 sequential.model().weights(),
@@ -998,7 +890,7 @@ mod tests {
         let config = make_config(LossKind::Logistic);
         let mut on_points = SgdTrainer::new(3, &config);
         let point_loss = on_points
-            .step_on(data.iter(), ExecutionEngine::Sequential)
+            .step_rows(&rows(&data), SEQ)
             .expect("non-empty batch");
         let chunk = FeatureChunk::new(Timestamp(0), Timestamp(0), data.clone());
         for engine in [
@@ -1024,9 +916,15 @@ mod tests {
         config.batch_size = 600; // large enough to shard every step
         config.convergence.max_epochs = 5;
         let mut sequential = SgdTrainer::new(3, &config);
-        let report_seq = sequential.fit_on(&data, &config, ExecutionEngine::Sequential);
+        let ctx = RunCtx::default();
+        let report_seq = sequential.fit_rows(&rows(&data), &config, SEQ, &ctx);
         let mut threaded = SgdTrainer::new(3, &config);
-        let report_thr = threaded.fit_on(&data, &config, ExecutionEngine::Threaded { workers: 4 });
+        let report_thr = threaded.fit_rows(
+            &rows(&data),
+            &config,
+            ExecutionEngine::Threaded { workers: 4 },
+            &ctx,
+        );
         assert_eq!(sequential.model().weights(), threaded.model().weights());
         assert_eq!(
             report_seq.final_loss.to_bits(),
@@ -1044,10 +942,12 @@ mod tests {
         let data = blobs(3000, 13);
         let config = make_config(LossKind::Hinge);
         let mut trainer = SgdTrainer::new(3, &config);
-        trainer.online_pass(&data[..200], 32);
-        let seq = trainer.objective_on(&data, ExecutionEngine::Sequential);
+        trainer.online_pass_rows(&rows(&data[..200]), 32, SEQ);
+        let ctx = RunCtx::default();
+        let seq = trainer.objective_rows(&rows(&data), SEQ, &ctx);
         for workers in [1, 2, 5] {
-            let thr = trainer.objective_on(&data, ExecutionEngine::Threaded { workers });
+            let thr =
+                trainer.objective_rows(&rows(&data), ExecutionEngine::Threaded { workers }, &ctx);
             assert_eq!(
                 seq.to_bits(),
                 thr.to_bits(),
@@ -1058,7 +958,6 @@ mod tests {
 
     #[test]
     fn fused_step_is_bit_identical_across_engines_and_reuses_scratch() {
-        use cdp_faults::NoFaults;
         let data = blobs(2000, 21);
         let config = make_config(LossKind::Logistic);
         let chunks: Vec<&[LabeledPoint]> = data.chunks(250).collect();
@@ -1070,26 +969,10 @@ mod tests {
         let run = |engine: ExecutionEngine| {
             let mut t = SgdTrainer::new(3, &config);
             let first = t
-                .try_step_fused_on(
-                    chunks.len(),
-                    access,
-                    engine,
-                    &NoFaults,
-                    &Metrics::disabled(),
-                    &Tracer::disabled(),
-                    None,
-                )
+                .try_step_fused(chunks.len(), access, engine, &NoFaults, &RunCtx::default())
                 .unwrap();
             let second = t
-                .try_step_fused_on(
-                    chunks.len(),
-                    access,
-                    engine,
-                    &NoFaults,
-                    &Metrics::disabled(),
-                    &Tracer::disabled(),
-                    None,
-                )
+                .try_step_fused(chunks.len(), access, engine, &NoFaults, &RunCtx::default())
                 .unwrap();
             (t, first, second)
         };
@@ -1118,14 +1001,12 @@ mod tests {
         // Zero sources and all-empty sources are no-ops.
         let mut t = SgdTrainer::new(3, &config);
         let out = t
-            .try_step_fused_on(
+            .try_step_fused(
                 0,
                 |_, _| {},
                 ExecutionEngine::Sequential,
                 &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
+                &RunCtx::default(),
             )
             .unwrap();
         assert_eq!(
@@ -1136,14 +1017,12 @@ mod tests {
             }
         );
         let out = t
-            .try_step_fused_on(
+            .try_step_fused(
                 3,
                 |_, _| {},
                 ExecutionEngine::Sequential,
                 &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
+                &RunCtx::default(),
             )
             .unwrap();
         assert_eq!(
@@ -1158,7 +1037,6 @@ mod tests {
 
     #[test]
     fn fused_step_grows_the_model_only_after_the_reduce() {
-        use cdp_faults::NoFaults;
         let config = make_config(LossKind::Hinge);
         // Sources of different widths: the widest row wins, and the model
         // reaches it only after the deterministic combine.
@@ -1170,7 +1048,7 @@ mod tests {
         let sources = [narrow, wide];
         let mut t = SgdTrainer::new(2, &config);
         let out = t
-            .try_step_fused_on(
+            .try_step_fused(
                 sources.len(),
                 |i, sink: &mut dyn FnMut(RowView<'_>)| {
                     for p in &sources[i] {
@@ -1179,9 +1057,7 @@ mod tests {
                 },
                 ExecutionEngine::Threaded { workers: 2 },
                 &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
+                &RunCtx::default(),
             )
             .unwrap();
         assert_eq!(out.points, 2);
@@ -1197,12 +1073,15 @@ mod tests {
         let engine = ExecutionEngine::Threaded { workers: 2 };
 
         let mut plain = SgdTrainer::new(3, &config);
-        let report_plain = plain.fit_on(&data, &config, engine);
+        let report_plain = plain.fit_rows(&rows(&data), &config, engine, &RunCtx::default());
 
         let tracer = Tracer::collecting();
+        let ctx = RunCtx {
+            tracer: tracer.clone(),
+            ..RunCtx::default()
+        };
         let mut traced = SgdTrainer::new(3, &config);
-        let report_traced =
-            traced.fit_on_traced(&data, &config, engine, &Metrics::disabled(), &tracer, None);
+        let report_traced = traced.fit_rows(&rows(&data), &config, engine, &ctx);
 
         // Tracing must not perturb training in any way.
         assert_eq!(plain.model().weights(), traced.model().weights());
@@ -1234,8 +1113,8 @@ mod tests {
         strong.regularizer = Regularizer::L2(1.0);
         let mut t_weak = SgdTrainer::new(3, &weak);
         let mut t_strong = SgdTrainer::new(3, &strong);
-        t_weak.fit(&data, &weak);
-        t_strong.fit(&data, &strong);
+        fit(&mut t_weak, &data, &weak);
+        fit(&mut t_strong, &data, &strong);
         assert!(t_strong.model().weights().norm_l2() < t_weak.model().weights().norm_l2());
     }
 }

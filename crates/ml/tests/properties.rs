@@ -2,6 +2,7 @@
 //! optimizer sanity, and the conditional-independence property proactive
 //! training rests on.
 
+use cdp_engine::{ExecutionEngine, RunCtx};
 use cdp_linalg::{DenseVector, Vector};
 use cdp_ml::loss::Loss;
 use cdp_ml::optimizer::AdaptiveRate;
@@ -9,8 +10,15 @@ use cdp_ml::{
     ConvergenceCriteria, LossKind, OptimizerKind, OptimizerState, Regularizer, SgdConfig,
     SgdTrainer,
 };
-use cdp_storage::LabeledPoint;
+use cdp_storage::{LabeledPoint, RowView};
 use proptest::prelude::*;
+
+const SEQ: ExecutionEngine = ExecutionEngine::Sequential;
+
+/// Row-layout points as the trainer's row views.
+fn rows(data: &[LabeledPoint]) -> Vec<RowView<'_>> {
+    data.iter().map(RowView::Point).collect()
+}
 
 fn any_loss() -> impl Strategy<Value = LossKind> {
     prop_oneof![
@@ -100,12 +108,12 @@ proptest! {
 
         let mut contiguous = SgdTrainer::new(2, &config);
         for batch in &batches {
-            contiguous.step(batch.iter());
+            contiguous.step_rows(&rows(batch), SEQ);
         }
 
         let mut first = SgdTrainer::new(2, &config);
         for batch in &batches[..split] {
-            first.step(batch.iter());
+            first.step_rows(&rows(batch), SEQ);
         }
         // "Pause": serialize state through a snapshot and resume.
         let mut resumed = SgdTrainer::with_model(
@@ -114,7 +122,7 @@ proptest! {
             first.regularizer(),
         );
         for batch in &batches[split..] {
-            resumed.step(batch.iter());
+            resumed.step_rows(&rows(batch), SEQ);
         }
         prop_assert_eq!(contiguous.model().weights(), resumed.model().weights());
     }
@@ -138,7 +146,7 @@ proptest! {
             })
             .collect();
         let mut trainer = SgdTrainer::new(2, &config);
-        let report = trainer.fit(&data, &config);
+        let report = trainer.fit_rows(&rows(&data), &config, SEQ, &RunCtx::default());
         prop_assert!(report.final_loss <= report.initial_loss + 1e-9);
     }
 
@@ -162,9 +170,9 @@ proptest! {
             })
             .collect();
         let mut a = SgdTrainer::new(1, &base);
-        a.fit(&data, &base);
+        a.fit_rows(&rows(&data), &base, SEQ, &RunCtx::default());
         let mut b = SgdTrainer::new(1, &strong);
-        b.fit(&data, &strong);
+        b.fit_rows(&rows(&data), &strong, SEQ, &RunCtx::default());
         prop_assert!(b.model().weights().norm_l2() <= a.model().weights().norm_l2() + 1e-9);
     }
 }

@@ -64,11 +64,9 @@ pub use cdp_storage as storage;
 pub mod prelude {
     pub use cdp_core::checkpoint::DeploymentCheckpoint;
     pub use cdp_core::deployment::{
-        resume_deployment, run_deployment, try_resume_deployment, try_resume_deployment_observed,
-        try_resume_deployment_traced, try_run_deployment, try_run_deployment_observed,
-        try_run_deployment_traced, CheckpointConfig, CheckpointStats, DeploymentConfig,
-        DeploymentError, DeploymentMode, DeploymentResult, OptimizationConfig, RecorderConfig,
-        TelemetryConfig, WalConfig,
+        run_deployment, try_resume_deployment, try_run_deployment, try_run_deployment_in,
+        CheckpointConfig, CheckpointStats, DeploymentConfig, DeploymentError, DeploymentMode,
+        DeploymentResult, OptimizationConfig, RecorderConfig, TelemetryConfig, WalConfig,
     };
     pub use cdp_core::presets::{taxi_spec, url_spec, DeploymentSpec, SpecScale};
     pub use cdp_core::scheduler::Scheduler;

@@ -9,10 +9,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use cdpipe::engine::ExecutionEngine;
+use cdpipe::engine::{ExecutionEngine, RunCtx};
 use cdpipe::faults::NoFaults;
 use cdpipe::ml::{LossKind, SgdConfig, SgdTrainer};
-use cdpipe::obs::{Metrics, Tracer};
 use cdpipe::pipeline::encode::DenseEncoder;
 use cdpipe::pipeline::parser::SchemaParser;
 use cdpipe::pipeline::scale::StandardScaler;
@@ -122,7 +121,7 @@ fn fused_step_allocates_less_than_materialize_then_step() {
     let mut fused_trainer = SgdTrainer::new(1, &config);
     let (outcome, fused_allocs, fused_bytes) = measure(|| {
         fused_trainer
-            .try_step_fused_on(
+            .try_step_fused(
                 raws.len(),
                 |i, sink: &mut dyn FnMut(RowView<'_>)| {
                     let mut local = template.clone();
@@ -131,9 +130,7 @@ fn fused_step_allocates_less_than_materialize_then_step() {
                 },
                 engine,
                 &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
+                &RunCtx::default(),
             )
             .expect("fused step")
     });
@@ -159,7 +156,7 @@ fn fused_step_allocates_less_than_materialize_then_step() {
     // buffers instead of allocating fresh ones.
     let (_, _, warm_bytes) = measure(|| {
         fused_trainer
-            .try_step_fused_on(
+            .try_step_fused(
                 raws.len(),
                 |i, sink: &mut dyn FnMut(RowView<'_>)| {
                     let mut local = template.clone();
@@ -168,9 +165,7 @@ fn fused_step_allocates_less_than_materialize_then_step() {
                 },
                 engine,
                 &NoFaults,
-                &Metrics::disabled(),
-                &Tracer::disabled(),
-                None,
+                &RunCtx::default(),
             )
             .expect("warm fused step")
     });

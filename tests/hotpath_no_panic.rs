@@ -1,5 +1,6 @@
-//! Source-level gate for the training hot path: the SGD inner loop and the
-//! sparse kernel must not carry `.unwrap()` / `.expect(` outside their test
+//! Source-level gate for the training hot path: the SGD inner loop, the
+//! sparse kernel, the engine, and the pipeline manager and proactive trainer
+//! that drive them must not carry `.unwrap()` / `.expect(` outside their test
 //! modules. A panic annotation in these files is a latent crash in the
 //! deployment loop; invariants that are genuinely unreachable are written as
 //! `match`/`unreachable!` with a comment explaining why, so the gate also
@@ -11,7 +12,7 @@ fn non_test_region(source: &str) -> &str {
 }
 
 #[test]
-fn sgd_and_sparse_hot_paths_carry_no_panic_annotations() {
+fn hot_paths_carry_no_panic_annotations() {
     let gated = [
         (
             "crates/ml/src/sgd.rs",
@@ -20,6 +21,18 @@ fn sgd_and_sparse_hot_paths_carry_no_panic_annotations() {
         (
             "crates/linalg/src/sparse.rs",
             include_str!("../crates/linalg/src/sparse.rs"),
+        ),
+        (
+            "crates/engine/src/lib.rs",
+            include_str!("../crates/engine/src/lib.rs"),
+        ),
+        (
+            "crates/core/src/pipeline_manager.rs",
+            include_str!("../crates/core/src/pipeline_manager.rs"),
+        ),
+        (
+            "crates/core/src/proactive.rs",
+            include_str!("../crates/core/src/proactive.rs"),
         ),
     ];
     for (name, source) in gated {

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cdpipe::engine::ExecutionEngine;
+use cdpipe::engine::{ExecutionEngine, RunCtx};
 use cdpipe::obs::{list_segment_files, segment_file_name, SEGMENT_EXT};
 use cdpipe::prelude::*;
 
@@ -39,8 +39,11 @@ fn telemetry_config() -> DeploymentConfig {
 /// [`VirtualClock`], so every duration observation is deterministic.
 fn run_virtual(config: &DeploymentConfig) -> DeploymentResult {
     let (stream, spec) = url_spec(SpecScale::Tiny);
-    let metrics = Metrics::with_clock(Arc::new(VirtualClock::new()));
-    try_run_deployment_observed(&stream, &spec, config, metrics).expect("deployment")
+    let ctx = RunCtx {
+        metrics: Metrics::with_clock(Arc::new(VirtualClock::new())),
+        ..RunCtx::default()
+    };
+    try_run_deployment_in(&stream, &spec, config, ctx).expect("deployment")
 }
 
 #[test]
