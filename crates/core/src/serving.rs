@@ -504,7 +504,8 @@ impl ServerBuilder {
 /// bit-identical to unbatched ones by construction. `None` = rejected
 /// (malformed/filtered record, or — defensively — a feature vector wider
 /// than the snapshot's weights, which `publish`'s `grow_to` makes
-/// unreachable but which must reject rather than panic in `margin_ref`).
+/// unreachable but which must reject rather than score against weights the
+/// snapshot does not have).
 fn score_raw(snap: &ServingSnapshot, record: &Record) -> Option<f64> {
     let point = snap.pipeline.transform_query(record)?;
     if point.features.dim() > snap.model.dim() {

@@ -182,17 +182,6 @@ impl DenseVector {
             self.values.resize(dim, 0.0);
         }
     }
-
-    /// Resets the vector to an all-zero vector of exactly `dim` coordinates,
-    /// reusing the existing allocation when it is large enough.
-    ///
-    /// This is the scratch-pool primitive: a recycled gradient buffer must be
-    /// indistinguishable from `DenseVector::zeros(dim)` — same dimension,
-    /// same bits — so that buffer reuse can never perturb a result.
-    pub fn reset(&mut self, dim: usize) {
-        self.values.clear();
-        self.values.resize(dim, 0.0);
-    }
 }
 
 impl From<Vec<f64>> for DenseVector {

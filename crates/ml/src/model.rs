@@ -74,19 +74,24 @@ impl LinearModel {
     }
 
     /// Raw margin `w·x`. Grows the weights when the row is wider than the
-    /// model (the URL feature space grows over time).
+    /// model (the URL feature space grows over time), after which the padded
+    /// dot product is the exact one.
     pub fn margin(&mut self, x: &Vector) -> f64 {
         if x.dim() > self.weights.dim() {
             self.weights.grow_to(x.dim());
         }
-        x.dot(&self.weights)
-            .expect("weights cover features after growth")
+        x.dot_padded(&self.weights)
     }
 
-    /// Margin without mutation; rows must fit the current weights.
+    /// Margin without mutation. Total: a row *wider* than the model
+    /// multiplies its uncovered coordinates by zero weights, exactly as if
+    /// the model had already grown. Rows that fit — every row serving
+    /// scores — keep the exact-width kernel.
     pub fn margin_ref(&self, x: &Vector) -> f64 {
-        x.dot(&self.weights)
-            .expect("feature dimension exceeds model weights")
+        match x.dot(&self.weights) {
+            Ok(z) => z,
+            Err(_) => x.dot_padded(&self.weights),
+        }
     }
 
     /// Raw margin `w·x` for a zero-copy columnar row. Grows the weights when
@@ -96,15 +101,6 @@ impl LinearModel {
         if x.dim() > self.weights.dim() {
             self.weights.grow_to(x.dim());
         }
-        x.dot_padded(&self.weights)
-    }
-
-    /// Margin without mutation for rows that may be *wider* than the model:
-    /// uncovered coordinates multiply zero-weights, exactly as if the model
-    /// had already grown. The fused transform+gradient pass relies on this —
-    /// parallel tasks must not mutate the shared model, so it is grown only
-    /// after the deterministic gradient reduce.
-    pub fn margin_padded(&self, x: &Vector) -> f64 {
         x.dot_padded(&self.weights)
     }
 
@@ -158,6 +154,19 @@ mod tests {
         let wide: Vector = vec![1.0, 1.0, 1.0, 1.0].into();
         assert_eq!(m.margin(&wide), 0.0);
         assert_eq!(m.dim(), 4);
+    }
+
+    #[test]
+    fn margin_ref_is_total_and_exact_when_the_row_fits() {
+        let m = LinearModel::with_weights(DenseVector::new(vec![0.5, -2.0]), LossKind::Hinge);
+        // Regression: a row wider than the model used to panic.
+        let wide: Vector = vec![2.0, 1.0, 9.0].into();
+        assert_eq!(m.margin_ref(&wide), 1.0 - 2.0);
+        let fits: Vector = vec![0.1, 0.3].into();
+        assert_eq!(
+            m.margin_ref(&fits).to_bits(),
+            fits.dot(m.weights()).unwrap().to_bits()
+        );
     }
 
     #[test]

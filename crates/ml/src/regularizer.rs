@@ -31,17 +31,22 @@ impl Regularizer {
     }
 
     /// Adds the penalty's (sub)gradient to `grad` in place.
+    ///
+    /// Total for any pair of dimensions, the same way in every arm: the
+    /// coordinates `w` and `grad` share take the penalty and the rest of
+    /// `grad` is left alone (a weight that does not exist yet is zero, and
+    /// so is its penalty gradient). The trainer always passes equal ones.
     pub fn add_gradient(&self, w: &DenseVector, grad: &mut DenseVector) {
+        let shared = grad.as_mut_slice().iter_mut().zip(w.as_slice());
         match self {
             Regularizer::None => {}
             Regularizer::L2(lambda) => {
-                grad.axpy(*lambda, w)
-                    .expect("regularizer dims match weights");
+                for (g, &wi) in shared {
+                    *g += lambda * wi;
+                }
             }
             Regularizer::L1(lambda) => {
-                let ws = w.as_slice();
-                let gs = grad.as_mut_slice();
-                for (g, &wi) in gs.iter_mut().zip(ws) {
+                for (g, &wi) in shared {
                     *g += lambda * wi.signum() * f64::from(wi != 0.0);
                 }
             }
@@ -81,6 +86,23 @@ mod tests {
         reg.add_gradient(&w, &mut g);
         // Zero weight gets zero subgradient.
         assert_eq!(g.as_slice(), &[-0.5, 0.0, 0.5]);
+    }
+
+    #[test]
+    fn mismatched_dimensions_penalize_the_shared_prefix() {
+        // Regression: the L2 arm used to panic here while L1 zipped.
+        let w = DenseVector::new(vec![2.0, -4.0]);
+        for (reg, expect) in [
+            (Regularizer::L2(0.5), [1.0, -2.0]),
+            (Regularizer::L1(0.5), [0.5, -0.5]),
+        ] {
+            let mut wider = DenseVector::new(vec![0.0, 0.0, 7.0]);
+            reg.add_gradient(&w, &mut wider);
+            assert_eq!(wider.as_slice(), &[expect[0], expect[1], 7.0]);
+            let mut narrower = DenseVector::zeros(1);
+            reg.add_gradient(&w, &mut narrower);
+            assert_eq!(narrower.as_slice(), &expect[..1]);
+        }
     }
 
     #[test]

@@ -45,51 +45,137 @@ fn gradient_shards(n: usize) -> usize {
     (n / GRAD_SHARD_MIN_POINTS).clamp(1, MAX_GRAD_SHARDS)
 }
 
-/// A pool of recycled partial-gradient buffers shared by the sharded and
-/// fused training paths, so steady-state steps allocate no per-shard
-/// gradient vectors.
+/// One task's share of a step's gradient: a dense buffer plus the
+/// coordinates of it that may be non-zero.
 ///
-/// Reuse can never perturb a result: [`GradScratch::acquire`] hands out a
-/// buffer [`DenseVector::reset`] to exactly `zeros(dim)`, so a recycled
-/// buffer is bit-indistinguishable from a fresh one and pop order is
+/// Invariant: a coordinate of `buf` that is not listed in `touched` is
+/// `+0.0` — unless `dense` is set, which a dense row does: it writes every
+/// coordinate, so the partial stops listing them and is merged and cleared
+/// full-width. A sparse source therefore costs its non-zeros, not the model
+/// dimension, to accumulate, merge and recycle.
+///
+/// Skipping the untouched coordinates cannot change a bit: a buffer starts
+/// at `+0.0` and only ever takes `slot += x`, which never produces `-0.0`,
+/// and `x + 0.0` is `x` for every other `x` — so the full-width
+/// `a[i] += b[i]` this replaces was the identity wherever `b` is untouched.
+/// `touched` may list a coordinate twice (a slot that cancelled back to zero
+/// and was hit again); [`GradPartial::absorb`] zeroes `other` as it reads,
+/// so the second visit adds `0.0`.
+#[derive(Debug, Default)]
+struct GradPartial {
+    buf: DenseVector,
+    touched: Vec<u32>,
+    dense: bool,
+}
+
+impl GradPartial {
+    /// `self += coeff * row`, growing to cover the row first — the float
+    /// operations of [`RowView::axpy_into_growing`], in its order.
+    fn add_row(&mut self, coeff: f64, row: &RowView<'_>) {
+        if !self.dense {
+            if let Some((indices, values)) = row.sparse_parts() {
+                if let Some(&last) = indices.last() {
+                    self.buf.grow_to(last as usize + 1);
+                }
+                let slots = self.buf.as_mut_slice();
+                for (&i, &v) in indices.iter().zip(values) {
+                    let slot = &mut slots[i as usize];
+                    if *slot == 0.0 {
+                        self.touched.push(i);
+                    }
+                    *slot += coeff * v;
+                }
+                return;
+            }
+            self.dense = true;
+        }
+        row.axpy_into_growing(coeff, &mut self.buf);
+    }
+
+    /// `self += other` at the width of the wider of the two, visiting only
+    /// the coordinates `other` may hold. A sparse `other` is left all-zero.
+    fn absorb(&mut self, other: &mut GradPartial) {
+        self.buf.grow_to(other.buf.dim());
+        let slots = self.buf.as_mut_slice();
+        if other.dense {
+            self.dense = true;
+            for (slot, v) in slots.iter_mut().zip(other.buf.as_slice()) {
+                *slot += v;
+            }
+        } else {
+            let theirs = other.buf.as_mut_slice();
+            for i in other.touched.drain(..) {
+                let slot = &mut slots[i as usize];
+                if *slot == 0.0 {
+                    self.touched.push(i);
+                }
+                *slot += std::mem::take(&mut theirs[i as usize]);
+            }
+        }
+    }
+}
+
+/// A pool of recycled [`GradPartial`]s shared by the sharded and fused
+/// training paths, so steady-state steps allocate no per-shard gradient
+/// vectors and zero-fill none either.
+///
+/// Every pooled buffer is all-zero: [`GradScratch::release`] clears the
+/// coordinates the partial touched (all of them for a dense one), so
+/// [`GradScratch::acquire`] hands a buffer out as it is. A recycled partial
+/// is thus bit-indistinguishable from a fresh one and pop order is
 /// irrelevant. The reuse/alloc split *is* timing-dependent (two workers may
 /// both find the pool empty), which is why it surfaces through
 /// observability as histogram samples, not deterministic counters.
 #[derive(Debug, Default)]
 struct GradScratch {
-    pool: Mutex<Vec<DenseVector>>,
+    pool: Mutex<Vec<GradPartial>>,
     reused: AtomicU64,
     allocated: AtomicU64,
 }
 
 impl GradScratch {
-    /// A zeroed gradient buffer of exactly `dim` coordinates, recycled when
-    /// the pool has one.
-    fn acquire(&self, dim: usize) -> DenseVector {
+    /// An all-zero partial of exactly `dim` coordinates, recycled when the
+    /// pool has one (the model only grows, so a pooled buffer is never the
+    /// wider; one that is would be dropped).
+    fn acquire(&self, dim: usize) -> GradPartial {
         let recycled = self
             .pool
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .pop();
         match recycled {
-            Some(mut buf) => {
+            Some(mut part) if part.buf.dim() <= dim => {
                 self.reused.fetch_add(1, Ordering::Relaxed);
-                buf.reset(dim);
-                buf
+                part.buf.grow_to(dim);
+                part
             }
-            None => {
+            _ => {
                 self.allocated.fetch_add(1, Ordering::Relaxed);
-                DenseVector::zeros(dim)
+                GradPartial {
+                    buf: DenseVector::zeros(dim),
+                    ..GradPartial::default()
+                }
             }
         }
     }
 
-    /// Returns a buffer to the pool for a later step to reuse.
-    fn release(&self, buf: DenseVector) {
+    /// Clears what `part` touched and returns it to the pool for a later
+    /// step to reuse.
+    fn release(&self, mut part: GradPartial) {
+        let slots = part.buf.as_mut_slice();
+        if part.dense {
+            slots.fill(0.0);
+            part.dense = false;
+        } else {
+            for &i in &part.touched {
+                slots[i as usize] = 0.0;
+            }
+        }
+        part.touched.clear();
         self.pool
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(buf);
+            .push(part);
     }
 
     /// Cumulative `(reused, allocated)` acquisition counts.
@@ -353,7 +439,7 @@ impl SgdTrainer {
             let scratch = &self.scratch;
             // Shards borrow contiguous ranges of the batch directly — no
             // per-shard `Vec` of point refs — and accumulate into recycled
-            // scratch buffers rather than freshly allocated ones.
+            // scratch partials rather than freshly allocated ones.
             let parts = engine.map_parts(
                 batch,
                 shard_len,
@@ -365,19 +451,15 @@ impl SgdTrainer {
                         loss_sum += loss.value(z, row.label());
                         let coeff = loss.dloss_dz(z, row.label()) * inv_batch;
                         if coeff != 0.0 {
-                            row.axpy_into_growing(coeff, &mut grad);
+                            grad.add_row(coeff, row);
                         }
                     }
                     (grad, loss_sum)
                 },
                 &ctx.child(&step_span),
             );
-            let reduced = tree_reduce(parts, |(mut ga, la), (gb, lb)| {
-                if let Err(e) = ga.axpy(1.0, &gb) {
-                    // Infallible: every shard acquires a buffer of exactly
-                    // `dim` coordinates and no row in the batch is wider.
-                    unreachable!("shard gradients share the model dimension: {e}");
-                }
+            let reduced = tree_reduce(parts, |(mut ga, la), (mut gb, lb)| {
+                ga.absorb(&mut gb);
                 scratch.release(gb);
                 (ga, la + lb)
             });
@@ -386,8 +468,7 @@ impl SgdTrainer {
                 // Infallible: a non-empty batch yields at least one shard.
                 None => unreachable!("at least one shard for a non-empty batch"),
             };
-            let retired = std::mem::replace(&mut self.grad, grad);
-            self.scratch.release(retired);
+            self.install_gradient(grad);
             sum
         };
         self.regularizer
@@ -545,18 +626,20 @@ impl SgdTrainer {
     /// columnar chunks stream without reconstructing points while freshly
     /// transformed points wrap in [`RowView::Point`]. The engine task for
     /// source `i` folds each streamed row straight into a recycled scratch
-    /// gradient — no intermediate `FeatureChunk` or per-shard point buffer
-    /// is ever materialized.
+    /// partial — no intermediate `FeatureChunk` or per-shard point buffer
+    /// is ever materialized — and a partial lists the coordinates its sparse
+    /// rows touched, so the step costs the sample's non-zeros plus one dense
+    /// pass over the model, not `n_sources` of them.
     ///
     /// Determinism: per-source gradients accumulate *unscaled* loss
     /// derivatives (the total point count is only known after all sources
     /// ran), are combined with a fixed-shape [`tree_reduce`] keyed by source
     /// index, and the summed gradient is scaled by `1/points` once at the
-    /// end. Rows wider than the model use [`LinearModel::margin_padded`] /
-    /// [`cdp_linalg::Vector::axpy_into_growing`] so parallel tasks never
-    /// mutate the shared model; it grows only after the reduce. The result
-    /// therefore depends on the source contents and order alone — never on
-    /// worker count or steal schedule.
+    /// end. Rows wider than the model score with [`RowView::dot_padded`] and
+    /// grow only their own partial, so parallel tasks never mutate the
+    /// shared model; it grows only after the reduce. The result therefore
+    /// depends on the source contents and order alone — never on worker
+    /// count or steal schedule.
     ///
     /// # Errors
     /// Propagates [`EngineError`] when `hook` injects a fatal worker panic
@@ -595,7 +678,7 @@ impl SgdTrainer {
                     loss_sum += loss.value(z, row.label());
                     let coeff = loss.dloss_dz(z, row.label());
                     if coeff != 0.0 {
-                        row.axpy_into_growing(coeff, &mut grad);
+                        grad.add_row(coeff, &row);
                     }
                     points += 1;
                 });
@@ -604,18 +687,8 @@ impl SgdTrainer {
             hook,
             &ctx.child(&step_span),
         )?;
-        let reduced = tree_reduce(parts, |(mut ga, la, na), (gb, lb, nb)| {
-            // Sources grow their gradients independently (sparse rows may
-            // reach different widths); zero-pad to a common dimension before
-            // the exact-dimension axpy.
-            let width = ga.dim().max(gb.dim());
-            ga.grow_to(width);
-            let mut gb = gb;
-            gb.grow_to(width);
-            if let Err(e) = ga.axpy(1.0, &gb) {
-                // Infallible: both sides were just padded to `width`.
-                unreachable!("source gradients padded to a common dimension: {e}");
-            }
+        let reduced = tree_reduce(parts, |(mut ga, la, na), (mut gb, lb, nb)| {
+            ga.absorb(&mut gb);
             scratch.release(gb);
             (ga, la + lb, na + nb)
         });
@@ -631,8 +704,7 @@ impl SgdTrainer {
                 points: 0,
             });
         }
-        let retired = std::mem::replace(&mut self.grad, grad);
-        self.scratch.release(retired);
+        self.install_gradient(grad);
         let inv_points = 1.0 / points as f64;
         self.grad.scale(inv_points);
         // Only now is it safe to grow the shared model.
@@ -646,6 +718,15 @@ impl SgdTrainer {
             loss: Some(loss_sum * inv_points),
             points,
         })
+    }
+
+    /// Makes a step's reduced partial the trainer's gradient and recycles
+    /// the previous one, which — having been through the regularizer and the
+    /// optimizer — is dirty in every coordinate.
+    fn install_gradient(&mut self, mut reduced: GradPartial) {
+        std::mem::swap(&mut self.grad, &mut reduced.buf);
+        reduced.dense = true;
+        self.scratch.release(reduced);
     }
 
     /// Cumulative `(reused, allocated)` scratch-gradient acquisition counts,
@@ -663,10 +744,11 @@ impl SgdTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdp_faults::NoFaults;
-    use cdp_linalg::Vector;
+    use cdp_faults::{NoFaults, WorkerOrder, MAX_WORKER_RESTARTS};
+    use cdp_linalg::{SparseVector, Vector};
     use cdp_obs::Tracer;
-    use cdp_storage::LabeledPoint;
+    use cdp_storage::{ColumnSlab, LabeledPoint};
+    use proptest::prelude::*;
     use rand::RngExt;
 
     const SEQ: ExecutionEngine = ExecutionEngine::Sequential;
@@ -979,9 +1061,13 @@ mod tests {
         let (reference, ref_first, ref_second) = run(ExecutionEngine::Sequential);
         assert_eq!(ref_first.points, data.len() as u64);
         assert!(ref_second.loss.unwrap() < ref_first.loss.unwrap());
-        // The second step must find recycled buffers from the first.
-        let (reused, allocated) = reference.scratch_counters();
-        assert!(reused > 0, "reused={reused} allocated={allocated}");
+        // The second step runs entirely on the first one's partials (one per
+        // source), handed out as released: all-zero, nothing to reset.
+        assert_eq!(
+            reference.scratch_counters(),
+            (chunks.len() as u64, chunks.len() as u64)
+        );
+        assert_pool_is_all_zero(&reference);
         for workers in [1, 2, 4, 8] {
             let (t, first, second) = run(ExecutionEngine::Threaded { workers });
             assert_eq!(
@@ -1062,6 +1148,335 @@ mod tests {
             .unwrap();
         assert_eq!(out.points, 2);
         assert_eq!(t.model().dim(), 4);
+    }
+
+    /// Every pooled partial is what `acquire` promises to hand out: `+0.0`
+    /// in every coordinate (bitwise), nothing listed, not dense.
+    fn assert_pool_is_all_zero(t: &SgdTrainer) {
+        let pool = t.scratch.pool.lock().unwrap();
+        for part in pool.iter() {
+            assert!(part.buf.as_slice().iter().all(|v| v.to_bits() == 0));
+            assert!(part.touched.is_empty() && !part.dense);
+        }
+    }
+
+    /// The gradient reduce this module shipped before partials listed the
+    /// coordinates they touch, kept as the test-only reference: one dense
+    /// model-wide accumulator per source, merged full-width in the same
+    /// fixed tree. `row_scale` is `1.0` for the fused step (exact) and
+    /// `1/batch` for the sharded arm of `step_rows`.
+    fn dense_reference_reduce(
+        model: &LinearModel,
+        sources: &[Vec<RowView<'_>>],
+        row_scale: f64,
+    ) -> Option<(DenseVector, f64, u64)> {
+        let loss = model.loss();
+        let parts = sources
+            .iter()
+            .map(|rows| {
+                let mut grad = DenseVector::zeros(model.dim());
+                let mut loss_sum = 0.0;
+                for row in rows {
+                    let z = row.dot_padded(model.weights());
+                    loss_sum += loss.value(z, row.label());
+                    let coeff = loss.dloss_dz(z, row.label()) * row_scale;
+                    if coeff != 0.0 {
+                        row.axpy_into_growing(coeff, &mut grad);
+                    }
+                }
+                (grad, loss_sum, rows.len() as u64)
+            })
+            .collect();
+        tree_reduce(parts, |(mut ga, la, na), (mut gb, lb, nb)| {
+            let width = ga.dim().max(gb.dim());
+            ga.grow_to(width);
+            gb.grow_to(width);
+            ga.axpy(1.0, &gb).expect("padded to a common width");
+            (ga, la + lb, na + nb)
+        })
+    }
+
+    /// The fused step on top of [`dense_reference_reduce`].
+    fn dense_reference_fused(t: &mut SgdTrainer, sources: &[Vec<RowView<'_>>]) -> FusedStepOutcome {
+        let reduced = dense_reference_reduce(&t.model, sources, 1.0);
+        let Some((grad, loss_sum, points)) = reduced.filter(|part| part.2 > 0) else {
+            return FusedStepOutcome {
+                loss: None,
+                points: 0,
+            };
+        };
+        let inv_points = 1.0 / points as f64;
+        t.grad = grad;
+        t.grad.scale(inv_points);
+        t.model.grow_to(t.grad.dim());
+        t.regularizer.add_gradient(t.model.weights(), &mut t.grad);
+        t.optimizer.apply(t.model.weights_mut(), &t.grad);
+        t.points_seen += points;
+        FusedStepOutcome {
+            loss: Some(loss_sum * inv_points),
+            points,
+        }
+    }
+
+    fn step_fused(
+        t: &mut SgdTrainer,
+        sources: &[Vec<RowView<'_>>],
+        engine: ExecutionEngine,
+        hook: &dyn FaultHook,
+    ) -> Result<FusedStepOutcome, EngineError> {
+        let access = |i: usize, sink: &mut dyn FnMut(RowView<'_>)| {
+            sources[i].iter().for_each(|row| sink(*row));
+        };
+        t.try_step_fused(sources.len(), access, engine, hook, &RunCtx::default())
+    }
+
+    /// Everything a step decides, bit for bit: weights (and so the model
+    /// dimension), the optimizer's accumulators and clock, the point count.
+    fn state_bits(t: &SgdTrainer) -> (Vec<u64>, u64, Vec<u64>, Vec<u64>, u64) {
+        let bits = |v: &DenseVector| v.as_slice().iter().map(|x| x.to_bits()).collect();
+        let (_, clock, acc1, acc2) = t.optimizer.to_parts();
+        (
+            bits(t.model.weights()),
+            clock,
+            bits(acc1),
+            bits(acc2),
+            t.points_seen,
+        )
+    }
+
+    /// Model dimension of the differential cases: small, so sources collide
+    /// on coordinates, cancel exactly and list coordinates twice.
+    const CASE_DIM: usize = 12;
+
+    /// One source of a differential case, owning what its views borrow.
+    enum CaseSource {
+        Slab(ColumnSlab),
+        Points(Vec<LabeledPoint>),
+    }
+
+    impl CaseSource {
+        fn views(&self) -> Vec<RowView<'_>> {
+            match self {
+                CaseSource::Slab(slab) => (0..slab.len()).map(|i| slab.row(i)).collect(),
+                CaseSource::Points(points) => rows(points),
+            }
+        }
+    }
+
+    /// A random source set: CSR slabs, dense slabs, sparse/dense/mixed point
+    /// lists and empty sources; some rows wider than the model, values drawn
+    /// from a palette with `-0.0`, `0.0` and exact opposites.
+    fn case_sources(rng: &mut StdRng) -> Vec<CaseSource> {
+        const PALETTE: [f64; 8] = [1.0, -1.0, 0.5, -0.5, 2.0, 0.0, -0.0, 0.25];
+        fn value(rng: &mut StdRng) -> f64 {
+            PALETTE[rng.random_range(0..PALETTE.len())]
+        }
+        fn label(rng: &mut StdRng) -> f64 {
+            if rng.random::<bool>() {
+                1.0
+            } else {
+                -1.0
+            }
+        }
+        fn sparse_row(rng: &mut StdRng, dim: usize) -> LabeledPoint {
+            let indices: Vec<u32> = (0..dim as u32).filter(|_| rng.random::<bool>()).collect();
+            let values = indices.iter().map(|_| value(rng)).collect();
+            let features = SparseVector::new(dim, indices, values).unwrap();
+            LabeledPoint::new(label(rng), Vector::Sparse(features))
+        }
+        fn dense_row(rng: &mut StdRng, dim: usize) -> LabeledPoint {
+            let values: Vec<f64> = (0..dim).map(|_| value(rng)).collect();
+            LabeledPoint::new(label(rng), Vector::from(values))
+        }
+        let n_sources = rng.random_range(1..7);
+        (0..n_sources)
+            .map(|_| {
+                let n_rows = rng.random_range(0..5);
+                // Narrower than, equal to, or wider than the model.
+                let dim =
+                    [CASE_DIM - 4, CASE_DIM, CASE_DIM, CASE_DIM + 5][rng.random_range(0..4usize)];
+                let kind = rng.random_range(0..5);
+                let points: Vec<LabeledPoint> = (0..n_rows)
+                    .map(|_| match kind {
+                        0 | 1 => sparse_row(rng, dim),
+                        2 | 3 => dense_row(rng, dim),
+                        _ if rng.random::<bool>() => sparse_row(rng, dim),
+                        _ => dense_row(rng, dim + 1),
+                    })
+                    .collect();
+                // Even kinds go through a slab (CSR / dense / row fallback).
+                if kind % 2 == 0 {
+                    CaseSource::Slab(ColumnSlab::from_points(points))
+                } else {
+                    CaseSource::Points(points)
+                }
+            })
+            .collect()
+    }
+
+    /// A trainer with non-zero weights, so hinge margins are satisfied on
+    /// some rows (zero coefficient: the row must touch nothing).
+    fn case_trainer(rng: &mut StdRng, loss: LossKind, optimizer: OptimizerKind) -> SgdTrainer {
+        let weights: Vec<f64> = (0..CASE_DIM).map(|_| rng.random_range(-1.0..1.0)).collect();
+        SgdTrainer::with_model(
+            LinearModel::with_weights(DenseVector::new(weights), loss),
+            OptimizerState::new(optimizer, CASE_DIM),
+            Regularizer::L2(1e-3),
+        )
+    }
+
+    proptest! {
+        /// The shipped fused step is bit-identical to the dense reference on
+        /// every engine, twice in a row on one trainer: a coordinate a
+        /// recycled partial kept from the first step would show in the second.
+        #[test]
+        fn fused_step_matches_the_dense_reference(
+            seed in 0u64..u64::MAX,
+            loss in prop_oneof![
+                Just(LossKind::Hinge),
+                Just(LossKind::Logistic),
+                Just(LossKind::Squared)
+            ],
+            optimizer in prop_oneof![
+                Just(OptimizerKind::adam(0.05)),
+                Just(OptimizerKind::Constant { eta: 0.1 })
+            ],
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let start = case_trainer(&mut rng, loss, optimizer);
+            let steps = [case_sources(&mut rng), case_sources(&mut rng)];
+            let steps: Vec<Vec<Vec<RowView<'_>>>> = steps
+                .iter()
+                .map(|sources| sources.iter().map(CaseSource::views).collect())
+                .collect();
+            let mut reference = start.clone();
+            let expected: Vec<_> = steps
+                .iter()
+                .map(|sources| {
+                    let out = dense_reference_fused(&mut reference, sources);
+                    (out.loss.map(f64::to_bits), out.points, state_bits(&reference))
+                })
+                .collect();
+            for workers in [0, 1, 2, 3, 8] {
+                let engine = match workers {
+                    0 => ExecutionEngine::Sequential,
+                    workers => ExecutionEngine::Threaded { workers },
+                };
+                let mut shipped = start.clone();
+                for (sources, expected) in steps.iter().zip(&expected) {
+                    let out = step_fused(&mut shipped, sources, engine, &NoFaults).unwrap();
+                    let got = (out.loss.map(f64::to_bits), out.points, state_bits(&shipped));
+                    prop_assert_eq!(&got, expected, "engine {}", engine.name());
+                    assert_pool_is_all_zero(&shipped);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_sparse_step_matches_the_dense_reference() {
+        // 2100 sparse rows at 300 dims: 4 shards, each touching a fraction
+        // of the coordinates, with opposite-label duplicates cancelling.
+        let mut rng = StdRng::seed_from_u64(31);
+        let data: Vec<LabeledPoint> = (0..2100)
+            .map(|_| {
+                let indices: Vec<u32> = (0..300).filter(|_| rng.random_range(0..30) == 0).collect();
+                let values = indices.iter().map(|_| 1.0).collect();
+                let features = SparseVector::new(300, indices, values).unwrap();
+                let y = if rng.random::<bool>() { 1.0 } else { -1.0 };
+                LabeledPoint::new(y, Vector::Sparse(features))
+            })
+            .collect();
+        let batch = rows(&data);
+        let config = make_config(LossKind::Hinge);
+        let mut reference = SgdTrainer::new(300, &config);
+        let mut shipped = reference.clone();
+        for _ in 0..2 {
+            let shard_len = batch.len().div_ceil(gradient_shards(batch.len()));
+            let shards: Vec<Vec<RowView<'_>>> =
+                batch.chunks(shard_len).map(<[_]>::to_vec).collect();
+            let inv_batch = 1.0 / batch.len() as f64;
+            let (grad, loss_sum, _) =
+                dense_reference_reduce(&reference.model, &shards, inv_batch).unwrap();
+            reference.grad = grad;
+            let r = &mut reference;
+            r.regularizer.add_gradient(r.model.weights(), &mut r.grad);
+            r.optimizer.apply(r.model.weights_mut(), &r.grad);
+            r.points_seen += batch.len() as u64;
+            for engine in [SEQ, ExecutionEngine::Threaded { workers: 3 }] {
+                let mut t = shipped.clone();
+                let loss = t.step_rows(&batch, engine).unwrap();
+                assert_eq!(loss.to_bits(), (loss_sum * inv_batch).to_bits());
+                assert_eq!(state_bits(&t), state_bits(&reference), "{engine:?}");
+            }
+            // Carry the pool into the second step, not a clone's empty one.
+            shipped.step_rows(&batch, SEQ);
+            assert_pool_is_all_zero(&shipped);
+        }
+    }
+
+    /// A hook whose every worker order exceeds the engine's restart budget.
+    #[derive(Debug)]
+    struct FatalPanic;
+
+    impl FaultHook for FatalPanic {
+        fn next_worker_order(&self) -> WorkerOrder {
+            WorkerOrder {
+                panics: MAX_WORKER_RESTARTS + 1,
+                ..Default::default()
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_partials_are_all_zero_after_every_kind_of_step() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let sources = case_sources(&mut rng);
+        let views: Vec<Vec<RowView<'_>>> = sources.iter().map(CaseSource::views).collect();
+        let empty = vec![Vec::new(); 3];
+        let sparse = SparseVector::new(CASE_DIM, vec![1, 7], vec![2.0, -1.0]).unwrap();
+        let sparse = LabeledPoint::new(1.0, Vector::Sparse(sparse));
+        for engine in [SEQ, ExecutionEngine::Threaded { workers: 2 }] {
+            let mut t = case_trainer(&mut rng, LossKind::Logistic, OptimizerKind::adam(0.05));
+            // The pool clears a partial released as it was accumulated (the
+            // steps only release ones a merge has already drained).
+            let mut part = t.scratch.acquire(CASE_DIM);
+            part.add_row(0.5, &RowView::Point(&sparse));
+            assert_eq!(part.touched, [1, 7]);
+            t.scratch.release(part);
+            assert_pool_is_all_zero(&t);
+            // A normal step (sparse and dense sources), twice to recycle.
+            for _ in 0..2 {
+                assert!(
+                    step_fused(&mut t, &views, engine, &NoFaults)
+                        .unwrap()
+                        .points
+                        > 0
+                );
+                assert_pool_is_all_zero(&t);
+            }
+            // The all-sources-empty early return.
+            assert_eq!(
+                step_fused(&mut t, &empty, engine, &NoFaults)
+                    .unwrap()
+                    .points,
+                0
+            );
+            assert_pool_is_all_zero(&t);
+            // An injected fatal worker panic: the step fails, the model is
+            // untouched, and whatever reached the pool is clean.
+            let before = state_bits(&t);
+            assert!(step_fused(&mut t, &views, engine, &FatalPanic).is_err());
+            assert_eq!(state_bits(&t), before);
+            assert_pool_is_all_zero(&t);
+            assert!(
+                step_fused(&mut t, &views, engine, &NoFaults)
+                    .unwrap()
+                    .points
+                    > 0
+            );
+            assert_pool_is_all_zero(&t);
+        }
     }
 
     #[test]

@@ -3,15 +3,18 @@
 //! training rests on.
 
 use cdp_engine::{ExecutionEngine, RunCtx};
-use cdp_linalg::{DenseVector, Vector};
+use cdp_faults::NoFaults;
+use cdp_linalg::{DenseVector, SparseVector, Vector};
 use cdp_ml::loss::Loss;
 use cdp_ml::optimizer::AdaptiveRate;
 use cdp_ml::{
     ConvergenceCriteria, LossKind, OptimizerKind, OptimizerState, Regularizer, SgdConfig,
     SgdTrainer,
 };
-use cdp_storage::{LabeledPoint, RowView};
+use cdp_storage::{FeatureChunk, LabeledPoint, RowView, Timestamp};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 const SEQ: ExecutionEngine = ExecutionEngine::Sequential;
 
@@ -174,5 +177,93 @@ proptest! {
         let mut b = SgdTrainer::new(1, &strong);
         b.fit_rows(&rows(&data), &strong, SEQ, &RunCtx::default());
         prop_assert!(b.model().weights().norm_l2() <= a.model().weights().norm_l2() + 1e-9);
+    }
+
+    /// Algorithm 1, not our own reduce: a proactive step over already
+    /// materialized chunks *is* one mini-batch SGD iteration on the union of
+    /// their rows. The fused step sums per source and scales once, the plain
+    /// step scales per row, so the two agree to rounding (1e-12 relative, in
+    /// the weights and in both accumulators), not bitwise — for every
+    /// learning-rate technique and penalty.
+    #[test]
+    fn fused_step_is_an_sgd_step_on_the_concatenated_rows(
+        seed in 0u64..u64::MAX,
+        loss in any_loss(),
+        sparse in prop::bool::ANY,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = if sparse { 40 } else { 6 };
+        let chunks: Vec<FeatureChunk> = (0..4u64)
+            .map(|ts| {
+                let n_rows = rng.random_range(0..30);
+                let points = (0..n_rows)
+                    .map(|_| {
+                        let features = if sparse {
+                            let idx: Vec<u32> =
+                                (0..dim as u32).filter(|_| rng.random_range(0..8) == 0).collect();
+                            let val = idx.iter().map(|_| rng.random_range(-1.0..1.0)).collect();
+                            Vector::Sparse(SparseVector::new(dim, idx, val).unwrap())
+                        } else {
+                            Vector::from((0..dim).map(|_| rng.random_range(-1.0..1.0)).collect::<Vec<f64>>())
+                        };
+                        let label = if rng.random::<bool>() { 1.0 } else { -1.0 };
+                        LabeledPoint::new(label, features)
+                    })
+                    .collect();
+                FeatureChunk::new(Timestamp(ts), Timestamp(ts), points)
+            })
+            .collect();
+        let union: Vec<RowView<'_>> = chunks.iter().flat_map(|c| c.rows()).collect();
+        if union.is_empty() {
+            return Ok(());
+        }
+        // Relative to the vector's largest coordinate: one that cancels to
+        // nearly zero carries the rounding of the terms that made it.
+        let close = |a: &DenseVector, b: &DenseVector| {
+            let mut gap = a.clone();
+            gap.axpy(-1.0, b).is_ok() && gap.norm_linf() <= 1e-12 * a.norm_linf()
+        };
+        for optimizer in [
+            OptimizerKind::Constant { eta: 0.1 },
+            OptimizerKind::InvScaling { eta0: 0.1, power: 0.5 },
+            OptimizerKind::Momentum { eta: 0.1, gamma: 0.9 },
+            OptimizerKind::adam(0.05),
+            OptimizerKind::rmsprop(0.05),
+            OptimizerKind::adadelta(),
+        ] {
+            for regularizer in [Regularizer::None, Regularizer::L2(1e-2), Regularizer::L1(1e-2)] {
+                let config = SgdConfig {
+                    optimizer,
+                    regularizer,
+                    ..SgdConfig::for_loss(loss)
+                };
+                // One shared earlier step: non-zero weights and accumulators.
+                let mut plain = SgdTrainer::new(dim, &config);
+                plain.step_rows(&union[..union.len().div_ceil(2)], SEQ);
+                let mut fused = plain.clone();
+
+                let plain_loss = plain.step_rows(&union, SEQ).unwrap();
+                let outcome = fused
+                    .try_step_fused(
+                        chunks.len(),
+                        |i, sink| chunks[i].rows().for_each(sink),
+                        SEQ,
+                        &NoFaults,
+                        &RunCtx::default(),
+                    )
+                    .unwrap();
+
+                let what = format!("{} / {regularizer:?}", optimizer.name());
+                prop_assert_eq!(outcome.points, union.len() as u64, "{}", what);
+                let fused_loss = outcome.loss.unwrap();
+                prop_assert!((fused_loss - plain_loss).abs() <= 1e-12 * plain_loss.abs(), "{}", what);
+                prop_assert!(close(plain.model().weights(), fused.model().weights()), "{}", what);
+                let (_, t_plain, m_plain, v_plain) = plain.optimizer().to_parts();
+                let (_, t_fused, m_fused, v_fused) = fused.optimizer().to_parts();
+                prop_assert_eq!(t_plain, t_fused);
+                prop_assert!(close(m_plain, m_fused) && close(v_plain, v_fused), "{}", what);
+                prop_assert_eq!(plain.points_seen(), fused.points_seen());
+            }
+        }
     }
 }

@@ -418,6 +418,29 @@ impl<'a> RowView<'a> {
         }
     }
 
+    /// The stored `(indices, values)` of a sparse row — a CSR slab row or a
+    /// [`Vector::Sparse`] — in stored (strictly increasing) index order;
+    /// `None` for a dense row. Folding `slot[i] += alpha * v` over the pairs
+    /// is bit-identical to [`RowView::axpy_into_growing`] once the target
+    /// covers the last index, which lets a caller record the coordinates it
+    /// touches.
+    pub fn sparse_parts(&self) -> Option<(&'a [u32], &'a [f64])> {
+        let vector = match self {
+            RowView::Slab { slab, row } => match &slab.layout {
+                SlabLayout::Dense { .. } => return None,
+                SlabLayout::Csr { .. } => {
+                    return slab.csr_row(*row).map(|(idx, val, _)| (idx, val));
+                }
+                SlabLayout::Rows(rows) => &rows[*row],
+            },
+            RowView::Point(p) => &p.features,
+        };
+        match vector {
+            Vector::Dense(_) => None,
+            Vector::Sparse(s) => Some((s.indices(), s.values())),
+        }
+    }
+
     /// Reconstructs the row's feature vector in its original representation
     /// (dense rows come back dense, CSR rows sparse).
     pub fn to_vector(&self) -> Vector {
@@ -557,6 +580,28 @@ mod tests {
                 assert_eq!(a, b);
             }
         }
+    }
+
+    #[test]
+    fn sparse_parts_follow_the_row_layout() {
+        let d = dense(1.0, &[1.0, 2.0]);
+        let s = sparse(0.0, 8, &[(1, 2.0), (6, -1.0)]);
+        let parts = Some((&[1u32, 6][..], &[2.0, -1.0][..]));
+        // Point views, a CSR slab, a dense slab and the row-major fallback.
+        assert_eq!(RowView::Point(&d).sparse_parts(), None);
+        assert_eq!(RowView::Point(&s).sparse_parts(), parts);
+        let csr = ColumnSlab::from_points(vec![sparse(1.0, 8, &[]), s.clone()]);
+        assert_eq!(csr.row(0).sparse_parts(), Some((&[][..], &[][..])));
+        assert_eq!(csr.row(1).sparse_parts(), parts);
+        assert_eq!(
+            ColumnSlab::from_points(vec![d.clone()])
+                .row(0)
+                .sparse_parts(),
+            None
+        );
+        let mixed = ColumnSlab::from_points(vec![d, s]);
+        assert_eq!(mixed.row(0).sparse_parts(), None);
+        assert_eq!(mixed.row(1).sparse_parts(), parts);
     }
 
     #[test]

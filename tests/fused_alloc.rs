@@ -1,7 +1,8 @@
 //! Allocation accounting for the fused transform+gradient pass: the fused
 //! step must never materialize an intermediate feature buffer, so for the
 //! same workload it allocates strictly less — in both count and bytes — than
-//! the materialize-then-step path it replaced.
+//! the materialize-then-step path it replaced — and on a warm trainer it
+//! allocates no gradient buffer at all, dense or sparse.
 //!
 //! This file holds exactly one `#[test]` so the counting global allocator
 //! sees no interference from sibling tests running on other harness threads.
@@ -11,12 +12,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use cdpipe::engine::{ExecutionEngine, RunCtx};
 use cdpipe::faults::NoFaults;
+use cdpipe::linalg::{SparseVector, Vector};
 use cdpipe::ml::{LossKind, SgdConfig, SgdTrainer};
 use cdpipe::pipeline::encode::DenseEncoder;
 use cdpipe::pipeline::parser::SchemaParser;
 use cdpipe::pipeline::scale::StandardScaler;
 use cdpipe::pipeline::{Pipeline, PipelineBuilder};
-use cdpipe::storage::{LabeledPoint, RawChunk, Record, RowView, Schema, Timestamp, Value};
+use cdpipe::storage::{
+    FeatureChunk, LabeledPoint, RawChunk, Record, RowView, Schema, Timestamp, Value,
+};
 
 struct CountingAlloc;
 
@@ -169,11 +173,63 @@ fn fused_step_allocates_less_than_materialize_then_step() {
             )
             .expect("warm fused step")
     });
-    let (reused, allocated) = fused_trainer.scratch_counters();
-    assert!(reused > 0, "warm fused step must reuse scratch buffers");
-    assert!(allocated > 0);
+    // One partial per source was allocated cold; the warm step took all
+    // four back out of the pool and allocated none.
+    assert_eq!(fused_trainer.scratch_counters(), (4, 4));
     assert!(
         warm_bytes <= fused_bytes,
         "warm scratch pool should not allocate more than the cold one: {warm_bytes} vs {fused_bytes}"
     );
+
+    sparse_fires_allocate_no_gradient_buffer();
+}
+
+/// The URL shape: 8 stored chunks of 40 hashed rows (28 non-zeros each) at
+/// 2^16 dimensions. A fire on a warm trainer must not allocate — or
+/// zero-fill its way through — a single model-wide buffer: what it still
+/// allocates (the engine's result vector, the reduce's levels, a touched
+/// list outgrowing the one it recycled) stays far below one of them.
+fn sparse_fires_allocate_no_gradient_buffer() {
+    const DIM: usize = 1 << 16;
+    let chunks: Vec<FeatureChunk> = (0..8u64)
+        .map(|ts| {
+            let points = (0..40u64)
+                .map(|row| {
+                    let start = (ts * 40 + row) * 37 % (DIM as u64 - 28 * 61);
+                    let indices: Vec<u32> = (0..28).map(|k| (start + k * 61) as u32).collect();
+                    let features = SparseVector::new(DIM, indices, vec![1.0; 28]).expect("sorted");
+                    let label = if row % 2 == 0 { 1.0 } else { -1.0 };
+                    LabeledPoint::new(label, Vector::Sparse(features))
+                })
+                .collect();
+            FeatureChunk::new(Timestamp(ts), Timestamp(ts), points)
+        })
+        .collect();
+    let mut trainer = SgdTrainer::new(DIM, &SgdConfig::for_loss(LossKind::Hinge));
+    let fire = |trainer: &mut SgdTrainer| {
+        measure(|| {
+            trainer
+                .try_step_fused(
+                    chunks.len(),
+                    |i, sink: &mut dyn FnMut(RowView<'_>)| chunks[i].rows().for_each(sink),
+                    ExecutionEngine::Sequential,
+                    &NoFaults,
+                    &RunCtx::default(),
+                )
+                .expect("sparse fused step")
+        })
+    };
+    let one_buffer = (DIM * std::mem::size_of::<f64>()) as u64;
+    let (cold, _, cold_bytes) = fire(&mut trainer);
+    assert_eq!(cold.points, 8 * 40);
+    assert!(cold_bytes >= 8 * one_buffer);
+    assert_eq!(trainer.scratch_counters(), (0, 8));
+    for warm in 1..=3 {
+        let (_, _, warm_bytes) = fire(&mut trainer);
+        assert_eq!(trainer.scratch_counters(), (8 * warm, 8));
+        assert!(
+            warm_bytes < one_buffer / 8,
+            "warm sparse fire {warm} allocated {warm_bytes} bytes"
+        );
+    }
 }

@@ -1,5 +1,6 @@
-//! Source-level gate for the training hot path: the SGD inner loop, the
-//! sparse kernel, the engine, and the pipeline manager and proactive trainer
+//! Source-level gate for the training hot path: the SGD inner loop and the
+//! model, penalty and optimizer it updates, the dense, sparse and columnar
+//! row kernels, the engine, and the pipeline manager and proactive trainer
 //! that drive them must not carry `.unwrap()` / `.expect(` outside their test
 //! modules. A panic annotation in these files is a latent crash in the
 //! deployment loop; invariants that are genuinely unreachable are written as
@@ -17,6 +18,30 @@ fn hot_paths_carry_no_panic_annotations() {
         (
             "crates/ml/src/sgd.rs",
             include_str!("../crates/ml/src/sgd.rs"),
+        ),
+        (
+            "crates/ml/src/regularizer.rs",
+            include_str!("../crates/ml/src/regularizer.rs"),
+        ),
+        (
+            "crates/ml/src/model.rs",
+            include_str!("../crates/ml/src/model.rs"),
+        ),
+        (
+            "crates/ml/src/optimizer.rs",
+            include_str!("../crates/ml/src/optimizer.rs"),
+        ),
+        (
+            "crates/storage/src/columnar.rs",
+            include_str!("../crates/storage/src/columnar.rs"),
+        ),
+        (
+            "crates/linalg/src/dense.rs",
+            include_str!("../crates/linalg/src/dense.rs"),
+        ),
+        (
+            "crates/linalg/src/vector.rs",
+            include_str!("../crates/linalg/src/vector.rs"),
         ),
         (
             "crates/linalg/src/sparse.rs",
