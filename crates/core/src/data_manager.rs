@@ -19,7 +19,7 @@ use cdp_storage::{
 pub enum SampledChunk {
     /// Features were materialized in memory (Figure 2, scenario 1).
     Materialized(Arc<FeatureChunk>),
-    /// Features were evicted but their spill file was readable: used
+    /// Features were evicted but their spilled copy was readable: used
     /// directly after paying the disk read.
     Spilled(Arc<FeatureChunk>),
     /// Features were evicted (and any spill was absent or unreadable);
@@ -345,12 +345,15 @@ mod tests {
             }
             assert_eq!(dm.tiered_stats().spills, 4);
             assert_eq!(dm.tiered_stats().disk_hits, 4);
+            // All four spills share the tier's one log file.
+            let files = std::fs::read_dir(&dir).expect("spill dir exists while the manager lives");
+            assert_eq!(files.count(), 1);
             assert!(matches!(
                 dm.feature_chunk(Timestamp(99)),
                 Err(StorageError::MissingChunk(Timestamp(99)))
             ));
         }
-        // Dropping the manager removes its owned spill directory.
+        // Dropping the manager removes its owned spill directory, log included.
         assert!(!dir.exists());
     }
 

@@ -912,8 +912,15 @@ fn open_wal(
 /// Publishes the manager's current `(pipeline, model)` pair to an attached
 /// serving front and logs a `serving.publish` event naming the site and the
 /// exact weights (by fingerprint), so tests and operators can tell *which*
-/// model each publish carried. Clones never perturb training state.
-fn publish_serving(server: &ModelServer, pm: &PipelineManager, metrics: &Metrics, source: &str) {
+/// model each publish carried. Clones never perturb training state. `source`
+/// is formatted only for that event, so a run without metrics builds no
+/// string per chunk.
+fn publish_serving(
+    server: &ModelServer,
+    pm: &PipelineManager,
+    metrics: &Metrics,
+    source: impl std::fmt::Display,
+) {
     let version = server.publish(pm.pipeline().clone(), pm.trainer().model().clone());
     if metrics.is_enabled() {
         let fp = weights_fingerprint(pm.trainer().model().weights().as_slice());
@@ -968,11 +975,12 @@ impl TelemetryRuntime {
         })
     }
 
-    /// One sampling tick: records a snapshot of every metric, runs the
+    /// One sampling tick: records the value of every metric, runs the
     /// stateful threshold and burn-rate monitors over it, and flushes a
-    /// segment when the flush interval elapsed.
+    /// segment when the flush interval elapsed. Neither the store nor the
+    /// monitors read events or lineage, so the sample leaves them out.
     fn sample(&mut self, metrics: &Metrics, at_secs: f64) -> Result<(), DeploymentError> {
-        let snap = metrics.snapshot();
+        let snap = metrics.snapshot_values();
         self.store.record(at_secs, &snap);
         let mut fired = self.monitor.observe(&snap, at_secs);
         fired.extend(self.slo.observe(&self.store, at_secs));
@@ -1240,7 +1248,7 @@ fn run_chunk_loop(
         // advanced the weights this chunk, so an attached server gets the
         // freshest pair once per arrival period.
         if let Some(server) = &config.serving {
-            publish_serving(server, &st.pm, &metrics, &format!("chunk {idx}"));
+            publish_serving(server, &st.pm, &metrics, format_args!("chunk {idx}"));
         }
         st.evaluator.checkpoint();
         st.ledger.checkpoint(idx as u64);

@@ -67,19 +67,36 @@ pub struct ServingSnapshot {
     pub version: u64,
 }
 
-/// Order-independent fingerprint of a weight vector's exact bit patterns
-/// (FNV-1a over `f64::to_bits`, length-mixed). Two weight vectors fingerprint
-/// equal iff they are bit-identical — used by the publish event log and the
-/// resume tests to name *which* model a publish carried.
+/// Order-dependent fingerprint of a weight vector's exact bit patterns,
+/// length-mixed. Two weight vectors fingerprint equal iff they are
+/// bit-identical (up to 64-bit collisions): a permutation, `-0.0` for `0.0`
+/// or a different NaN payload all change it. Used by the publish event log
+/// and the resume tests to name *which* model a publish carried.
+///
+/// Whole `f64::to_bits` words fold FNV-style into four independently seeded
+/// lanes (weight `i` into lane `i % 4`), so the four multiply chains overlap
+/// and a 2^16-dim vector costs tens of microseconds. The shift after each
+/// multiply carries a word's high bits (sign, exponent) back into the low
+/// ones, which a bare multiply never does.
 pub fn weights_fingerprint(weights: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in weights {
-        for byte in w.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    fn fold(h: u64, word: u64) -> u64 {
+        let h = (h ^ word).wrapping_mul(PRIME);
+        h ^ (h >> 32)
     }
-    h ^ (weights.len() as u64)
+    let mut lanes = [BASIS, BASIS ^ 1, BASIS ^ 2, BASIS ^ 3];
+    let mut quads = weights.chunks_exact(4);
+    for q in &mut quads {
+        lanes[0] = fold(lanes[0], q[0].to_bits());
+        lanes[1] = fold(lanes[1], q[1].to_bits());
+        lanes[2] = fold(lanes[2], q[2].to_bits());
+        lanes[3] = fold(lanes[3], q[3].to_bits());
+    }
+    for (lane, w) in lanes.iter_mut().zip(quads.remainder()) {
+        *lane = fold(*lane, w.to_bits());
+    }
+    lanes.into_iter().fold(BASIS, fold) ^ (weights.len() as u64)
 }
 
 /// Slots per shard ring. Two is the double buffer; two more absorb a
@@ -1444,5 +1461,25 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(weights_fingerprint(&[]), weights_fingerprint(&[0.0]));
+        // Order-dependent, within a lane (indices 0 and 4) and across lanes.
+        let v = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let fp = weights_fingerprint(&v);
+        assert_ne!(fp, weights_fingerprint(&[5.0, 2.0, 3.0, 4.0, 1.0, 6.0]));
+        assert_ne!(fp, weights_fingerprint(&[2.0, 1.0, 3.0, 4.0, 5.0, 6.0]));
+        // Bit patterns, not values: -0.0 == 0.0 and NaN != NaN as floats.
+        assert_ne!(weights_fingerprint(&[0.0]), weights_fingerprint(&[-0.0]));
+        // Two sign flips in one lane must not cancel in the top bit.
+        assert_ne!(
+            weights_fingerprint(&[0.0, 1.0, 1.0, 1.0, 0.0]),
+            weights_fingerprint(&[-0.0, 1.0, 1.0, 1.0, -0.0])
+        );
+        let quiet = f64::from_bits(0x7ff8_0000_0000_0000);
+        let payload = f64::from_bits(0x7ff8_0000_0000_0001);
+        assert!(quiet.is_nan() && payload.is_nan());
+        assert_eq!(weights_fingerprint(&[quiet]), weights_fingerprint(&[quiet]));
+        assert_ne!(
+            weights_fingerprint(&[quiet]),
+            weights_fingerprint(&[payload])
+        );
     }
 }

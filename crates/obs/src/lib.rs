@@ -36,6 +36,7 @@
 mod alerts;
 mod chrome;
 mod clock;
+mod crc;
 mod flame;
 mod lineage;
 mod recorder;
@@ -48,6 +49,7 @@ mod trace;
 pub use alerts::{Alert, AlertMonitor, AlertOp, AlertRule, AlertSignal};
 pub use chrome::validate_chrome_trace;
 pub use clock::{Clock, VirtualClock, WallClock};
+pub use crc::crc32;
 pub use lineage::{LineageEntry, LineageEventKind, LINEAGE_CAPACITY};
 pub use recorder::{
     decode_segment, list_segment_files, load_segments, segment_file_name, FlightRecorder,
@@ -152,6 +154,17 @@ impl Metrics {
     /// A point-in-time copy of every metric (empty when disabled).
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.0.as_ref().map(|r| r.snapshot()).unwrap_or_default()
+    }
+
+    /// [`Metrics::snapshot`] without the event log and the lineage map — what
+    /// a per-chunk telemetry sample reads ([`TelemetryStore::record`],
+    /// [`AlertMonitor::observe`]). Its cost does not grow with the run's
+    /// history; checkpoints and results keep taking the full snapshot.
+    pub fn snapshot_values(&self) -> MetricsSnapshot {
+        self.0
+            .as_ref()
+            .map(|r| r.snapshot_values())
+            .unwrap_or_default()
     }
 
     /// Loads every metric from a previously exported snapshot — the inverse

@@ -22,6 +22,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::alerts::Alert;
+use crate::crc::crc32;
 use crate::timeseries::{HistogramFrame, SamplePoint, TelemetryStore};
 
 /// Magic prefix of every telemetry segment file.
@@ -464,20 +465,6 @@ fn push_f64(out: &mut Vec<u8>, v: f64) {
 fn push_str(out: &mut Vec<u8>, s: &str) {
     push_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
-}
-
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), bitwise — the same family of
-/// checksum the storage tier uses for checkpoint trailers.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 #[cfg(test)]

@@ -266,7 +266,9 @@ impl Registry {
             .store(snap.dropped_lineage, Ordering::Relaxed);
     }
 
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+    /// Counters, gauges and histograms only: events and lineage stay empty,
+    /// so the cost is set by the number of metrics, not by the run's history.
+    pub(crate) fn snapshot_values(&self) -> MetricsSnapshot {
         let counters = lock_ignore_poison(&self.counters)
             .iter()
             .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
@@ -279,16 +281,21 @@ impl Registry {
             .iter()
             .map(|(name, cell)| (name.clone(), cell.snapshot()))
             .collect();
-        let events = lock_ignore_poison(&self.events).iter().cloned().collect();
-        let lineage = lock_ignore_poison(&self.lineage).entries.clone();
         MetricsSnapshot {
             counters,
             gauges,
             histograms,
-            events,
+            ..MetricsSnapshot::default()
+        }
+    }
+
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            events: lock_ignore_poison(&self.events).iter().cloned().collect(),
             dropped_events: self.dropped_events.load(Ordering::Relaxed),
-            lineage,
+            lineage: lock_ignore_poison(&self.lineage).entries.clone(),
             dropped_lineage: self.dropped_lineage.load(Ordering::Relaxed),
+            ..self.snapshot_values()
         }
     }
 }

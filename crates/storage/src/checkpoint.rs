@@ -32,7 +32,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::disk::crc32;
+use cdp_obs::crc32;
+
 use crate::{SchemaVersion, StorageError};
 
 const MAGIC: &[u8; 4] = b"CDPC";

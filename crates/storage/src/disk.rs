@@ -5,10 +5,20 @@
 //! Experiment-3 finding — materialization saves disk round-trips — can be
 //! reproduced against an actual device rather than only the cost model.
 //!
+//! The tier is a **process-private cache**, not a durable format: the
+//! deployment spills into a directory named after its pid, removes it on
+//! drop, and a resumed run rebuilds its spills by replay. No spill byte is
+//! ever read by a process other than the one that wrote it. So [`DiskTier`]
+//! is one append-only log file plus an in-memory `ts → (offset, len)` index:
+//! a spill is one positioned write, a read is one positioned read, an
+//! overwrite is a newer index entry, and there is no temp file, rename or
+//! fsync (the durable formats are the WAL, checkpoints and recorder
+//! segments).
+//!
 //! The codec is a small fixed binary layout (no external serialization
-//! dependency beyond `bytes`). Version 3 (current) mirrors the columnar
-//! in-memory representation, so a spill is a handful of bulk array writes
-//! instead of a per-point walk:
+//! dependency beyond `bytes`) mirroring the columnar in-memory
+//! representation, so a spill is a handful of bulk array writes instead of a
+//! per-point walk:
 //!
 //! ```text
 //! magic "CDPF" | version u16 | timestamp u64 | raw_ref u64
@@ -24,55 +34,41 @@
 //! trailer: crc32 u32 over everything before it
 //! ```
 //!
-//! Version 2 (row layout: `n_points u32 | per point: label, vtag, vector`)
-//! added the CRC-32 trailer and is still *read* by this build — the decoder
-//! falls through on the version field — but no longer written. Without the
-//! trailer, a flipped byte inside an `f64` decodes to a structurally valid
-//! but numerically wrong chunk. The checksum turns *every* single-byte
-//! corruption (and any burst ≤ 32 bits) into a typed
+//! Without the trailer, a flipped byte inside an `f64` decodes to a
+//! structurally valid but numerically wrong chunk. The checksum turns *every*
+//! single-byte corruption (and any burst ≤ 32 bits) into a typed
 //! [`StorageError::Corrupt`], which the tiered store can then recover from
-//! by retrying or re-materializing.
+//! by retrying or re-materializing. A log never outlives its process, so the
+//! decoder knows one schema version; any other is a typed
+//! [`StorageError::VersionMismatch`].
 //!
 //! All disk I/O goes through a bounded retry-with-backoff loop and consults
 //! a [`FaultHook`] per attempt, so fault-injection tests can exercise the
 //! recovery paths deterministically (the default [`NoFaults`] hook makes
 //! both checks a no-op).
 
+use std::collections::BTreeMap;
 use std::fs;
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::os::unix::fs::FileExt;
+use std::path::Path;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use cdp_faults::{corrupt_byte_index, DiskFault, DiskOp, FaultHook, NoFaults, RetryPolicy};
 use cdp_linalg::{DenseVector, SparseVector, Vector};
-use cdp_obs::Metrics;
+use cdp_obs::{crc32, Metrics};
 
-use crate::chunk::{FeatureChunk, LabeledPoint, Timestamp};
+use crate::chunk::{FeatureChunk, Timestamp};
 use crate::columnar::{ColumnSlab, SlabLayout};
 use crate::StorageError;
 
 const MAGIC: &[u8; 4] = b"CDPF";
 const VERSION: u16 = crate::SPILL_SCHEMA.0;
-/// The legacy row-layout schema this build still reads (fall-through).
-const VERSION_V2: u16 = 2;
+/// The log file inside the tier's directory.
+pub(crate) const LOG_FILE: &str = "spill.log";
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`).
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-/// Writes one row-layout vector (shared by the v3 `rows` fallback and the
-/// legacy v2 writer).
+/// Writes one vector of the `rows` layout.
 fn put_vector(buf: &mut BytesMut, v: &Vector) {
     match v {
         Vector::Dense(v) => {
@@ -96,8 +92,8 @@ fn put_vector(buf: &mut BytesMut, v: &Vector) {
     }
 }
 
-/// Encodes a feature chunk into its binary representation (schema v3:
-/// columnar payload copied straight out of the backing slab's row range).
+/// Encodes a feature chunk into its binary representation (columnar payload
+/// copied straight out of the backing slab's row range).
 pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
     let mut buf = BytesMut::with_capacity(48 + chunk.size_bytes() + chunk.len() * 16);
     buf.put_slice(MAGIC);
@@ -162,25 +158,6 @@ pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
     buf.freeze()
 }
 
-/// Encodes a feature chunk in the legacy v2 row layout. Kept (and exposed)
-/// so compatibility tests can pin the fall-through promise: files written by
-/// a v2 build keep decoding bit-for-bit under the v3 reader.
-pub fn encode_chunk_v2(chunk: &FeatureChunk) -> Bytes {
-    let mut buf = BytesMut::with_capacity(32 + chunk.size_bytes() + chunk.len() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u16(VERSION_V2);
-    buf.put_u64(chunk.timestamp.0);
-    buf.put_u64(chunk.raw_ref.0);
-    buf.put_u32(chunk.len() as u32);
-    for row in chunk.rows() {
-        buf.put_f64(row.label());
-        put_vector(&mut buf, &row.to_vector());
-    }
-    let checksum = crc32(&buf);
-    buf.put_u32(checksum);
-    buf.freeze()
-}
-
 /// Decodes a feature chunk from its binary representation.
 ///
 /// # Errors
@@ -212,7 +189,7 @@ fn need(data: &[u8], n: usize, what: &str) -> Result<(), StorageError> {
     Ok(())
 }
 
-/// Decodes one row-layout vector (v2 points and the v3 `rows` fallback).
+/// Decodes one vector of the `rows` layout.
 fn decode_vector(data: &mut &[u8]) -> Result<Vector, StorageError> {
     need(data, 1, "vector tag")?;
     match data.get_u8() {
@@ -248,8 +225,8 @@ fn decode_vector(data: &mut &[u8]) -> Result<Vector, StorageError> {
     }
 }
 
-/// Decodes the checksummed region of a chunk file, dispatching on the
-/// schema version: v3 (columnar, current) or v2 (row layout, fall-through).
+/// Decodes the checksummed region of an encoded chunk into a slab-backed
+/// chunk.
 fn decode_payload(mut data: &[u8]) -> Result<FeatureChunk, StorageError> {
     need(data, 4 + 2 + 8 + 8, "header")?;
     let mut magic = [0u8; 4];
@@ -258,45 +235,14 @@ fn decode_payload(mut data: &[u8]) -> Result<FeatureChunk, StorageError> {
         return Err(StorageError::Corrupt("bad magic".into()));
     }
     let version = data.get_u16();
+    if version != VERSION {
+        return Err(StorageError::VersionMismatch {
+            found: version,
+            expected: VERSION,
+        });
+    }
     let timestamp = Timestamp(data.get_u64());
     let raw_ref = Timestamp(data.get_u64());
-    match version {
-        VERSION => decode_columnar_v3(data, timestamp, raw_ref),
-        VERSION_V2 => decode_rows_v2(data, timestamp, raw_ref),
-        other => Err(StorageError::VersionMismatch {
-            found: other,
-            expected: VERSION,
-        }),
-    }
-}
-
-/// Decodes a legacy v2 row-layout body.
-fn decode_rows_v2(
-    mut data: &[u8],
-    timestamp: Timestamp,
-    raw_ref: Timestamp,
-) -> Result<FeatureChunk, StorageError> {
-    need(data, 4, "point count")?;
-    let n_points = data.get_u32() as usize;
-    let mut points = Vec::with_capacity(n_points.min(data.remaining() / 9 + 1));
-    for _ in 0..n_points {
-        need(data, 8, "point label")?;
-        let label = data.get_f64();
-        let features = decode_vector(&mut data)?;
-        points.push(LabeledPoint::new(label, features));
-    }
-    if data.remaining() > 0 {
-        return Err(StorageError::Corrupt("trailing bytes after points".into()));
-    }
-    Ok(FeatureChunk::new(timestamp, raw_ref, points))
-}
-
-/// Decodes a v3 columnar body into a slab-backed chunk.
-fn decode_columnar_v3(
-    mut data: &[u8],
-    timestamp: Timestamp,
-    raw_ref: Timestamp,
-) -> Result<FeatureChunk, StorageError> {
     need(data, 1 + 4, "layout header")?;
     let tag = data.get_u8();
     let n = data.get_u32() as usize;
@@ -402,7 +348,8 @@ fn decode_columnar_v3(
     Ok(FeatureChunk::from_slab(timestamp, raw_ref, slab))
 }
 
-/// A directory of encoded feature chunks, one file per timestamp.
+/// An append-only log of encoded feature chunks plus the in-memory index
+/// that finds them (see the module docs for why nothing here is durable).
 ///
 /// Every read and write runs a bounded retry-with-backoff loop, consulting
 /// the configured [`FaultHook`] once per attempt; a transient failure —
@@ -410,22 +357,28 @@ fn decode_columnar_v3(
 /// stats) rather than propagating.
 #[derive(Debug)]
 pub struct DiskTier {
-    dir: PathBuf,
+    log: fs::File,
+    /// `ts → (offset, len)` of the newest copy of each spilled chunk.
+    index: BTreeMap<Timestamp, (u64, usize)>,
     hook: Arc<dyn FaultHook>,
     retry: RetryPolicy,
     /// Observability handle (disabled by default).
     metrics: Metrics,
-    /// Bytes written since creation (for I/O accounting).
+    /// Bytes appended since creation: the I/O accounting figure and, the log
+    /// having started empty, the offset of the next spill. It moves only
+    /// when an append succeeds, so a failed append's partial bytes lie past
+    /// it and are overwritten by the next one.
     bytes_written: u64,
     /// Bytes read since creation.
     bytes_read: u64,
 }
 
 impl DiskTier {
-    /// Opens (creating if needed) a disk tier rooted at `dir`, fault-free.
+    /// Opens a fresh, empty disk tier in `dir` (created if needed),
+    /// fault-free.
     ///
     /// # Errors
-    /// I/O errors creating the directory.
+    /// I/O errors creating the directory or the log file.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
         Self::open_with_hook(dir, Arc::new(NoFaults), RetryPolicy::default())
     }
@@ -433,16 +386,24 @@ impl DiskTier {
     /// Opens a disk tier whose every I/O attempt consults `hook`.
     ///
     /// # Errors
-    /// I/O errors creating the directory.
+    /// I/O errors creating the directory or the log file.
     pub fn open_with_hook(
         dir: impl AsRef<Path>,
         hook: Arc<dyn FaultHook>,
         retry: RetryPolicy,
     ) -> Result<Self, StorageError> {
-        let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
+        // The index starts empty, so whatever an earlier tier left in this
+        // directory is unreachable: start the log empty too.
+        let log = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(dir.as_ref().join(LOG_FILE))?;
         Ok(Self {
-            dir,
+            log,
+            index: BTreeMap::new(),
             hook,
             retry,
             metrics: Metrics::disabled(),
@@ -463,10 +424,6 @@ impl DiskTier {
         self.hook = hook;
     }
 
-    fn path_for(&self, ts: Timestamp) -> PathBuf {
-        self.dir.join(format!("chunk-{:012}.cdpf", ts.0))
-    }
-
     fn injected_io_error(op: DiskOp, ts: Timestamp) -> StorageError {
         let verb = match op {
             DiskOp::Read => "read",
@@ -478,76 +435,59 @@ impl DiskTier {
         )))
     }
 
-    /// Writes a chunk to disk, replacing any previous version, retrying
-    /// transient failures up to the retry budget.
+    /// Runs `attempt` up to the retry budget, with backoff between tries.
+    fn with_retries<T>(
+        &self,
+        mut attempt: impl FnMut(u32) -> Result<T, StorageError>,
+    ) -> Result<T, StorageError> {
+        let mut tries = 0u32;
+        loop {
+            match attempt(tries) {
+                Ok(value) => {
+                    if tries > 0 {
+                        self.hook.note_recovered();
+                    }
+                    return Ok(value);
+                }
+                Err(err) => {
+                    if tries >= self.retry.max_retries {
+                        return Err(err);
+                    }
+                    self.hook.note_retry();
+                    self.metrics.counter("store.disk_retries").inc();
+                    self.retry.sleep(tries);
+                    tries += 1;
+                }
+            }
+        }
+    }
+
+    /// Appends a chunk to the log, superseding any previous version,
+    /// retrying transient failures up to the retry budget. A write that
+    /// fails for good leaves the index — and so every earlier chunk,
+    /// including an older version of this one — as it was.
     ///
     /// # Errors
     /// I/O errors persisting past every retry.
     pub fn write(&mut self, chunk: &FeatureChunk) -> Result<(), StorageError> {
         let encoded = encode_chunk(chunk);
         let ts = chunk.timestamp;
-        let path = self.path_for(ts);
         let span = self.metrics.span("store.disk_write_secs");
-        let mut attempt = 0u32;
-        let mut failed = false;
-        loop {
-            let result = self.write_attempt(&path, &encoded, ts, attempt);
-            match result {
-                Ok(()) => {
-                    if failed {
-                        self.hook.note_recovered();
-                    }
-                    self.bytes_written += encoded.len() as u64;
-                    self.metrics.counter("store.disk_writes").inc();
-                    self.metrics
-                        .counter("store.disk_bytes_written")
-                        .add(encoded.len() as u64);
-                    span.finish();
-                    return Ok(());
-                }
-                Err(err) => {
-                    failed = true;
-                    if attempt >= self.retry.max_retries {
-                        return Err(err);
-                    }
-                    self.hook.note_retry();
-                    self.metrics.counter("store.disk_retries").inc();
-                    self.retry.sleep(attempt);
-                    attempt += 1;
-                }
+        self.with_retries(|attempt| {
+            match self.hook.decide_disk(DiskOp::Write, ts.0, attempt) {
+                DiskFault::Fail => return Err(Self::injected_io_error(DiskOp::Write, ts)),
+                DiskFault::Delay(d) => std::thread::sleep(d),
+                DiskFault::Proceed | DiskFault::Corrupt => {}
             }
-        }
-    }
-
-    fn write_attempt(
-        &self,
-        path: &Path,
-        encoded: &[u8],
-        ts: Timestamp,
-        attempt: u32,
-    ) -> Result<(), StorageError> {
-        match self.hook.decide_disk(DiskOp::Write, ts.0, attempt) {
-            DiskFault::Fail => return Err(Self::injected_io_error(DiskOp::Write, ts)),
-            DiskFault::Delay(d) => std::thread::sleep(d),
-            DiskFault::Proceed | DiskFault::Corrupt => {}
-        }
-        // Write to a sibling temp file first, fsync, then rename into place:
-        // a crash mid-write leaves (at worst) an orphaned `.tmp` no reader
-        // looks at, never a truncated chunk file under the real name.
-        // Without the fsync the rename can land before the data does, making
-        // the *named* file torn after a power cut.
-        let tmp = path.with_extension("tmp");
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(encoded)?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp, path)?;
-        // The rename itself must survive a crash too: fsync the parent
-        // directory. Filesystems that refuse to sync a directory handle
-        // downgrade durability, not correctness, so that error is ignored.
-        if let Ok(d) = fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+            Ok(self.log.write_all_at(&encoded, self.bytes_written)?)
+        })?;
+        self.index.insert(ts, (self.bytes_written, encoded.len()));
+        self.bytes_written += encoded.len() as u64;
+        self.metrics.counter("store.disk_writes").inc();
+        self.metrics
+            .counter("store.disk_bytes_written")
+            .add(encoded.len() as u64);
+        span.finish();
         Ok(())
     }
 
@@ -559,46 +499,21 @@ impl DiskTier {
     /// I/O or corruption errors persisting past every retry. "Not found" is
     /// never an error and is never retried.
     pub fn read(&mut self, ts: Timestamp) -> Result<Option<FeatureChunk>, StorageError> {
-        let path = self.path_for(ts);
         let span = self.metrics.span("store.disk_read_secs");
-        let mut attempt = 0u32;
-        let mut failed = false;
-        loop {
-            let result = self.read_attempt(&path, ts, attempt);
-            match result {
-                Ok(outcome) => {
-                    if failed {
-                        self.hook.note_recovered();
-                    }
-                    if let Some((chunk, len)) = outcome {
-                        self.bytes_read += len;
-                        self.metrics.counter("store.disk_reads").inc();
-                        self.metrics.counter("store.disk_bytes_read").add(len);
-                        span.finish();
-                        return Ok(Some(chunk));
-                    }
-                    span.finish();
-                    return Ok(None);
-                }
-                Err(err) => {
-                    failed = true;
-                    if attempt >= self.retry.max_retries {
-                        return Err(err);
-                    }
-                    self.hook.note_retry();
-                    self.metrics.counter("store.disk_retries").inc();
-                    self.retry.sleep(attempt);
-                    attempt += 1;
-                }
-            }
+        let outcome = self.with_retries(|attempt| self.read_attempt(ts, attempt))?;
+        if let Some((_, len)) = &outcome {
+            self.bytes_read += *len;
+            self.metrics.counter("store.disk_reads").inc();
+            self.metrics.counter("store.disk_bytes_read").add(*len);
         }
+        span.finish();
+        Ok(outcome.map(|(chunk, _)| chunk))
     }
 
     /// One read attempt: returns the decoded chunk plus the byte count it
-    /// cost, `None` when no file exists.
+    /// cost, `None` when the index has no entry.
     fn read_attempt(
         &self,
-        path: &Path,
         ts: Timestamp,
         attempt: u32,
     ) -> Result<Option<(FeatureChunk, u64)>, StorageError> {
@@ -609,35 +524,20 @@ impl DiskTier {
             DiskFault::Corrupt => corrupt = true,
             DiskFault::Proceed => {}
         }
-        let mut file = match fs::File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let Some(&(offset, len)) = self.index.get(&ts) else {
+            return Ok(None);
         };
-        let mut data = Vec::new();
-        file.read_to_end(&mut data)?;
+        let mut data = vec![0u8; len];
+        self.log.read_exact_at(&mut data, offset)?;
         if corrupt && !data.is_empty() {
-            // Flip one deterministic byte of the in-flight buffer (the file
+            // Flip one deterministic byte of the in-flight buffer (the log
             // itself is untouched, so a retry re-reads clean bytes) — the
             // checksum must turn this into a typed error, never a
             // silently-wrong chunk.
             let idx = corrupt_byte_index(ts.0, u64::from(attempt), data.len());
             data[idx] ^= 0x40;
         }
-        let len = data.len() as u64;
-        decode_chunk(&data).map(|chunk| Some((chunk, len)))
-    }
-
-    /// Deletes the chunk file for `ts` (no-op when absent).
-    ///
-    /// # Errors
-    /// I/O errors other than "not found".
-    pub fn remove(&mut self, ts: Timestamp) -> Result<(), StorageError> {
-        match fs::remove_file(self.path_for(ts)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
-        }
+        decode_chunk(&data).map(|chunk| Some((chunk, len as u64)))
     }
 
     /// Total bytes written since the tier was opened.
@@ -654,6 +554,7 @@ impl DiskTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::LabeledPoint;
     use cdp_faults::{FaultInjector, FaultPlan};
     use cdp_linalg::SparseBuilder;
 
@@ -744,28 +645,9 @@ mod tests {
         assert_eq!(ok(decode_chunk(&encoded)), chunk);
     }
 
-    #[test]
-    fn v2_spill_files_still_load() {
-        // Genuine v2 bytes — the row layout a pre-columnar build wrote —
-        // must keep decoding under the v3 reader: the version field falls
-        // through to the legacy decoder instead of erroring.
-        let chunk = sample_chunk();
-        let v2_bytes = encode_chunk_v2(&chunk);
-        assert_eq!(u16::from_be_bytes([v2_bytes[4], v2_bytes[5]]), 2);
-        assert_ne!(v2_bytes, encode_chunk(&chunk), "v3 writes a new layout");
-        assert_eq!(ok(decode_chunk(&v2_bytes)), chunk);
-        // And a v2 file is just as corruption-proof under the new reader.
-        let mut damaged = v2_bytes.to_vec();
-        damaged[20] ^= 0x01;
-        assert!(matches!(
-            decode_chunk(&damaged),
-            Err(StorageError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn v3_codec_round_trips_all_layouts() {
-        // Dense slab.
+    /// One chunk per slab layout (dense, CSR, rows, empty) plus a view
+    /// over a sub-range of a compacted (merged) CSR slab.
+    fn layout_chunks() -> Vec<FeatureChunk> {
         let dense = FeatureChunk::new(
             Timestamp(1),
             Timestamp(1),
@@ -774,45 +656,33 @@ mod tests {
                 LabeledPoint::new(-1.0, DenseVector::new(vec![0.5, 4.0]).into()),
             ],
         );
-        assert_eq!(ok(decode_chunk(&encode_chunk(&dense))), dense);
-        // CSR slab (all sparse, one dim) — sample_chunk covers Rows.
-        let mut b1 = SparseBuilder::new();
-        b1.add(2, 1.0);
-        let mut b2 = SparseBuilder::new();
-        b2.add(0, -3.0);
-        b2.add(7, 2.5);
+        let sparse = |entries: &[(usize, f64)], dim| {
+            let mut b = SparseBuilder::new();
+            for &(i, x) in entries {
+                b.add(i, x);
+            }
+            Vector::Sparse(ok(b.build(dim)))
+        };
         let csr = FeatureChunk::new(
             Timestamp(2),
             Timestamp(2),
             vec![
-                LabeledPoint::new(1.0, Vector::Sparse(ok(b1.build(8)))),
-                LabeledPoint::new(0.0, Vector::Sparse(ok(b2.build(8)))),
+                LabeledPoint::new(1.0, sparse(&[(2, 1.0)], 8)),
+                LabeledPoint::new(0.0, sparse(&[(0, -3.0), (7, 2.5)], 8)),
             ],
         );
-        assert_eq!(ok(decode_chunk(&encode_chunk(&csr))), csr);
-        // Empty chunk.
         let empty = FeatureChunk::new(Timestamp(3), Timestamp(3), vec![]);
-        assert_eq!(ok(decode_chunk(&encode_chunk(&empty))), empty);
-    }
-
-    #[test]
-    fn v3_codec_round_trips_a_compacted_range_view() {
         // A chunk that views a sub-range of a merged slab must spill and
         // reload as exactly its own rows (row pointers rebased).
-        let mut b1 = SparseBuilder::new();
-        b1.add(1, 1.0);
-        let mut b2 = SparseBuilder::new();
-        b2.add(0, 2.0);
-        b2.add(3, -1.0);
         let a = FeatureChunk::new(
-            Timestamp(0),
-            Timestamp(0),
-            vec![LabeledPoint::new(1.0, Vector::Sparse(ok(b1.build(4))))],
+            Timestamp(4),
+            Timestamp(4),
+            vec![LabeledPoint::new(1.0, sparse(&[(1, 1.0)], 4))],
         );
         let b = FeatureChunk::new(
-            Timestamp(1),
-            Timestamp(1),
-            vec![LabeledPoint::new(-1.0, Vector::Sparse(ok(b2.build(4))))],
+            Timestamp(5),
+            Timestamp(5),
+            vec![LabeledPoint::new(-1.0, sparse(&[(0, 2.0), (3, -1.0)], 4))],
         );
         let (sa, ea) = a.slab_range();
         let (sb, eb) = b.slab_range();
@@ -820,10 +690,17 @@ mod tests {
             (a.slab().as_ref(), sa, ea),
             (b.slab().as_ref(), sb, eb),
         ]));
-        let view_b =
-            FeatureChunk::from_slab_range(Timestamp(1), Timestamp(1), Arc::clone(&merged), 1, 2);
+        let view_b = FeatureChunk::from_slab_range(Timestamp(5), Timestamp(5), merged, 1, 2);
         assert_eq!(view_b, b);
-        assert_eq!(ok(decode_chunk(&encode_chunk(&view_b))), b);
+        // sample_chunk mixes sparse and dense rows: the `rows` layout.
+        vec![dense, csr, sample_chunk(), empty, view_b]
+    }
+
+    #[test]
+    fn codec_round_trips_all_layouts_and_a_compacted_range_view() {
+        for chunk in layout_chunks() {
+            assert_eq!(ok(decode_chunk(&encode_chunk(&chunk))), chunk);
+        }
     }
 
     #[test]
@@ -846,66 +723,162 @@ mod tests {
         ));
     }
 
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("cdpf-{tag}-{}", std::process::id()))
+    }
+
+    fn at(ts: u64) -> FeatureChunk {
+        let mut chunk = sample_chunk();
+        chunk.timestamp = Timestamp(ts);
+        chunk.raw_ref = Timestamp(ts);
+        chunk
+    }
+
+    const NO_BACKOFF: RetryPolicy = RetryPolicy {
+        max_retries: 3,
+        base_backoff: std::time::Duration::ZERO,
+    };
+
     #[test]
-    fn writes_are_atomic_no_temp_residue() {
-        let dir = std::env::temp_dir().join(format!("cdpf-atomic-{}", std::process::id()));
+    fn spill_log_write_read_overwrite_over_all_layouts() {
+        let dir = tmp_dir("log");
         let mut tier = ok(DiskTier::open(&dir));
-        let chunk = sample_chunk();
-        ok(tier.write(&chunk));
-        ok(tier.write(&chunk)); // overwrite path also goes through rename
-        let leftovers: Vec<_> = ok(std::fs::read_dir(&dir))
+        let chunks = layout_chunks();
+        let mut written = 0u64;
+        for chunk in &chunks {
+            ok(tier.write(chunk));
+            written += encode_chunk(chunk).len() as u64;
+        }
+        assert_eq!(tier.bytes_written(), written);
+        // Reads come back in any order, each exactly its own bytes.
+        for chunk in chunks.iter().rev() {
+            assert_eq!(&some(ok(tier.read(chunk.timestamp))), chunk);
+        }
+        assert_eq!(tier.bytes_read(), written);
+        assert!(ok(tier.read(Timestamp(99))).is_none());
+        // An overwrite is a newer index entry: the new version is served,
+        // the neighbours are untouched, and the directory holds one file.
+        let newer = FeatureChunk::new(
+            Timestamp(1),
+            Timestamp(1),
+            vec![LabeledPoint::new(
+                7.0,
+                DenseVector::new(vec![9.0, 9.0, 9.0]).into(),
+            )],
+        );
+        ok(tier.write(&newer));
+        assert_eq!(some(ok(tier.read(Timestamp(1)))), newer);
+        assert_eq!(some(ok(tier.read(Timestamp(2)))), chunks[1]);
+        let names: Vec<_> = ok(std::fs::read_dir(&dir))
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.ends_with(".tmp"))
             .collect();
-        assert!(
-            leftovers.is_empty(),
-            "temp files left behind: {leftovers:?}"
-        );
-        assert_eq!(some(ok(tier.read(Timestamp(42)))), chunk);
+        assert_eq!(names, vec![LOG_FILE.to_string()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn disk_tier_write_read_remove() {
-        let dir = std::env::temp_dir().join(format!("cdpf-test-{}", std::process::id()));
-        let mut tier = ok(DiskTier::open(&dir));
-        let chunk = sample_chunk();
-        ok(tier.write(&chunk));
-        assert!(tier.bytes_written() > 0);
-        let loaded = some(ok(tier.read(Timestamp(42))));
-        assert_eq!(loaded, chunk);
-        assert!(tier.bytes_read() > 0);
-        assert!(ok(tier.read(Timestamp(7))).is_none());
-        ok(tier.remove(Timestamp(42)));
-        assert!(ok(tier.read(Timestamp(42))).is_none());
-        ok(tier.remove(Timestamp(42))); // idempotent
+    fn spill_log_reopened_directory_starts_empty() {
+        let dir = tmp_dir("reopen");
+        let mut first = ok(DiskTier::open(&dir));
+        ok(first.write(&sample_chunk()));
+        drop(first);
+        let mut second = ok(DiskTier::open(&dir));
+        assert!(ok(second.read(Timestamp(42))).is_none());
+        assert_eq!(ok(std::fs::metadata(dir.join(LOG_FILE))).len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spill_log_damage_is_a_typed_error_and_spares_the_rest() {
+        let dir = tmp_dir("damage");
+        let mut tier = ok(DiskTier::open_with_hook(
+            &dir,
+            Arc::new(NoFaults),
+            NO_BACKOFF,
+        ));
+        for t in 0..3 {
+            ok(tier.write(&at(t)));
+        }
+        let len = encode_chunk(&at(0)).len() as u64;
+        let log = ok(std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join(LOG_FILE)));
+        // Flip one byte inside chunk 1's region: its CRC catches it on
+        // every retry, the neighbours still read.
+        ok(log.write_all_at(&[0xFF], len + 30));
+        assert!(matches!(
+            tier.read(Timestamp(1)),
+            Err(StorageError::Corrupt(_))
+        ));
+        assert_eq!(some(ok(tier.read(Timestamp(0)))), at(0));
+        assert_eq!(some(ok(tier.read(Timestamp(2)))), at(2));
+        // Truncate into chunk 2's region: a short read, not a wrong chunk.
+        ok(log.set_len(2 * len + 10));
+        assert!(matches!(tier.read(Timestamp(2)), Err(StorageError::Io(_))));
+        assert_eq!(some(ok(tier.read(Timestamp(0)))), at(0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spill_log_failed_append_leaves_index_and_earlier_chunks_readable() {
+        // Chunk 1 is written twice; the second write fails on every attempt
+        // (write faults only start once the hook is swapped in), so the
+        // index must keep serving the first version and everything else.
+        let dir = tmp_dir("failed-append");
+        let mut tier = ok(DiskTier::open_with_hook(
+            &dir,
+            Arc::new(NoFaults),
+            NO_BACKOFF,
+        ));
+        ok(tier.write(&at(0)));
+        ok(tier.write(&at(1)));
+        let written = tier.bytes_written();
+        let dead = Arc::new(FaultInjector::new(FaultPlan {
+            seed: 13,
+            disk_write_error: 1.0,
+            ..FaultPlan::none()
+        }));
+        tier.set_hook(Arc::clone(&dead) as _);
+        let mut newer = at(1);
+        newer.raw_ref = Timestamp(0);
+        assert!(matches!(tier.write(&newer), Err(StorageError::Io(_))));
+        assert!(tier.write(&at(2)).is_err());
+        assert_eq!(tier.bytes_written(), written);
+        assert_eq!(
+            dead.snapshot().retries,
+            2 * u64::from(NO_BACKOFF.max_retries)
+        );
+        tier.set_hook(Arc::new(NoFaults));
+        assert_eq!(some(ok(tier.read(Timestamp(0)))), at(0));
+        assert_eq!(some(ok(tier.read(Timestamp(1)))), at(1));
+        assert!(ok(tier.read(Timestamp(2))).is_none());
+        // The log keeps appending where the last good write ended.
+        ok(tier.write(&at(2)));
+        assert_eq!(some(ok(tier.read(Timestamp(2)))), at(2));
+        assert_eq!(
+            ok(std::fs::metadata(dir.join(LOG_FILE))).len(),
+            tier.bytes_written()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn injected_read_faults_are_retried_and_counted() {
-        let dir = std::env::temp_dir().join(format!("cdpf-retry-{}", std::process::id()));
+        let dir = tmp_dir("retry");
         let hook = Arc::new(FaultInjector::new(FaultPlan {
             seed: 11,
             disk_read_error: 0.4,
             read_corruption: 0.2,
             ..FaultPlan::none()
         }));
-        let no_backoff = RetryPolicy {
-            max_retries: 3,
-            base_backoff: std::time::Duration::ZERO,
-        };
         let mut tier = ok(DiskTier::open_with_hook(
             &dir,
             Arc::clone(&hook) as _,
-            no_backoff,
+            NO_BACKOFF,
         ));
         for t in 0..40u64 {
-            let mut chunk = sample_chunk();
-            chunk.timestamp = Timestamp(t);
-            chunk.raw_ref = Timestamp(t);
-            ok(tier.write(&chunk));
+            ok(tier.write(&at(t)));
         }
         let mut recovered_reads = 0u64;
         for t in 0..40u64 {
@@ -922,31 +895,25 @@ mod tests {
         assert!(stats.injected_disk_read + stats.injected_corruption > 0);
         assert!(stats.retries > 0);
         assert!(stats.recovered > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn injected_write_faults_recover_within_budget() {
-        let dir = std::env::temp_dir().join(format!("cdpf-wretry-{}", std::process::id()));
+        let dir = tmp_dir("wretry");
         let hook = Arc::new(FaultInjector::new(FaultPlan {
             seed: 5,
             disk_write_error: 0.3,
             ..FaultPlan::none()
         }));
-        let no_backoff = RetryPolicy {
-            max_retries: 3,
-            base_backoff: std::time::Duration::ZERO,
-        };
         let mut tier = ok(DiskTier::open_with_hook(
             &dir,
             Arc::clone(&hook) as _,
-            no_backoff,
+            NO_BACKOFF,
         ));
         let mut written = 0u64;
         for t in 0..40u64 {
-            let mut chunk = sample_chunk();
-            chunk.timestamp = Timestamp(t);
-            chunk.raw_ref = Timestamp(t);
-            if tier.write(&chunk).is_ok() {
+            if tier.write(&at(t)).is_ok() {
                 written += 1;
             }
         }
@@ -959,54 +926,9 @@ mod tests {
     }
 
     #[test]
-    fn durable_write_protocol_survives_injected_faults() {
-        // The fsync-before-rename + parent-dir-fsync protocol must hold on
-        // the *retry* path too: a write whose first attempt takes an
-        // injected failure still lands as a fully-synced named file with no
-        // `.tmp` residue, and reads back bit-identical.
-        let dir = std::env::temp_dir().join(format!("cdpf-fsync-{}", std::process::id()));
-        let hook = Arc::new(FaultInjector::new(FaultPlan {
-            seed: 23,
-            disk_write_error: 0.5,
-            ..FaultPlan::none()
-        }));
-        let no_backoff = RetryPolicy {
-            max_retries: 5,
-            base_backoff: std::time::Duration::ZERO,
-        };
-        let mut tier = ok(DiskTier::open_with_hook(
-            &dir,
-            Arc::clone(&hook) as _,
-            no_backoff,
-        ));
-        for t in 0..20u64 {
-            let mut chunk = sample_chunk();
-            chunk.timestamp = Timestamp(t);
-            chunk.raw_ref = Timestamp(t);
-            ok(tier.write(&chunk));
-            assert_eq!(some(ok(tier.read(Timestamp(t)))).timestamp, Timestamp(t));
-        }
-        assert!(
-            hook.snapshot().injected_disk_write > 0,
-            "the retry path must actually have been exercised"
-        );
-        let leftovers: Vec<_> = ok(std::fs::read_dir(&dir))
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.ends_with(".tmp"))
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "temp files left behind: {leftovers:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn same_seed_same_read_outcomes() {
         let run = |dir_tag: &str| -> Vec<bool> {
-            let dir =
-                std::env::temp_dir().join(format!("cdpf-det-{dir_tag}-{}", std::process::id()));
+            let dir = tmp_dir(&format!("det-{dir_tag}"));
             let hook = Arc::new(FaultInjector::new(FaultPlan {
                 seed: 77,
                 disk_read_error: 0.5,
@@ -1019,10 +941,7 @@ mod tests {
             let mut tier = ok(DiskTier::open_with_hook(&dir, hook as _, no_backoff));
             let mut outcomes = Vec::new();
             for t in 0..30u64 {
-                let mut chunk = sample_chunk();
-                chunk.timestamp = Timestamp(t);
-                chunk.raw_ref = Timestamp(t);
-                ok(tier.write(&chunk));
+                ok(tier.write(&at(t)));
                 outcomes.push(tier.read(Timestamp(t)).is_ok());
             }
             let _ = std::fs::remove_dir_all(&dir);

@@ -15,11 +15,14 @@
 //! in-memory [`store::ChunkStore`] plus an optional binary [`disk::DiskTier`]
 //! play those roles (see DESIGN.md §2 for the substitution argument).
 //!
-//! Both on-disk formats — spill files and deployment checkpoints
-//! ([`checkpoint::CheckpointDir`]) — carry a [`SchemaVersion`] header and a
-//! CRC-32 trailer, are written atomically (temp file + rename), and surface
-//! incompatible versions as the typed
-//! [`StorageError::VersionMismatch`] instead of a generic decode error.
+//! The durable formats — deployment checkpoints
+//! ([`checkpoint::CheckpointDir`]) and WAL segments ([`wal`]) — carry a
+//! [`SchemaVersion`] header and CRC-32 checksums and are written atomically
+//! (temp file + fsync + rename). Encoded spill chunks carry the same header
+//! and trailer, but the spill tier is a process-private cache that is never
+//! fsynced ([`disk`]). All three surface an incompatible version as the
+//! typed [`StorageError::VersionMismatch`] instead of a generic decode
+//! error, and share one checksum, `cdp_obs::crc32`.
 
 #![warn(missing_docs)]
 
@@ -57,8 +60,8 @@ impl std::fmt::Display for SchemaVersion {
     }
 }
 
-/// Current schema of spill files (v2 added the CRC-32 trailer; v3 stores
-/// the chunk payload columnar — readers still fall through to v2 files).
+/// Schema of encoded spill chunks (columnar payload, CRC-32 trailer). A
+/// spill log never outlives its process, so readers know this version only.
 pub const SPILL_SCHEMA: SchemaVersion = SchemaVersion(3);
 
 /// Errors produced by the storage layer.

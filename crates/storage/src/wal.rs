@@ -50,10 +50,9 @@ use bytes::{Buf, BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use cdp_faults::{DiskFault, FaultHook, RetryPolicy, WalOp};
-use cdp_obs::{Clock, Metrics};
+use cdp_obs::{crc32, Clock, Metrics};
 
 use crate::chunk::{RawChunk, Timestamp};
-use crate::disk::crc32;
 use crate::record::{Record, Value};
 use crate::{SchemaVersion, StorageError};
 

@@ -238,6 +238,59 @@ fn fault_sweep_injects_and_recovers() {
     assert_eq!(stats.fatal, 0, "plan must stay within budgets: {stats}");
 }
 
+/// FNV-1a over the exact bit patterns: names one float sequence.
+fn bits_digest(values: impl IntoIterator<Item = f64>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+}
+
+#[test]
+fn chaos_runs_match_the_commit_before_the_spill_log() {
+    // Recorded at the parent of the commit that turned the spill tier into
+    // an append-only log and swapped the CRC kernel: same fault decisions at
+    // the same (op, ts, attempt) keys, same bytes back from every spill
+    // read, so the same model and the same accounting — on either engine.
+    // (The float digests were taken on x86-64 Linux; a libm that rounds
+    // `exp` differently moves those two, never the integer counters.)
+    let recorded = [(7u64, PARENT_SEED_7), (104_729, PARENT_SEED_104729)];
+    let (stream, spec) = small_url();
+    for (seed, expected) in recorded {
+        for engine in [
+            ExecutionEngine::Sequential,
+            ExecutionEngine::Threaded { workers: 4 },
+        ] {
+            let mut config = faulted_continuous();
+            config.faults = FaultPlan::chaos(seed);
+            config.engine = engine;
+            let r = try_run_deployment(&stream, &spec, &config).expect("recoverable plan");
+            let got = format!(
+                "weights {:016x} curve {:016x} | {:?} | {:?}",
+                bits_digest(r.final_weights.iter().copied()),
+                bits_digest(r.error_curve.iter().map(|&(_, e)| e)),
+                r.fault_stats,
+                r.tiered_stats
+            );
+            assert_eq!(got, expected, "seed {seed} on {engine:?}");
+        }
+    }
+}
+
+const PARENT_SEED_7: &str = "weights 34b8413889d85f04 curve a700bbd76fd5cf26 | \
+    FaultStats { injected_disk_read: 12, injected_disk_write: 11, injected_corruption: 7, \
+    injected_worker_panics: 0, injected_delays: 1, injected_crashes: 0, retries: 30, \
+    recovered: 22, fallback_rematerializations: 0, lost_spills: 0, fatal: 0 } | \
+    TieredStats { memory_hits: 26, disk_hits: 62, recomputes: 0, spills: 43, \
+    read_fallbacks: 0, lost_spills: 0 }";
+const PARENT_SEED_104729: &str = "weights 43d3583a28dad1bc curve a700bbd76fd5cf26 | \
+    FaultStats { injected_disk_read: 15, injected_disk_write: 7, injected_corruption: 5, \
+    injected_worker_panics: 1, injected_delays: 0, injected_crashes: 0, retries: 27, \
+    recovered: 22, fallback_rematerializations: 1, lost_spills: 0, fatal: 0 } | \
+    TieredStats { memory_hits: 26, disk_hits: 61, recomputes: 0, spills: 43, \
+    read_fallbacks: 1, lost_spills: 0 }";
+
 #[test]
 fn recoverable_only_faults_match_fault_free_model() {
     // Worker panics and latency are recovered by restarting the worker
