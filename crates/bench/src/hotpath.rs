@@ -87,7 +87,7 @@ impl FusedWorkload {
         trainer.step_rows(&rows, engine)
     }
 
-    /// Fused path: every encoded point flows straight into the gradient.
+    /// Fused path: each source's slab rows fold straight into the gradient.
     pub fn run_fused(&self, engine: ExecutionEngine) -> FusedStepOutcome {
         let mut trainer = SgdTrainer::new(1, &self.config);
         trainer
@@ -96,7 +96,9 @@ impl FusedWorkload {
                 |i, sink: &mut dyn FnMut(RowView<'_>)| {
                     let mut local = self.template.clone();
                     local.reset_counters();
-                    local.transform_chunk_fold(&self.raws[i], &mut |p| sink(RowView::Point(p)));
+                    for row in local.transform_chunk(&self.raws[i]).rows() {
+                        sink(row);
+                    }
                 },
                 engine,
                 &NoFaults,

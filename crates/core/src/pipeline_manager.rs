@@ -14,8 +14,9 @@ use cdp_storage::{FeatureChunk, RawChunk, RowView};
 
 /// One input to a fused proactive SGD step: either an already-materialized
 /// feature chunk (used as-is) or a raw chunk that must be re-materialized —
-/// which the fused path streams through a pipeline clone straight into the
-/// gradient accumulator, never allocating the intermediate [`FeatureChunk`].
+/// which the fused path runs through a pipeline clone into a transient
+/// columnar slab whose rows fold straight into the source's gradient
+/// partial; the slab is dropped with the fold, never stored or batched.
 #[derive(Debug, Clone)]
 pub enum ProactiveSource {
     /// Feature chunk already available (cache hit or disk spill tier).
@@ -313,10 +314,11 @@ impl PipelineManager {
     }
 
     /// One proactive mini-batch SGD step with the transform **fused** into
-    /// the gradient pass: each `Raw` source streams through a clone of the
-    /// deployed pipeline directly into a per-source gradient accumulator
-    /// ([`SgdTrainer::try_step_fused`]), so no intermediate
-    /// [`FeatureChunk`] or union batch buffer is ever materialized.
+    /// the gradient pass: each `Raw` source is re-materialized by a clone of
+    /// the deployed pipeline inside its engine task and its slab rows fold
+    /// directly into a per-source gradient accumulator
+    /// ([`SgdTrainer::try_step_fused`]), so no re-materialized chunk outlives
+    /// its task and no union batch buffer is ever built.
     ///
     /// Results are deterministic: gradients reduce in fixed tree order keyed
     /// by source index, and pipeline counter deltas are absorbed in source
@@ -361,9 +363,12 @@ impl PipelineManager {
         let outcome = self.trainer.try_step_fused(
             sources.len(),
             |i, sink| match &sources[i] {
+                // Either way the rows stream straight out of a columnar
+                // slab — stored, or re-materialized just now and dropped
+                // with this task. Plain loops on purpose: handing the `dyn`
+                // sink to `for_each` costs a shim call per row (≈ 10% of an
+                // all-`Ready` URL fire).
                 ProactiveSource::Ready(fc) => {
-                    // Already-materialized chunks stream straight out of
-                    // their columnar slab — no per-row reconstruction.
                     for row in fc.rows() {
                         sink(row);
                     }
@@ -371,7 +376,9 @@ impl PipelineManager {
                 ProactiveSource::Raw(raw) => {
                     let mut local = template.clone();
                     local.reset_counters();
-                    local.transform_chunk_fold(raw, &mut |p| sink(RowView::Point(p)));
+                    for row in local.transform_chunk(raw).rows() {
+                        sink(row);
+                    }
                     let _ = counter_slots[i].set(local.counters());
                 }
             },

@@ -23,7 +23,7 @@ pub mod sparse;
 pub mod vector;
 
 pub use dense::DenseVector;
-pub use sparse::{SparseBuilder, SparseVector};
+pub use sparse::{merge_entries, SparseBuilder, SparseVector};
 pub use vector::Vector;
 
 /// Crate-wide error type for shape/index violations.

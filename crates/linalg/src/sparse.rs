@@ -264,27 +264,37 @@ impl SparseBuilder {
     /// # Errors
     /// Returns [`LinalgError::IndexOutOfBounds`] if any added index `>= dim`.
     pub fn build(mut self, dim: usize) -> Result<SparseVector, LinalgError> {
-        self.entries.sort_unstable_by_key(|(i, _)| *i);
         let mut indices: Vec<u32> = Vec::with_capacity(self.entries.len());
         let mut values: Vec<f64> = Vec::with_capacity(self.entries.len());
-        for (i, v) in self.entries {
-            if i as usize >= dim {
-                return Err(LinalgError::IndexOutOfBounds {
-                    index: i as usize,
-                    dim,
-                });
-            }
-            // `indices` and `values` are pushed in lockstep, so a duplicate
-            // index implies a parallel last value to fold into.
-            match (indices.last(), values.last_mut()) {
-                (Some(last), Some(slot)) if *last == i => *slot += v,
-                _ => {
-                    indices.push(i);
-                    values.push(v);
-                }
-            }
+        merge_entries(&mut self.entries, &mut indices, &mut values);
+        if let Some(&i) = indices.iter().find(|&&i| i as usize >= dim) {
+            return Err(LinalgError::IndexOutOfBounds {
+                index: i as usize,
+                dim,
+            });
         }
         SparseVector::new(dim, indices, values)
+    }
+}
+
+/// Appends the canonical form of one row's raw `entries` to `indices` and
+/// `values`: an unstable sort by index, then repeats summed into one slot in
+/// sorted order (explicit zeros kept). The one place sparse rows are
+/// canonicalized — [`SparseBuilder::build`] and the store's CSR builder both
+/// go through it, so their rows are bit-identical.
+pub fn merge_entries(entries: &mut [(u32, f64)], indices: &mut Vec<u32>, values: &mut Vec<f64>) {
+    entries.sort_unstable_by_key(|&(i, _)| i);
+    let row_start = indices.len();
+    for &(i, v) in entries.iter() {
+        // `indices` and `values` are pushed in lockstep, so a repeated index
+        // within this row implies a parallel last value to fold into.
+        match values.last_mut() {
+            Some(slot) if indices.len() > row_start && indices.last() == Some(&i) => *slot += v,
+            _ => {
+                indices.push(i);
+                values.push(v);
+            }
+        }
     }
 }
 

@@ -157,13 +157,6 @@ impl OptimizerState {
         self.kind
     }
 
-    /// Resets the step counter and accumulators (cold restart).
-    pub fn reset(&mut self) {
-        self.t = 0;
-        self.acc1.scale(0.0);
-        self.acc2.scale(0.0);
-    }
-
     /// Decomposes the state into `(kind, t, acc1, acc2)` for checkpointing.
     pub fn to_parts(&self) -> (OptimizerKind, u64, &DenseVector, &DenseVector) {
         (self.kind, self.t, &self.acc1, &self.acc2)
@@ -338,18 +331,6 @@ mod tests {
         state.apply(&mut w, &g4); // must not panic after growth
         assert_eq!(state.steps(), 2);
         assert!(w[3] < 0.0);
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut state = OptimizerState::new(OptimizerKind::adam(0.1), 1);
-        let mut w = DenseVector::zeros(1);
-        state.apply(&mut w, &DenseVector::new(vec![1.0]));
-        assert_eq!(state.steps(), 1);
-        state.reset();
-        assert_eq!(state.steps(), 0);
-        let fresh = OptimizerState::new(OptimizerKind::adam(0.1), 1);
-        assert_eq!(state, fresh);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Rule-based anomaly filtering (the Taxi pipeline's "anomaly detector").
 
-use crate::component::RowComponent;
-use crate::row::Row;
+use crate::batch::ColumnBatch;
+use crate::component::Component;
 
 /// A single bound on one numeric column.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnBound {
-    /// Column index into `Row::nums`.
+    /// Index of the numeric column the bound applies to.
     pub col: usize,
     /// Keep rows with value strictly greater than this (when set).
     pub min_exclusive: Option<f64>,
@@ -15,24 +15,10 @@ pub struct ColumnBound {
 }
 
 impl ColumnBound {
-    fn admits(&self, row: &Row) -> bool {
-        let Some(&v) = row.nums.get(self.col) else {
-            return false; // missing column: treat as anomalous
-        };
-        if v.is_nan() {
-            return false;
-        }
-        if let Some(min) = self.min_exclusive {
-            if v <= min {
-                return false;
-            }
-        }
-        if let Some(max) = self.max_exclusive {
-            if v >= max {
-                return false;
-            }
-        }
-        true
+    fn admits(&self, v: f64) -> bool {
+        !v.is_nan()
+            && self.min_exclusive.is_none_or(|min| v > min)
+            && self.max_exclusive.is_none_or(|max| v < max)
     }
 }
 
@@ -54,8 +40,8 @@ impl AnomalyFilter {
         }
     }
 
-    /// Adds a bound: keep rows with `min < nums[col] < max` (either side
-    /// optional).
+    /// Adds a bound: keep rows with `min < column[col] < max` (either side
+    /// optional). A batch without that column has every row dropped.
     pub fn bound(
         mut self,
         col: usize,
@@ -76,17 +62,26 @@ impl AnomalyFilter {
     }
 }
 
-impl RowComponent for AnomalyFilter {
+impl Component for AnomalyFilter {
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn transform(&self, mut rows: Vec<Row>) -> Vec<Row> {
-        rows.retain(|row| self.bounds.iter().all(|b| b.admits(row)));
-        rows
+    fn transform(&self, batch: &mut ColumnBatch<'_>) {
+        let mut keep = vec![true; batch.len()];
+        for bound in &self.bounds {
+            let Some(col) = batch.col(bound.col) else {
+                batch.clear(); // missing column: every row is anomalous
+                return;
+            };
+            for (k, &v) in keep.iter_mut().zip(col) {
+                *k &= bound.admits(v);
+            }
+        }
+        batch.retain(&keep);
     }
 
-    fn clone_box(&self) -> Box<dyn RowComponent> {
+    fn clone_box(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }
 }
@@ -94,6 +89,7 @@ impl RowComponent for AnomalyFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::tests::{columns, numeric};
 
     fn filter() -> AnomalyFilter {
         // keep 10 < col0 < 100, col1 > 0
@@ -102,36 +98,39 @@ mod tests {
             .bound(1, Some(0.0), None)
     }
 
+    fn kept(filter: &AnomalyFilter, rows: &[&[f64]]) -> usize {
+        let mut batch = numeric(rows);
+        filter.transform(&mut batch);
+        batch.len()
+    }
+
     #[test]
     fn admits_in_range_rows() {
-        let kept = filter().transform(vec![Row::numeric(0.0, vec![50.0, 1.0])]);
-        assert_eq!(kept.len(), 1);
+        assert_eq!(kept(&filter(), &[&[50.0, 1.0]]), 1);
     }
 
     #[test]
     fn drops_out_of_range_rows() {
-        let rows = vec![
-            Row::numeric(0.0, vec![5.0, 1.0]),   // col0 too small
-            Row::numeric(0.0, vec![100.0, 1.0]), // col0 at max (exclusive)
-            Row::numeric(0.0, vec![50.0, 0.0]),  // col1 at min (exclusive)
-            Row::numeric(0.0, vec![50.0, -3.0]), // col1 negative
+        let rows: [&[f64]; 5] = [
+            &[5.0, 1.0],   // col0 too small
+            &[100.0, 1.0], // col0 at max (exclusive)
+            &[50.0, 2.0],  // the one survivor
+            &[50.0, 0.0],  // col1 at min (exclusive)
+            &[50.0, -3.0], // col1 negative
         ];
-        assert!(filter().transform(rows).is_empty());
+        let mut batch = numeric(&rows);
+        filter().transform(&mut batch);
+        assert_eq!(columns(&batch), vec![vec![50.0], vec![2.0]]);
     }
 
     #[test]
     fn drops_rows_with_missing_bound_column() {
-        let rows = vec![
-            Row::numeric(0.0, vec![50.0]),           // col1 absent
-            Row::numeric(0.0, vec![50.0, f64::NAN]), // col1 NaN
-        ];
-        assert!(filter().transform(rows).is_empty());
+        assert_eq!(kept(&filter(), &[&[50.0]]), 0); // col1 absent
+        assert_eq!(kept(&filter(), &[&[50.0, f64::NAN]]), 0); // col1 NaN
     }
 
     #[test]
     fn empty_filter_admits_everything() {
-        let f = AnomalyFilter::new("noop");
-        let rows = vec![Row::numeric(0.0, vec![-1e9])];
-        assert_eq!(f.transform(rows).len(), 1);
+        assert_eq!(kept(&AnomalyFilter::new("noop"), &[&[-1e9]]), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! The component contract: `update` + `transform` (paper §4.3).
 
-use crate::row::Row;
+use crate::batch::ColumnBatch;
 
 /// Why a checkpointed component-state payload failed to decode.
 ///
@@ -49,34 +49,36 @@ impl std::fmt::Display for StateDecodeError {
 
 impl std::error::Error for StateDecodeError {}
 
-/// A pipeline stage operating on parsed rows.
+/// A pipeline stage operating on a parsed [`ColumnBatch`].
 ///
 /// The pipeline manager drives components through exactly two entry points,
 /// matching the paper's deployment contract:
 ///
-/// * during **online learning** it calls [`RowComponent::update`] then
-///   [`RowComponent::transform`] on each arriving chunk;
+/// * during **online learning** it calls [`Component::update`] then
+///   [`Component::transform`] on each arriving chunk;
 /// * for **prediction queries** and **re-materialization** it calls only
 ///   `transform`, so the exact same preprocessing is applied at training and
-///   serving time (train/serve consistency, §4.3).
+///   serving time (train/serve consistency, §4.3). A query is a one-row
+///   batch through the same kernels.
 ///
 /// Implementations must keep `update` *incremental*: folding a batch into
-/// the statistics must be equivalent to folding its rows one at a time.
-/// Components that would need a full rescan (exact percentiles, PCA) are not
-/// admissible (§3.1) and should report `is_incremental() == false`, which
-/// the pipeline builder rejects.
-pub trait RowComponent: Send + Sync {
+/// the statistics must be equivalent to folding its rows one at a time, in
+/// row order. Components that would need a full rescan (exact percentiles,
+/// PCA) are not admissible (§3.1) and should report
+/// `is_incremental() == false`, which the pipeline builder rejects.
+pub trait Component: Send + Sync {
     /// Stable component name for reports and cost attribution.
     fn name(&self) -> &str;
 
     /// Incrementally folds a batch into the component statistics.
     ///
     /// Stateless components keep the default no-op.
-    fn update(&mut self, _rows: &[Row]) {}
+    fn update(&mut self, _batch: &ColumnBatch<'_>) {}
 
-    /// Transforms a batch with the current statistics. May drop rows
-    /// (filters) or change the row width (feature extractors).
-    fn transform(&self, rows: Vec<Row>) -> Vec<Row>;
+    /// Transforms a batch in place with the current statistics. May drop
+    /// rows ([`ColumnBatch::retain`]) or change the column set (feature
+    /// extractors).
+    fn transform(&self, batch: &mut ColumnBatch<'_>);
 
     /// Whether `update` is an exact incremental computation. Non-incremental
     /// components are rejected at pipeline construction.
@@ -95,7 +97,7 @@ pub trait RowComponent: Send + Sync {
         Vec::new()
     }
 
-    /// Restores statistics captured by [`RowComponent::state_bytes`] on a
+    /// Restores statistics captured by [`Component::state_bytes`] on a
     /// component of the same type and position. Stateless components keep
     /// the default no-op. Malformed bytes must leave the state unchanged
     /// and report a typed [`StateDecodeError`].
@@ -104,26 +106,27 @@ pub trait RowComponent: Send + Sync {
     }
 
     /// Clones the component with its statistics (pipeline snapshots).
-    fn clone_box(&self) -> Box<dyn RowComponent>;
+    fn clone_box(&self) -> Box<dyn Component>;
 }
 
-impl Clone for Box<dyn RowComponent> {
+impl Clone for Box<dyn Component> {
     fn clone(&self) -> Self {
         self.clone_box()
     }
 }
 
-/// A stateless row filter defined by a predicate function pointer; the
-/// simplest way to express data-cleaning rules (used by tests and examples).
+/// A stateless row filter defined by a predicate function pointer over
+/// `(batch, row index)`; the simplest way to express data-cleaning rules
+/// (used by tests and examples).
 #[derive(Debug, Clone)]
 pub struct PredicateFilter {
     name: String,
-    keep: fn(&Row) -> bool,
+    keep: fn(&ColumnBatch<'_>, usize) -> bool,
 }
 
 impl PredicateFilter {
-    /// Creates a filter that keeps rows satisfying `keep`.
-    pub fn new(name: impl Into<String>, keep: fn(&Row) -> bool) -> Self {
+    /// Creates a filter that keeps the rows `i` satisfying `keep(batch, i)`.
+    pub fn new(name: impl Into<String>, keep: fn(&ColumnBatch<'_>, usize) -> bool) -> Self {
         Self {
             name: name.into(),
             keep,
@@ -131,17 +134,17 @@ impl PredicateFilter {
     }
 }
 
-impl RowComponent for PredicateFilter {
+impl Component for PredicateFilter {
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn transform(&self, mut rows: Vec<Row>) -> Vec<Row> {
-        rows.retain(|r| (self.keep)(r));
-        rows
+    fn transform(&self, batch: &mut ColumnBatch<'_>) {
+        let keep: Vec<bool> = (0..batch.len()).map(|i| (self.keep)(batch, i)).collect();
+        batch.retain(&keep);
     }
 
-    fn clone_box(&self) -> Box<dyn RowComponent> {
+    fn clone_box(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }
 }
@@ -152,22 +155,29 @@ mod tests {
 
     #[test]
     fn predicate_filter_drops_rows() {
-        let filter = PredicateFilter::new("positive-label", |r| r.label > 0.0);
-        let rows = vec![Row::numeric(1.0, vec![]), Row::numeric(-1.0, vec![])];
-        let kept = filter.transform(rows);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].label, 1.0);
+        let mut filter = PredicateFilter::new("positive-label", |b, i| b.labels()[i] > 0.0);
+        let mut batch = ColumnBatch::with_capacity(2, 0);
+        batch.push_row(1.0, &[], std::iter::empty());
+        batch.push_row(-1.0, &[], std::iter::empty());
+        filter.update(&batch); // the default no-op
+        filter.transform(&mut batch);
+        assert_eq!(batch.labels(), &[1.0]);
         assert!(filter.is_incremental());
         assert!(!filter.is_stateful());
+        assert!(filter.state_bytes().is_empty());
+        assert_eq!(filter.restore_state(&[1, 2, 3]), Ok(()));
     }
 
     #[test]
     fn boxed_clone_preserves_behaviour() {
-        let filter: Box<dyn RowComponent> =
-            Box::new(PredicateFilter::new("f", |r| r.nums.is_empty()));
+        let filter: Box<dyn Component> = Box::new(PredicateFilter::new("f", |b, i| {
+            b.col(0).is_some_and(|c| c[i] < 0.0)
+        }));
         let cloned = filter.clone();
         assert_eq!(cloned.name(), "f");
-        let rows = vec![Row::numeric(0.0, vec![1.0])];
-        assert!(cloned.transform(rows).is_empty());
+        let mut batch = ColumnBatch::with_capacity(1, 1);
+        batch.push_row(0.0, &[1.0], std::iter::empty());
+        cloned.transform(&mut batch);
+        assert!(batch.is_empty());
     }
 }

@@ -1,42 +1,31 @@
-//! Final encoders: rows → labeled feature vectors.
+//! Final encoders: a transformed batch → the columnar slab to store.
 //!
 //! Encoders are the last pipeline stage. [`FeatureHasher`] (the URL
-//! pipeline) and [`OneHotEncoder`] produce *sparse* vectors — the sparse
-//! representation is what keeps materialized feature chunks `O(p)` in the
-//! input size (paper §3.2.1). [`DenseEncoder`] (the Taxi pipeline) emits the
-//! engineered columns densely. All encoders append a constant bias feature
-//! at index 0, so the linear models need no separate intercept.
+//! pipeline) and [`OneHotEncoder`] produce *sparse* rows, a CSR slab — the
+//! sparse representation is what keeps materialized feature chunks `O(p)` in
+//! the input size (paper §3.2.1). [`DenseEncoder`] (the Taxi pipeline) copies
+//! the engineered columns into a dense slab. All encoders put a constant
+//! bias feature at index 0, so the linear models need no separate intercept.
 
 use std::collections::HashMap;
 
-use cdp_linalg::{DenseVector, SparseBuilder, Vector};
-use cdp_storage::LabeledPoint;
+use cdp_storage::{ColumnSlab, CsrBuilder};
 
+use crate::batch::ColumnBatch;
 use crate::component::StateDecodeError;
-use crate::row::Row;
 
-/// Converts transformed rows into labeled feature vectors.
+/// Converts a transformed batch into the slab of labeled feature rows.
 pub trait Encoder: Send + Sync {
     /// Stable name for reports.
     fn name(&self) -> &str;
 
     /// Incrementally folds a batch into encoder statistics (e.g. the one-hot
     /// category table). Stateless encoders keep the default no-op.
-    fn update(&mut self, _rows: &[Row]) {}
+    fn update(&mut self, _batch: &ColumnBatch<'_>) {}
 
-    /// Encodes a batch with the current statistics.
-    fn encode(&self, rows: &[Row]) -> Vec<LabeledPoint>;
-
-    /// Streams each encoded point into `sink`, in row order, producing
-    /// exactly the points [`Encoder::encode`] would — without materializing
-    /// the intermediate `Vec<LabeledPoint>`. The default falls back to
-    /// `encode`; the concrete encoders override it row-by-row so the fused
-    /// transform+gradient path allocates no batch buffer.
-    fn encode_fold(&self, rows: &[Row], sink: &mut dyn FnMut(LabeledPoint)) {
-        for point in self.encode(rows) {
-            sink(point);
-        }
-    }
+    /// Encodes a batch with the current statistics: one slab row per batch
+    /// row, in order.
+    fn encode(&self, batch: ColumnBatch<'_>) -> ColumnSlab;
 
     /// Current output dimension (may grow for stateful encoders).
     fn dim(&self) -> usize;
@@ -117,22 +106,40 @@ impl FeatureHasher {
         let sign = if h >> 63 == 0 { 1.0 } else { -1.0 };
         (self.token_base() + bucket, sign)
     }
+}
 
-    fn encode_row(&self, row: &Row, dim: usize) -> LabeledPoint {
-        let mut b = SparseBuilder::with_capacity(1 + row.nums.len() + row.tokens.len());
-        b.add(0, 1.0); // bias
-        for (i, &v) in row.nums.iter().take(self.numeric_slots).enumerate() {
+/// The sparse encoders' shared row layout: bias at index 0, the first
+/// `numeric_slots` numeric columns at `1..` (exact zeros and `NaN` skipped),
+/// then whatever `token_entry` maps each token of the row's bag to.
+fn encode_sparse(
+    batch: &ColumnBatch<'_>,
+    dim: usize,
+    numeric_slots: usize,
+    token_entry: impl Fn(&str) -> Option<(usize, f64)>,
+) -> ColumnSlab {
+    let nums: Vec<&[f64]> = batch.columns().take(numeric_slots).collect();
+    let (rows, tokens) = (batch.len(), batch.all_tokens().len());
+    let mut slab = CsrBuilder::with_capacity(dim, rows, rows * (1 + nums.len()) + tokens);
+    // Room for an average row; a longer bag grows it once.
+    let mut entries = Vec::with_capacity(1 + nums.len() + tokens.div_ceil(rows.max(1)));
+    for (i, &label) in batch.labels().iter().enumerate() {
+        entries.clear();
+        entries.push((0, 1.0)); // bias
+        for (slot, col) in nums.iter().enumerate() {
+            let v = col[i];
             if v != 0.0 && !v.is_nan() {
-                b.add(1 + i, v);
+                entries.push((1 + slot as u32, v));
             }
         }
-        for token in &row.tokens {
-            let (bucket, sign) = self.bucket_of(token);
-            b.add(bucket, sign);
-        }
-        let features = b.build(dim).expect("hasher indices within dim");
-        LabeledPoint::new(row.label, Vector::Sparse(features))
+        let tokens = batch.tokens(i).iter();
+        entries.extend(
+            tokens
+                .filter_map(|t| token_entry(t))
+                .map(|(i, v)| (i as u32, v)),
+        );
+        slab.push_row(label, &mut entries);
     }
+    slab.finish()
 }
 
 impl Encoder for FeatureHasher {
@@ -140,16 +147,10 @@ impl Encoder for FeatureHasher {
         "feature-hasher"
     }
 
-    fn encode(&self, rows: &[Row]) -> Vec<LabeledPoint> {
-        let dim = self.dim();
-        rows.iter().map(|row| self.encode_row(row, dim)).collect()
-    }
-
-    fn encode_fold(&self, rows: &[Row], sink: &mut dyn FnMut(LabeledPoint)) {
-        let dim = self.dim();
-        for row in rows {
-            sink(self.encode_row(row, dim));
-        }
+    fn encode(&self, batch: ColumnBatch<'_>) -> ColumnSlab {
+        encode_sparse(&batch, self.dim(), self.numeric_slots, |token| {
+            Some(self.bucket_of(token))
+        })
     }
 
     fn dim(&self) -> usize {
@@ -162,26 +163,17 @@ impl Encoder for FeatureHasher {
 }
 
 /// Dense encoder for fully-numeric pipelines (the Taxi pipeline): the
-/// numeric columns with a leading bias, `NaN`s mapped to `0.0` defensively.
+/// numeric columns with a leading bias, `NaN`s mapped to `0.0` defensively,
+/// each copied into its slab column in one pass.
 #[derive(Debug, Clone)]
 pub struct DenseEncoder {
     columns: usize,
 }
 
 impl DenseEncoder {
-    /// Creates an encoder for rows with `columns` numeric columns.
+    /// Creates an encoder for batches with `columns` numeric columns.
     pub fn new(columns: usize) -> Self {
         Self { columns }
-    }
-
-    fn encode_row(&self, row: &Row) -> LabeledPoint {
-        let mut values = Vec::with_capacity(self.columns + 1);
-        values.push(1.0); // bias
-        for i in 0..self.columns {
-            let v = row.nums.get(i).copied().unwrap_or(0.0);
-            values.push(if v.is_nan() { 0.0 } else { v });
-        }
-        LabeledPoint::new(row.label, Vector::Dense(DenseVector::new(values)))
     }
 }
 
@@ -190,14 +182,21 @@ impl Encoder for DenseEncoder {
         "dense-encoder"
     }
 
-    fn encode(&self, rows: &[Row]) -> Vec<LabeledPoint> {
-        rows.iter().map(|row| self.encode_row(row)).collect()
-    }
-
-    fn encode_fold(&self, rows: &[Row], sink: &mut dyn FnMut(LabeledPoint)) {
-        for row in rows {
-            sink(self.encode_row(row));
+    fn encode(&self, batch: ColumnBatch<'_>) -> ColumnSlab {
+        let rows = batch.len();
+        let mut cols = Vec::with_capacity(self.columns + 1);
+        cols.push(vec![1.0; rows]); // bias
+        for j in 0..self.columns {
+            // Extra columns are ignored; absent ones read as zero.
+            cols.push(match batch.col(j) {
+                Some(col) => col
+                    .iter()
+                    .map(|v| if v.is_nan() { 0.0 } else { *v })
+                    .collect(),
+                None => vec![0.0; rows],
+            });
         }
+        ColumnSlab::dense(batch.into_labels(), cols)
     }
 
     fn dim(&self) -> usize {
@@ -239,24 +238,6 @@ impl OneHotEncoder {
     fn token_base(&self) -> usize {
         1 + self.numeric_slots
     }
-
-    fn encode_row(&self, row: &Row, dim: usize) -> LabeledPoint {
-        let base = self.token_base();
-        let mut b = SparseBuilder::with_capacity(1 + row.nums.len() + row.tokens.len());
-        b.add(0, 1.0);
-        for (i, &v) in row.nums.iter().take(self.numeric_slots).enumerate() {
-            if v != 0.0 && !v.is_nan() {
-                b.add(1 + i, v);
-            }
-        }
-        for token in &row.tokens {
-            if let Some(&idx) = self.categories.get(token) {
-                b.add(base + idx, 1.0);
-            }
-        }
-        let features = b.build(dim).expect("one-hot indices within dim");
-        LabeledPoint::new(row.label, Vector::Sparse(features))
-    }
 }
 
 impl Encoder for OneHotEncoder {
@@ -264,25 +245,20 @@ impl Encoder for OneHotEncoder {
         "one-hot-encoder"
     }
 
-    fn update(&mut self, rows: &[Row]) {
-        for row in rows {
-            for token in &row.tokens {
+    fn update(&mut self, batch: &ColumnBatch<'_>) {
+        for &token in batch.all_tokens() {
+            if !self.categories.contains_key(token) {
                 let next = self.categories.len();
-                self.categories.entry(token.clone()).or_insert(next);
+                self.categories.insert(token.to_owned(), next);
             }
         }
     }
 
-    fn encode(&self, rows: &[Row]) -> Vec<LabeledPoint> {
-        let dim = self.dim();
-        rows.iter().map(|row| self.encode_row(row, dim)).collect()
-    }
-
-    fn encode_fold(&self, rows: &[Row], sink: &mut dyn FnMut(LabeledPoint)) {
-        let dim = self.dim();
-        for row in rows {
-            sink(self.encode_row(row, dim));
-        }
+    fn encode(&self, batch: ColumnBatch<'_>) -> ColumnSlab {
+        let base = self.token_base();
+        encode_sparse(&batch, self.dim(), self.numeric_slots, |token| {
+            self.categories.get(token).map(|&idx| (base + idx, 1.0))
+        })
     }
 
     fn dim(&self) -> usize {
@@ -353,6 +329,13 @@ impl Encoder for OneHotEncoder {
 mod tests {
     use super::*;
 
+    /// A one-row batch.
+    fn row<'a>(label: f64, nums: &[f64], tokens: &[&'a str]) -> ColumnBatch<'a> {
+        let mut batch = ColumnBatch::with_capacity(1, nums.len());
+        batch.push_row(label, nums, tokens.iter().copied());
+        batch
+    }
+
     #[test]
     fn hasher_is_deterministic_and_in_range() {
         let h = FeatureHasher::new(8, 2);
@@ -370,107 +353,100 @@ mod tests {
     #[test]
     fn hasher_encodes_bias_nums_tokens() {
         let h = FeatureHasher::new(4, 2);
-        let rows = vec![Row::with_tokens(1.0, vec![0.5, 0.0], vec!["x".into()])];
-        let points = h.encode(&rows);
-        let v = &points[0].features;
+        let slab = h.encode(row(1.0, &[0.5, 0.0], &["x"]));
+        let v = slab.row(0).to_vector();
         assert_eq!(v.get(0), 1.0); // bias
         assert_eq!(v.get(1), 0.5); // numeric slot 0
-        assert_eq!(v.get(2), 0.0); // exact zero skipped
+        assert_eq!(v.nnz(), 3); // exact zero skipped
         let (bucket, sign) = h.bucket_of("x");
         assert_eq!(v.get(bucket), sign);
-        assert_eq!(points[0].label, 1.0);
+        assert_eq!(slab.labels(), &[1.0]);
+        assert_eq!(slab.row(0).dim(), h.dim());
     }
 
     #[test]
     fn hasher_colliding_tokens_sum() {
         let h = FeatureHasher::new(1, 0); // 2 buckets: collisions guaranteed
-        let rows = vec![Row::with_tokens(
-            0.0,
-            vec![],
-            vec!["t1".into(), "t2".into(), "t3".into(), "t4".into()],
-        )];
-        let points = h.encode(&rows);
-        // All mass lands in buckets 1..3; total |mass| ≤ 4.
-        let total: f64 = points[0]
-            .features
-            .iter_nonzero()
-            .map(|(_, v)| v.abs())
-            .sum();
+        let slab = h.encode(row(0.0, &[], &["t1", "t2", "t3", "t4"]));
+        // All mass lands in buckets 1..3, one stored entry per bucket hit.
+        let v = slab.row(0).to_vector();
+        assert!(v.nnz() <= 3);
+        let total: f64 = v.iter_nonzero().map(|(_, v)| v.abs()).sum();
         assert!(total <= 1.0 + 4.0);
     }
 
     #[test]
     fn dense_encoder_prepends_bias() {
         let e = DenseEncoder::new(3);
-        let points = e.encode(&[Row::numeric(2.0, vec![1.0, f64::NAN, 3.0])]);
+        let slab = e.encode(row(2.0, &[1.0, f64::NAN, 3.0], &[]));
         assert_eq!(
-            points[0].features.to_dense().as_slice(),
+            slab.row(0).to_vector().to_dense().as_slice(),
             &[1.0, 1.0, 0.0, 3.0]
         );
         assert_eq!(e.dim(), 4);
     }
 
     #[test]
-    fn dense_encoder_pads_short_rows() {
+    fn dense_encoder_pads_narrow_and_cuts_wide_batches() {
         let e = DenseEncoder::new(2);
-        let points = e.encode(&[Row::numeric(0.0, vec![5.0])]);
-        assert_eq!(points[0].features.to_dense().as_slice(), &[1.0, 5.0, 0.0]);
+        let narrow = e.encode(row(0.0, &[5.0], &[]));
+        assert_eq!(
+            narrow.row(0).to_vector().to_dense().as_slice(),
+            &[1.0, 5.0, 0.0]
+        );
+        let wide = e.encode(row(0.0, &[5.0, 6.0, 7.0], &[]));
+        assert_eq!(
+            wide.row(0).to_vector().to_dense().as_slice(),
+            &[1.0, 5.0, 6.0]
+        );
+        // An empty batch still has the encoder's shape.
+        let empty = e.encode(ColumnBatch::with_capacity(0, 2));
+        assert!(empty.is_empty());
     }
 
     #[test]
     fn one_hot_learns_incrementally() {
         let mut e = OneHotEncoder::new(0);
         assert_eq!(e.dim(), 1);
-        e.update(&[Row::with_tokens(
-            0.0,
-            vec![],
-            vec!["red".into(), "blue".into()],
-        )]);
+        e.update(&row(0.0, &[], &["red", "blue"]));
         assert_eq!(e.vocabulary_size(), 2);
         assert_eq!(e.dim(), 3);
         // Unseen token at encode time is skipped.
-        let points = e.encode(&[Row::with_tokens(
-            1.0,
-            vec![],
-            vec!["red".into(), "green".into()],
-        )]);
-        assert_eq!(points[0].features.nnz(), 2); // bias + red
-                                                 // After another update, "green" gets an index.
-        e.update(&[Row::with_tokens(0.0, vec![], vec!["green".into()])]);
+        let slab = e.encode(row(1.0, &[], &["red", "green"]));
+        assert_eq!(slab.row(0).nnz(), 2); // bias + red
+                                          // After another update, "green" gets an index.
+        e.update(&row(0.0, &[], &["green"]));
         assert_eq!(e.dim(), 4);
-        let points = e.encode(&[Row::with_tokens(1.0, vec![], vec!["green".into()])]);
-        assert_eq!(points[0].features.nnz(), 2);
+        let slab = e.encode(row(1.0, &[], &["green"]));
+        assert_eq!(slab.row(0).nnz(), 2);
+        assert_eq!(slab.row(0).dim(), 4);
     }
 
     #[test]
     fn one_hot_repeated_update_is_idempotent() {
         let mut e = OneHotEncoder::new(0);
-        let rows = vec![Row::with_tokens(0.0, vec![], vec!["a".into(), "a".into()])];
-        e.update(&rows);
-        e.update(&rows);
+        let batch = row(0.0, &[], &["a", "a"]);
+        e.update(&batch);
+        e.update(&batch);
         assert_eq!(e.vocabulary_size(), 1);
+        // A token repeated in one bag counts twice in its one coordinate.
+        let v = e.encode(batch).row(0).to_vector();
+        assert_eq!((v.nnz(), v.get(1)), (2, 2.0));
     }
 
     #[test]
     fn one_hot_state_round_trips_preserving_indices() {
         let mut e = OneHotEncoder::new(1);
-        e.update(&[Row::with_tokens(
-            0.0,
-            vec![],
-            vec!["red".into(), "blue".into(), "green".into()],
-        )]);
+        e.update(&row(0.0, &[], &["red", "blue", "green"]));
         let mut restored = OneHotEncoder::new(1);
         restored
             .restore_state(&e.state_bytes())
             .expect("well-formed state round-trips");
         assert_eq!(restored.vocabulary_size(), 3);
         assert_eq!(restored.dim(), e.dim());
-        let rows = vec![Row::with_tokens(1.0, vec![0.5], vec!["blue".into()])];
-        let a = e.encode(&rows);
-        let b = restored.encode(&rows);
-        let pairs_a: Vec<(usize, f64)> = a[0].features.iter_nonzero().collect();
-        let pairs_b: Vec<(usize, f64)> = b[0].features.iter_nonzero().collect();
-        assert_eq!(pairs_a, pairs_b);
+        let a = e.encode(row(1.0, &[0.5], &["blue"]));
+        let b = restored.encode(row(1.0, &[0.5], &["blue"]));
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Feature extraction components (paper Table 1: "feature extraction" /
 //! "feature selection").
 
-use crate::component::RowComponent;
+use crate::batch::ColumnBatch;
+use crate::component::Component;
 use crate::parser::taxi_cols;
-use crate::row::Row;
 
 /// Mean Earth radius in kilometres.
 const EARTH_RADIUS_KM: f64 = 6371.0;
@@ -15,17 +15,41 @@ pub fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
     let (phi1, phi2) = (lat1.to_radians(), lat2.to_radians());
     let d_phi = (lat2 - lat1).to_radians();
     let d_lambda = (lon2 - lon1).to_radians();
-    let a = (d_phi / 2.0).sin().powi(2) + phi1.cos() * phi2.cos() * (d_lambda / 2.0).sin().powi(2);
-    2.0 * EARTH_RADIUS_KM * a.sqrt().atan2((1.0 - a).sqrt())
+    haversine_from(phi1.cos(), phi2.cos(), d_phi, d_lambda)
 }
 
 /// Initial compass bearing from point 1 to point 2, in degrees `[0, 360)`.
 pub fn bearing_deg(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
     let (phi1, phi2) = (lat1.to_radians(), lat2.to_radians());
     let d_lambda = (lon2 - lon1).to_radians();
-    let y = d_lambda.sin() * phi2.cos();
-    let x = phi1.cos() * phi2.sin() - phi1.sin() * phi2.cos() * d_lambda.cos();
+    bearing_from(phi1, phi2, phi1.cos(), phi2.cos(), d_lambda)
+}
+
+/// The haversine formula on the terms it shares with the bearing.
+#[inline]
+fn haversine_from(cos1: f64, cos2: f64, d_phi: f64, d_lambda: f64) -> f64 {
+    let a = (d_phi / 2.0).sin().powi(2) + cos1 * cos2 * (d_lambda / 2.0).sin().powi(2);
+    2.0 * EARTH_RADIUS_KM * a.sqrt().atan2((1.0 - a).sqrt())
+}
+
+/// The bearing formula on the terms it shares with the haversine.
+#[inline]
+fn bearing_from(phi1: f64, phi2: f64, cos1: f64, cos2: f64, d_lambda: f64) -> f64 {
+    let y = d_lambda.sin() * cos2;
+    let x = cos1 * phi2.sin() - phi1.sin() * cos2 * d_lambda.cos();
     (y.atan2(x).to_degrees() + 360.0) % 360.0
+}
+
+/// [`haversine_km`] and [`bearing_deg`] in one pass: `φ`, `cos φ` and `Δλ`
+/// are computed once and handed to the same two formulas, so both results
+/// are bit-identical to the separate calls'.
+fn distance_and_bearing(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> (f64, f64) {
+    let (phi1, phi2) = (lat1.to_radians(), lat2.to_radians());
+    let (cos1, cos2) = (phi1.cos(), phi2.cos());
+    let d_phi = (lat2 - lat1).to_radians();
+    let d_lambda = (lon2 - lon1).to_radians();
+    let km = haversine_from(cos1, cos2, d_phi, d_lambda);
+    (km, bearing_from(phi1, phi2, cos1, cos2, d_lambda))
 }
 
 /// Hour of day `[0, 24)` from epoch seconds.
@@ -81,53 +105,44 @@ impl TaxiFeatureExtractor {
     }
 }
 
-impl RowComponent for TaxiFeatureExtractor {
+impl Component for TaxiFeatureExtractor {
     fn name(&self) -> &str {
         "taxi-feature-extractor"
     }
 
-    fn transform(&self, rows: Vec<Row>) -> Vec<Row> {
-        rows.into_iter()
-            .filter_map(|row| {
-                if row.nums.len() < taxi_cols::WIDTH {
-                    return None; // malformed upstream row
-                }
-                let pickup_secs = row.nums[taxi_cols::PICKUP_SECS];
-                let p_lon = row.nums[taxi_cols::PICKUP_LON];
-                let p_lat = row.nums[taxi_cols::PICKUP_LAT];
-                let d_lon = row.nums[taxi_cols::DROPOFF_LON];
-                let d_lat = row.nums[taxi_cols::DROPOFF_LAT];
-                let weekday = day_of_week(pickup_secs);
-                let nums = vec![
-                    haversine_km(p_lat, p_lon, d_lat, d_lon),
-                    bearing_deg(p_lat, p_lon, d_lat, d_lon),
-                    hour_of_day(pickup_secs),
-                    weekday,
-                    f64::from(weekday >= 5.0),
-                    row.nums[taxi_cols::PASSENGERS],
-                    p_lon,
-                    p_lat,
-                    d_lon,
-                    d_lat,
-                    row.nums[taxi_cols::DURATION_SECS],
-                ];
-                Some(Row {
-                    label: row.label,
-                    nums,
-                    tokens: row.tokens,
-                })
-            })
-            .collect()
+    fn transform(&self, batch: &mut ColumnBatch<'_>) {
+        if batch.width() < taxi_cols::WIDTH {
+            batch.clear(); // narrower than the parser's layout: all malformed
+        }
+        batch.map_columns(taxi_features::WIDTH, |old, new| {
+            // Both layouts in declaration order (`taxi_cols`, `taxi_features`).
+            let [secs, p_lon, p_lat, d_lon, d_lat, passengers, duration, ..] = old else {
+                return;
+            };
+            let [km, bearing, hour, weekday, weekend, out @ ..] = new else {
+                return;
+            };
+            for i in 0..secs.len() {
+                (km[i], bearing[i]) = distance_and_bearing(p_lat[i], p_lon[i], d_lat[i], d_lon[i]);
+                hour[i] = hour_of_day(secs[i]);
+                weekday[i] = day_of_week(secs[i]);
+                weekend[i] = f64::from(weekday[i] >= 5.0);
+            }
+            let kept = [passengers, p_lon, p_lat, d_lon, d_lat, duration];
+            for (dst, src) in out.iter_mut().zip(kept) {
+                dst.copy_from_slice(src);
+            }
+        });
     }
 
-    fn clone_box(&self) -> Box<dyn RowComponent> {
+    fn clone_box(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }
 }
 
 /// Keeps only the listed numeric columns, in the given order — a stateless
-/// feature-selection component (paper Table 1). Rows narrower than the
-/// largest requested index are dropped.
+/// feature-selection component (paper Table 1). A batch narrower than the
+/// largest requested index has every row dropped.
 #[derive(Debug, Clone)]
 pub struct SelectColumns {
     keep: Vec<usize>,
@@ -147,29 +162,25 @@ impl SelectColumns {
     }
 }
 
-impl RowComponent for SelectColumns {
+impl Component for SelectColumns {
     fn name(&self) -> &str {
         "select-columns"
     }
 
-    fn transform(&self, rows: Vec<Row>) -> Vec<Row> {
-        let max = self.keep.iter().copied().max().unwrap_or(0);
-        rows.into_iter()
-            .filter_map(|row| {
-                if row.nums.len() <= max {
-                    return None;
+    fn transform(&self, batch: &mut ColumnBatch<'_>) {
+        if batch.width() <= self.keep.iter().copied().max().unwrap_or(0) {
+            batch.clear();
+        }
+        batch.map_columns(self.keep.len(), |old, new| {
+            for (dst, &i) in new.iter_mut().zip(&self.keep) {
+                if let Some(src) = old.get(i) {
+                    dst.copy_from_slice(src);
                 }
-                let nums = self.keep.iter().map(|&i| row.nums[i]).collect();
-                Some(Row {
-                    label: row.label,
-                    nums,
-                    tokens: row.tokens,
-                })
-            })
-            .collect()
+            }
+        });
     }
 
-    fn clone_box(&self) -> Box<dyn RowComponent> {
+    fn clone_box(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }
 }
@@ -189,23 +200,33 @@ impl InteractionFeatures {
     }
 }
 
-impl RowComponent for InteractionFeatures {
+impl Component for InteractionFeatures {
     fn name(&self) -> &str {
         "interaction-features"
     }
 
-    fn transform(&self, mut rows: Vec<Row>) -> Vec<Row> {
-        for row in &mut rows {
-            for &(i, j) in &self.pairs {
-                let a = row.nums.get(i).copied().unwrap_or(f64::NAN);
-                let b = row.nums.get(j).copied().unwrap_or(f64::NAN);
-                row.nums.push(a * b);
+    fn transform(&self, batch: &mut ColumnBatch<'_>) {
+        let width = batch.width();
+        batch.map_columns(width + self.pairs.len(), |old, new| {
+            for (dst, src) in new.iter_mut().zip(old) {
+                dst.copy_from_slice(src);
             }
-        }
-        rows
+            // A pair may name a product appended before it; a column the
+            // batch lacks is missing (`NaN`, as allocated) in every row.
+            for (k, &(i, j)) in self.pairs.iter().enumerate() {
+                let (done, rest) = new.split_at_mut(width + k);
+                if let (Some(a), Some(b), Some(product)) =
+                    (done.get(i), done.get(j), rest.first_mut())
+                {
+                    for (r, p) in product.iter_mut().enumerate() {
+                        *p = a[r] * b[r];
+                    }
+                }
+            }
+        });
     }
 
-    fn clone_box(&self) -> Box<dyn RowComponent> {
+    fn clone_box(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }
 }
@@ -213,6 +234,7 @@ impl RowComponent for InteractionFeatures {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::tests::{columns, numeric};
 
     #[test]
     fn haversine_known_distance() {
@@ -237,6 +259,18 @@ mod tests {
     }
 
     #[test]
+    fn fused_pass_is_bit_identical_to_the_separate_calls() {
+        let coords = [-74.3, -73.98, 0.0, 40.6, 89.9, -12.5];
+        for &(lat1, lon1) in &[(40.75, -73.98), (0.0, 0.0), (-33.9, 151.2)] {
+            for (&lat2, &lon2) in coords.iter().zip(coords.iter().rev()) {
+                let (km, deg) = distance_and_bearing(lat1, lon1, lat2, lon2);
+                assert_eq!(km.to_bits(), haversine_km(lat1, lon1, lat2, lon2).to_bits());
+                assert_eq!(deg.to_bits(), bearing_deg(lat1, lon1, lat2, lon2).to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn hour_and_weekday() {
         // 1970-01-01 00:00 was a Thursday (weekday 3).
         assert_eq!(hour_of_day(0.0), 0.0);
@@ -247,52 +281,68 @@ mod tests {
         assert_eq!(day_of_week(t), 6.0);
     }
 
-    fn parsed_row() -> Row {
-        // pickup at epoch 3 days + 13h, 600 s trip, Manhattan-ish coords.
-        let pickup = 3.0 * 86_400.0 + 13.0 * 3600.0;
-        Row::numeric(
-            601f64.ln(),
-            vec![pickup, -73.98, 40.75, -73.95, 40.78, 2.0, 600.0],
-        )
-    }
+    /// Pickup at epoch 3 days + 13h, 600 s trip, Manhattan-ish coords.
+    const PARSED_ROW: [f64; 7] = [
+        3.0 * 86_400.0 + 13.0 * 3600.0,
+        -73.98,
+        40.75,
+        -73.95,
+        40.78,
+        2.0,
+        600.0,
+    ];
 
     #[test]
     fn taxi_extractor_layout() {
-        let out = TaxiFeatureExtractor::new().transform(vec![parsed_row()]);
-        assert_eq!(out.len(), 1);
-        let nums = &out[0].nums;
-        assert_eq!(nums.len(), taxi_features::WIDTH);
-        assert!(nums[taxi_features::HAVERSINE_KM] > 0.0);
+        let mut batch = numeric(&[&PARSED_ROW]);
+        TaxiFeatureExtractor::new().transform(&mut batch);
+        assert_eq!((batch.len(), batch.width()), (1, taxi_features::WIDTH));
+        let nums: Vec<f64> = batch.columns().map(|c| c[0]).collect();
+        assert_eq!(
+            nums[taxi_features::HAVERSINE_KM],
+            haversine_km(40.75, -73.98, 40.78, -73.95)
+        );
+        // North-east, a little east of the diagonal at this latitude.
+        assert!((35.0..45.0).contains(&nums[taxi_features::BEARING_DEG]));
         assert_eq!(nums[taxi_features::HOUR], 13.0);
         assert_eq!(nums[taxi_features::WEEKDAY], 6.0);
         assert_eq!(nums[taxi_features::IS_WEEKEND], 1.0);
         assert_eq!(nums[taxi_features::PASSENGERS], 2.0);
+        assert_eq!(nums[taxi_features::PICKUP_LAT], 40.75);
+        assert_eq!(nums[taxi_features::DROPOFF_LON], -73.95);
         assert_eq!(nums[taxi_features::DURATION_SECS], 600.0);
     }
 
     #[test]
     fn taxi_extractor_drops_malformed_rows() {
-        let out = TaxiFeatureExtractor::new().transform(vec![Row::numeric(0.0, vec![1.0])]);
-        assert!(out.is_empty());
+        let mut batch = numeric(&[&[1.0]]);
+        TaxiFeatureExtractor::new().transform(&mut batch);
+        assert!(batch.is_empty());
     }
 
     #[test]
     fn select_columns_projects_in_order() {
-        let sel = SelectColumns::new(vec![2, 0]);
-        let out = sel.transform(vec![Row::numeric(0.0, vec![10.0, 20.0, 30.0])]);
-        assert_eq!(out[0].nums, vec![30.0, 10.0]);
+        let mut batch = numeric(&[&[10.0, 20.0, 30.0]]);
+        SelectColumns::new(vec![2, 0, 2]).transform(&mut batch);
+        assert_eq!(columns(&batch), [[30.0], [10.0], [30.0]]);
+        SelectColumns::first(2).transform(&mut batch);
+        assert_eq!(columns(&batch), [[30.0], [10.0]]);
     }
 
     #[test]
     fn select_columns_drops_narrow_rows() {
-        let sel = SelectColumns::new(vec![5]);
-        assert!(sel.transform(vec![Row::numeric(0.0, vec![1.0])]).is_empty());
+        let mut batch = numeric(&[&[1.0]]);
+        SelectColumns::new(vec![5]).transform(&mut batch);
+        assert!(batch.is_empty());
     }
 
     #[test]
     fn interactions_append_products() {
-        let comp = InteractionFeatures::new(vec![(0, 1)]);
-        let out = comp.transform(vec![Row::numeric(0.0, vec![3.0, 4.0])]);
-        assert_eq!(out[0].nums, vec![3.0, 4.0, 12.0]);
+        let mut batch = numeric(&[&[3.0, 4.0]]);
+        // The second pair reads the first pair's product; the third names a
+        // column that does not exist.
+        InteractionFeatures::new(vec![(0, 1), (2, 0), (0, 9)]).transform(&mut batch);
+        assert_eq!(columns(&batch)[..4], [[3.0], [4.0], [12.0], [36.0]]);
+        assert!(columns(&batch)[4][0].is_nan());
     }
 }

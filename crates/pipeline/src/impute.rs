@@ -1,7 +1,7 @@
 //! Missing-value imputation with online mean statistics.
 
-use crate::component::{RowComponent, StateDecodeError};
-use crate::row::Row;
+use crate::batch::ColumnBatch;
+use crate::component::{Component, StateDecodeError};
 use crate::stats::ColumnMoments;
 
 /// Replaces missing (`NaN`) numeric values with the column's running mean —
@@ -10,7 +10,8 @@ use crate::stats::ColumnMoments;
 /// The mean is an incrementally-computable statistic, so the component
 /// qualifies for online statistics computation: `update` folds arriving rows
 /// into per-column Welford accumulators, and `transform` fills gaps using
-/// whatever the accumulators currently hold (`0.0` before any observation).
+/// whatever the accumulators currently hold (`0.0` before any observation),
+/// reading each column's mean once per batch.
 #[derive(Debug, Clone, Default)]
 pub struct MeanImputer {
     moments: ColumnMoments,
@@ -33,26 +34,22 @@ impl MeanImputer {
     }
 }
 
-impl RowComponent for MeanImputer {
+impl Component for MeanImputer {
     fn name(&self) -> &str {
         "mean-imputer"
     }
 
-    fn update(&mut self, rows: &[Row]) {
-        for row in rows {
-            self.moments.update_row(&row.nums);
-        }
+    fn update(&mut self, batch: &ColumnBatch<'_>) {
+        self.moments.update(batch);
     }
 
-    fn transform(&self, mut rows: Vec<Row>) -> Vec<Row> {
-        for row in &mut rows {
-            for (i, v) in row.nums.iter_mut().enumerate() {
-                if v.is_nan() {
-                    *v = self.moments.col(i).mean();
-                }
+    fn transform(&self, batch: &mut ColumnBatch<'_>) {
+        for (i, col) in batch.columns_mut().enumerate() {
+            let mean = self.moments.col(i).mean();
+            for v in col.iter_mut().filter(|v| v.is_nan()) {
+                *v = mean;
             }
         }
-        rows
     }
 
     fn is_stateful(&self) -> bool {
@@ -67,7 +64,7 @@ impl RowComponent for MeanImputer {
         self.moments.restore_state(bytes)
     }
 
-    fn clone_box(&self) -> Box<dyn RowComponent> {
+    fn clone_box(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }
 }
@@ -75,14 +72,12 @@ impl RowComponent for MeanImputer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::tests::{column, columns, numeric};
 
     #[test]
     fn state_round_trips_through_bytes() {
         let mut imp = MeanImputer::new();
-        imp.update(&[
-            Row::numeric(0.0, vec![1.0, 10.0]),
-            Row::numeric(0.0, vec![3.0, f64::NAN]),
-        ]);
+        imp.update(&numeric(&[&[1.0, 10.0], &[3.0, f64::NAN]]));
         let mut restored = MeanImputer::new();
         restored
             .restore_state(&imp.state_bytes())
@@ -95,40 +90,39 @@ mod tests {
     #[test]
     fn imputes_with_running_mean() {
         let mut imp = MeanImputer::new();
-        imp.update(&[
-            Row::numeric(0.0, vec![1.0, 10.0]),
-            Row::numeric(0.0, vec![3.0, f64::NAN]),
-        ]);
-        let out = imp.transform(vec![Row::numeric(0.0, vec![f64::NAN, f64::NAN])]);
-        assert_eq!(out[0].nums[0], 2.0); // mean of 1, 3
-        assert_eq!(out[0].nums[1], 10.0); // NaN skipped in stats
+        imp.update(&numeric(&[&[1.0, 10.0], &[3.0, f64::NAN]]));
+        let mut out = numeric(&[&[f64::NAN, f64::NAN]]);
+        imp.transform(&mut out);
+        // Mean of 1 and 3; the NaN was skipped in the statistics.
+        assert_eq!(columns(&out), vec![vec![2.0], vec![10.0]]);
     }
 
     #[test]
     fn unseen_column_imputes_zero() {
-        let imp = MeanImputer::new();
-        let out = imp.transform(vec![Row::numeric(0.0, vec![f64::NAN])]);
-        assert_eq!(out[0].nums[0], 0.0);
+        let mut out = numeric(&[&[f64::NAN]]);
+        MeanImputer::new().transform(&mut out);
+        assert_eq!(columns(&out), vec![vec![0.0]]);
     }
 
     #[test]
     fn update_then_transform_is_online_statistics() {
         // Folding chunks one at a time must equal folding them all at once.
-        let rows: Vec<Row> = (0..10).map(|i| Row::numeric(0.0, vec![i as f64])).collect();
+        let values: Vec<f64> = (0..10).map(f64::from).collect();
         let mut online = MeanImputer::new();
-        for chunk in rows.chunks(3) {
-            online.update(chunk);
+        for chunk in values.chunks(3) {
+            online.update(&column(chunk));
         }
         let mut batch = MeanImputer::new();
-        batch.update(&rows);
-        assert!((online.mean_for(0) - batch.mean_for(0)).abs() < 1e-12);
+        batch.update(&column(&values));
+        assert_eq!(online.mean_for(0).to_bits(), batch.mean_for(0).to_bits());
     }
 
     #[test]
     fn complete_rows_pass_through_unchanged() {
         let mut imp = MeanImputer::new();
-        imp.update(&[Row::numeric(0.0, vec![5.0])]);
-        let out = imp.transform(vec![Row::numeric(1.0, vec![7.0])]);
-        assert_eq!(out[0].nums[0], 7.0);
+        imp.update(&numeric(&[&[5.0]]));
+        let mut out = numeric(&[&[7.0]]);
+        imp.transform(&mut out);
+        assert_eq!(columns(&out), vec![vec![7.0]]);
     }
 }

@@ -1,9 +1,10 @@
 //! Machine-learning pipelines with **online statistics computation**.
 //!
 //! A [`Pipeline`] is the paper's deployable preprocessing unit: an input
-//! [`parser::Parser`] turning raw [`cdp_storage::Record`]s into typed
-//! [`Row`]s, a chain of [`RowComponent`]s (imputer, scaler, filters, feature
-//! extractors), and a final [`Encoder`] producing labeled feature vectors.
+//! [`parser::Parser`] turning a chunk's raw [`cdp_storage::Record`]s into one
+//! column-major [`ColumnBatch`], a chain of [`Component`]s (imputer, scaler,
+//! filters, feature extractors) editing it in place, and a final [`Encoder`]
+//! turning it into the columnar slab the store keeps.
 //!
 //! Every stateful component implements the paper's two methods (§4.3):
 //!
@@ -19,7 +20,7 @@
 //!
 //! Components whose statistics cannot be updated incrementally (exact
 //! percentiles, PCA) are intentionally not provided — the platform does not
-//! support them (paper §3.1); [`component::RowComponent::is_incremental`]
+//! support them (paper §3.1); [`component::Component::is_incremental`]
 //! documents the contract for user-defined components.
 //!
 //! Snapshot/restore for warm starting is by cloning: a [`Pipeline`] is
@@ -28,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod anomaly;
+pub mod batch;
 pub mod component;
 pub mod drift;
 pub mod encode;
@@ -36,11 +38,10 @@ pub mod impute;
 pub mod minmax;
 pub mod parser;
 pub mod pipeline;
-pub mod row;
 pub mod scale;
 pub mod stats;
 
-pub use component::{RowComponent, StateDecodeError};
+pub use batch::ColumnBatch;
+pub use component::{Component, StateDecodeError};
 pub use encode::Encoder;
 pub use pipeline::{Pipeline, PipelineBuilder, PipelineCounters, PipelineError};
-pub use row::Row;

@@ -2,8 +2,8 @@
 //! incrementally-computable statistics (running minima/maxima), rounding
 //! out the library beyond the paper's two evaluation pipelines.
 
-use crate::component::{RowComponent, StateDecodeError};
-use crate::row::Row;
+use crate::batch::ColumnBatch;
+use crate::component::{Component, StateDecodeError};
 
 /// Per-column running minima and maxima (exact one-pass statistics).
 #[derive(Debug, Clone, Default)]
@@ -13,20 +13,26 @@ struct ColumnRanges {
 }
 
 impl ColumnRanges {
-    fn update_row(&mut self, nums: &[f64]) {
-        if nums.len() > self.mins.len() {
-            self.mins.resize(nums.len(), f64::INFINITY);
-            self.maxs.resize(nums.len(), f64::NEG_INFINITY);
+    /// Folds a batch in, growing to its width; each column's running
+    /// minimum and maximum see its values top to bottom (`NaN` compares
+    /// false both ways and is skipped).
+    fn update(&mut self, batch: &ColumnBatch<'_>) {
+        if batch.is_empty() {
+            return;
         }
-        for (i, &x) in nums.iter().enumerate() {
-            if x.is_nan() {
-                continue;
-            }
-            if x < self.mins[i] {
-                self.mins[i] = x;
-            }
-            if x > self.maxs[i] {
-                self.maxs[i] = x;
+        if batch.width() > self.mins.len() {
+            self.mins.resize(batch.width(), f64::INFINITY);
+            self.maxs.resize(batch.width(), f64::NEG_INFINITY);
+        }
+        let ranges = self.mins.iter_mut().zip(&mut self.maxs);
+        for ((lo, hi), col) in ranges.zip(batch.columns()) {
+            for &x in col {
+                if x < *lo {
+                    *lo = x;
+                }
+                if x > *hi {
+                    *hi = x;
+                }
             }
         }
     }
@@ -88,7 +94,10 @@ impl ColumnRanges {
 /// Scales every numeric column into `[0, 1]` using running min/max — the
 /// min and max are incrementally computable, so the component qualifies for
 /// online statistics computation (paper §3.1). Columns not yet observed
-/// pass through unchanged; constant columns map to `0.0`.
+/// pass through unchanged; constant columns map to `0.0`. Each column's
+/// range and span are read once per batch; every value still gets the same
+/// `(x − lo) / span` on the same operands, so the output is bit-identical
+/// to looking the range up afresh for each value.
 #[derive(Debug, Clone, Default)]
 pub struct MinMaxScaler {
     ranges: ColumnRanges,
@@ -106,27 +115,27 @@ impl MinMaxScaler {
     }
 }
 
-impl RowComponent for MinMaxScaler {
+impl Component for MinMaxScaler {
     fn name(&self) -> &str {
         "min-max-scaler"
     }
 
-    fn update(&mut self, rows: &[Row]) {
-        for row in rows {
-            self.ranges.update_row(&row.nums);
-        }
+    fn update(&mut self, batch: &ColumnBatch<'_>) {
+        self.ranges.update(batch);
     }
 
-    fn transform(&self, mut rows: Vec<Row>) -> Vec<Row> {
-        for row in &mut rows {
-            for (i, v) in row.nums.iter_mut().enumerate() {
-                if let Some((lo, hi)) = self.ranges.range(i) {
-                    let span = hi - lo;
-                    *v = if span > 1e-12 { (*v - lo) / span } else { 0.0 };
-                }
+    fn transform(&self, batch: &mut ColumnBatch<'_>) {
+        for (i, col) in batch.columns_mut().enumerate() {
+            let Some((lo, hi)) = self.ranges.range(i) else {
+                continue;
+            };
+            let span = hi - lo;
+            if span > 1e-12 {
+                col.iter_mut().for_each(|v| *v = (*v - lo) / span);
+            } else {
+                col.fill(0.0);
             }
         }
-        rows
     }
 
     fn is_stateful(&self) -> bool {
@@ -141,7 +150,7 @@ impl RowComponent for MinMaxScaler {
         self.ranges.restore_state(bytes)
     }
 
-    fn clone_box(&self) -> Box<dyn RowComponent> {
+    fn clone_box(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }
 }
@@ -165,23 +174,20 @@ impl Winsorizer {
     }
 }
 
-impl RowComponent for Winsorizer {
+impl Component for Winsorizer {
     fn name(&self) -> &str {
         "winsorizer"
     }
 
-    fn transform(&self, mut rows: Vec<Row>) -> Vec<Row> {
-        for row in &mut rows {
-            for v in &mut row.nums {
-                if !v.is_nan() {
-                    *v = v.clamp(self.lo, self.hi);
-                }
+    fn transform(&self, batch: &mut ColumnBatch<'_>) {
+        for col in batch.columns_mut() {
+            for v in col.iter_mut().filter(|v| !v.is_nan()) {
+                *v = v.clamp(self.lo, self.hi);
             }
         }
-        rows
     }
 
-    fn clone_box(&self) -> Box<dyn RowComponent> {
+    fn clone_box(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }
 }
@@ -189,46 +195,42 @@ impl RowComponent for Winsorizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::tests::{column, columns};
 
-    fn rows(values: &[f64]) -> Vec<Row> {
-        values.iter().map(|&v| Row::numeric(0.0, vec![v])).collect()
+    fn transformed(component: &dyn Component, values: &[f64]) -> Vec<f64> {
+        let mut batch = column(values);
+        component.transform(&mut batch);
+        columns(&batch).remove(0)
     }
 
     #[test]
     fn minmax_maps_observed_range_to_unit_interval() {
         let mut s = MinMaxScaler::new();
-        s.update(&rows(&[2.0, 6.0, 10.0]));
-        let out = s.transform(rows(&[2.0, 6.0, 10.0]));
-        assert_eq!(out[0].nums[0], 0.0);
-        assert_eq!(out[1].nums[0], 0.5);
-        assert_eq!(out[2].nums[0], 1.0);
+        s.update(&column(&[2.0, 6.0, 10.0]));
+        assert_eq!(transformed(&s, &[2.0, 6.0, 10.0]), vec![0.0, 0.5, 1.0]);
         assert_eq!(s.range_for(0), Some((2.0, 10.0)));
     }
 
     #[test]
     fn minmax_extrapolates_beyond_observed_range() {
         let mut s = MinMaxScaler::new();
-        s.update(&rows(&[0.0, 10.0]));
-        let out = s.transform(rows(&[20.0, -10.0]));
-        assert_eq!(out[0].nums[0], 2.0);
-        assert_eq!(out[1].nums[0], -1.0);
+        s.update(&column(&[0.0, 10.0]));
+        assert_eq!(transformed(&s, &[20.0, -10.0]), vec![2.0, -1.0]);
     }
 
     #[test]
     fn minmax_constant_column_maps_to_zero() {
         let mut s = MinMaxScaler::new();
-        s.update(&rows(&[5.0, 5.0]));
-        let out = s.transform(rows(&[5.0]));
-        assert_eq!(out[0].nums[0], 0.0);
+        s.update(&column(&[5.0, 5.0]));
+        assert_eq!(transformed(&s, &[5.0]), vec![0.0]);
     }
 
     #[test]
     fn minmax_skips_nan_in_update_and_unseen_columns() {
         let mut s = MinMaxScaler::new();
-        s.update(&[Row::numeric(0.0, vec![f64::NAN])]);
+        s.update(&column(&[f64::NAN]));
         // No observation ⇒ identity transform.
-        let out = s.transform(rows(&[7.0]));
-        assert_eq!(out[0].nums[0], 7.0);
+        assert_eq!(transformed(&s, &[7.0]), vec![7.0]);
         assert_eq!(s.range_for(0), None);
     }
 
@@ -236,36 +238,35 @@ mod tests {
     fn minmax_incremental_updates_match_batch() {
         let values = [3.0, -1.0, 8.0, 2.5, 7.0];
         let mut online = MinMaxScaler::new();
-        for chunk in rows(&values).chunks(2) {
-            online.update(chunk);
+        for chunk in values.chunks(2) {
+            online.update(&column(chunk));
         }
         let mut batch = MinMaxScaler::new();
-        batch.update(&rows(&values));
+        batch.update(&column(&values));
         assert_eq!(online.range_for(0), batch.range_for(0));
     }
 
     #[test]
     fn state_round_trips_through_bytes() {
         let mut s = MinMaxScaler::new();
-        s.update(&rows(&[2.0, 6.0, 10.0]));
+        s.update(&column(&[2.0, 6.0, 10.0]));
         let mut restored = MinMaxScaler::new();
         restored
             .restore_state(&s.state_bytes())
             .expect("well-formed state round-trips");
         assert_eq!(restored.range_for(0), s.range_for(0));
-        let a = s.transform(rows(&[3.7]));
-        let b = restored.transform(rows(&[3.7]));
-        assert_eq!(a[0].nums[0].to_bits(), b[0].nums[0].to_bits());
+        let (a, b) = (transformed(&s, &[3.7]), transformed(&restored, &[3.7]));
+        assert_eq!(a[0].to_bits(), b[0].to_bits());
     }
 
     #[test]
     fn restore_rejects_malformed_bytes_and_keeps_state() {
         let mut trained = MinMaxScaler::new();
-        trained.update(&rows(&[2.0, 6.0]));
+        trained.update(&column(&[2.0, 6.0]));
         let good = trained.state_bytes();
 
         let mut s = MinMaxScaler::new();
-        s.update(&rows(&[1.0]));
+        s.update(&column(&[1.0]));
         let before = s.range_for(0);
         assert_eq!(
             s.restore_state(&good[..3]),
@@ -288,10 +289,7 @@ mod tests {
     #[test]
     fn winsorizer_clamps_only_out_of_bounds() {
         let w = Winsorizer::new(-1.0, 1.0);
-        let out = w.transform(rows(&[-5.0, 0.5, 5.0]));
-        assert_eq!(out[0].nums[0], -1.0);
-        assert_eq!(out[1].nums[0], 0.5);
-        assert_eq!(out[2].nums[0], 1.0);
+        assert_eq!(transformed(&w, &[-5.0, 0.5, 5.0]), vec![-1.0, 0.5, 1.0]);
         assert!(!w.is_stateful());
     }
 

@@ -1,22 +1,23 @@
-//! Input parsers: raw [`Record`]s → typed [`Row`]s.
+//! Input parsers: raw [`Record`]s → one typed [`ColumnBatch`].
 //!
-//! Parsers are the first stage of every pipeline. They are stateless and may
-//! reject malformed records (returning `None`), mirroring the paper's "input
-//! parser" components of both evaluation pipelines.
+//! Parsers are the first stage of every pipeline. They are stateless and
+//! drop malformed records, mirroring the paper's "input parser" components
+//! of both evaluation pipelines.
 
 use std::sync::Arc;
 
 use cdp_storage::{Record, Schema, Value};
 
-use crate::row::Row;
+use crate::batch::ColumnBatch;
 
-/// Parses raw records into rows; the first stage of a pipeline.
+/// Parses raw records into a column batch; the first stage of a pipeline.
 pub trait Parser: Send + Sync {
     /// Stable name for reports.
     fn name(&self) -> &str;
 
-    /// Parses one record; `None` drops it (malformed input).
-    fn parse(&self, record: &Record) -> Option<Row>;
+    /// Parses a chunk's records into one batch, in record order, dropping
+    /// malformed ones. Tokens borrow from the records.
+    fn parse<'a>(&self, records: &'a [Record]) -> ColumnBatch<'a>;
 
     /// Clones the parser (pipeline snapshots).
     fn clone_box(&self) -> Box<dyn Parser>;
@@ -81,6 +82,30 @@ impl SchemaParser {
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }
+
+    /// One record's label, numeric fields (into `nums`) and token text;
+    /// `None` rejects the record.
+    fn read<'a>(&self, record: &'a Record, nums: &mut Vec<f64>) -> Option<(f64, &'a str)> {
+        let num = |i: usize| match record.get(i)? {
+            Value::Num(x) => Some(*x),
+            Value::Missing => Some(f64::NAN),
+            Value::Text(_) => None,
+        };
+        let label = num(self.label_idx)?;
+        nums.clear();
+        for &i in &self.num_idx {
+            nums.push(num(i)?);
+        }
+        let text = match self.token_idx {
+            None => "",
+            Some(i) => match record.get(i)? {
+                Value::Text(s) => s.as_str(),
+                Value::Missing => "",
+                Value::Num(_) => return None,
+            },
+        };
+        Some((label, text))
+    }
 }
 
 impl Parser for SchemaParser {
@@ -88,33 +113,15 @@ impl Parser for SchemaParser {
         "schema-parser"
     }
 
-    fn parse(&self, record: &Record) -> Option<Row> {
-        let label = match record.get(self.label_idx)? {
-            Value::Num(x) => *x,
-            Value::Missing => f64::NAN,
-            Value::Text(_) => return None,
-        };
+    fn parse<'a>(&self, records: &'a [Record]) -> ColumnBatch<'a> {
+        let mut batch = ColumnBatch::with_capacity(records.len(), self.num_idx.len());
         let mut nums = Vec::with_capacity(self.num_idx.len());
-        for &i in &self.num_idx {
-            match record.get(i)? {
-                Value::Num(x) => nums.push(*x),
-                Value::Missing => nums.push(f64::NAN),
-                Value::Text(_) => return None,
+        for record in records {
+            if let Some((label, text)) = self.read(record, &mut nums) {
+                batch.push_row(label, &nums, text.split_whitespace());
             }
         }
-        let tokens = match self.token_idx {
-            None => Vec::new(),
-            Some(i) => match record.get(i)? {
-                Value::Text(s) => s.split_whitespace().map(str::to_owned).collect(),
-                Value::Missing => Vec::new(),
-                Value::Num(_) => return None,
-            },
-        };
-        Some(Row {
-            label,
-            nums,
-            tokens,
-        })
+        batch
     }
 
     fn clone_box(&self) -> Box<dyn Parser> {
@@ -198,14 +205,9 @@ impl TaxiParser {
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }
-}
 
-impl Parser for TaxiParser {
-    fn name(&self) -> &str {
-        "taxi-parser"
-    }
-
-    fn parse(&self, record: &Record) -> Option<Row> {
+    /// One record's label and parsed columns; `None` rejects the record.
+    fn read(&self, record: &Record) -> Option<(f64, [f64; taxi_cols::WIDTH])> {
         let num = |i: usize| record.get(i).and_then(Value::as_num);
         let pickup = num(self.idx.pickup_time)?;
         let dropoff = num(self.idx.dropoff_time)?;
@@ -214,7 +216,7 @@ impl Parser for TaxiParser {
         // target. Non-positive durations are kept (the anomaly detector
         // downstream removes them) with a clamped label.
         let label = duration.max(0.0).ln_1p();
-        let nums = vec![
+        let nums = [
             pickup,
             num(self.idx.pickup_lon)?,
             num(self.idx.pickup_lat)?,
@@ -223,11 +225,23 @@ impl Parser for TaxiParser {
             num(self.idx.passengers).unwrap_or(1.0),
             duration,
         ];
-        Some(Row {
-            label,
-            nums,
-            tokens: Vec::new(),
-        })
+        Some((label, nums))
+    }
+}
+
+impl Parser for TaxiParser {
+    fn name(&self) -> &str {
+        "taxi-parser"
+    }
+
+    fn parse<'a>(&self, records: &'a [Record]) -> ColumnBatch<'a> {
+        let mut batch = ColumnBatch::with_capacity(records.len(), taxi_cols::WIDTH);
+        for record in records {
+            if let Some((label, nums)) = self.read(record) {
+                batch.push_row(label, &nums, std::iter::empty());
+            }
+        }
+        batch
     }
 
     fn clone_box(&self) -> Box<dyn Parser> {
@@ -253,19 +267,28 @@ mod tests {
             Value::Missing,
             Value::Text("com example login".into()),
         ]);
-        let row = parser.parse(&record).unwrap();
-        assert_eq!(row.label, 1.0);
-        assert_eq!(row.nums[0], 0.5);
-        assert!(row.nums[1].is_nan());
-        assert_eq!(row.tokens, vec!["com", "example", "login"]);
+        let records = [record];
+        let batch = parser.parse(&records);
+        assert_eq!(batch.labels(), &[1.0]);
+        assert_eq!(batch.col(0), Some(&[0.5][..]));
+        assert!(batch.col(1).is_some_and(|c| c[0].is_nan()));
+        assert_eq!(batch.tokens(0), &["com", "example", "login"]);
     }
 
     #[test]
     fn schema_parser_rejects_text_label() {
         let schema = url_schema();
         let parser = SchemaParser::new(schema, "label", &[], None);
-        let record = Record::new(vec![Value::Text("bad".into())]);
-        assert!(parser.parse(&record).is_none());
+        // A rejected record leaves no trace; its neighbours keep their order.
+        let records = [
+            Record::new(vec![Value::Num(1.0)]),
+            Record::new(vec![Value::Text("bad".into())]),
+            Record::new(vec![Value::Missing]),
+        ];
+        let batch = parser.parse(&records);
+        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.labels()[0], 1.0);
+        assert!(batch.labels()[1].is_nan());
     }
 
     #[test]
@@ -298,11 +321,12 @@ mod tests {
             Value::Num(40.78),
             Value::Num(2.0),
         ]);
-        let row = parser.parse(&record).unwrap();
-        assert!((row.label - 601f64.ln()).abs() < 1e-12);
-        assert_eq!(row.nums[taxi_cols::DURATION_SECS], 600.0);
-        assert_eq!(row.nums[taxi_cols::PASSENGERS], 2.0);
-        assert_eq!(row.nums.len(), taxi_cols::WIDTH);
+        let records = [record];
+        let batch = parser.parse(&records);
+        assert!((batch.labels()[0] - 601f64.ln()).abs() < 1e-12);
+        assert_eq!(batch.col(taxi_cols::DURATION_SECS), Some(&[600.0][..]));
+        assert_eq!(batch.col(taxi_cols::PASSENGERS), Some(&[2.0][..]));
+        assert_eq!(batch.width(), taxi_cols::WIDTH);
     }
 
     #[test]
@@ -317,9 +341,10 @@ mod tests {
             Value::Num(0.0),
             Value::Num(1.0),
         ]);
-        let row = parser.parse(&record).unwrap();
-        assert_eq!(row.label, 0.0);
-        assert_eq!(row.nums[taxi_cols::DURATION_SECS], -1000.0);
+        let records = [record];
+        let batch = parser.parse(&records);
+        assert_eq!(batch.labels(), &[0.0]);
+        assert_eq!(batch.col(taxi_cols::DURATION_SECS), Some(&[-1000.0][..]));
     }
 
     #[test]
@@ -334,6 +359,6 @@ mod tests {
             Value::Num(0.0),
             Value::Num(1.0),
         ]);
-        assert!(parser.parse(&record).is_none());
+        assert!(parser.parse(&[record]).is_empty());
     }
 }

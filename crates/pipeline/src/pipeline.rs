@@ -1,11 +1,12 @@
 //! Pipeline composition: parser → components → encoder.
 
+use std::sync::Arc;
+
 use cdp_storage::{FeatureChunk, LabeledPoint, RawChunk, Record};
 
-use crate::component::{RowComponent, StateDecodeError};
+use crate::component::{Component, StateDecodeError};
 use crate::encode::Encoder;
 use crate::parser::Parser;
-use crate::row::Row;
 
 /// Work counters for cost attribution (rows touched per code path).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,7 +87,7 @@ impl std::error::Error for PipelineError {}
 #[derive(Clone)]
 pub struct Pipeline {
     parser: Box<dyn Parser>,
-    components: Vec<Box<dyn RowComponent>>,
+    components: Vec<Box<dyn Component>>,
     encoder: Box<dyn Encoder>,
     counters: PipelineCounters,
 }
@@ -108,7 +109,7 @@ impl std::fmt::Debug for Pipeline {
 /// Builder for [`Pipeline`].
 pub struct PipelineBuilder {
     parser: Box<dyn Parser>,
-    components: Vec<Box<dyn RowComponent>>,
+    components: Vec<Box<dyn Component>>,
 }
 
 impl PipelineBuilder {
@@ -120,9 +121,9 @@ impl PipelineBuilder {
         }
     }
 
-    /// Appends a row component.
+    /// Appends a component.
     #[allow(clippy::should_implement_trait)]
-    pub fn add(mut self, component: impl RowComponent + 'static) -> Self {
+    pub fn add(mut self, component: impl Component + 'static) -> Self {
         self.components.push(Box::new(component));
         self
     }
@@ -150,99 +151,58 @@ impl PipelineBuilder {
 }
 
 impl Pipeline {
-    /// Parses a batch of raw records, dropping malformed ones.
-    pub fn parse(&mut self, records: &[Record]) -> Vec<Row> {
-        self.counters.parsed_records += records.len() as u64;
-        records
-            .iter()
-            .filter_map(|r| self.parser.parse(r))
-            .collect()
-    }
-
-    /// Parse without counting or mutation (query path helper).
-    fn parse_ref(&self, records: &[Record]) -> Vec<Row> {
-        records
-            .iter()
-            .filter_map(|r| self.parser.parse(r))
-            .collect()
-    }
-
-    /// Online-learning path over parsed rows: update statistics, then
-    /// transform, stage by stage.
-    pub fn fit_transform_rows(&mut self, mut rows: Vec<Row>) -> Vec<LabeledPoint> {
+    /// One chunk through parser → components → encoder. The parser fills a
+    /// [`ColumnBatch`](crate::ColumnBatch) once, every component edits it in
+    /// place, and the encoder's slab is the chunk that gets stored — no
+    /// per-row intermediate exists. With `fit`, each stateful stage folds
+    /// the batch into its statistics before transforming it.
+    fn run(&mut self, chunk: &RawChunk, fit: bool) -> FeatureChunk {
+        self.counters.parsed_records += chunk.records.len() as u64;
+        let mut batch = self.parser.parse(&chunk.records);
         for component in &mut self.components {
-            if component.is_stateful() {
-                component.update(&rows);
-                self.counters.update_rows += rows.len() as u64;
+            if fit && component.is_stateful() {
+                component.update(&batch);
+                self.counters.update_rows += batch.len() as u64;
             }
-            self.counters.transform_rows += rows.len() as u64;
-            rows = component.transform(rows);
+            self.counters.transform_rows += batch.len() as u64;
+            component.transform(&mut batch);
         }
-        if self.encoder.is_stateful() {
-            self.encoder.update(&rows);
-            self.counters.update_rows += rows.len() as u64;
+        if fit && self.encoder.is_stateful() {
+            self.encoder.update(&batch);
+            self.counters.update_rows += batch.len() as u64;
         }
-        self.counters.encoded_points += rows.len() as u64;
-        self.encoder.encode(&rows)
-    }
-
-    /// Transform-only path over parsed rows (statistics untouched).
-    pub fn transform_rows(&mut self, mut rows: Vec<Row>) -> Vec<LabeledPoint> {
-        for component in &self.components {
-            self.counters.transform_rows += rows.len() as u64;
-            rows = component.transform(rows);
-        }
-        self.counters.encoded_points += rows.len() as u64;
-        self.encoder.encode(&rows)
+        self.counters.encoded_points += batch.len() as u64;
+        let slab = Arc::new(self.encoder.encode(batch));
+        FeatureChunk::from_slab(chunk.timestamp, chunk.timestamp, slab)
     }
 
     /// Online-learning path over a raw chunk; produces the feature chunk to
     /// store (with the back-reference for dynamic materialization).
     pub fn fit_transform_chunk(&mut self, chunk: &RawChunk) -> FeatureChunk {
-        let rows = self.parse(&chunk.records);
-        let points = self.fit_transform_rows(rows);
-        FeatureChunk::new(chunk.timestamp, chunk.timestamp, points)
+        self.run(chunk, true)
     }
 
     /// Transform-only path over a raw chunk — the **re-materialization**
     /// operation of dynamic materialization (§3.2).
     pub fn transform_chunk(&mut self, chunk: &RawChunk) -> FeatureChunk {
-        let rows = self.parse(&chunk.records);
-        let points = self.transform_rows(rows);
-        FeatureChunk::new(chunk.timestamp, chunk.timestamp, points)
+        self.run(chunk, false)
     }
 
-    /// Transform-only path over a raw chunk that **streams** each encoded
-    /// point into `sink` instead of materializing a [`FeatureChunk`] — the
-    /// fused transform+gradient pass folds points straight into a gradient
-    /// accumulator. Points arrive in the exact order
-    /// [`Pipeline::transform_chunk`] would store them, and the work counters
-    /// advance identically, so the accounted cost and every downstream
-    /// result are bit-identical to the materializing path.
-    pub fn transform_chunk_fold(&mut self, chunk: &RawChunk, sink: &mut dyn FnMut(&LabeledPoint)) {
-        let mut rows = self.parse(&chunk.records);
-        for component in &self.components {
-            self.counters.transform_rows += rows.len() as u64;
-            rows = component.transform(rows);
-        }
-        self.counters.encoded_points += rows.len() as u64;
-        self.encoder.encode_fold(&rows, &mut |point| sink(&point));
-    }
-
-    /// Preprocesses one prediction query. Returns `None` when the record is
-    /// malformed or filtered out by a cleaning stage. Does not touch any
-    /// statistics and does not count toward the work counters (queries are
-    /// accounted separately by the cost model).
+    /// Preprocesses one prediction query: a one-row batch through the same
+    /// kernels as [`Pipeline::transform_chunk`]. Returns `None` when the
+    /// record is malformed or filtered out by a cleaning stage. Does not
+    /// touch any statistics and does not count toward the work counters
+    /// (queries are accounted separately by the cost model).
     pub fn transform_query(&self, record: &Record) -> Option<LabeledPoint> {
-        let rows = self.parse_ref(std::slice::from_ref(record));
-        let mut rows = rows;
+        let mut batch = self.parser.parse(std::slice::from_ref(record));
         for component in &self.components {
-            rows = component.transform(rows);
-            if rows.is_empty() {
+            if batch.is_empty() {
                 return None;
             }
+            component.transform(&mut batch);
         }
-        self.encoder.encode(&rows).into_iter().next()
+        let slab = self.encoder.encode(batch);
+        (!slab.is_empty()).then(|| slab.row(0).to_point())
     }
 
     /// Current encoder output dimension.
@@ -285,7 +245,7 @@ impl Pipeline {
     }
 
     /// Serializes every stage's online statistics for a deployment
-    /// checkpoint: one payload per row component in pipeline order, with the
+    /// checkpoint: one payload per component in pipeline order, with the
     /// encoder's payload last. Stateless stages contribute empty payloads so
     /// positions stay aligned with the pipeline structure.
     pub fn component_states(&self) -> Vec<Vec<u8>> {
@@ -338,8 +298,8 @@ mod tests {
     use crate::encode::DenseEncoder;
     use crate::impute::MeanImputer;
     use crate::parser::SchemaParser;
-    use crate::row::Row;
     use crate::scale::StandardScaler;
+    use crate::ColumnBatch;
     use cdp_storage::{Schema, Timestamp, Value};
 
     fn sample_pipeline() -> Pipeline {
@@ -369,45 +329,6 @@ mod tests {
         assert_eq!(fc.raw_ref, Timestamp(0));
         assert_eq!(fc.len(), 2);
         assert_eq!(fc.row(0).dim(), 3); // bias + 2 cols
-    }
-
-    #[test]
-    fn rematerialization_reproduces_online_output() {
-        // Core dynamic-materialization invariant: after statistics are
-        // updated online, transform-only on the same raw chunk reproduces
-        // the stored feature chunk bit-for-bit.
-        let mut p = sample_pipeline();
-        let raw = chunk(0, &[(1.0, 2.0, 3.0), (0.0, 4.0, 5.0), (1.0, 6.0, 1.0)]);
-        let stored = p.fit_transform_chunk(&raw);
-        let rematerialized = p.transform_chunk(&raw);
-        assert_eq!(stored, rematerialized);
-    }
-
-    #[test]
-    fn transform_only_does_not_move_statistics() {
-        let mut p = sample_pipeline();
-        p.fit_transform_chunk(&chunk(0, &[(1.0, 2.0, 3.0)]));
-        let before = p.transform_chunk(&chunk(1, &[(0.0, 100.0, -50.0)]));
-        // Repeated transform-only gives identical output: no stats movement.
-        let again = p.transform_chunk(&chunk(2, &[(0.0, 100.0, -50.0)]));
-        assert_eq!(before.to_points(), again.to_points());
-    }
-
-    #[test]
-    fn transform_chunk_fold_matches_materializing_path() {
-        let mut p = sample_pipeline();
-        p.fit_transform_chunk(&chunk(0, &[(1.0, 2.0, 3.0), (0.0, 4.0, 5.0)]));
-        let raw = chunk(1, &[(1.0, 6.0, 1.0), (0.0, 2.5, 4.0), (1.0, 8.0, 0.5)]);
-
-        let mut materializing = p.clone();
-        let stored = materializing.transform_chunk(&raw);
-
-        let mut folding = p.clone();
-        let mut streamed = Vec::new();
-        folding.transform_chunk_fold(&raw, &mut |point| streamed.push(point.clone()));
-
-        assert_eq!(streamed, stored.to_points());
-        assert_eq!(folding.counters(), materializing.counters());
     }
 
     #[test]
@@ -514,17 +435,15 @@ mod tests {
     fn builder_rejects_non_incremental_components() {
         #[derive(Clone)]
         struct ExactPercentile;
-        impl RowComponent for ExactPercentile {
+        impl Component for ExactPercentile {
             fn name(&self) -> &str {
                 "exact-percentile"
             }
-            fn transform(&self, rows: Vec<Row>) -> Vec<Row> {
-                rows
-            }
+            fn transform(&self, _batch: &mut ColumnBatch<'_>) {}
             fn is_incremental(&self) -> bool {
                 false
             }
-            fn clone_box(&self) -> Box<dyn RowComponent> {
+            fn clone_box(&self) -> Box<dyn Component> {
                 Box::new(self.clone())
             }
         }

@@ -1,7 +1,7 @@
 //! Standard scaling with online mean/variance statistics.
 
-use crate::component::{RowComponent, StateDecodeError};
-use crate::row::Row;
+use crate::batch::ColumnBatch;
+use crate::component::{Component, StateDecodeError};
 use crate::stats::ColumnMoments;
 
 /// Standardizes numeric columns to zero mean and unit variance — the paper's
@@ -10,7 +10,10 @@ use crate::stats::ColumnMoments;
 ///
 /// `update` folds rows into per-column Welford accumulators; `transform`
 /// applies `(x − mean) / std`. Columns with (near-)zero variance are only
-/// centered, never divided by ~0.
+/// centered, never divided by ~0. The mean and standard deviation are read
+/// once per column per batch; every value still gets the same subtraction
+/// and the same division by the same operands, so the output is
+/// bit-identical to deriving them afresh for each value.
 #[derive(Debug, Clone, Default)]
 pub struct StandardScaler {
     moments: ColumnMoments,
@@ -29,29 +32,24 @@ impl StandardScaler {
     }
 }
 
-impl RowComponent for StandardScaler {
+impl Component for StandardScaler {
     fn name(&self) -> &str {
         "standard-scaler"
     }
 
-    fn update(&mut self, rows: &[Row]) {
-        for row in rows {
-            self.moments.update_row(&row.nums);
-        }
+    fn update(&mut self, batch: &ColumnBatch<'_>) {
+        self.moments.update(batch);
     }
 
-    fn transform(&self, mut rows: Vec<Row>) -> Vec<Row> {
-        for row in &mut rows {
-            for (i, v) in row.nums.iter_mut().enumerate() {
-                let m = self.moments.col(i);
-                let std = m.std_dev();
-                *v -= m.mean();
-                if std > 1e-12 {
-                    *v /= std;
-                }
+    fn transform(&self, batch: &mut ColumnBatch<'_>) {
+        for (i, col) in batch.columns_mut().enumerate() {
+            let (mean, std) = self.stats_for(i);
+            if std > 1e-12 {
+                col.iter_mut().for_each(|v| *v = (*v - mean) / std);
+            } else {
+                col.iter_mut().for_each(|v| *v -= mean);
             }
         }
-        rows
     }
 
     fn is_stateful(&self) -> bool {
@@ -66,7 +64,7 @@ impl RowComponent for StandardScaler {
         self.moments.restore_state(bytes)
     }
 
-    fn clone_box(&self) -> Box<dyn RowComponent> {
+    fn clone_box(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }
 }
@@ -74,33 +72,34 @@ impl RowComponent for StandardScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::tests::{column, columns};
 
-    fn rows(values: &[f64]) -> Vec<Row> {
-        values.iter().map(|&v| Row::numeric(0.0, vec![v])).collect()
+    fn scaled(scaler: &StandardScaler, values: &[f64]) -> Vec<f64> {
+        let mut batch = column(values);
+        scaler.transform(&mut batch);
+        columns(&batch).remove(0)
     }
 
     #[test]
     fn state_round_trips_through_bytes() {
         let mut scaler = StandardScaler::new();
-        scaler.update(&rows(&[2.0, 4.0, 6.0, 8.0]));
+        scaler.update(&column(&[2.0, 4.0, 6.0, 8.0]));
         let mut restored = StandardScaler::new();
         restored
             .restore_state(&scaler.state_bytes())
             .expect("well-formed state round-trips");
         // Bit-identical transforms after restore, not just close ones.
-        let a = scaler.transform(rows(&[3.5]));
-        let b = restored.transform(rows(&[3.5]));
-        assert_eq!(a[0].nums[0].to_bits(), b[0].nums[0].to_bits());
+        let (a, b) = (scaled(&scaler, &[3.5]), scaled(&restored, &[3.5]));
+        assert_eq!(a[0].to_bits(), b[0].to_bits());
     }
 
     #[test]
     fn standardizes_to_zero_mean_unit_variance() {
         let mut scaler = StandardScaler::new();
-        let data = rows(&[2.0, 4.0, 6.0, 8.0]);
-        scaler.update(&data);
-        let out = scaler.transform(data);
-        let mean: f64 = out.iter().map(|r| r.nums[0]).sum::<f64>() / out.len() as f64;
-        let var: f64 = out.iter().map(|r| r.nums[0] * r.nums[0]).sum::<f64>() / out.len() as f64;
+        scaler.update(&column(&[2.0, 4.0, 6.0, 8.0]));
+        let out = scaled(&scaler, &[2.0, 4.0, 6.0, 8.0]);
+        let mean: f64 = out.iter().sum::<f64>() / out.len() as f64;
+        let var: f64 = out.iter().map(|v| v * v).sum::<f64>() / out.len() as f64;
         assert!(mean.abs() < 1e-12);
         assert!((var - 1.0).abs() < 1e-12);
     }
@@ -108,35 +107,26 @@ mod tests {
     #[test]
     fn constant_column_is_centered_not_divided() {
         let mut scaler = StandardScaler::new();
-        let data = rows(&[5.0, 5.0, 5.0]);
-        scaler.update(&data);
-        let out = scaler.transform(data);
-        for r in out {
-            assert_eq!(r.nums[0], 0.0);
-        }
+        scaler.update(&column(&[5.0, 5.0, 5.0]));
+        assert_eq!(scaled(&scaler, &[5.0, 5.0, 5.0]), vec![0.0; 3]);
     }
 
     #[test]
     fn chunked_updates_match_batch_update() {
         let values: Vec<f64> = (0..20).map(|i| (i as f64).sin() * 10.0).collect();
         let mut online = StandardScaler::new();
-        for chunk in rows(&values).chunks(4) {
-            online.update(chunk);
+        for chunk in values.chunks(4) {
+            online.update(&column(chunk));
         }
         let mut batch = StandardScaler::new();
-        batch.update(&rows(&values));
-        let (m1, s1) = online.stats_for(0);
-        let (m2, s2) = batch.stats_for(0);
-        assert!((m1 - m2).abs() < 1e-12);
-        assert!((s1 - s2).abs() < 1e-12);
+        batch.update(&column(&values));
+        assert_eq!(online.stats_for(0), batch.stats_for(0));
     }
 
     #[test]
     fn transform_before_any_update_is_identity_shift() {
-        let scaler = StandardScaler::new();
-        let out = scaler.transform(rows(&[3.0]));
         // mean=0, std=0 => only centering by 0.
-        assert_eq!(out[0].nums[0], 3.0);
+        assert_eq!(scaled(&StandardScaler::new(), &[3.0]), vec![3.0]);
     }
 
     #[test]

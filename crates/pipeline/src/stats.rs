@@ -3,6 +3,7 @@
 //! Only statistics with an exact one-pass update rule are provided — that is
 //! the platform's admission criterion for stateful pipeline components.
 
+use crate::batch::ColumnBatch;
 use crate::component::StateDecodeError;
 
 /// Welford's online algorithm for mean and variance of one column, with
@@ -102,13 +103,23 @@ impl ColumnMoments {
         Self::default()
     }
 
-    /// Folds a row of observations in, growing to its width.
-    pub fn update_row(&mut self, nums: &[f64]) {
-        if nums.len() > self.cols.len() {
-            self.cols.resize_with(nums.len(), RunningMoments::new);
+    /// Folds a batch in, growing to its width. Each column's accumulator
+    /// sees its column top to bottom — the sequence a row-at-a-time fold
+    /// feeds it, so the moments are bit-identical to that fold's. The loop
+    /// nest stays row-major on purpose: the per-column Welford chains (one
+    /// divide each) then overlap instead of running back to back.
+    pub fn update(&mut self, batch: &ColumnBatch<'_>) {
+        if batch.is_empty() {
+            return;
         }
-        for (col, &x) in self.cols.iter_mut().zip(nums) {
-            col.update(x);
+        if batch.width() > self.cols.len() {
+            self.cols.resize_with(batch.width(), RunningMoments::new);
+        }
+        let columns: Vec<&[f64]> = batch.columns().collect();
+        for i in 0..batch.len() {
+            for (moments, col) in self.cols.iter_mut().zip(&columns) {
+                moments.update(col[i]);
+            }
         }
     }
 
@@ -241,8 +252,15 @@ mod tests {
     #[test]
     fn column_moments_grow_with_rows() {
         let mut cm = ColumnMoments::new();
-        cm.update_row(&[1.0, 2.0]);
-        cm.update_row(&[3.0, 4.0, 5.0]);
+        let mut narrow = ColumnBatch::with_capacity(1, 2);
+        narrow.push_row(0.0, &[1.0, 2.0], std::iter::empty());
+        cm.update(&narrow);
+        // An empty batch, however wide, leaves the width alone.
+        cm.update(&ColumnBatch::with_capacity(0, 7));
+        assert_eq!(cm.width(), 2);
+        let mut wide = ColumnBatch::with_capacity(1, 3);
+        wide.push_row(0.0, &[3.0, 4.0, 5.0], std::iter::empty());
+        cm.update(&wide);
         assert_eq!(cm.width(), 3);
         assert_eq!(cm.col(0).count(), 2);
         assert_eq!(cm.col(2).count(), 1);

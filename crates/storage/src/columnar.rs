@@ -21,7 +21,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cdp_linalg::{DenseVector, SparseVector, Vector};
+use cdp_linalg::{merge_entries, DenseVector, SparseVector, Vector};
 
 use crate::chunk::LabeledPoint;
 
@@ -66,57 +66,24 @@ impl ColumnSlab {
     /// Builds a slab from row-major points, choosing the densest layout the
     /// rows admit: all-dense one-dimension rows become column slabs,
     /// all-sparse one-dimension rows become a CSR block, anything else
-    /// keeps its original vectors row-major.
+    /// keeps its original vectors row-major. The pipeline builds its slabs
+    /// directly ([`ColumnSlab::dense`], [`CsrBuilder`]); this serves callers
+    /// that hold points (tests, hand-made chunks).
     pub fn from_points(points: Vec<LabeledPoint>) -> Self {
         let labels: Vec<f64> = points.iter().map(|p| p.label).collect();
-        let layout = Self::pick_layout(points);
-        Self { labels, layout }
-    }
-
-    fn pick_layout(points: Vec<LabeledPoint>) -> SlabLayout {
-        let all_dense_dim = match points.first() {
-            Some(LabeledPoint {
-                features: Vector::Dense(v),
-                ..
-            }) => {
-                let dim = v.dim();
-                points
-                    .iter()
-                    .all(|p| matches!(&p.features, Vector::Dense(d) if d.dim() == dim))
-                    .then_some(dim)
-            }
-            _ => None,
+        let dim = points.first().map_or(0, |p| p.features.dim());
+        let uniform = |sparse: bool| {
+            let fits =
+                |p: &LabeledPoint| p.features.is_sparse() == sparse && p.features.dim() == dim;
+            !points.is_empty() && points.iter().all(fits)
         };
-        if let Some(dim) = all_dense_dim {
-            let n = points.len();
-            let mut cols: Vec<Vec<f64>> = (0..dim).map(|_| Vec::with_capacity(n)).collect();
-            for p in &points {
-                if let Vector::Dense(v) = &p.features {
-                    for (col, &x) in cols.iter_mut().zip(v.as_slice()) {
-                        col.push(x);
-                    }
-                }
-            }
-            return SlabLayout::Dense { dim, cols };
+        if uniform(false) {
+            let column = |j| points.iter().map(|p| p.features.get(j)).collect();
+            return Self::dense(labels, (0..dim).map(column).collect());
         }
-        let all_sparse_dim = match points.first() {
-            Some(LabeledPoint {
-                features: Vector::Sparse(v),
-                ..
-            }) => {
-                let dim = v.dim();
-                points
-                    .iter()
-                    .all(|p| matches!(&p.features, Vector::Sparse(s) if s.dim() == dim))
-                    .then_some(dim)
-            }
-            _ => None,
-        };
-        if let Some(dim) = all_sparse_dim {
-            let mut row_ptr = Vec::with_capacity(points.len() + 1);
-            let mut indices = Vec::new();
-            let mut values = Vec::new();
-            row_ptr.push(0u32);
+        let layout = if uniform(true) {
+            let mut row_ptr = vec![0u32];
+            let (mut indices, mut values) = (Vec::new(), Vec::new());
             for p in &points {
                 if let Vector::Sparse(s) = &p.features {
                     indices.extend_from_slice(s.indices());
@@ -124,14 +91,30 @@ impl ColumnSlab {
                 }
                 row_ptr.push(indices.len() as u32);
             }
-            return SlabLayout::Csr {
+            SlabLayout::Csr {
                 dim,
                 row_ptr,
                 indices,
                 values,
-            };
+            }
+        } else {
+            SlabLayout::Rows(points.into_iter().map(|p| p.features).collect())
+        };
+        Self { labels, layout }
+    }
+
+    /// A dense slab straight from its columns: `cols[j][i]` is feature `j` of
+    /// row `i`. A column shorter or longer than `labels` is zero-padded or
+    /// cut to its length, so the result is well-formed for any input.
+    pub fn dense(labels: Vec<f64>, mut cols: Vec<Vec<f64>>) -> Self {
+        for col in &mut cols {
+            col.resize(labels.len(), 0.0);
         }
-        SlabLayout::Rows(points.into_iter().map(|p| p.features).collect())
+        let layout = SlabLayout::Dense {
+            dim: cols.len(),
+            cols,
+        };
+        Self { labels, layout }
     }
 
     /// Rebuilds a slab from decoded columnar parts (spill codec v3).
@@ -283,6 +266,63 @@ impl ColumnSlab {
         ColumnSlab {
             labels,
             layout: SlabLayout::Rows(rows),
+        }
+    }
+}
+
+/// Builds a CSR slab one row at a time from unsorted, possibly repeated
+/// `(index, value)` entries — what the hashing and one-hot encoders emit.
+/// Each row is canonicalized by [`cdp_linalg::merge_entries`], as
+/// [`cdp_linalg::SparseBuilder::build`] does it, so a slab row is
+/// bit-identical to the sparse vector the builder would have produced from
+/// the same entries.
+#[derive(Debug, Clone)]
+pub struct CsrBuilder {
+    labels: Vec<f64>,
+    dim: usize,
+    row_ptr: Vec<u32>,
+    indices: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl CsrBuilder {
+    /// An empty builder for rows of nominal dimension `dim`, with room for
+    /// `rows` rows holding `nnz` entries in total.
+    pub fn with_capacity(dim: usize, rows: usize, nnz: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        Self {
+            labels: Vec::with_capacity(rows),
+            dim,
+            row_ptr,
+            indices: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Appends one row. `entries` is sorted in place; entries at or beyond
+    /// the slab's dimension are dropped.
+    pub fn push_row(&mut self, label: f64, entries: &mut [(u32, f64)]) {
+        let row_start = self.indices.len();
+        merge_entries(entries, &mut self.indices, &mut self.values);
+        let row = &self.indices[row_start..];
+        let kept = row_start + row.partition_point(|&i| (i as usize) < self.dim);
+        self.indices.truncate(kept);
+        self.values.truncate(kept);
+        self.row_ptr.push(kept as u32);
+        self.labels.push(label);
+    }
+
+    /// The finished slab.
+    pub fn finish(self) -> ColumnSlab {
+        ColumnSlab {
+            labels: self.labels,
+            layout: SlabLayout::Csr {
+                dim: self.dim,
+                row_ptr: self.row_ptr,
+                indices: self.indices,
+                values: self.values,
+            },
         }
     }
 }

@@ -37,7 +37,7 @@ pub mod wal;
 
 pub use checkpoint::{CheckpointDir, CHECKPOINT_SCHEMA};
 pub use chunk::{ChunkStats, FeatureChunk, LabeledPoint, RawChunk, Timestamp};
-pub use columnar::{ColumnSlab, RowView, SlabLayout};
+pub use columnar::{ColumnSlab, CsrBuilder, RowView, SlabLayout};
 pub use record::{Record, Schema, Value};
 pub use store::{
     ChunkStore, ChunkStoreConfig, ChunkStoreDiffKind, ChunkStoreEvent, FeatureLookup,

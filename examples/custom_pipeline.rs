@@ -16,35 +16,33 @@ use std::sync::Arc;
 use cdpipe::core::report::{fmt_f, fmt_secs};
 use cdpipe::core::{run_deployment, DeploymentConfig, DeploymentSpec};
 use cdpipe::datagen::ChunkStream;
-use cdpipe::pipeline::component::RowComponent;
 use cdpipe::pipeline::encode::OneHotEncoder;
 use cdpipe::pipeline::parser::SchemaParser;
 use cdpipe::pipeline::scale::StandardScaler;
-use cdpipe::pipeline::{PipelineBuilder, Row};
+use cdpipe::pipeline::{ColumnBatch, Component, PipelineBuilder};
 use cdpipe::prelude::*;
 use cdpipe::storage::{RawChunk, Record, Schema, Timestamp, Value};
 
-/// A custom stateless component: log1p on heavy-tailed amount columns.
+/// A custom stateless component: log1p on heavy-tailed amount columns. A
+/// component is a kernel over the batch's numeric columns, edited in place;
+/// the same kernel serves training chunks and one-row prediction queries.
 #[derive(Debug, Clone)]
 struct LogAmounts;
 
-impl RowComponent for LogAmounts {
+impl Component for LogAmounts {
     fn name(&self) -> &str {
         "log-amounts"
     }
 
-    fn transform(&self, mut rows: Vec<Row>) -> Vec<Row> {
-        for row in &mut rows {
-            for v in &mut row.nums {
-                if !v.is_nan() {
-                    *v = v.abs().ln_1p().copysign(*v);
-                }
+    fn transform(&self, batch: &mut ColumnBatch<'_>) {
+        for col in batch.columns_mut() {
+            for v in col.iter_mut().filter(|v| !v.is_nan()) {
+                *v = v.abs().ln_1p().copysign(*v);
             }
         }
-        rows
     }
 
-    fn clone_box(&self) -> Box<dyn RowComponent> {
+    fn clone_box(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }
 }

@@ -238,13 +238,16 @@ fn fault_sweep_injects_and_recovers() {
     assert_eq!(stats.fatal, 0, "plan must stay within budgets: {stats}");
 }
 
+/// FNV-1a: names one byte sequence.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// FNV-1a over the exact bit patterns: names one float sequence.
 fn bits_digest(values: impl IntoIterator<Item = f64>) -> u64 {
-    values.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
-        v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    })
+    fnv1a(values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
 #[test]
@@ -290,6 +293,104 @@ const PARENT_SEED_104729: &str = "weights 43d3583a28dad1bc curve a700bbd76fd5cf2
     recovered: 22, fallback_rematerializations: 1, lost_spills: 0, fatal: 0 } | \
     TieredStats { memory_hits: 26, disk_hits: 61, recomputes: 0, spills: 43, \
     read_fallbacks: 1, lost_spills: 0 }";
+
+/// One run's outcome as a line: float sequences as digests, counters whole.
+fn run_digest(r: &DeploymentResult) -> String {
+    format!(
+        "weights {:016x} curve {:016x} cost {:016x} ledger {:016x} | {:?}",
+        bits_digest(r.final_weights.iter().copied()),
+        bits_digest(r.error_curve.iter().map(|&(_, e)| e)),
+        bits_digest(r.cost_curve.iter().map(|&(_, c)| c)),
+        bits_digest([
+            r.preprocessing_secs,
+            r.training_secs,
+            r.prediction_secs,
+            r.io_secs,
+            r.total_secs
+        ]),
+        r.store_stats
+    )
+}
+
+#[test]
+fn tiny_runs_match_the_commit_before_the_column_pipeline() {
+    // Recorded at the parent of the commit that replaced the row-at-a-time
+    // pipeline with column kernels: the same features in the same row order
+    // reach the same trainer, so weights, error curve, cost ledger and store
+    // counters are unchanged — fault-free and under chaos, on either engine.
+    // (Float digests taken on x86-64 Linux; see the spill-log pins above.)
+    let (url_gen, url) = url_spec(SpecScale::Tiny);
+    let (taxi_gen, taxi) = taxi_spec(SpecScale::Tiny);
+    let streams: [(&dyn ChunkStream, &DeploymentSpec, [&str; 2]); 2] = [
+        (&url_gen, &url, [PARENT_URL_TINY, PARENT_URL_TINY_CHAOS]),
+        (&taxi_gen, &taxi, [PARENT_TAXI_TINY, PARENT_TAXI_TINY_CHAOS]),
+    ];
+    for (stream, spec, [clean, chaos]) in streams {
+        for engine in [
+            ExecutionEngine::Sequential,
+            ExecutionEngine::Threaded { workers: 4 },
+        ] {
+            let mut config = DeploymentConfig::continuous(2, 3, SamplingStrategy::Uniform);
+            config.optimization.budget = StorageBudget::MaxChunks(3);
+            config.engine = engine;
+            let r = try_run_deployment(stream, spec, &config).expect("fault-free run");
+            assert_eq!(run_digest(&r), clean, "{} on {engine:?}", spec.name);
+
+            config.spill_to_disk = true;
+            config.faults = FaultPlan::chaos(104_729);
+            let r = try_run_deployment(stream, spec, &config).expect("recoverable plan");
+            let got = format!("{} | {:?}", run_digest(&r), r.tiered_stats);
+            assert_eq!(got, chaos, "{} chaos on {engine:?}", spec.name);
+        }
+    }
+}
+
+const PARENT_URL_TINY: &str = "weights 407419cd887dacb7 curve d98c448ed97f9189 cost ccd93344f1c866c8 ledger 9c6ad5061095957f | \
+    StoreStats { raw_puts: 15, feature_puts: 15, evictions: 15, \
+    bytes_evicted: 66396, feature_hits: 8, feature_misses: 13, unavailable: 0, \
+    compactions: 0, gc_runs: 15 }";
+const PARENT_URL_TINY_CHAOS: &str = "weights 94d5bb0946a490b7 curve d98c448ed97f9189 cost 36655b0cb1b51d5d ledger 42eb0785fce8e6d7 | \
+    StoreStats { raw_puts: 15, feature_puts: 15, evictions: 15, \
+    bytes_evicted: 66396, feature_hits: 8, feature_misses: 13, unavailable: 0, \
+    compactions: 0, gc_runs: 15 } | \
+    TieredStats { memory_hits: 8, disk_hits: 13, recomputes: 0, spills: 15, \
+    read_fallbacks: 0, lost_spills: 0 }";
+const PARENT_TAXI_TINY: &str = "weights 9433fcdc34dc47b4 curve 0aff37eb329d6686 cost 2bbe001bac5056a4 ledger 9bf249b25f055fbf | \
+    StoreStats { raw_puts: 24, feature_puts: 24, evictions: 24, \
+    bytes_evicted: 67296, feature_hits: 8, feature_misses: 28, unavailable: 0, \
+    compactions: 0, gc_runs: 24 }";
+const PARENT_TAXI_TINY_CHAOS: &str = "weights 6177b13f359ee1ff curve 37dad24ae617c169 cost 3d9659b7f16400fb ledger 1680d4b6f67bb31f | \
+    StoreStats { raw_puts: 24, feature_puts: 24, evictions: 24, \
+    bytes_evicted: 67296, feature_hits: 8, feature_misses: 28, unavailable: 0, \
+    compactions: 0, gc_runs: 24 } | \
+    TieredStats { memory_hits: 8, disk_hits: 27, recomputes: 0, spills: 27, \
+    read_fallbacks: 1, lost_spills: 0 }";
+
+#[test]
+fn taxi_checkpoint_bytes_match_the_commit_before_the_column_pipeline() {
+    // The newest checkpoint of a Taxi Tiny run, compared whole: component
+    // statistics, pipeline counters, stored slabs, model and optimizer state
+    // all serialize to the bytes the row pipeline's run wrote.
+    let dir = std::env::temp_dir().join(format!("cdp-e2e-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (stream, spec) = taxi_spec(SpecScale::Tiny);
+    let mut config = DeploymentConfig::continuous(2, 3, SamplingStrategy::Uniform);
+    config.optimization.budget = StorageBudget::MaxChunks(3);
+    config.checkpoint = Some(CheckpointConfig::new(&dir).every(5).keep(1));
+    try_run_deployment(&stream, &spec, &config).expect("fault-free run");
+    let (seq, payload) = cdpipe::storage::CheckpointDir::open(&dir, 1)
+        .and_then(|d| d.latest_valid())
+        .expect("checkpoint directory reads")
+        .expect("the run wrote a checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        (seq, payload.len(), fnv1a(payload.iter().copied())),
+        PARENT_TAXI_CHECKPOINT,
+        "(sequence, bytes, FNV-1a of the payload)"
+    );
+}
+
+const PARENT_TAXI_CHECKPOINT: (u64, usize, u64) = (29, 2042, 12_716_492_452_756_378_539);
 
 #[test]
 fn recoverable_only_faults_match_fault_free_model() {

@@ -1,14 +1,15 @@
 //! Allocation accounting for the fused transform+gradient pass: the fused
-//! step must never materialize an intermediate feature buffer, so for the
-//! same workload it allocates strictly less — in both count and bytes — than
-//! the materialize-then-step path it replaced — and on a warm trainer it
-//! allocates no gradient buffer at all, dense or sparse.
+//! step folds each source's transient slab as soon as it exists and never
+//! gathers a union batch, so for the same workload it keeps less memory
+//! alive at its peak than the materialize-then-step path it replaced, by at
+//! least the slabs it does not retain — and on a warm trainer it allocates
+//! no gradient buffer at all, dense or sparse.
 //!
 //! This file holds exactly one `#[test]` so the counting global allocator
 //! sees no interference from sibling tests running on other harness threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 use cdpipe::engine::{ExecutionEngine, RunCtx};
 use cdpipe::faults::NoFaults;
@@ -27,17 +28,30 @@ struct CountingAlloc;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed since counting was switched on, and the
+/// most that ever was.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+fn track_live(delta: i64) {
+    let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ENABLED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            track_live(layout.size() as i64);
         }
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if ENABLED.load(Ordering::Relaxed) {
+            track_live(-(layout.size() as i64));
+        }
         System.dealloc(ptr, layout)
     }
 
@@ -48,6 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
                 new_size.saturating_sub(layout.size()) as u64,
                 Ordering::Relaxed,
             );
+            track_live(new_size as i64 - layout.size() as i64);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -60,6 +75,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn measure<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     ALLOCS.store(0, Ordering::Relaxed);
     BYTES.store(0, Ordering::Relaxed);
+    LIVE.store(0, Ordering::Relaxed);
+    PEAK.store(0, Ordering::Relaxed);
     ENABLED.store(true, Ordering::Relaxed);
     let out = f();
     ENABLED.store(false, Ordering::Relaxed);
@@ -68,6 +85,11 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
         ALLOCS.load(Ordering::Relaxed),
         BYTES.load(Ordering::Relaxed),
     )
+}
+
+/// The most bytes live at once during the last [`measure`].
+fn peak_bytes() -> u64 {
+    PEAK.load(Ordering::Relaxed).max(0) as u64
 }
 
 fn pipeline() -> Pipeline {
@@ -119,9 +141,10 @@ fn fused_step_allocates_less_than_materialize_then_step() {
         let loss = unfused_trainer.step_rows(&batch, engine);
         assert!(loss.is_some());
     });
+    let unfused_peak = peak_bytes();
 
-    // Fused path: same template clones, same rows, but every point flows
-    // straight from the encoder into the gradient accumulator.
+    // Fused path: same template clones, same rows, but each source's slab
+    // rows fold into the gradient inside the source's own task.
     let mut fused_trainer = SgdTrainer::new(1, &config);
     let (outcome, fused_allocs, fused_bytes) = measure(|| {
         fused_trainer
@@ -130,7 +153,9 @@ fn fused_step_allocates_less_than_materialize_then_step() {
                 |i, sink: &mut dyn FnMut(RowView<'_>)| {
                     let mut local = template.clone();
                     local.reset_counters();
-                    local.transform_chunk_fold(&raws[i], &mut |p| sink(RowView::Point(p)));
+                    for row in local.transform_chunk(&raws[i]).rows() {
+                        sink(row);
+                    }
                 },
                 engine,
                 &NoFaults,
@@ -138,22 +163,34 @@ fn fused_step_allocates_less_than_materialize_then_step() {
             )
             .expect("fused step")
     });
+    let fused_peak = peak_bytes();
 
     assert!(outcome.loss.is_some());
     assert_eq!(outcome.points, 4 * 64);
 
-    // Both paths pay the same transient per-row vector allocations inside
-    // the encoder, so raw allocation *counts* land within a few of each
-    // other. The structural difference is the buffers that exist only on
-    // the unfused path: one `Vec<LabeledPoint>` per chunk plus the union
-    // batch vector. The fused pass must therefore save at least the bytes
-    // of the materialized point arrays, engine overhead included.
-    let materialized_floor = (raws.len() * 64 * std::mem::size_of::<LabeledPoint>()) as u64;
+    // Both paths build one column slab per source (a handful of column
+    // allocations each, none per row), so the bytes allocated in total land
+    // close together. The structural difference is what stays alive: the
+    // unfused path holds every source's slab (labels, bias and one feature
+    // column here) until the union batch of row views has been stepped,
+    // while the fused pass drops each slab with its source's task. Its peak
+    // must therefore sit below the unfused one by at least the slabs it
+    // does not retain (the union batch it also skips pays for its
+    // per-source partials and reduce levels).
+    let slab_bytes = 64 * 3 * std::mem::size_of::<f64>();
+    let retained_floor = ((raws.len() - 1) * slab_bytes) as u64;
     assert!(
-        fused_bytes + materialized_floor <= unfused_bytes,
-        "fused path must save at least the materialized point buffers: \
-         fused {fused_bytes} + floor {materialized_floor} vs unfused {unfused_bytes} \
-         (allocs: fused {fused_allocs}, unfused {unfused_allocs})"
+        fused_peak + retained_floor <= unfused_peak,
+        "fused path must not retain the other sources' slabs: \
+         peak fused {fused_peak} + floor {retained_floor} vs unfused {unfused_peak} \
+         (bytes: fused {fused_bytes}, unfused {unfused_bytes}; \
+         allocs: fused {fused_allocs}, unfused {unfused_allocs})"
+    );
+    // 64 rows a source, yet nowhere near one allocation per row.
+    assert!(
+        fused_allocs < raws.len() as u64 * 32,
+        "fused step made {fused_allocs} allocations for {} sources",
+        raws.len()
     );
 
     // A second fused step on the warm trainer reuses pooled gradient
@@ -165,7 +202,9 @@ fn fused_step_allocates_less_than_materialize_then_step() {
                 |i, sink: &mut dyn FnMut(RowView<'_>)| {
                     let mut local = template.clone();
                     local.reset_counters();
-                    local.transform_chunk_fold(&raws[i], &mut |p| sink(RowView::Point(p)));
+                    for row in local.transform_chunk(&raws[i]).rows() {
+                        sink(row);
+                    }
                 },
                 engine,
                 &NoFaults,
@@ -211,7 +250,11 @@ fn sparse_fires_allocate_no_gradient_buffer() {
             trainer
                 .try_step_fused(
                     chunks.len(),
-                    |i, sink: &mut dyn FnMut(RowView<'_>)| chunks[i].rows().for_each(sink),
+                    |i, sink: &mut dyn FnMut(RowView<'_>)| {
+                        for row in chunks[i].rows() {
+                            sink(row);
+                        }
+                    },
                     ExecutionEngine::Sequential,
                     &NoFaults,
                     &RunCtx::default(),

@@ -4,6 +4,10 @@
 //! - The training hot path: the SGD inner loop and the model, penalty and
 //!   optimizer it updates, the dense, sparse and columnar row kernels, the
 //!   engine, and the pipeline manager and proactive trainer that drive them.
+//! - The pipeline every chunk, re-materialization and query goes through:
+//!   the column batch, parsers, component kernels and encoders. Here the
+//!   gate is stricter — no `panic!`/`assert!` either — except inside the
+//!   constructors that reject a misconfigured pipeline at deployment time.
 //! - The platform's overhead path around it: the chunk store, spill log,
 //!   WAL and checkpoint files, the deployment loop with its data manager,
 //!   serving publishes and checkpoint codec, and the telemetry sample
@@ -17,6 +21,98 @@
 /// Everything before the first `#[cfg(test)]` marker — the shipped region.
 fn non_test_region(source: &str) -> &str {
     source.split("#[cfg(test)]").next().unwrap_or(source)
+}
+
+/// The pipeline crate's files, gated twice: by the annotation scan below
+/// and by `pipeline_panics_are_constructor_time_only`.
+const PIPELINE: [(&str, &str); 11] = [
+    (
+        "crates/pipeline/src/pipeline.rs",
+        include_str!("../crates/pipeline/src/pipeline.rs"),
+    ),
+    (
+        "crates/pipeline/src/component.rs",
+        include_str!("../crates/pipeline/src/component.rs"),
+    ),
+    (
+        "crates/pipeline/src/batch.rs",
+        include_str!("../crates/pipeline/src/batch.rs"),
+    ),
+    (
+        "crates/pipeline/src/parser.rs",
+        include_str!("../crates/pipeline/src/parser.rs"),
+    ),
+    (
+        "crates/pipeline/src/extract.rs",
+        include_str!("../crates/pipeline/src/extract.rs"),
+    ),
+    (
+        "crates/pipeline/src/anomaly.rs",
+        include_str!("../crates/pipeline/src/anomaly.rs"),
+    ),
+    (
+        "crates/pipeline/src/impute.rs",
+        include_str!("../crates/pipeline/src/impute.rs"),
+    ),
+    (
+        "crates/pipeline/src/scale.rs",
+        include_str!("../crates/pipeline/src/scale.rs"),
+    ),
+    (
+        "crates/pipeline/src/minmax.rs",
+        include_str!("../crates/pipeline/src/minmax.rs"),
+    ),
+    (
+        "crates/pipeline/src/encode.rs",
+        include_str!("../crates/pipeline/src/encode.rs"),
+    ),
+    (
+        "crates/pipeline/src/stats.rs",
+        include_str!("../crates/pipeline/src/stats.rs"),
+    ),
+];
+
+/// Constructors allowed to panic: a pipeline naming a field its schema does
+/// not have, inverted clamp bounds or an absurd hash width must fail when
+/// the deployment is assembled, before any chunk arrives.
+const CONSTRUCTOR_PANICS: [&str; 4] = [
+    "crates/pipeline/src/parser.rs: SchemaParser::new",
+    "crates/pipeline/src/parser.rs: TaxiParser::new",
+    "crates/pipeline/src/minmax.rs: Winsorizer::new",
+    "crates/pipeline/src/encode.rs: FeatureHasher::new",
+];
+
+/// `Type::function` enclosing byte offset `at` of `source`: the type named
+/// last on the nearest `impl` line above it, and the nearest `fn` above it.
+fn enclosing_item(source: &str, at: usize) -> String {
+    let above = &source[..at];
+    let ident = |s: &str| -> String {
+        let is_ident = |c: &char| c.is_alphanumeric() || *c == '_';
+        s.chars().take_while(is_ident).collect()
+    };
+    let impl_line = above
+        .rfind("\nimpl")
+        .and_then(|i| above[i + 1..].lines().next())
+        .unwrap_or("");
+    let ty = impl_line.trim_end_matches('{').trim().rsplit(' ').next();
+    let function = above.rfind(" fn ").map_or("", |i| &above[i + 4..]);
+    format!("{}::{}", ident(ty.unwrap_or("")), ident(function))
+}
+
+#[test]
+fn pipeline_panics_are_constructor_time_only() {
+    for (name, source) in PIPELINE {
+        let shipped = non_test_region(source);
+        for token in ["panic!(", "assert!(", "assert_eq!(", "unreachable!("] {
+            for (at, _) in shipped.match_indices(token) {
+                let site = format!("{name}: {}", enclosing_item(shipped, at));
+                assert!(
+                    CONSTRUCTOR_PANICS.contains(&site.as_str()),
+                    "`{token}` in {site}: only the allow-listed constructors may panic"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -127,7 +223,7 @@ fn hot_paths_carry_no_panic_annotations() {
             include_str!("../crates/obs/src/crc.rs"),
         ),
     ];
-    for (name, source) in gated {
+    for (name, source) in gated.into_iter().chain(PIPELINE) {
         let shipped = non_test_region(source);
         // The registry's unit tests live in its crate root, so the whole
         // file is shipped code.
