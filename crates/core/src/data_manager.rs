@@ -97,13 +97,15 @@ impl DataManager {
         self.metrics = metrics;
     }
 
-    /// Stores an arriving raw chunk (workflow stage 1).
+    /// Stores an arriving raw chunk (workflow stage 1). A caller that still
+    /// needs the chunk passes an `Arc` of it and keeps a clone of the pointer;
+    /// the store holds that allocation, not a copy of the records.
     ///
     /// # Errors
     /// [`StorageError::DuplicateTimestamp`] — the deployment loop assigns
     /// unique timestamps, so a duplicate is a driver bug surfaced as a typed
     /// error rather than a panic.
-    pub fn ingest_raw(&mut self, chunk: RawChunk) -> Result<(), StorageError> {
+    pub fn ingest_raw(&mut self, chunk: impl Into<Arc<RawChunk>>) -> Result<(), StorageError> {
         self.store.put_raw(chunk)
     }
 
@@ -268,6 +270,20 @@ mod tests {
             dm.store_features(feat(t)).expect("raw chunk present");
         }
         dm
+    }
+
+    #[test]
+    fn a_shared_chunk_is_stored_without_a_copy() {
+        // The chunk loop goes on reading the arrival it has just ingested;
+        // the history must hold that allocation, not a clone of its records.
+        let mut dm = DataManager::new(StorageBudget::Unbounded, SamplingStrategy::Uniform, 9);
+        let arrival = Arc::new(raw(7));
+        dm.ingest_raw(Arc::clone(&arrival))
+            .expect("unique timestamps");
+        assert!(Arc::ptr_eq(&arrival, &dm.full_history()[0]));
+        // An owned chunk is still taken as before.
+        dm.ingest_raw(raw(8)).expect("unique timestamps");
+        assert_eq!(dm.chunk_count(), 2);
     }
 
     #[test]

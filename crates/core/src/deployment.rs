@@ -1047,10 +1047,12 @@ fn run_chunk_loop(
         // Arrival: on resume the recovered WAL suffix is authoritative
         // (records re-ordered by sequence number); the stream covers
         // anything the WAL lost or never held.
-        let raw = match st.wal.as_ref().and_then(|w| w.replay_chunk(idx as u64)) {
-            Some(chunk) => chunk.clone(),
-            None => stream.chunk(idx),
-        };
+        let raw = Arc::new(
+            match st.wal.as_ref().and_then(|w| w.replay_chunk(idx as u64)) {
+                Some(chunk) => chunk.clone(),
+                None => stream.chunk(idx),
+            },
+        );
         st.sim.advance_secs(config.chunk_period_secs);
         let chunk_span = tracer.child_of("deployment.chunk", run_ctx);
         let chunk_ctx = chunk_span.context();
@@ -1081,8 +1083,9 @@ fn run_chunk_loop(
                 return Err(DeploymentError::Crashed(CrashSite::WalRotate));
             }
         }
-        // Stage 1: discretized arrival into the store (raw history).
-        st.dm.ingest_raw(raw.clone())?;
+        // Stage 1: discretized arrival into the store (raw history), which
+        // shares the chunk with the stages below instead of copying it.
+        st.dm.ingest_raw(Arc::clone(&raw))?;
         // Stages 2 + prequential evaluation + online learning.
         let fc = st
             .pm
@@ -1635,8 +1638,8 @@ pub fn try_resume_deployment(
         if idx as u64 > ckpt.chunk_idx {
             break;
         }
-        let raw = stream.chunk(idx);
-        dm.ingest_raw(raw.clone())?;
+        let raw = Arc::new(stream.chunk(idx));
+        dm.ingest_raw(Arc::clone(&raw))?;
         let fc = pipeline.fit_transform_chunk(&raw);
         dm.store_features(fc)?;
     }

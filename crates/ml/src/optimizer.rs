@@ -8,9 +8,13 @@
 //! independent; it is serializable so it can be warm-started across
 //! retrainings (TFX-style) and carried across proactive-training instances.
 
+use std::iter::repeat;
+
 use serde::{Deserialize, Serialize};
 
 use cdp_linalg::DenseVector;
+
+use crate::regularizer::Regularizer;
 
 /// The learning-rate adaptation technique and its hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -173,10 +177,219 @@ impl OptimizerState {
             acc2,
         }
     }
+
+    /// One SGD update as a single pass over the model. Per coordinate, in
+    /// this order: take the accumulated data gradient from `grad`, multiply
+    /// it by `scale` if there is one, add `penalty`'s (sub)gradient at the
+    /// *pre-update* weight, run the update rule, and leave `g * 0.0` in
+    /// `grad` — what a `scale(0.0)` before the next accumulation would have
+    /// produced, the sign of a zero and a NaN carried — so the caller sums
+    /// the next step's gradient on top without clearing first.
+    ///
+    /// Total for any pair of dimensions: it covers the coordinates `weights`
+    /// and `grad` share. The trainer always passes equal ones.
+    pub(crate) fn sweep(
+        &mut self,
+        weights: &mut DenseVector,
+        grad: &mut DenseVector,
+        scale: Option<f64>,
+        penalty: Regularizer,
+    ) {
+        match scale {
+            None => self.sweep_penalized(weights, grad, penalty, |g| g),
+            Some(s) => self.sweep_penalized(weights, grad, penalty, move |g| g * s),
+        }
+    }
+
+    /// [`OptimizerState::sweep`] with the scale resolved; the penalty is
+    /// resolved here in turn, so that no loop branches on either.
+    fn sweep_penalized(
+        &mut self,
+        weights: &mut DenseVector,
+        grad: &mut DenseVector,
+        penalty: Regularizer,
+        scaled: impl Fn(f64) -> f64,
+    ) {
+        match penalty {
+            Regularizer::None => self.sweep_with(weights, grad, |g, _| scaled(g)),
+            Regularizer::L2(lambda) => {
+                self.sweep_with(weights, grad, |g, w| scaled(g) + lambda * w);
+            }
+            Regularizer::L1(lambda) => self.sweep_with(weights, grad, |g, w| {
+                scaled(g) + lambda * w.signum() * f64::from(w != 0.0)
+            }),
+        }
+    }
+
+    /// The update rules, each once. `gradient(slot, w)` is the step's full
+    /// gradient at one coordinate, from its buffer slot and pre-update weight.
+    fn sweep_with(
+        &mut self,
+        weights: &mut DenseVector,
+        grad: &mut DenseVector,
+        gradient: impl Fn(f64, f64) -> f64,
+    ) {
+        self.grow_to(grad.dim());
+        self.t += 1;
+        let coords = weights.as_mut_slice().iter_mut().zip(grad.as_mut_slice());
+        let (acc1, acc2) = (self.acc1.as_mut_slice(), self.acc2.as_mut_slice());
+        let plain = |eta: f64| move |g: f64, w: &mut f64, ()| *w -= eta * g;
+        match self.kind {
+            OptimizerKind::Constant { eta } => {
+                sweep_coords(coords, repeat(()), gradient, plain(eta));
+            }
+            OptimizerKind::InvScaling { eta0, power } => {
+                let eta = eta0 / (self.t as f64).powf(power);
+                sweep_coords(coords, repeat(()), gradient, plain(eta));
+            }
+            OptimizerKind::Momentum { eta, gamma } => {
+                sweep_coords(coords, acc1.iter_mut(), gradient, |g, w, u| {
+                    *u = gamma * *u + eta * g;
+                    *w -= *u;
+                });
+            }
+            OptimizerKind::Adam {
+                eta,
+                beta1,
+                beta2,
+                eps,
+            } => {
+                // Clamped, not cast: a wrapped exponent would turn negative,
+                // and β^t has underflowed to zero long before the clamp.
+                let t = self.t.min(i32::MAX as u64) as i32;
+                let bias1 = 1.0 - beta1.powi(t);
+                let bias2 = 1.0 - beta2.powi(t);
+                let mv = acc1.iter_mut().zip(acc2);
+                // A correction that has reached exactly 1.0 (β = 0.9: from
+                // step 356 on) is skipped: `x / 1.0` has the bits of `x`.
+                match (bias1 == 1.0, bias2 == 1.0) {
+                    (false, false) => {
+                        let rule = adam_rule(eta, beta1, beta2, eps, |m| m / bias1, |v| v / bias2);
+                        sweep_coords(coords, mv, gradient, rule);
+                    }
+                    (true, false) => {
+                        let rule = adam_rule(eta, beta1, beta2, eps, |m| m, |v| v / bias2);
+                        sweep_coords(coords, mv, gradient, rule);
+                    }
+                    (false, true) => {
+                        let rule = adam_rule(eta, beta1, beta2, eps, |m| m / bias1, |v| v);
+                        sweep_coords(coords, mv, gradient, rule);
+                    }
+                    (true, true) => {
+                        let rule = adam_rule(eta, beta1, beta2, eps, |m| m, |v| v);
+                        sweep_coords(coords, mv, gradient, rule);
+                    }
+                }
+            }
+            OptimizerKind::RmsProp { eta, decay, eps } => {
+                sweep_coords(coords, acc1.iter_mut(), gradient, |g, w, v| {
+                    *v = decay * *v + (1.0 - decay) * g * g;
+                    *w -= eta * g / (v.sqrt() + eps);
+                });
+            }
+            OptimizerKind::AdaDelta { decay, eps } => {
+                let acc = acc1.iter_mut().zip(acc2);
+                sweep_coords(coords, acc, gradient, |g, w, (eg2, ed2)| {
+                    *eg2 = decay * *eg2 + (1.0 - decay) * g * g;
+                    let delta = -((*ed2 + eps).sqrt() / (*eg2 + eps).sqrt()) * g;
+                    *ed2 = decay * *ed2 + (1.0 - decay) * delta * delta;
+                    *w += delta;
+                });
+            }
+        }
+    }
+}
+
+/// Runs `rule(g, w, acc)` down the zipped coordinates — `g` the coordinate's
+/// full gradient, `acc` its accumulator slots — clearing each gradient slot
+/// behind it.
+fn sweep_coords<'a, A>(
+    coords: impl Iterator<Item = (&'a mut f64, &'a mut f64)>,
+    acc: impl Iterator<Item = A>,
+    gradient: impl Fn(f64, f64) -> f64,
+    mut rule: impl FnMut(f64, &mut f64, A),
+) {
+    for ((w, slot), acc) in coords.zip(acc) {
+        let g = gradient(*slot, *w);
+        rule(g, w, acc);
+        *slot = g * 0.0;
+    }
+}
+
+/// Adam's update rule around its two bias corrections, which the caller
+/// passes in so that it can pass the identity.
+fn adam_rule(
+    eta: f64,
+    beta1: f64,
+    beta2: f64,
+    eps: f64,
+    m_hat: impl Fn(f64) -> f64,
+    v_hat: impl Fn(f64) -> f64,
+) -> impl FnMut(f64, &mut f64, (&mut f64, &mut f64)) {
+    move |g, w, (m, v)| {
+        *m = beta1 * *m + (1.0 - beta1) * g;
+        *v = beta2 * *v + (1.0 - beta2) * g * g;
+        *w -= eta * m_hat(*m) / (v_hat(*v).sqrt() + eps);
+    }
 }
 
 impl AdaptiveRate for OptimizerState {
     fn apply(&mut self, weights: &mut DenseVector, grad: &DenseVector) {
+        self.sweep(weights, &mut grad.clone(), None, Regularizer::None);
+    }
+
+    fn grow_to(&mut self, dim: usize) {
+        let (need1, need2) = Self::needs(self.kind);
+        if need1 {
+            self.acc1.grow_to(dim);
+        }
+        if need2 {
+            self.acc2.grow_to(dim);
+        }
+    }
+
+    fn steps(&self) -> u64 {
+        self.t
+    }
+}
+
+#[cfg(test)]
+impl OptimizerKind {
+    /// Every update rule, Adam three times: with the defaults (β₁ = 0.9's
+    /// correction is exactly 1.0 from step 356 on, β₂ = 0.999's from 37 412),
+    /// with the two decays swapped, and with decays whose corrections reach
+    /// 1.0 at no step a test gets to.
+    pub(crate) fn test_cases() -> [OptimizerKind; 8] {
+        let adam = |beta1, beta2| OptimizerKind::Adam {
+            eta: 0.05,
+            beta1,
+            beta2,
+            eps: 1e-8,
+        };
+        [
+            OptimizerKind::Constant { eta: 0.1 },
+            OptimizerKind::InvScaling {
+                eta0: 0.5,
+                power: 0.5,
+            },
+            OptimizerKind::Momentum {
+                eta: 0.05,
+                gamma: 0.9,
+            },
+            adam(0.9, 0.999),
+            adam(0.999, 0.9),
+            adam(1.0 - 1e-7, 1.0 - 1e-8),
+            OptimizerKind::rmsprop(0.05),
+            OptimizerKind::adadelta(),
+        ]
+    }
+}
+
+#[cfg(test)]
+impl OptimizerState {
+    /// The optimizer step as it shipped before [`OptimizerState::sweep`], kept
+    /// verbatim as the reference the differential tests compare the sweep with.
+    pub(crate) fn reference_apply(&mut self, weights: &mut DenseVector, grad: &DenseVector) {
         self.grow_to(grad.dim());
         debug_assert!(weights.dim() >= grad.dim());
         self.t += 1;
@@ -238,20 +451,6 @@ impl AdaptiveRate for OptimizerState {
                 }
             }
         }
-    }
-
-    fn grow_to(&mut self, dim: usize) {
-        let (need1, need2) = Self::needs(self.kind);
-        if need1 {
-            self.acc1.grow_to(dim);
-        }
-        if need2 {
-            self.acc2.grow_to(dim);
-        }
-    }
-
-    fn steps(&self) -> u64 {
-        self.t
     }
 }
 
@@ -345,6 +544,93 @@ mod tests {
                 (w[0].abs() - 0.1).abs() < 1e-3,
                 "scale {scale}: step {}",
                 w[0]
+            );
+        }
+    }
+
+    #[test]
+    fn mismatched_dimensions_update_the_shared_prefix() {
+        // Regression: a weight vector narrower than the gradient was an
+        // out-of-bounds index in release builds (a `debug_assert!` in debug).
+        for kind in OptimizerKind::test_cases() {
+            let mut state = OptimizerState::new(kind, 0);
+            let mut narrow = DenseVector::new(vec![1.0, 1.0]);
+            let mut grad = DenseVector::new(vec![0.5, -0.5, -7.0]);
+            state.sweep(&mut narrow, &mut grad, None, Regularizer::None);
+            assert!(narrow[0] < 1.0 && narrow[1] > 1.0, "{kind:?}: {narrow:?}");
+            // What was swept is cleared, sign kept; the rest is untouched.
+            let left: Vec<u64> = grad.as_slice().iter().map(|g| g.to_bits()).collect();
+            assert_eq!(left, [0.0f64, -0.0, -7.0].map(f64::to_bits), "{kind:?}");
+            // The reverse through the public entry point: weights beyond
+            // the gradient are left alone.
+            let mut wide = DenseVector::new(vec![1.0, 1.0, 1.0, 1.0]);
+            state.apply(&mut wide, &DenseVector::new(vec![0.5, -0.5, -7.0]));
+            assert!(wide[2] > 1.0 && wide[3] == 1.0, "{kind:?}: {wide:?}");
+            assert_eq!(state.steps(), 2);
+        }
+    }
+
+    #[test]
+    fn bias_correction_is_first_exactly_one_at_the_documented_steps() {
+        for (beta, first) in [(0.9f64, 356), (0.95, 730), (0.99, 3725), (0.999, 37_412)] {
+            assert!(1.0 - beta.powi(first - 1) < 1.0, "beta {beta}");
+            for t in first..first + 50 {
+                assert_eq!(1.0 - beta.powi(t), 1.0, "beta {beta} at step {t}");
+            }
+        }
+    }
+
+    /// One `step` from clock `t` on fixed weights, accumulators and gradient:
+    /// the bits of everything it decides.
+    fn step_bits(
+        kind: OptimizerKind,
+        t: u64,
+        step: fn(&mut OptimizerState, &mut DenseVector, &DenseVector),
+    ) -> Vec<u64> {
+        let acc1 = DenseVector::new(vec![0.3, -0.2, 1e-9, -0.0]);
+        let acc2 = DenseVector::new(vec![0.5, 0.01, 1e-12, 0.0]);
+        let mut state = OptimizerState::from_parts(kind, t, acc1, acc2);
+        let mut w = DenseVector::new(vec![1.0, -1.0, 0.5, -0.0]);
+        step(
+            &mut state,
+            &mut w,
+            &DenseVector::new(vec![0.7, -1.3, 1e-6, 0.0]),
+        );
+        assert_eq!(state.steps(), t + 1);
+        let (_, _, acc1, acc2) = state.to_parts();
+        [&w, acc1, acc2]
+            .iter()
+            .flat_map(|v| v.as_slice().iter().map(|x| x.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn elided_divides_change_no_bit_on_either_side_of_the_boundary() {
+        // β = 0.9 stops dividing at step 356 and β = 0.999 at step 37 412,
+        // whichever of the two moments it decays.
+        for kind in OptimizerKind::test_cases() {
+            for t in (0..3).chain(350..360).chain(37_405..37_415) {
+                assert_eq!(
+                    step_bits(kind, t, OptimizerState::apply),
+                    step_bits(kind, t, OptimizerState::reference_apply),
+                    "{kind:?} at step {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn step_counter_past_i32_clamps_the_exponent() {
+        // Regression: `t as i32` wrapped negative past 2^31 steps, so β^t
+        // blew up and the "correction" with it. Clamped, β^t is the zero it
+        // has been since β₂ = 0.999 underflowed (t ≈ 745 000).
+        let kind = OptimizerKind::adam(0.05);
+        let settled = step_bits(kind, 1_000_000, OptimizerState::reference_apply);
+        for t in [i32::MAX as u64 - 1, i32::MAX as u64, 1 << 31, u64::MAX - 1] {
+            assert_eq!(
+                step_bits(kind, t, OptimizerState::apply),
+                settled,
+                "step {t}"
             );
         }
     }

@@ -30,13 +30,26 @@ impl Regularizer {
         }
     }
 
-    /// Adds the penalty's (sub)gradient to `grad` in place.
+    /// The regularization strength (`0.0` for [`Regularizer::None`]).
+    pub fn lambda(&self) -> f64 {
+        match self {
+            Regularizer::None => 0.0,
+            Regularizer::L2(l) | Regularizer::L1(l) => *l,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Regularizer {
+    /// Adds the penalty's (sub)gradient to `grad` in place: the pass that
+    /// shipped before `OptimizerState::sweep` took the penalty in, kept
+    /// verbatim as the reference the differential tests compare the sweep with.
     ///
     /// Total for any pair of dimensions, the same way in every arm: the
     /// coordinates `w` and `grad` share take the penalty and the rest of
     /// `grad` is left alone (a weight that does not exist yet is zero, and
-    /// so is its penalty gradient). The trainer always passes equal ones.
-    pub fn add_gradient(&self, w: &DenseVector, grad: &mut DenseVector) {
+    /// so is its penalty gradient).
+    pub(crate) fn reference_add_gradient(&self, w: &DenseVector, grad: &mut DenseVector) {
         let shared = grad.as_mut_slice().iter_mut().zip(w.as_slice());
         match self {
             Regularizer::None => {}
@@ -52,27 +65,33 @@ impl Regularizer {
             }
         }
     }
-
-    /// The regularization strength (`0.0` for [`Regularizer::None`]).
-    pub fn lambda(&self) -> f64 {
-        match self {
-            Regularizer::None => 0.0,
-            Regularizer::L2(l) | Regularizer::L1(l) => *l,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{OptimizerKind, OptimizerState};
+
+    /// `grad` plus the penalty's (sub)gradient at `w`, as the shipped sweep
+    /// forms it: with γ = 0 and η = 1 the momentum buffer is the step's
+    /// whole gradient.
+    fn full_gradient(reg: Regularizer, w: &DenseVector, grad: &[f64]) -> Vec<f64> {
+        let recorder = OptimizerKind::Momentum {
+            eta: 1.0,
+            gamma: 0.0,
+        };
+        let mut state = OptimizerState::new(recorder, grad.len());
+        let mut grad = DenseVector::new(grad.to_vec());
+        state.sweep(&mut w.clone(), &mut grad, None, reg);
+        state.to_parts().2.as_slice().to_vec()
+    }
 
     #[test]
     fn l2_penalty_and_gradient() {
         let w = DenseVector::new(vec![3.0, 4.0]);
         let reg = Regularizer::L2(0.1);
         assert!((reg.penalty(&w) - 0.5 * 0.1 * 25.0).abs() < 1e-12);
-        let mut g = DenseVector::zeros(2);
-        reg.add_gradient(&w, &mut g);
+        let g = full_gradient(reg, &w, &[0.0, 0.0]);
         assert!((g[0] - 0.3).abs() < 1e-12);
         assert!((g[1] - 0.4).abs() < 1e-12);
     }
@@ -82,25 +101,25 @@ mod tests {
         let w = DenseVector::new(vec![-2.0, 0.0, 5.0]);
         let reg = Regularizer::L1(0.5);
         assert!((reg.penalty(&w) - 0.5 * 7.0).abs() < 1e-12);
-        let mut g = DenseVector::zeros(3);
-        reg.add_gradient(&w, &mut g);
         // Zero weight gets zero subgradient.
-        assert_eq!(g.as_slice(), &[-0.5, 0.0, 0.5]);
+        assert_eq!(full_gradient(reg, &w, &[0.0; 3]), [-0.5, 0.0, 0.5]);
     }
 
     #[test]
-    fn mismatched_dimensions_penalize_the_shared_prefix() {
-        // Regression: the L2 arm used to panic here while L1 zipped.
+    fn the_reference_pass_penalizes_the_shared_prefix() {
+        // What the differential cases with a gradient wider or narrower
+        // than the model lean on. (Regression: the L2 arm once panicked
+        // here while L1 zipped.)
         let w = DenseVector::new(vec![2.0, -4.0]);
         for (reg, expect) in [
             (Regularizer::L2(0.5), [1.0, -2.0]),
             (Regularizer::L1(0.5), [0.5, -0.5]),
         ] {
             let mut wider = DenseVector::new(vec![0.0, 0.0, 7.0]);
-            reg.add_gradient(&w, &mut wider);
+            reg.reference_add_gradient(&w, &mut wider);
             assert_eq!(wider.as_slice(), &[expect[0], expect[1], 7.0]);
             let mut narrower = DenseVector::zeros(1);
-            reg.add_gradient(&w, &mut narrower);
+            reg.reference_add_gradient(&w, &mut narrower);
             assert_eq!(narrower.as_slice(), &expect[..1]);
         }
     }
@@ -110,9 +129,7 @@ mod tests {
         let w = DenseVector::new(vec![1.0, 2.0]);
         let reg = Regularizer::None;
         assert_eq!(reg.penalty(&w), 0.0);
-        let mut g = DenseVector::new(vec![0.7, -0.7]);
-        reg.add_gradient(&w, &mut g);
-        assert_eq!(g.as_slice(), &[0.7, -0.7]);
+        assert_eq!(full_gradient(reg, &w, &[0.7, -0.7]), [0.7, -0.7]);
         assert_eq!(reg.lambda(), 0.0);
     }
 }

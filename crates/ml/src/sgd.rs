@@ -275,7 +275,8 @@ pub struct SgdTrainer {
     model: LinearModel,
     optimizer: OptimizerState,
     regularizer: Regularizer,
-    /// Scratch gradient buffer, reused across steps.
+    /// Scratch gradient buffer, reused across steps. Between steps it holds
+    /// what [`OptimizerState::sweep`] left: the last gradient times `0.0`.
     #[serde(skip)]
     grad: DenseVector,
     /// Recycled partial-gradient buffers for sharded and fused steps.
@@ -418,8 +419,8 @@ impl SgdTrainer {
         let inv_batch = 1.0 / batch.len() as f64;
         let shards = gradient_shards(batch.len());
         let total_loss = if shards == 1 {
+            // Cleared already: the sweep of the step before left `g * 0.0`.
             self.grad.grow_to(dim);
-            self.grad.scale(0.0);
             let mut sum = 0.0;
             for row in batch {
                 let z = row.dot_padded(self.model.weights());
@@ -471,9 +472,7 @@ impl SgdTrainer {
             self.install_gradient(grad);
             sum
         };
-        self.regularizer
-            .add_gradient(self.model.weights(), &mut self.grad);
-        self.optimizer.apply(self.model.weights_mut(), &self.grad);
+        self.update(None);
         self.points_seen += batch.len() as u64;
         Some(total_loss * inv_batch)
     }
@@ -706,13 +705,10 @@ impl SgdTrainer {
         }
         self.install_gradient(grad);
         let inv_points = 1.0 / points as f64;
-        self.grad.scale(inv_points);
         // Only now is it safe to grow the shared model.
         self.model.grow_to(self.grad.dim());
         self.grad.grow_to(self.model.dim());
-        self.regularizer
-            .add_gradient(self.model.weights(), &mut self.grad);
-        self.optimizer.apply(self.model.weights_mut(), &self.grad);
+        self.update(Some(inv_points));
         self.points_seen += points;
         Ok(FusedStepOutcome {
             loss: Some(loss_sum * inv_points),
@@ -720,9 +716,16 @@ impl SgdTrainer {
         })
     }
 
+    /// Ends a step: the one pass over the model, [`OptimizerState::sweep`],
+    /// which also leaves `self.grad` cleared for the next step.
+    fn update(&mut self, scale: Option<f64>) {
+        let (weights, grad) = (self.model.weights_mut(), &mut self.grad);
+        self.optimizer.sweep(weights, grad, scale, self.regularizer);
+    }
+
     /// Makes a step's reduced partial the trainer's gradient and recycles
-    /// the previous one, which — having been through the regularizer and the
-    /// optimizer — is dirty in every coordinate.
+    /// the previous one, which the last sweep left cleared but not clean:
+    /// any coordinate of it may be `-0.0` or NaN.
     fn install_gradient(&mut self, mut reduced: GradPartial) {
         std::mem::swap(&mut self.grad, &mut reduced.buf);
         reduced.dense = true;
@@ -1196,6 +1199,52 @@ mod tests {
         })
     }
 
+    /// The tail of a step as it shipped before `OptimizerState::sweep`: the
+    /// penalty's pass over `t.grad`, then the optimizer's.
+    fn reference_update(t: &mut SgdTrainer) {
+        t.regularizer
+            .reference_add_gradient(t.model.weights(), &mut t.grad);
+        t.optimizer.reference_apply(t.model.weights_mut(), &t.grad);
+    }
+
+    /// `step_rows` as it shipped before the sweep: the unsharded arm clears
+    /// the gradient buffer with a pass of its own, the sharded one sits on
+    /// [`dense_reference_reduce`], and both end in [`reference_update`].
+    fn reference_step_rows(t: &mut SgdTrainer, batch: &[RowView<'_>]) -> Option<f64> {
+        if batch.is_empty() {
+            return None;
+        }
+        let max_dim = batch.iter().map(|r| r.dim()).max().unwrap_or(0);
+        t.model.grow_to(max_dim);
+        let loss = t.model.loss();
+        let inv_batch = 1.0 / batch.len() as f64;
+        let shards = gradient_shards(batch.len());
+        let total_loss = if shards == 1 {
+            t.grad.grow_to(t.model.dim());
+            t.grad.scale(0.0);
+            let mut sum = 0.0;
+            for row in batch {
+                let z = row.dot_padded(t.model.weights());
+                sum += loss.value(z, row.label());
+                let coeff = loss.dloss_dz(z, row.label()) * inv_batch;
+                if coeff != 0.0 {
+                    row.axpy_into_growing(coeff, &mut t.grad);
+                }
+            }
+            sum
+        } else {
+            let shard_len = batch.len().div_ceil(shards);
+            let shards: Vec<Vec<RowView<'_>>> =
+                batch.chunks(shard_len).map(<[_]>::to_vec).collect();
+            let (grad, sum, _) = dense_reference_reduce(&t.model, &shards, inv_batch)?;
+            t.grad = grad;
+            sum
+        };
+        reference_update(t);
+        t.points_seen += batch.len() as u64;
+        Some(total_loss * inv_batch)
+    }
+
     /// The fused step on top of [`dense_reference_reduce`].
     fn dense_reference_fused(t: &mut SgdTrainer, sources: &[Vec<RowView<'_>>]) -> FusedStepOutcome {
         let reduced = dense_reference_reduce(&t.model, sources, 1.0);
@@ -1209,8 +1258,7 @@ mod tests {
         t.grad = grad;
         t.grad.scale(inv_points);
         t.model.grow_to(t.grad.dim());
-        t.regularizer.add_gradient(t.model.weights(), &mut t.grad);
-        t.optimizer.apply(t.model.weights_mut(), &t.grad);
+        reference_update(t);
         t.points_seen += points;
         FusedStepOutcome {
             loss: Some(loss_sum * inv_points),
@@ -1230,10 +1278,20 @@ mod tests {
         t.try_step_fused(sources.len(), access, engine, hook, &RunCtx::default())
     }
 
+    /// A float's bit pattern, with every NaN read as the same one: which
+    /// payload an operation on two NaNs keeps is the code generator's choice.
+    fn float_bits(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
     /// Everything a step decides, bit for bit: weights (and so the model
     /// dimension), the optimizer's accumulators and clock, the point count.
     fn state_bits(t: &SgdTrainer) -> (Vec<u64>, u64, Vec<u64>, Vec<u64>, u64) {
-        let bits = |v: &DenseVector| v.as_slice().iter().map(|x| x.to_bits()).collect();
+        let bits = |v: &DenseVector| v.as_slice().iter().copied().map(float_bits).collect();
         let (_, clock, acc1, acc2) = t.optimizer.to_parts();
         (
             bits(t.model.weights()),
@@ -1263,55 +1321,60 @@ mod tests {
         }
     }
 
-    /// A random source set: CSR slabs, dense slabs, sparse/dense/mixed point
-    /// lists and empty sources; some rows wider than the model, values drawn
-    /// from a palette with `-0.0`, `0.0` and exact opposites.
-    fn case_sources(rng: &mut StdRng) -> Vec<CaseSource> {
-        const PALETTE: [f64; 8] = [1.0, -1.0, 0.5, -0.5, 2.0, 0.0, -0.0, 0.25];
-        fn value(rng: &mut StdRng) -> f64 {
-            PALETTE[rng.random_range(0..PALETTE.len())]
+    /// Row values of the differential cases: `-0.0`, `0.0` and exact opposites.
+    const PALETTE: [f64; 8] = [1.0, -1.0, 0.5, -0.5, 2.0, 0.0, -0.0, 0.25];
+
+    fn palette_value(rng: &mut StdRng) -> f64 {
+        PALETTE[rng.random_range(0..PALETTE.len())]
+    }
+
+    fn class_label(rng: &mut StdRng) -> f64 {
+        if rng.random::<bool>() {
+            1.0
+        } else {
+            -1.0
         }
-        fn label(rng: &mut StdRng) -> f64 {
-            if rng.random::<bool>() {
-                1.0
-            } else {
-                -1.0
-            }
-        }
-        fn sparse_row(rng: &mut StdRng, dim: usize) -> LabeledPoint {
-            let indices: Vec<u32> = (0..dim as u32).filter(|_| rng.random::<bool>()).collect();
-            let values = indices.iter().map(|_| value(rng)).collect();
-            let features = SparseVector::new(dim, indices, values).unwrap();
-            LabeledPoint::new(label(rng), Vector::Sparse(features))
-        }
-        fn dense_row(rng: &mut StdRng, dim: usize) -> LabeledPoint {
-            let values: Vec<f64> = (0..dim).map(|_| value(rng)).collect();
-            LabeledPoint::new(label(rng), Vector::from(values))
-        }
-        let n_sources = rng.random_range(1..7);
-        (0..n_sources)
-            .map(|_| {
-                let n_rows = rng.random_range(0..5);
-                // Narrower than, equal to, or wider than the model.
-                let dim =
-                    [CASE_DIM - 4, CASE_DIM, CASE_DIM, CASE_DIM + 5][rng.random_range(0..4usize)];
-                let kind = rng.random_range(0..5);
-                let points: Vec<LabeledPoint> = (0..n_rows)
-                    .map(|_| match kind {
-                        0 | 1 => sparse_row(rng, dim),
-                        2 | 3 => dense_row(rng, dim),
-                        _ if rng.random::<bool>() => sparse_row(rng, dim),
-                        _ => dense_row(rng, dim + 1),
-                    })
-                    .collect();
-                // Even kinds go through a slab (CSR / dense / row fallback).
-                if kind % 2 == 0 {
-                    CaseSource::Slab(ColumnSlab::from_points(points))
-                } else {
-                    CaseSource::Points(points)
-                }
+    }
+
+    fn sparse_row(rng: &mut StdRng, dim: usize) -> LabeledPoint {
+        let indices: Vec<u32> = (0..dim as u32).filter(|_| rng.random::<bool>()).collect();
+        let values = indices.iter().map(|_| palette_value(rng)).collect();
+        let features = SparseVector::new(dim, indices, values).unwrap();
+        LabeledPoint::new(class_label(rng), Vector::Sparse(features))
+    }
+
+    fn dense_row(rng: &mut StdRng, dim: usize) -> LabeledPoint {
+        let values: Vec<f64> = (0..dim).map(|_| palette_value(rng)).collect();
+        LabeledPoint::new(class_label(rng), Vector::from(values))
+    }
+
+    /// A random source: a CSR slab, a dense slab, a sparse, dense or mixed
+    /// point list, or nothing; its rows narrower than, as wide as or wider
+    /// than the model.
+    fn case_source(rng: &mut StdRng) -> CaseSource {
+        let n_rows = rng.random_range(0..5);
+        let dim = [CASE_DIM - 4, CASE_DIM, CASE_DIM, CASE_DIM + 5][rng.random_range(0..4usize)];
+        let kind = rng.random_range(0..5);
+        let points: Vec<LabeledPoint> = (0..n_rows)
+            .map(|_| match kind {
+                0 | 1 => sparse_row(rng, dim),
+                2 | 3 => dense_row(rng, dim),
+                _ if rng.random::<bool>() => sparse_row(rng, dim),
+                _ => dense_row(rng, dim + 1),
             })
-            .collect()
+            .collect();
+        // Even kinds go through a slab (CSR / dense / row fallback).
+        if kind % 2 == 0 {
+            CaseSource::Slab(ColumnSlab::from_points(points))
+        } else {
+            CaseSource::Points(points)
+        }
+    }
+
+    /// One to six [`case_source`]s.
+    fn case_sources(rng: &mut StdRng) -> Vec<CaseSource> {
+        let n_sources = rng.random_range(1..7);
+        (0..n_sources).map(|_| case_source(rng)).collect()
     }
 
     /// A trainer with non-zero weights, so hinge margins are satisfied on
@@ -1392,26 +1455,228 @@ mod tests {
         let mut reference = SgdTrainer::new(300, &config);
         let mut shipped = reference.clone();
         for _ in 0..2 {
-            let shard_len = batch.len().div_ceil(gradient_shards(batch.len()));
-            let shards: Vec<Vec<RowView<'_>>> =
-                batch.chunks(shard_len).map(<[_]>::to_vec).collect();
-            let inv_batch = 1.0 / batch.len() as f64;
-            let (grad, loss_sum, _) =
-                dense_reference_reduce(&reference.model, &shards, inv_batch).unwrap();
-            reference.grad = grad;
-            let r = &mut reference;
-            r.regularizer.add_gradient(r.model.weights(), &mut r.grad);
-            r.optimizer.apply(r.model.weights_mut(), &r.grad);
-            r.points_seen += batch.len() as u64;
+            let expected = reference_step_rows(&mut reference, &batch).unwrap();
             for engine in [SEQ, ExecutionEngine::Threaded { workers: 3 }] {
                 let mut t = shipped.clone();
                 let loss = t.step_rows(&batch, engine).unwrap();
-                assert_eq!(loss.to_bits(), (loss_sum * inv_batch).to_bits());
+                assert_eq!(loss.to_bits(), expected.to_bits());
                 assert_eq!(state_bits(&t), state_bits(&reference), "{engine:?}");
             }
             // Carry the pool into the second step, not a clone's empty one.
             shipped.step_rows(&batch, SEQ);
             assert_pool_is_all_zero(&shipped);
+        }
+    }
+
+    /// One operation of a sweep case, owning what its row views borrow.
+    enum CaseOp {
+        /// `step_rows` below the sharding threshold — an empty batch included.
+        Unsharded(CaseSource),
+        /// `step_rows` on a batch wide enough for two shards.
+        Sharded(CaseSource),
+        /// `try_step_fused`, some sources wider or narrower than the model.
+        Fused(Vec<CaseSource>),
+        /// The model grown from outside by this much, as a wider query does,
+        /// so that the next gradient is the narrower of the two.
+        GrowModel(usize),
+        /// The trainer rebuilt from its own `to_parts()`, as a resume does.
+        Restore,
+    }
+
+    fn case_op(rng: &mut StdRng) -> CaseOp {
+        match rng.random_range(0..10) {
+            0..=3 => CaseOp::Unsharded(case_source(rng)),
+            4 => {
+                let n_rows = 2 * GRAD_SHARD_MIN_POINTS + rng.random_range(0..40usize);
+                let dim = CASE_DIM + rng.random_range(0..3usize);
+                CaseOp::Sharded(CaseSource::Points(
+                    (0..n_rows).map(|_| sparse_row(rng, dim)).collect(),
+                ))
+            }
+            5..=7 => CaseOp::Fused(case_sources(rng)),
+            8 => CaseOp::GrowModel(rng.random_range(1..4)),
+            _ => CaseOp::Restore,
+        }
+    }
+
+    /// Runs `op` on `t` — through the shipped entry points on `engine`, or
+    /// through the three-pass reference when there is none — and returns
+    /// what the caller of a step sees: the loss's bits and the point count.
+    fn run_case_op(
+        t: &mut SgdTrainer,
+        op: &CaseOp,
+        engine: Option<ExecutionEngine>,
+    ) -> (Option<u64>, u64) {
+        match op {
+            CaseOp::Unsharded(source) | CaseOp::Sharded(source) => {
+                let batch = source.views();
+                let loss = match engine {
+                    Some(engine) => t.step_rows(&batch, engine),
+                    None => reference_step_rows(t, &batch),
+                };
+                (loss.map(float_bits), batch.len() as u64)
+            }
+            CaseOp::Fused(sources) => {
+                let sources: Vec<_> = sources.iter().map(CaseSource::views).collect();
+                let out = match engine {
+                    Some(engine) => step_fused(t, &sources, engine, &NoFaults).unwrap(),
+                    None => dense_reference_fused(t, &sources),
+                };
+                (out.loss.map(float_bits), out.points)
+            }
+            CaseOp::GrowModel(by) => {
+                let dim = t.model.dim() + *by;
+                t.model_mut().grow_to(dim);
+                (None, 0)
+            }
+            CaseOp::Restore => {
+                let (kind, clock, acc1, acc2) = t.optimizer.to_parts();
+                let optimizer = OptimizerState::from_parts(kind, clock, acc1.clone(), acc2.clone());
+                *t = SgdTrainer::restore(t.model.clone(), optimizer, t.regularizer, t.points_seen);
+                (None, 0)
+            }
+        }
+    }
+
+    /// A trainer in mid-run: weights with `-0.0`, zeros and subnormals small
+    /// enough for `λ·w` to underflow to `-0.0` among them, the optimizer's
+    /// clock at `clock`, its accumulators filled, and in one case out of
+    /// four an infinity or a NaN planted in one of them.
+    fn sweep_case_trainer(
+        rng: &mut StdRng,
+        optimizer: OptimizerKind,
+        regularizer: Regularizer,
+        clock: u64,
+    ) -> SgdTrainer {
+        const WEIGHTS: [f64; 6] = [-0.0, 0.0, 5e-324, -5e-324, -1e-310, 1e-310];
+        const SPECIALS: [f64; 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let weights = (0..CASE_DIM)
+            .map(|_| match rng.random_range(0..2 * WEIGHTS.len()) {
+                i if i < WEIGHTS.len() => WEIGHTS[i],
+                _ => rng.random_range(-1.0..1.0),
+            })
+            .collect();
+        // First accumulators are signed (momentum, Adam's m) or second
+        // moments like the others; the rules hold for either.
+        let fresh = OptimizerState::new(optimizer, CASE_DIM);
+        let (_, _, acc1, acc2) = fresh.to_parts();
+        let mut acc1: Vec<f64> = acc1.iter().map(|_| rng.random_range(-0.5..1.0)).collect();
+        let mut acc2: Vec<f64> = acc2.iter().map(|_| rng.random_range(0.0..1.0)).collect();
+        if rng.random_range(0..4) == 0 {
+            let special = SPECIALS[rng.random_range(0..SPECIALS.len())];
+            let acc = if rng.random::<bool>() {
+                &mut acc1
+            } else {
+                &mut acc2
+            };
+            if !acc.is_empty() {
+                let at = rng.random_range(0..acc.len());
+                acc[at] = special;
+            }
+        }
+        let losses = [LossKind::Hinge, LossKind::Logistic, LossKind::Squared];
+        SgdTrainer::with_model(
+            LinearModel::with_weights(
+                DenseVector::new(weights),
+                losses[rng.random_range(0..losses.len())],
+            ),
+            OptimizerState::from_parts(optimizer, clock, acc1.into(), acc2.into()),
+            regularizer,
+        )
+    }
+
+    proptest! {
+        /// The one-sweep step is bit-identical to the three passes it
+        /// replaced — through all three entry points, for every update rule
+        /// and penalty, on both engines — over sequences that start on either
+        /// side of the step where Adam's first bias correction becomes
+        /// exactly 1.0 and run across it. Every operation is compared, so
+        /// what one step left in the gradient buffer (the signed zeros the
+        /// next unsharded step sums on top of) shows in the next.
+        #[test]
+        fn sweep_matches_the_three_pass_reference(seed in 0u64..u64::MAX) {
+            const CLOCKS: [u64; 8] = [0, 352, 353, 354, 355, 356, 357, 40_000];
+            let penalties = [Regularizer::None, Regularizer::L2(1e-3), Regularizer::L1(1e-3)];
+            let mut rng = StdRng::seed_from_u64(seed);
+            for optimizer in OptimizerKind::test_cases() {
+                for penalty in penalties {
+                    let clock = CLOCKS[rng.random_range(0..CLOCKS.len())];
+                    let start = sweep_case_trainer(&mut rng, optimizer, penalty, clock);
+                    let ops: Vec<CaseOp> = (0..8).map(|_| case_op(&mut rng)).collect();
+                    let mut reference = start.clone();
+                    let expected: Vec<_> = ops
+                        .iter()
+                        .map(|op| (run_case_op(&mut reference, op, None), state_bits(&reference)))
+                        .collect();
+                    for engine in [SEQ, ExecutionEngine::Threaded { workers: 3 }] {
+                        let mut shipped = start.clone();
+                        for (i, (op, expected)) in ops.iter().zip(&expected).enumerate() {
+                            let got = (run_case_op(&mut shipped, op, Some(engine)), state_bits(&shipped));
+                            prop_assert_eq!(
+                                &got,
+                                expected,
+                                "{:?} + {:?} from step {}, operation {} on {}",
+                                optimizer,
+                                penalty,
+                                clock,
+                                i,
+                                engine.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_negative_gradient_leaves_its_sign_on_the_zero_the_next_step_starts_from() {
+        // Random cases do not get here, so by hand: coordinate 1 takes a
+        // gradient of -5e-324 in the first step — too small to move a first
+        // accumulator resting at -0.0 (its share underflows to -0.0) — and
+        // no row in the second, whose gradient there is then the zero the
+        // buffer was left at (plus an L2 term that underflows to -0.0). Left
+        // at `g * 0.0 = -0.0`, as the clearing pass of old left it, the
+        // accumulator stays -0.0; left at `+0.0`, it would turn +0.0.
+        let tiny = f64::from_bits(1);
+        let point = |indices: Vec<u32>, values| {
+            LabeledPoint::new(
+                1.0,
+                Vector::Sparse(SparseVector::new(2, indices, values).unwrap()),
+            )
+        };
+        let first = vec![point(vec![0, 1], vec![1.0, tiny])];
+        let second = CaseOp::Unsharded(CaseSource::Points(vec![point(vec![0], vec![1.0])]));
+        let momentum = OptimizerKind::Momentum {
+            eta: 0.05,
+            gamma: 0.9,
+        };
+        for optimizer in [momentum, OptimizerKind::adam(0.05)] {
+            for (penalty, w1) in [(Regularizer::None, 0.25), (Regularizer::L2(1e-3), -tiny)] {
+                for first in [
+                    CaseOp::Unsharded(CaseSource::Points(first.clone())),
+                    CaseOp::Fused(vec![CaseSource::Points(first.clone())]),
+                ] {
+                    let fresh = OptimizerState::new(optimizer, 2);
+                    let acc2 = DenseVector::filled(fresh.to_parts().3.dim(), 1.0);
+                    let acc1 = DenseVector::new(vec![0.0, -0.0]);
+                    let mut shipped = SgdTrainer::with_model(
+                        LinearModel::with_weights(DenseVector::new(vec![0.0, w1]), LossKind::Hinge),
+                        OptimizerState::from_parts(optimizer, 0, acc1, acc2),
+                        penalty,
+                    );
+                    let mut reference = shipped.clone();
+                    for op in [&first, &second] {
+                        run_case_op(&mut shipped, op, Some(SEQ));
+                        run_case_op(&mut reference, op, None);
+                    }
+                    let fused = matches!(first, CaseOp::Fused(_));
+                    let case = format!("{optimizer:?} + {penalty:?}, fused first: {fused}");
+                    assert_eq!(state_bits(&shipped), state_bits(&reference), "{case}");
+                    let (_, _, acc1, _) = shipped.optimizer.to_parts();
+                    assert_eq!(acc1[1].to_bits(), (-0.0f64).to_bits(), "{case}");
+                }
+            }
         }
     }
 

@@ -258,19 +258,24 @@ impl ChunkStore {
         self
     }
 
-    /// Stores a raw chunk, then trims the raw history to its budget.
+    /// Stores a raw chunk — as it is when the caller hands over an `Arc` it
+    /// goes on reading from — then trims the raw history to its budget.
     /// Returns the *still-materialized feature chunks* reclaimed by the trim
     /// (oldest first) so the caller can account for them (lineage `Evict`);
     /// their raw data is gone, so they can never be re-materialized.
     ///
     /// # Errors
     /// [`StorageError::DuplicateTimestamp`] when the timestamp is taken.
-    pub fn put_raw(&mut self, chunk: RawChunk) -> Result<Vec<Arc<FeatureChunk>>, StorageError> {
+    pub fn put_raw(
+        &mut self,
+        chunk: impl Into<Arc<RawChunk>>,
+    ) -> Result<Vec<Arc<FeatureChunk>>, StorageError> {
+        let chunk = chunk.into();
         let ts = chunk.timestamp;
         if self.raw.contains_key(&ts) {
             return Err(StorageError::DuplicateTimestamp(ts));
         }
-        self.raw.insert(ts, Arc::new(chunk));
+        self.raw.insert(ts, chunk);
         self.stats.raw_puts += 1;
         Ok(self.collect(GcCause::RawBudget))
     }

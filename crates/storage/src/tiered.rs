@@ -171,7 +171,8 @@ impl TieredStore {
     ///
     /// # Errors
     /// Duplicate timestamps.
-    pub fn put_raw(&mut self, chunk: RawChunk) -> Result<(), StorageError> {
+    pub fn put_raw(&mut self, chunk: impl Into<Arc<RawChunk>>) -> Result<(), StorageError> {
+        let chunk = chunk.into();
         let ts = chunk.timestamp.0;
         let before = self.memory.stats();
         let dropped = self.memory.put_raw(chunk)?;

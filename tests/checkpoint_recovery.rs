@@ -268,6 +268,54 @@ fn proactive_fire_crash_resumes_bit_identically() {
 }
 
 #[test]
+fn resume_across_the_step_adam_stops_dividing_at_is_bit_identical() {
+    // From optimizer step 356 on, Adam's first bias correction is exactly
+    // 1.0 and the sweep skips the divide — decided from the step counter
+    // alone, which is all a checkpoint carries of it. The Tiny stream ends
+    // at step 37, so this one is long: the newest checkpoint at the kill
+    // predates step 356, the kill comes after it, and the resumed process
+    // crosses it again on its own.
+    let config = cdpipe::datagen::url::UrlConfig {
+        days: 61,
+        chunks_per_day: 6,
+        rows_per_chunk: 12,
+        base_vocab: 300,
+        vocab_growth_per_day: 5,
+        tokens_per_row: 6,
+        lexical_features: 4,
+        drift_per_day: 0.05,
+        ..cdpipe::datagen::url::UrlConfig::repo_scale()
+    };
+    let (stream, spec) = cdpipe::core::presets::url_spec_from(config, 8, SpecScale::Tiny);
+    let baseline = run_deployment(&stream, &spec, &continuous_cfg());
+
+    let dir = ckpt_dir("adam-boundary");
+    let mut cfg = continuous_cfg();
+    cfg.checkpoint = Some(CheckpointConfig::new(&dir).every(200).keep(2));
+    let crash_after_chunks = 300;
+    cfg.faults = crash_plan(CrashSite::ChunkBoundary, crash_after_chunks);
+    match try_run_deployment(&stream, &spec, &cfg) {
+        Err(DeploymentError::Crashed(CrashSite::ChunkBoundary)) => {}
+        other => panic!("expected a chunk-boundary crash, got {other:?}"),
+    }
+    let (_, payload) = CheckpointDir::open(&dir, 2)
+        .expect("open checkpoint dir")
+        .latest_valid()
+        .expect("list checkpoints")
+        .expect("a durable checkpoint exists");
+    let ckpt = DeploymentCheckpoint::decode(&payload).expect("decode checkpoint");
+    let chunks_at_ckpt = ckpt.chunk_idx + 1 - stream.initial_chunks() as u64;
+    assert!(ckpt.opt_t < 356, "checkpointed at step {}", ckpt.opt_t);
+    // A step per chunk at the least, so the kill is past step 356.
+    assert!(ckpt.opt_t + (crash_after_chunks - chunks_at_ckpt) > 356);
+
+    let resumed = try_resume_deployment(&stream, &spec, &cfg).expect("resume");
+    assert_eq!(resumed.checkpoint_stats.restores, 1);
+    assert_identical("kill and resume across step 356", &baseline, &resumed);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn torn_checkpoint_write_leaves_temp_file_and_falls_back() {
     let (stream, spec) = tiny_url();
     let baseline = run_deployment(&stream, &spec, &continuous_cfg());

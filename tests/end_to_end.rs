@@ -366,6 +366,57 @@ const PARENT_TAXI_TINY_CHAOS: &str = "weights 6177b13f359ee1ff curve 37dad24ae61
     TieredStats { memory_hits: 8, disk_hits: 27, recomputes: 0, spills: 27, \
     read_fallbacks: 1, lost_spills: 0 }";
 
+/// A URL stream long enough for the optimizer to pass step 356 halfway
+/// through the deployment phase (a step per chunk and one per fire, after at
+/// most 15 of the initial fit), at a hash width that keeps it to a second.
+fn long_url() -> (cdpipe::datagen::url::UrlGenerator, DeploymentSpec) {
+    let config = UrlConfig {
+        days: 61,
+        chunks_per_day: 6,
+        rows_per_chunk: 12,
+        base_vocab: 300,
+        vocab_growth_per_day: 5,
+        tokens_per_row: 6,
+        lexical_features: 4,
+        drift_per_day: 0.05,
+        ..UrlConfig::repo_scale()
+    };
+    url_spec_from(config, 8, SpecScale::Tiny)
+}
+
+#[test]
+fn long_url_run_matches_the_commit_before_the_sweep() {
+    // Recorded at the parent of the commit that fused the clearing, scaling,
+    // penalty and optimizer passes into one sweep. The Tiny specs stop at 37
+    // optimizer steps; this run goes on past step 356, from which Adam's
+    // first bias correction is exactly 1.0 and the sweep no longer divides
+    // by it — online steps and fires on both sides of that step. (The
+    // ledger digest takes in `total_secs`.)
+    let (stream, spec) = long_url();
+    for engine in [
+        ExecutionEngine::Sequential,
+        ExecutionEngine::Threaded { workers: 4 },
+    ] {
+        let mut config = DeploymentConfig::continuous(2, 3, SamplingStrategy::TimeBased);
+        config.engine = engine;
+        let r = try_run_deployment(&stream, &spec, &config).expect("fault-free run");
+        let chunks = stream.deployment_range().len() as u64;
+        let fit_steps = r.initial_report.steps;
+        assert!(
+            fit_steps < 100 && fit_steps + chunks + r.proactive_runs > 500,
+            "step 356 must fall inside the deployment phase: \
+             {fit_steps} + {chunks} + {}",
+            r.proactive_runs
+        );
+        assert_eq!(run_digest(&r), PARENT_URL_LONG, "on {engine:?}");
+    }
+}
+
+const PARENT_URL_LONG: &str = "weights 82ae619348251be4 curve 9b903e94a6aa34e7 cost 819449e3342fbb76 ledger 4e87ab8ff49c7f9d | \
+    StoreStats { raw_puts: 360, feature_puts: 360, evictions: 0, \
+    bytes_evicted: 0, feature_hits: 540, feature_misses: 0, unavailable: 0, \
+    compactions: 0, gc_runs: 0 }";
+
 #[test]
 fn taxi_checkpoint_bytes_match_the_commit_before_the_column_pipeline() {
     // The newest checkpoint of a Taxi Tiny run, compared whole: component
