@@ -4,7 +4,6 @@
 pub mod ablations;
 pub mod checkpoint;
 pub mod datasets;
-pub mod engine_scaling;
 pub mod fault_recovery;
 pub mod fig4;
 pub mod fig5;
@@ -14,7 +13,6 @@ pub mod fig8;
 pub mod ingest;
 pub mod serving;
 pub mod staleness;
-pub mod store;
 pub mod table3;
 pub mod table4;
 pub mod telemetry;

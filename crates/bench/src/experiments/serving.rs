@@ -25,14 +25,19 @@ use cdp_pipeline::scale::StandardScaler;
 use cdp_pipeline::{Pipeline, PipelineBuilder};
 use cdp_storage::{RawChunk, Record, Schema, Timestamp, Value};
 
-use super::engine_scaling::host_parallelism;
-
 /// Reader threads hammering `predict` in both phases.
 const READERS: usize = 2;
 /// The storm publishes a fresh pair this often (the issue's 1 ms storm).
 const PUBLISH_EVERY: Duration = Duration::from_millis(1);
 /// Repetitions per phase; the reported QPS is the median.
 const REPS: usize = 3;
+
+/// Number of cores the host exposes (the reader threads share them).
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
 
 /// Geometric latency bucket bounds from 100 ns to ~130 ms: fine enough
 /// (~35% per step) that the interpolated p99 tracks the exact-sort value

@@ -19,9 +19,7 @@
 //! | `exp_table4_mu` | Table 4 (empirical vs theoretical μ) |
 //! | `exp_fig7_materialization_cost` | Figure 7 (optimizations vs cost) |
 //! | `exp_fig8_tradeoff` | Figure 8 (quality/cost trade-off) |
-//! | `exp_engine_scaling` | worker-pool scaling sweep (`BENCH_engine.json`) |
 //! | `exp_serving` | serving QPS/p99 under a publish storm (`BENCH_serving.json`) |
-//! | `exp_store` | columnar vs row store consume + compaction ingest (`BENCH_store.json`) |
 //! | `exp_fault_recovery` | fault-injection recovery sweep (`fault_recovery.csv`) |
 //! | `exp_telemetry` | telemetry overhead vs metrics-only baseline (`BENCH_telemetry.json`) |
 //! | `postmortem` | crash a seeded run / rebuild its timeline from flight-recorder segments |
@@ -34,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod hotpath;
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;

@@ -118,14 +118,6 @@ pub struct DeploymentCheckpoint {
 impl DeploymentCheckpoint {
     /// Serializes the checkpoint payload under the current schema.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_versioned(cdp_storage::CHECKPOINT_SCHEMA.0)
-    }
-
-    /// Serializes the checkpoint payload under schema `version` (pre-v3
-    /// layouts omit the `compactions`/`gc_runs` store counters). Kept public
-    /// so compatibility tests can fabricate genuinely old checkpoints.
-    pub fn encode_versioned(&self, version: u16) -> Vec<u8> {
-        let v3_store_stats = version >= 3;
         let mut out = Vec::with_capacity(4096);
         put_u64(&mut out, self.chunk_idx);
         put_f64(&mut out, self.now_secs);
@@ -165,14 +157,8 @@ impl DeploymentCheckpoint {
             put_u64(&mut out, v);
         }
         put_u64(&mut out, self.fault_epoch);
-        let store_fields = store_stats_fields(&self.store_stats);
-        let n_store_fields = if v3_store_stats {
-            store_fields.len()
-        } else {
-            store_fields.len() - 2
-        };
-        for v in &store_fields[..n_store_fields] {
-            put_u64(&mut out, *v);
+        for v in store_stats_fields(&self.store_stats) {
+            put_u64(&mut out, v);
         }
         for v in tiered_stats_fields(&self.tiered_stats) {
             put_u64(&mut out, v);
@@ -190,29 +176,31 @@ impl DeploymentCheckpoint {
         out
     }
 
+    /// Decodes a checkpoint payload read from a file of schema `version`,
+    /// as [`cdp_storage::CheckpointDir::latest_valid_versioned`] reports it.
+    ///
+    /// # Errors
+    /// [`StorageError::VersionMismatch`] for any schema but the current one
+    /// (there is one payload layout); otherwise as
+    /// [`DeploymentCheckpoint::decode`].
+    pub fn decode_versioned(version: u16, bytes: &[u8]) -> Result<Self, StorageError> {
+        let expected = cdp_storage::CHECKPOINT_SCHEMA.0;
+        if version != expected {
+            return Err(StorageError::VersionMismatch {
+                found: version,
+                expected,
+            });
+        }
+        Self::decode(bytes)
+    }
+
     /// Decodes a checkpoint payload written by this build (the current
-    /// schema). See [`DeploymentCheckpoint::decode_versioned`] for reading
-    /// older checkpoints.
+    /// schema).
     ///
     /// # Errors
     /// [`StorageError::Corrupt`] on any truncated, malformed, or
     /// trailing-garbage input — never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, StorageError> {
-        Self::decode_versioned(cdp_storage::CHECKPOINT_SCHEMA.0, bytes)
-    }
-
-    /// Decodes a checkpoint payload written under schema `version`.
-    ///
-    /// Schema v3 (the columnar-store release) extended the store-stats block
-    /// from 7 to 9 counters (`compactions`, `gc_runs`); pre-v3 payloads
-    /// decode with those counters at zero — a fresh compaction/GC history,
-    /// exactly what a store restored from an old checkpoint has.
-    ///
-    /// # Errors
-    /// [`StorageError::Corrupt`] on any truncated, malformed, or
-    /// trailing-garbage input — never a panic.
-    pub fn decode_versioned(version: u16, bytes: &[u8]) -> Result<Self, StorageError> {
-        let v3_store_stats = version >= 3;
         let mut r = Reader { buf: bytes };
         let chunk_idx = r.u64()?;
         let now_secs = r.f64()?;
@@ -271,8 +259,8 @@ impl DeploymentCheckpoint {
             feature_hits: r.u64()?,
             feature_misses: r.u64()?,
             unavailable: r.u64()?,
-            compactions: if v3_store_stats { r.u64()? } else { 0 },
-            gc_runs: if v3_store_stats { r.u64()? } else { 0 },
+            compactions: r.u64()?,
+            gc_runs: r.u64()?,
         };
         let tiered_stats = TieredStats {
             memory_hits: r.u64()?,
@@ -789,25 +777,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_payloads_decode_with_zeroed_gc_counters() {
-        let original = sample_checkpoint();
-        let v1_bytes = original.encode_versioned(1);
-        // The v1 layout is strictly shorter: no compactions/gc_runs fields.
-        assert_eq!(v1_bytes.len() + 16, original.encode().len());
-        let decoded = match DeploymentCheckpoint::decode_versioned(1, &v1_bytes) {
-            Ok(c) => c,
-            Err(e) => panic!("v1 decode failed: {e}"),
-        };
-        assert_eq!(decoded.store_stats.raw_puts, 20);
-        assert_eq!(decoded.store_stats.unavailable, 0);
-        // Counters that did not exist in v1 restore to zero.
-        assert_eq!(decoded.store_stats.compactions, 0);
-        assert_eq!(decoded.store_stats.gc_runs, 0);
-        // The current decoder rejects v1 bytes as truncated, not garbage.
-        assert!(matches!(
-            DeploymentCheckpoint::decode(&v1_bytes),
-            Err(StorageError::Corrupt(_))
-        ));
+    fn any_other_schema_version_is_a_typed_mismatch() {
+        let encoded = sample_checkpoint().encode();
+        let current = cdp_storage::CHECKPOINT_SCHEMA.0;
+        assert!(DeploymentCheckpoint::decode_versioned(current, &encoded).is_ok());
+        for version in [1, current + 1] {
+            assert!(matches!(
+                DeploymentCheckpoint::decode_versioned(version, &encoded),
+                Err(StorageError::VersionMismatch { found, expected })
+                    if found == version && expected == current
+            ));
+        }
     }
 
     #[test]

@@ -20,24 +20,15 @@
 //!
 //! The `(weights, optimizer state)` pair is serializable, providing the
 //! *warm starting* used by the periodical-deployment baseline (TFX-style).
-//!
-//! Beyond linear models, the crate includes the other SGD-trained model
-//! families the paper cites as platform-compatible: [`cluster`] (mini-batch
-//! k-means, paper ref. 6) and [`factorization`] (latent-factor recommendation,
-//! paper ref. 19) — both expose the same step-based incremental contract.
 
 #![warn(missing_docs)]
 
-pub mod cluster;
-pub mod factorization;
 pub mod loss;
 pub mod model;
 pub mod optimizer;
 pub mod regularizer;
 pub mod sgd;
 
-pub use cluster::MiniBatchKMeans;
-pub use factorization::{MatrixFactorization, MfConfig, Rating};
 pub use loss::{Loss, LossKind};
 pub use model::{LinearModel, Task};
 pub use optimizer::{AdaptiveRate, OptimizerKind, OptimizerState};

@@ -38,15 +38,11 @@ use crate::{SchemaVersion, StorageError};
 
 const MAGIC: &[u8; 4] = b"CDPC";
 
-/// Current schema of checkpoint files. v1 was the original layout; v3
-/// (numbered to match the spill codec's columnar release) extended the
-/// payload's store-stats block with compaction/GC counters. Readers still
-/// accept v1 files — [`CheckpointDir::latest_valid_versioned`] surfaces the
-/// version so the payload decoder can fall through to the old layout.
+/// Schema of checkpoint files, and the only one this build reads: a file
+/// of any other version (v1 was the original layout; v3, numbered to match
+/// the spill codec's columnar release, added the store's compaction/GC
+/// counters) is a typed [`StorageError::VersionMismatch`].
 pub const CHECKPOINT_SCHEMA: SchemaVersion = SchemaVersion(3);
-
-/// Schema versions this build can read.
-const ACCEPTED_SCHEMAS: [u16; 2] = [1, CHECKPOINT_SCHEMA.0];
 
 /// Sentinel for "no generation pinned".
 const UNPINNED: u64 = u64::MAX;
@@ -144,7 +140,7 @@ impl CheckpointDir {
             return Err(StorageError::Corrupt("bad checkpoint magic".into()));
         }
         let version = u16::from_be_bytes([body[4], body[5]]);
-        if !ACCEPTED_SCHEMAS.contains(&version) {
+        if version != CHECKPOINT_SCHEMA.0 {
             return Err(StorageError::VersionMismatch {
                 found: version,
                 expected: CHECKPOINT_SCHEMA.0,
@@ -258,9 +254,7 @@ impl CheckpointDir {
     }
 
     /// [`CheckpointDir::latest_valid`] carrying the file's schema version,
-    /// as `(seq, version, payload)` — payload decoders use the version to
-    /// fall through to older layouts (pre-v3 checkpoints lack the store's
-    /// compaction/GC counters).
+    /// as `(seq, version, payload)`, for the payload decoder to check.
     ///
     /// # Errors
     /// I/O errors reading the directory (individual unreadable files are
@@ -405,48 +399,27 @@ mod tests {
     }
 
     #[test]
-    fn v1_envelopes_still_load_with_their_version() {
-        let dir = temp_dir("v1");
-        let store = ok(CheckpointDir::open(&dir, 3));
-        // Hand-craft a v1-framed file, as written by pre-columnar builds.
-        let mut body = Vec::new();
-        body.extend_from_slice(MAGIC);
-        body.extend_from_slice(&1u16.to_be_bytes());
-        body.extend_from_slice(b"legacy-payload");
-        let checksum = crc32(&body).to_be_bytes();
-        body.extend_from_slice(&checksum);
-        ok(fs::write(dir.join("ckpt-000000000000.cdpk"), &body));
-        let (seq, version, payload) = some(ok(store.latest_valid_versioned()));
-        assert_eq!(seq, 0);
-        assert_eq!(version, 1);
-        assert_eq!(payload, b"legacy-payload");
-        // A current write supersedes it and reports the current schema.
-        ok(store.write(1, b"modern"));
-        let (_, version, payload) = some(ok(store.latest_valid_versioned()));
-        assert_eq!(version, CHECKPOINT_SCHEMA.0);
-        assert_eq!(payload, b"modern");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn foreign_version_is_skipped_and_typed() {
         let dir = temp_dir("ver");
         let store = ok(CheckpointDir::open(&dir, 3));
         ok(store.write(0, b"current"));
-        // Hand-craft a structurally valid file with a future schema version.
-        let mut body = Vec::new();
-        body.extend_from_slice(MAGIC);
-        body.extend_from_slice(&(CHECKPOINT_SCHEMA.0 + 1).to_be_bytes());
-        body.extend_from_slice(b"from-the-future");
-        let checksum = crc32(&body).to_be_bytes();
-        body.extend_from_slice(&checksum);
-        ok(fs::write(dir.join("ckpt-000000000001.cdpk"), &body));
-        assert!(matches!(
-            CheckpointDir::decode(&body),
-            Err(StorageError::VersionMismatch { found, expected })
-                if found == CHECKPOINT_SCHEMA.0 + 1 && expected == CHECKPOINT_SCHEMA.0
-        ));
-        // latest_valid skips it and falls back.
+        // Hand-craft structurally valid files of the schema before this one
+        // and of the one after it.
+        for (seq, version) in [(1, 1), (2, CHECKPOINT_SCHEMA.0 + 1)] {
+            let mut body = Vec::new();
+            body.extend_from_slice(MAGIC);
+            body.extend_from_slice(&version.to_be_bytes());
+            body.extend_from_slice(b"from-another-build");
+            let checksum = crc32(&body).to_be_bytes();
+            body.extend_from_slice(&checksum);
+            ok(fs::write(dir.join(format!("ckpt-{seq:012}.cdpk")), &body));
+            assert!(matches!(
+                CheckpointDir::decode(&body),
+                Err(StorageError::VersionMismatch { found, expected })
+                    if found == version && expected == CHECKPOINT_SCHEMA.0
+            ));
+        }
+        // latest_valid skips both and falls back.
         let (seq, _) = some(ok(store.latest_valid()));
         assert_eq!(seq, 0);
         let _ = fs::remove_dir_all(&dir);
