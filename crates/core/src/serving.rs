@@ -29,7 +29,7 @@
 //!   queue-depth gauges, and the `serving.*` SLA alert rules
 //!   ([`AlertMonitor::serving_defaults`]).
 
-use std::cell::UnsafeCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -39,8 +39,8 @@ use cdp_engine::{ExecutionEngine, RunCtx};
 use cdp_faults::{FaultHook, NoFaults};
 use cdp_ml::LinearModel;
 use cdp_obs::{Alert, AlertMonitor, Clock, Counter, Gauge, Histogram, Metrics, WallClock};
-use cdp_pipeline::Pipeline;
-use cdp_storage::Record;
+use cdp_pipeline::{Pipeline, QueryScratch};
+use cdp_storage::{Record, RowView};
 
 /// A served prediction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -523,12 +523,26 @@ impl ServerBuilder {
 /// than the snapshot's weights, which `publish`'s `grow_to` makes
 /// unreachable but which must reject rather than score against weights the
 /// snapshot does not have).
+///
+/// The pipeline runs in the calling thread's [`QueryScratch`] and the margin
+/// is taken from the encoded row in place (`dot_padded` on a row the weights
+/// cover is `margin_ref` on its point, bit for bit), so a warm thread
+/// allocates nothing; thread teardown or re-entry gets a fresh scratch.
 fn score_raw(snap: &ServingSnapshot, record: &Record) -> Option<f64> {
-    let point = snap.pipeline.transform_query(record)?;
-    if point.features.dim() > snap.model.dim() {
-        return None;
+    thread_local! {
+        static SCRATCH: RefCell<QueryScratch> = RefCell::default();
     }
-    Some(snap.model.margin_ref(&point.features))
+    let score = |scratch: &mut QueryScratch| {
+        let margin = |row: RowView<'_>| {
+            (row.dim() <= snap.model.dim()).then(|| row.dot_padded(snap.model.weights()))
+        };
+        snap.pipeline.query(record, scratch, margin).flatten()
+    };
+    let kept = SCRATCH.try_with(|cell| cell.try_borrow_mut().ok().map(|mut s| score(&mut s)));
+    match kept {
+        Ok(Some(scored)) => scored,
+        _ => score(&mut QueryScratch::default()),
+    }
 }
 
 impl ModelServer {

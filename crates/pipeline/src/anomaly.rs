@@ -68,17 +68,20 @@ impl Component for AnomalyFilter {
     }
 
     fn transform(&self, batch: &mut ColumnBatch<'_>) {
-        let mut keep = vec![true; batch.len()];
+        let mut keep = std::mem::take(&mut batch.mask);
+        keep.clear();
+        keep.resize(batch.len(), true);
         for bound in &self.bounds {
             let Some(col) = batch.col(bound.col) else {
-                batch.clear(); // missing column: every row is anomalous
-                return;
+                keep.fill(false); // missing column: every row is anomalous
+                break;
             };
             for (k, &v) in keep.iter_mut().zip(col) {
                 *k &= bound.admits(v);
             }
         }
         batch.retain(&keep);
+        batch.mask = keep;
     }
 
     fn clone_box(&self) -> Box<dyn Component> {

@@ -14,7 +14,8 @@
 /// Every column is exactly [`ColumnBatch::len`] long by construction: the
 /// width is a property of the batch, checked once per kernel rather than
 /// once per row, and a batch costs a handful of allocations however many
-/// rows or columns it has.
+/// rows or columns it has — none when it is built from the buffers of an
+/// earlier one ([`ColumnBatch::recycle`]) that were large enough.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnBatch<'a> {
     labels: Vec<f64>,
@@ -23,21 +24,56 @@ pub struct ColumnBatch<'a> {
     /// Rows each column has room for.
     stride: usize,
     width: usize,
-    tokens: Vec<&'a str>,
+    pub(crate) tokens: Vec<&'a str>,
     /// `token_end[i]` is where row `i`'s tokens end in `tokens`.
     token_end: Vec<usize>,
+    /// The numeric buffer `map_columns` replaced last and fills next; the
+    /// schema parser stages its row in it.
+    pub(crate) spare: Vec<f64>,
+    /// `map_columns`' two column lists, empty between calls.
+    col_refs: [Vec<&'static [f64]>; 2],
+    /// The anomaly filter's keep mask.
+    pub(crate) mask: Vec<bool>,
+    /// The sparse encoders' entries of one row.
+    pub(crate) entries: Vec<(u32, f64)>,
+}
+
+/// An empty vector in `v`'s allocation: collecting a vector's own iterator
+/// reuses its buffer when both element types have one layout (`Vec::new()`
+/// otherwise), which lets a list of borrows outlive what it borrowed.
+fn recycled<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().filter_map(|_| None).collect()
 }
 
 impl<'a> ColumnBatch<'a> {
     /// An empty batch of `width` numeric columns with room for `rows` rows.
     pub fn with_capacity(rows: usize, width: usize) -> Self {
-        Self {
-            labels: Vec::with_capacity(rows),
-            nums: vec![f64::NAN; rows * width],
+        ColumnBatch::default().recycle(rows, width)
+    }
+
+    /// [`ColumnBatch::with_capacity`] in this batch's buffers: no row, token
+    /// or borrow of it survives. Every parser starts from one (so nothing of
+    /// an earlier pass reaches the next, however that pass ended), and a
+    /// caller that runs a batch per call keeps `recycle(0, 0)` in between.
+    pub fn recycle<'b>(mut self, rows: usize, width: usize) -> ColumnBatch<'b> {
+        self.labels.clear();
+        self.labels.reserve(rows);
+        self.nums.clear();
+        self.nums.resize(rows * width, f64::NAN);
+        self.token_end.clear();
+        self.token_end.reserve(rows);
+        ColumnBatch {
+            labels: self.labels,
+            nums: self.nums,
             stride: rows,
             width,
-            tokens: Vec::new(),
-            token_end: Vec::with_capacity(rows),
+            tokens: recycled(self.tokens),
+            token_end: self.token_end,
+            spare: self.spare,
+            col_refs: self.col_refs,
+            mask: self.mask,
+            entries: self.entries,
         }
     }
 
@@ -124,23 +160,24 @@ impl<'a> ColumnBatch<'a> {
     /// and column selection rebuild the column set this way.
     pub fn map_columns(&mut self, width: usize, fill: impl FnOnce(&[&[f64]], &mut [&mut [f64]])) {
         let len = self.len();
-        let mut nums = vec![f64::NAN; width * len];
-        {
-            let old: Vec<&[f64]> = self.columns().collect();
-            let mut new: Vec<&mut [f64]> = match len {
-                0 => (0..width).map(|_| Default::default()).collect(),
-                _ => nums.chunks_exact_mut(len).collect(),
-            };
-            fill(&old, &mut new);
+        let mut nums = std::mem::take(&mut self.spare);
+        if nums.capacity() < width * len {
+            nums = Vec::new(); // growing the stale buffer would copy it
         }
-        self.nums = nums;
+        nums.clear();
+        nums.resize(width * len, f64::NAN);
+        let [old, new] = std::mem::take(&mut self.col_refs);
+        let (mut old, mut new): (Vec<&[f64]>, Vec<&mut [f64]>) = (old, recycled(new));
+        old.extend(self.columns());
+        match len {
+            0 => new.extend((0..width).map(|_| Default::default())),
+            _ => new.extend(nums.chunks_exact_mut(len)),
+        }
+        fill(&old, &mut new);
+        self.col_refs = [recycled(old), recycled(new)];
+        self.spare = std::mem::replace(&mut self.nums, nums);
         self.stride = len;
         self.width = width;
-    }
-
-    /// The label column, by value (the dense encoder moves it into the slab).
-    pub fn into_labels(self) -> Vec<f64> {
-        self.labels
     }
 
     /// Drops every row (the column set stays).
@@ -281,6 +318,33 @@ pub(crate) mod tests {
         assert_eq!(b.width(), 2);
         assert!(b.all_tokens().is_empty());
         assert!(b.columns_mut().all(|col| col.is_empty()));
+    }
+
+    #[test]
+    fn a_recycled_batch_keeps_its_buffers_and_nothing_else() {
+        let mut b = batch();
+        b.map_columns(3, |_, new| new[2].fill(7.0));
+        let (labels, nums, tokens) = (b.labels.as_ptr(), b.nums.as_ptr(), b.tokens.as_ptr());
+        let spare = b.spare.as_ptr();
+        // Same shape again: every buffer is large enough and stays put, no
+        // row, token or column value comes along.
+        let text = String::from("g h");
+        let mut b: ColumnBatch<'_> = b.recycle(4, 2);
+        assert_eq!((b.len(), b.width(), b.all_tokens().len()), (0, 2, 0));
+        b.push_row(9.0, &[1.0], text.split(' '));
+        assert_eq!((b.labels.as_ptr(), b.nums.as_ptr()), (labels, nums));
+        assert_eq!(b.tokens.as_ptr(), tokens);
+        assert_eq!(b.tokens(0), &["g", "h"]);
+        assert!(b.col(1).is_some_and(|col| col[0].is_nan()));
+        // The next column set goes into the buffer the last one replaced,
+        // all-missing again, and the column lists are reused with it.
+        let lists = b.col_refs.each_ref().map(|list| list.capacity());
+        b.map_columns(2, |old, new| new[0].copy_from_slice(old[0]));
+        assert_eq!(b.nums.as_ptr(), spare);
+        assert_eq!(b.col(0), Some(&[1.0][..]));
+        assert!(b.col(1).is_some_and(|col| col[0].is_nan()));
+        assert_eq!(b.col_refs.each_ref().map(|list| list.capacity()), lists);
+        assert!(lists.iter().all(|&capacity| capacity >= 2));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use cdp_storage::{ColumnSlab, CsrBuilder};
+use cdp_storage::{ColumnSlab, CsrBuilder, SlabLayout};
 
 use crate::batch::ColumnBatch;
 use crate::component::StateDecodeError;
@@ -25,7 +25,14 @@ pub trait Encoder: Send + Sync {
 
     /// Encodes a batch with the current statistics: one slab row per batch
     /// row, in order.
-    fn encode(&self, batch: ColumnBatch<'_>) -> ColumnSlab;
+    fn encode(&self, mut batch: ColumnBatch<'_>) -> ColumnSlab {
+        self.encode_into(&mut batch, None)
+    }
+
+    /// [`Encoder::encode`] that leaves the batch's buffers with the caller
+    /// and builds the slab in those of `old` where its layout fits: given a
+    /// slab this encoder built before, it allocates nothing.
+    fn encode_into(&self, batch: &mut ColumnBatch<'_>, old: Option<ColumnSlab>) -> ColumnSlab;
 
     /// Current output dimension (may grow for stateful encoders).
     fn dim(&self) -> usize;
@@ -112,33 +119,42 @@ impl FeatureHasher {
 /// `numeric_slots` numeric columns at `1..` (exact zeros and `NaN` skipped),
 /// then whatever `token_entry` maps each token of the row's bag to.
 fn encode_sparse(
-    batch: &ColumnBatch<'_>,
+    batch: &mut ColumnBatch<'_>,
+    old: Option<ColumnSlab>,
     dim: usize,
     numeric_slots: usize,
     token_entry: impl Fn(&str) -> Option<(usize, f64)>,
 ) -> ColumnSlab {
-    let nums: Vec<&[f64]> = batch.columns().take(numeric_slots).collect();
+    let slots = numeric_slots.min(batch.width());
     let (rows, tokens) = (batch.len(), batch.all_tokens().len());
-    let mut slab = CsrBuilder::with_capacity(dim, rows, rows * (1 + nums.len()) + tokens);
+    let mut slab = CsrBuilder::reusing(old, dim, rows, rows * (1 + slots) + tokens);
+    let mut entries = std::mem::take(&mut batch.entries);
+    entries.clear();
     // Room for an average row; a longer bag grows it once.
-    let mut entries = Vec::with_capacity(1 + nums.len() + tokens.div_ceil(rows.max(1)));
+    entries.reserve(1 + slots + tokens.div_ceil(rows.max(1)));
     for (i, &label) in batch.labels().iter().enumerate() {
         entries.clear();
         entries.push((0, 1.0)); // bias
-        for (slot, col) in nums.iter().enumerate() {
+        for (slot, col) in batch.columns().take(slots).enumerate() {
             let v = col[i];
             if v != 0.0 && !v.is_nan() {
                 entries.push((1 + slot as u32, v));
             }
         }
+        let head = entries.len();
         let tokens = batch.tokens(i).iter();
         entries.extend(
             tokens
                 .filter_map(|t| token_entry(t))
                 .map(|(i, v)| (i as u32, v)),
         );
+        // The head is ascending as pushed and below every token index, so
+        // ordering the bag alone hands the builder a sorted row, which its
+        // own sort only has to walk. Repeats sum +-1.0: exact in any order.
+        entries[head..].sort_unstable_by_key(|&(i, _)| i);
         slab.push_row(label, &mut entries);
     }
+    batch.entries = entries;
     slab.finish()
 }
 
@@ -147,8 +163,8 @@ impl Encoder for FeatureHasher {
         "feature-hasher"
     }
 
-    fn encode(&self, batch: ColumnBatch<'_>) -> ColumnSlab {
-        encode_sparse(&batch, self.dim(), self.numeric_slots, |token| {
+    fn encode_into(&self, batch: &mut ColumnBatch<'_>, old: Option<ColumnSlab>) -> ColumnSlab {
+        encode_sparse(batch, old, self.dim(), self.numeric_slots, |token| {
             Some(self.bucket_of(token))
         })
     }
@@ -182,21 +198,28 @@ impl Encoder for DenseEncoder {
         "dense-encoder"
     }
 
-    fn encode(&self, batch: ColumnBatch<'_>) -> ColumnSlab {
+    fn encode_into(&self, batch: &mut ColumnBatch<'_>, old: Option<ColumnSlab>) -> ColumnSlab {
         let rows = batch.len();
-        let mut cols = Vec::with_capacity(self.columns + 1);
-        cols.push(vec![1.0; rows]); // bias
-        for j in 0..self.columns {
-            // Extra columns are ignored; absent ones read as zero.
-            cols.push(match batch.col(j) {
-                Some(col) => col
-                    .iter()
-                    .map(|v| if v.is_nan() { 0.0 } else { *v })
-                    .collect(),
-                None => vec![0.0; rows],
-            });
+        let (mut labels, mut cols) = match old.map(ColumnSlab::into_parts) {
+            Some((labels, SlabLayout::Dense { cols, .. })) => (labels, cols),
+            _ => Default::default(),
+        };
+        labels.clear();
+        labels.extend_from_slice(batch.labels());
+        cols.resize_with(self.columns + 1, Vec::new);
+        for (j, col) in cols.iter_mut().enumerate() {
+            col.clear();
+            // The bias, then the batch's columns: extra ones are ignored,
+            // absent ones read as zero.
+            match j.checked_sub(1).map(|j| batch.col(j)) {
+                None => col.resize(rows, 1.0),
+                Some(None) => col.resize(rows, 0.0),
+                Some(Some(src)) => {
+                    col.extend(src.iter().map(|v| if v.is_nan() { 0.0 } else { *v }))
+                }
+            }
         }
-        ColumnSlab::dense(batch.into_labels(), cols)
+        ColumnSlab::dense(labels, cols)
     }
 
     fn dim(&self) -> usize {
@@ -254,9 +277,9 @@ impl Encoder for OneHotEncoder {
         }
     }
 
-    fn encode(&self, batch: ColumnBatch<'_>) -> ColumnSlab {
+    fn encode_into(&self, batch: &mut ColumnBatch<'_>, old: Option<ColumnSlab>) -> ColumnSlab {
         let base = self.token_base();
-        encode_sparse(&batch, self.dim(), self.numeric_slots, |token| {
+        encode_sparse(batch, old, self.dim(), self.numeric_slots, |token| {
             self.categories.get(token).map(|&idx| (base + idx, 1.0))
         })
     }

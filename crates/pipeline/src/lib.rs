@@ -44,4 +44,4 @@ pub mod stats;
 pub use batch::ColumnBatch;
 pub use component::{Component, StateDecodeError};
 pub use encode::Encoder;
-pub use pipeline::{Pipeline, PipelineBuilder, PipelineCounters, PipelineError};
+pub use pipeline::{Pipeline, PipelineBuilder, PipelineCounters, PipelineError, QueryScratch};

@@ -16,8 +16,9 @@ pub trait Parser: Send + Sync {
     fn name(&self) -> &str;
 
     /// Parses a chunk's records into one batch, in record order, dropping
-    /// malformed ones. Tokens borrow from the records.
-    fn parse<'a>(&self, records: &'a [Record]) -> ColumnBatch<'a>;
+    /// malformed ones. Tokens borrow from the records; the buffers are those
+    /// of `recycled` ([`ColumnBatch::recycle`]), an earlier batch or a new one.
+    fn parse<'a>(&self, records: &'a [Record], recycled: ColumnBatch<'_>) -> ColumnBatch<'a>;
 
     /// Clones the parser (pipeline snapshots).
     fn clone_box(&self) -> Box<dyn Parser>;
@@ -113,14 +114,16 @@ impl Parser for SchemaParser {
         "schema-parser"
     }
 
-    fn parse<'a>(&self, records: &'a [Record]) -> ColumnBatch<'a> {
-        let mut batch = ColumnBatch::with_capacity(records.len(), self.num_idx.len());
-        let mut nums = Vec::with_capacity(self.num_idx.len());
+    fn parse<'a>(&self, records: &'a [Record], recycled: ColumnBatch<'_>) -> ColumnBatch<'a> {
+        let mut batch = recycled.recycle(records.len(), self.num_idx.len());
+        let mut nums = std::mem::take(&mut batch.spare);
+        nums.reserve(self.num_idx.len());
         for record in records {
             if let Some((label, text)) = self.read(record, &mut nums) {
                 batch.push_row(label, &nums, text.split_whitespace());
             }
         }
+        batch.spare = nums;
         batch
     }
 
@@ -234,8 +237,8 @@ impl Parser for TaxiParser {
         "taxi-parser"
     }
 
-    fn parse<'a>(&self, records: &'a [Record]) -> ColumnBatch<'a> {
-        let mut batch = ColumnBatch::with_capacity(records.len(), taxi_cols::WIDTH);
+    fn parse<'a>(&self, records: &'a [Record], recycled: ColumnBatch<'_>) -> ColumnBatch<'a> {
+        let mut batch = recycled.recycle(records.len(), taxi_cols::WIDTH);
         for record in records {
             if let Some((label, nums)) = self.read(record) {
                 batch.push_row(label, &nums, std::iter::empty());
@@ -268,7 +271,7 @@ mod tests {
             Value::Text("com example login".into()),
         ]);
         let records = [record];
-        let batch = parser.parse(&records);
+        let batch = parser.parse(&records, ColumnBatch::default());
         assert_eq!(batch.labels(), &[1.0]);
         assert_eq!(batch.col(0), Some(&[0.5][..]));
         assert!(batch.col(1).is_some_and(|c| c[0].is_nan()));
@@ -285,7 +288,7 @@ mod tests {
             Record::new(vec![Value::Text("bad".into())]),
             Record::new(vec![Value::Missing]),
         ];
-        let batch = parser.parse(&records);
+        let batch = parser.parse(&records, ColumnBatch::default());
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.labels()[0], 1.0);
         assert!(batch.labels()[1].is_nan());
@@ -322,7 +325,7 @@ mod tests {
             Value::Num(2.0),
         ]);
         let records = [record];
-        let batch = parser.parse(&records);
+        let batch = parser.parse(&records, ColumnBatch::default());
         assert!((batch.labels()[0] - 601f64.ln()).abs() < 1e-12);
         assert_eq!(batch.col(taxi_cols::DURATION_SECS), Some(&[600.0][..]));
         assert_eq!(batch.col(taxi_cols::PASSENGERS), Some(&[2.0][..]));
@@ -342,7 +345,7 @@ mod tests {
             Value::Num(1.0),
         ]);
         let records = [record];
-        let batch = parser.parse(&records);
+        let batch = parser.parse(&records, ColumnBatch::default());
         assert_eq!(batch.labels(), &[0.0]);
         assert_eq!(batch.col(taxi_cols::DURATION_SECS), Some(&[-1000.0][..]));
     }
@@ -359,6 +362,6 @@ mod tests {
             Value::Num(0.0),
             Value::Num(1.0),
         ]);
-        assert!(parser.parse(&[record]).is_empty());
+        assert!(parser.parse(&[record], ColumnBatch::default()).is_empty());
     }
 }

@@ -2,8 +2,9 @@
 
 use std::sync::Arc;
 
-use cdp_storage::{FeatureChunk, LabeledPoint, RawChunk, Record};
+use cdp_storage::{ColumnSlab, FeatureChunk, LabeledPoint, RawChunk, Record, RowView};
 
+use crate::batch::ColumnBatch;
 use crate::component::{Component, StateDecodeError};
 use crate::encode::Encoder;
 use crate::parser::Parser;
@@ -150,6 +151,25 @@ impl PipelineBuilder {
     }
 }
 
+/// Every buffer a prediction query needs from record to encoded row, kept
+/// between queries: an emptied batch, which carries the stages' spare
+/// buffers, and the last one-row slab. It borrows nothing and belongs to no
+/// pipeline ([`Pipeline::query`] rebuilds both), so one scratch serves any
+/// sequence of records and pipelines, and a query it is large enough for
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub struct QueryScratch {
+    batch: ColumnBatch<'static>,
+    slab: Option<ColumnSlab>,
+}
+
+/// A scratch left with room for more tokens than this is dropped, not kept,
+/// so one huge record cannot pin its memory on every serving thread. Tokens
+/// are all a record sizes in it (16 bytes each, 16 for the encoder's entry,
+/// 12 for the row's cell; buffers at most double: under 48 KiB); the other
+/// buffers are as wide as the pipeline. A URL query holds a dozen.
+const QUERY_SCRATCH_MAX_TOKENS: usize = 512;
+
 impl Pipeline {
     /// One chunk through parser → components → encoder. The parser fills a
     /// [`ColumnBatch`](crate::ColumnBatch) once, every component edits it in
@@ -158,7 +178,7 @@ impl Pipeline {
     /// the batch into its statistics before transforming it.
     fn run(&mut self, chunk: &RawChunk, fit: bool) -> FeatureChunk {
         self.counters.parsed_records += chunk.records.len() as u64;
-        let mut batch = self.parser.parse(&chunk.records);
+        let mut batch = self.parser.parse(&chunk.records, ColumnBatch::default());
         for component in &mut self.components {
             if fit && component.is_stateful() {
                 component.update(&batch);
@@ -188,21 +208,40 @@ impl Pipeline {
         self.run(chunk, false)
     }
 
-    /// Preprocesses one prediction query: a one-row batch through the same
-    /// kernels as [`Pipeline::transform_chunk`]. Returns `None` when the
-    /// record is malformed or filtered out by a cleaning stage. Does not
-    /// touch any statistics and does not count toward the work counters
-    /// (queries are accounted separately by the cost model).
+    /// Preprocesses one prediction query: [`Pipeline::query`] in a fresh
+    /// scratch, the encoded row copied out as a point.
     pub fn transform_query(&self, record: &Record) -> Option<LabeledPoint> {
-        let mut batch = self.parser.parse(std::slice::from_ref(record));
+        self.query(record, &mut QueryScratch::default(), |row| row.to_point())
+    }
+
+    /// The query path: `record` as a one-row batch through the same kernels
+    /// as [`Pipeline::transform_chunk`], in `scratch`'s buffers, then `f` on
+    /// the encoded row; `None` when the record is malformed or filtered out
+    /// by a cleaning stage. Does not touch any statistics and does not count
+    /// toward the work counters (the cost model accounts queries separately).
+    pub fn query<R>(
+        &self,
+        record: &Record,
+        scratch: &mut QueryScratch,
+        f: impl FnOnce(RowView<'_>) -> R,
+    ) -> Option<R> {
+        let recycled = std::mem::take(&mut scratch.batch);
+        let mut batch = self.parser.parse(std::slice::from_ref(record), recycled);
         for component in &self.components {
             if batch.is_empty() {
-                return None;
+                break;
             }
             component.transform(&mut batch);
         }
-        let slab = self.encoder.encode(batch);
-        (!slab.is_empty()).then(|| slab.row(0).to_point())
+        // A batch that ended empty still replaces the last query's row.
+        let slab = self.encoder.encode_into(&mut batch, scratch.slab.take());
+        scratch.batch = batch.recycle(0, 0);
+        let out = (!slab.is_empty()).then(|| f(slab.row(0)));
+        scratch.slab = Some(slab);
+        if scratch.batch.tokens.capacity() > QUERY_SCRATCH_MAX_TOKENS {
+            *scratch = QueryScratch::default();
+        }
+        out
     }
 
     /// Current encoder output dimension.
@@ -341,6 +380,42 @@ mod tests {
         let query = p.transform_query(&record).unwrap();
         let training = p.transform_chunk(&RawChunk::new(Timestamp(9), vec![record]));
         assert_eq!(query, training.point(0));
+    }
+
+    #[test]
+    fn a_scratch_a_huge_record_grew_is_dropped_not_kept() {
+        let schema = Schema::new(["y", "text"]);
+        let p = PipelineBuilder::new(SchemaParser::new(schema, "y", &[], Some("text")))
+            .encoder(crate::encode::FeatureHasher::new(8, 0))
+            .unwrap();
+        let query = |text: &str| Record::new(vec![Value::Num(1.0), Value::Text(text.into())]);
+        let mut scratch = QueryScratch::default();
+        // An ordinary query leaves its buffers behind for the next one ...
+        assert_eq!(
+            p.query(&query("a b c"), &mut scratch, |row| row.dim()),
+            Some(257)
+        );
+        let kept = scratch.batch.tokens.capacity();
+        assert!(kept >= 3 && scratch.slab.is_some());
+        assert!(scratch.batch.is_empty() && scratch.batch.all_tokens().is_empty());
+        // ... also when the query after it ends at the parser, which still
+        // replaces the row: a rejected record cannot be scored as the last one.
+        let malformed = Record::new(vec![Value::Text("label?".into())]);
+        assert_eq!(p.query(&malformed, &mut scratch, |row| row.dim()), None);
+        assert_eq!(scratch.batch.tokens.capacity(), kept);
+        assert!(scratch.slab.as_ref().is_some_and(|slab| slab.is_empty()));
+        // A bag past the bound is answered like any other and then takes its
+        // buffers with it; the next query starts from nothing again.
+        let huge = "t ".repeat(QUERY_SCRATCH_MAX_TOKENS + 1);
+        let repeated = |row: RowView<'_>| row.to_vector().iter_nonzero().count();
+        assert_eq!(p.query(&query(&huge), &mut scratch, repeated), Some(2));
+        assert_eq!(scratch.batch.tokens.capacity(), 0);
+        assert!(scratch.slab.is_none());
+        assert_eq!(
+            p.query(&query("a b c"), &mut scratch, |row| row.dim()),
+            Some(257)
+        );
+        assert!(scratch.batch.tokens.capacity() > 0);
     }
 
     #[test]

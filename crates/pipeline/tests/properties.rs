@@ -13,7 +13,7 @@ use cdp_pipeline::minmax::{MinMaxScaler, Winsorizer};
 use cdp_pipeline::parser::{SchemaParser, TaxiParser};
 use cdp_pipeline::scale::StandardScaler;
 use cdp_pipeline::stats::RunningMoments;
-use cdp_pipeline::{ColumnBatch, Component, Pipeline, PipelineBuilder};
+use cdp_pipeline::{ColumnBatch, Component, Pipeline, PipelineBuilder, QueryScratch};
 use cdp_storage::{FeatureChunk, LabeledPoint, RawChunk, Record, Schema, Timestamp, Value};
 use proptest::prelude::*;
 use row_reference::{Encoder as RowEncoder, Parser as RowParser, RowPipeline, Stage};
@@ -427,6 +427,143 @@ proptest! {
             let outcome = check(&Spec::taxi(), &chunks, rng.below(chunks.len()));
             prop_assert!(outcome.is_ok(), "seed {seed}: {}", outcome.unwrap_err());
         }
+    }
+}
+
+/// One pipeline of a serving mix: both implementations under the same
+/// statistics, and the width of the schema its records have (`None`: trips).
+struct Served {
+    real: Pipeline,
+    reference: RowPipeline,
+    nums: Option<usize>,
+}
+
+impl Served {
+    fn new(spec: &Spec, nums: Option<usize>) -> Self {
+        Served {
+            real: spec.pipeline(),
+            reference: spec.reference(),
+            nums,
+        }
+    }
+
+    /// A chunk of this pipeline's records, malformed and anomalous included.
+    fn chunk(&self, rng: &mut Rng) -> Vec<Record> {
+        match self.nums {
+            Some(nums) => rng.schema_chunk(nums),
+            None => {
+                let rows = rng.below(12);
+                rng.taxi_chunk(rows, false)
+            }
+        }
+    }
+
+    /// The online path on both sides: statistics move, vocabularies grow.
+    fn fit(&mut self, records: &[Record]) {
+        let raw = RawChunk::new(Timestamp(0), records.to_vec());
+        self.real.fit_transform_chunk(&raw);
+        self.reference.fit_transform(records);
+    }
+
+    /// Every record of `records` as a query in `scratch`: the same bits as
+    /// a query in a fresh scratch, as the row reference's query (`None`
+    /// where it says `None`), and as the record's row of `transform_chunk`
+    /// on the whole chunk — what training would have seen.
+    fn serve(&mut self, records: &[Record], scratch: &mut QueryScratch) -> Result<(), String> {
+        let raw = RawChunk::new(Timestamp(1), records.to_vec());
+        let trained = self.real.transform_chunk(&raw).to_points();
+        let mut rows = trained.iter();
+        for record in records {
+            let reused = self.real.query(record, scratch, |row| row.to_point());
+            let reused = reused.as_ref().map(bits);
+            let fresh = self.real.transform_query(record);
+            let reference = self.reference.transform_query(record);
+            if reused != fresh.as_ref().map(bits) || reused != reference.as_ref().map(bits) {
+                return Err(format!(
+                    "{record:?}: reused scratch {reused:?}\n  fresh {fresh:?}\n  reference {reference:?}"
+                ));
+            }
+            if reused.is_some() && reused != rows.next().map(bits) {
+                return Err(format!("{record:?}: query differs from its chunk row"));
+            }
+        }
+        match rows.next() {
+            Some(row) => Err(format!("chunk row {row:?} answers no query")),
+            None => Ok(()),
+        }
+    }
+}
+
+proptest! {
+    /// One scratch, passed from pipeline to pipeline: URL and Taxi shapes, a
+    /// growing one-hot vocabulary and random compositions take turns on it,
+    /// with statistics moving between turns and malformed or filtered
+    /// records (which end a query early) in every chunk. No query sees
+    /// anything of the one before it.
+    #[test]
+    fn one_scratch_serves_any_sequence_of_records_and_pipelines(
+        seeds in prop::collection::vec(0u64..u64::MAX, 4),
+    ) {
+        for seed in seeds {
+            let mut rng = Rng(seed);
+            let lexical = 1 + rng.below(6);
+            let one_hot = Spec {
+                encoder: RowEncoder::OneHot(Default::default(), 1),
+                ..Spec::url(2, 4)
+            };
+            let nums = rng.below(5);
+            let mut mix = [
+                Served::new(&Spec::url(lexical, [1, 4, 10][rng.below(3)]), Some(lexical)),
+                Served::new(&Spec::taxi(), None),
+                Served::new(&one_hot, Some(2)),
+                Served::new(&rng.spec(nums), Some(nums)),
+                Served::new(&rng.spec(nums), Some(nums)),
+            ];
+            let mut scratch = QueryScratch::default();
+            for turn in 0..24 {
+                let served = &mut mix[rng.below(5)];
+                if turn < 5 || rng.chance(0.4) {
+                    let records = served.chunk(&mut rng);
+                    served.fit(&records);
+                }
+                let records = served.chunk(&mut rng);
+                let outcome = served.serve(&records, &mut scratch);
+                prop_assert!(outcome.is_ok(), "seed {seed} turn {turn}: {}", outcome.unwrap_err());
+            }
+        }
+    }
+}
+
+/// A record far larger than any the scratch is kept for, then the smallest:
+/// a megabyte of tokens followed by an empty bag and a malformed record, in
+/// one scratch, between ordinary queries.
+#[test]
+fn a_huge_record_leaves_nothing_behind_in_the_scratch() {
+    let num = Value::Num;
+    let record = |text: &str| {
+        let text = Value::Text(text.to_owned());
+        Record::new(vec![num(1.0), num(0.5), num(-2.0), text])
+    };
+    let huge = "checkout-a login-bb paypal-ccc ".repeat((1 << 20) / 31 + 1);
+    assert!(huge.len() >= 1 << 20);
+    let records = vec![
+        record("login-bb b c"),
+        record(&huge),
+        record(""),
+        Record::new(vec![Value::Text("label?".into())]),
+        record("c b login-bb login-bb"),
+    ];
+    let one_hot = Spec {
+        encoder: RowEncoder::OneHot(Default::default(), 2),
+        ..Spec::url(2, 1)
+    };
+    let mut scratch = QueryScratch::default();
+    for spec in [Spec::url(2, 10), one_hot] {
+        let mut served = Served::new(&spec, Some(2));
+        served.fit(&records);
+        served
+            .serve(&records, &mut scratch)
+            .expect("huge then empty");
     }
 }
 

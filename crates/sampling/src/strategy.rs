@@ -113,7 +113,7 @@ impl Sampler {
                 (u.powf(1.0 / weight), ts)
             })
             .collect();
-        keyed.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).expect("keys are finite"));
+        keyed.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
         let mut chosen: Vec<Timestamp> = keyed[..sample_size].iter().map(|(_, ts)| *ts).collect();
         chosen.sort_unstable();
         chosen

@@ -122,6 +122,12 @@ impl ColumnSlab {
         Self { labels, layout }
     }
 
+    /// The label column and the payload, by value: a caller that builds a
+    /// slab per call (the query path) builds the next one in these buffers.
+    pub fn into_parts(self) -> (Vec<f64>, SlabLayout) {
+        (self.labels, self.layout)
+    }
+
     /// The layout payload (spill codec v3).
     pub(crate) fn layout(&self) -> &SlabLayout {
         &self.layout
@@ -287,16 +293,38 @@ pub struct CsrBuilder {
 
 impl CsrBuilder {
     /// An empty builder for rows of nominal dimension `dim`, with room for
-    /// `rows` rows holding `nnz` entries in total.
-    pub fn with_capacity(dim: usize, rows: usize, nnz: usize) -> Self {
-        let mut row_ptr = Vec::with_capacity(rows + 1);
+    /// `rows` rows holding `nnz` entries in total — in the buffers of
+    /// `recycled` when that is a CSR slab, so rebuilding a slab of the same
+    /// shape allocates nothing.
+    pub fn reusing(recycled: Option<ColumnSlab>, dim: usize, rows: usize, nnz: usize) -> Self {
+        let (mut labels, mut row_ptr, mut indices, mut values) =
+            match recycled.map(ColumnSlab::into_parts) {
+                Some((
+                    labels,
+                    SlabLayout::Csr {
+                        row_ptr,
+                        indices,
+                        values,
+                        ..
+                    },
+                )) => (labels, row_ptr, indices, values),
+                _ => Default::default(),
+            };
+        labels.clear();
+        labels.reserve(rows);
+        row_ptr.clear();
+        row_ptr.reserve(rows + 1);
         row_ptr.push(0);
+        indices.clear();
+        indices.reserve(nnz);
+        values.clear();
+        values.reserve(nnz);
         Self {
-            labels: Vec::with_capacity(rows),
+            labels,
             dim,
             row_ptr,
-            indices: Vec::with_capacity(nnz),
-            values: Vec::with_capacity(nnz),
+            indices,
+            values,
         }
     }
 
@@ -669,6 +697,39 @@ mod tests {
         assert_eq!(merged.row(0).to_point(), a.row(0).to_point());
         assert_eq!(merged.row(1).to_point(), s1.row(0).to_point());
         assert_eq!(merged.row_size_bytes(1), s1.row_size_bytes(0));
+    }
+
+    #[test]
+    fn csr_builder_rebuilds_a_slab_in_its_own_buffers() {
+        let build = |recycled: Option<ColumnSlab>, rows: &[(f64, Vec<(u32, f64)>)]| {
+            let mut builder = CsrBuilder::reusing(recycled, 6, rows.len(), 8);
+            for (label, entries) in rows {
+                builder.push_row(*label, &mut entries.clone());
+            }
+            builder.finish()
+        };
+        // Unsorted and repeated entries merge (the explicit zero stays), one
+        // beyond the dimension is dropped, an empty row is a row.
+        let first = build(
+            None,
+            &[
+                (1.0, vec![(4, 1.0), (0, 1.0), (4, -1.0), (9, 2.0)]),
+                (0.0, vec![]),
+            ],
+        );
+        let row = first.row(0).sparse_parts();
+        assert_eq!(row, Some((&[0u32, 4][..], &[1.0, 0.0][..])));
+        assert_eq!((first.len(), first.row(1).nnz()), (2, 0));
+        // Rebuilt from its own buffers the slab is the one a new builder
+        // makes: nothing of the rows it held survives, the allocation does.
+        let labels = first.labels().as_ptr();
+        let rows = [(2.0, vec![(3, 0.5)])];
+        let second = build(Some(first), &rows);
+        assert_eq!(second, build(None, &rows));
+        assert_eq!(second.labels().as_ptr(), labels);
+        // A slab of another layout has nothing to offer and is dropped.
+        let dense = ColumnSlab::dense(vec![1.0], vec![vec![1.0]]);
+        assert_eq!(build(Some(dense), &rows), second);
     }
 
     #[test]

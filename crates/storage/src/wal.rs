@@ -46,7 +46,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 
 use cdp_faults::{DiskFault, FaultHook, RetryPolicy, WalOp};
@@ -408,11 +408,10 @@ impl WalWriter {
             self.metrics.counter("wal.lost_records").inc();
             return Ok(());
         }
-        let frame = encode_wal_frame(seq, chunk);
         if self.pending_records == 0 {
             self.pending_first_secs = self.clock.now_secs();
         }
-        self.pending.extend_from_slice(&frame);
+        encode_wal_frame(&mut self.pending, seq, chunk);
         self.pending_records += 1;
         self.highest_seq = Some(seq);
         self.stats.appends += 1;
@@ -588,18 +587,12 @@ impl WalWriter {
     }
 }
 
-/// Encodes one framed WAL record: `len | payload | crc32(payload)`.
-fn encode_wal_frame(seq: u64, chunk: &RawChunk) -> Vec<u8> {
-    let payload = encode_wal_payload(seq, chunk);
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&payload);
-    frame.extend_from_slice(&crc32(&payload).to_be_bytes());
-    frame
-}
-
-fn encode_wal_payload(seq: u64, chunk: &RawChunk) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(16 + chunk.size_bytes());
+/// Appends one framed WAL record, `len | payload | crc32(payload)`, to `buf`:
+/// the payload is encoded where it will be committed from and the length
+/// patched in once it is known, so a record is written once.
+fn encode_wal_frame(buf: &mut Vec<u8>, seq: u64, chunk: &RawChunk) {
+    let frame = buf.len();
+    buf.put_u32(0); // the length, patched below
     buf.put_u64(seq);
     buf.put_u64(chunk.timestamp.0);
     buf.put_u32(chunk.records.len() as u32);
@@ -621,7 +614,11 @@ fn encode_wal_payload(seq: u64, chunk: &RawChunk) -> Vec<u8> {
             }
         }
     }
-    buf.to_vec()
+    let payload = frame + 4;
+    let len = (buf.len() - payload) as u32;
+    buf[frame..payload].copy_from_slice(&len.to_be_bytes());
+    let crc = crc32(&buf[payload..]);
+    buf.put_u32(crc);
 }
 
 fn decode_wal_payload(payload: &[u8]) -> Result<(u64, RawChunk), StorageError> {
@@ -731,13 +728,102 @@ mod tests {
         ))
     }
 
+    /// The encoder `append` used before it wrote frames in place, verbatim:
+    /// a payload buffer, a copy of it, and a frame around the copy. Kept as
+    /// the byte-equality reference.
+    fn reference_frame(seq: u64, chunk: &RawChunk) -> Vec<u8> {
+        let payload = reference_payload(seq, chunk);
+        let mut frame = Vec::with_capacity(payload.len() + 8);
+        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&crc32(&payload).to_be_bytes());
+        frame
+    }
+
+    fn reference_payload(seq: u64, chunk: &RawChunk) -> Vec<u8> {
+        let mut buf = bytes::BytesMut::with_capacity(16 + chunk.size_bytes());
+        buf.put_u64(seq);
+        buf.put_u64(chunk.timestamp.0);
+        buf.put_u32(chunk.records.len() as u32);
+        for record in &chunk.records {
+            let values = record.values();
+            buf.put_u32(values.len() as u32);
+            for value in values {
+                match value {
+                    Value::Num(x) => {
+                        buf.put_u8(0);
+                        buf.put_f64(*x);
+                    }
+                    Value::Text(s) => {
+                        buf.put_u8(1);
+                        buf.put_u32(s.len() as u32);
+                        buf.put_slice(s.as_bytes());
+                    }
+                    Value::Missing => buf.put_u8(2),
+                }
+            }
+        }
+        buf.to_vec()
+    }
+
     #[test]
     fn payload_codec_round_trips() {
         let c = chunk(42);
-        let payload = encode_wal_payload(7, &c);
-        let (seq, decoded) = ok(decode_wal_payload(&payload));
+        let mut frame = Vec::new();
+        encode_wal_frame(&mut frame, 7, &c);
+        let (seq, decoded) = ok(decode_wal_payload(&frame[4..frame.len() - 4]));
         assert_eq!(seq, 7);
         assert_eq!(decoded, c);
+    }
+
+    #[test]
+    fn in_place_frames_equal_the_reference_encoder_byte_for_byte() {
+        let every_value = Record::new(vec![
+            Value::Num(f64::MIN_POSITIVE),
+            Value::Num(-0.0),
+            Value::Num(f64::NAN),
+            Value::Text(String::new()),
+            Value::Text("día 42 \u{1F600} tab\there".into()),
+            Value::Missing,
+        ]);
+        let chunks = [
+            chunk(42),
+            RawChunk::new(Timestamp(u64::MAX), Vec::new()),
+            RawChunk::new(Timestamp(0), vec![Record::new(Vec::new())]),
+            RawChunk::new(Timestamp(9), vec![every_value.clone(), every_value]),
+            RawChunk::new(
+                Timestamp(10),
+                vec![Record::new(vec![Value::Text("x".repeat(70_000))])],
+            ),
+        ];
+        // One record per buffer, then the whole group into one buffer the way
+        // `append` fills `pending`: each frame's length is patched at its own
+        // offset, not at the buffer's start.
+        let (mut group, mut reference_group) = (Vec::new(), Vec::new());
+        for (i, c) in chunks.iter().enumerate() {
+            let seq = u64::MAX - i as u64;
+            let mut alone = Vec::new();
+            encode_wal_frame(&mut alone, seq, c);
+            assert_eq!(alone, reference_frame(seq, c), "chunk {i}");
+            encode_wal_frame(&mut group, seq, c);
+            reference_group.extend_from_slice(&reference_frame(seq, c));
+        }
+        assert_eq!(group, reference_group);
+    }
+
+    #[test]
+    fn pending_group_on_disk_equals_the_reference_frames() {
+        let dir = temp_dir("inplace");
+        let mut w = writer(&dir, 3);
+        let mut expected = Vec::new();
+        for seq in 0..3u64 {
+            ok(w.append(seq, &chunk(seq)));
+            expected.extend_from_slice(&reference_frame(seq, &chunk(seq)));
+        }
+        assert_eq!(w.stats().commits, 1);
+        let segment = ok(fs::read(&w.current));
+        assert_eq!(&segment[HEADER_LEN as usize..], &expected[..]);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! End-to-end integration tests spanning all crates: the paper's headline
 //! claims at test scale.
 
+use cdpipe::core::pipeline_manager::PipelineManager;
 use cdpipe::core::presets::url_spec_from;
 use cdpipe::datagen::url::UrlConfig;
 use cdpipe::engine::ExecutionEngine;
+use cdpipe::eval::CostLedger;
 use cdpipe::prelude::*;
+use cdpipe::storage::{Record, Value};
 
 /// A mid-size URL run used by several tests (larger than `Tiny`, much
 /// smaller than `Repo`).
@@ -732,3 +735,183 @@ fn deployment_results_serialize() {
     assert!(debug.contains("Online"));
     assert!(result.error_curve.len() == result.cost_curve.len());
 }
+
+/// The pair `initial_fit` leaves, served: the first 64 records of the
+/// deployment range through `predict`, as bits, `REJECTED` where it is `None`.
+fn first_predictions(stream: &dyn ChunkStream, spec: &DeploymentSpec) -> (ModelServer, Vec<u64>) {
+    let mut pm = PipelineManager::new(spec.build_pipeline(), &spec.sgd, spec.online_batch);
+    pm.initial_fit(&stream.initial(), &spec.sgd, &mut CostLedger::default());
+    let (pipeline, trainer) = pm.snapshot();
+    let server = ModelServer::new(pipeline, trainer.model().clone());
+    let bits = stream
+        .deployment_range()
+        .flat_map(|i| stream.chunk(i).records)
+        .take(64)
+        .map(|r| server.predict(&r).map_or(REJECTED, |p| p.value.to_bits()))
+        .collect();
+    (server, bits)
+}
+
+#[test]
+fn predictions_match_the_commit_before_the_query_scratch() {
+    // Recorded at the parent of the commit that gave the query path its
+    // per-thread scratch and took the margin from the encoded row instead of
+    // a reconstructed point: same features, same weights, same order of
+    // products, so every prediction keeps its bits — and the records the
+    // pipeline turned away are still turned away. (x86-64 Linux, as above.)
+    let (urls, spec) = url_spec(SpecScale::Tiny);
+    let (server, bits) = first_predictions(&urls, &spec);
+    assert_eq!(bits, PARENT_URL_TINY_PREDICTIONS);
+    // The URL pipeline filters nothing; what it rejects is malformed.
+    let malformed = Record::new(vec![Value::Text("label".into())]);
+    assert_eq!(server.predict(&malformed), None);
+    assert_eq!(
+        (server.queries_served(), server.queries_rejected()),
+        (64, 1)
+    );
+
+    let (taxi, spec) = taxi_spec(SpecScale::Tiny);
+    let (server, bits) = first_predictions(&taxi, &spec);
+    assert_eq!(bits, PARENT_TAXI_TINY_PREDICTIONS);
+    // Record 12 is a trip the anomaly filter drops, at the parent and here,
+    // also when a thread's scratch is warm from the accepted ones before it.
+    assert_eq!(bits[12], REJECTED);
+    assert_eq!(
+        (server.queries_served(), server.queries_rejected()),
+        (63, 1)
+    );
+}
+
+const REJECTED: u64 = u64::MAX;
+const PARENT_URL_TINY_PREDICTIONS: [u64; 64] = [
+    0x3fee6f9507c9ec74,
+    0xbfed859862ce77aa,
+    0x3fe583d8ee7e297e,
+    0xbff660886726c0a6,
+    0xbff2d88f3db63a34,
+    0xbfe6b77af7792ef2,
+    0x3fd28781baaa6f18,
+    0xbff175bdbbf0e250,
+    0xbff61e0429ad4937,
+    0x3fad7d5343f975a8,
+    0xbff3b7ca4af2fadb,
+    0xbfed036482c590f3,
+    0x3fed971081e7ca13,
+    0xbff193b70f5d5b79,
+    0xbfb40a22f2c5ebd2,
+    0xbff1c245157000ad,
+    0x3fe3549b489e739a,
+    0xbfbabc01f7dfd04a,
+    0xbffad60004f0f4fb,
+    0xbff526a66996e7b6,
+    0x3fd816e2bed5470a,
+    0xbff5629759895c33,
+    0xbff4a23fae07960c,
+    0xbff3147266023fc4,
+    0xbfed144ce3cde926,
+    0xbff69a8bf9a89405,
+    0xbfe06deedf174f72,
+    0x3fe8aa8f6a2c71e9,
+    0xbff07b651ae6a904,
+    0xbff1beac63c27482,
+    0x3ff84614ffe80aaa,
+    0xbfa73d37470aea58,
+    0xbfe230ac344b0d51,
+    0xbfe8b9c11c7451b9,
+    0x3feab004d910333b,
+    0xbfe9a8509dc3b99e,
+    0xbff1f02f4fa1cc24,
+    0xbff17d37d0864c37,
+    0xbfe396f22631f310,
+    0xbfedebdad573a0f2,
+    0xbfda7eb0c3cbc36a,
+    0xbff2107ee83dbce6,
+    0xbff75a266453c064,
+    0xbfef58411b95cef0,
+    0xbff937887fd731b8,
+    0xbfea5282e0a4934f,
+    0x3fc63bdddad7c4f7,
+    0xbff80d55969cadea,
+    0xbff6e96471f94954,
+    0xbfea79e3ef19ac17,
+    0xbff2bc4761f0b59b,
+    0xbff1e20bf6ff3042,
+    0xbfeacc2f35bce452,
+    0xbff57a3364f9bb98,
+    0xbff69860aaeda28a,
+    0xbff2d1159288436a,
+    0xbffa18cecc50e61a,
+    0xbff4528cc438ecb2,
+    0xbff4758b3cb8a91a,
+    0xbfec12de4e5dc895,
+    0x3fb92e95073bc886,
+    0xbff0987274f4ef96,
+    0xbff5e2d654c1716b,
+    0xbff7daca543f9bcf,
+];
+const PARENT_TAXI_TINY_PREDICTIONS: [u64; 64] = [
+    0x401c8c9dec9f6590,
+    0x4018f926cfa8d514,
+    0x401ab5c30a80da80,
+    0x401b8d3d3217d01c,
+    0x4018728f4a906f37,
+    0x401c4c962ef6c1fa,
+    0x401d9c974a06c709,
+    0x4019f165b2021aad,
+    0x401b633adca103e2,
+    0x401c43d767fe18f3,
+    0x401bbcc34297dffb,
+    0x401a0c30c26dd9af,
+    REJECTED,
+    0x401c3c53095174d2,
+    0x401b288a9efe15d4,
+    0x4019afd596a34dbf,
+    0x401b6780146eba5e,
+    0x401b2637d8d21ad5,
+    0x4017d3c985d62fd6,
+    0x401b641acd724568,
+    0x401a6349f8b3d85f,
+    0x401b59ea58d2fc6e,
+    0x401a774415613ce1,
+    0x40197b0bc68fb9c7,
+    0x401bfcc3f0c90b9f,
+    0x401fb7ca86c2a4f0,
+    0x401ded08b52cf04a,
+    0x4019a11144471130,
+    0x401c8ca488b8e416,
+    0x4018e14d8bf0491a,
+    0x40189e82c237a18c,
+    0x401851ec449d9428,
+    0x40198e0041b25712,
+    0x401cd4bdfd70e465,
+    0x401aff0a248fe92b,
+    0x401a1fbcbf74cba8,
+    0x401b29640c85eadb,
+    0x40182e3b9e0fcd0c,
+    0x401bdee3d93d5cc2,
+    0x401c693a3c8f43a5,
+    0x401902a59d5ad838,
+    0x4019f0c64c68a103,
+    0x4019a31b983b25a6,
+    0x401c5469fb05746e,
+    0x401c859994f3f482,
+    0x401bd57b9522a266,
+    0x401d26e1b68e53fe,
+    0x4019b451fb3f9b77,
+    0x4018b867ae21ae10,
+    0x401c66046dec13fe,
+    0x401e71a8df093425,
+    0x401ae930a92c3ead,
+    0x4019d776d2faa006,
+    0x401d47c28cdda4c0,
+    0x401bf6f999d537d1,
+    0x401ae948b5ddfa35,
+    0x401bc4d6702290da,
+    0x401aa28b2c268135,
+    0x401aef4b524b3e0f,
+    0x401a034c9afba1e4,
+    0x4018c63d9cf169da,
+    0x401c96102997c5c2,
+    0x401dc1046fa55476,
+    0x401b8bd7343e1e7f,
+];
