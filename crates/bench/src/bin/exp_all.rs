@@ -16,7 +16,6 @@ fn main() {
             exp::table4::run(scale, out),
             exp::fig7::run(scale, out),
             exp::fig8::run(scale, out),
-            exp::serving::run(scale, out),
             exp::fault_recovery::run(scale, out),
             exp::checkpoint::run(scale, out),
             exp::telemetry::run(scale, out),

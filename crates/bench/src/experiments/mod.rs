@@ -11,7 +11,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod ingest;
-pub mod serving;
 pub mod staleness;
 pub mod table3;
 pub mod table4;

@@ -19,7 +19,6 @@
 //! | `exp_table4_mu` | Table 4 (empirical vs theoretical μ) |
 //! | `exp_fig7_materialization_cost` | Figure 7 (optimizations vs cost) |
 //! | `exp_fig8_tradeoff` | Figure 8 (quality/cost trade-off) |
-//! | `exp_serving` | serving QPS/p99 under a publish storm (`BENCH_serving.json`) |
 //! | `exp_fault_recovery` | fault-injection recovery sweep (`fault_recovery.csv`) |
 //! | `exp_telemetry` | telemetry overhead vs metrics-only baseline (`BENCH_telemetry.json`) |
 //! | `postmortem` | crash a seeded run / rebuild its timeline from flight-recorder segments |

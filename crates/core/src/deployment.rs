@@ -1366,16 +1366,16 @@ fn run_chunk_loop(
             }
         }
     }
-    // SLA alerting: with telemetry enabled the stateful per-sample monitors
-    // already accumulated the (cooldown-deduplicated) fired set; otherwise
-    // the stateless default monitor runs once over the final snapshot. In
-    // both cases the fired set is identical with tracing on or off.
+    // SLA alerting: with telemetry enabled the per-sample monitors already
+    // accumulated the (cooldown-deduplicated) fired set; otherwise a fresh
+    // default monitor observes the final snapshot once. In both cases the
+    // fired set is identical with tracing on or off.
     let (alerts, telemetry_store) = match telemetry {
         Some(tel) => (tel.alerts, tel.store),
         None => {
             let alerts = if metrics.is_enabled() {
-                let monitor = AlertMonitor::deployment_defaults(config.chunk_period_secs);
-                let fired = monitor.evaluate(&metrics.snapshot(), st.sim.now_secs());
+                let fired = AlertMonitor::deployment_defaults(config.chunk_period_secs)
+                    .observe(&metrics.snapshot(), st.sim.now_secs());
                 for alert in &fired {
                     metrics.event("alert.fired", alert.message());
                 }

@@ -44,7 +44,4 @@ pub use pipeline_manager::PipelineManager;
 pub use presets::{taxi_spec, url_spec, DeploymentSpec, SpecScale};
 pub use proactive::ProactiveTrainer;
 pub use scheduler::{Scheduler, SchedulerContext};
-pub use serving::{
-    weights_fingerprint, BatchConfig, FlusherHandle, ModelServer, Prediction, QueueOverflow,
-    RouterConfig, ServerBuilder, ServingRouter, ServingSnapshot, Ticket,
-};
+pub use serving::{weights_fingerprint, ModelServer, Prediction, ServerBuilder, ServingSnapshot};

@@ -8,37 +8,27 @@
 //! milliseconds, `publish` is frequent and cheap, and queries never wait on
 //! a retraining (§5.5).
 //!
-//! Three layers (DESIGN.md §14):
-//!
-//! * **Epoch-pinned snapshots** — every shard holds a ring of
-//!   double-buffered slots, each an immutable `Arc<ServingSnapshot>` (a
-//!   coherent `(pipeline, model, version)` triple). Readers never take a
-//!   lock: they pin a slot with an atomic counter, re-check the current
-//!   index, clone the `Arc`, and unpin. Publishers rotate to the next slot
-//!   only after its pin count drains, so a slot is never overwritten while
-//!   a reader is cloning from it.
-//! * **Micro-batching** — each shard owns a bounded MPSC queue of pending
-//!   queries. A batch flushes when it reaches `max_batch` (inline, on the
-//!   enqueueing thread) or when its oldest entry exceeds `max_delay_secs`
-//!   (a deadline flush, from [`ModelServer::flush_due`] or the background
-//!   [`FlusherHandle`]); the whole batch is scored against **one** snapshot
-//!   through [`ExecutionEngine::map_indexed`]-style indexed maps, reusing
-//!   the work-stealing pool.
-//! * **Routing** — a [`ServingRouter`] multiplexes many concurrent
-//!   deployments over one engine with per-route latency histograms,
-//!   queue-depth gauges, and the `serving.*` SLA alert rules
-//!   ([`AlertMonitor::serving_defaults`]).
+//! Two operations (DESIGN.md §14): [`ModelServer::publish`] hands every
+//! shard one immutable `Arc<ServingSnapshot>` — a coherent
+//! `(pipeline, model, version)` triple — and [`ModelServer::predict`] /
+//! [`ModelServer::predict_batch`] score against whichever snapshot the
+//! calling thread's shard holds. Each shard's publication cell is a ring of
+//! epoch-pinned slots: readers never take a lock (pin a slot with an atomic
+//! counter, re-check the current index, clone the `Arc`, unpin), and
+//! publishers rotate to the next slot only after its pin count drains, so a
+//! slot is never overwritten while a reader is cloning from it. A plain
+//! `RwLock<Arc<ServingSnapshot>>` stood trial for the cell and lost on the
+//! median `predict` (EXPERIMENTS.md, "The snapshot cell on trial").
 
 use std::cell::{RefCell, UnsafeCell};
-use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use cdp_engine::{ExecutionEngine, RunCtx};
 use cdp_faults::{FaultHook, NoFaults};
 use cdp_ml::LinearModel;
-use cdp_obs::{Alert, AlertMonitor, Clock, Counter, Gauge, Histogram, Metrics, WallClock};
+use cdp_obs::{Clock, Counter, Gauge, Histogram, Metrics, WallClock};
 use cdp_pipeline::{Pipeline, QueryScratch};
 use cdp_storage::{Record, RowView};
 
@@ -207,142 +197,37 @@ impl SnapshotCell {
     }
 }
 
-/// Micro-batching knobs for one server.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchConfig {
-    /// Flush as soon as a shard's queue reaches this many queries (the
-    /// flush runs inline on the enqueueing thread).
-    pub max_batch: usize,
-    /// Deadline: a queued query is flushed no later than this many seconds
-    /// after enqueue (enforced by [`ModelServer::flush_due`] /
-    /// [`FlusherHandle`]). Worst-case added latency is therefore
-    /// `max_delay_secs` + one batch-scoring pass.
-    pub max_delay_secs: f64,
-    /// Bound on queued queries per shard; `enqueue` beyond it returns
-    /// [`QueueOverflow`] and counts `serving.queue_overflow`.
-    pub capacity: usize,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        Self {
-            max_batch: 32,
-            max_delay_secs: 0.002,
-            capacity: 1024,
-        }
-    }
-}
-
-/// `enqueue` rejected a query because the shard's bounded queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueOverflow;
-
-impl fmt::Display for QueueOverflow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "serving micro-batch queue is full")
-    }
-}
-
-impl std::error::Error for QueueOverflow {}
-
-/// A claim on one enqueued query's eventual result.
-#[derive(Debug, Clone)]
-pub struct Ticket(Arc<TicketInner>);
-
-#[derive(Debug)]
-struct TicketInner {
-    /// `None` = pending; `Some(outcome)` = fulfilled (outcome `None` =
-    /// rejected or lost to a fatal batch failure).
-    slot: Mutex<Option<Option<Prediction>>>,
-    ready: Condvar,
-}
-
-impl Ticket {
-    fn new() -> Self {
-        Self(Arc::new(TicketInner {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        }))
-    }
-
-    fn fulfil(&self, outcome: Option<Prediction>) {
-        let mut slot = self.0.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(outcome);
-        self.0.ready.notify_all();
-    }
-
-    /// Blocks until the query's batch is flushed; `None` means the query
-    /// was rejected (malformed / filtered) or its batch failed fatally.
-    pub fn wait(&self) -> Option<Prediction> {
-        let mut slot = self.0.slot.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(outcome) = *slot {
-                return outcome;
-            }
-            slot = self.0.ready.wait(slot).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Non-blocking probe: `None` while the query is still queued.
-    pub fn try_take(&self) -> Option<Option<Prediction>> {
-        *self.0.slot.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-struct PendingQuery {
-    record: Record,
-    ticket: Ticket,
-    enqueued_secs: f64,
-}
-
 struct Shard {
     cell: SnapshotCell,
     served: AtomicU64,
     rejected: AtomicU64,
-    queue: Mutex<VecDeque<PendingQuery>>,
 }
 
 /// Cached cdp-obs handles: resolved once at build time so the hot path
 /// never takes the registry's name-resolution lock.
 struct ServerMetrics {
     served: Counter,
-    route_served: Counter,
     rejected: Counter,
-    route_rejected: Counter,
-    overflow: Counter,
     publishes: Counter,
     batch_failures: Counter,
     latency: Histogram,
-    route_latency: Histogram,
-    batch_size: Histogram,
-    queue_depth: Gauge,
     version: Gauge,
 }
 
 impl ServerMetrics {
-    fn resolve(metrics: &Metrics, route: &str) -> Self {
+    fn resolve(metrics: &Metrics) -> Self {
         Self {
             served: metrics.counter("serving.served"),
-            route_served: metrics.counter(&format!("serving.{route}.served")),
             rejected: metrics.counter("serving.rejected"),
-            route_rejected: metrics.counter(&format!("serving.{route}.rejected")),
-            overflow: metrics.counter("serving.queue_overflow"),
             publishes: metrics.counter("serving.publishes"),
             batch_failures: metrics.counter("serving.batch_failures"),
             latency: metrics.histogram("serving.latency_secs"),
-            route_latency: metrics.histogram(&format!("serving.{route}.latency_secs")),
-            batch_size: metrics.histogram_with_bounds(
-                "serving.batch_size",
-                &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
-            ),
-            queue_depth: metrics.gauge(&format!("serving.{route}.queue_depth")),
-            version: metrics.gauge(&format!("serving.{route}.version")),
+            version: metrics.gauge("serving.version"),
         }
     }
 }
 
 struct ServerInner {
-    route: String,
     shards: Vec<Shard>,
     /// Latest published version (readers see per-shard versions via their
     /// snapshots; this is the publisher-side source of truth).
@@ -354,16 +239,10 @@ struct ServerInner {
     ctx: RunCtx,
     obs: ServerMetrics,
     clock: Arc<dyn Clock>,
-    batch: BatchConfig,
     /// Serializes publishers; readers never touch it.
     publish_mu: Mutex<()>,
-    /// Clock seconds of the last publish, as `f64` bits.
-    last_publish_secs: AtomicU64,
-    /// Queries handed to scoring (predict calls + flushed batch entries).
+    /// Queries handed to scoring (`predict` calls + `predict_batch` entries).
     attempts: AtomicU64,
-    /// Queries turned away by a full micro-batch queue (never scored, so
-    /// not part of `attempts`).
-    overflowed: AtomicU64,
     /// Queries lost to a fatal (past the restart budget) batch failure.
     batch_failed: AtomicU64,
 }
@@ -386,9 +265,7 @@ struct ServerInner {
 /// `attempts() == queries_served() + queries_rejected() + batch_failures()`
 /// — every query handed to scoring is counted exactly once, in exactly one
 /// bucket, and the `serving.served` / `serving.rejected` cdp-obs counters
-/// mirror the first two exactly (when metrics are enabled). Queue overflows
-/// are counted separately ([`queue_overflows`](ModelServer::queue_overflows)
-/// / `serving.queue_overflow`): an overflowed query was never scored.
+/// mirror the first two exactly (when metrics are enabled).
 #[derive(Clone)]
 pub struct ModelServer {
     inner: Arc<ServerInner>,
@@ -397,7 +274,6 @@ pub struct ModelServer {
 impl fmt::Debug for ModelServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ModelServer")
-            .field("route", &self.inner.route)
             .field("version", &self.version())
             .field("shards", &self.inner.shards.len())
             .field("engine", &self.inner.engine.name())
@@ -410,25 +286,16 @@ impl fmt::Debug for ModelServer {
 pub struct ServerBuilder {
     pipeline: Pipeline,
     model: LinearModel,
-    route: String,
     shards: usize,
     engine: ExecutionEngine,
     hook: Arc<dyn FaultHook>,
     metrics: Metrics,
     clock: Arc<dyn Clock>,
-    batch: BatchConfig,
 }
 
 impl ServerBuilder {
-    /// Route name used in per-route metric names (default `"default"`).
-    #[must_use]
-    pub fn route(mut self, name: &str) -> Self {
-        self.route = name.to_owned();
-        self
-    }
-
     /// Number of shards (≥ 1; default 4). More shards spread reader pins
-    /// and queue locks; publishes touch every shard.
+    /// and served/rejected counters; publishes touch every shard.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -457,18 +324,11 @@ impl ServerBuilder {
         self
     }
 
-    /// Clock for latency/deadline/staleness measurements (default
+    /// Clock for the `serving.latency_secs` measurement (default
     /// [`WallClock`]; inject a `VirtualClock` for deterministic tests).
     #[must_use]
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// Micro-batching knobs (default [`BatchConfig::default`]).
-    #[must_use]
-    pub fn batching(mut self, batch: BatchConfig) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -486,15 +346,12 @@ impl ServerBuilder {
                 cell: SnapshotCell::new(&initial),
                 served: AtomicU64::new(0),
                 rejected: AtomicU64::new(0),
-                queue: Mutex::new(VecDeque::new()),
             })
             .collect();
-        let obs = ServerMetrics::resolve(&self.metrics, &self.route);
+        let obs = ServerMetrics::resolve(&self.metrics);
         obs.version.set(1.0);
-        let now = self.clock.now_secs();
         ModelServer {
             inner: Arc::new(ServerInner {
-                route: self.route,
                 shards,
                 version: AtomicU64::new(1),
                 engine: self.engine,
@@ -505,11 +362,8 @@ impl ServerBuilder {
                 },
                 obs,
                 clock: self.clock,
-                batch: self.batch,
                 publish_mu: Mutex::new(()),
-                last_publish_secs: AtomicU64::new(now.to_bits()),
                 attempts: AtomicU64::new(0),
-                overflowed: AtomicU64::new(0),
                 batch_failed: AtomicU64::new(0),
             }),
         }
@@ -559,19 +413,12 @@ impl ModelServer {
         ServerBuilder {
             pipeline,
             model,
-            route: "default".to_owned(),
             shards: 4,
             engine: ExecutionEngine::Sequential,
             hook: Arc::new(NoFaults),
             metrics: Metrics::disabled(),
             clock: Arc::new(WallClock::new()),
-            batch: BatchConfig::default(),
         }
-    }
-
-    /// Route name (used in per-route metric names).
-    pub fn route(&self) -> &str {
-        &self.inner.route
     }
 
     /// The calling thread's sticky shard index (round-robin on first use).
@@ -611,97 +458,58 @@ impl ModelServer {
         } else {
             0.0
         };
-        match score_raw(&snap, record) {
-            Some(value) => {
-                shard.served.fetch_add(1, Ordering::Relaxed);
-                if enabled {
-                    let elapsed = self.inner.clock.now_secs() - started;
-                    self.inner.obs.served.inc();
-                    self.inner.obs.route_served.inc();
-                    self.inner.obs.latency.observe(elapsed);
-                    self.inner.obs.route_latency.observe(elapsed);
-                }
-                Some(Prediction {
-                    value,
-                    version: snap.version,
-                })
-            }
-            None => {
-                shard.rejected.fetch_add(1, Ordering::Relaxed);
-                self.inner.obs.rejected.inc();
-                self.inner.obs.route_rejected.inc();
-                None
-            }
+        let value = score_raw(&snap, record);
+        if enabled && value.is_some() {
+            let elapsed = self.inner.clock.now_secs() - started;
+            self.inner.obs.latency.observe(elapsed);
         }
+        self.account_scored(shard, &snap, value)
     }
 
     /// Scores a slice of records in one pass against one coherent snapshot,
     /// through the engine's indexed map (the work-stealing pool when the
     /// server was built with a threaded engine). Outcome per record is
     /// exactly what [`ModelServer::predict`] would return under the same
-    /// snapshot.
+    /// snapshot. A map that fails fatally (an injected worker panic past the
+    /// restart budget) is a batch of `None`s counted in `batch_failures`;
+    /// recoverable panics are absorbed by the engine and produce results
+    /// identical to the fault-free pass.
     pub fn predict_batch(&self, records: &[Record]) -> Vec<Option<Prediction>> {
-        let shard_idx = self.shard_index();
-        let snap = self.inner.shards[shard_idx].cell.load();
-        match self.score_batch(&snap, records) {
-            Some(values) => {
-                let shard = &self.inner.shards[shard_idx];
-                values
-                    .into_iter()
-                    .map(|v| self.account_scored(shard, &snap, v, None))
-                    .collect()
-            }
-            None => {
-                self.inner
-                    .batch_failed
-                    .fetch_add(records.len() as u64, Ordering::Relaxed);
-                self.inner.obs.batch_failures.add(records.len() as u64);
+        let shard = &self.inner.shards[self.shard_index()];
+        let snap = shard.cell.load();
+        let n = records.len() as u64;
+        self.inner.attempts.fetch_add(n, Ordering::Relaxed);
+        let scored = self.inner.engine.try_map_indexed(
+            records.len(),
+            |i| score_raw(&snap, &records[i]),
+            &*self.inner.hook,
+            &self.inner.ctx,
+        );
+        match scored {
+            Ok(values) => values
+                .into_iter()
+                .map(|v| self.account_scored(shard, &snap, v))
+                .collect(),
+            Err(_) => {
+                self.inner.batch_failed.fetch_add(n, Ordering::Relaxed);
+                self.inner.obs.batch_failures.add(n);
                 vec![None; records.len()]
             }
         }
     }
 
-    /// Engine pass over `records` with one shared snapshot. `None` = the
-    /// map failed fatally (an injected worker panic past the restart
-    /// budget); recoverable panics are absorbed by the engine and produce
-    /// results identical to the fault-free pass.
-    fn score_batch(&self, snap: &ServingSnapshot, records: &[Record]) -> Option<Vec<Option<f64>>> {
-        self.inner
-            .attempts
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
-        self.inner
-            .engine
-            .try_map_indexed(
-                records.len(),
-                |i| score_raw(snap, &records[i]),
-                &*self.inner.hook,
-                &self.inner.ctx,
-            )
-            .ok()
-    }
-
-    /// Books one scored outcome into the serve/reject counters (queue
-    /// latency observed when `enqueued_secs` is known) and shapes it into a
-    /// `Prediction`.
+    /// Books one scored outcome into the serve/reject counters and shapes
+    /// it into a `Prediction`.
     fn account_scored(
         &self,
         shard: &Shard,
         snap: &ServingSnapshot,
         value: Option<f64>,
-        enqueued_secs: Option<f64>,
     ) -> Option<Prediction> {
         match value {
             Some(value) => {
                 shard.served.fetch_add(1, Ordering::Relaxed);
-                if self.inner.ctx.metrics.is_enabled() {
-                    self.inner.obs.served.inc();
-                    self.inner.obs.route_served.inc();
-                    if let Some(at) = enqueued_secs {
-                        let elapsed = self.inner.clock.now_secs() - at;
-                        self.inner.obs.latency.observe(elapsed);
-                        self.inner.obs.route_latency.observe(elapsed);
-                    }
-                }
+                self.inner.obs.served.inc();
                 Some(Prediction {
                     value,
                     version: snap.version,
@@ -710,169 +518,8 @@ impl ModelServer {
             None => {
                 shard.rejected.fetch_add(1, Ordering::Relaxed);
                 self.inner.obs.rejected.inc();
-                self.inner.obs.route_rejected.inc();
                 None
             }
-        }
-    }
-
-    /// Enqueues one query into the calling thread's shard queue for
-    /// micro-batched scoring. Flushes inline when the shard reaches
-    /// `max_batch`; otherwise the query waits for a deadline flush
-    /// ([`ModelServer::flush_due`], [`ModelServer::flush_all`], or a
-    /// [`FlusherHandle`]). The returned [`Ticket`] resolves to exactly what
-    /// `predict` would have returned under the flush-time snapshot.
-    ///
-    /// # Errors
-    /// [`QueueOverflow`] when the shard's bounded queue is at capacity; the
-    /// query is counted in `serving.queue_overflow` and never scored.
-    pub fn enqueue(&self, record: Record) -> Result<Ticket, QueueOverflow> {
-        let shard_idx = self.shard_index();
-        let shard = &self.inner.shards[shard_idx];
-        let ticket = Ticket::new();
-        let now = self.inner.clock.now_secs();
-        let ready = {
-            let mut q = shard.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if q.len() >= self.inner.batch.capacity {
-                drop(q);
-                self.inner.overflowed.fetch_add(1, Ordering::Relaxed);
-                self.inner.obs.overflow.inc();
-                return Err(QueueOverflow);
-            }
-            q.push_back(PendingQuery {
-                record,
-                ticket: ticket.clone(),
-                enqueued_secs: now,
-            });
-            self.inner.obs.queue_depth.set(q.len() as f64);
-            if q.len() >= self.inner.batch.max_batch {
-                Some(drain_batch(&mut q, self.inner.batch.max_batch))
-            } else {
-                None
-            }
-        };
-        if let Some(batch) = ready {
-            self.flush_batch(shard_idx, batch);
-        }
-        Ok(ticket)
-    }
-
-    /// Queries currently queued across all shards.
-    pub fn pending(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.queue.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
-    }
-
-    /// Flushes every shard whose oldest pending query has waited at least
-    /// `max_delay_secs`; returns the number of queries flushed. A due shard
-    /// drains completely (in `max_batch`-sized scoring passes): once the
-    /// deadline forces a flush, draining the backlog is cheaper than
-    /// re-arming it.
-    pub fn flush_due(&self) -> usize {
-        let now = self.inner.clock.now_secs();
-        let deadline = self.inner.batch.max_delay_secs;
-        (0..self.inner.shards.len())
-            .map(|i| self.flush_shard(i, Some(now - deadline)))
-            .sum()
-    }
-
-    /// Flushes every pending query regardless of deadlines; returns the
-    /// number flushed.
-    pub fn flush_all(&self) -> usize {
-        (0..self.inner.shards.len())
-            .map(|i| self.flush_shard(i, None))
-            .sum()
-    }
-
-    /// Drains and scores shard `idx`. With `due_before = Some(t)`, only
-    /// fires when the oldest entry was enqueued at or before `t`.
-    fn flush_shard(&self, idx: usize, due_before: Option<f64>) -> usize {
-        let shard = &self.inner.shards[idx];
-        let mut flushed = 0;
-        loop {
-            let batch = {
-                let mut q = shard.queue.lock().unwrap_or_else(|e| e.into_inner());
-                let due = match (q.front(), due_before) {
-                    (None, _) => false,
-                    (Some(_), None) => true,
-                    (Some(front), Some(t)) => front.enqueued_secs <= t,
-                };
-                if !due {
-                    self.inner.obs.queue_depth.set(q.len() as f64);
-                    break;
-                }
-                drain_batch(&mut q, self.inner.batch.max_batch)
-            };
-            flushed += batch.len();
-            self.flush_batch(idx, batch);
-        }
-        flushed
-    }
-
-    /// Scores one drained batch against a single snapshot and fulfils its
-    /// tickets.
-    fn flush_batch(&self, shard_idx: usize, batch: Vec<PendingQuery>) {
-        if batch.is_empty() {
-            return;
-        }
-        let shard = &self.inner.shards[shard_idx];
-        let snap = shard.cell.load();
-        let records: Vec<&Record> = batch.iter().map(|p| &p.record).collect();
-        self.inner
-            .attempts
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
-        let scored = self
-            .inner
-            .engine
-            .try_map_indexed(
-                records.len(),
-                |i| score_raw(&snap, records[i]),
-                &*self.inner.hook,
-                &self.inner.ctx,
-            )
-            .ok();
-        match scored {
-            Some(values) => {
-                self.inner.obs.batch_size.observe(batch.len() as f64);
-                for (pending, value) in batch.iter().zip(values) {
-                    let outcome =
-                        self.account_scored(shard, &snap, value, Some(pending.enqueued_secs));
-                    pending.ticket.fulfil(outcome);
-                }
-            }
-            None => {
-                self.inner
-                    .batch_failed
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                self.inner.obs.batch_failures.add(batch.len() as u64);
-                for pending in &batch {
-                    pending.ticket.fulfil(None);
-                }
-            }
-        }
-    }
-
-    /// Spawns a background deadline-flush thread polling
-    /// [`ModelServer::flush_due`]; stops (and drains the queues) when the
-    /// returned handle drops.
-    pub fn start_flusher(&self) -> FlusherHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let server = self.clone();
-        let flag = Arc::clone(&stop);
-        let tick = (self.inner.batch.max_delay_secs / 2.0).max(0.0002);
-        let join = std::thread::spawn(move || {
-            while !flag.load(Ordering::SeqCst) {
-                server.flush_due();
-                std::thread::sleep(std::time::Duration::from_secs_f64(tick));
-            }
-            server.flush_all();
-        });
-        FlusherHandle {
-            stop,
-            join: Some(join),
         }
     }
 
@@ -899,9 +546,6 @@ impl ModelServer {
             shard.cell.store(Arc::clone(&snap));
         }
         self.inner.version.store(version, Ordering::SeqCst);
-        self.inner
-            .last_publish_secs
-            .store(self.inner.clock.now_secs().to_bits(), Ordering::Relaxed);
         drop(guard);
         self.inner.obs.publishes.inc();
         self.inner.obs.version.set(version as f64);
@@ -911,12 +555,6 @@ impl ModelServer {
     /// Latest published version.
     pub fn version(&self) -> u64 {
         self.inner.version.load(Ordering::SeqCst)
-    }
-
-    /// Seconds since the last publish (0 right after deploy/publish).
-    pub fn staleness_secs(&self) -> f64 {
-        let last = f64::from_bits(self.inner.last_publish_secs.load(Ordering::Relaxed));
-        (self.inner.clock.now_secs() - last).max(0.0)
     }
 
     /// Queries answered so far (sum over shards).
@@ -943,11 +581,6 @@ impl ModelServer {
         self.inner.attempts.load(Ordering::Relaxed)
     }
 
-    /// Queries turned away by a full micro-batch queue (never scored).
-    pub fn queue_overflows(&self) -> u64 {
-        self.inner.overflowed.load(Ordering::Relaxed)
-    }
-
     /// Queries lost to a fatal batch-scoring failure (injected worker
     /// panics past the restart budget).
     pub fn batch_failures(&self) -> u64 {
@@ -955,216 +588,10 @@ impl ModelServer {
     }
 }
 
-/// Guard for the background deadline-flush thread of one server; dropping
-/// it stops the thread and drains any still-queued queries.
-#[derive(Debug)]
-pub struct FlusherHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for FlusherHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-fn drain_batch(q: &mut VecDeque<PendingQuery>, max: usize) -> Vec<PendingQuery> {
-    let take = q.len().min(max.max(1));
-    q.drain(..take).collect()
-}
-
-/// Shared configuration for every route a [`ServingRouter`] registers.
-#[derive(Clone)]
-pub struct RouterConfig {
-    /// Metrics handle shared by all routes (per-route series are
-    /// name-scoped).
-    pub metrics: Metrics,
-    /// Clock for latency/deadline/staleness measurement.
-    pub clock: Arc<dyn Clock>,
-    /// Fault hook consulted by batch-scoring maps.
-    pub hook: Arc<dyn FaultHook>,
-    /// SLA rules evaluated by [`ServingRouter::check_slas`].
-    pub sla: AlertMonitor,
-    /// Shards per route.
-    pub shards: usize,
-    /// Micro-batching knobs per route.
-    pub batch: BatchConfig,
-}
-
-impl fmt::Debug for RouterConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RouterConfig")
-            .field("shards", &self.shards)
-            .field("batch", &self.batch)
-            .field("sla_rules", &self.sla.rules().len())
-            .finish()
-    }
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        Self {
-            metrics: Metrics::disabled(),
-            clock: Arc::new(WallClock::new()),
-            hook: Arc::new(NoFaults),
-            sla: AlertMonitor::serving_defaults(0.050, 60.0),
-            shards: 4,
-            batch: BatchConfig::default(),
-        }
-    }
-}
-
-struct RouterInner {
-    engine: ExecutionEngine,
-    config: RouterConfig,
-    routes: Mutex<BTreeMap<String, ModelServer>>,
-}
-
-/// Multiplexes many concurrent deployments over one scoring pool: each
-/// registered route is a [`ModelServer`] sharing the router's engine,
-/// metrics registry, clock, and fault hook, with per-route latency
-/// histograms (`serving.<route>.latency_secs`), queue-depth gauges
-/// (`serving.<route>.queue_depth`), and the aggregate `serving.*` series
-/// feeding the SLA rules of [`AlertMonitor::serving_defaults`].
-#[derive(Clone)]
-pub struct ServingRouter {
-    inner: Arc<RouterInner>,
-}
-
-impl fmt::Debug for ServingRouter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServingRouter")
-            .field("engine", &self.inner.engine.name())
-            .field("routes", &self.route_names())
-            .finish()
-    }
-}
-
-impl ServingRouter {
-    /// A router scoring on `engine` with default [`RouterConfig`].
-    pub fn new(engine: ExecutionEngine) -> Self {
-        Self::with_config(engine, RouterConfig::default())
-    }
-
-    /// A router scoring on `engine` with explicit shared configuration.
-    pub fn with_config(engine: ExecutionEngine, config: RouterConfig) -> Self {
-        Self {
-            inner: Arc::new(RouterInner {
-                engine,
-                config,
-                routes: Mutex::new(BTreeMap::new()),
-            }),
-        }
-    }
-
-    /// Deploys `(pipeline, model)` under `name` and returns the route's
-    /// server handle (replacing — and returning a fresh server for — an
-    /// existing route of the same name).
-    pub fn register(&self, name: &str, pipeline: Pipeline, model: LinearModel) -> ModelServer {
-        let cfg = &self.inner.config;
-        let server = ModelServer::builder(pipeline, model)
-            .route(name)
-            .shards(cfg.shards)
-            .engine(self.inner.engine)
-            .fault_hook(Arc::clone(&cfg.hook))
-            .metrics(cfg.metrics.clone())
-            .clock(Arc::clone(&cfg.clock))
-            .batching(cfg.batch)
-            .build();
-        self.inner
-            .routes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(name.to_owned(), server.clone());
-        server
-    }
-
-    /// The server handle for `name`, if registered.
-    pub fn route(&self, name: &str) -> Option<ModelServer> {
-        self.inner
-            .routes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .cloned()
-    }
-
-    /// Registered route names, sorted.
-    pub fn route_names(&self) -> Vec<String> {
-        self.inner
-            .routes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .keys()
-            .cloned()
-            .collect()
-    }
-
-    fn servers(&self) -> Vec<ModelServer> {
-        self.inner
-            .routes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-            .cloned()
-            .collect()
-    }
-
-    /// Total queries served across every route (== the sum of per-route
-    /// counters, == the aggregate `serving.served` counter).
-    pub fn total_served(&self) -> u64 {
-        self.servers().iter().map(ModelServer::queries_served).sum()
-    }
-
-    /// Total queries rejected across every route.
-    pub fn total_rejected(&self) -> u64 {
-        self.servers()
-            .iter()
-            .map(ModelServer::queries_rejected)
-            .sum()
-    }
-
-    /// Deadline-flushes every route; returns queries flushed.
-    pub fn flush_due(&self) -> usize {
-        self.servers().iter().map(ModelServer::flush_due).sum()
-    }
-
-    /// Flushes every pending query on every route.
-    pub fn flush_all(&self) -> usize {
-        self.servers().iter().map(ModelServer::flush_all).sum()
-    }
-
-    /// Evaluates the SLA rules over the shared metrics registry. Exports
-    /// `serving.staleness_secs` (the most stale route's seconds since
-    /// publish) first so the `serving.stale_version` rule has its signal,
-    /// then appends each fired alert as an `alert.fired` event.
-    pub fn check_slas(&self) -> Vec<Alert> {
-        let cfg = &self.inner.config;
-        let stalest = self
-            .servers()
-            .iter()
-            .map(|s| s.staleness_secs())
-            .fold(0.0f64, f64::max);
-        cfg.metrics.gauge("serving.staleness_secs").set(stalest);
-        let fired = cfg
-            .sla
-            .evaluate(&cfg.metrics.snapshot(), cfg.clock.now_secs());
-        for alert in &fired {
-            cfg.metrics.event("alert.fired", alert.message());
-        }
-        fired
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cdp_ml::LossKind;
-    use cdp_obs::VirtualClock;
     use cdp_pipeline::encode::DenseEncoder;
     use cdp_pipeline::parser::SchemaParser;
     use cdp_pipeline::scale::StandardScaler;
@@ -1305,68 +732,10 @@ mod tests {
     }
 
     #[test]
-    fn micro_batch_queue_flushes_on_size_and_deadline() {
-        let clock = Arc::new(VirtualClock::new());
-        let server =
-            ModelServer::builder(warmed_pipeline(), LinearModel::zeros(2, LossKind::Squared))
-                .shards(1)
-                .clock(clock.clone())
-                .batching(BatchConfig {
-                    max_batch: 3,
-                    max_delay_secs: 0.010,
-                    capacity: 8,
-                })
-                .build();
-
-        // Two queries sit below max_batch: still pending.
-        let t1 = server.enqueue(record(1.0)).expect("capacity");
-        let t2 = server.enqueue(record(2.0)).expect("capacity");
-        assert_eq!(server.pending(), 2);
-        assert!(t1.try_take().is_none());
-
-        // Deadline not reached yet: flush_due is a no-op.
-        assert_eq!(server.flush_due(), 0);
-        clock.advance_secs(0.011);
-        assert_eq!(server.flush_due(), 2);
-        assert!(t1.wait().is_some());
-        assert!(t2.wait().is_some());
-
-        // The third enqueue of a full batch flushes inline.
-        let t3 = server.enqueue(record(3.0)).expect("capacity");
-        let t4 = server.enqueue(record(4.0)).expect("capacity");
-        let t5 = server.enqueue(record(5.0)).expect("capacity");
-        assert_eq!(server.pending(), 0, "size trigger flushed inline");
-        for t in [t3, t4, t5] {
-            assert!(t.wait().is_some());
-        }
-        assert_eq!(server.queries_served(), 5);
-    }
-
-    #[test]
-    fn bounded_queue_overflows_are_counted_not_scored() {
-        let server =
-            ModelServer::builder(warmed_pipeline(), LinearModel::zeros(2, LossKind::Squared))
-                .shards(1)
-                .batching(BatchConfig {
-                    max_batch: 100,
-                    max_delay_secs: 10.0,
-                    capacity: 2,
-                })
-                .build();
-        assert!(server.enqueue(record(1.0)).is_ok());
-        assert!(server.enqueue(record(2.0)).is_ok());
-        assert_eq!(server.enqueue(record(3.0)).err(), Some(QueueOverflow));
-        assert_eq!(server.queue_overflows(), 1);
-        assert_eq!(server.flush_all(), 2);
-        assert_eq!(server.attempts(), 2, "overflowed query was never scored");
-    }
-
-    #[test]
     fn serving_metrics_reconcile_with_server_counters() {
         let metrics = Metrics::collecting();
         let server =
             ModelServer::builder(warmed_pipeline(), LinearModel::zeros(2, LossKind::Squared))
-                .route("url")
                 .metrics(metrics.clone())
                 .build();
         for i in 0..7 {
@@ -1378,92 +747,52 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("serving.served"), server.queries_served());
         assert_eq!(snap.counter("serving.rejected"), server.queries_rejected());
-        assert_eq!(snap.counter("serving.url.served"), server.queries_served());
-        assert_eq!(
-            snap.counter("serving.url.rejected"),
-            server.queries_rejected()
-        );
         assert_eq!(snap.counter("serving.publishes"), 1);
-        assert_eq!(snap.gauge("serving.url.version"), 2.0);
+        assert_eq!(snap.gauge("serving.version"), 2.0);
         let lat = snap.histogram("serving.latency_secs").expect("latencies");
         assert_eq!(lat.count, server.queries_served());
     }
 
     #[test]
-    fn router_multiplexes_routes_and_sums_counters() {
-        let metrics = Metrics::collecting();
-        let router = ServingRouter::with_config(
-            ExecutionEngine::Sequential,
-            RouterConfig {
-                metrics: metrics.clone(),
-                ..RouterConfig::default()
-            },
-        );
-        let a = router.register(
-            "a",
-            warmed_pipeline(),
-            LinearModel::zeros(2, LossKind::Squared),
-        );
-        let b = router.register(
-            "b",
-            warmed_pipeline(),
-            LinearModel::zeros(2, LossKind::Squared),
-        );
-        for i in 0..5 {
-            let _ = a.predict(&record(i as f64));
-        }
-        for i in 0..3 {
-            let _ = b.predict(&record(i as f64));
-        }
-        assert_eq!(router.route_names(), vec!["a".to_owned(), "b".to_owned()]);
-        assert_eq!(router.total_served(), 8);
-        let snap = metrics.snapshot();
-        assert_eq!(
-            snap.counter("serving.served"),
-            snap.counter("serving.a.served") + snap.counter("serving.b.served")
-        );
-        assert!(router.route("a").is_some());
-        assert!(router.route("missing").is_none());
-    }
+    fn a_held_snapshot_outlives_publishes_and_is_freed_when_dropped() {
+        const SHARDS: usize = 3;
+        let weighted = |w: f64| {
+            let mut m = LinearModel::zeros(2, LossKind::Squared);
+            m.weights_mut().set(1, w).expect("weight slot");
+            m
+        };
+        let server = ModelServer::builder(warmed_pipeline(), weighted(7.0))
+            .shards(SHARDS)
+            .build();
+        let probe = record(2.5);
+        let first = server.predict(&probe).expect("valid query");
+        let held = server.snapshot();
+        let held_weights = held.model.weights().clone();
 
-    #[test]
-    fn sla_rules_fire_on_breach_and_stay_quiet_when_healthy() {
-        let clock = Arc::new(VirtualClock::new());
-        let metrics = Metrics::with_clock(clock.clone());
-        let router = ServingRouter::with_config(
-            ExecutionEngine::Sequential,
-            RouterConfig {
-                metrics: metrics.clone(),
-                clock: clock.clone(),
-                sla: AlertMonitor::serving_defaults(0.050, 60.0),
-                ..RouterConfig::default()
-            },
-        );
-        let server = router.register(
-            "url",
-            warmed_pipeline(),
-            LinearModel::zeros(2, LossKind::Squared),
-        );
-        let _ = server.predict(&record(1.0));
-        assert!(
-            router.check_slas().is_empty(),
-            "healthy route fires nothing"
-        );
+        // The thread holding `held` is the one publishing: a publish that
+        // waited for readers to let go of a snapshot would never return.
+        for i in 0..100 {
+            server.publish(warmed_pipeline(), weighted(i as f64));
+        }
+        assert_eq!(server.version(), 101);
 
-        // A slow quantile, a full queue, and a stale route each breach.
-        metrics.histogram("serving.latency_secs").observe(0.5);
-        metrics.counter("serving.queue_overflow").inc();
-        clock.advance_secs(120.0);
-        let fired = router.check_slas();
-        let names: Vec<&str> = fired.iter().map(|a| a.rule.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "serving.p99_breach",
-                "serving.queue_overflow",
-                "serving.stale_version"
-            ]
-        );
+        // The held triple is still version 1's, bit for bit.
+        assert_eq!(held.version, 1);
+        assert_eq!(held.model.weights(), &held_weights);
+        let again = score_raw(&held, &probe).expect("valid query");
+        assert_eq!(again.to_bits(), first.value.to_bits());
+        assert_ne!(server.predict(&probe).expect("valid").value, first.value);
+
+        // No shard refers to version 1 any more: ours is the last reference,
+        // and dropping it frees the snapshot.
+        assert_eq!(Arc::strong_count(&held), 1);
+        let weak = Arc::downgrade(&held);
+        drop(held);
+        assert!(weak.upgrade().is_none());
+        // The current snapshot is referenced once per shard, plus ours.
+        let current = server.snapshot();
+        assert_eq!(current.version, 101);
+        assert_eq!(Arc::strong_count(&current), SHARDS + 1);
     }
 
     #[test]

@@ -126,9 +126,10 @@ pub struct Alert {
     pub threshold: f64,
     /// Clock seconds when the evaluation ran.
     pub at_secs: f64,
-    /// How many times this rule has fired so far, including this alert
-    /// (always 1 from the stateless [`AlertMonitor::evaluate`]; cumulative
-    /// from the stateful [`AlertMonitor::observe`]).
+    /// How many times this rule has fired so far on the
+    /// [`AlertMonitor`] that admitted it, including this alert (1 for a
+    /// rule's first firing, so always 1 from a fresh monitor's first
+    /// [`observe`](AlertMonitor::observe)).
     pub fired_count: u64,
 }
 
@@ -171,15 +172,15 @@ impl FireState {
 
 /// A set of threshold rules evaluated together.
 ///
-/// [`evaluate`](Self::evaluate) is stateless: it reports every breaching
-/// rule, every time — right for a single end-of-run sweep, an alert storm
-/// when called repeatedly while a condition persists. Live evaluation goes
-/// through [`observe`](Self::observe), which tracks per-rule state: a rule
-/// that fired re-fires only after [`with_cooldown`](Self::with_cooldown)
-/// clock seconds have passed (`f64::INFINITY`, the telemetry default,
-/// dedups to one firing per run), and each admitted alert carries its
-/// rule's cumulative [`fired_count`](Alert::fired_count) — so
-/// `DeploymentResult::alerts` stays bounded no matter how long the run.
+/// The one evaluation path is [`observe`](Self::observe), which tracks
+/// per-rule state: a rule that fired re-fires only after
+/// [`with_cooldown`](Self::with_cooldown) clock seconds have passed
+/// (`f64::INFINITY`, the telemetry default, dedups to one firing per run),
+/// and each admitted alert carries its rule's cumulative
+/// [`fired_count`](Alert::fired_count) — so `DeploymentResult::alerts`
+/// stays bounded no matter how long the run. A fresh monitor has no state
+/// yet, so its first `observe` reports every breaching rule in rule order:
+/// that is the end-of-run sweep of a deployment without telemetry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AlertMonitor {
     rules: Vec<AlertRule>,
@@ -200,9 +201,8 @@ impl AlertMonitor {
         self
     }
 
-    /// Sets the per-rule refire cooldown in clock seconds (builder style).
-    /// Only [`observe`](Self::observe) honors it; `f64::INFINITY` dedups
-    /// each rule to a single firing.
+    /// Sets the per-rule refire cooldown in clock seconds (builder style);
+    /// `f64::INFINITY` dedups each rule to a single firing.
     #[must_use]
     pub fn with_cooldown(mut self, cooldown_secs: f64) -> Self {
         self.cooldown_secs = cooldown_secs.max(0.0);
@@ -230,16 +230,6 @@ impl AlertMonitor {
             .zip(self.state.iter())
             .find(|(r, _)| r.name == name)
             .map_or(0, |(_, s)| s.suppressed_count)
-    }
-
-    /// Evaluates every rule against `snap`; fired alerts in rule order.
-    /// Stateless — repeated calls re-fire persistent breaches; use
-    /// [`observe`](Self::observe) for live evaluation.
-    pub fn evaluate(&self, snap: &MetricsSnapshot, at_secs: f64) -> Vec<Alert> {
-        self.rules
-            .iter()
-            .filter_map(|r| r.check(snap, at_secs))
-            .collect()
     }
 
     /// Evaluates every rule against `snap`, suppressing rules still inside
@@ -326,43 +316,6 @@ impl AlertMonitor {
                 threshold: 2.0,
             })
     }
-
-    /// The serving layer's default SLA rules over the `serving.*` series:
-    ///
-    /// - `serving.p99_breach` — the p99 of `serving.latency_secs` exceeds
-    ///   the route's latency budget.
-    /// - `serving.queue_overflow` — any query was turned away by a full
-    ///   micro-batch queue (the queue bound is the back-pressure budget; a
-    ///   single overflow means the operator's sizing assumption broke).
-    /// - `serving.stale_version` — `serving.staleness_secs` (seconds since
-    ///   the most stale route's last publish, exported by
-    ///   `ServingRouter::check_slas`) exceeds the staleness budget: the
-    ///   continuous-training promise — queries always see a fresh model —
-    ///   is being violated.
-    pub fn serving_defaults(p99_budget_secs: f64, staleness_budget_secs: f64) -> Self {
-        Self::new()
-            .with_rule(AlertRule {
-                name: "serving.p99_breach".into(),
-                signal: AlertSignal::HistogramQuantile {
-                    name: "serving.latency_secs".into(),
-                    q: 0.99,
-                },
-                op: AlertOp::Above,
-                threshold: p99_budget_secs,
-            })
-            .with_rule(AlertRule {
-                name: "serving.queue_overflow".into(),
-                signal: AlertSignal::Counter("serving.queue_overflow".into()),
-                op: AlertOp::Above,
-                threshold: 0.0,
-            })
-            .with_rule(AlertRule {
-                name: "serving.stale_version".into(),
-                signal: AlertSignal::Gauge("serving.staleness_secs".into()),
-                op: AlertOp::Above,
-                threshold: staleness_budget_secs,
-            })
-    }
 }
 
 #[cfg(test)]
@@ -372,8 +325,8 @@ mod tests {
 
     #[test]
     fn rules_over_absent_metrics_do_not_fire() {
-        let monitor = AlertMonitor::deployment_defaults(1.0);
-        let alerts = monitor.evaluate(&MetricsSnapshot::default(), 0.0);
+        let mut monitor = AlertMonitor::deployment_defaults(1.0);
+        let alerts = monitor.observe(&MetricsSnapshot::default(), 0.0);
         assert!(alerts.is_empty());
     }
 
@@ -393,8 +346,9 @@ mod tests {
             .observe(7.5);
         metrics.gauge("checkpoint.staleness").set(3.5);
 
-        let monitor = AlertMonitor::deployment_defaults(1.0);
-        let alerts = monitor.evaluate(&metrics.snapshot(), 42.0);
+        let snap = metrics.snapshot();
+        let mut monitor = AlertMonitor::deployment_defaults(1.0);
+        let alerts = monitor.observe(&snap, 42.0);
         let names: Vec<&str> = alerts.iter().map(|a| a.rule.as_str()).collect();
         assert_eq!(
             names,
@@ -411,6 +365,15 @@ mod tests {
             assert!((a.at_secs - 42.0).abs() < 1e-12);
             assert!(a.message().contains(&a.rule));
         }
+        // A fresh monitor's first `observe` is the stateless sweep: every
+        // breaching rule's own `check`, in rule order, each a first firing.
+        let swept: Vec<Alert> = monitor
+            .rules()
+            .iter()
+            .filter_map(|r| r.check(&snap, 42.0))
+            .collect();
+        assert_eq!(alerts, swept);
+        assert!(alerts.iter().all(|a| a.fired_count == 1));
     }
 
     #[test]
@@ -427,52 +390,23 @@ mod tests {
             .histogram_with_bounds("proactive.accounted_secs", &[0.5])
             .observe(0.25);
 
-        let monitor = AlertMonitor::deployment_defaults(1.0);
-        assert!(monitor.evaluate(&metrics.snapshot(), 0.0).is_empty());
-    }
-
-    #[test]
-    fn each_serving_rule_fires_on_a_breaching_snapshot() {
-        let metrics = Metrics::collecting();
-        metrics.histogram("serving.latency_secs").observe(0.75);
-        metrics.counter("serving.queue_overflow").inc();
-        metrics.gauge("serving.staleness_secs").set(90.0);
-
-        let monitor = AlertMonitor::serving_defaults(0.050, 60.0);
-        let alerts = monitor.evaluate(&metrics.snapshot(), 7.0);
-        let names: Vec<&str> = alerts.iter().map(|a| a.rule.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "serving.p99_breach",
-                "serving.queue_overflow",
-                "serving.stale_version",
-            ]
-        );
-    }
-
-    #[test]
-    fn healthy_serving_snapshot_fires_nothing() {
-        let metrics = Metrics::collecting();
-        metrics.histogram("serving.latency_secs").observe(0.001);
-        metrics.gauge("serving.staleness_secs").set(1.5);
-        let monitor = AlertMonitor::serving_defaults(0.050, 60.0);
-        assert!(monitor.evaluate(&metrics.snapshot(), 0.0).is_empty());
+        let mut monitor = AlertMonitor::deployment_defaults(1.0);
+        assert!(monitor.observe(&metrics.snapshot(), 0.0).is_empty());
     }
 
     #[test]
     fn observe_dedups_a_persistently_breaching_gauge() {
-        // Regression: the stateless `evaluate` re-fires the same rule on
-        // every call while the condition holds, so a long run polling it
-        // per chunk would grow `DeploymentResult::alerts` without bound.
+        // Regression: without a cooldown the same rule re-fires on every
+        // poll while the condition holds, so a long run polling per chunk
+        // would grow `DeploymentResult::alerts` without bound.
         let metrics = Metrics::collecting();
         metrics.gauge("checkpoint.staleness").set(5.0);
         let snap = metrics.snapshot();
-        let monitor = AlertMonitor::deployment_defaults(1.0);
-        let stateless: usize = (0..100)
-            .map(|t| monitor.evaluate(&snap, t as f64).len())
+        let mut uncooled = AlertMonitor::deployment_defaults(1.0);
+        let refired: usize = (0..100)
+            .map(|t| uncooled.observe(&snap, t as f64).len())
             .sum();
-        assert_eq!(stateless, 100, "stateless evaluation re-fires every call");
+        assert_eq!(refired, 100, "no cooldown re-fires every call");
 
         // Infinite cooldown: exactly one admitted firing over 100 polls.
         let mut deduped = AlertMonitor::deployment_defaults(1.0).with_cooldown(f64::INFINITY);

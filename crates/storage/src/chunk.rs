@@ -1,11 +1,9 @@
 //! Timestamped raw and feature chunks (paper §3, workflow stages 1–2).
 //!
-//! Since the columnar store v2, a [`FeatureChunk`] is a thin view — a row
-//! range over a shared [`ColumnSlab`] — rather than an owner of
-//! `Vec<LabeledPoint>`. Consumers iterate [`FeatureChunk::rows`] (zero-copy
-//! [`RowView`]s) instead of walking per-point allocations; compaction can
-//! re-point several chunks into one merged slab without changing what any
-//! of them logically contains.
+//! Since the columnar store v2, a [`FeatureChunk`] owns one shared
+//! [`ColumnSlab`] rather than a `Vec<LabeledPoint>`. Consumers iterate
+//! [`FeatureChunk::rows`] (zero-copy [`RowView`]s) instead of walking
+//! per-point allocations.
 
 use std::sync::Arc;
 
@@ -98,11 +96,9 @@ impl LabeledPoint {
 /// A chunk of preprocessed features, carrying a reference (`raw_ref`) to the
 /// raw chunk it was materialized from so it can be re-created after eviction.
 ///
-/// The chunk is a *view*: a `[start, end)` row range over a shared columnar
-/// [`ColumnSlab`]. Freshly transformed chunks own their whole slab;
-/// compaction re-points several adjacent chunks into one merged slab.
-/// Equality and byte accounting are row-range properties, so two chunks with
-/// the same logical rows compare equal regardless of which slab backs them.
+/// The chunk holds every row of one shared columnar [`ColumnSlab`].
+/// Equality is a property of the rows, so two chunks with the same logical
+/// rows compare equal regardless of which slab layout backs them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FeatureChunk {
     /// Same identifier as the originating raw chunk.
@@ -110,8 +106,6 @@ pub struct FeatureChunk {
     /// Reference to the originating raw chunk (paper stage 2).
     pub raw_ref: Timestamp,
     slab: Arc<ColumnSlab>,
-    start: usize,
-    end: usize,
     bytes: usize,
 }
 
@@ -125,48 +119,25 @@ impl FeatureChunk {
         )
     }
 
-    /// Creates a feature chunk viewing all rows of an existing slab.
+    /// Creates a feature chunk over all rows of an existing slab.
     pub fn from_slab(timestamp: Timestamp, raw_ref: Timestamp, slab: Arc<ColumnSlab>) -> Self {
-        let end = slab.len();
-        Self::from_slab_range(timestamp, raw_ref, slab, 0, end)
-    }
-
-    /// Creates a feature chunk viewing rows `[start, end)` of a slab (used
-    /// by compaction to re-point chunks into a merged slab).
-    ///
-    /// # Panics
-    /// Panics when the range is inverted or exceeds the slab.
-    pub fn from_slab_range(
-        timestamp: Timestamp,
-        raw_ref: Timestamp,
-        slab: Arc<ColumnSlab>,
-        start: usize,
-        end: usize,
-    ) -> Self {
-        assert!(
-            start <= end && end <= slab.len(),
-            "chunk range {start}..{end} exceeds slab of {} rows",
-            slab.len()
-        );
-        let bytes = (start..end).map(|i| slab.row_size_bytes(i)).sum();
+        let bytes = (0..slab.len()).map(|i| slab.row_size_bytes(i)).sum();
         Self {
             timestamp,
             raw_ref,
             slab,
-            start,
-            end,
             bytes,
         }
     }
 
     /// Number of examples.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.slab.len()
     }
 
     /// Whether the chunk has no examples.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.slab.is_empty()
     }
 
     /// Approximate heap footprint in bytes — identical to what the row
@@ -176,18 +147,17 @@ impl FeatureChunk {
         self.bytes
     }
 
-    /// Zero-copy view of example `i` (chunk-relative).
+    /// Zero-copy view of example `i`.
     ///
     /// # Panics
     /// Panics when `i >= self.len()` (slice-index discipline).
     pub fn row(&self, i: usize) -> RowView<'_> {
-        assert!(i < self.len(), "row {i} out of {} chunk rows", self.len());
-        self.slab.row(self.start + i)
+        self.slab.row(i)
     }
 
     /// Iterates the chunk's examples as zero-copy views, in order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = RowView<'_>> + '_ {
-        (self.start..self.end).map(move |i| self.slab.row(i))
+        (0..self.len()).map(move |i| self.slab.row(i))
     }
 
     /// Reconstructs example `i` as an owned point.
@@ -201,15 +171,9 @@ impl FeatureChunk {
         self.rows().map(|r| r.to_point()).collect()
     }
 
-    /// The backing slab (compaction and the spill codec look through the
-    /// view).
+    /// The backing slab (the spill codec copies its columns out).
     pub fn slab(&self) -> &Arc<ColumnSlab> {
         &self.slab
-    }
-
-    /// The `[start, end)` row range this chunk views within its slab.
-    pub fn slab_range(&self) -> (usize, usize) {
-        (self.start, self.end)
     }
 }
 

@@ -4,10 +4,8 @@
 //! column plus either dense column slabs (`Vec<f64>` per feature column) or
 //! a CSR-style sparse block — so the pipeline, the trainer, and the fused
 //! transform+gradient pass can iterate examples without allocating a
-//! `LabeledPoint` per row. [`FeatureChunk`](crate::FeatureChunk) is a thin
-//! view (slab + row range) over an `Arc<ColumnSlab>`; compaction merges
-//! adjacent small slabs and re-points the views without touching their
-//! logical contents.
+//! `LabeledPoint` per row. A [`FeatureChunk`](crate::FeatureChunk) holds
+//! one `Arc<ColumnSlab>` whole.
 //!
 //! **Bit-identity contract.** Every numeric access through [`RowView`]
 //! replicates the exact floating-point operation order of the row layout it
@@ -184,94 +182,6 @@ impl ColumnSlab {
                 Some((&indices[a..b], &values[a..b], *dim))
             }
             _ => None,
-        }
-    }
-
-    /// Merges row ranges of several slabs into one slab, preserving every
-    /// row's representation: dense ranges of one dimension concatenate
-    /// column-wise, CSR ranges of one dimension concatenate with offset
-    /// row pointers, and anything mixed falls back to row-major vectors —
-    /// so per-row bytes, lookups, and float orders are unchanged.
-    pub fn merge(parts: &[(&ColumnSlab, usize, usize)]) -> ColumnSlab {
-        let mut labels = Vec::new();
-        for (slab, start, end) in parts {
-            labels.extend_from_slice(&slab.labels[*start..*end]);
-        }
-        let occupied: Vec<&(&ColumnSlab, usize, usize)> =
-            parts.iter().filter(|(_, s, e)| e > s).collect();
-        let dense_dim = match occupied.first() {
-            Some((slab, _, _)) => match &slab.layout {
-                SlabLayout::Dense { dim, .. } => {
-                    let dim = *dim;
-                    occupied
-                        .iter()
-                        .all(|(s, _, _)| matches!(&s.layout, SlabLayout::Dense { dim: d, .. } if *d == dim))
-                        .then_some(dim)
-                }
-                _ => None,
-            },
-            None => Some(0),
-        };
-        if let Some(dim) = dense_dim {
-            let mut cols: Vec<Vec<f64>> =
-                (0..dim).map(|_| Vec::with_capacity(labels.len())).collect();
-            for (slab, start, end) in &occupied {
-                if let SlabLayout::Dense { cols: src, .. } = &slab.layout {
-                    for (dst, col) in cols.iter_mut().zip(src) {
-                        dst.extend_from_slice(&col[*start..*end]);
-                    }
-                }
-            }
-            return ColumnSlab {
-                labels,
-                layout: SlabLayout::Dense { dim, cols },
-            };
-        }
-        let csr_dim = match occupied.first() {
-            Some((slab, _, _)) => match &slab.layout {
-                SlabLayout::Csr { dim, .. } => {
-                    let dim = *dim;
-                    occupied
-                        .iter()
-                        .all(|(s, _, _)| matches!(&s.layout, SlabLayout::Csr { dim: d, .. } if *d == dim))
-                        .then_some(dim)
-                }
-                _ => None,
-            },
-            None => None,
-        };
-        if let Some(dim) = csr_dim {
-            let mut row_ptr = vec![0u32];
-            let mut indices = Vec::new();
-            let mut values = Vec::new();
-            for (slab, start, end) in &occupied {
-                for i in *start..*end {
-                    if let Some((idx, val, _)) = slab.csr_row(i) {
-                        indices.extend_from_slice(idx);
-                        values.extend_from_slice(val);
-                    }
-                    row_ptr.push(indices.len() as u32);
-                }
-            }
-            return ColumnSlab {
-                labels,
-                layout: SlabLayout::Csr {
-                    dim,
-                    row_ptr,
-                    indices,
-                    values,
-                },
-            };
-        }
-        let mut rows = Vec::with_capacity(labels.len());
-        for (slab, start, end) in parts {
-            for i in *start..*end {
-                rows.push(slab.row(i).to_vector());
-            }
-        }
-        ColumnSlab {
-            labels,
-            layout: SlabLayout::Rows(rows),
         }
     }
 }
@@ -673,33 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_preserves_rows_and_bytes() {
-        let a = ColumnSlab::from_points(vec![dense(1.0, &[1.0, 2.0])]);
-        let b = ColumnSlab::from_points(vec![dense(2.0, &[3.0, 4.0]), dense(3.0, &[5.0, 6.0])]);
-        let merged = ColumnSlab::merge(&[(&a, 0, 1), (&b, 0, 2)]);
-        assert!(matches!(merged.layout(), SlabLayout::Dense { dim: 2, .. }));
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged.row(0).to_point(), a.row(0).to_point());
-        assert_eq!(merged.row(1).to_point(), b.row(0).to_point());
-        assert_eq!(merged.row(2).to_point(), b.row(1).to_point());
-        assert_eq!(merged.row_size_bytes(2), b.row_size_bytes(1));
-
-        let s1 = ColumnSlab::from_points(vec![sparse(1.0, 8, &[(2, 1.0)])]);
-        let s2 = ColumnSlab::from_points(vec![sparse(0.0, 8, &[(0, 2.0), (7, 3.0)])]);
-        let merged = ColumnSlab::merge(&[(&s1, 0, 1), (&s2, 0, 1)]);
-        assert!(matches!(merged.layout(), SlabLayout::Csr { dim: 8, .. }));
-        assert_eq!(merged.row(0).to_point(), s1.row(0).to_point());
-        assert_eq!(merged.row(1).to_point(), s2.row(0).to_point());
-
-        // Mixed layouts fall back to row vectors, preserving representation.
-        let merged = ColumnSlab::merge(&[(&a, 0, 1), (&s1, 0, 1)]);
-        assert!(matches!(merged.layout(), SlabLayout::Rows(_)));
-        assert_eq!(merged.row(0).to_point(), a.row(0).to_point());
-        assert_eq!(merged.row(1).to_point(), s1.row(0).to_point());
-        assert_eq!(merged.row_size_bytes(1), s1.row_size_bytes(0));
-    }
-
-    #[test]
     fn csr_builder_rebuilds_a_slab_in_its_own_buffers() {
         let build = |recycled: Option<ColumnSlab>, rows: &[(f64, Vec<(u32, f64)>)]| {
             let mut builder = CsrBuilder::reusing(recycled, 6, rows.len(), 8);
@@ -730,14 +613,5 @@ mod tests {
         // A slab of another layout has nothing to offer and is dropped.
         let dense = ColumnSlab::dense(vec![1.0], vec![vec![1.0]]);
         assert_eq!(build(Some(dense), &rows), second);
-    }
-
-    #[test]
-    fn empty_slab_merges_cleanly() {
-        let empty = ColumnSlab::from_points(vec![]);
-        let a = ColumnSlab::from_points(vec![sparse(1.0, 4, &[(1, 1.0)])]);
-        let merged = ColumnSlab::merge(&[(&empty, 0, 0), (&a, 0, 1)]);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged.row(0).to_point(), a.row(0).to_point());
     }
 }

@@ -93,7 +93,7 @@ fn put_vector(buf: &mut BytesMut, v: &Vector) {
 }
 
 /// Encodes a feature chunk into its binary representation (columnar payload
-/// copied straight out of the backing slab's row range).
+/// copied straight out of the backing slab).
 pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
     let mut buf = BytesMut::with_capacity(48 + chunk.size_bytes() + chunk.len() * 16);
     buf.put_slice(MAGIC);
@@ -101,18 +101,17 @@ pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
     buf.put_u64(chunk.timestamp.0);
     buf.put_u64(chunk.raw_ref.0);
     let slab = chunk.slab();
-    let (start, end) = chunk.slab_range();
     let n = chunk.len();
     match slab.layout() {
         SlabLayout::Dense { dim, cols } => {
             buf.put_u8(0);
             buf.put_u32(n as u32);
             buf.put_u32(*dim as u32);
-            for &label in &slab.labels()[start..end] {
+            for &label in slab.labels() {
                 buf.put_f64(label);
             }
             for col in cols {
-                for &x in &col[start..end] {
+                for &x in col {
                     buf.put_f64(x);
                 }
             }
@@ -126,28 +125,24 @@ pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
             buf.put_u8(1);
             buf.put_u32(n as u32);
             buf.put_u32(*dim as u32);
-            for &label in &slab.labels()[start..end] {
+            for &label in slab.labels() {
                 buf.put_f64(label);
             }
-            // Rebase the row pointers so a range view re-reads as a
-            // standalone slab.
-            let base = row_ptr[start];
-            for &p in &row_ptr[start..=end] {
-                buf.put_u32(p - base);
+            for &p in row_ptr {
+                buf.put_u32(p);
             }
-            let (a, b) = (row_ptr[start] as usize, row_ptr[end] as usize);
-            buf.put_u32((b - a) as u32);
-            for &i in &indices[a..b] {
+            buf.put_u32(indices.len() as u32);
+            for &i in indices {
                 buf.put_u32(i);
             }
-            for &x in &values[a..b] {
+            for &x in values {
                 buf.put_f64(x);
             }
         }
         SlabLayout::Rows(rows) => {
             buf.put_u8(2);
             buf.put_u32(n as u32);
-            for (label, v) in slab.labels()[start..end].iter().zip(&rows[start..end]) {
+            for (label, v) in slab.labels().iter().zip(rows) {
                 buf.put_f64(*label);
                 put_vector(&mut buf, v);
             }
@@ -645,8 +640,7 @@ mod tests {
         assert_eq!(ok(decode_chunk(&encoded)), chunk);
     }
 
-    /// One chunk per slab layout (dense, CSR, rows, empty) plus a view
-    /// over a sub-range of a compacted (merged) CSR slab.
+    /// One chunk per slab layout (dense, CSR, rows, empty).
     fn layout_chunks() -> Vec<FeatureChunk> {
         let dense = FeatureChunk::new(
             Timestamp(1),
@@ -672,32 +666,12 @@ mod tests {
             ],
         );
         let empty = FeatureChunk::new(Timestamp(3), Timestamp(3), vec![]);
-        // A chunk that views a sub-range of a merged slab must spill and
-        // reload as exactly its own rows (row pointers rebased).
-        let a = FeatureChunk::new(
-            Timestamp(4),
-            Timestamp(4),
-            vec![LabeledPoint::new(1.0, sparse(&[(1, 1.0)], 4))],
-        );
-        let b = FeatureChunk::new(
-            Timestamp(5),
-            Timestamp(5),
-            vec![LabeledPoint::new(-1.0, sparse(&[(0, 2.0), (3, -1.0)], 4))],
-        );
-        let (sa, ea) = a.slab_range();
-        let (sb, eb) = b.slab_range();
-        let merged = Arc::new(crate::ColumnSlab::merge(&[
-            (a.slab().as_ref(), sa, ea),
-            (b.slab().as_ref(), sb, eb),
-        ]));
-        let view_b = FeatureChunk::from_slab_range(Timestamp(5), Timestamp(5), merged, 1, 2);
-        assert_eq!(view_b, b);
         // sample_chunk mixes sparse and dense rows: the `rows` layout.
-        vec![dense, csr, sample_chunk(), empty, view_b]
+        vec![dense, csr, sample_chunk(), empty]
     }
 
     #[test]
-    fn codec_round_trips_all_layouts_and_a_compacted_range_view() {
+    fn codec_round_trips_all_layouts() {
         for chunk in layout_chunks() {
             assert_eq!(ok(decode_chunk(&encode_chunk(&chunk))), chunk);
         }

@@ -9,21 +9,16 @@
 //! * looking up an evicted chunk yields the raw chunk so the caller can
 //!   re-materialize it through the deployed pipeline.
 //!
-//! The v2 store adds two orthogonal mechanisms on top:
-//!
-//! * **Compaction** ([`ChunkStoreConfig`], modeled on rerun's knob of the
-//!   same name): adjacent small feature chunks under byte/row thresholds are
-//!   merged into one columnar slab, and each chunk becomes a row-range view
-//!   into it. Lookups, equality, and per-chunk byte accounting are
-//!   unchanged — compaction only collapses allocations.
-//! * **Generation-based GC**: every reclamation — feature-budget eviction,
-//!   raw-budget trimming, budget shrink — runs through one collector
-//!   ([`ChunkStore::collect`]). Each collection that frees anything advances
-//!   the store's generation and is counted in [`StoreStats::gc_runs`];
-//!   every reclaimed chunk is counted in `evictions`/`bytes_evicted` and
-//!   returned to the caller so the tiered store can spill it and emit the
-//!   matching lineage event. Eviction order stays strictly
-//!   oldest-timestamp-first, so the paper's μ model (Eqs. 4/5) is unchanged.
+//! **Generation-based GC**: every reclamation — feature-budget eviction,
+//! raw-budget trimming, budget shrink — runs through one collector
+//! ([`ChunkStore::collect`]). Each collection that frees anything advances
+//! the store's generation and is counted in [`StoreStats::gc_runs`]; every
+//! reclaimed chunk is counted in `evictions`/`bytes_evicted` and returned to
+//! the caller so the tiered store can spill it and emit the matching lineage
+//! event. Eviction order stays strictly oldest-timestamp-first, so the
+//! paper's μ model (Eqs. 4/5) is unchanged. An optional bounded changelog
+//! ([`ChunkStoreConfig`]) records every addition and deletion with the
+//! generation it happened in.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,7 +27,6 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::{FeatureChunk, RawChunk, Timestamp};
-use crate::columnar::ColumnSlab;
 use crate::StorageError;
 
 /// Limit on the materialized feature cache.
@@ -57,46 +51,23 @@ impl StorageBudget {
     }
 }
 
-/// Tuning knobs for the chunk store's ingestion path (compaction thresholds
-/// and the changelog toggle), separate from the eviction [`StorageBudget`].
-///
-/// Compaction merges *adjacent* feature chunks into one columnar slab when
-/// the combined view stays at or under **both** thresholds; a threshold of
-/// `0` disables compaction (the [`ChunkStore::new`] default, so the v1
-/// allocation behaviour is opt-out only).
+/// The chunk store's changelog switch, separate from the eviction
+/// [`StorageBudget`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChunkStoreConfig {
-    /// Merged slabs may hold at most this many rows (`0` = compaction off).
-    pub chunk_max_rows: usize,
-    /// Merged slabs may hold at most this many payload bytes (`0` =
-    /// compaction off).
-    pub chunk_max_bytes: usize,
-    /// Record an in-memory changelog of ingestion-path events (additions,
-    /// GC deletions, compactions). Off by default: the changelog exists for
-    /// tests and debugging, not the hot path.
+    /// Record an in-memory changelog of ingestion-path events (additions
+    /// and GC deletions). Off by default: the changelog exists for tests
+    /// and debugging, not the hot path.
     pub enable_changelog: bool,
     /// Bound on retained changelog events; the oldest are dropped first.
     pub changelog_capacity: usize,
 }
 
-impl ChunkStoreConfig {
-    /// Compaction and changelog both off — byte-for-byte the v1 ingestion
-    /// path.
-    pub const DISABLED: Self = Self {
-        chunk_max_rows: 0,
-        chunk_max_bytes: 0,
-        enable_changelog: false,
-        changelog_capacity: 0,
-    };
-}
-
 impl Default for ChunkStoreConfig {
-    /// Compaction on with thresholds sized for the paper workloads' many
-    /// small chunks (a few hundred rows each); changelog off.
+    /// Changelog off ([`ChunkStore::new`]'s configuration), with room for
+    /// 1024 events once switched on.
     fn default() -> Self {
         Self {
-            chunk_max_rows: 4096,
-            chunk_max_bytes: 512 * 1024,
             enable_changelog: false,
             changelog_capacity: 1024,
         }
@@ -110,9 +81,6 @@ pub enum ChunkStoreDiffKind {
     Addition,
     /// The garbage collector reclaimed a feature chunk.
     Deletion,
-    /// Adjacent chunks were merged into one slab (the named chunk is the
-    /// newest participant).
-    Compaction,
 }
 
 /// One ingestion-path event, recorded when
@@ -125,9 +93,9 @@ pub struct ChunkStoreEvent {
     pub kind: ChunkStoreDiffKind,
     /// The chunk concerned.
     pub timestamp: Timestamp,
-    /// Rows involved (merged rows for a compaction).
+    /// Rows of the chunk.
     pub rows: usize,
-    /// Bytes involved (merged bytes for a compaction).
+    /// Bytes of the chunk.
     pub bytes: usize,
 }
 
@@ -193,7 +161,9 @@ pub struct StoreStats {
     pub feature_misses: u64,
     /// Lookups of chunks with no data at all.
     pub unavailable: u64,
-    /// Compaction events (each merges ≥ 2 adjacent chunks into one slab).
+    /// Always 0: compaction is gone, but the field is eight bytes of
+    /// checkpoint schema v3, so dropping it is a schema bump that belongs
+    /// with the durable-file work (ROADMAP item 6).
     pub compactions: u64,
     /// Collector runs that reclaimed at least one chunk.
     pub gc_runs: u64,
@@ -230,12 +200,12 @@ pub struct ChunkStore {
 
 impl ChunkStore {
     /// Creates a store with the given feature-cache budget, unlimited raw
-    /// history, and compaction off ([`ChunkStoreConfig::DISABLED`]).
+    /// history, and the changelog off.
     pub fn new(budget: StorageBudget) -> Self {
-        Self::with_config(budget, ChunkStoreConfig::DISABLED)
+        Self::with_config(budget, ChunkStoreConfig::default())
     }
 
-    /// Creates a store with explicit ingestion-path tuning.
+    /// Creates a store with an explicit changelog configuration.
     pub fn with_config(budget: StorageBudget, config: ChunkStoreConfig) -> Self {
         Self {
             raw: BTreeMap::new(),
@@ -301,7 +271,6 @@ impl ChunkStore {
             return Err(StorageError::DuplicateTimestamp(ts));
         }
         self.insert_feature(ts, Arc::new(chunk));
-        self.maybe_compact_ending_at(ts);
         Ok(self.collect(GcCause::FeatureBudget))
     }
 
@@ -380,68 +349,6 @@ impl ChunkStore {
             self.generation += 1;
         }
         reclaimed
-    }
-
-    /// Merges the run of adjacent materialized chunks ending at `ts` into
-    /// one columnar slab when the combined view stays under both compaction
-    /// thresholds. Each participating chunk becomes a row-range view into
-    /// the merged slab: lookups, equality, and per-chunk bytes are
-    /// untouched; only the allocation count shrinks.
-    fn maybe_compact_ending_at(&mut self, ts: Timestamp) {
-        let (max_rows, max_bytes) = (self.config.chunk_max_rows, self.config.chunk_max_bytes);
-        if max_rows == 0 || max_bytes == 0 {
-            return;
-        }
-        // Walk backwards from `ts`, greedily absorbing predecessors while
-        // the merged view stays within thresholds.
-        let mut run: Vec<Arc<FeatureChunk>> = Vec::new();
-        let mut rows = 0usize;
-        let mut bytes = 0usize;
-        for (_, chunk) in self.features.range(..=ts).rev() {
-            let (crows, cbytes) = (chunk.len(), chunk.size_bytes());
-            if !run.is_empty() && (rows + crows > max_rows || bytes + cbytes > max_bytes) {
-                break;
-            }
-            if rows + crows > max_rows || bytes + cbytes > max_bytes {
-                return; // the new chunk alone busts a threshold
-            }
-            rows += crows;
-            bytes += cbytes;
-            run.push(Arc::clone(chunk));
-        }
-        if run.len() < 2 {
-            return;
-        }
-        run.reverse(); // oldest first
-                       // Already one slab? Then a previous compaction did the work.
-        let first_slab = Arc::clone(run[0].slab());
-        if run.iter().all(|c| Arc::ptr_eq(c.slab(), &first_slab)) {
-            return;
-        }
-        let parts: Vec<(&ColumnSlab, usize, usize)> = run
-            .iter()
-            .map(|c| {
-                let (s, e) = c.slab_range();
-                (c.slab().as_ref(), s, e)
-            })
-            .collect();
-        let merged = Arc::new(ColumnSlab::merge(&parts));
-        let mut offset = 0usize;
-        for chunk in &run {
-            let len = chunk.len();
-            let view = FeatureChunk::from_slab_range(
-                chunk.timestamp,
-                chunk.raw_ref,
-                Arc::clone(&merged),
-                offset,
-                offset + len,
-            );
-            debug_assert_eq!(view.size_bytes(), chunk.size_bytes());
-            self.features.insert(chunk.timestamp, Arc::new(view));
-            offset += len;
-        }
-        self.stats.compactions += 1;
-        self.record_event(ChunkStoreDiffKind::Compaction, ts, rows, bytes);
     }
 
     /// Appends a changelog event when the changelog is enabled, dropping the
@@ -542,15 +449,9 @@ impl ChunkStore {
         self.budget
     }
 
-    /// The ingestion-path tuning knobs.
+    /// The changelog configuration.
     pub fn config(&self) -> ChunkStoreConfig {
         self.config
-    }
-
-    /// Replaces the ingestion-path tuning knobs (affects future puts only;
-    /// already-merged slabs stay merged).
-    pub fn set_config(&mut self, config: ChunkStoreConfig) {
-        self.config = config;
     }
 
     /// The current GC generation (advanced by every collection that
@@ -810,59 +711,16 @@ mod tests {
         assert_eq!(s.feature_bytes(), expected);
     }
 
-    fn compacting_config() -> ChunkStoreConfig {
+    fn logging_config() -> ChunkStoreConfig {
         ChunkStoreConfig {
-            chunk_max_rows: 64,
-            chunk_max_bytes: 4096,
             enable_changelog: true,
             changelog_capacity: 64,
         }
     }
 
     #[test]
-    fn compaction_merges_adjacent_small_chunks() {
-        let mut plain = ChunkStore::new(StorageBudget::Unbounded);
-        let mut compacting = ChunkStore::with_config(StorageBudget::Unbounded, compacting_config());
-        for t in 0..6 {
-            ok(plain.put_raw(raw(t)));
-            ok(plain.put_feature(feat(t)));
-            ok(compacting.put_raw(raw(t)));
-            ok(compacting.put_feature(feat(t)));
-        }
-        assert!(compacting.stats().compactions > 0);
-        // Lookups, equality, and byte accounting are untouched by merging.
-        assert_eq!(compacting.feature_bytes(), plain.feature_bytes());
-        for t in 0..6 {
-            let a = some(plain.peek_feature(Timestamp(t)));
-            let b = some(compacting.peek_feature(Timestamp(t)));
-            assert_eq!(*a, *b);
-            assert_eq!(a.size_bytes(), b.size_bytes());
-        }
-        // The run actually shares one slab.
-        let first = some(compacting.peek_feature(Timestamp(0)));
-        let last = some(compacting.peek_feature(Timestamp(5)));
-        assert!(Arc::ptr_eq(first.slab(), last.slab()));
-    }
-
-    #[test]
-    fn compaction_respects_thresholds() {
-        let config = ChunkStoreConfig {
-            chunk_max_rows: 1, // no pair of chunks fits
-            chunk_max_bytes: 4096,
-            enable_changelog: false,
-            changelog_capacity: 0,
-        };
-        let mut s = ChunkStore::with_config(StorageBudget::Unbounded, config);
-        for t in 0..4 {
-            ok(s.put_raw(raw(t)));
-            ok(s.put_feature(feat(t)));
-        }
-        assert_eq!(s.stats().compactions, 0);
-    }
-
-    #[test]
     fn changelog_records_ingestion_path() {
-        let mut s = ChunkStore::with_config(StorageBudget::MaxChunks(2), compacting_config());
+        let mut s = ChunkStore::with_config(StorageBudget::MaxChunks(2), logging_config());
         for t in 0..4 {
             ok(s.put_raw(raw(t)));
             ok(s.put_feature(feat(t)));
@@ -870,11 +728,10 @@ mod tests {
         let kinds: Vec<ChunkStoreDiffKind> = s.changelog().iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&ChunkStoreDiffKind::Addition));
         assert!(kinds.contains(&ChunkStoreDiffKind::Deletion));
-        assert!(kinds.contains(&ChunkStoreDiffKind::Compaction));
         // Capacity bounds the log.
         let cap_cfg = ChunkStoreConfig {
             changelog_capacity: 3,
-            ..compacting_config()
+            ..logging_config()
         };
         let mut bounded = ChunkStore::with_config(StorageBudget::Unbounded, cap_cfg);
         for t in 0..10 {

@@ -16,7 +16,7 @@ use cdp_obs::{LineageEventKind, Metrics};
 
 use crate::chunk::{FeatureChunk, RawChunk, Timestamp};
 use crate::disk::DiskTier;
-use crate::store::{ChunkStore, ChunkStoreConfig, FeatureLookup, StorageBudget, StoreStats};
+use crate::store::{ChunkStore, FeatureLookup, StorageBudget, StoreStats};
 use crate::StorageError;
 
 /// Where a tiered lookup found the features.
@@ -151,13 +151,6 @@ impl TieredStore {
         self
     }
 
-    /// Sets the memory tier's ingestion-path knobs (compaction thresholds,
-    /// changelog).
-    pub fn with_store_config(mut self, config: ChunkStoreConfig) -> Self {
-        self.memory.set_config(config);
-        self
-    }
-
     /// Whether a disk tier backs this store.
     pub fn has_disk(&self) -> bool {
         self.disk.is_some()
@@ -185,15 +178,10 @@ impl TieredStore {
         Ok(())
     }
 
-    /// Mirrors the memory tier's GC/compaction counter deltas since
-    /// `before` into the metrics registry (`store.compactions`,
-    /// `store.gc_runs`, `store.gc_evicted_bytes`).
+    /// Mirrors the memory tier's GC counter deltas since `before` into the
+    /// metrics registry (`store.gc_runs`, `store.gc_evicted_bytes`).
     fn mirror_gc_metrics(&self, before: StoreStats) {
         let after = self.memory.stats();
-        let compactions = after.compactions - before.compactions;
-        if compactions > 0 {
-            self.metrics.counter("store.compactions").add(compactions);
-        }
         let gc_runs = after.gc_runs - before.gc_runs;
         if gc_runs > 0 {
             self.metrics.counter("store.gc_runs").add(gc_runs);
@@ -508,30 +496,6 @@ mod tests {
             store.lookup(Timestamp(0)),
             TieredLookup::Unavailable
         ));
-    }
-
-    #[test]
-    fn compaction_counters_mirror_into_metrics() {
-        let config = ChunkStoreConfig {
-            chunk_max_rows: 64,
-            chunk_max_bytes: 4096,
-            enable_changelog: false,
-            changelog_capacity: 0,
-        };
-        let mut store =
-            TieredStore::memory_only(StorageBudget::Unbounded).with_store_config(config);
-        let metrics = Metrics::collecting();
-        store.set_metrics(metrics.clone());
-        for t in 0..6 {
-            ok(store.put_raw(raw(t)));
-            ok(store.put_feature(feat(t)));
-        }
-        let stats = store.memory().stats();
-        assert!(stats.compactions > 0);
-        assert_eq!(
-            metrics.snapshot().counter("store.compactions"),
-            stats.compactions
-        );
     }
 
     #[test]

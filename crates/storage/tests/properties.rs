@@ -4,8 +4,8 @@
 use cdp_linalg::{DenseVector, SparseBuilder, Vector};
 use cdp_storage::disk::{decode_chunk, encode_chunk};
 use cdp_storage::{
-    ChunkStore, ChunkStoreConfig, FeatureChunk, FeatureLookup, LabeledPoint, RawChunk, Record,
-    StorageBudget, StorageError, Timestamp, Value,
+    ChunkStore, FeatureChunk, FeatureLookup, LabeledPoint, RawChunk, Record, StorageBudget,
+    StorageError, Timestamp, Value,
 };
 use proptest::prelude::*;
 
@@ -118,51 +118,6 @@ proptest! {
         prop_assert_eq!(store.feature_bytes(), shadow_bytes);
     }
 
-    /// Compaction is invisible to readers: a store with merging enabled
-    /// returns bit-for-bit the same lookup results as one without, while
-    /// actually performing merges.
-    #[test]
-    fn compaction_preserves_lookup_results(
-        chunks in prop::collection::vec(prop::collection::vec(point_strategy(), 1..4), 2..16),
-    ) {
-        let mut plain = ChunkStore::new(StorageBudget::Unbounded);
-        let mut compacting = ChunkStore::with_config(
-            StorageBudget::Unbounded,
-            ChunkStoreConfig {
-                chunk_max_rows: 64,
-                chunk_max_bytes: 1 << 16,
-                enable_changelog: true,
-                changelog_capacity: 256,
-            },
-        );
-        let n = chunks.len() as u64;
-        for (t, points) in chunks.into_iter().enumerate() {
-            let ts = t as u64;
-            plain.put_raw(raw(ts)).expect("unique");
-            compacting.put_raw(raw(ts)).expect("unique");
-            let fc = FeatureChunk::new(Timestamp(ts), Timestamp(ts), points);
-            plain.put_feature(fc.clone()).expect("raw present");
-            compacting.put_feature(fc).expect("raw present");
-        }
-        let fetch = |store: &mut ChunkStore, t: u64| match store.lookup_feature(Timestamp(t)) {
-            FeatureLookup::Materialized(fc) => Some(fc.to_points()),
-            _ => None,
-        };
-        for t in 0..n {
-            let a = fetch(&mut plain, t);
-            let b = fetch(&mut compacting, t);
-            prop_assert!(a.is_some(), "unbounded store must keep chunk {t}");
-            prop_assert_eq!(a, b);
-        }
-        // Every chunk here fits the thresholds, so with ≥ 2 chunks at least
-        // one merge must actually have happened.
-        prop_assert!(compacting.stats().compactions >= 1);
-        prop_assert!(compacting
-            .changelog()
-            .iter()
-            .any(|e| matches!(e.kind, cdp_storage::ChunkStoreDiffKind::Compaction)));
-    }
-
     /// Generation GC keeps the newest `m` chunks materialized and falls
     /// through to the original raw chunk for everything it reclaimed — the
     /// `Rematerialize` path always has exact ground truth to rebuild from.
@@ -171,15 +126,7 @@ proptest! {
         m in 0usize..10,
         chunks in prop::collection::vec(prop::collection::vec(point_strategy(), 1..4), 1..20),
     ) {
-        let mut store = ChunkStore::with_config(
-            StorageBudget::MaxChunks(m),
-            ChunkStoreConfig {
-                chunk_max_rows: 64,
-                chunk_max_bytes: 1 << 16,
-                enable_changelog: false,
-                changelog_capacity: 0,
-            },
-        );
+        let mut store = ChunkStore::new(StorageBudget::MaxChunks(m));
         let n = chunks.len();
         let originals: Vec<Vec<LabeledPoint>> = chunks.clone();
         for (t, points) in chunks.into_iter().enumerate() {

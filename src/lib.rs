@@ -70,9 +70,7 @@ pub mod prelude {
     };
     pub use cdp_core::presets::{taxi_spec, url_spec, DeploymentSpec, SpecScale};
     pub use cdp_core::scheduler::Scheduler;
-    pub use cdp_core::serving::{
-        BatchConfig, ModelServer, Prediction, RouterConfig, ServingRouter, ServingSnapshot,
-    };
+    pub use cdp_core::serving::{ModelServer, Prediction, ServingSnapshot};
     pub use cdp_datagen::scenarios::{
         BurstyArrivals, DiurnalArrivals, OutOfOrderArrivals, RecurringDrift, SuddenDrift,
     };

@@ -1,23 +1,22 @@
-//! Concurrency battery for the sharded lock-free serving layer.
+//! Concurrency battery for the sharded serving layer.
 //!
-//! The claims under test are exactly the ones DESIGN.md §14 argues on
-//! paper: readers never observe a torn `(pipeline, model, version)` triple
-//! under publish fire, per-reader version observations are monotone,
-//! micro-batched scoring is bit-identical to unbatched scoring, the
-//! accounting invariant (`attempts == served + rejected + batch_failures`)
-//! reconciles exactly with the `serving.*` cdp-obs counters, and all of it
-//! holds under seeded worker-panic injection (the CI fault matrix sets
-//! `CDP_FAULT_SEED`).
+//! The claims under test are the ones DESIGN.md §14 makes: readers never
+//! observe a torn `(pipeline, model, version)` triple under publish fire,
+//! per-reader version observations are monotone, `predict_batch` is
+//! bit-identical to per-record `predict`, the accounting invariant
+//! (`attempts == served + rejected + batch_failures`) reconciles exactly
+//! with the `serving.*` cdp-obs counters, and all of it holds under seeded
+//! worker-panic injection (the CI fault matrix sets `CDP_FAULT_SEED`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cdpipe::core::serving::{BatchConfig, ModelServer, RouterConfig, ServingRouter, Ticket};
+use cdpipe::core::serving::ModelServer;
 use cdpipe::engine::ExecutionEngine;
 use cdpipe::faults::{FaultInjector, FaultPlan};
 use cdpipe::ml::{LinearModel, LossKind};
-use cdpipe::obs::{Metrics, VirtualClock};
+use cdpipe::obs::Metrics;
 use cdpipe::pipeline::encode::DenseEncoder;
 use cdpipe::pipeline::parser::SchemaParser;
 use cdpipe::pipeline::scale::StandardScaler;
@@ -148,86 +147,21 @@ fn readers_never_observe_torn_snapshots_under_publish_fire() {
     assert_eq!(server.attempts(), reader_total);
 }
 
-/// Satellite 1 (third assertion): total served across a router equals the
-/// sum of per-route counters, both on the server handles and in the shared
-/// metrics registry.
-#[test]
-fn router_totals_reconcile_with_per_route_counters() {
-    let metrics = Metrics::collecting();
-    let router = ServingRouter::with_config(
-        ExecutionEngine::Sequential,
-        RouterConfig {
-            metrics: metrics.clone(),
-            ..RouterConfig::default()
-        },
-    );
-    let routes = ["alpha", "beta", "gamma"];
-    let handles: Vec<_> = routes
-        .iter()
-        .map(|name| {
-            let pipeline = warmed(2);
-            let model = constant_model(pipeline.dim(), 1.0);
-            router.register(name, pipeline, model)
-        })
-        .collect();
-
-    let workers: Vec<_> = handles
-        .iter()
-        .enumerate()
-        .map(|(i, server)| {
-            let s = server.clone();
-            let n = 100 + 50 * i as u64;
-            std::thread::spawn(move || {
-                for q in 0..n {
-                    let _ = s.predict(&record(q as f64, -(q as f64)));
-                }
-                // One malformed query per route: rejected, not served.
-                let _ = s.predict(&Record::new(vec![Value::Text("bad".into())]));
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("route worker");
-    }
-
-    let per_route: u64 = handles.iter().map(ModelServer::queries_served).sum();
-    assert_eq!(router.total_served(), per_route);
-    assert_eq!(router.total_served(), 100 + 150 + 200);
-    assert_eq!(router.total_rejected(), routes.len() as u64);
-
-    let snap = metrics.snapshot();
-    let counter_sum: u64 = routes
-        .iter()
-        .map(|r| snap.counter(&format!("serving.{r}.served")))
-        .sum();
-    assert_eq!(snap.counter("serving.served"), counter_sum);
-    assert_eq!(snap.counter("serving.served"), router.total_served());
-    assert_eq!(snap.counter("serving.rejected"), router.total_rejected());
-}
-
 proptest! {
-    /// Satellite 2: micro-batched scoring is bit-identical to unbatched
-    /// `predict` for the same snapshot version, across batch sizes ×
-    /// deadline settings × worker counts {1..8}. Records include malformed
-    /// rows, which must reject identically on both paths.
+    /// `predict_batch` is bit-identical to per-record `predict` for the same
+    /// snapshot version, across batch lengths × worker counts {1..8}.
+    /// Records include malformed rows, which must reject identically on
+    /// both paths.
     #[test]
     fn batched_scoring_is_bit_identical_to_unbatched(
-        max_batch in 1usize..40,
-        delay_ms in 0u64..10,
+        batch in 1usize..40,
         workers in 1usize..8,
         n in 1usize..30,
     ) {
-        let clock = Arc::new(VirtualClock::new());
         let pipeline = warmed(2);
         let model = constant_model(pipeline.dim(), 0.75);
         let server = ModelServer::builder(pipeline, model)
             .engine(ExecutionEngine::Threaded { workers })
-            .clock(clock.clone())
-            .batching(BatchConfig {
-                max_batch,
-                max_delay_secs: delay_ms as f64 / 1000.0,
-                capacity: 4096,
-            })
             .build();
 
         let records: Vec<Record> = (0..n)
@@ -242,19 +176,13 @@ proptest! {
             .collect();
 
         let unbatched: Vec<_> = records.iter().map(|r| server.predict(r)).collect();
-
-        let tickets: Vec<Ticket> = records
-            .iter()
-            .map(|r| server.enqueue(r.clone()).expect("capacity 4096"))
+        let batched: Vec<_> = records
+            .chunks(batch)
+            .flat_map(|chunk| server.predict_batch(chunk))
             .collect();
-        // Pass the deadline, then flush what the size trigger left behind.
-        clock.advance_secs(delay_ms as f64 / 1000.0 + 0.001);
-        server.flush_due();
-        server.flush_all();
-        prop_assert_eq!(server.pending(), 0);
+        prop_assert_eq!(batched.len(), n);
 
-        for (u, t) in unbatched.iter().zip(&tickets) {
-            let b = t.wait();
+        for (u, b) in unbatched.iter().zip(&batched) {
             match (u, b) {
                 (Some(a), Some(c)) => {
                     prop_assert_eq!(a.value.to_bits(), c.value.to_bits());
@@ -280,12 +208,12 @@ fn sweep_plan() -> FaultPlan {
     FaultPlan::from_env().unwrap_or_else(|| FaultPlan::chaos(7))
 }
 
-/// Satellite 6: the battery under seeded worker-panic fire. Batch scoring
-/// runs on a threaded engine whose fault hook injects worker panics;
-/// recoverable panics must be absorbed (results identical to fault-free),
-/// fatal ones must surface as fulfilled-`None` tickets counted in
-/// `batch_failures` — and the whole ledger must stay exact and
-/// deterministic across reruns of the same seed.
+/// The battery under seeded worker-panic fire. Batch scoring runs on a
+/// threaded engine whose fault hook injects worker panics; recoverable
+/// panics must be absorbed (results identical to fault-free), fatal ones
+/// must surface as a batch of `None`s counted in `batch_failures` — and the
+/// whole ledger must stay exact and deterministic across reruns of the same
+/// seed.
 #[test]
 fn serving_battery_under_seeded_worker_panics() {
     let plan = sweep_plan();
@@ -298,26 +226,20 @@ fn serving_battery_under_seeded_worker_panics() {
             .engine(ExecutionEngine::Threaded { workers: 3 })
             .fault_hook(Arc::new(FaultInjector::new(plan)))
             .metrics(metrics.clone())
-            .batching(BatchConfig {
-                max_batch: 8,
-                max_delay_secs: 10.0,
-                capacity: 4096,
-            })
             .build();
-        let tickets: Vec<Ticket> = (0..120)
+        let records: Vec<Record> = (0..120)
             .map(|i| {
-                let r = if i % 11 == 5 {
+                if i % 11 == 5 {
                     Record::new(vec![Value::Text("bad".into())])
                 } else {
                     record(i as f64, i as f64 * -0.5)
-                };
-                server.enqueue(r).expect("capacity")
+                }
             })
             .collect();
-        server.flush_all();
-        let outcomes: Vec<Option<(u64, u64)>> = tickets
-            .iter()
-            .map(|t| t.wait().map(|p| (p.value.to_bits(), p.version)))
+        let outcomes: Vec<Option<(u64, u64)>> = records
+            .chunks(8)
+            .flat_map(|batch| server.predict_batch(batch))
+            .map(|o| o.map(|p| (p.value.to_bits(), p.version)))
             .collect();
 
         // The exact accounting invariant holds under fire, and the cdp-obs
@@ -344,7 +266,7 @@ fn serving_battery_under_seeded_worker_panics() {
 
     let first = drive(plan);
     let second = drive(plan);
-    // Same seed ⇒ identical outcomes, ticket by ticket.
+    // Same seed ⇒ identical outcomes, query by query.
     assert_eq!(first, second);
 
     // Recoverable-or-fatal, every non-failed batch scores exactly like the
@@ -358,9 +280,9 @@ fn serving_battery_under_seeded_worker_panics() {
     }
 }
 
-/// Satellite 4: the audited `rejected` accounting reconciles exactly with
-/// the `serving.rejected` counter across both scoring paths, including
-/// under concurrent mixed traffic.
+/// The audited `rejected` accounting reconciles exactly with the
+/// `serving.rejected` counter across both scoring paths, including under
+/// concurrent mixed traffic.
 #[test]
 fn rejected_accounting_reconciles_exactly_with_metrics() {
     let metrics = Metrics::collecting();
@@ -368,18 +290,13 @@ fn rejected_accounting_reconciles_exactly_with_metrics() {
     let model = constant_model(pipeline.dim(), 1.0);
     let server = ModelServer::builder(pipeline, model)
         .metrics(metrics.clone())
-        .batching(BatchConfig {
-            max_batch: 4,
-            max_delay_secs: 10.0,
-            capacity: 4096,
-        })
         .build();
 
     let workers: Vec<_> = (0..3)
         .map(|w| {
             let s = server.clone();
             std::thread::spawn(move || {
-                let mut tickets = Vec::new();
+                let mut batch = Vec::new();
                 for i in 0..60 {
                     let malformed = (i + w) % 4 == 0;
                     let r = if malformed {
@@ -390,20 +307,20 @@ fn rejected_accounting_reconciles_exactly_with_metrics() {
                     if i % 2 == 0 {
                         let _ = s.predict(&r);
                     } else {
-                        tickets.push(s.enqueue(r).expect("capacity"));
+                        batch.push(r);
+                        if batch.len() == 4 {
+                            let _ = s.predict_batch(&batch);
+                            batch.clear();
+                        }
                     }
                 }
-                s.flush_all();
-                for t in tickets {
-                    let _ = t.wait();
-                }
+                let _ = s.predict_batch(&batch);
             })
         })
         .collect();
     for w in workers {
         w.join().expect("traffic worker");
     }
-    server.flush_all();
 
     assert_eq!(server.attempts(), 3 * 60);
     assert_eq!(
@@ -414,32 +331,4 @@ fn rejected_accounting_reconciles_exactly_with_metrics() {
     let snap = metrics.snapshot();
     assert_eq!(snap.counter("serving.served"), server.queries_served());
     assert_eq!(snap.counter("serving.rejected"), server.queries_rejected());
-    assert_eq!(
-        snap.counter("serving.default.rejected"),
-        server.queries_rejected()
-    );
-    assert_eq!(snap.counter("serving.queue_overflow"), 0);
-}
-
-/// The background deadline flusher drains queued queries without explicit
-/// flush calls, and dropping its handle stops the thread cleanly.
-#[test]
-fn background_flusher_meets_deadlines() {
-    let pipeline = warmed(2);
-    let model = constant_model(pipeline.dim(), 1.0);
-    let server = ModelServer::builder(pipeline, model)
-        .batching(BatchConfig {
-            max_batch: 1024, // size trigger never fires — deadline must
-            max_delay_secs: 0.002,
-            capacity: 4096,
-        })
-        .build();
-    let _flusher = server.start_flusher();
-    let tickets: Vec<Ticket> = (0..40)
-        .map(|i| server.enqueue(record(i as f64, 1.0)).expect("capacity"))
-        .collect();
-    for t in tickets {
-        assert!(t.wait().is_some(), "flusher must fulfil every ticket");
-    }
-    assert_eq!(server.queries_served(), 40);
 }
