@@ -63,28 +63,37 @@ pub struct ServingSnapshot {
 /// or a different NaN payload all change it. Used by the publish event log
 /// and the resume tests to name *which* model a publish carried.
 ///
-/// Whole `f64::to_bits` words fold FNV-style into four independently seeded
-/// lanes (weight `i` into lane `i % 4`), so the four multiply chains overlap
-/// and a 2^16-dim vector costs tens of microseconds. The shift after each
-/// multiply carries a word's high bits (sign, exponent) back into the low
-/// ones, which a bare multiply never does.
+/// Whole `f64::to_bits` words fold FNV-style into eight independently seeded
+/// lanes, two words per multiply: a 16-word block gives lane `i` the pair
+/// `(a, b) = (w[2i], w[2i+1])` and `h = ((h ^ a) * PRIME) ^ rotl(b, 32)`, so
+/// the eight multiply chains overlap and a 2^16-dim vector costs half the
+/// multiplies it has words. For a fixed `b` the step is a bijection of `h` in
+/// `a` (xor, odd multiply, xor), and for a fixed `a` in `b` (xor); the shift
+/// after it, which carries a word's high bits (sign, exponent) back into the
+/// low ones as a bare multiply never does, is one too — so changing any
+/// single word changes the result by construction, not only with
+/// probability 1 − 2⁻⁶⁴. The rotate keeps `b`'s sign away from bit 63, where
+/// `a`'s sign arrives untouched by the multiply: negating both words of a
+/// pair cannot cancel. Words past the last whole block fold one at a time.
 pub fn weights_fingerprint(weights: &[f64]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     fn fold(h: u64, word: u64) -> u64 {
-        let h = (h ^ word).wrapping_mul(PRIME);
+        fold_pair(h, word, 0)
+    }
+    fn fold_pair(h: u64, a: u64, b: u64) -> u64 {
+        let h = (h ^ a).wrapping_mul(PRIME) ^ b.rotate_left(32);
         h ^ (h >> 32)
     }
-    let mut lanes = [BASIS, BASIS ^ 1, BASIS ^ 2, BASIS ^ 3];
-    let mut quads = weights.chunks_exact(4);
-    for q in &mut quads {
-        lanes[0] = fold(lanes[0], q[0].to_bits());
-        lanes[1] = fold(lanes[1], q[1].to_bits());
-        lanes[2] = fold(lanes[2], q[2].to_bits());
-        lanes[3] = fold(lanes[3], q[3].to_bits());
+    let mut lanes: [u64; 8] = std::array::from_fn(|i| BASIS ^ i as u64);
+    let (blocks, rest) = weights.as_chunks::<16>();
+    for block in blocks {
+        for (lane, pair) in lanes.iter_mut().zip(block.as_chunks::<2>().0) {
+            *lane = fold_pair(*lane, pair[0].to_bits(), pair[1].to_bits());
+        }
     }
-    for (lane, w) in lanes.iter_mut().zip(quads.remainder()) {
-        *lane = fold(*lane, w.to_bits());
+    for (i, w) in rest.iter().enumerate() {
+        lanes[i % 8] = fold(lanes[i % 8], w.to_bits());
     }
     lanes.into_iter().fold(BASIS, fold) ^ (weights.len() as u64)
 }
@@ -804,25 +813,86 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(weights_fingerprint(&[]), weights_fingerprint(&[0.0]));
-        // Order-dependent, within a lane (indices 0 and 4) and across lanes.
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        // Order-dependent. In a 16-word block lane `i` folds the pair
+        // (2i, 2i+1), so with two blocks words 0 and 16 meet in lane 0 as
+        // `a`s, 1 and 17 as its `b`s; 0 and 2 sit in different lanes.
+        let v: Vec<f64> = (1..=34).map(f64::from).collect();
         let fp = weights_fingerprint(&v);
-        assert_ne!(fp, weights_fingerprint(&[5.0, 2.0, 3.0, 4.0, 1.0, 6.0]));
-        assert_ne!(fp, weights_fingerprint(&[2.0, 1.0, 3.0, 4.0, 5.0, 6.0]));
+        let swapped = |i: usize, j: usize| {
+            let mut w = v.clone();
+            w.swap(i, j);
+            weights_fingerprint(&w)
+        };
+        for (i, j) in [(0, 16), (1, 17), (0, 2), (0, 17), (32, 33), (15, 32)] {
+            assert_ne!(fp, swapped(i, j), "swap {i} <-> {j}");
+        }
+        // The two words of every pair are told apart, in either block.
+        for pair in 0..16 {
+            assert_ne!(fp, swapped(2 * pair, 2 * pair + 1), "pair {pair}");
+        }
         // Bit patterns, not values: -0.0 == 0.0 and NaN != NaN as floats.
         assert_ne!(weights_fingerprint(&[0.0]), weights_fingerprint(&[-0.0]));
-        // Two sign flips in one lane must not cancel in the top bit.
-        assert_ne!(
-            weights_fingerprint(&[0.0, 1.0, 1.0, 1.0, 0.0]),
-            weights_fingerprint(&[-0.0, 1.0, 1.0, 1.0, -0.0])
-        );
         let quiet = f64::from_bits(0x7ff8_0000_0000_0000);
         let payload = f64::from_bits(0x7ff8_0000_0000_0001);
         assert!(quiet.is_nan() && payload.is_nan());
-        assert_eq!(weights_fingerprint(&[quiet]), weights_fingerprint(&[quiet]));
-        assert_ne!(
-            weights_fingerprint(&[quiet]),
-            weights_fingerprint(&[payload])
-        );
+        for at in [0, 1, 16, 33] {
+            let with = |x: f64| {
+                let mut w = v.clone();
+                w[at] = x;
+                weights_fingerprint(&w)
+            };
+            assert_eq!(with(quiet), with(quiet));
+            assert_ne!(with(quiet), with(payload), "NaN payload at {at}");
+            assert_ne!(with(0.0), with(-0.0), "zero sign at {at}");
+        }
+        // Two sign flips in one lane must not cancel in the top bit: as two
+        // `a`s, as two `b`s, as the two words of one pair, and in the
+        // one-word remainder fold (32 and 40 share lane 0 there).
+        let mut long = vec![1.0; 48];
+        for (i, j) in [(0, 16), (1, 17), (0, 1), (16, 1), (32, 40)] {
+            long[i] = 0.0;
+            long[j] = 0.0;
+            let plain = weights_fingerprint(&long);
+            long[i] = -0.0;
+            long[j] = -0.0;
+            assert_ne!(plain, weights_fingerprint(&long), "signs {i}, {j}");
+            long[i] = 1.0;
+            long[j] = 1.0;
+        }
+    }
+
+    #[test]
+    fn fingerprint_changes_with_any_single_bit_of_any_single_word() {
+        // Every length through two whole blocks and a remainder that wraps
+        // the lanes, every position, every bit: the per-word bijection.
+        let words = |n: usize| -> Vec<f64> { (0..n).map(|i| 0.37 * i as f64 - 3.0).collect() };
+        for len in 0..=40usize {
+            let base = words(len);
+            let fp = weights_fingerprint(&base);
+            for at in 0..len {
+                for bit in 0..64 {
+                    let mut w = base.clone();
+                    w[at] = f64::from_bits(w[at].to_bits() ^ (1 << bit));
+                    assert_ne!(fp, weights_fingerprint(&w), "len {len} word {at} bit {bit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_tells_lengths_of_equal_words_apart() {
+        // Around the block size, where a word moves from the one-word fold
+        // into a pair, and for the all-zero vector, which xors nothing in.
+        for word in [0.0, 1.0, -2.5] {
+            let fps: Vec<u64> = [15, 16, 17, 31, 32, 33]
+                .iter()
+                .map(|&n| weights_fingerprint(&vec![word; n]))
+                .collect();
+            for i in 0..fps.len() {
+                for j in 0..i {
+                    assert_ne!(fps[i], fps[j], "word {word}, lengths #{j} / #{i}");
+                }
+            }
+        }
     }
 }

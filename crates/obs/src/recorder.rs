@@ -6,9 +6,10 @@
 //! segment files (`seg-NNNNNNNNNNNN.cdpt`), using the same durability
 //! discipline as the checkpoint directory: encode with a magic/version
 //! header and a CRC-32 trailer, write to a temp file, fsync, rename into
-//! place, fsync the directory, then prune the oldest segments beyond the
-//! retention budget. `cdp-obs` sits below the storage crate in the
-//! dependency graph, so the discipline is replicated here, not imported.
+//! place, prune the oldest segments beyond the retention budget, then fsync
+//! the directory once for the rename and the removals. `cdp-obs` sits below
+//! the storage crate in the dependency graph, so the discipline is
+//! replicated here, not imported.
 //!
 //! After a crash, [`load_segments`] scans the directory newest-first and
 //! decodes every valid segment, *skipping* torn or corrupt files (a crash
@@ -139,8 +140,13 @@ impl FlightRecorder {
     }
 
     /// Durably writes one segment capturing `store` and `alerts` at
-    /// `at_secs`, then prunes segments beyond the retention budget.
-    /// Returns the bytes written.
+    /// `at_secs` and drops the segments beyond the retention budget: rename
+    /// the new one into place, remove the oldest, then sync the directory
+    /// once for both. A removal only ever names a segment older than `keep`
+    /// newer ones, so whichever of the unsynced directory changes a kill
+    /// keeps, the newest-first scan still finds the segments that were
+    /// durable before — all but possibly the oldest of them. Returns the
+    /// bytes written.
     ///
     /// # Errors
     /// I/O errors writing, syncing, or renaming.
@@ -164,21 +170,13 @@ impl FlightRecorder {
             f.sync_all()?;
         }
         fs::rename(&tmp_path, &final_path)?;
-        sync_dir(&self.dir)?;
         self.next_seq += 1;
-        self.prune()?;
-        Ok(payload.len() as u64)
-    }
-
-    fn prune(&self) -> io::Result<()> {
         let files = list_segment_files(&self.dir)?;
-        if files.len() > self.keep {
-            for (_, path) in &files[..files.len() - self.keep] {
-                let _ = fs::remove_file(path);
-            }
-            sync_dir(&self.dir)?;
+        for (_, path) in &files[..files.len().saturating_sub(self.keep)] {
+            let _ = fs::remove_file(path);
         }
-        Ok(())
+        sync_dir(&self.dir)?;
+        Ok(payload.len() as u64)
     }
 }
 
@@ -528,14 +526,56 @@ mod tests {
         for i in 0..5 {
             let bytes = rec.flush(&store, &alerts, i as f64).unwrap();
             assert!(bytes > 0);
+            assert!(list_segment_files(&dir).unwrap().len() <= 2);
         }
         let files = list_segment_files(&dir).unwrap();
         assert_eq!(files.len(), 2, "retention prunes to keep");
         assert_eq!(files[0].0, 3);
         assert_eq!(files[1].0, 4);
+        // Exactly those two decode, newest first, each the flush it was.
+        let scan = load_segments(&dir, 8).unwrap();
+        assert_eq!(scan.skipped, 0);
+        let decoded: Vec<(u64, f64)> = scan.segments.iter().map(|s| (s.seq, s.at_secs)).collect();
+        assert_eq!(decoded, vec![(4, 4.0), (3, 3.0)]);
         // Reopening continues the sequence.
         let rec2 = FlightRecorder::open(&dir, 2).unwrap();
         assert_eq!(rec2.next_seq(), 5);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn kill_between_rename_and_removal_scans_to_the_same_newest_keep() {
+        // The state a kill leaves after the new segment's rename and before
+        // the oldest one's removal: `keep + 1` segments, plus the temp file
+        // of a flush that never got as far as its rename.
+        let dir = temp_dir("mid-flush");
+        let keep = 2;
+        let mut rec = FlightRecorder::open(&dir, keep).unwrap();
+        let (store, alerts) = sample_store(2);
+        for i in 0..keep {
+            rec.flush(&store, &alerts, i as f64).unwrap();
+        }
+        let renamed = encode_segment(&store, &alerts, 2.0);
+        fs::write(dir.join(segment_file_name(2)), &renamed).unwrap();
+        fs::write(dir.join(".tmp-seg-000000000003.cdpt"), &renamed[..40]).unwrap();
+        drop(rec);
+
+        let scan = load_segments(&dir, keep).unwrap();
+        assert_eq!(scan.skipped, 0, "the temp file is not a segment");
+        let seqs: Vec<u64> = scan.segments.iter().map(|s| s.seq).collect();
+        assert_eq!(seqs, vec![2, 1], "newest `keep`, the survivor ignored");
+        // The next incarnation continues after the renamed segment and its
+        // first flush finishes the interrupted removal.
+        let mut rec = FlightRecorder::open(&dir, keep).unwrap();
+        assert_eq!(rec.next_seq(), 3);
+        rec.flush(&store, &alerts, 3.0).unwrap();
+        let seqs: Vec<u64> = list_segment_files(&dir)
+            .unwrap()
+            .into_iter()
+            .map(|(seq, _)| seq)
+            .collect();
+        assert_eq!(seqs, vec![2, 3]);
+        assert_eq!(load_segments(&dir, 16).unwrap().skipped, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -53,7 +53,7 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use cdp_faults::{corrupt_byte_index, DiskFault, DiskOp, FaultHook, NoFaults, RetryPolicy};
 use cdp_linalg::{DenseVector, SparseVector, Vector};
@@ -68,8 +68,27 @@ const VERSION: u16 = crate::SPILL_SCHEMA.0;
 /// The log file inside the tier's directory.
 pub(crate) const LOG_FILE: &str = "spill.log";
 
+/// Appends `xs` big-endian as one slice move: the buffer grows once and the
+/// byte swap runs over fixed-width windows, not through a cursor per element.
+fn put_f64s(buf: &mut Vec<u8>, xs: &[f64]) {
+    let at = buf.len();
+    buf.resize(at + xs.len() * 8, 0);
+    for (dst, x) in buf[at..].chunks_exact_mut(8).zip(xs) {
+        dst.copy_from_slice(&x.to_be_bytes());
+    }
+}
+
+/// [`put_f64s`] for `u32` words.
+fn put_u32s(buf: &mut Vec<u8>, xs: &[u32]) {
+    let at = buf.len();
+    buf.resize(at + xs.len() * 4, 0);
+    for (dst, x) in buf[at..].chunks_exact_mut(4).zip(xs) {
+        dst.copy_from_slice(&x.to_be_bytes());
+    }
+}
+
 /// Writes one vector of the `rows` layout.
-fn put_vector(buf: &mut BytesMut, v: &Vector) {
+fn put_vector(buf: &mut Vec<u8>, v: &Vector) {
     match v {
         Vector::Dense(v) => {
             buf.put_u8(0);
@@ -93,9 +112,9 @@ fn put_vector(buf: &mut BytesMut, v: &Vector) {
 }
 
 /// Encodes a feature chunk into its binary representation (columnar payload
-/// copied straight out of the backing slab).
+/// moved a slice at a time out of the backing slab, into a buffer sized once).
 pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
-    let mut buf = BytesMut::with_capacity(48 + chunk.size_bytes() + chunk.len() * 16);
+    let mut buf = Vec::with_capacity(48 + chunk.size_bytes() + chunk.len() * 16);
     buf.put_slice(MAGIC);
     buf.put_u16(VERSION);
     buf.put_u64(chunk.timestamp.0);
@@ -107,13 +126,9 @@ pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
             buf.put_u8(0);
             buf.put_u32(n as u32);
             buf.put_u32(*dim as u32);
-            for &label in slab.labels() {
-                buf.put_f64(label);
-            }
+            put_f64s(&mut buf, slab.labels());
             for col in cols {
-                for &x in col {
-                    buf.put_f64(x);
-                }
+                put_f64s(&mut buf, col);
             }
         }
         SlabLayout::Csr {
@@ -125,19 +140,11 @@ pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
             buf.put_u8(1);
             buf.put_u32(n as u32);
             buf.put_u32(*dim as u32);
-            for &label in slab.labels() {
-                buf.put_f64(label);
-            }
-            for &p in row_ptr {
-                buf.put_u32(p);
-            }
+            put_f64s(&mut buf, slab.labels());
+            put_u32s(&mut buf, row_ptr);
             buf.put_u32(indices.len() as u32);
-            for &i in indices {
-                buf.put_u32(i);
-            }
-            for &x in values {
-                buf.put_f64(x);
-            }
+            put_u32s(&mut buf, indices);
+            put_f64s(&mut buf, values);
         }
         SlabLayout::Rows(rows) => {
             buf.put_u8(2);
@@ -150,7 +157,7 @@ pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
     }
     let checksum = crc32(&buf);
     buf.put_u32(checksum);
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Decodes a feature chunk from its binary representation.
@@ -182,6 +189,25 @@ fn need(data: &[u8], n: usize, what: &str) -> Result<(), StorageError> {
         return Err(StorageError::Corrupt(format!("truncated reading {what}")));
     }
     Ok(())
+}
+
+/// Reads `n` big-endian `f64`s as one slice move, after the same [`need`]
+/// check every read makes.
+fn get_f64s(data: &mut &[u8], n: usize, what: &str) -> Result<Vec<f64>, StorageError> {
+    need(data, n * 8, what)?;
+    let (head, rest) = data.split_at(n * 8);
+    *data = rest;
+    let words = head.as_chunks::<8>().0;
+    Ok(words.iter().map(|b| f64::from_be_bytes(*b)).collect())
+}
+
+/// [`get_f64s`] for `u32` words.
+fn get_u32s(data: &mut &[u8], n: usize, what: &str) -> Result<Vec<u32>, StorageError> {
+    need(data, n * 4, what)?;
+    let (head, rest) = data.split_at(n * 4);
+    *data = rest;
+    let words = head.as_chunks::<4>().0;
+    Ok(words.iter().map(|b| u32::from_be_bytes(*b)).collect())
 }
 
 /// Decodes one vector of the `rows` layout.
@@ -241,19 +267,11 @@ fn decode_payload(mut data: &[u8]) -> Result<FeatureChunk, StorageError> {
     need(data, 1 + 4, "layout header")?;
     let tag = data.get_u8();
     let n = data.get_u32() as usize;
-    let read_labels = |data: &mut &[u8]| -> Result<Vec<f64>, StorageError> {
-        need(data, n * 8, "labels")?;
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            labels.push(data.get_f64());
-        }
-        Ok(labels)
-    };
     let (labels, layout) = match tag {
         0 => {
             need(data, 4, "dense dim")?;
             let dim = data.get_u32() as usize;
-            let labels = read_labels(&mut data)?;
+            let labels = get_f64s(&mut data, n, "labels")?;
             need(
                 data,
                 n.checked_mul(dim * 8).map_or(usize::MAX, |b| b),
@@ -261,23 +279,15 @@ fn decode_payload(mut data: &[u8]) -> Result<FeatureChunk, StorageError> {
             )?;
             let mut cols = Vec::with_capacity(dim);
             for _ in 0..dim {
-                let mut col = Vec::with_capacity(n);
-                for _ in 0..n {
-                    col.push(data.get_f64());
-                }
-                cols.push(col);
+                cols.push(get_f64s(&mut data, n, "columns")?);
             }
             (labels, SlabLayout::Dense { dim, cols })
         }
         1 => {
             need(data, 4, "csr dim")?;
             let dim = data.get_u32() as usize;
-            let labels = read_labels(&mut data)?;
-            need(data, (n + 1) * 4, "row pointers")?;
-            let mut row_ptr = Vec::with_capacity(n + 1);
-            for _ in 0..=n {
-                row_ptr.push(data.get_u32());
-            }
+            let labels = get_f64s(&mut data, n, "labels")?;
+            let row_ptr = get_u32s(&mut data, n + 1, "row pointers")?;
             need(data, 4, "nnz")?;
             let nnz = data.get_u32() as usize;
             // Structural invariants the rest of the crate relies on for
@@ -291,14 +301,8 @@ fn decode_payload(mut data: &[u8]) -> Result<FeatureChunk, StorageError> {
                 ));
             }
             need(data, nnz * (4 + 8), "csr entries")?;
-            let mut indices = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                indices.push(data.get_u32());
-            }
-            let mut values = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                values.push(data.get_f64());
-            }
+            let indices = get_u32s(&mut data, nnz, "csr entries")?;
+            let values = get_f64s(&mut data, nnz, "csr entries")?;
             for row in 0..n {
                 let (a, b) = (row_ptr[row] as usize, row_ptr[row + 1] as usize);
                 let row_indices = &indices[a..b];
@@ -552,6 +556,7 @@ mod tests {
     use crate::chunk::LabeledPoint;
     use cdp_faults::{FaultInjector, FaultPlan};
     use cdp_linalg::SparseBuilder;
+    use proptest::prelude::*;
 
     /// Result extractor without `unwrap`/`expect`: this module's hot path
     /// must stay free of those tokens end to end.
@@ -695,6 +700,264 @@ mod tests {
                 expected,
             }) if found == crate::SPILL_SCHEMA.0 + 1 && expected == crate::SPILL_SCHEMA.0
         ));
+    }
+
+    /// The element-at-a-time encoder this codec replaced, kept as the oracle
+    /// for the bytes: one cursor write per label, pointer, index and value.
+    fn encode_chunk_reference(chunk: &FeatureChunk) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_slice(MAGIC);
+        buf.put_u16(VERSION);
+        buf.put_u64(chunk.timestamp.0);
+        buf.put_u64(chunk.raw_ref.0);
+        let slab = chunk.slab();
+        let n = chunk.len();
+        match slab.layout() {
+            SlabLayout::Dense { dim, cols } => {
+                buf.put_u8(0);
+                buf.put_u32(n as u32);
+                buf.put_u32(*dim as u32);
+                for &label in slab.labels() {
+                    buf.put_f64(label);
+                }
+                for col in cols {
+                    for &x in col {
+                        buf.put_f64(x);
+                    }
+                }
+            }
+            SlabLayout::Csr {
+                dim,
+                row_ptr,
+                indices,
+                values,
+            } => {
+                buf.put_u8(1);
+                buf.put_u32(n as u32);
+                buf.put_u32(*dim as u32);
+                for &label in slab.labels() {
+                    buf.put_f64(label);
+                }
+                for &p in row_ptr {
+                    buf.put_u32(p);
+                }
+                buf.put_u32(indices.len() as u32);
+                for &i in indices {
+                    buf.put_u32(i);
+                }
+                for &x in values {
+                    buf.put_f64(x);
+                }
+            }
+            SlabLayout::Rows(rows) => {
+                buf.put_u8(2);
+                buf.put_u32(n as u32);
+                for (label, v) in slab.labels().iter().zip(rows) {
+                    buf.put_f64(*label);
+                    put_vector(&mut buf, v);
+                }
+            }
+        }
+        let checksum = crc32(&buf);
+        buf.put_u32(checksum);
+        buf
+    }
+
+    fn chunk_of(labels: Vec<f64>, layout: SlabLayout) -> FeatureChunk {
+        let slab = Arc::new(ColumnSlab::from_parts(labels, layout));
+        FeatureChunk::from_slab(Timestamp(7), Timestamp(5), slab)
+    }
+
+    /// Floats whose bit pattern a careless codec loses: both zeros, quiet and
+    /// signalling NaNs with payloads, subnormals, infinities — or any word.
+    fn awkward_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::MIN_POSITIVE / 4.0),
+            (1u64..1 << 51).prop_map(|p| f64::from_bits(0x7FF8_0000_0000_0000 | p)),
+            (1u64..1 << 51).prop_map(|p| f64::from_bits(0xFFF0_0000_0000_0000 | p)),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            (0u64..u64::MAX).prop_map(f64::from_bits),
+            -1e3..1e3f64,
+        ]
+    }
+
+    /// A CSR chunk of 0–5 rows (empty ones included) at dim 1, 2, 9 or 2^16.
+    fn csr_chunk() -> impl Strategy<Value = FeatureChunk> {
+        let dim = prop_oneof![Just(1usize), Just(2usize), Just(9usize), Just(1usize << 16)];
+        let row = prop::collection::vec((0u32..=u32::MAX, awkward_f64()), 0..6);
+        (dim, prop::collection::vec((awkward_f64(), row), 0..6)).prop_map(|(dim, rows)| {
+            let mut labels = Vec::new();
+            let (mut row_ptr, mut indices, mut values) = (vec![0u32], Vec::new(), Vec::new());
+            for (label, entries) in rows {
+                labels.push(label);
+                let mut entries: Vec<_> = entries
+                    .into_iter()
+                    .map(|(i, x)| (i % dim as u32, x))
+                    .collect();
+                entries.sort_by_key(|e| e.0);
+                entries.dedup_by_key(|e| e.0);
+                for (i, x) in entries {
+                    indices.push(i);
+                    values.push(x);
+                }
+                row_ptr.push(indices.len() as u32);
+            }
+            let layout = SlabLayout::Csr {
+                dim,
+                row_ptr,
+                indices,
+                values,
+            };
+            chunk_of(labels, layout)
+        })
+    }
+
+    /// A dense chunk of 0–4 rows by 0–5 columns.
+    fn dense_chunk() -> impl Strategy<Value = FeatureChunk> {
+        (
+            0usize..5,
+            0usize..6,
+            prop::collection::vec(awkward_f64(), 40),
+        )
+            .prop_map(|(n, dim, pool)| {
+                let cols = (0..dim).map(|j| pool[5 + j * n..][..n].to_vec()).collect();
+                chunk_of(pool[..n].to_vec(), SlabLayout::Dense { dim, cols })
+            })
+    }
+
+    /// Equality on bit patterns: `FeatureChunk`'s own `==` compares floats,
+    /// under which a NaN never equals itself and `-0.0` equals `0.0`.
+    fn assert_same_bits(a: &FeatureChunk, b: &FeatureChunk) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!((a.timestamp, a.raw_ref), (b.timestamp, b.raw_ref));
+        assert_eq!(bits(a.slab().labels()), bits(b.slab().labels()));
+        match (a.slab().layout(), b.slab().layout()) {
+            (SlabLayout::Dense { dim, cols }, SlabLayout::Dense { dim: d, cols: c }) => {
+                assert_eq!(dim, d);
+                assert_eq!(cols.len(), c.len());
+                for (x, y) in cols.iter().zip(c) {
+                    assert_eq!(bits(x), bits(y));
+                }
+            }
+            (
+                SlabLayout::Csr {
+                    dim,
+                    row_ptr,
+                    indices,
+                    values,
+                },
+                SlabLayout::Csr {
+                    dim: d,
+                    row_ptr: r,
+                    indices: i,
+                    values: v,
+                },
+            ) => {
+                assert_eq!((dim, row_ptr, indices), (d, r, i));
+                assert_eq!(bits(values), bits(v));
+            }
+            (x, y) => panic!("layouts differ: {x:?} / {y:?}"),
+        }
+    }
+
+    /// The whole contract on one chunk: the parent's bytes, a bit-exact
+    /// round trip, and a typed error — never a panic, never a chunk — for
+    /// the buffer cut at every length or with any one byte changed.
+    fn assert_codec_contract(chunk: &FeatureChunk, mask: u8) {
+        let encoded = encode_chunk(chunk);
+        assert_eq!(&encoded[..], &encode_chunk_reference(chunk)[..]);
+        assert_same_bits(&ok(decode_chunk(&encoded)), chunk);
+        for cut in 0..encoded.len() {
+            assert!(
+                matches!(decode_chunk(&encoded[..cut]), Err(StorageError::Corrupt(_))),
+                "cut at {cut} of {}",
+                encoded.len()
+            );
+        }
+        let mut damaged = encoded.to_vec();
+        for i in 0..damaged.len() {
+            damaged[i] ^= mask;
+            assert!(
+                matches!(decode_chunk(&damaged), Err(StorageError::Corrupt(_))),
+                "byte {i} ^ {mask:#04x} must be detected"
+            );
+            damaged[i] ^= mask;
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn spill_codec_csr_matches_reference_round_trips_and_rejects_damage(
+            chunk in csr_chunk(),
+            mask in 1u8..=255,
+        ) {
+            assert_codec_contract(&chunk, mask);
+        }
+
+        #[test]
+        fn spill_codec_dense_matches_reference_round_trips_and_rejects_damage(
+            chunk in dense_chunk(),
+            mask in 1u8..=255,
+        ) {
+            assert_codec_contract(&chunk, mask);
+        }
+    }
+
+    #[test]
+    fn spill_codec_layout_chunks_match_the_reference_bytes() {
+        // Dense, CSR, the test-only rows layout and the empty chunk.
+        for chunk in layout_chunks() {
+            assert_eq!(
+                &encode_chunk(&chunk)[..],
+                &encode_chunk_reference(&chunk)[..]
+            );
+        }
+    }
+
+    #[test]
+    fn spill_codec_rejects_a_checksummed_csr_that_breaks_an_invariant() {
+        // The checksum vouches for the bytes, not for their meaning: a
+        // well-checksummed buffer whose pointers or indices row access would
+        // trip over must still be refused. Two rows at dim 4, entries
+        // (0, 1.0) and (3, 1.0); the words patched are the three row
+        // pointers at byte 47 and the two indices at byte 63.
+        let layout = SlabLayout::Csr {
+            dim: 4,
+            row_ptr: vec![0, 1, 2],
+            indices: vec![0, 3],
+            values: vec![1.0; 2],
+        };
+        let good = encode_chunk(&chunk_of(vec![0.0; 2], layout)).to_vec();
+        let patched = |row_ptr: [u32; 3], indices: [u32; 2]| {
+            let mut bytes = good.clone();
+            let body = bytes.len() - 4;
+            for (at, word) in (47..).step_by(4).zip(row_ptr) {
+                bytes[at..at + 4].copy_from_slice(&word.to_be_bytes());
+            }
+            for (at, word) in (63..).step_by(4).zip(indices) {
+                bytes[at..at + 4].copy_from_slice(&word.to_be_bytes());
+            }
+            let crc = crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_be_bytes());
+            bytes
+        };
+        assert_eq!(patched([0, 1, 2], [0, 3]), good);
+        for (what, bad) in [
+            ("not rebased", patched([1, 1, 2], [0, 3])),
+            ("not monotone", patched([0, 2, 1], [0, 3])),
+            ("not covering", patched([0, 1, 1], [0, 3])),
+            ("unsorted row", patched([0, 2, 2], [3, 0])),
+            ("repeated index", patched([0, 2, 2], [3, 3])),
+            ("index past dim", patched([0, 1, 2], [0, 4])),
+        ] {
+            assert!(
+                matches!(decode_chunk(&bad), Err(StorageError::Corrupt(_))),
+                "{what}"
+            );
+        }
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {

@@ -306,8 +306,12 @@ pub struct WalWriter {
     hook: Arc<dyn FaultHook>,
     clock: Arc<dyn Clock>,
     metrics: Metrics,
-    /// Path and committed size of the active segment.
+    /// Path, append handle and committed size of the active segment. Every
+    /// commit writes and fsyncs through the one handle, replaced at
+    /// rotation; `gc` never removes the active segment, so the handle never
+    /// outlives its file.
     current: PathBuf,
+    current_file: fs::File,
     current_bytes: u64,
     /// Encoded-but-uncommitted frames (group-commit buffer).
     pending: Vec<u8>,
@@ -337,8 +341,8 @@ impl WalWriter {
         first_seq: u64,
     ) -> Result<Self, StorageError> {
         let dir = WalDir::open(dir)?;
-        let mut writer = Self {
-            current: dir.path_for(first_seq),
+        let (current, current_file) = Self::create_segment(&dir, first_seq)?;
+        Ok(Self {
             dir,
             options: WalOptions {
                 fsync_every: options.fsync_every.max(1),
@@ -347,6 +351,8 @@ impl WalWriter {
             hook,
             clock,
             metrics,
+            current,
+            current_file,
             current_bytes: HEADER_LEN,
             pending: Vec::new(),
             pending_records: 0,
@@ -354,9 +360,7 @@ impl WalWriter {
             highest_seq: first_seq.checked_sub(1),
             last_durable_seq: first_seq.checked_sub(1),
             stats: WalStats::default(),
-        };
-        writer.create_segment(first_seq)?;
-        Ok(writer)
+        })
     }
 
     /// The directory this WAL writes into.
@@ -446,9 +450,8 @@ impl WalWriter {
             self.pending_records = 0;
             return Ok(());
         }
-        let mut file = fs::OpenOptions::new().append(true).open(&self.current)?;
-        file.write_all(&self.pending)?;
-        file.sync_all()?;
+        self.current_file.write_all(&self.pending)?;
+        self.current_file.sync_all()?;
         self.current_bytes += self.pending.len() as u64;
         self.stats.commits += 1;
         self.stats.bytes_committed += self.pending.len() as u64;
@@ -473,16 +476,18 @@ impl WalWriter {
         if !self.consult(WalOp::Rotate, next) {
             return Ok(());
         }
-        self.create_segment(next)?;
+        (self.current, self.current_file) = Self::create_segment(&self.dir, next)?;
+        self.current_bytes = HEADER_LEN;
         self.stats.rotations += 1;
         self.metrics.counter("wal.rotations").inc();
         Ok(())
     }
 
     /// Creates `wal-{first_seq}.cdpw` with the checkpoint-dir durability
-    /// protocol: header into a `.tmp`, fsync, rename, directory fsync.
-    fn create_segment(&mut self, first_seq: u64) -> Result<(), StorageError> {
-        let path = self.dir.path_for(first_seq);
+    /// protocol — header into a `.tmp`, fsync, rename, directory fsync — and
+    /// returns its path with a handle opened for append on the final name.
+    fn create_segment(dir: &WalDir, first_seq: u64) -> Result<(PathBuf, fs::File), StorageError> {
+        let path = dir.path_for(first_seq);
         let tmp = path.with_extension("tmp");
         {
             let mut file = fs::File::create(&tmp)?;
@@ -493,12 +498,11 @@ impl WalWriter {
         fs::rename(&tmp, &path)?;
         // Make the rename durable; filesystems that refuse directory sync
         // downgrade durability, not correctness.
-        if let Ok(d) = fs::File::open(self.dir.dir()) {
+        if let Ok(d) = fs::File::open(dir.dir()) {
             let _ = d.sync_all();
         }
-        self.current = path;
-        self.current_bytes = HEADER_LEN;
-        Ok(())
+        let file = fs::OpenOptions::new().append(true).open(&path)?;
+        Ok((path, file))
     }
 
     /// Deletes every segment fully covered by the durable checkpoint that
@@ -539,8 +543,7 @@ impl WalWriter {
     pub fn crash_torn(&mut self) -> Result<(), StorageError> {
         if !self.pending.is_empty() {
             let half = &self.pending[..self.pending.len() / 2];
-            let mut file = fs::OpenOptions::new().append(true).open(&self.current)?;
-            file.write_all(half)?;
+            self.current_file.write_all(half)?;
         }
         self.pending.clear();
         self.pending_records = 0;
