@@ -17,8 +17,6 @@ fn main() {
             exp::fig7::run(scale, out),
             exp::fig8::run(scale, out),
             exp::fault_recovery::run(scale, out),
-            exp::checkpoint::run(scale, out),
-            exp::telemetry::run(scale, out),
             exp::ingest::run(scale, out),
         ];
         sections.join("\n============================================================\n\n")

@@ -1,12 +1,8 @@
-//! Measures WAL ingest durability cost across group-commit batch sizes
-//! (fsync_every ∈ {1, 8, 64}) and drives the arrival scenarios (drift,
-//! bursts, out-of-order) end-to-end through the WAL; see `cdp-bench` docs
-//! for flags. Copies `BENCH_ingest.json` to the working directory.
+//! Drives the arrival scenarios (drift, bursts, out-of-order) end-to-end
+//! through the WAL; see `cdp-bench` docs for flags.
 
 fn main() {
     cdp_bench::run_binary("exp_ingest", |scale, out| {
         cdp_bench::experiments::ingest::run(scale, out)
     });
-    let (_, out) = cdp_bench::parse_args();
-    let _ = std::fs::copy(out.join("BENCH_ingest.json"), "BENCH_ingest.json");
 }

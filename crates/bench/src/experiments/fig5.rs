@@ -10,7 +10,9 @@ use std::path::Path;
 
 use cdp_core::presets::{taxi_spec, url_spec, DeploymentSpec, SpecScale};
 use cdp_core::report::{fmt_f, Table};
-use cdp_core::tuning::{best_per_optimizer, deployed_grid, initial_grid, paper_grid, TuningCell};
+use cdp_core::tuning::{
+    best_per_optimizer, deployed_grid, initial_grid, nan_last, paper_grid, TuningCell,
+};
 use cdp_datagen::ChunkStream;
 
 fn run_for<S: ChunkStream + Clone>(
@@ -73,17 +75,13 @@ pub fn run(scale: SpecScale, out_dir: &Path) -> String {
 /// Checks the paper's claim: the initial-training ranking matches the
 /// deployed ranking (at least for the winner).
 fn agreement_note(cells: &[TuningCell]) -> String {
-    let best_initial = cells.iter().min_by(|a, b| {
-        a.initial_error
-            .partial_cmp(&b.initial_error)
-            .expect("finite")
-    });
-    let best_deployed = cells.iter().min_by(|a, b| {
-        a.deployed_error
-            .unwrap_or(f64::INFINITY)
-            .partial_cmp(&b.deployed_error.unwrap_or(f64::INFINITY))
-            .expect("finite")
-    });
+    let by = |key: fn(&TuningCell) -> f64| {
+        cells
+            .iter()
+            .min_by(|a, b| nan_last(key(a)).total_cmp(&nan_last(key(b))))
+    };
+    let best_initial = by(|c| c.initial_error);
+    let best_deployed = by(|c| c.deployed_error.unwrap_or(f64::INFINITY));
     match (best_initial, best_deployed) {
         (Some(i), Some(d)) => {
             let agree = i.optimizer.name() == d.optimizer.name();

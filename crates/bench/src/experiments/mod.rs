@@ -2,7 +2,6 @@
 //! rendered report and writes a CSV next to it.
 
 pub mod ablations;
-pub mod checkpoint;
 pub mod datasets;
 pub mod fault_recovery;
 pub mod fig4;
@@ -14,4 +13,3 @@ pub mod ingest;
 pub mod staleness;
 pub mod table3;
 pub mod table4;
-pub mod telemetry;

@@ -20,7 +20,6 @@
 //! | `exp_fig7_materialization_cost` | Figure 7 (optimizations vs cost) |
 //! | `exp_fig8_tradeoff` | Figure 8 (quality/cost trade-off) |
 //! | `exp_fault_recovery` | fault-injection recovery sweep (`fault_recovery.csv`) |
-//! | `exp_telemetry` | telemetry overhead vs metrics-only baseline (`BENCH_telemetry.json`) |
 //! | `postmortem` | crash a seeded run / rebuild its timeline from flight-recorder segments |
 //! | `exp_all` | everything above, in order |
 //!

@@ -60,7 +60,7 @@ pub struct DeploymentCheckpoint {
     pub eval_acc: f64,
     /// `(examples_seen, cumulative_error)` curve so far.
     pub eval_curve: Vec<(u64, f64)>,
-    /// Accounted seconds per cost phase, in `Phase::ALL` order.
+    /// Accounted seconds per cost phase, in `Phase` declaration order.
     pub accounted: [f64; 4],
     /// `(chunk_index, cumulative_accounted_seconds)` curve so far.
     pub cost_curve: Vec<(u64, f64)>,

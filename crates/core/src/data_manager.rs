@@ -127,7 +127,7 @@ impl DataManager {
     /// # Errors
     /// [`StorageError::MissingChunk`] when neither features (memory or
     /// disk) nor raw data exist for `ts`.
-    pub fn feature_chunk(&mut self, ts: Timestamp) -> Result<SampledChunk, StorageError> {
+    fn feature_chunk(&mut self, ts: Timestamp) -> Result<SampledChunk, StorageError> {
         match self.store.lookup(ts) {
             TieredLookup::Memory(fc) => Ok(SampledChunk::Materialized(fc)),
             TieredLookup::Disk(fc) => Ok(SampledChunk::Spilled(Arc::new(fc))),
@@ -185,16 +185,6 @@ impl DataManager {
     /// Tier-level counters (spills, disk hits, recovery fallbacks).
     pub fn tiered_stats(&self) -> TieredStats {
         self.store.stats()
-    }
-
-    /// Whether a disk spill tier backs this manager.
-    pub fn has_disk(&self) -> bool {
-        self.store.has_disk()
-    }
-
-    /// The sampling strategy in use.
-    pub fn strategy(&self) -> SamplingStrategy {
-        self.sampler.strategy()
     }
 
     /// Replaces the fault hook consulted by the disk tier. Resume swaps a
@@ -346,7 +336,6 @@ mod tests {
                 Ok(dm) => dm,
                 Err(e) => panic!("temp dir is writable: {e}"),
             };
-            assert!(dm.has_disk());
             for t in 0..6 {
                 dm.ingest_raw(raw(t)).expect("unique timestamps");
                 dm.store_features(feat(t)).expect("raw chunk present");

@@ -34,8 +34,8 @@ use cdp_pipeline::drift::{DriftDetector, DriftStatus};
 use cdp_pipeline::PipelineError;
 use cdp_sampling::{mu_uniform, mu_window, SamplingStrategy};
 use cdp_storage::{
-    CheckpointDir, RawChunk, StorageBudget, StorageError, StoreStats, TieredStats, WalDir,
-    WalOptions, WalStats, WalWriter,
+    CheckpointDir, StorageBudget, StorageError, StoreStats, TieredStats, WalDir, WalOptions,
+    WalRecovery, WalStats, WalWriter,
 };
 use serde::{Deserialize, Serialize};
 
@@ -79,6 +79,15 @@ impl DeploymentMode {
             DeploymentMode::Online => "Online",
             DeploymentMode::Periodical { .. } => "Periodical",
             DeploymentMode::Continuous { .. } => "Continuous",
+        }
+    }
+
+    /// The strategy the data manager's sampler is built with (only the
+    /// continuous mode ever draws from it).
+    fn strategy(&self) -> SamplingStrategy {
+        match *self {
+            DeploymentMode::Continuous { strategy, .. } => strategy,
+            _ => SamplingStrategy::Uniform,
         }
     }
 }
@@ -268,20 +277,6 @@ impl TelemetryConfig {
     #[must_use]
     pub fn every(mut self, every_chunks: usize) -> Self {
         self.every_chunks = every_chunks;
-        self
-    }
-
-    /// Sets the per-series ring capacity (builder style).
-    #[must_use]
-    pub fn capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
-        self
-    }
-
-    /// Sets the alert cooldown (builder style).
-    #[must_use]
-    pub fn cooldown(mut self, cooldown_secs: f64) -> Self {
-        self.cooldown_secs = cooldown_secs;
         self
     }
 
@@ -536,8 +531,7 @@ pub struct DeploymentResult {
     pub alerts: Vec<Alert>,
     /// Ring-buffered time series over every sampled metric (empty unless
     /// [`DeploymentConfig::telemetry`] is set and metrics were collected).
-    /// Export with [`TelemetryStore::to_prometheus`],
-    /// [`TelemetryStore::to_csv`], or [`TelemetryStore::to_json`].
+    /// Export with [`TelemetryStore::to_csv`] or [`TelemetryStore::to_json`].
     pub telemetry: TelemetryStore,
     /// Checkpoint writes/bytes/restores (all zero without
     /// [`DeploymentConfig::checkpoint`]). Not part of the bit-identity
@@ -627,6 +621,81 @@ fn private_spill_dir() -> std::path::PathBuf {
     ))
 }
 
+/// A run's fault hook: the injector of an active plan — continuing from a
+/// checkpoint's `restored` statistics and worker epoch on resume — or the
+/// no-op hook.
+fn hook_for(plan: FaultPlan, restored: Option<(FaultStats, u64)>) -> Arc<dyn FaultHook> {
+    match restored {
+        _ if !plan.is_active() => Arc::new(NoFaults),
+        Some((stats, epoch)) => Arc::new(FaultInjector::with_state(plan, stats, epoch)),
+        None => Arc::new(FaultInjector::new(plan)),
+    }
+}
+
+/// A run's data manager, spilling into a directory of its own when the
+/// configuration asks for a disk tier.
+fn data_manager(
+    config: &DeploymentConfig,
+    hook: &Arc<dyn FaultHook>,
+) -> Result<DataManager, DeploymentError> {
+    let (budget, strategy) = (config.optimization.budget, config.mode.strategy());
+    if !config.spill_to_disk {
+        return Ok(DataManager::new(budget, strategy, config.seed));
+    }
+    Ok(DataManager::with_spill(
+        budget,
+        strategy,
+        config.seed,
+        private_spill_dir(),
+        Arc::clone(hook),
+        RetryPolicy::default(),
+    )?)
+}
+
+fn proactive_trainer(config: &DeploymentConfig) -> ProactiveTrainer {
+    if config.optimization.online_stats {
+        ProactiveTrainer::new()
+    } else {
+        ProactiveTrainer::without_online_stats()
+    }
+}
+
+/// The per-chunk error monitor feeding the drift-adaptive scheduler
+/// (chunk-granular windows: ~60 stable chunks vs the last 12).
+fn drift_monitor() -> DriftDetector {
+    DriftDetector::new(60, 12, 2.0, 3.0)
+}
+
+/// What a run reads and reports to, but never changes: its inputs, its
+/// fault hook and its observers.
+struct RunEnv<'a> {
+    stream: &'a dyn ChunkStream,
+    spec: &'a DeploymentSpec,
+    config: &'a DeploymentConfig,
+    hook: Arc<dyn FaultHook>,
+    metrics: Metrics,
+    tracer: Tracer,
+    wall: Stopwatch,
+    run_span: TraceSpan,
+}
+
+impl RunEnv<'_> {
+    /// `pm` on this run's engine, fault hook and observers.
+    fn manage(&self, pm: PipelineManager) -> PipelineManager {
+        pm.with_engine(self.config.engine)
+            .with_fault_hook(Arc::clone(&self.hook))
+            .with_metrics(self.metrics.clone())
+            .with_tracer(self.tracer.clone())
+    }
+
+    /// A manager over the spec's pipeline with cold statistics and a zero
+    /// model: what initial training and a cold retraining start from.
+    fn fresh_manager(&self) -> Result<PipelineManager, DeploymentError> {
+        let (pipeline, spec) = (self.spec.try_build_pipeline()?, self.spec);
+        Ok(self.manage(PipelineManager::new(pipeline, &spec.sgd, spec.online_batch)))
+    }
+}
+
 /// Runs one deployment end to end: initial training on the stream's initial
 /// chunks, then the arrival loop over the deployment range.
 ///
@@ -702,60 +771,34 @@ pub fn try_run_deployment_in(
     config: &DeploymentConfig,
     ctx: RunCtx,
 ) -> Result<DeploymentResult, DeploymentError> {
-    let RunCtx {
-        metrics,
-        tracer,
-        parent,
-    } = ctx;
     let wall = Stopwatch::start();
-    let run_span = tracer.child_of("deployment.run", parent);
-    let run_ctx = run_span.context();
-    let strategy = match config.mode {
-        DeploymentMode::Continuous { strategy, .. } => strategy,
-        _ => SamplingStrategy::Uniform,
+    let hook = hook_for(config.faults, None);
+    let mut dm = data_manager(config, &hook)?;
+    dm.set_metrics(ctx.metrics.clone());
+    let env = RunEnv {
+        stream,
+        spec,
+        config,
+        hook,
+        wall,
+        run_span: ctx.tracer.child_of("deployment.run", ctx.parent),
+        metrics: ctx.metrics,
+        tracer: ctx.tracer,
     };
-    let hook: Arc<dyn FaultHook> = if config.faults.is_active() {
-        Arc::new(FaultInjector::new(config.faults))
-    } else {
-        Arc::new(NoFaults)
-    };
-    let mut dm = if config.spill_to_disk {
-        DataManager::with_spill(
-            config.optimization.budget,
-            strategy,
-            config.seed,
-            private_spill_dir(),
-            Arc::clone(&hook),
-            RetryPolicy::default(),
-        )?
-    } else {
-        DataManager::new(config.optimization.budget, strategy, config.seed)
-    };
-    dm.set_metrics(metrics.clone());
-    let mut pm = PipelineManager::new(spec.try_build_pipeline()?, &spec.sgd, spec.online_batch)
-        .with_engine(config.engine)
-        .with_fault_hook(Arc::clone(&hook))
-        .with_metrics(metrics.clone())
-        .with_tracer(tracer.clone());
-    let evaluator = PrequentialEvaluator::new(spec.metric, 0);
-    let proactive = if config.optimization.online_stats {
-        ProactiveTrainer::new()
-    } else {
-        ProactiveTrainer::without_online_stats()
-    };
+    let mut pm = env.fresh_manager()?;
 
     // ---- Initial training (not part of the deployment cost, like the
     // paper's Table 2 split) ----
     let mut initial_ledger = CostLedger::new(config.cost_model);
     let initial: Vec<_> = stream.initial();
-    let fit_span = tracer.child_of("deployment.initial_fit", run_ctx);
+    let fit_span = env
+        .tracer
+        .child_of("deployment.initial_fit", env.run_span.context());
     pm.set_trace_scope(fit_span.context());
     let (initial_report, feature_chunks) = pm.initial_fit(&initial, &spec.sgd, &mut initial_ledger);
     pm.set_trace_scope(None);
     fit_span.finish();
-    if let Some(server) = &config.serving {
-        publish_serving(server, &pm, &metrics, "initial");
-    }
+    publish_serving(config, &pm, &env.metrics, "initial");
     for (raw, fc) in initial.into_iter().zip(feature_chunks) {
         dm.ingest_raw(raw)?;
         dm.store_features(fc)?;
@@ -768,22 +811,12 @@ pub fn try_run_deployment_in(
     // decisions stay deterministic (the bit-identical contract). Shared
     // with the WAL writer so group-commit windows run on simulated time.
     let sim = Arc::new(VirtualClock::new());
-    let wal = match &config.wal {
-        Some(wc) => Some(open_wal(
-            wc,
-            &hook,
-            &sim,
-            &metrics,
-            stream.deployment_range().start as u64,
-            false,
-        )?),
-        None => None,
-    };
+    let wal = open_wal(&env, &sim, stream.deployment_range().start as u64, false)?;
     let st = LoopState {
         dm,
         pm,
-        evaluator,
-        proactive,
+        evaluator: PrequentialEvaluator::new(spec.metric, 0),
+        proactive: proactive_trainer(config),
         ledger: CostLedger::new(config.cost_model),
         sim,
         chunks_since_training: 0,
@@ -792,9 +825,7 @@ pub fn try_run_deployment_in(
         proactive_runs: 0,
         proactive_secs_sum: 0.0,
         retrain_runs: 0,
-        // Per-chunk error monitor feeding the drift-adaptive scheduler
-        // (chunk-granular windows: ~60 stable chunks vs the last 12).
-        drift_monitor: DriftDetector::new(60, 12, 2.0, 3.0),
+        drift_monitor: drift_monitor(),
         drift_level: 0,
         prev_acc: 0.0,
         prev_count: 0,
@@ -802,18 +833,7 @@ pub fn try_run_deployment_in(
         checkpoint_stats: CheckpointStats::default(),
         wal,
     };
-    run_chunk_loop(
-        stream,
-        spec,
-        config,
-        hook,
-        metrics,
-        tracer,
-        wall,
-        run_span,
-        st,
-        stream.deployment_range().start,
-    )
+    run_chunk_loop(env, st, stream.deployment_range().start)
 }
 
 /// Every piece of state the chunk loop mutates — what a fresh run
@@ -844,34 +864,27 @@ struct LoopState {
 /// salvaged from the directory at open.
 struct WalRuntime {
     writer: WalWriter,
-    /// Recovered records sorted by sequence number. A resumed run reads
-    /// arrivals from here first (falling back to the stream for anything
-    /// the WAL lost or never held) — which is what re-orders late and
-    /// out-of-order arrivals deterministically at replay.
-    replay: Vec<(u64, RawChunk)>,
+    /// Recovered records a resumed run reads arrivals from first (falling
+    /// back to the stream for anything the WAL lost or never held) — which
+    /// is what re-orders late and out-of-order arrivals deterministically
+    /// at replay. Empty on a fresh run.
+    replay: WalRecovery,
 }
 
-impl WalRuntime {
-    fn replay_chunk(&self, seq: u64) -> Option<&RawChunk> {
-        self.replay
-            .binary_search_by_key(&seq, |(s, _)| *s)
-            .ok()
-            .map(|i| &self.replay[i].1)
-    }
-}
-
-/// Opens (recovering first) the WAL for a run starting at `start_seq`. The
-/// writer continues past everything already durable; `keep_replay` decides
-/// whether recovered records at or past `start_seq` are replayed into the
-/// loop (resume) or left to the stream (fresh run).
+/// Opens (recovering first) the WAL the configuration asks for, if any, for
+/// a run starting at `start_seq`. The writer continues past everything
+/// already durable; `keep_replay` decides whether recovered records at or
+/// past `start_seq` are replayed into the loop (resume) or left to the
+/// stream (fresh run).
 fn open_wal(
-    wc: &WalConfig,
-    hook: &Arc<dyn FaultHook>,
+    env: &RunEnv<'_>,
     clock: &Arc<VirtualClock>,
-    metrics: &Metrics,
     start_seq: u64,
     keep_replay: bool,
-) -> Result<WalRuntime, DeploymentError> {
+) -> Result<Option<WalRuntime>, DeploymentError> {
+    let Some(wc) = &env.config.wal else {
+        return Ok(None);
+    };
     let recovery = WalDir::open(&wc.dir)?.recover()?;
     let clock: Arc<dyn Clock> = Arc::<VirtualClock>::clone(clock);
     let mut writer = WalWriter::open(
@@ -882,45 +895,34 @@ fn open_wal(
             segment_bytes: wc.segment_bytes,
             retry: RetryPolicy::default(),
         },
-        Arc::clone(hook),
+        Arc::clone(&env.hook),
         clock,
-        metrics.clone(),
+        env.metrics.clone(),
         recovery.next_seq().max(start_seq),
     )?;
-    let replayed = if keep_replay {
-        recovery
-            .chunks
-            .iter()
-            .filter(|(s, _)| *s >= start_seq)
-            .count() as u64
-    } else {
-        0
-    };
-    writer.absorb_recovery(&recovery, replayed);
-    let replay = if keep_replay {
-        recovery
-            .chunks
-            .into_iter()
-            .filter(|(s, _)| *s >= start_seq)
-            .collect()
-    } else {
-        Vec::new()
-    };
-    Ok(WalRuntime { writer, replay })
+    let mut replay = recovery;
+    replay
+        .chunks
+        .retain(|(seq, _)| keep_replay && *seq >= start_seq);
+    writer.absorb_recovery(&replay, replay.chunks.len() as u64);
+    Ok(Some(WalRuntime { writer, replay }))
 }
 
-/// Publishes the manager's current `(pipeline, model)` pair to an attached
-/// serving front and logs a `serving.publish` event naming the site and the
-/// exact weights (by fingerprint), so tests and operators can tell *which*
-/// model each publish carried. Clones never perturb training state. `source`
-/// is formatted only for that event, so a run without metrics builds no
-/// string per chunk.
+/// Publishes the manager's current `(pipeline, model)` pair to the serving
+/// front the configuration attaches, if any, and logs a `serving.publish`
+/// event naming the site and the exact weights (by fingerprint), so tests
+/// and operators can tell *which* model each publish carried. Clones never
+/// perturb training state. `source` is formatted only for that event, so a
+/// run without metrics builds no string per chunk.
 fn publish_serving(
-    server: &ModelServer,
+    config: &DeploymentConfig,
     pm: &PipelineManager,
     metrics: &Metrics,
     source: impl std::fmt::Display,
 ) {
+    let Some(server) = &config.serving else {
+        return;
+    };
     let version = server.publish(pm.pipeline().clone(), pm.trainer().model().clone());
     if metrics.is_enabled() {
         let fp = weights_fingerprint(pm.trainer().model().weights().as_slice());
@@ -950,10 +952,7 @@ struct TelemetryRuntime {
 impl TelemetryRuntime {
     fn new(tc: &TelemetryConfig, chunk_period_secs: f64) -> Result<Self, DeploymentError> {
         let recorder = match &tc.recorder {
-            Some(rc) => Some(
-                FlightRecorder::open(&rc.dir, rc.keep)
-                    .map_err(|e| DeploymentError::Storage(StorageError::Io(e)))?,
-            ),
+            Some(rc) => Some(FlightRecorder::open(&rc.dir, rc.keep).map_err(StorageError::Io)?),
             None => None,
         };
         Ok(Self {
@@ -975,11 +974,12 @@ impl TelemetryRuntime {
         })
     }
 
-    /// One sampling tick: records the value of every metric, runs the
+    /// One sampling tick: restarts the cadence, records every metric, runs the
     /// stateful threshold and burn-rate monitors over it, and flushes a
     /// segment when the flush interval elapsed. Neither the store nor the
     /// monitors read events or lineage, so the sample leaves them out.
     fn sample(&mut self, metrics: &Metrics, at_secs: f64) -> Result<(), DeploymentError> {
+        self.chunks_since = 0;
         let snap = metrics.snapshot_values();
         self.store.record(at_secs, &snap);
         let mut fired = self.monitor.observe(&snap, at_secs);
@@ -989,72 +989,162 @@ impl TelemetryRuntime {
         }
         self.alerts.extend(fired);
         self.samples_since_flush += 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            if self.samples_since_flush >= self.flush_every {
-                rec.flush(&self.store, &self.alerts, at_secs)
-                    .map_err(|e| DeploymentError::Storage(StorageError::Io(e)))?;
-                self.samples_since_flush = 0;
-            }
+        self.flush_after(self.flush_every, at_secs)
+    }
+
+    /// Writes a segment once at least `pending` samples await one: the flush
+    /// interval per sample, 1 at a clean shutdown, 0 on the way out of a
+    /// failing run (best effort there — the post-mortem timeline is worth
+    /// more than a clean error path, so the caller drops the I/O error).
+    fn flush_after(&mut self, pending: usize, at_secs: f64) -> Result<(), DeploymentError> {
+        let due = self.samples_since_flush >= pending;
+        if let Some(rec) = self.recorder.as_mut().filter(|_| due) {
+            rec.flush(&self.store, &self.alerts, at_secs)
+                .map_err(StorageError::Io)?;
+            self.samples_since_flush = 0;
         }
         Ok(())
     }
+}
 
-    /// Best-effort segment write on the way out of a crashing run — the
-    /// post-mortem timeline is worth more than a clean error path, so I/O
-    /// failures here are swallowed.
-    fn crash_flush(&mut self, at_secs: f64) {
-        if let Some(rec) = self.recorder.as_mut() {
-            let _ = rec.flush(&self.store, &self.alerts, at_secs);
-        }
-    }
+/// Where a run stands against its checkpoint cadence.
+struct CheckpointCadence {
+    dir: CheckpointDir,
+    every: usize,
+    chunks_since: usize,
 }
 
 /// The shared arrival loop: chunks `start_idx..total` through evaluation,
 /// online learning, mode-specific freshness work, checkpointing, and final
 /// result assembly. Fresh runs enter at the deployment range's start;
 /// resumed runs enter one past the restored checkpoint.
-#[allow(clippy::too_many_arguments)]
+///
+/// Whatever error leaves the loop — an injected crash, a failed checkpoint
+/// or WAL write, an exhausted recovery budget — the flight recorder gets
+/// one best-effort flush first: a failing run is what it is for.
 fn run_chunk_loop(
-    stream: &dyn ChunkStream,
-    spec: &DeploymentSpec,
-    config: &DeploymentConfig,
-    hook: Arc<dyn FaultHook>,
-    metrics: Metrics,
-    tracer: Tracer,
-    wall: Stopwatch,
-    run_span: TraceSpan,
+    env: RunEnv<'_>,
     mut st: LoopState,
     start_idx: usize,
 ) -> Result<DeploymentResult, DeploymentError> {
-    let run_ctx = run_span.context();
-    let ckpt_dir = match &config.checkpoint {
-        Some(c) => Some(CheckpointDir::open(&c.dir, c.keep)?),
+    let config = env.config;
+    let mut ckpt = match &config.checkpoint {
+        Some(c) => Some(CheckpointCadence {
+            dir: CheckpointDir::open(&c.dir, c.keep)?,
+            every: c.every_chunks.max(1),
+            chunks_since: 0,
+        }),
         None => None,
     };
-    let ckpt_every = config
-        .checkpoint
-        .as_ref()
-        .map(|c| c.every_chunks.max(1))
-        .unwrap_or(usize::MAX);
-    let mut chunks_since_ckpt = 0usize;
-    let mut last_processed_idx = None;
-    let mut telemetry = match (&config.telemetry, metrics.is_enabled()) {
+    let mut telemetry = match (&config.telemetry, env.metrics.is_enabled()) {
         (Some(tc), true) => Some(TelemetryRuntime::new(tc, config.chunk_period_secs)?),
         _ => None,
     };
+    let looped = drive_chunks(&env, &mut st, &mut ckpt, &mut telemetry, start_idx);
+    if let (Err(_), Some(tel)) = (&looped, telemetry.as_mut()) {
+        let _ = tel.flush_after(0, st.sim.now_secs());
+    }
+    looped?;
+    let metrics = &env.metrics;
+    let stats = st.dm.stats();
+    if metrics.is_enabled() {
+        metrics
+            .counter("deployment.queries")
+            .add(st.evaluator.count());
+    }
+    export_mu_gauges(metrics, config, &st);
+    // Final telemetry tick: sample the end-of-run state when the cadence
+    // missed it, then make the full timeline durable.
+    if let Some(tel) = telemetry.as_mut() {
+        let at = st.sim.now_secs();
+        if tel.chunks_since != 0 {
+            tel.sample(metrics, at)?;
+        }
+        tel.flush_after(1, at)?;
+    }
+    // SLA alerting: with telemetry enabled the per-sample monitors already
+    // accumulated the (cooldown-deduplicated) fired set; otherwise a fresh
+    // default monitor observes the final snapshot once. In both cases the
+    // fired set is identical with tracing on or off.
+    let (alerts, telemetry_store) = match telemetry {
+        Some(tel) => (tel.alerts, tel.store),
+        None => {
+            let alerts = if metrics.is_enabled() {
+                let fired = AlertMonitor::deployment_defaults(config.chunk_period_secs)
+                    .observe(&metrics.snapshot(), st.sim.now_secs());
+                for alert in &fired {
+                    metrics.event("alert.fired", alert.message());
+                }
+                fired
+            } else {
+                Vec::new()
+            };
+            (alerts, TelemetryStore::default())
+        }
+    };
+    env.run_span.finish();
+    Ok(DeploymentResult {
+        approach: config.mode.name().to_owned(),
+        final_error: st.evaluator.error(),
+        average_error: average_of_curve(st.evaluator.curve()),
+        error_curve: st.evaluator.curve().to_vec(),
+        cost_curve: st.ledger.curve().to_vec(),
+        preprocessing_secs: st.ledger.phase(Phase::Preprocessing),
+        training_secs: st.ledger.phase(Phase::Training),
+        prediction_secs: st.ledger.phase(Phase::Prediction),
+        io_secs: st.ledger.phase(Phase::MaterializationIo),
+        total_secs: st.ledger.total(),
+        wall_secs: env.wall.elapsed_secs(),
+        proactive_runs: st.proactive_runs,
+        avg_proactive_secs: if st.proactive_runs > 0 {
+            st.proactive_secs_sum / st.proactive_runs as f64
+        } else {
+            0.0
+        },
+        retrain_runs: st.retrain_runs,
+        store_stats: stats,
+        empirical_mu: stats.utilization_rate(),
+        queries_answered: st.evaluator.count(),
+        initial_report: st.initial_report,
+        final_weights: st.pm.trainer().model().weights().as_slice().to_vec(),
+        fault_stats: env.hook.snapshot(),
+        tiered_stats: st.dm.tiered_stats(),
+        metrics: metrics.snapshot(),
+        trace: env.tracer.snapshot(),
+        alerts,
+        telemetry: telemetry_store,
+        checkpoint_stats: st.checkpoint_stats,
+        wal_stats: st
+            .wal
+            .as_ref()
+            .map(|w| w.writer.stats())
+            .unwrap_or_default(),
+    })
+}
 
+/// Chunks `start_idx..total`, one after the other, then the clean shutdown:
+/// the buffered WAL tail committed and the final state checkpointed.
+fn drive_chunks(
+    env: &RunEnv<'_>,
+    st: &mut LoopState,
+    ckpt: &mut Option<CheckpointCadence>,
+    telemetry: &mut Option<TelemetryRuntime>,
+    start_idx: usize,
+) -> Result<(), DeploymentError> {
+    let (stream, spec, config) = (env.stream, env.spec, env.config);
+    let (hook, metrics, tracer) = (&env.hook, &env.metrics, &env.tracer);
     for idx in start_idx..stream.total_chunks() {
         // Arrival: on resume the recovered WAL suffix is authoritative
         // (records re-ordered by sequence number); the stream covers
         // anything the WAL lost or never held.
         let raw = Arc::new(
-            match st.wal.as_ref().and_then(|w| w.replay_chunk(idx as u64)) {
+            match st.wal.as_ref().and_then(|w| w.replay.chunk(idx as u64)) {
                 Some(chunk) => chunk.clone(),
                 None => stream.chunk(idx),
             },
         );
         st.sim.advance_secs(config.chunk_period_secs);
-        let chunk_span = tracer.child_of("deployment.chunk", run_ctx);
+        let chunk_span = tracer.child_of("deployment.chunk", env.run_span.context());
         let chunk_ctx = chunk_span.context();
         st.pm.set_trace_scope(chunk_ctx);
         metrics.counter("deployment.chunks").inc();
@@ -1067,9 +1157,6 @@ fn run_chunk_loop(
             // unsynced tail that recovery must truncate.
             if hook.crash_now(CrashSite::WalAppend) {
                 let _ = w.writer.crash_torn();
-                if let Some(tel) = telemetry.as_mut() {
-                    tel.crash_flush(st.sim.now_secs());
-                }
                 return Err(DeploymentError::Crashed(CrashSite::WalAppend));
             }
             // A "wal-rotate" crash kills the process mid-rotation: the
@@ -1077,9 +1164,6 @@ fn run_chunk_loop(
             // recovery must ignore.
             if hook.crash_now(CrashSite::WalRotate) {
                 let _ = w.writer.crash_rotation();
-                if let Some(tel) = telemetry.as_mut() {
-                    tel.crash_flush(st.sim.now_secs());
-                }
                 return Err(DeploymentError::Crashed(CrashSite::WalRotate));
             }
         }
@@ -1133,15 +1217,7 @@ fn run_chunk_loop(
                         st.pm.retrain_warm(&history, &spec.sgd, &mut st.ledger);
                     } else {
                         // Cold restart: fresh pipeline statistics and model.
-                        st.pm = PipelineManager::new(
-                            spec.try_build_pipeline()?,
-                            &spec.sgd,
-                            spec.online_batch,
-                        )
-                        .with_engine(config.engine)
-                        .with_fault_hook(Arc::clone(&hook))
-                        .with_metrics(metrics.clone())
-                        .with_tracer(tracer.clone());
+                        st.pm = env.fresh_manager()?;
                         st.pm.set_trace_scope(retrain_trace.context());
                         let owned: Vec<_> = history.iter().map(|c| (**c).clone()).collect();
                         st.pm.initial_fit(&owned, &spec.sgd, &mut st.ledger);
@@ -1149,9 +1225,7 @@ fn run_chunk_loop(
                     st.pm.set_trace_scope(chunk_ctx);
                     retrain_trace.finish();
                     retrain_span.finish();
-                    if let Some(server) = &config.serving {
-                        publish_serving(server, &st.pm, &metrics, "retrain");
-                    }
+                    publish_serving(config, &st.pm, metrics, "retrain");
                 }
             }
             DeploymentMode::Continuous {
@@ -1229,16 +1303,11 @@ fn run_chunk_loop(
                     // Publish the freshly trained pair immediately — the
                     // paper's operational point: proactive training hands a
                     // new model to the serving layer within the same chunk.
-                    if let Some(server) = &config.serving {
-                        publish_serving(server, &st.pm, &metrics, "proactive");
-                    }
+                    publish_serving(config, &st.pm, metrics, "proactive");
                     // A "fire" crash kills the process right after the
                     // proactive fire was accounted, mid-chunk: the last
                     // durable checkpoint predates this chunk entirely.
                     if hook.crash_now(CrashSite::ProactiveFire) {
-                        if let Some(tel) = telemetry.as_mut() {
-                            tel.crash_flush(st.sim.now_secs());
-                        }
                         return Err(DeploymentError::Crashed(CrashSite::ProactiveFire));
                     }
                 } else {
@@ -1250,46 +1319,23 @@ fn run_chunk_loop(
         // Chunk-boundary publish: even without a training event, online SGD
         // advanced the weights this chunk, so an attached server gets the
         // freshest pair once per arrival period.
-        if let Some(server) = &config.serving {
-            publish_serving(server, &st.pm, &metrics, format_args!("chunk {idx}"));
-        }
+        publish_serving(config, &st.pm, metrics, format_args!("chunk {idx}"));
         st.evaluator.checkpoint();
         st.ledger.checkpoint(idx as u64);
         st.pm.set_trace_scope(None);
         chunk_span.finish();
-        last_processed_idx = Some(idx as u64);
 
-        if let Some(dir) = &ckpt_dir {
-            chunks_since_ckpt += 1;
-            if chunks_since_ckpt >= ckpt_every {
-                let bytes = match write_checkpoint(dir, idx as u64, &st, &hook, &metrics) {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        // A checkpoint-site crash (or write failure) still
-                        // leaves a post-mortem trail on disk.
-                        if let Some(tel) = telemetry.as_mut() {
-                            tel.crash_flush(st.sim.now_secs());
-                        }
-                        return Err(e);
-                    }
-                };
-                st.checkpoint_stats.writes += 1;
-                st.checkpoint_stats.bytes_written += bytes;
-                chunks_since_ckpt = 0;
-                // This checkpoint now owns every arrival up to `idx`: pin
-                // it against the keep-budget pruner (the live WAL suffix
-                // resumes from exactly this file) and retire the WAL
-                // segments it fully covers.
-                dir.pin(idx as u64);
-                if let Some(w) = st.wal.as_mut() {
-                    w.writer.gc(idx as u64)?;
-                }
+        if let Some(ck) = ckpt.as_mut() {
+            ck.chunks_since += 1;
+            if ck.chunks_since >= ck.every {
+                commit_checkpoint(&ck.dir, idx as u64, st, env)?;
+                ck.chunks_since = 0;
             }
             // Staleness in units of the configured interval: > 2.0 fires
             // the `checkpoint.staleness` default alert rule.
             metrics
                 .gauge("checkpoint.staleness")
-                .set(chunks_since_ckpt as f64 / ckpt_every as f64);
+                .set(ck.chunks_since as f64 / ck.every as f64);
         }
         // Telemetry sampling tick: after the checkpoint block (so the
         // staleness gauge is current) and before the chunk-boundary crash
@@ -1297,17 +1343,13 @@ fn run_chunk_loop(
         if let Some(tel) = telemetry.as_mut() {
             tel.chunks_since += 1;
             if tel.chunks_since >= tel.every {
-                tel.chunks_since = 0;
-                export_mu_gauges(&metrics, config, &st);
-                tel.sample(&metrics, st.sim.now_secs())?;
+                export_mu_gauges(metrics, config, st);
+                tel.sample(metrics, st.sim.now_secs())?;
             }
         }
         // A "chunk" crash kills the process at the chunk boundary, *after*
         // any due checkpoint write: that write's stats exclude the crash.
         if hook.crash_now(CrashSite::ChunkBoundary) {
-            if let Some(tel) = telemetry.as_mut() {
-                tel.crash_flush(st.sim.now_secs());
-            }
             return Err(DeploymentError::Crashed(CrashSite::ChunkBoundary));
         }
     }
@@ -1317,113 +1359,16 @@ fn run_chunk_loop(
     if let Some(w) = st.wal.as_mut() {
         w.writer.flush()?;
     }
-
     // Shutdown checkpoint: make the final state durable unless the last
     // periodic write already covered it (or nothing was processed).
-    if let Some(dir) = &ckpt_dir {
-        if chunks_since_ckpt > 0 {
-            if let Some(idx) = last_processed_idx {
-                let bytes = match write_checkpoint(dir, idx, &st, &hook, &metrics) {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        if let Some(tel) = telemetry.as_mut() {
-                            tel.crash_flush(st.sim.now_secs());
-                        }
-                        return Err(e);
-                    }
-                };
-                st.checkpoint_stats.writes += 1;
-                st.checkpoint_stats.bytes_written += bytes;
-                dir.pin(idx);
-                if let Some(w) = st.wal.as_mut() {
-                    w.writer.gc(idx)?;
-                }
-            }
+    if let Some(ck) = ckpt {
+        if ck.chunks_since > 0 {
+            let last = stream.total_chunks() as u64 - 1;
+            commit_checkpoint(&ck.dir, last, st, env)?;
         }
         metrics.gauge("checkpoint.staleness").set(0.0);
     }
-
-    let stats = st.dm.stats();
-    if metrics.is_enabled() {
-        metrics
-            .counter("deployment.queries")
-            .add(st.evaluator.count());
-    }
-    export_mu_gauges(&metrics, config, &st);
-    // Final telemetry tick: sample the end-of-run state when the cadence
-    // missed it, then make the full timeline durable.
-    if let Some(tel) = telemetry.as_mut() {
-        let at = st.sim.now_secs();
-        if tel.chunks_since != 0 {
-            tel.chunks_since = 0;
-            tel.sample(&metrics, at)?;
-        }
-        if let Some(rec) = tel.recorder.as_mut() {
-            if tel.samples_since_flush > 0 {
-                rec.flush(&tel.store, &tel.alerts, at)
-                    .map_err(|e| DeploymentError::Storage(StorageError::Io(e)))?;
-                tel.samples_since_flush = 0;
-            }
-        }
-    }
-    // SLA alerting: with telemetry enabled the per-sample monitors already
-    // accumulated the (cooldown-deduplicated) fired set; otherwise a fresh
-    // default monitor observes the final snapshot once. In both cases the
-    // fired set is identical with tracing on or off.
-    let (alerts, telemetry_store) = match telemetry {
-        Some(tel) => (tel.alerts, tel.store),
-        None => {
-            let alerts = if metrics.is_enabled() {
-                let fired = AlertMonitor::deployment_defaults(config.chunk_period_secs)
-                    .observe(&metrics.snapshot(), st.sim.now_secs());
-                for alert in &fired {
-                    metrics.event("alert.fired", alert.message());
-                }
-                fired
-            } else {
-                Vec::new()
-            };
-            (alerts, TelemetryStore::default())
-        }
-    };
-    run_span.finish();
-    Ok(DeploymentResult {
-        approach: config.mode.name().to_owned(),
-        final_error: st.evaluator.error(),
-        average_error: average_of_curve(st.evaluator.curve()),
-        error_curve: st.evaluator.curve().to_vec(),
-        cost_curve: st.ledger.curve().to_vec(),
-        preprocessing_secs: st.ledger.phase(Phase::Preprocessing),
-        training_secs: st.ledger.phase(Phase::Training),
-        prediction_secs: st.ledger.phase(Phase::Prediction),
-        io_secs: st.ledger.phase(Phase::MaterializationIo),
-        total_secs: st.ledger.total(),
-        wall_secs: wall.elapsed_secs(),
-        proactive_runs: st.proactive_runs,
-        avg_proactive_secs: if st.proactive_runs > 0 {
-            st.proactive_secs_sum / st.proactive_runs as f64
-        } else {
-            0.0
-        },
-        retrain_runs: st.retrain_runs,
-        store_stats: stats,
-        empirical_mu: stats.utilization_rate(),
-        queries_answered: st.evaluator.count(),
-        initial_report: st.initial_report,
-        final_weights: st.pm.trainer().model().weights().as_slice().to_vec(),
-        fault_stats: hook.snapshot(),
-        tiered_stats: st.dm.tiered_stats(),
-        metrics: metrics.snapshot(),
-        trace: tracer.snapshot(),
-        alerts,
-        telemetry: telemetry_store,
-        checkpoint_stats: st.checkpoint_stats,
-        wal_stats: st
-            .wal
-            .as_ref()
-            .map(|w| w.writer.stats())
-            .unwrap_or_default(),
-    })
+    Ok(())
 }
 
 /// Exports the observed materialization utilization rate μ and its
@@ -1440,10 +1385,6 @@ fn export_mu_gauges(metrics: &Metrics, config: &DeploymentConfig, st: &LoopState
     metrics
         .gauge("pm.mu_observed")
         .set(st.dm.stats().utilization_rate());
-    let strategy = match config.mode {
-        DeploymentMode::Continuous { strategy, .. } => strategy,
-        _ => SamplingStrategy::Uniform,
-    };
     let total_n = st.dm.chunk_count();
     let capacity_m = match config.optimization.budget {
         StorageBudget::MaxChunks(m) => Some(m.min(total_n)),
@@ -1452,7 +1393,7 @@ fn export_mu_gauges(metrics: &Metrics, config: &DeploymentConfig, st: &LoopState
     };
     if let Some(m) = capacity_m {
         metrics.gauge("pm.mu_uniform").set(mu_uniform(m, total_n));
-        if let SamplingStrategy::WindowBased { window } = strategy {
+        if let SamplingStrategy::WindowBased { window } = config.mode.strategy() {
             if total_n > 0 {
                 let w = window.clamp(1, total_n);
                 metrics.gauge("pm.mu_window").set(mu_window(m, w, total_n));
@@ -1461,17 +1402,20 @@ fn export_mu_gauges(metrics: &Metrics, config: &DeploymentConfig, st: &LoopState
     }
 }
 
-/// Assembles and durably writes one checkpoint, returning the bytes
-/// written. The metrics snapshot is captured *before* this write's own
+/// Assembles and durably writes the checkpoint after chunk `idx` — the
+/// periodic and the shutdown one alike — then lets it own every arrival up
+/// to `idx`: pinned against the keep-budget pruner (the live WAL suffix
+/// resumes from exactly this file), with the WAL segments it fully covers
+/// retired. The metrics snapshot is captured *before* this write's own
 /// `checkpoint.*` accounting, so the embedded snapshot is causally
 /// consistent with the rest of the payload.
-fn write_checkpoint(
+fn commit_checkpoint(
     dir: &CheckpointDir,
     idx: u64,
-    st: &LoopState,
-    hook: &Arc<dyn FaultHook>,
-    metrics: &Metrics,
-) -> Result<u64, DeploymentError> {
+    st: &mut LoopState,
+    env: &RunEnv<'_>,
+) -> Result<(), DeploymentError> {
+    let (hook, metrics) = (&env.hook, &env.metrics);
     let payload = assemble_checkpoint(idx, st, hook, metrics).encode();
     // An injected "checkpoint" crash kills the process mid-write: only a
     // torn temp file is left, exactly what a real kill produces. Recovery
@@ -1485,7 +1429,13 @@ fn write_checkpoint(
     span.finish();
     metrics.counter("checkpoint.writes").inc();
     metrics.counter("checkpoint.write_bytes").add(bytes);
-    Ok(bytes)
+    st.checkpoint_stats.writes += 1;
+    st.checkpoint_stats.bytes_written += bytes;
+    dir.pin(idx);
+    if let Some(w) = st.wal.as_mut() {
+        w.writer.gc(idx)?;
+    }
+    Ok(())
 }
 
 /// Captures the loop's dynamic state at the boundary after chunk `idx`.
@@ -1597,10 +1547,6 @@ pub fn try_resume_deployment(
     // remaining chunks is unchanged).
     let mut plan = config.faults;
     plan.crash_site = None;
-    let strategy = match config.mode {
-        DeploymentMode::Continuous { strategy, .. } => strategy,
-        _ => SamplingStrategy::Uniform,
-    };
 
     // ---- Replay: rebuild the store (raw history, feature cache, spill
     // files) by re-running the ingest/fit-transform fold up to the
@@ -1609,38 +1555,15 @@ pub fn try_resume_deployment(
     // are reproduced here bit-identically by the deterministic pipeline.
     // Counters and statistics accumulated during replay are throwaway; the
     // checkpointed values are restored as authoritative afterwards.
-    let replay_hook: Arc<dyn FaultHook> = if plan.is_active() {
-        Arc::new(FaultInjector::new(plan))
-    } else {
-        Arc::new(NoFaults)
-    };
-    let mut dm = if config.spill_to_disk {
-        DataManager::with_spill(
-            config.optimization.budget,
-            strategy,
-            config.seed,
-            private_spill_dir(),
-            Arc::clone(&replay_hook),
-            RetryPolicy::default(),
-        )?
-    } else {
-        DataManager::new(config.optimization.budget, strategy, config.seed)
-    };
+    let mut dm = data_manager(config, &hook_for(plan, None))?;
     let replay_span = tracer.child_of("deployment.replay", run_ctx);
     let mut pipeline = spec.try_build_pipeline()?;
-    for raw in stream.initial() {
+    let covered = |idx: &usize| *idx as u64 <= ckpt.chunk_idx;
+    let deployed = stream.deployment_range().take_while(covered);
+    let deployed = deployed.map(|idx| stream.chunk(idx));
+    for raw in stream.initial().into_iter().chain(deployed) {
         let fc = pipeline.fit_transform_chunk(&raw);
         dm.ingest_raw(raw)?;
-        dm.store_features(fc)?;
-    }
-    dm.store_mut().reset_stats();
-    for idx in stream.deployment_range() {
-        if idx as u64 > ckpt.chunk_idx {
-            break;
-        }
-        let raw = Arc::new(stream.chunk(idx));
-        dm.ingest_raw(Arc::clone(&raw))?;
-        let fc = pipeline.fit_transform_chunk(&raw);
         dm.store_features(fc)?;
     }
     replay_span.finish();
@@ -1688,25 +1611,28 @@ pub fn try_resume_deployment(
         spec.sgd.regularizer,
         ckpt.points_seen,
     );
-    let hook: Arc<dyn FaultHook> = if plan.is_active() {
-        Arc::new(FaultInjector::with_state(
-            plan,
-            ckpt.fault_stats,
-            ckpt.fault_epoch,
-        ))
-    } else {
-        Arc::new(NoFaults)
-    };
+    let hook = hook_for(plan, Some((ckpt.fault_stats, ckpt.fault_epoch)));
     dm.set_hook(Arc::clone(&hook));
     dm.set_metrics(metrics.clone());
     dm.set_sampler_rng_state(ckpt.sampler_rng);
     dm.store_mut().restore_stats(ckpt.store_stats);
     dm.restore_tiered_stats(ckpt.tiered_stats);
-    let pm = PipelineManager::with_trainer(pipeline, trainer, spec.online_batch)
-        .with_engine(config.engine)
-        .with_fault_hook(Arc::clone(&hook))
-        .with_metrics(metrics.clone())
-        .with_tracer(tracer.clone());
+    let env = RunEnv {
+        stream,
+        spec,
+        config,
+        hook,
+        metrics,
+        tracer,
+        wall,
+        run_span,
+    };
+    let metrics = &env.metrics;
+    let pm = env.manage(PipelineManager::with_trainer(
+        pipeline,
+        trainer,
+        spec.online_batch,
+    ));
     let evaluator = PrequentialEvaluator::restore(
         spec.metric,
         ckpt.eval_count,
@@ -1715,7 +1641,7 @@ pub fn try_resume_deployment(
         0,
     );
     let ledger = CostLedger::from_parts(config.cost_model, ckpt.accounted, ckpt.cost_curve);
-    let mut drift_monitor = DriftDetector::new(60, 12, 2.0, 3.0);
+    let mut drift_monitor = drift_monitor();
     drift_monitor.restore_windows(ckpt.drift_baseline, ckpt.drift_recent);
     let sim = Arc::new(VirtualClock::new());
     sim.advance_secs(ckpt.now_secs);
@@ -1731,31 +1657,20 @@ pub fn try_resume_deployment(
     // the loop; the stream covers records the WAL lost (group-commit
     // buffers, exhausted retries). The writer continues past the highest
     // recovered sequence so replayed appends are idempotently skipped.
-    let wal = match &config.wal {
-        Some(wc) => {
-            let rt = open_wal(wc, &hook, &sim, &metrics, ckpt.chunk_idx + 1, true)?;
-            metrics.event(
-                "wal.recover",
-                format!(
-                    "replaying {} records after chunk {}",
-                    rt.replay.len(),
-                    ckpt.chunk_idx
-                ),
-            );
-            Some(rt)
-        }
-        None => None,
-    };
+    let wal = open_wal(&env, &sim, ckpt.chunk_idx + 1, true)?;
+    if let Some(rt) = &wal {
+        let (records, after) = (rt.replay.chunks.len(), ckpt.chunk_idx);
+        metrics.event(
+            "wal.recover",
+            format!("replaying {records} records after chunk {after}"),
+        );
+    }
 
     let st = LoopState {
         dm,
         pm,
         evaluator,
-        proactive: if config.optimization.online_stats {
-            ProactiveTrainer::new()
-        } else {
-            ProactiveTrainer::without_online_stats()
-        },
+        proactive: proactive_trainer(config),
         ledger,
         sim,
         chunks_since_training: ckpt.chunks_since_training as usize,
@@ -1779,21 +1694,8 @@ pub fn try_resume_deployment(
     // Publish the *restored* pair before re-entering the loop: a server
     // attached to a resumed deployment serves the checkpointed version
     // first and never answers from a pre-crash stale snapshot.
-    if let Some(server) = &config.serving {
-        publish_serving(server, &st.pm, &metrics, "restore");
-    }
-    run_chunk_loop(
-        stream,
-        spec,
-        config,
-        hook,
-        metrics,
-        tracer,
-        wall,
-        run_span,
-        st,
-        (ckpt.chunk_idx + 1) as usize,
-    )
+    publish_serving(config, &st.pm, metrics, "restore");
+    run_chunk_loop(env, st, (ckpt.chunk_idx + 1) as usize)
 }
 
 #[cfg(test)]
@@ -1975,5 +1877,63 @@ mod tests {
         assert_eq!(warm.retrain_runs, cold.retrain_runs);
         // Cold restarts refit statistics (update passes) — strictly more work.
         assert!(cold.preprocessing_secs > warm.preprocessing_secs);
+    }
+
+    /// A stream that delivers its `repeat_at`-th chunk a second time: the
+    /// store refuses the duplicate timestamp, an error no crash site makes.
+    struct Stutter<S> {
+        inner: S,
+        repeat_at: usize,
+    }
+
+    impl<S: ChunkStream> ChunkStream for Stutter<S> {
+        fn schema(&self) -> Arc<cdp_storage::Schema> {
+            self.inner.schema()
+        }
+
+        fn total_chunks(&self) -> usize {
+            self.inner.total_chunks()
+        }
+
+        fn initial_chunks(&self) -> usize {
+            self.inner.initial_chunks()
+        }
+
+        fn chunk(&self, index: usize) -> cdp_storage::RawChunk {
+            let repeat = index == self.repeat_at + 1;
+            self.inner.chunk(index - usize::from(repeat))
+        }
+    }
+
+    #[test]
+    fn any_error_leaving_the_loop_flushes_the_recorder_first() {
+        let (inner, spec) = tiny_url();
+        let repeat_at = inner.initial_chunks() + 4;
+        let stream = Stutter { inner, repeat_at };
+        let dir = std::env::temp_dir().join(format!("cdp-any-error-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A flush interval the run never reaches: whatever lands on disk was
+        // written on the way out.
+        let recorder = RecorderConfig::new(&dir).flush_every(1_000);
+        let mut config = DeploymentConfig::continuous(2, 3, SamplingStrategy::Uniform);
+        config.collect_metrics = true;
+        config.telemetry = Some(TelemetryConfig::new().recorder(recorder));
+        let failed = try_run_deployment(&stream, &spec, &config);
+        assert!(matches!(
+            failed,
+            Err(DeploymentError::Storage(StorageError::DuplicateTimestamp(
+                _
+            )))
+        ));
+        let scan = cdp_obs::load_segments(&dir, 1).expect("readable recorder directory");
+        let segment = scan
+            .segments
+            .first()
+            .expect("a segment the failing run flushed");
+        assert_eq!(
+            segment.samples, 5,
+            "one sample per chunk before the duplicate"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

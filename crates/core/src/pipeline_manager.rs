@@ -135,11 +135,6 @@ impl PipelineManager {
         &self.trainer
     }
 
-    /// Mutable trainer access (the proactive trainer's handle).
-    pub fn trainer_mut(&mut self) -> &mut SgdTrainer {
-        &mut self.trainer
-    }
-
     /// Snapshots `(pipeline, trainer)` — everything warm starting needs.
     pub fn snapshot(&self) -> (Pipeline, SgdTrainer) {
         (self.pipeline.clone(), self.trainer.clone())
@@ -147,7 +142,7 @@ impl PipelineManager {
 
     /// Charges all pipeline work done since the last call to the ledger's
     /// preprocessing phase, and all SGD work to the training phase.
-    pub fn drain_charges(&mut self, ledger: &mut CostLedger) {
+    fn drain_charges(&mut self, ledger: &mut CostLedger) {
         let now = self.pipeline.counters();
         ledger.charge_parse(now.parsed_records - self.counters_base.parsed_records);
         ledger.charge_stat_updates(now.update_rows - self.counters_base.update_rows);

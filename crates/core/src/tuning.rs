@@ -35,10 +35,22 @@ pub struct TuningCell {
     pub deployed_error: Option<f64>,
 }
 
+/// `x` as an ordering key under [`f64::total_cmp`]: a NaN of either sign
+/// sorts after every number, so a cell whose training diverged ranks last.
+pub fn nan_last(x: f64) -> f64 {
+    if x.is_nan() {
+        f64::NAN
+    } else {
+        x
+    }
+}
+
 impl TuningCell {
-    /// Ranking key: held-out error, then held-out loss.
-    fn rank_key(&self) -> (f64, f64) {
-        (self.initial_error, self.initial_loss)
+    /// Ranking order: held-out error, then held-out loss, NaN last.
+    fn rank_cmp(&self, other: &TuningCell) -> std::cmp::Ordering {
+        let by = |a: f64, b: f64| nan_last(a).total_cmp(&nan_last(b));
+        by(self.initial_error, other.initial_error)
+            .then_with(|| by(self.initial_loss, other.initial_loss))
     }
 }
 
@@ -140,11 +152,7 @@ pub fn deployed_grid<S: ChunkStream + Clone>(
 
 /// The best cell by held-out error, loss as tiebreaker.
 pub fn best_initial(cells: &[TuningCell]) -> Option<&TuningCell> {
-    cells.iter().min_by(|a, b| {
-        a.rank_key()
-            .partial_cmp(&b.rank_key())
-            .expect("finite errors")
-    })
+    cells.iter().min_by(|a, b| a.rank_cmp(b))
 }
 
 /// For each adaptation technique, the cell with the lowest initial error —
@@ -157,7 +165,7 @@ pub fn best_per_optimizer(cells: &[TuningCell]) -> Vec<&TuningCell> {
             .find(|c| c.optimizer.name() == cell.optimizer.name())
         {
             Some(existing) => {
-                if cell.rank_key() < existing.rank_key() {
+                if cell.rank_cmp(existing).is_lt() {
                     *existing = cell;
                 }
             }
@@ -220,5 +228,31 @@ mod tests {
         // Same optimizer everywhere ⇒ one best-per-optimizer entry.
         assert_eq!(best_per_optimizer(&cells).len(), 1);
         assert_eq!(best_per_optimizer(&cells)[0].lambda, 1e-3);
+    }
+
+    #[test]
+    fn a_diverged_cell_ranks_last_instead_of_aborting_the_grid() {
+        let mk = |lambda: f64, err: f64, loss: f64| TuningCell {
+            optimizer: OptimizerKind::adam(0.01),
+            lambda,
+            initial_error: err,
+            initial_loss: loss,
+            deployed_error: None,
+        };
+        // Both NaN signs (x86 divides 0 by 0 into the negative one), in the
+        // error and in the tie-breaking loss, first and last in the grid.
+        for nan in [f64::NAN, -f64::NAN] {
+            let cells = vec![
+                mk(1e-1, nan, nan),
+                mk(1e-2, 0.2, nan),
+                mk(1e-3, 0.2, 0.7),
+                mk(1e-4, 0.3, 0.1),
+                mk(1e-5, nan, 0.0),
+            ];
+            assert_eq!(best_initial(&cells).unwrap().lambda, 1e-3);
+            assert_eq!(best_per_optimizer(&cells)[0].lambda, 1e-3);
+            let all_diverged = vec![mk(1e-1, nan, nan), mk(1e-2, nan, 0.5)];
+            assert_eq!(best_initial(&all_diverged).unwrap().lambda, 1e-2);
+        }
     }
 }

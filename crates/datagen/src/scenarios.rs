@@ -3,7 +3,7 @@
 //! The base generators ([`crate::url::UrlGenerator`],
 //! [`crate::taxi::TaxiGenerator`]) model *gradual* drift under a steady
 //! arrival rate. Real deployments also see **sudden** concept changes,
-//! **recurring** (seasonal) concepts, **bursty** and **diurnal** arrival
+//! **recurring** (seasonal) concepts, **bursty** arrival
 //! volumes, and chunks that arrive **late and out of order**. Each wrapper
 //! here layers exactly one of those phenomena over any inner
 //! [`ChunkStream`], stays a pure function of `(seed, index)` (so scenario
@@ -75,11 +75,6 @@ impl<S: ChunkStream> SuddenDrift<S> {
     pub fn new(inner: S, at_chunk: usize) -> Self {
         let at_chunk = at_chunk.max(inner.initial_chunks());
         Self { inner, at_chunk }
-    }
-
-    /// The first inverted chunk index.
-    pub fn at_chunk(&self) -> usize {
-        self.at_chunk
     }
 }
 
@@ -206,55 +201,6 @@ impl<S: ChunkStream> ChunkStream for BurstyArrivals<S> {
     }
 }
 
-/// Diurnal arrivals: record volume follows a sinusoid with period
-/// `period_chunks`, oscillating between `min_keep` (night) and full volume
-/// (peak). The smooth counterpart to [`BurstyArrivals`].
-#[derive(Debug, Clone)]
-pub struct DiurnalArrivals<S> {
-    inner: S,
-    seed: u64,
-    period_chunks: usize,
-    min_keep: f64,
-}
-
-impl<S: ChunkStream> DiurnalArrivals<S> {
-    /// Modulates deployment-chunk volume sinusoidally with period
-    /// `period_chunks` (clamped to at least 2), never below `min_keep`.
-    pub fn new(inner: S, seed: u64, period_chunks: usize, min_keep: f64) -> Self {
-        Self {
-            inner,
-            seed,
-            period_chunks: period_chunks.max(2),
-            min_keep: min_keep.clamp(0.0, 1.0),
-        }
-    }
-}
-
-impl<S: ChunkStream> ChunkStream for DiurnalArrivals<S> {
-    fn schema(&self) -> Arc<Schema> {
-        self.inner.schema()
-    }
-
-    fn total_chunks(&self) -> usize {
-        self.inner.total_chunks()
-    }
-
-    fn initial_chunks(&self) -> usize {
-        self.inner.initial_chunks()
-    }
-
-    fn chunk(&self, index: usize) -> RawChunk {
-        let chunk = self.inner.chunk(index);
-        let start = self.inner.initial_chunks();
-        if index < start {
-            return chunk;
-        }
-        let phase = (index - start) as f64 / self.period_chunks as f64 * 2.0 * std::f64::consts::PI;
-        let keep = self.min_keep + (1.0 - self.min_keep) * (0.5 + 0.5 * phase.sin());
-        thin_chunk(chunk, keep, mix_seed(self.seed ^ 0xD1024, index as u64))
-    }
-}
-
 /// Late / out-of-order arrivals: within each disjoint window of `window`
 /// deployment chunks, arrival order is a seeded permutation of generation
 /// order — chunk `i` delivers the data of some nearby chunk, late. Every
@@ -356,7 +302,7 @@ mod tests {
     #[test]
     fn sudden_drift_never_touches_the_initial_prefix() {
         let s = SuddenDrift::new(base(), 0);
-        assert_eq!(s.at_chunk(), base().initial_chunks());
+        assert_eq!(s.at_chunk, base().initial_chunks());
         assert_eq!(s.chunk(0), base().chunk(0));
     }
 
@@ -381,16 +327,6 @@ mod tests {
         assert!(!s.chunk(4).records.is_empty());
         // Determinism.
         assert_eq!(s.chunk(4), s.chunk(4));
-    }
-
-    #[test]
-    fn diurnal_arrivals_oscillate() {
-        let s = DiurnalArrivals::new(base(), 9, 6, 0.1);
-        let sizes: Vec<usize> = (3..12).map(|i| s.chunk(i).len()).collect();
-        let max = *sizes.iter().max().unwrap_or(&0);
-        let min = *sizes.iter().min().unwrap_or(&0);
-        assert!(min >= 1);
-        assert!(max > min, "sizes {sizes:?} must oscillate");
     }
 
     #[test]

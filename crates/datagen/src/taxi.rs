@@ -80,7 +80,7 @@ pub struct TaxiGenerator {
 }
 
 /// Field names of the taxi trip-record schema.
-pub fn taxi_schema() -> Arc<Schema> {
+fn taxi_schema() -> Arc<Schema> {
     Schema::new([
         "pickup_time",
         "dropoff_time",
@@ -112,7 +112,7 @@ impl TaxiGenerator {
 
     /// The stationary congestion factor for an hour-of-day/weekday pair:
     /// rush hours and weekdays are slower. Range ≈ [1.0, 2.2].
-    pub fn congestion(hour: f64, weekday: f64) -> f64 {
+    fn congestion(hour: f64, weekday: f64) -> f64 {
         let rush = (-((hour - 8.5) / 2.0).powi(2)).exp() + (-((hour - 17.5) / 2.5).powi(2)).exp();
         let weekday_factor = if weekday < 5.0 { 1.0 } else { 0.75 };
         1.0 + 1.2 * rush * weekday_factor
@@ -120,7 +120,7 @@ impl TaxiGenerator {
 
     /// Ground-truth expected duration (seconds) for a trip of `dist_km`
     /// starting at `pickup_secs`.
-    pub fn expected_duration(dist_km: f64, pickup_secs: f64) -> f64 {
+    fn expected_duration(dist_km: f64, pickup_secs: f64) -> f64 {
         let hour = ((pickup_secs / 3600.0).floor() % 24.0 + 24.0) % 24.0;
         let days = (pickup_secs / 86_400.0).floor();
         let weekday = (((days + 3.0) % 7.0) + 7.0) % 7.0;

@@ -104,7 +104,7 @@ pub struct UrlGenerator {
 }
 
 /// Field names of the URL schema: `label`, `lex0..lexK`, `url_tokens`.
-pub fn url_schema(lexical_features: usize) -> Arc<Schema> {
+fn url_schema(lexical_features: usize) -> Arc<Schema> {
     let mut fields = vec!["label".to_owned()];
     fields.extend((0..lexical_features).map(|i| format!("lex{i}")));
     fields.push("url_tokens".to_owned());
@@ -124,7 +124,7 @@ impl UrlGenerator {
     }
 
     /// Day of a chunk index.
-    pub fn day_of(&self, index: usize) -> usize {
+    fn day_of(&self, index: usize) -> usize {
         index / self.config.chunks_per_day
     }
 
@@ -280,7 +280,7 @@ mod tests {
         let missing = (0..6)
             .flat_map(|i| g.chunk(i).records)
             .flat_map(|r| r.values().to_vec())
-            .filter(|v| v.is_missing())
+            .filter(|v| matches!(v, Value::Missing))
             .count();
         assert!(missing > 0, "missing_rate should produce gaps");
     }

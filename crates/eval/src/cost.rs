@@ -5,8 +5,7 @@
 //! module counts every unit of such work and converts it into *accounted
 //! seconds* with a calibrated [`CostModel`]. Accounted cost is deterministic
 //! (identical across machines and runs), which is what lets the experiment
-//! harness regenerate the paper's cost *shapes* reproducibly; wall-clock
-//! seconds can be recorded alongside for validation.
+//! harness regenerate the paper's cost *shapes* reproducibly.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,14 +25,6 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// All phases, in reporting order.
-    pub const ALL: [Phase; 4] = [
-        Phase::Preprocessing,
-        Phase::Training,
-        Phase::Prediction,
-        Phase::MaterializationIo,
-    ];
-
     fn index(self) -> usize {
         match self {
             Phase::Preprocessing => 0,
@@ -105,12 +96,11 @@ impl Default for CostModel {
     }
 }
 
-/// Accumulates accounted (and optionally wall-clock) seconds per phase.
+/// Accumulates accounted seconds per phase.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CostLedger {
     model: CostModel,
     accounted: [f64; 4],
-    wall: [f64; 4],
     curve: Vec<(u64, f64)>,
 }
 
@@ -120,7 +110,6 @@ impl CostLedger {
         Self {
             model,
             accounted: [0.0; 4],
-            wall: [0.0; 4],
             curve: Vec::new(),
         }
     }
@@ -130,20 +119,17 @@ impl CostLedger {
         &self.model
     }
 
-    /// Rebuilds a ledger from checkpointed accounted seconds and curve. Wall
-    /// time restarts at zero: it measures *this process's* elapsed time and
-    /// is never part of the deterministic-identity contract.
+    /// Rebuilds a ledger from checkpointed accounted seconds and curve.
     pub fn from_parts(model: CostModel, accounted: [f64; 4], curve: Vec<(u64, f64)>) -> Self {
         Self {
             model,
             accounted,
-            wall: [0.0; 4],
             curve,
         }
     }
 
-    /// The accounted seconds per phase, in [`Phase::ALL`] order (for
-    /// checkpointing).
+    /// The accounted seconds per phase, in [`Phase`]'s declaration order
+    /// (for checkpointing).
     pub fn accounted(&self) -> [f64; 4] {
         self.accounted
     }
@@ -190,16 +176,6 @@ impl CostLedger {
         self.accounted[3] += bytes as f64 * self.model.memory_byte;
     }
 
-    /// Adds raw accounted seconds to a phase (escape hatch).
-    pub fn charge_seconds(&mut self, phase: Phase, seconds: f64) {
-        self.accounted[phase.index()] += seconds;
-    }
-
-    /// Adds measured wall-clock seconds to a phase.
-    pub fn add_wall(&mut self, phase: Phase, seconds: f64) {
-        self.wall[phase.index()] += seconds;
-    }
-
     /// Accounted seconds in one phase.
     pub fn phase(&self, phase: Phase) -> f64 {
         self.accounted[phase.index()]
@@ -208,16 +184,6 @@ impl CostLedger {
     /// Total accounted seconds.
     pub fn total(&self) -> f64 {
         self.accounted.iter().sum()
-    }
-
-    /// Wall-clock seconds in one phase.
-    pub fn wall_phase(&self, phase: Phase) -> f64 {
-        self.wall[phase.index()]
-    }
-
-    /// Total wall-clock seconds recorded.
-    pub fn wall_total(&self) -> f64 {
-        self.wall.iter().sum()
     }
 
     /// Records a `(tick, cumulative_total)` curve point (one per chunk in
@@ -230,15 +196,6 @@ impl CostLedger {
     pub fn curve(&self) -> &[(u64, f64)] {
         &self.curve
     }
-
-    /// Merges another ledger's accounted and wall time (curves are not
-    /// merged — they are per-run artifacts).
-    pub fn absorb(&mut self, other: &CostLedger) {
-        for i in 0..4 {
-            self.accounted[i] += other.accounted[i];
-            self.wall[i] += other.wall[i];
-        }
-    }
 }
 
 impl Default for CostLedger {
@@ -247,7 +204,7 @@ impl Default for CostLedger {
     }
 }
 
-/// A simple wall-clock stopwatch for feeding [`CostLedger::add_wall`].
+/// A simple wall-clock stopwatch (a run's `wall_secs`).
 #[derive(Debug)]
 pub struct Stopwatch(std::time::Instant);
 
@@ -291,10 +248,7 @@ mod tests {
         );
         assert!((ledger.phase(Phase::Prediction) - 500.0 * m.predict_query).abs() < 1e-12);
         assert!((ledger.phase(Phase::MaterializationIo) - 0.01).abs() < 1e-12);
-        assert!(
-            (ledger.total() - Phase::ALL.iter().map(|&p| ledger.phase(p)).sum::<f64>()).abs()
-                < 1e-15
-        );
+        assert!((ledger.total() - ledger.accounted().iter().sum::<f64>()).abs() < 1e-15);
     }
 
     #[test]
@@ -318,20 +272,6 @@ mod tests {
         mem.charge_memory(1 << 20);
         disk.charge_disk(1 << 20);
         assert!(mem.total() < disk.total() / 10.0);
-    }
-
-    #[test]
-    fn absorb_merges_phases() {
-        let mut a = CostLedger::default();
-        a.charge_predictions(10);
-        let mut b = CostLedger::default();
-        b.charge_predictions(5);
-        b.add_wall(Phase::Prediction, 0.5);
-        a.absorb(&b);
-        let m = CostModel::commodity();
-        assert!((a.phase(Phase::Prediction) - 15.0 * m.predict_query).abs() < 1e-15);
-        assert_eq!(a.wall_phase(Phase::Prediction), 0.5);
-        assert_eq!(a.wall_total(), 0.5);
     }
 
     #[test]

@@ -17,8 +17,6 @@
 
 pub mod cost;
 pub mod prequential;
-pub mod windowed;
 
 pub use cost::{CostLedger, CostModel, Phase};
 pub use prequential::{ErrorMetric, PrequentialEvaluator};
-pub use windowed::WindowedError;

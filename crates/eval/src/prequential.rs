@@ -91,16 +91,6 @@ impl PrequentialEvaluator {
         }
     }
 
-    /// Observes a whole batch.
-    pub fn observe_batch<I>(&mut self, pairs: I)
-    where
-        I: IntoIterator<Item = (f64, f64)>,
-    {
-        for (p, l) in pairs {
-            self.observe(p, l);
-        }
-    }
-
     /// Current cumulative error (0.0 before any observation).
     pub fn error(&self) -> f64 {
         if self.count == 0 {
@@ -200,13 +190,5 @@ mod tests {
         ev.checkpoint(); // no-op before observations
         assert!(ev.curve().is_empty());
         assert_eq!(average_of_curve(&[]), 0.0);
-    }
-
-    #[test]
-    fn batch_observation() {
-        let mut ev = PrequentialEvaluator::new(ErrorMetric::Misclassification, 0);
-        ev.observe_batch(vec![(1.0, 1.0), (-1.0, 1.0)]);
-        assert_eq!(ev.count(), 2);
-        assert_eq!(ev.error(), 0.5);
     }
 }

@@ -28,13 +28,6 @@ impl DenseVector {
         }
     }
 
-    /// Creates a vector of dimension `dim` filled with `value`.
-    pub fn filled(dim: usize, value: f64) -> Self {
-        Self {
-            values: vec![value; dim],
-        }
-    }
-
     /// The dimension (number of coordinates).
     #[inline]
     pub fn dim(&self) -> usize {
@@ -56,11 +49,6 @@ impl DenseVector {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.values
-    }
-
-    /// Consumes the vector, returning the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.values
     }
 
     /// Returns the value at `index`, or `None` when out of range.
@@ -139,11 +127,6 @@ impl DenseVector {
         self.values.iter().map(|v| v.abs()).sum()
     }
 
-    /// Maximum absolute coordinate (L∞ norm); `0.0` for the empty vector.
-    pub fn norm_linf(&self) -> f64 {
-        self.values.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()))
-    }
-
     /// Number of exactly-zero coordinates.
     pub fn count_zeros(&self) -> usize {
         self.values.iter().filter(|v| **v == 0.0).count()
@@ -152,25 +135,6 @@ impl DenseVector {
     /// Iterator over `(index, value)` pairs, including zeros.
     pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.values.iter().copied().enumerate()
-    }
-
-    /// Squared Euclidean distance to another vector.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] when dimensions differ.
-    pub fn distance_sq(&self, other: &DenseVector) -> Result<f64, LinalgError> {
-        if self.dim() != other.dim() {
-            return Err(LinalgError::DimensionMismatch {
-                left: self.dim(),
-                right: other.dim(),
-            });
-        }
-        Ok(self
-            .values
-            .iter()
-            .zip(other.values.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum())
     }
 
     /// Grows the vector with zero padding up to `dim`. No-op when already large enough.
@@ -259,7 +223,6 @@ mod tests {
         let v = DenseVector::new(vec![3.0, -4.0]);
         assert_eq!(v.norm_l2(), 5.0);
         assert_eq!(v.norm_l1(), 7.0);
-        assert_eq!(v.norm_linf(), 4.0);
     }
 
     #[test]
@@ -279,13 +242,5 @@ mod tests {
         assert_eq!(v.as_slice(), &[1.0, 0.0, 0.0]);
         v.grow_to(2); // shrinking never happens
         assert_eq!(v.dim(), 3);
-    }
-
-    #[test]
-    fn distance_sq_is_symmetric() {
-        let a = DenseVector::new(vec![1.0, 2.0]);
-        let b = DenseVector::new(vec![4.0, 6.0]);
-        assert_eq!(a.distance_sq(&b).unwrap(), 25.0);
-        assert_eq!(b.distance_sq(&a).unwrap(), 25.0);
     }
 }

@@ -1,7 +1,5 @@
 //! Free-standing numeric kernels shared by the trainer and the evaluators.
 
-use crate::DenseVector;
-
 /// Numerically-stable sigmoid.
 #[inline]
 pub fn sigmoid(x: f64) -> f64 {
@@ -14,76 +12,11 @@ pub fn sigmoid(x: f64) -> f64 {
     }
 }
 
-/// Clamps `x` into `[lo, hi]`.
-#[inline]
-pub fn clamp(x: f64, lo: f64, hi: f64) -> f64 {
-    debug_assert!(lo <= hi);
-    x.max(lo).min(hi)
-}
-
-/// Weighted mean of `values` (uniform when `weights` is `None`).
-///
-/// Returns `None` for empty input or zero total weight.
-pub fn mean(values: &[f64], weights: Option<&[f64]>) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    match weights {
-        None => Some(values.iter().sum::<f64>() / values.len() as f64),
-        Some(w) => {
-            assert_eq!(values.len(), w.len());
-            let total: f64 = w.iter().sum();
-            if total == 0.0 {
-                return None;
-            }
-            Some(values.iter().zip(w).map(|(v, w)| v * w).sum::<f64>() / total)
-        }
-    }
-}
-
-/// Linear interpolation between `a` and `b` at `t ∈ [0, 1]`.
-#[inline]
-pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
-    a + (b - a) * t
-}
-
-/// Sum of element-wise squared differences between equally-sized slices.
-pub fn sum_squared_diff(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Element-wise mean of a set of dense vectors (e.g. averaging per-chunk
-/// gradients during a proactive-training step). Returns `None` when `vs` is
-/// empty; all vectors must share one dimension.
-pub fn mean_vectors(vs: &[DenseVector]) -> Option<DenseVector> {
-    let first = vs.first()?;
-    let mut acc = DenseVector::zeros(first.dim());
-    for v in vs {
-        acc.axpy(1.0, v).expect("mean_vectors: dimension mismatch");
-    }
-    acc.scale(1.0 / vs.len() as f64);
-    Some(acc)
-}
-
 /// The `t`-th harmonic number `H_t = 1 + 1/2 + … + 1/t` computed exactly.
 ///
 /// Used by the materialization-utilization analysis (paper Eqs. 4 and 5).
 pub fn harmonic(t: u64) -> f64 {
     (1..=t).map(|k| 1.0 / k as f64).sum()
-}
-
-/// The Euler–Mascheroni constant, used by [`harmonic_approx`].
-pub const EULER_MASCHERONI: f64 = 0.577_215_664_901_532_9;
-
-/// Asymptotic approximation of the harmonic number:
-/// `H_t ≈ ln t + γ + 1/(2t) − 1/(12t²)` (paper §3.2.2).
-pub fn harmonic_approx(t: u64) -> f64 {
-    if t == 0 {
-        return 0.0;
-    }
-    let tf = t as f64;
-    tf.ln() + EULER_MASCHERONI + 1.0 / (2.0 * tf) - 1.0 / (12.0 * tf * tf)
 }
 
 #[cfg(test)]
@@ -100,45 +33,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_uniform_and_weighted() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0], None), Some(2.0));
-        assert_eq!(mean(&[1.0, 3.0], Some(&[3.0, 1.0])), Some(1.5));
-        assert_eq!(mean(&[], None), None);
-        assert_eq!(mean(&[1.0], Some(&[0.0])), None);
-    }
-
-    #[test]
     fn harmonic_small_values_exact() {
         assert_eq!(harmonic(1), 1.0);
         assert!((harmonic(2) - 1.5).abs() < 1e-15);
         assert!((harmonic(4) - (1.0 + 0.5 + 1.0 / 3.0 + 0.25)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn harmonic_approx_matches_exact_for_large_t() {
-        for t in [100u64, 1_000, 10_000] {
-            let exact = harmonic(t);
-            let approx = harmonic_approx(t);
-            assert!(
-                (exact - approx).abs() < 1e-8,
-                "t={t}: exact={exact}, approx={approx}"
-            );
-        }
-    }
-
-    #[test]
-    fn mean_vectors_averages() {
-        let a = DenseVector::new(vec![1.0, 2.0]);
-        let b = DenseVector::new(vec![3.0, 6.0]);
-        let m = mean_vectors(&[a, b]).unwrap();
-        assert_eq!(m.as_slice(), &[2.0, 4.0]);
-        assert!(mean_vectors(&[]).is_none());
-    }
-
-    #[test]
-    fn clamp_and_lerp() {
-        assert_eq!(clamp(5.0, 0.0, 1.0), 1.0);
-        assert_eq!(clamp(-5.0, 0.0, 1.0), 0.0);
-        assert_eq!(lerp(0.0, 10.0, 0.25), 2.5);
     }
 }

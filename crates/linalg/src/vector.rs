@@ -26,14 +26,6 @@ impl Vector {
         }
     }
 
-    /// Number of stored entries (dense: `dim`, sparse: `nnz`).
-    pub fn stored_len(&self) -> usize {
-        match self {
-            Vector::Dense(v) => v.dim(),
-            Vector::Sparse(v) => v.nnz(),
-        }
-    }
-
     /// Number of non-zero coordinates.
     pub fn nnz(&self) -> usize {
         match self {

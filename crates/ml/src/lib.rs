@@ -30,7 +30,7 @@ pub mod regularizer;
 pub mod sgd;
 
 pub use loss::{Loss, LossKind};
-pub use model::{LinearModel, Task};
+pub use model::LinearModel;
 pub use optimizer::{AdaptiveRate, OptimizerKind, OptimizerState};
 pub use regularizer::Regularizer;
 pub use sgd::{ConvergenceCriteria, FusedStepOutcome, SgdConfig, SgdTrainer, TrainReport};

@@ -30,13 +30,6 @@ pub trait Loss {
     fn dloss_dz(&self, z: f64, y: f64) -> f64;
 }
 
-impl LossKind {
-    /// Whether the labels are classification labels in {−1, +1}.
-    pub fn is_classification(self) -> bool {
-        matches!(self, LossKind::Hinge | LossKind::Logistic)
-    }
-}
-
 impl Loss for LossKind {
     fn value(&self, z: f64, y: f64) -> f64 {
         match self {
@@ -130,12 +123,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn classification_flags() {
-        assert!(LossKind::Hinge.is_classification());
-        assert!(LossKind::Logistic.is_classification());
-        assert!(!LossKind::Squared.is_classification());
     }
 }

@@ -310,11 +310,13 @@ impl SgdTrainer {
         }
     }
 
-    /// Wraps an existing model (e.g. a warm-started one).
-    pub fn with_model(
+    /// Rebuilds a trainer from checkpointed state, including the cumulative
+    /// `points_seen` counter.
+    pub fn restore(
         model: LinearModel,
         optimizer: OptimizerState,
         regularizer: Regularizer,
+        points_seen: u64,
     ) -> Self {
         let dim = model.dim();
         Self {
@@ -323,22 +325,8 @@ impl SgdTrainer {
             regularizer,
             grad: DenseVector::zeros(dim),
             scratch: GradScratch::default(),
-            points_seen: 0,
+            points_seen,
         }
-    }
-
-    /// Rebuilds a trainer from checkpointed state, including the cumulative
-    /// `points_seen` counter (unlike [`SgdTrainer::with_model`], which starts
-    /// the counter at zero for a fresh warm start).
-    pub fn restore(
-        model: LinearModel,
-        optimizer: OptimizerState,
-        regularizer: Regularizer,
-        points_seen: u64,
-    ) -> Self {
-        let mut trainer = Self::with_model(model, optimizer, regularizer);
-        trainer.points_seen = points_seen;
-        trainer
     }
 
     /// The deployed model.
@@ -373,9 +361,7 @@ impl SgdTrainer {
     }
 
     /// One mini-batch SGD iteration over `batch` (Algorithm 1, lines 3–5),
-    /// computing the gradient on `engine` over zero-copy row views: slab
-    /// rows of a stored chunk, or [`RowView::Point`] for points that never
-    /// materialized into one.
+    /// computing the gradient on `engine` over zero-copy views of slab rows.
     ///
     /// Large batches are split into [`gradient_shards`] contiguous shards
     /// whose partial gradients are combined with a fixed-shape
@@ -589,12 +575,7 @@ impl SgdTrainer {
     /// goes through the engine, regardless of data size: the dispatch
     /// appears as an `engine.map` (with per-shard `engine.task` children)
     /// under `ctx.parent`.
-    pub fn objective_rows(
-        &self,
-        rows: &[RowView<'_>],
-        engine: ExecutionEngine,
-        ctx: &RunCtx,
-    ) -> f64 {
+    fn objective_rows(&self, rows: &[RowView<'_>], engine: ExecutionEngine, ctx: &RunCtx) -> f64 {
         if rows.is_empty() {
             return self.regularizer.penalty(self.model.weights());
         }
@@ -621,9 +602,8 @@ impl SgdTrainer {
     /// streamed row sources (the proactive re-materialization path).
     ///
     /// `access(i, sink)` must stream every row of source `i` into `sink`, in
-    /// source order — as zero-copy [`RowView`]s, so already-materialized
-    /// columnar chunks stream without reconstructing points while freshly
-    /// transformed points wrap in [`RowView::Point`]. The engine task for
+    /// source order — as zero-copy [`RowView`]s, so neither materialized nor
+    /// freshly transformed chunks reconstruct a point. The engine task for
     /// source `i` folds each streamed row straight into a recycled scratch
     /// partial — no intermediate `FeatureChunk` or per-shard point buffer
     /// is ever materialized — and a partial lists the coordinates its sparse
@@ -737,11 +717,6 @@ impl SgdTrainer {
     pub fn scratch_counters(&self) -> (u64, u64) {
         self.scratch.counters()
     }
-
-    /// Restores the scratch buffer after deserialization (serde skips it).
-    pub fn rehydrate(&mut self) {
-        self.grad = DenseVector::zeros(self.model.dim());
-    }
 }
 
 #[cfg(test)]
@@ -756,13 +731,22 @@ mod tests {
 
     const SEQ: ExecutionEngine = ExecutionEngine::Sequential;
 
-    /// Row-layout points as the trainer's row views.
-    fn rows(data: &[LabeledPoint]) -> Vec<RowView<'_>> {
-        data.iter().map(RowView::Point).collect()
+    /// Row-layout points as the slab the trainer's row views borrow.
+    fn slab(data: &[LabeledPoint]) -> ColumnSlab {
+        ColumnSlab::from_points(data.to_vec())
+    }
+
+    fn rows(slab: &ColumnSlab) -> Vec<RowView<'_>> {
+        (0..slab.len()).map(|i| slab.row(i)).collect()
+    }
+
+    /// Streams source `i` of `sources` into a fused step's sink.
+    fn stream(sources: &[ColumnSlab]) -> impl Fn(usize, &mut dyn FnMut(RowView<'_>)) + Sync + '_ {
+        |i, sink| rows(&sources[i]).into_iter().for_each(sink)
     }
 
     fn fit(trainer: &mut SgdTrainer, data: &[LabeledPoint], config: &SgdConfig) -> TrainReport {
-        trainer.fit_rows(&rows(data), config, SEQ, &RunCtx::default())
+        trainer.fit_rows(&rows(&slab(data)), config, SEQ, &RunCtx::default())
     }
 
     fn make_config(loss: LossKind) -> SgdConfig {
@@ -814,7 +798,7 @@ mod tests {
         assert!(report.final_loss < report.initial_loss);
         let errors = data
             .iter()
-            .filter(|p| trainer.model_mut().predict(&p.features) != p.label)
+            .filter(|p| trainer.model().margin_ref(&p.features).signum() != p.label)
             .count();
         assert!(
             (errors as f64) / (data.len() as f64) < 0.05,
@@ -831,7 +815,7 @@ mod tests {
         fit(&mut trainer, &data, &config);
         let errors = data
             .iter()
-            .filter(|p| trainer.model_mut().predict(&p.features) != p.label)
+            .filter(|p| trainer.model().margin_ref(&p.features).signum() != p.label)
             .count();
         assert!((errors as f64) / (data.len() as f64) < 0.05);
     }
@@ -866,10 +850,10 @@ mod tests {
         let data = blobs(32, 4);
         let config = make_config(LossKind::Hinge);
         let mut trainer = SgdTrainer::new(3, &config);
-        trainer.step_rows(&rows(&data[..10]), SEQ);
+        trainer.step_rows(&rows(&slab(&data[..10])), SEQ);
         assert_eq!(trainer.steps(), 1);
         assert_eq!(trainer.points_seen(), 10);
-        trainer.online_pass_rows(&rows(&data), 8, SEQ);
+        trainer.online_pass_rows(&rows(&slab(&data)), 8, SEQ);
         assert_eq!(trainer.steps(), 1 + 4);
         assert_eq!(trainer.points_seen(), 10 + 32);
     }
@@ -884,14 +868,14 @@ mod tests {
         let mut b = SgdTrainer::new(3, &config);
         let batches: Vec<&[LabeledPoint]> = data.chunks(8).collect();
         for batch in &batches {
-            a.step_rows(&rows(batch), SEQ);
+            a.step_rows(&rows(&slab(batch)), SEQ);
         }
         for batch in &batches[..4] {
-            b.step_rows(&rows(batch), SEQ);
+            b.step_rows(&rows(&slab(batch)), SEQ);
         }
         // ... arbitrary pause (other work happens here) ...
         for batch in &batches[4..] {
-            b.step_rows(&rows(batch), SEQ);
+            b.step_rows(&rows(&slab(batch)), SEQ);
         }
         assert_eq!(a.model().weights(), b.model().weights());
     }
@@ -904,12 +888,14 @@ mod tests {
         fit(&mut trainer, &data, &config);
         let snapshot = trainer.clone();
         // Re-create from the snapshot's parts: identical behaviour.
-        let mut resumed = SgdTrainer::with_model(
+        let mut resumed = SgdTrainer::restore(
             snapshot.model().clone(),
             snapshot.optimizer().clone(),
             snapshot.regularizer(),
+            snapshot.points_seen(),
         );
-        let batch = rows(&data[..8]);
+        let first = slab(&data[..8]);
+        let batch = rows(&first);
         let mut orig = trainer.clone();
         let l1 = orig.step_rows(&batch, SEQ);
         let l2 = resumed.step_rows(&batch, SEQ);
@@ -922,13 +908,13 @@ mod tests {
         let config = make_config(LossKind::Hinge);
         let mut trainer = SgdTrainer::new(2, &config);
         let narrow = [LabeledPoint::new(1.0, Vector::from(vec![1.0, 0.5]))];
-        trainer.step_rows(&rows(&narrow), SEQ);
+        trainer.step_rows(&rows(&slab(&narrow)), SEQ);
         // A wider row arrives later (new features appeared in the stream).
         let wide = [LabeledPoint::new(
             -1.0,
             Vector::from(vec![0.1, 0.2, 0.9, 1.0]),
         )];
-        trainer.step_rows(&rows(&wide), SEQ);
+        trainer.step_rows(&rows(&slab(&wide)), SEQ);
         assert_eq!(trainer.model().dim(), 4);
     }
 
@@ -950,12 +936,12 @@ mod tests {
         let config = make_config(LossKind::Logistic);
         let mut sequential = SgdTrainer::new(3, &config);
         let seq_loss = sequential
-            .step_rows(&rows(&data), SEQ)
+            .step_rows(&rows(&slab(&data)), SEQ)
             .expect("non-empty batch");
         for workers in [1, 2, 3, 7] {
             let mut threaded = SgdTrainer::new(3, &config);
             let thr_loss = threaded
-                .step_rows(&rows(&data), ExecutionEngine::Threaded { workers })
+                .step_rows(&rows(&slab(&data)), ExecutionEngine::Threaded { workers })
                 .expect("non-empty batch");
             assert_eq!(
                 sequential.model().weights(),
@@ -967,34 +953,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_rows_step_is_bit_identical_to_point_step() {
-        use cdp_storage::{FeatureChunk, Timestamp};
-        // 2000 points force the sharded path; the slab round-trip must not
-        // perturb a single bit of the resulting weights or loss.
-        let data = blobs(2000, 17);
-        let config = make_config(LossKind::Logistic);
-        let mut on_points = SgdTrainer::new(3, &config);
-        let point_loss = on_points
-            .step_rows(&rows(&data), SEQ)
-            .expect("non-empty batch");
-        let chunk = FeatureChunk::new(Timestamp(0), Timestamp(0), data.clone());
-        for engine in [
-            ExecutionEngine::Sequential,
-            ExecutionEngine::Threaded { workers: 3 },
-        ] {
-            let mut on_rows = SgdTrainer::new(3, &config);
-            let rows: Vec<RowView<'_>> = chunk.rows().collect();
-            let row_loss = on_rows.step_rows(&rows, engine).expect("non-empty batch");
-            assert_eq!(
-                on_points.model().weights(),
-                on_rows.model().weights(),
-                "columnar rows diverged from points on {engine:?}"
-            );
-            assert_eq!(point_loss.to_bits(), row_loss.to_bits());
-        }
-    }
-
-    #[test]
     fn fit_is_bit_identical_across_engines() {
         let data = linear_data(1500, 12);
         let mut config = make_config(LossKind::Squared);
@@ -1002,10 +960,10 @@ mod tests {
         config.convergence.max_epochs = 5;
         let mut sequential = SgdTrainer::new(3, &config);
         let ctx = RunCtx::default();
-        let report_seq = sequential.fit_rows(&rows(&data), &config, SEQ, &ctx);
+        let report_seq = sequential.fit_rows(&rows(&slab(&data)), &config, SEQ, &ctx);
         let mut threaded = SgdTrainer::new(3, &config);
         let report_thr = threaded.fit_rows(
-            &rows(&data),
+            &rows(&slab(&data)),
             &config,
             ExecutionEngine::Threaded { workers: 4 },
             &ctx,
@@ -1027,12 +985,15 @@ mod tests {
         let data = blobs(3000, 13);
         let config = make_config(LossKind::Hinge);
         let mut trainer = SgdTrainer::new(3, &config);
-        trainer.online_pass_rows(&rows(&data[..200]), 32, SEQ);
+        trainer.online_pass_rows(&rows(&slab(&data[..200])), 32, SEQ);
         let ctx = RunCtx::default();
-        let seq = trainer.objective_rows(&rows(&data), SEQ, &ctx);
+        let seq = trainer.objective_rows(&rows(&slab(&data)), SEQ, &ctx);
         for workers in [1, 2, 5] {
-            let thr =
-                trainer.objective_rows(&rows(&data), ExecutionEngine::Threaded { workers }, &ctx);
+            let thr = trainer.objective_rows(
+                &rows(&slab(&data)),
+                ExecutionEngine::Threaded { workers },
+                &ctx,
+            );
             assert_eq!(
                 seq.to_bits(),
                 thr.to_bits(),
@@ -1045,19 +1006,15 @@ mod tests {
     fn fused_step_is_bit_identical_across_engines_and_reuses_scratch() {
         let data = blobs(2000, 21);
         let config = make_config(LossKind::Logistic);
-        let chunks: Vec<&[LabeledPoint]> = data.chunks(250).collect();
-        let access = |i: usize, sink: &mut dyn FnMut(RowView<'_>)| {
-            for p in chunks[i] {
-                sink(RowView::Point(p));
-            }
-        };
+        let chunks: Vec<ColumnSlab> = data.chunks(250).map(slab).collect();
         let run = |engine: ExecutionEngine| {
+            let access = stream(&chunks);
             let mut t = SgdTrainer::new(3, &config);
             let first = t
-                .try_step_fused(chunks.len(), access, engine, &NoFaults, &RunCtx::default())
+                .try_step_fused(chunks.len(), &access, engine, &NoFaults, &RunCtx::default())
                 .unwrap();
             let second = t
-                .try_step_fused(chunks.len(), access, engine, &NoFaults, &RunCtx::default())
+                .try_step_fused(chunks.len(), &access, engine, &NoFaults, &RunCtx::default())
                 .unwrap();
             (t, first, second)
         };
@@ -1134,16 +1091,12 @@ mod tests {
             -1.0,
             Vector::from(vec![0.1, 0.2, 0.9, 1.0]),
         )];
-        let sources = [narrow, wide];
+        let sources = [slab(&narrow), slab(&wide)];
         let mut t = SgdTrainer::new(2, &config);
         let out = t
             .try_step_fused(
                 sources.len(),
-                |i, sink: &mut dyn FnMut(RowView<'_>)| {
-                    for p in &sources[i] {
-                        sink(RowView::Point(p));
-                    }
-                },
+                stream(&sources),
                 ExecutionEngine::Threaded { workers: 2 },
                 &NoFaults,
                 &RunCtx::default(),
@@ -1306,21 +1259,6 @@ mod tests {
     /// on coordinates, cancel exactly and list coordinates twice.
     const CASE_DIM: usize = 12;
 
-    /// One source of a differential case, owning what its views borrow.
-    enum CaseSource {
-        Slab(ColumnSlab),
-        Points(Vec<LabeledPoint>),
-    }
-
-    impl CaseSource {
-        fn views(&self) -> Vec<RowView<'_>> {
-            match self {
-                CaseSource::Slab(slab) => (0..slab.len()).map(|i| slab.row(i)).collect(),
-                CaseSource::Points(points) => rows(points),
-            }
-        }
-    }
-
     /// Row values of the differential cases: `-0.0`, `0.0` and exact opposites.
     const PALETTE: [f64; 8] = [1.0, -1.0, 0.5, -0.5, 2.0, 0.0, -0.0, 0.25];
 
@@ -1348,10 +1286,10 @@ mod tests {
         LabeledPoint::new(class_label(rng), Vector::from(values))
     }
 
-    /// A random source: a CSR slab, a dense slab, a sparse, dense or mixed
-    /// point list, or nothing; its rows narrower than, as wide as or wider
-    /// than the model.
-    fn case_source(rng: &mut StdRng) -> CaseSource {
+    /// A random source: sparse rows (a CSR slab), dense rows (a dense slab),
+    /// a mix of both (CSR with the dense rows' coordinates explicit) or
+    /// nothing; its rows narrower than, as wide as or wider than the model.
+    fn case_source(rng: &mut StdRng) -> ColumnSlab {
         let n_rows = rng.random_range(0..5);
         let dim = [CASE_DIM - 4, CASE_DIM, CASE_DIM, CASE_DIM + 5][rng.random_range(0..4usize)];
         let kind = rng.random_range(0..5);
@@ -1363,16 +1301,11 @@ mod tests {
                 _ => dense_row(rng, dim + 1),
             })
             .collect();
-        // Even kinds go through a slab (CSR / dense / row fallback).
-        if kind % 2 == 0 {
-            CaseSource::Slab(ColumnSlab::from_points(points))
-        } else {
-            CaseSource::Points(points)
-        }
+        ColumnSlab::from_points(points)
     }
 
     /// One to six [`case_source`]s.
-    fn case_sources(rng: &mut StdRng) -> Vec<CaseSource> {
+    fn case_sources(rng: &mut StdRng) -> Vec<ColumnSlab> {
         let n_sources = rng.random_range(1..7);
         (0..n_sources).map(|_| case_source(rng)).collect()
     }
@@ -1381,10 +1314,11 @@ mod tests {
     /// some rows (zero coefficient: the row must touch nothing).
     fn case_trainer(rng: &mut StdRng, loss: LossKind, optimizer: OptimizerKind) -> SgdTrainer {
         let weights: Vec<f64> = (0..CASE_DIM).map(|_| rng.random_range(-1.0..1.0)).collect();
-        SgdTrainer::with_model(
+        SgdTrainer::restore(
             LinearModel::with_weights(DenseVector::new(weights), loss),
             OptimizerState::new(optimizer, CASE_DIM),
             Regularizer::L2(1e-3),
+            0,
         )
     }
 
@@ -1410,7 +1344,7 @@ mod tests {
             let steps = [case_sources(&mut rng), case_sources(&mut rng)];
             let steps: Vec<Vec<Vec<RowView<'_>>>> = steps
                 .iter()
-                .map(|sources| sources.iter().map(CaseSource::views).collect())
+                .map(|sources| sources.iter().map(rows).collect())
                 .collect();
             let mut reference = start.clone();
             let expected: Vec<_> = steps
@@ -1450,6 +1384,7 @@ mod tests {
                 LabeledPoint::new(y, Vector::Sparse(features))
             })
             .collect();
+        let data = slab(&data);
         let batch = rows(&data);
         let config = make_config(LossKind::Hinge);
         let mut reference = SgdTrainer::new(300, &config);
@@ -1471,11 +1406,11 @@ mod tests {
     /// One operation of a sweep case, owning what its row views borrow.
     enum CaseOp {
         /// `step_rows` below the sharding threshold — an empty batch included.
-        Unsharded(CaseSource),
+        Unsharded(ColumnSlab),
         /// `step_rows` on a batch wide enough for two shards.
-        Sharded(CaseSource),
+        Sharded(ColumnSlab),
         /// `try_step_fused`, some sources wider or narrower than the model.
-        Fused(Vec<CaseSource>),
+        Fused(Vec<ColumnSlab>),
         /// The model grown from outside by this much, as a wider query does,
         /// so that the next gradient is the narrower of the two.
         GrowModel(usize),
@@ -1489,7 +1424,7 @@ mod tests {
             4 => {
                 let n_rows = 2 * GRAD_SHARD_MIN_POINTS + rng.random_range(0..40usize);
                 let dim = CASE_DIM + rng.random_range(0..3usize);
-                CaseOp::Sharded(CaseSource::Points(
+                CaseOp::Sharded(ColumnSlab::from_points(
                     (0..n_rows).map(|_| sparse_row(rng, dim)).collect(),
                 ))
             }
@@ -1509,7 +1444,7 @@ mod tests {
     ) -> (Option<u64>, u64) {
         match op {
             CaseOp::Unsharded(source) | CaseOp::Sharded(source) => {
-                let batch = source.views();
+                let batch = rows(source);
                 let loss = match engine {
                     Some(engine) => t.step_rows(&batch, engine),
                     None => reference_step_rows(t, &batch),
@@ -1517,7 +1452,7 @@ mod tests {
                 (loss.map(float_bits), batch.len() as u64)
             }
             CaseOp::Fused(sources) => {
-                let sources: Vec<_> = sources.iter().map(CaseSource::views).collect();
+                let sources: Vec<_> = sources.iter().map(rows).collect();
                 let out = match engine {
                     Some(engine) => step_fused(t, &sources, engine, &NoFaults).unwrap(),
                     None => dense_reference_fused(t, &sources),
@@ -1575,13 +1510,14 @@ mod tests {
             }
         }
         let losses = [LossKind::Hinge, LossKind::Logistic, LossKind::Squared];
-        SgdTrainer::with_model(
+        SgdTrainer::restore(
             LinearModel::with_weights(
                 DenseVector::new(weights),
                 losses[rng.random_range(0..losses.len())],
             ),
             OptimizerState::from_parts(optimizer, clock, acc1.into(), acc2.into()),
             regularizer,
+            0,
         )
     }
 
@@ -1646,7 +1582,7 @@ mod tests {
             )
         };
         let first = vec![point(vec![0, 1], vec![1.0, tiny])];
-        let second = CaseOp::Unsharded(CaseSource::Points(vec![point(vec![0], vec![1.0])]));
+        let second = CaseOp::Unsharded(slab(&[point(vec![0], vec![1.0])]));
         let momentum = OptimizerKind::Momentum {
             eta: 0.05,
             gamma: 0.9,
@@ -1654,16 +1590,17 @@ mod tests {
         for optimizer in [momentum, OptimizerKind::adam(0.05)] {
             for (penalty, w1) in [(Regularizer::None, 0.25), (Regularizer::L2(1e-3), -tiny)] {
                 for first in [
-                    CaseOp::Unsharded(CaseSource::Points(first.clone())),
-                    CaseOp::Fused(vec![CaseSource::Points(first.clone())]),
+                    CaseOp::Unsharded(slab(&first)),
+                    CaseOp::Fused(vec![slab(&first)]),
                 ] {
                     let fresh = OptimizerState::new(optimizer, 2);
-                    let acc2 = DenseVector::filled(fresh.to_parts().3.dim(), 1.0);
+                    let acc2 = DenseVector::new(vec![1.0; fresh.to_parts().3.dim()]);
                     let acc1 = DenseVector::new(vec![0.0, -0.0]);
-                    let mut shipped = SgdTrainer::with_model(
+                    let mut shipped = SgdTrainer::restore(
                         LinearModel::with_weights(DenseVector::new(vec![0.0, w1]), LossKind::Hinge),
                         OptimizerState::from_parts(optimizer, 0, acc1, acc2),
                         penalty,
+                        0,
                     );
                     let mut reference = shipped.clone();
                     for op in [&first, &second] {
@@ -1697,16 +1634,16 @@ mod tests {
     fn pooled_partials_are_all_zero_after_every_kind_of_step() {
         let mut rng = StdRng::seed_from_u64(5);
         let sources = case_sources(&mut rng);
-        let views: Vec<Vec<RowView<'_>>> = sources.iter().map(CaseSource::views).collect();
+        let views: Vec<Vec<RowView<'_>>> = sources.iter().map(rows).collect();
         let empty = vec![Vec::new(); 3];
         let sparse = SparseVector::new(CASE_DIM, vec![1, 7], vec![2.0, -1.0]).unwrap();
-        let sparse = LabeledPoint::new(1.0, Vector::Sparse(sparse));
+        let sparse = slab(&[LabeledPoint::new(1.0, Vector::Sparse(sparse))]);
         for engine in [SEQ, ExecutionEngine::Threaded { workers: 2 }] {
             let mut t = case_trainer(&mut rng, LossKind::Logistic, OptimizerKind::adam(0.05));
             // The pool clears a partial released as it was accumulated (the
             // steps only release ones a merge has already drained).
             let mut part = t.scratch.acquire(CASE_DIM);
-            part.add_row(0.5, &RowView::Point(&sparse));
+            part.add_row(0.5, &sparse.row(0));
             assert_eq!(part.touched, [1, 7]);
             t.scratch.release(part);
             assert_pool_is_all_zero(&t);
@@ -1753,7 +1690,7 @@ mod tests {
         let engine = ExecutionEngine::Threaded { workers: 2 };
 
         let mut plain = SgdTrainer::new(3, &config);
-        let report_plain = plain.fit_rows(&rows(&data), &config, engine, &RunCtx::default());
+        let report_plain = plain.fit_rows(&rows(&slab(&data)), &config, engine, &RunCtx::default());
 
         let tracer = Tracer::collecting();
         let ctx = RunCtx {
@@ -1761,7 +1698,7 @@ mod tests {
             ..RunCtx::default()
         };
         let mut traced = SgdTrainer::new(3, &config);
-        let report_traced = traced.fit_rows(&rows(&data), &config, engine, &ctx);
+        let report_traced = traced.fit_rows(&rows(&slab(&data)), &config, engine, &ctx);
 
         // Tracing must not perturb training in any way.
         assert_eq!(plain.model().weights(), traced.model().weights());

@@ -149,18 +149,16 @@ impl Alert {
 pub(crate) struct FireState {
     last_fired_at_secs: Option<f64>,
     pub(crate) fired_count: u64,
-    pub(crate) suppressed_count: u64,
 }
 
 impl FireState {
     /// Admits a firing at `at_secs` unless the rule is still inside its
-    /// cooldown; counts the decision either way.
+    /// cooldown.
     pub(crate) fn admit(&mut self, at_secs: f64, cooldown_secs: f64) -> bool {
         let in_cooldown = self
             .last_fired_at_secs
             .is_some_and(|last| at_secs - last < cooldown_secs);
         if in_cooldown {
-            self.suppressed_count += 1;
             false
         } else {
             self.last_fired_at_secs = Some(at_secs);
@@ -221,15 +219,6 @@ impl AlertMonitor {
             .zip(self.state.iter())
             .find(|(r, _)| r.name == name)
             .map_or(0, |(_, s)| s.fired_count)
-    }
-
-    /// Firings of rule `name` suppressed by the cooldown.
-    pub fn suppressed_count(&self, name: &str) -> u64 {
-        self.rules
-            .iter()
-            .zip(self.state.iter())
-            .find(|(r, _)| r.name == name)
-            .map_or(0, |(_, s)| s.suppressed_count)
     }
 
     /// Evaluates every rule against `snap`, suppressing rules still inside
@@ -417,7 +406,6 @@ mod tests {
         assert_eq!(fired[0].rule, "checkpoint.staleness");
         assert_eq!(fired[0].fired_count, 1);
         assert_eq!(deduped.fired_count("checkpoint.staleness"), 1);
-        assert_eq!(deduped.suppressed_count("checkpoint.staleness"), 99);
 
         // Finite cooldown: re-fires once per cooldown period, with a
         // cumulative fired_count on each admitted alert.

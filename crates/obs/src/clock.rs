@@ -62,7 +62,7 @@ impl VirtualClock {
     }
 
     /// Advances the clock by `delta`.
-    pub fn advance(&self, delta: Duration) {
+    pub(crate) fn advance(&self, delta: Duration) {
         let nanos = u64::try_from(delta.as_nanos()).unwrap_or(u64::MAX);
         self.nanos.fetch_add(nanos, Ordering::Relaxed);
     }

@@ -52,21 +52,17 @@ pub use clock::{Clock, VirtualClock, WallClock};
 pub use crc::crc32;
 pub use lineage::{LineageEntry, LineageEventKind, LINEAGE_CAPACITY};
 pub use recorder::{
-    decode_segment, list_segment_files, load_segments, segment_file_name, FlightRecorder,
-    SegmentError, SegmentHistogram, SegmentScan, TelemetrySegment, SEGMENT_EXT, SEGMENT_MAGIC,
-    SEGMENT_VERSION,
+    list_segment_files, load_segments, segment_file_name, FlightRecorder, SegmentError,
+    SegmentHistogram, SegmentScan, TelemetrySegment, SEGMENT_EXT,
 };
 pub use registry::{Counter, Gauge, Histogram, Span, EVENT_LOG_CAPACITY, LATENCY_BOUNDS};
 pub use slo::{BudgetSignal, BurnRule, SloMonitor};
 pub use snapshot::{Event, HistogramSnapshot, MetricsSnapshot};
 pub use timeseries::{
-    HistogramFrame, HistogramSeries, SamplePoint, TelemetryStore, TimeSeries, WindowStats,
+    HistogramFrame, HistogramSeries, SamplePoint, TelemetryStore, TimeSeries,
     DEFAULT_SERIES_CAPACITY,
 };
-pub use trace::{
-    SpanContext, SpanId, SpanRecord, TraceId, TraceSnapshot, TraceSpan, Tracer,
-    SPAN_BUFFER_CAPACITY,
-};
+pub use trace::{SpanContext, SpanId, SpanRecord, TraceId, TraceSnapshot, TraceSpan, Tracer};
 
 use registry::Registry;
 use std::sync::Arc;
@@ -385,12 +381,12 @@ mod tests {
         metrics.lineage(9, LineageEventKind::Arrival);
 
         let snap = metrics.snapshot();
-        assert_eq!(snap.chunk_lineage(5).len(), 2);
-        assert_eq!(snap.chunk_lineage(5)[0].kind, LineageEventKind::Arrival);
-        assert_eq!(snap.chunk_lineage(5)[1].kind, LineageEventKind::Materialize);
-        assert!((snap.chunk_lineage(5)[1].at_secs - 1.0).abs() < 1e-9);
+        assert_eq!(snap.lineage[&5].len(), 2);
+        assert_eq!(snap.lineage[&5][0].kind, LineageEventKind::Arrival);
+        assert_eq!(snap.lineage[&5][1].kind, LineageEventKind::Materialize);
+        assert!((snap.lineage[&5][1].at_secs - 1.0).abs() < 1e-9);
         assert_eq!(snap.lineage_count(LineageEventKind::Arrival), 2);
-        assert_eq!(snap.chunk_lineage(42), &[]);
+        assert!(!snap.lineage.contains_key(&42));
         assert_eq!(snap.dropped_lineage, 0);
         assert!(!snap.is_empty());
 

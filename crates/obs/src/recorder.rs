@@ -27,9 +27,9 @@ use crate::crc::crc32;
 use crate::timeseries::{HistogramFrame, SamplePoint, TelemetryStore};
 
 /// Magic prefix of every telemetry segment file.
-pub const SEGMENT_MAGIC: [u8; 4] = *b"CDPT";
+const SEGMENT_MAGIC: [u8; 4] = *b"CDPT";
 /// Current segment schema version.
-pub const SEGMENT_VERSION: u16 = 1;
+const SEGMENT_VERSION: u16 = 1;
 /// Segment file extension.
 pub const SEGMENT_EXT: &str = "cdpt";
 
@@ -316,7 +316,7 @@ fn encode_segment(store: &TelemetryStore, alerts: &[Alert], at_secs: f64) -> Vec
 ///
 /// # Errors
 /// [`SegmentError`] when the envelope or payload is invalid.
-pub fn decode_segment(bytes: &[u8]) -> Result<TelemetrySegment, SegmentError> {
+fn decode_segment(bytes: &[u8]) -> Result<TelemetrySegment, SegmentError> {
     if bytes.len() < SEGMENT_MAGIC.len() + 2 + 4 {
         return Err(SegmentError::TooShort);
     }

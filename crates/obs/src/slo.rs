@@ -70,7 +70,7 @@ pub enum BudgetSignal {
 impl BudgetSignal {
     /// The bad-event fraction over the last `window` samples of `store`;
     /// `None` when the underlying series are absent or saw no traffic.
-    pub fn bad_fraction(&self, store: &TelemetryStore, window: usize) -> Option<f64> {
+    fn bad_fraction(&self, store: &TelemetryStore, window: usize) -> Option<f64> {
         match self {
             BudgetSignal::CounterFraction { bad, total } => {
                 let dt = store.counter_delta(total, window)?;

@@ -177,11 +177,6 @@ impl MetricsSnapshot {
         self.metric_count() == 0 && self.events.is_empty() && self.lineage.is_empty()
     }
 
-    /// The lineage log of chunk `chunk_ts`, oldest event first.
-    pub fn chunk_lineage(&self, chunk_ts: u64) -> &[LineageEntry] {
-        self.lineage.get(&chunk_ts).map_or(&[], Vec::as_slice)
-    }
-
     /// Total lineage events of `kind` across every chunk.
     pub fn lineage_count(&self, kind: LineageEventKind) -> u64 {
         self.lineage

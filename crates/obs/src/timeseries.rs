@@ -13,15 +13,14 @@
 //! the recorded series are bit-identical across reruns.
 //!
 //! Windowed statistics are computed over the last `n` *samples* (not wall
-//! seconds): rolling sum/mean/min/max for value series, and interpolated
-//! quantiles / threshold fractions over bucket-count deltas for histogram
-//! series. The store exports itself as Prometheus text exposition
-//! ([`TelemetryStore::to_prometheus`]), long-format CSV, or JSON.
+//! seconds): the change of a value series, and threshold fractions over
+//! bucket-count deltas for histogram series. The store exports itself as
+//! long-format CSV or JSON.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
-use crate::snapshot::{escape_csv, escape_json, interp_quantile, json_num, MetricsSnapshot};
+use crate::snapshot::{escape_csv, escape_json, json_num, MetricsSnapshot};
 use crate::HistogramSnapshot;
 
 /// Default per-series ring capacity (samples retained).
@@ -34,30 +33,6 @@ pub struct SamplePoint {
     pub at_secs: f64,
     /// Sampled value (counters are widened to `f64`).
     pub value: f64,
-}
-
-/// Rolling statistics over the last `n` samples of a [`TimeSeries`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowStats {
-    /// Samples in the window.
-    pub count: usize,
-    /// Sum of sampled values.
-    pub sum: f64,
-    /// Smallest sampled value.
-    pub min: f64,
-    /// Largest sampled value.
-    pub max: f64,
-}
-
-impl WindowStats {
-    /// Mean sampled value (0.0 for an empty window).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
 }
 
 /// A fixed-capacity ring buffer of [`SamplePoint`]s, oldest first.
@@ -109,11 +84,6 @@ impl TimeSeries {
         self.dropped
     }
 
-    /// The newest sample.
-    pub fn latest(&self) -> Option<SamplePoint> {
-        self.points.back().copied()
-    }
-
     /// All retained samples, oldest first.
     pub fn points(&self) -> impl Iterator<Item = &SamplePoint> {
         self.points.iter()
@@ -123,25 +93,6 @@ impl TimeSeries {
     /// is shorter).
     pub fn last_n(&self, n: usize) -> impl Iterator<Item = &SamplePoint> {
         self.points.iter().skip(self.points.len().saturating_sub(n))
-    }
-
-    /// Rolling sum/mean/min/max over the last `n` samples; `None` when the
-    /// series is empty or `n == 0`.
-    pub fn window(&self, n: usize) -> Option<WindowStats> {
-        let mut stats: Option<WindowStats> = None;
-        for p in self.last_n(n) {
-            let s = stats.get_or_insert(WindowStats {
-                count: 0,
-                sum: 0.0,
-                min: f64::INFINITY,
-                max: f64::NEG_INFINITY,
-            });
-            s.count += 1;
-            s.sum += p.value;
-            s.min = s.min.min(p.value);
-            s.max = s.max.max(p.value);
-        }
-        stats
     }
 
     /// Change in value over the last `n` sampling intervals: newest value
@@ -173,15 +124,13 @@ pub struct HistogramFrame {
 ///
 /// Windowed estimates work on the *delta* between the newest frame and the
 /// frame `n` samples back, i.e. over the observations that arrived inside
-/// the window. Because only bucket counts survive sampling, window quantiles
-/// are interpolated within buckets and saturate at the outer bucket bounds
-/// (the per-observation min/max is not retained per window).
+/// the window. Only bucket counts survive sampling, so a threshold inside a
+/// bucket is interpolated within it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSeries {
     bounds: Vec<f64>,
     capacity: usize,
     frames: VecDeque<HistogramFrame>,
-    dropped_frames: u64,
 }
 
 impl HistogramSeries {
@@ -193,18 +142,16 @@ impl HistogramSeries {
             bounds,
             capacity,
             frames: VecDeque::with_capacity(capacity),
-            dropped_frames: 0,
         }
     }
 
     /// Appends a frame sampled from `h` at `at_secs`.
-    pub fn push_snapshot(&mut self, at_secs: f64, h: &HistogramSnapshot) {
+    fn push_snapshot(&mut self, at_secs: f64, h: &HistogramSnapshot) {
         if self.bounds.is_empty() && !h.bounds.is_empty() {
             self.bounds = h.bounds.clone();
         }
         if self.frames.len() == self.capacity {
             self.frames.pop_front();
-            self.dropped_frames += 1;
         }
         self.frames.push_back(HistogramFrame {
             at_secs,
@@ -230,25 +177,15 @@ impl HistogramSeries {
         self.frames.is_empty()
     }
 
-    /// Frames evicted because the ring was full.
-    pub fn dropped_frames(&self) -> u64 {
-        self.dropped_frames
-    }
-
     /// All retained frames, oldest first.
     pub fn frames(&self) -> impl Iterator<Item = &HistogramFrame> {
         self.frames.iter()
     }
 
-    /// The newest frame.
-    pub fn latest(&self) -> Option<&HistogramFrame> {
-        self.frames.back()
-    }
-
     /// Observations that arrived within the last `n` sampling intervals:
     /// the newest frame minus the frame `n` back (or minus zero when the
     /// series is shorter). `None` when empty.
-    pub fn window_delta(&self, n: usize) -> Option<HistogramFrame> {
+    fn window_delta(&self, n: usize) -> Option<HistogramFrame> {
         let newest = self.frames.back()?;
         let base = if n >= self.frames.len() {
             // Window covers the whole retained series: delta from nothing.
@@ -272,16 +209,6 @@ impl HistogramSeries {
             dropped: newest.dropped.saturating_sub(base.map_or(0, |b| b.dropped)),
             buckets,
         })
-    }
-
-    /// Interpolated `q`-quantile of the observations inside the last `n`
-    /// sampling intervals. Saturates at the outer bucket bounds (the
-    /// window's own min/max is unknown). `None` when no observation
-    /// arrived in the window or `q` is outside `[0, 1]`.
-    pub fn window_quantile(&self, n: usize, q: f64) -> Option<f64> {
-        let delta = self.window_delta(n)?;
-        let (lo, hi) = (*self.bounds.first()?, *self.bounds.last()?);
-        interp_quantile(&self.bounds, &delta.buckets, q, lo, hi)
     }
 
     /// Estimated fraction of window observations strictly above
@@ -434,11 +361,6 @@ impl TelemetryStore {
         self.samples
     }
 
-    /// Clock seconds of the most recent sample (0.0 before any).
-    pub fn last_at_secs(&self) -> f64 {
-        self.last_at_secs
-    }
-
     /// Per-series ring capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -452,11 +374,6 @@ impl TelemetryStore {
     /// Distinct series (counters + gauges + histograms).
     pub fn series_count(&self) -> usize {
         self.counters.len() + self.gauges.len() + self.histograms.len()
-    }
-
-    /// The counter series named `name`.
-    pub fn counter_series(&self, name: &str) -> Option<&TimeSeries> {
-        self.counters.get(name)
     }
 
     /// The gauge series named `name`.
@@ -487,58 +404,6 @@ impl TelemetryStore {
     /// Change of counter `name` over the last `n` sampling intervals.
     pub fn counter_delta(&self, name: &str, n: usize) -> Option<f64> {
         self.counters.get(name).and_then(|s| s.delta(n))
-    }
-
-    /// Rolling stats of gauge `name` over its last `n` samples.
-    pub fn gauge_window(&self, name: &str, n: usize) -> Option<WindowStats> {
-        self.gauges.get(name).and_then(|s| s.window(n))
-    }
-
-    /// Interpolated windowed quantile of histogram `name` (see
-    /// [`HistogramSeries::window_quantile`]).
-    pub fn histogram_window_quantile(&self, name: &str, n: usize, q: f64) -> Option<f64> {
-        self.histograms
-            .get(name)
-            .and_then(|s| s.window_quantile(n, q))
-    }
-
-    /// Prometheus text exposition of the *latest* sample of every series:
-    /// `cdp_`-prefixed sanitized names, `# TYPE` lines, cumulative
-    /// `_bucket{le=...}` rows plus `_sum`/`_count` for histograms.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, series) in &self.counters {
-            if let Some(p) = series.latest() {
-                let n = prom_name(name);
-                let _ = writeln!(out, "# TYPE {n} counter\n{n} {}", p.value as u64);
-            }
-        }
-        for (name, series) in &self.gauges {
-            if let Some(p) = series.latest() {
-                let n = prom_name(name);
-                let _ = writeln!(out, "# TYPE {n} gauge\n{n} {}", p.value);
-            }
-        }
-        for (name, series) in &self.histograms {
-            if let Some(f) = series.latest() {
-                let n = prom_name(name);
-                let _ = writeln!(out, "# TYPE {n} histogram");
-                let mut cumulative = 0u64;
-                for (i, c) in f.buckets.iter().enumerate() {
-                    cumulative += c;
-                    if i < series.bounds.len() {
-                        let _ = writeln!(
-                            out,
-                            "{n}_bucket{{le=\"{}\"}} {cumulative}",
-                            series.bounds[i]
-                        );
-                    }
-                }
-                let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", f.count);
-                let _ = writeln!(out, "{n}_sum {}\n{n}_count {}", f.sum, f.count);
-            }
-        }
-        out
     }
 
     /// Long-format CSV of every retained sample:
@@ -643,16 +508,6 @@ fn push_series(out: &mut String, map: &BTreeMap<String, TimeSeries>) {
     }
 }
 
-/// Sanitizes a dot-namespaced metric name into a Prometheus identifier.
-fn prom_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 4);
-    out.push_str("cdp_");
-    for c in name.chars() {
-        out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,25 +523,7 @@ mod tests {
         assert_eq!(s.dropped(), 2);
         let values: Vec<f64> = s.points().map(|p| p.value).collect();
         assert_eq!(values, vec![20.0, 30.0, 40.0]);
-        assert_eq!(s.latest().unwrap().at_secs, 4.0);
-    }
-
-    #[test]
-    fn window_stats_cover_the_last_n_samples() {
-        let mut s = TimeSeries::new(16);
-        for (t, v) in [(0.0, 1.0), (1.0, 5.0), (2.0, 3.0), (3.0, 7.0)] {
-            s.push(t, v);
-        }
-        let w = s.window(2).unwrap();
-        assert_eq!(w.count, 2);
-        assert!((w.sum - 10.0).abs() < 1e-12);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.min - 3.0).abs() < 1e-12);
-        assert!((w.max - 7.0).abs() < 1e-12);
-        // Window larger than the series covers everything.
-        assert_eq!(s.window(100).unwrap().count, 4);
-        assert!(s.window(0).is_none());
-        assert!(TimeSeries::new(4).window(3).is_none());
+        assert_eq!(s.points().last().unwrap().at_secs, 4.0);
     }
 
     #[test]
@@ -732,24 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn window_quantile_interpolates_and_saturates_at_outer_bounds() {
-        // 8 observations uniform in bucket (1, 2]: quantiles interpolate
-        // linearly inside that bucket.
-        let obs: Vec<f64> = (0..8).map(|i| 1.0 + (i as f64 + 1.0) / 8.0).collect();
-        let series = hist_series(&[&obs]);
-        let p50 = series.window_quantile(1, 0.5).unwrap();
-        assert!((p50 - 1.5).abs() < 1e-9, "{p50}");
-        // Overflow mass saturates at the last bound.
-        let series = hist_series(&[&[10.0, 20.0, 30.0]]);
-        assert!((series.window_quantile(1, 0.99).unwrap() - 4.0).abs() < 1e-9);
-        // q outside [0, 1] and empty windows read nothing.
-        assert!(series.window_quantile(1, 1.5).is_none());
-        assert!(HistogramSeries::new(vec![1.0], 4)
-            .window_quantile(1, 0.5)
-            .is_none());
-    }
-
-    #[test]
     fn window_fractions_count_threshold_breaches() {
         // Bounds [1, 2, 4]; two obs ≤ 1, two in (2, 4].
         let series = hist_series(&[&[0.5, 0.5], &[3.0, 3.5]]);
@@ -786,37 +605,13 @@ mod tests {
         store.record(120.0, &metrics.snapshot());
 
         assert_eq!(store.samples(), 2);
-        assert!((store.last_at_secs() - 120.0).abs() < 1e-12);
+        assert!((store.last_at_secs - 120.0).abs() < 1e-12);
         assert_eq!(store.series_count(), 3);
-        assert!(store.counter_series("engine.steal").is_none());
-        let spills = store.counter_series("store.spills").unwrap();
-        assert_eq!(spills.len(), 2);
+        assert!(!store.counters.contains_key("engine.steal"));
+        assert_eq!(store.counters["store.spills"].len(), 2);
         assert!((store.counter_delta("store.spills", 1).unwrap() - 3.0).abs() < 1e-12);
-        assert_eq!(store.gauge_window("drift.level", 4).unwrap().count, 2);
+        assert_eq!(store.gauge_series("drift.level").unwrap().len(), 2);
         assert_eq!(store.histogram_series("io").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn prometheus_exposition_is_well_formed() {
-        let metrics = Metrics::collecting();
-        metrics.counter("deployment.chunks").add(12);
-        metrics.gauge("scheduler.pr").set(0.25);
-        let h = metrics.histogram_with_bounds("serving.latency_secs", &[0.1, 1.0]);
-        h.observe(0.05);
-        h.observe(0.5);
-        h.observe(5.0);
-        let mut store = TelemetryStore::new(4);
-        store.record(60.0, &metrics.snapshot());
-
-        let text = store.to_prometheus();
-        assert!(text.contains("# TYPE cdp_deployment_chunks counter"));
-        assert!(text.contains("cdp_deployment_chunks 12"));
-        assert!(text.contains("# TYPE cdp_scheduler_pr gauge"));
-        assert!(text.contains("cdp_scheduler_pr 0.25"));
-        assert!(text.contains("cdp_serving_latency_secs_bucket{le=\"0.1\"} 1"));
-        assert!(text.contains("cdp_serving_latency_secs_bucket{le=\"1\"} 2"));
-        assert!(text.contains("cdp_serving_latency_secs_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("cdp_serving_latency_secs_count 3"));
     }
 
     #[test]

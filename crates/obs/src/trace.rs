@@ -39,7 +39,7 @@ use crate::registry::lock_ignore_poison;
 
 /// Upper bound on buffered span records; spans finishing past it are
 /// counted in [`TraceSnapshot::dropped_spans`] instead of recorded.
-pub const SPAN_BUFFER_CAPACITY: usize = 1 << 16;
+const SPAN_BUFFER_CAPACITY: usize = 1 << 16;
 
 /// Identifies one causally-connected tree of spans (the root's span id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -292,11 +292,6 @@ impl TraceSnapshot {
     /// The span with id `id`, if recorded.
     pub fn find(&self, id: SpanId) -> Option<&SpanRecord> {
         self.spans.iter().find(|s| s.id == id)
-    }
-
-    /// Direct children of span `id`, in finish order.
-    pub fn children_of(&self, id: SpanId) -> Vec<&SpanRecord> {
-        self.spans.iter().filter(|s| s.parent == Some(id)).collect()
     }
 
     /// The recorded parent's name for `span`, if any.

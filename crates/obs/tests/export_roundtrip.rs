@@ -6,7 +6,6 @@
 use cdp_obs::{LineageEventKind, Metrics, MetricsSnapshot, VirtualClock};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Names chosen to break naive encoders.
 const HOSTILE_NAMES: &[&str] = &[
@@ -27,7 +26,7 @@ fn hostile_snapshot() -> MetricsSnapshot {
         h.observe(0.5 + i as f64);
         h.observe(f64::NAN); // exercised dropped column
     }
-    clock.advance(Duration::from_secs(3));
+    clock.advance_secs(3.0);
     metrics.event("fault,odd\"name", "detail with \"quotes\"\nand newline");
     metrics.lineage(7, LineageEventKind::Arrival);
     metrics.lineage(7, LineageEventKind::Spill);

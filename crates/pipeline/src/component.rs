@@ -115,69 +115,24 @@ impl Clone for Box<dyn Component> {
     }
 }
 
-/// A stateless row filter defined by a predicate function pointer over
-/// `(batch, row index)`; the simplest way to express data-cleaning rules
-/// (used by tests and examples).
-#[derive(Debug, Clone)]
-pub struct PredicateFilter {
-    name: String,
-    keep: fn(&ColumnBatch<'_>, usize) -> bool,
-}
-
-impl PredicateFilter {
-    /// Creates a filter that keeps the rows `i` satisfying `keep(batch, i)`.
-    pub fn new(name: impl Into<String>, keep: fn(&ColumnBatch<'_>, usize) -> bool) -> Self {
-        Self {
-            name: name.into(),
-            keep,
-        }
-    }
-}
-
-impl Component for PredicateFilter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn transform(&self, batch: &mut ColumnBatch<'_>) {
-        let keep: Vec<bool> = (0..batch.len()).map(|i| (self.keep)(batch, i)).collect();
-        batch.retain(&keep);
-    }
-
-    fn clone_box(&self) -> Box<dyn Component> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extract::SelectColumns;
 
     #[test]
-    fn predicate_filter_drops_rows() {
-        let mut filter = PredicateFilter::new("positive-label", |b, i| b.labels()[i] > 0.0);
-        let mut batch = ColumnBatch::with_capacity(2, 0);
-        batch.push_row(1.0, &[], std::iter::empty());
-        batch.push_row(-1.0, &[], std::iter::empty());
-        filter.update(&batch); // the default no-op
-        filter.transform(&mut batch);
-        assert_eq!(batch.labels(), &[1.0]);
-        assert!(filter.is_incremental());
-        assert!(!filter.is_stateful());
-        assert!(filter.state_bytes().is_empty());
-        assert_eq!(filter.restore_state(&[1, 2, 3]), Ok(()));
-    }
-
-    #[test]
-    fn boxed_clone_preserves_behaviour() {
-        let filter: Box<dyn Component> = Box::new(PredicateFilter::new("f", |b, i| {
-            b.col(0).is_some_and(|c| c[i] < 0.0)
-        }));
-        let cloned = filter.clone();
-        assert_eq!(cloned.name(), "f");
-        let mut batch = ColumnBatch::with_capacity(1, 1);
-        batch.push_row(0.0, &[1.0], std::iter::empty());
+    fn a_stateless_component_keeps_the_defaults_and_clones_boxed() {
+        let mut select: Box<dyn Component> = Box::new(SelectColumns::new(vec![1]));
+        let mut batch = ColumnBatch::with_capacity(1, 2);
+        batch.push_row(1.0, &[3.0, 4.0], std::iter::empty());
+        select.update(&batch); // the default no-op
+        assert!(select.is_incremental());
+        assert!(!select.is_stateful());
+        assert!(select.state_bytes().is_empty());
+        assert_eq!(select.restore_state(&[1, 2, 3]), Ok(()));
+        let cloned = select.clone();
+        assert_eq!(cloned.name(), "select-columns");
         cloned.transform(&mut batch);
-        assert!(batch.is_empty());
+        assert_eq!(batch.col(0), Some(&[4.0][..]));
     }
 }

@@ -75,12 +75,6 @@ impl DriftDetector {
         }
     }
 
-    /// A detector tuned for 0/1 error streams: baseline 500, recent 50,
-    /// warning at 2σ, drift at 3σ.
-    pub fn default_for_classification() -> Self {
-        Self::new(500, 50, 2.0, 3.0)
-    }
-
     fn mean_std(window: &VecDeque<f64>) -> (f64, f64) {
         let n = window.len() as f64;
         let mean = window.iter().sum::<f64>() / n;
@@ -116,12 +110,6 @@ impl DriftDetector {
         } else {
             DriftStatus::Stable
         }
-    }
-
-    /// Clears both windows (after the model has been refreshed).
-    pub fn reset(&mut self) {
-        self.baseline.clear();
-        self.recent.clear();
     }
 
     /// The `(baseline, recent)` window contents, oldest first — for
@@ -195,16 +183,6 @@ mod tests {
             }
         }
         assert!(saw_drift, "constant total error must trigger drift");
-    }
-
-    #[test]
-    fn reset_returns_to_warmup() {
-        let mut d = DriftDetector::new(20, 5, 2.0, 3.0);
-        for i in 0..100 {
-            d.observe(f64::from(i % 3 == 0));
-        }
-        d.reset();
-        assert_eq!(d.observe(0.0), DriftStatus::Warmup);
     }
 
     #[test]

@@ -253,11 +253,6 @@ impl OneHotEncoder {
         }
     }
 
-    /// Number of categories learned so far.
-    pub fn vocabulary_size(&self) -> usize {
-        self.categories.len()
-    }
-
     fn token_base(&self) -> usize {
         1 + self.numeric_slots
     }
@@ -432,7 +427,7 @@ mod tests {
         let mut e = OneHotEncoder::new(0);
         assert_eq!(e.dim(), 1);
         e.update(&row(0.0, &[], &["red", "blue"]));
-        assert_eq!(e.vocabulary_size(), 2);
+        assert_eq!(e.categories.len(), 2);
         assert_eq!(e.dim(), 3);
         // Unseen token at encode time is skipped.
         let slab = e.encode(row(1.0, &[], &["red", "green"]));
@@ -451,7 +446,7 @@ mod tests {
         let batch = row(0.0, &[], &["a", "a"]);
         e.update(&batch);
         e.update(&batch);
-        assert_eq!(e.vocabulary_size(), 1);
+        assert_eq!(e.categories.len(), 1);
         // A token repeated in one bag counts twice in its one coordinate.
         let v = e.encode(batch).row(0).to_vector();
         assert_eq!((v.nnz(), v.get(1)), (2, 2.0));
@@ -465,7 +460,7 @@ mod tests {
         restored
             .restore_state(&e.state_bytes())
             .expect("well-formed state round-trips");
-        assert_eq!(restored.vocabulary_size(), 3);
+        assert_eq!(restored.categories.len(), 3);
         assert_eq!(restored.dim(), e.dim());
         let a = e.encode(row(1.0, &[0.5], &["blue"]));
         let b = restored.encode(row(1.0, &[0.5], &["blue"]));

@@ -3,7 +3,7 @@
 
 use crate::batch::ColumnBatch;
 use crate::component::Component;
-use crate::parser::taxi_cols;
+use crate::parser::TAXI_WIDTH;
 
 /// Mean Earth radius in kilometres.
 const EARTH_RADIUS_KM: f64 = 6371.0;
@@ -18,13 +18,6 @@ pub fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
     haversine_from(phi1.cos(), phi2.cos(), d_phi, d_lambda)
 }
 
-/// Initial compass bearing from point 1 to point 2, in degrees `[0, 360)`.
-pub fn bearing_deg(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
-    let (phi1, phi2) = (lat1.to_radians(), lat2.to_radians());
-    let d_lambda = (lon2 - lon1).to_radians();
-    bearing_from(phi1, phi2, phi1.cos(), phi2.cos(), d_lambda)
-}
-
 /// The haversine formula on the terms it shares with the bearing.
 #[inline]
 fn haversine_from(cos1: f64, cos2: f64, d_phi: f64, d_lambda: f64) -> f64 {
@@ -32,7 +25,8 @@ fn haversine_from(cos1: f64, cos2: f64, d_phi: f64, d_lambda: f64) -> f64 {
     2.0 * EARTH_RADIUS_KM * a.sqrt().atan2((1.0 - a).sqrt())
 }
 
-/// The bearing formula on the terms it shares with the haversine.
+/// Initial compass bearing from point 1 to point 2, in degrees `[0, 360)`,
+/// on the terms the formula shares with the haversine.
 #[inline]
 fn bearing_from(phi1: f64, phi2: f64, cos1: f64, cos2: f64, d_lambda: f64) -> f64 {
     let y = d_lambda.sin() * cos2;
@@ -40,9 +34,9 @@ fn bearing_from(phi1: f64, phi2: f64, cos1: f64, cos2: f64, d_lambda: f64) -> f6
     (y.atan2(x).to_degrees() + 360.0) % 360.0
 }
 
-/// [`haversine_km`] and [`bearing_deg`] in one pass: `φ`, `cos φ` and `Δλ`
-/// are computed once and handed to the same two formulas, so both results
-/// are bit-identical to the separate calls'.
+/// [`haversine_km`] and the bearing in one pass: `φ`, `cos φ` and `Δλ` are
+/// computed once and handed to the same two formulas, so both results are
+/// bit-identical to the separate calls'.
 fn distance_and_bearing(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> (f64, f64) {
     let (phi1, phi2) = (lat1.to_radians(), lat2.to_radians());
     let (cos1, cos2) = (phi1.cos(), phi2.cos());
@@ -53,43 +47,27 @@ fn distance_and_bearing(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> (f64, f64
 }
 
 /// Hour of day `[0, 24)` from epoch seconds.
-pub fn hour_of_day(epoch_secs: f64) -> f64 {
+fn hour_of_day(epoch_secs: f64) -> f64 {
     ((epoch_secs / 3600.0).floor() % 24.0 + 24.0) % 24.0
 }
 
 /// Day of week with Monday = 0 (1970-01-01 was a Thursday = 3).
-pub fn day_of_week(epoch_secs: f64) -> f64 {
+fn day_of_week(epoch_secs: f64) -> f64 {
     let days = (epoch_secs / 86_400.0).floor();
     (((days + 3.0) % 7.0) + 7.0) % 7.0
 }
 
-/// Output column layout of [`TaxiFeatureExtractor`].
+/// Output column layout of [`TaxiFeatureExtractor`]: haversine km, bearing
+/// in degrees, hour of day, day of week (Mon = 0), 1.0 for Saturday/Sunday,
+/// passenger count, pickup lon/lat, dropoff lon/lat, trip duration.
 pub mod taxi_features {
     /// Haversine distance in km.
     pub const HAVERSINE_KM: usize = 0;
-    /// Initial bearing in degrees.
-    pub const BEARING_DEG: usize = 1;
-    /// Hour of day.
-    pub const HOUR: usize = 2;
-    /// Day of week (Mon = 0).
-    pub const WEEKDAY: usize = 3;
-    /// 1.0 for Saturday/Sunday.
-    pub const IS_WEEKEND: usize = 4;
-    /// Passenger count.
-    pub const PASSENGERS: usize = 5;
-    /// Pickup longitude.
-    pub const PICKUP_LON: usize = 6;
-    /// Pickup latitude.
-    pub const PICKUP_LAT: usize = 7;
-    /// Dropoff longitude.
-    pub const DROPOFF_LON: usize = 8;
-    /// Dropoff latitude.
-    pub const DROPOFF_LAT: usize = 9;
     /// Raw trip duration in seconds — consumed by the anomaly detector and
     /// dropped by [`super::SelectColumns`] before modelling.
     pub const DURATION_SECS: usize = 10;
     /// Total column count.
-    pub const WIDTH: usize = 11;
+    pub(super) const WIDTH: usize = 11;
 }
 
 /// The Taxi pipeline's feature extractor (paper §5.1): haversine distance,
@@ -111,11 +89,11 @@ impl Component for TaxiFeatureExtractor {
     }
 
     fn transform(&self, batch: &mut ColumnBatch<'_>) {
-        if batch.width() < taxi_cols::WIDTH {
+        if batch.width() < TAXI_WIDTH {
             batch.clear(); // narrower than the parser's layout: all malformed
         }
         batch.map_columns(taxi_features::WIDTH, |old, new| {
-            // Both layouts in declaration order (`taxi_cols`, `taxi_features`).
+            // Both layouts in order (`TaxiParser`'s columns, `taxi_features`).
             let [secs, p_lon, p_lat, d_lon, d_lat, passengers, duration, ..] = old else {
                 return;
             };
@@ -185,56 +163,17 @@ impl Component for SelectColumns {
     }
 }
 
-/// Appends pairwise interaction terms `x_i · x_j` for the given column
-/// pairs — the paper's example of feature extraction that combines existing
-/// features (§3.2.1). Stateless.
-#[derive(Debug, Clone)]
-pub struct InteractionFeatures {
-    pairs: Vec<(usize, usize)>,
-}
-
-impl InteractionFeatures {
-    /// Creates the component for the given column pairs.
-    pub fn new(pairs: Vec<(usize, usize)>) -> Self {
-        Self { pairs }
-    }
-}
-
-impl Component for InteractionFeatures {
-    fn name(&self) -> &str {
-        "interaction-features"
-    }
-
-    fn transform(&self, batch: &mut ColumnBatch<'_>) {
-        let width = batch.width();
-        batch.map_columns(width + self.pairs.len(), |old, new| {
-            for (dst, src) in new.iter_mut().zip(old) {
-                dst.copy_from_slice(src);
-            }
-            // A pair may name a product appended before it; a column the
-            // batch lacks is missing (`NaN`, as allocated) in every row.
-            for (k, &(i, j)) in self.pairs.iter().enumerate() {
-                let (done, rest) = new.split_at_mut(width + k);
-                if let (Some(a), Some(b), Some(product)) =
-                    (done.get(i), done.get(j), rest.first_mut())
-                {
-                    for (r, p) in product.iter_mut().enumerate() {
-                        *p = a[r] * b[r];
-                    }
-                }
-            }
-        });
-    }
-
-    fn clone_box(&self) -> Box<dyn Component> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::tests::{columns, numeric};
+
+    /// The bearing as a call of its own, the oracle of the fused pass.
+    fn bearing_deg(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
+        let (phi1, phi2) = (lat1.to_radians(), lat2.to_radians());
+        let d_lambda = (lon2 - lon1).to_radians();
+        bearing_from(phi1, phi2, phi1.cos(), phi2.cos(), d_lambda)
+    }
 
     #[test]
     fn haversine_known_distance() {
@@ -303,13 +242,10 @@ mod tests {
             haversine_km(40.75, -73.98, 40.78, -73.95)
         );
         // North-east, a little east of the diagonal at this latitude.
-        assert!((35.0..45.0).contains(&nums[taxi_features::BEARING_DEG]));
-        assert_eq!(nums[taxi_features::HOUR], 13.0);
-        assert_eq!(nums[taxi_features::WEEKDAY], 6.0);
-        assert_eq!(nums[taxi_features::IS_WEEKEND], 1.0);
-        assert_eq!(nums[taxi_features::PASSENGERS], 2.0);
-        assert_eq!(nums[taxi_features::PICKUP_LAT], 40.75);
-        assert_eq!(nums[taxi_features::DROPOFF_LON], -73.95);
+        assert!((35.0..45.0).contains(&nums[1]));
+        // Hour, weekday, weekend, passengers, then the four coordinates.
+        assert_eq!(nums[2..6], [13.0, 6.0, 1.0, 2.0]);
+        assert_eq!(nums[6..10], [-73.98, 40.75, -73.95, 40.78]);
         assert_eq!(nums[taxi_features::DURATION_SECS], 600.0);
     }
 
@@ -334,15 +270,5 @@ mod tests {
         let mut batch = numeric(&[&[1.0]]);
         SelectColumns::new(vec![5]).transform(&mut batch);
         assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn interactions_append_products() {
-        let mut batch = numeric(&[&[3.0, 4.0]]);
-        // The second pair reads the first pair's product; the third names a
-        // column that does not exist.
-        InteractionFeatures::new(vec![(0, 1), (2, 0), (0, 9)]).transform(&mut batch);
-        assert_eq!(columns(&batch)[..4], [[3.0], [4.0], [12.0], [36.0]]);
-        assert!(columns(&batch)[4][0].is_nan());
     }
 }

@@ -35,7 +35,6 @@ pub mod drift;
 pub mod encode;
 pub mod extract;
 pub mod impute;
-pub mod minmax;
 pub mod parser;
 pub mod pipeline;
 pub mod scale;

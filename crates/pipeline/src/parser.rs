@@ -37,7 +37,6 @@ impl Clone for Box<dyn Parser> {
 /// features (some missing), and the tokenized URL string.
 #[derive(Debug, Clone)]
 pub struct SchemaParser {
-    schema: Arc<Schema>,
     label_idx: usize,
     num_idx: Vec<usize>,
     token_idx: Option<usize>,
@@ -72,16 +71,10 @@ impl SchemaParser {
                 .unwrap_or_else(|| panic!("token field '{f}' not in schema"))
         });
         Self {
-            schema,
             label_idx,
             num_idx,
             token_idx,
         }
-    }
-
-    /// The schema this parser expects.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
     }
 
     /// One record's label, numeric fields (into `nums`) and token text;
@@ -143,7 +136,6 @@ impl Parser for SchemaParser {
 /// detector, feature extractor) consume these by index.
 #[derive(Debug, Clone)]
 pub struct TaxiParser {
-    schema: Arc<Schema>,
     idx: TaxiFieldIdx,
 }
 
@@ -158,26 +150,8 @@ struct TaxiFieldIdx {
     passengers: usize,
 }
 
-/// Column positions of the taxi parser output consumed downstream.
-pub mod taxi_cols {
-    /// Pickup time in epoch seconds.
-    pub const PICKUP_SECS: usize = 0;
-    /// Pickup longitude.
-    pub const PICKUP_LON: usize = 1;
-    /// Pickup latitude.
-    pub const PICKUP_LAT: usize = 2;
-    /// Dropoff longitude.
-    pub const DROPOFF_LON: usize = 3;
-    /// Dropoff latitude.
-    pub const DROPOFF_LAT: usize = 4;
-    /// Passenger count.
-    pub const PASSENGERS: usize = 5;
-    /// Raw trip duration in seconds (kept for the anomaly filter; removed by
-    /// the feature extractor).
-    pub const DURATION_SECS: usize = 6;
-    /// Total column count emitted by the parser.
-    pub const WIDTH: usize = 7;
-}
+/// Column count the taxi parser emits.
+pub(crate) const TAXI_WIDTH: usize = 7;
 
 impl TaxiParser {
     /// Builds a taxi parser against the canonical trip-record schema
@@ -201,16 +175,11 @@ impl TaxiParser {
             dropoff_lat: must("dropoff_lat"),
             passengers: must("passengers"),
         };
-        Self { schema, idx }
-    }
-
-    /// The schema this parser expects.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
+        Self { idx }
     }
 
     /// One record's label and parsed columns; `None` rejects the record.
-    fn read(&self, record: &Record) -> Option<(f64, [f64; taxi_cols::WIDTH])> {
+    fn read(&self, record: &Record) -> Option<(f64, [f64; TAXI_WIDTH])> {
         let num = |i: usize| record.get(i).and_then(Value::as_num);
         let pickup = num(self.idx.pickup_time)?;
         let dropoff = num(self.idx.dropoff_time)?;
@@ -238,7 +207,7 @@ impl Parser for TaxiParser {
     }
 
     fn parse<'a>(&self, records: &'a [Record], recycled: ColumnBatch<'_>) -> ColumnBatch<'a> {
-        let mut batch = recycled.recycle(records.len(), taxi_cols::WIDTH);
+        let mut batch = recycled.recycle(records.len(), TAXI_WIDTH);
         for record in records {
             if let Some((label, nums)) = self.read(record) {
                 batch.push_row(label, &nums, std::iter::empty());
@@ -327,9 +296,9 @@ mod tests {
         let records = [record];
         let batch = parser.parse(&records, ColumnBatch::default());
         assert!((batch.labels()[0] - 601f64.ln()).abs() < 1e-12);
-        assert_eq!(batch.col(taxi_cols::DURATION_SECS), Some(&[600.0][..]));
-        assert_eq!(batch.col(taxi_cols::PASSENGERS), Some(&[2.0][..]));
-        assert_eq!(batch.width(), taxi_cols::WIDTH);
+        assert_eq!(batch.col(6), Some(&[600.0][..]));
+        assert_eq!(batch.col(5), Some(&[2.0][..]));
+        assert_eq!(batch.width(), TAXI_WIDTH);
     }
 
     #[test]
@@ -347,7 +316,7 @@ mod tests {
         let records = [record];
         let batch = parser.parse(&records, ColumnBatch::default());
         assert_eq!(batch.labels(), &[0.0]);
-        assert_eq!(batch.col(taxi_cols::DURATION_SECS), Some(&[-1000.0][..]));
+        assert_eq!(batch.col(6), Some(&[-1000.0][..]));
     }
 
     #[test]

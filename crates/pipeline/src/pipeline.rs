@@ -379,7 +379,7 @@ mod tests {
         let record = Record::new(vec![Value::Num(1.0), Value::Num(3.0), Value::Num(5.0)]);
         let query = p.transform_query(&record).unwrap();
         let training = p.transform_chunk(&RawChunk::new(Timestamp(9), vec![record]));
-        assert_eq!(query, training.point(0));
+        assert_eq!(query, training.row(0).to_point());
     }
 
     #[test]

@@ -26,7 +26,7 @@ impl StandardScaler {
     }
 
     /// Current `(mean, std)` for column `col`.
-    pub fn stats_for(&self, col: usize) -> (f64, f64) {
+    fn stats_for(&self, col: usize) -> (f64, f64) {
         let m = self.moments.col(col);
         (m.mean(), m.std_dev())
     }

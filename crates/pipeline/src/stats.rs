@@ -33,24 +33,6 @@ impl RunningMoments {
         self.m2 += delta * (x - self.mean);
     }
 
-    /// Merges another accumulator (Chan et al. parallel combination) —
-    /// lets the engine compute statistics chunk-parallel and combine.
-    pub fn merge(&mut self, other: &RunningMoments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-    }
-
     /// Observations folded in so far.
     pub fn count(&self) -> u64 {
         self.count
@@ -66,7 +48,7 @@ impl RunningMoments {
     }
 
     /// Population variance (`0.0` with fewer than two observations).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -214,39 +196,6 @@ mod tests {
         m.update(3.0);
         assert_eq!(m.count(), 2);
         assert!((m.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let all = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let mut seq = RunningMoments::new();
-        for &x in &all {
-            seq.update(x);
-        }
-        let mut a = RunningMoments::new();
-        let mut b = RunningMoments::new();
-        for &x in &all[..2] {
-            a.update(x);
-        }
-        for &x in &all[2..] {
-            b.update(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - seq.mean()).abs() < 1e-12);
-        assert!((a.variance() - seq.variance()).abs() < 1e-12);
-        assert_eq!(a.count(), seq.count());
-    }
-
-    #[test]
-    fn merge_with_empty_sides() {
-        let mut a = RunningMoments::new();
-        let mut b = RunningMoments::new();
-        b.update(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let empty = RunningMoments::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
     }
 
     #[test]

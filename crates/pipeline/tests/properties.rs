@@ -7,12 +7,10 @@ mod row_reference;
 use cdp_linalg::Vector;
 use cdp_pipeline::anomaly::AnomalyFilter;
 use cdp_pipeline::encode::{DenseEncoder, Encoder, FeatureHasher, OneHotEncoder};
-use cdp_pipeline::extract::{InteractionFeatures, SelectColumns, TaxiFeatureExtractor};
+use cdp_pipeline::extract::{SelectColumns, TaxiFeatureExtractor};
 use cdp_pipeline::impute::MeanImputer;
-use cdp_pipeline::minmax::{MinMaxScaler, Winsorizer};
 use cdp_pipeline::parser::{SchemaParser, TaxiParser};
 use cdp_pipeline::scale::StandardScaler;
-use cdp_pipeline::stats::RunningMoments;
 use cdp_pipeline::{ColumnBatch, Component, Pipeline, PipelineBuilder, QueryScratch};
 use cdp_storage::{FeatureChunk, LabeledPoint, RawChunk, Record, Schema, Timestamp, Value};
 use proptest::prelude::*;
@@ -22,7 +20,6 @@ fn numeric_pipeline() -> Pipeline {
     let schema = Schema::new(["y", "a", "b"]);
     PipelineBuilder::new(SchemaParser::new(schema, "y", &["a", "b"], None))
         .add(MeanImputer::new())
-        .add(MinMaxScaler::new())
         .add(StandardScaler::new())
         .encoder(DenseEncoder::new(2))
         .expect("incremental components")
@@ -97,8 +94,6 @@ impl Spec {
             builder = match stage {
                 Stage::Imputer(_) => builder.add(MeanImputer::new()),
                 Stage::Scaler(_) => builder.add(StandardScaler::new()),
-                Stage::MinMax(_) => builder.add(MinMaxScaler::new()),
-                Stage::Winsorizer(lo, hi) => builder.add(Winsorizer::new(*lo, *hi)),
                 Stage::Anomaly(bounds) => builder.add(
                     bounds
                         .iter()
@@ -107,7 +102,6 @@ impl Spec {
                         }),
                 ),
                 Stage::Select(keep) => builder.add(SelectColumns::new(keep.clone())),
-                Stage::Interactions(pairs) => builder.add(InteractionFeatures::new(pairs.clone())),
                 Stage::TaxiExtract => builder.add(TaxiFeatureExtractor::new()),
             };
         }
@@ -343,15 +337,10 @@ impl Rng {
 
     fn stage(&mut self) -> Stage {
         let col = |rng: &mut Rng| rng.below(6);
-        match self.below(7) {
+        match self.below(4) {
             0 => Stage::Imputer(Vec::new()),
             1 => Stage::Scaler(Vec::new()),
-            2 => Stage::MinMax(Vec::new()),
-            3 => {
-                let lo = (self.unit() - 0.7) * 50.0;
-                Stage::Winsorizer(lo, lo + self.unit() * 80.0)
-            }
-            4 => {
+            2 => {
                 let bounds = (0..1 + self.below(2)).map(|_| {
                     let min = self.chance(0.6).then(|| (self.unit() - 0.8) * 100.0);
                     let max = self.chance(0.6).then(|| (self.unit() - 0.2) * 100.0);
@@ -359,12 +348,7 @@ impl Rng {
                 });
                 Stage::Anomaly(bounds.collect())
             }
-            5 => Stage::Select((0..self.below(5)).map(|_| col(self) % 4).collect()),
-            _ => Stage::Interactions(
-                (0..1 + self.below(3))
-                    .map(|_| (col(self), col(self)))
-                    .collect(),
-            ),
+            _ => Stage::Select((0..self.below(5)).map(|_| col(self) % 4).collect()),
         }
     }
 
@@ -662,28 +646,6 @@ fn edge_cases_match_the_row_reference() {
 }
 
 proptest! {
-    /// Welford merge is associative-enough: merging any split equals the
-    /// sequential fold.
-    #[test]
-    fn moments_merge_any_split(values in prop::collection::vec(-1e3..1e3f64, 2..50), split in 1usize..49) {
-        let split = split.min(values.len() - 1);
-        let mut seq = RunningMoments::new();
-        for &v in &values {
-            seq.update(v);
-        }
-        let mut left = RunningMoments::new();
-        let mut right = RunningMoments::new();
-        for &v in &values[..split] {
-            left.update(v);
-        }
-        for &v in &values[split..] {
-            right.update(v);
-        }
-        left.merge(&right);
-        prop_assert!((left.mean() - seq.mean()).abs() < 1e-6 * (1.0 + seq.mean().abs()));
-        prop_assert!((left.variance() - seq.variance()).abs() < 1e-6 * (1.0 + seq.variance()));
-    }
-
     /// Re-materialization invariant: for any data, after the online path
     /// runs, transform-only on the same raw chunk reproduces the stored
     /// feature chunk exactly.

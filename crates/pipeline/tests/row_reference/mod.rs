@@ -9,7 +9,6 @@ use std::collections::HashMap;
 
 use cdp_linalg::{DenseVector, SparseBuilder, Vector};
 use cdp_pipeline::encode::FeatureHasher;
-use cdp_pipeline::extract::{day_of_week, hour_of_day};
 use cdp_pipeline::stats::RunningMoments;
 use cdp_pipeline::PipelineCounters;
 use cdp_storage::{LabeledPoint, Record, Value};
@@ -34,11 +33,8 @@ pub enum Parser {
 pub enum Stage {
     Imputer(Vec<RunningMoments>),
     Scaler(Vec<RunningMoments>),
-    MinMax(Vec<(f64, f64)>),
-    Winsorizer(f64, f64),
     Anomaly(Vec<(usize, Option<f64>, Option<f64>)>),
     Select(Vec<usize>),
-    Interactions(Vec<(usize, usize)>),
     TaxiExtract,
 }
 
@@ -71,6 +67,16 @@ fn bearing_deg(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
     let y = d_lambda.sin() * phi2.cos();
     let x = phi1.cos() * phi2.sin() - phi1.sin() * phi2.cos() * d_lambda.cos();
     (y.atan2(x).to_degrees() + 360.0) % 360.0
+}
+
+fn hour_of_day(epoch_secs: f64) -> f64 {
+    ((epoch_secs / 3600.0).floor() % 24.0 + 24.0) % 24.0
+}
+
+/// Monday = 0; 1970-01-01 was a Thursday.
+fn day_of_week(epoch_secs: f64) -> f64 {
+    let days = (epoch_secs / 86_400.0).floor();
+    (((days + 3.0) % 7.0) + 7.0) % 7.0
 }
 
 impl Parser {
@@ -137,31 +143,12 @@ fn fold_moments(cols: &mut Vec<RunningMoments>, rows: &[Row]) {
 
 impl Stage {
     fn is_stateful(&self) -> bool {
-        matches!(
-            self,
-            Stage::Imputer(_) | Stage::Scaler(_) | Stage::MinMax(_)
-        )
+        matches!(self, Stage::Imputer(_) | Stage::Scaler(_))
     }
 
     fn update(&mut self, rows: &[Row]) {
-        match self {
-            Stage::Imputer(cols) | Stage::Scaler(cols) => fold_moments(cols, rows),
-            Stage::MinMax(ranges) => {
-                for row in rows {
-                    if row.nums.len() > ranges.len() {
-                        ranges.resize(row.nums.len(), (f64::INFINITY, f64::NEG_INFINITY));
-                    }
-                    for ((lo, hi), &x) in ranges.iter_mut().zip(&row.nums) {
-                        if x < *lo {
-                            *lo = x;
-                        }
-                        if x > *hi {
-                            *hi = x;
-                        }
-                    }
-                }
-            }
-            _ => {}
+        if let Stage::Imputer(cols) | Stage::Scaler(cols) = self {
+            fold_moments(cols, rows);
         }
     }
 
@@ -184,19 +171,6 @@ impl Stage {
                     }
                 }
             }),
-            Stage::MinMax(ranges) => rows.iter_mut().for_each(|row| {
-                for (i, v) in row.nums.iter_mut().enumerate() {
-                    if let Some(&(lo, hi)) = ranges.get(i).filter(|(lo, hi)| lo <= hi) {
-                        let span = hi - lo;
-                        *v = if span > 1e-12 { (*v - lo) / span } else { 0.0 };
-                    }
-                }
-            }),
-            Stage::Winsorizer(lo, hi) => rows.iter_mut().for_each(|row| {
-                for v in row.nums.iter_mut().filter(|v| !v.is_nan()) {
-                    *v = v.clamp(*lo, *hi);
-                }
-            }),
             Stage::Anomaly(bounds) => rows.retain(|row| {
                 bounds.iter().all(|&(col, min, max)| {
                     row.nums.get(col).is_some_and(|&v| {
@@ -211,13 +185,6 @@ impl Stage {
                     row.nums = keep.iter().map(|&i| row.nums[i]).collect();
                 }
             }
-            Stage::Interactions(pairs) => rows.iter_mut().for_each(|row| {
-                for &(i, j) in pairs {
-                    let a = row.nums.get(i).copied().unwrap_or(f64::NAN);
-                    let b = row.nums.get(j).copied().unwrap_or(f64::NAN);
-                    row.nums.push(a * b);
-                }
-            }),
             Stage::TaxiExtract => {
                 rows.retain(|row| row.nums.len() >= 7);
                 for row in &mut rows {
@@ -244,23 +211,13 @@ impl Stage {
 
     fn state_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        match self {
-            Stage::Imputer(cols) | Stage::Scaler(cols) => {
-                buf.extend_from_slice(&(cols.len() as u32).to_be_bytes());
-                for (count, mean, m2) in cols.iter().map(RunningMoments::to_parts) {
-                    buf.extend_from_slice(&count.to_be_bytes());
-                    buf.extend_from_slice(&mean.to_be_bytes());
-                    buf.extend_from_slice(&m2.to_be_bytes());
-                }
+        if let Stage::Imputer(cols) | Stage::Scaler(cols) = self {
+            buf.extend_from_slice(&(cols.len() as u32).to_be_bytes());
+            for (count, mean, m2) in cols.iter().map(RunningMoments::to_parts) {
+                buf.extend_from_slice(&count.to_be_bytes());
+                buf.extend_from_slice(&mean.to_be_bytes());
+                buf.extend_from_slice(&m2.to_be_bytes());
             }
-            Stage::MinMax(ranges) => {
-                buf.extend_from_slice(&(ranges.len() as u32).to_be_bytes());
-                for (lo, hi) in ranges {
-                    buf.extend_from_slice(&lo.to_be_bytes());
-                    buf.extend_from_slice(&hi.to_be_bytes());
-                }
-            }
-            _ => {}
         }
         buf
     }

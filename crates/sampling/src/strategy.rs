@@ -50,11 +50,6 @@ impl Sampler {
         }
     }
 
-    /// The configured strategy.
-    pub fn strategy(&self) -> SamplingStrategy {
-        self.strategy
-    }
-
     /// The raw RNG state, so a deployment checkpoint can resume the sampler
     /// mid-stream and draw the exact same future sequence.
     pub fn rng_state(&self) -> u64 {

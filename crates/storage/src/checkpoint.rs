@@ -80,20 +80,14 @@ impl CheckpointDir {
     }
 
     /// Pins generation `seq`: [`CheckpointDir::write`]'s pruning will never
-    /// delete it, even beyond the keep budget, until the pin moves or
-    /// [`CheckpointDir::unpin`] releases it. The WAL layer pins the
-    /// checkpoint its live suffix replays from.
+    /// delete it, even beyond the keep budget, until the pin moves. The WAL
+    /// layer pins the checkpoint its live suffix replays from.
     pub fn pin(&self, seq: u64) {
         self.pinned.store(seq, Ordering::Relaxed);
     }
 
-    /// Releases the pin, restoring pure keep-budget pruning.
-    pub fn unpin(&self) {
-        self.pinned.store(UNPINNED, Ordering::Relaxed);
-    }
-
     /// The currently pinned generation, if any.
-    pub fn pinned(&self) -> Option<u64> {
+    fn pinned(&self) -> Option<u64> {
         match self.pinned.load(Ordering::Relaxed) {
             UNPINNED => None,
             seq => Some(seq),
@@ -336,11 +330,6 @@ mod tests {
         store.pin(4);
         ok(store.write(5, b"gen-5"));
         assert_eq!(ok(store.list()), vec![4, 5]);
-        // Unpinning restores pure keep-budget pruning.
-        store.unpin();
-        assert_eq!(store.pinned(), None);
-        ok(store.write(6, b"gen-6"));
-        assert_eq!(ok(store.list()), vec![6]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -160,11 +160,6 @@ impl FeatureChunk {
         (0..self.len()).map(move |i| self.slab.row(i))
     }
 
-    /// Reconstructs example `i` as an owned point.
-    pub fn point(&self, i: usize) -> LabeledPoint {
-        self.row(i).to_point()
-    }
-
     /// Reconstructs all examples as owned points (compatibility path; the
     /// hot paths iterate [`FeatureChunk::rows`] instead).
     pub fn to_points(&self) -> Vec<LabeledPoint> {
@@ -186,34 +181,6 @@ impl PartialEq for FeatureChunk {
                 .rows()
                 .zip(other.rows())
                 .all(|(a, b)| a.label() == b.label() && a.to_vector() == b.to_vector())
-    }
-}
-
-/// Summary statistics over a chunk, used by drift detection and reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ChunkStats {
-    /// Number of examples.
-    pub count: usize,
-    /// Mean label value.
-    pub label_mean: f64,
-    /// Mean number of non-zero features per example.
-    pub mean_nnz: f64,
-}
-
-impl ChunkStats {
-    /// Computes summary statistics for a feature chunk.
-    pub fn of(chunk: &FeatureChunk) -> Self {
-        if chunk.is_empty() {
-            return Self::default();
-        }
-        let count = chunk.len();
-        let label_mean = chunk.rows().map(|r| r.label()).sum::<f64>() / count as f64;
-        let mean_nnz = chunk.rows().map(|r| r.nnz() as f64).sum::<f64>() / count as f64;
-        Self {
-            count,
-            label_mean,
-            mean_nnz,
-        }
     }
 }
 
@@ -252,24 +219,5 @@ mod tests {
         let fc = FeatureChunk::new(Timestamp(9), Timestamp(9), points);
         assert_eq!(fc.raw_ref, fc.timestamp);
         assert_eq!(fc.len(), 1);
-    }
-
-    #[test]
-    fn chunk_stats_means() {
-        let points = vec![
-            LabeledPoint::new(1.0, DenseVector::new(vec![1.0, 0.0]).into()),
-            LabeledPoint::new(-1.0, DenseVector::new(vec![1.0, 2.0]).into()),
-        ];
-        let fc = FeatureChunk::new(Timestamp(0), Timestamp(0), points);
-        let stats = ChunkStats::of(&fc);
-        assert_eq!(stats.count, 2);
-        assert_eq!(stats.label_mean, 0.0);
-        assert_eq!(stats.mean_nnz, 1.5);
-    }
-
-    #[test]
-    fn chunk_stats_empty_chunk_is_default() {
-        let fc = FeatureChunk::new(Timestamp(0), Timestamp(0), vec![]);
-        assert_eq!(ChunkStats::of(&fc), ChunkStats::default());
     }
 }

@@ -10,12 +10,11 @@
 //! **Bit-identity contract.** Every numeric access through [`RowView`]
 //! replicates the exact floating-point operation order of the row layout it
 //! replaced ([`Vector::dot_padded`], [`Vector::axpy_into_growing`], …):
-//! dense rows are read column-ascending, CSR rows in stored-index order,
-//! and the heterogeneous [`SlabLayout::Rows`] fallback keeps the original
-//! `Vector` per row. Per-row byte accounting is preserved by construction
-//! (dense row = `8 + dim*8`, CSR row = `8 + nnz*12`, fallback row =
-//! `8 + vector bytes` — identical to `LabeledPoint::size_bytes`), so budget
-//! and eviction decisions cannot drift from the row-layout semantics.
+//! dense rows are read column-ascending, CSR rows in stored-index order.
+//! Per-row byte accounting is preserved by construction (dense row =
+//! `8 + dim*8`, CSR row = `8 + nnz*12` — identical to
+//! `LabeledPoint::size_bytes`), so budget and eviction decisions cannot
+//! drift from the row-layout semantics.
 
 use serde::{Deserialize, Serialize};
 
@@ -47,10 +46,6 @@ pub enum SlabLayout {
         /// Values parallel to `indices`.
         values: Vec<f64>,
     },
-    /// Heterogeneous fallback (mixed layouts or differing dimensions): the
-    /// original vectors, row-major. Guarantees every input chunk has a
-    /// columnar home without changing any representation.
-    Rows(Vec<Vector>),
 }
 
 /// A column-major chunk of labeled examples.
@@ -61,42 +56,42 @@ pub struct ColumnSlab {
 }
 
 impl ColumnSlab {
-    /// Builds a slab from row-major points, choosing the densest layout the
-    /// rows admit: all-dense one-dimension rows become column slabs,
-    /// all-sparse one-dimension rows become a CSR block, anything else
-    /// keeps its original vectors row-major. The pipeline builds its slabs
+    /// Builds a slab from row-major points: all-dense one-dimension rows
+    /// become column slabs, anything else a CSR block at the widest row's
+    /// dimension — a sparse row keeps its stored entries, a dense row among
+    /// them stores every coordinate (zeros too) in index order, so a dot
+    /// product or an update over the slab row makes the multiply-adds of the
+    /// vector it came from, in its order. The pipeline builds its slabs
     /// directly ([`ColumnSlab::dense`], [`CsrBuilder`]); this serves callers
     /// that hold points (tests, hand-made chunks).
     pub fn from_points(points: Vec<LabeledPoint>) -> Self {
         let labels: Vec<f64> = points.iter().map(|p| p.label).collect();
-        let dim = points.first().map_or(0, |p| p.features.dim());
-        let uniform = |sparse: bool| {
-            let fits =
-                |p: &LabeledPoint| p.features.is_sparse() == sparse && p.features.dim() == dim;
-            !points.is_empty() && points.iter().all(fits)
-        };
-        if uniform(false) {
+        let dim = points.iter().map(|p| p.features.dim()).max().unwrap_or(0);
+        let dense = |p: &LabeledPoint| !p.features.is_sparse() && p.features.dim() == dim;
+        if !points.is_empty() && points.iter().all(dense) {
             let column = |j| points.iter().map(|p| p.features.get(j)).collect();
             return Self::dense(labels, (0..dim).map(column).collect());
         }
-        let layout = if uniform(true) {
-            let mut row_ptr = vec![0u32];
-            let (mut indices, mut values) = (Vec::new(), Vec::new());
-            for p in &points {
-                if let Vector::Sparse(s) = &p.features {
+        let mut row_ptr = vec![0u32];
+        let (mut indices, mut values) = (Vec::new(), Vec::new());
+        for p in &points {
+            match &p.features {
+                Vector::Sparse(s) => {
                     indices.extend_from_slice(s.indices());
                     values.extend_from_slice(s.values());
                 }
-                row_ptr.push(indices.len() as u32);
+                Vector::Dense(d) => {
+                    indices.extend(0..d.dim() as u32);
+                    values.extend_from_slice(d.as_slice());
+                }
             }
-            SlabLayout::Csr {
-                dim,
-                row_ptr,
-                indices,
-                values,
-            }
-        } else {
-            SlabLayout::Rows(points.into_iter().map(|p| p.features).collect())
+            row_ptr.push(indices.len() as u32);
+        }
+        let layout = SlabLayout::Csr {
+            dim,
+            row_ptr,
+            indices,
+            values,
         };
         Self { labels, layout }
     }
@@ -152,7 +147,7 @@ impl ColumnSlab {
     /// Panics when `i >= self.len()` (slice-index discipline).
     pub fn row(&self, i: usize) -> RowView<'_> {
         assert!(i < self.len(), "row {i} out of {} slab rows", self.len());
-        RowView::Slab { slab: self, row: i }
+        RowView { slab: self, row: i }
     }
 
     /// Heap bytes attributed to row `i` — identical to what
@@ -165,23 +160,6 @@ impl ColumnSlab {
                 let nnz = (row_ptr[i + 1] - row_ptr[i]) as usize;
                 label + nnz * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())
             }
-            SlabLayout::Rows(rows) => label + rows[i].size_bytes(),
-        }
-    }
-
-    /// The CSR index/value slices of row `i` (`None` for non-CSR layouts).
-    fn csr_row(&self, i: usize) -> Option<(&[u32], &[f64], usize)> {
-        match &self.layout {
-            SlabLayout::Csr {
-                dim,
-                row_ptr,
-                indices,
-                values,
-            } => {
-                let (a, b) = (row_ptr[i] as usize, row_ptr[i + 1] as usize);
-                Some((&indices[a..b], &values[a..b], *dim))
-            }
-            _ => None,
         }
     }
 }
@@ -265,72 +243,47 @@ impl CsrBuilder {
     }
 }
 
-/// A zero-copy view of one labeled example, either inside a [`ColumnSlab`]
-/// or borrowing a row-layout [`LabeledPoint`]. `Copy`, so the trainer can
-/// shard and re-iterate views freely.
+/// A zero-copy view of one labeled example: a row of a [`ColumnSlab`].
+/// `Copy`, so the trainer can shard and re-iterate views freely.
 #[derive(Debug, Clone, Copy)]
-pub enum RowView<'a> {
-    /// A row of a columnar slab.
-    Slab {
-        /// The owning slab.
-        slab: &'a ColumnSlab,
-        /// Row index within the slab.
-        row: usize,
-    },
-    /// A borrowed row-layout point (compatibility path for streamed points
-    /// that never materialize into a slab).
-    Point(&'a LabeledPoint),
+pub struct RowView<'a> {
+    slab: &'a ColumnSlab,
+    row: usize,
 }
 
-impl<'a> From<&'a LabeledPoint> for RowView<'a> {
-    fn from(p: &'a LabeledPoint) -> Self {
-        RowView::Point(p)
-    }
+/// The stored `(indices, values)` of row `row` of a CSR block.
+fn csr_row<'a>(
+    row_ptr: &[u32],
+    indices: &'a [u32],
+    values: &'a [f64],
+    row: usize,
+) -> (&'a [u32], &'a [f64]) {
+    let (a, b) = (row_ptr[row] as usize, row_ptr[row + 1] as usize);
+    (&indices[a..b], &values[a..b])
 }
 
 impl<'a> RowView<'a> {
     /// The example's label.
     pub fn label(&self) -> f64 {
-        match self {
-            RowView::Slab { slab, row } => slab.labels[*row],
-            RowView::Point(p) => p.label,
-        }
+        self.slab.labels[self.row]
     }
 
     /// The feature vector's nominal dimension.
     pub fn dim(&self) -> usize {
-        match self {
-            RowView::Slab { slab, row } => match &slab.layout {
-                SlabLayout::Dense { dim, .. } => *dim,
-                SlabLayout::Csr { dim, .. } => *dim,
-                SlabLayout::Rows(rows) => rows[*row].dim(),
-            },
-            RowView::Point(p) => p.features.dim(),
+        match &self.slab.layout {
+            SlabLayout::Dense { dim, .. } | SlabLayout::Csr { dim, .. } => *dim,
         }
     }
 
-    /// Number of non-zero coordinates (dense rows count stored zeros out,
-    /// exactly like `Vector::nnz`).
+    /// Number of non-zero coordinates of a dense row (stored zeros counted
+    /// out, exactly like `Vector::nnz`); stored entries of a CSR row.
     pub fn nnz(&self) -> usize {
-        match self {
-            RowView::Slab { slab, row } => match &slab.layout {
-                SlabLayout::Dense { dim, cols } => {
-                    let zeros = cols.iter().filter(|c| c[*row] == 0.0).count();
-                    *dim - zeros
-                }
-                SlabLayout::Csr { row_ptr, .. } => (row_ptr[*row + 1] - row_ptr[*row]) as usize,
-                SlabLayout::Rows(rows) => rows[*row].nnz(),
-            },
-            RowView::Point(p) => p.features.nnz(),
-        }
-    }
-
-    /// Heap bytes the storage layer attributes to this example — identical
-    /// to `LabeledPoint::size_bytes` for the same row in row layout.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            RowView::Slab { slab, row } => slab.row_size_bytes(*row),
-            RowView::Point(p) => p.size_bytes(),
+        match &self.slab.layout {
+            SlabLayout::Dense { dim, cols } => {
+                let zeros = cols.iter().filter(|c| c[self.row] == 0.0).count();
+                *dim - zeros
+            }
+            SlabLayout::Csr { row_ptr, .. } => (row_ptr[self.row + 1] - row_ptr[self.row]) as usize,
         }
     }
 
@@ -339,109 +292,98 @@ impl<'a> RowView<'a> {
     /// dense coordinates ascending, CSR entries in stored order with the
     /// same `take_while` cutoff, same accumulation order.
     pub fn dot_padded(&self, weights: &DenseVector) -> f64 {
-        match self {
-            RowView::Slab { slab, row } => match &slab.layout {
-                SlabLayout::Dense { dim, cols } => {
-                    let n = (*dim).min(weights.dim());
-                    let w = &weights.as_slice()[..n];
-                    cols[..n].iter().zip(w).map(|(col, b)| col[*row] * b).sum()
-                }
-                SlabLayout::Csr { .. } => {
-                    let (indices, values, _) = match slab.csr_row(*row) {
-                        Some(parts) => parts,
-                        None => unreachable!("layout checked above"),
-                    };
-                    let slice = weights.as_slice();
-                    indices
-                        .iter()
-                        .zip(values.iter())
-                        .take_while(|(&i, _)| (i as usize) < slice.len())
-                        .map(|(&i, &v)| v * slice[i as usize])
-                        .sum()
-                }
-                SlabLayout::Rows(rows) => rows[*row].dot_padded(weights),
-            },
-            RowView::Point(p) => p.features.dot_padded(weights),
+        match &self.slab.layout {
+            SlabLayout::Dense { dim, cols } => {
+                let n = (*dim).min(weights.dim());
+                let w = &weights.as_slice()[..n];
+                let products = cols[..n].iter().zip(w);
+                products.map(|(col, b)| col[self.row] * b).sum()
+            }
+            SlabLayout::Csr {
+                row_ptr,
+                indices,
+                values,
+                ..
+            } => {
+                let (indices, values) = csr_row(row_ptr, indices, values, self.row);
+                let slice = weights.as_slice();
+                indices
+                    .iter()
+                    .zip(values.iter())
+                    .take_while(|(&i, _)| (i as usize) < slice.len())
+                    .map(|(&i, &v)| v * slice[i as usize])
+                    .sum()
+            }
         }
     }
 
     /// `weights += alpha * self`, growing `weights` with zero padding first
     /// — bit-identical to `Vector::axpy_into_growing` on the same example.
     pub fn axpy_into_growing(&self, alpha: f64, weights: &mut DenseVector) {
-        match self {
-            RowView::Slab { slab, row } => match &slab.layout {
-                SlabLayout::Dense { dim, cols } => {
-                    weights.grow_to(*dim);
-                    let w = &mut weights.as_mut_slice()[..*dim];
-                    for (slot, col) in w.iter_mut().zip(cols) {
-                        *slot += alpha * col[*row];
-                    }
+        match &self.slab.layout {
+            SlabLayout::Dense { dim, cols } => {
+                weights.grow_to(*dim);
+                let w = &mut weights.as_mut_slice()[..*dim];
+                for (slot, col) in w.iter_mut().zip(cols) {
+                    *slot += alpha * col[self.row];
                 }
-                SlabLayout::Csr { .. } => {
-                    let (indices, values, _) = match slab.csr_row(*row) {
-                        Some(parts) => parts,
-                        None => unreachable!("layout checked above"),
-                    };
-                    if let Some(&last) = indices.last() {
-                        weights.grow_to(last as usize + 1);
-                    }
-                    let slice = weights.as_mut_slice();
-                    for (&i, &v) in indices.iter().zip(values.iter()) {
-                        slice[i as usize] += alpha * v;
-                    }
+            }
+            SlabLayout::Csr {
+                row_ptr,
+                indices,
+                values,
+                ..
+            } => {
+                let (indices, values) = csr_row(row_ptr, indices, values, self.row);
+                if let Some(&last) = indices.last() {
+                    weights.grow_to(last as usize + 1);
                 }
-                SlabLayout::Rows(rows) => rows[*row].axpy_into_growing(alpha, weights),
-            },
-            RowView::Point(p) => p.features.axpy_into_growing(alpha, weights),
+                let slice = weights.as_mut_slice();
+                for (&i, &v) in indices.iter().zip(values.iter()) {
+                    slice[i as usize] += alpha * v;
+                }
+            }
         }
     }
 
-    /// The stored `(indices, values)` of a sparse row — a CSR slab row or a
-    /// [`Vector::Sparse`] — in stored (strictly increasing) index order;
-    /// `None` for a dense row. Folding `slot[i] += alpha * v` over the pairs
-    /// is bit-identical to [`RowView::axpy_into_growing`] once the target
-    /// covers the last index, which lets a caller record the coordinates it
-    /// touches.
+    /// The stored `(indices, values)` of a CSR row, in stored (strictly
+    /// increasing) index order; `None` for a dense row. Folding
+    /// `slot[i] += alpha * v` over the pairs is bit-identical to
+    /// [`RowView::axpy_into_growing`] once the target covers the last index,
+    /// which lets a caller record the coordinates it touches.
     pub fn sparse_parts(&self) -> Option<(&'a [u32], &'a [f64])> {
-        let vector = match self {
-            RowView::Slab { slab, row } => match &slab.layout {
-                SlabLayout::Dense { .. } => return None,
-                SlabLayout::Csr { .. } => {
-                    return slab.csr_row(*row).map(|(idx, val, _)| (idx, val));
-                }
-                SlabLayout::Rows(rows) => &rows[*row],
-            },
-            RowView::Point(p) => &p.features,
-        };
-        match vector {
-            Vector::Dense(_) => None,
-            Vector::Sparse(s) => Some((s.indices(), s.values())),
+        match &self.slab.layout {
+            SlabLayout::Dense { .. } => None,
+            SlabLayout::Csr {
+                row_ptr,
+                indices,
+                values,
+                ..
+            } => Some(csr_row(row_ptr, indices, values, self.row)),
         }
     }
 
-    /// Reconstructs the row's feature vector in its original representation
-    /// (dense rows come back dense, CSR rows sparse).
+    /// Reconstructs the row's feature vector (dense rows come back dense,
+    /// CSR rows sparse).
     pub fn to_vector(&self) -> Vector {
-        match self {
-            RowView::Slab { slab, row } => match &slab.layout {
-                SlabLayout::Dense { cols, .. } => {
-                    Vector::Dense(DenseVector::new(cols.iter().map(|c| c[*row]).collect()))
+        match &self.slab.layout {
+            SlabLayout::Dense { cols, .. } => {
+                Vector::Dense(DenseVector::new(cols.iter().map(|c| c[self.row]).collect()))
+            }
+            SlabLayout::Csr {
+                dim,
+                row_ptr,
+                indices,
+                values,
+            } => {
+                let (indices, values) = csr_row(row_ptr, indices, values, self.row);
+                match SparseVector::new(*dim, indices.to_vec(), values.to_vec()) {
+                    Ok(v) => Vector::Sparse(v),
+                    // Every producer of a CSR block (builder, `from_points`,
+                    // decoder) keeps a row's indices sorted and in bounds.
+                    Err(e) => unreachable!("CSR row invariant broken: {e}"),
                 }
-                SlabLayout::Csr { .. } => {
-                    let (indices, values, dim) = match slab.csr_row(*row) {
-                        Some(parts) => parts,
-                        None => unreachable!("layout checked above"),
-                    };
-                    match SparseVector::new(dim, indices.to_vec(), values.to_vec()) {
-                        Ok(v) => Vector::Sparse(v),
-                        // Slab rows only ever come from valid sparse
-                        // vectors, whose indices stay sorted and in bounds.
-                        Err(e) => unreachable!("CSR row invariant broken: {e}"),
-                    }
-                }
-                SlabLayout::Rows(rows) => rows[*row].clone(),
-            },
-            RowView::Point(p) => p.features.clone(),
+            }
         }
     }
 
@@ -475,7 +417,7 @@ mod tests {
         assert!(matches!(slab.layout(), SlabLayout::Dense { dim: 2, .. }));
         for (i, p) in points.iter().enumerate() {
             assert_eq!(slab.row(i).to_point(), *p);
-            assert_eq!(slab.row(i).size_bytes(), p.size_bytes());
+            assert_eq!(slab.row_size_bytes(i), p.size_bytes());
             assert_eq!(slab.row(i).nnz(), p.features.nnz());
         }
     }
@@ -491,28 +433,47 @@ mod tests {
         assert!(matches!(slab.layout(), SlabLayout::Csr { dim: 16, .. }));
         for (i, p) in points.iter().enumerate() {
             assert_eq!(slab.row(i).to_point(), *p);
-            assert_eq!(slab.row(i).size_bytes(), p.size_bytes());
+            assert_eq!(slab.row_size_bytes(i), p.size_bytes());
             assert_eq!(slab.row(i).nnz(), p.features.nnz());
         }
     }
 
     #[test]
-    fn mixed_layouts_fall_back_to_rows() {
-        let points = vec![dense(1.0, &[1.0]), sparse(0.0, 4, &[(2, 2.0)])];
+    fn non_uniform_points_become_csr_with_the_vectors_own_arithmetic() {
+        // Dense rows of two widths (stored zeros, a negative zero) among
+        // sparse rows of two dimensions, one empty.
+        let points = vec![
+            dense(1.0, &[0.5, 0.0, -1.5]),
+            sparse(0.0, 4, &[(2, 2.0)]),
+            dense(-1.0, &[-0.0, 3.25, 7.0, 0.1, -2.0]),
+            sparse(1.0, 9, &[(0, -4.0), (8, 0.3)]),
+            sparse(0.0, 2, &[]),
+        ];
         let slab = ColumnSlab::from_points(points.clone());
-        assert!(matches!(slab.layout(), SlabLayout::Rows(_)));
-        for (i, p) in points.iter().enumerate() {
-            assert_eq!(slab.row(i).to_point(), *p);
-            assert_eq!(slab.row(i).size_bytes(), p.size_bytes());
+        assert!(matches!(slab.layout(), SlabLayout::Csr { dim: 9, .. }));
+        assert_eq!(
+            slab.row(0).sparse_parts().map(|(i, _)| i),
+            Some(&[0, 1, 2][..])
+        );
+        // Weights narrower than, as wide as and wider than each kind of row.
+        let weights = (0..12).map(|n| DenseVector::new((0..n).map(|i| 0.7 - i as f64).collect()));
+        for w in weights {
+            for (i, p) in points.iter().enumerate() {
+                assert_eq!(slab.row(i).label(), p.label);
+                assert_eq!(
+                    slab.row(i).dot_padded(&w).to_bits(),
+                    p.features.dot_padded(&w).to_bits(),
+                    "row {i} against {} weights",
+                    w.dim()
+                );
+                let (mut a, mut b) = (w.clone(), w.clone());
+                slab.row(i).axpy_into_growing(-0.3, &mut a);
+                p.features.axpy_into_growing(-0.3, &mut b);
+                let bits =
+                    |v: &DenseVector| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "row {i} into {} weights", w.dim());
+            }
         }
-    }
-
-    #[test]
-    fn differing_dense_dims_fall_back_to_rows() {
-        let points = vec![dense(1.0, &[1.0]), dense(1.0, &[1.0, 2.0])];
-        let slab = ColumnSlab::from_points(points.clone());
-        assert!(matches!(slab.layout(), SlabLayout::Rows(_)));
-        assert_eq!(slab.row(1).to_point(), points[1]);
     }
 
     #[test]
@@ -565,9 +526,6 @@ mod tests {
         let d = dense(1.0, &[1.0, 2.0]);
         let s = sparse(0.0, 8, &[(1, 2.0), (6, -1.0)]);
         let parts = Some((&[1u32, 6][..], &[2.0, -1.0][..]));
-        // Point views, a CSR slab, a dense slab and the row-major fallback.
-        assert_eq!(RowView::Point(&d).sparse_parts(), None);
-        assert_eq!(RowView::Point(&s).sparse_parts(), parts);
         let csr = ColumnSlab::from_points(vec![sparse(1.0, 8, &[]), s.clone()]);
         assert_eq!(csr.row(0).sparse_parts(), Some((&[][..], &[][..])));
         assert_eq!(csr.row(1).sparse_parts(), parts);
@@ -577,9 +535,6 @@ mod tests {
                 .sparse_parts(),
             None
         );
-        let mixed = ColumnSlab::from_points(vec![d, s]);
-        assert_eq!(mixed.row(0).sparse_parts(), None);
-        assert_eq!(mixed.row(1).sparse_parts(), parts);
     }
 
     #[test]

@@ -28,9 +28,6 @@
 //!   1 csr  : n_rows u32 | dim u32 | n_rows × f64 labels
 //!            | (n_rows+1) × u32 row_ptr (rebased to start at 0)
 //!            | nnz u32 | nnz × u32 indices | nnz × f64 values
-//!   2 rows : n_rows u32 | per row: label f64 | vtag u8
-//!            (0 dense: dim u32 | dim × f64;
-//!             1 sparse: dim u32 | nnz u32 | nnz × u32 | nnz × f64)
 //! trailer: crc32 u32 over everything before it
 //! ```
 //!
@@ -56,7 +53,6 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut, Bytes};
 
 use cdp_faults::{corrupt_byte_index, DiskFault, DiskOp, FaultHook, NoFaults, RetryPolicy};
-use cdp_linalg::{DenseVector, SparseVector, Vector};
 use cdp_obs::{crc32, Metrics};
 
 use crate::chunk::{FeatureChunk, Timestamp};
@@ -84,30 +80,6 @@ fn put_u32s(buf: &mut Vec<u8>, xs: &[u32]) {
     buf.resize(at + xs.len() * 4, 0);
     for (dst, x) in buf[at..].chunks_exact_mut(4).zip(xs) {
         dst.copy_from_slice(&x.to_be_bytes());
-    }
-}
-
-/// Writes one vector of the `rows` layout.
-fn put_vector(buf: &mut Vec<u8>, v: &Vector) {
-    match v {
-        Vector::Dense(v) => {
-            buf.put_u8(0);
-            buf.put_u32(v.dim() as u32);
-            for &x in v.as_slice() {
-                buf.put_f64(x);
-            }
-        }
-        Vector::Sparse(v) => {
-            buf.put_u8(1);
-            buf.put_u32(v.dim() as u32);
-            buf.put_u32(v.nnz() as u32);
-            for &i in v.indices() {
-                buf.put_u32(i);
-            }
-            for &x in v.values() {
-                buf.put_f64(x);
-            }
-        }
     }
 }
 
@@ -145,14 +117,6 @@ pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
             buf.put_u32(indices.len() as u32);
             put_u32s(&mut buf, indices);
             put_f64s(&mut buf, values);
-        }
-        SlabLayout::Rows(rows) => {
-            buf.put_u8(2);
-            buf.put_u32(n as u32);
-            for (label, v) in slab.labels().iter().zip(rows) {
-                buf.put_f64(*label);
-                put_vector(&mut buf, v);
-            }
         }
     }
     let checksum = crc32(&buf);
@@ -208,42 +172,6 @@ fn get_u32s(data: &mut &[u8], n: usize, what: &str) -> Result<Vec<u32>, StorageE
     *data = rest;
     let words = head.as_chunks::<4>().0;
     Ok(words.iter().map(|b| u32::from_be_bytes(*b)).collect())
-}
-
-/// Decodes one vector of the `rows` layout.
-fn decode_vector(data: &mut &[u8]) -> Result<Vector, StorageError> {
-    need(data, 1, "vector tag")?;
-    match data.get_u8() {
-        0 => {
-            need(data, 4, "dense dim")?;
-            let dim = data.get_u32() as usize;
-            need(data, dim * 8, "dense values")?;
-            let mut values = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                values.push(data.get_f64());
-            }
-            Ok(Vector::Dense(DenseVector::new(values)))
-        }
-        1 => {
-            need(data, 8, "sparse header")?;
-            let dim = data.get_u32() as usize;
-            let nnz = data.get_u32() as usize;
-            need(data, nnz * (4 + 8), "sparse entries")?;
-            let mut indices = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                indices.push(data.get_u32());
-            }
-            let mut values = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                values.push(data.get_f64());
-            }
-            Ok(Vector::Sparse(
-                SparseVector::new(dim, indices, values)
-                    .map_err(|e| StorageError::Corrupt(format!("invalid sparse vector: {e}")))?,
-            ))
-        }
-        other => Err(StorageError::Corrupt(format!("unknown vector tag {other}"))),
-    }
 }
 
 /// Decodes the checksummed region of an encoded chunk into a slab-backed
@@ -324,16 +252,7 @@ fn decode_payload(mut data: &[u8]) -> Result<FeatureChunk, StorageError> {
                 },
             )
         }
-        2 => {
-            let mut labels = Vec::with_capacity(n.min(data.remaining() / 9 + 1));
-            let mut rows = Vec::with_capacity(n.min(data.remaining() / 9 + 1));
-            for _ in 0..n {
-                need(data, 8, "row label")?;
-                labels.push(data.get_f64());
-                rows.push(decode_vector(&mut data)?);
-            }
-            (labels, SlabLayout::Rows(rows))
-        }
+        // Tag 2 was the row-major layout no producer emits any more.
         other => {
             return Err(StorageError::Corrupt(format!(
                 "unknown slab layout tag {other}"
@@ -555,7 +474,7 @@ mod tests {
     use super::*;
     use crate::chunk::LabeledPoint;
     use cdp_faults::{FaultInjector, FaultPlan};
-    use cdp_linalg::SparseBuilder;
+    use cdp_linalg::{DenseVector, SparseBuilder, Vector};
     use proptest::prelude::*;
 
     /// Result extractor without `unwrap`/`expect`: this module's hot path
@@ -645,7 +564,7 @@ mod tests {
         assert_eq!(ok(decode_chunk(&encoded)), chunk);
     }
 
-    /// One chunk per slab layout (dense, CSR, rows, empty).
+    /// One chunk per slab layout (dense, CSR, CSR from mixed rows, empty).
     fn layout_chunks() -> Vec<FeatureChunk> {
         let dense = FeatureChunk::new(
             Timestamp(1),
@@ -671,7 +590,7 @@ mod tests {
             ],
         );
         let empty = FeatureChunk::new(Timestamp(3), Timestamp(3), vec![]);
-        // sample_chunk mixes sparse and dense rows: the `rows` layout.
+        // sample_chunk mixes sparse and dense rows: CSR at the widest.
         vec![dense, csr, sample_chunk(), empty]
     }
 
@@ -679,6 +598,26 @@ mod tests {
     fn codec_round_trips_all_layouts() {
         for chunk in layout_chunks() {
             assert_eq!(ok(decode_chunk(&encode_chunk(&chunk))), chunk);
+        }
+    }
+
+    #[test]
+    fn the_retired_rows_tag_is_corrupt_not_a_panic() {
+        // A well-checksummed buffer carrying layout tag 2 (byte 22): one
+        // row, then what used to be its label and a dense vector.
+        let mut bytes = encode_chunk(&layout_chunks()[3]).to_vec();
+        bytes.truncate(bytes.len() - 4);
+        bytes[22] = 2;
+        bytes[23..27].copy_from_slice(&1u32.to_be_bytes());
+        bytes.truncate(27);
+        bytes.extend_from_slice(&1.0f64.to_be_bytes());
+        bytes.extend_from_slice(&[0, 0, 0, 0, 1]);
+        bytes.extend_from_slice(&0.5f64.to_be_bytes());
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_be_bytes());
+        match decode_chunk(&bytes) {
+            Err(StorageError::Corrupt(why)) => assert!(why.contains("layout tag 2"), "{why}"),
+            other => panic!("expected a typed corruption, got {other:?}"),
         }
     }
 
@@ -747,14 +686,6 @@ mod tests {
                 }
                 for &x in values {
                     buf.put_f64(x);
-                }
-            }
-            SlabLayout::Rows(rows) => {
-                buf.put_u8(2);
-                buf.put_u32(n as u32);
-                for (label, v) in slab.labels().iter().zip(rows) {
-                    buf.put_f64(*label);
-                    put_vector(&mut buf, v);
                 }
             }
         }
@@ -908,7 +839,7 @@ mod tests {
 
     #[test]
     fn spill_codec_layout_chunks_match_the_reference_bytes() {
-        // Dense, CSR, the test-only rows layout and the empty chunk.
+        // Dense, CSR, CSR from mixed rows and the empty chunk.
         for chunk in layout_chunks() {
             assert_eq!(
                 &encode_chunk(&chunk)[..],

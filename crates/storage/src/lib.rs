@@ -36,15 +36,12 @@ pub mod tiered;
 pub mod wal;
 
 pub use checkpoint::{CheckpointDir, CHECKPOINT_SCHEMA};
-pub use chunk::{ChunkStats, FeatureChunk, LabeledPoint, RawChunk, Timestamp};
+pub use chunk::{FeatureChunk, LabeledPoint, RawChunk, Timestamp};
 pub use columnar::{ColumnSlab, CsrBuilder, RowView, SlabLayout};
 pub use record::{Record, Schema, Value};
-pub use store::{
-    ChunkStore, ChunkStoreConfig, ChunkStoreDiffKind, ChunkStoreEvent, FeatureLookup,
-    StorageBudget, StoreStats,
-};
+pub use store::{ChunkStore, FeatureLookup, StorageBudget, StoreStats};
 pub use tiered::{TieredLookup, TieredStats, TieredStore};
-pub use wal::{WalDir, WalOptions, WalRecovery, WalStats, WalWriter, WAL_SCHEMA};
+pub use wal::{WalDir, WalOptions, WalRecovery, WalStats, WalWriter};
 
 /// Version stamp embedded in every on-disk format's header.
 ///

@@ -28,19 +28,6 @@ impl Value {
         }
     }
 
-    /// Text view; `None` for numbers or missing.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Whether the field is missing.
-    pub fn is_missing(&self) -> bool {
-        matches!(self, Value::Missing)
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn size_bytes(&self) -> usize {
         match self {
@@ -142,29 +129,9 @@ impl Record {
         self.values.get(index)
     }
 
-    /// Value by field name through a schema.
-    pub fn field<'a>(&'a self, schema: &Schema, name: &str) -> Option<&'a Value> {
-        schema.index_of(name).and_then(|i| self.values.get(i))
-    }
-
-    /// Numeric value by field name; `None` when missing/text/unknown.
-    pub fn num(&self, schema: &Schema, name: &str) -> Option<f64> {
-        self.field(schema, name).and_then(Value::as_num)
-    }
-
-    /// Text value by field name.
-    pub fn text<'a>(&'a self, schema: &Schema, name: &str) -> Option<&'a str> {
-        self.field(schema, name).and_then(Value::as_text)
-    }
-
     /// All values.
     pub fn values(&self) -> &[Value] {
         &self.values
-    }
-
-    /// Mutable access (used by failure-injection tests).
-    pub fn values_mut(&mut self) -> &mut Vec<Value> {
-        &mut self.values
     }
 
     /// Approximate heap footprint in bytes.
@@ -198,21 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn record_field_access_by_name() {
-        let s = schema();
-        let r = Record::new(vec![Value::Num(1.0), Value::Missing, "a b c".into()]);
-        assert_eq!(r.num(&s, "label"), Some(1.0));
-        assert_eq!(r.num(&s, "amount"), None);
-        assert!(r.field(&s, "amount").unwrap().is_missing());
-        assert_eq!(r.text(&s, "tokens"), Some("a b c"));
-    }
-
-    #[test]
     fn value_conversions() {
         assert_eq!(Value::from(2.5).as_num(), Some(2.5));
-        assert_eq!(Value::from("hi").as_text(), Some("hi"));
-        assert!(Value::Missing.is_missing());
-        assert!(!Value::Num(0.0).is_missing());
+        assert_eq!(Value::from("hi"), Value::Text("hi".into()));
+        assert_eq!(Value::Missing.as_num(), None);
     }
 
     #[test]

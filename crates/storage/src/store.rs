@@ -9,21 +9,17 @@
 //! * looking up an evicted chunk yields the raw chunk so the caller can
 //!   re-materialize it through the deployed pipeline.
 //!
-//! **Generation-based GC**: every reclamation — feature-budget eviction,
-//! raw-budget trimming, budget shrink — runs through one collector
-//! ([`ChunkStore::collect`]). Each collection that frees anything advances
-//! the store's generation and is counted in [`StoreStats::gc_runs`]; every
-//! reclaimed chunk is counted in `evictions`/`bytes_evicted` and returned to
-//! the caller so the tiered store can spill it and emit the matching lineage
-//! event. Eviction order stays strictly oldest-timestamp-first, so the
-//! paper's μ model (Eqs. 4/5) is unchanged. An optional bounded changelog
-//! ([`ChunkStoreConfig`]) records every addition and deletion with the
-//! generation it happened in.
+//! Every reclamation runs through one collector (`ChunkStore::collect`).
+//! Each collection that frees anything is counted in
+//! [`StoreStats::gc_runs`]; every reclaimed chunk is counted in
+//! `evictions`/`bytes_evicted` and returned to the caller so the tiered
+//! store can spill it and emit the matching lineage event. Eviction order
+//! is strictly oldest-timestamp-first, which is what the paper's μ model
+//! (Eqs. 4/5) assumes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::{FeatureChunk, RawChunk, Timestamp};
@@ -51,54 +47,6 @@ impl StorageBudget {
     }
 }
 
-/// The chunk store's changelog switch, separate from the eviction
-/// [`StorageBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChunkStoreConfig {
-    /// Record an in-memory changelog of ingestion-path events (additions
-    /// and GC deletions). Off by default: the changelog exists for tests
-    /// and debugging, not the hot path.
-    pub enable_changelog: bool,
-    /// Bound on retained changelog events; the oldest are dropped first.
-    pub changelog_capacity: usize,
-}
-
-impl Default for ChunkStoreConfig {
-    /// Changelog off ([`ChunkStore::new`]'s configuration), with room for
-    /// 1024 events once switched on.
-    fn default() -> Self {
-        Self {
-            enable_changelog: false,
-            changelog_capacity: 1024,
-        }
-    }
-}
-
-/// What a changelog entry describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ChunkStoreDiffKind {
-    /// A feature chunk was materialized into the cache.
-    Addition,
-    /// The garbage collector reclaimed a feature chunk.
-    Deletion,
-}
-
-/// One ingestion-path event, recorded when
-/// [`ChunkStoreConfig::enable_changelog`] is set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChunkStoreEvent {
-    /// GC generation in which the event happened.
-    pub generation: u64,
-    /// What happened.
-    pub kind: ChunkStoreDiffKind,
-    /// The chunk concerned.
-    pub timestamp: Timestamp,
-    /// Rows of the chunk.
-    pub rows: usize,
-    /// Bytes of the chunk.
-    pub bytes: usize,
-}
-
 /// What the store knows about a requested feature chunk.
 #[derive(Debug, Clone)]
 pub enum FeatureLookup {
@@ -113,45 +61,15 @@ pub enum FeatureLookup {
     Unavailable,
 }
 
-impl FeatureLookup {
-    /// True when the lookup found materialized features.
-    pub fn is_materialized(&self) -> bool {
-        matches!(self, FeatureLookup::Materialized(_))
-    }
-}
-
-/// What to do with a chunk that was re-materialized on demand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RematerializationPolicy {
-    /// Use the re-materialized features once and discard them. Keeps the
-    /// materialized set equal to "the newest `m` chunks", matching the
-    /// paper's analytical model of μ.
-    #[default]
-    Discard,
-    /// Re-insert the re-materialized chunk into the cache (it becomes the
-    /// oldest materialized chunk and the usual eviction applies).
-    Recache,
-}
-
-/// Why the garbage collector ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GcCause {
-    /// The feature cache exceeded its [`StorageBudget`].
-    FeatureBudget,
-    /// The raw history exceeded its chunk cap (the paper's `N`).
-    RawBudget,
-}
-
 /// Counters describing the store's behaviour; the basis for the empirical
 /// materialization-utilization-rate (μ) measurements of Experiment 3.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
     /// Raw chunks inserted.
     pub raw_puts: u64,
-    /// Feature chunks inserted (including re-cached ones).
+    /// Feature chunks inserted.
     pub feature_puts: u64,
-    /// Feature chunks reclaimed by the collector (budget evictions *and*
-    /// raw-budget drops — every reclaimed chunk is counted exactly once).
+    /// Feature chunks reclaimed by the collector, each counted exactly once.
     pub evictions: u64,
     /// Bytes released by evictions.
     pub bytes_evicted: u64,
@@ -185,61 +103,30 @@ impl StoreStats {
 pub struct ChunkStore {
     raw: BTreeMap<Timestamp, Arc<RawChunk>>,
     features: BTreeMap<Timestamp, Arc<FeatureChunk>>,
-    /// Birth generation of each materialized chunk: the GC generation at
-    /// which it entered the cache. Survivor of many generations = old data
-    /// the collector has repeatedly declined to reclaim.
-    birth_gen: BTreeMap<Timestamp, u64>,
     budget: StorageBudget,
-    raw_budget: Option<usize>,
-    config: ChunkStoreConfig,
     feature_bytes: usize,
-    generation: u64,
-    changelog: Vec<ChunkStoreEvent>,
     stats: StoreStats,
 }
 
 impl ChunkStore {
-    /// Creates a store with the given feature-cache budget, unlimited raw
-    /// history, and the changelog off.
+    /// Creates a store with the given feature-cache budget; the raw history
+    /// is unlimited.
     pub fn new(budget: StorageBudget) -> Self {
-        Self::with_config(budget, ChunkStoreConfig::default())
-    }
-
-    /// Creates a store with an explicit changelog configuration.
-    pub fn with_config(budget: StorageBudget, config: ChunkStoreConfig) -> Self {
         Self {
             raw: BTreeMap::new(),
             features: BTreeMap::new(),
-            birth_gen: BTreeMap::new(),
             budget,
-            raw_budget: None,
-            config,
             feature_bytes: 0,
-            generation: 0,
-            changelog: Vec::new(),
             stats: StoreStats::default(),
         }
     }
 
-    /// Caps the raw history at `max_chunks` (the paper's `N`): the oldest raw
-    /// chunks are dropped entirely, together with their features.
-    pub fn with_raw_budget(mut self, max_chunks: usize) -> Self {
-        self.raw_budget = Some(max_chunks);
-        self
-    }
-
     /// Stores a raw chunk — as it is when the caller hands over an `Arc` it
-    /// goes on reading from — then trims the raw history to its budget.
-    /// Returns the *still-materialized feature chunks* reclaimed by the trim
-    /// (oldest first) so the caller can account for them (lineage `Evict`);
-    /// their raw data is gone, so they can never be re-materialized.
+    /// goes on reading from.
     ///
     /// # Errors
     /// [`StorageError::DuplicateTimestamp`] when the timestamp is taken.
-    pub fn put_raw(
-        &mut self,
-        chunk: impl Into<Arc<RawChunk>>,
-    ) -> Result<Vec<Arc<FeatureChunk>>, StorageError> {
+    pub fn put_raw(&mut self, chunk: impl Into<Arc<RawChunk>>) -> Result<(), StorageError> {
         let chunk = chunk.into();
         let ts = chunk.timestamp;
         if self.raw.contains_key(&ts) {
@@ -247,7 +134,7 @@ impl ChunkStore {
         }
         self.raw.insert(ts, chunk);
         self.stats.raw_puts += 1;
-        Ok(self.collect(GcCause::RawBudget))
+        Ok(())
     }
 
     /// Stores a feature chunk, then evicts oldest feature chunks while the
@@ -270,111 +157,42 @@ impl ChunkStore {
         if self.features.contains_key(&ts) {
             return Err(StorageError::DuplicateTimestamp(ts));
         }
-        self.insert_feature(ts, Arc::new(chunk));
-        Ok(self.collect(GcCause::FeatureBudget))
-    }
-
-    /// Cache-insertion bookkeeping shared by `put_feature` and
-    /// `restore_feature`.
-    fn insert_feature(&mut self, ts: Timestamp, chunk: Arc<FeatureChunk>) {
         self.feature_bytes += chunk.size_bytes();
-        self.record_event(
-            ChunkStoreDiffKind::Addition,
-            ts,
-            chunk.len(),
-            chunk.size_bytes(),
-        );
-        self.features.insert(ts, chunk);
-        self.birth_gen.insert(ts, self.generation);
+        self.features.insert(ts, Arc::new(chunk));
         self.stats.feature_puts += 1;
+        Ok(self.collect())
     }
 
-    /// Removes one materialized chunk, balancing bytes and birth records.
+    /// Removes one materialized chunk, balancing the byte count.
     fn remove_feature(&mut self, ts: Timestamp) -> Option<Arc<FeatureChunk>> {
         let removed = self.features.remove(&ts)?;
         self.feature_bytes -= removed.size_bytes();
-        self.birth_gen.remove(&ts);
         Some(removed)
     }
 
-    /// The unified collector: reclaims oldest-first until the cause's budget
-    /// holds, counting every reclaimed chunk in `evictions`/`bytes_evicted`
-    /// and returning it. A run that reclaims anything advances the store's
-    /// generation and `gc_runs`.
-    fn collect(&mut self, cause: GcCause) -> Vec<Arc<FeatureChunk>> {
+    /// The collector: reclaims oldest-first until the budget holds, counting
+    /// every reclaimed chunk in `evictions`/`bytes_evicted` and returning it.
+    /// A run that reclaims anything is counted in `gc_runs`.
+    fn collect(&mut self) -> Vec<Arc<FeatureChunk>> {
         let mut reclaimed = Vec::new();
-        match cause {
-            GcCause::FeatureBudget => {
-                while self
-                    .budget
-                    .exceeded(self.features.len(), self.feature_bytes)
-                    && !self.features.is_empty()
-                {
-                    let Some((&oldest, _)) = self.features.iter().next() else {
-                        break;
-                    };
-                    let Some(removed) = self.remove_feature(oldest) else {
-                        break;
-                    };
-                    reclaimed.push(removed);
-                }
-            }
-            GcCause::RawBudget => {
-                if let Some(max) = self.raw_budget {
-                    while self.raw.len() > max {
-                        let Some((&oldest, _)) = self.raw.iter().next() else {
-                            break;
-                        };
-                        self.raw.remove(&oldest);
-                        if let Some(removed) = self.remove_feature(oldest) {
-                            reclaimed.push(removed);
-                        }
-                    }
-                }
-            }
+        while self
+            .budget
+            .exceeded(self.features.len(), self.feature_bytes)
+        {
+            let Some((&oldest, _)) = self.features.iter().next() else {
+                break;
+            };
+            let Some(removed) = self.remove_feature(oldest) else {
+                break;
+            };
+            self.stats.evictions += 1;
+            self.stats.bytes_evicted += removed.size_bytes() as u64;
+            reclaimed.push(removed);
         }
         if !reclaimed.is_empty() {
-            for chunk in &reclaimed {
-                let bytes = chunk.size_bytes();
-                self.stats.evictions += 1;
-                self.stats.bytes_evicted += bytes as u64;
-                self.record_event(
-                    ChunkStoreDiffKind::Deletion,
-                    chunk.timestamp,
-                    chunk.len(),
-                    bytes,
-                );
-            }
             self.stats.gc_runs += 1;
-            self.generation += 1;
         }
         reclaimed
-    }
-
-    /// Appends a changelog event when the changelog is enabled, dropping the
-    /// oldest events beyond the configured capacity.
-    fn record_event(
-        &mut self,
-        kind: ChunkStoreDiffKind,
-        timestamp: Timestamp,
-        rows: usize,
-        bytes: usize,
-    ) {
-        if !self.config.enable_changelog {
-            return;
-        }
-        self.changelog.push(ChunkStoreEvent {
-            generation: self.generation,
-            kind,
-            timestamp,
-            rows,
-            bytes,
-        });
-        let cap = self.config.changelog_capacity.max(1);
-        if self.changelog.len() > cap {
-            let excess = self.changelog.len() - cap;
-            self.changelog.drain(..excess);
-        }
     }
 
     /// Looks up the features for `ts`, recording hit/miss statistics.
@@ -401,18 +219,6 @@ impl ChunkStore {
         self.raw.get(&ts).cloned()
     }
 
-    /// Re-inserts a chunk that was re-materialized on demand, honouring the
-    /// given policy.
-    pub fn restore_feature(&mut self, chunk: FeatureChunk, policy: RematerializationPolicy) {
-        if policy == RematerializationPolicy::Recache
-            && !self.features.contains_key(&chunk.timestamp)
-        {
-            let ts = chunk.timestamp;
-            self.insert_feature(ts, Arc::new(chunk));
-            self.collect(GcCause::FeatureBudget);
-        }
-    }
-
     /// Timestamps of every chunk that can participate in sampling (raw data
     /// present), oldest first.
     pub fn sampleable_timestamps(&self) -> Vec<Timestamp> {
@@ -422,11 +228,6 @@ impl ChunkStore {
     /// Timestamps with materialized features, oldest first.
     pub fn materialized_timestamps(&self) -> Vec<Timestamp> {
         self.features.keys().copied().collect()
-    }
-
-    /// Whether features for `ts` are currently materialized.
-    pub fn is_materialized(&self, ts: Timestamp) -> bool {
-        self.features.contains_key(&ts)
     }
 
     /// Number of retained raw chunks (the paper's `n`).
@@ -447,35 +248,6 @@ impl ChunkStore {
     /// The cache budget.
     pub fn budget(&self) -> StorageBudget {
         self.budget
-    }
-
-    /// The changelog configuration.
-    pub fn config(&self) -> ChunkStoreConfig {
-        self.config
-    }
-
-    /// The current GC generation (advanced by every collection that
-    /// reclaims at least one chunk).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The GC generation in which `ts` entered the cache, if materialized.
-    pub fn chunk_generation(&self, ts: Timestamp) -> Option<u64> {
-        self.birth_gen.get(&ts).copied()
-    }
-
-    /// The retained changelog (empty unless
-    /// [`ChunkStoreConfig::enable_changelog`] is set).
-    pub fn changelog(&self) -> &[ChunkStoreEvent] {
-        &self.changelog
-    }
-
-    /// Replaces the cache budget and immediately applies it, returning any
-    /// chunks evicted by the shrink.
-    pub fn set_budget(&mut self, budget: StorageBudget) -> Vec<Arc<FeatureChunk>> {
-        self.budget = budget;
-        self.collect(GcCause::FeatureBudget)
     }
 
     /// Behaviour counters.
@@ -502,15 +274,6 @@ impl ChunkStore {
         self.raw.remove(&ts);
         self.remove_feature(ts);
     }
-}
-
-/// A thread-safe handle to a [`ChunkStore`], shared between the data manager
-/// and the execution engine's workers.
-pub type SharedChunkStore = Arc<RwLock<ChunkStore>>;
-
-/// Wraps a store for sharing across threads.
-pub fn shared(store: ChunkStore) -> SharedChunkStore {
-    Arc::new(RwLock::new(store))
 }
 
 #[cfg(test)]
@@ -578,7 +341,10 @@ mod tests {
     #[test]
     fn lookup_records_hits_and_misses() {
         let mut s = store_with(10, StorageBudget::MaxChunks(5));
-        assert!(s.lookup_feature(Timestamp(9)).is_materialized());
+        assert!(matches!(
+            s.lookup_feature(Timestamp(9)),
+            FeatureLookup::Materialized(_)
+        ));
         assert!(matches!(
             s.lookup_feature(Timestamp(0)),
             FeatureLookup::Evicted(_)
@@ -630,58 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_discard_leaves_cache_untouched() {
-        let mut s = store_with(10, StorageBudget::MaxChunks(3));
-        s.restore_feature(feat(0), RematerializationPolicy::Discard);
-        assert!(!s.is_materialized(Timestamp(0)));
-        assert_eq!(s.materialized_count(), 3);
-    }
-
-    #[test]
-    fn restore_recache_inserts_and_evicts() {
-        let mut s = store_with(10, StorageBudget::MaxChunks(3));
-        s.restore_feature(feat(0), RematerializationPolicy::Recache);
-        // t0 became the oldest materialized chunk and was evicted right away.
-        assert!(!s.is_materialized(Timestamp(0)));
-        assert_eq!(s.materialized_count(), 3);
-        assert_eq!(s.stats().evictions, 8);
-    }
-
-    #[test]
-    fn raw_budget_drops_oldest_history() {
-        let mut s = ChunkStore::new(StorageBudget::Unbounded).with_raw_budget(4);
-        let mut dropped_total = 0u64;
-        for t in 0..10 {
-            dropped_total += ok(s.put_raw(raw(t))).len() as u64;
-            ok(s.put_feature(feat(t)));
-        }
-        assert_eq!(s.raw_count(), 4);
-        assert_eq!(
-            s.sampleable_timestamps(),
-            vec![Timestamp(6), Timestamp(7), Timestamp(8), Timestamp(9)]
-        );
-        // Features of dropped raw chunks are gone too — and *counted*: a
-        // raw-budget drop of a still-materialized chunk is an eviction like
-        // any other, returned to the caller for lineage accounting.
-        assert_eq!(dropped_total, 6);
-        assert_eq!(s.stats().evictions, 6);
-        assert!(s.stats().bytes_evicted > 0);
-        assert!(s.stats().gc_runs >= 1);
-        assert!(matches!(
-            s.lookup_feature(Timestamp(0)),
-            FeatureLookup::Unavailable
-        ));
-    }
-
-    #[test]
-    fn shrinking_budget_applies_immediately() {
-        let mut s = store_with(10, StorageBudget::Unbounded);
-        assert_eq!(s.materialized_count(), 10);
-        s.set_budget(StorageBudget::MaxChunks(2));
-        assert_eq!(s.materialized_count(), 2);
-    }
-
-    #[test]
     fn drop_chunk_removes_everything() {
         let mut s = store_with(5, StorageBudget::Unbounded);
         s.drop_chunk(Timestamp(2));
@@ -709,54 +423,5 @@ mod tests {
             .map(|ts| some(s.peek_feature(*ts)).size_bytes())
             .sum();
         assert_eq!(s.feature_bytes(), expected);
-    }
-
-    fn logging_config() -> ChunkStoreConfig {
-        ChunkStoreConfig {
-            enable_changelog: true,
-            changelog_capacity: 64,
-        }
-    }
-
-    #[test]
-    fn changelog_records_ingestion_path() {
-        let mut s = ChunkStore::with_config(StorageBudget::MaxChunks(2), logging_config());
-        for t in 0..4 {
-            ok(s.put_raw(raw(t)));
-            ok(s.put_feature(feat(t)));
-        }
-        let kinds: Vec<ChunkStoreDiffKind> = s.changelog().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&ChunkStoreDiffKind::Addition));
-        assert!(kinds.contains(&ChunkStoreDiffKind::Deletion));
-        // Capacity bounds the log.
-        let cap_cfg = ChunkStoreConfig {
-            changelog_capacity: 3,
-            ..logging_config()
-        };
-        let mut bounded = ChunkStore::with_config(StorageBudget::Unbounded, cap_cfg);
-        for t in 0..10 {
-            ok(bounded.put_raw(raw(t)));
-            ok(bounded.put_feature(feat(t)));
-        }
-        assert!(bounded.changelog().len() <= 3);
-    }
-
-    #[test]
-    fn generations_advance_with_collections() {
-        let mut s = ChunkStore::new(StorageBudget::MaxChunks(2));
-        for t in 0..3 {
-            ok(s.put_raw(raw(t)));
-            ok(s.put_feature(feat(t)));
-        }
-        // One collection ran (the third put evicted t0).
-        assert_eq!(s.generation(), 1);
-        assert_eq!(s.stats().gc_runs, 1);
-        // Survivors' birth generations are from before that collection;
-        // newly inserted chunks are born into the current generation.
-        assert_eq!(some(s.chunk_generation(Timestamp(1))), 0);
-        ok(s.put_raw(raw(3)));
-        ok(s.put_feature(feat(3)));
-        assert_eq!(some(s.chunk_generation(Timestamp(3))), 1);
-        assert_eq!(s.generation(), 2);
     }
 }

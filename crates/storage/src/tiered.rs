@@ -121,15 +121,10 @@ impl TieredStore {
     /// later lookups recompute them — the paper's pure dynamic
     /// materialization (§3.2).
     pub fn memory_only(budget: StorageBudget) -> Self {
-        Self::memory_only_with_hook(budget, Arc::new(NoFaults))
-    }
-
-    /// Disk-less store sharing `hook` for recovery accounting.
-    pub fn memory_only_with_hook(budget: StorageBudget, hook: Arc<dyn FaultHook>) -> Self {
         Self {
             memory: ChunkStore::new(budget),
             disk: None,
-            hook,
+            hook: Arc::new(NoFaults),
             stats: TieredStats::default(),
             metrics: Metrics::disabled(),
         }
@@ -145,36 +140,15 @@ impl TieredStore {
         self.metrics = metrics;
     }
 
-    /// Caps the raw history (the paper's `N`), dropping oldest chunks.
-    pub fn with_raw_budget(mut self, max_chunks: usize) -> Self {
-        self.memory = self.memory.with_raw_budget(max_chunks);
-        self
-    }
-
-    /// Whether a disk tier backs this store.
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
-    }
-
-    /// Stores a raw chunk (memory tier keeps all raw history unless a raw
-    /// budget caps it). Feature chunks reclaimed by a raw-budget trim get an
-    /// `Evict` lineage event like any other eviction — but no spill: their
-    /// raw data is gone, so a spilled copy could never be validated against
-    /// ground truth.
+    /// Stores a raw chunk (the memory tier keeps all raw history).
     ///
     /// # Errors
     /// Duplicate timestamps.
     pub fn put_raw(&mut self, chunk: impl Into<Arc<RawChunk>>) -> Result<(), StorageError> {
         let chunk = chunk.into();
         let ts = chunk.timestamp.0;
-        let before = self.memory.stats();
-        let dropped = self.memory.put_raw(chunk)?;
+        self.memory.put_raw(chunk)?;
         self.metrics.lineage(ts, LineageEventKind::Arrival);
-        for old in dropped {
-            self.metrics
-                .lineage(old.timestamp.0, LineageEventKind::Evict);
-        }
-        self.mirror_gc_metrics(before);
         Ok(())
     }
 
@@ -361,7 +335,6 @@ mod tests {
     fn evictions_spill_and_disk_serves_them() {
         let dir = tmp_dir("spill");
         let mut store = ok(TieredStore::open(StorageBudget::MaxChunks(3), &dir));
-        assert!(store.has_disk());
         for t in 0..10 {
             ok(store.put_raw(raw(t)));
             ok(store.put_feature(feat(t)));
@@ -447,7 +420,7 @@ mod tests {
             stats.recomputes
         );
         // A spilled-and-reread chunk's history reads in causal order.
-        let history: Vec<_> = snap.chunk_lineage(0).iter().map(|e| e.kind).collect();
+        let history: Vec<_> = snap.lineage[&0].iter().map(|e| e.kind).collect();
         assert_eq!(
             history,
             vec![
@@ -459,43 +432,6 @@ mod tests {
             ]
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn raw_budget_drop_counts_and_emits_evict_lineage() {
-        // A raw-budget trim that reclaims a still-materialized feature chunk
-        // must be indistinguishable from any other eviction in the
-        // accounting: `evictions`/`bytes_evicted` move, an `Evict` lineage
-        // event lands, and the lineage totals still reconcile with StoreStats.
-        let mut store = TieredStore::memory_only(StorageBudget::Unbounded).with_raw_budget(4);
-        let metrics = Metrics::collecting();
-        store.set_metrics(metrics.clone());
-        for t in 0..10 {
-            ok(store.put_raw(raw(t)));
-            ok(store.put_feature(feat(t)));
-        }
-        let stats = store.memory().stats();
-        assert_eq!(stats.evictions, 6);
-        assert!(stats.bytes_evicted > 0);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.lineage_count(LineageEventKind::Evict), stats.evictions);
-        assert_eq!(snap.counter("store.gc_runs"), stats.gc_runs);
-        assert_eq!(snap.counter("store.gc_evicted_bytes"), stats.bytes_evicted);
-        // A dropped chunk's history: it arrived, materialized, and was
-        // evicted by the raw trim — no spill (its ground truth is gone).
-        let history: Vec<_> = snap.chunk_lineage(0).iter().map(|e| e.kind).collect();
-        assert_eq!(
-            history,
-            vec![
-                LineageEventKind::Arrival,
-                LineageEventKind::Materialize,
-                LineageEventKind::Evict,
-            ]
-        );
-        assert!(matches!(
-            store.lookup(Timestamp(0)),
-            TieredLookup::Unavailable
-        ));
     }
 
     #[test]
@@ -611,11 +547,29 @@ mod tests {
     #[test]
     fn memory_only_recomputes_evictions() {
         let mut store = TieredStore::memory_only(StorageBudget::MaxChunks(2));
-        assert!(!store.has_disk());
+        let metrics = Metrics::collecting();
+        store.set_metrics(metrics.clone());
         for t in 0..5 {
             ok(store.put_raw(raw(t)));
             ok(store.put_feature(feat(t)));
         }
+        // An eviction without a disk tier is accounted like any other: the
+        // counters move, the registry mirrors them, and the chunk's history
+        // ends in `Evict` with no spill.
+        let (stats, snap) = (store.memory().stats(), metrics.snapshot());
+        assert_eq!(stats.evictions, 3);
+        assert_eq!(snap.lineage_count(LineageEventKind::Evict), stats.evictions);
+        assert_eq!(snap.counter("store.gc_runs"), stats.gc_runs);
+        assert_eq!(snap.counter("store.gc_evicted_bytes"), stats.bytes_evicted);
+        let history: Vec<_> = snap.lineage[&0].iter().map(|e| e.kind).collect();
+        assert_eq!(
+            history,
+            vec![
+                LineageEventKind::Arrival,
+                LineageEventKind::Materialize,
+                LineageEventKind::Evict,
+            ]
+        );
         assert!(matches!(
             store.lookup(Timestamp(0)),
             TieredLookup::Recompute(_)

@@ -64,7 +64,7 @@ const HEADER_LEN: u64 = 6;
 const MAX_FRAME: u32 = 1 << 28;
 
 /// Current schema of WAL segment files.
-pub const WAL_SCHEMA: SchemaVersion = SchemaVersion(1);
+const WAL_SCHEMA: SchemaVersion = SchemaVersion(1);
 
 /// Tuning knobs for the WAL writer (storage-level; the deployment-facing
 /// configuration lives in `cdp-core`).

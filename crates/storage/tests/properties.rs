@@ -30,6 +30,26 @@ fn point_strategy() -> impl Strategy<Value = LabeledPoint> {
     prop_oneof![dense, sparse]
 }
 
+/// A chunk's points in one layout, as the pipeline's encoders produce them:
+/// all dense at one width, or all sparse at dimension 64. (A mix is stored
+/// as CSR, which keeps the arithmetic of each row but not its bytes.)
+fn uniform_points(rows: std::ops::Range<usize>) -> impl Strategy<Value = Vec<LabeledPoint>> {
+    let wide = prop::collection::vec(-1e3..1e3f64, 12);
+    let dense = (0usize..12, prop::collection::vec(wide, rows.clone())).prop_map(|(dim, rows)| {
+        let cut = |row: Vec<f64>| Vector::Dense(DenseVector::new(row[..dim].to_vec()));
+        rows.into_iter()
+            .map(|row| LabeledPoint::new(1.0, cut(row)))
+            .collect()
+    });
+    let sparse = prop::collection::vec(point_strategy(), rows).prop_map(|points| {
+        points
+            .into_iter()
+            .filter(|p| p.features.is_sparse())
+            .collect()
+    });
+    prop_oneof![dense, sparse]
+}
+
 proptest! {
     /// The store's byte accounting always equals the sum over materialized
     /// chunks, no matter the budget or insertion count.
@@ -94,7 +114,7 @@ proptest! {
     #[test]
     fn columnar_accounting_matches_row_shadow(
         budget_bytes in 0usize..4096,
-        chunks in prop::collection::vec(prop::collection::vec(point_strategy(), 0..4), 1..24),
+        chunks in prop::collection::vec(uniform_points(0..4), 1..24),
     ) {
         let mut store = ChunkStore::new(StorageBudget::MaxBytes(budget_bytes));
         let mut shadow: Vec<(u64, usize)> = Vec::new();
@@ -118,13 +138,13 @@ proptest! {
         prop_assert_eq!(store.feature_bytes(), shadow_bytes);
     }
 
-    /// Generation GC keeps the newest `m` chunks materialized and falls
+    /// The collector keeps the newest `m` chunks materialized and falls
     /// through to the original raw chunk for everything it reclaimed — the
     /// `Rematerialize` path always has exact ground truth to rebuild from.
     #[test]
     fn gc_preserves_rematerialize_fallthrough(
         m in 0usize..10,
-        chunks in prop::collection::vec(prop::collection::vec(point_strategy(), 1..4), 1..20),
+        chunks in prop::collection::vec(uniform_points(1..4), 1..20),
     ) {
         let mut store = ChunkStore::new(StorageBudget::MaxChunks(m));
         let n = chunks.len();

@@ -72,7 +72,7 @@ pub mod prelude {
     pub use cdp_core::scheduler::Scheduler;
     pub use cdp_core::serving::{ModelServer, Prediction, ServingSnapshot};
     pub use cdp_datagen::scenarios::{
-        BurstyArrivals, DiurnalArrivals, OutOfOrderArrivals, RecurringDrift, SuddenDrift,
+        BurstyArrivals, OutOfOrderArrivals, RecurringDrift, SuddenDrift,
     };
     pub use cdp_datagen::ChunkStream;
     pub use cdp_eval::ErrorMetric;
