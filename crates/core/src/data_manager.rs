@@ -24,7 +24,7 @@ pub enum SampledChunk {
     Spilled(Arc<FeatureChunk>),
     /// Features were evicted (and any spill was absent or unreadable);
     /// re-materialize from this raw chunk (Figure 2, scenario 2).
-    NeedsRematerialization(Arc<RawChunk>),
+    NeedsRematerialization(RawChunk),
 }
 
 impl SampledChunk {
@@ -97,15 +97,15 @@ impl DataManager {
         self.metrics = metrics;
     }
 
-    /// Stores an arriving raw chunk (workflow stage 1). A caller that still
-    /// needs the chunk passes an `Arc` of it and keeps a clone of the pointer;
-    /// the store holds that allocation, not a copy of the records.
+    /// Stores an arriving raw chunk (workflow stage 1). The store keeps the
+    /// handle; a caller that still reads the chunk passes a clone, which
+    /// shares the rows.
     ///
     /// # Errors
     /// [`StorageError::DuplicateTimestamp`] — the deployment loop assigns
     /// unique timestamps, so a duplicate is a driver bug surfaced as a typed
     /// error rather than a panic.
-    pub fn ingest_raw(&mut self, chunk: impl Into<Arc<RawChunk>>) -> Result<(), StorageError> {
+    pub fn ingest_raw(&mut self, chunk: RawChunk) -> Result<(), StorageError> {
         self.store.put_raw(chunk)
     }
 
@@ -158,7 +158,7 @@ impl DataManager {
 
     /// All raw chunks, oldest first — the periodical baseline's retraining
     /// input ("the entire historical data").
-    pub fn full_history(&self) -> Vec<Arc<RawChunk>> {
+    pub fn full_history(&self) -> Vec<RawChunk> {
         let store = self.store.memory();
         store
             .sampleable_timestamps()
@@ -265,15 +265,11 @@ mod tests {
     #[test]
     fn a_shared_chunk_is_stored_without_a_copy() {
         // The chunk loop goes on reading the arrival it has just ingested;
-        // the history must hold that allocation, not a clone of its records.
+        // the history must hold those rows, not a copy of them.
         let mut dm = DataManager::new(StorageBudget::Unbounded, SamplingStrategy::Uniform, 9);
-        let arrival = Arc::new(raw(7));
-        dm.ingest_raw(Arc::clone(&arrival))
-            .expect("unique timestamps");
-        assert!(Arc::ptr_eq(&arrival, &dm.full_history()[0]));
-        // An owned chunk is still taken as before.
-        dm.ingest_raw(raw(8)).expect("unique timestamps");
-        assert_eq!(dm.chunk_count(), 2);
+        let arrival = raw(7);
+        dm.ingest_raw(arrival.clone()).expect("unique timestamps");
+        assert!(Arc::ptr_eq(&arrival.records, &dm.full_history()[0].records));
     }
 
     #[test]

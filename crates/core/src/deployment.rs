@@ -1137,12 +1137,10 @@ fn drive_chunks(
         // Arrival: on resume the recovered WAL suffix is authoritative
         // (records re-ordered by sequence number); the stream covers
         // anything the WAL lost or never held.
-        let raw = Arc::new(
-            match st.wal.as_ref().and_then(|w| w.replay.chunk(idx as u64)) {
-                Some(chunk) => chunk.clone(),
-                None => stream.chunk(idx),
-            },
-        );
+        let raw = match st.wal.as_ref().and_then(|w| w.replay.chunk(idx as u64)) {
+            Some(chunk) => chunk.clone(),
+            None => stream.chunk(idx),
+        };
         st.sim.advance_secs(config.chunk_period_secs);
         let chunk_span = tracer.child_of("deployment.chunk", env.run_span.context());
         let chunk_ctx = chunk_span.context();
@@ -1169,7 +1167,7 @@ fn drive_chunks(
         }
         // Stage 1: discretized arrival into the store (raw history), which
         // shares the chunk with the stages below instead of copying it.
-        st.dm.ingest_raw(Arc::clone(&raw))?;
+        st.dm.ingest_raw(raw.clone())?;
         // Stages 2 + prequential evaluation + online learning.
         let fc = st
             .pm
@@ -1219,8 +1217,7 @@ fn drive_chunks(
                         // Cold restart: fresh pipeline statistics and model.
                         st.pm = env.fresh_manager()?;
                         st.pm.set_trace_scope(retrain_trace.context());
-                        let owned: Vec<_> = history.iter().map(|c| (**c).clone()).collect();
-                        st.pm.initial_fit(&owned, &spec.sgd, &mut st.ledger);
+                        st.pm.initial_fit(&history, &spec.sgd, &mut st.ledger);
                     }
                     st.pm.set_trace_scope(chunk_ctx);
                     retrain_trace.finish();

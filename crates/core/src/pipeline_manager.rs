@@ -22,7 +22,7 @@ pub enum ProactiveSource {
     /// Feature chunk already available (cache hit or disk spill tier).
     Ready(Arc<FeatureChunk>),
     /// Evicted chunk: only the raw data survives; transform on the fly.
-    Raw(Arc<RawChunk>),
+    Raw(RawChunk),
 }
 
 /// Pipeline + model + online learner, with cost attribution.
@@ -222,7 +222,7 @@ impl PipelineManager {
     /// — parallel execution reduces wall-clock time, not work.
     pub fn retrain_warm(
         &mut self,
-        history: &[Arc<RawChunk>],
+        history: &[RawChunk],
         sgd: &SgdConfig,
         ledger: &mut CostLedger,
     ) -> TrainReport {
@@ -512,13 +512,8 @@ mod tests {
     fn parallel_retraining_matches_sequential() {
         // The threaded engine must produce the exact same model and the
         // exact same accounted cost as the sequential path.
-        let history: Vec<std::sync::Arc<RawChunk>> = (0..12)
-            .map(|t| {
-                std::sync::Arc::new(chunk(
-                    t,
-                    &[(t as f64, t as f64 * 0.5), (t as f64 + 1.0, t as f64)],
-                ))
-            })
+        let history: Vec<RawChunk> = (0..12)
+            .map(|t| chunk(t, &[(t as f64, t as f64 * 0.5), (t as f64 + 1.0, t as f64)]))
             .collect();
         let mut ev = PrequentialEvaluator::new(ErrorMetric::Rmsle, 0);
 
@@ -545,15 +540,9 @@ mod tests {
         use cdp_faults::{FaultInjector, FaultPlan};
         // A quiet plan never injects, but its injector still counts every
         // order drawn: the fault-epoch sequence chaos runs replay.
-        let raws: Vec<Arc<RawChunk>> = (0..6)
-            .map(|t| {
-                Arc::new(chunk(
-                    t,
-                    &[(t as f64, t as f64 * 0.5), (t as f64 + 1.0, 2.0)],
-                ))
-            })
+        let raws: Vec<RawChunk> = (0..6)
+            .map(|t| chunk(t, &[(t as f64, t as f64 * 0.5), (t as f64 + 1.0, 2.0)]))
             .collect();
-        let initial: Vec<RawChunk> = raws[..2].iter().map(|c| (**c).clone()).collect();
         for engine in [
             ExecutionEngine::Sequential,
             ExecutionEngine::Threaded { workers: 4 },
@@ -565,7 +554,7 @@ mod tests {
             let mut ev = PrequentialEvaluator::new(ErrorMetric::Rmsle, 0);
             let mut ledger = CostLedger::default();
 
-            let (_, fcs) = pm.initial_fit(&initial, &sgd(), &mut ledger);
+            let (_, fcs) = pm.initial_fit(&raws[..2], &sgd(), &mut ledger);
             pm.retrain_warm(&raws[..4], &sgd(), &mut ledger);
             pm.process_online_chunk(&raws[4], &mut ev, &mut ledger);
             let ready: Vec<ProactiveSource> = fcs
@@ -578,7 +567,7 @@ mod tests {
 
             for fired in 1..=3u64 {
                 let mut sources = ready.clone();
-                sources.push(ProactiveSource::Raw(Arc::clone(&raws[5])));
+                sources.push(ProactiveSource::Raw(raws[5].clone()));
                 pm.try_proactive_step_fused(&sources, &mut ledger).unwrap();
                 assert_eq!(hook.worker_epoch(), fired, "engine {}", engine.name());
             }

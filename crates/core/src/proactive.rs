@@ -185,7 +185,7 @@ mod tests {
         )
     }
 
-    fn warmed_manager() -> (PipelineManager, Vec<Arc<FeatureChunk>>, Vec<Arc<RawChunk>>) {
+    fn warmed_manager() -> (PipelineManager, Vec<Arc<FeatureChunk>>, Vec<RawChunk>) {
         let mut pm = PipelineManager::new(pipeline(), &SgdConfig::for_loss(LossKind::Squared), 8);
         let mut ev = PrequentialEvaluator::new(ErrorMetric::Rmsle, 0);
         let mut ledger = CostLedger::default();
@@ -195,7 +195,7 @@ mod tests {
             let raw = chunk(t);
             let fc = pm.process_online_chunk(&raw, &mut ev, &mut ledger);
             fcs.push(Arc::new(fc));
-            raws.push(Arc::new(raw));
+            raws.push(raw);
         }
         (pm, fcs, raws)
     }
@@ -207,7 +207,7 @@ mod tests {
         let mut ledger = CostLedger::new(CostModel::commodity());
         let sampled = vec![
             SampledChunk::Materialized(Arc::clone(&fcs[2])),
-            SampledChunk::NeedsRematerialization(Arc::clone(&raws[0])),
+            SampledChunk::NeedsRematerialization(raws[0].clone()),
         ];
         let outcome = ProactiveTrainer::new().execute(&mut pm, sampled, &mut ledger);
         assert_eq!(pm.trainer().steps(), steps_before + 1);
@@ -243,7 +243,7 @@ mod tests {
         let mut costly = CostLedger::default();
         trainer.execute(
             &mut pm,
-            vec![SampledChunk::NeedsRematerialization(Arc::clone(&raws[1]))],
+            vec![SampledChunk::NeedsRematerialization(raws[1].clone())],
             &mut costly,
         );
         assert!(

@@ -29,7 +29,7 @@ use crate::{mix_seed, ChunkStream};
 fn flip_target(chunk: RawChunk) -> RawChunk {
     let records = chunk
         .records
-        .into_iter()
+        .iter()
         .map(|record| {
             let mut values = record.values().to_vec();
             if let Some(Value::Num(y)) = values.first_mut() {
@@ -53,9 +53,7 @@ fn thin_chunk(chunk: RawChunk, keep: f64, seed: u64) -> RawChunk {
         .cloned()
         .collect();
     if records.is_empty() {
-        if let Some(first) = chunk.records.into_iter().next() {
-            records.push(first);
-        }
+        records.extend(chunk.records.first().cloned());
     }
     RawChunk::new(chunk.timestamp, records)
 }

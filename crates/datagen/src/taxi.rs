@@ -217,7 +217,7 @@ mod tests {
         let g = small();
         assert_eq!(g.chunk(3), g.chunk(3));
         let c = g.chunk(3);
-        for r in &c.records {
+        for r in c.records.iter() {
             let pickup = r.get(0).unwrap().as_num().unwrap();
             assert!((3.0 * 3600.0..4.0 * 3600.0).contains(&pickup));
         }
@@ -229,7 +229,7 @@ mod tests {
         let mut positive = 0;
         let mut total = 0;
         for i in 0..10 {
-            for r in &g.chunk(i).records {
+            for r in g.chunk(i).records.iter() {
                 let pickup = r.get(0).unwrap().as_num().unwrap();
                 let dropoff = r.get(1).unwrap().as_num().unwrap();
                 total += 1;
@@ -253,7 +253,7 @@ mod tests {
         let mut anomalous = 0;
         let mut total = 0;
         for i in 0..20 {
-            for r in &g.chunk(i).records {
+            for r in g.chunk(i).records.iter() {
                 let pickup = r.get(0).unwrap().as_num().unwrap();
                 let dropoff = r.get(1).unwrap().as_num().unwrap();
                 let d = dropoff - pickup;

@@ -267,7 +267,7 @@ mod tests {
     fn labels_are_plus_minus_one() {
         let g = small();
         for chunk in [g.chunk(0), g.chunk(11)] {
-            for r in &chunk.records {
+            for r in chunk.records.iter() {
                 let label = r.get(0).unwrap().as_num().unwrap();
                 assert!(label == 1.0 || label == -1.0);
             }
@@ -278,7 +278,7 @@ mod tests {
     fn some_values_are_missing() {
         let g = small();
         let missing = (0..6)
-            .flat_map(|i| g.chunk(i).records)
+            .flat_map(|i| g.chunk(i).records.to_vec())
             .flat_map(|r| r.values().to_vec())
             .filter(|v| matches!(v, Value::Missing))
             .count();
@@ -290,7 +290,7 @@ mod tests {
         let g = small();
         let (mut pos, mut total) = (0usize, 0usize);
         for i in 0..12 {
-            for r in &g.chunk(i).records {
+            for r in g.chunk(i).records.iter() {
                 total += 1;
                 if r.get(0).unwrap().as_num().unwrap() > 0.0 {
                     pos += 1;

@@ -1,9 +1,8 @@
 //! Timestamped raw and feature chunks (paper §3, workflow stages 1–2).
 //!
-//! Since the columnar store v2, a [`FeatureChunk`] owns one shared
-//! [`ColumnSlab`] rather than a `Vec<LabeledPoint>`. Consumers iterate
-//! [`FeatureChunk::rows`] (zero-copy [`RowView`]s) instead of walking
-//! per-point allocations.
+//! Both kinds share their rows: a [`RawChunk`] is a handle on one immutable
+//! slice of records, a [`FeatureChunk`] on one [`ColumnSlab`] whose rows
+//! consumers read through zero-copy [`RowView`]s ([`FeatureChunk::rows`]).
 
 use std::sync::Arc;
 
@@ -40,18 +39,21 @@ impl From<u64> for Timestamp {
     }
 }
 
-/// A chunk of raw (unpreprocessed) records.
+/// A chunk of raw (unpreprocessed) records: an immutable, shared handle. The
+/// rows are allocated once, at creation; `clone()` bumps a reference count,
+/// so a stream, the store and a retrain over the history read the same rows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RawChunk {
     /// Unique identifier and recency indicator.
     pub timestamp: Timestamp,
     /// The raw rows.
-    pub records: Vec<Record>,
+    pub records: Arc<[Record]>,
 }
 
 impl RawChunk {
     /// Creates a raw chunk.
     pub fn new(timestamp: Timestamp, records: Vec<Record>) -> Self {
+        let records = records.into();
         Self { timestamp, records }
     }
 
@@ -65,7 +67,9 @@ impl RawChunk {
         self.records.is_empty()
     }
 
-    /// Approximate heap footprint in bytes.
+    /// The accounted footprint in bytes ([`Record::size_bytes`] per row, the
+    /// same for every clone): what the cost ledger charges for moving the
+    /// chunk, not what the allocator holds for it.
     pub fn size_bytes(&self) -> usize {
         self.records.iter().map(Record::size_bytes).sum()
     }
@@ -199,15 +203,46 @@ mod tests {
         assert_eq!(format!("{a}"), "t3");
     }
 
+    /// Three rows in the Taxi layout (seven numeric fields) and two in the
+    /// URL layout (label, sixteen numeric fields one of them missing, tokens).
+    fn taxi_and_url_shaped() -> (RawChunk, RawChunk) {
+        let taxi_row = || Record::new((0..7).map(|i| Value::Num(f64::from(i))).collect());
+        let url_row = || {
+            let mut values = vec![Value::Num(1.0)];
+            values.extend((0..15).map(|i| Value::Num(f64::from(i))));
+            values.push(Value::Missing);
+            values.push(Value::Text("tok1 tok22 tok333".into()));
+            Record::new(values)
+        };
+        (
+            RawChunk::new(Timestamp(1), vec![taxi_row(), taxi_row(), taxi_row()]),
+            RawChunk::new(Timestamp(2), vec![url_row(), url_row()]),
+        )
+    }
+
     #[test]
-    fn raw_chunk_size_accumulates_records() {
-        let records = vec![
-            Record::new(vec![Value::Num(1.0)]),
-            Record::new(vec![Value::Text("abc".into())]),
-        ];
-        let chunk = RawChunk::new(Timestamp(0), records);
-        assert_eq!(chunk.len(), 2);
-        assert!(chunk.size_bytes() > 0);
+    fn a_clone_shares_its_rows_and_equality_is_by_content() {
+        let (taxi, url) = taxi_and_url_shaped();
+        let handle = taxi.clone();
+        assert!(Arc::ptr_eq(&taxi.records, &handle.records));
+        assert_eq!(taxi, handle);
+        // Built separately: other rows in memory, the same chunk.
+        let (again, _) = taxi_and_url_shaped();
+        assert!(!Arc::ptr_eq(&taxi.records, &again.records));
+        assert_eq!(taxi, again);
+        assert_ne!(taxi, url);
+        assert_ne!(taxi, RawChunk::new(Timestamp(9), taxi.records.to_vec()));
+    }
+
+    #[test]
+    fn size_bytes_is_the_ledgers_number_whatever_holds_the_rows() {
+        // The literals the `Vec<Record>` representation reported: a 24-byte
+        // slot per value plus 8 per number and the text's length.
+        let (taxi, url) = taxi_and_url_shaped();
+        assert_eq!((taxi.len(), url.len()), (3, 2));
+        assert_eq!(taxi.size_bytes(), 3 * 224);
+        assert_eq!(url.size_bytes(), 2 * 577);
+        assert_eq!(taxi.clone().size_bytes(), 672);
     }
 
     #[test]

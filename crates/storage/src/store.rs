@@ -17,7 +17,7 @@
 //! is strictly oldest-timestamp-first, which is what the paper's μ model
 //! (Eqs. 4/5) assumes.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -55,7 +55,7 @@ pub enum FeatureLookup {
     Materialized(Arc<FeatureChunk>),
     /// The feature chunk was evicted; here is the raw chunk to re-materialize
     /// from (Figure 2, scenario 2).
-    Evicted(Arc<RawChunk>),
+    Evicted(RawChunk),
     /// Neither features nor raw data exist — the chunk cannot participate in
     /// sampling (paper §3.2: unavailable chunks are ignored).
     Unavailable,
@@ -101,7 +101,7 @@ impl StoreStats {
 /// In-memory chunk store (see module docs).
 #[derive(Debug)]
 pub struct ChunkStore {
-    raw: BTreeMap<Timestamp, Arc<RawChunk>>,
+    raw: BTreeMap<Timestamp, RawChunk>,
     features: BTreeMap<Timestamp, Arc<FeatureChunk>>,
     budget: StorageBudget,
     feature_bytes: usize,
@@ -121,18 +121,17 @@ impl ChunkStore {
         }
     }
 
-    /// Stores a raw chunk — as it is when the caller hands over an `Arc` it
-    /// goes on reading from.
+    /// Stores a raw chunk. The store keeps the handle it is given: a caller
+    /// that goes on reading the chunk hands over a clone, which shares the
+    /// rows.
     ///
     /// # Errors
     /// [`StorageError::DuplicateTimestamp`] when the timestamp is taken.
-    pub fn put_raw(&mut self, chunk: impl Into<Arc<RawChunk>>) -> Result<(), StorageError> {
-        let chunk = chunk.into();
-        let ts = chunk.timestamp;
-        if self.raw.contains_key(&ts) {
-            return Err(StorageError::DuplicateTimestamp(ts));
-        }
-        self.raw.insert(ts, chunk);
+    pub fn put_raw(&mut self, chunk: RawChunk) -> Result<(), StorageError> {
+        let Entry::Vacant(slot) = self.raw.entry(chunk.timestamp) else {
+            return Err(StorageError::DuplicateTimestamp(chunk.timestamp));
+        };
+        slot.insert(chunk);
         self.stats.raw_puts += 1;
         Ok(())
     }
@@ -203,7 +202,7 @@ impl ChunkStore {
         }
         if let Some(raw) = self.raw.get(&ts) {
             self.stats.feature_misses += 1;
-            return FeatureLookup::Evicted(Arc::clone(raw));
+            return FeatureLookup::Evicted(raw.clone());
         }
         self.stats.unavailable += 1;
         FeatureLookup::Unavailable
@@ -215,7 +214,7 @@ impl ChunkStore {
     }
 
     /// The raw chunk at `ts`, if retained.
-    pub fn raw(&self, ts: Timestamp) -> Option<Arc<RawChunk>> {
+    pub fn raw(&self, ts: Timestamp) -> Option<RawChunk> {
         self.raw.get(&ts).cloned()
     }
 

@@ -27,7 +27,7 @@ pub enum TieredLookup {
     /// Served from the disk tier (decoded copy).
     Disk(FeatureChunk),
     /// Not on any feature tier — re-materialize from this raw chunk.
-    Recompute(Arc<RawChunk>),
+    Recompute(RawChunk),
     /// The chunk is gone entirely.
     Unavailable,
 }
@@ -144,8 +144,7 @@ impl TieredStore {
     ///
     /// # Errors
     /// Duplicate timestamps.
-    pub fn put_raw(&mut self, chunk: impl Into<Arc<RawChunk>>) -> Result<(), StorageError> {
-        let chunk = chunk.into();
+    pub fn put_raw(&mut self, chunk: RawChunk) -> Result<(), StorageError> {
         let ts = chunk.timestamp.0;
         self.memory.put_raw(chunk)?;
         self.metrics.lineage(ts, LineageEventKind::Arrival);

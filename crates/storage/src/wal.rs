@@ -599,7 +599,7 @@ fn encode_wal_frame(buf: &mut Vec<u8>, seq: u64, chunk: &RawChunk) {
     buf.put_u64(seq);
     buf.put_u64(chunk.timestamp.0);
     buf.put_u32(chunk.records.len() as u32);
-    for record in &chunk.records {
+    for record in chunk.records.iter() {
         let values = record.values();
         buf.put_u32(values.len() as u32);
         for value in values {
@@ -748,7 +748,7 @@ mod tests {
         buf.put_u64(seq);
         buf.put_u64(chunk.timestamp.0);
         buf.put_u32(chunk.records.len() as u32);
-        for record in &chunk.records {
+        for record in chunk.records.iter() {
             let values = record.values();
             buf.put_u32(values.len() as u32);
             for value in values {
@@ -808,6 +808,10 @@ mod tests {
             let mut alone = Vec::new();
             encode_wal_frame(&mut alone, seq, c);
             assert_eq!(alone, reference_frame(seq, c), "chunk {i}");
+            // A clone is the same rows behind another handle: same frame.
+            let mut from_clone = Vec::new();
+            encode_wal_frame(&mut from_clone, seq, &c.clone());
+            assert_eq!(from_clone, alone, "clone of chunk {i}");
             encode_wal_frame(&mut group, seq, c);
             reference_group.extend_from_slice(&reference_frame(seq, c));
         }

@@ -169,7 +169,7 @@ proptest! {
                 FeatureLookup::Evicted(rc) => {
                     prop_assert!(t < n.saturating_sub(m));
                     prop_assert_eq!(rc.timestamp, ts);
-                    prop_assert_eq!(rc.as_ref(), &raw(ts.0));
+                    prop_assert_eq!(rc, raw(ts.0));
                 }
                 FeatureLookup::Unavailable => prop_assert!(false, "chunk {t} lost entirely"),
             }

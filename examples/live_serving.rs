@@ -50,7 +50,7 @@ fn main() {
                 // At least one full pass even if training finishes first
                 // (tiny streams train in microseconds).
                 loop {
-                    for record in &chunk.records {
+                    for record in chunk.records.iter() {
                         if let Some(p) = server.predict(record) {
                             versions_seen.insert(p.version);
                             served += 1;

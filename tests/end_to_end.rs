@@ -1,13 +1,15 @@
 //! End-to-end integration tests spanning all crates: the paper's headline
 //! claims at test scale.
 
-use cdpipe::core::pipeline_manager::PipelineManager;
+use std::sync::{Arc, Mutex};
+
 use cdpipe::core::presets::url_spec_from;
+use cdpipe::core::{DataManager, PipelineManager, ProactiveTrainer, SampledChunk};
 use cdpipe::datagen::url::UrlConfig;
 use cdpipe::engine::ExecutionEngine;
-use cdpipe::eval::CostLedger;
+use cdpipe::eval::{CostLedger, PrequentialEvaluator};
 use cdpipe::prelude::*;
-use cdpipe::storage::{Record, Value};
+use cdpipe::storage::{RawChunk, Record, Schema, Value};
 
 /// A mid-size URL run used by several tests (larger than `Tiny`, much
 /// smaller than `Repo`).
@@ -579,7 +581,7 @@ fn threaded_run_reconciles_engine_metrics() {
     // Serve real traffic from the stream through the published model, then
     // reconcile the serving ledger: counter mirrors are exact, and
     // `attempts == served + rejected + batch_failures` holds to the query.
-    for record in &stream.chunk(0).records {
+    for record in stream.chunk(0).records.iter() {
         let p = server.predict(record).expect("url record is well-formed");
         assert_eq!(p.version, server.version());
     }
@@ -738,6 +740,117 @@ fn deployment_results_serialize() {
 
 /// The pair `initial_fit` leaves, served: the first 64 records of the
 /// deployment range through `predict`, as bits, `REJECTED` where it is `None`.
+/// A Taxi stream that keeps the chunks it generated and hands out handles to
+/// them. At every pull it notes how many holders each earlier chunk's rows
+/// have, which is how a run that owns its store can be watched from outside.
+struct Retained {
+    schema: Arc<Schema>,
+    chunks: Vec<RawChunk>,
+    initial: usize,
+    holders: Mutex<Vec<usize>>,
+}
+
+impl Retained {
+    fn tiny_taxi() -> (Self, DeploymentSpec) {
+        let (source, spec) = taxi_spec(SpecScale::Tiny);
+        let retained = Self {
+            schema: source.schema(),
+            chunks: (0..source.total_chunks())
+                .map(|i| source.chunk(i))
+                .collect(),
+            initial: source.initial_chunks(),
+            holders: Mutex::new(Vec::new()),
+        };
+        (retained, spec)
+    }
+}
+
+impl ChunkStream for Retained {
+    fn schema(&self) -> Arc<Schema> {
+        Arc::clone(&self.schema)
+    }
+
+    fn total_chunks(&self) -> usize {
+        self.chunks.len()
+    }
+
+    fn initial_chunks(&self) -> usize {
+        self.initial
+    }
+
+    fn chunk(&self, index: usize) -> RawChunk {
+        let earlier = self.chunks[..index].iter();
+        self.holders
+            .lock()
+            .expect("no holder of this lock panics")
+            .extend(earlier.map(|c| Arc::strong_count(&c.records)));
+        self.chunks[index].clone()
+    }
+}
+
+#[test]
+fn a_raw_chunk_is_stored_once_between_the_stream_and_the_store() {
+    let (stream, spec) = Retained::tiny_taxi();
+    let mut config = DeploymentConfig::continuous(2, 3, SamplingStrategy::Uniform);
+    config.optimization.budget = StorageBudget::MaxChunks(2);
+
+    // The packaged driver owns its store, so sharing is read off the
+    // stream's side: whenever a chunk arrives, the rows of every earlier one
+    // have exactly two holders — the stream and the history. A store that
+    // copied its arrivals would leave the stream's rows with one.
+    let run = run_deployment(&stream, &spec, &config);
+    let holders = std::mem::take(&mut *stream.holders.lock().expect("not poisoned"));
+    assert!(holders.len() > stream.total_chunks());
+    assert!(holders.iter().all(|&n| n == 2), "holders: {holders:?}");
+    assert!(stream
+        .chunks
+        .iter()
+        .all(|c| Arc::strong_count(&c.records) == 1));
+    let (plain, _) = taxi_spec(SpecScale::Tiny);
+    assert_eq!(
+        run_digest(&run),
+        run_digest(&run_deployment(&plain, &spec, &config))
+    );
+
+    // The same loop through the public pieces, where the store can be asked:
+    // every raw chunk it returns — sampled for re-materialization or read as
+    // history — is the stream's chunk of that timestamp, not an equal copy.
+    let shares = |raw: &RawChunk| {
+        let ours = &stream.chunks[raw.timestamp.0 as usize];
+        assert_eq!(raw, ours);
+        Arc::ptr_eq(&raw.records, &ours.records)
+    };
+    let mut dm = DataManager::new(StorageBudget::MaxChunks(2), SamplingStrategy::Uniform, 7);
+    let mut pm = PipelineManager::new(spec.build_pipeline(), &spec.sgd, spec.online_batch);
+    let mut evaluator = PrequentialEvaluator::new(spec.metric, 0);
+    let mut ledger = CostLedger::default();
+    let initial = stream.initial();
+    let (_, fcs) = pm.initial_fit(&initial, &spec.sgd, &mut ledger);
+    for (raw, fc) in initial.into_iter().zip(fcs) {
+        dm.ingest_raw(raw).expect("unique timestamps");
+        dm.store_features(fc).expect("raw chunk present");
+    }
+    let mut rematerialized = 0;
+    for idx in stream.deployment_range() {
+        let raw = stream.chunk(idx);
+        dm.ingest_raw(raw.clone()).expect("unique timestamps");
+        let fc = pm.process_online_chunk(&raw, &mut evaluator, &mut ledger);
+        dm.store_features(fc).expect("raw chunk present");
+        let sampled = dm.sample(3);
+        for chunk in &sampled {
+            if let SampledChunk::NeedsRematerialization(raw) = chunk {
+                assert!(shares(raw), "sampled {}", raw.timestamp);
+                rematerialized += 1;
+            }
+        }
+        ProactiveTrainer::new().execute(&mut pm, sampled, &mut ledger);
+    }
+    assert!(rematerialized > stream.total_chunks());
+    let history = dm.full_history();
+    assert_eq!(history.len(), stream.total_chunks());
+    assert!(history.iter().all(shares));
+}
+
 fn first_predictions(stream: &dyn ChunkStream, spec: &DeploymentSpec) -> (ModelServer, Vec<u64>) {
     let mut pm = PipelineManager::new(spec.build_pipeline(), &spec.sgd, spec.online_batch);
     pm.initial_fit(&stream.initial(), &spec.sgd, &mut CostLedger::default());
@@ -745,7 +858,7 @@ fn first_predictions(stream: &dyn ChunkStream, spec: &DeploymentSpec) -> (ModelS
     let server = ModelServer::new(pipeline, trainer.model().clone());
     let bits = stream
         .deployment_range()
-        .flat_map(|i| stream.chunk(i).records)
+        .flat_map(|i| stream.chunk(i).records.to_vec())
         .take(64)
         .map(|r| server.predict(&r).map_or(REJECTED, |p| p.value.to_bits()))
         .collect();

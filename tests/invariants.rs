@@ -119,7 +119,7 @@ proptest! {
             ..TaxiConfig::repo_scale()
         });
         let chunk = g.chunk(index);
-        for r in &chunk.records {
+        for r in chunk.records.iter() {
             prop_assert_eq!(r.len(), 7);
             for v in r.values() {
                 prop_assert!(v.as_num().is_some());

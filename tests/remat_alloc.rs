@@ -8,7 +8,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use cdpipe::core::pipeline_manager::{PipelineManager, ProactiveSource};
 use cdpipe::datagen::taxi::{TaxiConfig, TaxiGenerator};
@@ -99,7 +98,7 @@ fn rematerialization_allocates_per_column_not_per_row() {
     let initial: Vec<RawChunk> = (0..4).map(|i| generator.chunk(i)).collect();
     pm.initial_fit(&initial, &spec.sgd, &mut ledger);
     let sources: Vec<ProactiveSource> = (4..19)
-        .map(|i| ProactiveSource::Raw(Arc::new(generator.chunk(i))))
+        .map(|i| ProactiveSource::Raw(generator.chunk(i)))
         .collect();
     let fire = |pm: &mut PipelineManager, ledger: &mut CostLedger| {
         let (outcome, allocs) = measure(|| pm.try_proactive_step_fused(&sources, ledger));

@@ -63,7 +63,7 @@ fn deployed(stream: &dyn ChunkStream, spec: &DeploymentSpec) -> (ModelServer, Ve
     let (pipeline, trainer) = pm.snapshot();
     let queries = stream
         .deployment_range()
-        .flat_map(|i| stream.chunk(i).records)
+        .flat_map(|i| stream.chunk(i).records.to_vec())
         .take(1000)
         .collect();
     (ModelServer::new(pipeline, trainer.model().clone()), queries)
