@@ -13,10 +13,11 @@
 //! [`DeploymentConfig`](crate::deployment::DeploymentConfig) the original
 //! run used, and the checkpoint only makes sense against them.
 //!
-//! The encoding is hand-rolled big-endian binary (the workspace has no
-//! serialization dependency): integers as fixed-width BE, floats as
-//! `to_bits` BE (bit-exact round trips, the determinism contract), strings
-//! and byte blobs as `u32` length + payload. The
+//! The encoding is big-endian binary through the writer and bounds-checked
+//! reader of [`cdp_obs::durable`] (the workspace has no serialization
+//! dependency): integers as fixed-width BE, floats as `to_bits` BE
+//! (bit-exact round trips, the determinism contract), strings and byte blobs
+//! as `u32` length + payload. The
 //! [`CheckpointDir`](cdp_storage::checkpoint::CheckpointDir) file layer
 //! adds magic/version/CRC framing and atomic-rename durability around this
 //! payload; a malformed payload decodes to [`StorageError::Corrupt`], never
@@ -26,6 +27,9 @@ use std::collections::BTreeMap;
 
 use cdp_faults::FaultStats;
 use cdp_ml::TrainReport;
+use cdp_obs::durable::{
+    put_bytes, put_f64, put_f64_vec, put_str, put_u32, put_u64, put_u64_vec, Reader,
+};
 use cdp_obs::{Event, HistogramSnapshot, LineageEntry, LineageEventKind, MetricsSnapshot};
 use cdp_pipeline::PipelineCounters;
 use cdp_storage::{StorageError, StoreStats, TieredStats};
@@ -201,126 +205,89 @@ impl DeploymentCheckpoint {
     /// [`StorageError::Corrupt`] on any truncated, malformed, or
     /// trailing-garbage input — never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, StorageError> {
-        let mut r = Reader { buf: bytes };
-        let chunk_idx = r.u64()?;
-        let now_secs = r.f64()?;
-        let weights = r.f64_vec()?;
-        let opt_t = r.u64()?;
-        let opt_acc1 = r.f64_vec()?;
-        let opt_acc2 = r.f64_vec()?;
-        let points_seen = r.u64()?;
-        let n_states = r.u32()?;
-        let mut component_states = Vec::new();
-        for _ in 0..n_states {
-            component_states.push(r.bytes()?);
-        }
-        let pipeline_counters = PipelineCounters {
-            parsed_records: r.u64()?,
-            update_rows: r.u64()?,
-            transform_rows: r.u64()?,
-            encoded_points: r.u64()?,
+        let mut r = Reader::new(bytes);
+        let checkpoint = Self {
+            chunk_idx: r.u64()?,
+            now_secs: r.f64()?,
+            weights: r.f64_vec()?,
+            opt_t: r.u64()?,
+            opt_acc1: r.f64_vec()?,
+            opt_acc2: r.f64_vec()?,
+            points_seen: r.u64()?,
+            component_states: (0..r.count()?)
+                .map(|_| r.bytes().map(<[u8]>::to_vec))
+                .collect::<Result<_, _>>()?,
+            pipeline_counters: PipelineCounters {
+                parsed_records: r.u64()?,
+                update_rows: r.u64()?,
+                transform_rows: r.u64()?,
+                encoded_points: r.u64()?,
+            },
+            eval_count: r.u64()?,
+            eval_acc: r.f64()?,
+            eval_curve: curve(&mut r)?,
+            accounted: [r.f64()?, r.f64()?, r.f64()?, r.f64()?],
+            cost_curve: curve(&mut r)?,
+            chunks_since_training: r.u64()?,
+            last_training_secs: r.f64()?,
+            last_training_at_secs: r.f64()?,
+            proactive_runs: r.u64()?,
+            proactive_secs_sum: r.f64()?,
+            retrain_runs: r.u64()?,
+            drift_level: r.u8()?,
+            drift_baseline: r.f64_vec()?,
+            drift_recent: r.f64_vec()?,
+            prev_acc: r.f64()?,
+            prev_count: r.u64()?,
+            sampler_rng: r.u64()?,
+            fault_stats: FaultStats {
+                injected_disk_read: r.u64()?,
+                injected_disk_write: r.u64()?,
+                injected_corruption: r.u64()?,
+                injected_worker_panics: r.u64()?,
+                injected_delays: r.u64()?,
+                injected_crashes: r.u64()?,
+                retries: r.u64()?,
+                recovered: r.u64()?,
+                fallback_rematerializations: r.u64()?,
+                lost_spills: r.u64()?,
+                fatal: r.u64()?,
+            },
+            fault_epoch: r.u64()?,
+            store_stats: StoreStats {
+                raw_puts: r.u64()?,
+                feature_puts: r.u64()?,
+                evictions: r.u64()?,
+                bytes_evicted: r.u64()?,
+                feature_hits: r.u64()?,
+                feature_misses: r.u64()?,
+                unavailable: r.u64()?,
+                compactions: r.u64()?,
+                gc_runs: r.u64()?,
+            },
+            tiered_stats: TieredStats {
+                memory_hits: r.u64()?,
+                disk_hits: r.u64()?,
+                recomputes: r.u64()?,
+                spills: r.u64()?,
+                read_fallbacks: r.u64()?,
+                lost_spills: r.u64()?,
+            },
+            manifest: r.u64_vec()?,
+            initial_report: TrainReport {
+                epochs: r.u64()? as usize,
+                steps: r.u64()?,
+                initial_loss: r.f64()?,
+                final_loss: r.f64()?,
+                converged: r.u8()? != 0,
+            },
+            ckpt_writes: r.u64()?,
+            ckpt_bytes: r.u64()?,
+            ckpt_restores: r.u64()?,
+            metrics: decode_metrics(&mut r)?,
         };
-        let eval_count = r.u64()?;
-        let eval_acc = r.f64()?;
-        let eval_curve = r.curve()?;
-        let accounted = [r.f64()?, r.f64()?, r.f64()?, r.f64()?];
-        let cost_curve = r.curve()?;
-        let chunks_since_training = r.u64()?;
-        let last_training_secs = r.f64()?;
-        let last_training_at_secs = r.f64()?;
-        let proactive_runs = r.u64()?;
-        let proactive_secs_sum = r.f64()?;
-        let retrain_runs = r.u64()?;
-        let drift_level = r.u8()?;
-        let drift_baseline = r.f64_vec()?;
-        let drift_recent = r.f64_vec()?;
-        let prev_acc = r.f64()?;
-        let prev_count = r.u64()?;
-        let sampler_rng = r.u64()?;
-        let fault_stats = FaultStats {
-            injected_disk_read: r.u64()?,
-            injected_disk_write: r.u64()?,
-            injected_corruption: r.u64()?,
-            injected_worker_panics: r.u64()?,
-            injected_delays: r.u64()?,
-            injected_crashes: r.u64()?,
-            retries: r.u64()?,
-            recovered: r.u64()?,
-            fallback_rematerializations: r.u64()?,
-            lost_spills: r.u64()?,
-            fatal: r.u64()?,
-        };
-        let fault_epoch = r.u64()?;
-        let store_stats = StoreStats {
-            raw_puts: r.u64()?,
-            feature_puts: r.u64()?,
-            evictions: r.u64()?,
-            bytes_evicted: r.u64()?,
-            feature_hits: r.u64()?,
-            feature_misses: r.u64()?,
-            unavailable: r.u64()?,
-            compactions: r.u64()?,
-            gc_runs: r.u64()?,
-        };
-        let tiered_stats = TieredStats {
-            memory_hits: r.u64()?,
-            disk_hits: r.u64()?,
-            recomputes: r.u64()?,
-            spills: r.u64()?,
-            read_fallbacks: r.u64()?,
-            lost_spills: r.u64()?,
-        };
-        let manifest = r.u64_vec()?;
-        let initial_report = TrainReport {
-            epochs: r.u64()? as usize,
-            steps: r.u64()?,
-            initial_loss: r.f64()?,
-            final_loss: r.f64()?,
-            converged: r.u8()? != 0,
-        };
-        let ckpt_writes = r.u64()?;
-        let ckpt_bytes = r.u64()?;
-        let ckpt_restores = r.u64()?;
-        let metrics = decode_metrics(&mut r)?;
         r.finish()?;
-        Ok(Self {
-            chunk_idx,
-            now_secs,
-            weights,
-            opt_t,
-            opt_acc1,
-            opt_acc2,
-            points_seen,
-            component_states,
-            pipeline_counters,
-            eval_count,
-            eval_acc,
-            eval_curve,
-            accounted,
-            cost_curve,
-            chunks_since_training,
-            last_training_secs,
-            last_training_at_secs,
-            proactive_runs,
-            proactive_secs_sum,
-            retrain_runs,
-            drift_level,
-            drift_baseline,
-            drift_recent,
-            prev_acc,
-            prev_count,
-            sampler_rng,
-            fault_stats,
-            fault_epoch,
-            store_stats,
-            tiered_stats,
-            manifest,
-            initial_report,
-            ckpt_writes,
-            ckpt_bytes,
-            ckpt_restores,
-            metrics,
-        })
+        Ok(checkpoint)
     }
 }
 
@@ -410,17 +377,17 @@ fn encode_metrics(out: &mut Vec<u8>, snap: &MetricsSnapshot) {
 
 fn decode_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, StorageError> {
     let mut counters = BTreeMap::new();
-    for _ in 0..r.u32()? {
+    for _ in 0..r.count()? {
         let name = r.string()?;
         counters.insert(name, r.u64()?);
     }
     let mut gauges = BTreeMap::new();
-    for _ in 0..r.u32()? {
+    for _ in 0..r.count()? {
         let name = r.string()?;
         gauges.insert(name, r.f64()?);
     }
     let mut histograms = BTreeMap::new();
-    for _ in 0..r.u32()? {
+    for _ in 0..r.count()? {
         let name = r.string()?;
         let h = HistogramSnapshot {
             bounds: r.f64_vec()?,
@@ -434,7 +401,7 @@ fn decode_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, StorageError> {
         histograms.insert(name, h);
     }
     let mut events = Vec::new();
-    for _ in 0..r.u32()? {
+    for _ in 0..r.count()? {
         events.push(Event {
             at_secs: r.f64()?,
             name: r.string()?,
@@ -443,10 +410,10 @@ fn decode_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, StorageError> {
     }
     let dropped_events = r.u64()?;
     let mut lineage = BTreeMap::new();
-    for _ in 0..r.u32()? {
+    for _ in 0..r.count()? {
         let chunk_ts = r.u64()?;
         let mut entries = Vec::new();
-        for _ in 0..r.u32()? {
+        for _ in 0..r.count()? {
             entries.push(LineageEntry {
                 at_secs: r.f64()?,
                 kind: kind_from_u8(r.u8()?)?,
@@ -501,43 +468,6 @@ fn kind_from_u8(v: u8) -> Result<LineageEventKind, StorageError> {
     })
 }
 
-// ---- primitive writers ----
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_be_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-fn put_f64_vec(out: &mut Vec<u8>, values: &[f64]) {
-    put_u32(out, values.len() as u32);
-    for v in values {
-        put_f64(out, *v);
-    }
-}
-
-fn put_u64_vec(out: &mut Vec<u8>, values: &[u64]) {
-    put_u32(out, values.len() as u32);
-    for v in values {
-        put_u64(out, *v);
-    }
-}
-
 fn put_curve(out: &mut Vec<u8>, curve: &[(u64, f64)]) {
     put_u32(out, curve.len() as u32);
     for (x, y) in curve {
@@ -546,93 +476,12 @@ fn put_curve(out: &mut Vec<u8>, curve: &[(u64, f64)]) {
     }
 }
 
-// ---- primitive reader ----
-
-/// A bounds-checked cursor over the payload; every read surfaces
-/// truncation as [`StorageError::Corrupt`]. Element counts are never
-/// pre-allocated — a hostile length field just hits end-of-buffer.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        if self.buf.len() < n {
-            return Err(StorageError::Corrupt("checkpoint payload truncated".into()));
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
+fn curve(r: &mut Reader<'_>) -> Result<Vec<(u64, f64)>, StorageError> {
+    let mut out = Vec::new();
+    for _ in 0..r.count()? {
+        out.push((r.u64()?, r.f64()?));
     }
-
-    fn u8(&mut self) -> Result<u8, StorageError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StorageError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, StorageError> {
-        let b = self.take(8)?;
-        Ok(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f64(&mut self) -> Result<f64, StorageError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, StorageError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, StorageError> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| StorageError::Corrupt("checkpoint string is not UTF-8".into()))
-    }
-
-    fn f64_vec(&mut self) -> Result<Vec<f64>, StorageError> {
-        let n = self.u32()?;
-        let mut out = Vec::new();
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-
-    fn u64_vec(&mut self) -> Result<Vec<u64>, StorageError> {
-        let n = self.u32()?;
-        let mut out = Vec::new();
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    fn curve(&mut self) -> Result<Vec<(u64, f64)>, StorageError> {
-        let n = self.u32()?;
-        let mut out = Vec::new();
-        for _ in 0..n {
-            let x = self.u64()?;
-            out.push((x, self.f64()?));
-        }
-        Ok(out)
-    }
-
-    fn finish(&self) -> Result<(), StorageError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(StorageError::Corrupt(format!(
-                "checkpoint payload has {} trailing bytes",
-                self.buf.len()
-            )))
-        }
-    }
+    Ok(out)
 }
 
 #[cfg(test)]

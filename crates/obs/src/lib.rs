@@ -37,6 +37,7 @@ mod alerts;
 mod chrome;
 mod clock;
 mod crc;
+pub mod durable;
 mod flame;
 mod lineage;
 mod recorder;
@@ -52,8 +53,7 @@ pub use clock::{Clock, VirtualClock, WallClock};
 pub use crc::crc32;
 pub use lineage::{LineageEntry, LineageEventKind, LINEAGE_CAPACITY};
 pub use recorder::{
-    list_segment_files, load_segments, segment_file_name, FlightRecorder, SegmentError,
-    SegmentHistogram, SegmentScan, TelemetrySegment, SEGMENT_EXT,
+    load_segments, FlightRecorder, SegmentHistogram, SegmentScan, TelemetrySegment,
 };
 pub use registry::{Counter, Gauge, Histogram, Span, EVENT_LOG_CAPACITY, LATENCY_BOUNDS};
 pub use slo::{BudgetSignal, BurnRule, SloMonitor};

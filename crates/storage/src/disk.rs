@@ -18,7 +18,8 @@
 //! The codec is a small fixed binary layout (no external serialization
 //! dependency beyond `bytes`) mirroring the columnar in-memory
 //! representation, so a spill is a handful of bulk array writes instead of a
-//! per-point walk:
+//! per-point walk, sealed in the envelope of the durable-file layer
+//! ([`cdp_obs::durable`]) though it is never fsynced:
 //!
 //! ```text
 //! magic "CDPF" | version u16 | timestamp u64 | raw_ref u64
@@ -53,14 +54,18 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut, Bytes};
 
 use cdp_faults::{corrupt_byte_index, DiskFault, DiskOp, FaultHook, NoFaults, RetryPolicy};
-use cdp_obs::{crc32, Metrics};
+use cdp_obs::durable::Format;
+use cdp_obs::Metrics;
 
 use crate::chunk::{FeatureChunk, Timestamp};
 use crate::columnar::{ColumnSlab, SlabLayout};
 use crate::StorageError;
 
-const MAGIC: &[u8; 4] = b"CDPF";
-const VERSION: u16 = crate::SPILL_SCHEMA.0;
+/// Spill chunks: magic "CDPF", [`crate::SPILL_SCHEMA`].
+const SPILL: Format = Format {
+    magic: *b"CDPF",
+    version: crate::SPILL_SCHEMA.0,
+};
 /// The log file inside the tier's directory.
 pub(crate) const LOG_FILE: &str = "spill.log";
 
@@ -86,65 +91,53 @@ fn put_u32s(buf: &mut Vec<u8>, xs: &[u32]) {
 /// Encodes a feature chunk into its binary representation (columnar payload
 /// moved a slice at a time out of the backing slab, into a buffer sized once).
 pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
-    let mut buf = Vec::with_capacity(48 + chunk.size_bytes() + chunk.len() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u16(VERSION);
-    buf.put_u64(chunk.timestamp.0);
-    buf.put_u64(chunk.raw_ref.0);
-    let slab = chunk.slab();
-    let n = chunk.len();
-    match slab.layout() {
-        SlabLayout::Dense { dim, cols } => {
-            buf.put_u8(0);
-            buf.put_u32(n as u32);
-            buf.put_u32(*dim as u32);
-            put_f64s(&mut buf, slab.labels());
-            for col in cols {
-                put_f64s(&mut buf, col);
+    let capacity = 38 + chunk.size_bytes() + chunk.len() * 16;
+    Bytes::from(SPILL.seal(capacity, |buf| {
+        buf.put_u64(chunk.timestamp.0);
+        buf.put_u64(chunk.raw_ref.0);
+        let slab = chunk.slab();
+        let n = chunk.len();
+        match slab.layout() {
+            SlabLayout::Dense { dim, cols } => {
+                buf.put_u8(0);
+                buf.put_u32(n as u32);
+                buf.put_u32(*dim as u32);
+                put_f64s(buf, slab.labels());
+                for col in cols {
+                    put_f64s(buf, col);
+                }
+            }
+            SlabLayout::Csr {
+                dim,
+                row_ptr,
+                indices,
+                values,
+            } => {
+                buf.put_u8(1);
+                buf.put_u32(n as u32);
+                buf.put_u32(*dim as u32);
+                put_f64s(buf, slab.labels());
+                put_u32s(buf, row_ptr);
+                buf.put_u32(indices.len() as u32);
+                put_u32s(buf, indices);
+                put_f64s(buf, values);
             }
         }
-        SlabLayout::Csr {
-            dim,
-            row_ptr,
-            indices,
-            values,
-        } => {
-            buf.put_u8(1);
-            buf.put_u32(n as u32);
-            buf.put_u32(*dim as u32);
-            put_f64s(&mut buf, slab.labels());
-            put_u32s(&mut buf, row_ptr);
-            buf.put_u32(indices.len() as u32);
-            put_u32s(&mut buf, indices);
-            put_f64s(&mut buf, values);
-        }
-    }
-    let checksum = crc32(&buf);
-    buf.put_u32(checksum);
-    Bytes::from(buf)
+    }))
 }
 
 /// Decodes a feature chunk from its binary representation.
 ///
 /// # Errors
-/// [`StorageError::Corrupt`] on bad magic, version, tag, truncation, or a
-/// CRC-32 mismatch (any corrupted byte, including inside float payloads).
+/// [`StorageError::Corrupt`] on bad magic, tag, truncation, or a CRC-32
+/// mismatch (any corrupted byte, including inside float payloads);
+/// [`StorageError::VersionMismatch`] for a well-checksummed chunk of another
+/// schema.
 pub fn decode_chunk(data: &[u8]) -> Result<FeatureChunk, StorageError> {
-    // Verify the checksum before interpreting a single field: a corrupt
-    // buffer must never decode, even when the damage lands somewhere
-    // structurally silent (a label, a feature value).
-    if data.len() < 4 {
-        return Err(StorageError::Corrupt("truncated reading checksum".into()));
-    }
-    let (payload, trailer) = data.split_at(data.len() - 4);
-    let stored = u32::from_be_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let actual = crc32(payload);
-    if stored != actual {
-        return Err(StorageError::Corrupt(format!(
-            "checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
-    decode_payload(payload)
+    // The envelope verifies the checksum before a single field is
+    // interpreted: a corrupt buffer must never decode, even when the damage
+    // lands somewhere structurally silent (a label, a feature value).
+    decode_payload(SPILL.unseal(data)?)
 }
 
 /// Bounds check shared by every decode path.
@@ -174,22 +167,9 @@ fn get_u32s(data: &mut &[u8], n: usize, what: &str) -> Result<Vec<u32>, StorageE
     Ok(words.iter().map(|b| u32::from_be_bytes(*b)).collect())
 }
 
-/// Decodes the checksummed region of an encoded chunk into a slab-backed
-/// chunk.
+/// Decodes the payload of an unsealed chunk into a slab-backed chunk.
 fn decode_payload(mut data: &[u8]) -> Result<FeatureChunk, StorageError> {
-    need(data, 4 + 2 + 8 + 8, "header")?;
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(StorageError::Corrupt("bad magic".into()));
-    }
-    let version = data.get_u16();
-    if version != VERSION {
-        return Err(StorageError::VersionMismatch {
-            found: version,
-            expected: VERSION,
-        });
-    }
+    need(data, 8 + 8, "header")?;
     let timestamp = Timestamp(data.get_u64());
     let raw_ref = Timestamp(data.get_u64());
     need(data, 1 + 4, "layout header")?;
@@ -475,6 +455,7 @@ mod tests {
     use crate::chunk::LabeledPoint;
     use cdp_faults::{FaultInjector, FaultPlan};
     use cdp_linalg::{DenseVector, SparseBuilder, Vector};
+    use cdp_obs::crc32;
     use proptest::prelude::*;
 
     /// Result extractor without `unwrap`/`expect`: this module's hot path
@@ -644,6 +625,8 @@ mod tests {
     /// The element-at-a-time encoder this codec replaced, kept as the oracle
     /// for the bytes: one cursor write per label, pointer, index and value.
     fn encode_chunk_reference(chunk: &FeatureChunk) -> Vec<u8> {
+        const MAGIC: &[u8; 4] = b"CDPF";
+        const VERSION: u16 = crate::SPILL_SCHEMA.0;
         let mut buf = Vec::new();
         buf.put_slice(MAGIC);
         buf.put_u16(VERSION);

@@ -16,15 +16,19 @@
 //! play those roles (see DESIGN.md §2 for the substitution argument).
 //!
 //! The durable formats — deployment checkpoints
-//! ([`checkpoint::CheckpointDir`]) and WAL segments ([`wal`]) — carry a
-//! [`SchemaVersion`] header and CRC-32 checksums and are written atomically
-//! (temp file + fsync + rename). Encoded spill chunks carry the same header
-//! and trailer, but the spill tier is a process-private cache that is never
+//! ([`checkpoint::CheckpointDir`]) and WAL segments ([`wal`]) — are built on
+//! the one durable-file layer, `cdp_obs::durable`, which the flight recorder
+//! uses too: a `magic | version` header checked by one function, CRC-32
+//! checksums, numbered files published atomically (temp file + fsync +
+//! rename + directory fsync). Encoded spill chunks are sealed in the same
+//! envelope, but the spill tier is a process-private cache that is never
 //! fsynced ([`disk`]). All three surface an incompatible version as the
 //! typed [`StorageError::VersionMismatch`] instead of a generic decode
-//! error, and share one checksum, `cdp_obs::crc32`.
+//! error (the `From<durable::Error>` below).
 
 #![warn(missing_docs)]
+
+use cdp_obs::durable;
 
 pub mod checkpoint;
 pub mod chunk;
@@ -113,5 +117,18 @@ impl std::error::Error for StorageError {}
 impl From<std::io::Error> for StorageError {
     fn from(e: std::io::Error) -> Self {
         StorageError::Io(e)
+    }
+}
+
+/// A foreign schema version stays a typed mismatch; every other decode
+/// failure (short, foreign magic, checksum, truncated, …) is corruption.
+impl From<durable::Error> for StorageError {
+    fn from(e: durable::Error) -> Self {
+        match e {
+            durable::Error::Version { found, expected } => {
+                StorageError::VersionMismatch { found, expected }
+            }
+            other => StorageError::Corrupt(other.to_string()),
+        }
     }
 }

@@ -9,10 +9,11 @@
 //! between checkpoints.
 //!
 //! On-disk layout: numbered append-only **segment files**
-//! (`wal-{first_seq:012}.cdpw`), each opened with the same durability
-//! protocol as [`crate::checkpoint::CheckpointDir`] (header into a `.tmp`,
-//! fsync, rename, directory fsync) and then extended by appending framed
-//! records:
+//! (`wal-{first_seq:012}.cdpw`) in a numbered directory of the durable-file
+//! layer ([`cdp_obs::durable`], DESIGN.md §12), each published with its
+//! header like any durable file (header into a `.tmp`, fsync, rename,
+//! directory fsync) and then extended by appending framed records — the
+//! frame, the WAL's own, is defined here:
 //!
 //! ```text
 //! segment header: magic "CDPW" | version u16
@@ -46,25 +47,28 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 
 use cdp_faults::{DiskFault, FaultHook, RetryPolicy, WalOp};
+use cdp_obs::durable::{
+    put_f64, put_str, put_u32, put_u64, Format, NumberedDir, Reader, HEADER_LEN,
+};
 use cdp_obs::{crc32, Clock, Metrics};
 
 use crate::chunk::{RawChunk, Timestamp};
 use crate::record::{Record, Value};
-use crate::{SchemaVersion, StorageError};
+use crate::StorageError;
 
-const MAGIC: &[u8; 4] = b"CDPW";
-const HEADER_LEN: u64 = 6;
+/// WAL segment files: magic "CDPW", schema 1, header only — the frames
+/// carry their own checksums.
+const SEGMENT: Format = Format {
+    magic: *b"CDPW",
+    version: 1,
+};
 /// Frames larger than this are treated as a torn tail rather than a record
 /// (a corrupted length prefix would otherwise send the scanner far past the
 /// end of any plausible chunk).
 const MAX_FRAME: u32 = 1 << 28;
-
-/// Current schema of WAL segment files.
-const WAL_SCHEMA: SchemaVersion = SchemaVersion(1);
 
 /// Tuning knobs for the WAL writer (storage-level; the deployment-facing
 /// configuration lives in `cdp-core`).
@@ -158,10 +162,14 @@ impl WalRecovery {
     }
 }
 
-/// Read-side handle on a WAL directory: listing, recovery, truncation.
+/// Read-side handle on a WAL directory: recovery, truncation.
 #[derive(Debug)]
 pub struct WalDir {
-    dir: PathBuf,
+    /// Segments by first sequence number; listed in numeric order whatever
+    /// the directory iteration order, so out-of-order discovery cannot
+    /// reorder replay, and orphaned `.tmp` segments (crash mid-rotation) are
+    /// not listed.
+    files: NumberedDir,
 }
 
 impl WalDir {
@@ -170,44 +178,9 @@ impl WalDir {
     /// # Errors
     /// I/O errors creating the directory.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        Ok(Self { dir })
-    }
-
-    /// The directory this WAL lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn path_for(&self, first_seq: u64) -> PathBuf {
-        self.dir.join(format!("wal-{first_seq:012}.cdpw"))
-    }
-
-    /// First sequence numbers of all segment files present, sorted
-    /// ascending — numeric order, independent of directory iteration order,
-    /// so out-of-order discovery cannot reorder replay. Orphaned `.tmp`
-    /// segments (crash mid-rotation) are ignored.
-    ///
-    /// # Errors
-    /// I/O errors reading the directory.
-    pub fn list(&self) -> Result<Vec<u64>, StorageError> {
-        let mut seqs = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(stem) = name
-                .strip_prefix("wal-")
-                .and_then(|s| s.strip_suffix(".cdpw"))
-            else {
-                continue;
-            };
-            if let Ok(seq) = stem.parse::<u64>() {
-                seqs.push(seq);
-            }
-        }
-        seqs.sort_unstable();
-        Ok(seqs)
+        Ok(Self {
+            files: NumberedDir::open(dir.as_ref(), "wal", "cdpw")?,
+        })
     }
 
     /// Scans every segment, truncating torn tails and skipping corrupt
@@ -219,8 +192,8 @@ impl WalDir {
     /// (individual unreadable segments are counted corrupt, not fatal).
     pub fn recover(&self) -> Result<WalRecovery, StorageError> {
         let mut out = WalRecovery::default();
-        for first_seq in self.list()? {
-            let path = self.path_for(first_seq);
+        for first_seq in self.files.list()? {
+            let path = self.files.path(first_seq);
             let Ok(data) = fs::read(&path) else {
                 out.corrupt += 1;
                 continue;
@@ -241,50 +214,36 @@ impl WalDir {
         data: &[u8],
         out: &mut WalRecovery,
     ) -> Result<(), StorageError> {
-        if data.len() < HEADER_LEN as usize || &data[..4] != MAGIC {
-            // Unreadable header: the segment never became a segment.
+        let Ok(mut frames) = SEGMENT.check_header(data) else {
+            // Short, foreign or another version's header: the segment never
+            // became one of ours.
             out.corrupt += 1;
             return Ok(());
-        }
-        let version = u16::from_be_bytes([data[4], data[5]]);
-        if version != WAL_SCHEMA.0 {
-            out.corrupt += 1;
-            return Ok(());
-        }
-        let mut offset = HEADER_LEN as usize;
-        while offset < data.len() {
-            let Some(len_bytes) = data.get(offset..offset + 4) else {
-                // Fewer than 4 bytes of length prefix: torn tail.
+        };
+        while !frames.is_empty() {
+            let frame = frames.split_first_chunk().and_then(|(len, rest)| {
+                let len = u32::from_be_bytes(*len);
+                let (payload, rest) = rest.split_at_checked(len as usize)?;
+                let (crc, rest) = rest.split_first_chunk()?;
+                (len <= MAX_FRAME).then_some((payload, u32::from_be_bytes(*crc), rest))
+            });
+            let Some((payload, stored, rest)) = frame else {
+                // A length prefix cut short, or a frame running past the
+                // file: torn tail (possibly a corrupted length prefix —
+                // indistinguishable, same cure).
                 out.torn += 1;
-                Self::truncate(path, offset as u64)?;
+                Self::truncate(path, (data.len() - frames.len()) as u64)?;
                 break;
             };
-            let len = u32::from_be_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]);
-            let frame_end = offset + 4 + len as usize + 4;
-            if len > MAX_FRAME || frame_end > data.len() {
-                // The frame runs past the file: torn tail (possibly a
-                // corrupted length prefix — indistinguishable, same cure).
-                out.torn += 1;
-                Self::truncate(path, offset as u64)?;
-                break;
-            }
-            let payload = &data[offset + 4..offset + 4 + len as usize];
-            let stored = u32::from_be_bytes([
-                data[frame_end - 4],
-                data[frame_end - 3],
-                data[frame_end - 2],
-                data[frame_end - 1],
-            ]);
+            frames = rest;
             if stored != crc32(payload) {
                 out.corrupt += 1;
-                offset = frame_end;
                 continue;
             }
             match decode_wal_payload(payload) {
                 Ok((seq, chunk)) => out.chunks.push((seq, chunk)),
                 Err(_) => out.corrupt += 1,
             }
-            offset = frame_end;
         }
         Ok(())
     }
@@ -353,7 +312,7 @@ impl WalWriter {
             metrics,
             current,
             current_file,
-            current_bytes: HEADER_LEN,
+            current_bytes: HEADER_LEN as u64,
             pending: Vec::new(),
             pending_records: 0,
             pending_first_secs: 0.0,
@@ -365,7 +324,7 @@ impl WalWriter {
 
     /// The directory this WAL writes into.
     pub fn dir(&self) -> &Path {
-        self.dir.dir()
+        self.dir.files.dir()
     }
 
     /// Activity counters so far.
@@ -477,30 +436,17 @@ impl WalWriter {
             return Ok(());
         }
         (self.current, self.current_file) = Self::create_segment(&self.dir, next)?;
-        self.current_bytes = HEADER_LEN;
+        self.current_bytes = HEADER_LEN as u64;
         self.stats.rotations += 1;
         self.metrics.counter("wal.rotations").inc();
         Ok(())
     }
 
-    /// Creates `wal-{first_seq}.cdpw` with the checkpoint-dir durability
-    /// protocol — header into a `.tmp`, fsync, rename, directory fsync — and
-    /// returns its path with a handle opened for append on the final name.
+    /// Publishes `wal-{first_seq}.cdpw` holding the header — temp file,
+    /// fsync, rename, directory fsync — and returns its path with a handle
+    /// opened for append on the final name.
     fn create_segment(dir: &WalDir, first_seq: u64) -> Result<(PathBuf, fs::File), StorageError> {
-        let path = dir.path_for(first_seq);
-        let tmp = path.with_extension("tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(MAGIC)?;
-            file.write_all(&WAL_SCHEMA.0.to_be_bytes())?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        // Make the rename durable; filesystems that refuse directory sync
-        // downgrade durability, not correctness.
-        if let Ok(d) = fs::File::open(dir.dir()) {
-            let _ = d.sync_all();
-        }
+        let path = dir.files.publish(first_seq, &SEGMENT.header())?;
         let file = fs::OpenOptions::new().append(true).open(&path)?;
         Ok((path, file))
     }
@@ -514,17 +460,16 @@ impl WalWriter {
     /// # Errors
     /// I/O errors listing or deleting.
     pub fn gc(&mut self, covered_seq: u64) -> Result<usize, StorageError> {
-        let seqs = self.dir.list()?;
+        let files = &self.dir.files;
+        let seqs = files.list()?;
         let mut removed = 0usize;
         for pair in seqs.windows(2) {
             let (first, next_first) = (pair[0], pair[1]);
-            let path = self.dir.path_for(first);
-            if next_first <= covered_seq.saturating_add(1) && path != self.current {
-                match fs::remove_file(&path) {
-                    Ok(()) => removed += 1,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e.into()),
-                }
+            if next_first <= covered_seq.saturating_add(1)
+                && files.path(first) != self.current
+                && files.remove(first)?
+            {
+                removed += 1;
             }
         }
         self.stats.segments_gced += removed as u64;
@@ -551,16 +496,14 @@ impl WalWriter {
     }
 
     /// Simulates a kill during rotation: the new segment exists only as an
-    /// orphaned `.tmp` that recovery ignores. Crash-injection only.
+    /// orphaned, half-written `.tmp` that recovery ignores. Crash-injection
+    /// only.
     ///
     /// # Errors
     /// I/O errors writing the temp file.
     pub fn crash_rotation(&mut self) -> Result<(), StorageError> {
         let next = self.highest_seq.map_or(0, |s| s + 1);
-        let tmp = self.dir.path_for(next).with_extension("tmp");
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(MAGIC)?;
-        Ok(())
+        Ok(self.dir.files.publish_torn(next, &SEGMENT.header())?)
     }
 
     /// Retry loop over one WAL fault site; `true` means proceed, `false`
@@ -595,25 +538,24 @@ impl WalWriter {
 /// patched in once it is known, so a record is written once.
 fn encode_wal_frame(buf: &mut Vec<u8>, seq: u64, chunk: &RawChunk) {
     let frame = buf.len();
-    buf.put_u32(0); // the length, patched below
-    buf.put_u64(seq);
-    buf.put_u64(chunk.timestamp.0);
-    buf.put_u32(chunk.records.len() as u32);
+    put_u32(buf, 0); // the length, patched below
+    put_u64(buf, seq);
+    put_u64(buf, chunk.timestamp.0);
+    put_u32(buf, chunk.records.len() as u32);
     for record in chunk.records.iter() {
         let values = record.values();
-        buf.put_u32(values.len() as u32);
+        put_u32(buf, values.len() as u32);
         for value in values {
             match value {
                 Value::Num(x) => {
-                    buf.put_u8(0);
-                    buf.put_f64(*x);
+                    buf.push(0);
+                    put_f64(buf, *x);
                 }
                 Value::Text(s) => {
-                    buf.put_u8(1);
-                    buf.put_u32(s.len() as u32);
-                    buf.put_slice(s.as_bytes());
+                    buf.push(1);
+                    put_str(buf, s);
                 }
-                Value::Missing => buf.put_u8(2),
+                Value::Missing => buf.push(2),
             }
         }
     }
@@ -621,44 +563,22 @@ fn encode_wal_frame(buf: &mut Vec<u8>, seq: u64, chunk: &RawChunk) {
     let len = (buf.len() - payload) as u32;
     buf[frame..payload].copy_from_slice(&len.to_be_bytes());
     let crc = crc32(&buf[payload..]);
-    buf.put_u32(crc);
+    put_u32(buf, crc);
 }
 
 fn decode_wal_payload(payload: &[u8]) -> Result<(u64, RawChunk), StorageError> {
-    let mut buf = payload;
-    let need = |buf: &[u8], n: usize| -> Result<(), StorageError> {
-        if buf.remaining() < n {
-            Err(StorageError::Corrupt("truncated WAL payload".into()))
-        } else {
-            Ok(())
-        }
-    };
-    need(buf, 20)?;
-    let seq = buf.get_u64();
-    let timestamp = Timestamp(buf.get_u64());
-    let n_records = buf.get_u32() as usize;
+    let mut r = Reader::new(payload);
+    let seq = r.u64()?;
+    let timestamp = Timestamp(r.u64()?);
+    let n_records = r.count()?;
     let mut records = Vec::with_capacity(n_records.min(1 << 16));
     for _ in 0..n_records {
-        need(buf, 4)?;
-        let n_values = buf.get_u32() as usize;
+        let n_values = r.count()?;
         let mut values = Vec::with_capacity(n_values.min(1 << 16));
         for _ in 0..n_values {
-            need(buf, 1)?;
-            match buf.get_u8() {
-                0 => {
-                    need(buf, 8)?;
-                    values.push(Value::Num(buf.get_f64()));
-                }
-                1 => {
-                    need(buf, 4)?;
-                    let len = buf.get_u32() as usize;
-                    need(buf, len)?;
-                    let mut bytes = vec![0u8; len];
-                    buf.copy_to_slice(&mut bytes);
-                    let text = String::from_utf8(bytes)
-                        .map_err(|_| StorageError::Corrupt("non-UTF-8 WAL text".into()))?;
-                    values.push(Value::Text(text));
-                }
+            match r.u8()? {
+                0 => values.push(Value::Num(r.f64()?)),
+                1 => values.push(Value::Text(r.string()?)),
                 2 => values.push(Value::Missing),
                 tag => {
                     return Err(StorageError::Corrupt(format!(
@@ -669,15 +589,14 @@ fn decode_wal_payload(payload: &[u8]) -> Result<(u64, RawChunk), StorageError> {
         }
         records.push(Record::new(values));
     }
-    if buf.remaining() > 0 {
-        return Err(StorageError::Corrupt("trailing WAL payload bytes".into()));
-    }
+    r.finish()?;
     Ok((seq, RawChunk::new(timestamp, records)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
     use cdp_faults::{FaultPlan, NoFaults};
     use cdp_obs::VirtualClock;
 
@@ -822,14 +741,17 @@ mod tests {
     fn pending_group_on_disk_equals_the_reference_frames() {
         let dir = temp_dir("inplace");
         let mut w = writer(&dir, 3);
-        let mut expected = Vec::new();
+        // The whole file: the header `create_segment` wrote before the
+        // durable-file layer (`MAGIC`, then `WAL_SCHEMA` big-endian), then
+        // the frames.
+        let mut expected = b"CDPW".to_vec();
+        expected.extend_from_slice(&1u16.to_be_bytes());
         for seq in 0..3u64 {
             ok(w.append(seq, &chunk(seq)));
             expected.extend_from_slice(&reference_frame(seq, &chunk(seq)));
         }
         assert_eq!(w.stats().commits, 1);
-        let segment = ok(fs::read(&w.current));
-        assert_eq!(&segment[HEADER_LEN as usize..], &expected[..]);
+        assert_eq!(ok(fs::read(&w.current)), expected);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -989,20 +911,20 @@ mod tests {
             ok(w.append(seq, &chunk(seq)));
         }
         assert_eq!(w.stats().rotations, 4);
-        let listed = ok(w.dir.list());
+        let listed = ok(w.dir.files.list());
         assert_eq!(listed, vec![0, 1, 2, 3, 4]);
         // A checkpoint covering seqs 0..=1 frees exactly the segments whose
         // records it covers.
         let removed = ok(w.gc(1));
         assert_eq!(removed, 2);
-        assert_eq!(ok(w.dir.list()), vec![2, 3, 4]);
+        assert_eq!(ok(w.dir.files.list()), vec![2, 3, 4]);
         // Nothing newer is coverable; the active segment survives.
         let removed = ok(w.gc(1));
         assert_eq!(removed, 0);
         // Full coverage still keeps the active (empty) segment.
         let removed = ok(w.gc(100));
         assert_eq!(removed, 2);
-        assert_eq!(ok(w.dir.list()), vec![4]);
+        assert_eq!(ok(w.dir.files.list()), vec![4]);
         // Recovery after GC sees only the uncovered suffix.
         let rec = ok(ok(WalDir::open(&dir)).recover());
         assert!(rec.chunks.is_empty());

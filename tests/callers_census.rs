@@ -64,21 +64,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "tests/trace_smoke.rs checks the folded export of a real run",
     ),
     (
-        "crates/obs/src/recorder.rs",
-        "SEGMENT_EXT",
-        "tests/telemetry.rs plants a stray file with the segment extension",
-    ),
-    (
-        "crates/obs/src/recorder.rs",
-        "list_segment_files",
-        "tests/telemetry.rs counts the segments a crashed run left behind",
-    ),
-    (
-        "crates/obs/src/recorder.rs",
-        "segment_file_name",
-        "tests/telemetry.rs tears and corrupts a segment by its name",
-    ),
-    (
         "crates/obs/src/registry.rs",
         "EVENT_LOG_CAPACITY",
         "tests/telemetry_sample_alloc.rs fills the event log to its bound before it counts",
@@ -117,11 +102,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "crates/pipeline/src/encode.rs",
         "bucket_of",
         "tests-only oracle: the row reference hashes tokens with the encoder's own function",
-    ),
-    (
-        "crates/storage/src/checkpoint.rs",
-        "latest_valid",
-        "checkpoint tests read back the newest valid payload after torn and corrupt writes",
     ),
     (
         "crates/storage/src/chunk.rs",

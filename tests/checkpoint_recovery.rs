@@ -298,12 +298,13 @@ fn resume_across_the_step_adam_stops_dividing_at_is_bit_identical() {
         Err(DeploymentError::Crashed(CrashSite::ChunkBoundary)) => {}
         other => panic!("expected a chunk-boundary crash, got {other:?}"),
     }
-    let (_, payload) = CheckpointDir::open(&dir, 2)
+    let (_, version, payload) = CheckpointDir::open(&dir, 2)
         .expect("open checkpoint dir")
-        .latest_valid()
+        .latest_valid_versioned()
         .expect("list checkpoints")
         .expect("a durable checkpoint exists");
-    let ckpt = DeploymentCheckpoint::decode(&payload).expect("decode checkpoint");
+    let ckpt =
+        DeploymentCheckpoint::decode_versioned(version, &payload).expect("decode checkpoint");
     let chunks_at_ckpt = ckpt.chunk_idx + 1 - stream.initial_chunks() as u64;
     assert!(ckpt.opt_t < 356, "checkpointed at step {}", ckpt.opt_t);
     // A step per chunk at the least, so the kill is past step 356.
@@ -615,12 +616,13 @@ fn resumed_deployment_publishes_restored_version_before_serving() {
 
     // Decode the newest durable checkpoint directly: these weights — not
     // the stale ones — must be the first thing published on resume.
-    let (_, payload) = CheckpointDir::open(&dir, 2)
+    let (_, version, payload) = CheckpointDir::open(&dir, 2)
         .expect("open checkpoint dir")
-        .latest_valid()
+        .latest_valid_versioned()
         .expect("list checkpoints")
         .expect("a durable checkpoint exists");
-    let ckpt = DeploymentCheckpoint::decode(&payload).expect("decode checkpoint");
+    let ckpt =
+        DeploymentCheckpoint::decode_versioned(version, &payload).expect("decode checkpoint");
     let fp_restored = weights_fingerprint(&ckpt.weights);
     assert_ne!(
         fp_stale, fp_restored,

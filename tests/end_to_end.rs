@@ -434,8 +434,8 @@ fn taxi_checkpoint_bytes_match_the_commit_before_the_column_pipeline() {
     config.optimization.budget = StorageBudget::MaxChunks(3);
     config.checkpoint = Some(CheckpointConfig::new(&dir).every(5).keep(1));
     try_run_deployment(&stream, &spec, &config).expect("fault-free run");
-    let (seq, payload) = cdpipe::storage::CheckpointDir::open(&dir, 1)
-        .and_then(|d| d.latest_valid())
+    let (seq, _, payload) = cdpipe::storage::CheckpointDir::open(&dir, 1)
+        .and_then(|d| d.latest_valid_versioned())
         .expect("checkpoint directory reads")
         .expect("the run wrote a checkpoint");
     let _ = std::fs::remove_dir_all(&dir);
@@ -447,6 +447,80 @@ fn taxi_checkpoint_bytes_match_the_commit_before_the_column_pipeline() {
 }
 
 const PARENT_TAXI_CHECKPOINT: (u64, usize, u64) = (29, 2042, 12_716_492_452_756_378_539);
+
+/// `(name, bytes, FNV-1a)` of every file in `dir` whose name `keep` accepts,
+/// in name order.
+fn file_pins(dir: &std::path::Path, keep: impl Fn(&str) -> bool) -> Vec<(String, usize, u64)> {
+    let mut pins: Vec<(String, usize, u64)> = std::fs::read_dir(dir)
+        .expect("readable directory")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().expect("a file name");
+            let bytes = std::fs::read(&path).expect("readable file");
+            let name = name.to_string_lossy().into_owned();
+            (name, bytes.len(), fnv1a(bytes))
+        })
+        .filter(|(name, _, _)| keep(name))
+        .collect();
+    pins.sort();
+    pins
+}
+
+#[test]
+fn durable_files_match_the_commit_before_the_durable_layer() {
+    // Whole files, envelope and name included, of one small run with every
+    // durable format on, killed at a chunk boundary well past its newest
+    // checkpoint so the WAL keeps the segments that checkpoint does not
+    // cover: the newest checkpoint file, every WAL segment, the newest
+    // recorder segment. Metrics run on a virtual clock, so the checkpoint's
+    // embedded snapshot and the recorder's series are pure data.
+    let root = std::env::temp_dir().join(format!("cdp-e2e-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (stream, spec) = taxi_spec(SpecScale::Tiny);
+    let mut config = DeploymentConfig::continuous(2, 3, SamplingStrategy::Uniform);
+    config.optimization.budget = StorageBudget::MaxChunks(3);
+    config.wal = Some(
+        WalConfig::new(root.join("wal"))
+            .fsync_every(2)
+            .group_window(0.0)
+            .segment_bytes(1),
+    );
+    config.checkpoint = Some(CheckpointConfig::new(root.join("ckpt")).every(6).keep(2));
+    config.telemetry = Some(
+        TelemetryConfig::new()
+            .recorder(RecorderConfig::new(root.join("rec")).flush_every(4).keep(2)),
+    );
+    config.faults = FaultPlan {
+        crash_site: Some(CrashSite::ChunkBoundary),
+        crash_at: 22,
+        ..FaultPlan::none()
+    };
+    let ctx = cdpipe::engine::RunCtx {
+        metrics: Metrics::with_clock(Arc::new(VirtualClock::new())),
+        ..cdpipe::engine::RunCtx::default()
+    };
+    let crashed = try_run_deployment_in(&stream, &spec, &config, ctx);
+    assert!(matches!(
+        crashed,
+        Err(DeploymentError::Crashed(CrashSite::ChunkBoundary))
+    ));
+    let newest = |mut pins: Vec<(String, usize, u64)>| pins.pop().expect("a file");
+    let checkpoint = newest(file_pins(&root.join("ckpt"), |n| n.ends_with(".cdpk")));
+    let wal = file_pins(&root.join("wal"), |n| n.ends_with(".cdpw"));
+    let recorder = newest(file_pins(&root.join("rec"), |n| n.ends_with(".cdpt")));
+    let _ = std::fs::remove_dir_all(&root);
+    assert!(wal.len() >= 3, "at least two rotations past the checkpoint");
+    let got = format!("{checkpoint:?}\n{wal:?}\n{recorder:?}");
+    assert_eq!(got, PARENT_DURABLE_FILES, "(name, bytes, FNV-1a) per file");
+}
+
+/// Recorded at 7885dc0, the parent of the commit that moved every durable
+/// format onto `cdp_obs::durable`.
+const PARENT_DURABLE_FILES: &str = "(\"ckpt-000000000023.cdpk\", 5810, 4131844182144439360)\n\
+    [(\"wal-000000000024.cdpw\", 4082, 2706512351326544409), \
+    (\"wal-000000000026.cdpw\", 4082, 16742428689938391532), \
+    (\"wal-000000000028.cdpw\", 6, 130910471821257432)]\n\
+    (\"seg-000000000005.cdpt\", 17349, 11974950545032139178)";
 
 #[test]
 fn recoverable_only_faults_match_fault_free_model() {

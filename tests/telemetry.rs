@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cdpipe::engine::{ExecutionEngine, RunCtx};
-use cdpipe::obs::{list_segment_files, segment_file_name, SEGMENT_EXT};
 use cdpipe::prelude::*;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -162,11 +161,13 @@ fn crash_leaves_a_recoverable_timeline() {
 #[test]
 fn torn_and_corrupt_tails_are_skipped_not_fatal() {
     let dir = crash_with_recorder("torn");
-    let files: Vec<PathBuf> = list_segment_files(&dir)
+    // `seg-{seq:012}.cdpt`: name order is sequence order.
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .expect("list segments")
-        .into_iter()
-        .map(|(_, path)| path)
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "cdpt"))
         .collect();
+    files.sort();
     assert!(!files.is_empty());
 
     // Tear the newest segment mid-write and scribble over the one before
@@ -181,13 +182,8 @@ fn torn_and_corrupt_tails_are_skipped_not_fatal() {
         garbled[mid] ^= 0xFF;
         std::fs::write(prev, garbled).expect("corrupt prev");
     }
-    std::fs::write(dir.join(format!("zz-not-a-segment.{SEGMENT_EXT}")), b"junk")
-        .expect("foreign file");
-    std::fs::write(
-        dir.join(segment_file_name(u64::MAX)).with_extension("tmp"),
-        b"torn tmp",
-    )
-    .expect("tmp file");
+    std::fs::write(dir.join("zz-not-a-segment.cdpt"), b"junk").expect("foreign file");
+    std::fs::write(dir.join(format!("seg-{:012}.tmp", u64::MAX)), b"torn tmp").expect("tmp file");
 
     let scan = load_segments(&dir, 16).expect("scan survives corruption");
     assert!(scan.skipped >= 1, "corrupt tail was not detected");
