@@ -1,8 +1,8 @@
 //! End-to-end deployment drivers for the three approaches of Experiment 1.
 //!
-//! All three share the same arrival loop — every deployment chunk is first
-//! used for prequential evaluation, then for online learning — and differ
-//! only in how they keep the model fresh:
+//! All three share one chunk driver — every deployment chunk runs through
+//! the same named stages, prequential evaluation and online learning among
+//! them — and differ only in their training stage:
 //!
 //! * **Online**: nothing beyond the per-chunk online SGD pass;
 //! * **Periodical**: a full retraining over the entire history every
@@ -27,15 +27,15 @@ use cdp_faults::{
 use cdp_linalg::DenseVector;
 use cdp_ml::{LinearModel, OptimizerState, SgdTrainer, TrainReport};
 use cdp_obs::{
-    Alert, AlertMonitor, Clock, FlightRecorder, Metrics, MetricsSnapshot, SloMonitor,
+    Alert, AlertMonitor, Clock, FlightRecorder, Metrics, MetricsSnapshot, SloMonitor, SpanContext,
     TelemetryStore, TraceSnapshot, TraceSpan, Tracer, VirtualClock, DEFAULT_SERIES_CAPACITY,
 };
 use cdp_pipeline::drift::{DriftDetector, DriftStatus};
-use cdp_pipeline::PipelineError;
+use cdp_pipeline::{Pipeline, PipelineError};
 use cdp_sampling::{mu_uniform, mu_window, SamplingStrategy};
 use cdp_storage::{
-    CheckpointDir, StorageBudget, StorageError, StoreStats, TieredStats, WalDir, WalOptions,
-    WalRecovery, WalStats, WalWriter,
+    CheckpointDir, FeatureChunk, RawChunk, StorageBudget, StorageError, StoreStats, TieredStats,
+    WalDir, WalOptions, WalRecovery, WalStats, WalWriter,
 };
 use serde::{Deserialize, Serialize};
 
@@ -113,14 +113,9 @@ impl Default for OptimizationConfig {
     }
 }
 
-/// Crash-consistent checkpointing for a deployment run.
-///
-/// When set on [`DeploymentConfig::checkpoint`], the loop durably writes a
-/// [`DeploymentCheckpoint`] every `every_chunks` chunks (and once more at
-/// shutdown if chunks arrived since the last write), keeping the newest
-/// `keep` files. [`try_resume_deployment`] restarts a killed run from the
-/// newest valid checkpoint; a torn or corrupt latest file falls back to its
-/// predecessor.
+/// Crash-consistent checkpointing: a [`DeploymentCheckpoint`] every
+/// `every_chunks` chunks and at shutdown, the newest `keep` files kept, for
+/// [`try_resume_deployment`] to restart a killed run from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Directory holding the numbered checkpoint files.
@@ -156,22 +151,13 @@ impl CheckpointConfig {
     }
 }
 
-/// Write-ahead logging of arriving chunks for a deployment run.
-///
-/// Checkpoints make the deployment *state* crash-consistent, but a chunk
-/// that arrives between two checkpoints exists only in memory until the
-/// next checkpoint covers it. When set on [`DeploymentConfig::wal`], every
-/// arriving raw chunk is appended to an on-disk write-ahead log (group
-/// committed every `fsync_every` records, or when the oldest buffered
-/// record ages past `group_window_secs` on the deployment's simulated
-/// clock) *before* the pipeline processes it. [`try_resume_deployment`]
-/// then replays checkpoint + WAL suffix — recovered records re-ordered by
-/// sequence number — and lands bit-identical to an uninterrupted run even
-/// when the crash falls between checkpoints. Segments are rotated at
-/// `segment_bytes` and retired as soon as a durable checkpoint covers every
-/// record they hold. `None` (the default) writes nothing, costs the hot
-/// path a single branch per chunk, and preserves the pre-existing
-/// checkpoint-boundary resume semantics exactly.
+/// Write-ahead logging of arrivals: every raw chunk is appended (group
+/// committed every `fsync_every` records, or once the oldest buffered one
+/// ages past `group_window_secs` of simulated time) *before* it is
+/// processed, so [`try_resume_deployment`] replays checkpoint + WAL suffix
+/// bit-identically even when the crash falls between checkpoints. Segments
+/// rotate at `segment_bytes` and retire once a durable checkpoint covers
+/// them (DESIGN.md §17).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalConfig {
     /// Directory holding the numbered WAL segment files.
@@ -221,22 +207,12 @@ impl WalConfig {
     }
 }
 
-/// Live telemetry for a deployment run.
-///
-/// When set on [`DeploymentConfig::telemetry`] (and metrics are collected),
-/// the loop samples every registered counter, gauge, and histogram into a
-/// ring-buffered [`TelemetryStore`] every `every_chunks` chunks, stamped on
-/// the loop's deterministic simulation clock. Each sample also drives the
-/// stateful SLA monitor ([`AlertMonitor::observe`]) and the multi-window SLO
-/// burn-rate rules ([`SloMonitor::deployment_defaults`]), with per-rule
-/// cooldown so a persistent breach lands in [`DeploymentResult::alerts`]
-/// once per cooldown window instead of once per evaluation. With a
-/// [`RecorderConfig`] attached, the store is additionally persisted to a
-/// crash-survivable on-disk segment log (the flight recorder) for
-/// post-mortem analysis. `None` (the default) costs the hot path a single
-/// branch per chunk, and an enabled store never feeds back into training:
-/// weights, curves, and accounted cost are bit-identical with telemetry on
-/// or off.
+/// Live telemetry (with metrics collected): every `every_chunks` chunks,
+/// every metric is sampled into a ring-buffered [`TelemetryStore`] on the
+/// simulated clock and drives the stateful [`AlertMonitor`] and the SLO
+/// burn-rate rules ([`SloMonitor`]), deduplicated per rule by the cooldown;
+/// a [`RecorderConfig`] persists the store as a crash-surviving segment
+/// log. It never feeds back into training (DESIGN.md §16).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryConfig {
     /// Chunks between samples (clamped to at least 1).
@@ -250,9 +226,8 @@ pub struct TelemetryConfig {
     /// `slo.serving_p99_burn` rule.
     pub serving_p99_budget_secs: f64,
     /// Metric-name prefixes excluded from sampling. The default excludes
-    /// `engine.*`: work-stealing queue depths and steal counts depend on
-    /// thread scheduling, and excluding them keeps recorded telemetry
-    /// bit-identical across worker counts.
+    /// the scheduling-dependent `engine.*`, so telemetry is bit-identical
+    /// across worker counts.
     pub exclude_prefixes: Vec<String>,
     /// Optional flight recorder persisting the store across crashes.
     pub recorder: Option<RecorderConfig>,
@@ -271,13 +246,6 @@ impl TelemetryConfig {
             exclude_prefixes: vec![String::from("engine.")],
             recorder: None,
         }
-    }
-
-    /// Sets the sampling interval (builder style).
-    #[must_use]
-    pub fn every(mut self, every_chunks: usize) -> Self {
-        self.every_chunks = every_chunks;
-        self
     }
 
     /// Attaches a flight recorder (builder style).
@@ -317,13 +285,6 @@ impl RecorderConfig {
         }
     }
 
-    /// Sets the retention budget (builder style).
-    #[must_use]
-    pub fn keep(mut self, keep: usize) -> Self {
-        self.keep = keep;
-        self
-    }
-
     /// Sets the flush interval (builder style).
     #[must_use]
     pub fn flush_every(mut self, samples: usize) -> Self {
@@ -358,58 +319,31 @@ pub struct DeploymentConfig {
     pub cost_model: CostModel,
     /// Seed for the sampler.
     pub seed: u64,
-    /// Execution engine for all batch work: initial fit, periodical
-    /// retraining's history transformation, proactive re-materialization,
-    /// and sharded gradient computation. One persistent worker pool is
-    /// shared by every deployment mode. Results and accounted cost are
-    /// engine-independent (bit-identical); a threaded engine only reduces
-    /// wall-clock time.
+    /// Execution engine for all batch work. Results and accounted cost are
+    /// bit-identical across engines; a threaded one only saves wall time.
     pub engine: ExecutionEngine,
-    /// Deterministic fault-injection plan. [`FaultPlan::none`] (the
-    /// default) injects nothing and adds no overhead; an active plan
-    /// injects disk errors, chunk corruption, worker panics, and latency
-    /// keyed purely by `(seed, site, key, attempt)` — identical across
-    /// reruns and worker counts.
+    /// Deterministic fault-injection plan, keyed purely by `(seed, site,
+    /// key, attempt)`; [`FaultPlan::none`] (the default) injects nothing.
     pub faults: FaultPlan,
     /// Spill evicted feature chunks to a run-private temporary directory
-    /// (removed when the run ends) instead of dropping them. Gives disk
-    /// faults a real surface; lookups fall back to re-materialization when
-    /// a spill read fails beyond the retry budget.
+    /// instead of dropping them; a failed spill read re-materializes.
     pub spill_to_disk: bool,
-    /// Collect runtime metrics (counters, gauges, latency histograms,
-    /// event log) into [`DeploymentResult::metrics`]. Off by default: the
-    /// disabled handle adds no locking, allocation, or clock reads to the
-    /// hot path. For an injected clock or a shared registry use
-    /// [`try_run_deployment_in`] instead.
+    /// Collect metrics into [`DeploymentResult::metrics`] (for an injected
+    /// clock or a shared registry, use [`try_run_deployment_in`]).
     pub collect_metrics: bool,
-    /// Collect a causal span tree (deployment phases → engine maps →
-    /// per-worker tasks) into [`DeploymentResult::trace`]. Off by default:
-    /// the disabled tracer's per-span cost is a single branch. Tracing
-    /// never perturbs results — weights, curves, accounted cost, and the
-    /// metrics snapshot are bit-identical with and without it.
+    /// Collect the span tree into [`DeploymentResult::trace`]; tracing
+    /// never perturbs results.
     pub collect_traces: bool,
-    /// Crash-consistent checkpointing. `None` (the default) writes nothing
-    /// and costs the hot path a single branch per chunk.
+    /// Crash-consistent checkpointing.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Write-ahead logging of arriving chunks, so resume can replay the
-    /// suffix a crash would otherwise lose between checkpoints. `None` (the
-    /// default) writes nothing and costs the hot path a single branch per
-    /// chunk.
+    /// Write-ahead logging of arriving chunks.
     pub wal: Option<WalConfig>,
-    /// Live telemetry: ring-buffered time series over every metric, SLO
-    /// burn-rate alerting, and an optional crash-survivable flight
-    /// recorder. Requires metrics collection to record anything; `None`
-    /// (the default) costs the hot path a single branch per chunk.
+    /// Live telemetry (needs metrics collection to record anything).
     pub telemetry: Option<TelemetryConfig>,
-    /// A serving front-end to keep fresh: when set, the run publishes the
-    /// deployed `(pipeline, model)` pair to this [`ModelServer`] after the
-    /// initial fit, after every training event (proactive instance or
-    /// periodical retraining), at every chunk boundary, and — on resume —
-    /// immediately after state restoration, so an attached server never
-    /// serves a pre-crash stale snapshot. `None` (the default) costs one
-    /// branch per site. The server is an `Arc` handle: clone it before
-    /// attaching to keep answering queries concurrently. Publishing never
-    /// perturbs training results (the server receives clones).
+    /// A serving front-end to keep fresh: the run publishes clones of its
+    /// `(pipeline, model)` pair after the initial fit, every training event
+    /// and every chunk, and on resume right after the restore. `None` (the
+    /// default), like every `Option` layer here, costs one branch per site.
     pub serving: Option<ModelServer>,
 }
 
@@ -512,35 +446,22 @@ pub struct DeploymentResult {
     pub fault_stats: FaultStats,
     /// Storage-tier counters: spills, disk hits, read fallbacks.
     pub tiered_stats: TieredStats,
-    /// Uniform observability snapshot spanning engine, storage, scheduler,
-    /// and trainer (empty unless [`DeploymentConfig::collect_metrics`] is
-    /// set or a [`Metrics`] handle was passed to [`try_run_deployment_in`]).
+    /// Metrics of every layer (empty unless metrics were collected).
     pub metrics: MetricsSnapshot,
-    /// Causal span tree across all deployment phases and worker threads
-    /// (empty unless [`DeploymentConfig::collect_traces`] is set or a
-    /// [`Tracer`] handle was passed to [`try_run_deployment_in`]).
-    /// Export with [`TraceSnapshot::to_chrome_trace`] or
-    /// [`TraceSnapshot::to_folded_stacks`].
+    /// Span tree across the run's stages and worker threads (empty unless
+    /// traces were collected); see [`TraceSnapshot::to_chrome_trace`].
     pub trace: TraceSnapshot,
-    /// SLA alerts fired by the default [`AlertMonitor`] over the final
-    /// metrics snapshot (empty unless metrics were collected). Each fired
-    /// alert is also appended to the event log as `alert.fired`. With
-    /// [`DeploymentConfig::telemetry`] set, these come from the stateful
-    /// per-sample monitors instead (threshold rules plus SLO burn rules,
-    /// deduplicated by the configured cooldown).
+    /// SLA alerts, each also an `alert.fired` event (empty unless metrics
+    /// were collected): from the per-sample monitors with telemetry on,
+    /// else from the default [`AlertMonitor`] over the final snapshot.
     pub alerts: Vec<Alert>,
-    /// Ring-buffered time series over every sampled metric (empty unless
-    /// [`DeploymentConfig::telemetry`] is set and metrics were collected).
-    /// Export with [`TelemetryStore::to_csv`] or [`TelemetryStore::to_json`].
+    /// Time series over every sampled metric (empty without telemetry).
     pub telemetry: TelemetryStore,
-    /// Checkpoint writes/bytes/restores (all zero without
-    /// [`DeploymentConfig::checkpoint`]). Not part of the bit-identity
-    /// contract — see [`CheckpointStats`].
+    /// Checkpoint counters (zero without checkpointing); see
+    /// [`CheckpointStats`].
     pub checkpoint_stats: CheckpointStats,
-    /// WAL appends/commits/rotations/recovery counters (all zero without
-    /// [`DeploymentConfig::wal`]). Not part of the bit-identity contract —
-    /// a resumed run legitimately commits and replays differently from the
-    /// uninterrupted run it otherwise reproduces.
+    /// WAL counters (zero without a WAL). Outside the bit-identity
+    /// contract: a resume commits and replays differently.
     #[serde(default)]
     pub wal_stats: WalStats,
 }
@@ -559,32 +480,24 @@ pub enum DeploymentError {
     Storage(StorageError),
     /// An engine-layer failure (worker dead beyond the restart budget).
     Engine(EngineError),
-    /// The spec's pipeline factory failed (e.g. a non-incremental
-    /// component) — a configuration error, surfaced typed instead of
-    /// panicking inside the deployment loop.
+    /// The spec's pipeline factory failed, or a checkpointed component
+    /// state did not restore.
     Pipeline(PipelineError),
-    /// The process was killed by an injected crash point (tests only; a
-    /// real crash never returns). The run's partial state is exactly what a
-    /// `kill -9` at that point would leave on disk.
+    /// Killed by an injected crash point; what is on disk is what a
+    /// `kill -9` there leaves.
     Crashed(CrashSite),
-    /// Resume was requested but there is nothing to resume from: no
-    /// [`DeploymentConfig::checkpoint`] configured, or no valid checkpoint
-    /// file in the directory.
+    /// Nothing to resume from: no checkpoint configured, or no valid file.
     NoCheckpoint(String),
 }
 
 impl std::fmt::Display for DeploymentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DeploymentError::Storage(e) => write!(f, "storage failure: {e}"),
-            DeploymentError::Engine(e) => write!(f, "engine failure: {e}"),
-            DeploymentError::Pipeline(e) => write!(f, "pipeline failure: {e}"),
-            DeploymentError::Crashed(site) => {
-                write!(f, "injected crash at the {} site", site.name())
-            }
-            DeploymentError::NoCheckpoint(detail) => {
-                write!(f, "nothing to resume from: {detail}")
-            }
+            Self::Storage(e) => write!(f, "storage failure: {e}"),
+            Self::Engine(e) => write!(f, "engine failure: {e}"),
+            Self::Pipeline(e) => write!(f, "pipeline failure: {e}"),
+            Self::Crashed(site) => write!(f, "injected crash at the {} site", site.name()),
+            Self::NoCheckpoint(detail) => write!(f, "nothing to resume from: {detail}"),
         }
     }
 }
@@ -614,16 +527,12 @@ impl From<PipelineError> for DeploymentError {
 static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn private_spill_dir() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "cdp-spill-{}-{}",
-        std::process::id(),
-        SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
+    let seq = SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("cdp-spill-{}-{seq}", std::process::id()))
 }
 
-/// A run's fault hook: the injector of an active plan — continuing from a
-/// checkpoint's `restored` statistics and worker epoch on resume — or the
-/// no-op hook.
+/// A run's fault hook: an active plan's injector (continuing `restored`
+/// statistics and worker epoch on resume), or the no-op hook.
 fn hook_for(plan: FaultPlan, restored: Option<(FaultStats, u64)>) -> Arc<dyn FaultHook> {
     match restored {
         _ if !plan.is_active() => Arc::new(NoFaults),
@@ -650,20 +559,6 @@ fn data_manager(
         Arc::clone(hook),
         RetryPolicy::default(),
     )?)
-}
-
-fn proactive_trainer(config: &DeploymentConfig) -> ProactiveTrainer {
-    if config.optimization.online_stats {
-        ProactiveTrainer::new()
-    } else {
-        ProactiveTrainer::without_online_stats()
-    }
-}
-
-/// The per-chunk error monitor feeding the drift-adaptive scheduler
-/// (chunk-granular windows: ~60 stable chunks vs the last 12).
-fn drift_monitor() -> DriftDetector {
-    DriftDetector::new(60, 12, 2.0, 3.0)
 }
 
 /// What a run reads and reports to, but never changes: its inputs, its
@@ -693,6 +588,64 @@ impl RunEnv<'_> {
     fn fresh_manager(&self) -> Result<PipelineManager, DeploymentError> {
         let (pipeline, spec) = (self.spec.try_build_pipeline()?, self.spec);
         Ok(self.manage(PipelineManager::new(pipeline, &spec.sgd, spec.online_batch)))
+    }
+
+    /// The stages under `span`.
+    fn stages<'s>(&'s self, span: &TraceSpan) -> Stages<'s> {
+        Stages(self, span.context())
+    }
+
+    /// Consults crash `site`, the one place a run dies; a kill first runs
+    /// `torn`, which leaves the partial bytes a real kill there leaves.
+    fn crash_point(&self, site: CrashSite, torn: impl FnOnce()) -> Result<(), DeploymentError> {
+        if !self.hook.crash_now(site) {
+            return Ok(());
+        }
+        torn();
+        Err(DeploymentError::Crashed(site))
+    }
+}
+
+/// Where stages open: the run (`.0`) and the span they nest under (`.1`) —
+/// a chunk, the run itself, the resume's replay fold, or an enclosing stage.
+#[derive(Clone, Copy)]
+struct Stages<'a>(&'a RunEnv<'a>, Option<SpanContext>);
+
+impl<'a> Stages<'a> {
+    /// Runs stage `name`: opens its span, points the pipeline manager's
+    /// trace scope at it and returns the stage's result; `f` also gets the
+    /// stages nested in this one. Untraced, this is one branch.
+    fn run<T>(
+        self,
+        name: &str,
+        st: &mut LoopState,
+        f: impl FnOnce(&mut LoopState, Self) -> T,
+    ) -> T {
+        let tracer = &self.0.tracer;
+        if !tracer.is_enabled() {
+            return f(st, self);
+        }
+        let span = tracer.child_of(name, self.1);
+        st.pm.set_trace_scope(span.context());
+        f(st, Stages(self.0, span.context()))
+    }
+
+    /// The `serving.publish` stage: clones of the current `(pipeline,
+    /// model)` pair to the attached server, and an event naming `source`
+    /// and the weights' fingerprint (`source` is formatted only for it).
+    fn publish(self, st: &mut LoopState, source: impl std::fmt::Display) {
+        let (Some(server), metrics) = (&self.0.config.serving, &self.0.metrics) else {
+            return;
+        };
+        self.run("serving.publish", st, |st, _| {
+            let model = st.pm.trainer().model();
+            let version = server.publish(st.pm.pipeline().clone(), model.clone());
+            if metrics.is_enabled() {
+                let fp = weights_fingerprint(model.weights().as_slice());
+                let detail = format!("{source} version {version} fp {fp:016x}");
+                metrics.event("serving.publish", detail);
+            }
+        });
     }
 }
 
@@ -734,34 +687,19 @@ pub fn try_run_deployment(
 /// [`DeploymentConfig::collect_traces`] ask for, on the wall clock.
 fn config_ctx(config: &DeploymentConfig) -> RunCtx {
     RunCtx {
-        metrics: if config.collect_metrics {
-            Metrics::collecting()
-        } else {
-            Metrics::disabled()
-        },
-        tracer: if config.collect_traces {
-            Tracer::collecting()
-        } else {
-            Tracer::disabled()
-        },
+        metrics: (config.collect_metrics.then(Metrics::collecting)).unwrap_or_default(),
+        tracer: (config.collect_traces.then(Tracer::collecting)).unwrap_or_default(),
         parent: None,
     }
 }
 
 /// [`try_run_deployment`] recording into explicit handles, which override
 /// [`DeploymentConfig::collect_metrics`] and
-/// [`DeploymentConfig::collect_traces`] — pass `Metrics::with_clock(...)` /
-/// `Tracer::with_clock(...)` to stamp events and spans against an injected
-/// (e.g. virtual) clock, or shared handles to aggregate several runs.
-///
-/// The span tree is a `deployment.run` span under `ctx.parent`; initial
-/// training, each arriving chunk, periodical retrainings, and
-/// proactive-training instances open child spans, and engine maps dispatched
-/// inside them parent their per-worker `engine.task` spans across threads.
-///
-/// Observers never feed back into results: weights, error curves, and
-/// accounted cost are bit-identical with and without them (only wall-clock
-/// overhead differs, and the disabled handles' is one branch per use).
+/// [`DeploymentConfig::collect_traces`]: an injected (e.g. virtual) clock,
+/// or shared handles aggregating several runs. The span tree is a
+/// `deployment.run` span under `ctx.parent`: the initial fit, one
+/// `deployment.chunk` per arrival over the chunk's stages (DESIGN.md §11),
+/// then the shutdown's stages. Observers never feed back into results.
 ///
 /// # Errors
 /// Same as [`try_run_deployment`].
@@ -771,10 +709,69 @@ pub fn try_run_deployment_in(
     config: &DeploymentConfig,
     ctx: RunCtx,
 ) -> Result<DeploymentResult, DeploymentError> {
+    deploy(stream, spec, config, ctx, None)
+}
+
+/// Resumes a killed deployment from its newest valid checkpoint and runs it
+/// to completion.
+///
+/// Resume receives the `stream`, `spec` and `config` the original run used;
+/// the newest valid checkpoint wins, torn or corrupt ones fall back to
+/// their predecessor. The resumed run is bit-identical to an uninterrupted
+/// one in weights, prequential curve, accounted cost, storage and fault
+/// counters, metrics and lineage. Alerts and the telemetry store are too,
+/// unless [`DeploymentConfig::telemetry`] is set: its ring store, monitor
+/// cooldowns and fired alerts are not checkpointed and restart empty. An
+/// injected crash site is cleared: the dead process consumed it.
+///
+/// # Errors
+/// [`DeploymentError::NoCheckpoint`] when checkpointing is not configured
+/// or no valid checkpoint file exists; [`DeploymentError::Storage`] with
+/// [`StorageError::Corrupt`] when the checkpoint does not match the
+/// spec/stream (never a panic); otherwise as [`try_run_deployment`].
+pub fn try_resume_deployment(
+    stream: &dyn ChunkStream,
+    spec: &DeploymentSpec,
+    config: &DeploymentConfig,
+) -> Result<DeploymentResult, DeploymentError> {
+    let Some(ckpt_cfg) = &config.checkpoint else {
+        return Err(DeploymentError::NoCheckpoint(
+            "DeploymentConfig.checkpoint is not set".into(),
+        ));
+    };
+    let dir = CheckpointDir::open(&ckpt_cfg.dir, ckpt_cfg.keep)?;
+    let Some((seq, version, payload)) = dir.latest_valid_versioned()? else {
+        return Err(DeploymentError::NoCheckpoint(format!(
+            "no valid checkpoint in {}",
+            ckpt_cfg.dir.display()
+        )));
+    };
+    let ckpt = DeploymentCheckpoint::decode_versioned(version, &payload)?;
+    deploy(stream, spec, config, config_ctx(config), Some((seq, ckpt)))
+}
+
+/// The one body of a fresh run and a resume: fault hook, data manager, run
+/// environment, the loop's state — from the initial fit, or restored from
+/// checkpoint `resume` — the WAL, then the chunk driver and the result.
+/// Whatever error leaves the driver, the flight recorder gets one
+/// best-effort flush first: a failing run is what it is for.
+fn deploy(
+    stream: &dyn ChunkStream,
+    spec: &DeploymentSpec,
+    config: &DeploymentConfig,
+    ctx: RunCtx,
+    resume: Option<(u64, DeploymentCheckpoint)>,
+) -> Result<DeploymentResult, DeploymentError> {
     let wall = Stopwatch::start();
-    let hook = hook_for(config.faults, None);
-    let mut dm = data_manager(config, &hook)?;
-    dm.set_metrics(ctx.metrics.clone());
+    // A resume continues the checkpointed injector; other faults are pure in
+    // (seed, site, key, attempt), so later chunks see the faults they would.
+    let mut plan = config.faults;
+    plan.crash_site = plan.crash_site.filter(|_| resume.is_none());
+    let restored = resume.as_ref().map(|(_, c)| (c.fault_stats, c.fault_epoch));
+    let hook = hook_for(plan, restored);
+    // Until `attach_store`, the store reports nowhere and consults a
+    // throwaway injector: the replay fold repeats faults already counted.
+    let dm = data_manager(config, &hook_for(plan, None))?;
     let env = RunEnv {
         stream,
         spec,
@@ -785,55 +782,89 @@ pub fn try_run_deployment_in(
         metrics: ctx.metrics,
         tracer: ctx.tracer,
     };
-    let mut pm = env.fresh_manager()?;
-
-    // ---- Initial training (not part of the deployment cost, like the
-    // paper's Table 2 split) ----
-    let mut initial_ledger = CostLedger::new(config.cost_model);
-    let initial: Vec<_> = stream.initial();
-    let fit_span = env
-        .tracer
-        .child_of("deployment.initial_fit", env.run_span.context());
-    pm.set_trace_scope(fit_span.context());
-    let (initial_report, feature_chunks) = pm.initial_fit(&initial, &spec.sgd, &mut initial_ledger);
-    pm.set_trace_scope(None);
-    fit_span.finish();
-    publish_serving(config, &pm, &env.metrics, "initial");
-    for (raw, fc) in initial.into_iter().zip(feature_chunks) {
-        dm.ingest_raw(raw)?;
-        dm.store_features(fc)?;
-    }
-    dm.store_mut().reset_stats();
-
-    // ---- Deployment loop ----
-    // Simulated deployment clock: advances by exactly one chunk period
-    // per arriving chunk, independent of wall time, so scheduling
-    // decisions stay deterministic (the bit-identical contract). Shared
-    // with the WAL writer so group-commit windows run on simulated time.
-    let sim = Arc::new(VirtualClock::new());
-    let wal = open_wal(&env, &sim, stream.deployment_range().start as u64, false)?;
-    let st = LoopState {
-        dm,
-        pm,
-        evaluator: PrequentialEvaluator::new(spec.metric, 0),
-        proactive: proactive_trainer(config),
-        ledger: CostLedger::new(config.cost_model),
-        sim,
-        chunks_since_training: 0,
-        last_training_secs: 0.0,
-        last_training_at_secs: 0.0,
-        proactive_runs: 0,
-        proactive_secs_sum: 0.0,
-        retrain_runs: 0,
-        drift_monitor: drift_monitor(),
-        drift_level: 0,
-        prev_acc: 0.0,
-        prev_count: 0,
-        initial_report,
-        checkpoint_stats: CheckpointStats::default(),
-        wal,
+    let (resumed, first) = (resume.is_some(), stream.deployment_range().start);
+    let start_idx = (resume.as_ref()).map_or(first, |(_, c)| c.chunk_idx as usize + 1);
+    let mut st = match resume {
+        None => LoopState::fit_initial(&env, dm)?,
+        Some((seq, ckpt)) => LoopState::resume(&env, dm, seq, ckpt)?,
     };
-    run_chunk_loop(env, st, stream.deployment_range().start)
+    let wal = open_wal(&env, &st.sim, start_idx as u64, resumed)?;
+    if resumed {
+        // The restored pair goes out before the loop: a server attached to
+        // a resumed run never answers from the crashed process's snapshot.
+        env.stages(&env.run_span).publish(&mut st, "restore");
+    }
+    let ckpt = (config.checkpoint.as_ref()).map(|c| {
+        Ok::<_, StorageError>((CheckpointDir::open(&c.dir, c.keep)?, c.every_chunks.max(1)))
+    });
+    let (metrics, period) = (&env.metrics, config.chunk_period_secs);
+    let telemetry = config.telemetry.as_ref().filter(|_| metrics.is_enabled());
+    let telemetry = telemetry.map(|tc| TelemetryRuntime::new(tc, period));
+    let mut layers = Layers {
+        wal,
+        ckpt: ckpt.transpose()?,
+        chunks_since_ckpt: 0,
+        telemetry: telemetry.transpose()?,
+    };
+    let looped = drive_chunks(&env, &mut st, &mut layers, start_idx);
+    let shutdown = env.stages(&env.run_span);
+    if let (Err(_), Some(tel)) = (&looped, layers.telemetry.as_mut()) {
+        let _ = tel.flush(shutdown, &mut st, 0);
+    }
+    looped?;
+    let (stats, queries) = (st.dm.stats(), st.evaluator.count());
+    metrics.counter("deployment.queries").add(queries);
+    export_mu_gauges(metrics, config, &st);
+    // Telemetry samples the end-of-run state if the cadence missed it; else
+    // a fresh default monitor observes the final snapshot once.
+    let (alerts, telemetry_store) = match layers.telemetry.take() {
+        Some(mut tel) => {
+            if tel.chunks_since != 0 {
+                tel.tick(shutdown, &mut st)?;
+            }
+            tel.flush(shutdown, &mut st, 1)?;
+            (tel.alerts, tel.store)
+        }
+        None if metrics.is_enabled() => {
+            let fired = AlertMonitor::deployment_defaults(period)
+                .observe(&metrics.snapshot(), st.sim.now_secs());
+            for alert in &fired {
+                metrics.event("alert.fired", alert.message());
+            }
+            (fired, TelemetryStore::default())
+        }
+        None => (Vec::new(), TelemetryStore::default()),
+    };
+    env.run_span.finish();
+    Ok(DeploymentResult {
+        approach: config.mode.name().to_owned(),
+        final_error: st.evaluator.error(),
+        average_error: average_of_curve(st.evaluator.curve()),
+        error_curve: st.evaluator.curve().to_vec(),
+        cost_curve: st.ledger.curve().to_vec(),
+        preprocessing_secs: st.ledger.phase(Phase::Preprocessing),
+        training_secs: st.ledger.phase(Phase::Training),
+        prediction_secs: st.ledger.phase(Phase::Prediction),
+        io_secs: st.ledger.phase(Phase::MaterializationIo),
+        total_secs: st.ledger.total(),
+        wall_secs: env.wall.elapsed_secs(),
+        proactive_runs: st.proactive_runs,
+        avg_proactive_secs: st.proactive_secs_sum / st.proactive_runs.max(1) as f64,
+        retrain_runs: st.retrain_runs,
+        store_stats: stats,
+        empirical_mu: stats.utilization_rate(),
+        queries_answered: st.evaluator.count(),
+        initial_report: st.initial_report,
+        final_weights: st.pm.trainer().model().weights().as_slice().to_vec(),
+        fault_stats: env.hook.snapshot(),
+        tiered_stats: st.dm.tiered_stats(),
+        metrics: metrics.snapshot(),
+        trace: env.tracer.snapshot(),
+        alerts,
+        telemetry: telemetry_store,
+        checkpoint_stats: st.checkpoint_stats,
+        wal_stats: layers.wal.map(|w| w.writer.stats()).unwrap_or_default(),
+    })
 }
 
 /// Every piece of state the chunk loop mutates — what a fresh run
@@ -844,6 +875,8 @@ struct LoopState {
     evaluator: PrequentialEvaluator,
     proactive: ProactiveTrainer,
     ledger: CostLedger,
+    /// Simulated clock: one chunk period per arrival, so scheduling (and the
+    /// WAL's group-commit window) stays deterministic.
     sim: Arc<VirtualClock>,
     chunks_since_training: usize,
     last_training_secs: f64,
@@ -857,25 +890,266 @@ struct LoopState {
     prev_count: u64,
     initial_report: TrainReport,
     checkpoint_stats: CheckpointStats,
-    wal: Option<WalRuntime>,
+}
+
+impl LoopState {
+    /// A fresh run's first-chunk state, which a resume restores over.
+    fn new(env: &RunEnv<'_>, dm: DataManager, pm: PipelineManager, report: TrainReport) -> Self {
+        let config = env.config;
+        Self {
+            dm,
+            pm,
+            evaluator: PrequentialEvaluator::new(env.spec.metric, 0),
+            proactive: if config.optimization.online_stats {
+                ProactiveTrainer::new()
+            } else {
+                ProactiveTrainer::without_online_stats()
+            },
+            ledger: CostLedger::new(config.cost_model),
+            sim: Arc::new(VirtualClock::new()),
+            chunks_since_training: 0,
+            last_training_secs: 0.0,
+            last_training_at_secs: 0.0,
+            proactive_runs: 0,
+            proactive_secs_sum: 0.0,
+            retrain_runs: 0,
+            // Chunk-granular windows: ~60 stable chunks vs the last 12.
+            drift_monitor: DriftDetector::new(60, 12, 2.0, 3.0),
+            drift_level: 0,
+            prev_acc: 0.0,
+            prev_count: 0,
+            initial_report: report,
+            checkpoint_stats: CheckpointStats::default(),
+        }
+    }
+
+    /// Points the store at the run's fault hook and metrics.
+    fn attach_store(&mut self, env: &RunEnv<'_>) {
+        self.dm.set_hook(Arc::clone(&env.hook));
+        self.dm.set_metrics(env.metrics.clone());
+    }
+
+    /// A fresh run's start: initial training (outside the deployment's cost,
+    /// like Table 2), its publish, and the store seeded with its features.
+    fn fit_initial(env: &RunEnv<'_>, dm: DataManager) -> Result<Self, DeploymentError> {
+        let (mut pm, initial, run) = (env.fresh_manager()?, env.stream.initial(), &env.run_span);
+        let fit_span = env.tracer.child_of("deployment.initial_fit", run.context());
+        pm.set_trace_scope(fit_span.context());
+        let mut ledger = CostLedger::new(env.config.cost_model);
+        let (report, features) = pm.initial_fit(&initial, &env.spec.sgd, &mut ledger);
+        fit_span.finish();
+        let mut st = Self::new(env, dm, pm, report);
+        st.attach_store(env);
+        let seed = env.stages(run);
+        seed.publish(&mut st, "initial");
+        for (raw, fc) in initial.iter().zip(features) {
+            st.store_chunk(seed, raw, |_| fc)?;
+        }
+        st.dm.store_mut().reset_stats();
+        Ok(st)
+    }
+
+    /// A resume's start: the replay fold re-runs ingest and fit-transform up
+    /// to the checkpoint, which holds chunk *references* only (§3.4), and so
+    /// rebuilds the store bit for bit; validated against the checkpoint, the
+    /// rest of the state is then restored from it.
+    fn resume(
+        env: &RunEnv<'_>,
+        dm: DataManager,
+        seq: u64,
+        ckpt: DeploymentCheckpoint,
+    ) -> Result<Self, DeploymentError> {
+        let mut st = Self::new(env, dm, env.fresh_manager()?, ckpt.initial_report);
+        let replay_span = env
+            .tracer
+            .child_of("deployment.replay", env.run_span.context());
+        let (replay, stream) = (env.stages(&replay_span), env.stream);
+        let mut pipeline = env.spec.try_build_pipeline()?;
+        let covered = |idx: &usize| *idx as u64 <= ckpt.chunk_idx;
+        let deployed = stream.deployment_range().take_while(covered);
+        for raw in stream
+            .initial()
+            .into_iter()
+            .chain(deployed.map(|i| stream.chunk(i)))
+        {
+            st.store_chunk(replay, &raw, |_| pipeline.fit_transform_chunk(&raw))?;
+        }
+        replay_span.finish();
+        // A checkpoint from another pipeline or stream is a typed Corrupt
+        // error, never a panic or a silent restart.
+        let (states, manifest) = (pipeline.component_states().len(), st.manifest());
+        if ckpt.component_states.len() != states || manifest != ckpt.manifest {
+            return Err(StorageError::Corrupt(format!(
+                "checkpoint ({} component states, {} materialized chunks) does not match the \
+                 spec and stream ({states}, {}) — wrong spec or stream for this checkpoint?",
+                ckpt.component_states.len(),
+                ckpt.manifest.len(),
+                manifest.len()
+            ))
+            .into());
+        }
+        let after = ckpt.chunk_idx;
+        st.restore(env, ckpt, pipeline)?;
+        env.metrics.counter("checkpoint.restores").inc();
+        let detail = format!("resumed from checkpoint {seq} after chunk {after}");
+        env.metrics.event("checkpoint.restore", detail);
+        Ok(st)
+    }
+
+    /// The checkpointed state over the replayed one, `pipeline` the fold's:
+    /// the inverse of [`LoopState::to_checkpoint`].
+    fn restore(
+        &mut self,
+        env: &RunEnv<'_>,
+        ckpt: DeploymentCheckpoint,
+        mut pipeline: Pipeline,
+    ) -> Result<(), DeploymentError> {
+        env.metrics.restore_from(&ckpt.metrics);
+        pipeline.restore_component_states(&ckpt.component_states)?;
+        pipeline.set_counters(ckpt.pipeline_counters);
+        let (sgd, acc1, acc2) = (&env.spec.sgd, ckpt.opt_acc1, ckpt.opt_acc2);
+        let trainer = SgdTrainer::restore(
+            LinearModel::with_weights(DenseVector::new(ckpt.weights), sgd.loss),
+            OptimizerState::from_parts(
+                sgd.optimizer,
+                ckpt.opt_t,
+                DenseVector::new(acc1),
+                DenseVector::new(acc2),
+            ),
+            sgd.regularizer,
+            ckpt.points_seen,
+        );
+        self.attach_store(env);
+        self.dm.set_sampler_rng_state(ckpt.sampler_rng);
+        self.dm.store_mut().restore_stats(ckpt.store_stats);
+        self.dm.restore_tiered_stats(ckpt.tiered_stats);
+        let pm = PipelineManager::with_trainer(pipeline, trainer, env.spec.online_batch);
+        self.pm = env.manage(pm);
+        let (metric, count, acc) = (env.spec.metric, ckpt.eval_count, ckpt.eval_acc);
+        self.evaluator = PrequentialEvaluator::restore(metric, count, acc, ckpt.eval_curve, 0);
+        let cost_model = env.config.cost_model;
+        self.ledger = CostLedger::from_parts(cost_model, ckpt.accounted, ckpt.cost_curve);
+        let drift = &mut self.drift_monitor;
+        drift.restore_windows(ckpt.drift_baseline, ckpt.drift_recent);
+        self.sim.advance_secs(ckpt.now_secs);
+        self.chunks_since_training = ckpt.chunks_since_training as usize;
+        self.last_training_secs = ckpt.last_training_secs;
+        self.last_training_at_secs = ckpt.last_training_at_secs;
+        self.proactive_runs = ckpt.proactive_runs;
+        self.proactive_secs_sum = ckpt.proactive_secs_sum;
+        self.retrain_runs = ckpt.retrain_runs;
+        self.drift_level = ckpt.drift_level;
+        self.prev_acc = ckpt.prev_acc;
+        self.prev_count = ckpt.prev_count;
+        self.checkpoint_stats = CheckpointStats {
+            writes: ckpt.ckpt_writes,
+            bytes_written: ckpt.ckpt_bytes,
+            restores: ckpt.ckpt_restores + 1,
+        };
+        Ok(())
+    }
+
+    /// The loop's dynamic state at the boundary after chunk `idx`.
+    fn to_checkpoint(&self, idx: u64, env: &RunEnv<'_>) -> DeploymentCheckpoint {
+        let trainer = self.pm.trainer();
+        let (_, opt_t, acc1, acc2) = trainer.optimizer().to_parts();
+        let (drift_baseline, drift_recent) = self.drift_monitor.window_contents();
+        DeploymentCheckpoint {
+            chunk_idx: idx,
+            now_secs: self.sim.now_secs(),
+            weights: trainer.model().weights().as_slice().to_vec(),
+            opt_t,
+            opt_acc1: acc1.as_slice().to_vec(),
+            opt_acc2: acc2.as_slice().to_vec(),
+            points_seen: trainer.points_seen(),
+            component_states: self.pm.pipeline().component_states(),
+            pipeline_counters: self.pm.pipeline().counters(),
+            eval_count: self.evaluator.count(),
+            eval_acc: self.evaluator.raw_accumulator(),
+            eval_curve: self.evaluator.curve().to_vec(),
+            accounted: self.ledger.accounted(),
+            cost_curve: self.ledger.curve().to_vec(),
+            chunks_since_training: self.chunks_since_training as u64,
+            last_training_secs: self.last_training_secs,
+            last_training_at_secs: self.last_training_at_secs,
+            proactive_runs: self.proactive_runs,
+            proactive_secs_sum: self.proactive_secs_sum,
+            retrain_runs: self.retrain_runs,
+            drift_level: self.drift_level,
+            drift_baseline,
+            drift_recent,
+            prev_acc: self.prev_acc,
+            prev_count: self.prev_count,
+            sampler_rng: self.dm.sampler_rng_state(),
+            fault_stats: env.hook.snapshot(),
+            fault_epoch: env.hook.worker_epoch(),
+            store_stats: self.dm.stats(),
+            tiered_stats: self.dm.tiered_stats(),
+            manifest: self.manifest(),
+            initial_report: self.initial_report,
+            ckpt_writes: self.checkpoint_stats.writes,
+            ckpt_bytes: self.checkpoint_stats.bytes_written,
+            ckpt_restores: self.checkpoint_stats.restores,
+            metrics: env.metrics.snapshot(),
+        }
+    }
+
+    /// The timestamps of the materialized feature chunks.
+    fn manifest(&self) -> Vec<u64> {
+        let materialized = self.dm.store().materialized_timestamps();
+        materialized.into_iter().map(|t| t.0).collect()
+    }
+
+    /// `dm.ingest_raw`, the transform, `dm.store_features`: the transform is
+    /// `pm.online` in the loop, the initial fit's features when seeding, the
+    /// bare pipeline in the replay fold. The store shares the chunk's rows.
+    fn store_chunk(
+        &mut self,
+        stages: Stages<'_>,
+        raw: &RawChunk,
+        transform: impl FnOnce(&mut Self) -> FeatureChunk,
+    ) -> Result<(), DeploymentError> {
+        stages.run("dm.ingest_raw", self, |st, _| st.dm.ingest_raw(raw.clone()))?;
+        let fc = transform(self);
+        Ok(stages.run("dm.store_features", self, |st, _| st.dm.store_features(fc))?)
+    }
+
+    /// The `drift.observe` stage: the chunk's mean prequential error into
+    /// the drift monitor the drift-adaptive scheduler reads.
+    fn observe_drift(&mut self, metrics: &Metrics, idx: usize) {
+        let fresh = self.evaluator.count() - self.prev_count;
+        if fresh == 0 {
+            return;
+        }
+        let chunk_error = (self.evaluator.raw_accumulator() - self.prev_acc) / fresh as f64;
+        self.prev_acc = self.evaluator.raw_accumulator();
+        self.prev_count = self.evaluator.count();
+        let observed = match self.drift_monitor.observe(chunk_error) {
+            DriftStatus::Drift => 2,
+            DriftStatus::Warning => 1,
+            DriftStatus::Stable | DriftStatus::Warmup => 0,
+        };
+        if observed != self.drift_level {
+            let detail = format!("chunk {idx}: {} -> {observed}", self.drift_level);
+            metrics.event("drift.level_change", detail);
+        }
+        self.drift_level = observed;
+        metrics.gauge("drift.level").set(f64::from(observed));
+    }
 }
 
 /// Live WAL state for a run: the append-side writer plus whatever recovery
 /// salvaged from the directory at open.
 struct WalRuntime {
     writer: WalWriter,
-    /// Recovered records a resumed run reads arrivals from first (falling
-    /// back to the stream for anything the WAL lost or never held) — which
-    /// is what re-orders late and out-of-order arrivals deterministically
-    /// at replay. Empty on a fresh run.
+    /// Recovered records a resume reads arrivals from first, which re-orders
+    /// late and out-of-order arrivals deterministically. Empty when fresh.
     replay: WalRecovery,
 }
 
-/// Opens (recovering first) the WAL the configuration asks for, if any, for
-/// a run starting at `start_seq`. The writer continues past everything
-/// already durable; `keep_replay` decides whether recovered records at or
-/// past `start_seq` are replayed into the loop (resume) or left to the
-/// stream (fresh run).
+/// Opens (recovering first) the configured WAL for a run starting at
+/// `start_seq`, past everything durable, so replayed appends are skipped;
+/// `keep_replay` feeds recovered records from `start_seq` on to the loop.
 fn open_wal(
     env: &RunEnv<'_>,
     clock: &Arc<VirtualClock>,
@@ -885,7 +1159,7 @@ fn open_wal(
     let Some(wc) = &env.config.wal else {
         return Ok(None);
     };
-    let recovery = WalDir::open(&wc.dir)?.recover()?;
+    let mut replay = WalDir::open(&wc.dir)?.recover()?;
     let clock: Arc<dyn Clock> = Arc::<VirtualClock>::clone(clock);
     let mut writer = WalWriter::open(
         &wc.dir,
@@ -898,45 +1172,21 @@ fn open_wal(
         Arc::clone(&env.hook),
         clock,
         env.metrics.clone(),
-        recovery.next_seq().max(start_seq),
+        replay.next_seq().max(start_seq),
     )?;
-    let mut replay = recovery;
-    replay
-        .chunks
-        .retain(|(seq, _)| keep_replay && *seq >= start_seq);
-    writer.absorb_recovery(&replay, replay.chunks.len() as u64);
+    let keep = |seq: u64| keep_replay && seq >= start_seq;
+    replay.chunks.retain(|(seq, _)| keep(*seq));
+    let records = replay.chunks.len();
+    writer.absorb_recovery(&replay, records as u64);
+    if keep_replay {
+        let detail = format!("replaying {records} records after chunk {}", start_seq - 1);
+        env.metrics.event("wal.recover", detail);
+    }
     Ok(Some(WalRuntime { writer, replay }))
 }
 
-/// Publishes the manager's current `(pipeline, model)` pair to the serving
-/// front the configuration attaches, if any, and logs a `serving.publish`
-/// event naming the site and the exact weights (by fingerprint), so tests
-/// and operators can tell *which* model each publish carried. Clones never
-/// perturb training state. `source` is formatted only for that event, so a
-/// run without metrics builds no string per chunk.
-fn publish_serving(
-    config: &DeploymentConfig,
-    pm: &PipelineManager,
-    metrics: &Metrics,
-    source: impl std::fmt::Display,
-) {
-    let Some(server) = &config.serving else {
-        return;
-    };
-    let version = server.publish(pm.pipeline().clone(), pm.trainer().model().clone());
-    if metrics.is_enabled() {
-        let fp = weights_fingerprint(pm.trainer().model().weights().as_slice());
-        metrics.event(
-            "serving.publish",
-            format!("{source} version {version} fp {fp:016x}"),
-        );
-    }
-}
-
-/// Live state of the telemetry layer: the ring-buffer store, the stateful
-/// alert monitors, and the optional flight recorder. Built once per run
-/// (only when telemetry is configured *and* metrics are enabled), so a
-/// disabled configuration costs the chunk loop a single `Option` branch.
+/// Live telemetry: the ring store, the stateful alert monitors and the
+/// optional flight recorder (only with telemetry *and* metrics on).
 struct TelemetryRuntime {
     store: TelemetryStore,
     monitor: AlertMonitor,
@@ -955,433 +1205,294 @@ impl TelemetryRuntime {
             Some(rc) => Some(FlightRecorder::open(&rc.dir, rc.keep).map_err(StorageError::Io)?),
             None => None,
         };
+        let cooldown = tc.cooldown_secs;
         Ok(Self {
             store: TelemetryStore::new(tc.capacity)
                 .with_exclude_prefixes(tc.exclude_prefixes.clone()),
-            monitor: AlertMonitor::deployment_defaults(chunk_period_secs)
-                .with_cooldown(tc.cooldown_secs),
+            monitor: AlertMonitor::deployment_defaults(chunk_period_secs).with_cooldown(cooldown),
             slo: SloMonitor::deployment_defaults(tc.serving_p99_budget_secs)
-                .with_cooldown(tc.cooldown_secs),
+                .with_cooldown(cooldown),
             recorder,
             alerts: Vec::new(),
             every: tc.every_chunks.max(1),
             chunks_since: 0,
-            flush_every: tc
-                .recorder
-                .as_ref()
+            flush_every: (tc.recorder.as_ref())
                 .map_or(usize::MAX, |rc| rc.flush_every_samples.max(1)),
             samples_since_flush: 0,
         })
     }
 
-    /// One sampling tick: restarts the cadence, records every metric, runs the
-    /// stateful threshold and burn-rate monitors over it, and flushes a
-    /// segment when the flush interval elapsed. Neither the store nor the
-    /// monitors read events or lineage, so the sample leaves them out.
-    fn sample(&mut self, metrics: &Metrics, at_secs: f64) -> Result<(), DeploymentError> {
-        self.chunks_since = 0;
-        let snap = metrics.snapshot_values();
-        self.store.record(at_secs, &snap);
-        let mut fired = self.monitor.observe(&snap, at_secs);
-        fired.extend(self.slo.observe(&self.store, at_secs));
-        for alert in &fired {
-            metrics.event("alert.fired", alert.message());
-        }
-        self.alerts.extend(fired);
-        self.samples_since_flush += 1;
-        self.flush_after(self.flush_every, at_secs)
+    /// The `obs.sample` stage — μ gauges refreshed, every metric but events
+    /// and lineage recorded, the monitors run over it — then a segment once
+    /// the flush interval elapsed.
+    fn tick(&mut self, stages: Stages<'_>, st: &mut LoopState) -> Result<(), DeploymentError> {
+        let metrics = &stages.0.metrics;
+        stages.run("obs.sample", st, |st, _| {
+            export_mu_gauges(metrics, stages.0.config, st);
+            let at_secs = st.sim.now_secs();
+            self.chunks_since = 0;
+            let snap = metrics.snapshot_values();
+            self.store.record(at_secs, &snap);
+            let mut fired = self.monitor.observe(&snap, at_secs);
+            fired.extend(self.slo.observe(&self.store, at_secs));
+            for alert in &fired {
+                metrics.event("alert.fired", alert.message());
+            }
+            self.alerts.extend(fired);
+            self.samples_since_flush += 1;
+        });
+        self.flush(stages, st, self.flush_every)
     }
 
-    /// Writes a segment once at least `pending` samples await one: the flush
-    /// interval per sample, 1 at a clean shutdown, 0 on the way out of a
-    /// failing run (best effort there — the post-mortem timeline is worth
-    /// more than a clean error path, so the caller drops the I/O error).
-    fn flush_after(&mut self, pending: usize, at_secs: f64) -> Result<(), DeploymentError> {
+    /// The `obs.recorder_flush` stage, once at least `pending` samples await
+    /// a segment: the flush interval after a sample, 1 at a clean shutdown,
+    /// 0 on the way out of a failing run.
+    fn flush(
+        &mut self,
+        stages: Stages<'_>,
+        st: &mut LoopState,
+        pending: usize,
+    ) -> Result<(), DeploymentError> {
         let due = self.samples_since_flush >= pending;
-        if let Some(rec) = self.recorder.as_mut().filter(|_| due) {
-            rec.flush(&self.store, &self.alerts, at_secs)
+        let Some(rec) = self.recorder.as_mut().filter(|_| due) else {
+            return Ok(());
+        };
+        stages.run("obs.recorder_flush", st, |st, _| {
+            rec.flush(&self.store, &self.alerts, st.sim.now_secs())
                 .map_err(StorageError::Io)?;
             self.samples_since_flush = 0;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 
-/// Where a run stands against its checkpoint cadence.
-struct CheckpointCadence {
-    dir: CheckpointDir,
-    every: usize,
-    chunks_since: usize,
+/// The layers around the loop that a checkpoint does not capture: the WAL,
+/// the checkpoint directory with its cadence, and live telemetry.
+struct Layers {
+    wal: Option<WalRuntime>,
+    ckpt: Option<(CheckpointDir, usize)>,
+    chunks_since_ckpt: usize,
+    telemetry: Option<TelemetryRuntime>,
 }
 
-/// The shared arrival loop: chunks `start_idx..total` through evaluation,
-/// online learning, mode-specific freshness work, checkpointing, and final
-/// result assembly. Fresh runs enter at the deployment range's start;
-/// resumed runs enter one past the restored checkpoint.
-///
-/// Whatever error leaves the loop — an injected crash, a failed checkpoint
-/// or WAL write, an exhausted recovery budget — the flight recorder gets
-/// one best-effort flush first: a failing run is what it is for.
-fn run_chunk_loop(
-    env: RunEnv<'_>,
-    mut st: LoopState,
-    start_idx: usize,
-) -> Result<DeploymentResult, DeploymentError> {
-    let config = env.config;
-    let mut ckpt = match &config.checkpoint {
-        Some(c) => Some(CheckpointCadence {
-            dir: CheckpointDir::open(&c.dir, c.keep)?,
-            every: c.every_chunks.max(1),
-            chunks_since: 0,
-        }),
-        None => None,
-    };
-    let mut telemetry = match (&config.telemetry, env.metrics.is_enabled()) {
-        (Some(tc), true) => Some(TelemetryRuntime::new(tc, config.chunk_period_secs)?),
-        _ => None,
-    };
-    let looped = drive_chunks(&env, &mut st, &mut ckpt, &mut telemetry, start_idx);
-    if let (Err(_), Some(tel)) = (&looped, telemetry.as_mut()) {
-        let _ = tel.flush_after(0, st.sim.now_secs());
-    }
-    looped?;
-    let metrics = &env.metrics;
-    let stats = st.dm.stats();
-    if metrics.is_enabled() {
-        metrics
-            .counter("deployment.queries")
-            .add(st.evaluator.count());
-    }
-    export_mu_gauges(metrics, config, &st);
-    // Final telemetry tick: sample the end-of-run state when the cadence
-    // missed it, then make the full timeline durable.
-    if let Some(tel) = telemetry.as_mut() {
-        let at = st.sim.now_secs();
-        if tel.chunks_since != 0 {
-            tel.sample(metrics, at)?;
-        }
-        tel.flush_after(1, at)?;
-    }
-    // SLA alerting: with telemetry enabled the per-sample monitors already
-    // accumulated the (cooldown-deduplicated) fired set; otherwise a fresh
-    // default monitor observes the final snapshot once. In both cases the
-    // fired set is identical with tracing on or off.
-    let (alerts, telemetry_store) = match telemetry {
-        Some(tel) => (tel.alerts, tel.store),
-        None => {
-            let alerts = if metrics.is_enabled() {
-                let fired = AlertMonitor::deployment_defaults(config.chunk_period_secs)
-                    .observe(&metrics.snapshot(), st.sim.now_secs());
-                for alert in &fired {
-                    metrics.event("alert.fired", alert.message());
-                }
-                fired
-            } else {
-                Vec::new()
-            };
-            (alerts, TelemetryStore::default())
-        }
-    };
-    env.run_span.finish();
-    Ok(DeploymentResult {
-        approach: config.mode.name().to_owned(),
-        final_error: st.evaluator.error(),
-        average_error: average_of_curve(st.evaluator.curve()),
-        error_curve: st.evaluator.curve().to_vec(),
-        cost_curve: st.ledger.curve().to_vec(),
-        preprocessing_secs: st.ledger.phase(Phase::Preprocessing),
-        training_secs: st.ledger.phase(Phase::Training),
-        prediction_secs: st.ledger.phase(Phase::Prediction),
-        io_secs: st.ledger.phase(Phase::MaterializationIo),
-        total_secs: st.ledger.total(),
-        wall_secs: env.wall.elapsed_secs(),
-        proactive_runs: st.proactive_runs,
-        avg_proactive_secs: if st.proactive_runs > 0 {
-            st.proactive_secs_sum / st.proactive_runs as f64
-        } else {
-            0.0
-        },
-        retrain_runs: st.retrain_runs,
-        store_stats: stats,
-        empirical_mu: stats.utilization_rate(),
-        queries_answered: st.evaluator.count(),
-        initial_report: st.initial_report,
-        final_weights: st.pm.trainer().model().weights().as_slice().to_vec(),
-        fault_stats: env.hook.snapshot(),
-        tiered_stats: st.dm.tiered_stats(),
-        metrics: metrics.snapshot(),
-        trace: env.tracer.snapshot(),
-        alerts,
-        telemetry: telemetry_store,
-        checkpoint_stats: st.checkpoint_stats,
-        wal_stats: st
-            .wal
-            .as_ref()
-            .map(|w| w.writer.stats())
-            .unwrap_or_default(),
-    })
-}
-
-/// Chunks `start_idx..total`, one after the other, then the clean shutdown:
-/// the buffered WAL tail committed and the final state checkpointed.
+/// Chunks `start_idx..total`, each a `deployment.chunk` span over its
+/// stages, then the clean shutdown's WAL commit and checkpoint.
 fn drive_chunks(
     env: &RunEnv<'_>,
     st: &mut LoopState,
-    ckpt: &mut Option<CheckpointCadence>,
-    telemetry: &mut Option<TelemetryRuntime>,
+    layers: &mut Layers,
     start_idx: usize,
 ) -> Result<(), DeploymentError> {
-    let (stream, spec, config) = (env.stream, env.spec, env.config);
-    let (hook, metrics, tracer) = (&env.hook, &env.metrics, &env.tracer);
+    let (stream, config, metrics) = (env.stream, env.config, &env.metrics);
+    let run = env.run_span.context();
     for idx in start_idx..stream.total_chunks() {
-        // Arrival: on resume the recovered WAL suffix is authoritative
-        // (records re-ordered by sequence number); the stream covers
-        // anything the WAL lost or never held.
-        let raw = match st.wal.as_ref().and_then(|w| w.replay.chunk(idx as u64)) {
-            Some(chunk) => chunk.clone(),
-            None => stream.chunk(idx),
-        };
-        st.sim.advance_secs(config.chunk_period_secs);
-        let chunk_span = tracer.child_of("deployment.chunk", env.run_span.context());
-        let chunk_ctx = chunk_span.context();
-        st.pm.set_trace_scope(chunk_ctx);
-        metrics.counter("deployment.chunks").inc();
-        // WAL first: the arrival must be durable (or at least buffered
-        // toward the next group commit) before any processing touches it.
-        if let Some(w) = st.wal.as_mut() {
-            w.writer.append(idx as u64, &raw)?;
-            // A "wal-append" crash kills the process mid-group-commit:
-            // half the buffered bytes reach the segment as a torn,
-            // unsynced tail that recovery must truncate.
-            if hook.crash_now(CrashSite::WalAppend) {
-                let _ = w.writer.crash_torn();
-                return Err(DeploymentError::Crashed(CrashSite::WalAppend));
-            }
-            // A "wal-rotate" crash kills the process mid-rotation: the
-            // next segment exists only as an orphaned `.tmp` file that
-            // recovery must ignore.
-            if hook.crash_now(CrashSite::WalRotate) {
-                let _ = w.writer.crash_rotation();
-                return Err(DeploymentError::Crashed(CrashSite::WalRotate));
-            }
+        let chunk_span = env.tracer.child_of("deployment.chunk", run);
+        let stages = env.stages(&chunk_span);
+        // On resume the recovered WAL suffix is authoritative; the stream
+        // covers anything the WAL lost or never held.
+        let raw = stages.run("stream.arrival", st, |st, _| {
+            let recovered = layers.wal.as_ref().and_then(|w| w.replay.chunk(idx as u64));
+            let raw = recovered.cloned().unwrap_or_else(|| stream.chunk(idx));
+            st.sim.advance_secs(config.chunk_period_secs);
+            metrics.counter("deployment.chunks").inc();
+            raw
+        });
+        // The arrival is durable (or buffered toward the next group commit)
+        // before any processing touches it.
+        if let Some(w) = layers.wal.as_mut() {
+            stages.run("wal.append", st, |_, _| {
+                w.writer.append(idx as u64, &raw)?;
+                // Killed mid-group-commit: half the buffered bytes reach the
+                // segment as a torn, unsynced tail that recovery truncates.
+                env.crash_point(CrashSite::WalAppend, || {
+                    let _ = w.writer.crash_torn();
+                })?;
+                // Killed mid-rotation: the next segment exists only as an
+                // orphaned `.tmp` file that recovery ignores.
+                env.crash_point(CrashSite::WalRotate, || {
+                    let _ = w.writer.crash_rotation();
+                })
+            })?;
         }
-        // Stage 1: discretized arrival into the store (raw history), which
-        // shares the chunk with the stages below instead of copying it.
-        st.dm.ingest_raw(raw.clone())?;
-        // Stages 2 + prequential evaluation + online learning.
-        let fc = st
-            .pm
-            .process_online_chunk(&raw, &mut st.evaluator, &mut st.ledger);
-        st.dm.store_features(fc)?;
-        st.chunks_since_training += 1;
-
-        // Feed this chunk's mean error into the drift monitor.
-        let fresh = st.evaluator.count() - st.prev_count;
-        if fresh > 0 {
-            let chunk_error = (st.evaluator.raw_accumulator() - st.prev_acc) / fresh as f64;
-            st.prev_acc = st.evaluator.raw_accumulator();
-            st.prev_count = st.evaluator.count();
-            let observed = match st.drift_monitor.observe(chunk_error) {
-                DriftStatus::Drift => 2,
-                DriftStatus::Warning => 1,
-                DriftStatus::Stable | DriftStatus::Warmup => 0,
-            };
-            if observed != st.drift_level {
-                metrics.event(
-                    "drift.level_change",
-                    format!("chunk {idx}: {} -> {observed}", st.drift_level),
-                );
-            }
-            st.drift_level = observed;
-            metrics.gauge("drift.level").set(f64::from(st.drift_level));
-        }
-
-        match config.mode {
-            DeploymentMode::Online => {}
-            DeploymentMode::Periodical {
-                retrain_every,
-                warm_start,
-            } => {
-                if st.chunks_since_training >= retrain_every.max(1) {
-                    st.chunks_since_training = 0;
-                    st.last_training_at_secs = st.sim.now_secs();
-                    st.retrain_runs += 1;
-                    metrics.counter("deployment.retrains").inc();
-                    let retrain_span = metrics.span("deployment.retrain_secs");
-                    let retrain_trace = tracer.child_of("deployment.retrain", chunk_ctx);
-                    st.pm.set_trace_scope(retrain_trace.context());
-                    let history = st.dm.full_history();
-                    if warm_start {
-                        st.pm.retrain_warm(&history, &spec.sgd, &mut st.ledger);
-                    } else {
-                        // Cold restart: fresh pipeline statistics and model.
-                        st.pm = env.fresh_manager()?;
-                        st.pm.set_trace_scope(retrain_trace.context());
-                        st.pm.initial_fit(&history, &spec.sgd, &mut st.ledger);
-                    }
-                    st.pm.set_trace_scope(chunk_ctx);
-                    retrain_trace.finish();
-                    retrain_span.finish();
-                    publish_serving(config, &st.pm, metrics, "retrain");
-                }
-            }
-            DeploymentMode::Continuous {
-                scheduler,
-                sample_chunks,
-                ..
-            } => {
-                let queries = st.evaluator.count().max(1);
-                let ctx = SchedulerContext {
-                    chunk_period_secs: config.chunk_period_secs,
-                    last_training_secs: st.last_training_secs,
-                    avg_prediction_latency: st.ledger.phase(Phase::Prediction) / queries as f64,
-                    prediction_rate: queries as f64 / ((idx + 1) as f64 * config.chunk_period_secs),
-                    elapsed_secs: st.sim.now_secs() - st.last_training_at_secs,
-                    chunks_since_last: st.chunks_since_training,
-                    drift_level: st.drift_level,
-                };
-                metrics
-                    .gauge("scheduler.t_secs")
-                    .set(ctx.last_training_secs);
-                metrics.gauge("scheduler.pr").set(ctx.prediction_rate);
-                metrics
-                    .gauge("scheduler.pl")
-                    .set(ctx.avg_prediction_latency);
-                if scheduler.should_fire(&ctx) {
-                    metrics.counter("scheduler.fires").inc();
-                    // How long past the Eq. 6 interval the platform waited
-                    // before firing (0 = fired exactly on schedule).
-                    if let Scheduler::Dynamic { slack } = scheduler {
-                        let interval = Scheduler::dynamic_interval_secs(slack, &ctx);
-                        if interval.is_finite() {
-                            metrics
-                                .histogram_with_bounds(
-                                    "scheduler.fire_margin_secs",
-                                    &[0.0, 1.0, 10.0, 60.0, 600.0, 3600.0],
-                                )
-                                .observe(ctx.elapsed_secs - interval);
-                        }
-                    }
-                    st.chunks_since_training = 0;
-                    st.last_training_at_secs = st.sim.now_secs();
-                    let fire_span = tracer.child_of("proactive.fire", chunk_ctx);
-                    let fire_ctx = fire_span.context();
-                    let sample_span = tracer.child_of("dm.sample", fire_ctx);
-                    let sampled = st.dm.sample(sample_chunks);
-                    sample_span.finish();
-                    st.pm.set_trace_scope(fire_ctx);
-                    let outcome = st
-                        .proactive
-                        .try_execute(&mut st.pm, sampled, &mut st.ledger)?;
-                    st.pm.set_trace_scope(chunk_ctx);
-                    fire_span.finish();
-                    metrics.counter("proactive.runs").inc();
-                    metrics
-                        .counter("proactive.materialized_chunks")
-                        .add(outcome.materialized_chunks as u64);
-                    metrics
-                        .counter("proactive.spilled_chunks")
-                        .add(outcome.spilled_chunks as u64);
-                    metrics
-                        .counter("proactive.rematerialized_chunks")
-                        .add(outcome.rematerialized_chunks as u64);
-                    metrics
-                        .counter("proactive.points")
-                        .add(outcome.points as u64);
-                    if let Some(loss) = outcome.batch_loss {
-                        metrics.gauge("proactive.batch_loss").set(loss);
-                    }
-                    metrics
-                        .histogram("proactive.accounted_secs")
-                        .observe(outcome.accounted_secs);
-                    st.last_training_secs = outcome.accounted_secs;
-                    st.proactive_secs_sum += outcome.accounted_secs;
-                    st.proactive_runs += 1;
-                    // Publish the freshly trained pair immediately — the
-                    // paper's operational point: proactive training hands a
-                    // new model to the serving layer within the same chunk.
-                    publish_serving(config, &st.pm, metrics, "proactive");
-                    // A "fire" crash kills the process right after the
-                    // proactive fire was accounted, mid-chunk: the last
-                    // durable checkpoint predates this chunk entirely.
-                    if hook.crash_now(CrashSite::ProactiveFire) {
-                        return Err(DeploymentError::Crashed(CrashSite::ProactiveFire));
-                    }
-                } else {
-                    metrics.counter("scheduler.skips").inc();
-                }
-            }
-        }
-
-        // Chunk-boundary publish: even without a training event, online SGD
-        // advanced the weights this chunk, so an attached server gets the
-        // freshest pair once per arrival period.
-        publish_serving(config, &st.pm, metrics, format_args!("chunk {idx}"));
+        // Online statistics, prequential evaluation and online learning.
+        st.store_chunk(stages, &raw, |st| {
+            stages.run("pm.online", st, |st, _| {
+                st.pm
+                    .process_online_chunk(&raw, &mut st.evaluator, &mut st.ledger)
+            })
+        })?;
+        stages.run("drift.observe", st, |st, _| st.observe_drift(metrics, idx));
+        train(stages, st, idx)?;
+        // Online SGD moved the weights even without a training event.
+        stages.publish(st, format_args!("chunk {idx}"));
         st.evaluator.checkpoint();
         st.ledger.checkpoint(idx as u64);
-        st.pm.set_trace_scope(None);
-        chunk_span.finish();
-
-        if let Some(ck) = ckpt.as_mut() {
-            ck.chunks_since += 1;
-            if ck.chunks_since >= ck.every {
-                commit_checkpoint(&ck.dir, idx as u64, st, env)?;
-                ck.chunks_since = 0;
+        if let Some((dir, every)) = &layers.ckpt {
+            layers.chunks_since_ckpt += 1;
+            if layers.chunks_since_ckpt >= *every {
+                commit_checkpoint(stages, st, dir, layers.wal.as_mut(), idx as u64)?;
+                layers.chunks_since_ckpt = 0;
             }
-            // Staleness in units of the configured interval: > 2.0 fires
-            // the `checkpoint.staleness` default alert rule.
-            metrics
-                .gauge("checkpoint.staleness")
-                .set(ck.chunks_since as f64 / ck.every as f64);
+            // Age in checkpoint intervals; above 2.0 it fires an alert.
+            let staleness = layers.chunks_since_ckpt as f64 / *every as f64;
+            metrics.gauge("checkpoint.staleness").set(staleness);
         }
-        // Telemetry sampling tick: after the checkpoint block (so the
-        // staleness gauge is current) and before the chunk-boundary crash
-        // check (so a crashed run's last flushed sample covers this chunk).
-        if let Some(tel) = telemetry.as_mut() {
+        // After the checkpoint (so staleness is current), before the crash
+        // below (so a crashed run's last flushed sample covers this chunk).
+        if let Some(tel) = layers.telemetry.as_mut() {
             tel.chunks_since += 1;
             if tel.chunks_since >= tel.every {
-                export_mu_gauges(metrics, config, st);
-                tel.sample(metrics, st.sim.now_secs())?;
+                tel.tick(stages, st)?;
             }
         }
-        // A "chunk" crash kills the process at the chunk boundary, *after*
-        // any due checkpoint write: that write's stats exclude the crash.
-        if hook.crash_now(CrashSite::ChunkBoundary) {
-            return Err(DeploymentError::Crashed(CrashSite::ChunkBoundary));
-        }
+        // Killed at the chunk boundary, after any due checkpoint write.
+        env.crash_point(CrashSite::ChunkBoundary, || {})?;
     }
-
-    // Clean shutdown: commit any buffered WAL tail so every arrival is
-    // durable regardless of the shutdown checkpoint below.
-    if let Some(w) = st.wal.as_mut() {
-        w.writer.flush()?;
+    // Clean shutdown: every arrival durable, and the final state unless the
+    // last periodic checkpoint covered it (or nothing was processed).
+    let shutdown = env.stages(&env.run_span);
+    if let Some(w) = layers.wal.as_mut() {
+        shutdown.run("wal.append", st, |_, _| w.writer.flush())?;
     }
-    // Shutdown checkpoint: make the final state durable unless the last
-    // periodic write already covered it (or nothing was processed).
-    if let Some(ck) = ckpt {
-        if ck.chunks_since > 0 {
+    if let Some((dir, _)) = &layers.ckpt {
+        if layers.chunks_since_ckpt > 0 {
             let last = stream.total_chunks() as u64 - 1;
-            commit_checkpoint(&ck.dir, last, st, env)?;
+            commit_checkpoint(shutdown, st, dir, layers.wal.as_mut(), last)?;
         }
         metrics.gauge("checkpoint.staleness").set(0.0);
     }
     Ok(())
 }
 
-/// Exports the observed materialization utilization rate μ and its
-/// analytical predictions (paper Eqs. 4/5) as gauges. Called at every
-/// telemetry sampling tick — so the `slo.mu_divergence_burn` rule watches a
-/// live signal — and once at end of run. The gap between observed and
-/// predicted quantifies how far the run's access pattern departs from the
-/// closed-form model; `MaxBytes` has no closed form in chunks, so only the
-/// chunk-count budgets get a prediction.
+/// The mode's training stage — a mode *is* its training stage. Online has
+/// none; Periodical retrains every `retrain_every` chunks
+/// (`deployment.retrain`); Continuous asks its scheduler (`schedule`) and
+/// on a fire trains proactively (`proactive.fire` ⊃ `dm.sample`). A training
+/// event publishes its model at once.
+fn train(stages: Stages<'_>, st: &mut LoopState, idx: usize) -> Result<(), DeploymentError> {
+    let env = stages.0;
+    let (spec, metrics) = (env.spec, &env.metrics);
+    st.chunks_since_training += 1;
+    match env.config.mode {
+        DeploymentMode::Online => {}
+        DeploymentMode::Periodical {
+            retrain_every,
+            warm_start,
+        } => {
+            if st.chunks_since_training < retrain_every.max(1) {
+                return Ok(());
+            }
+            stages.run("deployment.retrain", st, |st, retrain| {
+                st.chunks_since_training = 0;
+                st.last_training_at_secs = st.sim.now_secs();
+                st.retrain_runs += 1;
+                metrics.counter("deployment.retrains").inc();
+                let _timer = metrics.span("deployment.retrain_secs");
+                let history = st.dm.full_history();
+                if warm_start {
+                    st.pm.retrain_warm(&history, &spec.sgd, &mut st.ledger);
+                } else {
+                    // Cold restart: fresh pipeline statistics and model.
+                    st.pm = env.fresh_manager()?;
+                    st.pm.set_trace_scope(retrain.1);
+                    st.pm.initial_fit(&history, &spec.sgd, &mut st.ledger);
+                }
+                Ok::<_, DeploymentError>(())
+            })?;
+            stages.publish(st, "retrain");
+        }
+        DeploymentMode::Continuous {
+            scheduler,
+            sample_chunks,
+            ..
+        } => {
+            if !stages.run("schedule", st, |st, _| schedule(env, scheduler, st, idx)) {
+                return Ok(());
+            }
+            stages.run("proactive.fire", st, |st, fire| {
+                let sampled = fire.run("dm.sample", st, |st, _| st.dm.sample(sample_chunks));
+                st.pm.set_trace_scope(fire.1);
+                let outcome = st
+                    .proactive
+                    .try_execute(&mut st.pm, sampled, &mut st.ledger)?;
+                let remat = outcome.rematerialized_chunks;
+                for (name, count) in [
+                    ("proactive.runs", 1),
+                    ("proactive.materialized_chunks", outcome.materialized_chunks),
+                    ("proactive.spilled_chunks", outcome.spilled_chunks),
+                    ("proactive.rematerialized_chunks", remat),
+                    ("proactive.points", outcome.points),
+                ] {
+                    metrics.counter(name).add(count as u64);
+                }
+                if let Some(loss) = outcome.batch_loss {
+                    metrics.gauge("proactive.batch_loss").set(loss);
+                }
+                let secs = outcome.accounted_secs;
+                metrics.histogram("proactive.accounted_secs").observe(secs);
+                st.last_training_secs = secs;
+                st.proactive_secs_sum += secs;
+                st.proactive_runs += 1;
+                Ok::<_, DeploymentError>(())
+            })?;
+            // The paper's operational point: proactive training hands a new
+            // model to the serving layer within the same chunk.
+            stages.publish(st, "proactive");
+            // Killed right after the fire was accounted, mid-chunk: the last
+            // durable checkpoint predates this chunk entirely.
+            env.crash_point(CrashSite::ProactiveFire, || {})?;
+        }
+    }
+    Ok(())
+}
+
+/// The `schedule` stage: Eq. 6's live inputs as gauges, then whether
+/// `scheduler` fires on chunk `idx` — restarting the cadence if it does.
+fn schedule(env: &RunEnv<'_>, scheduler: Scheduler, st: &mut LoopState, idx: usize) -> bool {
+    let (period, metrics) = (env.config.chunk_period_secs, &env.metrics);
+    let queries = st.evaluator.count().max(1);
+    let ctx = SchedulerContext {
+        chunk_period_secs: period,
+        last_training_secs: st.last_training_secs,
+        avg_prediction_latency: st.ledger.phase(Phase::Prediction) / queries as f64,
+        prediction_rate: queries as f64 / ((idx + 1) as f64 * period),
+        elapsed_secs: st.sim.now_secs() - st.last_training_at_secs,
+        chunks_since_last: st.chunks_since_training,
+        drift_level: st.drift_level,
+    };
+    let gauge = |name, value| metrics.gauge(name).set(value);
+    gauge("scheduler.t_secs", ctx.last_training_secs);
+    gauge("scheduler.pr", ctx.prediction_rate);
+    gauge("scheduler.pl", ctx.avg_prediction_latency);
+    if !scheduler.should_fire(&ctx) {
+        metrics.counter("scheduler.skips").inc();
+        return false;
+    }
+    metrics.counter("scheduler.fires").inc();
+    // How long past the Eq. 6 interval the platform waited before firing
+    // (0 = fired exactly on schedule).
+    if let Scheduler::Dynamic { slack } = scheduler {
+        let interval = Scheduler::dynamic_interval_secs(slack, &ctx);
+        if interval.is_finite() {
+            let bounds = [0.0, 1.0, 10.0, 60.0, 600.0, 3600.0];
+            let margin = metrics.histogram_with_bounds("scheduler.fire_margin_secs", &bounds);
+            margin.observe(ctx.elapsed_secs - interval);
+        }
+    }
+    st.chunks_since_training = 0;
+    st.last_training_at_secs = st.sim.now_secs();
+    true
+}
+
+/// The observed materialization utilization μ and its Eq. 4/5 predictions
+/// (chunk-count budgets only) as gauges, at every telemetry sample, so
+/// `slo.mu_divergence_burn` watches a live signal, and at the run's end.
 fn export_mu_gauges(metrics: &Metrics, config: &DeploymentConfig, st: &LoopState) {
     if !metrics.is_enabled() {
         return;
     }
-    metrics
-        .gauge("pm.mu_observed")
-        .set(st.dm.stats().utilization_rate());
+    let observed = st.dm.stats().utilization_rate();
+    metrics.gauge("pm.mu_observed").set(observed);
     let total_n = st.dm.chunk_count();
     let capacity_m = match config.optimization.budget {
         StorageBudget::MaxChunks(m) => Some(m.min(total_n)),
@@ -1399,300 +1510,40 @@ fn export_mu_gauges(metrics: &Metrics, config: &DeploymentConfig, st: &LoopState
     }
 }
 
-/// Assembles and durably writes the checkpoint after chunk `idx` — the
-/// periodic and the shutdown one alike — then lets it own every arrival up
-/// to `idx`: pinned against the keep-budget pruner (the live WAL suffix
-/// resumes from exactly this file), with the WAL segments it fully covers
-/// retired. The metrics snapshot is captured *before* this write's own
-/// `checkpoint.*` accounting, so the embedded snapshot is causally
-/// consistent with the rest of the payload.
+/// The `checkpoint.encode` and `checkpoint.write` ⊃ `wal.gc` stages after
+/// chunk `idx`: the file, pinned against pruning, owns every arrival up to
+/// `idx`, and the WAL segments it covers retire. Its metrics snapshot
+/// predates this write's own `checkpoint.*` accounting.
 fn commit_checkpoint(
-    dir: &CheckpointDir,
-    idx: u64,
+    stages: Stages<'_>,
     st: &mut LoopState,
-    env: &RunEnv<'_>,
-) -> Result<(), DeploymentError> {
-    let (hook, metrics) = (&env.hook, &env.metrics);
-    let payload = assemble_checkpoint(idx, st, hook, metrics).encode();
-    // An injected "checkpoint" crash kills the process mid-write: only a
-    // torn temp file is left, exactly what a real kill produces. Recovery
-    // must fall back to the previous durable checkpoint.
-    if hook.crash_now(CrashSite::CheckpointWrite) {
-        let _ = dir.write_torn(idx, &payload);
-        return Err(DeploymentError::Crashed(CrashSite::CheckpointWrite));
-    }
-    let span = metrics.span("checkpoint.write_secs");
-    let bytes = dir.write(idx, &payload)?;
-    span.finish();
-    metrics.counter("checkpoint.writes").inc();
-    metrics.counter("checkpoint.write_bytes").add(bytes);
-    st.checkpoint_stats.writes += 1;
-    st.checkpoint_stats.bytes_written += bytes;
-    dir.pin(idx);
-    if let Some(w) = st.wal.as_mut() {
-        w.writer.gc(idx)?;
-    }
-    Ok(())
-}
-
-/// Captures the loop's dynamic state at the boundary after chunk `idx`.
-fn assemble_checkpoint(
+    dir: &CheckpointDir,
+    wal: Option<&mut WalRuntime>,
     idx: u64,
-    st: &LoopState,
-    hook: &Arc<dyn FaultHook>,
-    metrics: &Metrics,
-) -> DeploymentCheckpoint {
-    let trainer = st.pm.trainer();
-    let (_, opt_t, acc1, acc2) = trainer.optimizer().to_parts();
-    let (drift_baseline, drift_recent) = st.drift_monitor.window_contents();
-    DeploymentCheckpoint {
-        chunk_idx: idx,
-        now_secs: st.sim.now_secs(),
-        weights: trainer.model().weights().as_slice().to_vec(),
-        opt_t,
-        opt_acc1: acc1.as_slice().to_vec(),
-        opt_acc2: acc2.as_slice().to_vec(),
-        points_seen: trainer.points_seen(),
-        component_states: st.pm.pipeline().component_states(),
-        pipeline_counters: st.pm.pipeline().counters(),
-        eval_count: st.evaluator.count(),
-        eval_acc: st.evaluator.raw_accumulator(),
-        eval_curve: st.evaluator.curve().to_vec(),
-        accounted: st.ledger.accounted(),
-        cost_curve: st.ledger.curve().to_vec(),
-        chunks_since_training: st.chunks_since_training as u64,
-        last_training_secs: st.last_training_secs,
-        last_training_at_secs: st.last_training_at_secs,
-        proactive_runs: st.proactive_runs,
-        proactive_secs_sum: st.proactive_secs_sum,
-        retrain_runs: st.retrain_runs,
-        drift_level: st.drift_level,
-        drift_baseline,
-        drift_recent,
-        prev_acc: st.prev_acc,
-        prev_count: st.prev_count,
-        sampler_rng: st.dm.sampler_rng_state(),
-        fault_stats: hook.snapshot(),
-        fault_epoch: hook.worker_epoch(),
-        store_stats: st.dm.stats(),
-        tiered_stats: st.dm.tiered_stats(),
-        manifest: st
-            .dm
-            .store()
-            .materialized_timestamps()
-            .into_iter()
-            .map(|t| t.0)
-            .collect(),
-        initial_report: st.initial_report,
-        ckpt_writes: st.checkpoint_stats.writes,
-        ckpt_bytes: st.checkpoint_stats.bytes_written,
-        ckpt_restores: st.checkpoint_stats.restores,
-        metrics: metrics.snapshot(),
-    }
-}
-
-/// Resumes a killed deployment from its newest valid checkpoint and runs it
-/// to completion.
-///
-/// Resume receives the same `stream`, `spec`, and `config` the original run
-/// used — the checkpoint stores only dynamic state and is meaningless
-/// against different static inputs. The newest valid checkpoint in
-/// `config.checkpoint.dir` wins; torn, corrupt, or version-mismatched files
-/// are skipped in favour of their predecessor. The resumed run is
-/// bit-identical to an uninterrupted one: same weights, prequential curve,
-/// accounted cost, storage counters, and alerts. Metrics are first restored
-/// from the checkpoint's embedded snapshot, then extended by the resumed
-/// run; the resumed trace is rooted at `deployment.run` with a
-/// `deployment.replay` child covering state reconstruction.
-///
-/// An injected crash site in `config.faults` is cleared on resume: the dead
-/// process already consumed that countdown.
-///
-/// # Errors
-/// [`DeploymentError::NoCheckpoint`] when checkpointing is not configured
-/// or no valid checkpoint file exists; [`DeploymentError::Storage`] with
-/// [`StorageError::Corrupt`] when the checkpoint does not match the
-/// spec/stream (never a panic); otherwise as [`try_run_deployment`].
-pub fn try_resume_deployment(
-    stream: &dyn ChunkStream,
-    spec: &DeploymentSpec,
-    config: &DeploymentConfig,
-) -> Result<DeploymentResult, DeploymentError> {
-    let RunCtx {
-        metrics, tracer, ..
-    } = config_ctx(config);
-    let wall = Stopwatch::start();
-    let Some(ckpt_cfg) = &config.checkpoint else {
-        return Err(DeploymentError::NoCheckpoint(
-            "DeploymentConfig.checkpoint is not set".into(),
-        ));
-    };
-    let dir = CheckpointDir::open(&ckpt_cfg.dir, ckpt_cfg.keep)?;
-    let Some((seq, version, payload)) = dir.latest_valid_versioned()? else {
-        return Err(DeploymentError::NoCheckpoint(format!(
-            "no valid checkpoint in {}",
-            ckpt_cfg.dir.display()
-        )));
-    };
-    let ckpt = DeploymentCheckpoint::decode_versioned(version, &payload)?;
-    let run_span = tracer.root("deployment.run");
-    let run_ctx = run_span.context();
-
-    // The dead process already consumed its crash countdown — a resumed run
-    // clears the crash site (disk/worker faults keep injecting, keyed
-    // purely by (seed, site, key, attempt), so recovery behaviour of the
-    // remaining chunks is unchanged).
-    let mut plan = config.faults;
-    plan.crash_site = None;
-
-    // ---- Replay: rebuild the store (raw history, feature cache, spill
-    // files) by re-running the ingest/fit-transform fold up to the
-    // checkpoint. The checkpoint holds chunk *references* only (§3.4) —
-    // evicted features re-materialize on demand, cached and spilled ones
-    // are reproduced here bit-identically by the deterministic pipeline.
-    // Counters and statistics accumulated during replay are throwaway; the
-    // checkpointed values are restored as authoritative afterwards.
-    let mut dm = data_manager(config, &hook_for(plan, None))?;
-    let replay_span = tracer.child_of("deployment.replay", run_ctx);
-    let mut pipeline = spec.try_build_pipeline()?;
-    let covered = |idx: &usize| *idx as u64 <= ckpt.chunk_idx;
-    let deployed = stream.deployment_range().take_while(covered);
-    let deployed = deployed.map(|idx| stream.chunk(idx));
-    for raw in stream.initial().into_iter().chain(deployed) {
-        let fc = pipeline.fit_transform_chunk(&raw);
-        dm.ingest_raw(raw)?;
-        dm.store_features(fc)?;
-    }
-    replay_span.finish();
-
-    // ---- Validate against the spec/stream before touching anything that
-    // asserts: a checkpoint from a different pipeline or stream surfaces
-    // as a typed Corrupt error, never a panic or a silent restart.
-    let expected_states = pipeline.component_states().len();
-    if ckpt.component_states.len() != expected_states {
-        return Err(StorageError::Corrupt(format!(
-            "checkpoint has {} component states, the spec's pipeline has {expected_states} \
-             (wrong spec for this checkpoint?)",
-            ckpt.component_states.len()
-        ))
-        .into());
-    }
-    let replayed_manifest: Vec<u64> = dm
-        .store()
-        .materialized_timestamps()
-        .into_iter()
-        .map(|t| t.0)
-        .collect();
-    if replayed_manifest != ckpt.manifest {
-        return Err(StorageError::Corrupt(format!(
-            "replayed materialization manifest ({} chunks) diverges from the checkpoint \
-             ({} chunks) — stream or config mismatch",
-            replayed_manifest.len(),
-            ckpt.manifest.len()
-        ))
-        .into());
-    }
-
-    // ---- Restore authoritative state over the replayed skeleton.
-    metrics.restore_from(&ckpt.metrics);
-    pipeline.restore_component_states(&ckpt.component_states)?;
-    pipeline.set_counters(ckpt.pipeline_counters);
-    let trainer = SgdTrainer::restore(
-        LinearModel::with_weights(DenseVector::new(ckpt.weights), spec.sgd.loss),
-        OptimizerState::from_parts(
-            spec.sgd.optimizer,
-            ckpt.opt_t,
-            DenseVector::new(ckpt.opt_acc1),
-            DenseVector::new(ckpt.opt_acc2),
-        ),
-        spec.sgd.regularizer,
-        ckpt.points_seen,
-    );
-    let hook = hook_for(plan, Some((ckpt.fault_stats, ckpt.fault_epoch)));
-    dm.set_hook(Arc::clone(&hook));
-    dm.set_metrics(metrics.clone());
-    dm.set_sampler_rng_state(ckpt.sampler_rng);
-    dm.store_mut().restore_stats(ckpt.store_stats);
-    dm.restore_tiered_stats(ckpt.tiered_stats);
-    let env = RunEnv {
-        stream,
-        spec,
-        config,
-        hook,
-        metrics,
-        tracer,
-        wall,
-        run_span,
-    };
-    let metrics = &env.metrics;
-    let pm = env.manage(PipelineManager::with_trainer(
-        pipeline,
-        trainer,
-        spec.online_batch,
-    ));
-    let evaluator = PrequentialEvaluator::restore(
-        spec.metric,
-        ckpt.eval_count,
-        ckpt.eval_acc,
-        ckpt.eval_curve,
-        0,
-    );
-    let ledger = CostLedger::from_parts(config.cost_model, ckpt.accounted, ckpt.cost_curve);
-    let mut drift_monitor = drift_monitor();
-    drift_monitor.restore_windows(ckpt.drift_baseline, ckpt.drift_recent);
-    let sim = Arc::new(VirtualClock::new());
-    sim.advance_secs(ckpt.now_secs);
-    metrics.counter("checkpoint.restores").inc();
-    metrics.event(
-        "checkpoint.restore",
-        format!(
-            "resumed from checkpoint {seq} after chunk {}",
-            ckpt.chunk_idx
-        ),
-    );
-    // WAL recovery: everything durable past the checkpoint replays into
-    // the loop; the stream covers records the WAL lost (group-commit
-    // buffers, exhausted retries). The writer continues past the highest
-    // recovered sequence so replayed appends are idempotently skipped.
-    let wal = open_wal(&env, &sim, ckpt.chunk_idx + 1, true)?;
-    if let Some(rt) = &wal {
-        let (records, after) = (rt.replay.chunks.len(), ckpt.chunk_idx);
-        metrics.event(
-            "wal.recover",
-            format!("replaying {records} records after chunk {after}"),
-        );
-    }
-
-    let st = LoopState {
-        dm,
-        pm,
-        evaluator,
-        proactive: proactive_trainer(config),
-        ledger,
-        sim,
-        chunks_since_training: ckpt.chunks_since_training as usize,
-        last_training_secs: ckpt.last_training_secs,
-        last_training_at_secs: ckpt.last_training_at_secs,
-        proactive_runs: ckpt.proactive_runs,
-        proactive_secs_sum: ckpt.proactive_secs_sum,
-        retrain_runs: ckpt.retrain_runs,
-        drift_monitor,
-        drift_level: ckpt.drift_level,
-        prev_acc: ckpt.prev_acc,
-        prev_count: ckpt.prev_count,
-        initial_report: ckpt.initial_report,
-        checkpoint_stats: CheckpointStats {
-            writes: ckpt.ckpt_writes,
-            bytes_written: ckpt.ckpt_bytes,
-            restores: ckpt.ckpt_restores + 1,
-        },
-        wal,
-    };
-    // Publish the *restored* pair before re-entering the loop: a server
-    // attached to a resumed deployment serves the checkpointed version
-    // first and never answers from a pre-crash stale snapshot.
-    publish_serving(config, &st.pm, metrics, "restore");
-    run_chunk_loop(env, st, (ckpt.chunk_idx + 1) as usize)
+) -> Result<(), DeploymentError> {
+    let (env, metrics) = (stages.0, &stages.0.metrics);
+    let payload = stages.run("checkpoint.encode", st, |st, _| {
+        st.to_checkpoint(idx, env).encode()
+    });
+    stages.run("checkpoint.write", st, |st, write| {
+        // Killed mid-write: only a torn temp file is left, and recovery
+        // falls back to the previous durable checkpoint.
+        env.crash_point(CrashSite::CheckpointWrite, || {
+            let _ = dir.write_torn(idx, &payload);
+        })?;
+        let span = metrics.span("checkpoint.write_secs");
+        let bytes = dir.write(idx, &payload)?;
+        span.finish();
+        metrics.counter("checkpoint.writes").inc();
+        metrics.counter("checkpoint.write_bytes").add(bytes);
+        st.checkpoint_stats.writes += 1;
+        st.checkpoint_stats.bytes_written += bytes;
+        dir.pin(idx);
+        if let Some(w) = wal {
+            write.run("wal.gc", st, |_, _| w.writer.gc(idx))?;
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -59,7 +59,12 @@ fn without_checkpoint_keys<V: Clone>(m: &BTreeMap<String, V>) -> BTreeMap<String
         .collect()
 }
 
-fn check_metrics(a: &MetricsSnapshot, b: &MetricsSnapshot) -> Result<(), String> {
+/// `with_alerts = false` leaves `alert.fired` events out of the comparison.
+fn check_metrics(
+    a: &MetricsSnapshot,
+    b: &MetricsSnapshot,
+    with_alerts: bool,
+) -> Result<(), String> {
     if without_checkpoint_keys(&a.counters) != without_checkpoint_keys(&b.counters) {
         return Err(format!(
             "counters diverge: {:?} vs {:?}",
@@ -108,6 +113,7 @@ fn check_metrics(a: &MetricsSnapshot, b: &MetricsSnapshot) -> Result<(), String>
         s.events
             .iter()
             .filter(|e| !e.name.starts_with("checkpoint.") && !e.name.starts_with("wal."))
+            .filter(|e| with_alerts || e.name != "alert.fired")
             .map(|e| (e.name.clone(), e.detail.clone()))
             .collect()
     };
@@ -135,6 +141,19 @@ fn check_metrics(a: &MetricsSnapshot, b: &MetricsSnapshot) -> Result<(), String>
 
 /// The bit-identity contract between an uninterrupted run and a resumed one.
 fn check_identical(a: &DeploymentResult, b: &DeploymentResult) -> Result<(), String> {
+    if a.alerts != b.alerts {
+        return Err(format!("alerts diverge: {:?} vs {:?}", a.alerts, b.alerts));
+    }
+    check_resumed(a, b, true)
+}
+
+/// [`check_identical`], with alerts (and their events) compared only when
+/// `with_alerts` is set.
+fn check_resumed(
+    a: &DeploymentResult,
+    b: &DeploymentResult,
+    with_alerts: bool,
+) -> Result<(), String> {
     if a.final_weights != b.final_weights {
         return Err("final weights diverge".into());
     }
@@ -199,10 +218,7 @@ fn check_identical(a: &DeploymentResult, b: &DeploymentResult) -> Result<(), Str
     if a.initial_report.final_loss.to_bits() != b.initial_report.final_loss.to_bits() {
         return Err("initial training reports diverge".into());
     }
-    if a.alerts != b.alerts {
-        return Err(format!("alerts diverge: {:?} vs {:?}", a.alerts, b.alerts));
-    }
-    check_metrics(&a.metrics, &b.metrics)
+    check_metrics(&a.metrics, &b.metrics, with_alerts)
 }
 
 fn assert_identical(label: &str, a: &DeploymentResult, b: &DeploymentResult) {
@@ -671,5 +687,44 @@ fn resumed_deployment_publishes_restored_version_before_serving() {
     );
     // Versions stayed monotone across crash + resume on the shared server.
     assert_eq!(final_snap.version, server.version());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With telemetry on, a resume is bit-identical everywhere `check_identical`
+/// looks except alerts: the telemetry runtime — ring store, monitor
+/// cooldowns, fired alerts — is not in the checkpoint and restarts empty
+/// (DESIGN.md §12), so alerts may be lost or fire a second time and the
+/// telemetry store holds only the resumed run's samples.
+#[test]
+fn telemetry_on_resume_matches_everything_but_alerts_and_telemetry() {
+    let (stream, spec) = tiny_url();
+    let mut baseline_cfg = DeploymentConfig::continuous(2, 3, SamplingStrategy::Uniform);
+    baseline_cfg.optimization.budget = StorageBudget::MaxChunks(4);
+    baseline_cfg.spill_to_disk = true;
+    baseline_cfg.collect_metrics = true;
+    baseline_cfg.telemetry = Some(TelemetryConfig::new());
+    baseline_cfg.faults = FaultPlan {
+        disk_write_error: 1.0,
+        ..FaultPlan::none()
+    };
+    let baseline = run_deployment(&stream, &spec, &baseline_cfg);
+
+    let dir = ckpt_dir("telemetry");
+    let mut cfg = baseline_cfg.clone();
+    cfg.checkpoint = Some(CheckpointConfig::new(&dir).every(2));
+    cfg.faults = FaultPlan {
+        crash_site: Some(CrashSite::ChunkBoundary),
+        crash_at: 9,
+        ..baseline_cfg.faults
+    };
+    match try_run_deployment(&stream, &spec, &cfg) {
+        Err(DeploymentError::Crashed(CrashSite::ChunkBoundary)) => {}
+        other => panic!("expected a chunk-boundary crash, got {other:?}"),
+    }
+    let resumed = try_resume_deployment(&stream, &spec, &cfg).expect("resume");
+    assert_eq!(resumed.checkpoint_stats.restores, 1);
+    if let Err(e) = check_resumed(&baseline, &resumed, false) {
+        panic!("telemetry-on resume: {e}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

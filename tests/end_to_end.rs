@@ -486,10 +486,11 @@ fn durable_files_match_the_commit_before_the_durable_layer() {
             .segment_bytes(1),
     );
     config.checkpoint = Some(CheckpointConfig::new(root.join("ckpt")).every(6).keep(2));
-    config.telemetry = Some(
-        TelemetryConfig::new()
-            .recorder(RecorderConfig::new(root.join("rec")).flush_every(4).keep(2)),
-    );
+    let recorder = RecorderConfig {
+        keep: 2,
+        ..RecorderConfig::new(root.join("rec")).flush_every(4)
+    };
+    config.telemetry = Some(TelemetryConfig::new().recorder(recorder));
     config.faults = FaultPlan {
         crash_site: Some(CrashSite::ChunkBoundary),
         crash_at: 22,

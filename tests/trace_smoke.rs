@@ -4,7 +4,7 @@
 //! reconcile its chunk lineage with the tiered-store counters, and perturb
 //! nothing — results are bit-identical with tracing on and off.
 
-use cdpipe::obs::{validate_chrome_trace, LineageEventKind};
+use cdpipe::obs::{validate_chrome_trace, LineageEventKind, SpanRecord};
 use cdpipe::prelude::*;
 
 fn traced_config() -> DeploymentConfig {
@@ -77,7 +77,7 @@ fn span_tree_is_well_formed_and_crosses_worker_threads() {
     assert_eq!(trace.span_count("dm.sample") as u64, result.proactive_runs);
 
     // Causality: every engine task hangs under an engine map, every map
-    // under a deployment phase or trainer span.
+    // under a trainer span, the initial fit or a stage that dispatches one.
     assert!(trace.span_count("engine.map") > 0);
     assert!(trace.span_count("engine.task") > 0);
     for span in &trace.spans {
@@ -94,8 +94,8 @@ fn span_tree_is_well_formed_and_crosses_worker_threads() {
                             "trainer.fit"
                                 | "trainer.step"
                                 | "deployment.initial_fit"
+                                | "pm.online"
                                 | "deployment.retrain"
-                                | "deployment.chunk"
                                 | "proactive.fire"
                         )
                     ),
@@ -231,4 +231,171 @@ fn lost_spills_raise_an_alert_in_result_and_event_log() {
         .alerts
         .iter()
         .all(|a| a.rule != "store.lost_spills"));
+}
+
+/// The names of `parent`'s direct children, in the order they opened.
+fn children(trace: &TraceSnapshot, parent: &SpanRecord) -> Vec<String> {
+    let mut kids: Vec<&SpanRecord> = (trace.spans.iter())
+        .filter(|s| s.parent == Some(parent.id))
+        .collect();
+    kids.sort_by_key(|s| s.id.0);
+    kids.iter().map(|s| s.name.clone()).collect()
+}
+
+fn spans_named<'t>(trace: &'t TraceSnapshot, name: &str) -> Vec<&'t SpanRecord> {
+    trace.spans.iter().filter(|s| s.name == name).collect()
+}
+
+/// A scratch directory of its own for one traced run.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("cdp-stages-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Every layer on and due at every chunk: WAL, serving, a checkpoint per
+/// chunk, a telemetry sample and a recorder flush per chunk.
+fn with_every_layer(mut config: DeploymentConfig, dir: &std::path::Path) -> DeploymentConfig {
+    let (_, spec) = url_spec(SpecScale::Tiny);
+    let pipeline = spec.build_pipeline();
+    let model = cdpipe::ml::LinearModel::zeros(pipeline.dim(), spec.sgd.loss);
+    config.wal = Some(WalConfig::new(dir.join("wal")));
+    config.checkpoint = Some(CheckpointConfig::new(dir.join("ckpt")).every(1));
+    let recorder = RecorderConfig::new(dir.join("rec")).flush_every(1);
+    config.telemetry = Some(TelemetryConfig::new().recorder(recorder));
+    config.serving = Some(ModelServer::new(pipeline, model));
+    config
+}
+
+#[test]
+fn every_chunk_is_its_stages_in_order() {
+    let (stream, spec) = url_spec(SpecScale::Tiny);
+    let modes = [
+        DeploymentConfig::online(),
+        DeploymentConfig::periodical(3),
+        DeploymentConfig::continuous(2, 3, SamplingStrategy::Uniform),
+    ];
+    for base in modes {
+        for layers_on in [false, true] {
+            let mode = base.mode.name();
+            let dir = scratch_dir(mode);
+            let mut config = base.clone();
+            config.optimization.budget = StorageBudget::MaxChunks(4);
+            config.collect_metrics = true;
+            config.collect_traces = true;
+            if layers_on {
+                config = with_every_layer(config, &dir);
+            }
+            let result = run_deployment(&stream, &spec, &config);
+            let _ = std::fs::remove_dir_all(&dir);
+            let trace = &result.trace;
+            let label = format!("{mode}, layers on: {layers_on}");
+            assert_eq!(trace.dropped_spans, 0, "{label}");
+            if let Err(e) = trace.validate() {
+                panic!("{label}: malformed span tree: {e}");
+            }
+
+            let chunks = spans_named(trace, "deployment.chunk");
+            let deployment_chunks = stream.total_chunks() - stream.initial_chunks();
+            assert_eq!(chunks.len(), deployment_chunks, "{label}");
+            let (mut retrains, mut fires) = (0, 0);
+            for chunk in chunks {
+                let got = children(trace, chunk);
+                let mut want = vec!["stream.arrival"];
+                if layers_on {
+                    want.push("wal.append");
+                }
+                want.extend([
+                    "dm.ingest_raw",
+                    "pm.online",
+                    "dm.store_features",
+                    "drift.observe",
+                ]);
+                // A mode is its training stage.
+                let has = |name: &str| got.iter().any(|g| g == name);
+                let trained = match mode {
+                    "Periodical" if has("deployment.retrain") => {
+                        retrains += 1;
+                        want.push("deployment.retrain");
+                        true
+                    }
+                    "Continuous" => {
+                        want.push("schedule");
+                        if has("proactive.fire") {
+                            fires += 1;
+                            want.push("proactive.fire");
+                        }
+                        has("proactive.fire")
+                    }
+                    _ => false,
+                };
+                if layers_on {
+                    if trained {
+                        want.push("serving.publish");
+                    }
+                    want.extend([
+                        "serving.publish",
+                        "checkpoint.encode",
+                        "checkpoint.write",
+                        "obs.sample",
+                        "obs.recorder_flush",
+                    ]);
+                }
+                assert_eq!(got, want, "{label}: a chunk's stages");
+            }
+            assert_eq!(retrains, result.retrain_runs, "{label}");
+            assert_eq!(fires, result.proactive_runs, "{label}");
+            for fire in spans_named(trace, "proactive.fire") {
+                assert_eq!(children(trace, fire)[0], "dm.sample", "{label}");
+            }
+            for write in spans_named(trace, "checkpoint.write") {
+                let gc = children(trace, write).contains(&"wal.gc".to_owned());
+                assert!(
+                    gc,
+                    "{label}: a durable checkpoint retires the WAL it covers"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_traced_resume_shows_the_replay_folds_stages() {
+    let (stream, spec) = url_spec(SpecScale::Tiny);
+    let dir = scratch_dir("resume");
+    let mut config = traced_config();
+    config.checkpoint = Some(CheckpointConfig::new(dir.join("ckpt")).every(2));
+    config.faults = FaultPlan {
+        crash_site: Some(CrashSite::ChunkBoundary),
+        crash_at: 4,
+        ..FaultPlan::none()
+    };
+    match try_run_deployment(&stream, &spec, &config) {
+        Err(DeploymentError::Crashed(CrashSite::ChunkBoundary)) => {}
+        other => panic!("expected a chunk-boundary crash, got {other:?}"),
+    }
+    let resumed = try_resume_deployment(&stream, &spec, &config);
+    let _ = std::fs::remove_dir_all(&dir);
+    let trace = match resumed {
+        Ok(result) => result.trace,
+        Err(e) => panic!("resume failed: {e}"),
+    };
+    assert_eq!(trace.dropped_spans, 0);
+    if let Err(e) = trace.validate() {
+        panic!("malformed span tree: {e}");
+    }
+
+    // The fold runs the loop's store stages, one pair per replayed chunk:
+    // the initial chunks and every deployment chunk up to the checkpoint.
+    let replays = spans_named(&trace, "deployment.replay");
+    assert_eq!(replays.len(), 1);
+    let folded = children(&trace, replays[0]);
+    assert!(!folded.is_empty());
+    for pair in folded.chunks(2) {
+        assert_eq!(pair, ["dm.ingest_raw", "dm.store_features"]);
+    }
+    let replayed = folded.len() / 2;
+    let resumed_chunks = trace.span_count("deployment.chunk");
+    assert_eq!(replayed + resumed_chunks, stream.total_chunks());
+    assert!(replayed > stream.initial_chunks());
 }
