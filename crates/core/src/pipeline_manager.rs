@@ -390,16 +390,13 @@ impl PipelineManager {
         Ok(outcome)
     }
 
-    /// Simulates recomputing component statistics by an extra scan over the
-    /// chunk — the cost the *NoOptimization* baseline of Experiment 3 pays
-    /// because it lacks online statistics computation. Only cost is charged;
-    /// the deployed statistics are not corrupted.
-    pub fn charge_statistics_recomputation(&self, raw: &RawChunk, ledger: &mut CostLedger) {
-        let rows = raw.len() as u64;
-        // One parse plus one statistics pass per stateful component.
+    /// Charges recomputing statistics over `rows` rows — the *NoOptimization*
+    /// baseline's cost for lacking online statistics (Experiment 3): a parse
+    /// plus a pass per stateful stage of the deployed pipeline. Only cost is
+    /// charged; the deployed statistics are not corrupted.
+    pub fn charge_statistics_recomputation(&self, rows: u64, ledger: &mut CostLedger) {
         ledger.charge_parse(rows);
-        let stateful = 2u64; // imputer/scaler-class components in both pipelines
-        ledger.charge_stat_updates(rows * stateful);
+        ledger.charge_stat_updates(rows * self.pipeline.stage_counts().0);
     }
 }
 

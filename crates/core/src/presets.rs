@@ -311,6 +311,21 @@ mod tests {
     }
 
     #[test]
+    fn stage_counts_follow_each_pipeline() {
+        // (stateful stages, row components): the NoOptimization rescan's
+        // multipliers. URL: imputer + scaler, hashing encoder stateless.
+        // Taxi: only the scaler of extract → filter → select → scale.
+        assert_eq!(
+            url_spec(SpecScale::Tiny).1.build_pipeline().stage_counts(),
+            (2, 2)
+        );
+        assert_eq!(
+            taxi_spec(SpecScale::Tiny).1.build_pipeline().stage_counts(),
+            (1, 4)
+        );
+    }
+
+    #[test]
     fn taxi_anomaly_filter_drops_planted_anomalies() {
         let (generator, spec) = taxi_spec(SpecScale::Tiny);
         let mut pipeline = spec.build_pipeline();

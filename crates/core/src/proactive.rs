@@ -107,10 +107,9 @@ impl ProactiveTrainer {
                     // The stored features are still correct, so reuse their
                     // values after charging the recomputation cost.
                     ledger.charge_disk(fc.size_bytes() as u64);
-                    ledger.charge_transforms(fc.len() as u64 * 2);
+                    ledger.charge_transforms(fc.len() as u64 * pm.pipeline().stage_counts().1);
                     ledger.charge_encode(fc.len() as u64);
-                    ledger.charge_parse(fc.len() as u64);
-                    ledger.charge_stat_updates(fc.len() as u64 * 2);
+                    pm.charge_statistics_recomputation(fc.len() as u64, ledger);
                     rematerialized += 1;
                     sources.push(ProactiveSource::Ready(fc));
                 }
@@ -119,8 +118,7 @@ impl ProactiveTrainer {
                     // tier: pay the disk read, skip the re-transformation.
                     ledger.charge_disk(fc.size_bytes() as u64);
                     if !self.online_stats {
-                        ledger.charge_parse(fc.len() as u64);
-                        ledger.charge_stat_updates(fc.len() as u64 * 2);
+                        pm.charge_statistics_recomputation(fc.len() as u64, ledger);
                     }
                     spilled += 1;
                     sources.push(ProactiveSource::Ready(fc));
@@ -128,7 +126,7 @@ impl ProactiveTrainer {
                 SampledChunk::NeedsRematerialization(raw) => {
                     if !self.online_stats {
                         ledger.charge_disk(raw.size_bytes() as u64);
-                        pm.charge_statistics_recomputation(&raw, ledger);
+                        pm.charge_statistics_recomputation(raw.len() as u64, ledger);
                     }
                     rematerialized += 1;
                     sources.push(ProactiveSource::Raw(raw));

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use cdp_pipeline::extract::haversine_km;
+use cdp_pipeline::extract::{day_of_week, haversine_km, hour_of_day};
 use cdp_storage::{RawChunk, Record, Schema, Timestamp, Value};
 
 use crate::{mix_seed, ChunkStream};
@@ -121,10 +121,8 @@ impl TaxiGenerator {
     /// Ground-truth expected duration (seconds) for a trip of `dist_km`
     /// starting at `pickup_secs`.
     fn expected_duration(dist_km: f64, pickup_secs: f64) -> f64 {
-        let hour = ((pickup_secs / 3600.0).floor() % 24.0 + 24.0) % 24.0;
-        let days = (pickup_secs / 86_400.0).floor();
-        let weekday = (((days + 3.0) % 7.0) + 7.0) % 7.0;
-        let base_speed_kmh = 22.0 / Self::congestion(hour, weekday);
+        let hour = hour_of_day(pickup_secs);
+        let base_speed_kmh = 22.0 / Self::congestion(hour, day_of_week(pickup_secs));
         // Fixed pickup/dropoff overhead of 90 s.
         90.0 + dist_km / base_speed_kmh * 3600.0
     }

@@ -31,7 +31,17 @@ fn haversine_from(cos1: f64, cos2: f64, d_phi: f64, d_lambda: f64) -> f64 {
 fn bearing_from(phi1: f64, phi2: f64, cos1: f64, cos2: f64, d_lambda: f64) -> f64 {
     let y = d_lambda.sin() * cos2;
     let x = cos1 * phi2.sin() - phi1.sin() * cos2 * d_lambda.cos();
-    (y.atan2(x).to_degrees() + 360.0) % 360.0
+    compass_degrees(y, x)
+}
+
+/// `atan2(y, x)` in degrees `[0, 360)`, the bits of `(deg + 360.0) % 360.0`
+/// with no `fmod`: in `[180, 540]`, `- 360.0` is exact (Sterbenz), NaN passes.
+#[inline]
+fn compass_degrees(y: f64, x: f64) -> f64 {
+    match y.atan2(x).to_degrees() + 360.0 {
+        v if v >= 360.0 => v - 360.0,
+        v => v,
+    }
 }
 
 /// [`haversine_km`] and the bearing in one pass: `φ`, `cos φ` and `Δλ` are
@@ -46,15 +56,25 @@ fn distance_and_bearing(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> (f64, f64
     (km, bearing_from(phi1, phi2, cos1, cos2, d_lambda))
 }
 
+/// `((x % m) + m) % m` for an integer-valued `x`, bit for bit: in `i64` while
+/// that is exact (`|x| < 2^53`, `-0.0` too), else (NaN, ±∞, huge) the chain.
+#[inline]
+fn wrap_whole(x: f64, m: i64) -> f64 {
+    if x.abs() < 9_007_199_254_740_992.0 {
+        (x as i64).rem_euclid(m) as f64
+    } else {
+        ((x % m as f64) + m as f64) % m as f64
+    }
+}
+
 /// Hour of day `[0, 24)` from epoch seconds.
-fn hour_of_day(epoch_secs: f64) -> f64 {
-    ((epoch_secs / 3600.0).floor() % 24.0 + 24.0) % 24.0
+pub fn hour_of_day(epoch_secs: f64) -> f64 {
+    wrap_whole((epoch_secs / 3600.0).floor(), 24)
 }
 
 /// Day of week with Monday = 0 (1970-01-01 was a Thursday = 3).
-fn day_of_week(epoch_secs: f64) -> f64 {
-    let days = (epoch_secs / 86_400.0).floor();
-    (((days + 3.0) % 7.0) + 7.0) % 7.0
+pub fn day_of_week(epoch_secs: f64) -> f64 {
+    wrap_whole((epoch_secs / 86_400.0).floor() + 3.0, 7)
 }
 
 /// Output column layout of [`TaxiFeatureExtractor`]: haversine km, bearing
@@ -205,6 +225,135 @@ mod tests {
                 let (km, deg) = distance_and_bearing(lat1, lon1, lat2, lon2);
                 assert_eq!(km.to_bits(), haversine_km(lat1, lon1, lat2, lon2).to_bits());
                 assert_eq!(deg.to_bits(), bearing_deg(lat1, lon1, lat2, lon2).to_bits());
+            }
+        }
+    }
+
+    /// The `fmod` forms the kernels replaced, kept as their oracles.
+    fn fmod_hour(epoch_secs: f64) -> f64 {
+        ((epoch_secs / 3600.0).floor() % 24.0 + 24.0) % 24.0
+    }
+
+    fn fmod_weekday(epoch_secs: f64) -> f64 {
+        let days = (epoch_secs / 86_400.0).floor();
+        (((days + 3.0) % 7.0) + 7.0) % 7.0
+    }
+
+    fn fmod_compass(y: f64, x: f64) -> f64 {
+        (y.atan2(x).to_degrees() + 360.0) % 360.0
+    }
+
+    fn assert_calendar_bits(t: f64) {
+        assert_eq!(
+            hour_of_day(t).to_bits(),
+            fmod_hour(t).to_bits(),
+            "hour of {t:e}"
+        );
+        assert_eq!(
+            day_of_week(t).to_bits(),
+            fmod_weekday(t).to_bits(),
+            "weekday of {t:e}"
+        );
+    }
+
+    fn assert_compass_bits(y: f64, x: f64) {
+        let (got, want) = (compass_degrees(y, x), fmod_compass(y, x));
+        assert_eq!(got.to_bits(), want.to_bits(), "atan2({y:e}, {x:e})");
+    }
+
+    #[test]
+    fn calendar_kernels_are_bit_identical_to_the_fmod_chain_on_the_edges() {
+        let p53 = 9_007_199_254_740_992.0_f64;
+        let mut grid = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            -1e12,
+            1e17,
+            -1e17,
+        ];
+        for base in [p53, 3600.0 * p53, 86_400.0 * p53] {
+            for k in -2..=2 {
+                grid.extend([base + f64::from(k), -base + f64::from(k)]);
+            }
+            grid.extend([
+                base.next_up(),
+                base.next_down(),
+                -base.next_up(),
+                -base.next_down(),
+            ]);
+        }
+        for period in [3600.0, 86_400.0] {
+            for k in [
+                -100_000.0, -170.0, -7.0, -3.0, -1.0, 0.0, 1.0, 3.0, 7.0, 24.0, 1e6,
+            ] {
+                let t: f64 = k * period;
+                grid.extend([
+                    t,
+                    t.next_up(),
+                    t.next_down(),
+                    t - 1.0,
+                    t + 1.0,
+                    t - 0.5,
+                    t + 0.5,
+                ]);
+            }
+        }
+        for t in grid {
+            assert_calendar_bits(t);
+        }
+    }
+
+    #[test]
+    fn compass_kernel_is_bit_identical_to_the_fmod_wrap_on_the_edges() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            1.0,
+            -1.0,
+            1e-300,
+            -1e300,
+            f64::MAX,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for &y in &edges {
+            for &x in &edges {
+                assert_compass_bits(y, x);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn calendar_kernels_match_the_fmod_chain_on_any_bits(bits in 0..u64::MAX, secs in -1e10..1e10f64) {
+            assert_calendar_bits(f64::from_bits(bits));
+            assert_calendar_bits(secs);
+        }
+
+        #[test]
+        fn compass_kernel_matches_the_fmod_wrap_on_any_pair(
+            y_bits in 0..u64::MAX,
+            x_bits in 0..u64::MAX,
+            y in -1.0..1.0f64,
+            x in -1.0..1.0f64,
+        ) {
+            let (yb, xb) = (f64::from_bits(y_bits), f64::from_bits(x_bits));
+            for (y, x) in [(yb, xb), (y, x), (yb, x), (y, xb), (y, f64::NAN), (f64::NAN, x)] {
+                assert_compass_bits(y, x);
             }
         }
     }

@@ -249,6 +249,13 @@ impl Pipeline {
         self.encoder.dim()
     }
 
+    /// Stateful stages (encoder too) and row components: [`PipelineCounters`]' per-row factors.
+    pub fn stage_counts(&self) -> (u64, u64) {
+        let stateful = self.components.iter().filter(|c| c.is_stateful()).count();
+        let stateful = stateful + usize::from(self.encoder.is_stateful());
+        (stateful as u64, self.components.len() as u64)
+    }
+
     /// Component names, parser first, encoder last.
     pub fn stage_names(&self) -> Vec<&str> {
         let mut names = vec![self.parser.name()];
@@ -434,6 +441,7 @@ mod tests {
         assert_eq!(c.update_rows, 4); // 2 rows × 2 stateful components
         assert_eq!(c.transform_rows, 4); // 2 rows × 2 components
         assert_eq!(c.encoded_points, 2);
+        assert_eq!(p.stage_counts(), (c.update_rows / 2, c.transform_rows / 2));
         p.reset_counters();
         assert_eq!(p.counters(), PipelineCounters::default());
     }

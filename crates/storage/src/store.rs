@@ -81,7 +81,7 @@ pub struct StoreStats {
     pub unavailable: u64,
     /// Always 0: compaction is gone, but the field is eight bytes of
     /// checkpoint schema v3, so dropping it is a schema bump that belongs
-    /// with the durable-file work (ROADMAP item 6).
+    /// with the fault-seam work (ROADMAP item 3).
     pub compactions: u64,
     /// Collector runs that reclaimed at least one chunk.
     pub gc_runs: u64,

@@ -1103,3 +1103,55 @@ const PARENT_TAXI_TINY_PREDICTIONS: [u64; 64] = [
     0x401dc1046fa55476,
     0x401b8bd7343e1e7f,
 ];
+
+/// The repo-scale Taxi stream at the benchmark's 1 000 rows a chunk.
+fn taxi_stream_1000() -> impl Iterator<Item = RawChunk> {
+    use cdpipe::datagen::taxi::{TaxiConfig, TaxiGenerator};
+    let stream = TaxiGenerator::new(TaxiConfig {
+        rows_per_chunk: 1_000,
+        ..TaxiConfig::repo_scale()
+    });
+    (0..stream.total_chunks()).map(move |i| stream.chunk(i))
+}
+
+#[test]
+fn taxi_stream_matches_the_commit_before_the_fmod_free_kernels() {
+    // Recorded at the parent of the commit that gave the generator the
+    // extractor's calendar kernels in place of its own `%` chain: every
+    // generated trip keeps its bits. (Float digest taken on x86-64 Linux.)
+    let values = taxi_stream_1000().flat_map(|chunk| {
+        let nums: Vec<f64> = chunk
+            .records
+            .iter()
+            .flat_map(|r| r.values().iter().filter_map(Value::as_num))
+            .collect();
+        nums
+    });
+    assert_eq!(format!("{:016x}", bits_digest(values)), PARENT_TAXI_STREAM);
+}
+
+#[test]
+fn taxi_features_match_the_commit_before_the_fmod_free_kernels() {
+    // Recorded at the parent of the commit that replaced the extractor's
+    // `fmod` wraps (hour, weekday, bearing) with exact integer and Sterbenz
+    // forms: every label and every feature column keeps its bits.
+    use cdpipe::pipeline::extract::TaxiFeatureExtractor;
+    use cdpipe::pipeline::parser::{Parser, TaxiParser};
+    use cdpipe::pipeline::{ColumnBatch, Component};
+    let parser =
+        TaxiParser::new(cdpipe::datagen::taxi::TaxiGenerator::new(Default::default()).schema());
+    let values = taxi_stream_1000().flat_map(|chunk| {
+        let mut batch = parser.parse(&chunk.records, ColumnBatch::default());
+        TaxiFeatureExtractor::new().transform(&mut batch);
+        let mut nums = batch.labels().to_vec();
+        batch.columns().for_each(|c| nums.extend_from_slice(c));
+        nums
+    });
+    assert_eq!(
+        format!("{:016x}", bits_digest(values)),
+        PARENT_TAXI_FEATURES
+    );
+}
+
+const PARENT_TAXI_STREAM: &str = "13fa8b676c564536";
+const PARENT_TAXI_FEATURES: &str = "208951754753c3b4";
