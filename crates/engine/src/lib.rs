@@ -30,8 +30,8 @@
 //!
 //! Determinism contract: the map writes each output into its own index
 //! slot, so input order is preserved no matter which participant ran which
-//! unit, and [`tree_reduce`] combines partial results in a fixed shape that
-//! depends only on the number of parts — never on worker count or
+//! unit, and [`ExecutionEngine::try_map_reduce`] combines the outputs in a
+//! fixed shape that depends only on their number — never on worker count or
 //! scheduling — so floating-point results are bit-identical across engines.
 //! Scheduling observables that *are* timing-dependent (`engine.steal`,
 //! `engine.barrier_wait_secs`) are recorded as histograms, never as
@@ -499,7 +499,7 @@ fn run_stealing(
 /// The threaded half of [`ExecutionEngine::try_map_indexed`]: cuts `[0, n)`
 /// into contiguous units, runs `f(i)` for every index through the stealing
 /// scheduler (one `engine.task` span per unit, `order` acted out at its
-/// target unit's entry), and collects outputs in input order.
+/// target unit's entry), and hands the outputs to `sink` in input order.
 fn threaded_exec<U, F>(
     workers: usize,
     n: usize,
@@ -507,7 +507,8 @@ fn threaded_exec<U, F>(
     order: &WorkerOrder,
     ctx: &RunCtx,
     map_ctx: Option<SpanContext>,
-) -> Result<Vec<U>, EngineError>
+    sink: &mut dyn FnMut(U),
+) -> Result<(), EngineError>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
@@ -554,16 +555,14 @@ where
     };
     let steals = run_stealing(workers, units, &run_unit, ctx)?;
     ctx.metrics.histogram("engine.steal").observe(steals as f64);
-    Ok(outputs
-        .into_iter()
-        .map(|slot| match slot {
-            Some(value) => value,
-            // Infallible: `run_stealing` returned `Ok`, so every unit was
-            // claimed and ran to its end, and a unit writes every index of
-            // its range.
-            None => unreachable!("every claimed unit writes its whole index range"),
-        })
-        .collect())
+    outputs.into_iter().for_each(|slot| match slot {
+        Some(value) => sink(value),
+        // Infallible: `run_stealing` returned `Ok`, so every unit was
+        // claimed and ran to its end, and a unit writes every index of its
+        // range.
+        None => unreachable!("every claimed unit writes its whole index range"),
+    });
+    Ok(())
 }
 
 /// The observers of one engine call, threaded as a unit from the deployment
@@ -678,6 +677,63 @@ impl ExecutionEngine {
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
+        let mut out = Vec::with_capacity(n);
+        self.try_map_into(n, f, hook, ctx, &mut |u| out.push(u))?;
+        Ok(out)
+    }
+
+    /// [`ExecutionEngine::try_map_indexed`] reduced by `g` over the pairwise
+    /// tree of the outputs in index order (adjacent pairs, then pairs of
+    /// pairs), bit for bit the same on every engine; `None` when `n` is 0.
+    /// Built as a binary counter — equal blocks merge as `g(older, newer)`,
+    /// each an aligned `[j·2^k, (j+1)·2^k)`, the rest fold from the right —
+    /// it holds at most `⌊log₂ n⌋ + 1` outputs on the sequential engine,
+    /// which feeds each in as it is produced. `g` runs on the caller.
+    ///
+    /// # Errors
+    /// As [`ExecutionEngine::try_map_indexed`].
+    pub fn try_map_reduce<U, F, G>(
+        &self,
+        n: usize,
+        f: F,
+        mut g: G,
+        hook: &dyn FaultHook,
+        ctx: &RunCtx,
+    ) -> Result<Option<U>, EngineError>
+    where
+        U: Send,
+        F: Fn(usize) -> U + Sync,
+        G: FnMut(U, U) -> U,
+    {
+        // `(k, value)`: blocks of 2^k outputs, strictly shrinking.
+        let mut blocks: Vec<(u32, U)> =
+            Vec::with_capacity((usize::BITS - n.leading_zeros()) as usize);
+        self.try_map_into(n, f, hook, ctx, &mut |part| {
+            let (mut k, mut right) = (0, part);
+            while let Some((_, left)) = blocks.pop_if(|(top, _)| *top == k) {
+                right = g(left, right);
+                k += 1;
+            }
+            blocks.push((k, right));
+        })?;
+        let newest_first = blocks.into_iter().rev().map(|(_, v)| v);
+        Ok(newest_first.reduce(|right, left| g(left, right)))
+    }
+
+    /// Both entry points' one body: hands every output of `f` to `sink` in
+    /// index order, on the sequential engine the moment it is produced.
+    fn try_map_into<U, F>(
+        &self,
+        n: usize,
+        f: F,
+        hook: &dyn FaultHook,
+        ctx: &RunCtx,
+        sink: &mut dyn FnMut(U),
+    ) -> Result<(), EngineError>
+    where
+        U: Send,
+        F: Fn(usize) -> U + Sync,
+    {
         let map_span = ctx.span("engine.map");
         let metrics = &ctx.metrics;
         let _map_span_secs = metrics.span("engine.map_secs");
@@ -704,8 +760,11 @@ impl ExecutionEngine {
                 if !order.delay.is_zero() {
                     std::thread::sleep(order.delay);
                 }
-                panic::catch_unwind(AssertUnwindSafe(|| (0..n).map(&f).collect()))
-                    .map_err(EngineError::from_payload)
+                for i in 0..n {
+                    let out = panic::catch_unwind(AssertUnwindSafe(|| f(i)));
+                    sink(out.map_err(EngineError::from_payload)?);
+                }
+                Ok(())
             }
             ExecutionEngine::Threaded { .. } if n == 0 => {
                 // Keep the per-call invariant `queue_depth.count ==
@@ -717,10 +776,10 @@ impl ExecutionEngine {
                 if order.panics > MAX_WORKER_RESTARTS {
                     act_injected_panics(order.panics)?;
                 }
-                Ok(Vec::new())
+                Ok(())
             }
             ExecutionEngine::Threaded { .. } => {
-                threaded_exec(self.workers(), n, &f, &order, ctx, map_span.context())
+                threaded_exec(self.workers(), n, &f, &order, ctx, map_span.context(), sink)
             }
         }
     }
@@ -764,28 +823,6 @@ impl ExecutionEngine {
             Err(err) => panic!("{err}"),
         }
     }
-}
-
-/// Reduces `parts` pairwise — adjacent pairs first, then pairs of pairs —
-/// until one value remains.
-///
-/// The reduction tree's shape depends only on `parts.len()`, never on
-/// worker count or timing, so non-associative (floating-point) combines
-/// produce bit-identical results no matter which engine computed the parts.
-/// Returns `None` for an empty input.
-pub fn tree_reduce<U>(mut parts: Vec<U>, mut g: impl FnMut(U, U) -> U) -> Option<U> {
-    while parts.len() > 1 {
-        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-        let mut iter = parts.into_iter();
-        while let Some(a) = iter.next() {
-            next.push(match iter.next() {
-                Some(b) => g(a, b),
-                None => a,
-            });
-        }
-        parts = next;
-    }
-    parts.pop()
 }
 
 #[cfg(test)]
@@ -1225,13 +1262,50 @@ mod tests {
     }
 
     #[test]
-    fn tree_reduce_is_fixed_shape() {
+    fn map_reduce_is_fixed_shape() {
         // ((0+1)+(2+3)) + (4) for 5 parts — verify against the hand-built tree.
-        let parts = vec![0.1f64, 0.2, 0.3, 0.4, 0.5];
-        let reduced = tree_reduce(parts, |a, b| a + b).unwrap();
+        let parts = [0.1f64, 0.2, 0.3, 0.4, 0.5];
         let expected: f64 = ((0.1 + 0.2) + (0.3 + 0.4)) + 0.5;
-        assert_eq!(reduced.to_bits(), expected.to_bits());
-        assert_eq!(tree_reduce(Vec::<f64>::new(), |a, b| a + b), None);
-        assert_eq!(tree_reduce(vec![7], |a, b| a + b), Some(7));
+        for engine in [
+            ExecutionEngine::Sequential,
+            ExecutionEngine::Threaded { workers: 3 },
+        ] {
+            let reduce = |n: usize| {
+                engine
+                    .try_map_reduce(n, |i| parts[i], |a, b| a + b, &NoFaults, &RunCtx::default())
+                    .unwrap()
+            };
+            assert_eq!(reduce(5).map(f64::to_bits), Some(expected.to_bits()));
+            assert_eq!(reduce(0), None);
+            assert_eq!(reduce(1), Some(0.1));
+        }
+    }
+
+    #[test]
+    fn map_reduce_keeps_at_most_log2_outputs_alive_sequentially() {
+        // An output is alive from `f` until `g` consumes it; `g` makes one
+        // of two.
+        let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        for n in 1..=300usize {
+            peak.store(0, Ordering::Relaxed);
+            let out = ExecutionEngine::Sequential.try_map_reduce(
+                n,
+                |i| {
+                    let now = live.fetch_add(1, Ordering::Relaxed) + 1;
+                    peak.fetch_max(now, Ordering::Relaxed);
+                    i
+                },
+                |a, b| {
+                    live.fetch_sub(1, Ordering::Relaxed);
+                    a + b
+                },
+                &NoFaults,
+                &RunCtx::default(),
+            );
+            assert_eq!(out, Ok(Some(n * (n - 1) / 2)));
+            assert_eq!(live.swap(0, Ordering::Relaxed), 1);
+            let levels = (usize::BITS - n.leading_zeros()) as usize;
+            assert_eq!(peak.load(Ordering::Relaxed), levels, "n = {n}");
+        }
     }
 }

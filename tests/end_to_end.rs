@@ -8,8 +8,9 @@ use cdpipe::core::{DataManager, PipelineManager, ProactiveTrainer, SampledChunk}
 use cdpipe::datagen::url::UrlConfig;
 use cdpipe::engine::ExecutionEngine;
 use cdpipe::eval::{CostLedger, PrequentialEvaluator};
+use cdpipe::obs::durable::Format;
 use cdpipe::prelude::*;
-use cdpipe::storage::{RawChunk, Record, Schema, Value};
+use cdpipe::storage::{CheckpointDir, RawChunk, Record, Schema, Value, CHECKPOINT_SCHEMA};
 
 /// A mid-size URL run used by several tests (larger than `Tiny`, much
 /// smaller than `Repo`).
@@ -466,15 +467,13 @@ fn file_pins(dir: &std::path::Path, keep: impl Fn(&str) -> bool) -> Vec<(String,
     pins
 }
 
-#[test]
-fn durable_files_match_the_commit_before_the_durable_layer() {
-    // Whole files, envelope and name included, of one small run with every
-    // durable format on, killed at a chunk boundary well past its newest
-    // checkpoint so the WAL keeps the segments that checkpoint does not
-    // cover: the newest checkpoint file, every WAL segment, the newest
-    // recorder segment. Metrics run on a virtual clock, so the checkpoint's
-    // embedded snapshot and the recorder's series are pure data.
-    let root = std::env::temp_dir().join(format!("cdp-e2e-durable-{}", std::process::id()));
+/// One small run with every durable format on, killed at a chunk boundary
+/// well past its newest checkpoint so the WAL keeps the segments that
+/// checkpoint does not cover; its files land under a fresh `root` named for
+/// `tag`, which the caller removes. Metrics run on a virtual clock, so the
+/// checkpoint's embedded snapshot and the recorder's series are pure data.
+fn crashed_durable_run(tag: &str) -> std::path::PathBuf {
+    let root = std::env::temp_dir().join(format!("cdp-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let (stream, spec) = taxi_spec(SpecScale::Tiny);
     let mut config = DeploymentConfig::continuous(2, 3, SamplingStrategy::Uniform);
@@ -505,6 +504,14 @@ fn durable_files_match_the_commit_before_the_durable_layer() {
         crashed,
         Err(DeploymentError::Crashed(CrashSite::ChunkBoundary))
     ));
+    root
+}
+
+#[test]
+fn durable_files_match_the_commit_before_the_durable_layer() {
+    // Whole files, envelope and name included: the newest checkpoint file,
+    // every WAL segment, the newest recorder segment.
+    let root = crashed_durable_run("durable");
     let newest = |mut pins: Vec<(String, usize, u64)>| pins.pop().expect("a file");
     let checkpoint = newest(file_pins(&root.join("ckpt"), |n| n.ends_with(".cdpk")));
     let wal = file_pins(&root.join("wal"), |n| n.ends_with(".cdpw"));
@@ -516,12 +523,50 @@ fn durable_files_match_the_commit_before_the_durable_layer() {
 }
 
 /// Recorded at 7885dc0, the parent of the commit that moved every durable
-/// format onto `cdp_obs::durable`.
-const PARENT_DURABLE_FILES: &str = "(\"ckpt-000000000023.cdpk\", 5810, 4131844182144439360)\n\
+/// format onto `cdp_obs::durable`. The checkpoint's tuple was re-recorded
+/// when the engine's reduce began to stream: the checkpoint embeds the
+/// run's metrics, and the `engine.scratch_*` samples count fewer partials
+/// allocated — [`the_checkpoint_differs_from_its_parent_only_in_scratch_samples`]
+/// pins everything else in it. The WAL and recorder tuples are 7885dc0's.
+const PARENT_DURABLE_FILES: &str = "(\"ckpt-000000000023.cdpk\", 5810, 4385064095960915364)\n\
     [(\"wal-000000000024.cdpw\", 4082, 2706512351326544409), \
     (\"wal-000000000026.cdpw\", 4082, 16742428689938391532), \
     (\"wal-000000000028.cdpw\", 6, 130910471821257432)]\n\
     (\"seg-000000000005.cdpt\", 17349, 11974950545032139178)";
+
+#[test]
+fn the_checkpoint_differs_from_its_parent_only_in_scratch_samples() {
+    // The newest checkpoint of the same run, decoded, stripped of the two
+    // timing-dependent scratch histograms (how many gradient partials were
+    // reused or allocated), re-encoded and re-sealed. The commit before the
+    // streamed reduce, b6cbc5a, gives the same tuple the same way.
+    let root = crashed_durable_run("scratch");
+    let dir = CheckpointDir::open(root.join("ckpt"), 2).expect("checkpoint dir");
+    let (seq, version, payload) = dir
+        .latest_valid_versioned()
+        .expect("readable")
+        .expect("a checkpoint");
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(seq, 23);
+    let mut checkpoint =
+        DeploymentCheckpoint::decode_versioned(version, &payload).expect("decodes");
+    for name in ["engine.scratch_reuse", "engine.scratch_alloc"] {
+        assert!(
+            checkpoint.metrics.histograms.remove(name).is_some(),
+            "{name}"
+        );
+    }
+    let payload = checkpoint.encode();
+    let format = Format {
+        magic: *b"CDPC",
+        version: CHECKPOINT_SCHEMA.0,
+    };
+    let file = format.seal(payload.len(), |buf| buf.extend_from_slice(&payload));
+    assert_eq!(
+        (file.len(), fnv1a(file.iter().copied())),
+        (5266, 14249442313718091351)
+    );
+}
 
 #[test]
 fn recoverable_only_faults_match_fault_free_model() {
