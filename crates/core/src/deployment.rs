@@ -823,6 +823,10 @@ fn deploy(
                 tel.tick(shutdown, &mut st)?;
             }
             tel.flush(shutdown, &mut st, 1)?;
+            // The last segment's publish, so its error is this run's.
+            if let Some(rec) = tel.recorder.as_mut() {
+                rec.join().map_err(StorageError::Io)?;
+            }
             (tel.alerts, tel.store)
         }
         None if metrics.is_enabled() => {

@@ -19,6 +19,8 @@
 //!    bytes. Every read is bounds-checked, and a count is checked against the
 //!    bytes left before anyone sizes a buffer from it: a hostile length field
 //!    is an [`Error::Truncated`], never an allocation.
+//! 4. **The background syncer** ([`Syncer`]): an owner's one durable job in
+//!    flight, joined by its next durable operation, where its error surfaces.
 //!
 //! It lives in `cdp-obs` for the reason [`crate::crc32`] does: the lowest
 //! crate the recorder (here) and `cdp-storage` both reach. std only.
@@ -26,7 +28,9 @@
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::mpsc;
+use std::thread::{self, JoinHandle};
 
 use crate::crc::crc32;
 
@@ -153,7 +157,7 @@ impl Format {
 }
 
 /// A directory of numbered files `{prefix}-{seq:012}.{ext}`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NumberedDir {
     dir: PathBuf,
     prefix: &'static str,
@@ -173,11 +177,6 @@ impl NumberedDir {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         Ok(Self { dir, prefix, ext })
-    }
-
-    /// The directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Where file `seq` lives.
@@ -295,6 +294,60 @@ impl NumberedDir {
             }
         }
         Ok((valid, skipped))
+    }
+}
+
+/// At most one background durable job of an owner: `start` joins the job
+/// before it, `join` returns its value, and dropping joins and discards it. A
+/// panicked job is an I/O error; one no thread can be spawned for runs inline.
+#[derive(Debug, Default)]
+pub struct Syncer<T: Send + 'static> {
+    job: Option<Result<JoinHandle<io::Result<T>>, io::Result<T>>>,
+}
+
+impl<T: Send + 'static> Syncer<T> {
+    /// Joins the job in flight and, unless it failed, starts `job`.
+    ///
+    /// # Errors
+    /// The joined job's error.
+    pub fn start<F>(&mut self, job: F) -> io::Result<()>
+    where
+        F: FnOnce() -> io::Result<T> + Send + 'static,
+    {
+        self.join()?;
+        // Handed over once its thread exists, so a failed spawn runs it here.
+        let (send, receive) = mpsc::sync_channel::<F>(1);
+        let spawned =
+            thread::Builder::new().spawn(move || receive.recv().map_err(io::Error::other)?());
+        self.job = Some(match spawned {
+            Ok(handle) => send
+                .send(job)
+                .map(|()| handle)
+                .map_err(|mpsc::SendError(job)| job()),
+            Err(_) => Err(job()),
+        });
+        Ok(())
+    }
+
+    /// The job in flight's value, once it is done; `None` if there is none.
+    ///
+    /// # Errors
+    /// The job's error, or one standing for its panic.
+    pub fn join(&mut self) -> io::Result<Option<T>> {
+        let done = match self.job.take() {
+            None => return Ok(None),
+            Some(Err(inline)) => inline,
+            Some(Ok(handle)) => {
+                (handle.join()).unwrap_or_else(|_| Err(io::Error::other("durable job panicked")))
+            }
+        };
+        done.map(Some)
+    }
+}
+
+impl<T: Send + 'static> Drop for Syncer<T> {
+    fn drop(&mut self) {
+        let _ = self.join();
     }
 }
 
@@ -679,6 +732,52 @@ mod tests {
             }
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn a_syncer_runs_one_job_at_a_time_and_returns_every_outcome_once() {
+        let mut syncer = Syncer::<u32>::default();
+        let kind = |r: io::Result<Option<u32>>| r.map_err(|e| e.kind());
+        assert_eq!(kind(syncer.join()), Ok(None));
+        // Each start joins the job before it: the jobs run in order, even
+        // when the first is the slowest.
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        for i in 0..4u32 {
+            let log = std::sync::Arc::clone(&log);
+            let job = move || {
+                if i == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+                log.lock()
+                    .map_err(|_| io::Error::other("poisoned"))?
+                    .push(i);
+                Ok(i)
+            };
+            syncer.start(job).unwrap();
+        }
+        assert_eq!(kind(syncer.join()), Ok(Some(3)));
+        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(kind(syncer.join()), Ok(None));
+        // A failed job's error comes back from the next start, which then
+        // starts nothing.
+        syncer.start(|| Err(io::Error::other("disk gone"))).unwrap();
+        assert!(syncer.start(|| Ok(9)).is_err());
+        assert_eq!(kind(syncer.join()), Ok(None));
+        // A panicking job is an error, not a panic of the owner.
+        syncer.start(|| panic!("job panicked")).unwrap();
+        assert_eq!(kind(syncer.join()), Err(io::ErrorKind::Other));
+        // Dropping joins a job still in flight.
+        let done = std::sync::Arc::new(AtomicU64::new(0));
+        let flag = std::sync::Arc::clone(&done);
+        syncer
+            .start(move || {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                flag.store(1, Ordering::SeqCst);
+                Ok(0)
+            })
+            .unwrap();
+        drop(syncer);
+        assert_eq!(done.load(Ordering::SeqCst), 1);
     }
 
     #[test]

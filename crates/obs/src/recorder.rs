@@ -6,7 +6,8 @@
 //! segment files (`seg-NNNNNNNNNNNN.cdpt`), each a sealed file of the
 //! durable-file layer ([`crate::durable`], DESIGN.md §12): published
 //! atomically into a [`NumberedDir`], after which the segments beyond the
-//! retention budget are pruned, oldest first.
+//! retention budget are pruned, oldest first — on a background [`Syncer`]
+//! job that the next flush, or [`FlightRecorder::join`], joins.
 //!
 //! After a crash, [`load_segments`] scans the directory newest-first and
 //! decodes every valid segment, *skipping* torn or corrupt files (a crash
@@ -20,7 +21,8 @@ use std::path::{Path, PathBuf};
 
 use crate::alerts::Alert;
 use crate::durable::{
-    self, put_f64, put_f64_vec, put_str, put_u32, put_u64, put_u64_vec, Format, NumberedDir, Reader,
+    self, put_f64, put_f64_vec, put_str, put_u32, put_u64, put_u64_vec, Format, NumberedDir,
+    Reader, Syncer,
 };
 use crate::timeseries::{HistogramFrame, SamplePoint, TelemetryStore, TimeSeries};
 
@@ -80,6 +82,8 @@ pub struct FlightRecorder {
     files: NumberedDir,
     keep: usize,
     next_seq: u64,
+    /// The last flush's publish and prune.
+    syncer: Syncer<()>,
 }
 
 impl FlightRecorder {
@@ -96,24 +100,21 @@ impl FlightRecorder {
             files,
             keep: keep.max(1),
             next_seq,
+            syncer: Syncer::default(),
         })
     }
 
-    /// Sequence number the next flush will use.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Durably writes one segment capturing `store` and `alerts` at
-    /// `at_secs`, then drops the segments beyond the retention budget. The
-    /// new segment is published (and its directory entry synced) before any
-    /// removal, and a removal only ever names a segment older than `keep`
+    /// Encodes one segment capturing `store` and `alerts` at `at_secs`, joins
+    /// the previous flush, then hands off the segment's durable write and the
+    /// pruning beyond the retention budget. The new segment is published (and
+    /// its directory entry synced) before any removal and before the next
+    /// segment, and a removal only ever names a segment older than `keep`
     /// newer ones, so a kill anywhere leaves at least the newest `keep`
-    /// segments, the new one counted only once its publish returned.
-    /// Returns the bytes written.
+    /// segments, the new one counted only once its publish returned. Returns
+    /// the bytes written.
     ///
     /// # Errors
-    /// I/O errors writing, syncing, renaming or removing.
+    /// The previous flush's I/O errors writing, syncing, renaming or removing.
     pub fn flush(
         &mut self,
         store: &TelemetryStore,
@@ -121,10 +122,19 @@ impl FlightRecorder {
         at_secs: f64,
     ) -> io::Result<u64> {
         let segment = encode_segment(store, alerts, at_secs);
-        self.files.publish(self.next_seq, &segment)?;
+        let (files, seq, keep) = (self.files.clone(), self.next_seq, self.keep);
+        let bytes = segment.len() as u64;
+        self.syncer.start(move || {
+            files.publish(seq, &segment)?;
+            files.prune(keep, None)
+        })?;
         self.next_seq += 1;
-        self.files.prune(self.keep, None)?;
-        Ok(segment.len() as u64)
+        Ok(bytes)
+    }
+
+    /// Waits for the last flush's publish and prune, returning their error.
+    pub fn join(&mut self) -> io::Result<()> {
+        self.syncer.join().map(drop)
     }
 }
 
@@ -417,6 +427,8 @@ mod tests {
         for i in 0..5 {
             let bytes = rec.flush(&store, &alerts, i as f64).unwrap();
             assert!(bytes > 0);
+            // The publish and the prune run in the background until joined.
+            rec.join().unwrap();
             assert!(listed(&dir).len() <= 2);
         }
         assert_eq!(listed(&dir), vec![3, 4], "retention prunes to keep");
@@ -427,7 +439,7 @@ mod tests {
         assert_eq!(decoded, vec![(4, 4.0), (3, 3.0)]);
         // Reopening continues the sequence.
         let rec2 = FlightRecorder::open(&dir, 2).unwrap();
-        assert_eq!(rec2.next_seq(), 5);
+        assert_eq!(rec2.next_seq, 5);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -443,6 +455,7 @@ mod tests {
         for i in 0..keep {
             rec.flush(&store, &alerts, i as f64).unwrap();
         }
+        rec.join().unwrap();
         let files = segments(&dir).unwrap();
         let renamed = encode_segment(&store, &alerts, 2.0);
         files.publish(2, &renamed).unwrap();
@@ -456,8 +469,9 @@ mod tests {
         // The next incarnation continues after the renamed segment and its
         // first flush finishes the interrupted removal.
         let mut rec = FlightRecorder::open(&dir, keep).unwrap();
-        assert_eq!(rec.next_seq(), 3);
+        assert_eq!(rec.next_seq, 3);
         rec.flush(&store, &alerts, 3.0).unwrap();
+        rec.join().unwrap();
         assert_eq!(listed(&dir), vec![2, 3]);
         assert_eq!(load_segments(&dir, 16).unwrap().skipped, 0);
         let _ = fs::remove_dir_all(&dir);
@@ -470,6 +484,7 @@ mod tests {
         let (store, alerts) = sample_store(2);
         rec.flush(&store, &alerts, 60.0).unwrap();
         rec.flush(&store, &alerts, 120.0).unwrap();
+        rec.join().unwrap();
         // Torn tail: truncate the newest segment mid-payload.
         let files = segments(&dir).unwrap();
         let newest = files.path(1);
@@ -477,6 +492,7 @@ mod tests {
         fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
         // Corrupt a fresh third segment by flipping one payload byte.
         rec.flush(&store, &alerts, 180.0).unwrap();
+        rec.join().unwrap();
         let corrupt = files.path(2);
         let mut bytes = fs::read(&corrupt).unwrap();
         let mid = bytes.len() / 2;
@@ -489,6 +505,30 @@ mod tests {
         assert_eq!(scan.segments[0].seq, 0);
         assert_eq!(scan.segments[0].samples, 2);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_background_publish_error_surfaces_at_the_next_operation() {
+        let dir = temp_dir("removed");
+        let mut rec = FlightRecorder::open(&dir, 2).unwrap();
+        let (store, alerts) = sample_store(2);
+        rec.flush(&store, &alerts, 60.0).unwrap();
+        rec.join().unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let kind = |r: io::Result<_>| r.map_err(|e| e.kind());
+        // Encoded and handed off; the publish fails off the path and the
+        // join returns it, once.
+        assert!(rec.flush(&store, &alerts, 120.0).unwrap() > 0);
+        assert_eq!(kind(rec.join()), Err(io::ErrorKind::NotFound));
+        assert_eq!(kind(rec.join()), Ok(()));
+        // The next flush joins the one before it.
+        assert!(rec.flush(&store, &alerts, 180.0).unwrap() > 0);
+        assert_eq!(
+            kind(rec.flush(&store, &alerts, 240.0).map(drop)),
+            Err(io::ErrorKind::NotFound)
+        );
+        drop(rec);
+        assert!(!dir.exists(), "nothing recreated the directory");
     }
 
     #[test]
