@@ -13,6 +13,7 @@
 //! * day structure: `days × chunks_per_day` chunks, day 0 = initial
 //!   training.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -143,7 +144,7 @@ impl UrlGenerator {
         (phase + day as f64 * self.config.drift_per_day).sin()
     }
 
-    fn generate_row(&self, rng: &mut StdRng, day: usize) -> Record {
+    fn generate_row(&self, rng: &mut StdRng, day: usize, text: &mut String) -> Record {
         let c = &self.config;
         let malicious = rng.random::<f64>() < c.malicious_rate;
         let y = if malicious { 1.0 } else { -1.0 };
@@ -151,8 +152,9 @@ impl UrlGenerator {
         // Tokens: rejection-sample so the row's mean token score agrees with
         // the class (score > 0 tokens are "malicious-looking" today).
         let vocab = self.vocab_at(day) as u64;
-        let mut tokens = Vec::with_capacity(c.tokens_per_row);
-        for _ in 0..c.tokens_per_row {
+        // `tok{t}` joined by spaces, copied out of the chunk's scratch.
+        text.clear();
+        for i in 0..c.tokens_per_row {
             // Up to 4 attempts to find a class-consistent token; then accept
             // anything (keeps token marginals overlapping between classes).
             let mut chosen = rng.random_range(0..vocab);
@@ -163,13 +165,10 @@ impl UrlGenerator {
                 }
                 chosen = rng.random_range(0..vocab);
             }
-            tokens.push(chosen);
+            let sep = if i == 0 { "" } else { " " };
+            let _ = write!(text, "{sep}tok{chosen}");
         }
-        let token_text = tokens
-            .iter()
-            .map(|t| format!("tok{t}"))
-            .collect::<Vec<_>>()
-            .join(" ");
+        let token_text = text.clone();
 
         // Lexical features: half informative (class-shifted means that drift
         // slowly), half noise; some values missing.
@@ -221,8 +220,9 @@ impl ChunkStream for UrlGenerator {
         assert!(index < self.total_chunks(), "chunk {index} out of range");
         let day = self.day_of(index);
         let mut rng = StdRng::seed_from_u64(mix_seed(self.config.seed, index as u64));
+        let mut text = String::new();
         let records = (0..self.config.rows_per_chunk)
-            .map(|_| self.generate_row(&mut rng, day))
+            .map(|_| self.generate_row(&mut rng, day, &mut text))
             .collect();
         RawChunk::new(Timestamp(index as u64), records)
     }
