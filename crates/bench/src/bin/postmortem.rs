@@ -3,7 +3,8 @@
 //!
 //! ```sh
 //! # 1. Run a seeded deployment that dies at an injected crash point,
-//! #    flushing telemetry segments every sample:
+//! #    flushing telemetry segments every sample (`--site chunk|durable` and
+//! #    `--at N` move the kill; the default is the 6th chunk boundary):
 //! cargo run -p cdp-bench --bin postmortem -- --crash --dir segments/
 //!
 //! # 2. Rebuild the timeline the process left behind:

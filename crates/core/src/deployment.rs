@@ -26,6 +26,7 @@ use cdp_faults::{
 };
 use cdp_linalg::DenseVector;
 use cdp_ml::{LinearModel, OptimizerState, SgdTrainer, TrainReport};
+use cdp_obs::durable::{CrashPoint, Killed};
 use cdp_obs::{
     Alert, AlertMonitor, Clock, FlightRecorder, Metrics, MetricsSnapshot, SloMonitor, SpanContext,
     TelemetryStore, TraceSnapshot, TraceSpan, Tracer, VirtualClock, DEFAULT_SERIES_CAPACITY,
@@ -34,8 +35,8 @@ use cdp_pipeline::drift::{DriftDetector, DriftStatus};
 use cdp_pipeline::{Pipeline, PipelineError};
 use cdp_sampling::{mu_uniform, mu_window, SamplingStrategy};
 use cdp_storage::{
-    CheckpointDir, FeatureChunk, RawChunk, StorageBudget, StorageError, StoreStats, TieredStats,
-    WalDir, WalOptions, WalRecovery, WalStats, WalWriter,
+    durable_crash_point, CheckpointDir, FeatureChunk, RawChunk, StorageBudget, StorageError,
+    StoreStats, TieredStats, WalDir, WalOptions, WalRecovery, WalStats, WalWriter,
 };
 use serde::{Deserialize, Serialize};
 
@@ -484,7 +485,7 @@ pub enum DeploymentError {
     /// state did not restore.
     Pipeline(PipelineError),
     /// Killed by an injected crash point; what is on disk is what a
-    /// `kill -9` there leaves.
+    /// `kill -9` there leaves, a killed durable operation's tear included.
     Crashed(CrashSite),
     /// Nothing to resume from: no checkpoint configured, or no valid file.
     NoCheckpoint(String),
@@ -504,9 +505,14 @@ impl std::fmt::Display for DeploymentError {
 
 impl std::error::Error for DeploymentError {}
 
+/// A durable operation's [`Killed`] marker is the run's death at the
+/// [`CrashSite::Durable`] site; every other storage error stays one.
 impl From<StorageError> for DeploymentError {
     fn from(e: StorageError) -> Self {
-        DeploymentError::Storage(e)
+        match e {
+            StorageError::Io(e) if Killed::is(&e) => DeploymentError::Crashed(CrashSite::Durable),
+            e => DeploymentError::Storage(e),
+        }
     }
 }
 
@@ -593,16 +599,6 @@ impl RunEnv<'_> {
     /// The stages under `span`.
     fn stages<'s>(&'s self, span: &TraceSpan) -> Stages<'s> {
         Stages(self, span.context())
-    }
-
-    /// Consults crash `site`, the one place a run dies; a kill first runs
-    /// `torn`, which leaves the partial bytes a real kill there leaves.
-    fn crash_point(&self, site: CrashSite, torn: impl FnOnce()) -> Result<(), DeploymentError> {
-        if !self.hook.crash_now(site) {
-            return Ok(());
-        }
-        torn();
-        Err(DeploymentError::Crashed(site))
     }
 }
 
@@ -794,12 +790,17 @@ fn deploy(
         // a resumed run never answers from the crashed process's snapshot.
         env.stages(&env.run_span).publish(&mut st, "restore");
     }
+    // The WAL consults the hook's durable-operation countdown itself; the
+    // checkpoint directory and the flight recorder get it here.
+    let crash = durable_crash_point(&env.hook);
     let ckpt = (config.checkpoint.as_ref()).map(|c| {
-        Ok::<_, StorageError>((CheckpointDir::open(&c.dir, c.keep)?, c.every_chunks.max(1)))
+        let mut dir = CheckpointDir::open(&c.dir, c.keep)?;
+        dir.set_crash_point(crash.clone());
+        Ok::<_, StorageError>((dir, c.every_chunks.max(1)))
     });
     let (metrics, period) = (&env.metrics, config.chunk_period_secs);
     let telemetry = config.telemetry.as_ref().filter(|_| metrics.is_enabled());
-    let telemetry = telemetry.map(|tc| TelemetryRuntime::new(tc, period));
+    let telemetry = telemetry.map(|tc| TelemetryRuntime::new(tc, period, &crash));
     let mut layers = Layers {
         wal,
         ckpt: ckpt.transpose()?,
@@ -1204,11 +1205,19 @@ struct TelemetryRuntime {
 }
 
 impl TelemetryRuntime {
-    fn new(tc: &TelemetryConfig, chunk_period_secs: f64) -> Result<Self, DeploymentError> {
-        let recorder = match &tc.recorder {
-            Some(rc) => Some(FlightRecorder::open(&rc.dir, rc.keep).map_err(StorageError::Io)?),
-            None => None,
-        };
+    fn new(
+        tc: &TelemetryConfig,
+        chunk_period_secs: f64,
+        crash: &CrashPoint,
+    ) -> Result<Self, DeploymentError> {
+        let recorder = (tc.recorder.as_ref())
+            .map(|rc| {
+                let mut recorder = FlightRecorder::open(&rc.dir, rc.keep)?;
+                recorder.set_crash_point(crash.clone());
+                Ok(recorder)
+            })
+            .transpose()
+            .map_err(StorageError::Io)?;
         let cooldown = tc.cooldown_secs;
         Ok(Self {
             store: TelemetryStore::new(tc.capacity)
@@ -1304,19 +1313,7 @@ fn drive_chunks(
         // The arrival is durable (or buffered toward the next group commit)
         // before any processing touches it.
         if let Some(w) = layers.wal.as_mut() {
-            stages.run("wal.append", st, |_, _| {
-                w.writer.append(idx as u64, &raw)?;
-                // Killed mid-group-commit: half the buffered bytes reach the
-                // segment as a torn, unsynced tail that recovery truncates.
-                env.crash_point(CrashSite::WalAppend, || {
-                    let _ = w.writer.crash_torn();
-                })?;
-                // Killed mid-rotation: the next segment exists only as an
-                // orphaned `.tmp` file that recovery ignores.
-                env.crash_point(CrashSite::WalRotate, || {
-                    let _ = w.writer.crash_rotation();
-                })
-            })?;
+            stages.run("wal.append", st, |_, _| w.writer.append(idx as u64, &raw))?;
         }
         // Online statistics, prequential evaluation and online learning.
         st.store_chunk(stages, &raw, |st| {
@@ -1350,7 +1347,9 @@ fn drive_chunks(
             }
         }
         // Killed at the chunk boundary, after any due checkpoint write.
-        env.crash_point(CrashSite::ChunkBoundary, || {})?;
+        if env.hook.crash_now(CrashSite::ChunkBoundary) {
+            return Err(DeploymentError::Crashed(CrashSite::ChunkBoundary));
+        }
     }
     // Clean shutdown: every arrival durable, and the final state unless the
     // last periodic checkpoint covered it (or nothing was processed).
@@ -1442,9 +1441,6 @@ fn train(stages: Stages<'_>, st: &mut LoopState, idx: usize) -> Result<(), Deplo
             // The paper's operational point: proactive training hands a new
             // model to the serving layer within the same chunk.
             stages.publish(st, "proactive");
-            // Killed right after the fire was accounted, mid-chunk: the last
-            // durable checkpoint predates this chunk entirely.
-            env.crash_point(CrashSite::ProactiveFire, || {})?;
         }
     }
     Ok(())
@@ -1530,11 +1526,6 @@ fn commit_checkpoint(
         st.to_checkpoint(idx, env).encode()
     });
     stages.run("checkpoint.write", st, |st, write| {
-        // Killed mid-write: only a torn temp file is left, and recovery
-        // falls back to the previous durable checkpoint.
-        env.crash_point(CrashSite::CheckpointWrite, || {
-            let _ = dir.write_torn(idx, &payload);
-        })?;
         let span = metrics.span("checkpoint.write_secs");
         let bytes = dir.write(idx, &payload)?;
         span.finish();

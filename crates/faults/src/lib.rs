@@ -8,8 +8,9 @@
 //!
 //! * a [`FaultPlan`] — per-site probabilities plus a seed — describing which
 //!   faults to inject;
-//! * a [`FaultHook`] trait consulted at every fault site ([`DiskOp::Read`],
-//!   [`DiskOp::Write`], and the execution engine's worker shards), with a
+//! * a [`FaultHook`] trait consulted at every fault site (the I/O
+//!   operations of [`IoOp`], the execution engine's worker shards and the
+//!   crash countdown of [`CrashSite`]), with a
 //!   zero-cost [`NoFaults`] default;
 //! * a [`FaultInjector`] implementing the hook: every decision is a pure
 //!   function of `(seed, site, key, attempt)` — **not** a draw from a shared
@@ -29,6 +30,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -43,47 +45,45 @@ pub const MAX_WORKER_RESTARTS: u32 = 3;
 #[derive(Debug, Clone, Copy)]
 pub struct InjectedWorkerPanic;
 
-/// Which disk operation a fault decision applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskOp {
-    /// Reading a spilled chunk file.
-    Read,
-    /// Writing (spilling) a chunk file.
-    Write,
-}
-
-/// Which write-ahead-log operation a fault decision applies to.
+/// The I/O operation a fault decision applies to. Each carries its site
+/// discriminant in the event hash, so a decision is the same pure function of
+/// `(seed, site, key, attempt)` whichever caller asks.
 ///
-/// WAL faults are deliberately *not* counted into [`FaultStats`] — the WAL
-/// layer keeps its own accounting (`WalStats` in `cdp-storage`) because WAL
-/// degradation (a lost append falls back to stream replay) sits outside the
-/// bit-identity contract that `FaultStats` participates in.
+/// Spill-log faults count into [`FaultStats`]; WAL faults do not — the WAL
+/// keeps its own accounting (`WalStats` in `cdp-storage`), because a lost
+/// WAL append falls back to stream replay, outside the bit-identity contract
+/// `FaultStats` is part of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalOp {
-    /// Encoding + buffering one record into the group-commit window.
-    Append,
-    /// Flushing the pending group to the segment file (`fsync`).
-    Fsync,
-    /// Rotating to a fresh segment file.
-    Rotate,
+pub enum IoOp {
+    /// Reading a spilled chunk (key: the chunk timestamp).
+    DiskRead = 0x01,
+    /// Writing (spilling) a chunk (key: the chunk timestamp).
+    DiskWrite = 0x02,
+    /// Encoding and buffering one WAL record (key: its sequence number).
+    WalAppend = 0x05,
+    /// Writing and fsyncing a WAL group (key: the group's last sequence
+    /// number).
+    WalFsync = 0x06,
+    /// Rotating to a fresh WAL segment (key: the next sequence number).
+    WalRotate = 0x07,
 }
 
-/// The outcome of consulting the hook at a disk fault site.
+/// The outcome of consulting the hook at an I/O fault site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskFault {
+pub enum IoFault {
     /// No fault: perform the operation normally.
     Proceed,
     /// Fail the attempt with an injected I/O error.
     Fail,
     /// Perform the read, then flip one byte of the buffer before decoding
-    /// (read sites only; a checksummed codec must detect this).
+    /// (spill reads only; a checksummed codec must detect this).
     Corrupt,
-    /// Sleep this long, then proceed (slow-chunk latency; wall-clock only,
-    /// never accounted cost).
+    /// Sleep this long, then proceed (slow-chunk latency, spill reads only;
+    /// wall-clock only, never accounted cost).
     Delay(Duration),
 }
 
-/// Boundaries at which a crash-point injection can kill a deployment.
+/// Where a crash-point injection can kill a deployment.
 ///
 /// A crash is not a probability — it is a *countdown*: the plan names a site
 /// and an occurrence number, and the injector fires exactly once, when that
@@ -94,16 +94,11 @@ pub enum DiskFault {
 pub enum CrashSite {
     /// After a chunk's processing (and any due checkpoint write) completes.
     ChunkBoundary,
-    /// Mid-chunk, right after a proactive-training fire is accounted.
-    ProactiveFire,
-    /// During a checkpoint write — the file is left torn (temp only).
-    CheckpointWrite,
-    /// During a WAL group commit — the segment is left with a torn final
-    /// record (half a frame, no fsync).
-    WalAppend,
-    /// During a WAL segment rotation — the new segment is left as an
-    /// orphaned `.tmp` that recovery must ignore.
-    WalRotate,
+    /// At the run's `crash_at`-th durable operation: a WAL group write, a
+    /// WAL segment publish (the opening one and each rotation), a checkpoint
+    /// publish or a flight-recorder segment publish. The operation is left
+    /// torn by the durable layer's one tear rule (DESIGN.md §12).
+    Durable,
 }
 
 impl CrashSite {
@@ -111,10 +106,7 @@ impl CrashSite {
     pub fn name(&self) -> &'static str {
         match self {
             CrashSite::ChunkBoundary => "chunk",
-            CrashSite::ProactiveFire => "fire",
-            CrashSite::CheckpointWrite => "checkpoint",
-            CrashSite::WalAppend => "wal-append",
-            CrashSite::WalRotate => "wal-rotate",
+            CrashSite::Durable => "durable",
         }
     }
 
@@ -122,10 +114,7 @@ impl CrashSite {
     pub fn parse(name: &str) -> Option<Self> {
         match name.trim() {
             "chunk" => Some(CrashSite::ChunkBoundary),
-            "fire" => Some(CrashSite::ProactiveFire),
-            "checkpoint" => Some(CrashSite::CheckpointWrite),
-            "wal-append" => Some(CrashSite::WalAppend),
-            "wal-rotate" => Some(CrashSite::WalRotate),
+            "durable" => Some(CrashSite::Durable),
             _ => None,
         }
     }
@@ -252,12 +241,19 @@ impl FaultPlan {
         }
     }
 
-    /// Reads a plan from the environment: `CDP_FAULT_SEED` activates
-    /// [`FaultPlan::chaos`] with that seed; the optional variables
-    /// `CDP_FAULT_READ_ERR`, `CDP_FAULT_WRITE_ERR`, `CDP_FAULT_CORRUPT`,
-    /// `CDP_FAULT_WORKER_PANIC`, and `CDP_FAULT_SLOW` override individual
-    /// probabilities. Returns `None` when `CDP_FAULT_SEED` is unset, empty,
-    /// or unparsable.
+    /// Reads a plan from the environment. `CDP_FAULT_SEED` activates
+    /// [`FaultPlan::chaos`] with that seed; these optional variables override
+    /// it field by field:
+    ///
+    /// * probabilities, clamped to `[0, 1]`: `CDP_FAULT_READ_ERR`,
+    ///   `CDP_FAULT_WRITE_ERR`, `CDP_FAULT_CORRUPT`, `CDP_FAULT_WORKER_PANIC`,
+    ///   `CDP_FAULT_SLOW`, `CDP_FAULT_WAL_APPEND_ERR`,
+    ///   `CDP_FAULT_WAL_FSYNC_ERR` and `CDP_FAULT_WAL_ROTATE_ERR`;
+    /// * the kill: `CDP_FAULT_CRASH_SITE` (`chunk` or `durable`, see
+    ///   [`CrashSite::name`]) arms it, `CDP_FAULT_CRASH_AT` picks the
+    ///   occurrence (default 0).
+    ///
+    /// Returns `None` when `CDP_FAULT_SEED` is unset, empty, or unparsable.
     pub fn from_env() -> Option<Self> {
         let seed: u64 = std::env::var("CDP_FAULT_SEED").ok()?.trim().parse().ok()?;
         let mut plan = Self::chaos(seed);
@@ -277,9 +273,6 @@ impl FaultPlan {
         prob("CDP_FAULT_WAL_APPEND_ERR", &mut plan.wal_append_error);
         prob("CDP_FAULT_WAL_FSYNC_ERR", &mut plan.wal_fsync_error);
         prob("CDP_FAULT_WAL_ROTATE_ERR", &mut plan.wal_rotate_error);
-        // Crash-point coordinates: `CDP_FAULT_CRASH_SITE` ∈ {chunk, fire,
-        // checkpoint, wal-append, wal-rotate} arms the kill,
-        // `CDP_FAULT_CRASH_AT` picks the occurrence (default 0).
         plan.crash_site = std::env::var("CDP_FAULT_CRASH_SITE")
             .ok()
             .and_then(|v| CrashSite::parse(&v));
@@ -308,9 +301,8 @@ impl FaultPlan {
 
 /// Counters describing injected faults and how the platform recovered.
 ///
-/// All counters are recorded through atomics and are order-independent
-/// sums, so snapshots are identical across engines and worker counts for
-/// the same [`FaultPlan`].
+/// All counters are order-independent sums, so snapshots are identical
+/// across engines and worker counts for the same [`FaultPlan`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultStats {
     /// Injected disk-read I/O errors.
@@ -380,19 +372,13 @@ impl fmt::Display for FaultStats {
 ///
 /// Every method has a no-op default, so [`NoFaults`] (and any custom test
 /// hook) implements only what it needs; the release hot path pays one
-/// dynamic call that immediately returns [`DiskFault::Proceed`].
+/// dynamic call that immediately returns [`IoFault::Proceed`].
 pub trait FaultHook: Send + Sync + fmt::Debug {
-    /// Decision for one disk attempt (`key` is the chunk timestamp).
-    fn decide_disk(&self, _op: DiskOp, _key: u64, _attempt: u32) -> DiskFault {
-        DiskFault::Proceed
-    }
-
-    /// Decision for one WAL attempt (`key` is the WAL sequence number of
-    /// the record — or of the *next* record for fsync/rotate sites).
-    /// Injected WAL failures are transient per attempt, like disk faults,
-    /// and are accounted by the WAL layer itself, not by [`FaultStats`].
-    fn decide_wal(&self, _op: WalOp, _key: u64, _attempt: u32) -> DiskFault {
-        DiskFault::Proceed
+    /// Decision for one attempt of I/O operation `op` (`key` per [`IoOp`]).
+    /// Injected faults are transient per attempt; the caller retries and
+    /// accounts its recovery.
+    fn decide_io(&self, _op: IoOp, _key: u64, _attempt: u32) -> IoFault {
+        IoFault::Proceed
     }
 
     /// Worker faults for the next engine map call. Implementations that
@@ -403,10 +389,11 @@ pub trait FaultHook: Send + Sync + fmt::Debug {
         WorkerOrder::default()
     }
 
-    /// Whether the process should die *now*, at this consultation of `site`.
-    /// The deployment loop calls this at every crash-point boundary and
-    /// aborts with a typed error when it returns true — exactly once per
-    /// armed plan, at the configured occurrence.
+    /// Whether the process should die *now*, at this consultation of `site`:
+    /// true exactly once per armed plan, at the configured occurrence. The
+    /// deployment loop consults [`CrashSite::ChunkBoundary`] after every
+    /// chunk, the durable layer [`CrashSite::Durable`] before every durable
+    /// operation; either aborts the run with a typed error.
     fn crash_now(&self, _site: CrashSite) -> bool {
         false
     }
@@ -429,9 +416,6 @@ pub trait FaultHook: Send + Sync + fmt::Debug {
 
     /// Records a spill write abandoned after exhausting retries.
     fn note_lost_spill(&self) {}
-
-    /// Records a fault that exhausted every recovery path.
-    fn note_fatal(&self) {}
 
     /// Current counter snapshot.
     fn snapshot(&self) -> FaultStats {
@@ -458,14 +442,9 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Site discriminants folded into the event hash.
-const SITE_DISK_READ: u64 = 0x01;
-const SITE_DISK_WRITE: u64 = 0x02;
+/// Site discriminants folded into the event hash, beside [`IoOp`]'s.
 const SITE_WORKER: u64 = 0x03;
 const SITE_CORRUPT_BYTE: u64 = 0x04;
-const SITE_WAL_APPEND: u64 = 0x05;
-const SITE_WAL_FSYNC: u64 = 0x06;
-const SITE_WAL_ROTATE: u64 = 0x07;
 
 /// Pure per-event hash: depends only on the plan seed and the event
 /// coordinates, never on call order.
@@ -481,20 +460,8 @@ pub fn corrupt_byte_index(seed: u64, key: u64, len: usize) -> usize {
     (event_hash(seed, SITE_CORRUPT_BYTE, key, 0) % len as u64) as usize
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    injected_disk_read: AtomicU64,
-    injected_disk_write: AtomicU64,
-    injected_corruption: AtomicU64,
-    injected_worker_panics: AtomicU64,
-    injected_delays: AtomicU64,
-    injected_crashes: AtomicU64,
-    retries: AtomicU64,
-    recovered: AtomicU64,
-    fallback_rematerializations: AtomicU64,
-    lost_spills: AtomicU64,
-    fatal: AtomicU64,
-}
+/// One [`FaultStats`] counter, picked by the fault it counts.
+type Counter = fn(&mut FaultStats) -> &mut u64;
 
 /// The standard [`FaultHook`]: injects per a [`FaultPlan`] and counts both
 /// injections and recoveries.
@@ -505,10 +472,10 @@ pub struct FaultInjector {
     /// from the (single-threaded) deployment driver, so the epoch sequence
     /// is deterministic for a fixed configuration.
     epoch: AtomicU64,
-    /// Per-[`CrashSite`] consultation counts (indexed by site order), for
-    /// the crash countdown.
-    crash_seen: [AtomicU64; 5],
-    c: Counters,
+    /// Consultations of the armed [`CrashSite`] so far: the crash countdown.
+    crash_seen: AtomicU64,
+    /// The accounting, locked only to count an injection or a recovery.
+    stats: Mutex<FaultStats>,
 }
 
 impl FaultInjector {
@@ -526,26 +493,8 @@ impl FaultInjector {
         Self {
             plan,
             epoch: AtomicU64::new(epoch),
-            crash_seen: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
-            c: Counters {
-                injected_disk_read: AtomicU64::new(stats.injected_disk_read),
-                injected_disk_write: AtomicU64::new(stats.injected_disk_write),
-                injected_corruption: AtomicU64::new(stats.injected_corruption),
-                injected_worker_panics: AtomicU64::new(stats.injected_worker_panics),
-                injected_delays: AtomicU64::new(stats.injected_delays),
-                injected_crashes: AtomicU64::new(stats.injected_crashes),
-                retries: AtomicU64::new(stats.retries),
-                recovered: AtomicU64::new(stats.recovered),
-                fallback_rematerializations: AtomicU64::new(stats.fallback_rematerializations),
-                lost_spills: AtomicU64::new(stats.lost_spills),
-                fatal: AtomicU64::new(stats.fatal),
-            },
+            crash_seen: AtomicU64::new(0),
+            stats: Mutex::new(stats),
         }
     }
 
@@ -554,64 +503,44 @@ impl FaultInjector {
         self.plan
     }
 
-    fn crash_slot(site: CrashSite) -> usize {
-        match site {
-            CrashSite::ChunkBoundary => 0,
-            CrashSite::ProactiveFire => 1,
-            CrashSite::CheckpointWrite => 2,
-            CrashSite::WalAppend => 3,
-            CrashSite::WalRotate => 4,
-        }
+    /// Adds to the counters. Every update only adds, so the counts stay
+    /// valid under a lock a panicking holder poisoned.
+    fn count(&self, add: impl FnOnce(&mut FaultStats)) {
+        add(&mut self.stats.lock().unwrap_or_else(PoisonError::into_inner));
     }
 }
 
 impl FaultHook for FaultInjector {
-    fn decide_disk(&self, op: DiskOp, key: u64, attempt: u32) -> DiskFault {
-        let site = match op {
-            DiskOp::Read => SITE_DISK_READ,
-            DiskOp::Write => SITE_DISK_WRITE,
+    fn decide_io(&self, op: IoOp, key: u64, attempt: u32) -> IoFault {
+        let p_fail = match op {
+            IoOp::DiskRead => self.plan.disk_read_error,
+            IoOp::DiskWrite => self.plan.disk_write_error,
+            IoOp::WalAppend => self.plan.wal_append_error,
+            IoOp::WalFsync => self.plan.wal_fsync_error,
+            IoOp::WalRotate => self.plan.wal_rotate_error,
         };
-        let r = unit(event_hash(self.plan.seed, site, key, u64::from(attempt)));
-        match op {
-            DiskOp::Write => {
-                if r < self.plan.disk_write_error {
-                    self.c.injected_disk_write.fetch_add(1, Ordering::Relaxed);
-                    DiskFault::Fail
-                } else {
-                    DiskFault::Proceed
-                }
+        let (seed, attempt) = (self.plan.seed, u64::from(attempt));
+        let r = unit(event_hash(seed, op as u64, key, attempt));
+        // Spill reads also corrupt or stall, on the bands after `p_fail`.
+        let p_corrupt = p_fail + self.plan.read_corruption;
+        let p_slow = p_corrupt + self.plan.slow_chunk;
+        let (fault, counted): (_, Option<Counter>) = match op {
+            IoOp::DiskRead if r < p_fail => (IoFault::Fail, Some(|s| &mut s.injected_disk_read)),
+            IoOp::DiskWrite if r < p_fail => (IoFault::Fail, Some(|s| &mut s.injected_disk_write)),
+            _ if r < p_fail => (IoFault::Fail, None),
+            IoOp::DiskRead if r < p_corrupt => {
+                (IoFault::Corrupt, Some(|s| &mut s.injected_corruption))
             }
-            DiskOp::Read => {
-                let p_err = self.plan.disk_read_error;
-                let p_corrupt = p_err + self.plan.read_corruption;
-                let p_slow = p_corrupt + self.plan.slow_chunk;
-                if r < p_err {
-                    self.c.injected_disk_read.fetch_add(1, Ordering::Relaxed);
-                    DiskFault::Fail
-                } else if r < p_corrupt {
-                    self.c.injected_corruption.fetch_add(1, Ordering::Relaxed);
-                    DiskFault::Corrupt
-                } else if r < p_slow {
-                    self.c.injected_delays.fetch_add(1, Ordering::Relaxed);
-                    DiskFault::Delay(Duration::from_millis(self.plan.slow_chunk_ms))
-                } else {
-                    DiskFault::Proceed
-                }
+            IoOp::DiskRead if r < p_slow => {
+                let delay = Duration::from_millis(self.plan.slow_chunk_ms);
+                (IoFault::Delay(delay), Some(|s| &mut s.injected_delays))
             }
-        }
-    }
-
-    fn decide_wal(&self, op: WalOp, key: u64, attempt: u32) -> DiskFault {
-        let (site, p) = match op {
-            WalOp::Append => (SITE_WAL_APPEND, self.plan.wal_append_error),
-            WalOp::Fsync => (SITE_WAL_FSYNC, self.plan.wal_fsync_error),
-            WalOp::Rotate => (SITE_WAL_ROTATE, self.plan.wal_rotate_error),
+            _ => (IoFault::Proceed, None),
         };
-        if unit(event_hash(self.plan.seed, site, key, u64::from(attempt))) < p {
-            DiskFault::Fail
-        } else {
-            DiskFault::Proceed
+        if let Some(counter) = counted {
+            self.count(|s| *counter(s) += 1);
         }
+        fault
     }
 
     fn next_worker_order(&self) -> WorkerOrder {
@@ -631,18 +560,15 @@ impl FaultHook for FaultInjector {
             panics += 1;
         }
         if panics > 0 {
-            self.c
-                .injected_worker_panics
-                .fetch_add(u64::from(panics), Ordering::Relaxed);
-            self.c.retries.fetch_add(
-                u64::from(panics.min(MAX_WORKER_RESTARTS)),
-                Ordering::Relaxed,
-            );
-            if panics <= MAX_WORKER_RESTARTS {
-                self.c.recovered.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.c.fatal.fetch_add(1, Ordering::Relaxed);
-            }
+            self.count(|s| {
+                s.injected_worker_panics += u64::from(panics);
+                s.retries += u64::from(panics.min(MAX_WORKER_RESTARTS));
+                if panics <= MAX_WORKER_RESTARTS {
+                    s.recovered += 1;
+                } else {
+                    s.fatal += 1;
+                }
+            });
         }
         WorkerOrder {
             panics,
@@ -655,13 +581,11 @@ impl FaultHook for FaultInjector {
         if self.plan.crash_site != Some(site) {
             return false;
         }
-        let seen = self.crash_seen[Self::crash_slot(site)].fetch_add(1, Ordering::Relaxed);
-        if seen == self.plan.crash_at {
-            self.c.injected_crashes.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
+        let dies = self.crash_seen.fetch_add(1, Ordering::Relaxed) == self.plan.crash_at;
+        if dies {
+            self.count(|s| s.injected_crashes += 1);
         }
+        dies
     }
 
     fn worker_epoch(&self) -> u64 {
@@ -669,41 +593,23 @@ impl FaultHook for FaultInjector {
     }
 
     fn note_retry(&self) {
-        self.c.retries.fetch_add(1, Ordering::Relaxed);
+        self.count(|s| s.retries += 1);
     }
 
     fn note_recovered(&self) {
-        self.c.recovered.fetch_add(1, Ordering::Relaxed);
+        self.count(|s| s.recovered += 1);
     }
 
     fn note_fallback_rematerialization(&self) {
-        self.c
-            .fallback_rematerializations
-            .fetch_add(1, Ordering::Relaxed);
+        self.count(|s| s.fallback_rematerializations += 1);
     }
 
     fn note_lost_spill(&self) {
-        self.c.lost_spills.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_fatal(&self) {
-        self.c.fatal.fetch_add(1, Ordering::Relaxed);
+        self.count(|s| s.lost_spills += 1);
     }
 
     fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            injected_disk_read: self.c.injected_disk_read.load(Ordering::Relaxed),
-            injected_disk_write: self.c.injected_disk_write.load(Ordering::Relaxed),
-            injected_corruption: self.c.injected_corruption.load(Ordering::Relaxed),
-            injected_worker_panics: self.c.injected_worker_panics.load(Ordering::Relaxed),
-            injected_delays: self.c.injected_delays.load(Ordering::Relaxed),
-            injected_crashes: self.c.injected_crashes.load(Ordering::Relaxed),
-            retries: self.c.retries.load(Ordering::Relaxed),
-            recovered: self.c.recovered.load(Ordering::Relaxed),
-            fallback_rematerializations: self.c.fallback_rematerializations.load(Ordering::Relaxed),
-            lost_spills: self.c.lost_spills.load(Ordering::Relaxed),
-            fatal: self.c.fatal.load(Ordering::Relaxed),
-        }
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -711,34 +617,109 @@ impl FaultHook for FaultInjector {
 mod tests {
     use super::*;
 
+    const IO_OPS: [IoOp; 5] = [
+        IoOp::DiskRead,
+        IoOp::DiskWrite,
+        IoOp::WalAppend,
+        IoOp::WalFsync,
+        IoOp::WalRotate,
+    ];
+
+    /// The two decide methods `decide_io` replaced, verbatim but for their
+    /// names: the disk sites' (counting into the injector) and the WAL
+    /// sites' (counting nothing).
+    fn reference_decide(inj: &FaultInjector, op: IoOp, key: u64, attempt: u32) -> IoFault {
+        let plan = inj.plan;
+        let hash = |site: u64| unit(event_hash(plan.seed, site, key, u64::from(attempt)));
+        let wal = |site: u64, p: f64| {
+            if hash(site) < p {
+                IoFault::Fail
+            } else {
+                IoFault::Proceed
+            }
+        };
+        match op {
+            IoOp::DiskWrite => {
+                if hash(0x02) < plan.disk_write_error {
+                    inj.count(|s| s.injected_disk_write += 1);
+                    IoFault::Fail
+                } else {
+                    IoFault::Proceed
+                }
+            }
+            IoOp::DiskRead => {
+                let r = hash(0x01);
+                let p_err = plan.disk_read_error;
+                let p_corrupt = p_err + plan.read_corruption;
+                let p_slow = p_corrupt + plan.slow_chunk;
+                if r < p_err {
+                    inj.count(|s| s.injected_disk_read += 1);
+                    IoFault::Fail
+                } else if r < p_corrupt {
+                    inj.count(|s| s.injected_corruption += 1);
+                    IoFault::Corrupt
+                } else if r < p_slow {
+                    inj.count(|s| s.injected_delays += 1);
+                    IoFault::Delay(Duration::from_millis(plan.slow_chunk_ms))
+                } else {
+                    IoFault::Proceed
+                }
+            }
+            IoOp::WalAppend => wal(0x05, plan.wal_append_error),
+            IoOp::WalFsync => wal(0x06, plan.wal_fsync_error),
+            IoOp::WalRotate => wal(0x07, plan.wal_rotate_error),
+        }
+    }
+
+    #[test]
+    fn io_decisions_and_counts_equal_the_two_vocabularies_they_replace() {
+        let lopsided = FaultPlan {
+            seed: 3,
+            disk_read_error: 0.4,
+            read_corruption: 0.3,
+            slow_chunk: 0.2,
+            wal_rotate_error: 0.9,
+            ..FaultPlan::none()
+        };
+        for plan in [
+            FaultPlan::chaos(7),
+            FaultPlan::chaos(104729),
+            lopsided,
+            FaultPlan::none(),
+        ] {
+            let (io, reference) = (FaultInjector::new(plan), FaultInjector::new(plan));
+            for key in 0..400u64 {
+                for (i, &op) in IO_OPS.iter().enumerate() {
+                    let attempt = ((key + i as u64) % 4) as u32;
+                    assert_eq!(
+                        io.decide_io(op, key, attempt),
+                        reference_decide(&reference, op, key, attempt),
+                        "{op:?} key {key} attempt {attempt}"
+                    );
+                }
+            }
+            assert_eq!(io.snapshot(), reference.snapshot());
+        }
+    }
+
     #[test]
     fn decisions_are_deterministic_and_order_free() {
         let a = FaultInjector::new(FaultPlan::chaos(42));
         let b = FaultInjector::new(FaultPlan::chaos(42));
         // Same events in different orders: identical decisions.
-        let events: Vec<(DiskOp, u64, u32)> = (0..200)
-            .map(|i| {
-                (
-                    if i % 2 == 0 {
-                        DiskOp::Read
-                    } else {
-                        DiskOp::Write
-                    },
-                    i / 2,
-                    (i % 3) as u32,
-                )
-            })
+        let events: Vec<(IoOp, u64, u32)> = (0..500)
+            .map(|i| (IO_OPS[i % 5], i as u64 / 5, (i % 3) as u32))
             .collect();
-        let fwd: Vec<DiskFault> = events
+        let fwd: Vec<IoFault> = events
             .iter()
-            .map(|&(op, k, at)| a.decide_disk(op, k, at))
+            .map(|&(op, k, at)| a.decide_io(op, k, at))
             .collect();
-        let rev: Vec<DiskFault> = events
+        let rev: Vec<IoFault> = events
             .iter()
             .rev()
-            .map(|&(op, k, at)| b.decide_disk(op, k, at))
+            .map(|&(op, k, at)| b.decide_io(op, k, at))
             .collect();
-        let rev_fwd: Vec<DiskFault> = rev.into_iter().rev().collect();
+        let rev_fwd: Vec<IoFault> = rev.into_iter().rev().collect();
         assert_eq!(fwd, rev_fwd);
         assert_eq!(a.snapshot(), b.snapshot());
         assert!(a.snapshot().injected_total() > 0, "chaos plan must fire");
@@ -748,11 +729,11 @@ mod tests {
     fn different_seeds_differ() {
         let a = FaultInjector::new(FaultPlan::chaos(1));
         let b = FaultInjector::new(FaultPlan::chaos(2));
-        let da: Vec<DiskFault> = (0..300)
-            .map(|k| a.decide_disk(DiskOp::Read, k, 0))
+        let da: Vec<IoFault> = (0..300)
+            .map(|k| a.decide_io(IoOp::DiskRead, k, 0))
             .collect();
-        let db: Vec<DiskFault> = (0..300)
-            .map(|k| b.decide_disk(DiskOp::Read, k, 0))
+        let db: Vec<IoFault> = (0..300)
+            .map(|k| b.decide_io(IoOp::DiskRead, k, 0))
             .collect();
         assert_ne!(da, db);
     }
@@ -762,8 +743,10 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan::none());
         assert!(!inj.plan().is_active());
         for k in 0..500 {
-            assert_eq!(inj.decide_disk(DiskOp::Read, k, 0), DiskFault::Proceed);
-            assert_eq!(inj.decide_disk(DiskOp::Write, k, 0), DiskFault::Proceed);
+            for op in IO_OPS {
+                assert_eq!(inj.decide_io(op, k, 0), IoFault::Proceed);
+                assert_eq!(NoFaults.decide_io(op, k, 0), IoFault::Proceed);
+            }
         }
         assert_eq!(inj.next_worker_order().panics, 0);
         assert_eq!(inj.snapshot(), FaultStats::default());
@@ -800,98 +783,43 @@ mod tests {
 
     #[test]
     fn crash_countdown_fires_exactly_once_at_the_named_occurrence() {
-        let plan = FaultPlan {
-            crash_site: Some(CrashSite::ChunkBoundary),
-            crash_at: 3,
-            ..FaultPlan::none()
-        };
-        assert!(plan.is_active());
-        let inj = FaultInjector::new(plan);
-        let fired: Vec<bool> = (0..8)
-            .map(|_| inj.crash_now(CrashSite::ChunkBoundary))
-            .collect();
-        assert_eq!(
-            fired,
-            vec![false, false, false, true, false, false, false, false]
-        );
-        // Other sites never fire, and do not advance this site's countdown.
-        assert!(!inj.crash_now(CrashSite::ProactiveFire));
-        assert!(!inj.crash_now(CrashSite::CheckpointWrite));
-        assert_eq!(inj.snapshot().injected_crashes, 1);
+        for site in [CrashSite::ChunkBoundary, CrashSite::Durable] {
+            let plan = FaultPlan {
+                crash_site: Some(site),
+                crash_at: 3,
+                ..FaultPlan::none()
+            };
+            assert!(plan.is_active());
+            let inj = FaultInjector::new(plan);
+            let other = match site {
+                CrashSite::ChunkBoundary => CrashSite::Durable,
+                CrashSite::Durable => CrashSite::ChunkBoundary,
+            };
+            // The other site never fires, and does not advance the countdown.
+            let fired: Vec<bool> = (0..8)
+                .map(|_| {
+                    assert!(!inj.crash_now(other));
+                    inj.crash_now(site)
+                })
+                .collect();
+            assert_eq!(
+                fired,
+                vec![false, false, false, true, false, false, false, false]
+            );
+            assert_eq!(inj.snapshot().injected_crashes, 1);
+        }
+        assert!(!NoFaults.crash_now(CrashSite::Durable));
     }
 
     #[test]
     fn crash_site_names_round_trip() {
-        for site in [
-            CrashSite::ChunkBoundary,
-            CrashSite::ProactiveFire,
-            CrashSite::CheckpointWrite,
-            CrashSite::WalAppend,
-            CrashSite::WalRotate,
-        ] {
+        for site in [CrashSite::ChunkBoundary, CrashSite::Durable] {
             assert_eq!(CrashSite::parse(site.name()), Some(site));
         }
-        assert_eq!(CrashSite::parse("nonsense"), None);
-    }
-
-    #[test]
-    fn wal_decisions_are_deterministic_and_site_independent() {
-        let a = FaultInjector::new(FaultPlan::chaos(11));
-        let b = FaultInjector::new(FaultPlan::chaos(11));
-        let da: Vec<DiskFault> = (0..300)
-            .flat_map(|k| {
-                [
-                    a.decide_wal(WalOp::Append, k, 0),
-                    a.decide_wal(WalOp::Fsync, k, 0),
-                    a.decide_wal(WalOp::Rotate, k, 1),
-                ]
-            })
-            .collect();
-        let db: Vec<DiskFault> = (0..300)
-            .flat_map(|k| {
-                [
-                    b.decide_wal(WalOp::Append, k, 0),
-                    b.decide_wal(WalOp::Fsync, k, 0),
-                    b.decide_wal(WalOp::Rotate, k, 1),
-                ]
-            })
-            .collect();
-        assert_eq!(da, db);
-        assert!(
-            da.contains(&DiskFault::Fail),
-            "chaos plan must fire at WAL sites"
-        );
-        // WAL decisions never perturb disk-site decisions (distinct site
-        // discriminants in the event hash).
-        let fresh = FaultInjector::new(FaultPlan::chaos(11));
-        for k in 0..50 {
-            assert_eq!(
-                a.decide_disk(DiskOp::Read, k, 0),
-                fresh.decide_disk(DiskOp::Read, k, 0)
-            );
+        assert_eq!(CrashSite::parse(" durable\n"), Some(CrashSite::Durable));
+        for gone in ["nonsense", "fire", "checkpoint", "wal-append", "wal-rotate"] {
+            assert_eq!(CrashSite::parse(gone), None);
         }
-        // NoFaults and the none() plan always proceed.
-        assert_eq!(NoFaults.decide_wal(WalOp::Fsync, 1, 0), DiskFault::Proceed);
-        let none = FaultInjector::new(FaultPlan::none());
-        for k in 0..100 {
-            assert_eq!(none.decide_wal(WalOp::Append, k, 0), DiskFault::Proceed);
-        }
-    }
-
-    #[test]
-    fn wal_crash_sites_count_down_independently() {
-        let plan = FaultPlan {
-            crash_site: Some(CrashSite::WalAppend),
-            crash_at: 1,
-            ..FaultPlan::none()
-        };
-        let inj = FaultInjector::new(plan);
-        assert!(!inj.crash_now(CrashSite::WalAppend));
-        assert!(!inj.crash_now(CrashSite::WalRotate));
-        assert!(!inj.crash_now(CrashSite::ChunkBoundary));
-        assert!(inj.crash_now(CrashSite::WalAppend));
-        assert!(!inj.crash_now(CrashSite::WalAppend));
-        assert_eq!(inj.snapshot().injected_crashes, 1);
     }
 
     #[test]
@@ -899,7 +827,7 @@ mod tests {
         let plan = FaultPlan::chaos(99);
         let fresh = FaultInjector::new(plan);
         for k in 0..50 {
-            let _ = fresh.decide_disk(DiskOp::Read, k, 0);
+            let _ = fresh.decide_io(IoOp::DiskRead, k, 0);
         }
         for _ in 0..5 {
             let _ = fresh.next_worker_order();
@@ -912,8 +840,8 @@ mod tests {
         // the same tail: stats and orders must match exactly.
         let resumed = FaultInjector::with_state(plan, mid_stats, mid_epoch);
         for k in 50..80 {
-            let a = fresh.decide_disk(DiskOp::Read, k, 0);
-            let b = resumed.decide_disk(DiskOp::Read, k, 0);
+            let a = fresh.decide_io(IoOp::DiskRead, k, 0);
+            let b = resumed.decide_io(IoOp::DiskRead, k, 0);
             assert_eq!(a, b);
         }
         for _ in 0..5 {
@@ -947,7 +875,6 @@ mod tests {
     #[test]
     fn noop_hook_defaults() {
         let hook = NoFaults;
-        assert_eq!(hook.decide_disk(DiskOp::Read, 1, 0), DiskFault::Proceed);
         assert_eq!(hook.next_worker_order(), WorkerOrder::default());
         hook.note_retry();
         hook.note_recovered();

@@ -21,6 +21,8 @@
 //!    is an [`Error::Truncated`], never an allocation.
 //! 4. **The background syncer** ([`Syncer`]): an owner's one durable job in
 //!    flight, joined by its next durable operation, where its error surfaces.
+//! 5. **The crash seam** ([`CrashPoint`]): where a run's crash countdown
+//!    meets its durable operations, and the one rule for what a kill tears.
 //!
 //! It lives in `cdp-obs` for the reason [`crate::crc32`] does: the lowest
 //! crate the recorder (here) and `cdp-storage` both reach. std only.
@@ -29,7 +31,7 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
 use crate::crc::crc32;
@@ -225,16 +227,6 @@ impl NumberedDir {
         Ok(path)
     }
 
-    /// What a kill in the middle of [`NumberedDir::publish`] leaves: a temp
-    /// file holding the first half of `bytes`, never renamed. Crash
-    /// injection only.
-    ///
-    /// # Errors
-    /// I/O errors writing the temp file.
-    pub fn publish_torn(&self, seq: u64, bytes: &[u8]) -> io::Result<()> {
-        File::create(self.tmp_path(seq))?.write_all(&bytes[..bytes.len() / 2])
-    }
-
     fn tmp_path(&self, seq: u64) -> PathBuf {
         self.dir.join(format!("{}-{seq:012}.tmp", self.prefix))
     }
@@ -296,6 +288,80 @@ impl NumberedDir {
         Ok((valid, skipped))
     }
 }
+
+/// A run's crash countdown as the durable layer sees it, asked before each
+/// durable operation whether the run dies there; the default never kills.
+/// An owner consults it on its own thread, in program order, with no job of
+/// its own in flight, before the operation writes a byte or starts a
+/// [`Syncer`] job, so the k-th consult is the run's k-th durable operation.
+/// The one tear rule: a killed publish leaves a temp file holding the first
+/// half of its bytes, never renamed; a killed append writes the first half
+/// of its bytes, unsynced; either returns the [`Killed`] marker. (A kill
+/// between two operations destroys only memory: it leaves the files a kill
+/// at the start of the next one leaves, so it needs no consult.)
+#[derive(Clone, Default)]
+pub struct CrashPoint(Option<Arc<dyn Fn() -> bool + Send + Sync>>);
+
+impl fmt::Debug for CrashPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "CrashPoint({})", self.0.is_some())
+    }
+}
+
+impl CrashPoint {
+    /// The countdown `dies`, true at the operation the run dies at.
+    pub fn new(dies: impl Fn() -> bool + Send + Sync + 'static) -> Self {
+        Self(Some(Arc::new(dies)))
+    }
+
+    /// Consults the countdown before `bytes` are appended to `file`.
+    ///
+    /// # Errors
+    /// [`Killed`] after the tear, or the error writing it.
+    pub fn before_append(&self, file: &mut File, bytes: &[u8]) -> io::Result<()> {
+        self.tear(bytes, |half| file.write_all(half))
+    }
+
+    /// Consults the countdown before `bytes` are published as file `seq` of
+    /// `files`; the tear is the `.tmp` file [`NumberedDir::list`] skips.
+    ///
+    /// # Errors
+    /// [`Killed`] after the tear, or the error writing it.
+    pub fn before_publish(&self, files: &NumberedDir, seq: u64, bytes: &[u8]) -> io::Result<()> {
+        self.tear(bytes, |half| {
+            File::create(files.tmp_path(seq))?.write_all(half)
+        })
+    }
+
+    fn tear(&self, bytes: &[u8], write: impl FnOnce(&[u8]) -> io::Result<()>) -> io::Result<()> {
+        match &self.0 {
+            Some(dies) if dies() => {
+                write(&bytes[..bytes.len() / 2])?;
+                Err(io::Error::other(Killed))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The marker error of an operation [`CrashPoint`] killed.
+#[derive(Debug)]
+pub struct Killed;
+
+impl Killed {
+    /// Whether `e` is a kill's marker rather than an I/O failure.
+    pub fn is(e: &io::Error) -> bool {
+        e.get_ref().is_some_and(|inner| inner.is::<Killed>())
+    }
+}
+
+impl fmt::Display for Killed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("killed at a durable operation")
+    }
+}
+
+impl std::error::Error for Killed {}
 
 /// At most one background durable job of an owner: `start` joins the job
 /// before it, `join` returns its value, and dropping joins and discards it. A
@@ -707,7 +773,10 @@ mod tests {
                         model.retain(|s, _| kept.contains(s));
                     }
                     // A kill mid-publish: never listed, never scanned.
-                    2 => files.publish_torn(seq, &sealed).map_err(|e| e.to_string())?,
+                    2 => {
+                        let killed = CrashPoint::new(|| true).before_publish(&files, seq, &sealed);
+                        prop_assert!(killed.is_err_and(|e| Killed::is(&e)));
+                    }
                     _ => pinned = Some(seq),
                 }
                 let listed = files.list().map_err(|e| e.to_string())?;
@@ -781,17 +850,48 @@ mod tests {
     }
 
     #[test]
+    fn the_crash_seam_kills_at_the_kth_consult_and_tears_by_one_rule() {
+        let dir = temp_dir("seam");
+        let files = NumberedDir::open(&dir, "wal", "cdpw").unwrap();
+        let mut file = File::create(dir.join("active")).unwrap();
+        // Unarmed, a consult writes nothing and never kills.
+        let none = CrashPoint::default();
+        assert!(none.before_append(&mut file, b"group").is_ok());
+        assert!(none.before_publish(&files, 0, b"header").is_ok());
+        // Armed at k = 2: the third consult dies, whatever its kind.
+        let seen = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&seen);
+        let crash = CrashPoint::new(move || count.fetch_add(1, Ordering::Relaxed) == 2);
+        assert!(crash.before_publish(&files, 1, b"header").is_ok());
+        file.write_all(b"first group|").unwrap();
+        assert!(crash.before_append(&mut file, b"next group").is_ok());
+        let killed = crash.before_append(&mut file, b"torn group").unwrap_err();
+        assert!(Killed::is(&killed), "{killed}");
+        assert_eq!(fs::read(dir.join("active")).unwrap(), b"first group|torn ");
+        // Past its k the countdown never fires again.
+        assert!(crash.before_publish(&files, 2, b"header").is_ok());
+        // A killed publish: half the bytes in a temp file nothing lists.
+        let killed = CrashPoint::new(|| true)
+            .before_publish(&files, 3, b"sealed")
+            .unwrap_err();
+        assert!(Killed::is(&killed));
+        assert_eq!(fs::read(dir.join("wal-000000000003.tmp")).unwrap(), b"sea");
+        assert_eq!(files.list().unwrap(), Vec::<u64>::new());
+        assert_eq!(seen.load(Ordering::Relaxed), 4);
+        // Only the marker is a kill.
+        assert!(!Killed::is(&io::Error::other("disk gone")));
+        assert!(!Killed::is(&io::Error::from(io::ErrorKind::NotFound)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn publish_leaves_the_bytes_under_the_numbered_name_and_no_temp_file() {
         let dir = temp_dir("publish");
         let files = NumberedDir::open(&dir, "seg", "cdpt").unwrap();
         let path = files.publish(3, b"bytes").unwrap();
         assert_eq!(path, dir.join("seg-000000000003.cdpt"));
         assert_eq!(fs::read(&path).unwrap(), b"bytes");
-        files.publish_torn(4, b"half of it").unwrap();
-        assert_eq!(
-            fs::read(dir.join("seg-000000000004.tmp")).unwrap(),
-            b"half "
-        );
+        fs::write(dir.join("seg-000000000004.tmp"), b"half ").unwrap();
         fs::write(dir.join("seg-7.cdpt.bak"), b"").unwrap();
         fs::write(dir.join("ckpt-000000000005.cdpt"), b"").unwrap();
         assert_eq!(files.list().unwrap(), vec![3]);

@@ -21,8 +21,8 @@ use std::path::{Path, PathBuf};
 
 use crate::alerts::Alert;
 use crate::durable::{
-    self, put_f64, put_f64_vec, put_str, put_u32, put_u64, put_u64_vec, Format, NumberedDir,
-    Reader, Syncer,
+    self, put_f64, put_f64_vec, put_str, put_u32, put_u64, put_u64_vec, CrashPoint, Format,
+    NumberedDir, Reader, Syncer,
 };
 use crate::timeseries::{HistogramFrame, SamplePoint, TelemetryStore, TimeSeries};
 
@@ -84,6 +84,7 @@ pub struct FlightRecorder {
     next_seq: u64,
     /// The last flush's publish and prune.
     syncer: Syncer<()>,
+    crash: CrashPoint,
 }
 
 impl FlightRecorder {
@@ -101,7 +102,14 @@ impl FlightRecorder {
             keep: keep.max(1),
             next_seq,
             syncer: Syncer::default(),
+            crash: CrashPoint::default(),
         })
+    }
+
+    /// Consults `crash` before every segment publish (the durable layer's
+    /// crash seam); a recorder opened without one never dies.
+    pub fn set_crash_point(&mut self, crash: CrashPoint) {
+        self.crash = crash;
     }
 
     /// Encodes one segment capturing `store` and `alerts` at `at_secs`, joins
@@ -113,8 +121,12 @@ impl FlightRecorder {
     /// segments, the new one counted only once its publish returned. Returns
     /// the bytes written.
     ///
+    /// A kill at the publish (see [`CrashPoint`]) still uses up its sequence
+    /// number, so the torn temp file outlives a later flush of this recorder.
+    ///
     /// # Errors
-    /// The previous flush's I/O errors writing, syncing, renaming or removing.
+    /// The previous flush's I/O errors writing, syncing, renaming or removing,
+    /// or [`durable::Killed`].
     pub fn flush(
         &mut self,
         store: &TelemetryStore,
@@ -124,11 +136,13 @@ impl FlightRecorder {
         let segment = encode_segment(store, alerts, at_secs);
         let (files, seq, keep) = (self.files.clone(), self.next_seq, self.keep);
         let bytes = segment.len() as u64;
+        self.join()?;
+        self.next_seq += 1;
+        self.crash.before_publish(&files, seq, &segment)?;
         self.syncer.start(move || {
             files.publish(seq, &segment)?;
             files.prune(keep, None)
         })?;
-        self.next_seq += 1;
         Ok(bytes)
     }
 
@@ -459,7 +473,8 @@ mod tests {
         let files = segments(&dir).unwrap();
         let renamed = encode_segment(&store, &alerts, 2.0);
         files.publish(2, &renamed).unwrap();
-        files.publish_torn(3, &renamed).unwrap();
+        let torn = CrashPoint::new(|| true).before_publish(&files, 3, &renamed);
+        assert!(torn.is_err_and(|e| durable::Killed::is(&e)));
         drop(rec);
 
         let scan = load_segments(&dir, keep).unwrap();
@@ -474,6 +489,32 @@ mod tests {
         rec.join().unwrap();
         assert_eq!(listed(&dir), vec![2, 3]);
         assert_eq!(load_segments(&dir, 16).unwrap().skipped, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_killed_flush_leaves_half_a_temp_file_and_uses_up_its_sequence() {
+        let dir = temp_dir("killed");
+        let mut rec = FlightRecorder::open(&dir, 4).unwrap();
+        let (store, alerts) = sample_store(2);
+        let flushes = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let count = std::sync::Arc::clone(&flushes);
+        rec.set_crash_point(CrashPoint::new(move || {
+            count.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 1
+        }));
+        rec.flush(&store, &alerts, 60.0).unwrap();
+        let killed = rec.flush(&store, &alerts, 120.0).unwrap_err();
+        assert!(durable::Killed::is(&killed), "{killed}");
+        // The kill joined the first flush's publish before it tore.
+        assert_eq!(listed(&dir), vec![0]);
+        let whole = encode_segment(&store, &alerts, 120.0);
+        let torn = fs::read(dir.join("seg-000000000001.tmp")).unwrap();
+        assert_eq!(torn, whole[..whole.len() / 2]);
+        // A flush after the kill publishes the next sequence number.
+        rec.flush(&store, &alerts, 180.0).unwrap();
+        rec.join().unwrap();
+        assert_eq!(listed(&dir), vec![0, 2]);
+        assert!(dir.join("seg-000000000001.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

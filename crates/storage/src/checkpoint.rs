@@ -25,7 +25,7 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cdp_obs::durable::{Format, NumberedDir};
+use cdp_obs::durable::{CrashPoint, Format, NumberedDir};
 
 use crate::{SchemaVersion, StorageError};
 
@@ -57,6 +57,7 @@ pub struct CheckpointDir {
     /// Pinned generation ([`UNPINNED`] = none); interior-mutable so the
     /// write path can stay `&self`.
     pinned: AtomicU64,
+    crash: CrashPoint,
 }
 
 impl CheckpointDir {
@@ -70,7 +71,16 @@ impl CheckpointDir {
             files: NumberedDir::open(dir.as_ref(), "ckpt", "cdpk")?,
             keep: keep.max(1),
             pinned: AtomicU64::new(UNPINNED),
+            crash: CrashPoint::default(),
         })
+    }
+
+    /// Consults `crash` before every checkpoint publish (the durable layer's
+    /// crash seam): a kill leaves only the torn temp file, and recovery falls
+    /// back to the previous checkpoint. A directory opened without one never
+    /// dies.
+    pub fn set_crash_point(&mut self, crash: CrashPoint) {
+        self.crash = crash;
     }
 
     /// Pins generation `seq`: [`CheckpointDir::write`]'s pruning will never
@@ -95,23 +105,14 @@ impl CheckpointDir {
     /// # Errors
     /// I/O errors anywhere in the durability protocol, the directory fsync
     /// included: an error means the file may not survive a crash, so the
-    /// caller must not pin it or retire the WAL segments it covers.
+    /// caller must not pin it or retire the WAL segments it covers. A kill
+    /// at the publish is [`cdp_obs::durable::Killed`].
     pub fn write(&self, seq: u64, payload: &[u8]) -> Result<u64, StorageError> {
         let file = CHECKPOINT.seal(payload.len(), |buf| buf.extend_from_slice(payload));
+        self.crash.before_publish(&self.files, seq, &file)?;
         self.files.publish(seq, &file)?;
         self.files.prune(self.keep, self.pinned())?;
         Ok(file.len() as u64)
-    }
-
-    /// Simulates a crash *during* a checkpoint write: leaves only the temp
-    /// file, half written and never renamed, exactly the on-disk state a real
-    /// kill at that point produces. Used by crash-injection tests.
-    ///
-    /// # Errors
-    /// I/O errors writing the temp file.
-    pub fn write_torn(&self, seq: u64, payload: &[u8]) -> Result<(), StorageError> {
-        let file = CHECKPOINT.seal(payload.len(), |buf| buf.extend_from_slice(payload));
-        Ok(self.files.publish_torn(seq, &file)?)
     }
 
     /// The newest checkpoint that passes validation, as `(seq, version,
@@ -281,11 +282,23 @@ mod tests {
     #[test]
     fn torn_write_leaves_no_visible_checkpoint() {
         let dir = temp_dir("torn");
-        let store = ok(CheckpointDir::open(&dir, 3));
+        let mut store = ok(CheckpointDir::open(&dir, 3));
+        let writes = std::sync::Arc::new(AtomicU64::new(0));
+        let count = std::sync::Arc::clone(&writes);
+        store.set_crash_point(CrashPoint::new(move || {
+            count.fetch_add(1, Ordering::Relaxed) == 1
+        }));
         ok(store.write(0, b"durable"));
-        ok(store.write_torn(1, b"crashed-mid-write"));
+        let killed = store.write(1, b"crashed-mid-write");
+        assert!(
+            matches!(&killed, Err(StorageError::Io(e)) if cdp_obs::durable::Killed::is(e)),
+            "{killed:?}"
+        );
         // The torn write is a .tmp file only: never listed, never recovered.
         assert_eq!(ok(store.files.list()), vec![0]);
+        let torn = ok(fs::read(dir.join("ckpt-000000000001.tmp")));
+        let sealed = CHECKPOINT.seal(17, |buf| buf.extend_from_slice(b"crashed-mid-write"));
+        assert_eq!(torn, sealed[..sealed.len() / 2]);
         let (seq, payload) = some(latest(&store));
         assert_eq!(seq, 0);
         assert_eq!(payload, b"durable");

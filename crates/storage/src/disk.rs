@@ -53,7 +53,7 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes};
 
-use cdp_faults::{corrupt_byte_index, DiskFault, DiskOp, FaultHook, NoFaults, RetryPolicy};
+use cdp_faults::{corrupt_byte_index, FaultHook, IoFault, IoOp, NoFaults, RetryPolicy};
 use cdp_obs::durable::Format;
 use cdp_obs::Metrics;
 
@@ -322,11 +322,7 @@ impl DiskTier {
         self.hook = hook;
     }
 
-    fn injected_io_error(op: DiskOp, ts: Timestamp) -> StorageError {
-        let verb = match op {
-            DiskOp::Read => "read",
-            DiskOp::Write => "write",
-        };
+    fn injected_io_error(verb: &str, ts: Timestamp) -> StorageError {
         StorageError::Io(std::io::Error::other(format!(
             "injected disk-{verb} failure for chunk {}",
             ts.0
@@ -372,10 +368,10 @@ impl DiskTier {
         let ts = chunk.timestamp;
         let span = self.metrics.span("store.disk_write_secs");
         self.with_retries(|attempt| {
-            match self.hook.decide_disk(DiskOp::Write, ts.0, attempt) {
-                DiskFault::Fail => return Err(Self::injected_io_error(DiskOp::Write, ts)),
-                DiskFault::Delay(d) => std::thread::sleep(d),
-                DiskFault::Proceed | DiskFault::Corrupt => {}
+            match self.hook.decide_io(IoOp::DiskWrite, ts.0, attempt) {
+                IoFault::Fail => return Err(Self::injected_io_error("write", ts)),
+                IoFault::Delay(d) => std::thread::sleep(d),
+                IoFault::Proceed | IoFault::Corrupt => {}
             }
             Ok(self.log.write_all_at(&encoded, self.bytes_written)?)
         })?;
@@ -416,11 +412,11 @@ impl DiskTier {
         attempt: u32,
     ) -> Result<Option<(FeatureChunk, u64)>, StorageError> {
         let mut corrupt = false;
-        match self.hook.decide_disk(DiskOp::Read, ts.0, attempt) {
-            DiskFault::Fail => return Err(Self::injected_io_error(DiskOp::Read, ts)),
-            DiskFault::Delay(d) => std::thread::sleep(d),
-            DiskFault::Corrupt => corrupt = true,
-            DiskFault::Proceed => {}
+        match self.hook.decide_io(IoOp::DiskRead, ts.0, attempt) {
+            IoFault::Fail => return Err(Self::injected_io_error("read", ts)),
+            IoFault::Delay(d) => std::thread::sleep(d),
+            IoFault::Corrupt => corrupt = true,
+            IoFault::Proceed => {}
         }
         let Some(&(offset, len)) = self.index.get(&ts) else {
             return Ok(None);

@@ -28,7 +28,10 @@
 
 #![warn(missing_docs)]
 
-use cdp_obs::durable;
+use std::sync::Arc;
+
+use cdp_faults::{CrashSite, FaultHook};
+use cdp_obs::durable::{self, CrashPoint};
 
 pub mod checkpoint;
 pub mod chunk;
@@ -46,6 +49,14 @@ pub use record::{Record, Schema, Value};
 pub use store::{ChunkStore, FeatureLookup, StorageBudget, StoreStats};
 pub use tiered::{TieredLookup, TieredStats, TieredStore};
 pub use wal::{WalDir, WalOptions, WalRecovery, WalStats, WalWriter};
+
+/// `hook`'s [`CrashSite::Durable`] countdown as the durable layer's crash
+/// seam: what the WAL writer consults, and what a deployment hands its
+/// checkpoint directory and flight recorder.
+pub fn durable_crash_point(hook: &Arc<dyn FaultHook>) -> CrashPoint {
+    let hook = Arc::clone(hook);
+    CrashPoint::new(move || hook.crash_now(CrashSite::Durable))
+}
 
 /// Version stamp embedded in every on-disk format's header.
 ///

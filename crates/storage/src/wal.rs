@@ -51,15 +51,15 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use cdp_faults::{DiskFault, FaultHook, RetryPolicy, WalOp};
+use cdp_faults::{FaultHook, IoFault, IoOp, RetryPolicy};
 use cdp_obs::durable::{
-    put_f64, put_str, put_u32, put_u64, Format, NumberedDir, Reader, Syncer, HEADER_LEN,
+    put_f64, put_str, put_u32, put_u64, CrashPoint, Format, NumberedDir, Reader, Syncer, HEADER_LEN,
 };
 use cdp_obs::{crc32, Clock, Metrics};
 
 use crate::chunk::{RawChunk, Timestamp};
 use crate::record::{Record, Value};
-use crate::StorageError;
+use crate::{durable_crash_point, StorageError};
 
 /// WAL segment files: magic "CDPW", schema 1, header only — the frames
 /// carry their own checksums.
@@ -265,6 +265,8 @@ pub struct WalWriter {
     dir: WalDir,
     options: WalOptions,
     hook: Arc<dyn FaultHook>,
+    /// The hook's durable-operation crash countdown.
+    crash: CrashPoint,
     clock: Arc<dyn Clock>,
     metrics: Metrics,
     /// Path, append handle and committed size of the active segment. Every
@@ -296,6 +298,11 @@ impl WalWriter {
     /// deployment). A fresh segment per open means a possibly-torn previous
     /// tail is never appended to.
     ///
+    /// Every durable operation — this first segment's publish, each group
+    /// write, each rotation's publish — consults `hook`'s
+    /// [`cdp_faults::CrashSite::Durable`] countdown first, on the caller's
+    /// thread ([`CrashPoint`]).
+    ///
     /// # Errors
     /// I/O errors creating the directory or the first segment.
     pub fn open(
@@ -307,6 +314,8 @@ impl WalWriter {
         first_seq: u64,
     ) -> Result<Self, StorageError> {
         let dir = WalDir::open(dir)?;
+        let crash = durable_crash_point(&hook);
+        crash.before_publish(&dir.files, first_seq, &SEGMENT.header())?;
         let (current, current_file) = Self::create_segment(&dir.files, first_seq)?;
         Ok(Self {
             dir,
@@ -315,6 +324,7 @@ impl WalWriter {
                 ..options
             },
             hook,
+            crash,
             clock,
             metrics,
             current,
@@ -370,7 +380,7 @@ impl WalWriter {
             self.metrics.counter("wal.skipped").inc();
             return Ok(());
         }
-        if !self.consult(WalOp::Append, seq) {
+        if !self.consult(IoOp::WalAppend, seq) {
             self.stats.lost_records += 1;
             self.metrics.counter("wal.lost_records").inc();
             return Ok(());
@@ -414,14 +424,15 @@ impl WalWriter {
     }
 
     /// Commits the pending group, if any: joins the previous commit, writes
-    /// and counts the frames, then hands off the fsync and any rotation.
+    /// and counts the frames, then hands off the fsync and any rotation —
+    /// the group write and the rotation's publish each a durable operation.
     fn commit(&mut self) -> Result<(), StorageError> {
         if self.pending.is_empty() {
             return Ok(());
         }
         self.join()?;
         let key = self.highest_seq.unwrap_or(0);
-        if !self.consult(WalOp::Fsync, key) {
+        if !self.consult(IoOp::WalFsync, key) {
             // The whole group is lost; replay falls back to the stream.
             self.stats.lost_records += self.pending_records as u64;
             self.metrics
@@ -431,6 +442,8 @@ impl WalWriter {
             self.pending_records = 0;
             return Ok(());
         }
+        self.crash
+            .before_append(&mut self.current_file, &self.pending)?;
         self.current_file.write_all(&self.pending)?;
         self.current_bytes += self.pending.len() as u64;
         self.stats.commits += 1;
@@ -446,7 +459,12 @@ impl WalWriter {
         // the oversized current segment (a capacity degradation, not loss).
         let next = self.highest_seq.map_or(0, |s| s + 1);
         let over = self.current_bytes >= self.options.segment_bytes;
-        let files = (over && self.consult(WalOp::Rotate, next)).then(|| {
+        let rotate = over && self.consult(IoOp::WalRotate, next);
+        if rotate {
+            self.crash
+                .before_publish(&self.dir.files, next, &SEGMENT.header())?;
+        }
+        let files = rotate.then(|| {
             self.current_bytes = HEADER_LEN as u64;
             self.stats.rotations += 1;
             self.metrics.counter("wal.rotations").inc();
@@ -499,42 +517,13 @@ impl WalWriter {
         Ok(removed)
     }
 
-    /// Simulates a kill during a group commit: half the buffered bytes
-    /// reach the segment (no fsync), the rest vanish — exactly the torn
-    /// tail recovery must truncate. Crash-injection only.
-    ///
-    /// # Errors
-    /// I/O errors appending the torn bytes.
-    pub fn crash_torn(&mut self) -> Result<(), StorageError> {
-        self.join()?;
-        if !self.pending.is_empty() {
-            let half = &self.pending[..self.pending.len() / 2];
-            self.current_file.write_all(half)?;
-        }
-        self.pending.clear();
-        self.pending_records = 0;
-        Ok(())
-    }
-
-    /// Simulates a kill during rotation: the new segment exists only as an
-    /// orphaned, half-written `.tmp` that recovery ignores. Crash-injection
-    /// only.
-    ///
-    /// # Errors
-    /// I/O errors writing the temp file.
-    pub fn crash_rotation(&mut self) -> Result<(), StorageError> {
-        self.join()?;
-        let next = self.highest_seq.map_or(0, |s| s + 1);
-        Ok(self.dir.files.publish_torn(next, &SEGMENT.header())?)
-    }
-
     /// Retry loop over one WAL fault site; `true` means proceed, `false`
     /// means the operation is abandoned (retries exhausted).
-    fn consult(&mut self, op: WalOp, key: u64) -> bool {
+    fn consult(&mut self, op: IoOp, key: u64) -> bool {
         let mut attempt = 0u32;
         loop {
-            match self.hook.decide_wal(op, key, attempt) {
-                DiskFault::Fail => {
+            match self.hook.decide_io(op, key, attempt) {
+                IoFault::Fail => {
                     self.stats.injected_faults += 1;
                     self.metrics.counter("wal.injected_faults").inc();
                     if attempt >= self.options.retry.max_retries {
@@ -545,11 +534,11 @@ impl WalWriter {
                     self.options.retry.sleep(attempt);
                     attempt += 1;
                 }
-                DiskFault::Delay(d) => {
+                IoFault::Delay(d) => {
                     std::thread::sleep(d);
                     return true;
                 }
-                DiskFault::Proceed | DiskFault::Corrupt => return true,
+                IoFault::Proceed | IoFault::Corrupt => return true,
             }
         }
     }
@@ -856,16 +845,55 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A writer opened at `first_seq` whose hook kills the run at its
+    /// `crash_at`-th durable operation (its own first segment's publish is
+    /// operation 0).
+    fn dying_writer(
+        dir: &Path,
+        options: WalOptions,
+        first_seq: u64,
+        crash_at: u64,
+    ) -> Result<WalWriter, StorageError> {
+        let plan = FaultPlan {
+            crash_site: Some(cdp_faults::CrashSite::Durable),
+            crash_at,
+            ..FaultPlan::none()
+        };
+        WalWriter::open(
+            dir,
+            WalOptions {
+                group_window_secs: 0.0,
+                ..options
+            },
+            Arc::new(cdp_faults::FaultInjector::new(plan)),
+            Arc::new(VirtualClock::default()),
+            Metrics::disabled(),
+            first_seq,
+        )
+    }
+
+    fn killed<T: std::fmt::Debug>(r: Result<T, StorageError>) {
+        assert!(
+            matches!(&r, Err(StorageError::Io(e)) if cdp_obs::durable::Killed::is(e)),
+            "expected a kill, got {r:?}"
+        );
+    }
+
     #[test]
     fn torn_tail_is_truncated_and_counted() {
         let dir = temp_dir("torn");
         let mut w = writer(&dir, 1);
         ok(w.append(0, &chunk(0)));
         ok(w.append(1, &chunk(1)));
-        // Simulate a kill mid-commit: half a frame lands, no fsync.
-        let mut w2 = writer_more(&dir, 64, 2);
+        // Killed at its first group write (operation 1, after the segment's
+        // publish): half a frame lands, no fsync.
+        let options = WalOptions {
+            fsync_every: 64,
+            ..WalOptions::default()
+        };
+        let mut w2 = ok(dying_writer(&dir, options, 2, 1));
         ok(w2.append(2, &chunk(2)));
-        ok(w2.crash_torn());
+        killed(w2.flush());
         let rec = ok(ok(WalDir::open(&dir)).recover());
         assert_eq!(rec.torn, 1);
         assert_eq!(rec.chunks.len(), 2);
@@ -960,11 +988,27 @@ mod tests {
     }
 
     #[test]
+    fn a_kill_at_the_opening_publish_leaves_only_a_temp_file() {
+        let dir = temp_dir("opencrash");
+        killed(dying_writer(&dir, WalOptions::default(), 0, 0));
+        assert_eq!(ok(fs::read(dir.join("wal-000000000000.tmp"))), b"CDP");
+        let rec = ok(ok(WalDir::open(&dir)).recover());
+        assert_eq!((rec.chunks.len(), rec.torn, rec.corrupt), (0, 0, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn crash_mid_rotation_leaves_ignorable_tmp() {
         let dir = temp_dir("rotcrash");
-        let mut w = writer(&dir, 1);
-        ok(w.append(0, &chunk(0)));
-        ok(w.crash_rotation());
+        // Operations: the segment's publish, the group write, then the
+        // rotation's publish, which dies.
+        let options = WalOptions {
+            fsync_every: 1,
+            segment_bytes: 1,
+            ..WalOptions::default()
+        };
+        let mut w = ok(dying_writer(&dir, options, 0, 2));
+        killed(w.append(0, &chunk(0)));
         assert!(dir.join("wal-000000000001.tmp").exists());
         let rec = ok(ok(WalDir::open(&dir)).recover());
         assert_eq!(rec.chunks.len(), 1);

@@ -263,19 +263,51 @@ fn chunk_boundary_crash_resumes_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The proactive runs of the newest durable checkpoint in `dir`.
+fn checkpointed_fires(dir: &PathBuf) -> u64 {
+    let (_, version, payload) = CheckpointDir::open(dir, 3)
+        .expect("open checkpoint dir")
+        .latest_valid_versioned()
+        .expect("list checkpoints")
+        .expect("a durable checkpoint exists");
+    let ckpt = DeploymentCheckpoint::decode_versioned(version, &payload).expect("decode");
+    ckpt.proactive_runs
+}
+
 #[test]
 fn proactive_fire_crash_resumes_bit_identically() {
+    // A kill right after a proactive fire destroys only memory: it leaves
+    // the files a kill at that chunk's checkpoint publish, the next durable
+    // operation, leaves. With a checkpoint every chunk and nothing else
+    // durable, operation k is deployment chunk k's checkpoint publish, and
+    // chunk 5 fires the third time (static cadence, every 2nd chunk).
     let (stream, spec) = tiny_url();
     let baseline = run_deployment(&stream, &spec, &continuous_cfg());
 
-    let dir = ckpt_dir("fire");
+    let fired = ckpt_dir("fire-boundary");
     let mut cfg = continuous_cfg();
+    cfg.checkpoint = Some(CheckpointConfig::new(&fired).every(1).keep(3));
+    cfg.faults = crash_plan(CrashSite::ChunkBoundary, 5);
+    assert!(try_run_deployment(&stream, &spec, &cfg).is_err());
+    assert_eq!(
+        checkpointed_fires(&fired),
+        3,
+        "chunk 5 fires the third time"
+    );
+    let _ = std::fs::remove_dir_all(&fired);
+
+    let dir = ckpt_dir("fire");
     cfg.checkpoint = Some(CheckpointConfig::new(&dir).every(1).keep(3));
-    cfg.faults = crash_plan(CrashSite::ProactiveFire, 2);
+    cfg.faults = crash_plan(CrashSite::Durable, 5);
     match try_run_deployment(&stream, &spec, &cfg) {
-        Err(DeploymentError::Crashed(CrashSite::ProactiveFire)) => {}
-        other => panic!("expected a proactive-fire crash, got {other:?}"),
+        Err(DeploymentError::Crashed(CrashSite::Durable)) => {}
+        other => panic!("expected a durable-operation crash, got {other:?}"),
     }
+    assert_eq!(
+        checkpointed_fires(&dir),
+        2,
+        "the third fire died with its chunk"
+    );
 
     let resumed = try_resume_deployment(&stream, &spec, &cfg).expect("resume");
     assert_eq!(resumed.checkpoint_stats.restores, 1);
@@ -340,12 +372,13 @@ fn torn_checkpoint_write_leaves_temp_file_and_falls_back() {
     let dir = ckpt_dir("torn");
     let mut cfg = continuous_cfg();
     cfg.checkpoint = Some(CheckpointConfig::new(&dir).every(1).keep(3));
-    // The 6th consult of the checkpoint-write site dies mid-write, after
-    // five durable checkpoints already exist.
-    cfg.faults = crash_plan(CrashSite::CheckpointWrite, 5);
+    // With checkpoints the only durable operation, the 6th one is the 6th
+    // checkpoint publish: it dies mid-write, after five durable checkpoints
+    // already exist.
+    cfg.faults = crash_plan(CrashSite::Durable, 5);
     match try_run_deployment(&stream, &spec, &cfg) {
-        Err(DeploymentError::Crashed(CrashSite::CheckpointWrite)) => {}
-        other => panic!("expected a checkpoint-write crash, got {other:?}"),
+        Err(DeploymentError::Crashed(CrashSite::Durable)) => {}
+        other => panic!("expected a durable-operation crash, got {other:?}"),
     }
     // The interrupted write is visible only as a torn temp file.
     let torn = std::fs::read_dir(&dir)
@@ -478,28 +511,22 @@ fn mode_config(mode_idx: usize) -> DeploymentConfig {
     cfg
 }
 
-const CRASH_SITES: [CrashSite; 5] = [
-    CrashSite::ChunkBoundary,
-    CrashSite::ProactiveFire,
-    CrashSite::CheckpointWrite,
-    CrashSite::WalAppend,
-    CrashSite::WalRotate,
-];
+const CRASH_SITES: [CrashSite; 2] = [CrashSite::ChunkBoundary, CrashSite::Durable];
 
 proptest! {
     /// Sweeps seeded crash points across the three deployment modes with
     /// spill on and off, WAL off/unbatched/batched: every kill either
     /// resumes to a bit-identical end state, or — when the crash predates
     /// the first durable checkpoint — reports the typed `NoCheckpoint`
-    /// fallback-to-scratch condition. (A WAL crash site with the WAL
-    /// disabled never fires; the run then completes and must still match
-    /// the baseline.)
+    /// fallback-to-scratch condition. (A countdown past the run's last chunk
+    /// or durable operation never fires; the run then completes and must
+    /// still match the baseline.)
     #[test]
     fn every_seeded_kill_resumes_bit_identically(
         mode_idx in 0usize..3,
         spill in prop::bool::ANY,
-        site_idx in 0usize..5,
-        crash_at in 0u64..8,
+        site_idx in 0usize..2,
+        crash_at in 0u64..40,
         interval in 1usize..4,
         wal_idx in 0usize..3,
     ) {
@@ -546,6 +573,91 @@ proptest! {
             Err(other) => return Err(format!("run failed: {other}")),
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `.tmp` files directly in `dir`: publishes a kill left unrenamed.
+fn temp_files(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir).map_or(0, |entries| {
+        entries
+            .filter_map(Result::ok)
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+            .count()
+    })
+}
+
+/// Kills a tiny URL Continuous run at every one of its durable operations
+/// in turn — k = 0, 1, … until the countdown outlives the run — with
+/// checkpoints every 2 chunks, the flight recorder on, and the WAL off or
+/// at group sizes 1 and 8 with a 1-byte segment budget (a rotation after
+/// every group). Every kill resumes to the uninterrupted run (compared as
+/// `telemetry_on_resume_matches_everything_but_alerts_and_telemetry`
+/// does), or is `NoCheckpoint` when it predates the first durable
+/// checkpoint; and the sweep tears each kind of durable operation at least
+/// once.
+#[test]
+fn every_durable_operation_kill_resumes_bit_identically() {
+    let (stream, spec) = tiny_url();
+    // Torn WAL tails, orphaned WAL segments, checkpoint and recorder temps.
+    let mut torn = [0usize; 4];
+    for wal in [None, Some(1), Some(8)] {
+        let configure = |dir: &PathBuf| {
+            let mut cfg = continuous_cfg();
+            cfg.telemetry = Some(
+                TelemetryConfig::new()
+                    .recorder(RecorderConfig::new(dir.join("recorder")).flush_every(2)),
+            );
+            cfg.checkpoint = Some(CheckpointConfig::new(dir).every(2).keep(2));
+            cfg.wal = wal.map(|batch| {
+                WalConfig::new(dir.join("wal"))
+                    .fsync_every(batch)
+                    .segment_bytes(1)
+            });
+            cfg
+        };
+        let clean = ckpt_dir("exhaustive-clean");
+        let baseline = run_deployment(&stream, &spec, &configure(&clean));
+        let _ = std::fs::remove_dir_all(&clean);
+        let mut resumed_kills = 0;
+        for k in 0.. {
+            let dir = ckpt_dir("exhaustive");
+            let mut cfg = configure(&dir);
+            cfg.faults = crash_plan(CrashSite::Durable, k);
+            let label = format!("WAL {wal:?}, kill {k}");
+            match try_run_deployment(&stream, &spec, &cfg) {
+                Ok(completed) => {
+                    assert!(k > 0, "{label}: the run has durable operations");
+                    if let Err(e) = check_resumed(&baseline, &completed, false) {
+                        panic!("{label}: the uncrashed run diverged: {e}");
+                    }
+                    let _ = std::fs::remove_dir_all(&dir);
+                    break;
+                }
+                Err(DeploymentError::Crashed(CrashSite::Durable)) => {}
+                Err(other) => panic!("{label}: expected a durable-operation crash, got {other}"),
+            }
+            torn[1] += temp_files(&dir.join("wal"));
+            torn[2] += temp_files(&dir);
+            torn[3] += temp_files(&dir.join("recorder"));
+            match try_resume_deployment(&stream, &spec, &cfg) {
+                Ok(resumed) => {
+                    assert_eq!(resumed.checkpoint_stats.restores, 1, "{label}");
+                    if let Err(e) = check_resumed(&baseline, &resumed, false) {
+                        panic!("{label}: resume diverged: {e}");
+                    }
+                    torn[0] += resumed.wal_stats.torn as usize;
+                    resumed_kills += 1;
+                }
+                Err(DeploymentError::NoCheckpoint(_)) => {}
+                Err(other) => panic!("{label}: resume failed: {other}"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert!(resumed_kills > 0, "WAL {wal:?}: no kill resumed");
+    }
+    let kinds = ["WAL tail", "WAL segment", "checkpoint", "recorder segment"];
+    for (kind, count) in kinds.iter().zip(torn) {
+        assert!(count > 0, "the sweep never tore a {kind}: {torn:?}");
     }
 }
 

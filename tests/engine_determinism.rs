@@ -188,14 +188,15 @@ fn ckpt_dir() -> std::path::PathBuf {
 
 proptest! {
     /// Kill-and-resume on a work-stealing pool: a run crashed at a chunk
-    /// boundary or mid proactive fire and resumed on a threaded engine ends
+    /// boundary or at a durable operation (here a checkpoint publish, the
+    /// only kind this run has) and resumed on a threaded engine ends
     /// bit-identical to the uninterrupted *sequential* run. The restored
     /// worker-fault epoch and trainer state cannot depend on how many
     /// workers the resumed pool has.
     #[test]
     fn threaded_resume_is_bit_identical_to_sequential(
         workers in 1usize..9,
-        fire_site in prop::bool::ANY,
+        durable_site in prop::bool::ANY,
         crash_at in 1u64..6,
     ) {
         let baseline = run_on(true, &continuous_config(true));
@@ -205,8 +206,8 @@ proptest! {
         cfg.engine = ExecutionEngine::Threaded { workers };
         cfg.checkpoint = Some(CheckpointConfig::new(&dir).every(1).keep(2));
         cfg.faults = FaultPlan {
-            crash_site: Some(if fire_site {
-                CrashSite::ProactiveFire
+            crash_site: Some(if durable_site {
+                CrashSite::Durable
             } else {
                 CrashSite::ChunkBoundary
             }),

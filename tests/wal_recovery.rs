@@ -1,6 +1,6 @@
 //! WAL-backed ingest recovery tests: a deployment killed *between*
-//! checkpoints — including mid-group-commit (torn tail) and mid-rotation
-//! (orphaned temp segment) — must resume to a bit-identical end state by
+//! checkpoints — including at a group write (torn tail) and at a rotation's
+//! publish (orphaned temp segment) — must resume to a bit-identical end state by
 //! replaying checkpoint + WAL suffix (DESIGN.md §17), and the deployment
 //! scenarios (sudden drift, bursty arrivals, out-of-order chunks) must run
 //! end-to-end deterministically with the WAL enabled.
@@ -77,6 +77,46 @@ fn assert_identical(label: &str, a: &DeploymentResult, b: &DeploymentResult) {
     );
 }
 
+/// `.tmp` files in `dir`: publishes a kill left unrenamed.
+fn orphan_count(dir: &PathBuf) -> usize {
+    std::fs::read_dir(dir)
+        .expect("directory")
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+        .count()
+}
+
+/// Kills `configure`'s run at its k-th durable operation for k = 0, 1, …,
+/// each in a fresh directory, and resumes it, until `found` accepts a kill
+/// by the crashed WAL directory's orphaned `.tmp` count and the resumed run.
+/// Kills before the first durable checkpoint are passed over. Returns the
+/// accepted k, its orphan count and resumed run, and the directory to
+/// remove.
+fn first_kill(
+    tag: &str,
+    configure: impl Fn(&PathBuf) -> DeploymentConfig,
+    found: impl Fn(usize, &DeploymentResult) -> bool,
+) -> (u64, usize, DeploymentResult, PathBuf) {
+    let (stream, spec) = tiny_url();
+    for k in 0.. {
+        let dir = test_dir(tag);
+        let mut cfg = configure(&dir);
+        cfg.faults = crash_plan(CrashSite::Durable, k);
+        match try_run_deployment(&stream, &spec, &cfg) {
+            Err(DeploymentError::Crashed(CrashSite::Durable)) => {}
+            other => panic!("kill {k}: expected a durable-operation crash, got {other:?}"),
+        }
+        let orphans = orphan_count(&dir.join("wal"));
+        match try_resume_deployment(&stream, &spec, &cfg) {
+            Ok(resumed) if found(orphans, &resumed) => return (k, orphans, resumed, dir),
+            Ok(_) | Err(DeploymentError::NoCheckpoint(_)) => {}
+            Err(other) => panic!("kill {k}: resume failed: {other}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    unreachable!("the countdown is unbounded")
+}
+
 fn segment_count(wal_dir: &PathBuf) -> usize {
     std::fs::read_dir(wal_dir)
         .map(|rd| {
@@ -146,32 +186,32 @@ fn crash_between_checkpoints_replays_the_wal_suffix() {
 
 #[test]
 fn torn_final_record_is_truncated_and_resume_matches() {
-    // A wal-append crash tears the group-commit buffer mid-write: half the
-    // pending bytes land unsynced in the active segment. Recovery must
-    // truncate the torn tail, count it, and still resume bit-identically
-    // (the stream covers what the torn group lost).
+    // A kill at a group write tears it: half the group's bytes land unsynced
+    // in the active segment. Recovery must truncate the torn tail, count it,
+    // and still resume bit-identically (the stream covers what the torn
+    // group lost). The first kill to tear a group is taken.
     let (stream, spec) = tiny_url();
     let baseline = run_deployment(&stream, &spec, &continuous_cfg());
 
-    let dir = test_dir("torn");
-    let mut cfg = continuous_cfg();
-    cfg.checkpoint = Some(CheckpointConfig::new(&dir).every(2).keep(2));
-    // Large batch, no window: every append stays buffered until the crash.
-    cfg.wal = Some(
-        WalConfig::new(dir.join("wal"))
-            .fsync_every(64)
-            .group_window(0.0),
+    let (k, _, resumed, dir) = first_kill(
+        "torn",
+        |dir| {
+            let mut cfg = continuous_cfg();
+            cfg.checkpoint = Some(CheckpointConfig::new(dir).every(2).keep(2));
+            // Large batch, no window: every append stays buffered until the
+            // group is written.
+            cfg.wal = Some(
+                WalConfig::new(dir.join("wal"))
+                    .fsync_every(64)
+                    .group_window(0.0),
+            );
+            cfg
+        },
+        |_, resumed| resumed.wal_stats.torn >= 1,
     );
-    cfg.faults = crash_plan(CrashSite::WalAppend, 4);
-    match try_run_deployment(&stream, &spec, &cfg) {
-        Err(DeploymentError::Crashed(CrashSite::WalAppend)) => {}
-        other => panic!("expected a wal-append crash, got {other:?}"),
-    }
-
-    let resumed = try_resume_deployment(&stream, &spec, &cfg).expect("resume");
     assert!(
         resumed.wal_stats.torn >= 1,
-        "the torn tail must be truncated and counted: {:?}",
+        "kill {k}: the torn tail must be truncated and counted: {:?}",
         resumed.wal_stats
     );
     assert_identical("torn final record", &baseline, &resumed);
@@ -180,27 +220,34 @@ fn torn_final_record_is_truncated_and_resume_matches() {
 
 #[test]
 fn crash_mid_rotation_leaves_orphan_tmp_and_resume_matches() {
+    // A 1-byte segment budget rotates after every group; the first kill that
+    // leaves an orphaned `.tmp` segment and a checkpoint to resume from is
+    // taken.
     let (stream, spec) = tiny_url();
     let baseline = run_deployment(&stream, &spec, &continuous_cfg());
 
-    let dir = test_dir("rotation");
-    let wal_dir = dir.join("wal");
-    let mut cfg = continuous_cfg();
-    cfg.checkpoint = Some(CheckpointConfig::new(&dir).every(2).keep(2));
-    cfg.wal = Some(WalConfig::new(&wal_dir).fsync_every(1));
-    cfg.faults = crash_plan(CrashSite::WalRotate, 5);
-    match try_run_deployment(&stream, &spec, &cfg) {
-        Err(DeploymentError::Crashed(CrashSite::WalRotate)) => {}
-        other => panic!("expected a wal-rotate crash, got {other:?}"),
-    }
-    let orphans = std::fs::read_dir(&wal_dir)
-        .expect("wal dir")
-        .filter_map(Result::ok)
-        .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
-        .count();
-    assert_eq!(orphans, 1, "a mid-rotation kill leaves one orphaned .tmp");
-
-    let resumed = try_resume_deployment(&stream, &spec, &cfg).expect("resume");
+    let (k, orphans, resumed, dir) = first_kill(
+        "rotation",
+        |dir| {
+            let mut cfg = continuous_cfg();
+            cfg.checkpoint = Some(CheckpointConfig::new(dir).every(2).keep(2));
+            cfg.wal = Some(
+                WalConfig::new(dir.join("wal"))
+                    .fsync_every(1)
+                    .segment_bytes(1),
+            );
+            cfg
+        },
+        |orphans, _| orphans > 0,
+    );
+    assert_eq!(
+        orphans, 1,
+        "kill {k}: a mid-rotation kill leaves one orphaned .tmp"
+    );
+    assert!(
+        k > 0,
+        "the opening segment's kill has no checkpoint to resume"
+    );
     assert_identical("crash mid-rotation", &baseline, &resumed);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -328,7 +375,7 @@ fn ci_matrix_wal_chaos_smoke() {
     let site = std::env::var("CDP_WAL_CRASH_SITE")
         .ok()
         .and_then(|v| CrashSite::parse(&v))
-        .unwrap_or(CrashSite::WalAppend);
+        .unwrap_or(CrashSite::Durable);
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("ci-wal")
