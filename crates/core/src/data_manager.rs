@@ -232,8 +232,7 @@ impl Drop for DataManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdp_linalg::DenseVector;
-    use cdp_storage::{LabeledPoint, Record, Value};
+    use cdp_storage::{ColumnSlab, Record, Value};
 
     fn raw(ts: u64) -> RawChunk {
         RawChunk::new(
@@ -243,14 +242,8 @@ mod tests {
     }
 
     fn feat(ts: u64) -> FeatureChunk {
-        FeatureChunk::new(
-            Timestamp(ts),
-            Timestamp(ts),
-            vec![LabeledPoint::new(
-                1.0,
-                DenseVector::new(vec![ts as f64]).into(),
-            )],
-        )
+        let slab = ColumnSlab::dense(vec![1.0], vec![vec![ts as f64]]);
+        FeatureChunk::from_slab(Timestamp(ts), Timestamp(ts), Arc::new(slab))
     }
 
     fn manager(n: u64, m: usize, strategy: SamplingStrategy) -> DataManager {

@@ -24,7 +24,6 @@ use cdp_eval::{CostLedger, CostModel, Phase, PrequentialEvaluator};
 use cdp_faults::{
     CrashSite, FaultHook, FaultInjector, FaultPlan, FaultStats, NoFaults, RetryPolicy,
 };
-use cdp_linalg::DenseVector;
 use cdp_ml::{LinearModel, OptimizerState, SgdTrainer, TrainReport};
 use cdp_obs::durable::{CrashPoint, Killed};
 use cdp_obs::{
@@ -637,7 +636,7 @@ impl<'a> Stages<'a> {
             let model = st.pm.trainer().model();
             let version = server.publish(st.pm.pipeline().clone(), model.clone());
             if metrics.is_enabled() {
-                let fp = weights_fingerprint(model.weights().as_slice());
+                let fp = weights_fingerprint(model.weights());
                 let detail = format!("{source} version {version} fp {fp:016x}");
                 metrics.event("serving.publish", detail);
             }
@@ -860,7 +859,7 @@ fn deploy(
         empirical_mu: stats.utilization_rate(),
         queries_answered: st.evaluator.count(),
         initial_report: st.initial_report,
-        final_weights: st.pm.trainer().model().weights().as_slice().to_vec(),
+        final_weights: st.pm.trainer().model().weights().clone(),
         fault_stats: env.hook.snapshot(),
         tiered_stats: st.dm.tiered_stats(),
         metrics: metrics.snapshot(),
@@ -1014,13 +1013,8 @@ impl LoopState {
         pipeline.set_counters(ckpt.pipeline_counters);
         let (sgd, acc1, acc2) = (&env.spec.sgd, ckpt.opt_acc1, ckpt.opt_acc2);
         let trainer = SgdTrainer::restore(
-            LinearModel::with_weights(DenseVector::new(ckpt.weights), sgd.loss),
-            OptimizerState::from_parts(
-                sgd.optimizer,
-                ckpt.opt_t,
-                DenseVector::new(acc1),
-                DenseVector::new(acc2),
-            ),
+            LinearModel::with_weights(ckpt.weights, sgd.loss),
+            OptimizerState::from_parts(sgd.optimizer, ckpt.opt_t, acc1, acc2),
             sgd.regularizer,
             ckpt.points_seen,
         );
@@ -1062,10 +1056,10 @@ impl LoopState {
         DeploymentCheckpoint {
             chunk_idx: idx,
             now_secs: self.sim.now_secs(),
-            weights: trainer.model().weights().as_slice().to_vec(),
+            weights: trainer.model().weights().clone(),
             opt_t,
-            opt_acc1: acc1.as_slice().to_vec(),
-            opt_acc2: acc2.as_slice().to_vec(),
+            opt_acc1: acc1.clone(),
+            opt_acc2: acc2.clone(),
             points_seen: trainer.points_seen(),
             component_states: self.pm.pipeline().component_states(),
             pipeline_counters: self.pm.pipeline().counters(),

@@ -291,7 +291,7 @@ mod tests {
         let chunk = generator.chunk(0);
         let fc = pipeline.fit_transform_chunk(&chunk);
         assert_eq!(fc.len(), chunk.len());
-        assert!(fc.row(0).to_vector().is_sparse());
+        assert!(fc.row(0).sparse_parts().is_some());
         // Labels are ±1.
         assert!(fc.rows().all(|r| r.label().abs() == 1.0));
     }
@@ -307,7 +307,7 @@ mod tests {
         // ... and every surviving feature vector is dense with 11 features
         // (bias + 10 engineered), matching the paper's feature size.
         assert!(fc.rows().all(|r| r.dim() == 11));
-        assert!(fc.rows().all(|r| !r.to_vector().is_sparse()));
+        assert!(fc.rows().all(|r| r.sparse_parts().is_none()));
     }
 
     #[test]

@@ -658,7 +658,7 @@ mod tests {
         assert_eq!(before.value, 0.0);
 
         let mut trained = LinearModel::zeros(2, LossKind::Squared);
-        trained.weights_mut().set(0, 1.0).expect("bias slot");
+        trained.weights_mut()[0] = 1.0;
         let v = server.publish(warmed_pipeline(), trained);
         assert_eq!(v, 2);
         let after = server.predict(&record(2.0)).expect("valid");
@@ -710,7 +710,7 @@ mod tests {
         assert_eq!(snap.model.dim(), snap.pipeline.dim());
 
         let mut trained = LinearModel::zeros(2, LossKind::Squared);
-        trained.weights_mut().set(0, 3.0).expect("bias slot");
+        trained.weights_mut()[0] = 3.0;
         server.publish(warmed_pipeline(), trained);
         let snap = server.snapshot();
         assert_eq!(snap.version, 2);
@@ -720,8 +720,8 @@ mod tests {
     #[test]
     fn batched_scoring_matches_unbatched_bit_for_bit() {
         let mut trained = LinearModel::zeros(2, LossKind::Squared);
-        trained.weights_mut().set(0, 0.25).expect("bias slot");
-        trained.weights_mut().set(1, -1.5).expect("weight slot");
+        trained.weights_mut()[0] = 0.25;
+        trained.weights_mut()[1] = -1.5;
         let server = ModelServer::builder(warmed_pipeline(), trained)
             .engine(ExecutionEngine::Threaded { workers: 2 })
             .build();
@@ -767,7 +767,7 @@ mod tests {
         const SHARDS: usize = 3;
         let weighted = |w: f64| {
             let mut m = LinearModel::zeros(2, LossKind::Squared);
-            m.weights_mut().set(1, w).expect("weight slot");
+            m.weights_mut()[1] = w;
             m
         };
         let server = ModelServer::builder(warmed_pipeline(), weighted(7.0))

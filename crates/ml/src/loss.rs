@@ -8,8 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use cdp_linalg::ops::sigmoid;
-
 /// Which loss a model trains with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LossKind {
@@ -65,9 +63,30 @@ impl Loss for LossKind {
     }
 }
 
+/// Numerically-stable sigmoid.
+#[inline]
+fn sigmoid(x: f64) -> f64 {
+    if x >= 0.0 {
+        let e = (-x).exp();
+        1.0 / (1.0 + e)
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sigmoid_is_symmetric_and_bounded() {
+        assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
+        assert!((sigmoid(5.0) + sigmoid(-5.0) - 1.0).abs() < 1e-12);
+        assert!(sigmoid(1000.0) <= 1.0);
+        assert!(sigmoid(-1000.0) >= 0.0);
+        assert!(sigmoid(-1000.0).is_finite());
+    }
 
     fn numeric_grad(loss: LossKind, z: f64, y: f64) -> f64 {
         let h = 1e-6;

@@ -12,8 +12,7 @@ use std::iter::repeat;
 
 use serde::{Deserialize, Serialize};
 
-use cdp_linalg::DenseVector;
-
+use crate::model::grow_to;
 use crate::regularizer::Regularizer;
 
 /// The learning-rate adaptation technique and its hyperparameters.
@@ -113,7 +112,7 @@ impl OptimizerKind {
 /// Applies gradients to weights with per-coordinate adaptation.
 pub trait AdaptiveRate {
     /// Performs one update `w ← w − Δ(g)` in place.
-    fn apply(&mut self, weights: &mut DenseVector, grad: &DenseVector);
+    fn apply(&mut self, weights: &mut [f64], grad: &[f64]);
 
     /// Grows internal per-coordinate state to cover `dim` coordinates.
     fn grow_to(&mut self, dim: usize);
@@ -129,9 +128,9 @@ pub struct OptimizerState {
     kind: OptimizerKind,
     t: u64,
     /// First accumulator: momentum buffer / Adam m / AdaDelta E[g²].
-    acc1: DenseVector,
+    acc1: Vec<f64>,
     /// Second accumulator: Adam v / RMSProp E[g²] / AdaDelta E[Δ²].
-    acc2: DenseVector,
+    acc2: Vec<f64>,
 }
 
 impl OptimizerState {
@@ -141,8 +140,8 @@ impl OptimizerState {
         Self {
             kind,
             t: 0,
-            acc1: DenseVector::zeros(if need1 { dim } else { 0 }),
-            acc2: DenseVector::zeros(if need2 { dim } else { 0 }),
+            acc1: vec![0.0; if need1 { dim } else { 0 }],
+            acc2: vec![0.0; if need2 { dim } else { 0 }],
         }
     }
 
@@ -162,14 +161,14 @@ impl OptimizerState {
     }
 
     /// Decomposes the state into `(kind, t, acc1, acc2)` for checkpointing.
-    pub fn to_parts(&self) -> (OptimizerKind, u64, &DenseVector, &DenseVector) {
+    pub fn to_parts(&self) -> (OptimizerKind, u64, &Vec<f64>, &Vec<f64>) {
         (self.kind, self.t, &self.acc1, &self.acc2)
     }
 
     /// Rebuilds state from checkpointed parts — the exact inverse of
     /// [`OptimizerState::to_parts`], so a restored optimizer continues the
     /// same adaptive-rate trajectory.
-    pub fn from_parts(kind: OptimizerKind, t: u64, acc1: DenseVector, acc2: DenseVector) -> Self {
+    pub fn from_parts(kind: OptimizerKind, t: u64, acc1: Vec<f64>, acc2: Vec<f64>) -> Self {
         Self {
             kind,
             t,
@@ -190,8 +189,8 @@ impl OptimizerState {
     /// and `grad` share. The trainer always passes equal ones.
     pub(crate) fn sweep(
         &mut self,
-        weights: &mut DenseVector,
-        grad: &mut DenseVector,
+        weights: &mut [f64],
+        grad: &mut [f64],
         scale: Option<f64>,
         penalty: Regularizer,
     ) {
@@ -205,8 +204,8 @@ impl OptimizerState {
     /// resolved here in turn, so that no loop branches on either.
     fn sweep_penalized(
         &mut self,
-        weights: &mut DenseVector,
-        grad: &mut DenseVector,
+        weights: &mut [f64],
+        grad: &mut [f64],
         penalty: Regularizer,
         scaled: impl Fn(f64) -> f64,
     ) {
@@ -225,14 +224,14 @@ impl OptimizerState {
     /// gradient at one coordinate, from its buffer slot and pre-update weight.
     fn sweep_with(
         &mut self,
-        weights: &mut DenseVector,
-        grad: &mut DenseVector,
+        weights: &mut [f64],
+        grad: &mut [f64],
         gradient: impl Fn(f64, f64) -> f64,
     ) {
-        self.grow_to(grad.dim());
+        self.grow_to(grad.len());
         self.t += 1;
-        let coords = weights.as_mut_slice().iter_mut().zip(grad.as_mut_slice());
-        let (acc1, acc2) = (self.acc1.as_mut_slice(), self.acc2.as_mut_slice());
+        let coords = weights.iter_mut().zip(grad);
+        let (acc1, acc2) = (&mut self.acc1[..], &mut self.acc2[..]);
         let plain = |eta: f64| move |g: f64, w: &mut f64, ()| *w -= eta * g;
         match self.kind {
             OptimizerKind::Constant { eta } => {
@@ -334,17 +333,17 @@ fn adam_rule(
 }
 
 impl AdaptiveRate for OptimizerState {
-    fn apply(&mut self, weights: &mut DenseVector, grad: &DenseVector) {
-        self.sweep(weights, &mut grad.clone(), None, Regularizer::None);
+    fn apply(&mut self, weights: &mut [f64], grad: &[f64]) {
+        self.sweep(weights, &mut grad.to_vec(), None, Regularizer::None);
     }
 
     fn grow_to(&mut self, dim: usize) {
         let (need1, need2) = Self::needs(self.kind);
         if need1 {
-            self.acc1.grow_to(dim);
+            grow_to(&mut self.acc1, dim);
         }
         if need2 {
-            self.acc2.grow_to(dim);
+            grow_to(&mut self.acc2, dim);
         }
     }
 
@@ -389,13 +388,11 @@ impl OptimizerKind {
 impl OptimizerState {
     /// The optimizer step as it shipped before [`OptimizerState::sweep`], kept
     /// verbatim as the reference the differential tests compare the sweep with.
-    pub(crate) fn reference_apply(&mut self, weights: &mut DenseVector, grad: &DenseVector) {
-        self.grow_to(grad.dim());
-        debug_assert!(weights.dim() >= grad.dim());
+    pub(crate) fn reference_apply(&mut self, w: &mut [f64], g: &[f64]) {
+        self.grow_to(g.len());
+        debug_assert!(w.len() >= g.len());
         self.t += 1;
-        let n = grad.dim();
-        let g = grad.as_slice();
-        let w = weights.as_mut_slice();
+        let n = g.len();
         match self.kind {
             OptimizerKind::Constant { eta } => {
                 for i in 0..n {
@@ -409,7 +406,7 @@ impl OptimizerState {
                 }
             }
             OptimizerKind::Momentum { eta, gamma } => {
-                let u = self.acc1.as_mut_slice();
+                let u = &mut self.acc1;
                 for i in 0..n {
                     u[i] = gamma * u[i] + eta * g[i];
                     w[i] -= u[i];
@@ -423,8 +420,7 @@ impl OptimizerState {
             } => {
                 let bias1 = 1.0 - beta1.powi(self.t as i32);
                 let bias2 = 1.0 - beta2.powi(self.t as i32);
-                let m = self.acc1.as_mut_slice();
-                let v = self.acc2.as_mut_slice();
+                let (m, v) = (&mut self.acc1, &mut self.acc2);
                 for i in 0..n {
                     m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
                     v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
@@ -434,15 +430,14 @@ impl OptimizerState {
                 }
             }
             OptimizerKind::RmsProp { eta, decay, eps } => {
-                let v = self.acc1.as_mut_slice();
+                let v = &mut self.acc1;
                 for i in 0..n {
                     v[i] = decay * v[i] + (1.0 - decay) * g[i] * g[i];
                     w[i] -= eta * g[i] / (v[i].sqrt() + eps);
                 }
             }
             OptimizerKind::AdaDelta { decay, eps } => {
-                let eg2 = self.acc1.as_mut_slice();
-                let ed2 = self.acc2.as_mut_slice();
+                let (eg2, ed2) = (&mut self.acc1, &mut self.acc2);
                 for i in 0..n {
                     eg2[i] = decay * eg2[i] + (1.0 - decay) * g[i] * g[i];
                     let delta = -((ed2[i] + eps).sqrt() / (eg2[i] + eps).sqrt()) * g[i];
@@ -462,9 +457,9 @@ mod tests {
     /// must approach w = 3 on this convex 1-D problem.
     fn minimize(kind: OptimizerKind, iters: usize) -> f64 {
         let mut state = OptimizerState::new(kind, 1);
-        let mut w = DenseVector::zeros(1);
+        let mut w = vec![0.0; 1];
         for _ in 0..iters {
-            let grad = DenseVector::new(vec![2.0 * (w[0] - 3.0)]);
+            let grad = vec![2.0 * (w[0] - 3.0)];
             state.apply(&mut w, &grad);
         }
         w[0]
@@ -509,8 +504,8 @@ mod tests {
             power: 1.0,
         };
         let mut state = OptimizerState::new(kind, 1);
-        let grad = DenseVector::new(vec![1.0]);
-        let mut w = DenseVector::zeros(1);
+        let grad = vec![1.0];
+        let mut w = vec![0.0; 1];
         state.apply(&mut w, &grad);
         let first = -w[0]; // η at t=1
         let before = w[0];
@@ -523,10 +518,10 @@ mod tests {
     #[test]
     fn state_grows_with_dimension() {
         let mut state = OptimizerState::new(OptimizerKind::adam(0.1), 2);
-        let mut w = DenseVector::zeros(4);
-        let g2 = DenseVector::new(vec![1.0, 1.0]);
+        let mut w = vec![0.0; 4];
+        let g2 = vec![1.0, 1.0];
         state.apply(&mut w, &g2);
-        let g4 = DenseVector::new(vec![1.0, 1.0, 1.0, 1.0]);
+        let g4 = vec![1.0, 1.0, 1.0, 1.0];
         state.apply(&mut w, &g4); // must not panic after growth
         assert_eq!(state.steps(), 2);
         assert!(w[3] < 0.0);
@@ -538,8 +533,8 @@ mod tests {
         // regardless of the gradient scale.
         for scale in [1e-3, 1.0, 1e3] {
             let mut state = OptimizerState::new(OptimizerKind::adam(0.1), 1);
-            let mut w = DenseVector::zeros(1);
-            state.apply(&mut w, &DenseVector::new(vec![scale]));
+            let mut w = vec![0.0; 1];
+            state.apply(&mut w, &[scale]);
             assert!(
                 (w[0].abs() - 0.1).abs() < 1e-3,
                 "scale {scale}: step {}",
@@ -554,17 +549,17 @@ mod tests {
         // out-of-bounds index in release builds (a `debug_assert!` in debug).
         for kind in OptimizerKind::test_cases() {
             let mut state = OptimizerState::new(kind, 0);
-            let mut narrow = DenseVector::new(vec![1.0, 1.0]);
-            let mut grad = DenseVector::new(vec![0.5, -0.5, -7.0]);
+            let mut narrow = vec![1.0, 1.0];
+            let mut grad = vec![0.5, -0.5, -7.0];
             state.sweep(&mut narrow, &mut grad, None, Regularizer::None);
             assert!(narrow[0] < 1.0 && narrow[1] > 1.0, "{kind:?}: {narrow:?}");
             // What was swept is cleared, sign kept; the rest is untouched.
-            let left: Vec<u64> = grad.as_slice().iter().map(|g| g.to_bits()).collect();
+            let left: Vec<u64> = grad.iter().map(|g| g.to_bits()).collect();
             assert_eq!(left, [0.0f64, -0.0, -7.0].map(f64::to_bits), "{kind:?}");
             // The reverse through the public entry point: weights beyond
             // the gradient are left alone.
-            let mut wide = DenseVector::new(vec![1.0, 1.0, 1.0, 1.0]);
-            state.apply(&mut wide, &DenseVector::new(vec![0.5, -0.5, -7.0]));
+            let mut wide = vec![1.0, 1.0, 1.0, 1.0];
+            state.apply(&mut wide, &[0.5, -0.5, -7.0]);
             assert!(wide[2] > 1.0 && wide[3] == 1.0, "{kind:?}: {wide:?}");
             assert_eq!(state.steps(), 2);
         }
@@ -585,22 +580,18 @@ mod tests {
     fn step_bits(
         kind: OptimizerKind,
         t: u64,
-        step: fn(&mut OptimizerState, &mut DenseVector, &DenseVector),
+        step: fn(&mut OptimizerState, &mut [f64], &[f64]),
     ) -> Vec<u64> {
-        let acc1 = DenseVector::new(vec![0.3, -0.2, 1e-9, -0.0]);
-        let acc2 = DenseVector::new(vec![0.5, 0.01, 1e-12, 0.0]);
+        let acc1 = vec![0.3, -0.2, 1e-9, -0.0];
+        let acc2 = vec![0.5, 0.01, 1e-12, 0.0];
         let mut state = OptimizerState::from_parts(kind, t, acc1, acc2);
-        let mut w = DenseVector::new(vec![1.0, -1.0, 0.5, -0.0]);
-        step(
-            &mut state,
-            &mut w,
-            &DenseVector::new(vec![0.7, -1.3, 1e-6, 0.0]),
-        );
+        let mut w = vec![1.0, -1.0, 0.5, -0.0];
+        step(&mut state, &mut w, &[0.7, -1.3, 1e-6, 0.0]);
         assert_eq!(state.steps(), t + 1);
         let (_, _, acc1, acc2) = state.to_parts();
         [&w, acc1, acc2]
             .iter()
-            .flat_map(|v| v.as_slice().iter().map(|x| x.to_bits()))
+            .flat_map(|v| v.iter().map(|x| x.to_bits()))
             .collect()
     }
 
@@ -638,8 +629,8 @@ mod tests {
     #[test]
     fn serde_round_trip_preserves_state() {
         let mut state = OptimizerState::new(OptimizerKind::rmsprop(0.01), 3);
-        let mut w = DenseVector::zeros(3);
-        state.apply(&mut w, &DenseVector::new(vec![1.0, -2.0, 0.5]));
+        let mut w = vec![0.0; 3];
+        state.apply(&mut w, &[1.0, -2.0, 0.5]);
         let json = serde_json_like(&state);
         assert!(json.contains("RmsProp"));
     }

@@ -6,8 +6,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use cdp_linalg::DenseVector;
-
 /// A weight penalty.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum Regularizer {
@@ -22,11 +20,14 @@ pub enum Regularizer {
 
 impl Regularizer {
     /// The penalty value for weights `w`.
-    pub fn penalty(&self, w: &DenseVector) -> f64 {
+    pub fn penalty(&self, w: &[f64]) -> f64 {
         match self {
             Regularizer::None => 0.0,
-            Regularizer::L2(lambda) => 0.5 * lambda * w.norm_l2().powi(2),
-            Regularizer::L1(lambda) => lambda * w.norm_l1(),
+            Regularizer::L2(lambda) => {
+                let norm_l2 = w.iter().map(|v| v * v).sum::<f64>().sqrt();
+                0.5 * lambda * norm_l2.powi(2)
+            }
+            Regularizer::L1(lambda) => lambda * w.iter().map(|v| v.abs()).sum::<f64>(),
         }
     }
 
@@ -49,8 +50,8 @@ impl Regularizer {
     /// coordinates `w` and `grad` share take the penalty and the rest of
     /// `grad` is left alone (a weight that does not exist yet is zero, and
     /// so is its penalty gradient).
-    pub(crate) fn reference_add_gradient(&self, w: &DenseVector, grad: &mut DenseVector) {
-        let shared = grad.as_mut_slice().iter_mut().zip(w.as_slice());
+    pub(crate) fn reference_add_gradient(&self, w: &[f64], grad: &mut [f64]) {
+        let shared = grad.iter_mut().zip(w);
         match self {
             Regularizer::None => {}
             Regularizer::L2(lambda) => {
@@ -75,20 +76,20 @@ mod tests {
     /// `grad` plus the penalty's (sub)gradient at `w`, as the shipped sweep
     /// forms it: with γ = 0 and η = 1 the momentum buffer is the step's
     /// whole gradient.
-    fn full_gradient(reg: Regularizer, w: &DenseVector, grad: &[f64]) -> Vec<f64> {
+    fn full_gradient(reg: Regularizer, w: &[f64], grad: &[f64]) -> Vec<f64> {
         let recorder = OptimizerKind::Momentum {
             eta: 1.0,
             gamma: 0.0,
         };
         let mut state = OptimizerState::new(recorder, grad.len());
-        let mut grad = DenseVector::new(grad.to_vec());
-        state.sweep(&mut w.clone(), &mut grad, None, reg);
-        state.to_parts().2.as_slice().to_vec()
+        let mut grad = grad.to_vec();
+        state.sweep(&mut w.to_vec(), &mut grad, None, reg);
+        state.to_parts().2.clone()
     }
 
     #[test]
     fn l2_penalty_and_gradient() {
-        let w = DenseVector::new(vec![3.0, 4.0]);
+        let w = [3.0, 4.0];
         let reg = Regularizer::L2(0.1);
         assert!((reg.penalty(&w) - 0.5 * 0.1 * 25.0).abs() < 1e-12);
         let g = full_gradient(reg, &w, &[0.0, 0.0]);
@@ -98,7 +99,7 @@ mod tests {
 
     #[test]
     fn l1_penalty_and_subgradient() {
-        let w = DenseVector::new(vec![-2.0, 0.0, 5.0]);
+        let w = [-2.0, 0.0, 5.0];
         let reg = Regularizer::L1(0.5);
         assert!((reg.penalty(&w) - 0.5 * 7.0).abs() < 1e-12);
         // Zero weight gets zero subgradient.
@@ -110,23 +111,23 @@ mod tests {
         // What the differential cases with a gradient wider or narrower
         // than the model lean on. (Regression: the L2 arm once panicked
         // here while L1 zipped.)
-        let w = DenseVector::new(vec![2.0, -4.0]);
+        let w = [2.0, -4.0];
         for (reg, expect) in [
             (Regularizer::L2(0.5), [1.0, -2.0]),
             (Regularizer::L1(0.5), [0.5, -0.5]),
         ] {
-            let mut wider = DenseVector::new(vec![0.0, 0.0, 7.0]);
+            let mut wider = [0.0, 0.0, 7.0];
             reg.reference_add_gradient(&w, &mut wider);
-            assert_eq!(wider.as_slice(), &[expect[0], expect[1], 7.0]);
-            let mut narrower = DenseVector::zeros(1);
+            assert_eq!(wider, [expect[0], expect[1], 7.0]);
+            let mut narrower = [0.0];
             reg.reference_add_gradient(&w, &mut narrower);
-            assert_eq!(narrower.as_slice(), &expect[..1]);
+            assert_eq!(narrower, expect[..1]);
         }
     }
 
     #[test]
     fn none_is_identity() {
-        let w = DenseVector::new(vec![1.0, 2.0]);
+        let w = [1.0, 2.0];
         let reg = Regularizer::None;
         assert_eq!(reg.penalty(&w), 0.0);
         assert_eq!(full_gradient(reg, &w, &[0.7, -0.7]), [0.7, -0.7]);

@@ -19,11 +19,10 @@ use serde::{Deserialize, Serialize};
 
 use cdp_engine::{EngineError, ExecutionEngine, RunCtx};
 use cdp_faults::{FaultHook, NoFaults};
-use cdp_linalg::DenseVector;
 use cdp_storage::{slab_runs, ColumnSlab, RowView};
 
 use crate::loss::{Loss, LossKind};
-use crate::model::LinearModel;
+use crate::model::{grow_to, LinearModel};
 use crate::optimizer::{AdaptiveRate, OptimizerKind, OptimizerState};
 use crate::regularizer::Regularizer;
 
@@ -64,7 +63,7 @@ fn gradient_shards(n: usize) -> usize {
 /// so the second visit adds `0.0`.
 #[derive(Debug, Default)]
 struct GradPartial {
-    buf: DenseVector,
+    buf: Vec<f64>,
     touched: Vec<u32>,
     dense: bool,
     /// The margins, then coefficients, of the slab run its task is folding:
@@ -85,7 +84,7 @@ trait Gradient {
 }
 
 /// The unsharded step's own buffer: a plain fold, nothing listed.
-impl Gradient for DenseVector {
+impl Gradient for Vec<f64> {
     fn add_row(&mut self, coeff: f64, row: RowView<'_>) {
         row.axpy_into_growing(coeff, self);
     }
@@ -100,7 +99,7 @@ impl Gradient for GradPartial {
         if !self.dense {
             if let Some((indices, values)) = row.sparse_parts() {
                 if let Some(&last) = indices.last() {
-                    self.buf.grow_to(last as usize + 1);
+                    grow_to(&mut self.buf, last as usize + 1);
                 }
                 let slots = self.buf.as_mut_slice();
                 for (&i, &v) in indices.iter().zip(values) {
@@ -135,7 +134,7 @@ impl GradPartial {
     /// `self += other` at the width of the wider of the two, visiting only
     /// the coordinates `other` may hold. A sparse `other` is left all-zero.
     fn absorb(&mut self, other: &mut GradPartial) {
-        self.buf.grow_to(other.buf.dim());
+        grow_to(&mut self.buf, other.buf.len());
         let slots = self.buf.as_mut_slice();
         if other.dense {
             self.dense = true;
@@ -187,15 +186,15 @@ impl GradScratch {
             .unwrap_or_else(PoisonError::into_inner)
             .pop();
         match recycled {
-            Some(mut part) if part.buf.dim() <= dim => {
+            Some(mut part) if part.buf.len() <= dim => {
                 self.reused.fetch_add(1, Ordering::Relaxed);
-                part.buf.grow_to(dim);
+                grow_to(&mut part.buf, dim);
                 part
             }
             _ => {
                 self.allocated.fetch_add(1, Ordering::Relaxed);
                 GradPartial {
-                    buf: DenseVector::zeros(dim),
+                    buf: vec![0.0; dim],
                     ..GradPartial::default()
                 }
             }
@@ -274,6 +273,11 @@ fn fold_run(
 fn loss_and_coeff(loss: LossKind, z: f64, y: f64, scale: Option<f64>, sum: f64) -> (f64, f64) {
     let dz = loss.dloss_dz(z, y);
     (sum + loss.value(z, y), scale.map_or(dz, |scale| dz * scale))
+}
+
+/// Euclidean norm: the squares summed in coordinate order, then the root.
+fn norm_l2(v: &[f64]) -> f64 {
+    v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
 /// Scratch state is transient by definition: clones and deserialized
@@ -367,7 +371,7 @@ pub struct SgdTrainer {
     /// Scratch gradient buffer, reused across steps. Between steps it holds
     /// what [`OptimizerState::sweep`] left: the last gradient times `0.0`.
     #[serde(skip)]
-    grad: DenseVector,
+    grad: Vec<f64>,
     /// Recycled partial-gradient buffers for sharded and fused steps.
     #[serde(skip)]
     scratch: GradScratch,
@@ -393,7 +397,7 @@ impl SgdTrainer {
             model: LinearModel::zeros(dim, config.loss),
             optimizer: OptimizerState::new(config.optimizer, dim),
             regularizer: config.regularizer,
-            grad: DenseVector::zeros(dim),
+            grad: vec![0.0; dim],
             scratch: GradScratch::default(),
             points_seen: 0,
         }
@@ -412,7 +416,7 @@ impl SgdTrainer {
             model,
             optimizer,
             regularizer,
-            grad: DenseVector::zeros(dim),
+            grad: vec![0.0; dim],
             scratch: GradScratch::default(),
             points_seen,
         }
@@ -512,7 +516,7 @@ impl SgdTrainer {
         let total_loss = if shards == 1 {
             // Cleared already: the sweep of the step before left `g * 0.0`.
             // Covering the widest row, the fold cannot actually grow it.
-            self.grad.grow_to(dim);
+            grow_to(&mut self.grad, dim);
             let mut sum = 0.0;
             for (slab, run) in slab_runs(batch) {
                 let scores = &mut self.scratch.scores;
@@ -644,15 +648,15 @@ impl SgdTrainer {
                 batch.extend(batch_idx.iter().map(|&i| rows[i]));
                 self.step_rows_in(&batch, engine, ctx);
             }
-            let weights_after = self.model.weights();
-            let mut delta = weights_after.clone();
-            if let Err(e) = delta.axpy(-1.0, &weights_before) {
-                // Infallible: both snapshots come from the same model, whose
-                // dimension only grew before the epoch started.
-                unreachable!("epoch weight snapshots share a dimension: {e}");
-            }
-            let denom = weights_before.norm_l2().max(1e-12);
-            if delta.norm_l2() / denom < config.convergence.tolerance {
+            // Both snapshots come from the same model, whose dimension only
+            // grew before the epoch started.
+            let weights_after = self.model.weights().iter();
+            let delta: Vec<f64> = weights_after
+                .zip(&weights_before)
+                .map(|(a, b)| a - b)
+                .collect();
+            let denom = norm_l2(&weights_before).max(1e-12);
+            if norm_l2(&delta) / denom < config.convergence.tolerance {
                 converged = true;
                 break;
             }
@@ -790,8 +794,8 @@ impl SgdTrainer {
         self.install_gradient(grad);
         let inv_points = 1.0 / points as f64;
         // Only now is it safe to grow the shared model.
-        self.model.grow_to(self.grad.dim());
-        self.grad.grow_to(self.model.dim());
+        self.model.grow_to(self.grad.len());
+        grow_to(&mut self.grad, self.model.dim());
         self.update(Some(inv_points));
         self.points_seen += points;
         Ok(FusedStepOutcome {
@@ -827,17 +831,69 @@ impl SgdTrainer {
 mod tests {
     use super::*;
     use cdp_faults::{NoFaults, WorkerOrder, MAX_WORKER_RESTARTS};
-    use cdp_linalg::{SparseVector, Vector};
     use cdp_obs::Tracer;
-    use cdp_storage::{ColumnSlab, LabeledPoint};
+    use cdp_storage::CsrBuilder;
     use proptest::prelude::*;
     use rand::RngExt;
 
     const SEQ: ExecutionEngine = ExecutionEngine::Sequential;
 
-    /// Row-layout points as the slab the trainer's row views borrow.
-    fn slab(data: &[LabeledPoint]) -> ColumnSlab {
-        ColumnSlab::from_points(data.to_vec())
+    /// A test row: a label and every coordinate of a dense row, or the
+    /// entries of a sparse one (strictly increasing) under its dimension.
+    #[derive(Debug, Clone)]
+    enum Point {
+        Dense(f64, Vec<f64>),
+        Sparse(f64, usize, Vec<(u32, f64)>),
+    }
+
+    impl Point {
+        fn label(&self) -> f64 {
+            match self {
+                Point::Dense(y, _) | Point::Sparse(y, ..) => *y,
+            }
+        }
+
+        fn dim(&self) -> usize {
+            match self {
+                Point::Dense(_, v) => v.len(),
+                Point::Sparse(_, dim, _) => *dim,
+            }
+        }
+    }
+
+    /// The slab the trainer's row views borrow: column slabs when every row
+    /// is dense at one width, else a CSR block at the widest row's
+    /// dimension, in which a dense row stores every coordinate, zeros too.
+    fn slab(data: &[Point]) -> ColumnSlab {
+        let dim = data.iter().map(Point::dim).max().unwrap_or(0);
+        let uniform: Vec<&Vec<f64>> = data
+            .iter()
+            .filter_map(|p| match p {
+                Point::Dense(_, v) if v.len() == dim => Some(v),
+                _ => None,
+            })
+            .collect();
+        if !data.is_empty() && uniform.len() == data.len() {
+            let labels = data.iter().map(Point::label).collect();
+            let column = |j| uniform.iter().map(|v| v[j]).collect();
+            return ColumnSlab::dense(labels, (0..dim).map(column).collect());
+        }
+        let mut builder = CsrBuilder::reusing(None, dim, data.len(), 0);
+        for p in data {
+            let mut entries = match p {
+                Point::Dense(_, v) => (0..).zip(v.iter().copied()).collect(),
+                Point::Sparse(_, _, entries) => entries.clone(),
+            };
+            builder.push_row(p.label(), &mut entries);
+        }
+        builder.finish()
+    }
+
+    /// Rows of `slab` whose margin's sign is not their label.
+    fn misclassified(trainer: &SgdTrainer, slab: &ColumnSlab) -> usize {
+        let w = trainer.model().weights();
+        let wrong = |r: &RowView<'_>| r.dot_padded(w).signum() != r.label();
+        rows(slab).iter().filter(|r| wrong(r)).count()
     }
 
     fn rows(slab: &ColumnSlab) -> Vec<RowView<'_>> {
@@ -849,7 +905,7 @@ mod tests {
         |i, sink| sink(&sources[i])
     }
 
-    fn fit(trainer: &mut SgdTrainer, data: &[LabeledPoint], config: &SgdConfig) -> TrainReport {
+    fn fit(trainer: &mut SgdTrainer, data: &[Point], config: &SgdConfig) -> TrainReport {
         trainer.fit_rows(&rows(&slab(data)), config, SEQ, &RunCtx::default())
     }
 
@@ -868,27 +924,27 @@ mod tests {
     }
 
     /// Linearly separable 2-D blobs (plus a bias coordinate).
-    fn blobs(n: usize, seed: u64) -> Vec<LabeledPoint> {
+    fn blobs(n: usize, seed: u64) -> Vec<Point> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
                 let y: f64 = if rng.random::<bool>() { 1.0 } else { -1.0 };
                 let x1 = 2.0 * y + rng.random_range(-0.5..0.5);
                 let x2 = -y + rng.random_range(-0.5..0.5);
-                LabeledPoint::new(y, Vector::from(vec![x1, x2, 1.0]))
+                Point::Dense(y, vec![x1, x2, 1.0])
             })
             .collect()
     }
 
     /// y = 3·x1 − 2·x2 + 1 with small noise.
-    fn linear_data(n: usize, seed: u64) -> Vec<LabeledPoint> {
+    fn linear_data(n: usize, seed: u64) -> Vec<Point> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
                 let x1: f64 = rng.random_range(-1.0..1.0);
                 let x2: f64 = rng.random_range(-1.0..1.0);
                 let y = 3.0 * x1 - 2.0 * x2 + 1.0 + rng.random_range(-0.01..0.01);
-                LabeledPoint::new(y, Vector::from(vec![x1, x2, 1.0]))
+                Point::Dense(y, vec![x1, x2, 1.0])
             })
             .collect()
     }
@@ -900,10 +956,7 @@ mod tests {
         let mut trainer = SgdTrainer::new(3, &config);
         let report = fit(&mut trainer, &data, &config);
         assert!(report.final_loss < report.initial_loss);
-        let errors = data
-            .iter()
-            .filter(|p| trainer.model().margin_ref(&p.features).signum() != p.label)
-            .count();
+        let errors = misclassified(&trainer, &slab(&data));
         assert!(
             (errors as f64) / (data.len() as f64) < 0.05,
             "error rate {}",
@@ -917,10 +970,7 @@ mod tests {
         let config = make_config(LossKind::Logistic);
         let mut trainer = SgdTrainer::new(3, &config);
         fit(&mut trainer, &data, &config);
-        let errors = data
-            .iter()
-            .filter(|p| trainer.model().margin_ref(&p.features).signum() != p.label)
-            .count();
+        let errors = misclassified(&trainer, &slab(&data));
         assert!((errors as f64) / (data.len() as f64) < 0.05);
     }
 
@@ -970,7 +1020,7 @@ mod tests {
         let config = make_config(LossKind::Logistic);
         let mut a = SgdTrainer::new(3, &config);
         let mut b = SgdTrainer::new(3, &config);
-        let batches: Vec<&[LabeledPoint]> = data.chunks(8).collect();
+        let batches: Vec<&[Point]> = data.chunks(8).collect();
         for batch in &batches {
             a.step_rows(&rows(&slab(batch)), SEQ);
         }
@@ -1011,13 +1061,10 @@ mod tests {
     fn growing_feature_space_is_handled() {
         let config = make_config(LossKind::Hinge);
         let mut trainer = SgdTrainer::new(2, &config);
-        let narrow = [LabeledPoint::new(1.0, Vector::from(vec![1.0, 0.5]))];
+        let narrow = [Point::Dense(1.0, vec![1.0, 0.5])];
         trainer.step_rows(&rows(&slab(&narrow)), SEQ);
         // A wider row arrives later (new features appeared in the stream).
-        let wide = [LabeledPoint::new(
-            -1.0,
-            Vector::from(vec![0.1, 0.2, 0.9, 1.0]),
-        )];
+        let wide = [Point::Dense(-1.0, vec![0.1, 0.2, 0.9, 1.0])];
         trainer.step_rows(&rows(&slab(&wide)), SEQ);
         assert_eq!(trainer.model().dim(), 4);
     }
@@ -1190,11 +1237,8 @@ mod tests {
         let config = make_config(LossKind::Hinge);
         // Sources of different widths: the widest row wins, and the model
         // reaches it only after the deterministic combine.
-        let narrow = vec![LabeledPoint::new(1.0, Vector::from(vec![1.0, 0.5]))];
-        let wide = vec![LabeledPoint::new(
-            -1.0,
-            Vector::from(vec![0.1, 0.2, 0.9, 1.0]),
-        )];
+        let narrow = [Point::Dense(1.0, vec![1.0, 0.5])];
+        let wide = [Point::Dense(-1.0, vec![0.1, 0.2, 0.9, 1.0])];
         let sources = [slab(&narrow), slab(&wide)];
         let mut t = SgdTrainer::new(2, &config);
         let out = t
@@ -1215,7 +1259,7 @@ mod tests {
     fn assert_pool_is_all_zero(t: &SgdTrainer) {
         let pool = t.scratch.pool.lock().unwrap();
         for part in pool.iter() {
-            assert!(part.buf.as_slice().iter().all(|v| v.to_bits() == 0));
+            assert!(part.buf.iter().all(|v| v.to_bits() == 0));
             assert!(part.touched.is_empty() && !part.dense);
         }
     }
@@ -1230,14 +1274,14 @@ mod tests {
         const DIM: usize = 1 << 16;
         let sources: Vec<ColumnSlab> = (0..40u64)
             .map(|chunk| {
-                let points: Vec<LabeledPoint> = (0..40u64)
+                let points: Vec<Point> = (0..40u64)
                     .map(|row| {
                         let start = (chunk * 40 + row) * 37 % (DIM as u64 - 28 * 61);
-                        let indices = (0..28).map(|k| (start + k * 61) as u32).collect();
-                        let values = (0..28).map(|k| 1.0 / f64::from(k + 1)).collect();
-                        let features = SparseVector::new(DIM, indices, values).unwrap();
+                        let entries = (0..28)
+                            .map(|k| ((start + k * 61) as u32, 1.0 / f64::from(k as u32 + 1)))
+                            .collect();
                         let label = if row % 3 == 0 { 1.0 } else { 0.0 };
-                        LabeledPoint::new(label, Vector::Sparse(features))
+                        Point::Sparse(label, DIM, entries)
                     })
                     .collect();
                 slab(&points)
@@ -1270,10 +1314,10 @@ mod tests {
         model: &LinearModel,
         sources: &[Vec<RowView<'_>>],
         row_scale: f64,
-    ) -> Option<(DenseVector, f64, u64)> {
+    ) -> Option<(Vec<f64>, f64, u64)> {
         let loss = model.loss();
         let part = |i: usize| {
-            let mut grad = DenseVector::zeros(model.dim());
+            let mut grad = vec![0.0; model.dim()];
             let mut loss_sum = 0.0;
             for row in &sources[i] {
                 let z = row.dot_padded(model.weights());
@@ -1285,12 +1329,14 @@ mod tests {
             }
             (grad, loss_sum, sources[i].len() as u64)
         };
-        type Part = (DenseVector, f64, u64);
+        type Part = (Vec<f64>, f64, u64);
         let merge = |(mut ga, la, na): Part, (mut gb, lb, nb): Part| {
-            let width = ga.dim().max(gb.dim());
-            ga.grow_to(width);
-            gb.grow_to(width);
-            ga.axpy(1.0, &gb).expect("padded to a common width");
+            let width = ga.len().max(gb.len());
+            grow_to(&mut ga, width);
+            grow_to(&mut gb, width);
+            for (a, b) in ga.iter_mut().zip(&gb) {
+                *a += b;
+            }
             (ga, la + lb, na + nb)
         };
         SEQ.try_map_reduce(sources.len(), part, merge, &NoFaults, &RunCtx::default())
@@ -1318,8 +1364,8 @@ mod tests {
         let inv_batch = 1.0 / batch.len() as f64;
         let shards = gradient_shards(batch.len());
         let total_loss = if shards == 1 {
-            t.grad.grow_to(t.model.dim());
-            t.grad.scale(0.0);
+            grow_to(&mut t.grad, t.model.dim());
+            t.grad.iter_mut().for_each(|g| *g *= 0.0);
             let mut sum = 0.0;
             for row in batch {
                 let z = row.dot_padded(t.model.weights());
@@ -1354,8 +1400,8 @@ mod tests {
         };
         let inv_points = 1.0 / points as f64;
         t.grad = grad;
-        t.grad.scale(inv_points);
-        t.model.grow_to(t.grad.dim());
+        t.grad.iter_mut().for_each(|g| *g *= inv_points);
+        t.model.grow_to(t.grad.len());
         reference_update(t);
         t.points_seen += points;
         FusedStepOutcome {
@@ -1392,7 +1438,7 @@ mod tests {
     /// Everything a step decides, bit for bit: weights (and so the model
     /// dimension), the optimizer's accumulators and clock, the point count.
     fn state_bits(t: &SgdTrainer) -> (Vec<u64>, u64, Vec<u64>, Vec<u64>, u64) {
-        let bits = |v: &DenseVector| v.as_slice().iter().copied().map(float_bits).collect();
+        let bits = |v: &[f64]| v.iter().copied().map(float_bits).collect();
         let (_, clock, acc1, acc2) = t.optimizer.to_parts();
         (
             bits(t.model.weights()),
@@ -1422,16 +1468,18 @@ mod tests {
         }
     }
 
-    fn sparse_row(rng: &mut StdRng, dim: usize) -> LabeledPoint {
+    fn sparse_row(rng: &mut StdRng, dim: usize) -> Point {
         let indices: Vec<u32> = (0..dim as u32).filter(|_| rng.random::<bool>()).collect();
-        let values = indices.iter().map(|_| palette_value(rng)).collect();
-        let features = SparseVector::new(dim, indices, values).unwrap();
-        LabeledPoint::new(class_label(rng), Vector::Sparse(features))
+        let entries = indices
+            .into_iter()
+            .map(|i| (i, palette_value(rng)))
+            .collect();
+        Point::Sparse(class_label(rng), dim, entries)
     }
 
-    fn dense_row(rng: &mut StdRng, dim: usize) -> LabeledPoint {
+    fn dense_row(rng: &mut StdRng, dim: usize) -> Point {
         let values: Vec<f64> = (0..dim).map(|_| palette_value(rng)).collect();
-        LabeledPoint::new(class_label(rng), Vector::from(values))
+        Point::Dense(class_label(rng), values)
     }
 
     /// A random source: sparse rows (a CSR slab), dense rows (a dense slab),
@@ -1441,7 +1489,7 @@ mod tests {
         let n_rows = rng.random_range(0..5);
         let dim = [CASE_DIM - 4, CASE_DIM, CASE_DIM, CASE_DIM + 5][rng.random_range(0..4usize)];
         let kind = rng.random_range(0..5);
-        let points: Vec<LabeledPoint> = (0..n_rows)
+        let points: Vec<Point> = (0..n_rows)
             .map(|_| match kind {
                 0 | 1 => sparse_row(rng, dim),
                 2 | 3 => dense_row(rng, dim),
@@ -1449,7 +1497,7 @@ mod tests {
                 _ => dense_row(rng, dim + 1),
             })
             .collect();
-        ColumnSlab::from_points(points)
+        slab(&points)
     }
 
     /// One to six [`case_source`]s.
@@ -1463,7 +1511,7 @@ mod tests {
     fn case_trainer(rng: &mut StdRng, loss: LossKind, optimizer: OptimizerKind) -> SgdTrainer {
         let weights: Vec<f64> = (0..CASE_DIM).map(|_| rng.random_range(-1.0..1.0)).collect();
         SgdTrainer::restore(
-            LinearModel::with_weights(DenseVector::new(weights), loss),
+            LinearModel::with_weights(weights, loss),
             OptimizerState::new(optimizer, CASE_DIM),
             Regularizer::L2(1e-3),
             0,
@@ -1520,13 +1568,12 @@ mod tests {
         // 2100 sparse rows at 300 dims: 4 shards, each touching a fraction
         // of the coordinates, with opposite-label duplicates cancelling.
         let mut rng = StdRng::seed_from_u64(31);
-        let data: Vec<LabeledPoint> = (0..2100)
+        let data: Vec<Point> = (0..2100)
             .map(|_| {
-                let indices: Vec<u32> = (0..300).filter(|_| rng.random_range(0..30) == 0).collect();
-                let values = indices.iter().map(|_| 1.0).collect();
-                let features = SparseVector::new(300, indices, values).unwrap();
+                let indices = (0..300).filter(|_| rng.random_range(0..30) == 0);
+                let entries = indices.map(|i| (i, 1.0)).collect();
                 let y = if rng.random::<bool>() { 1.0 } else { -1.0 };
-                LabeledPoint::new(y, Vector::Sparse(features))
+                Point::Sparse(y, 300, entries)
             })
             .collect();
         let data = slab(&data);
@@ -1569,9 +1616,8 @@ mod tests {
             4 => {
                 let n_rows = 2 * GRAD_SHARD_MIN_POINTS + rng.random_range(0..40usize);
                 let dim = CASE_DIM + rng.random_range(0..3usize);
-                CaseOp::Sharded(ColumnSlab::from_points(
-                    (0..n_rows).map(|_| sparse_row(rng, dim)).collect(),
-                ))
+                let points: Vec<Point> = (0..n_rows).map(|_| sparse_row(rng, dim)).collect();
+                CaseOp::Sharded(slab(&points))
             }
             5..=7 => CaseOp::Fused(case_sources(rng)),
             8 => CaseOp::GrowModel(rng.random_range(1..4)),
@@ -1655,11 +1701,8 @@ mod tests {
         }
         let losses = [LossKind::Hinge, LossKind::Logistic, LossKind::Squared];
         SgdTrainer::restore(
-            LinearModel::with_weights(
-                DenseVector::new(weights),
-                losses[rng.random_range(0..losses.len())],
-            ),
-            OptimizerState::from_parts(optimizer, clock, acc1.into(), acc2.into()),
+            LinearModel::with_weights(weights, losses[rng.random_range(0..losses.len())]),
+            OptimizerState::from_parts(optimizer, clock, acc1, acc2),
             regularizer,
             0,
         )
@@ -1719,14 +1762,9 @@ mod tests {
         // at `g * 0.0 = -0.0`, as the clearing pass of old left it, the
         // accumulator stays -0.0; left at `+0.0`, it would turn +0.0.
         let tiny = f64::from_bits(1);
-        let point = |indices: Vec<u32>, values| {
-            LabeledPoint::new(
-                1.0,
-                Vector::Sparse(SparseVector::new(2, indices, values).unwrap()),
-            )
-        };
-        let first = vec![point(vec![0, 1], vec![1.0, tiny])];
-        let second = CaseOp::Unsharded(slab(&[point(vec![0], vec![1.0])]));
+        let point = |entries| Point::Sparse(1.0, 2, entries);
+        let first = vec![point(vec![(0, 1.0), (1, tiny)])];
+        let second = CaseOp::Unsharded(slab(&[point(vec![(0, 1.0)])]));
         let momentum = OptimizerKind::Momentum {
             eta: 0.05,
             gamma: 0.9,
@@ -1738,10 +1776,10 @@ mod tests {
                     CaseOp::Fused(vec![slab(&first)]),
                 ] {
                     let fresh = OptimizerState::new(optimizer, 2);
-                    let acc2 = DenseVector::new(vec![1.0; fresh.to_parts().3.dim()]);
-                    let acc1 = DenseVector::new(vec![0.0, -0.0]);
+                    let acc2 = vec![1.0; fresh.to_parts().3.len()];
+                    let acc1 = vec![0.0, -0.0];
                     let mut shipped = SgdTrainer::restore(
-                        LinearModel::with_weights(DenseVector::new(vec![0.0, w1]), LossKind::Hinge),
+                        LinearModel::with_weights(vec![0.0, w1], LossKind::Hinge),
                         OptimizerState::from_parts(optimizer, 0, acc1, acc2),
                         penalty,
                         0,
@@ -1775,7 +1813,8 @@ mod tests {
             let sharded = (case % 8 == 0).then(|| {
                 let n_rows = 2 * GRAD_SHARD_MIN_POINTS + rng.random_range(0..40usize);
                 let dim = CASE_DIM + rng.random_range(0..3usize);
-                ColumnSlab::from_points((0..n_rows).map(|_| sparse_row(&mut rng, dim)).collect())
+                let points: Vec<Point> = (0..n_rows).map(|_| sparse_row(&mut rng, dim)).collect();
+                slab(&points)
             });
             let loss = [LossKind::Hinge, LossKind::Logistic, LossKind::Squared]
                 [rng.random_range(0..3usize)];
@@ -1837,9 +1876,8 @@ mod tests {
     fn pooled_partials_are_all_zero_after_every_kind_of_step() {
         let mut rng = StdRng::seed_from_u64(5);
         let views = case_sources(&mut rng);
-        let empty = vec![ColumnSlab::from_points(Vec::new()); 3];
-        let sparse = SparseVector::new(CASE_DIM, vec![1, 7], vec![2.0, -1.0]).unwrap();
-        let sparse = slab(&[LabeledPoint::new(1.0, Vector::Sparse(sparse))]);
+        let empty = vec![slab(&[]); 3];
+        let sparse = slab(&[Point::Sparse(1.0, CASE_DIM, vec![(1, 2.0), (7, -1.0)])]);
         for engine in [SEQ, ExecutionEngine::Threaded { workers: 2 }] {
             let mut t = case_trainer(&mut rng, LossKind::Logistic, OptimizerKind::adam(0.05));
             // The pool clears a partial released as it was accumulated (the
@@ -1934,6 +1972,6 @@ mod tests {
         let mut t_strong = SgdTrainer::new(3, &strong);
         fit(&mut t_weak, &data, &weak);
         fit(&mut t_strong, &data, &strong);
-        assert!(t_strong.model().weights().norm_l2() < t_weak.model().weights().norm_l2());
+        assert!(norm_l2(t_strong.model().weights()) < norm_l2(t_weak.model().weights()));
     }
 }

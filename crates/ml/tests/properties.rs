@@ -2,25 +2,45 @@
 //! optimizer sanity, and the conditional-independence property proactive
 //! training rests on.
 
+use std::sync::Arc;
+
 use cdp_engine::{ExecutionEngine, RunCtx};
 use cdp_faults::NoFaults;
-use cdp_linalg::{DenseVector, SparseVector, Vector};
 use cdp_ml::loss::Loss;
 use cdp_ml::optimizer::AdaptiveRate;
 use cdp_ml::{
     ConvergenceCriteria, LossKind, OptimizerKind, OptimizerState, Regularizer, SgdConfig,
     SgdTrainer,
 };
-use cdp_storage::{FeatureChunk, LabeledPoint, RowView, Timestamp};
+use cdp_storage::{ColumnSlab, CsrBuilder, FeatureChunk, RowView, Timestamp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 const SEQ: ExecutionEngine = ExecutionEngine::Sequential;
 
-/// Row-layout points as the chunk the trainer's row views borrow.
-fn chunk(data: &[LabeledPoint]) -> FeatureChunk {
-    FeatureChunk::new(Timestamp(0), Timestamp(0), data.to_vec())
+/// The chunk of dense rows, each a label and its coordinates at one width,
+/// that the trainer's row views borrow.
+fn chunk(ts: u64, data: &[(f64, Vec<f64>)]) -> FeatureChunk {
+    let labels = data.iter().map(|row| row.0).collect();
+    let dim = data.first().map_or(0, |row| row.1.len());
+    let cols = (0..dim).map(|j| data.iter().map(|row| row.1[j]).collect());
+    let slab = ColumnSlab::dense(labels, cols.collect());
+    FeatureChunk::from_slab(Timestamp(ts), Timestamp(ts), Arc::new(slab))
+}
+
+/// The chunk of sparse rows at dimension `dim`, each a label and its
+/// entries in index order.
+fn sparse_chunk(ts: u64, dim: usize, data: &[(f64, Vec<(u32, f64)>)]) -> FeatureChunk {
+    let mut builder = CsrBuilder::reusing(None, dim, data.len(), 0);
+    for (label, entries) in data {
+        builder.push_row(*label, &mut entries.clone());
+    }
+    FeatureChunk::from_slab(Timestamp(ts), Timestamp(ts), Arc::new(builder.finish()))
+}
+
+fn norm_l2(v: &[f64]) -> f64 {
+    v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
 fn rows(chunk: &FeatureChunk) -> Vec<RowView<'_>> {
@@ -72,9 +92,8 @@ proptest! {
         ] {
             let dim = grad.len();
             let mut state = OptimizerState::new(kind, dim);
-            let mut w = DenseVector::zeros(dim);
-            let g = DenseVector::new(grad.clone());
-            state.apply(&mut w, &g);
+            let mut w = vec![0.0; dim];
+            state.apply(&mut w, &grad);
             for i in 0..dim {
                 if grad[i].abs() > 1e-9 {
                     prop_assert!(w[i] * grad[i] <= 0.0,
@@ -101,13 +120,13 @@ proptest! {
             shuffle_seed: seed,
         };
         // 8 deterministic batches derived from the seed.
-        let batches: Vec<Vec<LabeledPoint>> = (0..8u64)
+        let batches: Vec<Vec<(f64, Vec<f64>)>> = (0..8u64)
             .map(|b| {
                 (0..4u64)
                     .map(|i| {
                         let x = ((seed ^ (b * 13 + i)) % 100) as f64 / 50.0 - 1.0;
                         let y = if x > 0.0 { 1.0 } else { -1.0 };
-                        LabeledPoint::new(y, Vector::from(vec![x, 1.0]))
+                        (y, vec![x, 1.0])
                     })
                     .collect()
             })
@@ -115,12 +134,12 @@ proptest! {
 
         let mut contiguous = SgdTrainer::new(2, &config);
         for batch in &batches {
-            contiguous.step_rows(&rows(&chunk(batch)), SEQ);
+            contiguous.step_rows(&rows(&chunk(0, batch)), SEQ);
         }
 
         let mut first = SgdTrainer::new(2, &config);
         for batch in &batches[..split] {
-            first.step_rows(&rows(&chunk(batch)), SEQ);
+            first.step_rows(&rows(&chunk(0, batch)), SEQ);
         }
         // "Pause": serialize state through a snapshot and resume.
         let mut resumed = SgdTrainer::restore(
@@ -130,7 +149,7 @@ proptest! {
             first.points_seen(),
         );
         for batch in &batches[split..] {
-            resumed.step_rows(&rows(&chunk(batch)), SEQ);
+            resumed.step_rows(&rows(&chunk(0, batch)), SEQ);
         }
         prop_assert_eq!(contiguous.model().weights(), resumed.model().weights());
     }
@@ -146,15 +165,15 @@ proptest! {
             convergence: ConvergenceCriteria { tolerance: 1e-6, max_epochs: 10 },
             shuffle_seed: seed,
         };
-        let data: Vec<LabeledPoint> = (0..64u64)
+        let data: Vec<(f64, Vec<f64>)> = (0..64u64)
             .map(|i| {
                 let x = ((seed.wrapping_mul(31).wrapping_add(i * 7)) % 200) as f64 / 100.0 - 1.0;
                 let y = if x > 0.0 { 1.0 } else { -1.0 };
-                LabeledPoint::new(y, Vector::from(vec![x, 0.1]))
+                (y, vec![x, 0.1])
             })
             .collect();
         let mut trainer = SgdTrainer::new(2, &config);
-        let report = trainer.fit_rows(&rows(&chunk(&data)), &config, SEQ, &RunCtx::default());
+        let report = trainer.fit_rows(&rows(&chunk(0, &data)), &config, SEQ, &RunCtx::default());
         prop_assert!(report.final_loss <= report.initial_loss + 1e-9);
     }
 
@@ -171,17 +190,17 @@ proptest! {
             shuffle_seed: seed,
         };
         let strong = SgdConfig { regularizer: Regularizer::L2(0.5), ..base };
-        let data: Vec<LabeledPoint> = (0..32u64)
+        let data: Vec<(f64, Vec<f64>)> = (0..32u64)
             .map(|i| {
                 let x = (i as f64) / 16.0 - 1.0;
-                LabeledPoint::new(3.0 * x, Vector::from(vec![x]))
+                (3.0 * x, vec![x])
             })
             .collect();
         let mut a = SgdTrainer::new(1, &base);
-        a.fit_rows(&rows(&chunk(&data)), &base, SEQ, &RunCtx::default());
+        a.fit_rows(&rows(&chunk(0, &data)), &base, SEQ, &RunCtx::default());
         let mut b = SgdTrainer::new(1, &strong);
-        b.fit_rows(&rows(&chunk(&data)), &strong, SEQ, &RunCtx::default());
-        prop_assert!(b.model().weights().norm_l2() <= a.model().weights().norm_l2() + 1e-9);
+        b.fit_rows(&rows(&chunk(0, &data)), &strong, SEQ, &RunCtx::default());
+        prop_assert!(norm_l2(b.model().weights()) <= norm_l2(a.model().weights()) + 1e-9);
     }
 
     /// Algorithm 1, not our own reduce: a proactive step over already
@@ -201,21 +220,25 @@ proptest! {
         let chunks: Vec<FeatureChunk> = (0..4u64)
             .map(|ts| {
                 let n_rows = rng.random_range(0..30);
-                let points = (0..n_rows)
-                    .map(|_| {
-                        let features = if sparse {
+                let label = |rng: &mut StdRng| if rng.random::<bool>() { 1.0 } else { -1.0 };
+                if sparse {
+                    let rows: Vec<(f64, Vec<(u32, f64)>)> = (0..n_rows)
+                        .map(|_| {
                             let idx: Vec<u32> =
                                 (0..dim as u32).filter(|_| rng.random_range(0..8) == 0).collect();
-                            let val = idx.iter().map(|_| rng.random_range(-1.0..1.0)).collect();
-                            Vector::Sparse(SparseVector::new(dim, idx, val).unwrap())
-                        } else {
-                            Vector::from((0..dim).map(|_| rng.random_range(-1.0..1.0)).collect::<Vec<f64>>())
-                        };
-                        let label = if rng.random::<bool>() { 1.0 } else { -1.0 };
-                        LabeledPoint::new(label, features)
+                            let entries = idx.into_iter().map(|i| (i, rng.random_range(-1.0..1.0))).collect();
+                            (label(&mut rng), entries)
+                        })
+                        .collect();
+                    return sparse_chunk(ts, dim, &rows);
+                }
+                let rows: Vec<(f64, Vec<f64>)> = (0..n_rows)
+                    .map(|_| {
+                        let values = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
+                        (label(&mut rng), values)
                     })
                     .collect();
-                FeatureChunk::new(Timestamp(ts), Timestamp(ts), points)
+                chunk(ts, &rows)
             })
             .collect();
         let union: Vec<RowView<'_>> = chunks.iter().flat_map(|c| c.rows()).collect();
@@ -224,10 +247,10 @@ proptest! {
         }
         // Relative to the vector's largest coordinate: one that cancels to
         // nearly zero carries the rounding of the terms that made it.
-        let largest = |v: &DenseVector| v.as_slice().iter().fold(0.0_f64, |m, x| m.max(x.abs()));
-        let close = |a: &DenseVector, b: &DenseVector| {
-            let mut gap = a.clone();
-            gap.axpy(-1.0, b).is_ok() && largest(&gap) <= 1e-12 * largest(a)
+        let largest = |v: &[f64]| v.iter().fold(0.0_f64, |m, x| m.max(x.abs()));
+        let close = |a: &[f64], b: &[f64]| {
+            let gap: Vec<f64> = a.iter().zip(b).map(|(x, y)| x - y).collect();
+            a.len() == b.len() && largest(&gap) <= 1e-12 * largest(a)
         };
         for optimizer in [
             OptimizerKind::Constant { eta: 0.1 },

@@ -354,6 +354,30 @@ mod tests {
         batch
     }
 
+    /// Row 0 of a CSR slab: its stored `(index, value)` entries.
+    fn sparse_row0(slab: &ColumnSlab) -> Vec<(u32, f64)> {
+        let (indices, values) = slab.row(0).sparse_parts().expect("a CSR row");
+        indices
+            .iter()
+            .copied()
+            .zip(values.iter().copied())
+            .collect()
+    }
+
+    /// The value at `index` of sparse `entries`, `0.0` when none is stored.
+    fn value_at(entries: &[(u32, f64)], index: usize) -> f64 {
+        let stored = entries.iter().find(|e| e.0 as usize == index);
+        stored.map_or(0.0, |e| e.1)
+    }
+
+    /// Row 0 of a dense slab: every coordinate.
+    fn dense_row0(slab: ColumnSlab) -> Vec<f64> {
+        match slab.into_parts().1 {
+            SlabLayout::Dense { cols, .. } => cols.iter().map(|col| col[0]).collect(),
+            SlabLayout::Csr { .. } => panic!("a dense slab"),
+        }
+    }
+
     #[test]
     fn hasher_is_deterministic_and_in_range() {
         let h = FeatureHasher::new(8, 2);
@@ -372,12 +396,12 @@ mod tests {
     fn hasher_encodes_bias_nums_tokens() {
         let h = FeatureHasher::new(4, 2);
         let slab = h.encode(row(1.0, &[0.5, 0.0], &["x"]));
-        let v = slab.row(0).to_vector();
-        assert_eq!(v.get(0), 1.0); // bias
-        assert_eq!(v.get(1), 0.5); // numeric slot 0
-        assert_eq!(v.nnz(), 3); // exact zero skipped
+        let v = sparse_row0(&slab);
+        assert_eq!(value_at(&v, 0), 1.0); // bias
+        assert_eq!(value_at(&v, 1), 0.5); // numeric slot 0
+        assert_eq!(slab.row(0).nnz(), 3); // exact zero skipped
         let (bucket, sign) = h.bucket_of("x");
-        assert_eq!(v.get(bucket), sign);
+        assert_eq!(value_at(&v, bucket), sign);
         assert_eq!(slab.labels(), &[1.0]);
         assert_eq!(slab.row(0).dim(), h.dim());
     }
@@ -387,9 +411,8 @@ mod tests {
         let h = FeatureHasher::new(1, 0); // 2 buckets: collisions guaranteed
         let slab = h.encode(row(0.0, &[], &["t1", "t2", "t3", "t4"]));
         // All mass lands in buckets 1..3, one stored entry per bucket hit.
-        let v = slab.row(0).to_vector();
-        assert!(v.nnz() <= 3);
-        let total: f64 = v.iter_nonzero().map(|(_, v)| v.abs()).sum();
+        assert!(slab.row(0).nnz() <= 3);
+        let total: f64 = sparse_row0(&slab).iter().map(|(_, v)| v.abs()).sum();
         assert!(total <= 1.0 + 4.0);
     }
 
@@ -397,10 +420,7 @@ mod tests {
     fn dense_encoder_prepends_bias() {
         let e = DenseEncoder::new(3);
         let slab = e.encode(row(2.0, &[1.0, f64::NAN, 3.0], &[]));
-        assert_eq!(
-            slab.row(0).to_vector().to_dense().as_slice(),
-            &[1.0, 1.0, 0.0, 3.0]
-        );
+        assert_eq!(dense_row0(slab), [1.0, 1.0, 0.0, 3.0]);
         assert_eq!(e.dim(), 4);
     }
 
@@ -408,15 +428,9 @@ mod tests {
     fn dense_encoder_pads_narrow_and_cuts_wide_batches() {
         let e = DenseEncoder::new(2);
         let narrow = e.encode(row(0.0, &[5.0], &[]));
-        assert_eq!(
-            narrow.row(0).to_vector().to_dense().as_slice(),
-            &[1.0, 5.0, 0.0]
-        );
+        assert_eq!(dense_row0(narrow), [1.0, 5.0, 0.0]);
         let wide = e.encode(row(0.0, &[5.0, 6.0, 7.0], &[]));
-        assert_eq!(
-            wide.row(0).to_vector().to_dense().as_slice(),
-            &[1.0, 5.0, 6.0]
-        );
+        assert_eq!(dense_row0(wide), [1.0, 5.0, 6.0]);
         // An empty batch still has the encoder's shape.
         let empty = e.encode(ColumnBatch::with_capacity(0, 2));
         assert!(empty.is_empty());
@@ -448,8 +462,11 @@ mod tests {
         e.update(&batch);
         assert_eq!(e.categories.len(), 1);
         // A token repeated in one bag counts twice in its one coordinate.
-        let v = e.encode(batch).row(0).to_vector();
-        assert_eq!((v.nnz(), v.get(1)), (2, 2.0));
+        let slab = e.encode(batch);
+        assert_eq!(
+            (slab.row(0).nnz(), value_at(&sparse_row0(&slab), 1)),
+            (2, 2.0)
+        );
     }
 
     #[test]

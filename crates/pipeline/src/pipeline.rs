@@ -414,7 +414,7 @@ mod tests {
         // A bag past the bound is answered like any other and then takes its
         // buffers with it; the next query starts from nothing again.
         let huge = "t ".repeat(QUERY_SCRATCH_MAX_TOKENS + 1);
-        let repeated = |row: RowView<'_>| row.to_vector().iter_nonzero().count();
+        let repeated = |row: RowView<'_>| row.nnz();
         assert_eq!(p.query(&query(&huge), &mut scratch, repeated), Some(2));
         assert_eq!(scratch.batch.tokens.capacity(), 0);
         assert!(scratch.slab.is_none());
@@ -458,7 +458,7 @@ mod tests {
         let from_snapshot = snap.transform_chunk(&chunk(5, &[(0.0, 4.0, 5.0)]));
         // ... which differ from the advanced pipeline's output.
         let from_advanced = p.transform_chunk(&chunk(6, &[(0.0, 4.0, 5.0)]));
-        assert_ne!(from_snapshot.to_points(), from_advanced.to_points());
+        assert_ne!(from_snapshot.slab(), from_advanced.slab());
     }
 
     #[test]

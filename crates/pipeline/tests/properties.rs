@@ -12,7 +12,9 @@ use cdp_pipeline::impute::MeanImputer;
 use cdp_pipeline::parser::{SchemaParser, TaxiParser};
 use cdp_pipeline::scale::StandardScaler;
 use cdp_pipeline::{ColumnBatch, Component, Pipeline, PipelineBuilder, QueryScratch};
-use cdp_storage::{FeatureChunk, LabeledPoint, RawChunk, Record, Schema, Timestamp, Value};
+use cdp_storage::{
+    ColumnSlab, FeatureChunk, LabeledPoint, RawChunk, Record, Schema, SlabLayout, Timestamp, Value,
+};
 use proptest::prelude::*;
 use row_reference::{Encoder as RowEncoder, Parser as RowParser, RowPipeline, Stage};
 
@@ -140,35 +142,61 @@ impl Spec {
     }
 }
 
-/// Everything observable about a point, floats by bit pattern.
-fn bits(p: &LabeledPoint) -> (u64, bool, usize, Vec<(usize, u64)>) {
-    let entries = match &p.features {
-        Vector::Dense(d) => d
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .enumerate()
-            .collect(),
-        Vector::Sparse(s) => {
-            let indices = s.indices().iter().map(|&i| i as usize);
-            indices
-                .zip(s.values().iter().map(|v| v.to_bits()))
-                .collect()
+/// Everything observable about a row, floats by bit pattern: the label,
+/// whether it is sparse, its dimension and its stored entries.
+type Bits = (u64, bool, usize, Vec<(usize, u64)>);
+
+fn bits(p: &LabeledPoint) -> Bits {
+    let label = p.label.to_bits();
+    match &p.features {
+        Vector::Dense(d) => {
+            let entries = d.iter().map(|v| v.to_bits()).enumerate().collect();
+            (label, false, d.len(), entries)
         }
-    };
-    (
-        p.label.to_bits(),
-        p.features.is_sparse(),
-        p.features.dim(),
-        entries,
-    )
+        Vector::Sparse {
+            dim,
+            indices,
+            values,
+        } => {
+            let indices = indices.iter().map(|&i| i as usize);
+            let entries = indices.zip(values.iter().map(|v| v.to_bits())).collect();
+            (label, true, *dim, entries)
+        }
+    }
+}
+
+/// [`bits`] of every row of a chunk, read off its slab's columns.
+fn chunk_bits(chunk: &FeatureChunk) -> Vec<Bits> {
+    let (labels, layout) = ColumnSlab::clone(chunk.slab()).into_parts();
+    let labels = labels.iter().map(|y| y.to_bits());
+    match layout {
+        SlabLayout::Dense { dim, cols } => labels
+            .enumerate()
+            .map(|(i, label)| {
+                let entries = cols.iter().map(|col| col[i].to_bits()).enumerate();
+                (label, false, dim, entries.collect())
+            })
+            .collect(),
+        SlabLayout::Csr {
+            dim,
+            row_ptr,
+            indices,
+            values,
+        } => labels
+            .zip(row_ptr.windows(2))
+            .map(|(label, ends)| {
+                let row = ends[0] as usize..ends[1] as usize;
+                let indices = indices[row.clone()].iter().map(|&i| i as usize);
+                let entries = indices.zip(values[row].iter().map(|v| v.to_bits()));
+                (label, true, dim, entries.collect())
+            })
+            .collect(),
+    }
 }
 
 fn same_points(what: &str, real: &FeatureChunk, reference: &[LabeledPoint]) -> Result<(), String> {
-    let (real, reference): (Vec<_>, Vec<_>) = (
-        real.to_points().iter().map(bits).collect(),
-        reference.iter().map(bits).collect(),
-    );
+    let reference: Vec<Bits> = reference.iter().map(bits).collect();
+    let real = chunk_bits(real);
     if real != reference {
         return Err(format!(
             "{what}: column pipeline {real:?}\n  row reference {reference:?}"
@@ -455,8 +483,8 @@ impl Served {
     /// on the whole chunk — what training would have seen.
     fn serve(&mut self, records: &[Record], scratch: &mut QueryScratch) -> Result<(), String> {
         let raw = RawChunk::new(Timestamp(1), records.to_vec());
-        let trained = self.real.transform_chunk(&raw).to_points();
-        let mut rows = trained.iter();
+        let trained = chunk_bits(&self.real.transform_chunk(&raw));
+        let mut rows = trained.into_iter();
         for record in records {
             let reused = self.real.query(record, scratch, |row| row.to_point());
             let reused = reused.as_ref().map(bits);
@@ -467,7 +495,7 @@ impl Served {
                     "{record:?}: reused scratch {reused:?}\n  fresh {fresh:?}\n  reference {reference:?}"
                 ));
             }
-            if reused.is_some() && reused != rows.next().map(bits) {
+            if reused.is_some() && reused != rows.next() {
                 return Err(format!("{record:?}: query differs from its chunk row"));
             }
         }
@@ -666,7 +694,7 @@ proptest! {
         pipeline.fit_transform_chunk(&chunk_of(0, &warm));
         let a = pipeline.transform_chunk(&chunk_of(1, &probe));
         let b = pipeline.transform_chunk(&chunk_of(2, &probe));
-        prop_assert_eq!(a.to_points(), b.to_points());
+        prop_assert_eq!(a.slab(), b.slab());
     }
 
     /// Scaled outputs have bounded magnitude relative to the training
@@ -694,11 +722,11 @@ proptest! {
         batch.push_row(1.0, &[], tokens.iter().map(String::as_str));
         let slab = hasher.encode(batch);
         prop_assert_eq!(slab.len(), 1);
-        let features = slab.row(0).to_vector();
-        prop_assert_eq!(features.get(0), 1.0);
+        let (indices, values) = slab.row(0).sparse_parts().expect("hashed rows are CSR");
+        prop_assert_eq!((indices.first(), values.first()), (Some(&0), Some(&1.0)));
         // Total absolute mass ≤ bias + one unit per token (collisions can
         // only cancel, never amplify).
-        let mass: f64 = features.iter_nonzero().map(|(_, v)| v.abs()).sum();
+        let mass: f64 = values.iter().map(|v| v.abs()).sum();
         prop_assert!(mass <= 1.0 + tokens.len() as f64 + 1e-9);
     }
 

@@ -1,13 +1,14 @@
 //! Tests-only reference: the row-at-a-time pipeline the column kernels
 //! replaced. A chunk is a `Vec<Row>` handed from stage to stage, statistics
 //! are folded row by row and re-derived for every value they are applied
-//! to, and every row is encoded into its own `LabeledPoint` through
-//! `SparseBuilder`. Kept as the oracle `properties.rs` checks the column
-//! pipeline against bit for bit; nothing ships from here.
+//! to, and every row is encoded into its own `LabeledPoint`, its sparse
+//! entries sorted and summed here rather than by the store's CSR builder.
+//! Kept as the oracle `properties.rs` checks the column pipeline against
+//! bit for bit; nothing ships from here.
 
 use std::collections::HashMap;
 
-use cdp_linalg::{DenseVector, SparseBuilder, Vector};
+use cdp_linalg::Vector;
 use cdp_pipeline::encode::FeatureHasher;
 use cdp_pipeline::stats::RunningMoments;
 use cdp_pipeline::PipelineCounters;
@@ -51,6 +52,28 @@ pub struct RowPipeline {
     pub stages: Vec<Stage>,
     pub encoder: Encoder,
     pub counters: PipelineCounters,
+}
+
+/// A sparse row from raw `(index, value)` entries: sorted by index (stably),
+/// each run of one index summed in that order.
+fn sorted_and_summed(mut entries: Vec<(usize, f64)>, dim: usize) -> Vector {
+    entries.sort_by_key(|&(i, _)| i);
+    let (mut indices, mut values): (Vec<u32>, Vec<f64>) = (Vec::new(), Vec::new());
+    for (i, v) in entries {
+        assert!(i < dim, "index {i} within dimension {dim}");
+        match values.last_mut() {
+            Some(last) if indices.last() == Some(&(i as u32)) => *last += v,
+            _ => {
+                indices.push(i as u32);
+                values.push(v);
+            }
+        }
+    }
+    Vector::Sparse {
+        dim,
+        indices,
+        values,
+    }
 }
 
 fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
@@ -250,32 +273,37 @@ impl Encoder {
                     let v = row.nums.get(i).copied().unwrap_or(0.0);
                     values.push(if v.is_nan() { 0.0 } else { v });
                 }
-                return LabeledPoint::new(row.label, Vector::Dense(DenseVector::new(values)));
+                return LabeledPoint {
+                    label: row.label,
+                    features: Vector::Dense(values),
+                };
             }
         };
-        let mut b = SparseBuilder::with_capacity(1 + row.nums.len() + row.tokens.len());
-        b.add(0, 1.0);
+        let mut entries = Vec::with_capacity(1 + row.nums.len() + row.tokens.len());
+        entries.push((0, 1.0));
         for (i, &v) in row.nums.iter().take(slots).enumerate() {
             if v != 0.0 && !v.is_nan() {
-                b.add(1 + i, v);
+                entries.push((1 + i, v));
             }
         }
         for token in &row.tokens {
             match self {
                 Encoder::Hasher(bits, slots) => {
                     let (bucket, sign) = FeatureHasher::new(*bits, *slots).bucket_of(token);
-                    b.add(bucket, sign);
+                    entries.push((bucket, sign));
                 }
                 Encoder::OneHot(categories, slots) => {
                     if let Some(&idx) = categories.get(token) {
-                        b.add(1 + slots + idx, 1.0);
+                        entries.push((1 + slots + idx, 1.0));
                     }
                 }
                 Encoder::Dense(_) => {}
             }
         }
-        let features = b.build(self.dim()).expect("indices within dim");
-        LabeledPoint::new(row.label, Vector::Sparse(features))
+        LabeledPoint {
+            label: row.label,
+            features: sorted_and_summed(entries, self.dim()),
+        }
     }
 
     fn state_bytes(&self) -> Vec<u8> {

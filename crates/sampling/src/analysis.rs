@@ -7,11 +7,16 @@
 //! `μ_n = E[MS]/s` and the reported μ is the average of `μ_n` over
 //! `n = 1..N` (Eq. 3).
 
-use cdp_linalg::ops::harmonic;
 use serde::{Deserialize, Serialize};
 
 use crate::strategy::{Sampler, SamplingStrategy};
 use cdp_storage::Timestamp;
+
+/// The `t`-th harmonic number `H_t = 1 + 1/2 + … + 1/t`, summed term by term
+/// (Eqs. 4 and 5).
+fn harmonic(t: u64) -> f64 {
+    (1..=t).map(|k| 1.0 / k as f64).sum()
+}
 
 /// Theoretical μ for **uniform** sampling (paper Eq. 4):
 /// `μ = m(1 + H_N − H_m) / N`.
@@ -138,9 +143,31 @@ pub fn empirical_mu(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const N: usize = 2_000;
     const S: usize = 20;
+
+    #[test]
+    fn harmonic_small_values_exact() {
+        assert_eq!(harmonic(1), 1.0);
+        assert!((harmonic(2) - 1.5).abs() < 1e-15);
+        assert!((harmonic(4) - (1.0 + 0.5 + 1.0 / 3.0 + 0.25)).abs() < 1e-15);
+    }
+
+    proptest! {
+        #[test]
+        fn harmonic_is_monotone(t in 1u64..5_000) {
+            prop_assert!(harmonic(t + 1) > harmonic(t));
+        }
+
+        /// Harmonic numbers satisfy H_{2n} − H_n → ln 2.
+        #[test]
+        fn harmonic_difference_approaches_ln2(n in 500u64..5_000) {
+            let diff = harmonic(2 * n) - harmonic(n);
+            prop_assert!((diff - 2f64.ln()).abs() < 1e-3);
+        }
+    }
 
     #[test]
     fn uniform_matches_paper_example() {

@@ -75,8 +75,8 @@ impl RawChunk {
     }
 }
 
-/// A single preprocessed training example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A single preprocessed example as a row: what a prediction query returns.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledPoint {
     /// Regression target or classification label (±1 for SVM, 0/1 for
     /// logistic regression).
@@ -85,24 +85,13 @@ pub struct LabeledPoint {
     pub features: Vector,
 }
 
-impl LabeledPoint {
-    /// Creates a labeled example.
-    pub fn new(label: f64, features: Vector) -> Self {
-        Self { label, features }
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<f64>() + self.features.size_bytes()
-    }
-}
-
 /// A chunk of preprocessed features, carrying a reference (`raw_ref`) to the
 /// raw chunk it was materialized from so it can be re-created after eviction.
 ///
-/// The chunk holds every row of one shared columnar [`ColumnSlab`].
-/// Equality is a property of the rows, so two chunks with the same logical
-/// rows compare equal regardless of which slab layout backs them.
+/// The chunk holds every row of one shared columnar [`ColumnSlab`]. Two
+/// chunks are equal when their timestamps and slabs are, and two empty
+/// chunks whatever slabs back them: a dense slab and a CSR one of the same
+/// rows are not the same chunk.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FeatureChunk {
     /// Same identifier as the originating raw chunk.
@@ -114,15 +103,6 @@ pub struct FeatureChunk {
 }
 
 impl FeatureChunk {
-    /// Creates a feature chunk derived from raw chunk `raw_ref`.
-    pub fn new(timestamp: Timestamp, raw_ref: Timestamp, points: Vec<LabeledPoint>) -> Self {
-        Self::from_slab(
-            timestamp,
-            raw_ref,
-            Arc::new(ColumnSlab::from_points(points)),
-        )
-    }
-
     /// Creates a feature chunk over all rows of an existing slab.
     pub fn from_slab(timestamp: Timestamp, raw_ref: Timestamp, slab: Arc<ColumnSlab>) -> Self {
         let bytes = (0..slab.len()).map(|i| slab.row_size_bytes(i)).sum();
@@ -144,9 +124,10 @@ impl FeatureChunk {
         self.slab.is_empty()
     }
 
-    /// Approximate heap footprint in bytes — identical to what the row
-    /// layout's `Vec<LabeledPoint>` accounting reported for the same rows,
-    /// so budget and eviction decisions are unchanged.
+    /// Approximate heap footprint in bytes: the sum of
+    /// [`ColumnSlab::row_size_bytes`], what the row layout's accounting
+    /// reported for the same rows, so budget and eviction decisions are
+    /// unchanged.
     pub fn size_bytes(&self) -> usize {
         self.bytes
     }
@@ -164,12 +145,6 @@ impl FeatureChunk {
         (0..self.len()).map(move |i| self.slab.row(i))
     }
 
-    /// Reconstructs all examples as owned points (compatibility path; the
-    /// hot paths iterate [`FeatureChunk::rows`] instead).
-    pub fn to_points(&self) -> Vec<LabeledPoint> {
-        self.rows().map(|r| r.to_point()).collect()
-    }
-
     /// The backing slab (the spill codec copies its columns out).
     pub fn slab(&self) -> &Arc<ColumnSlab> {
         &self.slab
@@ -180,19 +155,16 @@ impl PartialEq for FeatureChunk {
     fn eq(&self, other: &Self) -> bool {
         self.timestamp == other.timestamp
             && self.raw_ref == other.raw_ref
-            && self.len() == other.len()
-            && self
-                .rows()
-                .zip(other.rows())
-                .all(|(a, b)| a.label() == b.label() && a.to_vector() == b.to_vector())
+            && (self.slab == other.slab || (self.is_empty() && other.is_empty()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::CsrBuilder;
+    use crate::disk::{decode_chunk, encode_chunk};
     use crate::record::Value;
-    use cdp_linalg::DenseVector;
 
     #[test]
     fn timestamp_ordering_and_next() {
@@ -245,14 +217,45 @@ mod tests {
         assert_eq!(taxi.clone().size_bytes(), 672);
     }
 
+    fn chunk(ts: u64, slab: ColumnSlab) -> FeatureChunk {
+        FeatureChunk::from_slab(Timestamp(ts), Timestamp(ts), Arc::new(slab))
+    }
+
     #[test]
     fn feature_chunk_tracks_raw_ref() {
-        let points = vec![LabeledPoint::new(
-            1.0,
-            DenseVector::new(vec![1.0, 2.0]).into(),
-        )];
-        let fc = FeatureChunk::new(Timestamp(9), Timestamp(9), points);
+        let fc = chunk(9, ColumnSlab::dense(vec![1.0], vec![vec![1.0], vec![2.0]]));
         assert_eq!(fc.raw_ref, fc.timestamp);
         assert_eq!(fc.len(), 1);
+    }
+
+    #[test]
+    fn feature_chunks_are_equal_when_their_timestamps_and_slabs_are() {
+        // The rows [1, 0] and [0, 2] as a dense slab and as a CSR block.
+        let cols = vec![vec![1.0, 0.0], vec![0.0, 2.0]];
+        let dense = || chunk(3, ColumnSlab::dense(vec![1.0, -1.0], cols.clone()));
+        let csr = || {
+            let mut builder = CsrBuilder::reusing(None, 2, 2, 2);
+            builder.push_row(1.0, &mut [(0, 1.0)]);
+            builder.push_row(-1.0, &mut [(1, 2.0)]);
+            chunk(3, builder.finish())
+        };
+        // Built alike, equal; the same rows in the other layout, not.
+        assert_eq!(dense(), dense());
+        assert_eq!(csr(), csr());
+        assert_ne!(dense(), csr());
+        // A spill round trip gives back the same chunk, in either layout.
+        for fc in [dense(), csr()] {
+            assert_eq!(decode_chunk(&encode_chunk(&fc)).ok(), Some(fc));
+        }
+        // Another timestamp is another chunk; two empty chunks are equal
+        // whatever slabs back them.
+        let later = FeatureChunk {
+            timestamp: Timestamp(4),
+            ..dense()
+        };
+        assert_ne!(dense(), later);
+        let empty_dense = chunk(5, ColumnSlab::dense(Vec::new(), vec![Vec::new(); 3]));
+        let empty_csr = chunk(5, CsrBuilder::reusing(None, 0, 0, 0).finish());
+        assert_eq!(empty_dense, empty_csr);
     }
 }

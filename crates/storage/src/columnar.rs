@@ -3,18 +3,18 @@
 //! A [`ColumnSlab`] stores a chunk's examples column-major — one label
 //! column plus either dense column slabs (`Vec<f64>` per feature column) or
 //! a CSR-style sparse block — so the pipeline, the trainer, and the fused
-//! transform+gradient pass can iterate examples without allocating a
-//! `LabeledPoint` per row. A [`FeatureChunk`](crate::FeatureChunk) holds
-//! one `Arc<ColumnSlab>` whole.
+//! transform+gradient pass iterate examples without a row object per
+//! example. A [`FeatureChunk`](crate::FeatureChunk) holds one
+//! `Arc<ColumnSlab>` whole.
 //!
 //! **Bit-identity contract.** Every numeric access through [`RowView`]
 //! replicates the exact floating-point operation order of the row layout it
-//! replaced ([`Vector::dot_padded`], [`Vector::axpy_into_growing`], …):
-//! dense rows are read column-ascending, CSR rows in stored-index order.
-//! Per-row byte accounting is preserved by construction (dense row =
-//! `8 + dim*8`, CSR row = `8 + nnz*12` — identical to
-//! `LabeledPoint::size_bytes`), so budget and eviction decisions cannot
-//! drift from the row-layout semantics. The slab kernels
+//! replaced, which this file's tests keep as their oracle (a dense row's
+//! coordinates, a sparse row's sorted entries, and that layout's dot
+//! product and update): dense rows are read column-ascending, CSR rows in
+//! stored-index order. Per-row byte accounting is the row layout's too
+//! (dense row = `8 + dim*8`, CSR row = `8 + nnz*12`), so budget and
+//! eviction decisions cannot drift from it. The slab kernels
 //! ([`ColumnSlab::dot_rows`], [`ColumnSlab::axpy_rows`]) keep the contract
 //! too: they run many rows' chains side by side, each chain in its row op's
 //! order.
@@ -23,7 +23,7 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use cdp_linalg::{merge_entries, DenseVector, SparseVector, Vector};
+use cdp_linalg::Vector;
 
 use crate::chunk::LabeledPoint;
 
@@ -61,46 +61,6 @@ pub struct ColumnSlab {
 }
 
 impl ColumnSlab {
-    /// Builds a slab from row-major points: all-dense one-dimension rows
-    /// become column slabs, anything else a CSR block at the widest row's
-    /// dimension — a sparse row keeps its stored entries, a dense row among
-    /// them stores every coordinate (zeros too) in index order, so a dot
-    /// product or an update over the slab row makes the multiply-adds of the
-    /// vector it came from, in its order. The pipeline builds its slabs
-    /// directly ([`ColumnSlab::dense`], [`CsrBuilder`]); this serves callers
-    /// that hold points (tests, hand-made chunks).
-    pub fn from_points(points: Vec<LabeledPoint>) -> Self {
-        let labels: Vec<f64> = points.iter().map(|p| p.label).collect();
-        let dim = points.iter().map(|p| p.features.dim()).max().unwrap_or(0);
-        let dense = |p: &LabeledPoint| !p.features.is_sparse() && p.features.dim() == dim;
-        if !points.is_empty() && points.iter().all(dense) {
-            let column = |j| points.iter().map(|p| p.features.get(j)).collect();
-            return Self::dense(labels, (0..dim).map(column).collect());
-        }
-        let mut row_ptr = vec![0u32];
-        let (mut indices, mut values) = (Vec::new(), Vec::new());
-        for p in &points {
-            match &p.features {
-                Vector::Sparse(s) => {
-                    indices.extend_from_slice(s.indices());
-                    values.extend_from_slice(s.values());
-                }
-                Vector::Dense(d) => {
-                    indices.extend(0..d.dim() as u32);
-                    values.extend_from_slice(d.as_slice());
-                }
-            }
-            row_ptr.push(indices.len() as u32);
-        }
-        let layout = SlabLayout::Csr {
-            dim,
-            row_ptr,
-            indices,
-            values,
-        };
-        Self { labels, layout }
-    }
-
     /// A dense slab straight from its columns: `cols[j][i]` is feature `j` of
     /// row `i`. A column shorter or longer than `labels` is zero-padded or
     /// cut to its length, so the result is well-formed for any input.
@@ -156,8 +116,8 @@ impl ColumnSlab {
         RowView { slab: self, row: i }
     }
 
-    /// Heap bytes attributed to row `i` — identical to what
-    /// `LabeledPoint::size_bytes` reports for the same row in row layout.
+    /// Heap bytes attributed to row `i`: its label and its stored
+    /// coordinates, as the row layout accounted them.
     pub fn row_size_bytes(&self, i: usize) -> usize {
         let label = std::mem::size_of::<f64>();
         match &self.layout {
@@ -178,17 +138,15 @@ impl ColumnSlab {
     /// every chain of the run by its block's terms, so the chains are
     /// independent and the loop across rows needs no reassociation to
     /// vectorize. A CSR slab is scored row by row.
-    pub fn dot_rows(&self, rows: Range<usize>, weights: &DenseVector, out: &mut Vec<f64>) {
+    pub fn dot_rows(&self, rows: Range<usize>, weights: &[f64], out: &mut Vec<f64>) {
         out.clear();
         match &self.layout {
             SlabLayout::Dense { dim, cols } => {
-                let n = (*dim).min(weights.dim());
+                let n = (*dim).min(weights.len());
                 // Where `Iterator::sum` starts, whichever zero that is.
                 let empty: f64 = std::iter::empty::<f64>().sum();
                 out.resize(rows.len(), empty);
-                let blocks = cols[..n]
-                    .chunks(LANES)
-                    .zip(weights.as_slice().chunks(LANES));
+                let blocks = cols[..n].chunks(LANES).zip(weights.chunks(LANES));
                 for (cols, weights) in blocks {
                     let rows = rows.clone();
                     match cols.len() {
@@ -211,15 +169,15 @@ impl ColumnSlab {
     /// A dense slab folds four columns at a time: each coordinate of `target`
     /// is its own chain over the rows, and a block of columns advances its
     /// chains together in registers. A CSR slab folds row by row.
-    pub fn axpy_rows(&self, rows: Range<usize>, coeffs: &[f64], target: &mut DenseVector) {
+    pub fn axpy_rows(&self, rows: Range<usize>, coeffs: &[f64], target: &mut Vec<f64>) {
         let Some(first) = coeffs.iter().position(|&c| c != 0.0) else {
             return;
         };
         let (rows, coeffs) = (rows.start + first..rows.end, &coeffs[first..]);
         match &self.layout {
             SlabLayout::Dense { dim, cols } => {
-                target.grow_to(*dim);
-                let slots = &mut target.as_mut_slice()[..*dim];
+                grow_to(target, *dim);
+                let slots = &mut target[..*dim];
                 for (slots, cols) in slots.chunks_mut(LANES).zip(cols.chunks(LANES)) {
                     let rows = rows.clone();
                     match slots.len() {
@@ -238,6 +196,13 @@ impl ColumnSlab {
                 }
             }
         }
+    }
+}
+
+/// Pads `v` with zeros up to `dim` coordinates; never shrinks it.
+fn grow_to(v: &mut Vec<f64>, dim: usize) {
+    if dim > v.len() {
+        v.resize(dim, 0.0);
     }
 }
 
@@ -314,10 +279,10 @@ pub fn slab_runs<'s, 'a>(
 
 /// Builds a CSR slab one row at a time from unsorted, possibly repeated
 /// `(index, value)` entries — what the hashing and one-hot encoders emit.
-/// Each row is canonicalized by [`cdp_linalg::merge_entries`], as
-/// [`cdp_linalg::SparseBuilder::build`] does it, so a slab row is
-/// bit-identical to the sparse vector the builder would have produced from
-/// the same entries.
+/// Each row is canonicalized by [`merge_entries`]: an unstable sort by
+/// index, then repeats summed in sorted order. The pipeline's row reference
+/// (`crates/pipeline/tests/row_reference`) canonicalizes its rows with a
+/// sort-and-sum of its own, and the slab rows match it bit for bit.
 #[derive(Debug, Clone)]
 pub struct CsrBuilder {
     labels: Vec<f64>,
@@ -391,6 +356,25 @@ impl CsrBuilder {
     }
 }
 
+/// Appends the canonical form of one row's raw `entries` to `indices` and
+/// `values`: an unstable sort by index, then repeats summed into one slot in
+/// sorted order (explicit zeros kept).
+fn merge_entries(entries: &mut [(u32, f64)], indices: &mut Vec<u32>, values: &mut Vec<f64>) {
+    entries.sort_unstable_by_key(|&(i, _)| i);
+    let row_start = indices.len();
+    for &(i, v) in entries.iter() {
+        // `indices` and `values` are pushed in lockstep, so a repeated index
+        // within this row implies a parallel last value to fold into.
+        match values.last_mut() {
+            Some(slot) if indices.len() > row_start && indices.last() == Some(&i) => *slot += v,
+            _ => {
+                indices.push(i);
+                values.push(v);
+            }
+        }
+    }
+}
+
 /// A zero-copy view of one labeled example: a row of a [`ColumnSlab`].
 /// `Copy`, so the trainer can shard and re-iterate views freely.
 #[derive(Debug, Clone, Copy)]
@@ -424,7 +408,7 @@ impl<'a> RowView<'a> {
     }
 
     /// Number of non-zero coordinates of a dense row (stored zeros counted
-    /// out, exactly like `Vector::nnz`); stored entries of a CSR row.
+    /// out); stored entries of a CSR row.
     pub fn nnz(&self) -> usize {
         match &self.slab.layout {
             SlabLayout::Dense { dim, cols } => {
@@ -435,15 +419,15 @@ impl<'a> RowView<'a> {
         }
     }
 
-    /// Dot product with a dense weight vector that may be narrower than the
-    /// row — bit-identical to `Vector::dot_padded` on the same example:
-    /// dense coordinates ascending, CSR entries in stored order with the
-    /// same `take_while` cutoff, same accumulation order.
-    pub fn dot_padded(&self, weights: &DenseVector) -> f64 {
+    /// Dot product with dense weights that may be narrower than the row:
+    /// uncovered coordinates contribute `0.0`. Dense coordinates ascending,
+    /// CSR entries in stored order up to the first one the weights do not
+    /// cover, summed by `Iterator::sum`.
+    pub fn dot_padded(&self, weights: &[f64]) -> f64 {
         match &self.slab.layout {
             SlabLayout::Dense { dim, cols } => {
-                let n = (*dim).min(weights.dim());
-                let w = &weights.as_slice()[..n];
+                let n = (*dim).min(weights.len());
+                let w = &weights[..n];
                 let products = cols[..n].iter().zip(w);
                 products.map(|(col, b)| col[self.row] * b).sum()
             }
@@ -454,24 +438,23 @@ impl<'a> RowView<'a> {
                 ..
             } => {
                 let (indices, values) = csr_row(row_ptr, indices, values, self.row);
-                let slice = weights.as_slice();
                 indices
                     .iter()
                     .zip(values.iter())
-                    .take_while(|(&i, _)| (i as usize) < slice.len())
-                    .map(|(&i, &v)| v * slice[i as usize])
+                    .take_while(|(&i, _)| (i as usize) < weights.len())
+                    .map(|(&i, &v)| v * weights[i as usize])
                     .sum()
             }
         }
     }
 
-    /// `weights += alpha * self`, growing `weights` with zero padding first
-    /// — bit-identical to `Vector::axpy_into_growing` on the same example.
-    pub fn axpy_into_growing(&self, alpha: f64, weights: &mut DenseVector) {
+    /// `weights += alpha * self`, growing `weights` with zero padding first:
+    /// dense coordinates ascending, CSR entries in stored order.
+    pub fn axpy_into_growing(&self, alpha: f64, weights: &mut Vec<f64>) {
         match &self.slab.layout {
             SlabLayout::Dense { dim, cols } => {
-                weights.grow_to(*dim);
-                let w = &mut weights.as_mut_slice()[..*dim];
+                grow_to(weights, *dim);
+                let w = &mut weights[..*dim];
                 for (slot, col) in w.iter_mut().zip(cols) {
                     *slot += alpha * col[self.row];
                 }
@@ -484,7 +467,7 @@ impl<'a> RowView<'a> {
             } => {
                 let (indices, values) = csr_row(row_ptr, indices, values, self.row);
                 if let Some(&last) = indices.last() {
-                    weights.grow_to(last as usize + 1);
+                    grow_to(weights, last as usize + 1);
                 }
                 let slice = weights.as_mut_slice();
                 for (&i, &v) in indices.iter().zip(values.iter()) {
@@ -511,12 +494,12 @@ impl<'a> RowView<'a> {
         }
     }
 
-    /// Reconstructs the row's feature vector (dense rows come back dense,
-    /// CSR rows sparse).
-    pub fn to_vector(&self) -> Vector {
-        match &self.slab.layout {
+    /// The row as an owned [`LabeledPoint`]: a dense row comes back dense,
+    /// a CSR row sparse.
+    pub fn to_point(&self) -> LabeledPoint {
+        let features = match &self.slab.layout {
             SlabLayout::Dense { cols, .. } => {
-                Vector::Dense(DenseVector::new(cols.iter().map(|c| c[self.row]).collect()))
+                Vector::Dense(cols.iter().map(|c| c[self.row]).collect())
             }
             SlabLayout::Csr {
                 dim,
@@ -525,19 +508,18 @@ impl<'a> RowView<'a> {
                 values,
             } => {
                 let (indices, values) = csr_row(row_ptr, indices, values, self.row);
-                match SparseVector::new(*dim, indices.to_vec(), values.to_vec()) {
-                    Ok(v) => Vector::Sparse(v),
-                    // Every producer of a CSR block (builder, `from_points`,
-                    // decoder) keeps a row's indices sorted and in bounds.
-                    Err(e) => unreachable!("CSR row invariant broken: {e}"),
+                let (indices, values) = (indices.to_vec(), values.to_vec());
+                Vector::Sparse {
+                    dim: *dim,
+                    indices,
+                    values,
                 }
             }
+        };
+        LabeledPoint {
+            label: self.label(),
+            features,
         }
-    }
-
-    /// Reconstructs the row as an owned [`LabeledPoint`].
-    pub fn to_point(&self) -> LabeledPoint {
-        LabeledPoint::new(self.label(), self.to_vector())
     }
 }
 
@@ -545,125 +527,238 @@ impl<'a> RowView<'a> {
 mod tests {
     use super::*;
 
-    fn dense(label: f64, values: &[f64]) -> LabeledPoint {
-        LabeledPoint::new(label, Vector::Dense(DenseVector::new(values.to_vec())))
+    /// The row layout the slab replaced, kept as the oracle of the
+    /// bit-identity contract: a dense row stores every coordinate, a sparse
+    /// row its entries in strictly increasing index order under a nominal
+    /// dimension.
+    #[derive(Debug, Clone)]
+    enum Row {
+        Dense(Vec<f64>),
+        Sparse(usize, Vec<(u32, f64)>),
     }
 
-    fn sparse(label: f64, dim: usize, pairs: &[(u32, f64)]) -> LabeledPoint {
-        let (idx, val): (Vec<u32>, Vec<f64>) = pairs.iter().copied().unzip();
-        let v = match SparseVector::new(dim, idx, val) {
-            Ok(v) => v,
-            Err(e) => panic!("valid test vector: {e}"),
-        };
-        LabeledPoint::new(label, Vector::Sparse(v))
+    impl Row {
+        fn dim(&self) -> usize {
+            match self {
+                Row::Dense(v) => v.len(),
+                Row::Sparse(dim, _) => *dim,
+            }
+        }
+
+        fn nnz(&self) -> usize {
+            match self {
+                Row::Dense(v) => v.iter().filter(|x| **x != 0.0).count(),
+                Row::Sparse(_, entries) => entries.len(),
+            }
+        }
+
+        /// The label and the stored coordinates, as the row layout
+        /// accounted them.
+        fn size_bytes(&self) -> usize {
+            8 + match self {
+                Row::Dense(v) => v.len() * 8,
+                Row::Sparse(_, entries) => entries.len() * (4 + 8),
+            }
+        }
+
+        fn to_vector(&self) -> Vector {
+            match self {
+                Row::Dense(v) => Vector::Dense(v.clone()),
+                Row::Sparse(dim, entries) => Vector::Sparse {
+                    dim: *dim,
+                    indices: entries.iter().map(|e| e.0).collect(),
+                    values: entries.iter().map(|e| e.1).collect(),
+                },
+            }
+        }
+
+        /// The row layout's dot product with weights that may be narrower.
+        fn dot_padded(&self, w: &[f64]) -> f64 {
+            match self {
+                Row::Dense(v) => {
+                    let n = v.len().min(w.len());
+                    v[..n].iter().zip(&w[..n]).map(|(a, b)| a * b).sum()
+                }
+                Row::Sparse(_, entries) => entries
+                    .iter()
+                    .take_while(|(i, _)| (*i as usize) < w.len())
+                    .map(|&(i, v)| v * w[i as usize])
+                    .sum(),
+            }
+        }
+
+        /// The row layout's `w += alpha * self`, padding `w` first.
+        fn axpy_into_growing(&self, alpha: f64, w: &mut Vec<f64>) {
+            match self {
+                Row::Dense(v) => {
+                    grow_to(w, v.len());
+                    for (slot, x) in w.iter_mut().zip(v) {
+                        *slot += alpha * x;
+                    }
+                }
+                Row::Sparse(_, entries) => {
+                    if let Some(&(last, _)) = entries.last() {
+                        grow_to(w, last as usize + 1);
+                    }
+                    for &(i, v) in entries {
+                        w[i as usize] += alpha * v;
+                    }
+                }
+            }
+        }
     }
 
-    #[test]
-    fn dense_points_become_column_slabs() {
-        let points = vec![dense(1.0, &[1.0, 2.0]), dense(-1.0, &[3.0, 4.0])];
-        let slab = ColumnSlab::from_points(points.clone());
-        assert!(matches!(slab.layout(), SlabLayout::Dense { dim: 2, .. }));
-        for (i, p) in points.iter().enumerate() {
-            assert_eq!(slab.row(i).to_point(), *p);
-            assert_eq!(slab.row_size_bytes(i), p.size_bytes());
-            assert_eq!(slab.row(i).nnz(), p.features.nnz());
+    fn dense(label: f64, values: &[f64]) -> (f64, Row) {
+        (label, Row::Dense(values.to_vec()))
+    }
+
+    fn sparse(label: f64, dim: usize, pairs: &[(u32, f64)]) -> (f64, Row) {
+        (label, Row::Sparse(dim, pairs.to_vec()))
+    }
+
+    /// The slab `rows` make: column slabs when all of them are dense at one
+    /// width, else a CSR block at the widest row's dimension in which a
+    /// dense row stores every coordinate, zeros too, in index order.
+    fn slab_of(rows: &[(f64, Row)]) -> ColumnSlab {
+        let labels: Vec<f64> = rows.iter().map(|(label, _)| *label).collect();
+        let dim = rows.iter().map(|(_, r)| r.dim()).max().unwrap_or(0);
+        let uniform: Vec<&Vec<f64>> = rows
+            .iter()
+            .filter_map(|(_, r)| match r {
+                Row::Dense(v) if v.len() == dim => Some(v),
+                _ => None,
+            })
+            .collect();
+        if !rows.is_empty() && uniform.len() == rows.len() {
+            let column = |j| uniform.iter().map(|v| v[j]).collect();
+            return ColumnSlab::dense(labels, (0..dim).map(column).collect());
+        }
+        let mut builder = CsrBuilder::reusing(None, dim, rows.len(), 0);
+        for (label, row) in rows {
+            let mut entries = match row {
+                Row::Dense(v) => (0..).zip(v.iter().copied()).collect(),
+                Row::Sparse(_, entries) => entries.clone(),
+            };
+            builder.push_row(*label, &mut entries);
+        }
+        builder.finish()
+    }
+
+    /// Every row of `slab` reads back as `rows` has it: label, dimension,
+    /// non-zeros, accounted bytes and the point a query would return.
+    fn check_rows(slab: &ColumnSlab, rows: &[(f64, Row)]) {
+        assert_eq!(slab.len(), rows.len());
+        for (i, (label, row)) in rows.iter().enumerate() {
+            let view = slab.row(i);
+            assert_eq!((view.label(), view.dim()), (*label, row.dim()));
+            assert_eq!(view.nnz(), row.nnz());
+            assert_eq!(slab.row_size_bytes(i), row.size_bytes());
+            let features = row.to_vector();
+            let point = LabeledPoint {
+                label: *label,
+                features,
+            };
+            assert_eq!(view.to_point(), point);
         }
     }
 
     #[test]
-    fn sparse_points_become_csr() {
-        let points = vec![
+    fn dense_rows_become_column_slabs() {
+        let rows = [dense(1.0, &[1.0, 2.0]), dense(-1.0, &[3.0, 4.0])];
+        let slab = slab_of(&rows);
+        assert!(matches!(slab.layout(), SlabLayout::Dense { dim: 2, .. }));
+        check_rows(&slab, &rows);
+    }
+
+    #[test]
+    fn sparse_rows_become_csr() {
+        let rows = [
             sparse(1.0, 16, &[(0, 1.0), (7, -2.0)]),
             sparse(0.0, 16, &[]),
             sparse(-1.0, 16, &[(3, 5.0)]),
         ];
-        let slab = ColumnSlab::from_points(points.clone());
+        let slab = slab_of(&rows);
         assert!(matches!(slab.layout(), SlabLayout::Csr { dim: 16, .. }));
-        for (i, p) in points.iter().enumerate() {
-            assert_eq!(slab.row(i).to_point(), *p);
-            assert_eq!(slab.row_size_bytes(i), p.size_bytes());
-            assert_eq!(slab.row(i).nnz(), p.features.nnz());
-        }
+        check_rows(&slab, &rows);
     }
 
     #[test]
-    fn non_uniform_points_become_csr_with_the_vectors_own_arithmetic() {
+    fn a_csr_row_storing_every_coordinate_keeps_the_dense_arithmetic() {
         // Dense rows of two widths (stored zeros, a negative zero) among
         // sparse rows of two dimensions, one empty.
-        let points = vec![
+        let rows = [
             dense(1.0, &[0.5, 0.0, -1.5]),
             sparse(0.0, 4, &[(2, 2.0)]),
             dense(-1.0, &[-0.0, 3.25, 7.0, 0.1, -2.0]),
             sparse(1.0, 9, &[(0, -4.0), (8, 0.3)]),
             sparse(0.0, 2, &[]),
         ];
-        let slab = ColumnSlab::from_points(points.clone());
+        let slab = slab_of(&rows);
         assert!(matches!(slab.layout(), SlabLayout::Csr { dim: 9, .. }));
         assert_eq!(
             slab.row(0).sparse_parts().map(|(i, _)| i),
             Some(&[0, 1, 2][..])
         );
         // Weights narrower than, as wide as and wider than each kind of row.
-        let weights = (0..12).map(|n| DenseVector::new((0..n).map(|i| 0.7 - i as f64).collect()));
+        let weights = (0..12).map(|n| (0..n).map(|i| 0.7 - i as f64).collect::<Vec<f64>>());
         for w in weights {
-            for (i, p) in points.iter().enumerate() {
-                assert_eq!(slab.row(i).label(), p.label);
+            for (i, (label, row)) in rows.iter().enumerate() {
+                assert_eq!(slab.row(i).label(), *label);
                 assert_eq!(
                     slab.row(i).dot_padded(&w).to_bits(),
-                    p.features.dot_padded(&w).to_bits(),
+                    row.dot_padded(&w).to_bits(),
                     "row {i} against {} weights",
-                    w.dim()
+                    w.len()
                 );
                 let (mut a, mut b) = (w.clone(), w.clone());
                 slab.row(i).axpy_into_growing(-0.3, &mut a);
-                p.features.axpy_into_growing(-0.3, &mut b);
-                let bits =
-                    |v: &DenseVector| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&a), bits(&b), "row {i} into {} weights", w.dim());
+                row.axpy_into_growing(-0.3, &mut b);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "row {i} into {} weights", w.len());
             }
         }
     }
 
     #[test]
-    fn row_ops_are_bit_identical_to_vector_ops() {
-        let points = vec![
+    fn row_ops_are_bit_identical_to_the_row_layout() {
+        let rows = [
             dense(1.0, &[0.5, -1.5, 3.25]),
             dense(-1.0, &[2.0, 0.0, -0.125]),
         ];
-        let slab = ColumnSlab::from_points(points.clone());
+        let slab = slab_of(&rows);
         // Narrower, covering, and wider weight vectors all agree bitwise.
         for w in [
-            DenseVector::new(vec![1.5, -2.5]),
-            DenseVector::new(vec![1.5, -2.5, 0.75]),
-            DenseVector::new(vec![1.5, -2.5, 0.75, 9.0]),
+            vec![1.5, -2.5],
+            vec![1.5, -2.5, 0.75],
+            vec![1.5, -2.5, 0.75, 9.0],
         ] {
-            for (i, p) in points.iter().enumerate() {
+            for (i, (_, row)) in rows.iter().enumerate() {
                 assert_eq!(
                     slab.row(i).dot_padded(&w).to_bits(),
-                    p.features.dot_padded(&w).to_bits()
+                    row.dot_padded(&w).to_bits()
                 );
                 let mut a = w.clone();
                 let mut b = w.clone();
                 slab.row(i).axpy_into_growing(0.3, &mut a);
-                p.features.axpy_into_growing(0.3, &mut b);
+                row.axpy_into_growing(0.3, &mut b);
                 assert_eq!(a, b);
             }
         }
-        let sp = vec![
+        let sp = [
             sparse(1.0, 8, &[(1, 2.0), (6, -1.0)]),
             sparse(0.0, 8, &[(0, 4.0)]),
         ];
-        let slab = ColumnSlab::from_points(sp.clone());
-        for w in [DenseVector::new(vec![1.0, 2.0]), DenseVector::zeros(8)] {
-            for (i, p) in sp.iter().enumerate() {
+        let slab = slab_of(&sp);
+        for w in [vec![1.0, 2.0], vec![0.0; 8]] {
+            for (i, (_, row)) in sp.iter().enumerate() {
                 assert_eq!(
                     slab.row(i).dot_padded(&w).to_bits(),
-                    p.features.dot_padded(&w).to_bits()
+                    row.dot_padded(&w).to_bits()
                 );
                 let mut a = w.clone();
                 let mut b = w.clone();
                 slab.row(i).axpy_into_growing(-0.7, &mut a);
-                p.features.axpy_into_growing(-0.7, &mut b);
+                row.axpy_into_growing(-0.7, &mut b);
                 assert_eq!(a, b);
             }
         }
@@ -674,15 +769,20 @@ mod tests {
         let d = dense(1.0, &[1.0, 2.0]);
         let s = sparse(0.0, 8, &[(1, 2.0), (6, -1.0)]);
         let parts = Some((&[1u32, 6][..], &[2.0, -1.0][..]));
-        let csr = ColumnSlab::from_points(vec![sparse(1.0, 8, &[]), s.clone()]);
+        let csr = slab_of(&[sparse(1.0, 8, &[]), s]);
         assert_eq!(csr.row(0).sparse_parts(), Some((&[][..], &[][..])));
         assert_eq!(csr.row(1).sparse_parts(), parts);
-        assert_eq!(
-            ColumnSlab::from_points(vec![d.clone()])
-                .row(0)
-                .sparse_parts(),
-            None
-        );
+        assert_eq!(slab_of(&[d]).row(0).sparse_parts(), None);
+    }
+
+    #[test]
+    fn merge_entries_sorts_and_sums_repeats_within_a_row() {
+        // Appended after a row ending in index 7: repeats merge within the
+        // new row, never into the row before it.
+        let (mut indices, mut values) = (vec![7], vec![4.0]);
+        let mut entries = [(7, 1.0), (2, 0.5), (7, 2.0)];
+        merge_entries(&mut entries, &mut indices, &mut values);
+        assert_eq!((indices, values), (vec![7, 2, 7], vec![4.0, 0.5, 3.0]));
     }
 
     #[test]
@@ -769,7 +869,7 @@ mod tests {
                 .collect();
             return ColumnSlab::dense(labels, cols);
         }
-        let points = (0..n_rows)
+        let rows: Vec<(f64, Row)> = (0..n_rows)
             .map(|_| {
                 let mut entries = Vec::new();
                 for i in 0..dim as u32 {
@@ -780,7 +880,7 @@ mod tests {
                 sparse(term(state), dim, &entries)
             })
             .collect();
-        ColumnSlab::from_points(points)
+        slab_of(&rows)
     }
 
     /// One case of [`slab_kernels_are_the_row_ops_bit_for_bit`].
@@ -790,7 +890,7 @@ mod tests {
         let rows = start..start + draw(state, slab.len() - start + 1);
         let (SlabLayout::Dense { dim, .. } | SlabLayout::Csr { dim, .. }) = *slab.layout();
         let width = |state: &mut u64| (dim + draw(state, 4)).saturating_sub(2);
-        let weights = DenseVector::new((0..width(state)).map(|_| term(state)).collect());
+        let weights: Vec<f64> = (0..width(state)).map(|_| term(state)).collect();
         let mut margins = vec![7.0; 3];
         slab.dot_rows(rows.clone(), &weights, &mut margins);
         let expected: Vec<f64> = rows
@@ -810,7 +910,7 @@ mod tests {
                 _ => term(state),
             })
             .collect();
-        let target = DenseVector::new((0..width(state)).map(|_| term(state)).collect());
+        let target: Vec<f64> = (0..width(state)).map(|_| term(state)).collect();
         let mut folded = target.clone();
         slab.axpy_rows(rows.clone(), &coeffs, &mut folded);
         let mut expected = target;
@@ -820,7 +920,7 @@ mod tests {
             }
         }
         let what = format!("{coeffs:?} over {rows:?} of {slab:?}");
-        assert_eq!(bits(folded.as_slice()), bits(expected.as_slice()), "{what}");
+        assert_eq!(bits(&folded), bits(&expected), "{what}");
     }
 
     proptest::proptest! {

@@ -448,9 +448,8 @@ impl DiskTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::LabeledPoint;
+    use crate::columnar::{ColumnSlab, CsrBuilder};
     use cdp_faults::{FaultInjector, FaultPlan};
-    use cdp_linalg::{DenseVector, SparseBuilder, Vector};
     use cdp_obs::crc32;
     use proptest::prelude::*;
 
@@ -470,18 +469,29 @@ mod tests {
         }
     }
 
+    /// A chunk over the CSR slab of `rows`, each a label and its entries.
+    fn sparse_rows(ts: u64, dim: usize, rows: &[(f64, &[(u32, f64)])]) -> FeatureChunk {
+        let mut builder = CsrBuilder::reusing(None, dim, rows.len(), 0);
+        for (label, entries) in rows {
+            builder.push_row(*label, &mut entries.to_vec());
+        }
+        FeatureChunk::from_slab(Timestamp(ts), Timestamp(ts), Arc::new(builder.finish()))
+    }
+
+    /// A chunk over the dense slab of `labels` and columns `cols`.
+    fn dense_cols(ts: u64, labels: Vec<f64>, cols: Vec<Vec<f64>>) -> FeatureChunk {
+        let slab = Arc::new(ColumnSlab::dense(labels, cols));
+        FeatureChunk::from_slab(Timestamp(ts), Timestamp(ts), slab)
+    }
+
+    /// A sparse row and a dense one, stored as a CSR block at the sparse
+    /// row's dimension (the dense row lists every coordinate, its zero too).
     fn sample_chunk() -> FeatureChunk {
-        let mut b = SparseBuilder::new();
-        b.add(3, 1.5);
-        b.add(100, -2.0);
-        let sparse = ok(b.build(1024));
-        FeatureChunk::new(
-            Timestamp(42),
-            Timestamp(42),
-            vec![
-                LabeledPoint::new(1.0, Vector::Sparse(sparse)),
-                LabeledPoint::new(-1.0, DenseVector::new(vec![0.5, 0.25, 0.0]).into()),
-            ],
+        let dense_row = [(0, 0.5), (1, 0.25), (2, 0.0)];
+        sparse_rows(
+            42,
+            1024,
+            &[(1.0, &[(3, 1.5), (100, -2.0)]), (-1.0, &dense_row)],
         )
     }
 
@@ -543,31 +553,9 @@ mod tests {
 
     /// One chunk per slab layout (dense, CSR, CSR from mixed rows, empty).
     fn layout_chunks() -> Vec<FeatureChunk> {
-        let dense = FeatureChunk::new(
-            Timestamp(1),
-            Timestamp(1),
-            vec![
-                LabeledPoint::new(1.0, DenseVector::new(vec![1.0, -2.0]).into()),
-                LabeledPoint::new(-1.0, DenseVector::new(vec![0.5, 4.0]).into()),
-            ],
-        );
-        let sparse = |entries: &[(usize, f64)], dim| {
-            let mut b = SparseBuilder::new();
-            for &(i, x) in entries {
-                b.add(i, x);
-            }
-            Vector::Sparse(ok(b.build(dim)))
-        };
-        let csr = FeatureChunk::new(
-            Timestamp(2),
-            Timestamp(2),
-            vec![
-                LabeledPoint::new(1.0, sparse(&[(2, 1.0)], 8)),
-                LabeledPoint::new(0.0, sparse(&[(0, -3.0), (7, 2.5)], 8)),
-            ],
-        );
-        let empty = FeatureChunk::new(Timestamp(3), Timestamp(3), vec![]);
-        // sample_chunk mixes sparse and dense rows: CSR at the widest.
+        let dense = dense_cols(1, vec![1.0, -1.0], vec![vec![1.0, 0.5], vec![-2.0, 4.0]]);
+        let csr = sparse_rows(2, 8, &[(1.0, &[(2, 1.0)]), (0.0, &[(0, -3.0), (7, 2.5)])]);
+        let empty = sparse_rows(3, 0, &[]);
         vec![dense, csr, sample_chunk(), empty]
     }
 
@@ -905,14 +893,7 @@ mod tests {
         assert!(ok(tier.read(Timestamp(99))).is_none());
         // An overwrite is a newer index entry: the new version is served,
         // the neighbours are untouched, and the directory holds one file.
-        let newer = FeatureChunk::new(
-            Timestamp(1),
-            Timestamp(1),
-            vec![LabeledPoint::new(
-                7.0,
-                DenseVector::new(vec![9.0, 9.0, 9.0]).into(),
-            )],
-        );
+        let newer = dense_cols(1, vec![7.0], vec![vec![9.0]; 3]);
         ok(tier.write(&newer));
         assert_eq!(some(ok(tier.read(Timestamp(1)))), newer);
         assert_eq!(some(ok(tier.read(Timestamp(2)))), chunks[1]);

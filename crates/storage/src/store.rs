@@ -278,9 +278,8 @@ impl ChunkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::LabeledPoint;
+    use crate::columnar::ColumnSlab;
     use crate::record::{Record, Value};
-    use cdp_linalg::DenseVector;
 
     /// Result extractor without `unwrap`/`expect`: this module's hot path
     /// must stay free of those tokens end to end.
@@ -306,14 +305,8 @@ mod tests {
     }
 
     fn feat(ts: u64) -> FeatureChunk {
-        FeatureChunk::new(
-            Timestamp(ts),
-            Timestamp(ts),
-            vec![LabeledPoint::new(
-                1.0,
-                DenseVector::new(vec![ts as f64]).into(),
-            )],
-        )
+        let slab = ColumnSlab::dense(vec![1.0], vec![vec![ts as f64]]);
+        FeatureChunk::from_slab(Timestamp(ts), Timestamp(ts), Arc::new(slab))
     }
 
     fn store_with(n: u64, budget: StorageBudget) -> ChunkStore {

@@ -296,8 +296,8 @@ impl TieredStore {
 mod tests {
     use super::*;
     use crate::record::{Record, Value};
+    use crate::ColumnSlab;
     use cdp_faults::{FaultInjector, FaultPlan};
-    use cdp_linalg::DenseVector;
 
     /// Result extractor without `unwrap`/`expect`: this module's hot path
     /// must stay free of those tokens end to end.
@@ -316,14 +316,8 @@ mod tests {
     }
 
     fn feat(ts: u64) -> FeatureChunk {
-        FeatureChunk::new(
-            Timestamp(ts),
-            Timestamp(ts),
-            vec![crate::LabeledPoint::new(
-                1.0,
-                DenseVector::new(vec![ts as f64, 1.0]).into(),
-            )],
-        )
+        let slab = ColumnSlab::dense(vec![1.0], vec![vec![ts as f64], vec![1.0]]);
+        FeatureChunk::from_slab(Timestamp(ts), Timestamp(ts), std::sync::Arc::new(slab))
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {

@@ -1,11 +1,13 @@
 //! Property-based tests of the storage layer: eviction and budget
 //! invariants, and codec round-trips for arbitrary chunks.
 
-use cdp_linalg::{DenseVector, SparseBuilder, Vector};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
 use cdp_storage::disk::{decode_chunk, encode_chunk};
 use cdp_storage::{
-    ChunkStore, FeatureChunk, FeatureLookup, LabeledPoint, RawChunk, Record, StorageBudget,
-    StorageError, Timestamp, Value,
+    ChunkStore, ColumnSlab, CsrBuilder, FeatureChunk, FeatureLookup, RawChunk, Record,
+    StorageBudget, StorageError, Timestamp, Value,
 };
 use proptest::prelude::*;
 
@@ -16,16 +18,74 @@ fn raw(ts: u64) -> RawChunk {
     )
 }
 
-/// Arbitrary labeled point (dense or sparse) from a compact seed.
-fn point_strategy() -> impl Strategy<Value = LabeledPoint> {
-    let dense = prop::collection::vec(-1e3..1e3f64, 0..12)
-        .prop_map(|v| LabeledPoint::new(1.0, Vector::Dense(DenseVector::new(v))));
-    let sparse = prop::collection::vec((0usize..64, -1e3..1e3f64), 0..12).prop_map(|entries| {
-        let mut b = SparseBuilder::new();
-        for (i, v) in entries {
-            b.add(i, v);
+/// A row as a test writes it: every coordinate of a dense row (label 1),
+/// or the raw entries of a sparse row at dimension 64 (label -1), repeats
+/// summed when the row is stored.
+#[derive(Debug, Clone)]
+enum Point {
+    Dense(Vec<f64>),
+    Sparse(Vec<(u32, f64)>),
+}
+
+impl Point {
+    fn dim(&self) -> usize {
+        match self {
+            Point::Dense(v) => v.len(),
+            Point::Sparse(_) => 64,
         }
-        LabeledPoint::new(-1.0, Vector::Sparse(b.build(64).expect("indices < 64")))
+    }
+
+    /// The label and the stored coordinates, as the row layout accounted
+    /// them.
+    fn size_bytes(&self) -> usize {
+        8 + match self {
+            Point::Dense(v) => v.len() * 8,
+            Point::Sparse(entries) => {
+                let stored: BTreeSet<u32> = entries.iter().map(|e| e.0).collect();
+                stored.len() * (4 + 8)
+            }
+        }
+    }
+}
+
+/// The chunk `points` make: column slabs when all of them are dense at one
+/// width, else a CSR block at the widest row's dimension in which a dense
+/// row stores every coordinate, zeros too.
+fn chunk(ts: u64, raw_ref: u64, points: &[Point]) -> FeatureChunk {
+    let dim = points.iter().map(Point::dim).max().unwrap_or(0);
+    let labels = points.iter().map(|p| match p {
+        Point::Dense(_) => 1.0,
+        Point::Sparse(_) => -1.0,
+    });
+    let uniform: Vec<&Vec<f64>> = points
+        .iter()
+        .filter_map(|p| match p {
+            Point::Dense(v) if v.len() == dim => Some(v),
+            _ => None,
+        })
+        .collect();
+    let slab = if !points.is_empty() && uniform.len() == points.len() {
+        let column = |j| uniform.iter().map(|v| v[j]).collect();
+        ColumnSlab::dense(labels.collect(), (0..dim).map(column).collect())
+    } else {
+        let mut builder = CsrBuilder::reusing(None, dim, points.len(), 0);
+        for (label, point) in labels.zip(points) {
+            let mut entries = match point {
+                Point::Dense(v) => (0..).zip(v.iter().copied()).collect(),
+                Point::Sparse(entries) => entries.clone(),
+            };
+            builder.push_row(label, &mut entries);
+        }
+        builder.finish()
+    };
+    FeatureChunk::from_slab(Timestamp(ts), Timestamp(raw_ref), Arc::new(slab))
+}
+
+/// Arbitrary point (dense or sparse) from a compact seed.
+fn point_strategy() -> impl Strategy<Value = Point> {
+    let dense = prop::collection::vec(-1e3..1e3f64, 0..12).prop_map(Point::Dense);
+    let sparse = prop::collection::vec((0usize..64, -1e3..1e3f64), 0..12).prop_map(|entries| {
+        Point::Sparse(entries.into_iter().map(|(i, v)| (i as u32, v)).collect())
     });
     prop_oneof![dense, sparse]
 }
@@ -33,18 +93,16 @@ fn point_strategy() -> impl Strategy<Value = LabeledPoint> {
 /// A chunk's points in one layout, as the pipeline's encoders produce them:
 /// all dense at one width, or all sparse at dimension 64. (A mix is stored
 /// as CSR, which keeps the arithmetic of each row but not its bytes.)
-fn uniform_points(rows: std::ops::Range<usize>) -> impl Strategy<Value = Vec<LabeledPoint>> {
+fn uniform_points(rows: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point>> {
     let wide = prop::collection::vec(-1e3..1e3f64, 12);
     let dense = (0usize..12, prop::collection::vec(wide, rows.clone())).prop_map(|(dim, rows)| {
-        let cut = |row: Vec<f64>| Vector::Dense(DenseVector::new(row[..dim].to_vec()));
-        rows.into_iter()
-            .map(|row| LabeledPoint::new(1.0, cut(row)))
-            .collect()
+        let cut = |row: Vec<f64>| Point::Dense(row[..dim].to_vec());
+        rows.into_iter().map(cut).collect()
     });
     let sparse = prop::collection::vec(point_strategy(), rows).prop_map(|points| {
         points
             .into_iter()
-            .filter(|p| p.features.is_sparse())
+            .filter(|p| matches!(p, Point::Sparse(_)))
             .collect()
     });
     prop_oneof![dense, sparse]
@@ -63,7 +121,7 @@ proptest! {
             let ts = t as u64;
             store.put_raw(raw(ts)).expect("unique");
             store
-                .put_feature(FeatureChunk::new(Timestamp(ts), Timestamp(ts), points))
+                .put_feature(chunk(ts, ts, &points))
                 .expect("raw present");
         }
         let expected: usize = store
@@ -83,10 +141,10 @@ proptest! {
         for t in 0..n {
             store.put_raw(raw(t)).expect("unique");
             store
-                .put_feature(FeatureChunk::new(
+                .put_feature(FeatureChunk::from_slab(
                     Timestamp(t),
                     Timestamp(t),
-                    vec![LabeledPoint::new(0.0, Vector::from(vec![1.0]))],
+                    Arc::new(ColumnSlab::dense(vec![0.0], vec![vec![1.0]])),
                 ))
                 .expect("raw present");
         }
@@ -121,8 +179,8 @@ proptest! {
         let mut shadow_bytes = 0usize;
         for (t, points) in chunks.into_iter().enumerate() {
             let ts = t as u64;
-            let row_bytes: usize = points.iter().map(LabeledPoint::size_bytes).sum();
-            let fc = FeatureChunk::new(Timestamp(ts), Timestamp(ts), points);
+            let row_bytes: usize = points.iter().map(Point::size_bytes).sum();
+            let fc = chunk(ts, ts, &points);
             prop_assert_eq!(fc.size_bytes(), row_bytes);
             store.put_raw(raw(ts)).expect("unique");
             store.put_feature(fc).expect("raw present");
@@ -148,23 +206,22 @@ proptest! {
     ) {
         let mut store = ChunkStore::new(StorageBudget::MaxChunks(m));
         let n = chunks.len();
-        let originals: Vec<Vec<LabeledPoint>> = chunks.clone();
-        for (t, points) in chunks.into_iter().enumerate() {
+        for (t, points) in chunks.iter().enumerate() {
             let ts = t as u64;
             store.put_raw(raw(ts)).expect("unique");
             store
-                .put_feature(FeatureChunk::new(Timestamp(ts), Timestamp(ts), points))
+                .put_feature(chunk(ts, ts, points))
                 .expect("raw present");
         }
         let newest_m: Vec<Timestamp> =
             (n.saturating_sub(m)..n).map(|t| Timestamp(t as u64)).collect();
         prop_assert_eq!(store.materialized_timestamps(), newest_m);
-        for (t, original) in originals.iter().enumerate() {
+        for (t, original) in chunks.iter().enumerate() {
             let ts = Timestamp(t as u64);
             match store.lookup_feature(ts) {
                 FeatureLookup::Materialized(fc) => {
                     prop_assert!(t >= n.saturating_sub(m));
-                    prop_assert_eq!(&fc.to_points(), original);
+                    prop_assert_eq!(&*fc, &chunk(t as u64, t as u64, original));
                 }
                 FeatureLookup::Evicted(rc) => {
                     prop_assert!(t < n.saturating_sub(m));
@@ -184,7 +241,7 @@ proptest! {
     /// The binary codec round-trips arbitrary chunks exactly.
     #[test]
     fn codec_round_trip(ts in 0u64..1_000_000, raw_ref in 0u64..1_000_000, points in prop::collection::vec(point_strategy(), 0..10)) {
-        let chunk = FeatureChunk::new(Timestamp(ts), Timestamp(raw_ref), points);
+        let chunk = chunk(ts, raw_ref, &points);
         let encoded = encode_chunk(&chunk);
         let decoded = decode_chunk(&encoded).expect("own encoding is valid");
         prop_assert_eq!(chunk, decoded);
@@ -201,7 +258,7 @@ proptest! {
         byte_frac in 0.0..1.0f64,
         flip_bit in 0u32..8,
     ) {
-        let chunk = FeatureChunk::new(Timestamp(7), Timestamp(7), points);
+        let chunk = chunk(7, 7, &points);
         let mut encoded = encode_chunk(&chunk).to_vec();
         let idx = (((encoded.len() - 1) as f64) * byte_frac) as usize;
         encoded[idx] ^= 1u8 << flip_bit;
@@ -220,7 +277,7 @@ proptest! {
     /// truncation errors).
     #[test]
     fn codec_truncation_is_graceful(points in prop::collection::vec(point_strategy(), 1..5), cut_frac in 0.0..1.0f64) {
-        let chunk = FeatureChunk::new(Timestamp(1), Timestamp(1), points);
+        let chunk = chunk(1, 1, &points);
         let encoded = encode_chunk(&chunk);
         let cut = ((encoded.len() as f64) * cut_frac) as usize;
         if cut < encoded.len() {

@@ -35,7 +35,7 @@
 //!
 //! | Module | Crate | Role |
 //! |---|---|---|
-//! | [`linalg`] | `cdp-linalg` | dense/sparse vectors and SGD kernels |
+//! | [`linalg`] | `cdp-linalg` | the row vector a prediction query returns |
 //! | [`storage`] | `cdp-storage` | timestamped chunks, budgeted feature cache, disk tier |
 //! | [`pipeline`] | `cdp-pipeline` | `update`/`transform` components, online statistics |
 //! | [`ml`] | `cdp-ml` | losses, Adam/RMSProp/AdaDelta, mini-batch SGD |

@@ -44,16 +44,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "tests/serving_concurrency.rs injects seeded worker panics into batch scoring",
     ),
     (
-        "crates/linalg/src/sparse.rs",
-        "SparseBuilder",
-        "tests-only oracle: the pipeline row reference encodes every point through it",
-    ),
-    (
-        "crates/linalg/src/vector.rs",
-        "iter_nonzero",
-        "the encoder tests read a hashed row's total mass and repeats through it",
-    ),
-    (
         "crates/obs/src/chrome.rs",
         "validate_chrome_trace",
         "the tests' loader for the Chrome export (chrome.rs, fig4 smoke, tests/trace_smoke.rs)",
@@ -102,11 +92,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "crates/pipeline/src/encode.rs",
         "bucket_of",
         "tests-only oracle: the row reference hashes tokens with the encoder's own function",
-    ),
-    (
-        "crates/storage/src/chunk.rs",
-        "to_points",
-        "how tests compare a chunk's rows with the points they expect",
     ),
     (
         "crates/storage/src/disk.rs",

@@ -10,17 +10,17 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use cdpipe::engine::{ExecutionEngine, RunCtx};
 use cdpipe::faults::NoFaults;
-use cdpipe::linalg::{SparseVector, Vector};
 use cdpipe::ml::{LossKind, SgdConfig, SgdTrainer};
 use cdpipe::pipeline::encode::DenseEncoder;
 use cdpipe::pipeline::parser::SchemaParser;
 use cdpipe::pipeline::scale::StandardScaler;
 use cdpipe::pipeline::{Pipeline, PipelineBuilder};
 use cdpipe::storage::{
-    ColumnSlab, FeatureChunk, LabeledPoint, RawChunk, Record, RowView, Schema, Timestamp, Value,
+    ColumnSlab, CsrBuilder, FeatureChunk, RawChunk, Record, RowView, Schema, Timestamp, Value,
 };
 
 struct CountingAlloc;
@@ -231,16 +231,15 @@ fn sparse_fires_allocate_no_gradient_buffer() {
     const DIM: usize = 1 << 16;
     let chunks: Vec<FeatureChunk> = (0..8u64)
         .map(|ts| {
-            let points = (0..40u64)
-                .map(|row| {
-                    let start = (ts * 40 + row) * 37 % (DIM as u64 - 28 * 61);
-                    let indices: Vec<u32> = (0..28).map(|k| (start + k * 61) as u32).collect();
-                    let features = SparseVector::new(DIM, indices, vec![1.0; 28]).expect("sorted");
-                    let label = if row % 2 == 0 { 1.0 } else { -1.0 };
-                    LabeledPoint::new(label, Vector::Sparse(features))
-                })
-                .collect();
-            FeatureChunk::new(Timestamp(ts), Timestamp(ts), points)
+            let mut rows = CsrBuilder::reusing(None, DIM, 40, 40 * 28);
+            for row in 0..40u64 {
+                let start = (ts * 40 + row) * 37 % (DIM as u64 - 28 * 61);
+                let mut entries: Vec<(u32, f64)> =
+                    (0..28).map(|k| ((start + k * 61) as u32, 1.0)).collect();
+                let label = if row % 2 == 0 { 1.0 } else { -1.0 };
+                rows.push_row(label, &mut entries);
+            }
+            FeatureChunk::from_slab(Timestamp(ts), Timestamp(ts), Arc::new(rows.finish()))
         })
         .collect();
     let mut trainer = SgdTrainer::new(DIM, &SgdConfig::for_loss(LossKind::Hinge));

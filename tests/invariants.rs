@@ -3,12 +3,12 @@
 use cdpipe::datagen::{
     taxi::TaxiConfig, taxi::TaxiGenerator, url::UrlConfig, url::UrlGenerator, ChunkStream,
 };
-use cdpipe::linalg::ops::harmonic;
 use cdpipe::sampling::{empirical_mu, mu_time_based, mu_uniform, mu_window, SamplingStrategy};
 use cdpipe::storage::{
-    ChunkStore, FeatureChunk, LabeledPoint, RawChunk, Record, StorageBudget, Timestamp, Value,
+    ChunkStore, ColumnSlab, FeatureChunk, RawChunk, Record, StorageBudget, Timestamp, Value,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn raw(ts: u64) -> RawChunk {
     RawChunk::new(
@@ -18,11 +18,8 @@ fn raw(ts: u64) -> RawChunk {
 }
 
 fn feat(ts: u64) -> FeatureChunk {
-    FeatureChunk::new(
-        Timestamp(ts),
-        Timestamp(ts),
-        vec![LabeledPoint::new(1.0, vec![ts as f64].into())],
-    )
+    let slab = ColumnSlab::dense(vec![1.0], vec![vec![ts as f64]]);
+    FeatureChunk::from_slab(Timestamp(ts), Timestamp(ts), Arc::new(slab))
 }
 
 proptest! {
@@ -82,10 +79,12 @@ proptest! {
         prop_assert!(window >= uniform - 1e-12);
     }
 
-    /// Harmonic numbers satisfy H_{2n} − H_n → ln 2.
+    /// Harmonic numbers satisfy H_{2n} − H_n → ln 2, read off Eq. 4 at
+    /// m = N/2: μ = (1 + H_{2n} − H_n) / 2.
     #[test]
     fn harmonic_difference_approaches_ln2(n in 500u64..5_000) {
-        let diff = harmonic(2 * n) - harmonic(n);
+        let n = n as usize;
+        let diff = 2.0 * mu_uniform(n, 2 * n) - 1.0;
         prop_assert!((diff - 2f64.ln()).abs() < 1e-3);
     }
 

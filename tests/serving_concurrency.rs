@@ -60,7 +60,7 @@ fn record(x1: f64, x2: f64) -> Record {
 fn constant_model(dim: usize, seed_weight: f64) -> LinearModel {
     let mut m = LinearModel::zeros(dim, LossKind::Squared);
     for i in 0..dim {
-        m.weights_mut().set(i, seed_weight).expect("within dim");
+        m.weights_mut()[i] = seed_weight;
     }
     m
 }
