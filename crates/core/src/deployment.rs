@@ -45,7 +45,7 @@ use crate::pipeline_manager::PipelineManager;
 use crate::presets::DeploymentSpec;
 use crate::proactive::ProactiveTrainer;
 use crate::scheduler::{Scheduler, SchedulerContext};
-use crate::serving::{weights_fingerprint, ModelServer};
+use crate::serving::ModelServer;
 
 /// How the deployed model is kept fresh.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -625,9 +625,10 @@ impl<'a> Stages<'a> {
         f(st, Stages(self.0, span.context()))
     }
 
-    /// The `serving.publish` stage: clones of the current `(pipeline,
-    /// model)` pair to the attached server, and an event naming `source`
-    /// and the weights' fingerprint (`source` is formatted only for it).
+    /// The `serving.publish` stage: the current `(pipeline, model)` pair to
+    /// the attached server — a copy of the pipeline, the model's weight
+    /// buffer shared — and an event naming `source` and the weights'
+    /// fingerprint, cached in that buffer (`source` is formatted only for it).
     fn publish(self, st: &mut LoopState, source: impl std::fmt::Display) {
         let (Some(server), metrics) = (&self.0.config.serving, &self.0.metrics) else {
             return;
@@ -636,7 +637,7 @@ impl<'a> Stages<'a> {
             let model = st.pm.trainer().model();
             let version = server.publish(st.pm.pipeline().clone(), model.clone());
             if metrics.is_enabled() {
-                let fp = weights_fingerprint(model.weights());
+                let fp = model.fingerprint();
                 let detail = format!("{source} version {version} fp {fp:016x}");
                 metrics.event("serving.publish", detail);
             }

@@ -57,51 +57,16 @@ pub struct ServingSnapshot {
     pub version: u64,
 }
 
-/// Order-dependent fingerprint of a weight vector's exact bit patterns,
-/// length-mixed. Two weight vectors fingerprint equal iff they are
-/// bit-identical (up to 64-bit collisions): a permutation, `-0.0` for `0.0`
-/// or a different NaN payload all change it. Used by the publish event log
-/// and the resume tests to name *which* model a publish carried.
-///
-/// Whole `f64::to_bits` words fold FNV-style into eight independently seeded
-/// lanes, two words per multiply: a 16-word block gives lane `i` the pair
-/// `(a, b) = (w[2i], w[2i+1])` and `h = ((h ^ a) * PRIME) ^ rotl(b, 32)`, so
-/// the eight multiply chains overlap and a 2^16-dim vector costs half the
-/// multiplies it has words. For a fixed `b` the step is a bijection of `h` in
-/// `a` (xor, odd multiply, xor), and for a fixed `a` in `b` (xor); the shift
-/// after it, which carries a word's high bits (sign, exponent) back into the
-/// low ones as a bare multiply never does, is one too — so changing any
-/// single word changes the result by construction, not only with
-/// probability 1 − 2⁻⁶⁴. The rotate keeps `b`'s sign away from bit 63, where
-/// `a`'s sign arrives untouched by the multiply: negating both words of a
-/// pair cannot cancel. Words past the last whole block fold one at a time.
-pub fn weights_fingerprint(weights: &[f64]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    fn fold(h: u64, word: u64) -> u64 {
-        fold_pair(h, word, 0)
-    }
-    fn fold_pair(h: u64, a: u64, b: u64) -> u64 {
-        let h = (h ^ a).wrapping_mul(PRIME) ^ b.rotate_left(32);
-        h ^ (h >> 32)
-    }
-    let mut lanes: [u64; 8] = std::array::from_fn(|i| BASIS ^ i as u64);
-    let (blocks, rest) = weights.as_chunks::<16>();
-    for block in blocks {
-        for (lane, pair) in lanes.iter_mut().zip(block.as_chunks::<2>().0) {
-            *lane = fold_pair(*lane, pair[0].to_bits(), pair[1].to_bits());
-        }
-    }
-    for (i, w) in rest.iter().enumerate() {
-        lanes[i % 8] = fold(lanes[i % 8], w.to_bits());
-    }
-    lanes.into_iter().fold(BASIS, fold) ^ (weights.len() as u64)
-}
+pub use cdp_ml::model::weights_fingerprint;
 
 /// Slots per shard ring. Two is the double buffer; two more absorb a
 /// publish storm without the writer ever waiting on a reader that pinned
 /// several versions ago.
 const SNAPSHOT_SLOTS: usize = 4;
+
+// A trainer's retired weight buffers cover a full ring plus one held
+// snapshot, so a publish per step recycles instead of allocating.
+const _: () = assert!(cdp_ml::model::RETIRED_BUFFERS == SNAPSHOT_SLOTS + 1);
 
 struct SnapshotSlot {
     /// Readers currently between pin and unpin on this slot.
@@ -600,12 +565,14 @@ impl ModelServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdp_ml::LossKind;
+    use std::collections::BTreeSet;
+
+    use cdp_ml::{LossKind, SgdConfig, SgdTrainer};
     use cdp_pipeline::encode::DenseEncoder;
     use cdp_pipeline::parser::SchemaParser;
     use cdp_pipeline::scale::StandardScaler;
     use cdp_pipeline::PipelineBuilder;
-    use cdp_storage::{RawChunk, Schema, Timestamp, Value};
+    use cdp_storage::{ColumnSlab, RawChunk, Schema, Timestamp, Value};
 
     fn pipeline() -> Pipeline {
         let schema = Schema::new(["y", "x"]);
@@ -657,8 +624,7 @@ mod tests {
         let before = server.predict(&record(2.0)).expect("valid");
         assert_eq!(before.value, 0.0);
 
-        let mut trained = LinearModel::zeros(2, LossKind::Squared);
-        trained.weights_mut()[0] = 1.0;
+        let trained = LinearModel::with_weights(vec![1.0, 0.0], LossKind::Squared);
         let v = server.publish(warmed_pipeline(), trained);
         assert_eq!(v, 2);
         let after = server.predict(&record(2.0)).expect("valid");
@@ -709,8 +675,7 @@ mod tests {
         assert_eq!(snap.version, 1);
         assert_eq!(snap.model.dim(), snap.pipeline.dim());
 
-        let mut trained = LinearModel::zeros(2, LossKind::Squared);
-        trained.weights_mut()[0] = 3.0;
+        let trained = LinearModel::with_weights(vec![3.0, 0.0], LossKind::Squared);
         server.publish(warmed_pipeline(), trained);
         let snap = server.snapshot();
         assert_eq!(snap.version, 2);
@@ -719,9 +684,7 @@ mod tests {
 
     #[test]
     fn batched_scoring_matches_unbatched_bit_for_bit() {
-        let mut trained = LinearModel::zeros(2, LossKind::Squared);
-        trained.weights_mut()[0] = 0.25;
-        trained.weights_mut()[1] = -1.5;
+        let trained = LinearModel::with_weights(vec![0.25, -1.5], LossKind::Squared);
         let server = ModelServer::builder(warmed_pipeline(), trained)
             .engine(ExecutionEngine::Threaded { workers: 2 })
             .build();
@@ -765,11 +728,7 @@ mod tests {
     #[test]
     fn a_held_snapshot_outlives_publishes_and_is_freed_when_dropped() {
         const SHARDS: usize = 3;
-        let weighted = |w: f64| {
-            let mut m = LinearModel::zeros(2, LossKind::Squared);
-            m.weights_mut()[1] = w;
-            m
-        };
+        let weighted = |w: f64| LinearModel::with_weights(vec![0.0, w], LossKind::Squared);
         let server = ModelServer::builder(warmed_pipeline(), weighted(7.0))
             .shards(SHARDS)
             .build();
@@ -805,94 +764,55 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_separates_weight_vectors() {
-        let a = weights_fingerprint(&[1.0, 2.0]);
-        let b = weights_fingerprint(&[1.0, 2.0 + 1e-12]);
-        let c = weights_fingerprint(&[1.0, 2.0, 0.0]);
-        assert_eq!(a, weights_fingerprint(&[1.0, 2.0]));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(weights_fingerprint(&[]), weights_fingerprint(&[0.0]));
-        // Order-dependent. In a 16-word block lane `i` folds the pair
-        // (2i, 2i+1), so with two blocks words 0 and 16 meet in lane 0 as
-        // `a`s, 1 and 17 as its `b`s; 0 and 2 sit in different lanes.
-        let v: Vec<f64> = (1..=34).map(f64::from).collect();
-        let fp = weights_fingerprint(&v);
-        let swapped = |i: usize, j: usize| {
-            let mut w = v.clone();
-            w.swap(i, j);
-            weights_fingerprint(&w)
-        };
-        for (i, j) in [(0, 16), (1, 17), (0, 2), (0, 17), (32, 33), (15, 32)] {
-            assert_ne!(fp, swapped(i, j), "swap {i} <-> {j}");
+    fn a_published_model_never_changes_and_training_cycles_a_bounded_set_of_buffers() {
+        let pipeline = warmed_pipeline();
+        let config = SgdConfig::for_loss(LossKind::Squared);
+        let slab = ColumnSlab::dense(
+            vec![1.0, -2.0, 0.5, 3.0],
+            vec![vec![1.0; 4], vec![0.5, -1.0, 2.0, 0.25]],
+        );
+        let rows: Vec<RowView<'_>> = (0..slab.len()).map(|i| slab.row(i)).collect();
+        let step = |t: &mut SgdTrainer| t.step_rows(&rows, ExecutionEngine::Sequential);
+        let address = |t: &SgdTrainer| t.model().weights().as_ptr();
+
+        // No server: nothing shares the weights, so every sweep is in place.
+        let mut alone = SgdTrainer::new(pipeline.dim(), &config);
+        let home = address(&alone);
+        for _ in 0..20 {
+            step(&mut alone);
+            assert_eq!(address(&alone), home);
         }
-        // The two words of every pair are told apart, in either block.
-        for pair in 0..16 {
-            assert_ne!(fp, swapped(2 * pair, 2 * pair + 1), "pair {pair}");
+
+        // Published after every step, with one snapshot held throughout.
+        let mut trainer = SgdTrainer::new(pipeline.dim(), &config);
+        step(&mut trainer);
+        let server = ModelServer::new(pipeline.clone(), trainer.model().clone());
+        let held = server.snapshot();
+        let held_bits: Vec<u64> = held.model.weights().iter().map(|w| w.to_bits()).collect();
+        let held_fp = held.model.fingerprint();
+        let mut buffers = BTreeSet::from([address(&trainer)]);
+        for round in 0..4 * SNAPSHOT_SLOTS {
+            step(&mut trainer);
+            assert_eq!(trainer.model(), &alone_after(round + 2, &rows, &config));
+            buffers.insert(address(&trainer));
+            server.publish(pipeline.clone(), trainer.model().clone());
+            let now: Vec<u64> = held.model.weights().iter().map(|w| w.to_bits()).collect();
+            assert_eq!(now, held_bits, "round {round}");
+            assert_eq!(held.model.fingerprint(), held_fp);
+            assert_eq!(weights_fingerprint(held.model.weights()), held_fp);
         }
-        // Bit patterns, not values: -0.0 == 0.0 and NaN != NaN as floats.
-        assert_ne!(weights_fingerprint(&[0.0]), weights_fingerprint(&[-0.0]));
-        let quiet = f64::from_bits(0x7ff8_0000_0000_0000);
-        let payload = f64::from_bits(0x7ff8_0000_0000_0001);
-        assert!(quiet.is_nan() && payload.is_nan());
-        for at in [0, 1, 16, 33] {
-            let with = |x: f64| {
-                let mut w = v.clone();
-                w[at] = x;
-                weights_fingerprint(&w)
-            };
-            assert_eq!(with(quiet), with(quiet));
-            assert_ne!(with(quiet), with(payload), "NaN payload at {at}");
-            assert_ne!(with(0.0), with(-0.0), "zero sign at {at}");
-        }
-        // Two sign flips in one lane must not cancel in the top bit: as two
-        // `a`s, as two `b`s, as the two words of one pair, and in the
-        // one-word remainder fold (32 and 40 share lane 0 there).
-        let mut long = vec![1.0; 48];
-        for (i, j) in [(0, 16), (1, 17), (0, 1), (16, 1), (32, 40)] {
-            long[i] = 0.0;
-            long[j] = 0.0;
-            let plain = weights_fingerprint(&long);
-            long[i] = -0.0;
-            long[j] = -0.0;
-            assert_ne!(plain, weights_fingerprint(&long), "signs {i}, {j}");
-            long[i] = 1.0;
-            long[j] = 1.0;
-        }
+        // The ring's snapshots and the held one are each some buffer, and
+        // the trainer writes into one more: recycled, within the bound.
+        let bound = SNAPSHOT_SLOTS + 1..=cdp_ml::model::RETIRED_BUFFERS + 1;
+        assert!(bound.contains(&buffers.len()), "{} buffers", buffers.len());
     }
 
-    #[test]
-    fn fingerprint_changes_with_any_single_bit_of_any_single_word() {
-        // Every length through two whole blocks and a remainder that wraps
-        // the lanes, every position, every bit: the per-word bijection.
-        let words = |n: usize| -> Vec<f64> { (0..n).map(|i| 0.37 * i as f64 - 3.0).collect() };
-        for len in 0..=40usize {
-            let base = words(len);
-            let fp = weights_fingerprint(&base);
-            for at in 0..len {
-                for bit in 0..64 {
-                    let mut w = base.clone();
-                    w[at] = f64::from_bits(w[at].to_bits() ^ (1 << bit));
-                    assert_ne!(fp, weights_fingerprint(&w), "len {len} word {at} bit {bit}");
-                }
-            }
+    /// The model after `steps` steps on `rows` of a trainer nothing shares.
+    fn alone_after(steps: usize, rows: &[RowView<'_>], config: &SgdConfig) -> LinearModel {
+        let mut t = SgdTrainer::new(2, config);
+        for _ in 0..steps {
+            t.step_rows(rows, ExecutionEngine::Sequential);
         }
-    }
-
-    #[test]
-    fn fingerprint_tells_lengths_of_equal_words_apart() {
-        // Around the block size, where a word moves from the one-word fold
-        // into a pair, and for the all-zero vector, which xors nothing in.
-        for word in [0.0, 1.0, -2.5] {
-            let fps: Vec<u64> = [15, 16, 17, 31, 32, 33]
-                .iter()
-                .map(|&n| weights_fingerprint(&vec![word; n]))
-                .collect();
-            for i in 0..fps.len() {
-                for j in 0..i {
-                    assert_ne!(fps[i], fps[j], "word {word}, lengths #{j} / #{i}");
-                }
-            }
-        }
+        t.model().clone()
     }
 }

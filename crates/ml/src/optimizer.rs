@@ -183,38 +183,63 @@ impl OptimizerState {
     /// *pre-update* weight, run the update rule, and leave `g * 0.0` in
     /// `grad` — what a `scale(0.0)` before the next accumulation would have
     /// produced, the sign of a zero and a NaN carried — so the caller sums
-    /// the next step's gradient on top without clearing first.
+    /// the next step's gradient on top without clearing first. Out of place,
+    /// a coordinate's destination first takes the pre-update weight, so both
+    /// targets run the same expressions on the same values.
     ///
-    /// Total for any pair of dimensions: it covers the coordinates `weights`
-    /// and `grad` share. The trainer always passes equal ones.
+    /// Total for any pair of dimensions: it covers the coordinates the
+    /// weights and `grad` share (out of place, `dst` takes the rest of `src`
+    /// it has room for). The trainer always passes equal ones.
     pub(crate) fn sweep(
         &mut self,
-        weights: &mut [f64],
+        target: SweepTarget<'_>,
         grad: &mut [f64],
         scale: Option<f64>,
         penalty: Regularizer,
     ) {
-        match scale {
-            None => self.sweep_penalized(weights, grad, penalty, |g| g),
-            Some(s) => self.sweep_penalized(weights, grad, penalty, move |g| g * s),
+        self.grow_to(grad.len());
+        match target {
+            SweepTarget::InPlace(weights) => {
+                let coords = weights.iter_mut().zip(grad).map(|(w, slot)| (*w, w, slot));
+                self.sweep_scaled(coords, scale, penalty);
+            }
+            SweepTarget::OutOfPlace { src, dst } => {
+                let past_grad = src.iter().zip(dst.iter_mut()).skip(grad.len());
+                past_grad.for_each(|(s, d)| *d = *s);
+                let coords = src.iter().zip(dst).zip(grad);
+                self.sweep_scaled(coords.map(|((&s, d), slot)| (s, d, slot)), scale, penalty);
+            }
         }
     }
 
-    /// [`OptimizerState::sweep`] with the scale resolved; the penalty is
-    /// resolved here in turn, so that no loop branches on either.
-    fn sweep_penalized(
+    /// [`OptimizerState::sweep`] with the target resolved; the scale is
+    /// resolved here, so that no loop branches on it.
+    fn sweep_scaled<'a>(
         &mut self,
-        weights: &mut [f64],
-        grad: &mut [f64],
+        coords: impl Iterator<Item = Coord<'a>>,
+        scale: Option<f64>,
+        penalty: Regularizer,
+    ) {
+        match scale {
+            None => self.sweep_penalized(coords, penalty, |g| g),
+            Some(s) => self.sweep_penalized(coords, penalty, move |g| g * s),
+        }
+    }
+
+    /// [`OptimizerState::sweep_scaled`] with the scale resolved; the penalty
+    /// is resolved here in turn.
+    fn sweep_penalized<'a>(
+        &mut self,
+        coords: impl Iterator<Item = Coord<'a>>,
         penalty: Regularizer,
         scaled: impl Fn(f64) -> f64,
     ) {
         match penalty {
-            Regularizer::None => self.sweep_with(weights, grad, |g, _| scaled(g)),
+            Regularizer::None => self.sweep_with(coords, |g, _| scaled(g)),
             Regularizer::L2(lambda) => {
-                self.sweep_with(weights, grad, |g, w| scaled(g) + lambda * w);
+                self.sweep_with(coords, |g, w| scaled(g) + lambda * w);
             }
-            Regularizer::L1(lambda) => self.sweep_with(weights, grad, |g, w| {
+            Regularizer::L1(lambda) => self.sweep_with(coords, |g, w| {
                 scaled(g) + lambda * w.signum() * f64::from(w != 0.0)
             }),
         }
@@ -222,15 +247,12 @@ impl OptimizerState {
 
     /// The update rules, each once. `gradient(slot, w)` is the step's full
     /// gradient at one coordinate, from its buffer slot and pre-update weight.
-    fn sweep_with(
+    fn sweep_with<'a>(
         &mut self,
-        weights: &mut [f64],
-        grad: &mut [f64],
+        coords: impl Iterator<Item = Coord<'a>>,
         gradient: impl Fn(f64, f64) -> f64,
     ) {
-        self.grow_to(grad.len());
         self.t += 1;
-        let coords = weights.iter_mut().zip(grad);
         let (acc1, acc2) = (&mut self.acc1[..], &mut self.acc2[..]);
         let plain = |eta: f64| move |g: f64, w: &mut f64, ()| *w -= eta * g;
         match self.kind {
@@ -299,17 +321,36 @@ impl OptimizerState {
     }
 }
 
+/// Where a sweep writes the model's weights.
+pub(crate) enum SweepTarget<'a> {
+    /// Over the weights themselves.
+    InPlace(&'a mut [f64]),
+    /// From the current weights into another buffer, which the sweep
+    /// overwrites whatever it held.
+    OutOfPlace {
+        /// The pre-update weights, left as they are.
+        src: &'a [f64],
+        /// The post-update weights.
+        dst: &'a mut [f64],
+    },
+}
+
+/// One coordinate of a sweep: its pre-update weight, where the updated
+/// weight goes (in place, the weight's own slot) and its gradient slot.
+type Coord<'a> = (f64, &'a mut f64, &'a mut f64);
+
 /// Runs `rule(g, w, acc)` down the zipped coordinates — `g` the coordinate's
-/// full gradient, `acc` its accumulator slots — clearing each gradient slot
-/// behind it.
+/// full gradient, `w` its destination holding the pre-update weight, `acc`
+/// its accumulator slots — clearing each gradient slot behind it.
 fn sweep_coords<'a, A>(
-    coords: impl Iterator<Item = (&'a mut f64, &'a mut f64)>,
+    coords: impl Iterator<Item = Coord<'a>>,
     acc: impl Iterator<Item = A>,
     gradient: impl Fn(f64, f64) -> f64,
     mut rule: impl FnMut(f64, &mut f64, A),
 ) {
-    for ((w, slot), acc) in coords.zip(acc) {
-        let g = gradient(*slot, *w);
+    for ((src, w, slot), acc) in coords.zip(acc) {
+        let g = gradient(*slot, src);
+        *w = src;
         rule(g, w, acc);
         *slot = g * 0.0;
     }
@@ -334,7 +375,8 @@ fn adam_rule(
 
 impl AdaptiveRate for OptimizerState {
     fn apply(&mut self, weights: &mut [f64], grad: &[f64]) {
-        self.sweep(weights, &mut grad.to_vec(), None, Regularizer::None);
+        let target = SweepTarget::InPlace(weights);
+        self.sweep(target, &mut grad.to_vec(), None, Regularizer::None);
     }
 
     fn grow_to(&mut self, dim: usize) {
@@ -551,7 +593,12 @@ mod tests {
             let mut state = OptimizerState::new(kind, 0);
             let mut narrow = vec![1.0, 1.0];
             let mut grad = vec![0.5, -0.5, -7.0];
-            state.sweep(&mut narrow, &mut grad, None, Regularizer::None);
+            state.sweep(
+                SweepTarget::InPlace(&mut narrow),
+                &mut grad,
+                None,
+                Regularizer::None,
+            );
             assert!(narrow[0] < 1.0 && narrow[1] > 1.0, "{kind:?}: {narrow:?}");
             // What was swept is cleared, sign kept; the rest is untouched.
             let left: Vec<u64> = grad.iter().map(|g| g.to_bits()).collect();

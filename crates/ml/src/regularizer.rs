@@ -71,7 +71,7 @@ impl Regularizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{OptimizerKind, OptimizerState};
+    use crate::optimizer::{OptimizerKind, OptimizerState, SweepTarget};
 
     /// `grad` plus the penalty's (sub)gradient at `w`, as the shipped sweep
     /// forms it: with γ = 0 and η = 1 the momentum buffer is the step's
@@ -83,7 +83,8 @@ mod tests {
         };
         let mut state = OptimizerState::new(recorder, grad.len());
         let mut grad = grad.to_vec();
-        state.sweep(&mut w.to_vec(), &mut grad, None, reg);
+        let target = SweepTarget::InPlace(&mut w.to_vec());
+        state.sweep(target, &mut grad, None, reg);
         state.to_parts().2.clone()
     }
 

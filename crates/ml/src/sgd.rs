@@ -22,7 +22,7 @@ use cdp_faults::{FaultHook, NoFaults};
 use cdp_storage::{slab_runs, ColumnSlab, RowView};
 
 use crate::loss::{Loss, LossKind};
-use crate::model::{grow_to, LinearModel};
+use crate::model::{grow_to, LinearModel, RetiredWeights};
 use crate::optimizer::{AdaptiveRate, OptimizerKind, OptimizerState};
 use crate::regularizer::Regularizer;
 
@@ -375,6 +375,9 @@ pub struct SgdTrainer {
     /// Recycled partial-gradient buffers for sharded and fused steps.
     #[serde(skip)]
     scratch: GradScratch,
+    /// Weight buffers the model retired, for its next out-of-place sweep.
+    #[serde(skip)]
+    retired: RetiredWeights,
     /// Total training examples consumed (for cost accounting).
     points_seen: u64,
 }
@@ -399,6 +402,7 @@ impl SgdTrainer {
             regularizer: config.regularizer,
             grad: vec![0.0; dim],
             scratch: GradScratch::default(),
+            retired: RetiredWeights::default(),
             points_seen: 0,
         }
     }
@@ -418,6 +422,7 @@ impl SgdTrainer {
             regularizer,
             grad: vec![0.0; dim],
             scratch: GradScratch::default(),
+            retired: RetiredWeights::default(),
             points_seen,
         }
     }
@@ -805,10 +810,14 @@ impl SgdTrainer {
     }
 
     /// Ends a step: the one pass over the model, [`OptimizerState::sweep`],
-    /// which also leaves `self.grad` cleared for the next step.
+    /// which also leaves `self.grad` cleared for the next step. In place
+    /// unless a published snapshot shares the weights; then out of place,
+    /// into a buffer the model retired earlier ([`LinearModel::rewrite`]).
     fn update(&mut self, scale: Option<f64>) {
-        let (weights, grad) = (self.model.weights_mut(), &mut self.grad);
-        self.optimizer.sweep(weights, grad, scale, self.regularizer);
+        let (optimizer, grad, penalty) = (&mut self.optimizer, &mut self.grad, self.regularizer);
+        self.model.rewrite(&mut self.retired, |target| {
+            optimizer.sweep(target, grad, scale, penalty);
+        });
     }
 
     /// Makes a step's reduced partial the trainer's gradient and recycles
@@ -1348,7 +1357,9 @@ mod tests {
     fn reference_update(t: &mut SgdTrainer) {
         t.regularizer
             .reference_add_gradient(t.model.weights(), &mut t.grad);
-        t.optimizer.reference_apply(t.model.weights_mut(), &t.grad);
+        let mut weights = t.model.weights().clone();
+        t.optimizer.reference_apply(&mut weights, &t.grad);
+        t.model = LinearModel::with_weights(weights, t.model.loss());
     }
 
     /// `step_rows` as it shipped before the sweep: the unsharded arm clears

@@ -9,19 +9,19 @@
 //! worker-panic injection (the CI fault matrix sets `CDP_FAULT_SEED`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use cdpipe::core::serving::ModelServer;
+use cdpipe::core::serving::{weights_fingerprint, ModelServer};
 use cdpipe::engine::ExecutionEngine;
 use cdpipe::faults::{FaultInjector, FaultPlan};
-use cdpipe::ml::{LinearModel, LossKind};
+use cdpipe::ml::{LinearModel, LossKind, SgdConfig, SgdTrainer};
 use cdpipe::obs::Metrics;
 use cdpipe::pipeline::encode::DenseEncoder;
 use cdpipe::pipeline::parser::SchemaParser;
 use cdpipe::pipeline::scale::StandardScaler;
 use cdpipe::pipeline::{Pipeline, PipelineBuilder};
-use cdpipe::storage::{RawChunk, Record, Schema, Timestamp, Value};
+use cdpipe::storage::{ColumnSlab, RawChunk, Record, RowView, Schema, Timestamp, Value};
 use proptest::prelude::*;
 
 /// A warmed pipeline over schema `(y, x1, x2)` using the first `features`
@@ -58,11 +58,7 @@ fn record(x1: f64, x2: f64) -> Record {
 /// A model of dimension `dim` whose every weight is `seed_weight` — each
 /// published version gets a distinct, precomputable scoring function.
 fn constant_model(dim: usize, seed_weight: f64) -> LinearModel {
-    let mut m = LinearModel::zeros(dim, LossKind::Squared);
-    for i in 0..dim {
-        m.weights_mut()[i] = seed_weight;
-    }
-    m
+    LinearModel::with_weights(vec![seed_weight; dim], LossKind::Squared)
 }
 
 /// Satellite 1: N reader threads hammer `predict` while a writer publishes
@@ -145,6 +141,118 @@ fn readers_never_observe_torn_snapshots_under_publish_fire() {
     assert_eq!(server.queries_served(), reader_total);
     assert_eq!(server.queries_rejected(), 0);
     assert_eq!(server.attempts(), reader_total);
+}
+
+/// Readers hold snapshots while the publisher trains a real `SgdTrainer`
+/// between publishes, so each sweep after the first few writes into a
+/// weight buffer an older version retired. Every prediction must equal, bit
+/// for bit, the value its version's model gives — the models precomputed by
+/// a trainer nothing shares, which sweeps in place — and a snapshot held
+/// across a phase of publishes must keep its version's weights and
+/// fingerprint.
+#[test]
+fn readers_hold_snapshots_while_training_recycles_weight_buffers() {
+    const PHASES: usize = 5;
+    const ROUNDS: usize = 8;
+    const READERS: usize = 3;
+    let pipeline = warmed(2);
+    let dim = pipeline.dim();
+    let config = SgdConfig::for_loss(LossKind::Squared);
+    let labels = (0..6).map(|i| i as f64 * 0.5 - 1.0).collect();
+    let column = |j: usize| (0..6).map(|i| ((3 * i + j) as f64 * 0.37).sin()).collect();
+    let slab = ColumnSlab::dense(labels, (0..dim).map(column).collect());
+    let rows: Vec<RowView<'_>> = (0..slab.len()).map(|i| slab.row(i)).collect();
+    let step = |t: &mut SgdTrainer| t.step_rows(&rows, ExecutionEngine::Sequential);
+
+    // Version v is the model after v steps.
+    let mut reference = SgdTrainer::new(dim, &config);
+    let versions: Vec<Vec<f64>> = (0..=PHASES * ROUNDS)
+        .map(|_| {
+            step(&mut reference);
+            reference.model().weights().clone()
+        })
+        .collect();
+    let probes = [record(1.5, -2.0), record(-0.25, 4.0), record(7.0, 0.5)];
+    let expected: Vec<Vec<u64>> = versions
+        .iter()
+        .map(|w| {
+            let model = LinearModel::with_weights(w.clone(), LossKind::Squared);
+            let probe_server = ModelServer::new(pipeline.clone(), model);
+            probes
+                .iter()
+                .map(|r| {
+                    probe_server
+                        .predict(r)
+                        .expect("valid probe")
+                        .value
+                        .to_bits()
+                })
+                .collect()
+        })
+        .collect();
+    let bits = |w: &[f64]| -> Vec<u64> { w.iter().map(|x| x.to_bits()).collect() };
+    let weight_bits: Vec<Vec<u64>> = versions.iter().map(|w| bits(w)).collect();
+
+    let mut trainer = SgdTrainer::new(dim, &config);
+    step(&mut trainer);
+    let server = ModelServer::new(pipeline.clone(), trainer.model().clone());
+    // Each phase: every reader takes a snapshot between the two waits, then
+    // scores while the publisher trains and publishes `ROUNDS` times — more
+    // than the ring holds, so the held buffer leaves it and the trainer
+    // must recycle around it.
+    let phase = Arc::new(Barrier::new(READERS + 1));
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
+            let (s, phase) = (server.clone(), Arc::clone(&phase));
+            let (probes, expected, weight_bits) =
+                (probes.clone(), expected.clone(), weight_bits.clone());
+            std::thread::spawn(move || {
+                let mut i = r;
+                for end in (1..=PHASES).map(|p| (1 + p * ROUNDS) as u64) {
+                    phase.wait();
+                    let held = s.snapshot();
+                    phase.wait();
+                    while s.version() < end {
+                        let probe = i % probes.len();
+                        let p = s.predict(&probes[probe]).expect("valid probe");
+                        let want = expected[(p.version - 1) as usize][probe];
+                        assert_eq!(p.value.to_bits(), want, "version {}", p.version);
+                        i += 1;
+                    }
+                    assert_eq!(
+                        held.version,
+                        end - ROUNDS as u64,
+                        "held since the phase began"
+                    );
+                    let v = (held.version - 1) as usize;
+                    let now = held.model.weights().iter().map(|x| x.to_bits());
+                    assert!(
+                        now.eq(weight_bits[v].iter().copied()),
+                        "version {v} changed"
+                    );
+                    let fp = held.model.fingerprint();
+                    assert_eq!(fp, weights_fingerprint(held.model.weights()));
+                }
+            })
+        })
+        .collect();
+
+    for _ in 0..PHASES {
+        phase.wait();
+        phase.wait();
+        for _ in 0..ROUNDS {
+            step(&mut trainer);
+            server.publish(pipeline.clone(), trainer.model().clone());
+        }
+    }
+    for reader in readers {
+        reader.join().expect("reader lives");
+    }
+    assert_eq!(server.version(), (PHASES * ROUNDS + 1) as u64);
+    assert_eq!(
+        bits(trainer.model().weights()),
+        weight_bits[PHASES * ROUNDS]
+    );
 }
 
 proptest! {
