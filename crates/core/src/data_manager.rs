@@ -8,8 +8,8 @@ use cdp_faults::{FaultHook, RetryPolicy};
 use cdp_obs::{LineageEventKind, Metrics};
 use cdp_sampling::{Sampler, SamplingStrategy};
 use cdp_storage::{
-    ChunkStore, FeatureChunk, RawChunk, StorageBudget, StorageError, StoreStats, TieredLookup,
-    TieredStats, TieredStore, Timestamp,
+    ChunkStore, FeatureChunk, KeptColumns, RawChunk, StorageBudget, StorageError, StoreStats,
+    TieredLookup, TieredStats, TieredStore, Timestamp,
 };
 
 /// One sampled chunk, as handed to the pipeline manager: ready-to-use
@@ -23,8 +23,9 @@ pub enum SampledChunk {
     /// directly after paying the disk read.
     Spilled(Arc<FeatureChunk>),
     /// Features were evicted (and any spill was absent or unreadable);
-    /// re-materialize from this raw chunk (Figure 2, scenario 2).
-    NeedsRematerialization(RawChunk),
+    /// re-materialize from this raw chunk (Figure 2, scenario 2), with the
+    /// columns the pipeline kept from its arrival.
+    NeedsRematerialization(RawChunk, Option<KeptColumns>),
 }
 
 impl SampledChunk {
@@ -37,7 +38,7 @@ impl SampledChunk {
     pub fn timestamp(&self) -> Timestamp {
         match self {
             SampledChunk::Materialized(fc) | SampledChunk::Spilled(fc) => fc.timestamp,
-            SampledChunk::NeedsRematerialization(raw) => raw.timestamp,
+            SampledChunk::NeedsRematerialization(raw, _) => raw.timestamp,
         }
     }
 }
@@ -131,7 +132,9 @@ impl DataManager {
         match self.store.lookup(ts) {
             TieredLookup::Memory(fc) => Ok(SampledChunk::Materialized(fc)),
             TieredLookup::Disk(fc) => Ok(SampledChunk::Spilled(Arc::new(fc))),
-            TieredLookup::Recompute(raw) => Ok(SampledChunk::NeedsRematerialization(raw)),
+            TieredLookup::Recompute(raw, kept) => {
+                Ok(SampledChunk::NeedsRematerialization(raw, kept))
+            }
             TieredLookup::Unavailable => Err(StorageError::MissingChunk(ts)),
         }
     }
@@ -275,7 +278,7 @@ mod tests {
         for s in &sampled {
             match s {
                 SampledChunk::Materialized(fc) => assert!(fc.timestamp.0 >= 15),
-                SampledChunk::NeedsRematerialization(r) => assert!(r.timestamp.0 < 15),
+                SampledChunk::NeedsRematerialization(r, _) => assert!(r.timestamp.0 < 15),
                 SampledChunk::Spilled(_) => panic!("memory-only manager cannot spill"),
             }
         }

@@ -10,19 +10,20 @@ use cdp_faults::{FaultHook, NoFaults};
 use cdp_ml::{FusedStepOutcome, SgdConfig, SgdTrainer, TrainReport};
 use cdp_obs::{LineageEventKind, Metrics, SpanContext, Tracer};
 use cdp_pipeline::{Pipeline, PipelineCounters};
-use cdp_storage::{FeatureChunk, RawChunk, RowView};
+use cdp_storage::{FeatureChunk, KeptColumns, RawChunk, RowView};
 
 /// One input to a fused proactive SGD step: either an already-materialized
 /// feature chunk (used as-is) or a raw chunk that must be re-materialized —
-/// which the fused path runs through a pipeline clone into a transient
+/// which the fused path runs through the deployed pipeline into a transient
 /// columnar slab whose rows fold straight into the source's gradient
 /// partial; the slab is dropped with the fold, never stored or batched.
 #[derive(Debug, Clone)]
 pub enum ProactiveSource {
     /// Feature chunk already available (cache hit or disk spill tier).
     Ready(Arc<FeatureChunk>),
-    /// Evicted chunk: only the raw data survives; transform on the fly.
-    Raw(RawChunk),
+    /// Evicted chunk: the raw data and the columns the pipeline kept from
+    /// its arrival survive; transform on the fly.
+    Raw(RawChunk, Option<KeptColumns>),
 }
 
 /// Pipeline + model + online learner, with cost attribution.
@@ -216,9 +217,8 @@ impl PipelineManager {
     ///
     /// The history is transformed chunk-parallel on the engine (the
     /// Spark-style batch path of §4.5): one contiguous group of chunks per
-    /// worker, each on a clone of the deployed pipeline (transform-only, so
-    /// the clones never diverge from the original's statistics), counter
-    /// deltas absorbed in group order. Accounted cost is engine-independent
+    /// worker, each through the shared deployed pipeline (transform-only, so
+    /// its statistics stay put), counters absorbed in chunk order. Accounted cost is engine-independent
     /// — parallel execution reduces wall-clock time, not work.
     pub fn retrain_warm(
         &mut self,
@@ -227,22 +227,20 @@ impl PipelineManager {
         ledger: &mut CostLedger,
     ) -> TrainReport {
         let group_len = history.len().div_ceil(self.engine.workers()).max(1);
-        let template = &self.pipeline;
+        let pipeline = &self.pipeline;
         let groups = self.engine.map_parts(
             history,
             group_len,
             |group| {
-                let mut local = template.clone();
-                local.reset_counters();
-                let chunks: Vec<FeatureChunk> =
-                    group.iter().map(|raw| local.transform_chunk(raw)).collect();
-                (chunks, local.counters())
+                (group.iter())
+                    .map(|raw| pipeline.rematerialize(raw, None))
+                    .collect::<Vec<_>>()
             },
             &self.ctx,
         );
         let mut chunks = Vec::with_capacity(history.len());
-        for (group_chunks, counters) in groups {
-            chunks.extend(group_chunks);
+        for (chunk, counters) in groups.into_iter().flatten() {
+            chunks.push(chunk);
             self.pipeline.absorb_counters(counters);
         }
         let report = self.fit_chunks(&chunks, sgd);
@@ -306,8 +304,8 @@ impl PipelineManager {
     }
 
     /// One proactive mini-batch SGD step with the transform **fused** into
-    /// the gradient pass: each `Raw` source is re-materialized by a clone of
-    /// the deployed pipeline inside its engine task and its slab folds
+    /// the gradient pass: each `Raw` source is re-materialized by the shared
+    /// deployed pipeline inside its engine task and its slab folds
     /// directly into a per-source gradient accumulator
     /// ([`SgdTrainer::try_step_fused`]), so no re-materialized chunk outlives
     /// its task and no union batch buffer is ever built.
@@ -334,22 +332,23 @@ impl PipelineManager {
                 points: 0,
             });
         }
-        let template = &self.pipeline;
+        let pipeline = &self.pipeline;
         // Worker-fault orders are part of the deployment's deterministic
         // fault-epoch sequence, which is defined over *re-materializing*
         // engine calls (the fault site the injector models). A fused step
         // whose sources are all `Ready` does no pipeline work, so it must
         // not consume an epoch.
-        let rematerializes = sources.iter().any(|s| matches!(s, ProactiveSource::Raw(_)));
+        let rematerializes = sources
+            .iter()
+            .any(|s| matches!(s, ProactiveSource::Raw(..)));
         let hook: &dyn FaultHook = if rematerializes {
             &*self.hook
         } else {
             &NoFaults
         };
-        // Transform work happens on pipeline clones inside engine tasks;
-        // their counters land here (one write per source, re-runs after an
-        // injected panic cannot double-count) and are absorbed in source
-        // order after the step.
+        // Transform work happens inside engine tasks; its counters land here
+        // (one write per source, re-runs after an injected panic cannot
+        // double-count) and are absorbed in source order after the step.
         let counter_slots: Vec<OnceLock<PipelineCounters>> =
             sources.iter().map(|_| OnceLock::new()).collect();
         let outcome = self.trainer.try_step_fused(
@@ -359,11 +358,10 @@ impl PipelineManager {
                 // stored, or re-materialized just now and dropped with this
                 // task.
                 ProactiveSource::Ready(fc) => sink(fc.slab()),
-                ProactiveSource::Raw(raw) => {
-                    let mut local = template.clone();
-                    local.reset_counters();
-                    sink(local.transform_chunk(raw).slab());
-                    let _ = counter_slots[i].set(local.counters());
+                ProactiveSource::Raw(raw, kept) => {
+                    let (features, counters) = pipeline.rematerialize(raw, kept.as_ref());
+                    sink(features.slab());
+                    let _ = counter_slots[i].set(counters);
                 }
             },
             self.engine,
@@ -553,7 +551,7 @@ mod tests {
 
             for fired in 1..=3u64 {
                 let mut sources = ready.clone();
-                sources.push(ProactiveSource::Raw(raws[5].clone()));
+                sources.push(ProactiveSource::Raw(raws[5].clone(), None));
                 pm.try_proactive_step_fused(&sources, &mut ledger).unwrap();
                 assert_eq!(hook.worker_epoch(), fired, "engine {}", engine.name());
             }

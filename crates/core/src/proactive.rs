@@ -123,13 +123,13 @@ impl ProactiveTrainer {
                     spilled += 1;
                     sources.push(ProactiveSource::Ready(fc));
                 }
-                SampledChunk::NeedsRematerialization(raw) => {
+                SampledChunk::NeedsRematerialization(raw, kept) => {
                     if !self.online_stats {
                         ledger.charge_disk(raw.size_bytes() as u64);
                         pm.charge_statistics_recomputation(raw.len() as u64, ledger);
                     }
                     rematerialized += 1;
-                    sources.push(ProactiveSource::Raw(raw));
+                    sources.push(ProactiveSource::Raw(raw, kept));
                 }
             }
         }
@@ -205,7 +205,7 @@ mod tests {
         let mut ledger = CostLedger::new(CostModel::commodity());
         let sampled = vec![
             SampledChunk::Materialized(Arc::clone(&fcs[2])),
-            SampledChunk::NeedsRematerialization(raws[0].clone()),
+            SampledChunk::NeedsRematerialization(raws[0].clone(), None),
         ];
         let outcome = ProactiveTrainer::new().execute(&mut pm, sampled, &mut ledger);
         assert_eq!(pm.trainer().steps(), steps_before + 1);
@@ -241,7 +241,7 @@ mod tests {
         let mut costly = CostLedger::default();
         trainer.execute(
             &mut pm,
-            vec![SampledChunk::NeedsRematerialization(raws[1].clone())],
+            vec![SampledChunk::NeedsRematerialization(raws[1].clone(), None)],
             &mut costly,
         );
         assert!(

@@ -1,5 +1,7 @@
 //! The component contract: `update` + `transform` (paper §4.3).
 
+use cdp_storage::KeptColumns;
+
 use crate::batch::ColumnBatch;
 
 /// Why a checkpointed component-state payload failed to decode.
@@ -79,6 +81,24 @@ pub trait Component: Send + Sync {
     /// rows ([`ColumnBatch::retain`]) or change the column set (feature
     /// extractors).
     fn transform(&self, batch: &mut ColumnBatch<'_>);
+
+    /// How many of this stage's output columns, from the first, are a pure
+    /// function of its input rows that costs more to compute than to copy.
+    /// When every stage before this one is stateless, the pipeline keeps them
+    /// per chunk on arrival ([`KeptColumns`]) and hands them back to
+    /// [`Component::transform_kept`] to re-materialize the chunk. Such a
+    /// stage drops no row; the default keeps no column.
+    fn kept_columns(&self) -> usize {
+        0
+    }
+
+    /// [`Component::transform`] with the first [`Component::kept_columns`]
+    /// output columns copied from `kept`, which this stage computed from the
+    /// same rows before, instead of computed: the same bits. Kept columns
+    /// that do not fit the batch are ignored; so is `kept` by the default.
+    fn transform_kept(&self, batch: &mut ColumnBatch<'_>, _kept: &KeptColumns) {
+        self.transform(batch);
+    }
 
     /// Whether `update` is an exact incremental computation. Non-incremental
     /// components are rejected at pipeline construction.

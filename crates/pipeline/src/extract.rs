@@ -1,6 +1,8 @@
 //! Feature extraction components (paper Table 1: "feature extraction" /
 //! "feature selection").
 
+use cdp_storage::KeptColumns;
+
 use crate::batch::ColumnBatch;
 use crate::component::Component;
 use crate::parser::TAXI_WIDTH;
@@ -92,7 +94,8 @@ pub mod taxi_features {
 
 /// The Taxi pipeline's feature extractor (paper §5.1): haversine distance,
 /// bearing, hour of day, and day of week, computed from the parsed trip
-/// columns. Stateless.
+/// columns. Stateless. Distance and bearing are its trigonometry, most of a
+/// re-materialization's work, so it keeps them ([`Component::kept_columns`]).
 #[derive(Debug, Clone, Default)]
 pub struct TaxiFeatureExtractor;
 
@@ -100,6 +103,46 @@ impl TaxiFeatureExtractor {
     /// Creates the extractor.
     pub fn new() -> Self {
         Self
+    }
+
+    /// The extraction, with distance and bearing copied from `kept` when
+    /// they were kept for this batch's rows.
+    fn extract(batch: &mut ColumnBatch<'_>, kept: Option<&KeptColumns>) {
+        if batch.width() < TAXI_WIDTH {
+            batch.clear(); // narrower than the parser's layout: all malformed
+        }
+        let rows = batch.len();
+        let kept = kept.and_then(|k| Some((k.column(0, rows)?, k.column(1, rows)?)));
+        batch.map_columns(taxi_features::WIDTH, |old, new| {
+            // Both layouts in order (`TaxiParser`'s columns, `taxi_features`).
+            let [secs, p_lon, p_lat, d_lon, d_lat, passengers, duration, ..] = old else {
+                return;
+            };
+            let [km, bearing, hour, weekday, weekend, out @ ..] = new else {
+                return;
+            };
+            match kept {
+                Some((kept_km, kept_bearing)) => {
+                    km.copy_from_slice(kept_km);
+                    bearing.copy_from_slice(kept_bearing);
+                }
+                None => {
+                    for i in 0..secs.len() {
+                        (km[i], bearing[i]) =
+                            distance_and_bearing(p_lat[i], p_lon[i], d_lat[i], d_lon[i]);
+                    }
+                }
+            }
+            for i in 0..secs.len() {
+                hour[i] = hour_of_day(secs[i]);
+                weekday[i] = day_of_week(secs[i]);
+                weekend[i] = f64::from(weekday[i] >= 5.0);
+            }
+            let copied = [passengers, p_lon, p_lat, d_lon, d_lat, duration];
+            for (dst, src) in out.iter_mut().zip(copied) {
+                dst.copy_from_slice(src);
+            }
+        });
     }
 }
 
@@ -109,28 +152,16 @@ impl Component for TaxiFeatureExtractor {
     }
 
     fn transform(&self, batch: &mut ColumnBatch<'_>) {
-        if batch.width() < TAXI_WIDTH {
-            batch.clear(); // narrower than the parser's layout: all malformed
-        }
-        batch.map_columns(taxi_features::WIDTH, |old, new| {
-            // Both layouts in order (`TaxiParser`'s columns, `taxi_features`).
-            let [secs, p_lon, p_lat, d_lon, d_lat, passengers, duration, ..] = old else {
-                return;
-            };
-            let [km, bearing, hour, weekday, weekend, out @ ..] = new else {
-                return;
-            };
-            for i in 0..secs.len() {
-                (km[i], bearing[i]) = distance_and_bearing(p_lat[i], p_lon[i], d_lat[i], d_lon[i]);
-                hour[i] = hour_of_day(secs[i]);
-                weekday[i] = day_of_week(secs[i]);
-                weekend[i] = f64::from(weekday[i] >= 5.0);
-            }
-            let kept = [passengers, p_lon, p_lat, d_lon, d_lat, duration];
-            for (dst, src) in out.iter_mut().zip(kept) {
-                dst.copy_from_slice(src);
-            }
-        });
+        Self::extract(batch, None);
+    }
+
+    /// Haversine distance and bearing: 16 bytes a row.
+    fn kept_columns(&self) -> usize {
+        2
+    }
+
+    fn transform_kept(&self, batch: &mut ColumnBatch<'_>, kept: &KeptColumns) {
+        Self::extract(batch, Some(kept));
     }
 
     fn clone_box(&self) -> Box<dyn Component> {
@@ -396,6 +427,28 @@ mod tests {
         assert_eq!(nums[2..6], [13.0, 6.0, 1.0, 2.0]);
         assert_eq!(nums[6..10], [-73.98, 40.75, -73.95, 40.78]);
         assert_eq!(nums[taxi_features::DURATION_SECS], 600.0);
+    }
+
+    #[test]
+    fn kept_distance_and_bearing_are_copied_not_computed() {
+        let fresh = || numeric(&[&PARSED_ROW, &PARSED_ROW]);
+        let mut computed = fresh();
+        TaxiFeatureExtractor::new().transform(&mut computed);
+        // Kept columns that fit are copied in, whatever they hold ...
+        let planted = [1.5, 2.5, -3.0, f64::NAN];
+        let kept = KeptColumns::copy_of([&planted[..2], &planted[2..]].into_iter(), 2);
+        let mut copied = fresh();
+        TaxiFeatureExtractor::new().transform_kept(&mut copied, &kept);
+        assert_eq!(copied.col(0), Some(&planted[..2]));
+        assert_eq!(copied.col(1).map(|c| c[0]), Some(-3.0));
+        assert!(copied.col(1).is_some_and(|c| c[1].is_nan()));
+        let (a, b) = (columns(&copied), columns(&computed));
+        assert_eq!(a[2..], b[2..]);
+        // ... and kept for other rows are ignored.
+        let short = KeptColumns::copy_of([&planted[..1], &planted[2..3]].into_iter(), 1);
+        let mut ignored = fresh();
+        TaxiFeatureExtractor::new().transform_kept(&mut ignored, &short);
+        assert_eq!(columns(&ignored), columns(&computed));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use cdp_storage::{ColumnSlab, FeatureChunk, LabeledPoint, RawChunk, Record, RowView};
+use cdp_storage::{ColumnSlab, FeatureChunk, KeptColumns, LabeledPoint, RawChunk, Record, RowView};
 
 use crate::batch::ColumnBatch;
 use crate::component::{Component, StateDecodeError};
@@ -80,9 +80,16 @@ impl std::error::Error for PipelineError {}
 /// * [`Pipeline::fit_transform_chunk`] — *online learning path*: every
 ///   stateful stage updates its statistics from the arriving chunk, then
 ///   transforms it (online statistics computation, §3.1);
-/// * [`Pipeline::transform_chunk`] — *transform-only path*: used for
+/// * [`Pipeline::rematerialize`] — *transform-only path*: used for
 ///   prediction queries and for **re-materializing** evicted feature chunks;
 ///   statistics are left untouched.
+///
+/// The first stage that keeps columns ([`Component::kept_columns`]) keeps
+/// them when only stateless stages run before it: then its input, and so
+/// what it keeps, is a pure function of the raw chunk. The online path
+/// returns them with the chunk's features and the transform-only path takes
+/// them back, so that a re-materialization skips their computation and is
+/// still the same bits.
 ///
 /// Cloning a pipeline snapshots all component statistics (warm starting).
 #[derive(Clone)]
@@ -91,6 +98,8 @@ pub struct Pipeline {
     components: Vec<Box<dyn Component>>,
     encoder: Box<dyn Encoder>,
     counters: PipelineCounters,
+    /// The component whose columns are kept, if any.
+    keeper: Option<usize>,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -142,11 +151,17 @@ impl PipelineBuilder {
                 });
             }
         }
+        let keeper = self
+            .components
+            .iter()
+            .position(|c| c.is_stateful() || c.kept_columns() > 0)
+            .filter(|&i| self.components[i].kept_columns() > 0);
         Ok(Pipeline {
             parser: self.parser,
             components: self.components,
             encoder: Box::new(encoder),
             counters: PipelineCounters::default(),
+            keeper,
         })
     }
 }
@@ -171,41 +186,84 @@ pub struct QueryScratch {
 const QUERY_SCRATCH_MAX_TOKENS: usize = 512;
 
 impl Pipeline {
-    /// One chunk through parser → components → encoder. The parser fills a
-    /// [`ColumnBatch`](crate::ColumnBatch) once, every component edits it in
-    /// place, and the encoder's slab is the chunk that gets stored — no
-    /// per-row intermediate exists. With `fit`, each stateful stage folds
-    /// the batch into its statistics before transforming it.
-    fn run(&mut self, chunk: &RawChunk, fit: bool) -> FeatureChunk {
-        self.counters.parsed_records += chunk.records.len() as u64;
-        let mut batch = self.parser.parse(&chunk.records, ColumnBatch::default());
-        for component in &mut self.components {
-            if fit && component.is_stateful() {
-                component.update(&batch);
-                self.counters.update_rows += batch.len() as u64;
-            }
-            self.counters.transform_rows += batch.len() as u64;
-            component.transform(&mut batch);
-        }
-        if fit && self.encoder.is_stateful() {
-            self.encoder.update(&batch);
-            self.counters.update_rows += batch.len() as u64;
-        }
-        self.counters.encoded_points += batch.len() as u64;
+    /// `chunk`'s records parsed into a [`ColumnBatch`](crate::ColumnBatch),
+    /// the one batch every component then edits in place: no per-row
+    /// intermediate exists.
+    fn parse<'r>(&self, chunk: &'r RawChunk, counters: &mut PipelineCounters) -> ColumnBatch<'r> {
+        counters.parsed_records += chunk.records.len() as u64;
+        self.parser.parse(&chunk.records, ColumnBatch::default())
+    }
+
+    /// The encoder's slab of the finished batch: the chunk that gets stored.
+    fn encode(
+        &self,
+        chunk: &RawChunk,
+        batch: ColumnBatch<'_>,
+        counters: &mut PipelineCounters,
+    ) -> FeatureChunk {
+        counters.encoded_points += batch.len() as u64;
         let slab = Arc::new(self.encoder.encode(batch));
         FeatureChunk::from_slab(chunk.timestamp, chunk.timestamp, slab)
     }
 
-    /// Online-learning path over a raw chunk; produces the feature chunk to
-    /// store (with the back-reference for dynamic materialization).
+    /// Online-learning path over a raw chunk: each stateful stage folds the
+    /// batch into its statistics before transforming it. Produces the
+    /// feature chunk to store (with the back-reference for dynamic
+    /// materialization), carrying the columns the pipeline keeps.
     pub fn fit_transform_chunk(&mut self, chunk: &RawChunk) -> FeatureChunk {
-        self.run(chunk, true)
+        let mut counters = self.counters;
+        let mut batch = self.parse(chunk, &mut counters);
+        let mut kept = None;
+        for (i, component) in self.components.iter_mut().enumerate() {
+            let rows = batch.len();
+            if component.is_stateful() {
+                component.update(&batch);
+                counters.update_rows += rows as u64;
+            }
+            counters.transform_rows += rows as u64;
+            component.transform(&mut batch);
+            if self.keeper == Some(i) && batch.len() == rows {
+                let columns = batch.columns().take(component.kept_columns());
+                kept = Some(KeptColumns::copy_of(columns, rows));
+            }
+        }
+        if self.encoder.is_stateful() {
+            self.encoder.update(&batch);
+            counters.update_rows += batch.len() as u64;
+        }
+        let features = self.encode(chunk, batch, &mut counters);
+        self.counters = counters;
+        features.with_kept(kept)
     }
 
     /// Transform-only path over a raw chunk — the **re-materialization**
-    /// operation of dynamic materialization (§3.2).
+    /// operation of dynamic materialization (§3.2) — with the work counted
+    /// into the pipeline's counters.
     pub fn transform_chunk(&mut self, chunk: &RawChunk) -> FeatureChunk {
-        self.run(chunk, false)
+        let (features, counters) = self.rematerialize(chunk, None);
+        self.absorb_counters(counters);
+        features
+    }
+
+    /// The transform-only path on a shared pipeline: the chunk's features
+    /// and the work they took. `kept` are the columns the online path
+    /// returned for this chunk ([`FeatureChunk::kept`]); the stage that kept
+    /// them copies them in instead of computing them.
+    pub fn rematerialize(
+        &self,
+        chunk: &RawChunk,
+        kept: Option<&KeptColumns>,
+    ) -> (FeatureChunk, PipelineCounters) {
+        let mut counters = PipelineCounters::default();
+        let mut batch = self.parse(chunk, &mut counters);
+        for (i, component) in self.components.iter().enumerate() {
+            counters.transform_rows += batch.len() as u64;
+            match kept {
+                Some(kept) if self.keeper == Some(i) => component.transform_kept(&mut batch, kept),
+                _ => component.transform(&mut batch),
+            }
+        }
+        (self.encode(chunk, batch, &mut counters), counters)
     }
 
     /// Preprocesses one prediction query: [`Pipeline::query`] in a fresh
@@ -278,11 +336,6 @@ impl Pipeline {
         self.counters.update_rows += other.update_rows;
         self.counters.transform_rows += other.transform_rows;
         self.counters.encoded_points += other.encoded_points;
-    }
-
-    /// Resets the work counters.
-    pub fn reset_counters(&mut self) {
-        self.counters = PipelineCounters::default();
     }
 
     /// Overwrites the work counters (checkpoint restore).
@@ -442,8 +495,11 @@ mod tests {
         assert_eq!(c.transform_rows, 4); // 2 rows × 2 components
         assert_eq!(c.encoded_points, 2);
         assert_eq!(p.stage_counts(), (c.update_rows / 2, c.transform_rows / 2));
-        p.reset_counters();
-        assert_eq!(p.counters(), PipelineCounters::default());
+        p.set_counters(PipelineCounters::default());
+        p.transform_chunk(&chunk(1, &[(1.0, 2.0, 3.0)]));
+        let c = p.counters();
+        assert_eq!((c.parsed_records, c.update_rows), (1, 0));
+        assert_eq!((c.transform_rows, c.encoded_points), (2, 1));
     }
 
     #[test]

@@ -13,7 +13,8 @@ use cdp_pipeline::parser::{SchemaParser, TaxiParser};
 use cdp_pipeline::scale::StandardScaler;
 use cdp_pipeline::{ColumnBatch, Component, Pipeline, PipelineBuilder, QueryScratch};
 use cdp_storage::{
-    ColumnSlab, FeatureChunk, LabeledPoint, RawChunk, Record, Schema, SlabLayout, Timestamp, Value,
+    ColumnSlab, FeatureChunk, KeptColumns, LabeledPoint, RawChunk, Record, Schema, SlabLayout,
+    Timestamp, Value,
 };
 use proptest::prelude::*;
 use row_reference::{Encoder as RowEncoder, Parser as RowParser, RowPipeline, Stage};
@@ -438,6 +439,77 @@ proptest! {
                 .collect();
             let outcome = check(&Spec::taxi(), &chunks, rng.below(chunks.len()));
             prop_assert!(outcome.is_ok(), "seed {seed}: {}", outcome.unwrap_err());
+        }
+    }
+}
+
+/// Re-materializes every chunk `pipeline` has seen, under its statistics of
+/// the moment, with the columns each arrival kept: the same bits and the
+/// same work as `transform_chunk`, and the statistics untouched.
+fn kept_matches_transform_chunk(
+    pipeline: &Pipeline,
+    arrivals: &[(RawChunk, Option<KeptColumns>)],
+) -> Result<(), String> {
+    let states = pipeline.component_states();
+    for (raw, kept) in arrivals {
+        let (with_kept, counters) = pipeline.rematerialize(raw, kept.as_ref());
+        let mut plain = pipeline.clone();
+        plain.set_counters(Default::default());
+        let without = plain.transform_chunk(raw);
+        if chunk_bits(&with_kept) != chunk_bits(&without) {
+            return Err(format!(
+                "chunk {}: kept {kept:?} changed the rows",
+                raw.timestamp
+            ));
+        }
+        if counters != plain.counters() || pipeline.component_states() != states {
+            return Err(format!(
+                "chunk {}: counters {counters:?} vs {:?}",
+                raw.timestamp,
+                plain.counters()
+            ));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// What an arrival keeps, handed back to the re-materialization of the
+    /// same chunk, is `transform_chunk` bit for bit, as statistics move:
+    /// trips the parser drops, anomalous trips, empty and one-row chunks.
+    /// A pipeline whose extractor runs after a stateful stage, and the URL
+    /// structure, which has no extractor, keep nothing and still match.
+    #[test]
+    fn a_rematerialization_with_the_kept_columns_is_transform_chunk_bit_for_bit(
+        seeds in prop::collection::vec(0u64..u64::MAX, 4),
+    ) {
+        for seed in seeds {
+            let mut rng = Rng(seed);
+            let lexical = 1 + rng.below(4);
+            let scaled_first = Spec {
+                stages: [vec![Stage::Scaler(Vec::new())], Spec::taxi().stages].concat(),
+                ..Spec::taxi()
+            };
+            let (spec, keeps) = match rng.below(3) {
+                0 => (Spec::taxi(), true),
+                1 => (scaled_first, false),
+                _ => (Spec::url(lexical, 4), false),
+            };
+            let mut pipeline = spec.pipeline();
+            let mut arrivals = Vec::new();
+            for t in 0..2 + rng.below(5) {
+                let rows = [0, 1, rng.below(40)][rng.below(3)];
+                let records = match spec.parser {
+                    RowParser::Taxi => rng.taxi_chunk(rows, false),
+                    RowParser::Schema { .. } => rng.schema_chunk(lexical),
+                };
+                let raw = RawChunk::new(Timestamp(t as u64), records);
+                let stored = pipeline.fit_transform_chunk(&raw);
+                prop_assert_eq!(stored.kept().is_some(), keeps, "seed {}", seed);
+                arrivals.push((raw, stored.kept().cloned()));
+                let outcome = kept_matches_transform_chunk(&pipeline, &arrivals);
+                prop_assert!(outcome.is_ok(), "seed {seed}: {}", outcome.unwrap_err());
+            }
         }
     }
 }

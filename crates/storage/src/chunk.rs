@@ -75,6 +75,41 @@ impl RawChunk {
     }
 }
 
+/// Columns a stateless pipeline stage derived from a raw chunk's rows when
+/// the chunk arrived — the Taxi extractor's distance and bearing — kept with
+/// the chunk for the rest of the run, so that a re-materialization copies
+/// them instead of computing them again. Column-major, `rows` values a
+/// column; a clone shares them. They belong to one run: never to the shared
+/// [`RawChunk`], the feature budget, a checkpoint, the WAL or a spill file.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeptColumns {
+    rows: usize,
+    values: Arc<[f64]>,
+}
+
+impl KeptColumns {
+    /// Copies `columns`, each `rows` long, into one shared buffer.
+    pub fn copy_of<'a>(columns: impl ExactSizeIterator<Item = &'a [f64]>, rows: usize) -> Self {
+        let mut values = Vec::with_capacity(columns.len() * rows);
+        for column in columns {
+            values.extend_from_slice(column);
+        }
+        Self {
+            rows,
+            values: values.into(),
+        }
+    }
+
+    /// Column `c` when the columns are `rows` long; `None` when they are
+    /// not (they were kept for other rows) or there is no column `c`.
+    pub fn column(&self, c: usize, rows: usize) -> Option<&[f64]> {
+        if rows != self.rows {
+            return None;
+        }
+        self.values.get(c * rows..(c + 1) * rows)
+    }
+}
+
 /// A single preprocessed example as a row: what a prediction query returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabeledPoint {
@@ -91,7 +126,8 @@ pub struct LabeledPoint {
 /// The chunk holds every row of one shared columnar [`ColumnSlab`]. Two
 /// chunks are equal when their timestamps and slabs are, and two empty
 /// chunks whatever slabs back them: a dense slab and a CSR one of the same
-/// rows are not the same chunk.
+/// rows are not the same chunk. The [`KeptColumns`] an arrival carries to
+/// the store are not part of the chunk's value.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FeatureChunk {
     /// Same identifier as the originating raw chunk.
@@ -100,6 +136,7 @@ pub struct FeatureChunk {
     pub raw_ref: Timestamp,
     slab: Arc<ColumnSlab>,
     bytes: usize,
+    kept: Option<KeptColumns>,
 }
 
 impl FeatureChunk {
@@ -111,7 +148,19 @@ impl FeatureChunk {
             raw_ref,
             slab,
             bytes,
+            kept: None,
         }
+    }
+
+    /// The chunk carrying `kept`, the columns its pipeline derived from the
+    /// raw chunk on the way, for the store to keep beside that raw chunk.
+    pub fn with_kept(self, kept: Option<KeptColumns>) -> Self {
+        Self { kept, ..self }
+    }
+
+    /// The columns the chunk carries for the store (see [`KeptColumns`]).
+    pub fn kept(&self) -> Option<&KeptColumns> {
+        self.kept.as_ref()
     }
 
     /// Number of examples.
@@ -219,6 +268,22 @@ mod tests {
 
     fn chunk(ts: u64, slab: ColumnSlab) -> FeatureChunk {
         FeatureChunk::from_slab(Timestamp(ts), Timestamp(ts), Arc::new(slab))
+    }
+
+    #[test]
+    fn kept_columns_answer_only_for_the_rows_they_were_kept_for() {
+        let (km, deg) = ([1.0, 2.0, 3.0], [10.0, 20.0, 30.0]);
+        let kept = KeptColumns::copy_of([&km[..], &deg[..]].into_iter(), 3);
+        assert_eq!(kept.column(0, 3), Some(&km[..]));
+        assert_eq!(kept.column(1, 3), Some(&deg[..]));
+        assert_eq!((kept.column(2, 3), kept.column(0, 2)), (None, None));
+        let none = KeptColumns::copy_of([&[][..], &[][..]].into_iter(), 0);
+        assert_eq!(none.column(1, 0), Some(&[][..]));
+        // They ride on a feature chunk without being part of its value.
+        let fc = chunk(4, ColumnSlab::dense(vec![1.0], vec![vec![1.0]]));
+        let carrying = fc.clone().with_kept(Some(kept.clone()));
+        assert_eq!(carrying, fc);
+        assert_eq!((carrying.kept(), fc.kept()), (Some(&kept), None));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod tiered;
 pub mod wal;
 
 pub use checkpoint::{CheckpointDir, CHECKPOINT_SCHEMA};
-pub use chunk::{FeatureChunk, LabeledPoint, RawChunk, Timestamp};
+pub use chunk::{FeatureChunk, KeptColumns, LabeledPoint, RawChunk, Timestamp};
 pub use columnar::{slab_runs, ColumnSlab, CsrBuilder, RowView, SlabLayout};
 pub use record::{Record, Schema, Value};
 pub use store::{ChunkStore, FeatureLookup, StorageBudget, StoreStats};

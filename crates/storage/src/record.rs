@@ -101,17 +101,23 @@ impl Schema {
     }
 }
 
-/// A raw data row: one value per schema field.
+/// A raw data row: one value per schema field. The values sit in a boxed
+/// slice, which has no spare capacity to track: a record is 16 bytes beside
+/// its values, not 24.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Record {
-    values: Vec<Value>,
+    values: Box<[Value]>,
 }
 
 impl Record {
     /// Creates a record from values (must match the schema length the caller
-    /// intends to use; checked at access time via the schema).
+    /// intends to use; checked at access time via the schema). A vector
+    /// built to its exact length, as the generators and decoders build
+    /// theirs, becomes the record's slice without a copy.
     pub fn new(values: Vec<Value>) -> Self {
-        Self { values }
+        Self {
+            values: values.into_boxed_slice(),
+        }
     }
 
     /// Number of fields.
@@ -175,5 +181,15 @@ mod tests {
     fn size_bytes_counts_text_length() {
         let r = Record::new(vec![Value::Num(0.0), Value::Text("abcd".into())]);
         assert!(r.size_bytes() >= 8 + 4);
+    }
+
+    #[test]
+    fn a_record_is_two_words_and_keeps_its_exact_vector() {
+        assert_eq!(std::mem::size_of::<Record>(), 16);
+        let values = vec![Value::Num(1.0), Value::Missing, Value::Num(2.0)];
+        let at = values.as_ptr();
+        let r = Record::new(values);
+        assert_eq!(r.values().as_ptr(), at);
+        assert_eq!(r.size_bytes(), 3 * std::mem::size_of::<Value>() + 16);
     }
 }

@@ -7,7 +7,8 @@
 //!   exceeded the *oldest* feature chunks are evicted, leaving only their
 //!   identifier and raw reference behind;
 //! * looking up an evicted chunk yields the raw chunk so the caller can
-//!   re-materialize it through the deployed pipeline.
+//!   re-materialize it through the deployed pipeline, together with the
+//!   [`KeptColumns`] its arrival left beside it (outside the budget).
 //!
 //! Every reclamation runs through one collector (`ChunkStore::collect`).
 //! Each collection that frees anything is counted in
@@ -22,7 +23,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::chunk::{FeatureChunk, RawChunk, Timestamp};
+use crate::chunk::{FeatureChunk, KeptColumns, RawChunk, Timestamp};
 use crate::StorageError;
 
 /// Limit on the materialized feature cache.
@@ -54,8 +55,8 @@ pub enum FeatureLookup {
     /// scenario 1).
     Materialized(Arc<FeatureChunk>),
     /// The feature chunk was evicted; here is the raw chunk to re-materialize
-    /// from (Figure 2, scenario 2).
-    Evicted(RawChunk),
+    /// from (Figure 2, scenario 2), and the columns kept from its arrival.
+    Evicted(RawChunk, Option<KeptColumns>),
     /// Neither features nor raw data exist — the chunk cannot participate in
     /// sampling (paper §3.2: unavailable chunks are ignored).
     Unavailable,
@@ -101,7 +102,8 @@ impl StoreStats {
 /// In-memory chunk store (see module docs).
 #[derive(Debug)]
 pub struct ChunkStore {
-    raw: BTreeMap<Timestamp, RawChunk>,
+    /// Every raw chunk, beside the columns its feature chunk carried in.
+    raw: BTreeMap<Timestamp, (RawChunk, Option<KeptColumns>)>,
     features: BTreeMap<Timestamp, Arc<FeatureChunk>>,
     budget: StorageBudget,
     feature_bytes: usize,
@@ -131,14 +133,16 @@ impl ChunkStore {
         let Entry::Vacant(slot) = self.raw.entry(chunk.timestamp) else {
             return Err(StorageError::DuplicateTimestamp(chunk.timestamp));
         };
-        slot.insert(chunk);
+        slot.insert((chunk, None));
         self.stats.raw_puts += 1;
         Ok(())
     }
 
     /// Stores a feature chunk, then evicts oldest feature chunks while the
     /// budget is exceeded. Returns the evicted chunks (oldest first) so a
-    /// tiered store can spill them to a colder medium.
+    /// tiered store can spill them to a colder medium. The columns the chunk
+    /// carries ([`FeatureChunk::kept`]) stay beside its raw chunk for good,
+    /// outside the budget.
     ///
     /// # Errors
     /// * [`StorageError::DanglingRawReference`] when `raw_ref` is unknown —
@@ -149,12 +153,15 @@ impl ChunkStore {
         &mut self,
         chunk: FeatureChunk,
     ) -> Result<Vec<Arc<FeatureChunk>>, StorageError> {
-        if !self.raw.contains_key(&chunk.raw_ref) {
+        let Some((_, kept)) = self.raw.get_mut(&chunk.raw_ref) else {
             return Err(StorageError::DanglingRawReference(chunk.raw_ref));
-        }
+        };
         let ts = chunk.timestamp;
         if self.features.contains_key(&ts) {
             return Err(StorageError::DuplicateTimestamp(ts));
+        }
+        if let Some(columns) = chunk.kept() {
+            *kept = Some(columns.clone());
         }
         self.feature_bytes += chunk.size_bytes();
         self.features.insert(ts, Arc::new(chunk));
@@ -200,9 +207,9 @@ impl ChunkStore {
             self.stats.feature_hits += 1;
             return FeatureLookup::Materialized(Arc::clone(fc));
         }
-        if let Some(raw) = self.raw.get(&ts) {
+        if let Some((raw, kept)) = self.raw.get(&ts) {
             self.stats.feature_misses += 1;
-            return FeatureLookup::Evicted(raw.clone());
+            return FeatureLookup::Evicted(raw.clone(), kept.clone());
         }
         self.stats.unavailable += 1;
         FeatureLookup::Unavailable
@@ -215,7 +222,7 @@ impl ChunkStore {
 
     /// The raw chunk at `ts`, if retained.
     pub fn raw(&self, ts: Timestamp) -> Option<RawChunk> {
-        self.raw.get(&ts).cloned()
+        self.raw.get(&ts).map(|(raw, _)| raw.clone())
     }
 
     /// Timestamps of every chunk that can participate in sampling (raw data
@@ -339,7 +346,7 @@ mod tests {
         ));
         assert!(matches!(
             s.lookup_feature(Timestamp(0)),
-            FeatureLookup::Evicted(_)
+            FeatureLookup::Evicted(_, None)
         ));
         assert!(matches!(
             s.lookup_feature(Timestamp(99)),
@@ -350,6 +357,66 @@ mod tests {
         assert_eq!(stats.feature_misses, 1);
         assert_eq!(stats.unavailable, 1);
         assert_eq!(stats.utilization_rate(), 0.5);
+    }
+
+    /// The kept columns of one single-row chunk.
+    fn kept(x: f64) -> KeptColumns {
+        KeptColumns::copy_of([&[x][..], &[-x][..]].into_iter(), 1)
+    }
+
+    fn evicted_kept(s: &mut ChunkStore, ts: u64) -> Option<KeptColumns> {
+        match s.lookup_feature(Timestamp(ts)) {
+            FeatureLookup::Evicted(_, kept) => kept,
+            other => panic!("chunk {ts} is not evicted: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn kept_columns_stay_beside_the_raw_chunk_outside_the_budget() {
+        let mut s = ChunkStore::new(StorageBudget::MaxChunks(1));
+        for t in 0..3 {
+            ok(s.put_raw(raw(t)));
+            let fc = feat(t).with_kept((t != 1).then(|| kept(t as f64)));
+            ok(s.put_feature(fc));
+        }
+        // Features and their bytes are budgeted exactly as without them.
+        assert_eq!(s.materialized_count(), 1);
+        assert_eq!(s.feature_bytes(), feat(2).size_bytes());
+        assert_eq!(evicted_kept(&mut s, 0), Some(kept(0.0)));
+        assert_eq!(evicted_kept(&mut s, 1), None);
+        // A rejected feature chunk leaves nothing behind.
+        assert!(s.put_feature(feat(2).with_kept(Some(kept(9.0)))).is_err());
+        ok(s.put_raw(raw(3)));
+        ok(s.put_feature(feat(3)));
+        assert_eq!(evicted_kept(&mut s, 2), Some(kept(2.0)));
+        // Injected loss takes the columns with the raw chunk.
+        s.drop_chunk(Timestamp(0));
+        assert!(matches!(
+            s.lookup_feature(Timestamp(0)),
+            FeatureLookup::Unavailable
+        ));
+    }
+
+    #[test]
+    fn a_second_store_over_the_same_raw_handles_finds_nothing_kept() {
+        let handles: Vec<RawChunk> = (0..3).map(raw).collect();
+        let mut first = ChunkStore::new(StorageBudget::MaxChunks(0));
+        let mut second = ChunkStore::new(StorageBudget::MaxChunks(0));
+        for handle in &handles {
+            let ts = handle.timestamp;
+            ok(first.put_raw(handle.clone()));
+            ok(first.put_feature(feat(ts.0).with_kept(Some(kept(ts.0 as f64)))));
+            ok(second.put_raw(handle.clone()));
+        }
+        for t in 0..3 {
+            assert_eq!(evicted_kept(&mut first, t), Some(kept(t as f64)));
+            // The second store shares the rows, not the first one's columns.
+            assert_eq!(evicted_kept(&mut second, t), None);
+            ok(second.put_feature(feat(t)));
+            assert_eq!(evicted_kept(&mut second, t), None);
+            let shared = some(second.raw(Timestamp(t)));
+            assert!(Arc::ptr_eq(&shared.records, &handles[t as usize].records));
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use cdp_faults::{FaultHook, NoFaults, RetryPolicy};
 use cdp_obs::{LineageEventKind, Metrics};
 
-use crate::chunk::{FeatureChunk, RawChunk, Timestamp};
+use crate::chunk::{FeatureChunk, KeptColumns, RawChunk, Timestamp};
 use crate::disk::DiskTier;
 use crate::store::{ChunkStore, FeatureLookup, StorageBudget, StoreStats};
 use crate::StorageError;
@@ -26,8 +26,9 @@ pub enum TieredLookup {
     Memory(Arc<FeatureChunk>),
     /// Served from the disk tier (decoded copy).
     Disk(FeatureChunk),
-    /// Not on any feature tier — re-materialize from this raw chunk.
-    Recompute(RawChunk),
+    /// Not on any feature tier — re-materialize from this raw chunk, with
+    /// the columns kept from its arrival.
+    Recompute(RawChunk, Option<KeptColumns>),
     /// The chunk is gone entirely.
     Unavailable,
 }
@@ -38,7 +39,7 @@ impl TieredLookup {
         match self {
             TieredLookup::Memory(_) => "memory",
             TieredLookup::Disk(_) => "disk",
-            TieredLookup::Recompute(_) => "recompute",
+            TieredLookup::Recompute(..) => "recompute",
             TieredLookup::Unavailable => "unavailable",
         }
     }
@@ -223,7 +224,7 @@ impl TieredStore {
                 self.metrics.counter("store.memory_hits").inc();
                 TieredLookup::Memory(fc)
             }
-            FeatureLookup::Evicted(raw) => match self.disk.as_mut().map(|d| d.read(ts)) {
+            FeatureLookup::Evicted(raw, kept) => match self.disk.as_mut().map(|d| d.read(ts)) {
                 Some(Ok(Some(chunk))) => {
                     self.stats.disk_hits += 1;
                     self.metrics.counter("store.disk_hits").inc();
@@ -238,13 +239,13 @@ impl TieredStore {
                         .event("store.read_fallback", format!("chunk {}", ts.0));
                     self.metrics
                         .lineage(ts.0, LineageEventKind::SpillReadFallback);
-                    TieredLookup::Recompute(raw)
+                    TieredLookup::Recompute(raw, kept)
                 }
                 Some(Ok(None)) | None => {
                     self.stats.recomputes += 1;
                     self.metrics.counter("store.recomputes").inc();
                     self.metrics.lineage(ts.0, LineageEventKind::Rematerialize);
-                    TieredLookup::Recompute(raw)
+                    TieredLookup::Recompute(raw, kept)
                 }
             },
             FeatureLookup::Unavailable => TieredLookup::Unavailable,
@@ -445,7 +446,7 @@ mod tests {
         ok(log.set_len(store.disk_bytes_written() - 10)); // cuts chunk 1's tail
         for t in 0..2 {
             match store.lookup(Timestamp(t)) {
-                TieredLookup::Recompute(raw_chunk) => {
+                TieredLookup::Recompute(raw_chunk, _) => {
                     assert_eq!(raw_chunk.timestamp, Timestamp(t));
                 }
                 other => panic!("chunk {t}: expected recompute, got {}", other.tier()),
@@ -483,7 +484,7 @@ mod tests {
         for t in 0..29 {
             match store.lookup(Timestamp(t)) {
                 TieredLookup::Disk(chunk) => assert_eq!(chunk.timestamp, Timestamp(t)),
-                TieredLookup::Recompute(raw_chunk) => {
+                TieredLookup::Recompute(raw_chunk, _) => {
                     assert_eq!(raw_chunk.timestamp, Timestamp(t));
                 }
                 other => panic!("chunk {t}: unexpected {}", other.tier()),
@@ -530,7 +531,7 @@ mod tests {
         // got is a plain recompute, not a read fallback.
         assert!(matches!(
             store.lookup(Timestamp(0)),
-            TieredLookup::Recompute(_)
+            TieredLookup::Recompute(..)
         ));
         let stats = store.stats();
         assert_eq!((stats.recomputes, stats.read_fallbacks), (1, 0));
@@ -565,7 +566,7 @@ mod tests {
         );
         assert!(matches!(
             store.lookup(Timestamp(0)),
-            TieredLookup::Recompute(_)
+            TieredLookup::Recompute(..)
         ));
         assert!(matches!(
             store.lookup(Timestamp(4)),

@@ -151,7 +151,7 @@ proptest! {
         for &p in &probes {
             match store.lookup_feature(Timestamp(p)) {
                 FeatureLookup::Materialized(fc) => prop_assert_eq!(fc.timestamp, Timestamp(p)),
-                FeatureLookup::Evicted(rc) => {
+                FeatureLookup::Evicted(rc, _) => {
                     prop_assert_eq!(rc.timestamp, Timestamp(p));
                     prop_assert!(p < n);
                 }
@@ -223,7 +223,7 @@ proptest! {
                     prop_assert!(t >= n.saturating_sub(m));
                     prop_assert_eq!(&*fc, &chunk(t as u64, t as u64, original));
                 }
-                FeatureLookup::Evicted(rc) => {
+                FeatureLookup::Evicted(rc, _) => {
                     prop_assert!(t < n.saturating_sub(m));
                     prop_assert_eq!(rc.timestamp, ts);
                     prop_assert_eq!(rc, raw(ts.0));

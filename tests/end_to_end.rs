@@ -958,7 +958,7 @@ fn a_raw_chunk_is_stored_once_between_the_stream_and_the_store() {
         dm.store_features(fc).expect("raw chunk present");
         let sampled = dm.sample(3);
         for chunk in &sampled {
-            if let SampledChunk::NeedsRematerialization(raw) = chunk {
+            if let SampledChunk::NeedsRematerialization(raw, _) = chunk {
                 assert!(shares(raw), "sampled {}", raw.timestamp);
                 rematerialized += 1;
             }
@@ -1230,7 +1230,7 @@ fn taxi_arrivals_and_fires_match_the_commit_before_the_slab_kernels() {
             let sources: Vec<ProactiveSource> = (arrived.iter().rev().take(15).enumerate())
                 .map(|(k, (raw, fc))| match k % 4 {
                     0 => ProactiveSource::Ready(Arc::clone(fc)),
-                    _ => ProactiveSource::Raw(raw.clone()),
+                    _ => ProactiveSource::Raw(raw.clone(), fc.kept().cloned()),
                 })
                 .collect();
             let fire = pm.try_proactive_step_fused(&sources, &mut ledger);

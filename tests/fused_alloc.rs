@@ -131,11 +131,7 @@ fn fused_step_allocates_less_than_materialize_then_step() {
     let ((), unfused_allocs, unfused_bytes) = measure(|| {
         let chunks: Vec<_> = raws
             .iter()
-            .map(|raw| {
-                let mut local = template.clone();
-                local.reset_counters();
-                local.transform_chunk(raw)
-            })
+            .map(|raw| template.rematerialize(raw, None).0)
             .collect();
         let batch: Vec<RowView<'_>> = chunks.iter().flat_map(|c| c.rows()).collect();
         let loss = unfused_trainer.step_rows(&batch, engine);
@@ -143,7 +139,7 @@ fn fused_step_allocates_less_than_materialize_then_step() {
     });
     let unfused_peak = peak_bytes();
 
-    // Fused path: same template clones, same rows, but each source's slab
+    // Fused path: the same shared template, same rows, but each source's slab
     // rows fold into the gradient inside the source's own task.
     let mut fused_trainer = SgdTrainer::new(1, &config);
     let (outcome, fused_allocs, fused_bytes) = measure(|| {
@@ -151,9 +147,7 @@ fn fused_step_allocates_less_than_materialize_then_step() {
             .try_step_fused(
                 raws.len(),
                 |i, sink: &mut dyn FnMut(&ColumnSlab)| {
-                    let mut local = template.clone();
-                    local.reset_counters();
-                    sink(local.transform_chunk(&raws[i]).slab());
+                    sink(template.rematerialize(&raws[i], None).0.slab());
                 },
                 engine,
                 &NoFaults,
@@ -198,9 +192,7 @@ fn fused_step_allocates_less_than_materialize_then_step() {
             .try_step_fused(
                 raws.len(),
                 |i, sink: &mut dyn FnMut(&ColumnSlab)| {
-                    let mut local = template.clone();
-                    local.reset_counters();
-                    sink(local.transform_chunk(&raws[i]).slab());
+                    sink(template.rematerialize(&raws[i], None).0.slab());
                 },
                 engine,
                 &NoFaults,

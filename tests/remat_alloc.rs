@@ -90,27 +90,40 @@ fn rematerialization_allocates_per_column_not_per_row() {
     );
 
     // A fused fire whose fifteen sources are all evicted: each source is one
-    // pipeline clone and one transient slab. The first fire also allocates
-    // the gradient partials; the second finds them pooled.
+    // transient slab through the shared deployed pipeline, with or without
+    // the distance and bearing its arrival kept. The first fire also
+    // allocates the gradient partials; the later ones find them pooled.
     let (_, spec) = taxi_spec(SpecScale::Repo);
     let mut pm = PipelineManager::new(spec.build_pipeline(), &spec.sgd, spec.online_batch);
     let mut ledger = CostLedger::default();
     let initial: Vec<RawChunk> = (0..4).map(|i| generator.chunk(i)).collect();
     pm.initial_fit(&initial, &spec.sgd, &mut ledger);
-    let sources: Vec<ProactiveSource> = (4..19)
-        .map(|i| ProactiveSource::Raw(generator.chunk(i)))
-        .collect();
-    let fire = |pm: &mut PipelineManager, ledger: &mut CostLedger| {
-        let (outcome, allocs) = measure(|| pm.try_proactive_step_fused(&sources, ledger));
+    let mut arrivals = spec.build_pipeline();
+    let (plain, kept): (Vec<ProactiveSource>, Vec<ProactiveSource>) = (4..19)
+        .map(|i| {
+            let raw = generator.chunk(i);
+            let kept = arrivals.fit_transform_chunk(&raw).kept().cloned();
+            assert!(kept.is_some());
+            (
+                ProactiveSource::Raw(raw.clone(), None),
+                ProactiveSource::Raw(raw, kept),
+            )
+        })
+        .unzip();
+    let fire = |pm: &mut PipelineManager, ledger: &mut CostLedger, sources: &[ProactiveSource]| {
+        let (outcome, allocs) = measure(|| pm.try_proactive_step_fused(sources, ledger));
         let outcome = outcome.expect("no faults injected");
         assert!(outcome.points > 13_500, "{} rows survived", outcome.points);
         allocs
     };
-    let cold = fire(&mut pm, &mut ledger);
-    let warm = fire(&mut pm, &mut ledger);
-    assert!(warm <= cold);
+    let cold = fire(&mut pm, &mut ledger, &plain);
+    let warm = fire(&mut pm, &mut ledger, &plain);
+    let warm_kept = fire(&mut pm, &mut ledger, &kept);
+    assert!(warm <= cold && warm_kept <= warm);
+    // 403 warm, 27 a source: the slab's columns and the batch's. While each
+    // source cloned the pipeline for its counters, the fire made 553.
     assert!(
-        warm <= 15 * 80,
+        warm <= 15 * 27,
         "a warm fire over 15 raw 1000-row sources made {warm} allocations"
     );
 }
