@@ -218,8 +218,9 @@ impl PipelineManager {
     /// The history is transformed chunk-parallel on the engine (the
     /// Spark-style batch path of §4.5): one contiguous group of chunks per
     /// worker, each through the shared deployed pipeline (transform-only, so
-    /// its statistics stay put), counters absorbed in chunk order. Accounted cost is engine-independent
-    /// — parallel execution reduces wall-clock time, not work.
+    /// its statistics stay put), counters absorbed in chunk order. Accounted
+    /// cost is engine-independent — parallel execution reduces wall-clock
+    /// time, not work.
     pub fn retrain_warm(
         &mut self,
         history: &[RawChunk],

@@ -80,7 +80,8 @@ impl std::error::Error for PipelineError {}
 /// * [`Pipeline::fit_transform_chunk`] — *online learning path*: every
 ///   stateful stage updates its statistics from the arriving chunk, then
 ///   transforms it (online statistics computation, §3.1);
-/// * [`Pipeline::rematerialize`] — *transform-only path*: used for
+/// * [`Pipeline::transform_chunk`] (on a shared pipeline,
+///   [`Pipeline::rematerialize`]) — *transform-only path*: used for
 ///   prediction queries and for **re-materializing** evicted feature chunks;
 ///   statistics are left untouched.
 ///

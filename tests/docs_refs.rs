@@ -20,13 +20,7 @@ const DOCS: [&str; 5] = [
 ];
 
 /// Names the documents mention to say they were removed.
-const QUOTED_AS_DELETED: &[&str] = &[
-    "exp_checkpoint",
-    "exp_engine_scaling",
-    "exp_serving",
-    "exp_store",
-    "exp_telemetry",
-];
+const QUOTED_AS_DELETED: &[&str] = &[];
 
 /// The code of `doc`: its backticked spans and the lines of its fenced
 /// blocks, one entry each.
