@@ -120,8 +120,8 @@ fn rematerialization_allocates_per_column_not_per_row() {
     let warm = fire(&mut pm, &mut ledger, &plain);
     let warm_kept = fire(&mut pm, &mut ledger, &kept);
     assert!(warm <= cold && warm_kept <= warm);
-    // 403 warm, 27 a source: the slab's columns and the batch's. While each
-    // source cloned the pipeline for its counters, the fire made 553.
+    // 403 warm, 27 a source: the batch's columns and the slab's; nothing
+    // is cloned for a source.
     assert!(
         warm <= 15 * 27,
         "a warm fire over 15 raw 1000-row sources made {warm} allocations"
