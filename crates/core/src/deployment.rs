@@ -37,7 +37,6 @@ use cdp_storage::{
     durable_crash_point, CheckpointDir, FeatureChunk, RawChunk, StorageBudget, StorageError,
     StoreStats, TieredStats, WalDir, WalOptions, WalRecovery, WalStats, WalWriter,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::DeploymentCheckpoint;
 use crate::data_manager::DataManager;
@@ -48,7 +47,7 @@ use crate::scheduler::{Scheduler, SchedulerContext};
 use crate::serving::ModelServer;
 
 /// How the deployed model is kept fresh.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeploymentMode {
     /// Online learning only.
     Online,
@@ -93,7 +92,7 @@ impl DeploymentMode {
 }
 
 /// The platform optimizations of Experiment 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizationConfig {
     /// Online statistics computation (§3.1). When disabled, proactive
     /// training pays a statistics-recomputation scan and raw-data disk read
@@ -296,7 +295,7 @@ impl RecorderConfig {
 /// Checkpoint activity of one run. Deliberately *outside* the bit-identity
 /// contract: a resumed run legitimately writes more checkpoints (and counts
 /// its restore) than the uninterrupted run it otherwise reproduces.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
     /// Durable checkpoint files completed.
     pub writes: u64,
@@ -399,7 +398,7 @@ impl DeploymentConfig {
 }
 
 /// Everything a deployment run produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeploymentResult {
     /// Approach name (`Online` / `Periodical` / `Continuous`).
     pub approach: String,
@@ -462,7 +461,6 @@ pub struct DeploymentResult {
     pub checkpoint_stats: CheckpointStats,
     /// WAL counters (zero without a WAL). Outside the bit-identity
     /// contract: a resume commits and replays differently.
-    #[serde(default)]
     pub wal_stats: WalStats,
 }
 

@@ -1,9 +1,7 @@
 //! Proactive-training scheduling (paper §4.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Runtime observations the dynamic scheduler bases its decision on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerContext {
     /// Arrival period of data chunks in (simulated) seconds.
     pub chunk_period_secs: f64,
@@ -24,7 +22,7 @@ pub struct SchedulerContext {
 }
 
 /// When to execute the next proactive training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scheduler {
     /// Fire every `every_chunks` arriving chunks — the paper's *static*
     /// scheduling ("executes the proactive training every 5 minutes / every

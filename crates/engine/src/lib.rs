@@ -7,7 +7,8 @@
 //! crate is that substrate at laptop scale: an [`ExecutionEngine`] executes
 //! chunk-level data-parallel operations either sequentially or on a
 //! **persistent worker pool** — threads are created once per worker count
-//! (process-wide) and reused across calls, fed over a crossbeam channel.
+//! (process-wide) and reused across calls, fed over one `std::sync::mpsc`
+//! channel whose receiver they share behind a mutex.
 //!
 //! Scheduling is **work-stealing** over contiguous unit ranges: the input
 //! index space is cut into a few units per participant, each participant
@@ -44,11 +45,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 
 use cdp_faults::{FaultHook, InjectedWorkerPanic, NoFaults, WorkerOrder, MAX_WORKER_RESTARTS};
 use cdp_obs::{Metrics, SpanContext, TraceSpan, Tracer};
-use crossbeam::channel::{self, Sender};
 
 /// Locks `mutex`, recovering from poisoning.
 ///
@@ -69,11 +70,13 @@ const UNITS_PER_PARTICIPANT: usize = 4;
 /// An erased unit of work queued on the pool.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A persistent pool of worker threads fed over a crossbeam channel.
+/// A persistent pool of worker threads fed over one std channel.
 ///
 /// Pools are process-global, keyed by worker count: the first
 /// `Threaded { workers: w }` call spawns the `w` threads, every later call
-/// with the same count reuses them (they block on the channel when idle).
+/// with the same count reuses them. The threads share the receiver behind a
+/// mutex: an idle one blocks in `recv` holding it, the others on the lock,
+/// and each lets go of it before it runs the job it took.
 struct WorkerPool {
     sender: Sender<Job>,
 }
@@ -82,18 +85,22 @@ impl WorkerPool {
     /// Spawns the pool. When the OS refuses a thread the threads already
     /// started see their channel close and exit, and nothing is registered.
     fn new(workers: usize) -> Result<Self, EngineError> {
-        let (sender, receiver) = channel::unbounded::<Job>();
+        let (sender, receiver) = mpsc::channel::<Job>();
+        let receiver = Arc::new(Mutex::new(receiver));
         for i in 0..workers {
-            let receiver = receiver.clone();
+            let receiver = Arc::clone(&receiver);
             std::thread::Builder::new()
                 .name(format!("cdp-engine-{i}"))
-                .spawn(move || {
-                    // Helper jobs catch unit panics internally, so a
+                .spawn(move || loop {
+                    // The guard drops at the end of this statement, before
+                    // the job runs: held across it, it would serialize the
+                    // pool. Helper jobs catch unit panics internally, so a
                     // panicking map never kills its worker; the loop only
                     // ends if the sender side is dropped (process exit).
-                    while let Ok(job) = receiver.recv() {
-                        job();
-                    }
+                    let Ok(job) = lock_ignore_poison(&receiver).recv() else {
+                        break;
+                    };
+                    job();
                 })
                 .map_err(|e| EngineError::PoolUnavailable(format!("spawn worker {i}: {e}")))?;
         }

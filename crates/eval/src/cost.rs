@@ -7,10 +7,8 @@
 //! (identical across machines and runs), which is what lets the experiment
 //! harness regenerate the paper's cost *shapes* reproducibly.
 
-use serde::{Deserialize, Serialize};
-
 /// The cost phases the paper reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Parsing, statistics updates, transformations, encoding.
     Preprocessing,
@@ -46,7 +44,7 @@ impl Phase {
 }
 
 /// Per-unit costs in seconds, calibrated to a commodity machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Parsing one raw record.
     pub parse_record: f64,
@@ -97,7 +95,7 @@ impl Default for CostModel {
 }
 
 /// Accumulates accounted seconds per phase.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostLedger {
     model: CostModel,
     accounted: [f64; 4],

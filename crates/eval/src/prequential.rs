@@ -1,9 +1,7 @@
 //! Cumulative prequential evaluation (test-then-train).
 
-use serde::{Deserialize, Serialize};
-
 /// How prediction error is measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorMetric {
     /// Fraction of misclassified examples (labels in {−1, +1}).
     Misclassification,
@@ -25,7 +23,7 @@ impl ErrorMetric {
 
 /// Cumulative prequential error over a deployment, with an optional curve of
 /// `(examples_seen, cumulative_error)` checkpoints for plotting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PrequentialEvaluator {
     metric: ErrorMetric,
     count: u64,

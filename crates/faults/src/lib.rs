@@ -33,8 +33,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum in-place restarts the engine grants an injected worker panic
 /// before the panic is allowed to propagate (fatal).
 pub const MAX_WORKER_RESTARTS: u32 = 3;
@@ -303,7 +301,7 @@ impl FaultPlan {
 ///
 /// All counters are order-independent sums, so snapshots are identical
 /// across engines and worker counts for the same [`FaultPlan`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Injected disk-read I/O errors.
     pub injected_disk_read: u64,

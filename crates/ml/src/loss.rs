@@ -6,10 +6,8 @@
 //! `dloss_dz(z, y)` and the trainer handles the rest with sparse-aware
 //! kernels.
 
-use serde::{Deserialize, Serialize};
-
 /// Which loss a model trains with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossKind {
     /// Hinge loss `max(0, 1 − y·z)` with labels in {−1, +1} — the SVM.
     Hinge,

@@ -9,8 +9,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use cdp_linalg::Vector;
 use cdp_storage::RowView;
 
@@ -89,7 +87,7 @@ impl WeightBuf {
 /// A linear model `f(x) = w·x` (any bias is a constant feature appended by
 /// the pipeline, so the weights fully describe the model). Clones share one
 /// weight buffer; equality compares weights and loss.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinearModel {
     weights: Arc<WeightBuf>,
     loss: LossKind,

@@ -4,10 +4,8 @@
 //! {1e-2, 1e-3, 1e-4} for each learning-rate adaptation technique; this type
 //! is that knob.
 
-use serde::{Deserialize, Serialize};
-
 /// A weight penalty.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Regularizer {
     /// No penalty.
     #[default]

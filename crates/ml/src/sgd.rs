@@ -15,7 +15,6 @@ use std::sync::{Mutex, PoisonError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use cdp_engine::{EngineError, ExecutionEngine, RunCtx};
 use cdp_faults::{FaultHook, NoFaults};
@@ -296,7 +295,7 @@ impl PartialEq for GradScratch {
 }
 
 /// When to stop a multi-epoch `fit`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceCriteria {
     /// Stop when the relative L2 change of the weights over one epoch falls
     /// below this threshold (the paper's "weight vector does not change").
@@ -315,7 +314,7 @@ impl Default for ConvergenceCriteria {
 }
 
 /// Full configuration for a trainer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// The loss / model family.
     pub loss: LossKind,
@@ -348,7 +347,7 @@ impl SgdConfig {
 }
 
 /// Outcome of a multi-epoch `fit`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainReport {
     /// Epochs actually run.
     pub epochs: usize,
@@ -363,20 +362,17 @@ pub struct TrainReport {
 }
 
 /// Model + optimizer state + regularizer: the deployable training unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SgdTrainer {
     model: LinearModel,
     optimizer: OptimizerState,
     regularizer: Regularizer,
     /// Scratch gradient buffer, reused across steps. Between steps it holds
     /// what [`OptimizerState::sweep`] left: the last gradient times `0.0`.
-    #[serde(skip)]
     grad: Vec<f64>,
     /// Recycled partial-gradient buffers for sharded and fused steps.
-    #[serde(skip)]
     scratch: GradScratch,
     /// Weight buffers the model retired, for its next out-of-place sweep.
-    #[serde(skip)]
     retired: RetiredWeights,
     /// Total training examples consumed (for cost accounting).
     points_seen: u64,

@@ -16,9 +16,10 @@
 //!    caller must not treat the file as durable.
 //! 3. **The big-endian writer and reader** (`put_*`, [`Reader`]): integers
 //!    fixed-width, floats as `to_bits`, strings and blobs as `u32` length +
-//!    bytes. Every read is bounds-checked, and a count is checked against the
-//!    bytes left before anyone sizes a buffer from it: a hostile length field
-//!    is an [`Error::Truncated`], never an allocation.
+//!    bytes, word slices in one move, bare or after a `u32` count. Every read
+//!    is bounds-checked, and a count or length is checked against the bytes
+//!    left before anyone sizes a buffer from it: a hostile length field is an
+//!    [`Error::Truncated`], never an allocation.
 //! 4. **The background syncer** ([`Syncer`]): an owner's one durable job in
 //!    flight, joined by its next durable operation, where its error surfaces.
 //! 5. **The crash seam** ([`CrashPoint`]): where a run's crash countdown
@@ -448,16 +449,36 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
 }
 
+/// Appends `values` big-endian with no count, as one slice move: the buffer
+/// grows once and the byte swap runs over fixed-width windows.
+fn put_words<T: Copy, const N: usize>(out: &mut Vec<u8>, values: &[T], be: fn(T) -> [u8; N]) {
+    let at = out.len();
+    out.resize(at + values.len() * N, 0);
+    for (dst, &v) in out[at..].chunks_exact_mut(N).zip(values) {
+        dst.copy_from_slice(&be(v));
+    }
+}
+
+/// Appends each value's bit pattern big-endian, with no count.
+pub fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    put_words(out, values, f64::to_be_bytes);
+}
+
+/// Appends each value big-endian, with no count.
+pub fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    put_words(out, values, u32::to_be_bytes);
+}
+
 /// Appends `u32` count + each value.
 pub fn put_f64_vec(out: &mut Vec<u8>, values: &[f64]) {
     put_u32(out, values.len() as u32);
-    values.iter().for_each(|&v| put_f64(out, v));
+    put_f64s(out, values);
 }
 
 /// Appends `u32` count + each value.
 pub fn put_u64_vec(out: &mut Vec<u8>, values: &[u64]) {
     put_u32(out, values.len() as u32);
-    values.iter().for_each(|&v| put_u64(out, v));
+    put_words(out, values, u64::to_be_bytes);
 }
 
 /// A bounds-checked big-endian cursor over a payload. Every read past the
@@ -516,13 +537,19 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
+    /// The next `len` bytes, borrowed from the payload.
+    #[inline]
+    pub fn take(&mut self, len: usize) -> Result<&'a [u8], Error> {
+        let (head, rest) = self.buf.split_at_checked(len).ok_or(Error::Truncated)?;
+        self.buf = rest;
+        Ok(head)
+    }
+
     /// A `u32`-length-prefixed byte string, borrowed from the payload.
     #[inline]
     pub fn bytes(&mut self) -> Result<&'a [u8], Error> {
         let n = self.count()?;
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
+        self.take(n)
     }
 
     /// A `u32`-length-prefixed UTF-8 string; [`Error::NotUtf8`] if it is not.
@@ -534,16 +561,37 @@ impl<'a> Reader<'a> {
             .map_err(|_| Error::NotUtf8)
     }
 
+    /// `n` big-endian words as one slice move; a byte size past the bytes
+    /// left, or past `usize`, is a truncation found before the buffer is sized.
+    fn words<T, const N: usize>(
+        &mut self,
+        n: usize,
+        be: fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, Error> {
+        let head = self.take(n.checked_mul(N).ok_or(Error::Truncated)?)?;
+        Ok(head.as_chunks().0.iter().map(|w| be(*w)).collect())
+    }
+
+    /// `n` `f64`s from their big-endian bit patterns, with no count.
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, Error> {
+        self.words(n, f64::from_be_bytes)
+    }
+
+    /// `n` big-endian `u32`s, with no count.
+    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, Error> {
+        self.words(n, u32::from_be_bytes)
+    }
+
     /// A `u32` count + that many `f64`s.
     pub fn f64_vec(&mut self) -> Result<Vec<f64>, Error> {
         let n = self.count()?;
-        (0..n).map(|_| self.f64()).collect()
+        self.f64s(n)
     }
 
     /// A `u32` count + that many `u64`s.
     pub fn u64_vec(&mut self) -> Result<Vec<u64>, Error> {
         let n = self.count()?;
-        (0..n).map(|_| self.u64()).collect()
+        self.words(n, u64::from_be_bytes)
     }
 
     /// Ends the payload; [`Error::Trailing`] when bytes are left.
@@ -684,6 +732,8 @@ mod tests {
         put_bytes(&mut out, &[]);
         put_f64_vec(&mut out, &[f64::NAN, 1.5]);
         put_u64_vec(&mut out, &[u64::MAX]);
+        put_u32s(&mut out, &[1, u32::MAX]);
+        put_f64s(&mut out, &[-0.0]);
         let mut r = Reader::new(&out);
         assert_eq!(r.u8(), Ok(7));
         assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
@@ -695,6 +745,12 @@ mod tests {
             .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
         assert_eq!(floats, Ok(vec![f64::NAN.to_bits(), 1.5f64.to_bits()]));
         assert_eq!(r.u64_vec(), Ok(vec![u64::MAX]));
+        assert_eq!(r.u32s(2), Ok(vec![1, u32::MAX]));
+        let bits = r
+            .f64s(1)
+            .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        assert_eq!(bits, Ok(vec![(-0.0f64).to_bits()]));
+        assert_eq!(r.u32s(0), Ok(Vec::new()));
         assert_eq!(r.u8(), Err(Error::Truncated));
         assert_eq!(Reader::new(&out).finish(), Err(Error::Trailing(out.len())));
         assert_eq!(Reader::new(&[]).finish(), Ok(()));
@@ -714,6 +770,13 @@ mod tests {
         assert_eq!(Reader::new(&out).f64_vec(), Err(Error::Truncated));
         assert_eq!(Reader::new(&out).u64_vec(), Err(Error::Truncated));
         assert_eq!(Reader::new(&out).bytes(), Err(Error::Truncated));
+        // The bare-slice reads take their length from the caller: one longer
+        // than the bytes left, and one whose byte size overflows `usize`.
+        for n in [out.len() / 4 + 1, usize::MAX / 4 + 1] {
+            assert_eq!(Reader::new(&out).u32s(n), Err(Error::Truncated), "{n}");
+            assert_eq!(Reader::new(&out).f64s(n), Err(Error::Truncated), "{n}");
+        }
+        assert_eq!(Reader::new(&out).take(out.len() + 1), Err(Error::Truncated));
         // A count equal to the bytes left passes the check; the elements
         // still have to be there.
         let mut exact = Vec::new();

@@ -1,55 +1,8 @@
 //! The component contract: `update` + `transform` (paper §4.3).
 
-use cdp_storage::KeptColumns;
+use cdp_storage::{durable, KeptColumns};
 
 use crate::batch::ColumnBatch;
-
-/// Why a checkpointed component-state payload failed to decode.
-///
-/// Checkpoint payloads are CRC-protected on disk, so in a healthy system a
-/// restore never sees malformed bytes — but a logic error (states fed to the
-/// wrong component, a framing bug upstream) must surface as a typed error
-/// rather than being silently swallowed and leaving cold statistics behind a
-/// warm-looking pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StateDecodeError {
-    /// Payload ends before its fixed-size header is complete.
-    Truncated {
-        /// Bytes required to make progress.
-        needed: usize,
-        /// Bytes actually present.
-        found: usize,
-    },
-    /// Payload length disagrees with the element count its header declares.
-    LengthMismatch {
-        /// Length implied by the header.
-        expected: usize,
-        /// Actual payload length.
-        found: usize,
-    },
-    /// A string field is not valid UTF-8.
-    InvalidUtf8,
-}
-
-impl std::fmt::Display for StateDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StateDecodeError::Truncated { needed, found } => {
-                write!(
-                    f,
-                    "state payload truncated: needed {needed} bytes, found {found}"
-                )
-            }
-            StateDecodeError::LengthMismatch { expected, found } => write!(
-                f,
-                "state payload length {found} disagrees with its header (expected {expected})"
-            ),
-            StateDecodeError::InvalidUtf8 => write!(f, "state payload holds invalid UTF-8"),
-        }
-    }
-}
-
-impl std::error::Error for StateDecodeError {}
 
 /// A pipeline stage operating on a parsed [`ColumnBatch`].
 ///
@@ -120,8 +73,8 @@ pub trait Component: Send + Sync {
     /// Restores statistics captured by [`Component::state_bytes`] on a
     /// component of the same type and position. Stateless components keep
     /// the default no-op. Malformed bytes must leave the state unchanged
-    /// and report a typed [`StateDecodeError`].
-    fn restore_state(&mut self, _bytes: &[u8]) -> Result<(), StateDecodeError> {
+    /// and report a typed [`durable::Error`].
+    fn restore_state(&mut self, _bytes: &[u8]) -> Result<(), durable::Error> {
         Ok(())
     }
 

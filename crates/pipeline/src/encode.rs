@@ -9,10 +9,10 @@
 
 use std::collections::HashMap;
 
+use cdp_storage::durable::{self, put_str, put_u32, Reader};
 use cdp_storage::{ColumnSlab, CsrBuilder, SlabLayout};
 
 use crate::batch::ColumnBatch;
-use crate::component::StateDecodeError;
 
 /// Converts a transformed batch into the slab of labeled feature rows.
 pub trait Encoder: Send + Sync {
@@ -51,8 +51,8 @@ pub trait Encoder: Send + Sync {
     /// Restores statistics captured by [`Encoder::state_bytes`] on an
     /// encoder of the same type. Stateless encoders keep the default no-op.
     /// Malformed bytes must leave the state unchanged and report a typed
-    /// [`StateDecodeError`].
-    fn restore_state(&mut self, _bytes: &[u8]) -> Result<(), StateDecodeError> {
+    /// [`durable::Error`].
+    fn restore_state(&mut self, _bytes: &[u8]) -> Result<(), durable::Error> {
         Ok(())
     }
 
@@ -298,42 +298,21 @@ impl Encoder for OneHotEncoder {
             .collect();
         by_index.sort_by_key(|&(_, idx)| idx);
         let mut buf = Vec::new();
-        buf.extend_from_slice(&(by_index.len() as u32).to_be_bytes());
+        put_u32(&mut buf, by_index.len() as u32);
         for (token, _) in by_index {
-            buf.extend_from_slice(&(token.len() as u32).to_be_bytes());
-            buf.extend_from_slice(token.as_bytes());
+            put_str(&mut buf, token);
         }
         buf
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateDecodeError> {
-        let read_u32 = |at: usize| -> Result<u32, StateDecodeError> {
-            let b = bytes.get(at..at + 4).ok_or(StateDecodeError::Truncated {
-                needed: at + 4,
-                found: bytes.len(),
-            })?;
-            Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-        };
-        let count = read_u32(0)?;
-        let mut categories = HashMap::with_capacity(count as usize);
-        let mut at = 4;
-        for idx in 0..count as usize {
-            let len = read_u32(at)? as usize;
-            at += 4;
-            let raw = bytes.get(at..at + len).ok_or(StateDecodeError::Truncated {
-                needed: at + len,
-                found: bytes.len(),
-            })?;
-            let token = std::str::from_utf8(raw).map_err(|_| StateDecodeError::InvalidUtf8)?;
-            at += len;
-            categories.insert(token.to_owned(), idx);
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), durable::Error> {
+        let mut r = Reader::new(bytes);
+        let count = r.count()?;
+        let mut categories = HashMap::with_capacity(count);
+        for idx in 0..count {
+            categories.insert(r.string()?, idx);
         }
-        if at != bytes.len() {
-            return Err(StateDecodeError::LengthMismatch {
-                expected: at,
-                found: bytes.len(),
-            });
-        }
+        r.finish()?;
         self.categories = categories;
         Ok(())
     }

@@ -1,7 +1,9 @@
 //! Missing-value imputation with online mean statistics.
 
+use cdp_storage::durable;
+
 use crate::batch::ColumnBatch;
-use crate::component::{Component, StateDecodeError};
+use crate::component::Component;
 use crate::stats::ColumnMoments;
 
 /// Replaces missing (`NaN`) numeric values with the column's running mean —
@@ -50,7 +52,7 @@ impl Component for MeanImputer {
         self.moments.state_bytes()
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateDecodeError> {
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), durable::Error> {
         self.moments.restore_state(bytes)
     }
 

@@ -41,6 +41,6 @@ pub mod scale;
 pub mod stats;
 
 pub use batch::ColumnBatch;
-pub use component::{Component, StateDecodeError};
+pub use component::Component;
 pub use encode::Encoder;
 pub use pipeline::{Pipeline, PipelineBuilder, PipelineCounters, PipelineError, QueryScratch};

@@ -2,10 +2,12 @@
 
 use std::sync::Arc;
 
-use cdp_storage::{ColumnSlab, FeatureChunk, KeptColumns, LabeledPoint, RawChunk, Record, RowView};
+use cdp_storage::{
+    durable, ColumnSlab, FeatureChunk, KeptColumns, LabeledPoint, RawChunk, Record, RowView,
+};
 
 use crate::batch::ColumnBatch;
-use crate::component::{Component, StateDecodeError};
+use crate::component::Component;
 use crate::encode::Encoder;
 use crate::parser::Parser;
 
@@ -46,7 +48,7 @@ pub enum PipelineError {
         /// The component whose payload failed to decode.
         component: String,
         /// Why the payload failed to decode.
-        source: StateDecodeError,
+        source: durable::Error,
     },
 }
 
@@ -549,25 +551,61 @@ mod tests {
         );
     }
 
+    /// An imputer, a scaler and a one-hot encoder, trained on `rows` of
+    /// `(y, a, text)`: three stateful payloads.
+    fn stateful_pipeline(rows: &[(f64, f64, &str)]) -> Pipeline {
+        let schema = Schema::new(["y", "a", "text"]);
+        let parser = SchemaParser::new(schema, "y", &["a"], Some("text"));
+        let mut p = PipelineBuilder::new(parser)
+            .add(MeanImputer::new())
+            .add(StandardScaler::new())
+            .encoder(crate::encode::OneHotEncoder::new(1))
+            .unwrap();
+        let records = rows
+            .iter()
+            .map(|&(y, a, text)| {
+                Record::new(vec![Value::Num(y), Value::Num(a), Value::Text(text.into())])
+            })
+            .collect();
+        p.fit_transform_chunk(&RawChunk::new(Timestamp(0), records));
+        p
+    }
+
     #[test]
     fn restore_rejects_corrupt_component_payload() {
-        let mut trained = sample_pipeline();
-        trained.fit_transform_chunk(&chunk(0, &[(1.0, 2.0, 3.0), (0.0, 4.0, 5.0)]));
-        let mut states = trained.component_states();
-        // Truncate the imputer's payload mid-column: the CRC layer upstream
-        // would normally catch this, so the decode must fail typed, not
-        // silently leave a cold component behind a warm-looking pipeline.
-        states[0].pop();
-        let mut p = sample_pipeline();
-        let err = p
-            .restore_component_states(&states)
-            .expect_err("truncated payload must be rejected");
-        match err {
-            PipelineError::CorruptState { component, source } => {
-                assert_eq!(component, "mean-imputer");
-                assert!(matches!(source, StateDecodeError::LengthMismatch { .. }));
+        // Every strict prefix of each stateful payload, and the payload with
+        // a byte appended: the CRC layer upstream would normally catch these,
+        // so the decode must fail typed, never leave a cold component behind
+        // a warm-looking pipeline.
+        let trained = stateful_pipeline(&[(1.0, 2.0, "red blue"), (0.0, f64::NAN, "día")]);
+        let states = trained.component_states();
+        let other = stateful_pipeline(&[(1.0, -3.0, "green")]);
+        let stages = ["mean-imputer", "standard-scaler", "one-hot-encoder"];
+        for (at, stage) in stages.into_iter().enumerate() {
+            let payload = &states[at];
+            let cuts =
+                (0..payload.len()).map(|cut| (payload[..cut].to_vec(), durable::Error::Truncated));
+            let appended = ([&payload[..], &[0]].concat(), durable::Error::Trailing(1));
+            for (bytes, source) in cuts.chain([appended]) {
+                let mut damaged = states.clone();
+                damaged[at] = bytes;
+                // Stages before the damaged one take their payloads; it and
+                // those after it keep their statistics, so a restore onto the
+                // trained pipeline leaves its states unchanged.
+                for target in [&trained, &other] {
+                    let mut p = target.clone();
+                    assert_eq!(
+                        p.restore_component_states(&damaged),
+                        Err(PipelineError::CorruptState {
+                            component: stage.into(),
+                            source: source.clone(),
+                        })
+                    );
+                    let mut expected = target.component_states();
+                    expected[..at].clone_from_slice(&states[..at]);
+                    assert_eq!(p.component_states(), expected, "{stage}");
+                }
             }
-            other => panic!("unexpected error: {other:?}"),
         }
     }
 

@@ -1,7 +1,9 @@
 //! Standard scaling with online mean/variance statistics.
 
+use cdp_storage::durable;
+
 use crate::batch::ColumnBatch;
-use crate::component::{Component, StateDecodeError};
+use crate::component::Component;
 use crate::stats::ColumnMoments;
 
 /// Standardizes numeric columns to zero mean and unit variance — the paper's
@@ -60,7 +62,7 @@ impl Component for StandardScaler {
         self.moments.state_bytes()
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateDecodeError> {
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), durable::Error> {
         self.moments.restore_state(bytes)
     }
 

@@ -3,8 +3,9 @@
 //! Only statistics with an exact one-pass update rule are provided — that is
 //! the platform's admission criterion for stateful pipeline components.
 
+use cdp_storage::durable::{self, put_f64, put_u32, put_u64, Reader};
+
 use crate::batch::ColumnBatch;
-use crate::component::StateDecodeError;
 
 /// Welford's online algorithm for mean and variance of one column, with
 /// NaN-skipping (missing values must not poison the statistics).
@@ -124,12 +125,12 @@ impl ColumnMoments {
     /// `width u32 | per column: count u64, mean f64, m2 f64` (big-endian).
     pub fn state_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(4 + self.cols.len() * 24);
-        buf.extend_from_slice(&(self.cols.len() as u32).to_be_bytes());
+        put_u32(&mut buf, self.cols.len() as u32);
         for col in &self.cols {
             let (count, mean, m2) = col.to_parts();
-            buf.extend_from_slice(&count.to_be_bytes());
-            buf.extend_from_slice(&mean.to_be_bytes());
-            buf.extend_from_slice(&m2.to_be_bytes());
+            put_u64(&mut buf, count);
+            put_f64(&mut buf, mean);
+            put_f64(&mut buf, m2);
         }
         buf
     }
@@ -138,33 +139,14 @@ impl ColumnMoments {
     /// Malformed bytes leave the state unchanged and report a typed error —
     /// checkpoint payloads are CRC-protected upstream, so a decode failure
     /// here is a framing logic error that must not be swallowed.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateDecodeError> {
-        if bytes.len() < 4 {
-            return Err(StateDecodeError::Truncated {
-                needed: 4,
-                found: bytes.len(),
-            });
-        }
-        let width = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-        if bytes.len() != 4 + width * 24 {
-            return Err(StateDecodeError::LengthMismatch {
-                expected: 4 + width * 24,
-                found: bytes.len(),
-            });
-        }
+    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), durable::Error> {
+        let mut r = Reader::new(bytes);
+        let width = r.count()?;
         let mut cols = Vec::with_capacity(width);
-        for i in 0..width {
-            let base = 4 + i * 24;
-            let read_u64 = |at: usize| {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&bytes[at..at + 8]);
-                u64::from_be_bytes(b)
-            };
-            let count = read_u64(base);
-            let mean = f64::from_bits(read_u64(base + 8));
-            let m2 = f64::from_bits(read_u64(base + 16));
-            cols.push(RunningMoments::from_parts(count, mean, m2));
+        for _ in 0..width {
+            cols.push(RunningMoments::from_parts(r.u64()?, r.f64()?, r.f64()?));
         }
+        r.finish()?;
         self.cols = cols;
         Ok(())
     }

@@ -7,8 +7,6 @@
 //! `μ_n = E[MS]/s` and the reported μ is the average of `μ_n` over
 //! `n = 1..N` (Eq. 3).
 
-use serde::{Deserialize, Serialize};
-
 use crate::strategy::{Sampler, SamplingStrategy};
 use cdp_storage::Timestamp;
 
@@ -90,7 +88,7 @@ pub fn mu_time_based(capacity_m: usize, total_n: usize) -> f64 {
 }
 
 /// Result of an empirical μ simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MuEstimate {
     /// Mean fraction of sampled chunks that were materialized.
     pub mu: f64,

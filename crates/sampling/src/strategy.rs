@@ -3,12 +3,11 @@
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use cdp_storage::Timestamp;
 
 /// Which chunks a proactive-training round draws from, and how.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplingStrategy {
     /// Every available chunk has equal probability.
     Uniform,

@@ -6,8 +6,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use cdp_linalg::Vector;
 
 use crate::columnar::{ColumnSlab, RowView};
@@ -15,9 +13,7 @@ use crate::record::Record;
 
 /// Chunk creation timestamp. Acts as both the unique identifier of a chunk
 /// and the indicator of its recency (paper §3, stage 1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {
@@ -42,7 +38,7 @@ impl From<u64> for Timestamp {
 /// A chunk of raw (unpreprocessed) records: an immutable, shared handle. The
 /// rows are allocated once, at creation; `clone()` bumps a reference count,
 /// so a stream, the store and a retrain over the history read the same rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RawChunk {
     /// Unique identifier and recency indicator.
     pub timestamp: Timestamp,
@@ -128,7 +124,7 @@ pub struct LabeledPoint {
 /// chunks whatever slabs back them: a dense slab and a CSR one of the same
 /// rows are not the same chunk. The [`KeptColumns`] an arrival carries to
 /// the store are not part of the chunk's value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FeatureChunk {
     /// Same identifier as the originating raw chunk.
     pub timestamp: Timestamp,

@@ -21,14 +21,12 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use cdp_linalg::Vector;
 
 use crate::chunk::LabeledPoint;
 
 /// The column-major payload of one slab.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SlabLayout {
     /// All rows dense with one shared dimension: `cols[j][i]` is feature
     /// `j` of row `i`.
@@ -54,7 +52,7 @@ pub enum SlabLayout {
 }
 
 /// A column-major chunk of labeled examples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnSlab {
     labels: Vec<f64>,
     layout: SlabLayout,

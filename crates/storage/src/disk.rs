@@ -15,11 +15,11 @@
 //! fsync (the durable formats are the WAL, checkpoints and recorder
 //! segments).
 //!
-//! The codec is a small fixed binary layout (no external serialization
-//! dependency beyond `bytes`) mirroring the columnar in-memory
-//! representation, so a spill is a handful of bulk array writes instead of a
-//! per-point walk, sealed in the envelope of the durable-file layer
-//! ([`cdp_obs::durable`]) though it is never fsynced:
+//! The codec is a small fixed binary layout mirroring the columnar in-memory
+//! representation, so a spill is a handful of slice moves instead of a
+//! per-point walk. It is written and read with the big-endian writer and
+//! bounded [`Reader`] of the durable-file layer ([`cdp_obs::durable`]) and
+//! sealed in its envelope, though it is never fsynced:
 //!
 //! ```text
 //! magic "CDPF" | version u16 | timestamp u64 | raw_ref u64
@@ -51,10 +51,8 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes};
-
 use cdp_faults::{corrupt_byte_index, FaultHook, IoFault, IoOp, NoFaults, RetryPolicy};
-use cdp_obs::durable::Format;
+use cdp_obs::durable::{self, put_f64s, put_u32, put_u32s, put_u64, Format, Reader};
 use cdp_obs::Metrics;
 
 use crate::chunk::{FeatureChunk, Timestamp};
@@ -69,39 +67,20 @@ const SPILL: Format = Format {
 /// The log file inside the tier's directory.
 pub(crate) const LOG_FILE: &str = "spill.log";
 
-/// Appends `xs` big-endian as one slice move: the buffer grows once and the
-/// byte swap runs over fixed-width windows, not through a cursor per element.
-fn put_f64s(buf: &mut Vec<u8>, xs: &[f64]) {
-    let at = buf.len();
-    buf.resize(at + xs.len() * 8, 0);
-    for (dst, x) in buf[at..].chunks_exact_mut(8).zip(xs) {
-        dst.copy_from_slice(&x.to_be_bytes());
-    }
-}
-
-/// [`put_f64s`] for `u32` words.
-fn put_u32s(buf: &mut Vec<u8>, xs: &[u32]) {
-    let at = buf.len();
-    buf.resize(at + xs.len() * 4, 0);
-    for (dst, x) in buf[at..].chunks_exact_mut(4).zip(xs) {
-        dst.copy_from_slice(&x.to_be_bytes());
-    }
-}
-
 /// Encodes a feature chunk into its binary representation (columnar payload
 /// moved a slice at a time out of the backing slab, into a buffer sized once).
-pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
+pub fn encode_chunk(chunk: &FeatureChunk) -> Vec<u8> {
     let capacity = 38 + chunk.size_bytes() + chunk.len() * 16;
-    Bytes::from(SPILL.seal(capacity, |buf| {
-        buf.put_u64(chunk.timestamp.0);
-        buf.put_u64(chunk.raw_ref.0);
+    SPILL.seal(capacity, |buf| {
+        put_u64(buf, chunk.timestamp.0);
+        put_u64(buf, chunk.raw_ref.0);
         let slab = chunk.slab();
-        let n = chunk.len();
+        let n = chunk.len() as u32;
         match slab.layout() {
             SlabLayout::Dense { dim, cols } => {
-                buf.put_u8(0);
-                buf.put_u32(n as u32);
-                buf.put_u32(*dim as u32);
+                buf.push(0);
+                put_u32(buf, n);
+                put_u32(buf, *dim as u32);
                 put_f64s(buf, slab.labels());
                 for col in cols {
                     put_f64s(buf, col);
@@ -113,17 +92,17 @@ pub fn encode_chunk(chunk: &FeatureChunk) -> Bytes {
                 indices,
                 values,
             } => {
-                buf.put_u8(1);
-                buf.put_u32(n as u32);
-                buf.put_u32(*dim as u32);
+                buf.push(1);
+                put_u32(buf, n);
+                put_u32(buf, *dim as u32);
                 put_f64s(buf, slab.labels());
                 put_u32s(buf, row_ptr);
-                buf.put_u32(indices.len() as u32);
+                put_u32(buf, indices.len() as u32);
                 put_u32s(buf, indices);
                 put_f64s(buf, values);
             }
         }
-    }))
+    })
 }
 
 /// Decodes a feature chunk from its binary representation.
@@ -140,108 +119,67 @@ pub fn decode_chunk(data: &[u8]) -> Result<FeatureChunk, StorageError> {
     decode_payload(SPILL.unseal(data)?)
 }
 
-/// Bounds check shared by every decode path.
-fn need(data: &[u8], n: usize, what: &str) -> Result<(), StorageError> {
-    if data.remaining() < n {
-        return Err(StorageError::Corrupt(format!("truncated reading {what}")));
-    }
-    Ok(())
-}
-
-/// Reads `n` big-endian `f64`s as one slice move, after the same [`need`]
-/// check every read makes.
-fn get_f64s(data: &mut &[u8], n: usize, what: &str) -> Result<Vec<f64>, StorageError> {
-    need(data, n * 8, what)?;
-    let (head, rest) = data.split_at(n * 8);
-    *data = rest;
-    let words = head.as_chunks::<8>().0;
-    Ok(words.iter().map(|b| f64::from_be_bytes(*b)).collect())
-}
-
-/// [`get_f64s`] for `u32` words.
-fn get_u32s(data: &mut &[u8], n: usize, what: &str) -> Result<Vec<u32>, StorageError> {
-    need(data, n * 4, what)?;
-    let (head, rest) = data.split_at(n * 4);
-    *data = rest;
-    let words = head.as_chunks::<4>().0;
-    Ok(words.iter().map(|b| u32::from_be_bytes(*b)).collect())
+/// The next `len` bytes (`None`: past `usize`) as a block of their own,
+/// taken whole: its size is checked against the bytes left before any of
+/// its buffers is sized.
+fn take_block<'a>(r: &mut Reader<'a>, len: Option<usize>) -> Result<Reader<'a>, durable::Error> {
+    Ok(Reader::new(r.take(len.ok_or(durable::Error::Truncated)?)?))
 }
 
 /// Decodes the payload of an unsealed chunk into a slab-backed chunk.
-fn decode_payload(mut data: &[u8]) -> Result<FeatureChunk, StorageError> {
-    need(data, 8 + 8, "header")?;
-    let timestamp = Timestamp(data.get_u64());
-    let raw_ref = Timestamp(data.get_u64());
-    need(data, 1 + 4, "layout header")?;
-    let tag = data.get_u8();
-    let n = data.get_u32() as usize;
-    let (labels, layout) = match tag {
-        0 => {
-            need(data, 4, "dense dim")?;
-            let dim = data.get_u32() as usize;
-            let labels = get_f64s(&mut data, n, "labels")?;
-            need(
-                data,
-                n.checked_mul(dim * 8).map_or(usize::MAX, |b| b),
-                "columns",
-            )?;
-            let mut cols = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                cols.push(get_f64s(&mut data, n, "columns")?);
-            }
-            (labels, SlabLayout::Dense { dim, cols })
+fn decode_payload(data: &[u8]) -> Result<FeatureChunk, StorageError> {
+    let mut r = Reader::new(data);
+    let timestamp = Timestamp(r.u64()?);
+    let raw_ref = Timestamp(r.u64()?);
+    let (tag, n) = (r.u8()?, r.u32()? as usize);
+    // Tag 2 was the row-major layout no producer emits any more.
+    if tag > 1 {
+        return Err(StorageError::Corrupt(format!(
+            "unknown slab layout tag {tag}"
+        )));
+    }
+    let dim = r.u32()? as usize;
+    let labels = r.f64s(n)?;
+    let layout = if tag == 0 {
+        let mut block = take_block(&mut r, n.checked_mul(dim).and_then(|w| w.checked_mul(8)))?;
+        let mut cols = Vec::with_capacity(dim);
+        for _ in 0..dim {
+            cols.push(block.f64s(n)?);
         }
-        1 => {
-            need(data, 4, "csr dim")?;
-            let dim = data.get_u32() as usize;
-            let labels = get_f64s(&mut data, n, "labels")?;
-            let row_ptr = get_u32s(&mut data, n + 1, "row pointers")?;
-            need(data, 4, "nnz")?;
-            let nnz = data.get_u32() as usize;
-            // Structural invariants the rest of the crate relies on for
-            // panic-free row access: pointers rebased, monotone, covering.
-            if row_ptr[0] != 0
-                || row_ptr.windows(2).any(|w| w[0] > w[1])
-                || row_ptr[n] as usize != nnz
+        SlabLayout::Dense { dim, cols }
+    } else {
+        let row_ptr = r.u32s(n + 1)?;
+        let nnz = r.u32()? as usize;
+        // Structural invariants the rest of the crate relies on for
+        // panic-free row access: pointers rebased, monotone, covering.
+        if row_ptr[0] != 0 || row_ptr.windows(2).any(|w| w[0] > w[1]) || row_ptr[n] as usize != nnz
+        {
+            return Err(StorageError::Corrupt(
+                "inconsistent CSR row pointers".into(),
+            ));
+        }
+        let mut entries = take_block(&mut r, nnz.checked_mul(4 + 8))?;
+        let indices = entries.u32s(nnz)?;
+        let values = entries.f64s(nnz)?;
+        for row in 0..n {
+            let (a, b) = (row_ptr[row] as usize, row_ptr[row + 1] as usize);
+            let row_indices = &indices[a..b];
+            if row_indices.windows(2).any(|w| w[0] >= w[1])
+                || row_indices.iter().any(|&i| i as usize >= dim)
             {
-                return Err(StorageError::Corrupt(
-                    "inconsistent CSR row pointers".into(),
-                ));
+                return Err(StorageError::Corrupt(format!(
+                    "CSR row {row} has unsorted or out-of-range indices"
+                )));
             }
-            need(data, nnz * (4 + 8), "csr entries")?;
-            let indices = get_u32s(&mut data, nnz, "csr entries")?;
-            let values = get_f64s(&mut data, nnz, "csr entries")?;
-            for row in 0..n {
-                let (a, b) = (row_ptr[row] as usize, row_ptr[row + 1] as usize);
-                let row_indices = &indices[a..b];
-                if row_indices.windows(2).any(|w| w[0] >= w[1])
-                    || row_indices.iter().any(|&i| i as usize >= dim)
-                {
-                    return Err(StorageError::Corrupt(format!(
-                        "CSR row {row} has unsorted or out-of-range indices"
-                    )));
-                }
-            }
-            (
-                labels,
-                SlabLayout::Csr {
-                    dim,
-                    row_ptr,
-                    indices,
-                    values,
-                },
-            )
         }
-        // Tag 2 was the row-major layout no producer emits any more.
-        other => {
-            return Err(StorageError::Corrupt(format!(
-                "unknown slab layout tag {other}"
-            )))
+        SlabLayout::Csr {
+            dim,
+            row_ptr,
+            indices,
+            values,
         }
     };
-    if data.remaining() > 0 {
-        return Err(StorageError::Corrupt("trailing bytes after slab".into()));
-    }
+    r.finish()?;
     let slab = Arc::new(ColumnSlab::from_parts(labels, layout));
     Ok(FeatureChunk::from_slab(timestamp, raw_ref, slab))
 }
@@ -607,28 +545,29 @@ mod tests {
     }
 
     /// The element-at-a-time encoder this codec replaced, kept as the oracle
-    /// for the bytes: one cursor write per label, pointer, index and value.
+    /// for the bytes: one `to_be_bytes` write per label, pointer, index and
+    /// value.
     fn encode_chunk_reference(chunk: &FeatureChunk) -> Vec<u8> {
         const MAGIC: &[u8; 4] = b"CDPF";
         const VERSION: u16 = crate::SPILL_SCHEMA.0;
         let mut buf = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u16(VERSION);
-        buf.put_u64(chunk.timestamp.0);
-        buf.put_u64(chunk.raw_ref.0);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_be_bytes());
+        buf.extend_from_slice(&chunk.timestamp.0.to_be_bytes());
+        buf.extend_from_slice(&chunk.raw_ref.0.to_be_bytes());
         let slab = chunk.slab();
-        let n = chunk.len();
+        let n = chunk.len() as u32;
         match slab.layout() {
             SlabLayout::Dense { dim, cols } => {
-                buf.put_u8(0);
-                buf.put_u32(n as u32);
-                buf.put_u32(*dim as u32);
+                buf.push(0);
+                buf.extend_from_slice(&n.to_be_bytes());
+                buf.extend_from_slice(&(*dim as u32).to_be_bytes());
                 for &label in slab.labels() {
-                    buf.put_f64(label);
+                    buf.extend_from_slice(&label.to_be_bytes());
                 }
                 for col in cols {
                     for &x in col {
-                        buf.put_f64(x);
+                        buf.extend_from_slice(&x.to_be_bytes());
                     }
                 }
             }
@@ -638,26 +577,26 @@ mod tests {
                 indices,
                 values,
             } => {
-                buf.put_u8(1);
-                buf.put_u32(n as u32);
-                buf.put_u32(*dim as u32);
+                buf.push(1);
+                buf.extend_from_slice(&n.to_be_bytes());
+                buf.extend_from_slice(&(*dim as u32).to_be_bytes());
                 for &label in slab.labels() {
-                    buf.put_f64(label);
+                    buf.extend_from_slice(&label.to_be_bytes());
                 }
                 for &p in row_ptr {
-                    buf.put_u32(p);
+                    buf.extend_from_slice(&p.to_be_bytes());
                 }
-                buf.put_u32(indices.len() as u32);
+                buf.extend_from_slice(&(indices.len() as u32).to_be_bytes());
                 for &i in indices {
-                    buf.put_u32(i);
+                    buf.extend_from_slice(&i.to_be_bytes());
                 }
                 for &x in values {
-                    buf.put_f64(x);
+                    buf.extend_from_slice(&x.to_be_bytes());
                 }
             }
         }
         let checksum = crc32(&buf);
-        buf.put_u32(checksum);
+        buf.extend_from_slice(&checksum.to_be_bytes());
         buf
     }
 

@@ -31,7 +31,11 @@
 use std::sync::Arc;
 
 use cdp_faults::{CrashSite, FaultHook};
-use cdp_obs::durable::{self, CrashPoint};
+use cdp_obs::durable::CrashPoint;
+
+/// The durable-file layer, for the crates above this one that write bytes
+/// of their own (component state) and have no edge to `cdp-obs`.
+pub use cdp_obs::durable;
 
 pub mod checkpoint;
 pub mod chunk;

@@ -6,10 +6,8 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// A single field value in a raw record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A numeric field.
     Num(f64),
@@ -58,7 +56,7 @@ impl From<String> for Value {
 
 /// Field names for a record layout. Shared (`Arc`) by every record of a
 /// stream so each record stores only its values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     fields: Vec<String>,
 }
@@ -104,7 +102,7 @@ impl Schema {
 /// A raw data row: one value per schema field. The values sit in a boxed
 /// slice, which has no spare capacity to track: a record is 16 bytes beside
 /// its values, not 24.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     values: Box<[Value]>,
 }

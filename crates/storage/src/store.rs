@@ -21,13 +21,11 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::chunk::{FeatureChunk, KeptColumns, RawChunk, Timestamp};
 use crate::StorageError;
 
 /// Limit on the materialized feature cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageBudget {
     /// Keep at most this many feature chunks materialized (the paper's `m`).
     MaxChunks(usize),
@@ -64,7 +62,7 @@ pub enum FeatureLookup {
 
 /// Counters describing the store's behaviour; the basis for the empirical
 /// materialization-utilization-rate (μ) measurements of Experiment 3.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Raw chunks inserted.
     pub raw_puts: u64,

@@ -46,7 +46,7 @@ impl TieredLookup {
 }
 
 /// Counters for the tiered store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TieredStats {
     /// Lookups served from memory.
     pub memory_hits: u64,

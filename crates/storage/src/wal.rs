@@ -49,8 +49,6 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use cdp_faults::{FaultHook, IoFault, IoOp, RetryPolicy};
 use cdp_obs::durable::{
     put_f64, put_str, put_u32, put_u64, CrashPoint, Format, NumberedDir, Reader, Syncer, HEADER_LEN,
@@ -105,7 +103,7 @@ impl Default for WalOptions {
 /// Deliberately *outside* the kill-and-resume bit-identity contract (like
 /// checkpoint stats): a resumed run commits and recovers differently from an
 /// uninterrupted one even though the deployment outcome is identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Records appended into the group-commit buffer.
     pub appends: u64,
@@ -607,7 +605,6 @@ fn decode_wal_payload(payload: &[u8]) -> Result<(u64, RawChunk), StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BufMut;
     use cdp_faults::{FaultPlan, NoFaults};
     use cdp_obs::VirtualClock;
 
@@ -674,29 +671,29 @@ mod tests {
     }
 
     fn reference_payload(seq: u64, chunk: &RawChunk) -> Vec<u8> {
-        let mut buf = bytes::BytesMut::with_capacity(16 + chunk.size_bytes());
-        buf.put_u64(seq);
-        buf.put_u64(chunk.timestamp.0);
-        buf.put_u32(chunk.records.len() as u32);
+        let mut buf = Vec::with_capacity(16 + chunk.size_bytes());
+        buf.extend_from_slice(&seq.to_be_bytes());
+        buf.extend_from_slice(&chunk.timestamp.0.to_be_bytes());
+        buf.extend_from_slice(&(chunk.records.len() as u32).to_be_bytes());
         for record in chunk.records.iter() {
             let values = record.values();
-            buf.put_u32(values.len() as u32);
+            buf.extend_from_slice(&(values.len() as u32).to_be_bytes());
             for value in values {
                 match value {
                     Value::Num(x) => {
-                        buf.put_u8(0);
-                        buf.put_f64(*x);
+                        buf.push(0);
+                        buf.extend_from_slice(&x.to_be_bytes());
                     }
                     Value::Text(s) => {
-                        buf.put_u8(1);
-                        buf.put_u32(s.len() as u32);
-                        buf.put_slice(s.as_bytes());
+                        buf.push(1);
+                        buf.extend_from_slice(&(s.len() as u32).to_be_bytes());
+                        buf.extend_from_slice(s.as_bytes());
                     }
-                    Value::Missing => buf.put_u8(2),
+                    Value::Missing => buf.push(2),
                 }
             }
         }
-        buf.to_vec()
+        buf
     }
 
     #[test]

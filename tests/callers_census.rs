@@ -8,12 +8,15 @@
 //!
 //! The scan compares identifiers, not paths, so a name collision can hide
 //! an orphan but never invent one: the test cannot flake.
+//!
+//! Beside it, the census of crates: of `vendor/`, program code reaches only
+//! `rand` and `proptest`.
 
 mod source_scan;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use source_scan::{crate_sources, shipped_code, sources_under, words};
+use source_scan::{crate_sources, shipped_code, sources_under, without_comments, words};
 
 /// `(file, item, why it stays)`: test observers of shipped behaviour and
 /// tests-only oracles. Nothing here is "might be useful later".
@@ -260,4 +263,69 @@ fn the_scan_reads_declarations_and_skips_comments_reexports_and_tests() {
     for gone in ["Dropped", "Comment", "Doc", "tested"] {
         assert!(!words.contains(gone), "{gone} is not shipped code");
     }
+}
+
+/// Vendored crates no program code names. Their `Cargo.toml` edges stay,
+/// unused, until the benchmark's lock file changes with them.
+const RETIRED: [&str; 4] = ["serde", "bytes", "crossbeam", "parking_lot"];
+
+/// The lines (from 1) of `code`, comments blanked, that name the crate
+/// `krate` as a path (`krate::…`, not `x::krate::` or `x.krate::`), an
+/// import (`use krate`, `extern crate krate`) or an attribute (`#[krate(…)]`,
+/// the helper of its derives, which a path or an import brings in).
+fn names_crate(code: &str, krate: &str) -> Vec<usize> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut lines = Vec::new();
+    for (n, line) in code.lines().enumerate() {
+        let named = line.match_indices(krate).any(|(at, _)| {
+            let (before, after) = (&line[..at], &line[at + krate.len()..]);
+            if before.ends_with(ident) || after.starts_with(ident) {
+                return false;
+            }
+            // `::krate` is the crate too; `x::krate` and `x.krate` are not.
+            let before = match before.trim_end().strip_suffix("::") {
+                Some(outer) if outer.ends_with(ident) => return false,
+                Some(root) => root.trim_end(),
+                None if before.trim_end().ends_with('.') => return false,
+                None => before.trim_end(),
+            };
+            let path = after.starts_with("::");
+            let import = before
+                .strip_suffix("use")
+                .is_some_and(|b| !b.ends_with(ident))
+                || before.ends_with("extern crate");
+            let attribute = before.ends_with("#[") && after.trim_start().starts_with('(');
+            path || import || attribute
+        });
+        if named {
+            lines.push(n + 1);
+        }
+    }
+    lines
+}
+
+#[test]
+fn program_code_names_no_vendored_crate_but_rand_and_proptest() {
+    let code = "use vendored::A;\nlet x = vendored::f();\n#[vendored(skip)]\n\
+                extern crate vendored;\npub use ::vendored;\nr.vendored::<u8>();\n\
+                self::vendored::g();\nfn vendored(vendored: u8) {}\nnot_vendored::x();";
+    assert_eq!(names_crate(code, "vendored"), [1, 2, 3, 4, 5]);
+    let mut named = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        for (path, source) in sources_under(dir) {
+            let code = without_comments(&source);
+            for krate in RETIRED {
+                let lines = names_crate(&code, krate);
+                named.extend(
+                    lines
+                        .into_iter()
+                        .map(|n| format!("{path}:{n} names {krate}")),
+                );
+            }
+        }
+    }
+    assert!(
+        named.is_empty(),
+        "program code reaches a vendored crate other than rand and proptest: {named:#?}"
+    );
 }

@@ -848,9 +848,7 @@ fn fault_injected_run_exposes_recovery_through_metrics() {
 }
 
 #[test]
-fn deployment_results_serialize() {
-    // Results feed the experiment harness; they must round-trip through
-    // serde for CSV/JSON artifact generation.
+fn a_result_debug_prints_its_mode_and_its_curves_align() {
     let (stream, spec) = taxi_spec(SpecScale::Tiny);
     let result = run_deployment(&stream, &spec, &DeploymentConfig::online());
     let debug = format!("{result:?}");

@@ -60,8 +60,12 @@ pub fn crate_sources() -> (Sources, Sources) {
 /// The shipped region of `source` — everything before its first
 /// `#[cfg(test)]` — with `//` comments blanked out.
 pub fn shipped_code(source: &str) -> String {
-    let region = source.split("#[cfg(test)]").next().unwrap_or(source);
-    let code = region
+    without_comments(source.split("#[cfg(test)]").next().unwrap_or(source))
+}
+
+/// `source` with `//` comments blanked out, line for line.
+pub fn without_comments(source: &str) -> String {
+    let code = source
         .lines()
         .map(|line| line.split("//").next().unwrap_or(line));
     code.flat_map(|line| [line, "\n"]).collect()
