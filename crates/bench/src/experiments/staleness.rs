@@ -17,7 +17,7 @@ use cdp_core::pipeline_manager::PipelineManager;
 use cdp_core::presets::{url_spec, SpecScale};
 use cdp_core::proactive::ProactiveTrainer;
 use cdp_core::report::{fmt_f, fmt_secs, Table};
-use cdp_core::{DataManager, SampledChunk};
+use cdp_core::DataManager;
 use cdp_datagen::ChunkStream;
 use cdp_eval::{CostLedger, PrequentialEvaluator};
 use cdp_sampling::SamplingStrategy;
@@ -166,8 +166,10 @@ fn run_continuous_realtime(
         if since >= spec.proactive_every {
             since = 0;
             trainings += 1;
-            let sampled: Vec<SampledChunk> = dm.sample(spec.sample_chunks);
-            let outcome = trainer.execute(&mut pm, sampled, &mut ledger);
+            let sampled = dm.sample(spec.sample_chunks);
+            let outcome = trainer
+                .try_execute(&mut pm, sampled, &mut ledger)
+                .expect("no faults injected");
             training_secs_sum += outcome.accounted_secs;
             // Same freeze rule as periodical — rounds to zero for
             // millisecond-scale proactive instances (anything shorter than

@@ -8,40 +8,9 @@ use cdp_faults::{FaultHook, RetryPolicy};
 use cdp_obs::{LineageEventKind, Metrics};
 use cdp_sampling::{Sampler, SamplingStrategy};
 use cdp_storage::{
-    ChunkStore, FeatureChunk, KeptColumns, RawChunk, StorageBudget, StorageError, StoreStats,
-    TieredLookup, TieredStats, TieredStore, Timestamp,
+    ChunkStore, FeatureChunk, FeatureSource, RawChunk, StorageBudget, StorageError, StoreStats,
+    TieredStats, TieredStore,
 };
-
-/// One sampled chunk, as handed to the pipeline manager: ready-to-use
-/// features (from memory or read back from the disk tier) or the raw chunk
-/// that must be re-materialized.
-#[derive(Debug, Clone)]
-pub enum SampledChunk {
-    /// Features were materialized in memory (Figure 2, scenario 1).
-    Materialized(Arc<FeatureChunk>),
-    /// Features were evicted but their spilled copy was readable: used
-    /// directly after paying the disk read.
-    Spilled(Arc<FeatureChunk>),
-    /// Features were evicted (and any spill was absent or unreadable);
-    /// re-materialize from this raw chunk (Figure 2, scenario 2), with the
-    /// columns the pipeline kept from its arrival.
-    NeedsRematerialization(RawChunk, Option<KeptColumns>),
-}
-
-impl SampledChunk {
-    /// True for the in-memory materialized variant.
-    pub fn is_materialized(&self) -> bool {
-        matches!(self, SampledChunk::Materialized(_))
-    }
-
-    /// The chunk's timestamp.
-    pub fn timestamp(&self) -> Timestamp {
-        match self {
-            SampledChunk::Materialized(fc) | SampledChunk::Spilled(fc) => fc.timestamp,
-            SampledChunk::NeedsRematerialization(raw, _) => raw.timestamp,
-        }
-    }
-}
 
 /// The data manager: tiered storage plus sampling (see module docs).
 ///
@@ -122,35 +91,17 @@ impl DataManager {
         self.store.put_feature(chunk)
     }
 
-    /// Resolves the features for one timestamp, with typed failure for a
-    /// chunk absent from every tier.
-    ///
-    /// # Errors
-    /// [`StorageError::MissingChunk`] when neither features (memory or
-    /// disk) nor raw data exist for `ts`.
-    fn feature_chunk(&mut self, ts: Timestamp) -> Result<SampledChunk, StorageError> {
-        match self.store.lookup(ts) {
-            TieredLookup::Memory(fc) => Ok(SampledChunk::Materialized(fc)),
-            TieredLookup::Disk(fc) => Ok(SampledChunk::Spilled(Arc::new(fc))),
-            TieredLookup::Recompute(raw, kept) => {
-                Ok(SampledChunk::NeedsRematerialization(raw, kept))
-            }
-            TieredLookup::Unavailable => Err(StorageError::MissingChunk(ts)),
-        }
-    }
-
     /// Samples `sample_chunks` chunks for proactive training (workflow
     /// stage 3), resolving each to features (memory or disk) or a raw chunk
     /// for re-materialization (stage 4 decision).
-    pub fn sample(&mut self, sample_chunks: usize) -> Vec<SampledChunk> {
+    pub fn sample(&mut self, sample_chunks: usize) -> Vec<FeatureSource> {
         let available = self.store.memory().sampleable_timestamps();
         let picked = self.sampler.sample(&available, sample_chunks);
-        // A missing chunk (raw data gone) is ignored by sampling (paper
-        // §3.2) — `sampleable_timestamps` should already exclude it, but a
-        // concurrent drop is tolerated.
-        let sampled: Vec<SampledChunk> = picked
+        // The sampler picks only stored raw timestamps, so every lookup
+        // resolves; skipping a `None` just keeps this function total.
+        let sampled: Vec<FeatureSource> = picked
             .into_iter()
-            .filter_map(|ts| self.feature_chunk(ts).ok())
+            .filter_map(|ts| self.store.lookup(ts))
             .collect();
         for chunk in &sampled {
             self.metrics
@@ -235,7 +186,7 @@ impl Drop for DataManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdp_storage::{ColumnSlab, Record, Value};
+    use cdp_storage::{ColumnSlab, Record, Timestamp, Value};
 
     fn raw(ts: u64) -> RawChunk {
         RawChunk::new(
@@ -273,13 +224,16 @@ mod tests {
         let mut dm = manager(20, 5, SamplingStrategy::Uniform);
         let sampled = dm.sample(20); // everything
         assert_eq!(sampled.len(), 20);
-        let materialized = sampled.iter().filter(|s| s.is_materialized()).count();
+        let materialized = sampled
+            .iter()
+            .filter(|s| matches!(s, FeatureSource::Memory(_)))
+            .count();
         assert_eq!(materialized, 5);
         for s in &sampled {
             match s {
-                SampledChunk::Materialized(fc) => assert!(fc.timestamp.0 >= 15),
-                SampledChunk::NeedsRematerialization(r, _) => assert!(r.timestamp.0 < 15),
-                SampledChunk::Spilled(_) => panic!("memory-only manager cannot spill"),
+                FeatureSource::Memory(fc) => assert!(fc.timestamp.0 >= 15),
+                FeatureSource::Raw(r, _) => assert!(r.timestamp.0 < 15),
+                FeatureSource::Disk(_) => panic!("memory-only manager cannot spill"),
             }
         }
     }
@@ -335,8 +289,8 @@ mod tests {
             // Chunks 0..4 were evicted and spilled; they resolve from disk,
             // not recomputation.
             for t in 0..4 {
-                match dm.feature_chunk(Timestamp(t)) {
-                    Ok(SampledChunk::Spilled(fc)) => assert_eq!(fc.timestamp, Timestamp(t)),
+                match dm.store.lookup(Timestamp(t)) {
+                    Some(FeatureSource::Disk(fc)) => assert_eq!(fc.timestamp, Timestamp(t)),
                     other => panic!("chunk {t} must be served from disk, got {other:?}"),
                 }
             }
@@ -345,10 +299,7 @@ mod tests {
             // All four spills share the tier's one log file.
             let files = std::fs::read_dir(&dir).expect("spill dir exists while the manager lives");
             assert_eq!(files.count(), 1);
-            assert!(matches!(
-                dm.feature_chunk(Timestamp(99)),
-                Err(StorageError::MissingChunk(Timestamp(99)))
-            ));
+            assert!(dm.store.lookup(Timestamp(99)).is_none());
         }
         // Dropping the manager removes its owned spill directory, log included.
         assert!(!dir.exists());

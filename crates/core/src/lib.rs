@@ -34,7 +34,7 @@ pub mod serving;
 pub mod tuning;
 
 pub use checkpoint::DeploymentCheckpoint;
-pub use data_manager::{DataManager, SampledChunk};
+pub use data_manager::DataManager;
 pub use deployment::{
     run_deployment, try_resume_deployment, try_run_deployment, try_run_deployment_in,
     CheckpointConfig, CheckpointStats, DeploymentConfig, DeploymentError, DeploymentMode,

@@ -10,21 +10,7 @@ use cdp_faults::{FaultHook, NoFaults};
 use cdp_ml::{FusedStepOutcome, SgdConfig, SgdTrainer, TrainReport};
 use cdp_obs::{LineageEventKind, Metrics, SpanContext, Tracer};
 use cdp_pipeline::{Pipeline, PipelineCounters};
-use cdp_storage::{FeatureChunk, KeptColumns, RawChunk, RowView};
-
-/// One input to a fused proactive SGD step: either an already-materialized
-/// feature chunk (used as-is) or a raw chunk that must be re-materialized —
-/// which the fused path runs through the deployed pipeline into a transient
-/// columnar slab whose rows fold straight into the source's gradient
-/// partial; the slab is dropped with the fold, never stored or batched.
-#[derive(Debug, Clone)]
-pub enum ProactiveSource {
-    /// Feature chunk already available (cache hit or disk spill tier).
-    Ready(Arc<FeatureChunk>),
-    /// Evicted chunk: the raw data and the columns the pipeline kept from
-    /// its arrival survive; transform on the fly.
-    Raw(RawChunk, Option<KeptColumns>),
-}
+use cdp_storage::{FeatureChunk, FeatureSource, RawChunk, RowView};
 
 /// Pipeline + model + online learner, with cost attribution.
 ///
@@ -305,11 +291,12 @@ impl PipelineManager {
     }
 
     /// One proactive mini-batch SGD step with the transform **fused** into
-    /// the gradient pass: each `Raw` source is re-materialized by the shared
-    /// deployed pipeline inside its engine task and its slab folds
-    /// directly into a per-source gradient accumulator
-    /// ([`SgdTrainer::try_step_fused`]), so no re-materialized chunk outlives
-    /// its task and no union batch buffer is ever built.
+    /// the gradient pass: a stored source (memory or disk) folds its slab as
+    /// it is, and a `Raw` source is re-materialized by the shared deployed
+    /// pipeline inside its engine task, its slab folding directly into a
+    /// per-source gradient accumulator ([`SgdTrainer::try_step_fused`]), so
+    /// no re-materialized chunk outlives its task and no union batch buffer
+    /// is ever built.
     ///
     /// Results are deterministic: gradients reduce in fixed tree order keyed
     /// by source index, and pipeline counter deltas are absorbed in source
@@ -321,7 +308,7 @@ impl PipelineManager {
     /// restart budget; the model is untouched in that case.
     pub fn try_proactive_step_fused(
         &mut self,
-        sources: &[ProactiveSource],
+        sources: &[FeatureSource],
         ledger: &mut CostLedger,
     ) -> Result<FusedStepOutcome, EngineError> {
         // Early return BEFORE drawing a worker order: the fault epoch
@@ -337,11 +324,9 @@ impl PipelineManager {
         // Worker-fault orders are part of the deployment's deterministic
         // fault-epoch sequence, which is defined over *re-materializing*
         // engine calls (the fault site the injector models). A fused step
-        // whose sources are all `Ready` does no pipeline work, so it must
+        // whose sources are all stored does no pipeline work, so it must
         // not consume an epoch.
-        let rematerializes = sources
-            .iter()
-            .any(|s| matches!(s, ProactiveSource::Raw(..)));
+        let rematerializes = sources.iter().any(|s| matches!(s, FeatureSource::Raw(..)));
         let hook: &dyn FaultHook = if rematerializes {
             &*self.hook
         } else {
@@ -358,8 +343,8 @@ impl PipelineManager {
                 // Either way the trainer takes a whole columnar slab —
                 // stored, or re-materialized just now and dropped with this
                 // task.
-                ProactiveSource::Ready(fc) => sink(fc.slab()),
-                ProactiveSource::Raw(raw, kept) => {
+                FeatureSource::Memory(fc) | FeatureSource::Disk(fc) => sink(fc.slab()),
+                FeatureSource::Raw(raw, kept) => {
                     let (features, counters) = pipeline.rematerialize(raw, kept.as_ref());
                     sink(features.slab());
                     let _ = counter_slots[i].set(counters);
@@ -542,9 +527,14 @@ mod tests {
             let (_, fcs) = pm.initial_fit(&raws[..2], &sgd(), &mut ledger);
             pm.retrain_warm(&raws[..4], &sgd(), &mut ledger);
             pm.process_online_chunk(&raws[4], &mut ev, &mut ledger);
-            let ready: Vec<ProactiveSource> = fcs
+            // One source of each stored tier.
+            let ready: Vec<FeatureSource> = fcs
                 .into_iter()
-                .map(|fc| ProactiveSource::Ready(Arc::new(fc)))
+                .enumerate()
+                .map(|(i, fc)| match i {
+                    0 => FeatureSource::Memory(Arc::new(fc)),
+                    _ => FeatureSource::Disk(Arc::new(fc)),
+                })
                 .collect();
             let outcome = pm.try_proactive_step_fused(&ready, &mut ledger).unwrap();
             assert!(outcome.points > 0);
@@ -552,7 +542,7 @@ mod tests {
 
             for fired in 1..=3u64 {
                 let mut sources = ready.clone();
-                sources.push(ProactiveSource::Raw(raws[5].clone(), None));
+                sources.push(FeatureSource::Raw(raws[5].clone(), None));
                 pm.try_proactive_step_fused(&sources, &mut ledger).unwrap();
                 assert_eq!(hook.worker_epoch(), fired, "engine {}", engine.name());
             }

@@ -3,9 +3,9 @@
 
 use cdp_engine::EngineError;
 use cdp_eval::CostLedger;
+use cdp_storage::FeatureSource;
 
-use crate::data_manager::SampledChunk;
-use crate::pipeline_manager::{PipelineManager, ProactiveSource};
+use crate::pipeline_manager::PipelineManager;
 
 /// Outcome of one proactive-training instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,25 +53,9 @@ impl ProactiveTrainer {
         }
     }
 
-    /// Runs one proactive-training instance over `sampled` chunks.
-    ///
-    /// # Panics
-    /// Panics when re-materialization fails beyond recovery; use
-    /// [`ProactiveTrainer::try_execute`] for a typed error.
-    pub fn execute(
-        &self,
-        pm: &mut PipelineManager,
-        sampled: Vec<SampledChunk>,
-        ledger: &mut CostLedger,
-    ) -> ProactiveOutcome {
-        match self.try_execute(pm, sampled, ledger) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("proactive training failed: {e}"),
-        }
-    }
-
-    /// Runs one proactive-training instance, surfacing unrecoverable engine
-    /// faults during batched re-materialization as typed errors.
+    /// Runs one proactive-training instance over `sampled` chunks, surfacing
+    /// unrecoverable engine faults during batched re-materialization as
+    /// typed errors.
     ///
     /// # Errors
     /// [`EngineError::WorkerPanic`] when a worker dies beyond the restart
@@ -79,29 +63,21 @@ impl ProactiveTrainer {
     pub fn try_execute(
         &self,
         pm: &mut PipelineManager,
-        sampled: Vec<SampledChunk>,
+        sampled: Vec<FeatureSource>,
         ledger: &mut CostLedger,
     ) -> Result<ProactiveOutcome, EngineError> {
         let before = ledger.total();
         let mut materialized = 0usize;
         let mut spilled = 0usize;
         let mut rematerialized = 0usize;
-        // One fused-step source per sampled chunk, in sample order: cached
-        // chunks contribute their stored features directly; evicted ones
-        // carry the raw data and are transformed on the fly inside the fused
-        // transform+gradient pass — no intermediate feature chunk and no
-        // union batch buffer are ever allocated.
-        let mut sources: Vec<ProactiveSource> = Vec::with_capacity(sampled.len());
-
-        for chunk in sampled {
+        for chunk in &sampled {
             match chunk {
-                SampledChunk::Materialized(fc) if self.online_stats => {
+                FeatureSource::Memory(fc) if self.online_stats => {
                     // Stage 4 fast path: fetch from the in-memory cache.
                     ledger.charge_memory(fc.size_bytes() as u64);
                     materialized += 1;
-                    sources.push(ProactiveSource::Ready(fc));
                 }
-                SampledChunk::Materialized(fc) => {
+                FeatureSource::Memory(fc) => {
                     // NoOptimization ignores the cache entirely: read raw
                     // data from disk, rescan for statistics, re-transform.
                     // The stored features are still correct, so reuse their
@@ -111,9 +87,8 @@ impl ProactiveTrainer {
                     ledger.charge_encode(fc.len() as u64);
                     pm.charge_statistics_recomputation(fc.len() as u64, ledger);
                     rematerialized += 1;
-                    sources.push(ProactiveSource::Ready(fc));
                 }
-                SampledChunk::Spilled(fc) => {
+                FeatureSource::Disk(fc) => {
                     // Evicted from memory but recovered from the disk spill
                     // tier: pay the disk read, skip the re-transformation.
                     ledger.charge_disk(fc.size_bytes() as u64);
@@ -121,24 +96,24 @@ impl ProactiveTrainer {
                         pm.charge_statistics_recomputation(fc.len() as u64, ledger);
                     }
                     spilled += 1;
-                    sources.push(ProactiveSource::Ready(fc));
                 }
-                SampledChunk::NeedsRematerialization(raw, kept) => {
+                FeatureSource::Raw(raw, _) => {
                     if !self.online_stats {
                         ledger.charge_disk(raw.size_bytes() as u64);
                         pm.charge_statistics_recomputation(raw.len() as u64, ledger);
                     }
                     rematerialized += 1;
-                    sources.push(ProactiveSource::Raw(raw, kept));
                 }
             }
         }
 
         // The union of all sampled chunks, in sample order, is the
         // mini-batch (the paper's context.union before the model update);
-        // the fused step consumes it source by source while re-materializing
-        // evicted chunks on the fly.
-        let outcome = pm.try_proactive_step_fused(&sources, ledger)?;
+        // the fused step consumes it source by source, using stored features
+        // directly and re-materializing evicted chunks on the fly — no
+        // intermediate feature chunk and no union batch buffer are ever
+        // allocated.
+        let outcome = pm.try_proactive_step_fused(&sampled, ledger)?;
 
         Ok(ProactiveOutcome {
             materialized_chunks: materialized,
@@ -204,10 +179,12 @@ mod tests {
         let steps_before = pm.trainer().steps();
         let mut ledger = CostLedger::new(CostModel::commodity());
         let sampled = vec![
-            SampledChunk::Materialized(Arc::clone(&fcs[2])),
-            SampledChunk::NeedsRematerialization(raws[0].clone(), None),
+            FeatureSource::Memory(Arc::clone(&fcs[2])),
+            FeatureSource::Raw(raws[0].clone(), None),
         ];
-        let outcome = ProactiveTrainer::new().execute(&mut pm, sampled, &mut ledger);
+        let outcome = ProactiveTrainer::new()
+            .try_execute(&mut pm, sampled, &mut ledger)
+            .expect("no faults injected");
         assert_eq!(pm.trainer().steps(), steps_before + 1);
         assert_eq!(outcome.materialized_chunks, 1);
         assert_eq!(outcome.rematerialized_chunks, 1);
@@ -221,7 +198,9 @@ mod tests {
         let (mut pm, _, _) = warmed_manager();
         let steps_before = pm.trainer().steps();
         let mut ledger = CostLedger::default();
-        let outcome = ProactiveTrainer::new().execute(&mut pm, vec![], &mut ledger);
+        let outcome = ProactiveTrainer::new()
+            .try_execute(&mut pm, vec![], &mut ledger)
+            .expect("no faults injected");
         assert_eq!(outcome.points, 0);
         assert_eq!(outcome.batch_loss, None);
         assert_eq!(pm.trainer().steps(), steps_before);
@@ -233,17 +212,21 @@ mod tests {
         let trainer = ProactiveTrainer::new();
 
         let mut cheap = CostLedger::default();
-        trainer.execute(
-            &mut pm,
-            vec![SampledChunk::Materialized(Arc::clone(&fcs[1]))],
-            &mut cheap,
-        );
+        trainer
+            .try_execute(
+                &mut pm,
+                vec![FeatureSource::Memory(Arc::clone(&fcs[1]))],
+                &mut cheap,
+            )
+            .expect("no faults injected");
         let mut costly = CostLedger::default();
-        trainer.execute(
-            &mut pm,
-            vec![SampledChunk::NeedsRematerialization(raws[1].clone(), None)],
-            &mut costly,
-        );
+        trainer
+            .try_execute(
+                &mut pm,
+                vec![FeatureSource::Raw(raws[1].clone(), None)],
+                &mut costly,
+            )
+            .expect("no faults injected");
         assert!(
             cheap.total() < costly.total(),
             "materialized {} vs rematerialized {}",
@@ -256,17 +239,21 @@ mod tests {
     fn no_optimization_pays_more_even_when_materialized() {
         let (mut pm, fcs, _) = warmed_manager();
         let mut with_opt = CostLedger::default();
-        ProactiveTrainer::new().execute(
-            &mut pm,
-            vec![SampledChunk::Materialized(Arc::clone(&fcs[3]))],
-            &mut with_opt,
-        );
+        ProactiveTrainer::new()
+            .try_execute(
+                &mut pm,
+                vec![FeatureSource::Memory(Arc::clone(&fcs[3]))],
+                &mut with_opt,
+            )
+            .expect("no faults injected");
         let mut without = CostLedger::default();
-        ProactiveTrainer::without_online_stats().execute(
-            &mut pm,
-            vec![SampledChunk::Materialized(Arc::clone(&fcs[3]))],
-            &mut without,
-        );
+        ProactiveTrainer::without_online_stats()
+            .try_execute(
+                &mut pm,
+                vec![FeatureSource::Memory(Arc::clone(&fcs[3]))],
+                &mut without,
+            )
+            .expect("no faults injected");
         assert!(without.total() > with_opt.total());
     }
 }

@@ -7,7 +7,7 @@
 //! (count- or byte-based): when the budget is exceeded it evicts the *oldest*
 //! feature chunks, keeping only the reference to the originating raw chunk —
 //! exactly the paper's **dynamic materialization** scheme (§3.2). A later
-//! lookup of an evicted chunk reports [`FeatureLookup::Evicted`], signalling
+//! lookup of an evicted chunk reports [`FeatureSource::Raw`], signalling
 //! the pipeline manager to re-materialize it by re-applying the pipeline's
 //! `transform` path.
 //!
@@ -50,8 +50,8 @@ pub use checkpoint::{CheckpointDir, CHECKPOINT_SCHEMA};
 pub use chunk::{FeatureChunk, KeptColumns, LabeledPoint, RawChunk, Timestamp};
 pub use columnar::{slab_runs, ColumnSlab, CsrBuilder, RowView, SlabLayout};
 pub use record::{Record, Schema, Value};
-pub use store::{ChunkStore, FeatureLookup, StorageBudget, StoreStats};
-pub use tiered::{TieredLookup, TieredStats, TieredStore};
+pub use store::{ChunkStore, FeatureSource, StorageBudget, StoreStats};
+pub use tiered::{TieredStats, TieredStore};
 pub use wal::{WalDir, WalOptions, WalRecovery, WalStats, WalWriter};
 
 /// `hook`'s [`CrashSite::Durable`] countdown as the durable layer's crash
@@ -91,8 +91,6 @@ pub enum StorageError {
     Io(std::io::Error),
     /// The disk tier found a corrupt or truncated chunk file.
     Corrupt(String),
-    /// No tier holds the chunk: features gone and raw data gone too.
-    MissingChunk(Timestamp),
     /// A structurally intact file was written with an incompatible schema
     /// version — not corruption, but data this build cannot interpret.
     VersionMismatch {
@@ -114,9 +112,6 @@ impl std::fmt::Display for StorageError {
             }
             StorageError::Io(e) => write!(f, "disk tier I/O error: {e}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt chunk file: {msg}"),
-            StorageError::MissingChunk(ts) => {
-                write!(f, "chunk {} is absent from every storage tier", ts.0)
-            }
             StorageError::VersionMismatch { found, expected } => {
                 write!(
                     f,

@@ -46,18 +46,31 @@ impl StorageBudget {
     }
 }
 
-/// What the store knows about a requested feature chunk.
+/// Where a sampled chunk's features come from — the data manager's one
+/// answer per chunk, carried unchanged from a lookup to the fused proactive
+/// step. A lookup of a chunk with no data at all returns `None` instead
+/// (paper §3.2: unavailable chunks are ignored).
 #[derive(Debug, Clone)]
-pub enum FeatureLookup {
-    /// The feature chunk is materialized; use it directly (Figure 2,
+pub enum FeatureSource {
+    /// Materialized in the in-memory cache; use it directly (Figure 2,
     /// scenario 1).
-    Materialized(Arc<FeatureChunk>),
-    /// The feature chunk was evicted; here is the raw chunk to re-materialize
-    /// from (Figure 2, scenario 2), and the columns kept from its arrival.
-    Evicted(RawChunk, Option<KeptColumns>),
-    /// Neither features nor raw data exist — the chunk cannot participate in
-    /// sampling (paper §3.2: unavailable chunks are ignored).
-    Unavailable,
+    Memory(Arc<FeatureChunk>),
+    /// Evicted, but its spilled copy read back from the disk tier.
+    Disk(Arc<FeatureChunk>),
+    /// Evicted (and any spill absent or unreadable): re-materialize from
+    /// this raw chunk (Figure 2, scenario 2), with the columns kept from its
+    /// arrival.
+    Raw(RawChunk, Option<KeptColumns>),
+}
+
+impl FeatureSource {
+    /// The chunk's timestamp.
+    pub fn timestamp(&self) -> Timestamp {
+        match self {
+            FeatureSource::Memory(fc) | FeatureSource::Disk(fc) => fc.timestamp,
+            FeatureSource::Raw(raw, _) => raw.timestamp,
+        }
+    }
 }
 
 /// Counters describing the store's behaviour; the basis for the empirical
@@ -199,18 +212,20 @@ impl ChunkStore {
         reclaimed
     }
 
-    /// Looks up the features for `ts`, recording hit/miss statistics.
-    pub fn lookup_feature(&mut self, ts: Timestamp) -> FeatureLookup {
+    /// Looks up the features for `ts`, recording hit/miss statistics:
+    /// [`FeatureSource::Memory`] or [`FeatureSource::Raw`], or `None` when
+    /// the chunk has no data at all.
+    pub fn lookup_feature(&mut self, ts: Timestamp) -> Option<FeatureSource> {
         if let Some(fc) = self.features.get(&ts) {
             self.stats.feature_hits += 1;
-            return FeatureLookup::Materialized(Arc::clone(fc));
+            return Some(FeatureSource::Memory(Arc::clone(fc)));
         }
         if let Some((raw, kept)) = self.raw.get(&ts) {
             self.stats.feature_misses += 1;
-            return FeatureLookup::Evicted(raw.clone(), kept.clone());
+            return Some(FeatureSource::Raw(raw.clone(), kept.clone()));
         }
         self.stats.unavailable += 1;
-        FeatureLookup::Unavailable
+        None
     }
 
     /// Non-recording peek used by analyses that must not skew μ statistics.
@@ -340,16 +355,13 @@ mod tests {
         let mut s = store_with(10, StorageBudget::MaxChunks(5));
         assert!(matches!(
             s.lookup_feature(Timestamp(9)),
-            FeatureLookup::Materialized(_)
+            Some(FeatureSource::Memory(_))
         ));
         assert!(matches!(
             s.lookup_feature(Timestamp(0)),
-            FeatureLookup::Evicted(_, None)
+            Some(FeatureSource::Raw(_, None))
         ));
-        assert!(matches!(
-            s.lookup_feature(Timestamp(99)),
-            FeatureLookup::Unavailable
-        ));
+        assert!(s.lookup_feature(Timestamp(99)).is_none());
         let stats = s.stats();
         assert_eq!(stats.feature_hits, 1);
         assert_eq!(stats.feature_misses, 1);
@@ -364,7 +376,7 @@ mod tests {
 
     fn evicted_kept(s: &mut ChunkStore, ts: u64) -> Option<KeptColumns> {
         match s.lookup_feature(Timestamp(ts)) {
-            FeatureLookup::Evicted(_, kept) => kept,
+            Some(FeatureSource::Raw(_, kept)) => kept,
             other => panic!("chunk {ts} is not evicted: {other:?}"),
         }
     }
@@ -389,10 +401,7 @@ mod tests {
         assert_eq!(evicted_kept(&mut s, 2), Some(kept(2.0)));
         // Injected loss takes the columns with the raw chunk.
         s.drop_chunk(Timestamp(0));
-        assert!(matches!(
-            s.lookup_feature(Timestamp(0)),
-            FeatureLookup::Unavailable
-        ));
+        assert!(s.lookup_feature(Timestamp(0)).is_none());
     }
 
     #[test]
@@ -457,10 +466,7 @@ mod tests {
         let mut s = store_with(5, StorageBudget::Unbounded);
         s.drop_chunk(Timestamp(2));
         assert!(s.raw(Timestamp(2)).is_none());
-        assert!(matches!(
-            s.lookup_feature(Timestamp(2)),
-            FeatureLookup::Unavailable
-        ));
+        assert!(s.lookup_feature(Timestamp(2)).is_none());
         assert_eq!(s.raw_count(), 4);
         // Injected loss is not an eviction: GC counters stay untouched.
         assert_eq!(s.stats().evictions, 0);

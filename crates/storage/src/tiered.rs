@@ -14,36 +14,10 @@ use std::sync::Arc;
 use cdp_faults::{FaultHook, NoFaults, RetryPolicy};
 use cdp_obs::{LineageEventKind, Metrics};
 
-use crate::chunk::{FeatureChunk, KeptColumns, RawChunk, Timestamp};
+use crate::chunk::{FeatureChunk, RawChunk, Timestamp};
 use crate::disk::DiskTier;
-use crate::store::{ChunkStore, FeatureLookup, StorageBudget, StoreStats};
+use crate::store::{ChunkStore, FeatureSource, StorageBudget, StoreStats};
 use crate::StorageError;
-
-/// Where a tiered lookup found the features.
-#[derive(Debug)]
-pub enum TieredLookup {
-    /// Served from the in-memory cache.
-    Memory(Arc<FeatureChunk>),
-    /// Served from the disk tier (decoded copy).
-    Disk(FeatureChunk),
-    /// Not on any feature tier — re-materialize from this raw chunk, with
-    /// the columns kept from its arrival.
-    Recompute(RawChunk, Option<KeptColumns>),
-    /// The chunk is gone entirely.
-    Unavailable,
-}
-
-impl TieredLookup {
-    /// The lookup's tier name for reports.
-    pub fn tier(&self) -> &'static str {
-        match self {
-            TieredLookup::Memory(_) => "memory",
-            TieredLookup::Disk(_) => "disk",
-            TieredLookup::Recompute(..) => "recompute",
-            TieredLookup::Unavailable => "unavailable",
-        }
-    }
-}
 
 /// Counters for the tiered store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,7 +43,7 @@ pub struct TieredStats {
 ///
 /// The store never lets a disk failure escape a lookup: an unreadable or
 /// corrupt spill (past the tier's retry budget) falls through to
-/// [`TieredLookup::Recompute`] — the raw chunk is the ground truth, so the
+/// [`FeatureSource::Raw`] — the raw chunk is the ground truth, so the
 /// pipeline can always re-materialize — and a failed spill write is absorbed
 /// the same way. Both are counted in [`TieredStats`] and reported to the
 /// [`FaultHook`] so recovery is observable, not silent.
@@ -213,43 +187,41 @@ impl TieredStore {
     /// Looks features up: memory, then disk, then raw-for-recompute.
     ///
     /// A disk failure that outlives the retry budget is *not* an error: the
-    /// lookup degrades to [`TieredLookup::Recompute`] (counted as a read
+    /// lookup degrades to [`FeatureSource::Raw`] (counted as a read
     /// fallback), because the raw chunk can always re-materialize the
     /// features. Only a chunk absent from every tier including raw history
-    /// yields [`TieredLookup::Unavailable`].
-    pub fn lookup(&mut self, ts: Timestamp) -> TieredLookup {
-        match self.memory.lookup_feature(ts) {
-            FeatureLookup::Materialized(fc) => {
-                self.stats.memory_hits += 1;
-                self.metrics.counter("store.memory_hits").inc();
-                TieredLookup::Memory(fc)
+    /// yields `None`.
+    pub fn lookup(&mut self, ts: Timestamp) -> Option<FeatureSource> {
+        let source = self.memory.lookup_feature(ts)?;
+        let FeatureSource::Raw(raw, kept) = source else {
+            self.stats.memory_hits += 1;
+            self.metrics.counter("store.memory_hits").inc();
+            return Some(source);
+        };
+        Some(match self.disk.as_mut().map(|d| d.read(ts)) {
+            Some(Ok(Some(chunk))) => {
+                self.stats.disk_hits += 1;
+                self.metrics.counter("store.disk_hits").inc();
+                self.metrics.lineage(ts.0, LineageEventKind::SpillRead);
+                FeatureSource::Disk(Arc::new(chunk))
             }
-            FeatureLookup::Evicted(raw, kept) => match self.disk.as_mut().map(|d| d.read(ts)) {
-                Some(Ok(Some(chunk))) => {
-                    self.stats.disk_hits += 1;
-                    self.metrics.counter("store.disk_hits").inc();
-                    self.metrics.lineage(ts.0, LineageEventKind::SpillRead);
-                    TieredLookup::Disk(chunk)
-                }
-                Some(Err(_)) => {
-                    self.stats.read_fallbacks += 1;
-                    self.hook.note_fallback_rematerialization();
-                    self.metrics.counter("store.read_fallbacks").inc();
-                    self.metrics
-                        .event("store.read_fallback", format!("chunk {}", ts.0));
-                    self.metrics
-                        .lineage(ts.0, LineageEventKind::SpillReadFallback);
-                    TieredLookup::Recompute(raw, kept)
-                }
-                Some(Ok(None)) | None => {
-                    self.stats.recomputes += 1;
-                    self.metrics.counter("store.recomputes").inc();
-                    self.metrics.lineage(ts.0, LineageEventKind::Rematerialize);
-                    TieredLookup::Recompute(raw, kept)
-                }
-            },
-            FeatureLookup::Unavailable => TieredLookup::Unavailable,
-        }
+            Some(Err(_)) => {
+                self.stats.read_fallbacks += 1;
+                self.hook.note_fallback_rematerialization();
+                self.metrics.counter("store.read_fallbacks").inc();
+                self.metrics
+                    .event("store.read_fallback", format!("chunk {}", ts.0));
+                self.metrics
+                    .lineage(ts.0, LineageEventKind::SpillReadFallback);
+                FeatureSource::Raw(raw, kept)
+            }
+            Some(Ok(None)) | None => {
+                self.stats.recomputes += 1;
+                self.metrics.counter("store.recomputes").inc();
+                self.metrics.lineage(ts.0, LineageEventKind::Rematerialize);
+                FeatureSource::Raw(raw, kept)
+            }
+        })
     }
 
     /// The in-memory tier (for budget/statistics inspection).
@@ -339,12 +311,12 @@ mod tests {
         // Newest chunks come from memory…
         assert!(matches!(
             store.lookup(Timestamp(9)),
-            TieredLookup::Memory(_)
+            Some(FeatureSource::Memory(_))
         ));
         // …older ones from disk, byte-identical.
         match store.lookup(Timestamp(0)) {
-            TieredLookup::Disk(chunk) => assert_eq!(chunk, feat(0)),
-            other => panic!("expected disk hit, got {}", other.tier()),
+            Some(FeatureSource::Disk(chunk)) => assert_eq!(*chunk, feat(0)),
+            other => panic!("expected disk hit, got {other:?}"),
         }
         let stats = store.stats();
         assert_eq!(stats.memory_hits, 1);
@@ -446,10 +418,10 @@ mod tests {
         ok(log.set_len(store.disk_bytes_written() - 10)); // cuts chunk 1's tail
         for t in 0..2 {
             match store.lookup(Timestamp(t)) {
-                TieredLookup::Recompute(raw_chunk, _) => {
+                Some(FeatureSource::Raw(raw_chunk, _)) => {
                     assert_eq!(raw_chunk.timestamp, Timestamp(t));
                 }
-                other => panic!("chunk {t}: expected recompute, got {}", other.tier()),
+                other => panic!("chunk {t}: expected recompute, got {other:?}"),
             }
         }
         let stats = store.stats();
@@ -483,11 +455,11 @@ mod tests {
         // Every lookup must resolve — disk faults degrade, never propagate.
         for t in 0..29 {
             match store.lookup(Timestamp(t)) {
-                TieredLookup::Disk(chunk) => assert_eq!(chunk.timestamp, Timestamp(t)),
-                TieredLookup::Recompute(raw_chunk, _) => {
+                Some(FeatureSource::Disk(chunk)) => assert_eq!(chunk.timestamp, Timestamp(t)),
+                Some(FeatureSource::Raw(raw_chunk, _)) => {
                     assert_eq!(raw_chunk.timestamp, Timestamp(t));
                 }
-                other => panic!("chunk {t}: unexpected {}", other.tier()),
+                other => panic!("chunk {t}: unexpected {other:?}"),
             }
         }
         let stats = store.stats();
@@ -531,7 +503,7 @@ mod tests {
         // got is a plain recompute, not a read fallback.
         assert!(matches!(
             store.lookup(Timestamp(0)),
-            TieredLookup::Recompute(..)
+            Some(FeatureSource::Raw(..))
         ));
         let stats = store.stats();
         assert_eq!((stats.recomputes, stats.read_fallbacks), (1, 0));
@@ -566,11 +538,11 @@ mod tests {
         );
         assert!(matches!(
             store.lookup(Timestamp(0)),
-            TieredLookup::Recompute(..)
+            Some(FeatureSource::Raw(..))
         ));
         assert!(matches!(
             store.lookup(Timestamp(4)),
-            TieredLookup::Memory(_)
+            Some(FeatureSource::Memory(_))
         ));
         assert_eq!(store.disk_bytes_written(), 0);
         assert_eq!(store.stats().spills, 0);
@@ -581,21 +553,21 @@ mod tests {
     fn unavailable_when_everything_is_gone() {
         let dir = tmp_dir("gone");
         let mut store = ok(TieredStore::open(StorageBudget::Unbounded, &dir));
-        assert!(matches!(
-            store.lookup(Timestamp(7)),
-            TieredLookup::Unavailable
-        ));
+        assert!(store.lookup(Timestamp(7)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn tier_names() {
+    fn a_lookup_names_its_tier() {
         let dir = tmp_dir("names");
         let mut store = ok(TieredStore::open(StorageBudget::Unbounded, &dir));
         ok(store.put_raw(raw(0)));
         ok(store.put_feature(feat(0)));
-        assert_eq!(store.lookup(Timestamp(0)).tier(), "memory");
-        assert_eq!(store.lookup(Timestamp(5)).tier(), "unavailable");
+        assert!(matches!(
+            store.lookup(Timestamp(0)),
+            Some(FeatureSource::Memory(_))
+        ));
+        assert!(store.lookup(Timestamp(5)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

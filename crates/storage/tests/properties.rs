@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use cdp_storage::disk::{decode_chunk, encode_chunk};
 use cdp_storage::{
-    ChunkStore, ColumnSlab, CsrBuilder, FeatureChunk, FeatureLookup, RawChunk, Record,
+    ChunkStore, ColumnSlab, CsrBuilder, FeatureChunk, FeatureSource, RawChunk, Record,
     StorageBudget, StorageError, Timestamp, Value,
 };
 use proptest::prelude::*;
@@ -150,12 +150,13 @@ proptest! {
         }
         for &p in &probes {
             match store.lookup_feature(Timestamp(p)) {
-                FeatureLookup::Materialized(fc) => prop_assert_eq!(fc.timestamp, Timestamp(p)),
-                FeatureLookup::Evicted(rc, _) => {
+                Some(FeatureSource::Memory(fc)) => prop_assert_eq!(fc.timestamp, Timestamp(p)),
+                Some(FeatureSource::Raw(rc, _)) => {
                     prop_assert_eq!(rc.timestamp, Timestamp(p));
                     prop_assert!(p < n);
                 }
-                FeatureLookup::Unavailable => prop_assert!(p >= n),
+                Some(FeatureSource::Disk(_)) => prop_assert!(false, "a chunk store has no disk tier"),
+                None => prop_assert!(p >= n),
             }
         }
         let stats = store.stats();
@@ -219,16 +220,17 @@ proptest! {
         for (t, original) in chunks.iter().enumerate() {
             let ts = Timestamp(t as u64);
             match store.lookup_feature(ts) {
-                FeatureLookup::Materialized(fc) => {
+                Some(FeatureSource::Memory(fc)) => {
                     prop_assert!(t >= n.saturating_sub(m));
                     prop_assert_eq!(&*fc, &chunk(t as u64, t as u64, original));
                 }
-                FeatureLookup::Evicted(rc, _) => {
+                Some(FeatureSource::Raw(rc, _)) => {
                     prop_assert!(t < n.saturating_sub(m));
                     prop_assert_eq!(rc.timestamp, ts);
                     prop_assert_eq!(rc, raw(ts.0));
                 }
-                FeatureLookup::Unavailable => prop_assert!(false, "chunk {t} lost entirely"),
+                Some(FeatureSource::Disk(_)) => prop_assert!(false, "a chunk store has no disk tier"),
+                None => prop_assert!(false, "chunk {t} lost entirely"),
             }
         }
         let stats = store.stats();

@@ -80,7 +80,9 @@ fn main() {
         if since >= spec.proactive_every {
             since = 0;
             let sampled = dm.sample(spec.sample_chunks);
-            proactive.execute(&mut pm, sampled, &mut ledger);
+            proactive
+                .try_execute(&mut pm, sampled, &mut ledger)
+                .expect("no faults injected");
         }
         let (pipeline, trainer) = pm.snapshot();
         server.publish(pipeline, trainer.model().clone());

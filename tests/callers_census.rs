@@ -22,11 +22,6 @@ use source_scan::{crate_sources, shipped_code, sources_under, without_comments, 
 /// tests-only oracles. Nothing here is "might be useful later".
 const ALLOWED: &[(&str, &str, &str)] = &[
     (
-        "crates/core/src/data_manager.rs",
-        "is_materialized",
-        "tests/platform_manual.rs checks a zero-budget sample is all re-materialization",
-    ),
-    (
         "crates/core/src/deployment.rs",
         "try_run_deployment_in",
         "tests/telemetry.rs and tests/trace_smoke.rs hand a run its metrics, tracer and clock",

@@ -4,13 +4,15 @@
 use std::sync::{Arc, Mutex};
 
 use cdpipe::core::presets::url_spec_from;
-use cdpipe::core::{DataManager, PipelineManager, ProactiveTrainer, SampledChunk};
+use cdpipe::core::{DataManager, PipelineManager, ProactiveTrainer};
 use cdpipe::datagen::url::UrlConfig;
 use cdpipe::engine::ExecutionEngine;
 use cdpipe::eval::{CostLedger, PrequentialEvaluator};
 use cdpipe::obs::durable::Format;
 use cdpipe::prelude::*;
-use cdpipe::storage::{CheckpointDir, RawChunk, Record, Schema, Value, CHECKPOINT_SCHEMA};
+use cdpipe::storage::{
+    CheckpointDir, FeatureSource, RawChunk, Record, Schema, Value, CHECKPOINT_SCHEMA,
+};
 
 /// A mid-size URL run used by several tests (larger than `Tiny`, much
 /// smaller than `Repo`).
@@ -845,6 +847,19 @@ fn fault_injected_run_exposes_recovery_through_metrics() {
         snap.counter("store.disk_retries") > 0,
         "disk faults must retry"
     );
+    // With online statistics on, a fire counts each sampled chunk by the
+    // tier its lookup resolved to; a read fallback re-materializes.
+    assert!(config.optimization.online_stats);
+    let tiers = &result.tiered_stats;
+    assert_eq!(
+        snap.counter("proactive.materialized_chunks"),
+        tiers.memory_hits
+    );
+    assert_eq!(snap.counter("proactive.spilled_chunks"), tiers.disk_hits);
+    assert_eq!(
+        snap.counter("proactive.rematerialized_chunks"),
+        tiers.recomputes + tiers.read_fallbacks
+    );
 }
 
 #[test]
@@ -956,12 +971,14 @@ fn a_raw_chunk_is_stored_once_between_the_stream_and_the_store() {
         dm.store_features(fc).expect("raw chunk present");
         let sampled = dm.sample(3);
         for chunk in &sampled {
-            if let SampledChunk::NeedsRematerialization(raw, _) = chunk {
+            if let FeatureSource::Raw(raw, _) = chunk {
                 assert!(shares(raw), "sampled {}", raw.timestamp);
                 rematerialized += 1;
             }
         }
-        ProactiveTrainer::new().execute(&mut pm, sampled, &mut ledger);
+        ProactiveTrainer::new()
+            .try_execute(&mut pm, sampled, &mut ledger)
+            .expect("no faults injected");
     }
     assert!(rematerialized > stream.total_chunks());
     let history = dm.full_history();
@@ -1209,7 +1226,6 @@ fn taxi_arrivals_and_fires_match_the_commit_before_the_slab_kernels() {
     // every fifth. Every prediction (through the evaluator's accumulator),
     // weight and fire loss keeps its bits. (Float digest taken on x86-64
     // Linux.)
-    use cdpipe::core::pipeline_manager::ProactiveSource;
     use cdpipe::storage::FeatureChunk;
     let (_, spec) = taxi_spec(SpecScale::Repo);
     let mut chunks = taxi_stream_1000();
@@ -1225,10 +1241,10 @@ fn taxi_arrivals_and_fires_match_the_commit_before_the_slab_kernels() {
         values.push(evaluator.raw_accumulator());
         arrived.push((raw, Arc::new(fc)));
         if i % 5 == 4 {
-            let sources: Vec<ProactiveSource> = (arrived.iter().rev().take(15).enumerate())
+            let sources: Vec<FeatureSource> = (arrived.iter().rev().take(15).enumerate())
                 .map(|(k, (raw, fc))| match k % 4 {
-                    0 => ProactiveSource::Ready(Arc::clone(fc)),
-                    _ => ProactiveSource::Raw(raw.clone(), fc.kept().cloned()),
+                    0 => FeatureSource::Memory(Arc::clone(fc)),
+                    _ => FeatureSource::Raw(raw.clone(), fc.kept().cloned()),
                 })
                 .collect();
             let fire = pm.try_proactive_step_fused(&sources, &mut ledger);

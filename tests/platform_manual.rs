@@ -7,7 +7,7 @@ use cdpipe::core::{DataManager, PipelineManager, ProactiveTrainer, Scheduler, Sc
 use cdpipe::datagen::ChunkStream;
 use cdpipe::eval::{CostLedger, PrequentialEvaluator};
 use cdpipe::prelude::*;
-use cdpipe::storage::Timestamp;
+use cdpipe::storage::{FeatureSource, Timestamp};
 
 #[test]
 fn manual_loop_with_chunk_loss() {
@@ -59,7 +59,9 @@ fn manual_loop_with_chunk_loss() {
             for chunk in &sampled {
                 assert!(dm.store().raw(chunk.timestamp()).is_some());
             }
-            let outcome = trainer.execute(&mut pm, sampled, &mut ledger);
+            let outcome = trainer
+                .try_execute(&mut pm, sampled, &mut ledger)
+                .expect("no faults injected");
             proactive_runs += 1;
             assert!(outcome.points > 0, "sampling must survive chunk loss");
         }
@@ -124,9 +126,13 @@ fn rematerialized_sample_feeds_valid_training_step() {
     }
     assert_eq!(dm.materialized_count(), 0);
     let sampled = dm.sample(4);
-    assert!(sampled.iter().all(|s| !s.is_materialized()));
+    assert!(sampled
+        .iter()
+        .all(|s| !matches!(s, FeatureSource::Memory(_))));
     let steps_before = pm.trainer().steps();
-    let outcome = ProactiveTrainer::new().execute(&mut pm, sampled, &mut ledger);
+    let outcome = ProactiveTrainer::new()
+        .try_execute(&mut pm, sampled, &mut ledger)
+        .expect("no faults injected");
     assert_eq!(outcome.rematerialized_chunks, 4);
     assert_eq!(outcome.materialized_chunks, 0);
     assert_eq!(pm.trainer().steps(), steps_before + 1);

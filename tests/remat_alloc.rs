@@ -9,11 +9,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use cdpipe::core::pipeline_manager::{PipelineManager, ProactiveSource};
+use cdpipe::core::pipeline_manager::PipelineManager;
 use cdpipe::datagen::taxi::{TaxiConfig, TaxiGenerator};
 use cdpipe::eval::CostLedger;
 use cdpipe::prelude::*;
-use cdpipe::storage::RawChunk;
+use cdpipe::storage::{FeatureSource, RawChunk};
 
 struct CountingAlloc;
 
@@ -99,18 +99,18 @@ fn rematerialization_allocates_per_column_not_per_row() {
     let initial: Vec<RawChunk> = (0..4).map(|i| generator.chunk(i)).collect();
     pm.initial_fit(&initial, &spec.sgd, &mut ledger);
     let mut arrivals = spec.build_pipeline();
-    let (plain, kept): (Vec<ProactiveSource>, Vec<ProactiveSource>) = (4..19)
+    let (plain, kept): (Vec<FeatureSource>, Vec<FeatureSource>) = (4..19)
         .map(|i| {
             let raw = generator.chunk(i);
             let kept = arrivals.fit_transform_chunk(&raw).kept().cloned();
             assert!(kept.is_some());
             (
-                ProactiveSource::Raw(raw.clone(), None),
-                ProactiveSource::Raw(raw, kept),
+                FeatureSource::Raw(raw.clone(), None),
+                FeatureSource::Raw(raw, kept),
             )
         })
         .unzip();
-    let fire = |pm: &mut PipelineManager, ledger: &mut CostLedger, sources: &[ProactiveSource]| {
+    let fire = |pm: &mut PipelineManager, ledger: &mut CostLedger, sources: &[FeatureSource]| {
         let (outcome, allocs) = measure(|| pm.try_proactive_step_fused(sources, ledger));
         let outcome = outcome.expect("no faults injected");
         assert!(outcome.points > 13_500, "{} rows survived", outcome.points);
