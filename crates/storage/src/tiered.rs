@@ -556,18 +556,4 @@ mod tests {
         assert!(store.lookup(Timestamp(7)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
-
-    #[test]
-    fn a_lookup_names_its_tier() {
-        let dir = tmp_dir("names");
-        let mut store = ok(TieredStore::open(StorageBudget::Unbounded, &dir));
-        ok(store.put_raw(raw(0)));
-        ok(store.put_feature(feat(0)));
-        assert!(matches!(
-            store.lookup(Timestamp(0)),
-            Some(FeatureSource::Memory(_))
-        ));
-        assert!(store.lookup(Timestamp(5)).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
