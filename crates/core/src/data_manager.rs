@@ -8,8 +8,8 @@ use cdp_faults::{FaultHook, RetryPolicy};
 use cdp_obs::{LineageEventKind, Metrics};
 use cdp_sampling::{Sampler, SamplingStrategy};
 use cdp_storage::{
-    ChunkStore, FeatureChunk, FeatureSource, RawChunk, StorageBudget, StorageError, StoreStats,
-    TieredStats, TieredStore,
+    ChunkStore, FeatureChunk, FeatureSource, KeptColumns, RawChunk, StorageBudget, StorageError,
+    StoreStats, TieredStats, TieredStore,
 };
 
 /// The data manager: tiered storage plus sampling (see module docs).
@@ -110,15 +110,11 @@ impl DataManager {
         sampled
     }
 
-    /// All raw chunks, oldest first — the periodical baseline's retraining
-    /// input ("the entire historical data").
-    pub fn full_history(&self) -> Vec<RawChunk> {
-        let store = self.store.memory();
-        store
-            .sampleable_timestamps()
-            .into_iter()
-            .filter_map(|ts| store.raw(ts))
-            .collect()
+    /// All raw chunks, oldest first, each with the columns its arrival
+    /// kept beside it — the periodical baseline's retraining input ("the
+    /// entire historical data").
+    pub fn full_history(&self) -> Vec<(RawChunk, Option<KeptColumns>)> {
+        self.store.memory().raw_history()
     }
 
     /// Number of chunks available for sampling (the paper's `n`).
@@ -216,7 +212,10 @@ mod tests {
         let mut dm = DataManager::new(StorageBudget::Unbounded, SamplingStrategy::Uniform, 9);
         let arrival = raw(7);
         dm.ingest_raw(arrival.clone()).expect("unique timestamps");
-        assert!(Arc::ptr_eq(&arrival.records, &dm.full_history()[0].records));
+        assert!(Arc::ptr_eq(
+            &arrival.records,
+            &dm.full_history()[0].0.records
+        ));
     }
 
     #[test]
@@ -252,7 +251,7 @@ mod tests {
         let dm = manager(8, 2, SamplingStrategy::TimeBased);
         let hist = dm.full_history();
         assert_eq!(hist.len(), 8);
-        for (i, c) in hist.iter().enumerate() {
+        for (i, (c, _)) in hist.iter().enumerate() {
             assert_eq!(c.timestamp, Timestamp(i as u64));
         }
     }

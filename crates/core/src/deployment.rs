@@ -1388,10 +1388,12 @@ fn train(stages: Stages<'_>, st: &mut LoopState, idx: usize) -> Result<(), Deplo
                 if warm_start {
                     st.pm.retrain_warm(&history, &spec.sgd, &mut st.ledger);
                 } else {
-                    // Cold restart: fresh pipeline statistics and model.
+                    // Cold restart: fresh pipeline statistics and model,
+                    // fitted on the raw chunks alone.
                     st.pm = env.fresh_manager()?;
                     st.pm.set_trace_scope(retrain.1);
-                    st.pm.initial_fit(&history, &spec.sgd, &mut st.ledger);
+                    let raws: Vec<RawChunk> = history.into_iter().map(|(raw, _)| raw).collect();
+                    st.pm.initial_fit(&raws, &spec.sgd, &mut st.ledger);
                 }
                 Ok::<_, DeploymentError>(())
             })?;

@@ -10,7 +10,7 @@ use cdp_faults::{FaultHook, NoFaults};
 use cdp_ml::{FusedStepOutcome, SgdConfig, SgdTrainer, TrainReport};
 use cdp_obs::{LineageEventKind, Metrics, SpanContext, Tracer};
 use cdp_pipeline::{Pipeline, PipelineCounters};
-use cdp_storage::{FeatureChunk, FeatureSource, RawChunk, RowView};
+use cdp_storage::{FeatureChunk, FeatureSource, KeptColumns, RawChunk, RowView};
 
 /// Pipeline + model + online learner, with cost attribution.
 ///
@@ -199,7 +199,8 @@ impl PipelineManager {
     /// and model/optimizer state are kept (TFX-style warm starting), but all
     /// historical chunks are re-transformed and the model is trained to
     /// convergence on the full dataset — the expensive path that proactive
-    /// training replaces.
+    /// training replaces. A chunk's kept columns, when its arrival left
+    /// them, are copied instead of derived again, as in a fire.
     ///
     /// The history is transformed chunk-parallel on the engine (the
     /// Spark-style batch path of §4.5): one contiguous group of chunks per
@@ -209,7 +210,7 @@ impl PipelineManager {
     /// time, not work.
     pub fn retrain_warm(
         &mut self,
-        history: &[RawChunk],
+        history: &[(RawChunk, Option<KeptColumns>)],
         sgd: &SgdConfig,
         ledger: &mut CostLedger,
     ) -> TrainReport {
@@ -220,7 +221,7 @@ impl PipelineManager {
             group_len,
             |group| {
                 (group.iter())
-                    .map(|raw| pipeline.rematerialize(raw, None))
+                    .map(|(raw, kept)| pipeline.rematerialize(raw, kept.as_ref()))
                     .collect::<Vec<_>>()
             },
             &self.ctx,
@@ -301,7 +302,8 @@ impl PipelineManager {
     /// Results are deterministic: gradients reduce in fixed tree order keyed
     /// by source index, and pipeline counter deltas are absorbed in source
     /// order, so the model update and the accounted cost depend only on the
-    /// sources — never on the engine, worker count, or steal schedule.
+    /// sources — never on the engine, worker count, or which participant
+    /// claimed which unit.
     ///
     /// # Errors
     /// [`EngineError::WorkerPanic`] when a worker dies beyond the engine's
@@ -482,18 +484,19 @@ mod tests {
     fn parallel_retraining_matches_sequential() {
         // The threaded engine must produce the exact same model and the
         // exact same accounted cost as the sequential path.
-        let history: Vec<RawChunk> = (0..12)
+        let history: Vec<(RawChunk, Option<KeptColumns>)> = (0..12)
             .map(|t| chunk(t, &[(t as f64, t as f64 * 0.5), (t as f64 + 1.0, t as f64)]))
+            .map(|raw| (raw, None))
             .collect();
         let mut ev = PrequentialEvaluator::new(ErrorMetric::Rmsle, 0);
 
         let mut seq_pm = PipelineManager::new(pipeline(), &sgd(), 8);
         let mut seq_ledger = CostLedger::default();
-        seq_pm.process_online_chunk(&history[0], &mut ev, &mut seq_ledger);
+        seq_pm.process_online_chunk(&history[0].0, &mut ev, &mut seq_ledger);
         let mut par_pm = PipelineManager::new(pipeline(), &sgd(), 8)
             .with_engine(ExecutionEngine::Threaded { workers: 4 });
         let mut par_ledger = CostLedger::default();
-        par_pm.process_online_chunk(&history[0], &mut ev, &mut par_ledger);
+        par_pm.process_online_chunk(&history[0].0, &mut ev, &mut par_ledger);
 
         let seq_report = seq_pm.retrain_warm(&history, &sgd(), &mut seq_ledger);
         let par_report = par_pm.retrain_warm(&history, &sgd(), &mut par_ledger);
@@ -525,7 +528,8 @@ mod tests {
             let mut ledger = CostLedger::default();
 
             let (_, fcs) = pm.initial_fit(&raws[..2], &sgd(), &mut ledger);
-            pm.retrain_warm(&raws[..4], &sgd(), &mut ledger);
+            let history: Vec<_> = raws[..4].iter().map(|raw| (raw.clone(), None)).collect();
+            pm.retrain_warm(&history, &sgd(), &mut ledger);
             pm.process_online_chunk(&raws[4], &mut ev, &mut ledger);
             // One source of each stored tier.
             let ready: Vec<FeatureSource> = fcs

@@ -441,8 +441,8 @@ impl ModelServer {
     }
 
     /// Scores a slice of records in one pass against one coherent snapshot,
-    /// through the engine's indexed map (the work-stealing pool when the
-    /// server was built with a threaded engine). Outcome per record is
+    /// through the engine's indexed map (the worker pool when the server
+    /// was built with a threaded engine). Outcome per record is
     /// exactly what [`ModelServer::predict`] would return under the same
     /// snapshot. A map that fails fatally (an injected worker panic past the
     /// restart budget) is a batch of `None`s counted in `batch_failures`;

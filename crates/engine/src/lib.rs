@@ -10,17 +10,19 @@
 //! (process-wide) and reused across calls, fed over one `std::sync::mpsc`
 //! channel whose receiver they share behind a mutex.
 //!
-//! Scheduling is **work-stealing** over contiguous unit ranges: the input
-//! index space is cut into a few units per participant, each participant
-//! owns a range queue (packed lo/hi in one atomic word), pops its own units
-//! from the front and, when its range runs dry, steals units from the *back*
-//! of a sibling's queue. Completion is counted, not barriered: every claimed
-//! unit bumps a shared counter and the last one wakes the submitting thread.
-//! On the untraced hot path the submitting thread itself is participant 0,
-//! so a map whose units all fit one participant degenerates to a plain loop
-//! with no cross-thread hand-off at all; helper workers are enlisted only up
-//! to the host's spare parallelism. With tracing enabled every unit runs on
-//! pool threads instead, so the span tree reliably crosses threads.
+//! Scheduling is **one claim counter** over contiguous units: the input
+//! index space is cut into a few units per participant, and every
+//! participant claims the next unit with one `fetch_add` until the counter
+//! passes the unit count, so a straggling unit holds up only its own
+//! participant. Each unit writes its own disjoint run of output slots, handed
+//! out once through a per-unit cell. Completion is counted, not barriered:
+//! every claimed unit bumps a shared counter and the last one wakes the
+//! submitting thread. On the untraced hot path the submitting thread itself
+//! takes part, so a map whose units all fit one participant degenerates to a
+//! plain loop with no cross-thread hand-off at all; helper workers are
+//! enlisted only up to the host's spare parallelism. With tracing enabled
+//! every unit runs on pool threads instead, so the span tree reliably
+//! crosses threads.
 //!
 //! There is one map: [`ExecutionEngine::try_map_indexed`] over the index
 //! space `0..n`, so callers borrow whatever their items live in instead of
@@ -34,7 +36,7 @@
 //! unit, and [`ExecutionEngine::try_map_reduce`] combines the outputs in a
 //! fixed shape that depends only on their number — never on worker count or
 //! scheduling — so floating-point results are bit-identical across engines.
-//! Scheduling observables that *are* timing-dependent (`engine.steal`,
+//! Scheduling observables that *are* timing-dependent (`engine.queue_depth`,
 //! `engine.barrier_wait_secs`) are recorded as histograms, never as
 //! deterministic counters.
 
@@ -44,7 +46,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 
@@ -54,17 +56,17 @@ use cdp_obs::{Metrics, SpanContext, TraceSpan, Tracer};
 /// Locks `mutex`, recovering from poisoning.
 ///
 /// Every engine mutex guards simple scalar state (a registry map, a done
-/// flag, a panic slot) that stays consistent even when the holder unwinds
-/// mid-critical-section, so poisoning carries no information here.
-/// Propagating it would crash the deployment thread on the very fault the
-/// worker-restart machinery exists to absorb.
+/// flag, a panic slot, a unit's slot cell) that stays consistent even when
+/// the holder unwinds mid-critical-section, so poisoning carries no
+/// information here. Propagating it would crash the deployment thread on
+/// the very fault the worker-restart machinery exists to absorb.
 fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Contiguous units handed out per participant in one map call: a few per
-/// participant so a straggling unit re-balances onto idle participants via
-/// stealing without giving up contiguity.
+/// participant so the units behind a straggling one go to idle participants
+/// without giving up contiguity.
 const UNITS_PER_PARTICIPANT: usize = 4;
 
 /// An erased unit of work queued on the pool.
@@ -136,84 +138,20 @@ fn helper_cap() -> usize {
     })
 }
 
-/// One participant's contiguous range of pending units, packed `hi << 32 |
-/// lo` into a single atomic word. The owner pops from the front (`lo`),
-/// thieves steal from the back (`hi - 1`); both advance by CAS so every unit
-/// index in `[lo, hi)` is claimed exactly once.
-struct RangeQueue {
-    state: AtomicU64,
-}
-
-fn pack(lo: u32, hi: u32) -> u64 {
-    (u64::from(hi) << 32) | u64::from(lo)
-}
-
-fn unpack(state: u64) -> (u32, u32) {
-    (state as u32, (state >> 32) as u32)
-}
-
-impl RangeQueue {
-    fn new(lo: u32, hi: u32) -> Self {
-        debug_assert!(lo <= hi);
-        Self {
-            state: AtomicU64::new(pack(lo, hi)),
-        }
-    }
-
-    /// Owner side: claims the front unit of the range, if any.
-    fn pop_front(&self) -> Option<usize> {
-        let mut cur = self.state.load(Ordering::Acquire);
-        loop {
-            let (lo, hi) = unpack(cur);
-            if lo >= hi {
-                return None;
-            }
-            match self.state.compare_exchange_weak(
-                cur,
-                pack(lo + 1, hi),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(lo as usize),
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Thief side: claims the back unit of the range, if any.
-    fn steal_back(&self) -> Option<usize> {
-        let mut cur = self.state.load(Ordering::Acquire);
-        loop {
-            let (lo, hi) = unpack(cur);
-            if lo >= hi {
-                return None;
-            }
-            match self.state.compare_exchange_weak(
-                cur,
-                pack(lo, hi - 1),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((hi - 1) as usize),
-                Err(now) => cur = now,
-            }
-        }
-    }
-}
-
-/// Shared state for one work-stealing map: the range queues, completion
-/// count, panic slot, and the close/guard handshake that lets pool jobs
-/// safely borrow from the submitting thread's stack.
+/// Shared state for one map: the claim counter, completion count, panic
+/// slot, and the close/guard handshake that lets pool jobs safely borrow
+/// from the submitting thread's stack.
 struct Control {
-    /// One range queue per participant, covering `[0, units)` disjointly.
-    ranges: Vec<RangeQueue>,
+    /// The next unclaimed unit. Every participant claims with one
+    /// `fetch_add(1)` until the counter passes `units`, so each unit index
+    /// in `[0, units)` goes to exactly one of them.
+    next: AtomicUsize,
     units: usize,
     completed: AtomicUsize,
     /// Set on the first unit panic; remaining units drain without running
     /// (fail-fast), so the caller wakes promptly with the first payload.
     poisoned: AtomicBool,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    steals: AtomicU64,
     /// Scope-close handshake: the caller sets `closed` only after every
     /// unit completed, then spins until `guards` drains to zero. A pool job
     /// increments `guards`, *then* checks `closed`: either it sees the map
@@ -229,23 +167,14 @@ struct Control {
 }
 
 impl Control {
-    fn new(units: usize, queues: usize) -> Self {
-        debug_assert!(units >= 1 && queues >= 1);
-        debug_assert!(units <= u32::MAX as usize);
-        let ranges = (0..queues)
-            .map(|q| {
-                let lo = q * units / queues;
-                let hi = (q + 1) * units / queues;
-                RangeQueue::new(lo as u32, hi as u32)
-            })
-            .collect();
+    fn new(units: usize) -> Self {
+        debug_assert!(units >= 1);
         Self {
-            ranges,
+            next: AtomicUsize::new(0),
             units,
             completed: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
             panic: Mutex::new(None),
-            steals: AtomicU64::new(0),
             closed: AtomicBool::new(false),
             guards: AtomicUsize::new(0),
             done: Mutex::new(false),
@@ -254,27 +183,21 @@ impl Control {
     }
 }
 
-/// One participant's work loop: pop own units from the front, steal from
-/// siblings when dry, run each claimed unit under `catch_unwind`, count
-/// completions, and wake the submitting thread when the last unit lands.
+/// One participant's work loop: claim the next unit from the shared
+/// counter, run it under `catch_unwind`, count completions, and wake the
+/// submitting thread when the last unit lands.
 ///
 /// Every claimed unit is counted as completed even when it panics or is
 /// drained while poisoned — the completion count is the only thing the
 /// caller waits on, so it must always reach `units`.
-fn participate(ctrl: &Control, me: usize, run_unit: &(dyn Fn(usize) + Sync)) {
-    let queues = ctrl.ranges.len();
+fn participate(ctrl: &Control, run_unit: &(dyn Fn(usize) + Sync)) {
     loop {
-        let unit = ctrl.ranges[me].pop_front().or_else(|| {
-            (1..queues).find_map(|k| {
-                let victim = (me + k) % queues;
-                let stolen = ctrl.ranges[victim].steal_back();
-                if stolen.is_some() {
-                    ctrl.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                stolen
-            })
-        });
-        let Some(unit) = unit else { break };
+        // The claim needs only the read-modify-write's atomicity; what a
+        // unit writes is published through the completion count below.
+        let unit = ctrl.next.fetch_add(1, Ordering::Relaxed);
+        if unit >= ctrl.units {
+            break;
+        }
         if !ctrl.poisoned.load(Ordering::SeqCst) {
             if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| run_unit(unit))) {
                 ctrl.poisoned.store(true, Ordering::SeqCst);
@@ -302,28 +225,6 @@ fn participate(ctrl: &Control, me: usize, run_unit: &(dyn Fn(usize) + Sync)) {
             *done = true;
             ctrl.done_cv.notify_all();
         }
-    }
-}
-
-/// Raw-pointer window over the output `Vec<Option<U>>`.
-///
-/// SAFETY contract: each index is written by exactly one participant — the
-/// one that claimed the covering unit via a `RangeQueue` CAS — and units
-/// cover disjoint index ranges, so no slot is ever written concurrently.
-/// The submitting thread only reads the slots after the completion count
-/// reached `units` (a SeqCst handshake through `Control::done`).
-struct SharedSlots<U> {
-    ptr: *mut Option<U>,
-}
-
-unsafe impl<U: Send> Send for SharedSlots<U> {}
-unsafe impl<U: Send> Sync for SharedSlots<U> {}
-
-impl<U> SharedSlots<U> {
-    /// Writes slot `i`. Caller must hold the exclusive unit claim covering
-    /// index `i` (see the type-level SAFETY contract).
-    unsafe fn set(&self, i: usize, value: U) {
-        *self.ptr.add(i) = Some(value);
     }
 }
 
@@ -409,18 +310,18 @@ fn act_injected_panics(panics: u32) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Runs the work-stealing loop for `units` units: enlists up to `workers`
-/// pool helpers (capped by the host's spare parallelism on the untraced
-/// path, where the submitting thread is participant 0), waits for the
-/// completion count, then closes the scope so no pool job can still touch
-/// the caller's stack. Returns the steal count, or the first failure: a
-/// unit's panic, or a pool that could not take the helpers.
-fn run_stealing(
+/// Runs `units` units off one claim counter: enlists up to `workers` pool
+/// helpers (capped by the host's spare parallelism on the untraced path,
+/// where the submitting thread takes part too), waits for the completion
+/// count, then closes the scope so no pool job can still touch the caller's
+/// stack. Returns the first failure: a unit's panic, or a pool that could
+/// not take the helpers.
+fn run_units(
     workers: usize,
     units: usize,
     run_unit: &(dyn Fn(usize) + Sync),
     ctx: &RunCtx,
-) -> Result<u64, EngineError> {
+) -> Result<(), EngineError> {
     // With tracing enabled, hand every unit to pool threads so the span
     // tree reliably crosses threads (the observability contract the trace
     // tests pin down). Untraced — the perf path — the caller participates,
@@ -431,8 +332,7 @@ fn run_stealing(
     } else {
         workers.min(units).max(1)
     };
-    let queues = helpers + usize::from(caller_participates);
-    let ctrl = Arc::new(Control::new(units, queues));
+    let ctrl = Arc::new(Control::new(units));
 
     let mut pool_error = None;
     if helpers > 0 {
@@ -449,14 +349,12 @@ fn run_stealing(
         // caller's stack pinned here.
         let run_static: &'static (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(run_unit) };
-        let first_helper_queue = usize::from(caller_participates);
-        for h in 0..helpers {
+        for _ in 0..helpers {
             let ctrl_job = Arc::clone(&ctrl);
-            let me = first_helper_queue + h;
             let job: Job = Box::new(move || {
                 ctrl_job.guards.fetch_add(1, Ordering::SeqCst);
                 if !ctrl_job.closed.load(Ordering::SeqCst) {
-                    participate(&ctrl_job, me, run_static);
+                    participate(&ctrl_job, run_static);
                 }
                 ctrl_job.guards.fetch_sub(1, Ordering::SeqCst);
             });
@@ -464,7 +362,7 @@ fn run_stealing(
                 // Helpers already enlisted still borrow the caller's stack,
                 // so the map cannot simply return: poison it (remaining
                 // units drain without running) and let the caller drain
-                // every queue below before the scope closes.
+                // the counter below before the scope closes.
                 ctrl.poisoned.store(true, Ordering::SeqCst);
                 pool_error = Some(EngineError::PoolUnavailable(
                     "job channel closed".to_owned(),
@@ -474,7 +372,7 @@ fn run_stealing(
         }
     }
     if caller_participates || pool_error.is_some() {
-        participate(&ctrl, 0, run_unit);
+        participate(&ctrl, run_unit);
     }
     // The old barrier is gone; this span now measures the caller's residual
     // completion wait. The name is kept for metric-schema continuity.
@@ -499,13 +397,13 @@ fn run_stealing(
     let payload = lock_ignore_poison(&ctrl.panic).take();
     match payload {
         Some(payload) => Err(EngineError::from_payload(payload)),
-        None => Ok(ctrl.steals.load(Ordering::Relaxed)),
+        None => Ok(()),
     }
 }
 
 /// The threaded half of [`ExecutionEngine::try_map_indexed`]: cuts `[0, n)`
-/// into contiguous units, runs `f(i)` for every index through the stealing
-/// scheduler (one `engine.task` span per unit, `order` acted out at its
+/// into contiguous units, runs `f(i)` for every index through
+/// [`run_units`] (one `engine.task` span per unit, `order` acted out at its
 /// target unit's entry), and hands the outputs to `sink` in input order.
 fn threaded_exec<U, F>(
     workers: usize,
@@ -532,41 +430,42 @@ where
 
     let mut outputs: Vec<Option<U>> = Vec::with_capacity(n);
     outputs.resize_with(n, || None);
-    let slots = SharedSlots {
-        ptr: outputs.as_mut_ptr(),
-    };
-
-    let tracer = &ctx.tracer;
-    let run_unit = move |unit: usize| {
-        let task_span = tracer.child_of("engine.task", map_ctx);
-        if unit == target {
-            if order.panics > 0 {
-                let _restart_span = tracer.child_of("engine.restart", task_span.context());
-                if let Err(_fatal) = act_injected_panics(order.panics) {
-                    // Propagate the fatal injected panic through the
-                    // participant's catch_unwind so the caller sees it.
-                    panic::panic_any(InjectedWorkerPanic);
+    {
+        // One cell per unit holds that unit's disjoint run of output slots;
+        // the unit that claims it takes the slice out once and writes it
+        // without the lock.
+        let cells: Vec<Mutex<Option<&mut [Option<U>]>>> = outputs
+            .chunks_mut(unit_len)
+            .map(|slots| Mutex::new(Some(slots)))
+            .collect();
+        let tracer = &ctx.tracer;
+        let run_unit = |unit: usize| {
+            let task_span = tracer.child_of("engine.task", map_ctx);
+            if unit == target {
+                if order.panics > 0 {
+                    let _restart_span = tracer.child_of("engine.restart", task_span.context());
+                    if let Err(_fatal) = act_injected_panics(order.panics) {
+                        // Propagate the fatal injected panic through the
+                        // participant's catch_unwind so the caller sees it.
+                        panic::panic_any(InjectedWorkerPanic);
+                    }
+                }
+                if !order.delay.is_zero() {
+                    std::thread::sleep(order.delay);
                 }
             }
-            if !order.delay.is_zero() {
-                std::thread::sleep(order.delay);
+            if let Some(slots) = lock_ignore_poison(&cells[unit]).take() {
+                for (slot, i) in slots.iter_mut().zip(unit * unit_len..) {
+                    *slot = Some(f(i));
+                }
             }
-        }
-        let lo = unit * unit_len;
-        let hi = n.min(lo + unit_len);
-        for i in lo..hi {
-            // SAFETY: unit `unit` was claimed exactly once via a RangeQueue
-            // CAS, and units cover disjoint index ranges — see SharedSlots.
-            unsafe { slots.set(i, f(i)) };
-        }
-    };
-    let steals = run_stealing(workers, units, &run_unit, ctx)?;
-    ctx.metrics.histogram("engine.steal").observe(steals as f64);
+        };
+        run_units(workers, units, &run_unit, ctx)?;
+    }
     outputs.into_iter().for_each(|slot| match slot {
         Some(value) => sink(value),
-        // Infallible: `run_stealing` returned `Ok`, so every unit was
-        // claimed and ran to its end, and a unit writes every index of its
-        // range.
+        // Infallible: `run_units` returned `Ok`, so every unit was claimed
+        // once and ran to its end, and a unit writes every slot of its cell.
         None => unreachable!("every claimed unit writes its whole index range"),
     });
     Ok(())
@@ -647,9 +546,9 @@ impl ExecutionEngine {
     /// `f`'s environment, so nothing is copied into the engine.
     ///
     /// `f` must be `Sync` because participants share it. Indices are cut
-    /// into contiguous units (a few per participant) scheduled by
-    /// work-stealing; each output is written into its own slot, so results
-    /// need no locking and arrive in order.
+    /// into contiguous units (a few per participant) claimed from one
+    /// shared counter; each output is written into its own slot, so results
+    /// arrive in order whichever participant ran which unit.
     ///
     /// Draws one [`WorkerOrder`] from `hook` — exactly one per call, so
     /// injected counts are independent of worker count — and acts it out at
@@ -663,8 +562,8 @@ impl ExecutionEngine {
     ///
     /// Records into `ctx`: `engine.map_calls`, `engine.tasks` (units
     /// scheduled), `engine.map_secs`, `engine.worker_restarts`, and
-    /// (threaded) `engine.barrier_wait_secs`, `engine.queue_depth`,
-    /// `engine.steal`; an `engine.map` span under `ctx.parent` with one
+    /// (threaded) `engine.barrier_wait_secs`, `engine.queue_depth`; an
+    /// `engine.map` span under `ctx.parent` with one
     /// `engine.task` child per unit *on the thread executing it*
     /// ([`SpanContext`] is `Copy` and crosses into pool tasks) and an
     /// `engine.restart` span under the targeted task.
@@ -775,9 +674,8 @@ impl ExecutionEngine {
             }
             ExecutionEngine::Threaded { .. } if n == 0 => {
                 // Keep the per-call invariant `queue_depth.count ==
-                // steal.count == map_calls` for maps with nothing to do.
+                // map_calls` for maps with nothing to do.
                 metrics.histogram("engine.queue_depth").observe(0.0);
-                metrics.histogram("engine.steal").observe(0.0);
                 // No unit to act the order on; a fatal one still cannot
                 // lose work, so it alone surfaces as an error.
                 if order.panics > MAX_WORKER_RESTARTS {
@@ -883,58 +781,36 @@ mod tests {
     }
 
     #[test]
-    fn range_queue_hands_out_each_unit_exactly_once() {
-        // Owner pops the front, thief steals the back; together they must
-        // cover [lo, hi) exactly once with no overlap.
-        let queue = RangeQueue::new(3, 11);
-        let mut popped = Vec::new();
-        let mut stolen = Vec::new();
-        loop {
-            match (queue.pop_front(), queue.steal_back()) {
-                (None, None) => break,
-                (front, back) => {
-                    popped.extend(front);
-                    stolen.extend(back);
-                }
-            }
-        }
-        assert!(popped.iter().all(|u| stolen.iter().all(|s| s != u)));
-        let mut all: Vec<usize> = popped.iter().chain(stolen.iter()).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (3..11).collect::<Vec<usize>>());
-    }
-
-    #[test]
-    fn range_queue_survives_concurrent_hammering() {
-        // 4 threads race pop/steal on one queue; every unit must be claimed
-        // exactly once across all of them.
-        let queue = Arc::new(RangeQueue::new(0, 1024));
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let queue = Arc::clone(&queue);
-                std::thread::spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let unit = if t % 2 == 0 {
-                            queue.pop_front()
-                        } else {
-                            queue.steal_back()
-                        };
-                        match unit {
-                            Some(u) => mine.push(u),
-                            None => break,
-                        }
+    fn claim_counter_and_slot_cells_hand_out_each_index_exactly_once() {
+        // 4 threads race the counter and the slot cells over 1 024 units of
+        // 3 slots; every index must be written exactly once across them.
+        let (units, unit_len) = (1024, 3);
+        let ctrl = Control::new(units);
+        let mut outputs: Vec<Option<usize>> = vec![None; units * unit_len];
+        let writes = AtomicUsize::new(0);
+        {
+            let cells: Vec<Mutex<Option<&mut [Option<usize>]>>> = outputs
+                .chunks_mut(unit_len)
+                .map(|slots| Mutex::new(Some(slots)))
+                .collect();
+            let run_unit = |unit: usize| {
+                if let Some(slots) = lock_ignore_poison(&cells[unit]).take() {
+                    for (slot, i) in slots.iter_mut().zip(unit * unit_len..) {
+                        assert!(slot.replace(i).is_none(), "index {i} written twice");
+                        writes.fetch_add(1, Ordering::Relaxed);
                     }
-                    mine
-                })
-            })
-            .collect();
-        let mut all: Vec<usize> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..1024).collect::<Vec<usize>>());
+                }
+            };
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| participate(&ctrl, &run_unit));
+                }
+            });
+        }
+        assert_eq!(ctrl.completed.load(Ordering::SeqCst), units);
+        assert_eq!(writes.load(Ordering::Relaxed), units * unit_len);
+        let written: Vec<usize> = outputs.into_iter().flatten().collect();
+        assert_eq!(written, (0..units * unit_len).collect::<Vec<usize>>());
     }
 
     #[test]
@@ -1143,12 +1019,10 @@ mod tests {
         assert!(waits.is_some_and(|h| h.count == 2));
         let spans = snap.histogram("engine.map_secs");
         assert!(spans.is_some_and(|h| h.count == 2));
-        // The stealing scheduler's observables: one queue-depth sample and
-        // one steal sample per threaded map, queue depth = units scheduled.
+        // The scheduler's observable: one queue-depth sample per threaded
+        // map, queue depth = units scheduled.
         let depth = snap.histogram("engine.queue_depth");
         assert!(depth.is_some_and(|h| h.count == 2 && h.sum == snap.counter("engine.tasks") as f64));
-        let steals = snap.histogram("engine.steal");
-        assert!(steals.is_some_and(|h| h.count == 2));
     }
 
     #[test]
@@ -1240,12 +1114,11 @@ mod tests {
     }
 
     #[test]
-    fn stealing_is_observed_when_load_is_imbalanced() {
-        // One slow unit at the front: the caller gets stuck on it while the
-        // helper drains its own range and then steals the caller's
-        // remaining units (or vice versa). Steals are timing-dependent, so
-        // only the observation plumbing is asserted strictly; the steal
-        // count itself is just recorded as a histogram sample.
+    fn a_slow_first_unit_keeps_outputs_in_order() {
+        // One slow unit at the front: whoever claims it is stuck on it while
+        // the other participant claims the rest from the counter. Which
+        // participant ran what is timing-dependent; the outputs and the one
+        // queue-depth sample are not.
         let metrics = Metrics::collecting();
         let engine = ExecutionEngine::Threaded { workers: 2 };
         let out = engine
@@ -1261,11 +1134,13 @@ mod tests {
                 &metrics_ctx(&metrics),
             )
             .unwrap();
-        assert_eq!(out.len(), 64);
+        assert_eq!(out, (0..64).collect::<Vec<usize>>());
         let snap = metrics.snapshot();
-        let steals = snap.histogram("engine.steal").expect("steal observed");
-        assert_eq!(steals.count, 1);
-        assert!(steals.sum <= snap.counter("engine.tasks") as f64);
+        let depth = snap
+            .histogram("engine.queue_depth")
+            .expect("queue depth observed");
+        assert_eq!(depth.count, 1);
+        assert_eq!(depth.sum, snap.counter("engine.tasks") as f64);
     }
 
     #[test]

@@ -730,8 +730,8 @@ impl SgdTrainer {
     /// wider than the model score against zero weights and grow only their
     /// own partial, so parallel tasks never mutate the shared model; it
     /// grows only after the reduce. The result therefore depends on the
-    /// source contents and order alone — never on worker count or steal
-    /// schedule.
+    /// source contents and order alone — never on worker count or on which
+    /// participant claimed which unit.
     ///
     /// # Errors
     /// Propagates [`EngineError`] when `hook` injects a fatal worker panic

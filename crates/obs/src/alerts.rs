@@ -1,4 +1,5 @@
-//! Rule-based SLA alerting over a [`MetricsSnapshot`].
+//! Rule-based SLA alerting over a [`MetricsSnapshot`], and the one
+//! [`Monitor`] every rule set runs in.
 //!
 //! An [`AlertMonitor`] holds threshold rules over the metrics the platform
 //! already exports — gauges, counters, counter ratios, histogram minima and
@@ -97,9 +98,29 @@ pub struct AlertRule {
     pub threshold: f64,
 }
 
-impl AlertRule {
+/// A rule a [`Monitor`] evaluates: it has a name and reads its own input —
+/// a [`MetricsSnapshot`] for an [`AlertRule`], a
+/// [`TelemetryStore`](crate::TelemetryStore) for a
+/// [`BurnRule`](crate::BurnRule).
+pub trait Rule {
+    /// What the rule reads.
+    type Input;
+
+    /// Stable rule name (becomes the alert's name).
+    fn name(&self) -> &str;
+
     /// Evaluates the rule, returning an alert when it fires.
-    pub fn check(&self, snap: &MetricsSnapshot, at_secs: f64) -> Option<Alert> {
+    fn check(&self, input: &Self::Input, at_secs: f64) -> Option<Alert>;
+}
+
+impl Rule for AlertRule {
+    type Input = MetricsSnapshot;
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn check(&self, snap: &MetricsSnapshot, at_secs: f64) -> Option<Alert> {
         let value = self.signal.read(snap)?;
         let fired = match self.op {
             AlertOp::Above => value > self.threshold,
@@ -127,9 +148,9 @@ pub struct Alert {
     /// Clock seconds when the evaluation ran.
     pub at_secs: f64,
     /// How many times this rule has fired so far on the
-    /// [`AlertMonitor`] that admitted it, including this alert (1 for a
+    /// [`Monitor`] that admitted it, including this alert (1 for a
     /// rule's first firing, so always 1 from a fresh monitor's first
-    /// [`observe`](AlertMonitor::observe)).
+    /// [`observe`](Monitor::observe)).
     pub fired_count: u64,
 }
 
@@ -143,18 +164,18 @@ impl Alert {
     }
 }
 
-/// Per-rule firing state shared by the threshold and burn-rate monitors:
-/// when the rule last fired and how many firings were admitted.
+/// Per-rule firing state: when the rule last fired and how many firings
+/// were admitted.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct FireState {
+struct FireState {
     last_fired_at_secs: Option<f64>,
-    pub(crate) fired_count: u64,
+    fired_count: u64,
 }
 
 impl FireState {
     /// Admits a firing at `at_secs` unless the rule is still inside its
     /// cooldown.
-    pub(crate) fn admit(&mut self, at_secs: f64, cooldown_secs: f64) -> bool {
+    fn admit(&mut self, at_secs: f64, cooldown_secs: f64) -> bool {
         let in_cooldown = self
             .last_fired_at_secs
             .is_some_and(|last| at_secs - last < cooldown_secs);
@@ -168,7 +189,8 @@ impl FireState {
     }
 }
 
-/// A set of threshold rules evaluated together.
+/// A set of rules evaluated together: [`AlertMonitor`] over threshold
+/// rules, [`SloMonitor`](crate::SloMonitor) over burn rules.
 ///
 /// The one evaluation path is [`observe`](Self::observe), which tracks
 /// per-rule state: a rule that fired re-fires only after
@@ -179,22 +201,35 @@ impl FireState {
 /// stays bounded no matter how long the run. A fresh monitor has no state
 /// yet, so its first `observe` reports every breaching rule in rule order:
 /// that is the end-of-run sweep of a deployment without telemetry.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AlertMonitor {
-    rules: Vec<AlertRule>,
+#[derive(Debug, Clone, PartialEq)]
+pub struct Monitor<R> {
+    rules: Vec<R>,
     cooldown_secs: f64,
     state: Vec<FireState>,
 }
 
-impl AlertMonitor {
-    /// An empty monitor with no cooldown.
+/// Threshold rules over a [`MetricsSnapshot`].
+pub type AlertMonitor = Monitor<AlertRule>;
+
+impl<R> Default for Monitor<R> {
+    fn default() -> Self {
+        Self {
+            rules: Vec::new(),
+            cooldown_secs: 0.0,
+            state: Vec::new(),
+        }
+    }
+}
+
+impl<R: Rule> Monitor<R> {
+    /// An empty monitor with no cooldown (every evaluation may fire).
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Adds a rule (builder style).
     #[must_use]
-    pub fn with_rule(mut self, rule: AlertRule) -> Self {
+    pub fn with_rule(mut self, rule: R) -> Self {
         self.rules.push(rule);
         self
     }
@@ -208,27 +243,27 @@ impl AlertMonitor {
     }
 
     /// The configured rules.
-    pub fn rules(&self) -> &[AlertRule] {
+    fn rules(&self) -> &[R] {
         &self.rules
     }
 
     /// Times rule `name` has fired through [`observe`](Self::observe).
     pub fn fired_count(&self, name: &str) -> u64 {
-        self.rules
+        self.rules()
             .iter()
             .zip(self.state.iter())
-            .find(|(r, _)| r.name == name)
+            .find(|(r, _)| r.name() == name)
             .map_or(0, |(_, s)| s.fired_count)
     }
 
-    /// Evaluates every rule against `snap`, suppressing rules still inside
-    /// their cooldown; admitted alerts in rule order, each stamped with its
-    /// rule's cumulative `fired_count`.
-    pub fn observe(&mut self, snap: &MetricsSnapshot, at_secs: f64) -> Vec<Alert> {
+    /// Evaluates every rule against `input`, suppressing rules still
+    /// inside their cooldown; admitted alerts in rule order, each stamped
+    /// with its rule's cumulative `fired_count`.
+    pub fn observe(&mut self, input: &R::Input, at_secs: f64) -> Vec<Alert> {
         self.state.resize_with(self.rules.len(), FireState::default);
         let mut fired = Vec::new();
         for (rule, state) in self.rules.iter().zip(self.state.iter_mut()) {
-            let Some(mut alert) = rule.check(snap, at_secs) else {
+            let Some(mut alert) = rule.check(input, at_secs) else {
                 continue;
             };
             if state.admit(at_secs, self.cooldown_secs) {
@@ -238,7 +273,9 @@ impl AlertMonitor {
         }
         fired
     }
+}
 
+impl AlertMonitor {
     /// The deployment loop's default SLA rules over metrics exported since
     /// PR 3:
     ///

@@ -47,7 +47,7 @@ mod snapshot;
 mod timeseries;
 mod trace;
 
-pub use alerts::{Alert, AlertMonitor, AlertOp, AlertRule, AlertSignal};
+pub use alerts::{Alert, AlertMonitor, AlertOp, AlertRule, AlertSignal, Monitor, Rule};
 pub use chrome::validate_chrome_trace;
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use crc::crc32;

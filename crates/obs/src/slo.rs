@@ -13,11 +13,11 @@
 //! Windows are counted in *samples* of the [`TelemetryStore`], not wall
 //! seconds: the deployment loop samples once per chunk on its virtual
 //! clock, so burn evaluation is deterministic and engine-independent.
-//! Fired alerts reuse the [`Alert`] type and the same cooldown/dedup
-//! machinery as [`AlertMonitor`](crate::AlertMonitor), so long runs cannot
-//! alert-storm.
+//! Fired alerts reuse the [`Alert`] type, and an [`SloMonitor`] is the same
+//! [`Monitor`] as [`AlertMonitor`](crate::AlertMonitor) over burn rules, with
+//! its cooldown/dedup, so long runs cannot alert-storm.
 
-use crate::alerts::{Alert, AlertOp, FireState};
+use crate::alerts::{Alert, AlertOp, Monitor, Rule};
 use crate::timeseries::TelemetryStore;
 
 /// An error-budget signal: what fraction of recent events were "bad".
@@ -141,11 +141,17 @@ pub struct BurnRule {
     pub slow_burn: f64,
 }
 
-impl BurnRule {
+impl Rule for BurnRule {
+    type Input = TelemetryStore;
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
     /// Evaluates the rule against `store`; fires when both windows burn at
     /// or above their thresholds. The alert carries the fast burn rate as
     /// its value and the fast threshold as its threshold.
-    pub fn check(&self, store: &TelemetryStore, at_secs: f64) -> Option<Alert> {
+    fn check(&self, store: &TelemetryStore, at_secs: f64) -> Option<Alert> {
         let budget = self.error_budget.max(f64::MIN_POSITIVE);
         let fast = self.signal.bad_fraction(store, self.fast_window)? / budget;
         let slow = self.signal.bad_fraction(store, self.slow_window)? / budget;
@@ -159,67 +165,10 @@ impl BurnRule {
     }
 }
 
-/// A set of burn rules evaluated together, with per-rule cooldown/dedup.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SloMonitor {
-    rules: Vec<BurnRule>,
-    cooldown_secs: f64,
-    state: Vec<FireState>,
-}
+/// Burn rules over a [`TelemetryStore`], with per-rule cooldown/dedup.
+pub type SloMonitor = Monitor<BurnRule>;
 
 impl SloMonitor {
-    /// An empty monitor with no cooldown (every evaluation may fire).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a rule (builder style).
-    #[must_use]
-    pub fn with_rule(mut self, rule: BurnRule) -> Self {
-        self.rules.push(rule);
-        self
-    }
-
-    /// Sets the per-rule refire cooldown in clock seconds (builder style).
-    /// `f64::INFINITY` dedups each rule to a single firing per run.
-    #[must_use]
-    pub fn with_cooldown(mut self, cooldown_secs: f64) -> Self {
-        self.cooldown_secs = cooldown_secs.max(0.0);
-        self
-    }
-
-    /// The configured rules.
-    pub fn rules(&self) -> &[BurnRule] {
-        &self.rules
-    }
-
-    /// Times rule `name` has fired through [`observe`](Self::observe).
-    pub fn fired_count(&self, name: &str) -> u64 {
-        self.rules
-            .iter()
-            .zip(self.state.iter())
-            .find(|(r, _)| r.name == name)
-            .map_or(0, |(_, s)| s.fired_count)
-    }
-
-    /// Evaluates every rule against `store`, suppressing rules still in
-    /// cooldown; fired alerts in rule order, each stamped with its rule's
-    /// cumulative `fired_count`.
-    pub fn observe(&mut self, store: &TelemetryStore, at_secs: f64) -> Vec<Alert> {
-        self.state.resize_with(self.rules.len(), FireState::default);
-        let mut fired = Vec::new();
-        for (rule, state) in self.rules.iter().zip(self.state.iter_mut()) {
-            let Some(mut alert) = rule.check(store, at_secs) else {
-                continue;
-            };
-            if state.admit(at_secs, self.cooldown_secs) {
-                alert.fired_count = state.fired_count;
-                fired.push(alert);
-            }
-        }
-        fired
-    }
-
     /// The deployment loop's default burn rules over the platform's SLA
     /// surfaces (windows in chunk-samples; fast must burn ≥ 2×, sustained
     /// ≥ 1×):

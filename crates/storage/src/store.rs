@@ -233,9 +233,10 @@ impl ChunkStore {
         self.features.get(&ts).cloned()
     }
 
-    /// The raw chunk at `ts`, if retained.
-    pub fn raw(&self, ts: Timestamp) -> Option<RawChunk> {
-        self.raw.get(&ts).map(|(raw, _)| raw.clone())
+    /// Every retained raw chunk with the columns its arrival kept, oldest
+    /// first.
+    pub fn raw_history(&self) -> Vec<(RawChunk, Option<KeptColumns>)> {
+        self.raw.values().cloned().collect()
     }
 
     /// Timestamps of every chunk that can participate in sampling (raw data
@@ -421,7 +422,7 @@ mod tests {
             assert_eq!(evicted_kept(&mut second, t), None);
             ok(second.put_feature(feat(t)));
             assert_eq!(evicted_kept(&mut second, t), None);
-            let shared = some(second.raw(Timestamp(t)));
+            let (shared, _) = &second.raw_history()[t as usize];
             assert!(Arc::ptr_eq(&shared.records, &handles[t as usize].records));
         }
     }
@@ -465,7 +466,7 @@ mod tests {
     fn drop_chunk_removes_everything() {
         let mut s = store_with(5, StorageBudget::Unbounded);
         s.drop_chunk(Timestamp(2));
-        assert!(s.raw(Timestamp(2)).is_none());
+        assert!(!s.sampleable_timestamps().contains(&Timestamp(2)));
         assert!(s.lookup_feature(Timestamp(2)).is_none());
         assert_eq!(s.raw_count(), 4);
         // Injected loss is not an eviction: GC counters stay untouched.

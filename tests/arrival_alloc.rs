@@ -150,11 +150,12 @@ fn an_arrival_allocates_nothing_per_row() {
         allocs <= ARRIVAL_ALLOCS,
         "arrival of a replayed 1000-row chunk made {allocs} allocations"
     );
-    assert_eq!(resumed.full_history()[0], stream.chunk(4));
+    assert_eq!(resumed.full_history()[0].0, stream.chunk(4));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Cold retrain: the history is handed to `initial_fit` as it comes out
-    // of the store — fifty handles, whatever the chunks hold.
+    // Retrain: the history comes out of the store as fifty handles (with
+    // their kept columns), whatever the chunks hold, and a cold retrain
+    // hands the raw ones to `initial_fit`.
     let history_allocs = |rows_per_chunk: usize| {
         let stream = Retained::taxi(rows_per_chunk, 50);
         let mut dm = manager();
@@ -168,7 +169,7 @@ fn an_arrival_allocates_nothing_per_row() {
     };
     let (small, small_allocs) = history_allocs(10);
     let (large, large_allocs) = history_allocs(1000);
-    assert_eq!(large[49].len(), 1000);
+    assert_eq!(large[49].0.len(), 1000);
     assert_eq!(
         small_allocs, large_allocs,
         "the history of 10-row and of 1000-row chunks"
@@ -179,6 +180,7 @@ fn an_arrival_allocates_nothing_per_row() {
     );
     let (_, spec) = taxi_spec(SpecScale::Repo);
     let mut pm = PipelineManager::new(spec.build_pipeline(), &spec.sgd, spec.online_batch);
+    let small: Vec<RawChunk> = small.into_iter().map(|(raw, _)| raw).collect();
     let (report, features) = pm.initial_fit(&small, &spec.sgd, &mut CostLedger::default());
     assert_eq!(features.len(), 50);
     assert!(report.steps > 0);

@@ -674,10 +674,10 @@ fn metrics_snapshot_spans_all_subsystems() {
 
 #[test]
 fn threaded_run_reconciles_engine_metrics() {
-    // Work-stealing observables are histograms — steal counts and queue
-    // depths are scheduling noise, never part of the deterministic surface —
-    // but their *sample counts* are exact: every threaded map observes the
-    // pair exactly once (empty maps observe zeros), so both reconcile with
+    // Scheduling observables are histograms — queue depths and waits are
+    // scheduling noise, never part of the deterministic surface — but their
+    // *sample counts* are exact: every threaded map observes its queue depth
+    // exactly once (empty maps observe a zero), so it reconciles with
     // `engine.map_calls`. Scratch-pool traffic reconciles the same way:
     // reuse + alloc samples are drained once per proactive/retrain charge.
     // The attached serving front reconciles too: its `serving.*` counters
@@ -736,11 +736,7 @@ fn threaded_run_reconciles_engine_metrics() {
     let depth = snap
         .histogram("engine.queue_depth")
         .expect("threaded maps record their unit count");
-    let steal = snap
-        .histogram("engine.steal")
-        .expect("threaded maps record their steal count");
     assert_eq!(depth.count, map_calls, "one queue-depth sample per map");
-    assert_eq!(steal.count, map_calls, "one steal sample per map");
     // Units scheduled across all maps equals the task counter.
     assert_eq!(depth.sum as u64, snap.counter("engine.tasks"));
 
@@ -756,7 +752,7 @@ fn threaded_run_reconciles_engine_metrics() {
     assert!(reuse.sum > 0.0);
 
     // The threaded, metrics-on, serving-attached run stays bit-identical to
-    // the silent sequential baseline: stealing, scratch pooling, and
+    // the silent sequential baseline: scheduling, scratch pooling, and
     // publishing are observers.
     let mut silent = config;
     silent.engine = ExecutionEngine::Sequential;
@@ -983,7 +979,7 @@ fn a_raw_chunk_is_stored_once_between_the_stream_and_the_store() {
     assert!(rematerialized > stream.total_chunks());
     let history = dm.full_history();
     assert_eq!(history.len(), stream.total_chunks());
-    assert!(history.iter().all(shares));
+    assert!(history.iter().all(|(raw, _)| shares(raw)));
 }
 
 fn first_predictions(stream: &dyn ChunkStream, spec: &DeploymentSpec) -> (ModelServer, Vec<u64>) {
@@ -1260,3 +1256,65 @@ fn taxi_arrivals_and_fires_match_the_commit_before_the_slab_kernels() {
 }
 
 const PARENT_TAXI_ARRIVALS: &str = "5d4aac00fbb7551b";
+
+#[test]
+fn a_warm_retrain_over_kept_columns_matches_the_one_without_them() {
+    // The periodical baseline's warm retrain re-materializes the whole
+    // history. Handed the distance and bearing each Taxi arrival kept beside
+    // its raw chunk in the store, it copies them instead of computing them
+    // again; the trainer, the pipeline counters and the ledger it leaves
+    // behind keep every bit of the retrain with those columns withheld.
+    use cdpipe::datagen::taxi::{TaxiConfig, TaxiGenerator};
+    let (_, spec) = taxi_spec(SpecScale::Repo);
+    let stream = TaxiGenerator::new(TaxiConfig {
+        rows_per_chunk: 200,
+        ..TaxiConfig::repo_scale()
+    });
+    let initial: Vec<RawChunk> = (0..6).map(|i| stream.chunk(i)).collect();
+    let mut pm = PipelineManager::new(spec.build_pipeline(), &spec.sgd, spec.online_batch);
+    let mut ledger = CostLedger::default();
+    pm.initial_fit(&initial, &spec.sgd, &mut ledger);
+    let mut dm = DataManager::new(StorageBudget::MaxChunks(4), SamplingStrategy::Uniform, 3);
+    let mut evaluator = PrequentialEvaluator::new(spec.metric, 0);
+    for i in 6..26 {
+        let raw = stream.chunk(i);
+        dm.ingest_raw(raw.clone()).expect("unique timestamps");
+        let fc = pm.process_online_chunk(&raw, &mut evaluator, &mut ledger);
+        dm.store_features(fc).expect("raw chunk present");
+    }
+    let kept = dm.full_history();
+    assert_eq!(kept.len(), 20);
+    assert!(kept.iter().all(|(_, columns)| columns.is_some()));
+    let withheld: Vec<_> = kept.iter().map(|(raw, _)| (raw.clone(), None)).collect();
+
+    let retrain = |history| {
+        let (pipeline, trainer) = pm.snapshot();
+        let mut warm = PipelineManager::with_trainer(pipeline, trainer, spec.online_batch);
+        let mut ledger = ledger.clone();
+        let report = warm.retrain_warm(history, &spec.sgd, &mut ledger);
+        (report, warm, ledger)
+    };
+    let (kept_report, kept_pm, kept_ledger) = retrain(&kept);
+    let (plain_report, plain_pm, plain_ledger) = retrain(&withheld);
+    assert_eq!(kept_report, plain_report);
+    assert_eq!(kept_pm.trainer(), plain_pm.trainer());
+    let bits = |pm: &PipelineManager| -> Vec<u64> {
+        let weights = pm.trainer().model().weights().as_slice();
+        weights.iter().map(|w| w.to_bits()).collect()
+    };
+    assert_eq!(bits(&kept_pm), bits(&plain_pm));
+    assert_eq!(
+        kept_pm.pipeline().counters(),
+        plain_pm.pipeline().counters()
+    );
+    let ledger_bits = |ledger: &CostLedger| -> Vec<u64> {
+        let curve = ledger.curve().iter().map(|(_, secs)| secs.to_bits());
+        ledger
+            .accounted()
+            .iter()
+            .map(|s| s.to_bits())
+            .chain(curve)
+            .collect()
+    };
+    assert_eq!(ledger_bits(&kept_ledger), ledger_bits(&plain_ledger));
+}

@@ -57,7 +57,8 @@ fn manual_loop_with_chunk_loss() {
             let sampled = dm.sample(6);
             // No sampled chunk may reference lost data.
             for chunk in &sampled {
-                assert!(dm.store().raw(chunk.timestamp()).is_some());
+                let retained = dm.store().sampleable_timestamps();
+                assert!(retained.contains(&chunk.timestamp()));
             }
             let outcome = trainer
                 .try_execute(&mut pm, sampled, &mut ledger)
