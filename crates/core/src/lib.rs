@@ -44,4 +44,4 @@ pub use pipeline_manager::PipelineManager;
 pub use presets::{taxi_spec, url_spec, DeploymentSpec, SpecScale};
 pub use proactive::ProactiveTrainer;
 pub use scheduler::{Scheduler, SchedulerContext};
-pub use serving::{weights_fingerprint, ModelServer, Prediction, ServerBuilder, ServingSnapshot};
+pub use serving::{weights_fingerprint, ModelServer, Prediction, ServingSnapshot};

@@ -24,11 +24,10 @@ use std::cell::{RefCell, UnsafeCell};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
-use cdp_engine::{ExecutionEngine, RunCtx};
-use cdp_faults::{FaultHook, NoFaults};
 use cdp_ml::LinearModel;
-use cdp_obs::{Clock, Counter, Gauge, Histogram, Metrics, WallClock};
+use cdp_obs::{Counter, Gauge, Histogram, Metrics};
 use cdp_pipeline::{Pipeline, QueryScratch};
 use cdp_storage::{Record, RowView};
 
@@ -171,6 +170,10 @@ impl SnapshotCell {
     }
 }
 
+/// Shards per server. More shards spread reader pins and served/rejected
+/// counters; publishes touch every shard.
+const SHARDS: usize = 4;
+
 struct Shard {
     cell: SnapshotCell,
     served: AtomicU64,
@@ -180,10 +183,11 @@ struct Shard {
 /// Cached cdp-obs handles: resolved once at build time so the hot path
 /// never takes the registry's name-resolution lock.
 struct ServerMetrics {
+    /// Whether the registry records; latency is timed only if it does.
+    enabled: bool,
     served: Counter,
     rejected: Counter,
     publishes: Counter,
-    batch_failures: Counter,
     latency: Histogram,
     version: Gauge,
 }
@@ -191,10 +195,10 @@ struct ServerMetrics {
 impl ServerMetrics {
     fn resolve(metrics: &Metrics) -> Self {
         Self {
+            enabled: metrics.is_enabled(),
             served: metrics.counter("serving.served"),
             rejected: metrics.counter("serving.rejected"),
             publishes: metrics.counter("serving.publishes"),
-            batch_failures: metrics.counter("serving.batch_failures"),
             latency: metrics.histogram("serving.latency_secs"),
             version: metrics.gauge("serving.version"),
         }
@@ -202,23 +206,15 @@ impl ServerMetrics {
 }
 
 struct ServerInner {
-    shards: Vec<Shard>,
+    shards: [Shard; SHARDS],
     /// Latest published version (readers see per-shard versions via their
     /// snapshots; this is the publisher-side source of truth).
     version: AtomicU64,
-    engine: ExecutionEngine,
-    hook: Arc<dyn FaultHook>,
-    /// Batch scoring's engine observers: the server's metrics, no tracer
-    /// (queries arrive outside any deployment span tree).
-    ctx: RunCtx,
     obs: ServerMetrics,
-    clock: Arc<dyn Clock>,
     /// Serializes publishers; readers never touch it.
     publish_mu: Mutex<()>,
     /// Queries handed to scoring (`predict` calls + `predict_batch` entries).
     attempts: AtomicU64,
-    /// Queries lost to a fatal (past the restart budget) batch failure.
-    batch_failed: AtomicU64,
 }
 
 /// A sharded, lock-free serving front over a deployed pipeline + model.
@@ -236,10 +232,10 @@ struct ServerInner {
 ///
 /// ### Accounting invariant
 ///
-/// `attempts() == queries_served() + queries_rejected() + batch_failures()`
-/// — every query handed to scoring is counted exactly once, in exactly one
-/// bucket, and the `serving.served` / `serving.rejected` cdp-obs counters
-/// mirror the first two exactly (when metrics are enabled).
+/// `attempts() == queries_served() + queries_rejected()` — every query
+/// handed to scoring is counted exactly once, in exactly one bucket, and
+/// the `serving.served` / `serving.rejected` cdp-obs counters mirror the
+/// two buckets exactly (when metrics are enabled).
 #[derive(Clone)]
 pub struct ModelServer {
     inner: Arc<ServerInner>,
@@ -249,98 +245,8 @@ impl fmt::Debug for ModelServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ModelServer")
             .field("version", &self.version())
-            .field("shards", &self.inner.shards.len())
-            .field("engine", &self.inner.engine.name())
+            .field("shards", &SHARDS)
             .finish()
-    }
-}
-
-/// Builder for [`ModelServer`] (all knobs optional; `build` deploys the
-/// initial pair as version 1).
-pub struct ServerBuilder {
-    pipeline: Pipeline,
-    model: LinearModel,
-    shards: usize,
-    engine: ExecutionEngine,
-    hook: Arc<dyn FaultHook>,
-    metrics: Metrics,
-    clock: Arc<dyn Clock>,
-}
-
-impl ServerBuilder {
-    /// Number of shards (≥ 1; default 4). More shards spread reader pins
-    /// and served/rejected counters; publishes touch every shard.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Engine for batch scoring (default sequential).
-    #[must_use]
-    pub fn engine(mut self, engine: ExecutionEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Fault hook consulted by batch-scoring engine maps (default
-    /// [`NoFaults`]), so seeded worker panics can fire while serving.
-    #[must_use]
-    pub fn fault_hook(mut self, hook: Arc<dyn FaultHook>) -> Self {
-        self.hook = hook;
-        self
-    }
-
-    /// Metrics handle for the `serving.*` series (default disabled).
-    #[must_use]
-    pub fn metrics(mut self, metrics: Metrics) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Clock for the `serving.latency_secs` measurement (default
-    /// [`WallClock`]; inject a `VirtualClock` for deterministic tests).
-    #[must_use]
-    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
-        self
-    }
-
-    /// Deploys the initial `(pipeline, model)` pair as version 1.
-    pub fn build(self) -> ModelServer {
-        let mut model = self.model;
-        model.grow_to(self.pipeline.dim());
-        let initial = Arc::new(ServingSnapshot {
-            pipeline: self.pipeline,
-            model,
-            version: 1,
-        });
-        let shards = (0..self.shards)
-            .map(|_| Shard {
-                cell: SnapshotCell::new(&initial),
-                served: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-            })
-            .collect();
-        let obs = ServerMetrics::resolve(&self.metrics);
-        obs.version.set(1.0);
-        ModelServer {
-            inner: Arc::new(ServerInner {
-                shards,
-                version: AtomicU64::new(1),
-                engine: self.engine,
-                hook: self.hook,
-                ctx: RunCtx {
-                    metrics: self.metrics,
-                    ..RunCtx::default()
-                },
-                obs,
-                clock: self.clock,
-                publish_mu: Mutex::new(()),
-                attempts: AtomicU64::new(0),
-                batch_failed: AtomicU64::new(0),
-            }),
-        }
     }
 }
 
@@ -374,29 +280,41 @@ fn score_raw(snap: &ServingSnapshot, record: &Record) -> Option<f64> {
 }
 
 impl ModelServer {
-    /// Deploys the initial `(pipeline, model)` pair as version 1 with
-    /// default configuration (4 shards, sequential scoring engine, metrics
-    /// disabled). Use [`ModelServer::builder`] for the full configuration
-    /// surface.
+    /// Deploys the initial `(pipeline, model)` pair as version 1, with
+    /// metrics disabled.
     pub fn new(pipeline: Pipeline, model: LinearModel) -> Self {
-        Self::builder(pipeline, model).build()
+        Self::observed(pipeline, model, Metrics::disabled())
     }
 
-    /// Starts configuring a server around an initial `(pipeline, model)`.
-    pub fn builder(pipeline: Pipeline, model: LinearModel) -> ServerBuilder {
-        ServerBuilder {
+    /// Deploys the initial `(pipeline, model)` pair as version 1, recording
+    /// the `serving.*` series into `metrics`.
+    pub fn observed(pipeline: Pipeline, mut model: LinearModel, metrics: Metrics) -> Self {
+        model.grow_to(pipeline.dim());
+        let initial = Arc::new(ServingSnapshot {
             pipeline,
             model,
-            shards: 4,
-            engine: ExecutionEngine::Sequential,
-            hook: Arc::new(NoFaults),
-            metrics: Metrics::disabled(),
-            clock: Arc::new(WallClock::new()),
+            version: 1,
+        });
+        let shards = std::array::from_fn(|_| Shard {
+            cell: SnapshotCell::new(&initial),
+            served: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+        });
+        let obs = ServerMetrics::resolve(&metrics);
+        obs.version.set(1.0);
+        ModelServer {
+            inner: Arc::new(ServerInner {
+                shards,
+                version: AtomicU64::new(1),
+                obs,
+                publish_mu: Mutex::new(()),
+                attempts: AtomicU64::new(0),
+            }),
         }
     }
 
-    /// The calling thread's sticky shard index (round-robin on first use).
-    fn shard_index(&self) -> usize {
+    /// The calling thread's sticky shard (round-robin on first use).
+    fn shard(&self) -> &Shard {
         static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
         thread_local! {
             static THREAD_SLOT: std::cell::Cell<usize> =
@@ -410,80 +328,51 @@ impl ModelServer {
             }
             v
         });
-        slot % self.inner.shards.len()
+        &self.inner.shards[slot % SHARDS]
     }
 
     /// The calling thread's current snapshot — a coherent immutable
     /// `(pipeline, model, version)` triple, obtained without locking.
     pub fn snapshot(&self) -> Arc<ServingSnapshot> {
-        self.inner.shards[self.shard_index()].cell.load()
+        self.shard().cell.load()
     }
 
     /// Answers one prediction query against the current snapshot, without
     /// taking any lock. Returns `None` (and counts a rejection) when the
     /// record is malformed or filtered out by a pipeline cleaning stage.
     pub fn predict(&self, record: &Record) -> Option<Prediction> {
-        let shard = &self.inner.shards[self.shard_index()];
+        let shard = self.shard();
         let snap = shard.cell.load();
         self.inner.attempts.fetch_add(1, Ordering::Relaxed);
-        let enabled = self.inner.ctx.metrics.is_enabled();
-        let started = if enabled {
-            self.inner.clock.now_secs()
-        } else {
-            0.0
-        };
-        let value = score_raw(&snap, record);
-        if enabled && value.is_some() {
-            let elapsed = self.inner.clock.now_secs() - started;
-            self.inner.obs.latency.observe(elapsed);
-        }
-        self.account_scored(shard, &snap, value)
+        self.serve(shard, &snap, record)
     }
 
-    /// Scores a slice of records in one pass against one coherent snapshot,
-    /// through the engine's indexed map (the worker pool when the server
-    /// was built with a threaded engine). Outcome per record is
-    /// exactly what [`ModelServer::predict`] would return under the same
-    /// snapshot. A map that fails fatally (an injected worker panic past the
-    /// restart budget) is a batch of `None`s counted in `batch_failures`;
-    /// recoverable panics are absorbed by the engine and produce results
-    /// identical to the fault-free pass.
+    /// Scores a slice of records on the calling thread against one coherent
+    /// snapshot. Outcome per record is exactly what
+    /// [`ModelServer::predict`] would return under the same snapshot.
     pub fn predict_batch(&self, records: &[Record]) -> Vec<Option<Prediction>> {
-        let shard = &self.inner.shards[self.shard_index()];
+        let shard = self.shard();
         let snap = shard.cell.load();
         let n = records.len() as u64;
         self.inner.attempts.fetch_add(n, Ordering::Relaxed);
-        let scored = self.inner.engine.try_map_indexed(
-            records.len(),
-            |i| score_raw(&snap, &records[i]),
-            &*self.inner.hook,
-            &self.inner.ctx,
-        );
-        match scored {
-            Ok(values) => values
-                .into_iter()
-                .map(|v| self.account_scored(shard, &snap, v))
-                .collect(),
-            Err(_) => {
-                self.inner.batch_failed.fetch_add(n, Ordering::Relaxed);
-                self.inner.obs.batch_failures.add(n);
-                vec![None; records.len()]
-            }
-        }
+        records
+            .iter()
+            .map(|record| self.serve(shard, &snap, record))
+            .collect()
     }
 
-    /// Books one scored outcome into the serve/reject counters and shapes
-    /// it into a `Prediction`.
-    fn account_scored(
-        &self,
-        shard: &Shard,
-        snap: &ServingSnapshot,
-        value: Option<f64>,
-    ) -> Option<Prediction> {
-        match value {
+    /// Scores one record, times it when metrics are on, and books the
+    /// outcome into the serve/reject counters.
+    fn serve(&self, shard: &Shard, snap: &ServingSnapshot, record: &Record) -> Option<Prediction> {
+        let obs = &self.inner.obs;
+        let started = obs.enabled.then(Instant::now);
+        match score_raw(snap, record) {
             Some(value) => {
+                if let Some(started) = started {
+                    obs.latency.observe(started.elapsed().as_secs_f64());
+                }
                 shard.served.fetch_add(1, Ordering::Relaxed);
-                self.inner.obs.served.inc();
+                obs.served.inc();
                 Some(Prediction {
                     value,
                     version: snap.version,
@@ -491,7 +380,7 @@ impl ModelServer {
             }
             None => {
                 shard.rejected.fetch_add(1, Ordering::Relaxed);
-                self.inner.obs.rejected.inc();
+                obs.rejected.inc();
                 None
             }
         }
@@ -549,16 +438,10 @@ impl ModelServer {
             .sum()
     }
 
-    /// Queries handed to scoring (served + rejected + lost to fatal batch
-    /// failures) — the accounting invariant's left-hand side.
+    /// Queries handed to scoring (served + rejected) — the accounting
+    /// invariant's left-hand side.
     pub fn attempts(&self) -> u64 {
         self.inner.attempts.load(Ordering::Relaxed)
-    }
-
-    /// Queries lost to a fatal batch-scoring failure (injected worker
-    /// panics past the restart budget).
-    pub fn batch_failures(&self) -> u64 {
-        self.inner.batch_failed.load(Ordering::Relaxed)
     }
 }
 
@@ -567,6 +450,7 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    use cdp_engine::ExecutionEngine;
     use cdp_ml::{LossKind, SgdConfig, SgdTrainer};
     use cdp_pipeline::encode::DenseEncoder;
     use cdp_pipeline::parser::SchemaParser;
@@ -614,7 +498,7 @@ mod tests {
         assert_eq!(server.queries_rejected(), 1);
         assert_eq!(
             server.attempts(),
-            server.queries_served() + server.queries_rejected() + server.batch_failures()
+            server.queries_served() + server.queries_rejected()
         );
     }
 
@@ -685,9 +569,7 @@ mod tests {
     #[test]
     fn batched_scoring_matches_unbatched_bit_for_bit() {
         let trained = LinearModel::with_weights(vec![0.25, -1.5], LossKind::Squared);
-        let server = ModelServer::builder(warmed_pipeline(), trained)
-            .engine(ExecutionEngine::Threaded { workers: 2 })
-            .build();
+        let server = ModelServer::new(warmed_pipeline(), trained);
         let records: Vec<Record> = (0..17).map(|i| record(i as f64 * 0.37 - 3.0)).collect();
         let unbatched: Vec<_> = records.iter().map(|r| server.predict(r)).collect();
         let batched = server.predict_batch(&records);
@@ -706,32 +588,47 @@ mod tests {
     #[test]
     fn serving_metrics_reconcile_with_server_counters() {
         let metrics = Metrics::collecting();
-        let server =
-            ModelServer::builder(warmed_pipeline(), LinearModel::zeros(2, LossKind::Squared))
-                .metrics(metrics.clone())
-                .build();
+        let server = ModelServer::observed(
+            warmed_pipeline(),
+            LinearModel::zeros(2, LossKind::Squared),
+            metrics.clone(),
+        );
         for i in 0..7 {
             let _ = server.predict(&record(i as f64));
         }
-        let _ = server.predict(&Record::new(vec![Value::Text("bad".into())]));
+        let bad = Record::new(vec![Value::Text("bad".into())]);
+        let _ = server.predict(&bad);
+        let _ = server.predict_batch(&[record(0.5), bad, record(-1.0)]);
         server.publish(warmed_pipeline(), LinearModel::zeros(2, LossKind::Squared));
 
         let snap = metrics.snapshot();
+        assert_eq!(server.queries_served(), 9);
+        assert_eq!(server.queries_rejected(), 2);
         assert_eq!(snap.counter("serving.served"), server.queries_served());
         assert_eq!(snap.counter("serving.rejected"), server.queries_rejected());
         assert_eq!(snap.counter("serving.publishes"), 1);
         assert_eq!(snap.gauge("serving.version"), 2.0);
         let lat = snap.histogram("serving.latency_secs").expect("latencies");
         assert_eq!(lat.count, server.queries_served());
+        // Scoring records nothing but the server's own series: a batch runs
+        // on the caller's thread, not through an engine map.
+        let names: Vec<&str> = snap
+            .counters
+            .keys()
+            .chain(snap.gauges.keys())
+            .chain(snap.histograms.keys())
+            .map(String::as_str)
+            .collect();
+        assert!(
+            names.iter().all(|name| name.starts_with("serving.")),
+            "{names:?}"
+        );
     }
 
     #[test]
     fn a_held_snapshot_outlives_publishes_and_is_freed_when_dropped() {
-        const SHARDS: usize = 3;
         let weighted = |w: f64| LinearModel::with_weights(vec![0.0, w], LossKind::Squared);
-        let server = ModelServer::builder(warmed_pipeline(), weighted(7.0))
-            .shards(SHARDS)
-            .build();
+        let server = ModelServer::new(warmed_pipeline(), weighted(7.0));
         let probe = record(2.5);
         let first = server.predict(&probe).expect("valid query");
         let held = server.snapshot();

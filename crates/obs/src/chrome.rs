@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::snapshot::escape_json;
 use crate::trace::{SpanRecord, TraceSnapshot};
 
 impl TraceSnapshot {
@@ -28,7 +29,7 @@ impl TraceSnapshot {
             events.push(format!(
                 "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"name\": \"thread_name\", \
                  \"args\": {{\"name\": \"{}\"}}}}",
-                escape(name)
+                escape_json(name)
             ));
         }
         for (tid, mut spans) in by_tid {
@@ -87,7 +88,7 @@ fn begin_event(tid: u32, ts: f64, s: &SpanRecord) -> String {
     let mut out = format!(
         "{{\"ph\": \"B\", \"pid\": 1, \"tid\": {tid}, \"ts\": {ts}, \"name\": \"{}\", \
          \"args\": {{\"trace\": {}, \"span\": {}",
-        escape(&s.name),
+        escape_json(&s.name),
         s.trace.0,
         s.id.0
     );
@@ -100,24 +101,6 @@ fn begin_event(tid: u32, ts: f64, s: &SpanRecord) -> String {
 
 fn end_event(tid: u32, ts: f64) -> String {
     format!("{{\"ph\": \"E\", \"pid\": 1, \"tid\": {tid}, \"ts\": {ts}}}")
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Structurally validates chrome-trace JSON as produced by

@@ -27,19 +27,9 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "tests/telemetry.rs and tests/trace_smoke.rs hand a run its metrics, tracer and clock",
     ),
     (
-        "crates/core/src/serving.rs",
-        "batch_failures",
-        "the third term of `attempts == served + rejected + batch_failures` the serving tests reconcile",
-    ),
-    (
-        "crates/core/src/serving.rs",
-        "builder",
-        "tests/serving_concurrency.rs builds the servers it stresses: threaded scoring, metrics",
-    ),
-    (
-        "crates/core/src/serving.rs",
-        "fault_hook",
-        "tests/serving_concurrency.rs injects seeded worker panics into batch scoring",
+        "crates/engine/src/lib.rs",
+        "try_map_indexed",
+        "the oracle crates/engine/tests/properties.rs checks the pool and the streamed reduce against",
     ),
     (
         "crates/obs/src/chrome.rs",

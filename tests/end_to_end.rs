@@ -690,19 +690,18 @@ fn threaded_run_reconciles_engine_metrics() {
     config.engine = ExecutionEngine::Threaded { workers: 4 };
     config.collect_metrics = true;
     let serving_metrics = cdpipe::obs::Metrics::collecting();
-    let server = cdpipe::core::serving::ModelServer::builder(
+    let server = cdpipe::core::serving::ModelServer::observed(
         spec.build_pipeline(),
         cdpipe::ml::LinearModel::zeros(1, spec.sgd.loss),
-    )
-    .metrics(serving_metrics.clone())
-    .build();
+        serving_metrics.clone(),
+    );
     config.serving = Some(server.clone());
     let result = run_deployment(&stream, &spec, &config);
     let snap = &result.metrics;
 
     // Serve real traffic from the stream through the published model, then
     // reconcile the serving ledger: counter mirrors are exact, and
-    // `attempts == served + rejected + batch_failures` holds to the query.
+    // `attempts == served + rejected` holds to the query.
     for record in stream.chunk(0).records.iter() {
         let p = server.predict(record).expect("url record is well-formed");
         assert_eq!(p.version, server.version());
@@ -718,7 +717,7 @@ fn threaded_run_reconciles_engine_metrics() {
     );
     assert_eq!(
         server.attempts(),
-        server.queries_served() + server.queries_rejected() + server.batch_failures()
+        server.queries_served() + server.queries_rejected()
     );
     // Every publish is ledgered twice: counter in the serving registry,
     // event in the deployment log; both reconcile with the version number.

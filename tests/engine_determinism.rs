@@ -137,10 +137,10 @@ proptest! {
 
     /// Span collection is a pure observer: a traced threaded run is
     /// bit-identical to the untraced sequential run — with and without a
-    /// recoverable fault plan active — so the steal-order nondeterminism
-    /// the tracer records never leaks into results. This sweeps the full
-    /// grid the fused proactive path must survive: worker count × fault
-    /// plan × tracing on/off.
+    /// recoverable fault plan active — so which participant claims which
+    /// unit from the shared counter, which the tracer records, never leaks
+    /// into results. This sweeps the full grid the fused proactive path
+    /// must survive: worker count × fault plan × tracing on/off.
     #[test]
     fn tracing_never_perturbs_threaded_determinism(
         workers in 1usize..9,
@@ -187,7 +187,7 @@ fn ckpt_dir() -> std::path::PathBuf {
 }
 
 proptest! {
-    /// Kill-and-resume on a work-stealing pool: a run crashed at a chunk
+    /// Kill-and-resume on the shared-counter pool: a run crashed at a chunk
     /// boundary or at a durable operation (here a checkpoint publish, the
     /// only kind this run has) and resumed on a threaded engine ends
     /// bit-identical to the uninterrupted *sequential* run. The restored

@@ -3,10 +3,9 @@
 //! The claims under test are the ones DESIGN.md §14 makes: readers never
 //! observe a torn `(pipeline, model, version)` triple under publish fire,
 //! per-reader version observations are monotone, `predict_batch` is
-//! bit-identical to per-record `predict`, the accounting invariant
-//! (`attempts == served + rejected + batch_failures`) reconciles exactly
-//! with the `serving.*` cdp-obs counters, and all of it holds under seeded
-//! worker-panic injection (the CI fault matrix sets `CDP_FAULT_SEED`).
+//! bit-identical to per-record `predict`, and the accounting invariant
+//! (`attempts == served + rejected`) reconciles exactly with the
+//! `serving.*` cdp-obs counters.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -14,7 +13,6 @@ use std::time::Duration;
 
 use cdpipe::core::serving::{weights_fingerprint, ModelServer};
 use cdpipe::engine::ExecutionEngine;
-use cdpipe::faults::{FaultInjector, FaultPlan};
 use cdpipe::ml::{LinearModel, LossKind, SgdConfig, SgdTrainer};
 use cdpipe::obs::Metrics;
 use cdpipe::pipeline::encode::DenseEncoder;
@@ -257,20 +255,16 @@ fn readers_hold_snapshots_while_training_recycles_weight_buffers() {
 
 proptest! {
     /// `predict_batch` is bit-identical to per-record `predict` for the same
-    /// snapshot version, across batch lengths × worker counts {1..8}.
-    /// Records include malformed rows, which must reject identically on
-    /// both paths.
+    /// snapshot version, across batch lengths × record counts. Records
+    /// include malformed rows, which must reject identically on both paths.
     #[test]
     fn batched_scoring_is_bit_identical_to_unbatched(
         batch in 1usize..40,
-        workers in 1usize..8,
         n in 1usize..30,
     ) {
         let pipeline = warmed(2);
         let model = constant_model(pipeline.dim(), 0.75);
-        let server = ModelServer::builder(pipeline, model)
-            .engine(ExecutionEngine::Threaded { workers })
-            .build();
+        let server = ModelServer::new(pipeline, model);
 
         let records: Vec<Record> = (0..n)
             .map(|i| {
@@ -304,87 +298,8 @@ proptest! {
         prop_assert_eq!(server.attempts(), 2 * n as u64);
         prop_assert_eq!(
             server.attempts(),
-            server.queries_served() + server.queries_rejected() + server.batch_failures()
+            server.queries_served() + server.queries_rejected()
         );
-    }
-}
-
-/// The fault plan for the battery: the CI fault matrix sets
-/// `CDP_FAULT_SEED`; local runs default to a fixed chaos seed so the test
-/// is never fault-free.
-fn sweep_plan() -> FaultPlan {
-    FaultPlan::from_env().unwrap_or_else(|| FaultPlan::chaos(7))
-}
-
-/// The battery under seeded worker-panic fire. Batch scoring runs on a
-/// threaded engine whose fault hook injects worker panics; recoverable
-/// panics must be absorbed (results identical to fault-free), fatal ones
-/// must surface as a batch of `None`s counted in `batch_failures` — and the
-/// whole ledger must stay exact and deterministic across reruns of the same
-/// seed.
-#[test]
-fn serving_battery_under_seeded_worker_panics() {
-    let plan = sweep_plan();
-
-    let drive = |plan: FaultPlan| {
-        let pipeline = warmed(2);
-        let model = constant_model(pipeline.dim(), 2.5);
-        let metrics = Metrics::collecting();
-        let server = ModelServer::builder(pipeline, model)
-            .engine(ExecutionEngine::Threaded { workers: 3 })
-            .fault_hook(Arc::new(FaultInjector::new(plan)))
-            .metrics(metrics.clone())
-            .build();
-        let records: Vec<Record> = (0..120)
-            .map(|i| {
-                if i % 11 == 5 {
-                    Record::new(vec![Value::Text("bad".into())])
-                } else {
-                    record(i as f64, i as f64 * -0.5)
-                }
-            })
-            .collect();
-        let outcomes: Vec<Option<(u64, u64)>> = records
-            .chunks(8)
-            .flat_map(|batch| server.predict_batch(batch))
-            .map(|o| o.map(|p| (p.value.to_bits(), p.version)))
-            .collect();
-
-        // The exact accounting invariant holds under fire, and the cdp-obs
-        // counters mirror the server's ledger one for one.
-        assert_eq!(
-            server.attempts(),
-            server.queries_served() + server.queries_rejected() + server.batch_failures()
-        );
-        assert_eq!(server.attempts(), 120);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counter("serving.served"), server.queries_served());
-        assert_eq!(snap.counter("serving.rejected"), server.queries_rejected());
-        assert_eq!(
-            snap.counter("serving.batch_failures"),
-            server.batch_failures()
-        );
-        (
-            outcomes,
-            server.queries_served(),
-            server.queries_rejected(),
-            server.batch_failures(),
-        )
-    };
-
-    let first = drive(plan);
-    let second = drive(plan);
-    // Same seed ⇒ identical outcomes, query by query.
-    assert_eq!(first, second);
-
-    // Recoverable-or-fatal, every non-failed batch scores exactly like the
-    // fault-free server: compare against a no-faults drive.
-    let clean = drive(FaultPlan::none());
-    assert_eq!(clean.3, 0, "no-faults drive loses nothing");
-    for (with_fault, fault_free) in first.0.iter().zip(&clean.0) {
-        if with_fault.is_some() {
-            assert_eq!(with_fault, fault_free, "absorbed panics must not perturb");
-        }
     }
 }
 
@@ -396,9 +311,7 @@ fn rejected_accounting_reconciles_exactly_with_metrics() {
     let metrics = Metrics::collecting();
     let pipeline = warmed(1);
     let model = constant_model(pipeline.dim(), 1.0);
-    let server = ModelServer::builder(pipeline, model)
-        .metrics(metrics.clone())
-        .build();
+    let server = ModelServer::observed(pipeline, model, metrics.clone());
 
     let workers: Vec<_> = (0..3)
         .map(|w| {
@@ -433,7 +346,7 @@ fn rejected_accounting_reconciles_exactly_with_metrics() {
     assert_eq!(server.attempts(), 3 * 60);
     assert_eq!(
         server.attempts(),
-        server.queries_served() + server.queries_rejected() + server.batch_failures()
+        server.queries_served() + server.queries_rejected()
     );
     assert!(server.queries_rejected() > 0, "mixed traffic must reject");
     let snap = metrics.snapshot();
