@@ -180,7 +180,7 @@ struct Shard {
     rejected: AtomicU64,
 }
 
-/// Cached cdp-obs handles: resolved once at build time so the hot path
+/// Cached cdp-obs handles: resolved once at construction so the hot path
 /// never takes the registry's name-resolution lock.
 struct ServerMetrics {
     /// Whether the registry records; latency is timed only if it does.
