@@ -109,8 +109,8 @@ fn render(dataset: &str, metric: &str, results: &[(&str, DeploymentResult)], out
     // scheduler / trainer counters and latency histograms).
     if let Some((_, r)) = results.iter().find(|(name, _)| *name == "Continuous") {
         let stem = format!("fig4_{}_metrics", dataset.to_lowercase());
-        let _ = r.metrics.write_csv(out.join(format!("{stem}.csv")));
-        let _ = r.metrics.write_json(out.join(format!("{stem}.json")));
+        let _ = std::fs::write(out.join(format!("{stem}.csv")), r.metrics.to_csv());
+        let _ = std::fs::write(out.join(format!("{stem}.json")), r.metrics.to_json());
         // Causal span tree of the same run, loadable in chrome://tracing
         // (and as flamegraph-folded stacks for inferno et al.).
         let ds = dataset.to_lowercase();

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use cdp_storage::{RawChunk, Record, Schema, Value};
+use cdp_storage::{RawChunk, RawRow, Record, Schema, Value};
 
 use crate::{mix_seed, ChunkStream};
 
@@ -28,10 +28,10 @@ use crate::{mix_seed, ChunkStream};
 /// canonical "the concept inverted" transformation.
 fn flip_target(chunk: RawChunk) -> RawChunk {
     let records = chunk
-        .records
+        .rows()
         .iter()
-        .map(|record| {
-            let mut values = record.values().to_vec();
+        .map(|row| {
+            let mut values: Vec<Value> = row.iter().map(Value::from).collect();
             if let Some(Value::Num(y)) = values.first_mut() {
                 *y = -*y;
             }
@@ -46,14 +46,14 @@ fn flip_target(chunk: RawChunk) -> RawChunk {
 fn thin_chunk(chunk: RawChunk, keep: f64, seed: u64) -> RawChunk {
     let keep = keep.clamp(0.0, 1.0);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut records: Vec<Record> = chunk
-        .records
+    let rows = chunk.rows();
+    let mut records: Vec<Record> = rows
         .iter()
         .filter(|_| rng.random::<f64>() < keep)
-        .cloned()
+        .map(RawRow::to_record)
         .collect();
     if records.is_empty() {
-        records.extend(chunk.records.first().cloned());
+        records.extend(rows.iter().next().map(RawRow::to_record));
     }
     RawChunk::new(chunk.timestamp, records)
 }
@@ -267,6 +267,7 @@ impl<S: ChunkStream> ChunkStream for OutOfOrderArrivals<S> {
 mod tests {
     use super::*;
     use crate::url::{UrlConfig, UrlGenerator};
+    use cdp_storage::ValueRef;
 
     fn base() -> UrlGenerator {
         UrlGenerator::new(UrlConfig {
@@ -281,8 +282,8 @@ mod tests {
     }
 
     fn label(chunk: &RawChunk, row: usize) -> f64 {
-        match chunk.records[row].values().first() {
-            Some(Value::Num(y)) => *y,
+        match chunk.rows().iter().nth(row).and_then(|r| r.get(0)) {
+            Some(ValueRef::Num(y)) => y,
             other => panic!("unexpected label value {other:?}"),
         }
     }
@@ -322,7 +323,7 @@ mod tests {
         // Chunk 3 is a burst (full volume), 4..6 are quiet.
         assert_eq!(s.chunk(3).len(), inner.chunk(3).len());
         assert!(s.chunk(4).len() < inner.chunk(4).len());
-        assert!(!s.chunk(4).records.is_empty());
+        assert!(!s.chunk(4).is_empty());
         // Determinism.
         assert_eq!(s.chunk(4), s.chunk(4));
     }

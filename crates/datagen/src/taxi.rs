@@ -215,7 +215,7 @@ mod tests {
         let g = small();
         assert_eq!(g.chunk(3), g.chunk(3));
         let c = g.chunk(3);
-        for r in c.records.iter() {
+        for r in c.rows().iter() {
             let pickup = r.get(0).unwrap().as_num().unwrap();
             assert!((3.0 * 3600.0..4.0 * 3600.0).contains(&pickup));
         }
@@ -227,7 +227,7 @@ mod tests {
         let mut positive = 0;
         let mut total = 0;
         for i in 0..10 {
-            for r in g.chunk(i).records.iter() {
+            for r in g.chunk(i).rows().iter() {
                 let pickup = r.get(0).unwrap().as_num().unwrap();
                 let dropoff = r.get(1).unwrap().as_num().unwrap();
                 total += 1;
@@ -251,7 +251,7 @@ mod tests {
         let mut anomalous = 0;
         let mut total = 0;
         for i in 0..20 {
-            for r in g.chunk(i).records.iter() {
+            for r in g.chunk(i).rows().iter() {
                 let pickup = r.get(0).unwrap().as_num().unwrap();
                 let dropoff = r.get(1).unwrap().as_num().unwrap();
                 let d = dropoff - pickup;
@@ -296,7 +296,7 @@ mod tests {
         });
         let mean_duration = |i: usize| {
             let c = g.chunk(i);
-            c.records
+            c.rows()
                 .iter()
                 .map(|r| r.get(1).unwrap().as_num().unwrap() - r.get(0).unwrap().as_num().unwrap())
                 .sum::<f64>()

@@ -231,7 +231,7 @@ impl ChunkStream for UrlGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdp_storage::Value;
+    use cdp_storage::{RawRow, ValueRef};
 
     fn small() -> UrlGenerator {
         UrlGenerator::new(UrlConfig {
@@ -260,14 +260,14 @@ mod tests {
         assert_eq!(c.len(), 20);
         assert_eq!(c.timestamp, Timestamp(0));
         // label + 16 lexical + token text
-        assert_eq!(c.records[0].len(), 18);
+        assert_eq!(c.rows().iter().next().map(|r| r.len()), Some(18));
     }
 
     #[test]
     fn labels_are_plus_minus_one() {
         let g = small();
         for chunk in [g.chunk(0), g.chunk(11)] {
-            for r in chunk.records.iter() {
+            for r in chunk.rows().iter() {
                 let label = r.get(0).unwrap().as_num().unwrap();
                 assert!(label == 1.0 || label == -1.0);
             }
@@ -277,11 +277,13 @@ mod tests {
     #[test]
     fn some_values_are_missing() {
         let g = small();
-        let missing = (0..6)
-            .flat_map(|i| g.chunk(i).records.to_vec())
-            .flat_map(|r| r.values().to_vec())
-            .filter(|v| matches!(v, Value::Missing))
-            .count();
+        let missing: usize = (0..6)
+            .map(|i| {
+                let chunk = g.chunk(i);
+                let values = chunk.rows().iter().flat_map(RawRow::iter);
+                values.filter(|v| *v == ValueRef::Missing).count()
+            })
+            .sum();
         assert!(missing > 0, "missing_rate should produce gaps");
     }
 
@@ -290,7 +292,7 @@ mod tests {
         let g = small();
         let (mut pos, mut total) = (0usize, 0usize);
         for i in 0..12 {
-            for r in g.chunk(i).records.iter() {
+            for r in g.chunk(i).rows().iter() {
                 total += 1;
                 if r.get(0).unwrap().as_num().unwrap() > 0.0 {
                     pos += 1;
@@ -315,10 +317,10 @@ mod tests {
         // Tokens only appearing on later days must exist.
         let max_token = |chunk: RawChunk| -> u64 {
             chunk
-                .records
+                .rows()
                 .iter()
                 .filter_map(|r| match r.get(17) {
-                    Some(Value::Text(s)) => s
+                    Some(ValueRef::Text(s)) => s
                         .split_whitespace()
                         .map(|t| t.trim_start_matches("tok").parse::<u64>().unwrap())
                         .max(),

@@ -441,17 +441,12 @@ where
         let tracer = &ctx.tracer;
         let run_unit = |unit: usize| {
             let task_span = tracer.child_of("engine.task", map_ctx);
-            if unit == target {
-                if order.panics > 0 {
-                    let _restart_span = tracer.child_of("engine.restart", task_span.context());
-                    if let Err(_fatal) = act_injected_panics(order.panics) {
-                        // Propagate the fatal injected panic through the
-                        // participant's catch_unwind so the caller sees it.
-                        panic::panic_any(InjectedWorkerPanic);
-                    }
-                }
-                if !order.delay.is_zero() {
-                    std::thread::sleep(order.delay);
+            if unit == target && order.panics > 0 {
+                let _restart_span = tracer.child_of("engine.restart", task_span.context());
+                if let Err(_fatal) = act_injected_panics(order.panics) {
+                    // Propagate the fatal injected panic through the
+                    // participant's catch_unwind so the caller sees it.
+                    panic::panic_any(InjectedWorkerPanic);
                 }
             }
             if let Some(slots) = lock_ignore_poison(&cells[unit]).take() {
@@ -553,7 +548,7 @@ impl ExecutionEngine {
     /// Draws one [`WorkerOrder`] from `hook` — exactly one per call, so
     /// injected counts are independent of worker count — and acts it out at
     /// the targeted unit's entry: injected panics are real unwinds restarted
-    /// in place up to [`MAX_WORKER_RESTARTS`] times, then the ordered delay.
+    /// in place up to [`MAX_WORKER_RESTARTS`] times.
     /// The order's decisions and accounting live in the hook; the engine
     /// only performs them, which keeps results and
     /// [`cdp_faults::FaultStats`] bit-identical across `Sequential` and any
@@ -662,9 +657,6 @@ impl ExecutionEngine {
                 if order.panics > 0 {
                     let _restart_span = ctx.tracer.child_of("engine.restart", task_span.context());
                     act_injected_panics(order.panics)?;
-                }
-                if !order.delay.is_zero() {
-                    std::thread::sleep(order.delay);
                 }
                 for i in 0..n {
                     let out = panic::catch_unwind(AssertUnwindSafe(|| f(i)));
@@ -916,7 +908,6 @@ mod tests {
             WorkerOrder {
                 panics: self.0,
                 target: 5,
-                delay: std::time::Duration::ZERO,
             }
         }
     }

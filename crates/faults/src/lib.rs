@@ -129,8 +129,6 @@ pub struct WorkerOrder {
     pub panics: u32,
     /// Selects which shard acts the order (`target % shard_count`).
     pub target: u64,
-    /// Injected latency for the targeted shard (zero = none).
-    pub delay: Duration,
 }
 
 /// Bounded retry-with-exponential-backoff parameters for disk operations.
@@ -239,48 +237,12 @@ impl FaultPlan {
         }
     }
 
-    /// Reads a plan from the environment. `CDP_FAULT_SEED` activates
-    /// [`FaultPlan::chaos`] with that seed; these optional variables override
-    /// it field by field:
-    ///
-    /// * probabilities, clamped to `[0, 1]`: `CDP_FAULT_READ_ERR`,
-    ///   `CDP_FAULT_WRITE_ERR`, `CDP_FAULT_CORRUPT`, `CDP_FAULT_WORKER_PANIC`,
-    ///   `CDP_FAULT_SLOW`, `CDP_FAULT_WAL_APPEND_ERR`,
-    ///   `CDP_FAULT_WAL_FSYNC_ERR` and `CDP_FAULT_WAL_ROTATE_ERR`;
-    /// * the kill: `CDP_FAULT_CRASH_SITE` (`chunk` or `durable`, see
-    ///   [`CrashSite::name`]) arms it, `CDP_FAULT_CRASH_AT` picks the
-    ///   occurrence (default 0).
-    ///
-    /// Returns `None` when `CDP_FAULT_SEED` is unset, empty, or unparsable.
+    /// Reads a plan from the environment: `CDP_FAULT_SEED` activates
+    /// [`FaultPlan::chaos`] with that seed. Returns `None` when it is unset,
+    /// empty, or unparsable.
     pub fn from_env() -> Option<Self> {
         let seed: u64 = std::env::var("CDP_FAULT_SEED").ok()?.trim().parse().ok()?;
-        let mut plan = Self::chaos(seed);
-        let prob = |name: &str, slot: &mut f64| {
-            if let Some(p) = std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<f64>().ok())
-            {
-                *slot = p.clamp(0.0, 1.0);
-            }
-        };
-        prob("CDP_FAULT_READ_ERR", &mut plan.disk_read_error);
-        prob("CDP_FAULT_WRITE_ERR", &mut plan.disk_write_error);
-        prob("CDP_FAULT_CORRUPT", &mut plan.read_corruption);
-        prob("CDP_FAULT_WORKER_PANIC", &mut plan.worker_panic);
-        prob("CDP_FAULT_SLOW", &mut plan.slow_chunk);
-        prob("CDP_FAULT_WAL_APPEND_ERR", &mut plan.wal_append_error);
-        prob("CDP_FAULT_WAL_FSYNC_ERR", &mut plan.wal_fsync_error);
-        prob("CDP_FAULT_WAL_ROTATE_ERR", &mut plan.wal_rotate_error);
-        plan.crash_site = std::env::var("CDP_FAULT_CRASH_SITE")
-            .ok()
-            .and_then(|v| CrashSite::parse(&v));
-        if let Some(at) = std::env::var("CDP_FAULT_CRASH_AT")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-        {
-            plan.crash_at = at;
-        }
-        Some(plan)
+        Some(Self::chaos(seed))
     }
 
     /// Whether any fault kind has a non-zero probability or a crash is armed.
@@ -571,7 +533,6 @@ impl FaultHook for FaultInjector {
         WorkerOrder {
             panics,
             target: event_hash(self.plan.seed, SITE_WORKER, epoch, u64::MAX),
-            delay: Duration::ZERO,
         }
     }
 

@@ -1961,7 +1961,7 @@ mod tests {
         // Two objective maps plus one per sharded step.
         assert!(snap.span_count("engine.map") >= 3);
         assert!(snap.crosses_threads());
-        let fit = snap.roots()[0];
+        let fit = snap.spans.iter().find(|s| s.parent.is_none()).unwrap();
         assert_eq!(fit.name, "trainer.fit");
         for step in snap.spans.iter().filter(|s| s.name == "trainer.step") {
             assert_eq!(snap.parent_name(step), Some("trainer.fit"));

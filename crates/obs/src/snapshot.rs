@@ -4,7 +4,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
 
 use crate::lineage::{LineageEntry, LineageEventKind};
 
@@ -267,22 +266,6 @@ impl MetricsSnapshot {
             self.dropped_events, self.dropped_lineage
         );
         out
-    }
-
-    /// Writes [`to_csv`](Self::to_csv) to `path`.
-    ///
-    /// # Errors
-    /// I/O errors creating or writing the file.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-
-    /// Writes [`to_json`](Self::to_json) to `path`.
-    ///
-    /// # Errors
-    /// I/O errors creating or writing the file.
-    pub fn write_json(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
     }
 }
 

@@ -98,7 +98,7 @@ impl TimeSeries {
     /// Change in value over the last `n` sampling intervals: newest value
     /// minus the value `n` samples back (or the oldest retained sample when
     /// the series is shorter — the window-so-far). `None` when empty.
-    pub fn delta(&self, n: usize) -> Option<f64> {
+    fn delta(&self, n: usize) -> Option<f64> {
         let newest = self.points.back()?;
         let start = self.points.len().saturating_sub(n + 1);
         Some(newest.value - self.points[start].value)

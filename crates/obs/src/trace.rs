@@ -99,7 +99,7 @@ fn current_tid() -> u32 {
 
 #[derive(Debug, Default)]
 struct SpanLog {
-    records: Vec<SpanRecord>,
+    spans: Vec<SpanRecord>,
     threads: BTreeMap<u32, String>,
 }
 
@@ -189,7 +189,7 @@ impl Tracer {
         };
         let log = lock_ignore_poison(&buf.log);
         TraceSnapshot {
-            spans: log.records.clone(),
+            spans: log.spans.clone(),
             threads: log.threads.clone(),
             dropped_spans: buf.dropped.load(Ordering::Relaxed),
         }
@@ -235,7 +235,7 @@ impl TraceSpan {
         let end_secs = s.buf.clock.now_secs().max(s.start_secs);
         let tid = current_tid();
         let mut log = lock_ignore_poison(&s.buf.log);
-        if log.records.len() >= SPAN_BUFFER_CAPACITY {
+        if log.spans.len() >= SPAN_BUFFER_CAPACITY {
             s.buf.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -244,7 +244,7 @@ impl TraceSpan {
                 .name()
                 .map_or_else(|| format!("thread-{tid}"), str::to_owned)
         });
-        log.records.push(SpanRecord {
+        log.spans.push(SpanRecord {
             trace: s.trace,
             id: s.id,
             parent: s.parent,
@@ -282,11 +282,6 @@ impl TraceSnapshot {
     /// Number of spans named `name`.
     pub fn span_count(&self, name: &str) -> usize {
         self.spans.iter().filter(|s| s.name == name).count()
-    }
-
-    /// The root spans (no parent), in finish order.
-    pub fn roots(&self) -> Vec<&SpanRecord> {
-        self.spans.iter().filter(|s| s.parent.is_none()).collect()
     }
 
     /// The span with id `id`, if recorded.
@@ -411,10 +406,11 @@ mod tests {
         let snap = tracer.snapshot();
         snap.validate().unwrap();
         assert_eq!(snap.spans.len(), 3);
-        assert_eq!(snap.roots().len(), 1);
+        let roots: Vec<_> = snap.spans.iter().filter(|s| s.parent.is_none()).collect();
+        assert_eq!(roots.len(), 1);
         assert_eq!(snap.span_count("engine.task"), 2);
         assert!(snap.crosses_threads());
-        let root_rec = snap.roots()[0];
+        let root_rec = roots[0];
         for task in snap.spans.iter().filter(|s| s.name == "engine.task") {
             assert_eq!(task.parent, Some(root_rec.id));
             assert_eq!(task.trace, root_rec.trace);
@@ -461,7 +457,7 @@ mod tests {
         tracer.child_of("a", None).finish();
         tracer.child_of("b", None).finish();
         let snap = tracer.snapshot();
-        assert_eq!(snap.roots().len(), 2);
+        assert_eq!(snap.spans.iter().filter(|s| s.parent.is_none()).count(), 2);
         assert_ne!(snap.spans[0].trace, snap.spans[1].trace);
         assert!(!snap.crosses_threads());
     }

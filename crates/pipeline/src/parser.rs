@@ -1,4 +1,4 @@
-//! Input parsers: raw [`Record`]s → one typed [`ColumnBatch`].
+//! Input parsers: borrowed raw rows ([`RawRows`]) → one typed [`ColumnBatch`].
 //!
 //! Parsers are the first stage of every pipeline. They are stateless and
 //! drop malformed records, mirroring the paper's "input parser" components
@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use cdp_storage::{Record, Schema, Value};
+use cdp_storage::{RawRow, RawRows, Schema, ValueRef};
 
 use crate::batch::ColumnBatch;
 
@@ -15,10 +15,10 @@ pub trait Parser: Send + Sync {
     /// Stable name for reports.
     fn name(&self) -> &str;
 
-    /// Parses a chunk's records into one batch, in record order, dropping
-    /// malformed ones. Tokens borrow from the records; the buffers are those
-    /// of `recycled` ([`ColumnBatch::recycle`]), an earlier batch or a new one.
-    fn parse<'a>(&self, records: &'a [Record], recycled: ColumnBatch<'_>) -> ColumnBatch<'a>;
+    /// Parses `rows` into one batch, in row order, dropping malformed ones.
+    /// Tokens borrow from the rows; the buffers are those of `recycled`
+    /// ([`ColumnBatch::recycle`]), an earlier batch or a new one.
+    fn parse<'a>(&self, rows: RawRows<'a>, recycled: ColumnBatch<'_>) -> ColumnBatch<'a>;
 
     /// Clones the parser (pipeline snapshots).
     fn clone_box(&self) -> Box<dyn Parser>;
@@ -77,13 +77,13 @@ impl SchemaParser {
         }
     }
 
-    /// One record's label, numeric fields (into `nums`) and token text;
-    /// `None` rejects the record.
-    fn read<'a>(&self, record: &'a Record, nums: &mut Vec<f64>) -> Option<(f64, &'a str)> {
-        let num = |i: usize| match record.get(i)? {
-            Value::Num(x) => Some(*x),
-            Value::Missing => Some(f64::NAN),
-            Value::Text(_) => None,
+    /// One row's label, numeric fields (into `nums`) and token text; `None`
+    /// rejects the row.
+    fn read<'a>(&self, row: RawRow<'a>, nums: &mut Vec<f64>) -> Option<(f64, &'a str)> {
+        let num = |i: usize| match row.get(i)? {
+            ValueRef::Num(x) => Some(x),
+            ValueRef::Missing => Some(f64::NAN),
+            ValueRef::Text(_) => None,
         };
         let label = num(self.label_idx)?;
         nums.clear();
@@ -92,10 +92,10 @@ impl SchemaParser {
         }
         let text = match self.token_idx {
             None => "",
-            Some(i) => match record.get(i)? {
-                Value::Text(s) => s.as_str(),
-                Value::Missing => "",
-                Value::Num(_) => return None,
+            Some(i) => match row.get(i)? {
+                ValueRef::Text(s) => s,
+                ValueRef::Missing => "",
+                ValueRef::Num(_) => return None,
             },
         };
         Some((label, text))
@@ -107,12 +107,12 @@ impl Parser for SchemaParser {
         "schema-parser"
     }
 
-    fn parse<'a>(&self, records: &'a [Record], recycled: ColumnBatch<'_>) -> ColumnBatch<'a> {
-        let mut batch = recycled.recycle(records.len(), self.num_idx.len());
+    fn parse<'a>(&self, rows: RawRows<'a>, recycled: ColumnBatch<'_>) -> ColumnBatch<'a> {
+        let mut batch = recycled.recycle(rows.len(), self.num_idx.len());
         let mut nums = std::mem::take(&mut batch.spare);
         nums.reserve(self.num_idx.len());
-        for record in records {
-            if let Some((label, text)) = self.read(record, &mut nums) {
+        for row in rows.iter() {
+            if let Some((label, text)) = self.read(row, &mut nums) {
                 batch.push_row(label, &nums, text.split_whitespace());
             }
         }
@@ -178,9 +178,9 @@ impl TaxiParser {
         Self { idx }
     }
 
-    /// One record's label and parsed columns; `None` rejects the record.
-    fn read(&self, record: &Record) -> Option<(f64, [f64; TAXI_WIDTH])> {
-        let num = |i: usize| record.get(i).and_then(Value::as_num);
+    /// One row's label and parsed columns; `None` rejects the row.
+    fn read(&self, row: RawRow<'_>) -> Option<(f64, [f64; TAXI_WIDTH])> {
+        let num = |i: usize| row.get(i).and_then(ValueRef::as_num);
         let pickup = num(self.idx.pickup_time)?;
         let dropoff = num(self.idx.dropoff_time)?;
         let duration = dropoff - pickup;
@@ -206,10 +206,10 @@ impl Parser for TaxiParser {
         "taxi-parser"
     }
 
-    fn parse<'a>(&self, records: &'a [Record], recycled: ColumnBatch<'_>) -> ColumnBatch<'a> {
-        let mut batch = recycled.recycle(records.len(), TAXI_WIDTH);
-        for record in records {
-            if let Some((label, nums)) = self.read(record) {
+    fn parse<'a>(&self, rows: RawRows<'a>, recycled: ColumnBatch<'_>) -> ColumnBatch<'a> {
+        let mut batch = recycled.recycle(rows.len(), TAXI_WIDTH);
+        for row in rows.iter() {
+            if let Some((label, nums)) = self.read(row) {
                 batch.push_row(label, &nums, std::iter::empty());
             }
         }
@@ -224,6 +224,7 @@ impl Parser for TaxiParser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_storage::{RawChunk, Record, Timestamp, Value};
 
     fn url_schema() -> Arc<Schema> {
         Schema::new(["label", "lex0", "lex1", "url"])
@@ -239,8 +240,7 @@ mod tests {
             Value::Missing,
             Value::Text("com example login".into()),
         ]);
-        let records = [record];
-        let batch = parser.parse(&records, ColumnBatch::default());
+        let batch = parser.parse(RawRows::one(&record), ColumnBatch::default());
         assert_eq!(batch.labels(), &[1.0]);
         assert_eq!(batch.col(0), Some(&[0.5][..]));
         assert!(batch.col(1).is_some_and(|c| c[0].is_nan()));
@@ -252,12 +252,13 @@ mod tests {
         let schema = url_schema();
         let parser = SchemaParser::new(schema, "label", &[], None);
         // A rejected record leaves no trace; its neighbours keep their order.
-        let records = [
+        let records = vec![
             Record::new(vec![Value::Num(1.0)]),
             Record::new(vec![Value::Text("bad".into())]),
             Record::new(vec![Value::Missing]),
         ];
-        let batch = parser.parse(&records, ColumnBatch::default());
+        let chunk = RawChunk::new(Timestamp(0), records);
+        let batch = parser.parse(chunk.rows(), ColumnBatch::default());
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.labels()[0], 1.0);
         assert!(batch.labels()[1].is_nan());
@@ -293,8 +294,7 @@ mod tests {
             Value::Num(40.78),
             Value::Num(2.0),
         ]);
-        let records = [record];
-        let batch = parser.parse(&records, ColumnBatch::default());
+        let batch = parser.parse(RawRows::one(&record), ColumnBatch::default());
         assert!((batch.labels()[0] - 601f64.ln()).abs() < 1e-12);
         assert_eq!(batch.col(6), Some(&[600.0][..]));
         assert_eq!(batch.col(5), Some(&[2.0][..]));
@@ -313,8 +313,7 @@ mod tests {
             Value::Num(0.0),
             Value::Num(1.0),
         ]);
-        let records = [record];
-        let batch = parser.parse(&records, ColumnBatch::default());
+        let batch = parser.parse(RawRows::one(&record), ColumnBatch::default());
         assert_eq!(batch.labels(), &[0.0]);
         assert_eq!(batch.col(6), Some(&[-1000.0][..]));
     }
@@ -331,6 +330,7 @@ mod tests {
             Value::Num(0.0),
             Value::Num(1.0),
         ]);
-        assert!(parser.parse(&[record], ColumnBatch::default()).is_empty());
+        let batch = parser.parse(RawRows::one(&record), ColumnBatch::default());
+        assert!(batch.is_empty());
     }
 }

@@ -3,7 +3,8 @@
 use std::sync::Arc;
 
 use cdp_storage::{
-    durable, ColumnSlab, FeatureChunk, KeptColumns, LabeledPoint, RawChunk, Record, RowView,
+    durable, ColumnSlab, FeatureChunk, KeptColumns, LabeledPoint, RawChunk, RawRows, Record,
+    RowView,
 };
 
 use crate::batch::ColumnBatch;
@@ -193,8 +194,8 @@ impl Pipeline {
     /// the one batch every component then edits in place: no per-row
     /// intermediate exists.
     fn parse<'r>(&self, chunk: &'r RawChunk, counters: &mut PipelineCounters) -> ColumnBatch<'r> {
-        counters.parsed_records += chunk.records.len() as u64;
-        self.parser.parse(&chunk.records, ColumnBatch::default())
+        counters.parsed_records += chunk.len() as u64;
+        self.parser.parse(chunk.rows(), ColumnBatch::default())
     }
 
     /// The encoder's slab of the finished batch: the chunk that gets stored.
@@ -287,7 +288,7 @@ impl Pipeline {
         f: impl FnOnce(RowView<'_>) -> R,
     ) -> Option<R> {
         let recycled = std::mem::take(&mut scratch.batch);
-        let mut batch = self.parser.parse(std::slice::from_ref(record), recycled);
+        let mut batch = self.parser.parse(RawRows::one(record), recycled);
         for component in &self.components {
             if batch.is_empty() {
                 break;
@@ -470,8 +471,11 @@ mod tests {
         // A bag past the bound is answered like any other and then takes its
         // buffers with it; the next query starts from nothing again.
         let huge = "t ".repeat(QUERY_SCRATCH_MAX_TOKENS + 1);
-        let repeated = |row: RowView<'_>| row.nnz();
-        assert_eq!(p.query(&query(&huge), &mut scratch, repeated), Some(2));
+        let repeated = |row: RowView<'_>| row.sparse_parts().map(|(indices, _)| indices.len());
+        assert_eq!(
+            p.query(&query(&huge), &mut scratch, repeated),
+            Some(Some(2))
+        );
         assert_eq!(scratch.batch.tokens.capacity(), 0);
         assert!(scratch.slab.is_none());
         assert_eq!(

@@ -14,7 +14,7 @@ use cdp_pipeline::scale::StandardScaler;
 use cdp_pipeline::{ColumnBatch, Component, Pipeline, PipelineBuilder, QueryScratch};
 use cdp_storage::{
     ColumnSlab, FeatureChunk, KeptColumns, LabeledPoint, RawChunk, Record, Schema, SlabLayout,
-    Timestamp, Value,
+    Timestamp, Value, ValueRef,
 };
 use proptest::prelude::*;
 use row_reference::{Encoder as RowEncoder, Parser as RowParser, RowPipeline, Stage};
@@ -230,13 +230,17 @@ fn check(spec: &Spec, chunks: &[Vec<Record>], restore_after: usize) -> Result<()
     for (t, records) in chunks.iter().enumerate() {
         let raw = RawChunk::new(Timestamp(t as u64), records.clone());
         let online = real.fit_transform_chunk(&raw);
-        same_points("fit_transform", &online, &reference.fit_transform(records))?;
+        same_points(
+            "fit_transform",
+            &online,
+            &reference.fit_transform(raw.rows()),
+        )?;
         same_state("after fit_transform", &real, &reference)?;
 
         let earlier = &chunks[(t * 7 + 3) % (t + 1)];
         let raw = RawChunk::new(Timestamp(1_000 + t as u64), earlier.clone());
         let again = real.transform_chunk(&raw);
-        same_points("transform", &again, &reference.transform(earlier))?;
+        same_points("transform", &again, &reference.transform(raw.rows()))?;
         same_state("after transform", &real, &reference)?;
 
         for record in records {
@@ -546,7 +550,7 @@ impl Served {
     fn fit(&mut self, records: &[Record]) {
         let raw = RawChunk::new(Timestamp(0), records.to_vec());
         self.real.fit_transform_chunk(&raw);
-        self.reference.fit_transform(records);
+        self.reference.fit_transform(raw.rows());
     }
 
     /// Every record of `records` as a query in `scratch`: the same bits as
@@ -698,22 +702,23 @@ fn edge_cases_match_the_row_reference() {
 
     // Taxi shape: a chunk the anomaly filter empties between two it thins.
     let mut rng = Rng(16);
-    let anomalous: Vec<Record> = rng
-        .taxi_chunk(12, true)
-        .into_iter()
+    let taxi = RawChunk::new(Timestamp(0), rng.taxi_chunk(12, true));
+    let anomalous: Vec<Record> = taxi
+        .rows()
+        .iter()
         .map(|r| match (r.get(0), r.get(2), r.get(3)) {
             // Dropoff at the pickup point one second later: too short *and*
             // no distance.
-            (Some(&Value::Num(t)), Some(lon), Some(lat)) => rec(vec![
+            (Some(ValueRef::Num(t)), Some(lon), Some(lat)) => rec(vec![
                 num(t),
                 num(t + 1.0),
-                lon.clone(),
-                lat.clone(),
-                lon.clone(),
-                lat.clone(),
+                lon.into(),
+                lat.into(),
+                lon.into(),
+                lat.into(),
                 num(1.0),
             ]),
-            _ => r,
+            _ => r.to_record(),
         })
         .collect();
     let taxi_chunks = vec![

@@ -12,7 +12,7 @@ use cdp_linalg::Vector;
 use cdp_pipeline::encode::FeatureHasher;
 use cdp_pipeline::stats::RunningMoments;
 use cdp_pipeline::PipelineCounters;
-use cdp_storage::{LabeledPoint, Record, Value};
+use cdp_storage::{LabeledPoint, RawRow, RawRows, Record, ValueRef};
 
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -103,25 +103,25 @@ fn day_of_week(epoch_secs: f64) -> f64 {
 }
 
 impl Parser {
-    fn parse(&self, record: &Record) -> Option<Row> {
+    fn parse(&self, record: RawRow<'_>) -> Option<Row> {
         match self {
             Parser::Schema {
                 nums: width,
                 tokens,
             } => {
                 let num = |i: usize| match record.get(i)? {
-                    Value::Num(x) => Some(*x),
-                    Value::Missing => Some(f64::NAN),
-                    Value::Text(_) => None,
+                    ValueRef::Num(x) => Some(x),
+                    ValueRef::Missing => Some(f64::NAN),
+                    ValueRef::Text(_) => None,
                 };
                 let label = num(0)?;
                 let nums = (1..=*width).map(num).collect::<Option<Vec<f64>>>()?;
                 let tokens = match tokens.then(|| record.get(width + 1)) {
                     None => Vec::new(),
                     Some(field) => match field? {
-                        Value::Text(s) => s.split_whitespace().map(str::to_owned).collect(),
-                        Value::Missing => Vec::new(),
-                        Value::Num(_) => return None,
+                        ValueRef::Text(s) => s.split_whitespace().map(str::to_owned).collect(),
+                        ValueRef::Missing => Vec::new(),
+                        ValueRef::Num(_) => return None,
                     },
                 };
                 Some(Row {
@@ -131,7 +131,7 @@ impl Parser {
                 })
             }
             Parser::Taxi => {
-                let num = |i: usize| record.get(i).and_then(Value::as_num);
+                let num = |i: usize| record.get(i).and_then(ValueRef::as_num);
                 let (pickup, dropoff) = (num(0)?, num(1)?);
                 let duration = dropoff - pickup;
                 let nums = vec![
@@ -331,7 +331,7 @@ impl RowPipeline {
         }
     }
 
-    fn run(&mut self, records: &[Record], fit: bool) -> Vec<LabeledPoint> {
+    fn run(&mut self, records: RawRows<'_>, fit: bool) -> Vec<LabeledPoint> {
         self.counters.parsed_records += records.len() as u64;
         let mut rows: Vec<Row> = records
             .iter()
@@ -355,16 +355,19 @@ impl RowPipeline {
             .collect()
     }
 
-    pub fn fit_transform(&mut self, records: &[Record]) -> Vec<LabeledPoint> {
+    pub fn fit_transform(&mut self, records: RawRows<'_>) -> Vec<LabeledPoint> {
         self.run(records, true)
     }
 
-    pub fn transform(&mut self, records: &[Record]) -> Vec<LabeledPoint> {
+    pub fn transform(&mut self, records: RawRows<'_>) -> Vec<LabeledPoint> {
         self.run(records, false)
     }
 
     pub fn transform_query(&self, record: &Record) -> Option<LabeledPoint> {
-        let mut rows: Vec<Row> = self.parser.parse(record).into_iter().collect();
+        let mut rows: Vec<Row> = RawRows::one(record)
+            .iter()
+            .filter_map(|r| self.parser.parse(r))
+            .collect();
         for stage in &self.stages {
             rows = stage.transform(rows);
             if rows.is_empty() {

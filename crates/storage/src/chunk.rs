@@ -1,7 +1,8 @@
 //! Timestamped raw and feature chunks (paper §3, workflow stages 1–2).
 //!
 //! Both kinds share their rows: a [`RawChunk`] is a handle on one immutable
-//! slice of records, a [`FeatureChunk`] on one [`ColumnSlab`] whose rows
+//! slice of records whose rows readers borrow through [`RawRows`]
+//! ([`RawChunk::rows`]), a [`FeatureChunk`] on one [`ColumnSlab`] whose rows
 //! consumers read through zero-copy [`RowView`]s ([`FeatureChunk::rows`]).
 
 use std::sync::Arc;
@@ -9,7 +10,7 @@ use std::sync::Arc;
 use cdp_linalg::Vector;
 
 use crate::columnar::{ColumnSlab, RowView};
-use crate::record::Record;
+use crate::record::{RawRow, Record};
 
 /// Chunk creation timestamp. Acts as both the unique identifier of a chunk
 /// and the indicator of its recency (paper §3, stage 1).
@@ -42,7 +43,7 @@ impl From<u64> for Timestamp {
 pub struct RawChunk {
     /// Unique identifier and recency indicator.
     pub timestamp: Timestamp,
-    /// The raw rows.
+    /// The raw rows in this crate's layout; readers use [`RawChunk::rows`].
     pub records: Arc<[Record]>,
 }
 
@@ -63,11 +64,50 @@ impl RawChunk {
         self.records.is_empty()
     }
 
+    /// The chunk's rows, borrowed, in order.
+    pub fn rows(&self) -> RawRows<'_> {
+        RawRows {
+            records: &self.records,
+        }
+    }
+
     /// The accounted footprint in bytes ([`Record::size_bytes`] per row, the
     /// same for every clone): what the cost ledger charges for moving the
     /// chunk, not what the allocator holds for it.
     pub fn size_bytes(&self) -> usize {
         self.records.iter().map(Record::size_bytes).sum()
+    }
+}
+
+/// Borrowed raw rows: a whole chunk's ([`RawChunk::rows`]) or one
+/// record's ([`RawRows::one`]), read in order as [`RawRow`]s. `Copy`, and a
+/// text value borrows from the rows for `'a`.
+#[derive(Debug, Clone, Copy)]
+pub struct RawRows<'a> {
+    records: &'a [Record],
+}
+
+impl<'a> RawRows<'a> {
+    /// `record` as one row, without a copy: a prediction query.
+    pub fn one(record: &'a Record) -> Self {
+        Self {
+            records: std::slice::from_ref(record),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether there is no row.
+    pub fn is_empty(self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The rows in order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = RawRow<'a>> {
+        self.records.iter().map(|r| RawRow { values: &r.values })
     }
 }
 
@@ -209,7 +249,7 @@ mod tests {
     use super::*;
     use crate::columnar::CsrBuilder;
     use crate::disk::{decode_chunk, encode_chunk};
-    use crate::record::Value;
+    use crate::record::{Value, ValueRef};
 
     #[test]
     fn timestamp_ordering_and_next() {
@@ -249,6 +289,37 @@ mod tests {
         assert_eq!(taxi, again);
         assert_ne!(taxi, url);
         assert_ne!(taxi, RawChunk::new(Timestamp(9), taxi.records.to_vec()));
+    }
+
+    /// Every value of `rows`, with each text's address.
+    fn read(rows: RawRows<'_>) -> Vec<(ValueRef<'_>, Option<*const u8>)> {
+        let text_at = |v: ValueRef<'_>| match v {
+            ValueRef::Text(s) => Some(s.as_ptr()),
+            _ => None,
+        };
+        let values = rows.iter().flat_map(RawRow::iter);
+        values.map(|v| (v, text_at(v))).collect()
+    }
+
+    #[test]
+    fn a_chunks_rows_and_one_records_rows_read_the_same_values_in_place() {
+        let (_, url) = taxi_and_url_shaped();
+        let rows = url.rows();
+        assert_eq!((rows.len(), rows.is_empty()), (2, false));
+        let second = &url.records[1];
+        let one = RawRows::one(second);
+        assert_eq!(one.len(), 1);
+        let row = one.iter().next().expect("one row");
+        assert_eq!((row.len(), row.is_empty()), (18, false));
+        assert_eq!((row.get(0), row.get(18)), (Some(ValueRef::Num(1.0)), None));
+        assert_eq!(row.to_record(), *second);
+        // The record alone and the record as the chunk's second row: the
+        // same values, the text at the same address in the chunk.
+        let whole = read(rows);
+        assert_eq!(read(one), whole[whole.len() / 2..]);
+        let texts = whole.iter().filter_map(|(_, at)| *at).count();
+        assert_eq!(texts, 2);
+        assert!(RawChunk::new(Timestamp(3), Vec::new()).rows().is_empty());
     }
 
     #[test]

@@ -405,18 +405,6 @@ impl<'a> RowView<'a> {
         }
     }
 
-    /// Number of non-zero coordinates of a dense row (stored zeros counted
-    /// out); stored entries of a CSR row.
-    pub fn nnz(&self) -> usize {
-        match &self.slab.layout {
-            SlabLayout::Dense { dim, cols } => {
-                let zeros = cols.iter().filter(|c| c[self.row] == 0.0).count();
-                *dim - zeros
-            }
-            SlabLayout::Csr { row_ptr, .. } => (row_ptr[self.row + 1] - row_ptr[self.row]) as usize,
-        }
-    }
-
     /// Dot product with dense weights that may be narrower than the row:
     /// uncovered coordinates contribute `0.0`. Dense coordinates ascending,
     /// CSR entries in stored order up to the first one the weights do not
@@ -543,13 +531,6 @@ mod tests {
             }
         }
 
-        fn nnz(&self) -> usize {
-            match self {
-                Row::Dense(v) => v.iter().filter(|x| **x != 0.0).count(),
-                Row::Sparse(_, entries) => entries.len(),
-            }
-        }
-
         /// The label and the stored coordinates, as the row layout
         /// accounted them.
         fn size_bytes(&self) -> usize {
@@ -643,13 +624,12 @@ mod tests {
     }
 
     /// Every row of `slab` reads back as `rows` has it: label, dimension,
-    /// non-zeros, accounted bytes and the point a query would return.
+    /// accounted bytes and the point a query would return.
     fn check_rows(slab: &ColumnSlab, rows: &[(f64, Row)]) {
         assert_eq!(slab.len(), rows.len());
         for (i, (label, row)) in rows.iter().enumerate() {
             let view = slab.row(i);
             assert_eq!((view.label(), view.dim()), (*label, row.dim()));
-            assert_eq!(view.nnz(), row.nnz());
             assert_eq!(slab.row_size_bytes(i), row.size_bytes());
             let features = row.to_vector();
             let point = LabeledPoint {
@@ -803,7 +783,8 @@ mod tests {
         );
         let row = first.row(0).sparse_parts();
         assert_eq!(row, Some((&[0u32, 4][..], &[1.0, 0.0][..])));
-        assert_eq!((first.len(), first.row(1).nnz()), (2, 0));
+        let empty: (&[u32], &[f64]) = (&[], &[]);
+        assert_eq!((first.len(), first.row(1).sparse_parts()), (2, Some(empty)));
         // Rebuilt from its own buffers the slab is the one a new builder
         // makes: nothing of the rows it held survives, the allocation does.
         let labels = first.labels().as_ptr();

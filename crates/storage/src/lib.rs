@@ -47,9 +47,9 @@ pub mod tiered;
 pub mod wal;
 
 pub use checkpoint::{CheckpointDir, CHECKPOINT_SCHEMA};
-pub use chunk::{FeatureChunk, KeptColumns, LabeledPoint, RawChunk, Timestamp};
+pub use chunk::{FeatureChunk, KeptColumns, LabeledPoint, RawChunk, RawRows, Timestamp};
 pub use columnar::{slab_runs, ColumnSlab, CsrBuilder, RowView, SlabLayout};
-pub use record::{Record, Schema, Value};
+pub use record::{RawRow, Record, Schema, Value, ValueRef};
 pub use store::{ChunkStore, FeatureSource, StorageBudget, StoreStats};
 pub use tiered::{TieredStats, TieredStore};
 pub use wal::{WalDir, WalOptions, WalRecovery, WalStats, WalWriter};

@@ -1,8 +1,9 @@
 //! Raw-record model: what arrives at the platform before the pipeline runs.
 //!
-//! A [`Record`] is a flat row of [`Value`]s described by a shared [`Schema`].
-//! The input-parser component of a pipeline is the only stage that looks at
-//! records; everything downstream works on feature vectors.
+//! A [`Record`] is a flat row of [`Value`]s described by a shared [`Schema`],
+//! the owned form a generator, decoder or query builds. Readers borrow rows
+//! as [`RawRow`]s of [`ValueRef`]s, so only this crate knows their layout.
+//! The input parser is the only pipeline stage that reads raw rows.
 
 use std::sync::Arc;
 
@@ -18,39 +19,13 @@ pub enum Value {
 }
 
 impl Value {
-    /// Numeric view; `None` for text or missing.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
     /// Approximate heap footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
+    fn size_bytes(&self) -> usize {
         match self {
             Value::Num(_) => std::mem::size_of::<f64>(),
             Value::Text(s) => s.len(),
             Value::Missing => 0,
         }
-    }
-}
-
-impl From<f64> for Value {
-    fn from(x: f64) -> Self {
-        Value::Num(x)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(s: &str) -> Self {
-        Value::Text(s.to_owned())
-    }
-}
-
-impl From<String> for Value {
-    fn from(s: String) -> Self {
-        Value::Text(s)
     }
 }
 
@@ -92,11 +67,6 @@ impl Schema {
     pub fn is_empty(&self) -> bool {
         self.fields.is_empty()
     }
-
-    /// Field names in declaration order.
-    pub fn fields(&self) -> &[String] {
-        &self.fields
-    }
 }
 
 /// A raw data row: one value per schema field. The values sit in a boxed
@@ -104,7 +74,7 @@ impl Schema {
 /// its values, not 24.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
-    values: Box<[Value]>,
+    pub(crate) values: Box<[Value]>,
 }
 
 impl Record {
@@ -118,30 +88,88 @@ impl Record {
         }
     }
 
-    /// Number of fields.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the record has no fields.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Value at positional index.
-    pub fn get(&self, index: usize) -> Option<&Value> {
-        self.values.get(index)
-    }
-
-    /// All values.
-    pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn size_bytes(&self) -> usize {
         self.values.iter().map(Value::size_bytes).sum::<usize>()
             + self.values.len() * std::mem::size_of::<Value>()
+    }
+}
+
+/// One field of a raw row, borrowed: text is a `&str` into the row's
+/// storage, so what a parser keeps of it lives as long as the chunk.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// A numeric field.
+    Num(f64),
+    /// A textual field.
+    Text(&'a str),
+    /// An explicitly missing field.
+    Missing,
+}
+
+impl ValueRef<'_> {
+    /// Numeric view; `None` for text or missing.
+    pub fn as_num(self) -> Option<f64> {
+        match self {
+            ValueRef::Num(x) => Some(x),
+            _ => None,
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    #[inline]
+    fn from(value: &'a Value) -> Self {
+        match value {
+            Value::Num(x) => ValueRef::Num(*x),
+            Value::Text(s) => ValueRef::Text(s),
+            Value::Missing => ValueRef::Missing,
+        }
+    }
+}
+
+impl From<ValueRef<'_>> for Value {
+    fn from(value: ValueRef<'_>) -> Self {
+        match value {
+            ValueRef::Num(x) => Value::Num(x),
+            ValueRef::Text(s) => Value::Text(s.to_owned()),
+            ValueRef::Missing => Value::Missing,
+        }
+    }
+}
+
+/// A borrowed raw row: one value per schema field, by position.
+#[derive(Debug, Clone, Copy)]
+pub struct RawRow<'a> {
+    pub(crate) values: &'a [Value],
+}
+
+impl<'a> RawRow<'a> {
+    /// Number of fields.
+    pub fn len(self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether the row has no fields.
+    pub fn is_empty(self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Value at positional index.
+    #[inline]
+    pub fn get(self, index: usize) -> Option<ValueRef<'a>> {
+        self.values.get(index).map(ValueRef::from)
+    }
+
+    /// The values in field order.
+    #[inline]
+    pub fn iter(self) -> impl ExactSizeIterator<Item = ValueRef<'a>> {
+        self.values.iter().map(ValueRef::from)
+    }
+
+    /// An owned copy of the row.
+    pub fn to_record(self) -> Record {
+        Record::new(self.iter().map(Value::from).collect())
     }
 }
 
@@ -170,9 +198,10 @@ mod tests {
 
     #[test]
     fn value_conversions() {
-        assert_eq!(Value::from(2.5).as_num(), Some(2.5));
-        assert_eq!(Value::from("hi"), Value::Text("hi".into()));
-        assert_eq!(Value::Missing.as_num(), None);
+        assert_eq!(ValueRef::from(&Value::Num(2.5)).as_num(), Some(2.5));
+        assert_eq!(Value::from(ValueRef::Text("hi")), Value::Text("hi".into()));
+        assert_eq!(ValueRef::from(&Value::Missing).as_num(), None);
+        assert_eq!(ValueRef::Text("hi").as_num(), None);
     }
 
     #[test]
@@ -187,7 +216,7 @@ mod tests {
         let values = vec![Value::Num(1.0), Value::Missing, Value::Num(2.0)];
         let at = values.as_ptr();
         let r = Record::new(values);
-        assert_eq!(r.values().as_ptr(), at);
+        assert_eq!(r.values.as_ptr(), at);
         assert_eq!(r.size_bytes(), 3 * std::mem::size_of::<Value>() + 16);
     }
 }

@@ -56,7 +56,7 @@ use cdp_obs::durable::{
 use cdp_obs::{crc32, Clock, Metrics};
 
 use crate::chunk::{RawChunk, Timestamp};
-use crate::record::{Record, Value};
+use crate::record::{Record, Value, ValueRef};
 use crate::{durable_crash_point, StorageError};
 
 /// WAL segment files: magic "CDPW", schema 1, header only — the frames
@@ -550,21 +550,21 @@ fn encode_wal_frame(buf: &mut Vec<u8>, seq: u64, chunk: &RawChunk) {
     put_u32(buf, 0); // the length, patched below
     put_u64(buf, seq);
     put_u64(buf, chunk.timestamp.0);
-    put_u32(buf, chunk.records.len() as u32);
-    for record in chunk.records.iter() {
-        let values = record.values();
-        put_u32(buf, values.len() as u32);
-        for value in values {
+    let rows = chunk.rows();
+    put_u32(buf, rows.len() as u32);
+    for row in rows.iter() {
+        put_u32(buf, row.len() as u32);
+        for value in row.iter() {
             match value {
-                Value::Num(x) => {
+                ValueRef::Num(x) => {
                     buf.push(0);
-                    put_f64(buf, *x);
+                    put_f64(buf, x);
                 }
-                Value::Text(s) => {
+                ValueRef::Text(s) => {
                     buf.push(1);
                     put_str(buf, s);
                 }
-                Value::Missing => buf.push(2),
+                ValueRef::Missing => buf.push(2),
             }
         }
     }
@@ -676,9 +676,9 @@ mod tests {
         buf.extend_from_slice(&chunk.timestamp.0.to_be_bytes());
         buf.extend_from_slice(&(chunk.records.len() as u32).to_be_bytes());
         for record in chunk.records.iter() {
-            let values = record.values();
+            let values = &record.values;
             buf.extend_from_slice(&(values.len() as u32).to_be_bytes());
-            for value in values {
+            for value in values.iter() {
                 match value {
                     Value::Num(x) => {
                         buf.push(0);

@@ -19,6 +19,7 @@ use cdpipe::core::{DataManager, ModelServer, PipelineManager, ProactiveTrainer};
 use cdpipe::datagen::ChunkStream;
 use cdpipe::eval::{CostLedger, PrequentialEvaluator};
 use cdpipe::prelude::*;
+use cdpipe::storage::Record;
 
 fn main() {
     let (stream, spec) = url_spec(SpecScale::Tiny);
@@ -44,13 +45,15 @@ fn main() {
             let server = server.clone();
             let stop = Arc::clone(&stop);
             let chunk = stream.chunk(stream.total_chunks() - 1 - t);
+            // A query arrives as an owned record, as from a client.
+            let queries: Vec<Record> = chunk.rows().iter().map(|row| row.to_record()).collect();
             std::thread::spawn(move || {
                 let mut served = 0u64;
                 let mut versions_seen = std::collections::BTreeSet::new();
                 // At least one full pass even if training finishes first
                 // (tiny streams train in microseconds).
                 loop {
-                    for record in chunk.records.iter() {
+                    for record in &queries {
                         if let Some(p) = server.predict(record) {
                             versions_seen.insert(p.version);
                             served += 1;

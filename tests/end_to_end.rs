@@ -11,7 +11,7 @@ use cdpipe::eval::{CostLedger, PrequentialEvaluator};
 use cdpipe::obs::durable::Format;
 use cdpipe::prelude::*;
 use cdpipe::storage::{
-    CheckpointDir, FeatureSource, RawChunk, Record, Schema, Value, CHECKPOINT_SCHEMA,
+    CheckpointDir, FeatureSource, RawChunk, Record, Schema, Value, ValueRef, CHECKPOINT_SCHEMA,
 };
 
 /// A mid-size URL run used by several tests (larger than `Tiny`, much
@@ -1176,9 +1176,9 @@ fn taxi_stream_matches_the_commit_before_the_fmod_free_kernels() {
     // generated trip keeps its bits. (Float digest taken on x86-64 Linux.)
     let values = taxi_stream_1000().flat_map(|chunk| {
         let nums: Vec<f64> = chunk
-            .records
+            .rows()
             .iter()
-            .flat_map(|r| r.values().iter().filter_map(Value::as_num))
+            .flat_map(|r| r.iter().filter_map(ValueRef::as_num))
             .collect();
         nums
     });
@@ -1196,7 +1196,7 @@ fn taxi_features_match_the_commit_before_the_fmod_free_kernels() {
     let parser =
         TaxiParser::new(cdpipe::datagen::taxi::TaxiGenerator::new(Default::default()).schema());
     let values = taxi_stream_1000().flat_map(|chunk| {
-        let mut batch = parser.parse(&chunk.records, ColumnBatch::default());
+        let mut batch = parser.parse(chunk.rows(), ColumnBatch::default());
         TaxiFeatureExtractor::new().transform(&mut batch);
         let mut nums = batch.labels().to_vec();
         batch.columns().for_each(|c| nums.extend_from_slice(c));

@@ -118,9 +118,9 @@ proptest! {
             ..TaxiConfig::repo_scale()
         });
         let chunk = g.chunk(index);
-        for r in chunk.records.iter() {
+        for r in chunk.rows().iter() {
             prop_assert_eq!(r.len(), 7);
-            for v in r.values() {
+            for v in r.iter() {
                 prop_assert!(v.as_num().is_some());
             }
         }

@@ -72,7 +72,7 @@ fn manual_loop_with_chunk_loss() {
     assert!(evaluator.count() > 0);
     assert!(evaluator.error() < 0.5);
     // The budget of 4 materialized chunks was respected throughout.
-    assert!(dm.materialized_count() <= 4);
+    assert!(dm.store().materialized_count() <= 4);
     // Chunk loss actually happened.
     assert!(dm.chunk_count() < stream.total_chunks());
 }
@@ -125,7 +125,7 @@ fn rematerialized_sample_feeds_valid_training_step() {
         let fc = pm.process_online_chunk(&raw, &mut evaluator, &mut ledger);
         dm.store_features(fc).expect("raw chunk present");
     }
-    assert_eq!(dm.materialized_count(), 0);
+    assert_eq!(dm.store().materialized_count(), 0);
     let sampled = dm.sample(4);
     assert!(sampled
         .iter()

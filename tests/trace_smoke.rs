@@ -64,7 +64,7 @@ fn span_tree_is_well_formed_and_crosses_worker_threads() {
     }
 
     // Exactly one root: the deployment itself.
-    let roots = trace.roots();
+    let roots: Vec<_> = trace.spans.iter().filter(|s| s.parent.is_none()).collect();
     assert_eq!(roots.len(), 1, "roots: {roots:?}");
     assert_eq!(roots[0].name, "deployment.run");
     assert_eq!(trace.span_count("deployment.initial_fit"), 1);
